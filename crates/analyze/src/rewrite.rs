@@ -71,8 +71,8 @@ use crate::slack::{analyze_slack, SlackClass, SlackFinding, SyncKind};
 /// Virtual-time price book for candidate relaxations.
 ///
 /// The calibration anchor is the engine's own `sync_blocked_ns` /
-/// `sync_blocked_steps` counters on the BENCH_9 trajectory baseline:
-/// `halo_fence` parks the host for 412,548 virtual ns across 1,040
+/// `sync_blocked_steps` counters: an 8-rank, 128-iteration `halo_fence`
+/// parks the host for 412,548 virtual ns across 1,040
 /// blocked sync steps, ≈ 400 ns per blocking synchronization — the
 /// default [`CostModel::park_ns_base`]. The remaining constants model
 /// the engine's virtual-cost accounting: larger covered transfers keep
@@ -87,7 +87,7 @@ use crate::slack::{analyze_slack, SlackClass, SlackFinding, SyncKind};
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Modeled host-park floor of one blocking synchronization, in
-    /// virtual ns (BENCH_9 `halo_fence`: ≈ 400 ns per blocked step).
+    /// virtual ns (8-rank `halo_fence`: ≈ 400 ns per blocked step).
     pub park_ns_base: u64,
     /// Additional park per covered byte the sync completes.
     pub park_ns_per_byte: u64,
@@ -106,7 +106,7 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// The BENCH_9-calibrated default (see the type docs).
+    /// The engine-calibrated default (see the type docs).
     pub fn calibrated() -> Self {
         CostModel {
             park_ns_base: 400,

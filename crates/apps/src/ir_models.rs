@@ -33,8 +33,7 @@ fn mix(state: &mut u64) -> u64 {
 
 /// IR twin of [`crate::halo`]'s fence discipline: per iteration each
 /// rank puts one ghost cell to each ring neighbour, separated by
-/// collective blocking fences. Identical shape to the macrobench
-/// `halo_fence_ir` workload.
+/// collective blocking fences.
 pub fn halo_ir(n_ranks: usize, iters: usize) -> IrProgram {
     assert!(n_ranks >= 2);
     let mut p = IrProgram::new(n_ranks, WIN_BYTES);

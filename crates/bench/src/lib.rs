@@ -21,20 +21,18 @@
 //!
 //! `run_all` regenerates everything in sequence. All numbers are virtual
 //! time on the calibrated cluster model; EXPERIMENTS.md records
-//! paper-vs-measured for each figure.
+//! paper-vs-measured for each figure. [`rewrite_apps`] is the one figure
+//! of this repo's own: the slack rewriter's payoff on the application IR
+//! twins.
 //!
-//! [`macrobench`] is different: it measures *host* wall-clock per RMA
-//! operation across three engine-stressing workloads, and its
-//! `bench_trajectory` binary writes `BENCH_<pr>.json` at the repo root —
-//! the PR-over-PR perf trajectory CI archives for regression tracking.
+//! Host cost (wall time, peak RSS, per-layer counts) is not measured
+//! here: the repo's one perf instrument is `benchmark/` (see its README).
 
 #![warn(missing_docs)]
 
 pub mod fig12;
 pub mod fig13;
 pub mod flags;
-pub mod gate;
-pub mod macrobench;
 pub mod micro;
 pub mod rewrite_apps;
 pub mod series;

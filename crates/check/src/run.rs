@@ -220,98 +220,6 @@ fn issue(
     Ok(())
 }
 
-fn execute_single_origin(
-    n_ranks: usize,
-    reorder: bool,
-    epochs: Arc<Vec<Epoch>>,
-    spec: &RunSpec,
-    trace: bool,
-    eo: ExecOpts,
-) -> Result<RunOutcome, RunFailure> {
-    let nonblocking = spec.nonblocking;
-    let mems = Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
-    let gets = Arc::new(Mutex::new(Vec::new()));
-    let (m2, g2) = (mems.clone(), gets.clone());
-    let info = if reorder { WinInfo::all_reorder() } else { WinInfo::default() };
-
-    let report = run_guarded(job_config(n_ranks, spec, trace, eo), move |env| {
-        let me = env.rank().idx();
-        let win = env.win_allocate_with(WIN_BYTES, info).unwrap();
-        env.barrier().unwrap();
-        if me == 0 {
-            let mut pending = Vec::new();
-            let mut get_reqs = Vec::new();
-            for e in epochs.iter() {
-                match e {
-                    Epoch::Fence(ops) => {
-                        env.fence(win).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.ifence(win).unwrap());
-                        } else {
-                            env.fence(win).unwrap();
-                        }
-                    }
-                    Epoch::Gats(ops) => {
-                        env.start(win, Group::new(1..n_ranks)).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.icomplete(win).unwrap());
-                        } else {
-                            env.complete(win).unwrap();
-                        }
-                    }
-                    Epoch::Lock { target, ops } => {
-                        env.lock(win, Rank(*target), LockKind::Exclusive).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.iunlock(win, Rank(*target)).unwrap());
-                        } else {
-                            env.unlock(win, Rank(*target)).unwrap();
-                        }
-                    }
-                    Epoch::LockAll(ops) => {
-                        env.lock_all(win).unwrap();
-                        issue(env, win, ops, &mut get_reqs).unwrap();
-                        if nonblocking {
-                            pending.push(env.iunlock_all(win).unwrap());
-                        } else {
-                            env.unlock_all(win).unwrap();
-                        }
-                    }
-                }
-            }
-            env.wait_all(pending).unwrap();
-            let mut out = Vec::new();
-            for r in get_reqs {
-                out.push(env.wait_data(r).unwrap().to_vec());
-            }
-            *g2.lock().unwrap() = out;
-        } else {
-            // Targets: join every fence phase, expose for every GATS epoch.
-            for e in epochs.iter() {
-                match e {
-                    Epoch::Fence(_) => {
-                        env.fence(win).unwrap();
-                        env.fence(win).unwrap();
-                    }
-                    Epoch::Gats(_) => {
-                        env.post(win, Group::single(Rank(0))).unwrap();
-                        env.wait_epoch(win).unwrap();
-                    }
-                    _ => {}
-                }
-            }
-        }
-        env.barrier().unwrap();
-        m2.lock().unwrap()[me] = env.read_local(win, 0, WIN_BYTES).unwrap();
-        env.win_free(win).unwrap();
-    })?;
-    let mems = mems.lock().unwrap().clone();
-    let gets = gets.lock().unwrap().clone();
-    Ok(RunOutcome { mems, gets, report })
-}
-
 fn execute_multi_origin(
     n_ranks: usize,
     plan: Arc<Vec<Vec<(usize, usize, u64)>>>,
@@ -410,9 +318,17 @@ fn execute_lock_all_storm(
     Ok(RunOutcome { mems, gets: Vec::new(), report })
 }
 
-fn execute_multi_window(
+/// Rank 0 drives every `(window, epoch)` pair while the other ranks join
+/// each fence phase and expose for each GATS epoch — the executor
+/// [`crate::lower`]'s `lower_driver`/`lower_target` mirror. `flush_locks`
+/// forces remote completion before every lock epoch's close (the
+/// multi-window family's distinguishing feature).
+#[allow(clippy::too_many_arguments)]
+fn execute_driver(
     n_ranks: usize,
     n_wins: usize,
+    flush_locks: bool,
+    info: WinInfo,
     epochs: Arc<Vec<(usize, Epoch)>>,
     spec: &RunSpec,
     trace: bool,
@@ -428,7 +344,7 @@ fn execute_multi_window(
         // `win_allocate_with` is collective, so sequential allocation
         // yields the same window ids on every rank.
         let wins: Vec<_> = (0..n_wins)
-            .map(|_| env.win_allocate_with(WIN_BYTES, WinInfo::default()).unwrap())
+            .map(|_| env.win_allocate_with(WIN_BYTES, info).unwrap())
             .collect();
         env.barrier().unwrap();
         if me == 0 {
@@ -458,9 +374,9 @@ fn execute_multi_window(
                     Epoch::Lock { target, ops } => {
                         env.lock(win, Rank(*target), LockKind::Exclusive).unwrap();
                         issue(env, win, ops, &mut get_reqs).unwrap();
-                        // The family's distinguishing feature: remote
-                        // completion forced mid-epoch.
-                        env.flush(win, Rank(*target)).unwrap();
+                        if flush_locks {
+                            env.flush(win, Rank(*target)).unwrap();
+                        }
                         if nonblocking {
                             pending.push(env.iunlock(win, Rank(*target)).unwrap());
                         } else {
@@ -566,7 +482,9 @@ pub fn execute_exec(
 ) -> Result<RunOutcome, RunFailure> {
     match program {
         Program::SingleOrigin { n_ranks, reorder, epochs } => {
-            execute_single_origin(*n_ranks, *reorder, Arc::new(epochs.clone()), spec, trace, eo)
+            let info = if *reorder { WinInfo::all_reorder() } else { WinInfo::default() };
+            let epochs = epochs.iter().map(|e| (0, e.clone())).collect();
+            execute_driver(*n_ranks, 1, false, info, Arc::new(epochs), spec, trace, eo)
         }
         Program::MultiOrigin { n_ranks, plan } => {
             execute_multi_origin(*n_ranks, Arc::new(plan.clone()), spec, trace, eo)
@@ -575,7 +493,8 @@ pub fn execute_exec(
             execute_lock_all_storm(*n_ranks, Arc::new(rounds.clone()), spec, trace, eo)
         }
         Program::MultiWindow { n_ranks, n_wins, epochs } => {
-            execute_multi_window(*n_ranks, *n_wins, Arc::new(epochs.clone()), spec, trace, eo)
+            let epochs = Arc::new(epochs.clone());
+            execute_driver(*n_ranks, *n_wins, true, WinInfo::default(), epochs, spec, trace, eo)
         }
     }
 }

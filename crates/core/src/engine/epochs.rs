@@ -305,6 +305,14 @@ impl Engine {
     /// skipped when looking for the preceding epoch: it is the trailing
     /// fence of a finished fence phase and only exists so a later fence
     /// call keeps the collective sequence aligned across ranks.
+    ///
+    /// Once that later call closes it (still empty), the fence cannot
+    /// complete before every peer closes it too, and a peer does so only
+    /// after the GATS epochs it opened under it — which wait for their
+    /// matches here. So the closed fence stays skipped for a GATS epoch
+    /// that opened under it, and for a passive-target epoch that rule 4
+    /// puts ahead of such a GATS epoch. A passive-target epoch with no GATS
+    /// epoch behind it needs no peer call and keeps rule 4's order.
     fn can_activate(&self, st: &EngState, rank: Rank, win: WinId, id: EpochId) -> bool {
         let w = st.win(win, rank);
         let e = w.epoch(id);
@@ -316,10 +324,17 @@ impl Engine {
             .iter()
             .position(|x| *x == id)
             .expect("epoch missing from order");
+        let skips_closed = |p: EpochId| {
+            e.opened_in_fence == Some(p)
+                && Self::is_empty_fence(w.epoch(p))
+                && w.order.iter().skip(pos).map(|q| w.epoch(*q)).any(|q| {
+                    q.opened_in_fence == Some(p) && !q.kind.is_passive()
+                })
+        };
         let prev_id = (0..pos)
             .rev()
             .map(|i| w.order[i])
-            .find(|p| !Self::is_dormant_fence(w.epoch(*p)));
+            .find(|p| !(Self::is_dormant_fence(w.epoch(*p)) || skips_closed(*p)));
         match prev_id {
             None => true,
             Some(prev_id) => {
@@ -732,8 +747,13 @@ impl Engine {
     /// Whether `e` is a dormant trailing fence: open, never closed, and
     /// without any recorded or issued operation.
     pub(crate) fn is_dormant_fence(e: &crate::epoch::EpochObj) -> bool {
+        !e.closed && Self::is_empty_fence(e)
+    }
+
+    /// Whether `e` is a fence epoch without any recorded or issued
+    /// operation.
+    fn is_empty_fence(e: &crate::epoch::EpochObj) -> bool {
         matches!(e.kind, EpochKind::Fence { .. })
-            && !e.closed
             && e.pending_ops.is_empty()
             && e.live_ops.is_empty()
             && e.targets

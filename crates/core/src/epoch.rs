@@ -241,6 +241,11 @@ pub struct EpochObj {
     /// was requested early and recorded ops may issue before the closing
     /// call (MVAPICH behaviour — flush triggers the lazy lock request).
     pub flush_forced: bool,
+    /// The dormant trailing fence that was open when this epoch opened
+    /// (set by [`crate::window::WinRank::push_epoch`]). Once a later fence
+    /// call closes it, the activation predicate may keep skipping it for
+    /// this epoch: program order puts this epoch *before* that close.
+    pub(crate) opened_in_fence: Option<EpochId>,
 }
 
 impl EpochObj {
@@ -260,6 +265,7 @@ impl EpochObj {
             live_ops: HashMap::new(),
             lazy_hold: false,
             flush_forced: false,
+            opened_in_fence: None,
         };
         e.prefill_targets();
         e
@@ -283,6 +289,7 @@ impl EpochObj {
         self.live_ops.clear();
         self.lazy_hold = false;
         self.flush_forced = false;
+        self.opened_in_fence = None;
         self.prefill_targets();
     }
 

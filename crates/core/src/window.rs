@@ -187,8 +187,11 @@ impl WinRank {
     }
 
     /// Insert a freshly created epoch at the tail of the open order.
-    pub fn push_epoch(&mut self, e: EpochObj) {
+    pub fn push_epoch(&mut self, mut e: EpochObj) {
         let id = e.id;
+        // A fence call clears `cur_fence` before pushing its successor, so
+        // this is only ever the dormant fence a non-fence epoch opens under.
+        e.opened_in_fence = self.cur_fence;
         self.epochs.insert(id.0, e);
         self.order.push_back(id);
     }

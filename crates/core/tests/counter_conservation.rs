@@ -77,6 +77,9 @@ proptest! {
         let s = &report.engine;
         assert_conserved(&report);
         prop_assert_eq!(s.epochs_cancelled, 0);
+        // One shared-lock put, `rounds` fence puts and one exclusive-lock
+        // put per rank all go through the engine's issue step.
+        prop_assert!(s.ops_issued >= (n * (rounds + 2)) as u64, "{:?}", s);
         prop_assert!(s.fifo_packets > 0, "intranode sync must ride the FIFO: {:?}", s);
         prop_assert_eq!(s.fifo_decode_errors, 0);
     }

@@ -74,6 +74,17 @@ fn assert_quiescent_channels(report: &JobReport) {
 }
 
 #[test]
+fn lossless_fabric_never_retransmits() {
+    // The sublayer armed on a fault-free all-internode fabric: every frame
+    // is acked inside its first timeout, so framing is pure overhead.
+    let report = mixed_job(JobConfig::all_internode(4).with_reliability()).unwrap();
+    assert!(report.is_clean(), "{:?}", report.degradations);
+    assert_eq!(report.engine.rel_retransmits, 0, "spurious retransmits");
+    assert_quiescent_channels(&report);
+    assert_eq!(report.live_requests, 0);
+}
+
+#[test]
 fn light_loss_recovers_every_message() {
     let report = mixed_job(faulty_cfg(4, FaultPlan::light_loss(11))).unwrap();
     assert!(report.is_clean(), "{:?}", report.degradations);
