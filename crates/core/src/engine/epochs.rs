@@ -422,10 +422,10 @@ impl Engine {
         match kind {
             EpochKind::GatsAccess { group } => {
                 for t in group.ranks() {
-                    let w = st.win_mut(win, rank);
-                    w.a[t.idx()] += 1;
-                    let aid = w.a[t.idx()];
-                    let granted = aid <= w.g[t.idx()];
+                    let po = st.win_mut(win, rank).omega.peer_mut(*t);
+                    po.a += 1;
+                    let aid = po.a;
+                    let granted = aid <= po.g;
                     let ts = st
                         .win_mut(win, rank)
                         .epoch_mut(id)
@@ -447,9 +447,9 @@ impl Engine {
                 st.mark_complete_dirty(rank, win, id);
             }
             EpochKind::Lock { target, lock } => {
-                let w = st.win_mut(win, rank);
-                w.a_lock[target.idx()] += 1;
-                let aid = w.a_lock[target.idx()];
+                let po = st.win_mut(win, rank).omega.peer_mut(target);
+                po.a_lock += 1;
+                let aid = po.a_lock;
                 let ts = st
                     .win_mut(win, rank)
                     .epoch_mut(id)
@@ -483,9 +483,9 @@ impl Engine {
             EpochKind::LockAll => {
                 for t in 0..self.cfg.n_ranks {
                     let t = Rank(t);
-                    let w = st.win_mut(win, rank);
-                    w.a_lock[t.idx()] += 1;
-                    let aid = w.a_lock[t.idx()];
+                    let po = st.win_mut(win, rank).omega.peer_mut(t);
+                    po.a_lock += 1;
+                    let aid = po.a_lock;
                     // entry() preserves `unsent` counts recorded while
                     // the epoch was deferred.
                     st.win_mut(win, rank)
@@ -519,9 +519,10 @@ impl Engine {
             EpochKind::GatsExposure { group } => {
                 for o in group.ranks() {
                     let w = st.win_mut(win, rank);
-                    w.e[o.idx()] += 1;
-                    let eid = w.e[o.idx()];
-                    w.grant_seq[o.idx()].exposure_credits += 1;
+                    let po = w.omega.peer_mut(*o);
+                    po.e += 1;
+                    let eid = po.e;
+                    po.grants.exposure_credits += 1;
                     if !w.grant_dirty.contains(o) {
                         w.grant_dirty.push(*o);
                     }
@@ -711,7 +712,7 @@ impl Engine {
         let e = w.epoch(id);
         e.exposure_origins
             .iter()
-            .all(|(o, exp)| w.gats_done_recv[o.idx()] >= *exp)
+            .all(|(o, exp)| w.omega.peer(*o).gats_done_recv >= *exp)
     }
 
     /// Mark the epoch internally complete: fire its closing request, retire

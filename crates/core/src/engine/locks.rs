@@ -40,10 +40,12 @@ impl Engine {
         }
         let w = st.win_mut(win, me);
         debug_assert!(
-            w.grant_seq[origin.idx()].gl_sent < access_id,
+            w.omega.peer(origin).grants.gl_sent < access_id,
             "stale lock request id"
         );
-        w.grant_seq[origin.idx()]
+        w.omega
+            .peer_mut(origin)
+            .grants
             .pending_locks
             .insert(access_id, kind);
         w.lock_mgr.enqueue(QueuedLock {
@@ -134,7 +136,7 @@ impl Engine {
                     let mut pick = None;
                     for q in w.lock_mgr.queue_iter() {
                         let eligible =
-                            w.grant_seq[q.origin.idx()].gl_sent + 1 == q.access_id;
+                            w.omega.peer(q.origin).grants.gl_sent + 1 == q.access_id;
                         if !eligible {
                             continue; // cannot be granted regardless of lock state
                         }
@@ -149,7 +151,7 @@ impl Engine {
                 {
                     let w = st.win_mut(win, me);
                     w.lock_mgr.grant(q.origin, q.access_id);
-                    let gs = &mut w.grant_seq[q.origin.idx()];
+                    let gs = &mut w.omega.peer_mut(q.origin).grants;
                     gs.pending_locks.remove(&q.access_id);
                     gs.gl_sent = q.access_id;
                     if !w.grant_dirty.contains(&q.origin) {
@@ -196,9 +198,8 @@ impl Engine {
     ) -> bool {
         let mut sent = std::mem::take(&mut st.sweep[me.idx()].grant_scratch);
         {
-            let w = st.win_mut(win, me);
+            let gs = &mut st.win_mut(win, me).omega.peer_mut(origin).grants;
             loop {
-                let gs = &mut w.grant_seq[origin.idx()];
                 let next = gs.g_sent + 1;
                 if gs.exposure_credits == 0 {
                     break;
@@ -257,10 +258,10 @@ impl Engine {
         kind: GrantKind,
     ) {
         {
-            let w = st.win_mut(win, me);
+            let po = st.win_mut(win, me).omega.peer_mut(granter);
             let ctr = match kind {
-                GrantKind::Exposure => &mut w.g[granter.idx()],
-                GrantKind::Lock => &mut w.g_lock[granter.idx()],
+                GrantKind::Exposure => &mut po.g,
+                GrantKind::Lock => &mut po.g_lock,
             };
             assert_eq!(*ctr + 1, id, "grants from {granter} arrived out of order");
             *ctr = id;
@@ -358,8 +359,7 @@ impl Engine {
             crate::trace::SyncEvent::EpochDoneApplied { id: access_id },
         );
         {
-            let w = st.win_mut(win, me);
-            let slot = &mut w.gats_done_recv[origin.idx()];
+            let slot = &mut st.win_mut(win, me).omega.peer_mut(origin).gats_done_recv;
             *slot = (*slot).max(access_id);
         }
         // Index walk instead of snapshotting `order` (the marker never

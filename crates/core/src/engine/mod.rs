@@ -42,7 +42,7 @@ use crate::types::{EpochId, Rank, Req, WinId};
 use crate::window::WinRank;
 
 pub(crate) use p2p::{BarrierRank, P2pRank};
-pub use recover::{OmegaSnapshot, RecoveryReport};
+pub use recover::RecoveryReport;
 pub use rel::Degradation;
 pub(crate) use rel::RelRank;
 pub use watchdog::StallReport;
@@ -545,8 +545,16 @@ impl Engine {
             cfg,
             fault,
         });
-        let e2 = eng.clone();
-        net.set_handler(move |pkt| e2.on_message(pkt));
+        // The network is owned by the engine, so its handler must not own
+        // the engine back: a strong reference here is a cycle that keeps
+        // every job's `EngState` alive forever. A packet that outlives the
+        // engine has nobody left to deliver to.
+        let weak = Arc::downgrade(&eng);
+        net.set_handler(move |pkt| {
+            if let Some(eng) = weak.upgrade() {
+                eng.on_message(pkt);
+            }
+        });
         eng
     }
 
@@ -732,7 +740,7 @@ impl Engine {
             st.wins[idx].per_rank[rank.idx()].is_none(),
             "window creation order diverged across ranks"
         );
-        st.wins[idx].per_rank[rank.idx()] = Some(WinRank::new(size, info, self.cfg.n_ranks));
+        st.wins[idx].per_rank[rank.idx()] = Some(WinRank::new(size, info));
         let win = WinId(idx as u32);
         if self.recovery_armed() {
             // Commit-0 baseline: a crash before the first epoch commit
@@ -1307,11 +1315,87 @@ mod tests {
         {
             let mut st = eng.st.lock();
             st.wins.push(WinGlobal {
-                per_rank: (0..2).map(|_| Some(WinRank::new(64, WinInfo::default(), 2))).collect(),
+                per_rank: (0..2).map(|_| Some(WinRank::new(64, WinInfo::default()))).collect(),
             });
             st.win_mut(WinId(0), Rank(0)).fifo_from(Rank(1));
         }
         (sim, eng)
+    }
+
+    #[test]
+    fn dropping_the_last_handle_frees_the_engine() {
+        let (_sim, eng) = engine_with_window();
+        let weak = Arc::downgrade(&eng);
+        drop(eng);
+        // The network's delivery handler must not keep the engine (which
+        // owns the network) alive: that cycle leaked every job's state.
+        assert!(weak.upgrade().is_none());
+    }
+
+    /// Run `body` on `n` ranks over one 64-byte window, then (after a
+    /// barrier, before `win_free`) collect each rank's ω table.
+    fn omega_tables_after(
+        n: usize,
+        body: impl Fn(&mut crate::RankEnv, WinId) + Send + Sync + 'static,
+    ) -> Vec<crate::window::OmegaTable> {
+        let tables = Arc::new(Mutex::new(vec![Default::default(); n]));
+        let out = tables.clone();
+        crate::run_job(JobConfig::new(n), move |env| {
+            // Reorder flags: a ring of post-then-start needs the access
+            // epoch to progress past the rank's own open exposure.
+            let win = env.win_allocate_with(64, WinInfo::all_reorder()).unwrap();
+            env.barrier().unwrap();
+            body(env, win);
+            env.barrier().unwrap();
+            let me = env.rank();
+            out.lock()[me.idx()] = env.engine().st.lock().win(win, me).omega.clone();
+            env.win_free(win).unwrap();
+        })
+        .unwrap();
+        let collected = std::mem::take(&mut *tables.lock());
+        collected
+    }
+
+    #[test]
+    fn neighbour_ring_keeps_every_omega_table_at_its_active_peers() {
+        let n = 512;
+        let tables = omega_tables_after(n, |env, win| {
+            let (me, n) = (env.rank().idx(), env.n_ranks());
+            let (left, right) = (Rank((me + n - 1) % n), Rank((me + 1) % n));
+            env.lock(win, right, crate::LockKind::Exclusive).unwrap();
+            env.put(win, right, 0, &[me as u8]).unwrap();
+            env.unlock(win, right).unwrap();
+            env.post(win, crate::Group::single(left)).unwrap();
+            env.start(win, crate::Group::single(right)).unwrap();
+            env.put(win, right, 8, &[me as u8]).unwrap();
+            env.complete(win).unwrap();
+            env.wait_epoch(win).unwrap();
+        });
+        for (me, t) in tables.iter().enumerate() {
+            assert!((1..=3).contains(&t.len()), "rank {me}: {} peers in {t:?}", t.len());
+            let (left, right) = (Rank((me + n - 1) % n), Rank((me + 1) % n));
+            let (l, r) = (t.peer(left), t.peer(right));
+            assert_eq!((r.a, r.g, r.a_lock, r.g_lock), (1, 1, 1, 1), "rank {me}");
+            assert_eq!((l.e, l.gats_done_recv, l.grants.gl_sent), (1, 1, 1), "rank {me}");
+        }
+    }
+
+    #[test]
+    fn lock_all_fills_the_lock_plane_to_every_peer() {
+        let n = 16;
+        let tables = omega_tables_after(n, |env, win| {
+            env.fence(win).unwrap();
+            env.fence(win).unwrap();
+            env.lock_all(win).unwrap();
+            env.unlock_all(win).unwrap();
+        });
+        for (me, t) in tables.iter().enumerate() {
+            assert_eq!(t.len(), n, "rank {me}");
+            for (peer, p) in t.iter() {
+                assert_eq!((p.a_lock, p.g_lock, p.grants.gl_sent), (1, 1, 1), "{me} -> {peer}");
+                assert_eq!((p.a, p.e, p.g), (0, 0, 0), "fences take no ω: {me} -> {peer}");
+            }
+        }
     }
 
     #[test]
@@ -1382,8 +1466,8 @@ mod tests {
         assert_eq!(s.fifo_decode_errors, 0);
         // Words were applied in FIFO order: the done high-water mark
         // landed on the later access id.
-        let mut st = eng.st.lock();
-        assert_eq!(st.win_mut(WinId(0), Rank(0)).gats_done_recv[1], 9);
+        let st = eng.st.lock();
+        assert_eq!(st.win(WinId(0), Rank(0)).omega.peer(Rank(1)).gats_done_recv, 9);
         assert!(st.sweep[0].fifo_pending.is_empty(), "drain consumed the pending entry");
     }
 

@@ -33,65 +33,32 @@ use mpisim_sim::SimTime;
 use crate::engine::rel::Degradation;
 use crate::engine::{EngState, Engine};
 use crate::types::{Rank, WinId};
+use crate::window::{OmegaTable, PeerOmega};
 
-/// Snapshot of one window side's ω matching state (§VII.B), both the
-/// GATS plane and the split lock plane, plus the done high-water marks.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OmegaSnapshot {
-    /// Accesses requested toward each peer (`a_l`).
-    pub a: Vec<u64>,
-    /// Exposures opened toward each peer (`e_l`).
-    pub e: Vec<u64>,
-    /// Access grants received from each peer (`g_r`).
-    pub g: Vec<u64>,
-    /// Lock-plane requests toward each peer.
-    pub a_lock: Vec<u64>,
-    /// Lock-plane grants received from each peer.
-    pub g_lock: Vec<u64>,
-    /// Highest GATS done id received from each origin.
-    pub gats_done_recv: Vec<u64>,
+/// The six monotonic ω counters of one peer record (the grant sequencing
+/// is target-side working state, not part of the audited snapshot).
+fn counters(p: &PeerOmega) -> [u64; 6] {
+    [p.a, p.e, p.g, p.a_lock, p.g_lock, p.gats_done_recv]
 }
 
-impl OmegaSnapshot {
-    fn capture(w: &crate::window::WinRank) -> Self {
-        OmegaSnapshot {
-            a: w.a.clone(),
-            e: w.e.clone(),
-            g: w.g.clone(),
-            a_lock: w.a_lock.clone(),
-            g_lock: w.g_lock.clone(),
-            gats_done_recv: w.gats_done_recv.clone(),
-        }
-    }
+/// Serialized size of an ω snapshot, for checkpoint-overhead accounting:
+/// per stored peer, its rank plus the six counters.
+fn omega_byte_len(omega: &OmegaTable) -> u64 {
+    8 * 7 * omega.len() as u64
+}
 
-    /// Serialized size, for checkpoint-overhead accounting.
-    fn byte_len(&self) -> u64 {
-        8 * (self.a.len()
-            + self.e.len()
-            + self.g.len()
-            + self.a_lock.len()
-            + self.g_lock.len()
-            + self.gats_done_recv.len()) as u64
-    }
-
-    /// Count counters where `live` has moved *backwards* relative to this
-    /// snapshot — impossible under the monotonic ω protocol, so any hit
-    /// is a reconcile-audit failure.
-    fn regressions_vs(&self, live: &OmegaSnapshot) -> u64 {
-        let pairs = [
-            (&self.a, &live.a),
-            (&self.e, &live.e),
-            (&self.g, &live.g),
-            (&self.a_lock, &live.a_lock),
-            (&self.g_lock, &live.g_lock),
-            (&self.gats_done_recv, &live.gats_done_recv),
-        ];
-        pairs
-            .iter()
-            .flat_map(|(ck, lv)| ck.iter().zip(lv.iter()))
-            .filter(|(ck, lv)| lv < ck)
-            .count() as u64
-    }
+/// Count counters where `live` has moved *backwards* relative to the
+/// checkpointed `ckpt` — impossible under the monotonic ω protocol, so
+/// any hit is a reconcile-audit failure. A peer the checkpoint holds but
+/// the live table lacks reads as zero (every non-zero counter regressed);
+/// a peer only the live table holds is progress.
+fn omega_regressions(ckpt: &OmegaTable, live: &OmegaTable) -> u64 {
+    ckpt.iter()
+        .map(|(peer, ck)| {
+            let lv = counters(live.peer(peer));
+            counters(ck).iter().zip(lv).filter(|(ck, lv)| lv < *ck).count() as u64
+        })
+        .sum()
 }
 
 /// One committed checkpoint of one (window, rank) side.
@@ -104,8 +71,9 @@ pub(crate) struct Checkpoint {
     pub at: SimTime,
     /// Full window contents at the commit instant.
     pub mem: Vec<u8>,
-    /// ω matching state at the commit instant.
-    pub omega: OmegaSnapshot,
+    /// ω matching state at the commit instant (sparse: touched peers
+    /// only, so a checkpoint is O(active peers), not O(ranks)).
+    pub omega: OmegaTable,
 }
 
 /// One physical redo record: the post-image of a window write.
@@ -204,7 +172,7 @@ impl Engine {
                 commit_no: 0,
                 at: self.sim.now(),
                 mem: w.mem.clone(),
-                omega: OmegaSnapshot::capture(w),
+                omega: w.omega.clone(),
             }
         };
         self.account_ckpt(st, &ckpt);
@@ -213,7 +181,7 @@ impl Engine {
 
     fn account_ckpt(&self, st: &mut EngState, ckpt: &Checkpoint) {
         st.eng_stats.ckpt_commits += 1;
-        st.eng_stats.ckpt_bytes += ckpt.mem.len() as u64 + ckpt.omega.byte_len();
+        st.eng_stats.ckpt_bytes += ckpt.mem.len() as u64 + omega_byte_len(&ckpt.omega);
     }
 
     /// Journal the post-image of a window write into the redo log. Called
@@ -314,7 +282,7 @@ impl Engine {
                     commit_no,
                     at: now,
                     mem: w.mem.clone(),
-                    omega: OmegaSnapshot::capture(w),
+                    omega: w.omega.clone(),
                 }
             };
             self.account_ckpt(st, &ckpt);
@@ -381,9 +349,7 @@ impl Engine {
                 let stale = installed != reconstructed;
                 let ckpt_commit = ckpt.commit_no;
                 let ckpt_at = ckpt.at;
-                let omega_ckpt = ckpt.omega.clone();
-                let live_omega = OmegaSnapshot::capture(st.win(win, rank));
-                let omega_regressions = omega_ckpt.regressions_vs(&live_omega);
+                let omega_regressions = omega_regressions(&ckpt.omega, &st.win(win, rank).omega);
                 st.win_mut(win, rank).mem = installed;
                 let report = RecoveryReport {
                     rank,
@@ -520,18 +486,25 @@ mod tests {
 
     #[test]
     fn omega_snapshot_audit_counts_regressions() {
-        let a = OmegaSnapshot {
-            a: vec![3, 5],
-            e: vec![1, 1],
-            g: vec![2, 2],
-            a_lock: vec![0, 0],
-            g_lock: vec![0, 0],
-            gats_done_recv: vec![4, 4],
-        };
-        let mut live = a.clone();
-        assert_eq!(a.regressions_vs(&live), 0);
-        live.a[0] = 2; // moved backwards
-        live.gats_done_recv[1] = 0; // moved backwards
-        assert_eq!(a.regressions_vs(&live), 2);
+        let mut ckpt = OmegaTable::default();
+        *ckpt.peer_mut(Rank(0)) =
+            PeerOmega { a: 3, e: 1, g: 2, gats_done_recv: 4, ..Default::default() };
+        *ckpt.peer_mut(Rank(1)) =
+            PeerOmega { a: 5, e: 1, g: 2, gats_done_recv: 4, ..Default::default() };
+        let mut live = ckpt.clone();
+        assert_eq!(omega_regressions(&ckpt, &live), 0);
+        assert_eq!(omega_byte_len(&ckpt), 2 * 56);
+        live.peer_mut(Rank(0)).a = 2; // moved backwards
+        live.peer_mut(Rank(1)).gats_done_recv = 0; // moved backwards
+        assert_eq!(omega_regressions(&ckpt, &live), 2);
+        // A peer new in the live table is progress, not a regression.
+        live.peer_mut(Rank(7)).a_lock = 1;
+        assert_eq!(omega_regressions(&ckpt, &live), 2);
+        // A checkpointed peer missing from the live table reads as zero:
+        // each of its four non-zero counters went backwards.
+        assert_eq!(omega_regressions(&ckpt, &OmegaTable::default()), 8);
+        let mut zero = OmegaTable::default();
+        zero.peer_mut(Rank(3)); // stored but all-zero: nothing to regress
+        assert_eq!(omega_regressions(&zero, &OmegaTable::default()), 0);
     }
 }

@@ -24,6 +24,7 @@ use crate::engine::rel::Degradation;
 use crate::epoch::EpochKind;
 use crate::engine::{EngState, Engine};
 use crate::types::{EpochId, Rank, Req, WinId};
+use crate::window::OmegaTable;
 
 /// Diagnostic snapshot of a cancelled (stalled) epoch: where it was stuck
 /// and what the synchronization counters looked like at cancellation.
@@ -41,11 +42,10 @@ pub struct StallReport {
     pub closed_at: SimTime,
     /// Virtual time the watchdog cancelled it.
     pub cancelled_at: SimTime,
-    /// Per-peer ω-triple snapshot `(a, e, g)` — the GATS access/exposure/
-    /// grant counters of §VII.B at cancellation (index = peer rank).
-    pub omega: Vec<(u64, u64, u64)>,
-    /// Per-peer passive-target counters `(a_lock, g_lock)` at cancellation.
-    pub omega_lock: Vec<(u64, u64)>,
+    /// The rank's ω table at cancellation: the GATS triple `(a, e, g)` of
+    /// §VII.B, the passive-target counters `(a_lock, g_lock)` and the grant
+    /// sequencing, for the peers it ever synchronised with.
+    pub omega: OmegaTable,
     /// Oldest unacknowledged reliability frame this rank still holds, as
     /// `(peer, sequence)` — the likeliest culprit for the stall.
     pub oldest_unacked: Option<(Rank, u64)>,
@@ -184,10 +184,7 @@ impl Engine {
                 kind: e.kind.name(),
                 closed_at: e.closed_at.unwrap_or(SimTime::ZERO),
                 cancelled_at: self.sim.now(),
-                omega: (0..self.cfg.n_ranks).map(|p| (w.a[p], w.e[p], w.g[p])).collect(),
-                omega_lock: (0..self.cfg.n_ranks)
-                    .map(|p| (w.a_lock[p], w.g_lock[p]))
-                    .collect(),
+                omega: w.omega.clone(),
                 oldest_unacked: st.rel[rank.idx()].oldest_unacked(),
                 live_ops: e.live_ops.len(),
                 pending_ops: e.pending_ops.len(),

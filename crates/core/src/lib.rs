@@ -72,8 +72,8 @@ pub use api::RankEnv;
 pub use config::{JobConfig, Overheads, RecoveryCfg, Reliability, SyncStrategy, WinInfo};
 pub use datatype::{Datatype, ReduceOp};
 pub use engine::{
-    Degradation, Engine, EngineStats, Fault, OmegaSnapshot, ProtocolError, RankStats,
-    RecoveryReport, StallReport,
+    Degradation, Engine, EngineStats, Fault, ProtocolError, RankStats, RecoveryReport,
+    StallReport,
 };
 pub use error::{RmaError, RmaResult};
 pub use mpisim_sim::ExecMode;

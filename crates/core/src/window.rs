@@ -26,7 +26,7 @@ pub const EPOCH_POOL_CAP: usize = 32;
 /// grant `k+1` cannot be emitted before grant `k`. Exposure grants consume
 /// the next id positionally; lock grants carry their id explicitly in the
 /// lock request.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GrantSeq {
     /// Exposure grants emitted so far (the origin's `g_r` mirrors this).
     pub g_sent: u64,
@@ -37,6 +37,83 @@ pub struct GrantSeq {
     /// Lock plane: lock grants emitted so far (the origin's `g_lock`
     /// mirrors this).
     pub gl_sent: u64,
+}
+
+/// ω matching state toward one peer (§VII.B): the paper's triple
+/// `⟨a_l, e_l, g_r⟩`, the split lock plane, the done high-water mark and
+/// the target-side grant sequencing. Every counter is monotonic.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PeerOmega {
+    /// Accesses requested from me to peer (`a_l`).
+    pub a: u64,
+    /// Exposures opened from me to peer (`e_l`).
+    pub e: u64,
+    /// Accesses granted to me by peer (`g_r`; updated one-sidedly by the
+    /// peer via grant packets).
+    pub g: u64,
+    /// Lock-plane request counter: lock epochs opened from me toward peer.
+    /// Kept separate from the GATS triple so exposure grants can never be
+    /// confused with lock grants when both planes are in flight (see
+    /// DESIGN.md, "deviation: split matching planes").
+    pub a_lock: u64,
+    /// Lock-plane grants received from peer.
+    pub g_lock: u64,
+    /// Highest GATS done id received from peer as an origin.
+    pub gats_done_recv: u64,
+    /// Target-side grant sequencing toward peer as an origin.
+    pub grants: GrantSeq,
+}
+
+/// What a read of a never-written peer sees.
+static UNTOUCHED: PeerOmega = PeerOmega {
+    a: 0,
+    e: 0,
+    g: 0,
+    a_lock: 0,
+    g_lock: 0,
+    gats_done_recv: 0,
+    grants: GrantSeq {
+        g_sent: 0,
+        exposure_credits: 0,
+        pending_locks: BTreeMap::new(),
+        gl_sent: 0,
+    },
+};
+
+/// One window side's ω state: a [`PeerOmega`] per peer it has ever
+/// synchronised with, so host memory is O(active peers) rather than
+/// O(ranks) per (window, rank). Records appear on first write and, the
+/// counters being monotonic, are never removed. The same type is the live
+/// table, the checkpointed snapshot and the stall report's diagnostic.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OmegaTable(BTreeMap<Rank, PeerOmega>);
+
+impl OmegaTable {
+    /// The record toward `peer`; all-zero, and *not* inserted, if this
+    /// side never wrote one.
+    pub fn peer(&self, peer: Rank) -> &PeerOmega {
+        self.0.get(&peer).unwrap_or(&UNTOUCHED)
+    }
+
+    /// The record toward `peer`, created all-zero on first use.
+    pub fn peer_mut(&mut self, peer: Rank) -> &mut PeerOmega {
+        self.0.entry(peer).or_default()
+    }
+
+    /// Peers with a record.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no peer has a record yet.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The stored records in peer-rank order.
+    pub fn iter(&self) -> impl Iterator<Item = (Rank, &PeerOmega)> {
+        self.0.iter().map(|(r, p)| (*r, p))
+    }
 }
 
 /// An outstanding (nonblocking) flush request, age-stamped per §VII.C.
@@ -84,26 +161,9 @@ pub struct WinRank {
     /// Open lock-all epoch, if any.
     pub cur_lock_all: Option<EpochId>,
 
-    // ---- ω triples (§VII.B), one slot per peer ----
-    /// Accesses requested from me to peer (`a_l`).
-    pub a: Vec<u64>,
-    /// Exposures opened from me to peer (`e_l`).
-    pub e: Vec<u64>,
-    /// Accesses granted to me by peer (`g_r`; updated one-sidedly by the
-    /// peer via grant packets).
-    pub g: Vec<u64>,
-    /// Lock-plane request counter: lock epochs opened from me toward peer.
-    /// Kept separate from the GATS triple so exposure grants can never be
-    /// confused with lock grants when both planes are in flight (see
-    /// DESIGN.md, "deviation: split matching planes").
-    pub a_lock: Vec<u64>,
-    /// Lock-plane grants received from peer.
-    pub g_lock: Vec<u64>,
-    /// Highest GATS done id received from each origin.
-    pub gats_done_recv: Vec<u64>,
-
-    /// Target-side grant sequencing per origin.
-    pub grant_seq: Vec<GrantSeq>,
+    /// ω matching state (§VII.B), one record per peer this side has ever
+    /// synchronised with.
+    pub omega: OmegaTable,
     /// Origins whose grant sequence may have emission work pending
     /// (deduplicated work list; ping-pongs with a sweep scratch buffer
     /// while the grant pump drains it).
@@ -146,8 +206,8 @@ pub struct WinRank {
 
 impl WinRank {
     /// Create this rank's side of a window with `size` bytes of exposed
-    /// memory in a job of `n_ranks`.
-    pub fn new(size: usize, info: WinInfo, n_ranks: usize) -> Self {
+    /// memory.
+    pub fn new(size: usize, info: WinInfo) -> Self {
         WinRank {
             mem: vec![0; size],
             info,
@@ -159,13 +219,7 @@ impl WinRank {
             cur_fence: None,
             open_locks: BTreeMap::new(),
             cur_lock_all: None,
-            a: vec![0; n_ranks],
-            e: vec![0; n_ranks],
-            g: vec![0; n_ranks],
-            a_lock: vec![0; n_ranks],
-            g_lock: vec![0; n_ranks],
-            gats_done_recv: vec![0; n_ranks],
-            grant_seq: (0..n_ranks).map(|_| GrantSeq::default()).collect(),
+            omega: OmegaTable::default(),
             grant_dirty: Vec::new(),
             lock_mgr: LockMgr::default(),
             fence_arrivals: HashMap::new(),
@@ -282,7 +336,7 @@ mod tests {
     use crate::types::Group;
 
     fn mk() -> WinRank {
-        WinRank::new(64, WinInfo::default(), 4)
+        WinRank::new(64, WinInfo::default())
     }
 
     #[test]
@@ -319,6 +373,18 @@ mod tests {
         w.fifo_from(Rank(2)).push(42);
         assert_eq!(w.fifos_in.len(), 1);
         assert_eq!(w.fifo_from(Rank(2)).pop(), Some(42));
+    }
+
+    #[test]
+    fn reading_an_untouched_peer_is_zero_and_does_not_insert() {
+        let mut w = mk();
+        assert_eq!(*w.omega.peer(Rank(3)), PeerOmega::default());
+        assert!(w.omega.is_empty(), "a read must not create a record");
+        w.omega.peer_mut(Rank(1)).a += 1;
+        assert_eq!(w.omega.peer(Rank(1)).a, 1);
+        assert_eq!(w.omega.peer(Rank(2)).g, 0);
+        assert_eq!(w.omega.len(), 1);
+        assert_eq!(w.omega.iter().map(|(r, _)| r).collect::<Vec<_>>(), [Rank(1)]);
     }
 
     #[test]

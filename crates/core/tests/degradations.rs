@@ -5,6 +5,7 @@
 use mpisim_core::{
     Degradation, JobConfig, ProtocolError, Rank, RecoveryReport, StallReport, WinId,
 };
+use mpisim_core::window::OmegaTable;
 use mpisim_sim::SimTime;
 
 /// One exemplar of every `Degradation` variant, in a fixed order.
@@ -27,8 +28,13 @@ fn all_variants() -> Vec<Degradation> {
             kind: "lock",
             closed_at: SimTime::from_micros(10),
             cancelled_at: SimTime::from_millis(20),
-            omega: vec![(1, 0, 1), (0, 0, 0)],
-            omega_lock: vec![(2, 1), (0, 0)],
+            // Sparse: only the one peer this rank ever synchronised with.
+            omega: {
+                let mut t = OmegaTable::default();
+                let p = t.peer_mut(Rank(0));
+                (p.a, p.g, p.a_lock, p.g_lock) = (1, 1, 2, 1);
+                t
+            },
             oldest_unacked: Some((Rank(0), 5)),
             live_ops: 1,
             pending_ops: 2,
