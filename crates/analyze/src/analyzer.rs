@@ -564,7 +564,7 @@ fn walk_rank(rank: usize, p: &IrProgram) -> RankState {
                     st.push_request(step, "iunlock");
                 }
             }
-            Stmt::LockAll { win } => {
+            Stmt::LockAll { win, nonblocking } => {
                 let win = *win;
                 st.fence_conflict(win, step, "lock_all");
                 let ws = st.ws(win);
@@ -574,6 +574,9 @@ fn walk_rank(rank: usize, p: &IrProgram) -> RankState {
                         Some(step),
                         "lock_all while a lock/start epoch is open".into(),
                     );
+                }
+                if *nonblocking {
+                    st.push_request(step, "ilock_all");
                 }
                 let (ord, reg) = st.open_epoch(win, EKind::LockAll);
                 st.ws(win).lock_all = Some((ord, reg, step));
@@ -627,7 +630,7 @@ fn walk_rank(rank: usize, p: &IrProgram) -> RankState {
                     });
                 }
             }
-            Stmt::Put { win, target, disp, len } => {
+            Stmt::Put { win, target, disp, len } | Stmt::PutVal { win, target, disp, len, .. } => {
                 st.data_op(step, *win, *target, *disp, *len, AccessKind::Write, "put");
             }
             Stmt::Get { win, target, disp, len } => {
@@ -657,7 +660,7 @@ fn walk_rank(rank: usize, p: &IrProgram) -> RankState {
                 st.outstanding.clear();
                 st.sync_all();
             }
-            Stmt::Barrier => {}
+            Stmt::Compute { .. } | Stmt::Barrier => {}
         }
     }
     st.finish();

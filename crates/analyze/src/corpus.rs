@@ -201,7 +201,7 @@ fn push_epoch(rng: &mut SmallRng, p: &mut IrProgram, close: bool, allow_fence: b
             }
         }
         _ => {
-            p.ranks[0].push(Stmt::LockAll { win });
+            p.ranks[0].push(Stmt::LockAll { win, nonblocking: false });
             p.ranks[0].extend(ops_for(rng, win, target));
             if close {
                 p.ranks[0].push(Stmt::UnlockAll { win, close: Close::Blocking });
@@ -408,7 +408,7 @@ fn push_value_spin(rng: &mut SmallRng, p: &mut IrProgram, satisfiable: bool) {
         ]);
     }
     p.ranks[0].extend([
-        Stmt::LockAll { win: flag_win },
+        Stmt::LockAll { win: flag_win, nonblocking: false },
         Stmt::ReadValue {
             win: flag_win,
             target: 0,
@@ -495,7 +495,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::LockAll { win: 0 },
+        Stmt::LockAll { win: 0, nonblocking: false },
         Stmt::UnlockAll { win: 0, close: Close::Blocking },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
@@ -654,7 +654,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     // the slot with 1, the spin wants 2 — byte 0 is uncoverable).
     let mut p = IrProgram::new(2, NEG_WIN_BYTES);
     p.ranks[0].extend([
-        Stmt::LockAll { win: 0 },
+        Stmt::LockAll { win: 0, nonblocking: false },
         Stmt::ReadValue {
             win: 0,
             target: 0,

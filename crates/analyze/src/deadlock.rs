@@ -308,9 +308,11 @@ fn build_conds(rank: usize, p: &IrProgram, sh: &RankShape) -> Vec<Cond> {
             | Stmt::UnlockAll { .. }
             | Stmt::Flush { .. }
             | Stmt::Put { .. }
+            | Stmt::PutVal { .. }
             | Stmt::Get { .. }
             | Stmt::Acc { .. }
-            | Stmt::AccVal { .. } => Cond::None,
+            | Stmt::AccVal { .. }
+            | Stmt::Compute { .. } => Cond::None,
         };
         conds.push(cond);
     }
@@ -585,7 +587,8 @@ fn fixpoint_pass(p: &IrProgram) -> Vec<Diagnostic> {
     for (rank, stmts) in p.ranks.iter().enumerate() {
         for (step, stmt) in stmts.iter().enumerate() {
             match stmt {
-                Stmt::Put { win, target, disp, len } => suppliers.push(Supply {
+                Stmt::Put { win, target, disp, len }
+                | Stmt::PutVal { win, target, disp, len, .. } => suppliers.push(Supply {
                     rank,
                     step,
                     win: *win,

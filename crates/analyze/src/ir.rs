@@ -1,13 +1,14 @@
-//! The analyzer's program IR: per-rank statement lists over one or more
-//! windows.
+//! The program IR: per-rank statement lists over one or more windows.
 //!
-//! This is deliberately *lower-level* than the check harness's
-//! `Program` type — every epoch-open, epoch-close, flush, and data
-//! operation is its own statement, with the blocking/nonblocking
-//! distinction explicit and the target window named, so the
-//! flow-sensitive state machine sees exactly the call sequence the
-//! runtime would see. `mpisim-check` lowers its generated programs into
-//! this shape (mirroring its executor) before running the analyzer.
+//! This is the one executable and analysable form of an RMA program:
+//! every epoch-open, epoch-close, flush, data operation and stretch of
+//! local compute is its own statement, with the blocking/nonblocking
+//! distinction explicit and the target window named. The analyzer, the
+//! slack pass and the rewriter read it; [`crate::exec`] runs it against
+//! the simulator, one API call per statement — so the program analysed
+//! and the program executed are the same value. `mpisim-check` lowers its
+//! generated programs into this shape and both analyses and executes the
+//! result.
 //!
 //! Every epoch/op statement carries a `win` index into
 //! [`IrProgram::windows`]; single-window programs use window `0`
@@ -131,10 +132,14 @@ pub enum Stmt {
         /// Blocking or nonblocking close.
         close: Close,
     },
-    /// `MPI_WIN_LOCK_ALL` (shared lock on every rank).
+    /// `MPI_WIN_LOCK_ALL` / `MPI_WIN_ILOCK_ALL` (shared lock on every
+    /// rank).
     LockAll {
         /// Window index.
         win: usize,
+        /// `true` for `ilock_all`: the dummy epoch-open request must still
+        /// be consumed (§VII.C).
+        nonblocking: bool,
     },
     /// `MPI_WIN_UNLOCK_ALL` / `MPI_WIN_IUNLOCK_ALL`.
     UnlockAll {
@@ -171,6 +176,20 @@ pub enum Stmt {
         disp: usize,
         /// Length in bytes.
         len: usize,
+    },
+    /// `MPI_PUT` of `len` bytes of the *known* fill byte `val` at `disp`
+    /// in `target`'s window ([`Stmt::Put`] leaves the payload unspecified).
+    PutVal {
+        /// Window index.
+        win: usize,
+        /// Target rank.
+        target: usize,
+        /// Byte displacement.
+        disp: usize,
+        /// Length in bytes.
+        len: usize,
+        /// The byte every payload position holds.
+        val: u8,
     },
     /// `MPI_GET` of `len` bytes at `disp` from `target`'s window.
     Get {
@@ -244,6 +263,13 @@ pub enum Stmt {
         /// The value the spin waits for.
         expect: u64,
     },
+    /// `ns` nanoseconds of local computation between MPI calls: no
+    /// effect on any window's epoch state, but it is where a nonblocking
+    /// close finds work to overlap.
+    Compute {
+        /// Virtual nanoseconds of host work.
+        ns: u64,
+    },
     /// Consume every outstanding nonblocking-epoch request
     /// (`MPI_WAITALL` over the collected requests).
     WaitAll,
@@ -263,17 +289,18 @@ impl Stmt {
             | Stmt::WaitEpoch { win, .. }
             | Stmt::Lock { win, .. }
             | Stmt::Unlock { win, .. }
-            | Stmt::LockAll { win }
+            | Stmt::LockAll { win, .. }
             | Stmt::UnlockAll { win, .. }
             | Stmt::Flush { win, .. }
             | Stmt::Put { win, .. }
+            | Stmt::PutVal { win, .. }
             | Stmt::Get { win, .. }
             | Stmt::Acc { win, .. }
             | Stmt::ReadValue { win, .. }
             | Stmt::AccVal { win, .. } => Some(win),
             // A spin addresses its defining read's window indirectly;
             // the walker resolves the binding itself.
-            Stmt::SpinUntil { .. } | Stmt::WaitAll | Stmt::Barrier => None,
+            Stmt::SpinUntil { .. } | Stmt::Compute { .. } | Stmt::WaitAll | Stmt::Barrier => None,
         }
     }
 }
@@ -287,8 +314,10 @@ pub struct IrProgram {
     /// Size in bytes of each window, indexed by the `win` field of
     /// statements (bounds check for [`crate::Code::E010`]).
     pub windows: Vec<usize>,
-    /// Window info reorder flags asserted (any of the four `*_REORDER`
-    /// flags): concurrently progressed epochs may activate out of order.
+    /// Window info reorder flags asserted: concurrently progressed epochs
+    /// may activate out of order. The analyses treat it as "any of the
+    /// four `*_REORDER` flags"; [`crate::exec`] allocates every window
+    /// with all four set (`WinInfo::all_reorder`).
     pub reorder: bool,
     /// The `unsafe_fence_reorder` extension: reorder flags additionally
     /// apply across fence epochs (never across `lock_all`; §VI.B, §X).

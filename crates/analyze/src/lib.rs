@@ -58,6 +58,7 @@ pub mod analyzer;
 pub mod corpus;
 mod deadlock;
 pub mod diag;
+pub mod exec;
 pub mod ir;
 pub mod race;
 pub mod rewrite;
@@ -69,6 +70,7 @@ pub use corpus::{
     NegFamily, NEG_WIN_BYTES,
 };
 pub use diag::{has_code, Code, Diagnostic};
+pub use exec::{exec_ir, exec_ir_with, interpret, ApiError, Run, RunFailure};
 pub use ir::{Close, FetchKind, IrProgram, Stmt};
 pub use race::{detect_races, detect_races_in, Race, RaceAccess};
 pub use rewrite::{

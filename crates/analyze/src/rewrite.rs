@@ -261,7 +261,7 @@ fn unlock_contended(p: &IrProgram, rank: usize, step: usize) -> bool {
                 Stmt::Lock { win: w, target: t, exclusive, .. } => {
                     w == win && t == target && (exclusive || ours_exclusive)
                 }
-                Stmt::LockAll { win: w } => w == win && ours_exclusive,
+                Stmt::LockAll { win: w, .. } => w == win && ours_exclusive,
                 _ => false,
             })
     })

@@ -190,6 +190,23 @@ fn ranges_overlap(alo: usize, ahi: usize, blo: usize, bhi: usize) -> bool {
     alo.max(blo) < ahi.min(bhi)
 }
 
+/// The window and byte interval a data statement touches (`None` for
+/// every other statement).
+fn data_iv(stmt: &Stmt) -> Option<(usize, Iv)> {
+    let (win, target, lo, len, write) = match *stmt {
+        Stmt::Put { win, target, disp, len }
+        | Stmt::PutVal { win, target, disp, len, .. }
+        | Stmt::Acc { win, target, disp, len, .. } => (win, target, disp, len, true),
+        Stmt::Get { win, target, disp, len } => (win, target, disp, len, false),
+        Stmt::ReadValue { win, target, disp, kind, .. } => {
+            (win, target, disp, 8, kind.write_op().is_some())
+        }
+        Stmt::AccVal { win, target, disp, .. } => (win, target, disp, 8, true),
+        _ => return None,
+    };
+    Some((win, Iv { target, lo, hi: lo + len, write }))
+}
+
 /// Collect every rank's data accesses with epoch ordinals, mirroring the
 /// engine's op-routing (single-target lock → lock_all → GATS → fence).
 fn collect_accesses(p: &IrProgram) -> Vec<Vec<RankAccess>> {
@@ -222,35 +239,16 @@ fn collect_accesses(p: &IrProgram) -> Vec<Vec<RankAccess>> {
                 Stmt::Unlock { win, target, .. } => {
                     locks.remove(&(*win, *target));
                 }
-                Stmt::LockAll { win } => {
+                Stmt::LockAll { win, .. } => {
                     ord += 1;
                     lock_all.insert(*win, ord);
                 }
                 Stmt::UnlockAll { win, .. } => {
                     lock_all.remove(win);
                 }
-                Stmt::Put { .. }
-                | Stmt::Get { .. }
-                | Stmt::Acc { .. }
-                | Stmt::ReadValue { .. }
-                | Stmt::AccVal { .. } => {
-                    let (win, target, lo, hi, write) = match stmt {
-                        Stmt::Put { win, target, disp, len } => {
-                            (*win, *target, *disp, disp + len, true)
-                        }
-                        Stmt::Get { win, target, disp, len } => {
-                            (*win, *target, *disp, disp + len, false)
-                        }
-                        Stmt::Acc { win, target, disp, len, .. } => {
-                            (*win, *target, *disp, disp + len, true)
-                        }
-                        Stmt::ReadValue { win, target, disp, kind, .. } => {
-                            (*win, *target, *disp, disp + 8, kind.write_op().is_some())
-                        }
-                        Stmt::AccVal { win, target, disp, .. } => {
-                            (*win, *target, *disp, disp + 8, true)
-                        }
-                        _ => unreachable!(),
+                _ => {
+                    let Some((win, Iv { target, lo, hi, write })) = data_iv(stmt) else {
+                        continue;
                     };
                     let epoch = locks
                         .get(&(win, target))
@@ -266,7 +264,6 @@ fn collect_accesses(p: &IrProgram) -> Vec<Vec<RankAccess>> {
                         out.push(RankAccess { win, target, lo, hi, write, epoch });
                     }
                 }
-                _ => {}
             }
         }
         all.push(out);
@@ -715,7 +712,7 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                             &mut report);
                     }
                 }
-                Stmt::LockAll { win } => {
+                Stmt::LockAll { win, .. } => {
                     lock_all.insert(*win, Vec::new());
                 }
                 Stmt::UnlockAll { win, close } => {
@@ -863,39 +860,13 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                     });
                 }
                 Stmt::Put { .. }
+                | Stmt::PutVal { .. }
                 | Stmt::Get { .. }
                 | Stmt::Acc { .. }
                 | Stmt::ReadValue { .. }
                 | Stmt::AccVal { .. } => {
-                    let (win, target, iv) = match stmt {
-                        Stmt::Put { win, target, disp, len }
-                        | Stmt::Acc { win, target, disp, len, .. } => (
-                            *win,
-                            *target,
-                            Iv { target: *target, lo: *disp, hi: *disp + *len, write: true },
-                        ),
-                        Stmt::Get { win, target, disp, len } => (
-                            *win,
-                            *target,
-                            Iv { target: *target, lo: *disp, hi: *disp + *len, write: false },
-                        ),
-                        Stmt::ReadValue { win, target, disp, kind, .. } => (
-                            *win,
-                            *target,
-                            Iv {
-                                target: *target,
-                                lo: *disp,
-                                hi: *disp + 8,
-                                write: kind.write_op().is_some(),
-                            },
-                        ),
-                        Stmt::AccVal { win, target, disp, .. } => (
-                            *win,
-                            *target,
-                            Iv { target: *target, lo: *disp, hi: *disp + 8, write: true },
-                        ),
-                        _ => unreachable!(),
-                    };
+                    let (win, iv) = data_iv(stmt).expect("every arm above is a data statement");
+                    let target = iv.target;
                     if let Some(ops) = locks.get_mut(&(win, target)) {
                         ops.push(iv);
                     } else if let Some(ops) = lock_all.get_mut(&win) {
@@ -912,7 +883,10 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                         fence_ops.entry(win).or_default().push(iv);
                     }
                 }
-                Stmt::SpinUntil { .. } | Stmt::WaitAll | Stmt::Barrier => {}
+                Stmt::SpinUntil { .. }
+                | Stmt::Compute { .. }
+                | Stmt::WaitAll
+                | Stmt::Barrier => {}
             }
         }
         starts_shape.push(my_starts);

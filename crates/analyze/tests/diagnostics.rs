@@ -123,7 +123,7 @@ fn e005_lock_all_inside_start_epoch() {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
         Stmt::Start { win: 0, group: vec![1] },
-        Stmt::LockAll { win: 0 },
+        Stmt::LockAll { win: 0, nonblocking: false },
         Stmt::UnlockAll { win: 0, close: Close::Blocking },
         Stmt::Complete { win: 0, close: Close::Blocking },
     ]);
@@ -752,7 +752,7 @@ fn e017_near_miss_exposure_present() {
 fn value_spin(published: u64, expect: u64) -> IrProgram {
     let mut p = IrProgram::new(2, WIN);
     p.ranks[0].extend([
-        Stmt::LockAll { win: 0 },
+        Stmt::LockAll { win: 0, nonblocking: false },
         Stmt::ReadValue { win: 0, target: 0, disp: 0, kind: FetchKind::FetchOp(ReduceOp::NoOp), local: 0 },
         Stmt::SpinUntil { local: 0, expect },
         Stmt::UnlockAll { win: 0, close: Close::Blocking },
@@ -848,7 +848,7 @@ fn e008_near_miss_flush_all_discharges_targeted_iflush() {
     // A blocking flush_all covers every target on the window.
     let mut p = IrProgram::new(3, WIN);
     p.ranks[0].extend([
-        Stmt::LockAll { win: 0 },
+        Stmt::LockAll { win: 0, nonblocking: false },
         Stmt::Put { win: 0, target: 1, disp: 0, len: 8 },
         Stmt::Flush { win: 0, target: Some(1), local_only: false, close: Close::Nonblocking },
         Stmt::Put { win: 0, target: 2, disp: 8, len: 8 },

@@ -151,7 +151,7 @@ pub fn bank_ir(n_ranks: usize, transfers: usize) -> IrProgram {
     for me in 0..n_ranks {
         let mut rng = 0xba2c_0000_u64 + me as u64;
         let stmts = &mut p.ranks[me];
-        stmts.push(Stmt::LockAll { win: 0 });
+        stmts.push(Stmt::LockAll { win: 0, nonblocking: false });
         for i in 0..transfers {
             let target = {
                 let t = (mix(&mut rng) as usize) % (n_ranks - 1);

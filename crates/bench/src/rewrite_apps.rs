@@ -66,10 +66,10 @@ pub fn run(short: bool) -> Vec<AppDelta> {
         let diags = analyze(&rw);
         assert!(diags.is_empty(), "{name}: rewritten twin not E-clean: {diags:?}");
 
-        let (_, r0) = mpisim_check::exec_ir_with(&p, false, 7, SyncStrategy::Redesigned)
+        let (_, r0) = mpisim_analyze::exec_ir_with(&p, false, 7, SyncStrategy::Redesigned)
             .unwrap_or_else(|e| panic!("{name}: blocking run failed: {e:?}"));
         assert!(r0.is_clean(), "{name}: blocking run degraded: {:?}", r0.degradations);
-        let (_, r1) = mpisim_check::exec_ir_with(&rw, false, 7, SyncStrategy::Redesigned)
+        let (_, r1) = mpisim_analyze::exec_ir_with(&rw, false, 7, SyncStrategy::Redesigned)
             .unwrap_or_else(|e| panic!("{name}: rewritten run failed: {e:?}"));
         assert!(r1.is_clean(), "{name}: rewritten run degraded: {:?}", r1.degradations);
 

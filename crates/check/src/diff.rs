@@ -139,8 +139,6 @@ pub fn verify_with(program: &Program, spec: &RunSpec, opts: VerifyOpts) -> Resul
             ),
         });
     }
-    // Rank 0 is the origin in single-origin programs and its window is
-    // never a target, so comparing every rank is valid for both shapes.
     for (r, (got, want)) in out.mems.iter().zip(expected.mems.iter()).enumerate() {
         if got != want {
             return Err(Failure {
@@ -330,14 +328,14 @@ mod tests {
     fn double_acc_fault_diverges() {
         // A program with at least one accumulate must diverge when every
         // eager accumulate is applied twice.
-        let program = Program::SingleOrigin {
-            n_ranks: 3,
-            reorder: false,
-            epochs: vec![crate::program::Epoch::Lock {
+        let program = Program::single_origin(
+            Family::MixedSerial,
+            3,
+            vec![crate::program::Epoch::Lock {
                 target: 1,
                 ops: vec![crate::program::Op::AccSum { target: 1, slot: 0, operand: 5 }],
             }],
-        };
+        );
         let mut spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
         spec.fault = Some("double-acc".into());
         let err = verify(&program, &spec).expect_err("injected bug must be caught");

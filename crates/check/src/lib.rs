@@ -15,12 +15,14 @@
 //!   starvation ([`mpisim_net::NetParams::perturbation_profile`]);
 //! * the **simulation seed** re-rolls every jitter stream.
 //!
-//! Pipeline: [`program::generate`] → static analysis of the lowered call
-//! sequence ([`lower::lower`] + [`mpisim_analyze::analyze`]) →
-//! [`run::execute`] → oracle comparison + [`audit::audit`] + happens-before
-//! race detection ([`mpisim_analyze::detect_races`]), all via [`verify`] →
-//! on failure, [`shrink::shrink`] and [`shrink::reproducer`] emit a
-//! minimized ready-to-paste test.
+//! Pipeline: [`program::generate`] → [`lower::lower`] resolves the program,
+//! for the run's close mode, into the analyzer's IR → static analysis of
+//! that IR ([`mpisim_analyze::analyze`]) → [`run::execute`] hands the same
+//! IR to the one interpreter ([`mpisim_analyze::exec`]) → oracle
+//! comparison + [`audit::audit`] + happens-before race detection
+//! ([`mpisim_analyze::detect_races`]), all via [`verify`] → on failure,
+//! [`shrink::shrink`] and [`shrink::reproducer`] emit a minimized
+//! ready-to-paste test.
 //!
 //! The harness proves it can catch real bugs by injecting them: the engine
 //! recognizes the fault names `"skip-grant"` (liveness: a dropped exposure
@@ -31,7 +33,7 @@
 //!
 //! The static deadlock analyzer gets the same treatment in
 //! [`crossval`]: the deadlock corpus must be flagged *and* stall under
-//! the armed watchdog ([`run::exec_ir`] executes IR programs directly),
+//! the armed watchdog ([`exec_ir`] executes IR programs directly),
 //! while analyzer-clean generated programs must run stall-free.
 //!
 //! The pooled execution kernel is pinned to its thread-per-rank baseline
@@ -45,7 +47,7 @@
 //! [`crossval::crossval_rewrites`]: every conformance program the
 //! rewriter relaxes must stay analyzer-clean, reproduce the original's
 //! final memory at every strategy × seed point
-//! ([`run::exec_ir_with`]), and strictly reduce the engine's
+//! ([`exec_ir_with`]), and strictly reduce the engine's
 //! `sync_blocked_steps` — while `--inject bad-rewrite` plants an
 //! unsound relaxation that the differential comparison alone must
 //! catch.

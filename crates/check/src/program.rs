@@ -1,6 +1,13 @@
 //! Generated RMA programs and their sequential oracles.
 //!
-//! Three program families, each chosen so that a *sequential* replay of the
+//! A [`Program`] is the close-mode-agnostic form of a conformance program:
+//! per rank, the `(window, epoch)` sequence that rank drives. It says what
+//! is communicated, not which API calls do it — [`crate::lower::lower`]
+//! resolves it, for one close mode, into the IR the analyzer reads and the
+//! interpreter runs. What the sequential oracle and the shrinker work on
+//! is this form.
+//!
+//! Five program families, each chosen so that a *sequential* replay of the
 //! operations is a valid oracle for **every** legal schedule the simulator
 //! can produce under perturbation:
 //!
@@ -28,6 +35,11 @@
 //!   so the sequential replay stays a valid oracle. Every rank joins each
 //!   window's fence phases equally, keeping the per-window fence planes
 //!   collective.
+//!
+//! Everything else a family's programs share — window size, reorder flags,
+//! the flush before a lock epoch's close, nonblocking opens, the compute
+//! pacing between epochs — is a fixed property of the [`Family`], not a
+//! field of the program: the oracle argument above depends on it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -83,7 +95,7 @@ impl Op {
     }
 }
 
-/// One epoch of a single-origin program.
+/// One access epoch of a rank's script.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Epoch {
     /// Fence-to-fence active epoch.
@@ -126,7 +138,7 @@ pub enum Family {
     MixedSerial,
     /// Single origin, all reorder flags on, per-epoch disjoint regions.
     DisjointReorder,
-    /// Every rank accumulates sums through `A_A_A_R` lock epochs.
+    /// Every rank accumulates sums through reordering lock epochs.
     MultiOriginSum,
     /// Every rank accumulates sums through back-to-back `lock_all` epochs.
     LockAllStorm,
@@ -155,273 +167,166 @@ impl Family {
             Family::MultiWindow => "multi-window",
         }
     }
-}
 
-/// A concrete generated program.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Program {
-    /// Rank 0 drives `epochs`; other ranks cooperate (fence / post).
-    SingleOrigin {
-        /// Total ranks in the job.
-        n_ranks: usize,
-        /// Window info: `false` = flags off, `true` = all four reorder
-        /// flags on (the disjoint-region family).
-        reorder: bool,
-        /// The epoch sequence.
-        epochs: Vec<Epoch>,
-    },
-    /// Every rank `r` runs `plan[r]`: a sequence of `(target, slot, v)`
-    /// Sum-accumulates, each in its own exclusive-lock epoch.
-    MultiOrigin {
-        /// Total ranks in the job.
-        n_ranks: usize,
-        /// Per-rank accumulate transactions.
-        plan: Vec<Vec<(usize, usize, u64)>>,
-    },
-    /// Every rank `r` runs `rounds[r]`: a sequence of `lock_all` epochs,
-    /// each holding a batch of `(target, slot, v)` Sum-accumulates.
-    LockAllStorm {
-        /// Total ranks in the job.
-        n_ranks: usize,
-        /// Per-rank, per-epoch accumulate batches.
-        rounds: StormRounds,
-    },
-    /// Rank 0 drives `(window, epoch)` pairs over `n_wins` windows of
-    /// `WIN_BYTES` each; other ranks cooperate per window (fence / post).
-    MultiWindow {
-        /// Total ranks in the job.
-        n_ranks: usize,
-        /// Number of windows (each `WIN_BYTES`).
-        n_wins: usize,
-        /// The epoch sequence with its window index.
-        epochs: Vec<(usize, Epoch)>,
-    },
-}
-
-/// `LockAllStorm` schedule: per rank → per `lock_all` epoch → batch of
-/// `(target, slot, operand)` Sum-accumulates.
-pub type StormRounds = Vec<Vec<Vec<(usize, usize, u64)>>>;
-
-impl Program {
-    /// Number of ranks this program needs.
-    pub fn n_ranks(&self) -> usize {
+    /// Size in bytes of every window of the family's programs.
+    pub fn win_bytes(self) -> usize {
         match self {
-            Program::SingleOrigin { n_ranks, .. }
-            | Program::MultiOrigin { n_ranks, .. }
-            | Program::LockAllStorm { n_ranks, .. }
-            | Program::MultiWindow { n_ranks, .. } => *n_ranks,
+            Family::MultiOriginSum | Family::LockAllStorm => MULTI_WIN_BYTES,
+            _ => WIN_BYTES,
         }
     }
 
-    /// Total number of "shrinkable atoms" (epochs + ops, or transactions):
-    /// the minimizer's size metric.
-    pub fn weight(&self) -> usize {
+    /// Whether the windows carry the reorder flags. `DisjointReorder` is
+    /// safe under them because its epochs own disjoint regions,
+    /// `MultiOriginSum` because sums commute; its lock-only programs have
+    /// no exposure epochs, so of the four flags only `A_A_A_R` ever acts.
+    pub fn reorder(self) -> bool {
+        matches!(self, Family::DisjointReorder | Family::MultiOriginSum)
+    }
+
+    /// Whether a blocking flush precedes every lock epoch's close.
+    pub fn flush_locks(self) -> bool {
+        self == Family::MultiWindow
+    }
+
+    /// Whether, under nonblocking closes, passive epochs also *open*
+    /// nonblocking (`ilock` / `ilock_all`): the dummy epoch-open request
+    /// completes at creation but must still be consumed (§VII.C).
+    pub fn nonblocking_opens(self) -> bool {
+        matches!(self, Family::MultiOriginSum | Family::LockAllStorm)
+    }
+
+    /// Nanoseconds `rank` computes after each of its epochs (`None` = no
+    /// pacing). Per-rank strides de-synchronise the all-origin families so
+    /// that their lock requests interleave instead of arriving in lockstep.
+    pub fn pacing_ns(self, rank: usize) -> Option<u64> {
+        let rank = rank as u64;
         match self {
-            Program::SingleOrigin { epochs, .. } => {
-                epochs.len() + epochs.iter().map(|e| e.ops().len()).sum::<usize>()
-            }
-            Program::MultiOrigin { plan, .. } => plan.iter().map(Vec::len).sum(),
-            Program::LockAllStorm { rounds, .. } => rounds
-                .iter()
-                .map(|eps| eps.len() + eps.iter().map(Vec::len).sum::<usize>())
-                .sum(),
-            Program::MultiWindow { epochs, .. } => {
-                epochs.len() + epochs.iter().map(|(_, e)| e.ops().len()).sum::<usize>()
-            }
+            Family::MultiOriginSum => Some((rank * 97 + 13) % 500),
+            Family::LockAllStorm => Some((rank * 131 + 29) % 400),
+            _ => None,
         }
+    }
+}
+
+/// A concrete program: rank `r` drives `ranks[r]`, a sequence of
+/// `(window, epoch)` pairs, over `n_wins` windows of
+/// [`Family::win_bytes`] each. Every other rank cooperates with a driver's
+/// active-target epochs (joins the fence pair, exposes for a GATS epoch);
+/// passive-target epochs need no cooperation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Program {
+    /// The family whose fixed traits the program runs under.
+    pub family: Family,
+    /// Total ranks in the job.
+    pub n_ranks: usize,
+    /// Number of windows.
+    pub n_wins: usize,
+    /// Per-rank scripts (`n_ranks` of them; empty = only cooperates).
+    pub ranks: Vec<Vec<(usize, Epoch)>>,
+}
+
+impl Program {
+    /// A one-window program only rank 0 drives.
+    pub fn single_origin(family: Family, n_ranks: usize, epochs: Vec<Epoch>) -> Program {
+        let mut ranks = vec![Vec::new(); n_ranks];
+        ranks[0] = epochs.into_iter().map(|e| (0, e)).collect();
+        Program { family, n_ranks, n_wins: 1, ranks }
+    }
+
+    /// Every `(window, epoch)` pair, rank by rank: the order the oracle
+    /// replays them in and the shrinker indexes them by.
+    pub fn epochs(&self) -> impl Iterator<Item = &(usize, Epoch)> {
+        self.ranks.iter().flatten()
+    }
+
+    /// Total number of "shrinkable atoms" (epochs + ops): the minimizer's
+    /// size metric.
+    pub fn weight(&self) -> usize {
+        self.epochs().map(|(_, e)| 1 + e.ops().len()).sum()
     }
 
     /// Render the program as a Rust expression that reconstructs it —
     /// pasted verbatim into generated reproducer tests.
     pub fn to_rust(&self) -> String {
-        fn ops(v: &[Op]) -> String {
-            let items: Vec<String> = v
-                .iter()
-                .map(|op| match op {
-                    Op::Put { target, disp, val, len } => format!(
-                        "Op::Put {{ target: {target}, disp: {disp}, val: {val}, len: {len} }}"
-                    ),
-                    Op::AccSum { target, slot, operand } => format!(
-                        "Op::AccSum {{ target: {target}, slot: {slot}, operand: {operand} }}"
-                    ),
-                    Op::Get { target, disp, len } => {
-                        format!("Op::Get {{ target: {target}, disp: {disp}, len: {len} }}")
-                    }
-                })
-                .collect();
-            format!("vec![{}]", items.join(", "))
-        }
-        match self {
-            Program::SingleOrigin { n_ranks, reorder, epochs } => {
-                let eps: Vec<String> = epochs
-                    .iter()
-                    .map(|e| match e {
-                        Epoch::Fence(o) => format!("Epoch::Fence({})", ops(o)),
-                        Epoch::Gats(o) => format!("Epoch::Gats({})", ops(o)),
-                        Epoch::Lock { target, ops: o } => {
-                            format!("Epoch::Lock {{ target: {target}, ops: {} }}", ops(o))
-                        }
-                        Epoch::LockAll(o) => format!("Epoch::LockAll({})", ops(o)),
-                    })
-                    .collect();
-                format!(
-                    "Program::SingleOrigin {{\n        n_ranks: {n_ranks},\n        reorder: \
-                     {reorder},\n        epochs: vec![\n            {}\n        ],\n    }}",
-                    eps.join(",\n            ")
-                )
-            }
-            Program::MultiOrigin { n_ranks, plan } => {
-                let rows: Vec<String> = plan
-                    .iter()
-                    .map(|txs| {
-                        let items: Vec<String> =
-                            txs.iter().map(|(t, s, v)| format!("({t}, {s}, {v})")).collect();
-                        format!("vec![{}]", items.join(", "))
-                    })
-                    .collect();
-                format!(
-                    "Program::MultiOrigin {{\n        n_ranks: {n_ranks},\n        plan: vec![\n  \
-                     \u{20}         {}\n        ],\n    }}",
-                    rows.join(",\n            ")
-                )
-            }
-            Program::LockAllStorm { n_ranks, rounds } => {
-                let rows: Vec<String> = rounds
-                    .iter()
-                    .map(|eps| {
-                        let inner: Vec<String> = eps
-                            .iter()
-                            .map(|accs| {
-                                let items: Vec<String> = accs
-                                    .iter()
-                                    .map(|(t, s, v)| format!("({t}, {s}, {v})"))
-                                    .collect();
-                                format!("vec![{}]", items.join(", "))
-                            })
-                            .collect();
-                        format!("vec![{}]", inner.join(", "))
-                    })
-                    .collect();
-                format!(
-                    "Program::LockAllStorm {{\n        n_ranks: {n_ranks},\n        rounds: \
-                     vec![\n            {}\n        ],\n    }}",
-                    rows.join(",\n            ")
-                )
-            }
-            Program::MultiWindow { n_ranks, n_wins, epochs } => {
-                let eps: Vec<String> = epochs
-                    .iter()
-                    .map(|(w, e)| {
-                        let body = match e {
-                            Epoch::Fence(o) => format!("Epoch::Fence({})", ops(o)),
-                            Epoch::Gats(o) => format!("Epoch::Gats({})", ops(o)),
-                            Epoch::Lock { target, ops: o } => {
-                                format!("Epoch::Lock {{ target: {target}, ops: {} }}", ops(o))
-                            }
-                            Epoch::LockAll(o) => format!("Epoch::LockAll({})", ops(o)),
-                        };
-                        format!("({w}, {body})")
-                    })
-                    .collect();
-                format!(
-                    "Program::MultiWindow {{\n        n_ranks: {n_ranks},\n        n_wins: \
-                     {n_wins},\n        epochs: vec![\n            {}\n        ],\n    }}",
-                    eps.join(",\n            ")
-                )
+        fn op(op: &Op) -> String {
+            match op {
+                Op::Put { target, disp, val, len } => {
+                    format!("Op::Put {{ target: {target}, disp: {disp}, val: {val}, len: {len} }}")
+                }
+                Op::AccSum { target, slot, operand } => {
+                    format!("Op::AccSum {{ target: {target}, slot: {slot}, operand: {operand} }}")
+                }
+                Op::Get { target, disp, len } => {
+                    format!("Op::Get {{ target: {target}, disp: {disp}, len: {len} }}")
+                }
             }
         }
+        fn epoch(win: usize, e: &Epoch) -> String {
+            let ops = format!("vec![{}]", e.ops().iter().map(op).collect::<Vec<_>>().join(", "));
+            let body = match e {
+                Epoch::Fence(_) => format!("Epoch::Fence({ops})"),
+                Epoch::Gats(_) => format!("Epoch::Gats({ops})"),
+                Epoch::Lock { target, .. } => {
+                    format!("Epoch::Lock {{ target: {target}, ops: {ops} }}")
+                }
+                Epoch::LockAll(_) => format!("Epoch::LockAll({ops})"),
+            };
+            format!("({win}, {body})")
+        }
+        let scripts: Vec<String> = self
+            .ranks
+            .iter()
+            .map(|script| {
+                let eps: Vec<String> = script.iter().map(|(w, e)| epoch(*w, e)).collect();
+                format!("vec![{}]", eps.join(", "))
+            })
+            .collect();
+        format!(
+            "Program {{\n        family: Family::{:?},\n        n_ranks: {},\n        n_wins: \
+             {},\n        ranks: vec![\n            {},\n        ],\n    }}",
+            self.family,
+            self.n_ranks,
+            self.n_wins,
+            scripts.join(",\n            ")
+        )
     }
 }
 
 /// What the program must compute, independent of schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Expected {
-    /// Final window bytes per rank (`WIN_BYTES` or `MULTI_WIN_BYTES` each).
+    /// Final window bytes per rank: the rank's windows, concatenated in
+    /// allocation order — the interpreter reads them back the same way.
     pub mems: Vec<Vec<u8>>,
-    /// Get results, in program order (single-origin only).
+    /// Get results, rank by rank, in program order.
     pub gets: Vec<Vec<u8>>,
 }
 
 /// Sequential oracle: replay the program on a local memory model.
 pub fn oracle(program: &Program) -> Expected {
-    match program {
-        Program::SingleOrigin { n_ranks, epochs, .. } => {
-            let mut mem = vec![vec![0u8; WIN_BYTES]; *n_ranks];
-            let mut gets = Vec::new();
-            for e in epochs {
-                for op in e.ops() {
-                    match op {
-                        Op::Put { target, disp, val, len } => {
-                            mem[*target][*disp..disp + len].fill(*val);
-                        }
-                        Op::AccSum { target, slot, operand } => {
-                            let d = slot * 8;
-                            let cur =
-                                u64::from_le_bytes(mem[*target][d..d + 8].try_into().unwrap());
-                            mem[*target][d..d + 8]
-                                .copy_from_slice(&cur.wrapping_add(*operand).to_le_bytes());
-                        }
-                        Op::Get { target, disp, len } => {
-                            gets.push(mem[*target][*disp..disp + len].to_vec());
-                        }
-                    }
+    let win_bytes = program.family.win_bytes();
+    let mut mem = vec![vec![0u8; win_bytes * program.n_wins]; program.n_ranks];
+    let mut gets = Vec::new();
+    for (w, e) in program.epochs() {
+        let base = w * win_bytes;
+        for op in e.ops() {
+            match op {
+                Op::Put { target, disp, val, len } => {
+                    mem[*target][base + disp..base + disp + len].fill(*val);
+                }
+                Op::AccSum { target, slot, operand } => {
+                    let word = &mut mem[*target][base + slot * 8..base + slot * 8 + 8];
+                    let cur = u64::from_le_bytes((&*word).try_into().expect("8-byte slot"));
+                    word.copy_from_slice(&cur.wrapping_add(*operand).to_le_bytes());
+                }
+                Op::Get { target, disp, len } => {
+                    gets.push(mem[*target][base + disp..base + disp + len].to_vec());
                 }
             }
-            Expected { mems: mem, gets }
-        }
-        Program::MultiOrigin { n_ranks, plan } => {
-            let mut mem = vec![vec![0u8; MULTI_WIN_BYTES]; *n_ranks];
-            for txs in plan {
-                for (target, slot, v) in txs {
-                    let d = slot * 8;
-                    let cur = u64::from_le_bytes(mem[*target][d..d + 8].try_into().unwrap());
-                    mem[*target][d..d + 8].copy_from_slice(&cur.wrapping_add(*v).to_le_bytes());
-                }
-            }
-            Expected { mems: mem, gets: Vec::new() }
-        }
-        Program::LockAllStorm { n_ranks, rounds } => {
-            let mut mem = vec![vec![0u8; MULTI_WIN_BYTES]; *n_ranks];
-            for eps in rounds {
-                for accs in eps {
-                    for (target, slot, v) in accs {
-                        let d = slot * 8;
-                        let cur = u64::from_le_bytes(mem[*target][d..d + 8].try_into().unwrap());
-                        mem[*target][d..d + 8].copy_from_slice(&cur.wrapping_add(*v).to_le_bytes());
-                    }
-                }
-            }
-            Expected { mems: mem, gets: Vec::new() }
-        }
-        Program::MultiWindow { n_ranks, n_wins, epochs } => {
-            // Per-rank memory is the concatenation of that rank's windows
-            // in allocation order — the executor reads them back the same
-            // way.
-            let mut mem = vec![vec![0u8; WIN_BYTES * n_wins]; *n_ranks];
-            let mut gets = Vec::new();
-            for (w, e) in epochs {
-                let base = w * WIN_BYTES;
-                for op in e.ops() {
-                    match op {
-                        Op::Put { target, disp, val, len } => {
-                            mem[*target][base + disp..base + disp + len].fill(*val);
-                        }
-                        Op::AccSum { target, slot, operand } => {
-                            let d = base + slot * 8;
-                            let cur =
-                                u64::from_le_bytes(mem[*target][d..d + 8].try_into().unwrap());
-                            mem[*target][d..d + 8]
-                                .copy_from_slice(&cur.wrapping_add(*operand).to_le_bytes());
-                        }
-                        Op::Get { target, disp, len } => {
-                            gets.push(mem[*target][base + disp..base + disp + len].to_vec());
-                        }
-                    }
-                }
-            }
-            Expected { mems: mem, gets }
         }
     }
+    Expected { mems: mem, gets }
 }
 
 fn gen_op(rng: &mut SmallRng, n_ranks: usize, region: Option<usize>) -> Op {
@@ -472,72 +377,70 @@ fn gen_epoch(rng: &mut SmallRng, n_ranks: usize, region: Option<usize>) -> Epoch
     }
 }
 
+/// One batch of `n` Sum-accumulates at random targets and slots: the
+/// whole body of a `MultiOriginSum` or `LockAllStorm` epoch.
+fn gen_sums(rng: &mut SmallRng, n_ranks: usize, n: usize) -> Vec<Op> {
+    (0..n)
+        .map(|_| Op::AccSum {
+            target: rng.gen_range(0..n_ranks),
+            slot: rng.gen_range(0..MULTI_WIN_BYTES / 8),
+            operand: rng.gen_range(0..1000u64),
+        })
+        .collect()
+}
+
 /// Deterministically generate the `index`-th program of a family.
 pub fn generate(family: Family, index: u64) -> Program {
     let mut rng = SmallRng::seed_from_u64(0x51EE_D000 ^ (index.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    let rng = &mut rng;
     match family {
         Family::MixedSerial => {
-            let n_ranks = 3;
             let n_epochs = rng.gen_range(1..6usize);
-            let epochs = (0..n_epochs).map(|_| gen_epoch(&mut rng, n_ranks, None)).collect();
-            Program::SingleOrigin { n_ranks, reorder: false, epochs }
+            let epochs = (0..n_epochs).map(|_| gen_epoch(rng, 3, None)).collect();
+            Program::single_origin(family, 3, epochs)
         }
         Family::DisjointReorder => {
-            let n_ranks = 3;
             let n_epochs = rng.gen_range(2..=WIN_BYTES / REGION_BYTES);
-            let epochs =
-                (0..n_epochs).map(|i| gen_epoch(&mut rng, n_ranks, Some(i))).collect();
-            Program::SingleOrigin { n_ranks, reorder: true, epochs }
+            let epochs = (0..n_epochs).map(|i| gen_epoch(rng, 3, Some(i))).collect();
+            Program::single_origin(family, 3, epochs)
         }
         Family::MultiOriginSum => {
+            // One transaction = one exclusive-lock epoch around one sum.
             let n_ranks = 4;
-            let plan = (0..n_ranks)
+            let ranks = (0..n_ranks)
                 .map(|_| {
                     let n = rng.gen_range(1..10usize);
                     (0..n)
                         .map(|_| {
-                            (
-                                rng.gen_range(0..n_ranks),
-                                rng.gen_range(0..MULTI_WIN_BYTES / 8),
-                                rng.gen_range(0..1000u64),
-                            )
+                            let ops = gen_sums(rng, n_ranks, 1);
+                            (0, Epoch::Lock { target: ops[0].target(), ops })
                         })
                         .collect()
                 })
                 .collect();
-            Program::MultiOrigin { n_ranks, plan }
+            Program { family, n_ranks, n_wins: 1, ranks }
         }
         Family::LockAllStorm => {
             let n_ranks = 4;
-            let rounds = (0..n_ranks)
+            let ranks = (0..n_ranks)
                 .map(|_| {
                     let n_epochs = rng.gen_range(1..4usize);
                     (0..n_epochs)
                         .map(|_| {
                             let n_accs = rng.gen_range(1..6usize);
-                            (0..n_accs)
-                                .map(|_| {
-                                    (
-                                        rng.gen_range(0..n_ranks),
-                                        rng.gen_range(0..MULTI_WIN_BYTES / 8),
-                                        rng.gen_range(0..1000u64),
-                                    )
-                                })
-                                .collect()
+                            (0, Epoch::LockAll(gen_sums(rng, n_ranks, n_accs)))
                         })
                         .collect()
                 })
                 .collect();
-            Program::LockAllStorm { n_ranks, rounds }
+            Program { family, n_ranks, n_wins: 1, ranks }
         }
         Family::MultiWindow => {
-            let n_ranks = 3;
             let n_wins = rng.gen_range(2..4usize);
             let n_epochs = rng.gen_range(2..7usize);
-            let epochs = (0..n_epochs)
-                .map(|_| (rng.gen_range(0..n_wins), gen_epoch(&mut rng, n_ranks, None)))
-                .collect();
-            Program::MultiWindow { n_ranks, n_wins, epochs }
+            let script =
+                (0..n_epochs).map(|_| (rng.gen_range(0..n_wins), gen_epoch(rng, 3, None))).collect();
+            Program { family, n_ranks: 3, n_wins, ranks: vec![script, Vec::new(), Vec::new()] }
         }
     }
 }
@@ -560,11 +463,8 @@ mod tests {
     fn disjoint_family_respects_regions() {
         for i in 0..16 {
             let p = generate(Family::DisjointReorder, i);
-            let Program::SingleOrigin { reorder, epochs, .. } = &p else {
-                panic!("wrong variant")
-            };
-            assert!(reorder);
-            for (e_idx, e) in epochs.iter().enumerate() {
+            assert!(p.family.reorder());
+            for (e_idx, (_, e)) in p.ranks[0].iter().enumerate() {
                 let (lo, hi) = (e_idx * REGION_BYTES, (e_idx + 1) * REGION_BYTES);
                 for op in e.ops() {
                     match op {
@@ -582,17 +482,15 @@ mod tests {
 
     #[test]
     fn oracle_applies_ops_in_order() {
-        let p = Program::SingleOrigin {
-            n_ranks: 2,
-            reorder: false,
-            epochs: vec![
-                Epoch::Fence(vec![
-                    Op::Put { target: 1, disp: 0, val: 7, len: 4 },
-                    Op::AccSum { target: 1, slot: 0, operand: 1 },
-                    Op::Get { target: 1, disp: 0, len: 2 },
-                ]),
-            ],
-        };
+        let p = Program::single_origin(
+            Family::MixedSerial,
+            2,
+            vec![Epoch::Fence(vec![
+                Op::Put { target: 1, disp: 0, val: 7, len: 4 },
+                Op::AccSum { target: 1, slot: 0, operand: 1 },
+                Op::Get { target: 1, disp: 0, len: 2 },
+            ])],
+        );
         let exp = oracle(&p);
         let word = u64::from_le_bytes(exp.mems[1][0..8].try_into().unwrap());
         assert_eq!(word, u64::from_le_bytes([7, 7, 7, 7, 0, 0, 0, 0]) + 1);
@@ -600,31 +498,22 @@ mod tests {
     }
 
     #[test]
-    fn to_rust_round_trips_textually() {
-        let p = generate(Family::MixedSerial, 3);
-        let src = p.to_rust();
-        assert!(src.starts_with("Program::SingleOrigin"));
-        assert!(src.contains("epochs: vec!["));
-        let m = generate(Family::MultiOriginSum, 0);
-        assert!(m.to_rust().starts_with("Program::MultiOrigin"));
-        let s = generate(Family::LockAllStorm, 0);
-        assert!(s.to_rust().starts_with("Program::LockAllStorm"));
-    }
-
-    #[test]
-    fn lock_all_storm_batches_are_bounded() {
-        for i in 0..16 {
-            let Program::LockAllStorm { n_ranks, rounds } = generate(Family::LockAllStorm, i)
-            else {
-                panic!("wrong variant")
-            };
-            assert_eq!(rounds.len(), n_ranks);
-            for eps in &rounds {
-                assert!(!eps.is_empty());
-                for accs in eps {
-                    assert!(!accs.is_empty());
-                    for &(t, s, _) in accs {
-                        assert!(t < n_ranks && s < MULTI_WIN_BYTES / 8);
+    fn all_origin_families_are_bounded() {
+        for family in [Family::MultiOriginSum, Family::LockAllStorm] {
+            for i in 0..16 {
+                let p = generate(family, i);
+                assert_eq!(p.ranks.len(), p.n_ranks);
+                for script in &p.ranks {
+                    assert!(!script.is_empty());
+                    for (w, e) in script {
+                        assert_eq!(*w, 0);
+                        assert!(!e.ops().is_empty());
+                        for op in e.ops() {
+                            let Op::AccSum { target, slot, .. } = op else {
+                                panic!("{family:?} #{i}: {op:?} is not a sum")
+                            };
+                            assert!(*target < p.n_ranks && *slot < MULTI_WIN_BYTES / 8);
+                        }
                     }
                 }
             }

@@ -251,7 +251,7 @@ pub fn crossval_recovery_bad(programs: u64) -> RecoveryValReport {
             let expected = oracle(&program);
             // Victims: ranks that both commit epochs and end with non-zero
             // window bytes (their writes are observable when lost).
-            let victims: Vec<usize> = (0..program.n_ranks())
+            let victims: Vec<usize> = (0..program.n_ranks)
                 .filter(|&r| counts[r] > 0 && expected.mems[r].iter().any(|&b| b != 0))
                 .take(4)
                 .collect();

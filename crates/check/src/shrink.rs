@@ -28,106 +28,35 @@ impl Shrinker {
     }
 }
 
+/// Where the `idx`-th epoch of [`Program::epochs`] lives: (rank, position
+/// in that rank's script).
+fn locate(p: &Program, mut idx: usize) -> Option<(usize, usize)> {
+    for (r, script) in p.ranks.iter().enumerate() {
+        if idx < script.len() {
+            return Some((r, idx));
+        }
+        idx -= script.len();
+    }
+    None
+}
+
+/// `p` without its `idx`-th epoch (never the last one left).
 fn drop_epoch(p: &Program, idx: usize) -> Option<Program> {
-    match p {
-        Program::SingleOrigin { n_ranks, reorder, epochs } => {
-            if epochs.len() <= 1 || idx >= epochs.len() {
-                return None;
-            }
-            let mut e = epochs.clone();
-            e.remove(idx);
-            Some(Program::SingleOrigin { n_ranks: *n_ranks, reorder: *reorder, epochs: e })
-        }
-        Program::MultiOrigin { n_ranks, plan } => {
-            // Flat index over all (rank, tx) pairs.
-            let mut i = idx;
-            for (r, txs) in plan.iter().enumerate() {
-                if i < txs.len() {
-                    if plan.iter().map(Vec::len).sum::<usize>() <= 1 {
-                        return None;
-                    }
-                    let mut pl = plan.clone();
-                    pl[r].remove(i);
-                    return Some(Program::MultiOrigin { n_ranks: *n_ranks, plan: pl });
-                }
-                i -= txs.len();
-            }
-            None
-        }
-        Program::LockAllStorm { n_ranks, rounds } => {
-            // Flat index over all (rank, epoch) pairs.
-            let mut i = idx;
-            for (r, eps) in rounds.iter().enumerate() {
-                if i < eps.len() {
-                    if rounds.iter().map(Vec::len).sum::<usize>() <= 1 {
-                        return None;
-                    }
-                    let mut rs = rounds.clone();
-                    rs[r].remove(i);
-                    return Some(Program::LockAllStorm { n_ranks: *n_ranks, rounds: rs });
-                }
-                i -= eps.len();
-            }
-            None
-        }
-        Program::MultiWindow { n_ranks, n_wins, epochs } => {
-            if epochs.len() <= 1 || idx >= epochs.len() {
-                return None;
-            }
-            let mut e = epochs.clone();
-            e.remove(idx);
-            Some(Program::MultiWindow { n_ranks: *n_ranks, n_wins: *n_wins, epochs: e })
-        }
-    }
+    let (r, i) = locate(p, idx).filter(|_| p.epochs().count() > 1)?;
+    let mut q = p.clone();
+    q.ranks[r].remove(i);
+    Some(q)
 }
 
-fn epoch_slots(p: &Program) -> usize {
-    match p {
-        Program::SingleOrigin { epochs, .. } => epochs.len(),
-        Program::MultiOrigin { plan, .. } => plan.iter().map(Vec::len).sum(),
-        Program::LockAllStorm { rounds, .. } => rounds.iter().map(Vec::len).sum(),
-        Program::MultiWindow { epochs, .. } => epochs.len(),
-    }
-}
-
+/// `p` without operation `op` of its `epoch`-th epoch.
 fn drop_op(p: &Program, epoch: usize, op: usize) -> Option<Program> {
-    match p {
-        Program::SingleOrigin { n_ranks, reorder, epochs } => {
-            let ops = epochs.get(epoch)?.ops();
-            if op >= ops.len() {
-                return None;
-            }
-            let mut e = epochs.clone();
-            e[epoch].ops_mut().remove(op);
-            Some(Program::SingleOrigin { n_ranks: *n_ranks, reorder: *reorder, epochs: e })
-        }
-        Program::MultiOrigin { .. } => None, // transactions are single-op
-        Program::MultiWindow { n_ranks, n_wins, epochs } => {
-            let ops = epochs.get(epoch).map(|(_, e)| e.ops())?;
-            if op >= ops.len() {
-                return None;
-            }
-            let mut e = epochs.clone();
-            e[epoch].1.ops_mut().remove(op);
-            Some(Program::MultiWindow { n_ranks: *n_ranks, n_wins: *n_wins, epochs: e })
-        }
-        Program::LockAllStorm { n_ranks, rounds } => {
-            // `epoch` is the same flat (rank, epoch) index as drop_epoch's.
-            let mut i = epoch;
-            for (r, eps) in rounds.iter().enumerate() {
-                if i < eps.len() {
-                    if op >= eps[i].len() || eps[i].len() <= 1 {
-                        return None; // keep epochs non-empty; drop_epoch removes them
-                    }
-                    let mut rs = rounds.clone();
-                    rs[r][i].remove(op);
-                    return Some(Program::LockAllStorm { n_ranks: *n_ranks, rounds: rs });
-                }
-                i -= eps.len();
-            }
-            None
-        }
+    let (r, i) = locate(p, epoch)?;
+    if op >= p.ranks[r][i].1.ops().len() {
+        return None;
     }
+    let mut q = p.clone();
+    q.ranks[r][i].1.ops_mut().remove(op);
+    Some(q)
 }
 
 /// Greedily minimize a failing pair. Panics if the input pair does not
@@ -141,11 +70,11 @@ pub fn shrink(program: &Program, spec: &RunSpec) -> (Program, RunSpec) {
     let mut p = program.clone();
     let mut s = spec.clone();
 
-    // 1. Remove whole epochs / transactions, scanning to fixpoint.
+    // 1. Remove whole epochs, scanning to fixpoint.
     loop {
         let mut changed = false;
         let mut idx = 0;
-        while idx < epoch_slots(&p) {
+        while idx < p.epochs().count() {
             if let Some(cand) = drop_epoch(&p, idx) {
                 if sh.fails(&cand, &s) {
                     p = cand;
@@ -161,27 +90,21 @@ pub fn shrink(program: &Program, spec: &RunSpec) -> (Program, RunSpec) {
     }
 
     // 2. Remove individual operations inside surviving epochs.
-    if matches!(
-        p,
-        Program::SingleOrigin { .. } | Program::LockAllStorm { .. } | Program::MultiWindow { .. }
-    ) {
-        loop {
-            let mut changed = false;
-            let n_epochs = epoch_slots(&p);
-            for e in 0..n_epochs {
-                let mut o = 0;
-                while let Some(cand) = drop_op(&p, e, o) {
-                    if sh.fails(&cand, &s) {
-                        p = cand;
-                        changed = true;
-                    } else {
-                        o += 1;
-                    }
+    loop {
+        let mut changed = false;
+        for e in 0..p.epochs().count() {
+            let mut o = 0;
+            while let Some(cand) = drop_op(&p, e, o) {
+                if sh.fails(&cand, &s) {
+                    p = cand;
+                    changed = true;
+                } else {
+                    o += 1;
                 }
             }
-            if !changed {
-                break;
-            }
+        }
+        if !changed {
+            break;
         }
     }
 
@@ -208,7 +131,7 @@ pub fn shrink(program: &Program, spec: &RunSpec) -> (Program, RunSpec) {
 pub fn reproducer(program: &Program, spec: &RunSpec) -> String {
     format!(
         "#[test]\nfn shrunk_reproducer() {{\n    #[allow(unused_imports)]\n    use \
-         mpisim_check::program::{{Epoch, Op, Program}};\n    use mpisim_check::run::RunSpec;\n    \
+         mpisim_check::program::{{Epoch, Family, Op, Program}};\n    use mpisim_check::run::RunSpec;\n    \
          use mpisim_check::SyncStrategy;\n\n    let program = {};\n    let spec = {};\n    // \
          Fails while the bug is present; passes once it is fixed.\n    \
          mpisim_check::verify(&program, &spec).unwrap();\n}}\n",
@@ -220,17 +143,27 @@ pub fn reproducer(program: &Program, spec: &RunSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Epoch, Op};
+    use crate::program::{oracle, Epoch, Family, Op, MULTI_WIN_BYTES};
     use mpisim_core::SyncStrategy;
+
+    fn double_acc_spec() -> RunSpec {
+        RunSpec {
+            net_profile: 9,
+            tiebreak_seed: Some(4),
+            sim_seed: 21,
+            fault: Some("double-acc".into()),
+            ..RunSpec::baseline(SyncStrategy::Redesigned, true)
+        }
+    }
 
     /// The double-acc fault only needs one accumulate; everything else in
     /// the program must shrink away.
     #[test]
     fn shrinks_double_acc_to_a_single_accumulate() {
-        let program = Program::SingleOrigin {
-            n_ranks: 3,
-            reorder: false,
-            epochs: vec![
+        let program = Program::single_origin(
+            Family::MixedSerial,
+            3,
+            vec![
                 Epoch::Fence(vec![Op::Put { target: 1, disp: 0, val: 3, len: 4 }]),
                 Epoch::Lock {
                     target: 1,
@@ -241,19 +174,11 @@ mod tests {
                 },
                 Epoch::Gats(vec![Op::Get { target: 2, disp: 0, len: 4 }]),
             ],
-        };
-        let spec = RunSpec {
-            net_profile: 9,
-            tiebreak_seed: Some(4),
-            sim_seed: 21,
-            fault: Some("double-acc".into()),
-            ..RunSpec::baseline(SyncStrategy::Redesigned, true)
-        };
-        let (p, s) = shrink(&program, &spec);
+        );
+        let (p, s) = shrink(&program, &double_acc_spec());
         assert!(verify(&p, &s).is_err(), "shrunk pair must still fail");
         assert_eq!(p.weight(), 2, "one epoch + one accumulate, got {p:?}");
-        let Program::SingleOrigin { epochs, .. } = &p else { panic!() };
-        assert!(matches!(epochs[0].ops(), [Op::AccSum { .. }]));
+        assert!(matches!(p.ranks[0][0].1.ops(), [Op::AccSum { .. }]));
         // The perturbation knobs are irrelevant to this bug: all reset.
         assert_eq!(s.net_profile, 0);
         assert_eq!(s.tiebreak_seed, None);
@@ -261,5 +186,57 @@ mod tests {
         assert!(repro.contains("fn shrunk_reproducer"));
         assert!(repro.contains("Op::AccSum"));
         assert!(repro.contains("double-acc"));
+    }
+
+    /// One hand-built program over three ranks and two windows, through
+    /// everything that reads the generator form: `to_rust` prints the
+    /// expression that builds it (the same tokens as its source), the
+    /// oracle matches the sums worked out by hand, it verifies clean, and
+    /// under double-acc it shrinks — epochs dropped from whichever rank
+    /// holds them — to one accumulate.
+    #[test]
+    fn multi_rank_multi_window_program_round_trips() {
+        macro_rules! with_source {
+            ($e:expr) => {
+                ($e, stringify!($e))
+            };
+        }
+        let (program, source) = with_source!(Program {
+            family: Family::MultiOriginSum,
+            n_ranks: 3,
+            n_wins: 2,
+            ranks: vec![
+                vec![
+                    (0, Epoch::Lock { target: 1, ops: vec![Op::AccSum { target: 1, slot: 0, operand: 5 }] }),
+                    (1, Epoch::LockAll(vec![
+                        Op::AccSum { target: 2, slot: 1, operand: 7 },
+                        Op::AccSum { target: 1, slot: 0, operand: 1 }
+                    ]))
+                ],
+                vec![(1, Epoch::Lock { target: 2, ops: vec![Op::AccSum { target: 2, slot: 1, operand: 11 }] })],
+                vec![
+                    (0, Epoch::LockAll(vec![Op::AccSum { target: 1, slot: 0, operand: 3 }])),
+                    (1, Epoch::Lock { target: 0, ops: vec![] })
+                ],
+            ],
+        });
+        let squeeze = |s: &str| s.split_whitespace().collect::<String>();
+        assert_eq!(squeeze(&program.to_rust()), squeeze(source));
+        assert_eq!(program.weight(), 5 + 5);
+
+        let exp = oracle(&program);
+        let slot = |rank: usize, win: usize, slot: usize| {
+            let at = win * MULTI_WIN_BYTES + slot * 8;
+            u64::from_le_bytes(exp.mems[rank][at..at + 8].try_into().unwrap())
+        };
+        assert_eq!((slot(1, 0, 0), slot(1, 1, 0), slot(2, 1, 1)), (5 + 3, 1, 7 + 11));
+        assert_eq!(exp.mems.iter().flatten().filter(|&&b| b != 0).count(), 3);
+
+        let clean = RunSpec { fault: None, ..double_acc_spec() };
+        verify(&program, &clean).expect("the program itself is conformant");
+        let (p, s) = shrink(&program, &double_acc_spec());
+        assert!(verify(&p, &s).is_err(), "shrunk pair must still fail");
+        assert_eq!(p.weight(), 2, "one epoch + one accumulate, got {p:?}");
+        assert_eq!((p.n_ranks, p.n_wins), (3, 2));
     }
 }

@@ -45,14 +45,11 @@ fn positive_corpus_is_race_free() {
 }
 
 fn lock_put_program() -> Program {
-    Program::SingleOrigin {
-        n_ranks: 2,
-        reorder: false,
-        epochs: vec![Epoch::Lock {
-            target: 1,
-            ops: vec![Op::Put { target: 1, disp: 0, val: 7, len: 8 }],
-        }],
-    }
+    Program::single_origin(
+        Family::MixedSerial,
+        2,
+        vec![Epoch::Lock { target: 1, ops: vec![Op::Put { target: 1, disp: 0, val: 7, len: 8 }] }],
+    )
 }
 
 fn hb_race_spec() -> RunSpec {
@@ -93,11 +90,11 @@ fn lock_put_program_is_clean_without_plant() {
 /// the fence-completion announcements join the clocks.
 #[test]
 fn hb_race_plant_caught_in_fence_epochs() {
-    let program = Program::SingleOrigin {
-        n_ranks: 2,
-        reorder: false,
-        epochs: vec![Epoch::Fence(vec![Op::Put { target: 1, disp: 0, val: 3, len: 4 }])],
-    };
+    let program = Program::single_origin(
+        Family::MixedSerial,
+        2,
+        vec![Epoch::Fence(vec![Op::Put { target: 1, disp: 0, val: 3, len: 4 }])],
+    );
     let err = verify_with(&program, &hb_race_spec(), VerifyOpts::default())
         .expect_err("fence-plane plant must be detected");
     assert!(matches!(err.kind, FailureKind::Races(_)), "wrong failure kind: {err}");

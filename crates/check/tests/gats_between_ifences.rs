@@ -13,14 +13,18 @@ use mpisim_check::{spec_for_seed, verify, MATRIX};
 /// serialized ahead of the GATS epoch its own completion waited for. A
 /// passive-target epoch ahead of the GATS epoch (second case, shrunk from
 /// a 100-program sweep) must not re-serialize it behind that fence either.
+/// `generate(Family::MixedSerial, 725921)` is the same shape with a lock
+/// epoch on either side of the GATS epoch (`[Fence, Lock, Gats, Lock,
+/// Fence]`), found by the benchmark's conformance workload.
 #[test]
 fn gats_epoch_between_nonblocking_fences_terminates() {
-    let single = |epochs| Program::SingleOrigin { n_ranks: 3, reorder: false, epochs };
+    let single = |epochs| Program::single_origin(Family::MixedSerial, 3, epochs);
     let fence = || Epoch::Fence(vec![]);
     let programs = [
         single(vec![fence(), Epoch::Gats(vec![]), fence()]),
         single(vec![fence(), Epoch::LockAll(vec![]), Epoch::Gats(vec![]), fence()]),
         generate(Family::MixedSerial, 8),
+        generate(Family::MixedSerial, 725921),
     ];
     for program in programs {
         for (strategy, nonblocking) in MATRIX {

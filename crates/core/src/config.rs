@@ -208,11 +208,9 @@ pub struct JobConfig {
     /// schedule space (see `Sim::set_tiebreak_seed`).
     pub tiebreak_seed: Option<u64>,
     /// Named fault to inject into the engine, used only by the conformance
-    /// harness to prove it catches real bugs. `None` (the default) reads
-    /// the `MPISIM_CHECK_INJECT` environment variable as a fallback, so a
-    /// fault can also be smuggled in without touching any call site;
-    /// `Some("")` disables injection unconditionally. Recognized names:
-    /// `"skip-grant"`, `"double-acc"`.
+    /// harness to prove it catches real bugs. `None` (the default) and
+    /// `Some("")` inject nothing. Recognized names: `"skip-grant"`,
+    /// `"double-acc"`, `"hb-race"`.
     pub fault: Option<String>,
     /// Ack/retransmit reliability sublayer for internode traffic
     /// (`None` = off, the pre-fault-model behaviour). Required for clean
@@ -236,11 +234,6 @@ pub struct JobConfig {
     /// (see `Sim::set_nondet_tiebreak`). Exists solely so the determinism
     /// cross-check can prove it would catch a nondeterministic kernel.
     pub nondet_tiebreak: bool,
-    /// Bounded spin before a baton handoff parks on its condvar (`None` =
-    /// auto-detect from machine parallelism; `Some(0)` disables spinning).
-    /// Only thread-per-rank and pooled-with-workers modes hand off batons;
-    /// inline pooled execution never parks.
-    pub handoff_spin: Option<u32>,
 }
 
 impl JobConfig {
@@ -265,7 +258,6 @@ impl JobConfig {
             watchdog: None,
             exec: ExecMode::default(),
             nondet_tiebreak: false,
-            handoff_spin: None,
         }
     }
 

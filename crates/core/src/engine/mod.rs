@@ -245,8 +245,7 @@ impl std::fmt::Display for ProtocolError {
 
 /// A deliberately injected engine bug, used by the conformance harness to
 /// prove the differential checker and auditor catch real defects. Never
-/// active unless explicitly requested via [`JobConfig::fault`] or the
-/// `MPISIM_CHECK_INJECT` environment variable.
+/// active unless explicitly requested via [`JobConfig::fault`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Fault {
     /// `pump_exposure_grants` silently drops the second exposure grant of
@@ -500,13 +499,7 @@ impl Engine {
         let net_params: NetParams = cfg.net.clone();
         let net = Network::new(sim.clone(), net_params, topo);
         let n = cfg.n_ranks;
-        // The explicit config field wins; the env var is the hidden fallback
-        // the harness self-test uses. Empty string = explicitly no fault.
-        let fault_name = cfg
-            .fault
-            .clone()
-            .or_else(|| std::env::var("MPISIM_CHECK_INJECT").ok());
-        let fault = match fault_name.as_deref() {
+        let fault = match cfg.fault.as_deref() {
             None | Some("") => None,
             Some("skip-grant") => Some(Fault::SkipGrant),
             Some("double-acc") => Some(Fault::DoubleAcc),

@@ -18,7 +18,7 @@
 //! is either covered by the peer's cumulative ack or still sitting in the
 //! sender's unacked window.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use mpisim_net::Packet;
@@ -83,10 +83,11 @@ impl Default for RelIn {
 /// One rank's reliability state: its channels plus the sweep work lists
 /// the sublayer adds (retransmit timer, pending acks, in-order delivery).
 pub(crate) struct RelRank {
-    /// Outbound channels by destination.
-    pub out: HashMap<Rank, RelOut>,
+    /// Outbound channels by destination. Ordered: the retransmit scan
+    /// resends in iteration order, and a run must repeat exactly.
+    pub out: BTreeMap<Rank, RelOut>,
     /// Inbound channels by source.
-    pub inn: HashMap<Rank, RelIn>,
+    pub inn: BTreeMap<Rank, RelIn>,
     /// Peers owed a cumulative ack (deduplicated; flushed by step 2).
     pub ack_due: Vec<Rank>,
     /// Peers whose ack is being *held* inside the delayed-ack window;
@@ -113,8 +114,8 @@ pub(crate) struct RelRank {
 impl RelRank {
     pub(crate) fn new() -> Self {
         RelRank {
-            out: HashMap::new(),
-            inn: HashMap::new(),
+            out: BTreeMap::new(),
+            inn: BTreeMap::new(),
             ack_due: Vec::new(),
             ack_pending: Vec::new(),
             ack_scratch: Vec::new(),

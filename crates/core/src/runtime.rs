@@ -96,9 +96,6 @@ where
     sim.set_event_cap(cfg.event_cap);
     sim.set_tiebreak_seed(cfg.tiebreak_seed);
     sim.set_nondet_tiebreak(cfg.nondet_tiebreak);
-    if let Some(iters) = cfg.handoff_spin {
-        sim.set_handoff_spin(iters);
-    }
     let eng = Engine::new(sim.handle(), cfg.clone());
     let f = Arc::new(f);
     for r in 0..cfg.n_ranks {

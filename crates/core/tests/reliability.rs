@@ -98,6 +98,20 @@ fn light_loss_recovers_every_message() {
 }
 
 #[test]
+fn lossy_run_repeats_exactly() {
+    // Retransmits must leave in a defined order: with the per-peer
+    // channels in a hash map the resend order, and with it every count
+    // below, changed from one run to the next.
+    let run = || mixed_job(faulty_cfg(6, FaultPlan::light_loss(11))).unwrap();
+    let (a, b) = (run(), run());
+    assert!(a.engine.rel_retransmits > 0, "the plan must force retransmits");
+    assert_eq!(a.final_time, b.final_time);
+    assert_eq!(a.engine, b.engine);
+    assert_eq!(format!("{:?}", a.net), format!("{:?}", b.net));
+    assert_eq!(a.sim, b.sim);
+}
+
+#[test]
 fn heavy_dup_reorder_is_deduplicated_and_resequenced() {
     let report = mixed_job(faulty_cfg(4, FaultPlan::heavy_dup_reorder(23))).unwrap();
     assert!(report.is_clean(), "{:?}", report.degradations);

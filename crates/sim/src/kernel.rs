@@ -170,7 +170,6 @@ pub(crate) struct Inner {
     // thread) is created by the driver, which drains this queue before
     // running anything from the ready queue.
     pending_spawns: VecDeque<(ProcId, SpawnFn)>,
-    handoff_spin: Option<u32>,
     events_executed: u64,
     context_switches: u64,
     event_cap: u64,
@@ -288,9 +287,6 @@ impl SimHandle {
         let label = label.into();
         let parker = Arc::new(Parker::new());
         let mut inner = self.core.inner.lock();
-        if let Some(iters) = inner.handoff_spin {
-            parker.set_spin(iters);
-        }
         let pid = ProcId(inner.procs.len());
         inner.procs.push(ProcRec {
             label,
@@ -339,7 +335,6 @@ pub struct Sim {
     pool: Vec<PoolWorker>,
     mode: ExecMode,
     stack_size: usize,
-    handoff_spin: Option<u32>,
 }
 
 /// Default per-process stack size. Simulated ranks mostly park, so a small
@@ -364,7 +359,6 @@ impl Sim {
                     procs: Vec::new(),
                     aborting: false,
                     pending_spawns: VecDeque::new(),
-                    handoff_spin: None,
                     tiebreak_seed: None,
                     nondet_tiebreak: false,
                     events_executed: 0,
@@ -379,7 +373,6 @@ impl Sim {
             pool: Vec::new(),
             mode: ExecMode::default(),
             stack_size: DEFAULT_STACK_SIZE,
-            handoff_spin: None,
         }
     }
 
@@ -408,21 +401,6 @@ impl Sim {
     /// Override the event cap.
     pub fn set_event_cap(&mut self, cap: u64) {
         self.core.inner.lock().event_cap = cap;
-    }
-
-    /// Override the bounded spin performed before a baton handoff parks on
-    /// its condvar (see [`Parker`]). Applies to the scheduler baton, every
-    /// already-spawned process, and everything spawned afterwards. `0`
-    /// disables spinning; the default is auto-detected from the machine's
-    /// parallelism.
-    pub fn set_handoff_spin(&mut self, iters: u32) {
-        self.handoff_spin = Some(iters);
-        self.core.sched.set_spin(iters);
-        let mut inner = self.core.inner.lock();
-        inner.handoff_spin = Some(iters);
-        for p in inner.procs.iter() {
-            p.parker.set_spin(iters);
-        }
     }
 
     /// Install a seeded tie-break perturbation for same-time events.
@@ -693,9 +671,6 @@ impl Sim {
         }
         for i in 0..workers {
             let parker = Arc::new(Parker::new());
-            if let Some(iters) = self.handoff_spin {
-                parker.set_spin(iters);
-            }
             let job = Arc::new(Mutex::new(WorkerJob::Idle));
             let core = self.core.clone();
             let (wp, wj) = (parker.clone(), job.clone());

@@ -11,16 +11,14 @@
 //! polling the permit before committing to the condvar wait. On a
 //! multi-core host this skips the futex round-trip that dominates
 //! small-rank wall-clock time; on a single-core host spinning only steals
-//! cycles from the thread that would grant the permit, so the default spin
-//! is zero there. The bound is configurable per parker
-//! ([`Parker::set_spin`], surfaced as `Sim::set_handoff_spin`).
+//! cycles from the thread that would grant the permit, so the spin is zero
+//! there.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::{Condvar, Mutex};
 
-/// Default spin bound: a short bounded spin on multi-core machines, none
+/// Spin bound: a short bounded spin on multi-core machines, none
 /// when there is no parallelism to spin against.
 fn default_spin() -> u32 {
     static DEFAULT: OnceLock<u32> = OnceLock::new();
@@ -38,7 +36,7 @@ fn default_spin() -> u32 {
 pub(crate) struct Parker {
     permit: Mutex<bool>,
     cv: Condvar,
-    spin: AtomicU32,
+    spin: u32,
 }
 
 impl Default for Parker {
@@ -49,17 +47,13 @@ impl Default for Parker {
 
 impl Parker {
     pub(crate) fn new() -> Self {
-        Parker {
-            permit: Mutex::new(false),
-            cv: Condvar::new(),
-            spin: AtomicU32::new(default_spin()),
-        }
+        Parker::with_spin(default_spin())
     }
 
-    /// Set the bounded spin performed before parking on the condvar
+    /// A parker that spins `spin` iterations before parking on the condvar
     /// (0 disables spinning).
-    pub(crate) fn set_spin(&self, iters: u32) {
-        self.spin.store(iters, Ordering::Relaxed);
+    fn with_spin(spin: u32) -> Self {
+        Parker { permit: Mutex::new(false), cv: Condvar::new(), spin }
     }
 
     /// Grant the permit, waking the owner if it is parked.
@@ -75,8 +69,7 @@ impl Parker {
         // Consuming under the lock keeps the permit a strict baton — a
         // spin-consume and a condvar-consume can never race into running
         // two entities at once.
-        let spin = self.spin.load(Ordering::Relaxed);
-        for _ in 0..spin {
+        for _ in 0..self.spin {
             {
                 let mut p = self.permit.lock();
                 if *p {
@@ -144,10 +137,8 @@ mod tests {
         // (large bound), the pure condvar path (0), and a bound small
         // enough that the spin usually expires mid-handoff (1).
         for spin in [0u32, 1, 4096] {
-            let ping = Arc::new(Parker::new());
-            let pong = Arc::new(Parker::new());
-            ping.set_spin(spin);
-            pong.set_spin(spin);
+            let ping = Arc::new(Parker::with_spin(spin));
+            let pong = Arc::new(Parker::with_spin(spin));
             let counter = Arc::new(Mutex::new(0u64));
             let (ping2, pong2, c2) = (ping.clone(), pong.clone(), counter.clone());
             let t = std::thread::spawn(move || {
@@ -174,13 +165,11 @@ mod tests {
 
     #[test]
     fn spin_zero_never_consumes_spuriously() {
-        let p = Parker::new();
-        p.set_spin(0);
+        let p = Parker::with_spin(0);
         p.unpark();
         p.park();
         // Second park must block until a fresh permit arrives.
-        let a = Arc::new(Parker::new());
-        a.set_spin(0);
+        let a = Arc::new(Parker::with_spin(0));
         let b = a.clone();
         let t = std::thread::spawn(move || b.park());
         std::thread::sleep(std::time::Duration::from_millis(10));

@@ -32,14 +32,14 @@ fn skip_grant_fault_deadlocks_and_shrinks() {
     // Freezing the exposure-grant stream starves the second GATS epoch of
     // its grant, so any program with two GATS epochs toward one target
     // deadlocks. Inject via RunSpec (not the env var) to stay hermetic.
-    let program = Program::SingleOrigin {
-        n_ranks: 3,
-        reorder: true,
-        epochs: vec![
+    let program = Program::single_origin(
+        Family::DisjointReorder,
+        3,
+        vec![
             mpisim_check::program::Epoch::Gats(vec![]),
             mpisim_check::program::Epoch::Gats(vec![]),
         ],
-    };
+    );
     let mut spec = spec_for_seed(SyncStrategy::Redesigned, true, 3, &None);
     spec.fault = Some("skip-grant".into());
     let failure = verify(&program, &spec).expect_err("skip-grant must deadlock");

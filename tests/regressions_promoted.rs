@@ -19,12 +19,12 @@
 //! original "terminates and matches the oracle" property each run is also
 //! audited against the ω-triple trace invariants.
 
-use mpisim_check::program::{Epoch, Program};
+use mpisim_check::program::{Epoch, Family, Program};
 use mpisim_check::run::RunSpec;
 use mpisim_check::{verify, SyncStrategy, MATRIX};
 
 fn check_everywhere(epochs: Vec<Epoch>) {
-    let program = Program::SingleOrigin { n_ranks: 3, reorder: false, epochs };
+    let program = Program::single_origin(Family::MixedSerial, 3, epochs);
     for (strategy, nonblocking) in MATRIX {
         verify(&program, &RunSpec::baseline(strategy, nonblocking)).unwrap_or_else(|e| {
             panic!("{strategy:?} nonblocking={nonblocking}: {e}");
@@ -61,7 +61,7 @@ fn promoted_cases_survive_perturbation() {
         ],
         vec![Epoch::Lock { target: 1, ops: vec![] }, Epoch::Gats(vec![])],
     ] {
-        let program = Program::SingleOrigin { n_ranks: 3, reorder: false, epochs };
+        let program = Program::single_origin(Family::MixedSerial, 3, epochs);
         for s in 0..4 {
             let spec = mpisim_check::spec_for_seed(SyncStrategy::Redesigned, true, s, &None);
             verify(&program, &spec).unwrap_or_else(|e| panic!("seed {s}: {e}"));
