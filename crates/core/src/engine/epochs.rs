@@ -3,10 +3,12 @@
 
 use std::sync::Arc;
 
+use mpisim_net::Packet;
+
 use crate::engine::{EngState, Engine};
 use crate::epoch::{EpochKind, Side};
 use crate::error::{RmaError, RmaResult};
-use crate::msg::SyncPacket;
+use crate::msg::{Body, SyncPacket};
 use crate::request::ReqKind;
 use crate::types::{EpochId, Group, LockKind, Rank, Req, WinId};
 
@@ -188,7 +190,8 @@ impl Engine {
             .cur_exposure
             .ok_or(RmaError::EpochMismatch { called: "test" })?;
         let e = w.epoch(id);
-        let done = e.activated && self.exposure_conditions_met(&st, rank, win, id);
+        debug_assert!(self.exposure_tally_matches_scan(&st, rank, win, id));
+        let done = e.activated && e.announce_left() == 0;
         if done {
             drop(st);
             let req = self.close_exposure(rank, win)?;
@@ -419,21 +422,17 @@ impl Engine {
         };
         st.eng_stats.epochs_activated += 1;
         self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Activated);
+        let topo = self.net.topology().clone();
+        let internode = |t: Rank| !topo.same_node(rank, t);
         match kind {
             EpochKind::GatsAccess { group } => {
                 for t in group.ranks() {
-                    let po = st.win_mut(win, rank).omega.peer_mut(*t);
+                    let w = st.win_mut(win, rank);
+                    let po = w.omega.peer_mut(*t);
                     po.a += 1;
                     let aid = po.a;
                     let granted = aid <= po.g;
-                    let ts = st
-                        .win_mut(win, rank)
-                        .epoch_mut(id)
-                        .targets
-                        .get_mut(t)
-                        .expect("target state");
-                    ts.access_id = aid;
-                    ts.granted = granted;
+                    w.epoch_mut(id).assign(*t, aid, granted, internode(*t));
                     self.sync_event(
                         st,
                         rank,
@@ -447,16 +446,11 @@ impl Engine {
                 st.mark_complete_dirty(rank, win, id);
             }
             EpochKind::Lock { target, lock } => {
-                let po = st.win_mut(win, rank).omega.peer_mut(target);
+                let w = st.win_mut(win, rank);
+                let po = w.omega.peer_mut(target);
                 po.a_lock += 1;
                 let aid = po.a_lock;
-                let ts = st
-                    .win_mut(win, rank)
-                    .epoch_mut(id)
-                    .targets
-                    .get_mut(&target)
-                    .expect("target state");
-                ts.access_id = aid;
+                w.epoch_mut(id).assign(target, aid, false, internode(target));
                 self.sync_event(
                     st,
                     rank,
@@ -483,17 +477,13 @@ impl Engine {
             EpochKind::LockAll => {
                 for t in 0..self.cfg.n_ranks {
                     let t = Rank(t);
-                    let po = st.win_mut(win, rank).omega.peer_mut(t);
+                    let w = st.win_mut(win, rank);
+                    let po = w.omega.peer_mut(t);
                     po.a_lock += 1;
                     let aid = po.a_lock;
-                    // entry() preserves `unsent` counts recorded while
-                    // the epoch was deferred.
-                    st.win_mut(win, rank)
-                        .epoch_mut(id)
-                        .targets
-                        .entry(t)
-                        .or_default()
-                        .access_id = aid;
+                    // `unsent` counts recorded while the epoch was
+                    // deferred are preserved.
+                    w.epoch_mut(id).assign(t, aid, false, internode(t));
                     self.sync_event(
                         st,
                         rank,
@@ -523,13 +513,11 @@ impl Engine {
                     po.e += 1;
                     let eid = po.e;
                     po.grants.exposure_credits += 1;
+                    let received = po.gats_done_recv >= eid;
                     if !w.grant_dirty.contains(o) {
                         w.grant_dirty.push(*o);
                     }
-                    st.win_mut(win, rank)
-                        .epoch_mut(id)
-                        .exposure_origins
-                        .insert(*o, eid);
+                    w.epoch_mut(id).expect_done(*o, eid, received);
                 }
                 // Emitting the grants is lock/grant-sequencing work.
                 st.mark_lock_backlog(rank, win);
@@ -538,15 +526,11 @@ impl Engine {
             EpochKind::Fence { .. } => {
                 // A fence epoch is an access epoch toward every rank (self
                 // included) and needs no grants.
+                let e = st.win_mut(win, rank).epoch_mut(id);
                 for t in 0..self.cfg.n_ranks {
-                    // entry() preserves `unsent` counts recorded while the
-                    // epoch was deferred.
-                    st.win_mut(win, rank)
-                        .epoch_mut(id)
-                        .targets
-                        .entry(Rank(t))
-                        .or_default()
-                        .granted = true;
+                    // `unsent` counts recorded while the epoch was
+                    // deferred are preserved.
+                    e.assign(Rank(t), 0, true, internode(Rank(t)));
                 }
                 st.mark_ops_dirty(rank, win, id);
                 st.mark_complete_dirty(rank, win, id);
@@ -558,11 +542,13 @@ impl Engine {
     // completion
     // ------------------------------------------------------------------
 
-    /// Re-evaluate one epoch: emit any per-target done/unlock packets that
-    /// became possible, and complete the epoch if its conditions hold
-    /// ("completion notification packets are sent to each target as soon
-    /// as the last RMA transfer meant for the target is fulfilled",
-    /// §VII.D).
+    /// Re-evaluate one epoch: emit any per-target done/unlock/`FenceDone`
+    /// packets that became possible, and complete the epoch if its
+    /// conditions hold ("completion notification packets are sent to each
+    /// target as soon as the last RMA transfer meant for the target is
+    /// fulfilled", §VII.D). Costs O(targets on the ready list), not
+    /// O(targets): the conditions are counters kept at the transition
+    /// sites (DESIGN.md §10.1).
     pub(crate) fn check_epoch_progress(
         self: &Arc<Self>,
         st: &mut EngState,
@@ -578,141 +564,103 @@ impl Engine {
         if !live {
             return;
         }
-        let (activated, complete, closed, kind) = {
-            let e = st.win(win, rank).epoch(id);
-            (e.activated, e.complete, e.closed, e.kind.clone())
-        };
-        if !activated || complete {
+        let e = st.win(win, rank).epoch(id);
+        if !e.activated || e.complete {
             return;
         }
-        let done = match kind {
-            EpochKind::GatsAccess { .. } => {
-                if closed {
-                    self.emit_gats_dones(st, rank, win, id);
-                }
-                let e = st.win(win, rank).epoch(id);
-                closed && e.targets.values().all(|t| t.done_sent) && e.live_ops.is_empty()
-            }
-            EpochKind::Lock { .. } | EpochKind::LockAll => {
-                if closed {
-                    self.emit_unlocks(st, rank, win, id);
-                }
-                let e = st.win(win, rank).epoch(id);
-                closed && e.targets.values().all(|t| t.unlock_sent) && e.live_ops.is_empty()
-            }
-            EpochKind::GatsExposure { .. } => {
-                closed && self.exposure_conditions_met(st, rank, win, id)
-            }
-            EpochKind::Fence { seq } => self.fence_progress(st, rank, win, id, seq),
+        debug_assert!(e.counters_match_scan(), "epoch counters out of step: {e:?}");
+        debug_assert!(self.exposure_tally_matches_scan(st, rank, win, id));
+        if !e.closed {
+            return;
+        }
+        let fence_seq = match e.kind {
+            EpochKind::Fence { seq } => Some(seq),
+            _ => None,
         };
+        if e.has_ready() {
+            self.emit_announcements(st, rank, win, id);
+        }
+        let e = st.win(win, rank).epoch(id);
+        let done = e.announce_left() == 0
+            && e.live_ops().is_empty()
+            && fence_seq.is_none_or(|seq| self.fence_heard_all(st, rank, win, seq));
         if done {
             self.complete_epoch(st, rank, win, id);
         }
     }
 
-    /// Send per-target GATS done packets for fulfilled targets.
-    fn emit_gats_dones(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
+    /// The emit pass of a closed access-side epoch: send the closing
+    /// announcement — GATS done, unlock or `FenceDone` — to every target on
+    /// the epoch's ready list that is fulfilled (granted, every recorded op
+    /// on the wire and, for an unlock, every covered op fully complete:
+    /// local + response + remote ack), in rank order.
+    fn emit_announcements(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
+        #[derive(Clone, Copy)]
+        enum Announce {
+            GatsDone,
+            Unlock,
+            FenceDone { seq: u64 },
+        }
         let mut to_send = std::mem::take(&mut st.sweep[rank.idx()].send_scratch);
-        {
-            let e = st.win_mut(win, rank).epoch_mut(id);
-            for (t, ts) in e.targets.iter_mut() {
-                if ts.granted && ts.unsent == 0 && !ts.done_sent {
-                    ts.done_sent = true;
-                    to_send.push((*t, ts.access_id));
+        let e = st.win_mut(win, rank).epoch_mut(id);
+        let what = match e.kind {
+            EpochKind::GatsAccess { .. } => Announce::GatsDone,
+            EpochKind::Lock { .. } | EpochKind::LockAll => Announce::Unlock,
+            EpochKind::Fence { seq } => Announce::FenceDone { seq },
+            EpochKind::GatsExposure { .. } => unreachable!("exposure epochs announce nothing"),
+        };
+        let visits = e.take_announceable(&mut to_send);
+        st.eng_stats.target_visits += visits;
+        if matches!(what, Announce::GatsDone) {
+            st.eng_stats.gats_dones += to_send.len() as u64;
+        }
+        for &(t, word) in &to_send {
+            let (plane, event) = match what {
+                Announce::GatsDone => (
+                    crate::trace::Plane::Gats,
+                    crate::trace::SyncEvent::EpochDoneSent { epoch: id.0, id: word },
+                ),
+                Announce::Unlock => (
+                    crate::trace::Plane::Lock,
+                    crate::trace::SyncEvent::EpochDoneSent { epoch: id.0, id: word },
+                ),
+                Announce::FenceDone { seq } => (
+                    crate::trace::Plane::Gats,
+                    crate::trace::SyncEvent::FenceDoneSent { seq },
+                ),
+            };
+            self.sync_event(st, rank, t, win, plane, event);
+            match what {
+                Announce::GatsDone => {
+                    let sp = SyncPacket::GatsDone { win, origin: rank, access_id: word };
+                    self.send_sync(st, rank, t, win, sp);
+                }
+                Announce::Unlock => {
+                    let sp = SyncPacket::Unlock { win, origin: rank, access_id: word };
+                    self.send_sync(st, rank, t, win, sp);
+                }
+                Announce::FenceDone { seq } => {
+                    let body = Body::FenceDone { win, seq, ops_sent: word };
+                    self.send_framed(st, Packet { src: rank, dst: t, body }, None, None);
                 }
             }
-        }
-        st.eng_stats.gats_dones += to_send.len() as u64;
-        for &(t, aid) in &to_send {
-            self.sync_event(
-                st,
-                rank,
-                t,
-                win,
-                crate::trace::Plane::Gats,
-                crate::trace::SyncEvent::EpochDoneSent { epoch: id.0, id: aid },
-            );
-            self.send_sync(
-                st,
-                rank,
-                t,
-                win,
-                SyncPacket::GatsDone {
-                    win,
-                    origin: rank,
-                    access_id: aid,
-                },
-            );
         }
         to_send.clear();
         st.sweep[rank.idx()].send_scratch = to_send;
     }
 
-    /// Send per-target unlock packets once every covered op at that target
-    /// has fully completed (local + response + remote ack).
-    fn emit_unlocks(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
-        let sw = &mut st.sweep[rank.idx()];
-        let mut to_send = std::mem::take(&mut sw.send_scratch);
-        let mut blocked = std::mem::take(&mut sw.rank_scratch);
-        {
-            let e = st.win_mut(win, rank).epoch_mut(id);
-            // Collect per-target liveness first (immutable pass). The
-            // blocked set is tiny (≤ a handful of targets), so a scratch
-            // Vec with a contains-dedup beats a fresh BTreeSet.
-            for op in e.live_ops.values() {
-                if !op.done() && !blocked.contains(&op.target) {
-                    blocked.push(op.target);
-                }
-            }
-            for (t, ts) in e.targets.iter_mut() {
-                if ts.granted && ts.unsent == 0 && !ts.unlock_sent && !blocked.contains(t) {
-                    ts.unlock_sent = true;
-                    to_send.push((*t, ts.access_id));
-                }
-            }
-        }
-        for &(t, aid) in &to_send {
-            self.sync_event(
-                st,
-                rank,
-                t,
-                win,
-                crate::trace::Plane::Lock,
-                crate::trace::SyncEvent::EpochDoneSent { epoch: id.0, id: aid },
-            );
-            self.send_sync(
-                st,
-                rank,
-                t,
-                win,
-                SyncPacket::Unlock {
-                    win,
-                    origin: rank,
-                    access_id: aid,
-                },
-            );
-        }
-        to_send.clear();
-        blocked.clear();
-        let sw = &mut st.sweep[rank.idx()];
-        sw.send_scratch = to_send;
-        sw.rank_scratch = blocked;
-    }
-
-    /// Whether an exposure epoch's completion conditions hold: every origin
-    /// in the group has sent its done packet (`gats_done_recv[o] ≥ exp_id`).
-    pub(crate) fn exposure_conditions_met(
-        &self,
-        st: &EngState,
-        rank: Rank,
-        win: WinId,
-        id: EpochId,
-    ) -> bool {
+    /// Debug-build check of an exposure epoch's `announce_left` against the
+    /// scan it replaced: the origins whose done packet has not arrived
+    /// (`gats_done_recv[o] < exp_id`). Trivially true for other kinds.
+    fn exposure_tally_matches_scan(&self, st: &EngState, rank: Rank, win: WinId, id: EpochId) -> bool {
         let w = st.win(win, rank);
         let e = w.epoch(id);
-        e.exposure_origins
+        let owed = e
+            .exposure_origins()
             .iter()
-            .all(|(o, exp)| w.omega.peer(*o).gats_done_recv >= *exp)
+            .filter(|(o, exp)| w.omega.peer(**o).gats_done_recv < **exp)
+            .count();
+        e.kind.side() != Side::Exposure || e.announce_left() as usize == owed
     }
 
     /// Mark the epoch internally complete: fire its closing request, retire
@@ -756,8 +704,8 @@ impl Engine {
     fn is_empty_fence(e: &crate::epoch::EpochObj) -> bool {
         matches!(e.kind, EpochKind::Fence { .. })
             && e.pending_ops.is_empty()
-            && e.live_ops.is_empty()
-            && e.targets
+            && e.live_ops().is_empty()
+            && e.targets()
                 .values()
                 .all(|t| t.data_msgs_sent == 0 && t.unsent == 0)
     }

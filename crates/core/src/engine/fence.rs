@@ -9,14 +9,11 @@
 
 use std::sync::Arc;
 
-use mpisim_net::Packet;
-
 use crate::engine::{EngState, Engine};
 use crate::epoch::EpochKind;
 use crate::error::{RmaError, RmaResult};
-use crate::msg::Body;
 use crate::request::ReqKind;
-use crate::types::{EpochId, Rank, Req, WinId};
+use crate::types::{Rank, Req, WinId};
 
 impl Engine {
     /// `MPI_WIN_IFENCE` (and the internals of `MPI_WIN_FENCE`): close the
@@ -68,92 +65,39 @@ impl Engine {
         Ok(req)
     }
 
-    /// Progress a fence epoch: emit per-peer FenceDone announcements once
-    /// that peer's data is fully posted, and evaluate completion. Returns
-    /// whether the epoch is complete.
-    pub(crate) fn fence_progress(
+    /// Whether every peer's closing announcement and all the data it
+    /// announced have arrived for fence `seq` — the barrier half of a fence
+    /// epoch's completion, read off the per-seq tally.
+    pub(crate) fn fence_heard_all(
         self: &Arc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
-        id: EpochId,
         seq: u64,
     ) -> bool {
-        let n = self.cfg.n_ranks;
-        let closed = st.win(win, rank).epoch(id).closed;
-        if closed {
-            // Send FenceDone to every peer (self included, for uniformity)
-            // whose outgoing data is fully posted. The batch reuses the
-            // rank's send scratch buffer.
-            let mut to_send = std::mem::take(&mut st.sweep[rank.idx()].send_scratch);
-            {
-                let e = st.win_mut(win, rank).epoch_mut(id);
-                for (t, ts) in e.targets.iter_mut() {
-                    if ts.unsent == 0 && !ts.done_sent {
-                        ts.done_sent = true;
-                        to_send.push((*t, ts.data_msgs_sent));
-                    }
-                }
-            }
-            for &(t, ops_sent) in &to_send {
+        let Some(tally) = st.win(win, rank).fences.get(&seq) else {
+            return false;
+        };
+        if !tally.complete() {
+            return false;
+        }
+        debug_assert!(
+            tally.peers().iter().all(|p| Some(p.got) == p.expected),
+            "more fence data than announced"
+        );
+        // This rank has now observed every peer's closing announcement
+        // (and all announced data) — record the HB join edges.
+        if self.cfg.trace {
+            for p in 0..self.cfg.n_ranks {
                 self.sync_event(
                     st,
                     rank,
-                    t,
+                    Rank(p),
                     win,
                     crate::trace::Plane::Gats,
-                    crate::trace::SyncEvent::FenceDoneSent { seq },
-                );
-                self.send_framed(
-                    st,
-                    Packet {
-                        src: rank,
-                        dst: t,
-                        body: Body::FenceDone { win, seq, ops_sent },
-                    },
-                    None,
-                    None,
+                    crate::trace::SyncEvent::FenceDoneApplied { seq },
                 );
             }
-            to_send.clear();
-            st.sweep[rank.idx()].send_scratch = to_send;
-        }
-        // Completion: closed, everything announced and locally complete,
-        // and every peer's announcement + announced data received.
-        let e = st.win(win, rank).epoch(id);
-        if !(closed && e.targets.values().all(|t| t.done_sent) && e.live_ops.is_empty()) {
-            return false;
-        }
-        let w = st.win(win, rank);
-        for p in 0..n {
-            match w.fence_dones.get(&(p, seq)) {
-                None => return false,
-                Some(expected) => {
-                    let got = w.fence_arrivals.get(&(p, seq)).copied().unwrap_or(0);
-                    debug_assert!(got <= *expected, "more fence data than announced");
-                    if got < *expected {
-                        return false;
-                    }
-                }
-            }
-        }
-        // Epoch complete: this rank has now observed every peer's closing
-        // announcement (and all announced data) — record the HB join edges.
-        for p in 0..n {
-            self.sync_event(
-                st,
-                rank,
-                Rank(p),
-                win,
-                crate::trace::Plane::Gats,
-                crate::trace::SyncEvent::FenceDoneApplied { seq },
-            );
-        }
-        // Clean up the per-sequence bookkeeping.
-        let w = st.win_mut(win, rank);
-        for p in 0..n {
-            w.fence_dones.remove(&(p, seq));
-            w.fence_arrivals.remove(&(p, seq));
         }
         true
     }
@@ -168,9 +112,23 @@ impl Engine {
         seq: u64,
         ops_sent: u64,
     ) {
-        st.win_mut(win, me)
-            .fence_dones
-            .insert((origin.idx(), seq), ops_sent);
-        self.mark_fence_dirty(st, me, win, seq);
+        self.fence_arrival(st, me, win, seq, origin, |p| p.expected = Some(ops_sent));
+    }
+
+    /// Tally one arrival from `peer` for fence `seq` and recheck the fence
+    /// epoch it belongs to.
+    pub(crate) fn fence_arrival(
+        &self,
+        st: &mut EngState,
+        me: Rank,
+        win: WinId,
+        seq: u64,
+        peer: Rank,
+        f: impl FnOnce(&mut crate::window::FencePeer),
+    ) {
+        let epoch = st.win_mut(win, me).fence_arrival(seq, peer, self.cfg.n_ranks, f);
+        if let Some(id) = epoch {
+            st.mark_complete_dirty(me, win, id);
+        }
     }
 }

@@ -69,7 +69,7 @@ impl Engine {
                         remaining += 1;
                     }
                 }
-                for (age, op) in &e.live_ops {
+                for (age, op) in e.live_ops() {
                     if *age <= stamp && target.is_none_or(|t| op.target == t) {
                         let incomplete = if local_only {
                             !op.locally_done()

@@ -295,18 +295,13 @@ impl Engine {
                 };
                 plane_ok
                     && e.activated
-                    && e.targets
+                    && e.targets()
                         .get(&granter)
                         .is_some_and(|ts| ts.access_id == id && !ts.granted)
             });
         match hit {
             Some(eid) => {
-                st.win_mut(win, me)
-                    .epoch_mut(eid)
-                    .targets
-                    .get_mut(&granter)
-                    .unwrap()
-                    .granted = true;
+                st.win_mut(win, me).epoch_mut(eid).grant(granter);
                 st.mark_ops_dirty(me, win, eid);
                 st.mark_complete_dirty(me, win, eid);
             }
@@ -358,26 +353,36 @@ impl Engine {
             crate::trace::Plane::Gats,
             crate::trace::SyncEvent::EpochDoneApplied { id: access_id },
         );
-        {
+        let (before, now) = {
             let slot = &mut st.win_mut(win, me).omega.peer_mut(origin).gats_done_recv;
-            *slot = (*slot).max(access_id);
-        }
+            let before = *slot;
+            *slot = before.max(access_id);
+            (before, *slot)
+        };
         // Index walk instead of snapshotting `order` (the marker never
-        // mutates `order`), so the re-check is allocation-free.
+        // mutates `order`), so the re-check is allocation-free. An exposure
+        // whose expected done id the high-water mark just passed has heard
+        // from this origin.
         let mut i = 0;
         loop {
-            let w = st.win(win, me);
+            let w = st.win_mut(win, me);
             if i >= w.order.len() {
                 break;
             }
             let eid = w.order[i];
             i += 1;
-            let e = w.epoch(eid);
-            if matches!(e.kind, EpochKind::GatsExposure { .. })
-                && e.exposure_origins.contains_key(&origin)
-            {
-                st.mark_complete_dirty(me, win, eid);
+            let e = w.epoch_mut(eid);
+            if !matches!(e.kind, EpochKind::GatsExposure { .. }) {
+                continue;
             }
+            let Some(&exp) = e.exposure_origins().get(&origin) else {
+                continue;
+            };
+            if before < exp && exp <= now {
+                e.done_arrived();
+            }
+            st.eng_stats.target_visits += 1;
+            st.mark_complete_dirty(me, win, eid);
         }
     }
 }

@@ -137,6 +137,12 @@ pub struct EngineStats {
     pub ops_issued: u64,
     /// Dirty epochs whose completion conditions were rechecked (steps 3/7).
     pub completion_checks: u64,
+    /// Per-target (or per-origin) epoch states examined by the emit and
+    /// completion passes of steps 3/7 and by the lazy baseline's issue
+    /// gate. Counters and per-epoch ready lists keep this proportional to
+    /// the announcements sent, not to ranks × notifications — the
+    /// deterministic cost proxy `tests/engine_worklists.rs` pins.
+    pub target_visits: u64,
     /// Per-window activation scans performed (steps 3/7).
     pub activation_scans: u64,
     /// 64-bit packets drained from intranode FIFOs by step 5.
@@ -758,8 +764,20 @@ impl Engine {
         {
             return Err(crate::error::RmaError::AlreadyInEpoch { called: "win_free" });
         }
+        debug_assert!(
+            w.fences.keys().all(|seq| *seq >= w.next_fence_seq),
+            "fence record outlived its epoch: {:?}",
+            w.fences.keys()
+        );
         st.wins[win.0 as usize].per_rank[rank.idx()] = None;
         Ok(())
+    }
+
+    /// Number of per-sequence fence records `rank`'s side of `win` holds:
+    /// one per fence epoch still in flight (or announced by a peer ahead of
+    /// the local fence call), none once they have all retired.
+    pub fn fence_records(&self, rank: Rank, win: WinId) -> usize {
+        self.st.lock().win(win, rank).fences.len()
     }
 
     /// Local load from the window copy.

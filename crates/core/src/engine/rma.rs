@@ -73,7 +73,7 @@ impl Engine {
                 None
             };
             let e = st.win_mut(win, rank).epoch_mut(eid);
-            e.targets.entry(target).or_default().unsent += 1;
+            e.record_op(target);
             e.pending_ops.push_back(OpDesc {
                 age,
                 target,
@@ -143,22 +143,16 @@ impl Engine {
                 if !e.closed && !e.flush_forced {
                     return false;
                 }
-                let all_ok = |internode_only: bool| {
-                    e.targets.iter().all(|(t, ts)| {
+                let internode_only = phase == Phase::Internode;
+                debug_assert_eq!(
+                    e.all_granted(internode_only),
+                    e.targets().iter().all(|(t, ts)| {
                         ts.granted || (internode_only && topo.same_node(rank, *t))
-                    })
-                };
-                match phase {
-                    Phase::Internode => {
-                        if !all_ok(true) {
-                            return false;
-                        }
-                    }
-                    Phase::Intranode => {
-                        if !all_ok(false) {
-                            return false;
-                        }
-                    }
+                    }),
+                    "lazy-gate counters out of step with the targets"
+                );
+                if !e.all_granted(internode_only) {
+                    return false;
                 }
             }
         }
@@ -172,7 +166,7 @@ impl Engine {
         while let Some(op) = pending.pop_front() {
             let granted = {
                 let e = st.win(win, rank).epoch(eid);
-                e.targets.get(&op.target).is_some_and(|t| t.granted)
+                e.targets().get(&op.target).is_some_and(|t| t.granted)
             };
             let intranode = topo.same_node(rank, op.target);
             let phase_ok = match phase {
@@ -199,10 +193,10 @@ impl Engine {
         let e = st.win(win, rank).epoch(eid);
         match &e.kind {
             EpochKind::GatsAccess { .. } => EpochTag::Gats {
-                access_id: e.targets[&target].access_id,
+                access_id: e.targets()[&target].access_id,
             },
             EpochKind::Lock { .. } | EpochKind::LockAll => EpochTag::Lock {
-                access_id: e.targets[&target].access_id,
+                access_id: e.targets()[&target].access_id,
             },
             EpochKind::Fence { seq } => EpochTag::Fence { seq: *seq },
             EpochKind::GatsExposure { .. } => unreachable!("exposure epochs issue no RMA"),
@@ -273,9 +267,7 @@ impl Engine {
                         payload,
                     },
                 );
-                let ts = st.win_mut(win, rank).epoch_mut(eid).targets.get_mut(&target).unwrap();
-                ts.unsent -= 1;
-                ts.data_msgs_sent += 1;
+                st.win_mut(win, rank).epoch_mut(eid).op_sent(target);
             }
             OpKind::Acc { dt, op: rop, payload } => {
                 if payload.len() > self.cfg.rndv_threshold {
@@ -285,7 +277,7 @@ impl Engine {
                     // overtake the data.
                     let token = st.alloc_token();
                     let size = payload.len();
-                    st.win_mut(win, rank).epoch_mut(eid).live_ops.insert(
+                    st.win_mut(win, rank).epoch_mut(eid).add_live(
                         age,
                         LiveOp {
                             target,
@@ -339,9 +331,7 @@ impl Engine {
                             payload,
                         },
                     );
-                    let ts = st.win_mut(win, rank).epoch_mut(eid).targets.get_mut(&target).unwrap();
-                    ts.unsent -= 1;
-                    ts.data_msgs_sent += 1;
+                    st.win_mut(win, rank).epoch_mut(eid).op_sent(target);
                 }
             }
             OpKind::Get { len, layout } => {
@@ -356,7 +346,7 @@ impl Engine {
                         req: req.expect("get ops always carry a result request"),
                     },
                 );
-                st.win_mut(win, rank).epoch_mut(eid).live_ops.insert(
+                st.win_mut(win, rank).epoch_mut(eid).add_live(
                     age,
                     LiveOp {
                         target,
@@ -366,9 +356,7 @@ impl Engine {
                         req,
                     },
                 );
-                let ts = st.win_mut(win, rank).epoch_mut(eid).targets.get_mut(&target).unwrap();
-                ts.unsent -= 1;
-                ts.data_msgs_sent += 1;
+                st.win_mut(win, rank).epoch_mut(eid).op_sent(target);
                 self.send_framed(
                     st,
                     Packet {
@@ -404,7 +392,7 @@ impl Engine {
                         req: req.expect("fetch ops always carry a result request"),
                     },
                 );
-                st.win_mut(win, rank).epoch_mut(eid).live_ops.insert(
+                st.win_mut(win, rank).epoch_mut(eid).add_live(
                     age,
                     LiveOp {
                         target,
@@ -414,9 +402,7 @@ impl Engine {
                         req,
                     },
                 );
-                let ts = st.win_mut(win, rank).epoch_mut(eid).targets.get_mut(&target).unwrap();
-                ts.unsent -= 1;
-                ts.data_msgs_sent += 1;
+                st.win_mut(win, rank).epoch_mut(eid).op_sent(target);
                 let me = self.clone();
                 self.send_framed(
                     st,
@@ -458,7 +444,7 @@ impl Engine {
         req: Option<Req>,
         body: Body,
     ) {
-        st.win_mut(win, rank).epoch_mut(eid).live_ops.insert(
+        st.win_mut(win, rank).epoch_mut(eid).add_live(
             age,
             LiveOp {
                 target,
@@ -512,7 +498,7 @@ impl Engine {
         }
         let (became_local, became_done, target, req) = {
             let e = st.win_mut(win, rank).epoch_mut(eid);
-            let Some(op) = e.live_ops.get_mut(&age) else {
+            let Some(op) = e.live_op_mut(age) else {
                 return;
             };
             let was_local = op.locally_done();
@@ -522,7 +508,7 @@ impl Engine {
             let target = op.target;
             let req = op.req;
             if became_done {
-                e.live_ops.remove(&age);
+                e.finish_live(age);
             }
             (became_local, became_done, target, req)
         };
@@ -580,27 +566,7 @@ impl Engine {
 
     fn apply_fence_arrival(&self, st: &mut EngState, me: Rank, win: WinId, src: Rank, tag: EpochTag) {
         if let EpochTag::Fence { seq } = tag {
-            let w = st.win_mut(win, me);
-            *w.fence_arrivals.entry((src.idx(), seq)).or_insert(0) += 1;
-            self.mark_fence_dirty(st, me, win, seq);
-        }
-    }
-
-    pub(crate) fn mark_fence_dirty(&self, st: &mut EngState, me: Rank, win: WinId, seq: u64) {
-        // Index walk instead of snapshotting `order`: `mark_complete_dirty`
-        // never mutates `order`, so re-borrowing per iteration is safe and
-        // allocation-free.
-        let mut i = 0;
-        loop {
-            let w = st.win(win, me);
-            if i >= w.order.len() {
-                break;
-            }
-            let id = w.order[i];
-            i += 1;
-            if matches!(w.epoch(id).kind, EpochKind::Fence { seq: s } if s == seq) {
-                st.mark_complete_dirty(me, win, id);
-            }
+            self.fence_arrival(st, me, win, seq, src, |p| p.got += 1);
         }
     }
 
@@ -740,16 +706,7 @@ impl Engine {
         let OpKind::Acc { dt, op: rop, payload } = kind else {
             unreachable!("AccRndv holds accumulate ops only")
         };
-        {
-            let ts = st
-                .win_mut(win, me)
-                .epoch_mut(epoch)
-                .targets
-                .get_mut(&target)
-                .unwrap();
-            ts.unsent -= 1;
-            ts.data_msgs_sent += 1;
-        }
+        st.win_mut(win, me).epoch_mut(epoch).op_sent(target);
         let pkt = Packet {
             src: me,
             dst: target,

@@ -23,7 +23,7 @@ use mpisim_sim::SimTime;
 use crate::engine::rel::Degradation;
 use crate::epoch::EpochKind;
 use crate::engine::{EngState, Engine};
-use crate::types::{EpochId, Rank, Req, WinId};
+use crate::types::{EpochId, Rank, WinId};
 use crate::window::OmegaTable;
 
 /// Diagnostic snapshot of a cancelled (stalled) epoch: where it was stuck
@@ -186,22 +186,14 @@ impl Engine {
                 cancelled_at: self.sim.now(),
                 omega: w.omega.clone(),
                 oldest_unacked: st.rel[rank.idx()].oldest_unacked(),
-                live_ops: e.live_ops.len(),
+                live_ops: e.live_ops().len(),
                 pending_ops: e.pending_ops.len(),
             }
         };
         let (close_req, mut op_reqs) = {
             let e = st.win_mut(win, rank).epoch_mut(id);
             e.complete = true;
-            let close_req = e.close_req;
-            let mut reqs: Vec<Req> = e.live_ops.values().filter_map(|o| o.req).collect();
-            for op in e.pending_ops.drain(..) {
-                if let Some(r) = op.req {
-                    reqs.push(r);
-                }
-            }
-            e.live_ops.clear();
-            (close_req, reqs)
+            (e.close_req, e.abandon_ops())
         };
         // Dedup, then guard each completion: an op request may already be
         // done (request-based puts complete at local completion) or even
@@ -230,11 +222,11 @@ impl Engine {
             let e = w.epoch(id);
             if matches!(e.kind, EpochKind::Lock { .. } | EpochKind::LockAll) {
                 let mut owed: Vec<(Rank, u64)> = Vec::new();
-                for (t, ts) in e.targets.iter() {
+                for (t, ts) in e.targets().iter() {
                     if ts.access_id == 0 {
                         continue;
                     }
-                    if ts.granted && !ts.unlock_sent {
+                    if ts.granted && !ts.announced {
                         release_now.push((*t, ts.access_id));
                     } else if !ts.granted {
                         owed.push((*t, ts.access_id));

@@ -6,6 +6,7 @@
 //! still active stays **deferred**: its RMA calls and even its closing are
 //! *recorded* and replayed when the progress engine activates it.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use mpisim_net::Payload;
@@ -195,16 +196,32 @@ impl LiveOp {
 pub struct TargetState {
     /// Access id toward this target (`A_i` of §VII.B); 0 = unassigned.
     pub access_id: u64,
-    /// Whether the target granted this access (`A_i ≤ g_r`).
-    pub granted: bool,
     /// Recorded or rendezvous-stalled ops not yet on the wire.
     pub unsent: u64,
     /// Data-plane messages sent to this target (fence accounting).
     pub data_msgs_sent: u64,
-    /// Whether the per-target done packet has been sent.
-    pub done_sent: bool,
-    /// Whether the unlock packet has been sent (passive epochs).
-    pub unlock_sent: bool,
+    /// Issued ops toward this target still in the epoch's live set.
+    pub live: u32,
+    /// Whether the target granted this access (`A_i ≤ g_r`).
+    pub granted: bool,
+    /// Whether the closing announcement toward this target — GATS done,
+    /// unlock or `FenceDone` — has been sent.
+    pub announced: bool,
+    /// Whether the target sits on another node (recorded at activation,
+    /// for the lazy baseline's issue gate).
+    pub internode: bool,
+    /// Whether the target is on the epoch's ready list.
+    queued: bool,
+}
+
+impl TargetState {
+    /// Whether the closing announcement toward this target may go out once
+    /// the epoch is closed: access granted, every recorded op on the wire
+    /// and — for passive epochs, whose unlock promises remote completion —
+    /// no issued op still awaiting its completion or acknowledgement.
+    fn announceable(&self, passive: bool) -> bool {
+        self.granted && self.unsent == 0 && !self.announced && (self.live == 0 || !passive)
+    }
 }
 
 /// The epoch object (§VII.A): created inactive, possibly deferred, recording
@@ -229,12 +246,24 @@ pub struct EpochObj {
     /// Recorded RMA calls awaiting activation/grant ("epoch recording",
     /// §VII.A).
     pub pending_ops: VecDeque<OpDesc>,
-    /// Access-side per-target progress.
-    pub targets: BTreeMap<Rank, TargetState>,
+    /// Access-side per-target progress. Private: the counters below are
+    /// kept in step with it at every transition (DESIGN.md §10.1).
+    targets: BTreeMap<Rank, TargetState>,
     /// Exposure-side: origin → expected done id.
-    pub exposure_origins: BTreeMap<Rank, u64>,
+    exposure_origins: BTreeMap<Rank, u64>,
     /// Issued-but-incomplete ops, by age.
-    pub live_ops: HashMap<u64, LiveOp>,
+    live_ops: HashMap<u64, LiveOp>,
+    /// Closing announcements still owed: access-side targets not yet
+    /// `announced`, or exposure-side origins whose done packet is not in.
+    /// A closed epoch completes when this is 0 and `live_ops` is empty.
+    announce_left: u32,
+    /// Same-node targets activated but not yet granted.
+    ungranted_intra: u32,
+    /// Other-node targets activated but not yet granted.
+    ungranted_inter: u32,
+    /// Targets that became announceable since the last emit pass (each at
+    /// most once, see `TargetState::queued`), so a pass visits only these.
+    ready: Vec<Rank>,
     /// Baseline (lazy) behaviour: hold activation until the closing call.
     pub lazy_hold: bool,
     /// A flush forced this lazy epoch out of deferral mid-epoch: the lock
@@ -263,6 +292,10 @@ impl EpochObj {
             targets: BTreeMap::new(),
             exposure_origins: BTreeMap::new(),
             live_ops: HashMap::new(),
+            announce_left: 0,
+            ungranted_intra: 0,
+            ungranted_inter: 0,
+            ready: Vec::new(),
             lazy_hold: false,
             flush_forced: false,
             opened_in_fence: None,
@@ -273,8 +306,8 @@ impl EpochObj {
 
     /// Reinitialize a recycled epoch object in place (arena reuse, see
     /// [`crate::window::WinRank::new_epoch`]): every field ends up exactly
-    /// as [`EpochObj::new`] would leave it, but `pending_ops` and
-    /// `live_ops` keep their allocated capacity.
+    /// as [`EpochObj::new`] would leave it, but `pending_ops`, `live_ops`
+    /// and `ready` keep their allocated capacity.
     pub fn reset(&mut self, id: EpochId, kind: EpochKind) {
         self.id = id;
         self.kind = kind;
@@ -287,13 +320,18 @@ impl EpochObj {
         self.targets.clear();
         self.exposure_origins.clear();
         self.live_ops.clear();
+        self.announce_left = 0;
+        self.ungranted_intra = 0;
+        self.ungranted_inter = 0;
+        self.ready.clear();
         self.lazy_hold = false;
         self.flush_forced = false;
         self.opened_in_fence = None;
         self.prefill_targets();
     }
 
-    /// Seed the per-target progress map from the kind's target set.
+    /// Seed the per-target progress map from the kind's target set. A
+    /// fresh target is ungranted, hence not announceable: nothing to queue.
     fn prefill_targets(&mut self) {
         match &self.kind {
             EpochKind::GatsAccess { group } => {
@@ -306,6 +344,191 @@ impl EpochObj {
             }
             _ => {}
         }
+        self.announce_left = self.targets.len() as u32;
+    }
+
+    /// Apply `f` to `target`'s state, created (and counted as owing its
+    /// announcement) on first use, then queue the target if that made it
+    /// announceable. Every write to a [`TargetState`] goes through here, so
+    /// an announceable target is always on the ready list.
+    fn update_target<R>(&mut self, target: Rank, f: impl FnOnce(&mut TargetState) -> R) -> R {
+        let passive = self.kind.is_passive();
+        let ts = match self.targets.entry(target) {
+            Entry::Occupied(o) => o.into_mut(),
+            Entry::Vacant(v) => {
+                self.announce_left += 1;
+                v.insert(TargetState::default())
+            }
+        };
+        let r = f(ts);
+        if !ts.queued && ts.announceable(passive) {
+            ts.queued = true;
+            self.ready.push(target);
+        }
+        r
+    }
+
+    /// Access-side per-target progress, by rank.
+    pub fn targets(&self) -> &BTreeMap<Rank, TargetState> {
+        &self.targets
+    }
+
+    /// Issued-but-incomplete ops, by age.
+    pub fn live_ops(&self) -> &HashMap<u64, LiveOp> {
+        &self.live_ops
+    }
+
+    /// Exposure-side: origin → expected done id.
+    pub fn exposure_origins(&self) -> &BTreeMap<Rank, u64> {
+        &self.exposure_origins
+    }
+
+    /// Closing announcements still owed (see the field).
+    pub fn announce_left(&self) -> u32 {
+        self.announce_left
+    }
+
+    /// An RMA call toward `target` was recorded.
+    pub(crate) fn record_op(&mut self, target: Rank) {
+        self.update_target(target, |ts| ts.unsent += 1);
+    }
+
+    /// Activation: `target` gets its access id and its grant status so far.
+    pub(crate) fn assign(&mut self, target: Rank, access_id: u64, granted: bool, internode: bool) {
+        self.update_target(target, |ts| {
+            ts.access_id = access_id;
+            ts.granted = granted;
+            ts.internode = internode;
+        });
+        if !granted {
+            *self.ungranted(internode) += 1;
+        }
+    }
+
+    /// `target`'s grant arrived.
+    pub(crate) fn grant(&mut self, target: Rank) {
+        let internode = self.update_target(target, |ts| {
+            debug_assert!(!ts.granted, "granted twice");
+            ts.granted = true;
+            ts.internode
+        });
+        *self.ungranted(internode) -= 1;
+    }
+
+    fn ungranted(&mut self, internode: bool) -> &mut u32 {
+        if internode {
+            &mut self.ungranted_inter
+        } else {
+            &mut self.ungranted_intra
+        }
+    }
+
+    /// The lazy baseline's issue gate: every target granted, or — with
+    /// `internode_only` — every target on another node.
+    pub(crate) fn all_granted(&self, internode_only: bool) -> bool {
+        self.ungranted_inter == 0 && (internode_only || self.ungranted_intra == 0)
+    }
+
+    /// One recorded op toward `target` went on the wire.
+    pub(crate) fn op_sent(&mut self, target: Rank) {
+        self.update_target(target, |ts| {
+            ts.unsent -= 1;
+            ts.data_msgs_sent += 1;
+        });
+    }
+
+    /// Track an issued op until it fully completes.
+    pub(crate) fn add_live(&mut self, age: u64, op: LiveOp) {
+        self.update_target(op.target, |ts| ts.live += 1);
+        self.live_ops.insert(age, op);
+    }
+
+    /// Mutable access to one live op's completion flags.
+    pub(crate) fn live_op_mut(&mut self, age: u64) -> Option<&mut LiveOp> {
+        self.live_ops.get_mut(&age)
+    }
+
+    /// A live op fully completed.
+    pub(crate) fn finish_live(&mut self, age: u64) {
+        if let Some(op) = self.live_ops.remove(&age) {
+            self.update_target(op.target, |ts| ts.live -= 1);
+        }
+    }
+
+    /// Watchdog cancellation: forget every live and recorded op, returning
+    /// the requests they held. The epoch is dead afterwards — the per-target
+    /// counts are not brought along.
+    pub(crate) fn abandon_ops(&mut self) -> Vec<Req> {
+        let mut reqs: Vec<Req> = self.live_ops.values().filter_map(|o| o.req).collect();
+        reqs.extend(self.pending_ops.drain(..).filter_map(|op| op.req));
+        self.live_ops.clear();
+        reqs
+    }
+
+    /// Whether an emit pass has anything to visit.
+    pub(crate) fn has_ready(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
+    /// The emit pass of a *closed* epoch: visit the ready list in rank
+    /// order, mark every target that is still announceable as announced
+    /// and append `(target, word)` to `out` — `word` is what the packet
+    /// carries, the fence's data-message count or the access id. Returns
+    /// the number of targets visited.
+    pub(crate) fn take_announceable(&mut self, out: &mut Vec<(Rank, u64)>) -> u64 {
+        let passive = self.kind.is_passive();
+        let fence = matches!(self.kind, EpochKind::Fence { .. });
+        self.ready.sort_unstable();
+        let visits = self.ready.len() as u64;
+        for t in self.ready.drain(..) {
+            let ts = self.targets.get_mut(&t).expect("queued target has state");
+            ts.queued = false;
+            if ts.announceable(passive) {
+                ts.announced = true;
+                self.announce_left -= 1;
+                out.push((t, if fence { ts.data_msgs_sent } else { ts.access_id }));
+            }
+        }
+        visits
+    }
+
+    /// Activation of an exposure epoch: `origin` owes done packet `exp_id`
+    /// unless it was `received` already.
+    pub(crate) fn expect_done(&mut self, origin: Rank, exp_id: u64, received: bool) {
+        self.exposure_origins.insert(origin, exp_id);
+        if !received {
+            self.announce_left += 1;
+        }
+    }
+
+    /// An origin's awaited done packet arrived.
+    pub(crate) fn done_arrived(&mut self) {
+        self.announce_left -= 1;
+    }
+
+    /// Debug-build check that every counter of an activated epoch equals
+    /// what the rescan it replaced computed, and that no announceable
+    /// target is missing from the ready list. (The exposure side is checked
+    /// against ω by the engine.)
+    pub(crate) fn counters_match_scan(&self) -> bool {
+        let passive = self.kind.is_passive();
+        let count = |f: &dyn Fn(&TargetState) -> bool| {
+            self.targets.values().filter(|t| f(t)).count() as u32
+        };
+        // The old unlock pass: a target is blocked by any op not yet done.
+        let mut blocking: BTreeMap<Rank, u32> = BTreeMap::new();
+        for op in self.live_ops.values().filter(|o| !o.done()) {
+            *blocking.entry(op.target).or_default() += 1;
+        }
+        (self.kind.side() == Side::Exposure || self.announce_left == count(&|t| !t.announced))
+            && self.ungranted_inter == count(&|t| !t.granted && t.internode)
+            && self.ungranted_intra == count(&|t| !t.granted && !t.internode)
+            && self.ready.len() as u32 == count(&|t| t.queued)
+            && self
+                .targets
+                .iter()
+                .all(|(r, t)| t.live == blocking.get(r).copied().unwrap_or(0))
+            && self.targets.values().all(|t| t.queued || !t.announceable(passive))
     }
 
     /// Whether this epoch may issue RMA toward `target` (open access epochs
@@ -402,6 +625,47 @@ mod tests {
         assert!(!e.live_all_done());
         e.live_ops.get_mut(&1).unwrap().needs_ack = false;
         assert!(e.live_all_done());
+    }
+
+    #[test]
+    fn ready_list_reports_a_target_when_it_becomes_announceable() {
+        let mut e = EpochObj::new(EpochId(1), EpochKind::LockAll);
+        e.activated = true;
+        for t in 0..3 {
+            e.assign(Rank(t), 1, false, t == 2);
+        }
+        assert_eq!(e.announce_left(), 3);
+        e.grant(Rank(2));
+        assert!(e.all_granted(true) && !e.all_granted(false));
+        e.grant(Rank(0));
+        e.grant(Rank(1));
+        assert!(e.all_granted(false));
+        // Rank 1 gets an op that is on the wire but not acknowledged.
+        e.record_op(Rank(1));
+        e.op_sent(Rank(1));
+        let op = LiveOp {
+            target: Rank(1),
+            needs_local: false,
+            needs_resp: false,
+            needs_ack: true,
+            req: None,
+        };
+        e.add_live(7, op);
+        assert!(e.counters_match_scan());
+        // The emit pass visits the three queued targets in rank order and
+        // announces the two idle ones; rank 1 is blocked and dropped.
+        let mut out = Vec::new();
+        assert_eq!(e.take_announceable(&mut out), 3);
+        assert_eq!(out, [(Rank(0), 1), (Rank(2), 1)]);
+        assert_eq!(e.announce_left(), 1);
+        assert!(!e.has_ready());
+        // Its last live op completing is what queues it again.
+        e.finish_live(7);
+        out.clear();
+        assert_eq!(e.take_announceable(&mut out), 1);
+        assert_eq!(out, [(Rank(1), 1)]);
+        assert_eq!(e.announce_left(), 0);
+        assert!(e.live_ops().is_empty() && e.counters_match_scan());
     }
 
     #[test]

@@ -116,6 +116,67 @@ impl OmegaTable {
     }
 }
 
+/// What one peer has contributed to one fence sequence.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FencePeer {
+    /// Data messages received from the peer.
+    pub got: u64,
+    /// Data messages the peer's `FenceDone` announced, once it is in.
+    pub expected: Option<u64>,
+}
+
+impl FencePeer {
+    /// Announcement received and all announced data arrived. Tested per
+    /// peer as `got ≥ expected`: a summed `arrived == expected` would hang
+    /// on a duplicated data message.
+    pub fn satisfied(&self) -> bool {
+        self.expected.is_some_and(|e| self.got >= e)
+    }
+}
+
+/// One fence sequence's completion record: every peer's contribution and
+/// how many of them are satisfied, so the closing fence completes when the
+/// count reaches the job size instead of rescanning the peers per
+/// notification. Created on the first arrival (data can precede the local
+/// fence epoch), retired with the epoch.
+#[derive(Debug)]
+pub struct FenceTally {
+    peers: Vec<FencePeer>,
+    satisfied: usize,
+}
+
+impl FenceTally {
+    fn new(n_ranks: usize) -> Self {
+        FenceTally { peers: vec![FencePeer::default(); n_ranks], satisfied: 0 }
+    }
+
+    /// Apply one arrival from `peer` and keep the satisfied count in step.
+    pub fn update(&mut self, peer: Rank, f: impl FnOnce(&mut FencePeer)) {
+        let p = &mut self.peers[peer.idx()];
+        let was = p.satisfied();
+        f(p);
+        debug_assert!(!was || p.satisfied(), "a satisfied fence peer stays satisfied");
+        if !was && p.satisfied() {
+            self.satisfied += 1;
+        }
+    }
+
+    /// Every peer's announcement and announced data are in.
+    pub fn complete(&self) -> bool {
+        debug_assert_eq!(
+            self.satisfied,
+            self.peers.iter().filter(|p| p.satisfied()).count(),
+            "fence tally out of step with its peers"
+        );
+        self.satisfied == self.peers.len()
+    }
+
+    /// Per-peer contributions, by rank.
+    pub fn peers(&self) -> &[FencePeer] {
+        &self.peers
+    }
+}
+
 /// An outstanding (nonblocking) flush request, age-stamped per §VII.C.
 #[derive(Debug)]
 pub struct FlushState {
@@ -173,10 +234,8 @@ pub struct WinRank {
 
     // ---- fence bookkeeping (window-level: data can arrive before the
     // local fence epoch object exists) ----
-    /// Data messages received per (origin, fence seq).
-    pub fence_arrivals: HashMap<(usize, u64), u64>,
-    /// FenceDone announcements received: (origin, seq) → ops they sent me.
-    pub fence_dones: HashMap<(usize, u64), u64>,
+    /// Completion record per fence seq that is not retired yet.
+    pub fences: BTreeMap<u64, FenceTally>,
     /// Next fence sequence this rank will open.
     pub next_fence_seq: u64,
 
@@ -222,8 +281,7 @@ impl WinRank {
             omega: OmegaTable::default(),
             grant_dirty: Vec::new(),
             lock_mgr: LockMgr::default(),
-            fence_arrivals: HashMap::new(),
-            fence_dones: HashMap::new(),
+            fences: BTreeMap::new(),
             next_fence_seq: 0,
             next_age: 1,
             flushes: Vec::new(),
@@ -273,11 +331,15 @@ impl WinRank {
         self.epochs.get_mut(&id.0).expect("unknown epoch id")
     }
 
-    /// Retire an internally complete epoch: remove it from the order and
-    /// recycle the object into the arena for the next `new_epoch`.
+    /// Retire an internally complete (or cancelled) epoch: remove it from
+    /// the order, drop a fence epoch's per-seq record with it, and recycle
+    /// the object into the arena for the next `new_epoch`.
     pub fn retire(&mut self, id: EpochId) {
         self.order.retain(|e| *e != id);
         if let Some(e) = self.epochs.remove(&id.0) {
+            if let EpochKind::Fence { seq } = e.kind {
+                self.fences.remove(&seq);
+            }
             if self.epoch_pool.len() < EPOCH_POOL_CAP {
                 self.epoch_pool.push(e);
             }
@@ -319,6 +381,36 @@ impl WinRank {
             }
         }
         self.cur_fence
+    }
+
+    /// The live fence epoch of sequence `seq`, if this side has opened it
+    /// and not retired it yet.
+    fn fence_epoch(&self, seq: u64) -> Option<EpochId> {
+        self.order
+            .iter()
+            .copied()
+            .find(|id| matches!(self.epoch(*id).kind, EpochKind::Fence { seq: s } if s == seq))
+    }
+
+    /// Record one arrival from `peer` for fence `seq` — its announcement or
+    /// one data message — and return the fence epoch to recheck. Traffic
+    /// for a sequence whose epoch already retired (completed, or cancelled
+    /// by the watchdog) is dropped: nothing can wait on it any more.
+    pub fn fence_arrival(
+        &mut self,
+        seq: u64,
+        peer: Rank,
+        n_ranks: usize,
+        f: impl FnOnce(&mut FencePeer),
+    ) -> Option<EpochId> {
+        let epoch = self.fence_epoch(seq);
+        if epoch.is_some() || seq >= self.next_fence_seq {
+            self.fences
+                .entry(seq)
+                .or_insert_with(|| FenceTally::new(n_ranks))
+                .update(peer, f);
+        }
+        epoch
     }
 
     /// The inbound FIFO from `peer`, created on first use.
@@ -385,6 +477,43 @@ mod tests {
         assert_eq!(w.omega.peer(Rank(2)).g, 0);
         assert_eq!(w.omega.len(), 1);
         assert_eq!(w.omega.iter().map(|(r, _)| r).collect::<Vec<_>>(), [Rank(1)]);
+    }
+
+    #[test]
+    fn fence_tally_counts_a_peer_once_whatever_the_arrival_order() {
+        let mut t = FenceTally::new(2);
+        // Peer 0: data first, duplicated in transit, then the announcement.
+        t.update(Rank(0), |p| p.got += 1);
+        t.update(Rank(0), |p| p.got += 1);
+        assert!(!t.complete());
+        t.update(Rank(0), |p| p.expected = Some(1));
+        // Peer 1: announcement first, then its two messages and a duplicate.
+        t.update(Rank(1), |p| p.expected = Some(2));
+        t.update(Rank(1), |p| p.got += 1);
+        assert!(!t.complete(), "peer 1 is still one message short");
+        t.update(Rank(1), |p| p.got += 1);
+        assert!(t.complete());
+        t.update(Rank(1), |p| p.got += 1);
+        assert!(t.complete(), "a duplicate must not count the peer twice");
+    }
+
+    #[test]
+    fn fence_traffic_for_a_retired_sequence_is_dropped() {
+        let mut w = mk();
+        // Sequences 0..3 were opened and have retired; 3 is not open yet.
+        w.next_fence_seq = 3;
+        assert_eq!(w.fence_arrival(1, Rank(0), 2, |p| p.got += 1), None);
+        assert!(w.fences.is_empty(), "a retired sequence must not be re-recorded");
+        // A peer ahead of the local fence call is remembered.
+        assert_eq!(w.fence_arrival(3, Rank(0), 2, |p| p.got += 1), None);
+        assert_eq!(w.fences[&3].peers()[0].got, 1);
+        // Opening and retiring that sequence takes the record along.
+        let id = w.alloc_epoch_id();
+        w.push_epoch(EpochObj::new(id, EpochKind::Fence { seq: 3 }));
+        w.next_fence_seq = 4;
+        assert_eq!(w.fence_arrival(3, Rank(1), 2, |p| p.expected = Some(0)), Some(id));
+        w.retire(id);
+        assert!(w.fences.is_empty());
     }
 
     #[test]

@@ -142,6 +142,18 @@ fn cancelled_epoch_releases_grants_it_holds() {
     assert_eq!(stalls[0].kind, "lock-all");
     assert_eq!(stalls[0].rank, Rank(0));
     assert_eq!(report.engine.epochs_cancelled, 1);
+    // Held and owed unlocks balance: the two grants the cancelled epoch
+    // held (self, rank 1) plus rank 1's own lock are all released; the
+    // request toward partitioned rank 2 never arrived, so nothing is owed.
+    let e = &report.engine;
+    assert_eq!((e.lock_grants, e.unlocks_applied), (3, 3));
+    // Recorded before completion became counted (see
+    // `engine_worklists.rs`): the cancellation path must not move either.
+    assert_eq!(
+        (report.final_time.as_nanos(), report.sim.events_executed, report.net.msgs_sent),
+        (4_007_604, 122, 43)
+    );
+    assert_eq!((e.sweeps, e.step_runs), (76, [11, 22, 10, 0, 22, 6, 5]));
     let t = *unlocked_at.lock().unwrap();
     assert!(
         t >= SimTime::from_millis(3) && t < SimTime::from_millis(4),

@@ -105,3 +105,255 @@ fn step_counters_account_for_real_work_only() {
         "all-internode placement should shift most sync off the FIFO path"
     );
 }
+
+// ---------------------------------------------------------------------
+// Pinned behaviour of the completion paths
+// ---------------------------------------------------------------------
+
+use mpisim_core::{Datatype, Group, ReduceOp, SyncStrategy, WinInfo};
+use mpisim_sim::SimTime;
+
+/// What a simulator-only change must leave alone: virtual time, kernel
+/// events, messages, sweeps and the per-step run counts.
+type Pin = (u64, u64, u64, u64, [u64; 7]);
+
+fn pin(r: &JobReport) -> Pin {
+    assert!(r.is_clean(), "{:?}", r.degradations);
+    assert_eq!(r.live_requests, 0);
+    (
+        r.final_time.as_nanos(),
+        r.sim.events_executed,
+        r.net.msgs_sent,
+        r.engine.sweeps,
+        r.engine.step_runs,
+    )
+}
+
+/// The paper's two end-point series: redesigned engine driven through the
+/// `i`-routines, or the lazy baseline driven through the blocking calls.
+#[derive(Clone, Copy, Debug)]
+enum Series {
+    Nonblocking,
+    LazyBlocking,
+}
+
+/// 16 ranks, on one node or four per node.
+fn cfg16(series: Series, per_node: usize) -> JobConfig {
+    let mut cfg = JobConfig::new(16);
+    cfg.cores_per_node = per_node;
+    match series {
+        Series::Nonblocking => cfg,
+        Series::LazyBlocking => cfg.with_strategy(SyncStrategy::LazyBaseline),
+    }
+}
+
+const THINK: SimTime = SimTime::from_nanos(300);
+
+/// One of the pinned kernels below.
+type Kernel = fn(JobConfig, Series) -> JobReport;
+
+/// Two fence-closed halo iterations on a ring (the benchmark's kernel).
+fn fence_halo(cfg: JobConfig, series: Series) -> JobReport {
+    run_job(cfg, move |env| {
+        let win = env.win_allocate(16).unwrap();
+        let (me, n) = (env.rank().idx(), env.n_ranks());
+        let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+        env.compute(THINK);
+        env.fence(win).unwrap();
+        for i in 0..2u64 {
+            let v = ((me as u64) << 8 | i).to_le_bytes();
+            env.put(win, Rank(left), 8, &v).unwrap();
+            env.put(win, Rank(right), 0, &v).unwrap();
+            match series {
+                Series::Nonblocking => {
+                    let closed = env.ifence(win).unwrap();
+                    env.compute(THINK);
+                    env.wait(closed).unwrap();
+                }
+                Series::LazyBlocking => {
+                    env.fence(win).unwrap();
+                    env.compute(THINK);
+                }
+            }
+        }
+        let got = env.read_local(win, 0, 16).unwrap();
+        assert_eq!(got[..8], ((left as u64) << 8 | 1).to_le_bytes());
+        assert_eq!(got[8..], ((right as u64) << 8 | 1).to_le_bytes());
+        env.win_free(win).unwrap();
+    })
+    .unwrap()
+}
+
+/// One `lock_all` round: every rank Sum-accumulates 1 at its eight
+/// successors.
+fn lock_all_round(cfg: JobConfig, series: Series) -> JobReport {
+    run_job(cfg, move |env| {
+        let win = env.win_allocate(8).unwrap();
+        env.compute(THINK);
+        env.barrier().unwrap();
+        let (me, n) = (env.rank().idx(), env.n_ranks());
+        let one = 1u64.to_le_bytes();
+        let mut pending = Vec::new();
+        match series {
+            Series::Nonblocking => pending.push(env.ilock_all(win).unwrap()),
+            Series::LazyBlocking => env.lock_all(win).unwrap(),
+        }
+        for a in 1..=8 {
+            env.accumulate(win, Rank((me + a) % n), 0, Datatype::U64, ReduceOp::Sum, &one)
+                .unwrap();
+        }
+        match series {
+            Series::Nonblocking => pending.push(env.iunlock_all(win).unwrap()),
+            Series::LazyBlocking => env.unlock_all(win).unwrap(),
+        }
+        env.compute(THINK);
+        env.wait_all(pending).unwrap();
+        env.barrier().unwrap();
+        assert_eq!(env.read_local(win, 0, 8).unwrap(), 8u64.to_le_bytes());
+        env.win_free(win).unwrap();
+    })
+    .unwrap()
+}
+
+/// Two GATS epochs on a ring with two targets each: every rank exposes to
+/// its two predecessors and puts one word to each of its two successors.
+fn gats_ring(cfg: JobConfig, series: Series) -> JobReport {
+    run_job(cfg, move |env| {
+        let win = env.win_allocate_with(16, WinInfo::all_reorder()).unwrap();
+        let (me, n) = (env.rank().idx(), env.n_ranks());
+        let pair = |a: usize, b: usize| Group::new([a.min(b), a.max(b)]);
+        let origins = pair((me + n - 1) % n, (me + n - 2) % n);
+        let targets = pair((me + 1) % n, (me + 2) % n);
+        let mut pending = Vec::new();
+        for e in 0..2u64 {
+            let v = ((me as u64) << 8 | e).to_le_bytes();
+            match series {
+                Series::Nonblocking => {
+                    pending.push(env.ipost(win, origins.clone()).unwrap());
+                    pending.push(env.istart(win, targets.clone()).unwrap());
+                }
+                Series::LazyBlocking => {
+                    env.post(win, origins.clone()).unwrap();
+                    env.start(win, targets.clone()).unwrap();
+                }
+            }
+            env.put(win, Rank((me + 1) % n), 0, &v).unwrap();
+            env.put(win, Rank((me + 2) % n), 8, &v).unwrap();
+            match series {
+                Series::Nonblocking => {
+                    pending.push(env.icomplete(win).unwrap());
+                    pending.push(env.iwait(win).unwrap());
+                }
+                Series::LazyBlocking => {
+                    env.complete(win).unwrap();
+                    env.wait_epoch(win).unwrap();
+                }
+            }
+            env.compute(THINK);
+        }
+        env.wait_all(pending).unwrap();
+        env.barrier().unwrap();
+        let got = env.read_local(win, 0, 16).unwrap();
+        assert_eq!(got[..8], (((me + n - 1) % n) as u64 * 256 + 1).to_le_bytes());
+        assert_eq!(got[8..], (((me + n - 2) % n) as u64 * 256 + 1).to_le_bytes());
+        env.win_free(win).unwrap();
+    })
+    .unwrap()
+}
+
+/// Values recorded at the commit before completion became counted
+/// (per-epoch counters + ready lists, per-seq fence tallies): that change
+/// is simulator-only, so not one of them may move.
+#[test]
+fn counted_completion_changes_no_observable_behaviour() {
+    use Series::{LazyBlocking, Nonblocking};
+    let pins: [(&str, Kernel, Series, usize, Pin); 12] = [
+        ("fence_halo", fence_halo, Nonblocking, 16, (7929, 1088, 704, 912, [64, 96, 752, 112, 0, 0, 112])),
+        ("fence_halo", fence_halo, Nonblocking, 4, (18919, 1576, 704, 912, [64, 96, 748, 96, 0, 0, 96])),
+        ("fence_halo", fence_halo, LazyBlocking, 16, (8553, 1056, 704, 912, [64, 96, 688, 80, 0, 0, 80])),
+        ("fence_halo", fence_halo, LazyBlocking, 4, (19570, 1544, 704, 912, [64, 96, 688, 80, 0, 0, 80])),
+        ("lock_all_round", lock_all_round, Nonblocking, 16, (12176, 1856, 1152, 1632, [256, 400, 672, 128, 768, 512, 400])),
+        ("lock_all_round", lock_all_round, Nonblocking, 4, (29462, 2712, 1152, 1632, [256, 400, 672, 24, 192, 512, 104])),
+        ("lock_all_round", lock_all_round, LazyBlocking, 16, (12968, 1824, 1152, 1632, [256, 400, 544, 220, 768, 512, 288])),
+        ("lock_all_round", lock_all_round, LazyBlocking, 4, (33778, 2680, 1152, 1632, [256, 400, 488, 15, 192, 512, 92])),
+        ("gats_ring", gats_ring, Nonblocking, 16, (12432, 944, 384, 688, [64, 160, 320, 96, 128, 32, 256])),
+        ("gats_ring", gats_ring, Nonblocking, 4, (24522, 1148, 384, 688, [64, 144, 328, 72, 80, 32, 168])),
+        ("gats_ring", gats_ring, LazyBlocking, 16, (10176, 816, 384, 688, [64, 159, 192, 64, 128, 32, 223])),
+        ("gats_ring", gats_ring, LazyBlocking, 4, (23887, 1020, 384, 688, [64, 140, 240, 56, 80, 32, 148])),
+    ];
+    for (name, kernel, series, per_node, want) in pins {
+        let got = pin(&kernel(cfg16(series, per_node), series));
+        assert_eq!(got, want, "{name} {series:?} {per_node}/node");
+    }
+}
+
+/// `iunlock_all` with a put still unacknowledged: the fifteen idle targets
+/// get their unlock at the close, in rank order; the busy one is blocked
+/// and must be announced later, when the ack takes its last live op away —
+/// a transition only the ready list reports.
+#[test]
+fn blocked_target_is_unlocked_when_its_last_op_completes() {
+    use mpisim_core::trace::{Plane, SyncEvent};
+    let mut cfg = cfg16(Series::Nonblocking, 4);
+    cfg.trace = true;
+    let r = run_job(cfg, |env| {
+        let win = env.win_allocate(4096).unwrap();
+        env.barrier().unwrap();
+        if env.rank().idx() == 0 {
+            let opened = env.ilock_all(win).unwrap();
+            env.put(win, Rank(5), 0, &[7; 4096]).unwrap();
+            env.flush_local(win, Rank(5)).unwrap();
+            let closed = env.iunlock_all(win).unwrap();
+            env.wait_all([opened, closed]).unwrap();
+        }
+        env.barrier().unwrap();
+        env.win_free(win).unwrap();
+    })
+    .unwrap();
+    let unlocks: Vec<(SimTime, usize)> = r
+        .sync_trace
+        .iter()
+        .filter(|s| {
+            s.rank == Rank(0)
+                && s.plane == Plane::Lock
+                && matches!(s.event, SyncEvent::EpochDoneSent { .. })
+        })
+        .map(|s| (s.time, s.peer.idx()))
+        .collect();
+    let at_close = unlocks[0].0;
+    let idle: Vec<usize> = (0..16).filter(|t| *t != 5).collect();
+    assert_eq!(unlocks[..15], idle.iter().map(|t| (at_close, *t)).collect::<Vec<_>>()[..]);
+    assert_eq!(unlocks[15].1, 5);
+    assert!(unlocks[15].0 > at_close, "{unlocks:?}");
+    assert_eq!(unlocks.len(), 16);
+    assert_eq!(pin(&r), (29056, 623, 305, 375, [2, 19, 22, 0, 12, 32, 5]));
+}
+
+/// The deterministic cost proxy for collective completion: per-target
+/// states the emit/completion passes examine. With counters and ready
+/// lists it follows the announcements sent — O(ranks²) per collective
+/// epoch, like the messages — where rescanning every target on every
+/// notification made it O(ranks³): doubling the ranks must multiply it by
+/// about 4, not 8, and it must stay below the message count.
+#[test]
+fn target_visits_grow_with_messages_not_ranks_times_messages() {
+    for (name, kernel) in [("fence_halo", fence_halo as Kernel), ("lock_all_round", lock_all_round)] {
+        let run = |n: usize| {
+            let r = kernel(JobConfig::new(n), Series::Nonblocking);
+            assert!(r.is_clean(), "{:?}", r.degradations);
+            assert!(
+                r.engine.target_visits <= r.net.msgs_sent,
+                "{name} at {n} ranks: {} target visits for {} messages",
+                r.engine.target_visits,
+                r.net.msgs_sent
+            );
+            r.engine.target_visits
+        };
+        let (at32, at64) = (run(32), run(64));
+        assert!(at32 > 0, "{name}: the emit passes visited nothing");
+        assert!(
+            at64 as f64 <= 4.5 * at32 as f64,
+            "{name}: {at32} target visits at 32 ranks, {at64} at 64 — more than quadratic"
+        );
+    }
+}

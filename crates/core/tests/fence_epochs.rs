@@ -1,6 +1,8 @@
 //! Integration tests: fence-based active-target epochs.
 
-use mpisim_core::{run_job, Datatype, JobConfig, Rank, ReduceOp, SyncStrategy};
+use mpisim_core::{run_job, Datatype, Degradation, JobConfig, Rank, ReduceOp, SyncStrategy};
+use mpisim_net::{FaultPlan, Partition};
+use mpisim_sim::SimTime;
 
 #[test]
 fn fence_put_roundtrip() {
@@ -181,4 +183,55 @@ fn empty_fences_are_cheap() {
     .unwrap();
     // 5 empty fences over 4 internode ranks should stay well under a ms.
     assert!(report.final_time.as_micros_f64() < 1000.0);
+}
+
+/// A fence epoch the stall watchdog cancels takes its per-sequence record
+/// with it, and what arrives for that sequence afterwards — here the
+/// announcements and the put a transient partition held back until after
+/// the cancellation — is dropped instead of re-creating the record for the
+/// life of the window.
+#[test]
+fn cancelled_fence_retires_its_record_and_late_arrivals_are_dropped() {
+    let mut plan = FaultPlan::none(5);
+    plan.partitions.push(Partition {
+        a: Rank(0),
+        b: Rank(2),
+        from: SimTime::from_micros(50),
+        until: SimTime::from_millis(2),
+    });
+    let mut cfg = JobConfig::all_internode(3)
+        .with_reliability()
+        .with_watchdog(SimTime::from_micros(500));
+    cfg.net.faults = Some(plan);
+    let report = run_job(cfg, |env| {
+        let (me, n) = (env.rank().idx(), env.n_ranks());
+        let win = env.win_allocate(8).unwrap();
+        env.barrier().unwrap();
+        env.compute(SimTime::from_micros(100)); // step past the cut
+        env.fence(win).unwrap();
+        // 2 → 0 crosses the partition, as do 0's and 2's announcements to
+        // each other; the retransmit sublayer lands them after the heal.
+        env.put(win, Rank((me + 1) % n), 0, &[me as u8 + 1; 8]).unwrap();
+        let closed = env.ifence(win).unwrap();
+        env.wait(closed).unwrap(); // ranks 0 and 2: via the watchdog
+        // Per-channel order: ranks 0 and 2 hear each other's barrier
+        // message across the healed link behind the late fence traffic.
+        env.barrier().unwrap();
+        assert!(me == 1 || env.now() > SimTime::from_millis(2));
+        assert_eq!(env.read_local(win, 0, 8).unwrap(), [((me + n - 1) % n) as u8 + 1; 8]);
+        assert_eq!(env.engine().fence_records(env.rank(), win), 0);
+        env.win_free(win).unwrap();
+    })
+    .unwrap();
+    let mut stalled: Vec<(usize, &str)> = report
+        .degradations
+        .iter()
+        .filter_map(|d| match d {
+            Degradation::EpochStall(r) => Some((r.rank.idx(), r.kind)),
+            _ => None,
+        })
+        .collect();
+    stalled.sort_unstable();
+    assert_eq!(stalled, [(0, "fence"), (2, "fence")], "{:?}", report.degradations);
+    assert_eq!(report.live_requests, 0);
 }

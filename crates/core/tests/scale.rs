@@ -1,20 +1,23 @@
-//! Scale test: the neighbour ring at a rank count the dense ω vectors made
-//! impossible (96 B × 8192² = 6.4 GB). `#[ignore]`d — it is a release-mode
-//! test, run by the `scale-smoke` CI job:
+//! Scale tests: the neighbour ring at a rank count the dense ω vectors made
+//! impossible (96 B × 8192² = 6.4 GB), and a collective round (fence halo +
+//! `lock_all`) at a rank count the per-notification completion rescans made
+//! impractical (O(ranks³) host work). `#[ignore]`d — they are release-mode
+//! tests, run one per process by the `scale-smoke` CI job:
 //!
 //! ```sh
-//! cargo test --release --offline -p mpisim-core --test scale -- --ignored --nocapture
+//! cargo test --release --offline -p mpisim-core --test scale -- --ignored --nocapture neighbour_ring
+//! cargo test --release --offline -p mpisim-core --test scale -- --ignored --nocapture collective_round
 //! ```
 //!
-//! `MPISIM_SCALE_RANKS` overrides the rank count; README's ranks/RSS table
-//! is this test's printed row at 512/2048/4096/8192. It is the only test in
-//! this binary, so the process's `VmHWM` is the job's peak.
+//! `MPISIM_SCALE_RANKS` overrides the rank count; README's ranks tables are
+//! these tests' printed rows (ring: 512/2048/4096/8192, collective:
+//! 128/256/512). Run alone, a test's process `VmHWM` is its job's peak.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, WinInfo};
+use mpisim_core::{run_job, Datatype, Group, JobConfig, LockKind, Rank, ReduceOp, WinInfo};
 
 /// The process's peak resident set, MB (Linux only).
 fn vm_hwm_mb() -> Option<f64> {
@@ -70,4 +73,61 @@ fn neighbour_ring_at_8192_ranks_stays_under_512_mb() {
     if let Some(mb) = hwm {
         assert!(mb < 512.0, "peak RSS {mb:.0} MB at {n} ranks");
     }
+}
+
+/// The benchmark's `collective_128` round — two fence-closed halo
+/// iterations, then one `ilock_all` / 8 accumulates / `iunlock_all` — at a
+/// rank count where every rank hears from 511 others per epoch. Prints wall
+/// time and `target_visits` (the exact cost proxy); asserts no wall time.
+#[test]
+#[ignore = "release-mode scale run; see the scale-smoke CI job"]
+fn collective_round_at_512_ranks() {
+    let n: usize = std::env::var("MPISIM_SCALE_RANKS")
+        .map(|v| v.parse().expect("MPISIM_SCALE_RANKS must be a rank count"))
+        .unwrap_or(512);
+    let wrong = Arc::new(AtomicUsize::new(0));
+    let bad = wrong.clone();
+    let t = Instant::now();
+    let report = run_job(JobConfig::new(n), move |env| {
+        let win = env.win_allocate(24).unwrap();
+        let me = env.rank().idx();
+        let (left, right) = ((me + n - 1) % n, (me + 1) % n);
+        env.fence(win).unwrap();
+        for i in 0..2u64 {
+            let v = ((me as u64) << 8 | i).to_le_bytes();
+            env.put(win, Rank(left), 8, &v).unwrap();
+            env.put(win, Rank(right), 0, &v).unwrap();
+            let closed = env.ifence(win).unwrap();
+            env.wait(closed).unwrap();
+        }
+        env.barrier().unwrap();
+        let mut pending = vec![env.ilock_all(win).unwrap()];
+        for a in 1..=8 {
+            let one = 1u64.to_le_bytes();
+            env.accumulate(win, Rank((me + a) % n), 16, Datatype::U64, ReduceOp::Sum, &one)
+                .unwrap();
+        }
+        pending.push(env.iunlock_all(win).unwrap());
+        env.wait_all(pending).unwrap();
+        env.barrier().unwrap();
+        let word = |r: usize| ((r as u64) << 8 | 1).to_le_bytes();
+        let want = [word(left), word(right), 8u64.to_le_bytes()].concat();
+        if env.read_local(win, 0, 24).unwrap() != want {
+            bad.fetch_add(1, Ordering::Relaxed);
+        }
+        env.win_free(win).unwrap();
+    })
+    .unwrap();
+    let wall = t.elapsed();
+    assert!(report.is_clean(), "{:?}", report.degradations);
+    assert_eq!(report.live_requests, 0);
+    assert_eq!(wrong.load(Ordering::Relaxed), 0, "ranks with wrong window contents");
+    println!(
+        "| {n} | {:.2} | {} | {} | {} | {:.3} |",
+        wall.as_secs_f64(),
+        vm_hwm_mb().map_or("n/a".into(), |m| format!("{m:.0}")),
+        report.net.msgs_sent,
+        report.engine.target_visits,
+        report.final_time.as_secs_f64() * 1e3,
+    );
 }
