@@ -27,7 +27,7 @@ use mpisim_sim::{ProcCtx, Signal, SimTime};
 use crate::config::WinInfo;
 use crate::datatype::{Datatype, ReduceOp};
 use crate::engine::{Engine, RankStats};
-use crate::epoch::OpKind;
+use crate::epoch::{EpochKind, OpKind, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{FetchKind, Layout};
 use crate::types::{Group, LockKind, Rank, Req, WinId};
@@ -220,15 +220,31 @@ impl<'a> RankEnv<'a> {
     }
 
     // ------------------------------------------------------------------
-    // fence epochs
+    // epochs and flushes: every routine is one engine call, wrapped as an
+    // opening (returns at once), a nonblocking `i` call (returns the
+    // request) or its blocking twin (waits on that request)
     // ------------------------------------------------------------------
+
+    /// A blocking routine: make the nonblocking call `f`, then wait on the
+    /// request it returns.
+    fn blocking(&self, f: impl FnOnce() -> RmaResult<Req>) -> RmaResult<()> {
+        self.timed(|| self.wait_inner(f()?).map(|_| ()))
+    }
+
+    /// An epoch-opening routine. All are nonblocking at middleware level.
+    fn opening(&self, win: WinId, kind: EpochKind) -> RmaResult<()> {
+        self.timed(|| self.eng.open_epoch(self.rank, win, kind))
+    }
+
+    /// The `i` variant of an opening routine: the same call plus a dummy
+    /// request, complete at creation (§VII.C).
+    fn with_dummy_req(&self, opened: RmaResult<()>) -> RmaResult<Req> {
+        opened.map(|()| self.eng.dummy_open_req())
+    }
 
     /// Blocking `MPI_WIN_FENCE`.
     pub fn fence(&self, win: WinId) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.fence(self.rank, win)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.fence(self.rank, win))
     }
 
     /// `MPI_WIN_IFENCE` (§V): returns the closing request.
@@ -236,62 +252,46 @@ impl<'a> RankEnv<'a> {
         self.timed(|| self.eng.fence(self.rank, win))
     }
 
-    // ------------------------------------------------------------------
-    // GATS epochs
-    // ------------------------------------------------------------------
-
     /// `MPI_WIN_START` (nonblocking by design in modern MPIs).
     pub fn start(&self, win: WinId, group: Group) -> RmaResult<()> {
-        self.timed(|| self.eng.open_gats_access(self.rank, win, group))
+        self.opening(win, EpochKind::GatsAccess { group })
     }
 
     /// `MPI_WIN_ISTART`: identical to [`RankEnv::start`] plus a dummy
     /// completed request (§VII.C).
     pub fn istart(&self, win: WinId, group: Group) -> RmaResult<Req> {
-        self.timed(|| {
-            self.eng.open_gats_access(self.rank, win, group)?;
-            Ok(self.eng.dummy_open_req())
-        })
+        self.with_dummy_req(self.start(win, group))
     }
 
     /// `MPI_WIN_POST` (already nonblocking in MPI-3.0).
     pub fn post(&self, win: WinId, group: Group) -> RmaResult<()> {
-        self.timed(|| self.eng.open_exposure(self.rank, win, group))
+        self.opening(win, EpochKind::GatsExposure { group })
     }
 
     /// `MPI_WIN_IPOST`: provided for uniformity (§V).
     pub fn ipost(&self, win: WinId, group: Group) -> RmaResult<Req> {
-        self.timed(|| {
-            self.eng.open_exposure(self.rank, win, group)?;
-            Ok(self.eng.dummy_open_req())
-        })
+        self.with_dummy_req(self.post(win, group))
     }
 
     /// Blocking `MPI_WIN_COMPLETE`.
     pub fn complete(&self, win: WinId) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.close_gats_access(self.rank, win)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.close_epoch(self.rank, win, Slot::GatsAccess))
     }
 
     /// `MPI_WIN_ICOMPLETE` (§V).
     pub fn icomplete(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.close_gats_access(self.rank, win))
+        self.timed(|| self.eng.close_epoch(self.rank, win, Slot::GatsAccess))
     }
 
     /// Blocking `MPI_WIN_WAIT`.
     pub fn wait_epoch(&self, win: WinId) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.close_exposure(self.rank, win)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.close_epoch(self.rank, win, Slot::Exposure))
     }
 
     /// `MPI_WIN_IWAIT` (§V): unlike `MPI_WIN_TEST`, this closes the epoch
     /// immediately, so a subsequent exposure can be opened wait-free.
     pub fn iwait(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.close_exposure(self.rank, win))
+        self.timed(|| self.eng.close_epoch(self.rank, win, Slot::Exposure))
     }
 
     /// `MPI_WIN_TEST`: nonblocking check that closes the exposure epoch
@@ -300,74 +300,51 @@ impl<'a> RankEnv<'a> {
         self.timed(|| self.eng.test_exposure(self.rank, win))
     }
 
-    // ------------------------------------------------------------------
-    // passive-target epochs
-    // ------------------------------------------------------------------
-
     /// Blocking `MPI_WIN_LOCK` (returns when the epoch is open at the
     /// application level; acquisition happens inside the middleware).
-    pub fn lock(&self, win: WinId, target: Rank, kind: LockKind) -> RmaResult<()> {
-        self.timed(|| self.eng.open_lock(self.rank, win, target, kind))
+    pub fn lock(&self, win: WinId, target: Rank, lock: LockKind) -> RmaResult<()> {
+        self.opening(win, EpochKind::Lock { target, lock })
     }
 
     /// `MPI_WIN_ILOCK` (§V).
-    pub fn ilock(&self, win: WinId, target: Rank, kind: LockKind) -> RmaResult<Req> {
-        self.timed(|| {
-            self.eng.open_lock(self.rank, win, target, kind)?;
-            Ok(self.eng.dummy_open_req())
-        })
+    pub fn ilock(&self, win: WinId, target: Rank, lock: LockKind) -> RmaResult<Req> {
+        self.with_dummy_req(self.lock(win, target, lock))
     }
 
     /// Blocking `MPI_WIN_UNLOCK`: returns when every RMA op of the epoch
     /// completed locally and remotely and the lock is released.
     pub fn unlock(&self, win: WinId, target: Rank) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.close_lock(self.rank, win, target)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.close_epoch(self.rank, win, Slot::Lock(target)))
     }
 
     /// `MPI_WIN_IUNLOCK` (§V).
     pub fn iunlock(&self, win: WinId, target: Rank) -> RmaResult<Req> {
-        self.timed(|| self.eng.close_lock(self.rank, win, target))
+        self.timed(|| self.eng.close_epoch(self.rank, win, Slot::Lock(target)))
     }
 
     /// Blocking `MPI_WIN_LOCK_ALL`.
     pub fn lock_all(&self, win: WinId) -> RmaResult<()> {
-        self.timed(|| self.eng.open_lock_all(self.rank, win))
+        self.opening(win, EpochKind::LockAll)
     }
 
     /// `MPI_WIN_ILOCK_ALL` (§V).
     pub fn ilock_all(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| {
-            self.eng.open_lock_all(self.rank, win)?;
-            Ok(self.eng.dummy_open_req())
-        })
+        self.with_dummy_req(self.lock_all(win))
     }
 
     /// Blocking `MPI_WIN_UNLOCK_ALL`.
     pub fn unlock_all(&self, win: WinId) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.close_lock_all(self.rank, win)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.close_epoch(self.rank, win, Slot::LockAll))
     }
 
     /// `MPI_WIN_IUNLOCK_ALL` (§V).
     pub fn iunlock_all(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.close_lock_all(self.rank, win))
+        self.timed(|| self.eng.close_epoch(self.rank, win, Slot::LockAll))
     }
-
-    // ------------------------------------------------------------------
-    // flush family
-    // ------------------------------------------------------------------
 
     /// Blocking `MPI_WIN_FLUSH` toward one target.
     pub fn flush(&self, win: WinId, target: Rank) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.iflush(self.rank, win, Some(target), false)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.iflush(self.rank, win, Some(target), false))
     }
 
     /// `MPI_WIN_IFLUSH` (§V).
@@ -377,10 +354,7 @@ impl<'a> RankEnv<'a> {
 
     /// Blocking `MPI_WIN_FLUSH_LOCAL`.
     pub fn flush_local(&self, win: WinId, target: Rank) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.iflush(self.rank, win, Some(target), true)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.iflush(self.rank, win, Some(target), true))
     }
 
     /// `MPI_WIN_IFLUSH_LOCAL` (§V).
@@ -390,10 +364,7 @@ impl<'a> RankEnv<'a> {
 
     /// Blocking `MPI_WIN_FLUSH_ALL`.
     pub fn flush_all(&self, win: WinId) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.iflush(self.rank, win, None, false)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.iflush(self.rank, win, None, false))
     }
 
     /// `MPI_WIN_IFLUSH_ALL` (§V).
@@ -403,10 +374,7 @@ impl<'a> RankEnv<'a> {
 
     /// Blocking `MPI_WIN_FLUSH_LOCAL_ALL`.
     pub fn flush_local_all(&self, win: WinId) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.iflush(self.rank, win, None, true)?;
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| self.eng.iflush(self.rank, win, None, true))
     }
 
     /// `MPI_WIN_IFLUSH_LOCAL_ALL` (§V).
@@ -719,10 +687,7 @@ impl<'a> RankEnv<'a> {
 
     /// Blocking dissemination barrier over all ranks.
     pub fn barrier(&self) -> RmaResult<()> {
-        self.timed(|| {
-            let r = self.eng.ibarrier(self.rank);
-            self.wait_inner(r).map(|_| ())
-        })
+        self.blocking(|| Ok(self.eng.ibarrier(self.rank)))
     }
 
     /// Nonblocking barrier.

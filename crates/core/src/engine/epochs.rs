@@ -1,182 +1,140 @@
-//! Epoch lifecycle: opening, closing, the activation predicate of §VI, the
-//! deferred-epoch activation scan of §VII.A, and completion detection.
+//! The engine's side of the epoch lifecycle (DESIGN.md §4.5): the one open
+//! edge ([`Engine::open_epoch`]), the one close edge
+//! ([`Engine::close_epoch`]; a fence call is a close plus an open), the
+//! activation predicate of §VI with the deferred-epoch scan of §VII.A,
+//! completion detection, and the one finish edge
+//! ([`Engine::finish_epoch`]).
 
 use std::sync::Arc;
 
 use mpisim_net::Packet;
 
+use crate::engine::rel::Degradation;
+use crate::engine::watchdog::StallReport;
 use crate::engine::{EngState, Engine};
-use crate::epoch::{EpochKind, Side};
+use crate::epoch::{EpochKind, Side, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{Body, SyncPacket};
 use crate::request::ReqKind;
-use crate::types::{EpochId, Group, LockKind, Rank, Req, WinId};
+use crate::types::{EpochId, LockKind, Rank, Req, WinId};
+
+/// How an epoch's internal lifetime ended.
+pub(crate) enum Outcome {
+    /// Its completion conditions hold.
+    Completed,
+    /// It overstayed the stall watchdog's budget after its close.
+    Cancelled(StallReport),
+    /// A dormant trailing fence, retired unclosed at `win_free`.
+    DormantRetired,
+}
 
 impl Engine {
     // ------------------------------------------------------------------
-    // opening routines (all nonblocking at middleware level; §VII.C: the
-    // application-level request for an opening routine is a dummy)
+    // the application-level edges: open and close
     // ------------------------------------------------------------------
 
-    /// `MPI_WIN_START` / `MPI_WIN_ISTART`: open a GATS access epoch.
-    pub fn open_gats_access(self: &Arc<Self>, rank: Rank, win: WinId, group: Group) -> RmaResult<()> {
+    /// Every epoch-opening routine but fence (`MPI_WIN_START`, `POST`,
+    /// `LOCK`, `LOCK_ALL` and their `I` variants): open an epoch of `kind`.
+    /// Nonblocking at middleware level (§VII.C: the application-level
+    /// request of an opening routine is a dummy).
+    pub fn open_epoch(self: &Arc<Self>, rank: Rank, win: WinId, kind: EpochKind) -> RmaResult<()> {
         {
             let mut st = self.st.lock();
-            self.check_fence_conflict(&st, rank, win, "start")?;
-            let w = st.win_mut(win, rank);
-            if w.cur_gats_access.is_some() {
-                return Err(RmaError::AlreadyInEpoch { called: "start" });
+            if let EpochKind::Lock { target, .. } = kind {
+                if target.idx() >= self.cfg.n_ranks {
+                    return Err(RmaError::InvalidRank(target.idx()));
+                }
             }
-            if !w.open_locks.is_empty() || w.cur_lock_all.is_some() {
-                return Err(RmaError::AlreadyInEpoch { called: "start" });
-            }
-            let id = w.alloc_epoch_id();
-            let e = w.new_epoch(id, EpochKind::GatsAccess { group });
-            w.push_epoch(e);
-            w.cur_gats_access = Some(id);
-            st.eng_stats.epochs_opened += 1;
-            self.trace_event(&mut st, rank, win, id, crate::trace::EpochEvent::Opened);
-            st.mark_act_dirty(rank, win);
+            st.win(win, rank).check_open(Some(kind.slot()))?;
+            self.open_in(&mut st, rank, win, kind);
         }
         self.sweep(rank);
         Ok(())
     }
 
-    /// `MPI_WIN_POST` / `MPI_WIN_IPOST`: open an exposure epoch.
-    pub fn open_exposure(self: &Arc<Self>, rank: Rank, win: WinId, group: Group) -> RmaResult<()> {
-        {
-            let mut st = self.st.lock();
-            self.check_fence_conflict(&st, rank, win, "post")?;
-            let w = st.win_mut(win, rank);
-            if w.cur_exposure.is_some() {
-                return Err(RmaError::AlreadyInEpoch { called: "post" });
-            }
-            let id = w.alloc_epoch_id();
-            let e = w.new_epoch(id, EpochKind::GatsExposure { group });
-            w.push_epoch(e);
-            w.cur_exposure = Some(id);
-            st.eng_stats.epochs_opened += 1;
-            self.trace_event(&mut st, rank, win, id, crate::trace::EpochEvent::Opened);
-            st.mark_act_dirty(rank, win);
-        }
+    /// Every epoch-closing routine but fence (`MPI_WIN_COMPLETE`, `WAIT`,
+    /// `UNLOCK`, `UNLOCK_ALL` and their `I` variants): close the epoch open
+    /// in `slot` and return the closing request; the blocking variants wait
+    /// on it in the API layer.
+    pub fn close_epoch(self: &Arc<Self>, rank: Rank, win: WinId, slot: Slot) -> RmaResult<Req> {
+        let req = self.close_in(&mut self.st.lock(), rank, win, slot)?;
         self.sweep(rank);
-        Ok(())
+        Ok(req)
     }
 
-    /// `MPI_WIN_LOCK` / `MPI_WIN_ILOCK`: open a single-target passive epoch.
-    pub fn open_lock(
-        self: &Arc<Self>,
-        rank: Rank,
-        win: WinId,
-        target: Rank,
-        lock: LockKind,
-    ) -> RmaResult<()> {
-        {
-            let mut st = self.st.lock();
-            if target.idx() >= self.cfg.n_ranks {
-                return Err(RmaError::InvalidRank(target.idx()));
-            }
-            self.check_fence_conflict(&st, rank, win, "lock")?;
-            let lazy = self.lazy();
-            let w = st.win_mut(win, rank);
-            if w.open_locks.contains_key(&target)
-                || w.cur_lock_all.is_some()
-                || w.cur_gats_access.is_some()
-            {
-                return Err(RmaError::AlreadyInEpoch { called: "lock" });
-            }
-            let id = w.alloc_epoch_id();
-            let mut e = w.new_epoch(id, EpochKind::Lock { target, lock });
-            // Lazy baseline: the whole epoch is deferred until `unlock`
-            // (MVAPICH's lazy lock acquisition, §VIII.A).
-            e.lazy_hold = lazy;
-            w.push_epoch(e);
-            w.open_locks.insert(target, id);
-            st.eng_stats.epochs_opened += 1;
-            self.trace_event(&mut st, rank, win, id, crate::trace::EpochEvent::Opened);
-            st.mark_act_dirty(rank, win);
-        }
-        self.sweep(rank);
-        Ok(())
-    }
-
-    /// `MPI_WIN_LOCK_ALL` / `MPI_WIN_ILOCK_ALL`.
-    pub fn open_lock_all(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<()> {
-        {
-            let mut st = self.st.lock();
-            self.check_fence_conflict(&st, rank, win, "lock_all")?;
-            let lazy = self.lazy();
-            let w = st.win_mut(win, rank);
-            if !w.open_locks.is_empty()
-                || w.cur_lock_all.is_some()
-                || w.cur_gats_access.is_some()
-            {
-                return Err(RmaError::AlreadyInEpoch { called: "lock_all" });
-            }
-            let id = w.alloc_epoch_id();
-            let mut e = w.new_epoch(id, EpochKind::LockAll);
-            e.lazy_hold = lazy;
-            w.push_epoch(e);
-            w.cur_lock_all = Some(id);
-            st.eng_stats.epochs_opened += 1;
-            self.trace_event(&mut st, rank, win, id, crate::trace::EpochEvent::Opened);
-            st.mark_act_dirty(rank, win);
-        }
-        self.sweep(rank);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // closing routines — nonblocking primitives returning the closing
-    // request; the blocking variants wait on it in the API layer
-    // ------------------------------------------------------------------
-
-    /// `MPI_WIN_ICOMPLETE` (and the internals of `MPI_WIN_COMPLETE`).
-    pub fn close_gats_access(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<Req> {
+    /// `MPI_WIN_IFENCE` (and the internals of `MPI_WIN_FENCE`): close the
+    /// open fence epoch, open the next one, and return the closing request
+    /// (a dummy completed request if this fence only opens).
+    pub fn fence(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<Req> {
         let req = {
             let mut st = self.st.lock();
+            let w = st.win(win, rank);
+            w.check_open(Some(Slot::Fence))?;
+            let req = if w.open.contains_key(&Slot::Fence) {
+                self.close_in(&mut st, rank, win, Slot::Fence)?
+            } else {
+                // An opening-only fence completes immediately (§VII.C).
+                st.reqs.alloc_done(ReqKind::EpochOpen)
+            };
             let w = st.win_mut(win, rank);
-            let id = w
-                .cur_gats_access
-                .take()
-                .ok_or(RmaError::EpochMismatch { called: "complete" })?;
-            let req = st.reqs.alloc(ReqKind::EpochClose);
-            let now = self.sim.now();
-            let e = st.win_mut(win, rank).epoch_mut(id);
-            e.closed = true;
-            e.closed_at = Some(now);
-            e.close_req = Some(req);
-            self.trace_event(&mut st, rank, win, id, crate::trace::EpochEvent::Closed);
-            st.mark_ops_dirty(rank, win, id);
-            st.mark_complete_dirty(rank, win, id);
-            self.watch_epoch(&mut st, rank, win, id);
+            let seq = w.next_fence_seq;
+            w.next_fence_seq += 1;
+            self.open_in(&mut st, rank, win, EpochKind::Fence { seq });
             req
         };
         self.sweep(rank);
         Ok(req)
     }
 
-    /// `MPI_WIN_IWAIT` (and the internals of `MPI_WIN_WAIT`).
-    pub fn close_exposure(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<Req> {
-        let req = {
-            let mut st = self.st.lock();
-            let w = st.win_mut(win, rank);
-            let id = w
-                .cur_exposure
-                .take()
-                .ok_or(RmaError::EpochMismatch { called: "wait" })?;
-            let req = st.reqs.alloc(ReqKind::EpochClose);
-            let now = self.sim.now();
-            let e = st.win_mut(win, rank).epoch_mut(id);
-            e.closed = true;
-            e.closed_at = Some(now);
-            e.close_req = Some(req);
-            self.trace_event(&mut st, rank, win, id, crate::trace::EpochEvent::Closed);
-            st.mark_complete_dirty(rank, win, id);
-            self.watch_epoch(&mut st, rank, win, id);
-            req
-        };
-        self.sweep(rank);
+    /// The open edge (the caller checked for conflicts): enter a new epoch
+    /// of `kind` in the window side and queue an activation scan. Under the
+    /// lazy baseline a passive-target epoch is held back whole until its
+    /// closing call (MVAPICH's lazy lock acquisition, §VIII.A).
+    fn open_in(&self, st: &mut EngState, rank: Rank, win: WinId, kind: EpochKind) {
+        let e = st.win_mut(win, rank).open_epoch(kind);
+        if self.lazy() && e.kind.is_passive() {
+            e.hold_lazily();
+        }
+        let id = e.id;
+        st.eng_stats.epochs_opened += 1;
+        self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Opened);
+        st.mark_act_dirty(rank, win);
+    }
+
+    /// The close edge: vacate `slot`, stamp the epoch closed with a fresh
+    /// closing request, and queue the work the close unblocks — issuing
+    /// recorded ops (an exposure has none), completion detection, the
+    /// activation of a lazily held passive epoch — and put it on the stall
+    /// watch.
+    fn close_in(
+        self: &Arc<Self>,
+        st: &mut EngState,
+        rank: Rank,
+        win: WinId,
+        slot: Slot,
+    ) -> RmaResult<Req> {
+        let id = st
+            .win_mut(win, rank)
+            .open
+            .remove(&slot)
+            .ok_or(RmaError::EpochMismatch { called: slot.routines().1 })?;
+        let req = st.reqs.alloc(ReqKind::EpochClose);
+        let now = self.sim.now();
+        st.win_mut(win, rank).epoch_mut(id).close(req);
+        self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Closed);
+        if slot != Slot::Exposure {
+            st.mark_ops_dirty(rank, win, id);
+        }
+        st.mark_complete_dirty(rank, win, id);
+        if slot.is_passive() {
+            st.mark_act_dirty(rank, win);
+        }
+        // The stall watchdog's list holds exactly the closed epochs awaiting
+        // completion, so a tick never scans all windows × ranks.
+        if self.cfg.watchdog.is_some() {
+            st.stall_watch.push((win, rank, id, now));
+            self.arm_watchdog(st);
+        }
         Ok(req)
     }
 
@@ -184,78 +142,24 @@ impl Engine {
     /// epoch *without* closing it unless complete. Returns `Ok(true)` and
     /// closes the epoch if its completion conditions hold.
     pub fn test_exposure(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<bool> {
-        let st = self.st.lock();
-        let w = st.win(win, rank);
-        let id = w
-            .cur_exposure
-            .ok_or(RmaError::EpochMismatch { called: "test" })?;
-        let e = w.epoch(id);
-        debug_assert!(self.exposure_tally_matches_scan(&st, rank, win, id));
-        let done = e.activated && e.announce_left() == 0;
-        if done {
-            drop(st);
-            let req = self.close_exposure(rank, win)?;
-            let mut st = self.st.lock();
-            debug_assert!(st.reqs.is_done(req).unwrap());
-            st.reqs.consume(req)?;
-            Ok(true)
-        } else {
-            Ok(false)
+        {
+            let st = self.st.lock();
+            let w = st.win(win, rank);
+            let id = *w
+                .open
+                .get(&Slot::Exposure)
+                .ok_or(RmaError::EpochMismatch { called: "test" })?;
+            debug_assert!(self.exposure_tally_matches_scan(&st, rank, win, id));
+            let e = w.epoch(id);
+            if !e.is_active() || e.announce_left() > 0 {
+                return Ok(false);
+            }
         }
-    }
-
-    /// `MPI_WIN_IUNLOCK` (and the internals of `MPI_WIN_UNLOCK`).
-    pub fn close_lock(self: &Arc<Self>, rank: Rank, win: WinId, target: Rank) -> RmaResult<Req> {
-        let req = {
-            let mut st = self.st.lock();
-            let w = st.win_mut(win, rank);
-            let id = w
-                .open_locks
-                .remove(&target)
-                .ok_or(RmaError::EpochMismatch { called: "unlock" })?;
-            let req = st.reqs.alloc(ReqKind::EpochClose);
-            let now = self.sim.now();
-            let e = st.win_mut(win, rank).epoch_mut(id);
-            e.closed = true;
-            e.closed_at = Some(now);
-            e.close_req = Some(req);
-            e.lazy_hold = false; // lazy baseline: now the epoch may activate
-            self.trace_event(&mut st, rank, win, id, crate::trace::EpochEvent::Closed);
-            st.mark_ops_dirty(rank, win, id);
-            st.mark_complete_dirty(rank, win, id);
-            st.mark_act_dirty(rank, win);
-            self.watch_epoch(&mut st, rank, win, id);
-            req
-        };
-        self.sweep(rank);
-        Ok(req)
-    }
-
-    /// `MPI_WIN_IUNLOCK_ALL` (and the internals of `MPI_WIN_UNLOCK_ALL`).
-    pub fn close_lock_all(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<Req> {
-        let req = {
-            let mut st = self.st.lock();
-            let w = st.win_mut(win, rank);
-            let id = w
-                .cur_lock_all
-                .take()
-                .ok_or(RmaError::EpochMismatch { called: "unlock_all" })?;
-            let req = st.reqs.alloc(ReqKind::EpochClose);
-            let now = self.sim.now();
-            let e = st.win_mut(win, rank).epoch_mut(id);
-            e.closed = true;
-            e.closed_at = Some(now);
-            e.close_req = Some(req);
-            e.lazy_hold = false;
-            self.trace_event(&mut st, rank, win, id, crate::trace::EpochEvent::Closed);
-            st.mark_ops_dirty(rank, win, id);
-            st.mark_complete_dirty(rank, win, id);
-            st.mark_act_dirty(rank, win);
-            self.watch_epoch(&mut st, rank, win, id);
-            req
-        };
-        self.sweep(rank);
-        Ok(req)
+        let req = self.close_epoch(rank, win, Slot::Exposure)?;
+        let mut st = self.st.lock();
+        debug_assert!(st.reqs.is_done(req).unwrap());
+        st.reqs.consume(req)?;
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -289,7 +193,7 @@ impl Engine {
             if !w.epochs.contains_key(&id.0) {
                 continue; // retired during this scan
             }
-            if w.epoch(id).activated {
+            if w.epoch(id).is_active() {
                 continue;
             }
             if self.can_activate(st, rank, win, id) {
@@ -319,7 +223,7 @@ impl Engine {
     fn can_activate(&self, st: &EngState, rank: Rank, win: WinId, id: EpochId) -> bool {
         let w = st.win(win, rank);
         let e = w.epoch(id);
-        if e.lazy_hold && !e.closed {
+        if e.is_held() {
             return false;
         }
         let pos = w
@@ -329,7 +233,7 @@ impl Engine {
             .expect("epoch missing from order");
         let skips_closed = |p: EpochId| {
             e.opened_in_fence == Some(p)
-                && Self::is_empty_fence(w.epoch(p))
+                && w.epoch(p).is_empty_fence()
                 && w.order.iter().skip(pos).map(|q| w.epoch(*q)).any(|q| {
                     q.opened_in_fence == Some(p) && !q.kind.is_passive()
                 })
@@ -337,12 +241,12 @@ impl Engine {
         let prev_id = (0..pos)
             .rev()
             .map(|i| w.order[i])
-            .find(|p| !(Self::is_dormant_fence(w.epoch(*p)) || skips_closed(*p)));
+            .find(|p| !(w.epoch(*p).is_dormant_fence() || skips_closed(*p)));
         match prev_id {
             None => true,
             Some(prev_id) => {
                 let prev = w.epoch(prev_id);
-                if !prev.activated {
+                if !prev.is_active() {
                     return false; // rule 4: epochs are never skipped
                 }
                 // MPI requires concurrently *open* lock epochs toward
@@ -357,7 +261,7 @@ impl Engine {
                     EpochKind::Lock { target: t2, .. },
                 ) = (&prev.kind, &e.kind)
                 {
-                    if t1 != t2 && !prev.closed {
+                    if t1 != t2 && !prev.is_closed() {
                         return true;
                     }
                 }
@@ -416,8 +320,7 @@ impl Engine {
     fn activate_epoch(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
         let kind = {
             let e = st.win_mut(win, rank).epoch_mut(id);
-            debug_assert!(!e.activated);
-            e.activated = true;
+            e.activate();
             e.kind.clone()
         };
         st.eng_stats.epochs_activated += 1;
@@ -443,40 +346,15 @@ impl Engine {
                     );
                 }
                 st.mark_ops_dirty(rank, win, id);
-                st.mark_complete_dirty(rank, win, id);
             }
-            EpochKind::Lock { target, lock } => {
-                let w = st.win_mut(win, rank);
-                let po = w.omega.peer_mut(target);
-                po.a_lock += 1;
-                let aid = po.a_lock;
-                w.epoch_mut(id).assign(target, aid, false, internode(target));
-                self.sync_event(
-                    st,
-                    rank,
-                    target,
-                    win,
-                    crate::trace::Plane::Lock,
-                    crate::trace::SyncEvent::AccessAssigned { epoch: id.0, id: aid },
-                );
-                let sp = match lock {
-                    LockKind::Exclusive => SyncPacket::LockReqExcl {
-                        win,
-                        origin: rank,
-                        access_id: aid,
-                    },
-                    LockKind::Shared => SyncPacket::LockReqShared {
-                        win,
-                        origin: rank,
-                        access_id: aid,
-                    },
+            // A passive-target epoch requests its lock from the one target,
+            // or a shared lock from every rank.
+            EpochKind::Lock { .. } | EpochKind::LockAll => {
+                let (targets, lock) = match kind {
+                    EpochKind::Lock { target, lock } => (target.idx()..target.idx() + 1, lock),
+                    _ => (0..self.cfg.n_ranks, LockKind::Shared),
                 };
-                self.send_sync(st, rank, target, win, sp);
-                st.mark_complete_dirty(rank, win, id);
-            }
-            EpochKind::LockAll => {
-                for t in 0..self.cfg.n_ranks {
-                    let t = Rank(t);
+                for t in targets.map(Rank) {
                     let w = st.win_mut(win, rank);
                     let po = w.omega.peer_mut(t);
                     po.a_lock += 1;
@@ -492,19 +370,16 @@ impl Engine {
                         crate::trace::Plane::Lock,
                         crate::trace::SyncEvent::AccessAssigned { epoch: id.0, id: aid },
                     );
-                    self.send_sync(
-                        st,
-                        rank,
-                        t,
-                        win,
-                        SyncPacket::LockReqShared {
-                            win,
-                            origin: rank,
-                            access_id: aid,
-                        },
-                    );
+                    let sp = match lock {
+                        LockKind::Exclusive => {
+                            SyncPacket::LockReqExcl { win, origin: rank, access_id: aid }
+                        }
+                        LockKind::Shared => {
+                            SyncPacket::LockReqShared { win, origin: rank, access_id: aid }
+                        }
+                    };
+                    self.send_sync(st, rank, t, win, sp);
                 }
-                st.mark_complete_dirty(rank, win, id);
             }
             EpochKind::GatsExposure { group } => {
                 for o in group.ranks() {
@@ -521,7 +396,6 @@ impl Engine {
                 }
                 // Emitting the grants is lock/grant-sequencing work.
                 st.mark_lock_backlog(rank, win);
-                st.mark_complete_dirty(rank, win, id);
             }
             EpochKind::Fence { .. } => {
                 // A fence epoch is an access epoch toward every rank (self
@@ -533,9 +407,9 @@ impl Engine {
                     e.assign(Rank(t), 0, true, internode(Rank(t)));
                 }
                 st.mark_ops_dirty(rank, win, id);
-                st.mark_complete_dirty(rank, win, id);
             }
         }
+        st.mark_complete_dirty(rank, win, id);
     }
 
     // ------------------------------------------------------------------
@@ -558,19 +432,12 @@ impl Engine {
     ) {
         // Tolerate a freed window (late post-free sweeps, see
         // `activation_scan`) and an already-retired epoch.
-        let live = st.wins[win.0 as usize].per_rank[rank.idx()]
-            .as_ref()
-            .is_some_and(|w| w.epochs.contains_key(&id.0));
-        if !live {
+        let Some(e) = st.live_epoch(win, rank, id).filter(|e| e.is_active()) else {
             return;
-        }
-        let e = st.win(win, rank).epoch(id);
-        if !e.activated || e.complete {
-            return;
-        }
+        };
         debug_assert!(e.counters_match_scan(), "epoch counters out of step: {e:?}");
         debug_assert!(self.exposure_tally_matches_scan(st, rank, win, id));
-        if !e.closed {
+        if !e.is_closed() {
             return;
         }
         let fence_seq = match e.kind {
@@ -585,7 +452,7 @@ impl Engine {
             && e.live_ops().is_empty()
             && fence_seq.is_none_or(|seq| self.fence_heard_all(st, rank, win, seq));
         if done {
-            self.complete_epoch(st, rank, win, id);
+            self.finish_epoch(st, rank, win, id, Outcome::Completed);
         }
     }
 
@@ -663,90 +530,50 @@ impl Engine {
         e.kind.side() != Side::Exposure || e.announce_left() as usize == owed
     }
 
-    /// Mark the epoch internally complete: fire its closing request, retire
-    /// it from the open order, and rescan for newly activatable epochs.
-    pub(crate) fn complete_epoch(
+    /// The finish edge — the one place an epoch's internal lifetime ends:
+    /// flip it to complete, fire the requests it holds, count the outcome,
+    /// trace it, retire it from the open order and rescan for newly
+    /// activatable epochs. Every opened epoch leaves through here exactly
+    /// once, so `opened = completed + cancelled + dormant_retired`.
+    pub(crate) fn finish_epoch(
         self: &Arc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
         id: EpochId,
+        outcome: Outcome,
     ) {
-        let close_req = {
-            let e = st.win_mut(win, rank).epoch_mut(id);
-            e.complete = true;
-            e.close_req
-        };
+        let close_req = st.win_mut(win, rank).epoch_mut(id).finish();
         if let Some(r) = close_req {
             st.reqs.complete(r, None);
         }
-        st.eng_stats.epochs_completed += 1;
-        self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Completed);
-        st.win_mut(win, rank).retire(id);
-        st.mark_act_dirty(rank, win);
-        // Epoch commit is the only globally coherent snapshot instant:
-        // the crash-recovery subsystem both checkpoints and fires planned
-        // crashes here.
-        st.stats[rank.idx()].epochs_committed += 1;
-        if self.recovery_armed() {
-            self.recovery_on_commit(st, rank);
-        }
-    }
-
-    /// Whether `e` is a dormant trailing fence: open, never closed, and
-    /// without any recorded or issued operation.
-    pub(crate) fn is_dormant_fence(e: &crate::epoch::EpochObj) -> bool {
-        !e.closed && Self::is_empty_fence(e)
-    }
-
-    /// Whether `e` is a fence epoch without any recorded or issued
-    /// operation.
-    fn is_empty_fence(e: &crate::epoch::EpochObj) -> bool {
-        matches!(e.kind, EpochKind::Fence { .. })
-            && e.pending_ops.is_empty()
-            && e.live_ops().is_empty()
-            && e.targets()
-                .values()
-                .all(|t| t.data_msgs_sent == 0 && t.unsent == 0)
-    }
-
-    /// Error if a *non-dormant* fence epoch is open: fence phases cannot
-    /// interleave with other epoch kinds. A dormant trailing fence is
-    /// tolerated — it coexists with the next phase and is closed by the
-    /// next fence call (or retired at `win_free`), keeping the collective
-    /// fence sequence aligned on every rank.
-    pub(crate) fn check_fence_conflict(
-        &self,
-        st: &EngState,
-        rank: Rank,
-        win: WinId,
-        called: &'static str,
-    ) -> RmaResult<()> {
-        if let Some(id) = st.win(win, rank).cur_fence {
-            if !Self::is_dormant_fence(st.win(win, rank).epoch(id)) {
-                return Err(RmaError::AlreadyInEpoch { called });
+        let committed = matches!(outcome, Outcome::Completed);
+        match outcome {
+            Outcome::Completed => st.eng_stats.epochs_completed += 1,
+            Outcome::Cancelled(report) => {
+                self.abandon_cancelled(st, rank, win, id);
+                st.eng_stats.epochs_cancelled += 1;
+                st.degradations.push(Degradation::EpochStall(report));
+            }
+            Outcome::DormantRetired => {
+                st.win_mut(win, rank).open.remove(&Slot::Fence);
+                st.eng_stats.dormant_retired += 1;
             }
         }
-        Ok(())
-    }
-
-    /// If the window still holds a dormant trailing fence epoch, retire it
-    /// (used at `win_free`, where no later fence call can exist).
-    pub(crate) fn retire_empty_open_fence(
-        self: &Arc<Self>,
-        st: &mut EngState,
-        rank: Rank,
-        win: WinId,
-    ) {
-        let Some(id) = st.win(win, rank).cur_fence else {
-            return;
-        };
-        if Self::is_dormant_fence(st.win(win, rank).epoch(id)) {
-            let w = st.win_mut(win, rank);
-            w.cur_fence = None;
-            w.retire(id);
-            st.eng_stats.dormant_retired += 1;
-            st.mark_act_dirty(rank, win);
+        // Only a dormant fence finishes unclosed, and it leaves no trace.
+        if close_req.is_some() {
+            self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Completed);
+        }
+        st.win_mut(win, rank).retire(id);
+        st.mark_act_dirty(rank, win);
+        if committed {
+            // Epoch commit is the only globally coherent snapshot instant:
+            // the crash-recovery subsystem both checkpoints and fires
+            // planned crashes here.
+            st.stats[rank.idx()].epochs_committed += 1;
+            if self.recovery_armed() {
+                self.recovery_on_commit(st, rank);
+            }
         }
     }
 }

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use crate::engine::{EngState, Engine};
+use crate::epoch::Slot;
 use crate::error::{RmaError, RmaResult};
 use crate::request::ReqKind;
 use crate::types::{EpochId, Rank, Req, WinId};
@@ -38,26 +39,18 @@ impl Engine {
             let w = st.win(win, rank);
             // Which passive epochs does this flush cover?
             let epochs: Vec<EpochId> = match target {
-                Some(t) => {
-                    let id = w
-                        .open_locks
-                        .get(&t)
-                        .copied()
-                        .or(w.cur_lock_all)
-                        .ok_or(RmaError::NotPassiveEpoch)?;
-                    vec![id]
-                }
-                None => {
-                    let mut v: Vec<EpochId> = w.open_locks.values().copied().collect();
-                    if let Some(id) = w.cur_lock_all {
-                        v.push(id);
-                    }
-                    if v.is_empty() {
-                        return Err(RmaError::NotPassiveEpoch);
-                    }
-                    v
-                }
+                Some(t) => [Slot::Lock(t), Slot::LockAll]
+                    .iter()
+                    .find_map(|slot| w.open.get(slot).copied())
+                    .into_iter()
+                    .collect(),
+                // `Slot`'s order: the single-target locks by rank, then
+                // lock_all.
+                None => w.open.iter().filter(|(s, _)| s.is_passive()).map(|(_, id)| *id).collect(),
             };
+            if epochs.is_empty() {
+                return Err(RmaError::NotPassiveEpoch);
+            }
             // Stamp: the age of the RMA call that immediately precedes.
             let stamp = w.next_age - 1;
             // Completion counter: covered, not-yet-complete RMA calls.
@@ -87,18 +80,8 @@ impl Engine {
             // requires the lock — so the flush forces acquisition (as in
             // MVAPICH, where flush triggers the lazy lock request).
             let mut forced = false;
-            {
-                let w = st.win_mut(win, rank);
-                for id in &epochs {
-                    let e = w.epoch_mut(*id);
-                    if e.lazy_hold {
-                        e.lazy_hold = false;
-                        forced = true;
-                    }
-                    if !e.closed {
-                        e.flush_forced = true;
-                    }
-                }
+            for id in &epochs {
+                forced |= st.win_mut(win, rank).epoch_mut(*id).force_by_flush();
             }
             if forced {
                 st.mark_act_dirty(rank, win);

@@ -294,7 +294,7 @@ impl Engine {
                     }
                 };
                 plane_ok
-                    && e.activated
+                    && e.is_active()
                     && e.targets()
                         .get(&granter)
                         .is_some_and(|ts| ts.access_id == id && !ts.granted)

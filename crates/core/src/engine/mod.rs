@@ -36,6 +36,8 @@ use mpisim_sim::{SimHandle, SimTime};
 use parking_lot::Mutex;
 
 use crate::config::{JobConfig, SyncStrategy};
+use crate::engine::epochs::Outcome;
+use crate::epoch::{EpochObj, Slot};
 use crate::msg::{Body, SyncPacket};
 use crate::request::ReqTable;
 use crate::types::{EpochId, Rank, Req, WinId};
@@ -423,14 +425,14 @@ pub(crate) struct EngState {
     pub crashed: Vec<bool>,
     /// Completed rank-restart episodes, with provenance.
     pub recoveries: Vec<recover::RecoveryReport>,
-    /// Closed-but-incomplete epochs the stall watchdog must inspect,
-    /// appended at every epoch close (only while a watchdog budget is
-    /// configured). A tick scans this list instead of every
-    /// window × rank × epoch in the job, so watchdog cost follows the
-    /// number of in-flight closes, not the rank count; entries for
-    /// epochs that completed or retired in the meantime are dropped
-    /// lazily during the scan.
-    pub stall_watch: Vec<(WinId, Rank, crate::types::EpochId)>,
+    /// Closed-but-incomplete epochs the stall watchdog must inspect, each
+    /// with the virtual time of its close (the budget's anchor), appended
+    /// at every epoch close (only while a watchdog budget is configured).
+    /// A tick scans this list instead of every window × rank × epoch in
+    /// the job, so watchdog cost follows the number of in-flight closes,
+    /// not the rank count; entries for epochs that finished in the
+    /// meantime are dropped lazily during the scan.
+    pub stall_watch: Vec<(WinId, Rank, EpochId, SimTime)>,
 }
 
 impl EngState {
@@ -444,6 +446,13 @@ impl EngState {
         self.wins[w.0 as usize].per_rank[r.idx()]
             .as_mut()
             .expect("window not created at this rank")
+    }
+
+    /// The epoch `id` of `r`'s side of `w`, unless it finished (finished
+    /// epochs leave the map at once, and ids are never reused) or the
+    /// window is gone.
+    pub(crate) fn live_epoch(&self, w: WinId, r: Rank, id: EpochId) -> Option<&EpochObj> {
+        self.wins[w.0 as usize].per_rank[r.idx()].as_ref()?.epochs.get(&id.0)
     }
 
     pub(crate) fn alloc_token(&mut self) -> u64 {
@@ -753,17 +762,14 @@ impl Engine {
     /// open; a trailing empty fence epoch is retired silently.
     pub fn win_free(self: &Arc<Self>, rank: Rank, win: WinId) -> crate::error::RmaResult<()> {
         let mut st = self.st.lock();
-        self.retire_empty_open_fence(&mut st, rank, win);
+        // No later fence call can close a dormant trailing fence any more.
         let w = st.win(win, rank);
-        if w.cur_gats_access.is_some()
-            || w.cur_exposure.is_some()
-            || !w.open_locks.is_empty()
-            || w.cur_lock_all.is_some()
-            || w.cur_fence.is_some()
-            || !w.order.is_empty()
-        {
-            return Err(crate::error::RmaError::AlreadyInEpoch { called: "win_free" });
+        let fence = w.open.get(&Slot::Fence).copied();
+        if let Some(id) = fence.filter(|id| w.epoch(*id).is_dormant_fence()) {
+            self.finish_epoch(&mut st, rank, win, id, Outcome::DormantRetired);
         }
+        let w = st.win(win, rank);
+        w.check_open(None)?;
         debug_assert!(
             w.fences.keys().all(|seq| *seq >= w.next_fence_seq),
             "fence record outlived its epoch: {:?}",

@@ -130,7 +130,7 @@ impl Engine {
         let topo = self.net.topology().clone();
         {
             let e = st.win(win, rank).epoch(eid);
-            if !e.activated {
+            if !e.is_active() {
                 return false;
             }
             // Lazy baseline (§VIII.B): nothing is issued before the
@@ -140,7 +140,7 @@ impl Engine {
             // granted before any internode issue; all targets must be
             // granted before intranode issue.
             if lazy {
-                if !e.closed && !e.flush_forced {
+                if !e.issues_lazily() {
                     return false;
                 }
                 let internode_only = phase == Phase::Internode;

@@ -20,8 +20,7 @@ use std::sync::Arc;
 
 use mpisim_sim::SimTime;
 
-use crate::engine::rel::Degradation;
-use crate::epoch::EpochKind;
+use crate::engine::epochs::Outcome;
 use crate::engine::{EngState, Engine};
 use crate::types::{EpochId, Rank, WinId};
 use crate::window::OmegaTable;
@@ -78,9 +77,9 @@ impl std::fmt::Display for StallReport {
 
 impl Engine {
     /// Arm the stall watchdog (no-op when no budget is configured or a
-    /// tick is already pending). Called at every epoch close (via
-    /// [`Engine::watch_epoch`]) and whenever the reliability sublayer
-    /// abandons a frame.
+    /// tick is already pending). Called at every epoch close, which also
+    /// puts the epoch on the watch list, and whenever the reliability
+    /// sublayer abandons a frame.
     pub(crate) fn arm_watchdog(self: &Arc<Self>, st: &mut EngState) {
         let Some(budget) = self.cfg.watchdog else {
             return;
@@ -91,24 +90,6 @@ impl Engine {
         st.watchdog_armed = true;
         let me = self.clone();
         self.sim.schedule(budget, move || me.watchdog_tick());
-    }
-
-    /// Register a just-closed epoch with the watchdog's watch list and arm
-    /// a tick. Ticks scan only this list — never all windows × ranks — so
-    /// a 4096-rank job pays for the epochs actually awaiting completion,
-    /// not for its size. No-op without a configured budget.
-    pub(crate) fn watch_epoch(
-        self: &Arc<Self>,
-        st: &mut EngState,
-        rank: Rank,
-        win: WinId,
-        id: EpochId,
-    ) {
-        if self.cfg.watchdog.is_none() {
-            return;
-        }
-        st.stall_watch.push((win, rank, id));
-        self.arm_watchdog(st);
     }
 
     /// One watchdog tick: cancel every watched epoch past its budget,
@@ -122,39 +103,26 @@ impl Engine {
             let mut st = self.st.lock();
             st.watchdog_armed = false;
             st.eng_stats.watchdog_ticks += 1;
-            let mut to_cancel: Vec<(Rank, WinId, EpochId)> = Vec::new();
-            {
-                let EngState { stall_watch, wins, .. } = &mut *st;
-                stall_watch.retain(|&(win, rank, id)| {
-                    // A watched epoch may have completed and retired (its
-                    // id vanishes from the map — ids are never reused) or
-                    // completed in place; both drop off the list here.
-                    let Some(wr) = wins[win.0 as usize].per_rank[rank.idx()].as_ref() else {
-                        return false;
-                    };
-                    let Some(e) = wr.epochs.get(&id.0) else {
-                        return false;
-                    };
-                    if e.complete {
-                        return false;
-                    }
-                    debug_assert!(e.closed, "unclosed epoch on the stall watch list");
-                    match e.closed_at {
-                        Some(t) if now >= t + budget => {
-                            to_cancel.push((rank, win, id));
-                            false
-                        }
-                        _ => true,
-                    }
-                });
-            }
-            let still_waiting = !st.stall_watch.is_empty();
-            for (rank, win, id) in to_cancel {
-                self.cancel_epoch(&mut st, rank, win, id);
-                if !touched.contains(&rank) {
-                    touched.push(rank);
+            // One pass over the watch list (cancelling closes nothing, so
+            // nothing is pushed meanwhile): drop what finished on its own,
+            // cancel what is overdue, keep the rest.
+            let mut watch = std::mem::take(&mut st.stall_watch);
+            watch.retain(|&(win, rank, id, closed_at)| {
+                if st.live_epoch(win, rank, id).is_none() {
+                    return false;
                 }
-            }
+                let overdue = now >= closed_at + budget;
+                if overdue {
+                    let report = self.stall_report(&st, rank, win, id, closed_at);
+                    self.finish_epoch(&mut st, rank, win, id, Outcome::Cancelled(report));
+                    if !touched.contains(&rank) {
+                        touched.push(rank);
+                    }
+                }
+                !overdue
+            });
+            let still_waiting = !watch.is_empty();
+            st.stall_watch = watch;
             if still_waiting {
                 self.arm_watchdog(&mut st);
             }
@@ -164,37 +132,42 @@ impl Engine {
         }
     }
 
-    /// Force-terminate a stalled closed epoch: snapshot diagnostics,
-    /// complete its closing request and every op request it still holds,
-    /// retire it, and record the [`Degradation::EpochStall`].
-    pub(crate) fn cancel_epoch(
+    /// Diagnostic snapshot of a stalled closed epoch, taken before
+    /// [`Engine::finish_epoch`] force-terminates it.
+    fn stall_report(
+        &self,
+        st: &EngState,
+        rank: Rank,
+        win: WinId,
+        id: EpochId,
+        closed_at: SimTime,
+    ) -> StallReport {
+        let w = st.win(win, rank);
+        let e = w.epoch(id);
+        StallReport {
+            rank,
+            win,
+            epoch: id.0,
+            kind: e.kind.name(),
+            closed_at,
+            cancelled_at: self.sim.now(),
+            omega: w.omega.clone(),
+            oldest_unacked: st.rel[rank.idx()].oldest_unacked(),
+            live_ops: e.live_ops().len(),
+            pending_ops: e.pending_ops.len(),
+        }
+    }
+
+    /// What a cancelled epoch takes along: complete every op request it
+    /// still holds and settle its lock traffic.
+    pub(crate) fn abandon_cancelled(
         self: &Arc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
         id: EpochId,
     ) {
-        let report = {
-            let w = st.win(win, rank);
-            let e = w.epoch(id);
-            StallReport {
-                rank,
-                win,
-                epoch: id.0,
-                kind: e.kind.name(),
-                closed_at: e.closed_at.unwrap_or(SimTime::ZERO),
-                cancelled_at: self.sim.now(),
-                omega: w.omega.clone(),
-                oldest_unacked: st.rel[rank.idx()].oldest_unacked(),
-                live_ops: e.live_ops().len(),
-                pending_ops: e.pending_ops.len(),
-            }
-        };
-        let (close_req, mut op_reqs) = {
-            let e = st.win_mut(win, rank).epoch_mut(id);
-            e.complete = true;
-            (e.close_req, e.abandon_ops())
-        };
+        let mut op_reqs = st.win_mut(win, rank).epoch_mut(id).abandon_ops();
         // Dedup, then guard each completion: an op request may already be
         // done (request-based puts complete at local completion) or even
         // consumed by the application; completing a live one marks the op
@@ -202,11 +175,6 @@ impl Engine {
         // a consumed (stale) handle must be left alone.
         op_reqs.sort_unstable_by_key(|r| r.0);
         op_reqs.dedup();
-        if let Some(r) = close_req {
-            if st.reqs.is_done(r).is_ok() {
-                st.reqs.complete(r, None);
-            }
-        }
         for r in op_reqs {
             if st.reqs.is_done(r).is_ok() {
                 st.reqs.complete(r, None);
@@ -217,23 +185,21 @@ impl Engine {
         // grants still in flight must be answered when they land (the
         // target's lock manager serialises on them either way).
         let mut release_now: Vec<(Rank, u64)> = Vec::new();
-        {
-            let w = st.win_mut(win, rank);
-            let e = w.epoch(id);
-            if matches!(e.kind, EpochKind::Lock { .. } | EpochKind::LockAll) {
-                let mut owed: Vec<(Rank, u64)> = Vec::new();
-                for (t, ts) in e.targets().iter() {
-                    if ts.access_id == 0 {
-                        continue;
-                    }
-                    if ts.granted && !ts.announced {
-                        release_now.push((*t, ts.access_id));
-                    } else if !ts.granted {
-                        owed.push((*t, ts.access_id));
-                    }
+        let w = st.win_mut(win, rank);
+        let e = w.epoch(id);
+        if e.kind.is_passive() {
+            let mut owed: Vec<(Rank, u64)> = Vec::new();
+            for (t, ts) in e.targets().iter() {
+                if ts.access_id == 0 {
+                    continue;
                 }
-                w.cancelled_lock_grants.extend(owed);
+                if ts.granted && !ts.announced {
+                    release_now.push((*t, ts.access_id));
+                } else if !ts.granted {
+                    owed.push((*t, ts.access_id));
+                }
             }
+            w.cancelled_lock_grants.extend(owed);
         }
         for (t, aid) in release_now {
             self.send_sync(
@@ -244,10 +210,5 @@ impl Engine {
                 crate::msg::SyncPacket::Unlock { win, origin: rank, access_id: aid },
             );
         }
-        st.eng_stats.epochs_cancelled += 1;
-        self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Completed);
-        st.degradations.push(Degradation::EpochStall(report));
-        st.win_mut(win, rank).retire(id);
-        st.mark_act_dirty(rank, win);
     }
 }

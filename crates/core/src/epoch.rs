@@ -1,16 +1,20 @@
-//! Epoch objects — the middleware-side representation of RMA epochs.
+//! Epoch objects — the middleware-side representation of RMA epochs, and
+//! the one place their lifecycle is written.
 //!
-//! Following §VI/§VII of the paper, an epoch distinguishes its
-//! *application-level lifetime* (open → closed) from its *internal
-//! lifetime* (activated → completed). An epoch created while another is
-//! still active stays **deferred**: its RMA calls and even its closing are
-//! *recorded* and replayed when the progress engine activates it.
+//! Following §VI/§VII of the paper, an epoch has two lifetimes: the
+//! *application-level* one (open → closed, `AppState`) and the *internal*
+//! one (deferred → active → complete, `Phase`). They advance
+//! independently — an epoch created while another is still active stays
+//! deferred, and its RMA calls and even its closing are *recorded* and
+//! replayed when the progress engine activates it. Both are private to
+//! [`EpochObj`]: the engine moves them only through the transition methods
+//! (`hold_lazily`, `activate`, `close`, `force_by_flush`, `finish`), each of
+//! which `debug_assert`s that its edge is legal (DESIGN.md §4.5).
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use mpisim_net::Payload;
-use mpisim_sim::SimTime;
 
 use crate::datatype::{Datatype, ReduceOp};
 use crate::msg::FetchKind;
@@ -93,6 +97,104 @@ impl EpochKind {
             EpochKind::Fence { .. } => "fence",
         }
     }
+
+    /// The open-set slot an epoch of this kind occupies while the
+    /// application has it open.
+    pub fn slot(&self) -> Slot {
+        match self {
+            EpochKind::GatsAccess { .. } => Slot::GatsAccess,
+            EpochKind::GatsExposure { .. } => Slot::Exposure,
+            EpochKind::Lock { target, .. } => Slot::Lock(*target),
+            EpochKind::LockAll => Slot::LockAll,
+            EpochKind::Fence { .. } => Slot::Fence,
+        }
+    }
+}
+
+/// Where an application-level open epoch sits in a window side's open set
+/// ([`crate::window::WinRank::open`]): one slot per kind, except that
+/// single-target lock epochs toward distinct targets coexist.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Slot {
+    /// The GATS access epoch (`start` … `complete`).
+    GatsAccess,
+    /// The GATS exposure epoch (`post` … `wait`).
+    Exposure,
+    /// The lock epoch toward one target (`lock` … `unlock`).
+    Lock(Rank),
+    /// The lock-all epoch (`lock_all` … `unlock_all`).
+    LockAll,
+    /// The fence epoch (`fence` … next `fence`).
+    Fence,
+}
+
+impl Slot {
+    /// The routines that open and close an epoch in this slot, as error
+    /// messages name them.
+    pub fn routines(self) -> (&'static str, &'static str) {
+        match self {
+            Slot::GatsAccess => ("start", "complete"),
+            Slot::Exposure => ("post", "wait"),
+            Slot::Lock(_) => ("lock", "unlock"),
+            Slot::LockAll => ("lock_all", "unlock_all"),
+            Slot::Fence => ("fence", "fence"),
+        }
+    }
+
+    /// Whether this is a passive-target slot (flushes allowed; held back by
+    /// the lazy baseline).
+    pub fn is_passive(self) -> bool {
+        matches!(self, Slot::Lock(_) | Slot::LockAll)
+    }
+
+    /// Whether an epoch open in `self` forbids opening one in `new`: a
+    /// fence phase admits no other epoch, the exposure side is independent
+    /// of the access side, and access-side epochs exclude each other
+    /// except single-target locks toward distinct targets. A fence call
+    /// *closes* an open fence epoch, so that pair never conflicts.
+    pub fn excludes(self, new: Slot) -> bool {
+        match (self, new) {
+            (Slot::Fence, Slot::Fence) => false,
+            (Slot::Fence, _) | (_, Slot::Fence) => true,
+            (Slot::Exposure, Slot::Exposure) => true,
+            (Slot::Exposure, _) | (_, Slot::Exposure) => false,
+            (Slot::Lock(a), Slot::Lock(b)) => a == b,
+            _ => true,
+        }
+    }
+}
+
+/// Internal lifetime of an epoch (§VII.A): driven by the progress engine.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Created, not yet activated: calls are recorded, nothing is sent.
+    Deferred,
+    /// Activated: access ids assigned, requests and grants flowing.
+    Active,
+    /// Finished — completed, cancelled or retired dormant — and about to
+    /// leave the window's epoch map.
+    Complete,
+}
+
+/// Application-level lifetime of an epoch: driven by the MPI calls. `Held`
+/// and `Flushed` are the lazy baseline's sub-states of an open
+/// passive-target epoch (MVAPICH's lazy lock acquisition, §VIII.A).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum AppState {
+    /// Open: the application may still add ops.
+    Open,
+    /// Open, and deferred whole by the lazy baseline until the closing
+    /// call.
+    Held,
+    /// Open, and forced out of the lazy hold by a flush: the lock is
+    /// requested early and recorded ops may issue before the closing call
+    /// (MVAPICH behaviour — flush triggers the lazy lock request).
+    Flushed,
+    /// The closing routine ran; `req` fires when the epoch finishes.
+    Closed {
+        /// The epoch-closing request.
+        req: Req,
+    },
 }
 
 /// A recorded RMA operation (not yet on the wire).
@@ -232,17 +334,10 @@ pub struct EpochObj {
     pub id: EpochId,
     /// Kind and parameters.
     pub kind: EpochKind,
-    /// Internal lifetime started (progress engine activated it).
-    pub activated: bool,
-    /// Application-level lifetime ended (closing routine invoked).
-    pub closed: bool,
-    /// Internal lifetime ended (all completion conditions met).
-    pub complete: bool,
-    /// The epoch-closing request, if the epoch was closed.
-    pub close_req: Option<Req>,
-    /// Virtual time at which the closing routine ran (stall-watchdog
-    /// deadline anchor; `None` while the application may still add ops).
-    pub closed_at: Option<SimTime>,
+    /// Internal lifetime.
+    phase: Phase,
+    /// Application-level lifetime.
+    app: AppState,
     /// Recorded RMA calls awaiting activation/grant ("epoch recording",
     /// §VII.A).
     pub pending_ops: VecDeque<OpDesc>,
@@ -264,14 +359,8 @@ pub struct EpochObj {
     /// Targets that became announceable since the last emit pass (each at
     /// most once, see `TargetState::queued`), so a pass visits only these.
     ready: Vec<Rank>,
-    /// Baseline (lazy) behaviour: hold activation until the closing call.
-    pub lazy_hold: bool,
-    /// A flush forced this lazy epoch out of deferral mid-epoch: the lock
-    /// was requested early and recorded ops may issue before the closing
-    /// call (MVAPICH behaviour — flush triggers the lazy lock request).
-    pub flush_forced: bool,
     /// The dormant trailing fence that was open when this epoch opened
-    /// (set by [`crate::window::WinRank::push_epoch`]). Once a later fence
+    /// (set by [`crate::window::WinRank::open_epoch`]). Once a later fence
     /// call closes it, the activation predicate may keep skipping it for
     /// this epoch: program order puts this epoch *before* that close.
     pub(crate) opened_in_fence: Option<EpochId>,
@@ -283,11 +372,8 @@ impl EpochObj {
         let mut e = EpochObj {
             id,
             kind,
-            activated: false,
-            closed: false,
-            complete: false,
-            close_req: None,
-            closed_at: None,
+            phase: Phase::Deferred,
+            app: AppState::Open,
             pending_ops: VecDeque::new(),
             targets: BTreeMap::new(),
             exposure_origins: BTreeMap::new(),
@@ -296,8 +382,6 @@ impl EpochObj {
             ungranted_intra: 0,
             ungranted_inter: 0,
             ready: Vec::new(),
-            lazy_hold: false,
-            flush_forced: false,
             opened_in_fence: None,
         };
         e.prefill_targets();
@@ -305,29 +389,96 @@ impl EpochObj {
     }
 
     /// Reinitialize a recycled epoch object in place (arena reuse, see
-    /// [`crate::window::WinRank::new_epoch`]): every field ends up exactly
-    /// as [`EpochObj::new`] would leave it, but `pending_ops`, `live_ops`
-    /// and `ready` keep their allocated capacity.
+    /// [`crate::window::WinRank::open_epoch`]): every field ends up exactly
+    /// as [`EpochObj::new`] leaves it — it *is* a new object — except that
+    /// `pending_ops`, `live_ops` and `ready` keep their allocated capacity.
     pub fn reset(&mut self, id: EpochId, kind: EpochKind) {
-        self.id = id;
-        self.kind = kind;
-        self.activated = false;
-        self.closed = false;
-        self.complete = false;
-        self.close_req = None;
-        self.closed_at = None;
-        self.pending_ops.clear();
-        self.targets.clear();
-        self.exposure_origins.clear();
-        self.live_ops.clear();
-        self.announce_left = 0;
-        self.ungranted_intra = 0;
-        self.ungranted_inter = 0;
-        self.ready.clear();
-        self.lazy_hold = false;
-        self.flush_forced = false;
-        self.opened_in_fence = None;
-        self.prefill_targets();
+        let mut pending_ops = std::mem::take(&mut self.pending_ops);
+        let mut live_ops = std::mem::take(&mut self.live_ops);
+        let mut ready = std::mem::take(&mut self.ready);
+        pending_ops.clear();
+        live_ops.clear();
+        ready.clear();
+        *self = EpochObj { pending_ops, live_ops, ready, ..EpochObj::new(id, kind) };
+    }
+
+    /// Whether the progress engine activated the epoch and it has not
+    /// finished yet.
+    pub fn is_active(&self) -> bool {
+        self.phase == Phase::Active
+    }
+
+    /// Whether the epoch finished (it is then on its way out of the map).
+    pub fn is_complete(&self) -> bool {
+        self.phase == Phase::Complete
+    }
+
+    /// Whether the closing routine ran.
+    pub fn is_closed(&self) -> bool {
+        matches!(self.app, AppState::Closed { .. })
+    }
+
+    /// Whether the lazy baseline holds the epoch back from activation.
+    pub fn is_held(&self) -> bool {
+        self.app == AppState::Held
+    }
+
+    /// The lazy baseline's issue gate (§VIII.B): nothing is issued before
+    /// the closing routine — unless a flush forced the epoch out.
+    pub fn issues_lazily(&self) -> bool {
+        self.is_closed() || self.app == AppState::Flushed
+    }
+
+    /// Open edge of the lazy baseline: a just-created passive-target epoch
+    /// is deferred whole until its closing call or a flush.
+    pub(crate) fn hold_lazily(&mut self) {
+        debug_assert!(self.kind.is_passive(), "only passive epochs are held");
+        debug_assert_eq!((self.phase, self.app), (Phase::Deferred, AppState::Open));
+        self.app = AppState::Held;
+    }
+
+    /// deferred → active. A held epoch cannot activate.
+    pub(crate) fn activate(&mut self) {
+        debug_assert_eq!(self.phase, Phase::Deferred, "activated twice: {self:?}");
+        debug_assert!(!self.is_held(), "activated while lazily held: {self:?}");
+        self.phase = Phase::Active;
+    }
+
+    /// open → closed, `req` to fire once the epoch finishes. Legal while
+    /// deferred (the close is replayed at activation) and releases a lazy
+    /// hold.
+    pub(crate) fn close(&mut self, req: Req) {
+        debug_assert!(!self.is_closed() && !self.is_complete(), "closed twice: {self:?}");
+        self.app = AppState::Closed { req };
+    }
+
+    /// A flush over this open passive-target epoch: under the lazy
+    /// baseline it forces the epoch out of deferral. Returns whether a
+    /// hold was released (the epoch became activatable).
+    pub(crate) fn force_by_flush(&mut self) -> bool {
+        debug_assert!(!self.is_closed(), "flush over a closed epoch: {self:?}");
+        let held = self.is_held();
+        if held {
+            self.app = AppState::Flushed;
+        }
+        held
+    }
+
+    /// → complete, from any live state: a closed active epoch whose
+    /// conditions hold, a closed epoch the watchdog cancels (active or
+    /// still deferred), or a dormant fence retired unclosed. Returns the
+    /// closing request to fire.
+    pub(crate) fn finish(&mut self) -> Option<Req> {
+        debug_assert!(!self.is_complete(), "finished twice: {self:?}");
+        debug_assert!(
+            self.is_closed() || self.is_dormant_fence(),
+            "only a dormant fence finishes unclosed: {self:?}"
+        );
+        self.phase = Phase::Complete;
+        match self.app {
+            AppState::Closed { req } => Some(req),
+            _ => None,
+        }
     }
 
     /// Seed the per-target progress map from the kind's target set. A
@@ -543,6 +694,21 @@ impl EpochObj {
         }
     }
 
+    /// Whether this is a dormant trailing fence: open, never closed, and
+    /// without any recorded or issued operation.
+    pub fn is_dormant_fence(&self) -> bool {
+        !self.is_closed() && self.is_empty_fence()
+    }
+
+    /// Whether this is a fence epoch without any recorded or issued
+    /// operation.
+    pub fn is_empty_fence(&self) -> bool {
+        matches!(self.kind, EpochKind::Fence { .. })
+            && self.pending_ops.is_empty()
+            && self.live_ops.is_empty()
+            && self.targets.values().all(|t| t.data_msgs_sent == 0 && t.unsent == 0)
+    }
+
     /// Count of live ops that still block local completion.
     pub fn live_local(&self) -> usize {
         self.live_ops.values().filter(|o| !o.locally_done()).count()
@@ -630,7 +796,7 @@ mod tests {
     #[test]
     fn ready_list_reports_a_target_when_it_becomes_announceable() {
         let mut e = EpochObj::new(EpochId(1), EpochKind::LockAll);
-        e.activated = true;
+        e.activate();
         for t in 0..3 {
             e.assign(Rank(t), 1, false, t == 2);
         }
@@ -666,6 +832,94 @@ mod tests {
         assert_eq!(out, [(Rank(1), 1)]);
         assert_eq!(e.announce_left(), 0);
         assert!(e.live_ops().is_empty() && e.counters_match_scan());
+    }
+
+    /// Every legal path through the two lifetimes, and arena reuse after
+    /// each: `reset` must leave a recycled object exactly as `new` would —
+    /// a lifecycle field it forgot would show up in the `Debug` output.
+    #[test]
+    fn every_legal_lifecycle_edge_succeeds_and_reset_restores_new() {
+        let req = Req(9);
+        let lock = EpochKind::Lock { target: Rank(1), lock: LockKind::Shared };
+        let fence = EpochKind::Fence { seq: 3 };
+        type Path = fn(&mut EpochObj, Req) -> Option<Req>;
+        let paths: [(&str, &EpochKind, Path); 7] = [
+            ("open, activate, close, complete", &lock, |e, req| {
+                e.activate();
+                assert!(e.is_active() && !e.is_closed());
+                e.close(req);
+                assert!(e.is_active() && e.is_closed());
+                e.finish()
+            }),
+            ("closed while deferred, then activated", &lock, |e, req| {
+                e.close(req);
+                assert!(!e.is_active() && e.is_closed());
+                e.activate();
+                assert!(e.is_active() && e.is_closed());
+                e.finish()
+            }),
+            ("lazy hold released by the close", &EpochKind::LockAll, |e, req| {
+                e.hold_lazily();
+                assert!(e.is_held() && !e.issues_lazily());
+                e.close(req);
+                assert!(!e.is_held() && e.issues_lazily());
+                e.activate();
+                e.finish()
+            }),
+            ("lazy hold forced by a flush", &lock, |e, req| {
+                e.hold_lazily();
+                assert!(e.force_by_flush(), "the first flush releases the hold");
+                assert!(!e.is_held() && e.issues_lazily() && !e.is_closed());
+                assert!(!e.force_by_flush(), "a second flush has nothing to release");
+                e.activate();
+                assert!(e.issues_lazily(), "forced issue survives activation");
+                e.close(req);
+                e.finish()
+            }),
+            ("closed, active, cancelled with ops in flight", &lock, |e, req| {
+                e.activate();
+                e.assign(Rank(1), 4, false, true);
+                e.grant(Rank(1));
+                e.record_op(Rank(1));
+                e.op_sent(Rank(1));
+                let op = LiveOp {
+                    target: Rank(1),
+                    needs_local: false,
+                    needs_resp: false,
+                    needs_ack: true,
+                    req: Some(Req(2)),
+                };
+                e.add_live(1, op);
+                e.opened_in_fence = Some(EpochId(1));
+                e.close(req);
+                assert_eq!(e.abandon_ops(), [Req(2)]);
+                e.finish()
+            }),
+            ("closed, never activated, cancelled", &lock, |e, req| {
+                e.close(req);
+                e.finish()
+            }),
+            ("dormant fence retired unclosed", &fence, |e, _| {
+                e.activate();
+                e.assign(Rank(0), 0, true, false);
+                assert!(e.is_dormant_fence());
+                e.finish()
+            }),
+        ];
+        let mut e = EpochObj::new(EpochId(1), EpochKind::LockAll);
+        for (id, (name, kind, path)) in paths.into_iter().enumerate() {
+            let id = EpochId(id as u64 + 2);
+            e.reset(id, kind.clone());
+            let new = EpochObj::new(id, kind.clone());
+            assert_eq!(format!("{e:?}"), format!("{new:?}"), "reset before: {name}");
+            assert!(!e.is_active() && !e.is_closed() && !e.is_complete() && !e.is_held());
+            let fired = path(&mut e, req);
+            assert!(e.is_complete() && !e.is_active(), "{name}");
+            assert_eq!(fired, e.is_closed().then_some(req), "{name}");
+        }
+        e.reset(EpochId(1), EpochKind::LockAll);
+        let new = EpochObj::new(EpochId(1), EpochKind::LockAll);
+        assert_eq!(format!("{e:?}"), format!("{new:?}"), "reset after the last path");
     }
 
     #[test]

@@ -7,7 +7,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use mpisim_net::U64Fifo;
 
 use crate::config::WinInfo;
-use crate::epoch::{EpochKind, EpochObj};
+use crate::epoch::{EpochKind, EpochObj, Slot};
+use crate::error::{RmaError, RmaResult};
 use crate::lock::LockMgr;
 use crate::types::{EpochId, Rank, Req};
 
@@ -210,17 +211,10 @@ pub struct WinRank {
     pub order: VecDeque<EpochId>,
     /// Next epoch id to assign.
     pub next_epoch: u64,
-    /// Application-level currently open GATS access epoch.
-    pub cur_gats_access: Option<EpochId>,
-    /// Application-level currently open exposure epoch.
-    pub cur_exposure: Option<EpochId>,
-    /// Application-level currently open fence epoch.
-    pub cur_fence: Option<EpochId>,
-    /// Open single-target lock epochs by target (MPI allows several at
-    /// once, to distinct targets).
-    pub open_locks: BTreeMap<Rank, EpochId>,
-    /// Open lock-all epoch, if any.
-    pub cur_lock_all: Option<EpochId>,
+    /// The open set: the application-level currently open epochs by slot
+    /// (at most one per kind, except single-target lock epochs, which MPI
+    /// allows several of at once, to distinct targets).
+    pub open: BTreeMap<Slot, EpochId>,
 
     /// ω matching state (§VII.B), one record per peer this side has ever
     /// synchronised with.
@@ -273,11 +267,7 @@ impl WinRank {
             epochs: HashMap::new(),
             order: VecDeque::new(),
             next_epoch: 1,
-            cur_gats_access: None,
-            cur_exposure: None,
-            cur_fence: None,
-            open_locks: BTreeMap::new(),
-            cur_lock_all: None,
+            open: BTreeMap::new(),
             omega: OmegaTable::default(),
             grant_dirty: Vec::new(),
             lock_mgr: LockMgr::default(),
@@ -291,34 +281,27 @@ impl WinRank {
         }
     }
 
-    /// Allocate the next epoch id.
-    pub fn alloc_epoch_id(&mut self) -> EpochId {
+    /// Open an epoch of `kind`: give it the next id, build its object —
+    /// reusing a retired one from the arena when available (recycle the
+    /// allocation, reinitialize the state) — and enter it at the tail of
+    /// the open order and in the open set.
+    pub fn open_epoch(&mut self, kind: EpochKind) -> &mut EpochObj {
         let id = EpochId(self.next_epoch);
         self.next_epoch += 1;
-        id
-    }
-
-    /// Insert a freshly created epoch at the tail of the open order.
-    pub fn push_epoch(&mut self, mut e: EpochObj) {
-        let id = e.id;
-        // A fence call clears `cur_fence` before pushing its successor, so
-        // this is only ever the dormant fence a non-fence epoch opens under.
-        e.opened_in_fence = self.cur_fence;
-        self.epochs.insert(id.0, e);
-        self.order.push_back(id);
-    }
-
-    /// Build an epoch object for `(id, kind)`, reusing a retired one from
-    /// the arena when available (the PR-3 `Payload`/`Bytes` pattern:
-    /// recycle the allocation, reinitialize the state).
-    pub fn new_epoch(&mut self, id: EpochId, kind: EpochKind) -> EpochObj {
-        match self.epoch_pool.pop() {
+        let slot = kind.slot();
+        let mut e = match self.epoch_pool.pop() {
             Some(mut e) => {
                 e.reset(id, kind);
                 e
             }
             None => EpochObj::new(id, kind),
-        }
+        };
+        // A fence call vacates the fence slot before opening its successor,
+        // so this is only ever the dormant fence a non-fence epoch opens under.
+        e.opened_in_fence = self.open.get(&Slot::Fence).copied();
+        self.order.push_back(id);
+        self.open.insert(slot, id);
+        self.epochs.entry(id.0).or_insert(e)
     }
 
     /// Immutable epoch lookup.
@@ -333,7 +316,7 @@ impl WinRank {
 
     /// Retire an internally complete (or cancelled) epoch: remove it from
     /// the order, drop a fence epoch's per-seq record with it, and recycle
-    /// the object into the arena for the next `new_epoch`.
+    /// the object into the arena for the next `open_epoch`.
     pub fn retire(&mut self, id: EpochId) {
         self.order.retain(|e| *e != id);
         if let Some(e) = self.epochs.remove(&id.0) {
@@ -343,16 +326,6 @@ impl WinRank {
             if self.epoch_pool.len() < EPOCH_POOL_CAP {
                 self.epoch_pool.push(e);
             }
-        }
-    }
-
-    /// The epoch immediately preceding `id` in open order, if any.
-    pub fn preceding(&self, id: EpochId) -> Option<EpochId> {
-        let pos = self.order.iter().position(|e| *e == id)?;
-        if pos == 0 {
-            None
-        } else {
-            Some(self.order[pos - 1])
         }
     }
 
@@ -369,18 +342,33 @@ impl WinRank {
     /// than one of these is erroneous in MPI and unreachable through the
     /// API checks).
     pub fn open_access_covering(&self, target: Rank) -> Option<EpochId> {
-        if let Some(id) = self.open_locks.get(&target) {
-            return Some(*id);
+        [Slot::Lock(target), Slot::LockAll, Slot::GatsAccess, Slot::Fence]
+            .iter()
+            .filter_map(|slot| self.open.get(slot))
+            .find(|id| self.epoch(**id).covers_target(target))
+            .copied()
+    }
+
+    /// The application-level conflict rule, in one place: error if an open
+    /// epoch forbids opening one in slot `new`. A *dormant* trailing fence
+    /// never does: it coexists with the next phase and is closed by the
+    /// next fence call (or retired at `win_free`), keeping the collective
+    /// fence sequence aligned on every rank. `None` is `win_free`, which
+    /// admits no epoch at all, open or closed and still in flight.
+    pub fn check_open(&self, new: Option<Slot>) -> RmaResult<()> {
+        let (clash, called) = match new {
+            Some(new) => (
+                self.open.iter().any(|(slot, id)| {
+                    slot.excludes(new) && !self.epoch(*id).is_dormant_fence()
+                }),
+                new.routines().0,
+            ),
+            None => (!self.order.is_empty(), "win_free"),
+        };
+        if clash {
+            return Err(RmaError::AlreadyInEpoch { called });
         }
-        if let Some(id) = self.cur_lock_all {
-            return Some(id);
-        }
-        if let Some(id) = self.cur_gats_access {
-            if self.epoch(id).covers_target(target) {
-                return Some(id);
-            }
-        }
-        self.cur_fence
+        Ok(())
     }
 
     /// The live fence epoch of sequence `seq`, if this side has opened it
@@ -432,22 +420,15 @@ mod tests {
     }
 
     #[test]
-    fn epoch_order_and_preceding() {
+    fn epochs_enter_the_order_and_the_open_set_and_retire_from_the_order() {
         let mut w = mk();
-        let a = w.alloc_epoch_id();
-        w.push_epoch(EpochObj::new(a, EpochKind::LockAll));
-        let b = w.alloc_epoch_id();
-        w.push_epoch(EpochObj::new(
-            b,
-            EpochKind::GatsAccess {
-                group: Group::new([1]),
-            },
-        ));
-        assert_eq!(w.preceding(a), None);
-        assert_eq!(w.preceding(b), Some(a));
+        let a = w.open_epoch(EpochKind::LockAll).id;
+        let b = w.open_epoch(EpochKind::GatsExposure { group: Group::new([1]) }).id;
+        assert_eq!(w.order, [a, b]);
+        assert_eq!(w.open.get(&Slot::LockAll), Some(&a));
+        assert_eq!(w.open.get(&Slot::Exposure), Some(&b));
         w.retire(a);
-        assert_eq!(w.preceding(b), None);
-        assert_eq!(w.order.len(), 1);
+        assert_eq!(w.order, [b]);
     }
 
     #[test]
@@ -508,8 +489,7 @@ mod tests {
         assert_eq!(w.fence_arrival(3, Rank(0), 2, |p| p.got += 1), None);
         assert_eq!(w.fences[&3].peers()[0].got, 1);
         // Opening and retiring that sequence takes the record along.
-        let id = w.alloc_epoch_id();
-        w.push_epoch(EpochObj::new(id, EpochKind::Fence { seq: 3 }));
+        let id = w.open_epoch(EpochKind::Fence { seq: 3 }).id;
         w.next_fence_seq = 4;
         assert_eq!(w.fence_arrival(3, Rank(1), 2, |p| p.expected = Some(0)), Some(id));
         w.retire(id);

@@ -117,51 +117,103 @@ fn rma_outside_epoch_is_rejected() {
     .unwrap();
 }
 
+/// The application-level epoch rules in full: every epoch-opening,
+/// epoch-closing and `win_free` call against every kind of open epoch. One
+/// fresh 3-rank job per cell; rank 0 opens the row's epoch, makes the
+/// column's call (nonblocking variant, so a legal close never needs a peer)
+/// and must see `Ok` (`.`), `AlreadyInEpoch` (`A`) or `EpochMismatch` (`M`)
+/// carrying the routine's own name.
 #[test]
-fn mismatched_closes_are_rejected() {
-    run_job(JobConfig::all_internode(2), |env| {
-        let win = env.win_allocate(8).unwrap();
-        env.barrier().unwrap();
-        assert!(matches!(
-            env.complete(win).unwrap_err(),
-            RmaError::EpochMismatch { .. }
-        ));
-        assert!(matches!(
-            env.wait_epoch(win).unwrap_err(),
-            RmaError::EpochMismatch { .. }
-        ));
-        assert!(matches!(
-            env.unlock(win, Rank(1)).unwrap_err(),
-            RmaError::EpochMismatch { .. }
-        ));
-        assert!(matches!(
-            env.unlock_all(win).unwrap_err(),
-            RmaError::EpochMismatch { .. }
-        ));
-        env.win_free(win).unwrap();
-    })
-    .unwrap();
-}
-
-#[test]
-fn overlapping_conflicting_epochs_rejected() {
-    run_job(JobConfig::all_internode(2), |env| {
-        let win = env.win_allocate(8).unwrap();
-        env.barrier().unwrap();
-        if env.rank().idx() == 0 {
-            env.lock(win, Rank(1), LockKind::Shared).unwrap();
-            // lock + lock to the same target, lock_all, GATS, fence: all
-            // conflict with the open lock epoch.
-            assert!(env.lock(win, Rank(1), LockKind::Shared).is_err());
-            assert!(env.lock_all(win).is_err());
-            assert!(env.start(win, Group::single(Rank(1))).is_err());
-            assert!(env.fence(win).is_err());
-            env.unlock(win, Rank(1)).unwrap();
+fn open_close_matrix() {
+    const T: Rank = Rank(1);
+    const U: Rank = Rank(2);
+    const OPEN: [&str; 7] = [
+        "nothing",
+        "fence (dormant)",
+        "fence (with an op)",
+        "start",
+        "post",
+        "lock(t)",
+        "lock_all",
+    ];
+    const CALLS: [(&str, &str); 11] = [
+        ("fence", "fence"),
+        ("start", "start"),
+        ("post", "post"),
+        ("lock(t)", "lock"),
+        ("lock(u)", "lock"),
+        ("lock_all", "lock_all"),
+        ("complete", "complete"),
+        ("wait", "wait"),
+        ("unlock(t)", "unlock"),
+        ("unlock_all", "unlock_all"),
+        ("win_free", "win_free"),
+    ];
+    // Rows follow OPEN, columns follow CALLS.
+    const EXPECT: [&str; 7] = [
+        // fence start post lock(t) lock(u) lock_all complete wait unlock(t) unlock_all win_free
+        ". . . . . . M M M M .",
+        ". . . . . . M M M M .",
+        ". A A A A A M M M M A",
+        "A A . A A A . M M M A",
+        "A . A . . . M . M M A",
+        "A A . A . A M M . M A",
+        "A A . A A A M M M . A",
+    ];
+    for (row, open) in OPEN.iter().enumerate() {
+        let verdicts: Vec<&str> = EXPECT[row].split(' ').collect();
+        assert_eq!(verdicts.len(), CALLS.len());
+        for (col, (call, called)) in CALLS.iter().enumerate() {
+            let want = match verdicts[col] {
+                "." => Ok(()),
+                "A" => Err(RmaError::AlreadyInEpoch { called }),
+                "M" => Err(RmaError::EpochMismatch { called }),
+                v => panic!("bad verdict {v}"),
+            };
+            run_job(JobConfig::all_internode(3), move |env| {
+                let win = env.win_allocate(8).unwrap();
+                env.barrier().unwrap();
+                if env.rank().idx() != 0 {
+                    if *call == "win_free" {
+                        env.win_free(win).unwrap();
+                    }
+                    return;
+                }
+                match *open {
+                    "nothing" => {}
+                    "fence (dormant)" => env.ifence(win).map(|_| ()).unwrap(),
+                    "fence (with an op)" => {
+                        let _ = env.ifence(win).unwrap();
+                        env.put(win, T, 0, &[1u8; 8]).unwrap();
+                        // Let the put land before a `win_free` column tears
+                        // the target's side down.
+                        env.compute(SimTime::from_micros(100));
+                    }
+                    "start" => env.start(win, Group::single(T)).unwrap(),
+                    "post" => env.post(win, Group::single(T)).unwrap(),
+                    "lock(t)" => env.lock(win, T, LockKind::Shared).unwrap(),
+                    "lock_all" => env.lock_all(win).unwrap(),
+                    o => panic!("bad row {o}"),
+                }
+                let got = match *call {
+                    "fence" => env.ifence(win).map(|_| ()),
+                    "start" => env.start(win, Group::single(T)),
+                    "post" => env.post(win, Group::single(T)),
+                    "lock(t)" => env.lock(win, T, LockKind::Shared),
+                    "lock(u)" => env.lock(win, U, LockKind::Shared),
+                    "lock_all" => env.lock_all(win),
+                    "complete" => env.icomplete(win).map(|_| ()),
+                    "wait" => env.iwait(win).map(|_| ()),
+                    "unlock(t)" => env.iunlock(win, T).map(|_| ()),
+                    "unlock_all" => env.iunlock_all(win).map(|_| ()),
+                    "win_free" => env.win_free(win),
+                    c => panic!("bad column {c}"),
+                };
+                assert_eq!(got, want, "{call} with {open} open");
+            })
+            .unwrap();
         }
-        env.barrier().unwrap();
-        env.win_free(win).unwrap();
-    })
-    .unwrap();
+    }
 }
 
 #[test]
