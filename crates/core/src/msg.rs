@@ -608,42 +608,28 @@ impl SyncPacket {
 mod tests {
     use super::*;
 
+    /// Every sync kind survives the 64-bit word at the extremes of each
+    /// field it carries.
     #[test]
     fn sync_packet_roundtrip() {
-        let cases = [
-            SyncPacket::LockReqExcl {
-                win: WinId(3),
-                origin: Rank(17),
-                access_id: 123456,
-            },
-            SyncPacket::LockReqShared {
-                win: WinId(255),
-                origin: Rank(0),
-                access_id: 0,
-            },
-            SyncPacket::GrantExposure {
-                win: WinId(0),
-                granter: Rank((1 << 20) - 1),
-                id: (1 << 32) - 1,
-            },
-            SyncPacket::GrantLock {
-                win: WinId(9),
-                granter: Rank(2047),
-                id: 7,
-            },
-            SyncPacket::GatsDone {
-                win: WinId(1),
-                origin: Rank(42),
-                access_id: 99,
-            },
-            SyncPacket::Unlock {
-                win: WinId(2),
-                origin: Rank(511),
-                access_id: 1000,
-            },
+        type Make = fn(WinId, Rank, u64) -> SyncPacket;
+        let kinds: [Make; 6] = [
+            |win, origin, access_id| SyncPacket::LockReqExcl { win, origin, access_id },
+            |win, origin, access_id| SyncPacket::LockReqShared { win, origin, access_id },
+            |win, granter, id| SyncPacket::GrantExposure { win, granter, id },
+            |win, granter, id| SyncPacket::GrantLock { win, granter, id },
+            |win, origin, access_id| SyncPacket::GatsDone { win, origin, access_id },
+            |win, origin, access_id| SyncPacket::Unlock { win, origin, access_id },
         ];
-        for c in cases {
-            assert_eq!(SyncPacket::decode(c.encode()), Some(c));
+        for make in kinds {
+            for win in [WinId(0), WinId(255)] {
+                for peer in [Rank(0), Rank((1 << 20) - 1)] {
+                    for id in [0, 1, (1 << 32) - 1] {
+                        let c = make(win, peer, id);
+                        assert_eq!(SyncPacket::decode(c.encode()), Some(c));
+                    }
+                }
+            }
         }
     }
 
@@ -664,53 +650,64 @@ mod tests {
         .encode();
     }
 
+    /// The pricing table: one instance of every message kind with the
+    /// payload bytes the network model charges for it beyond the header.
     #[test]
     fn wire_sizes() {
         use mpisim_net::Payload;
-        let put = Body::PutData {
-            win: WinId(0),
-            tag: EpochTag::Gats { access_id: 1 },
-            disp: 0,
-            layout: Layout::Contig,
-            payload: Payload::Synthetic(4096),
-        };
-        assert_eq!(put.payload_len(), 4096);
-        let grant = Body::Grant {
-            win: WinId(0),
-            id: 1,
-            kind: GrantKind::Exposure,
-        };
-        assert_eq!(grant.payload_len(), 0);
-        let fifo = Body::Fifo64 {
-            win: WinId(0),
-            packet: 0,
-        };
-        assert_eq!(fifo.payload_len(), 8);
-        let batch = Body::Fifo64Batch {
-            win: WinId(0),
-            packets: vec![1, 2, 3],
-        };
-        assert_eq!(batch.payload_len(), 24);
-        // Word order matters on the wire: a reordered batch must not
-        // digest identically.
-        let swapped = Body::Fifo64Batch {
-            win: WinId(0),
-            packets: vec![2, 1, 3],
-        };
-        assert_ne!(batch.digest(), swapped.digest());
-        let cas = Body::FetchReq {
-            win: WinId(0),
-            tag: EpochTag::Lock { access_id: 1 },
-            fetch: FetchKind::CompareAndSwap {
-                compare: vec![0; 8],
-            },
+        let (win, tag, token) = (WinId(0), EpochTag::Lock { access_id: 1 }, 7);
+        let data = || Payload::Synthetic(4096);
+        let word = || Payload::copy_from_slice(&[0; 8]);
+        let fetch = |fetch| Body::FetchReq {
+            win,
+            tag,
+            fetch,
             disp: 0,
             dt: Datatype::U64,
-            op: ReduceOp::Replace,
-            operand: Payload::copy_from_slice(&[0; 8]),
-            token: 0,
+            op: ReduceOp::Sum,
+            operand: word(),
+            token,
         };
-        assert_eq!(cas.payload_len(), 16);
+        let vector = Layout::Vector { count: 4, blocklen: 8, stride: 64 };
+        let table: Vec<(&str, Body, usize)> = vec![
+            ("put", Body::PutData { win, tag, disp: 0, layout: Layout::Contig, payload: data() }, 4096),
+            ("put, strided", Body::PutData { win, tag, disp: 0, layout: vector, payload: Payload::Synthetic(32) }, 32),
+            ("accumulate", Body::AccData { win, tag, disp: 0, dt: Datatype::U64, op: ReduceOp::Sum, payload: data() }, 4096),
+            ("accumulate rts", Body::AccRts { win, size: 1 << 20, token }, 0),
+            ("accumulate cts", Body::AccCts { token }, 0),
+            ("get", Body::GetReq { win, tag, disp: 0, len: 4096, layout: Layout::Contig, token }, 0),
+            ("get response", Body::GetResp { win, token, payload: data() }, 4096),
+            ("get_accumulate", fetch(FetchKind::GetAccumulate), 8),
+            ("fetch_and_op", fetch(FetchKind::FetchAndOp), 8),
+            ("compare_and_swap", fetch(FetchKind::CompareAndSwap { compare: vec![0; 8] }), 16),
+            ("fetch response", Body::FetchResp { win, token, payload: word() }, 8),
+            ("lock request, exclusive", Body::LockReq { win, access_id: 1, kind: LockKind::Exclusive }, 0),
+            ("lock request, shared", Body::LockReq { win, access_id: 1, kind: LockKind::Shared }, 0),
+            ("exposure grant", Body::Grant { win, id: 1, kind: GrantKind::Exposure }, 0),
+            ("lock grant", Body::Grant { win, id: 1, kind: GrantKind::Lock }, 0),
+            ("gats done", Body::GatsDone { win, access_id: 1 }, 0),
+            ("unlock", Body::Unlock { win, access_id: 1 }, 0),
+            ("fence done", Body::FenceDone { win, seq: 1, ops_sent: 3 }, 0),
+            ("fifo word", Body::Fifo64 { win, packet: 0 }, 8),
+            ("fifo batch", Body::Fifo64Batch { win, packets: vec![1, 2, 3] }, 24),
+            ("p2p eager", Body::P2pEager { tag: 1, payload: data() }, 4096),
+            ("p2p rts", Body::P2pRts { tag: 1, size: 1 << 20, token }, 0),
+            ("p2p cts", Body::P2pCts { token, data_token: 8 }, 0),
+            ("p2p data", Body::P2pData { data_token: 8, payload: data() }, 4096),
+            ("barrier", Body::BarrierMsg { seq: 1, round: 0 }, 0),
+            ("rel ack", Body::RelAck { cum: 1 }, 0),
+        ];
+        for (name, body, want) in &table {
+            assert_eq!(body.payload_len(), *want, "{name}");
+            // A reliability frame adds its 16-byte sequence/checksum trailer.
+            let framed = Body::Rel { seq: 1, checksum: body.digest(), inner: Box::new(body.clone()) };
+            assert_eq!(framed.payload_len(), want + 16, "framed {name}");
+        }
+        // Word order matters on the wire: a reordered batch must not
+        // digest identically.
+        let batch = Body::Fifo64Batch { win, packets: vec![1, 2, 3] };
+        let swapped = Body::Fifo64Batch { win, packets: vec![2, 1, 3] };
+        assert_ne!(batch.digest(), swapped.digest());
     }
 }
 

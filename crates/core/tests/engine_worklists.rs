@@ -357,3 +357,57 @@ fn target_visits_grow_with_messages_not_ranks_times_messages() {
         );
     }
 }
+
+/// The sync plane is one protocol on two transports: the same program — an
+/// exclusive-lock ring, a GATS ring and a `lock_all` round — run with every
+/// sync packet on the intranode FIFOs and with every one on the network
+/// must leave the same window contents and count the same protocol events.
+#[test]
+fn sync_plane_is_the_same_on_both_transports() {
+    use std::sync::{Arc, Mutex};
+    let run = |per_node: usize| {
+        let mut cfg = JobConfig::new(4);
+        cfg.cores_per_node = per_node;
+        let mems = Arc::new(Mutex::new(vec![Vec::new(); 4]));
+        let out = mems.clone();
+        let r = run_job(cfg, move |env| {
+            let win = env.win_allocate_with(24, WinInfo::all_reorder()).unwrap();
+            env.barrier().unwrap();
+            let (me, n) = (env.rank().idx(), env.n_ranks());
+            let (left, right) = (Rank((me + n - 1) % n), Rank((me + 1) % n));
+            let v = (me as u64 + 1).to_le_bytes();
+            env.lock(win, right, LockKind::Exclusive).unwrap();
+            env.put(win, right, 0, &v).unwrap();
+            env.unlock(win, right).unwrap();
+            env.post(win, Group::single(left)).unwrap();
+            env.start(win, Group::single(right)).unwrap();
+            env.put(win, right, 8, &v).unwrap();
+            env.complete(win).unwrap();
+            env.wait_epoch(win).unwrap();
+            env.lock_all(win).unwrap();
+            for t in 0..n {
+                env.accumulate(win, Rank(t), 16, Datatype::U64, ReduceOp::Sum, &v).unwrap();
+            }
+            env.unlock_all(win).unwrap();
+            env.barrier().unwrap();
+            out.lock().unwrap()[me] = env.read_local(win, 0, 24).unwrap();
+            env.win_free(win).unwrap();
+        })
+        .unwrap();
+        assert!(r.is_clean(), "{:?}", r.degradations);
+        let s = r.engine;
+        let mems = std::mem::take(&mut *mems.lock().unwrap());
+        let counts =
+            (s.lock_grants, s.exposure_grants, s.gats_dones, s.unlocks_applied, s.epochs_completed);
+        (mems, counts, s.fifo_packets)
+    };
+    let (fifo_mems, fifo_counts, fifo_words) = run(4);
+    let (net_mems, net_counts, net_words) = run(1);
+    // One rank per node leaves only `lock_all`'s self-targeted request,
+    // grant and unlock on a FIFO.
+    assert_eq!((fifo_words, net_words), (68, 12));
+    assert_eq!(fifo_mems, net_mems);
+    assert_eq!(fifo_counts, net_counts);
+    assert_eq!(fifo_counts, (20, 4, 4, 20, 16));
+    assert_eq!(fifo_mems[0][16..], 10u64.to_le_bytes());
+}
