@@ -27,9 +27,9 @@ use mpisim_sim::{ProcCtx, Signal, SimTime};
 use crate::config::WinInfo;
 use crate::datatype::{Datatype, ReduceOp};
 use crate::engine::{Engine, RankStats};
-use crate::epoch::{EpochKind, OpKind, Slot};
+use crate::epoch::{EpochKind, Slot};
 use crate::error::{RmaError, RmaResult};
-use crate::msg::{FetchKind, Layout};
+use crate::msg::{FetchKind, Layout, OpKind};
 use crate::types::{Group, LockKind, Rank, Req, WinId};
 
 /// The environment of one simulated MPI rank.

@@ -14,8 +14,9 @@ use crate::engine::watchdog::StallReport;
 use crate::engine::{EngState, Engine};
 use crate::epoch::{EpochKind, Side, Slot};
 use crate::error::{RmaError, RmaResult};
-use crate::msg::{Body, SyncPacket};
+use crate::msg::{Body, SyncKind};
 use crate::request::ReqKind;
+use crate::trace::Plane;
 use crate::types::{EpochId, LockKind, Rank, Req, WinId};
 
 /// How an epoch's internal lifetime ended.
@@ -341,7 +342,7 @@ impl Engine {
                         rank,
                         *t,
                         win,
-                        crate::trace::Plane::Gats,
+                        Plane::Gats,
                         crate::trace::SyncEvent::AccessAssigned { epoch: id.0, id: aid },
                     );
                 }
@@ -367,18 +368,14 @@ impl Engine {
                         rank,
                         t,
                         win,
-                        crate::trace::Plane::Lock,
+                        Plane::Lock,
                         crate::trace::SyncEvent::AccessAssigned { epoch: id.0, id: aid },
                     );
-                    let sp = match lock {
-                        LockKind::Exclusive => {
-                            SyncPacket::LockReqExcl { win, origin: rank, access_id: aid }
-                        }
-                        LockKind::Shared => {
-                            SyncPacket::LockReqShared { win, origin: rank, access_id: aid }
-                        }
+                    let kind = match lock {
+                        LockKind::Exclusive => SyncKind::LockReqExcl,
+                        LockKind::Shared => SyncKind::LockReqShared,
                     };
-                    self.send_sync(st, rank, t, win, sp);
+                    self.send_sync(st, rank, t, win, kind, aid);
                 }
             }
             EpochKind::GatsExposure { group } => {
@@ -389,9 +386,7 @@ impl Engine {
                     let eid = po.e;
                     po.grants.exposure_credits += 1;
                     let received = po.gats_done_recv >= eid;
-                    if !w.grant_dirty.contains(o) {
-                        w.grant_dirty.push(*o);
-                    }
+                    w.grant_dirty.mark(*o);
                     w.epoch_mut(id).expect_done(*o, eid, received);
                 }
                 // Emitting the grants is lock/grant-sequencing work.
@@ -464,49 +459,37 @@ impl Engine {
     fn emit_announcements(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
         #[derive(Clone, Copy)]
         enum Announce {
-            GatsDone,
-            Unlock,
+            Sync(SyncKind, Plane),
             FenceDone { seq: u64 },
         }
         let mut to_send = std::mem::take(&mut st.sweep[rank.idx()].send_scratch);
         let e = st.win_mut(win, rank).epoch_mut(id);
         let what = match e.kind {
-            EpochKind::GatsAccess { .. } => Announce::GatsDone,
-            EpochKind::Lock { .. } | EpochKind::LockAll => Announce::Unlock,
+            EpochKind::GatsAccess { .. } => Announce::Sync(SyncKind::GatsDone, Plane::Gats),
+            EpochKind::Lock { .. } | EpochKind::LockAll => {
+                Announce::Sync(SyncKind::Unlock, Plane::Lock)
+            }
             EpochKind::Fence { seq } => Announce::FenceDone { seq },
             EpochKind::GatsExposure { .. } => unreachable!("exposure epochs announce nothing"),
         };
         let visits = e.take_announceable(&mut to_send);
         st.eng_stats.target_visits += visits;
-        if matches!(what, Announce::GatsDone) {
+        if matches!(what, Announce::Sync(SyncKind::GatsDone, _)) {
             st.eng_stats.gats_dones += to_send.len() as u64;
         }
         for &(t, word) in &to_send {
-            let (plane, event) = match what {
-                Announce::GatsDone => (
-                    crate::trace::Plane::Gats,
-                    crate::trace::SyncEvent::EpochDoneSent { epoch: id.0, id: word },
-                ),
-                Announce::Unlock => (
-                    crate::trace::Plane::Lock,
-                    crate::trace::SyncEvent::EpochDoneSent { epoch: id.0, id: word },
-                ),
-                Announce::FenceDone { seq } => (
-                    crate::trace::Plane::Gats,
-                    crate::trace::SyncEvent::FenceDoneSent { seq },
-                ),
-            };
-            self.sync_event(st, rank, t, win, plane, event);
             match what {
-                Announce::GatsDone => {
-                    let sp = SyncPacket::GatsDone { win, origin: rank, access_id: word };
-                    self.send_sync(st, rank, t, win, sp);
-                }
-                Announce::Unlock => {
-                    let sp = SyncPacket::Unlock { win, origin: rank, access_id: word };
-                    self.send_sync(st, rank, t, win, sp);
+                Announce::Sync(kind, plane) => {
+                    let event = crate::trace::SyncEvent::EpochDoneSent {
+                        epoch: id.0,
+                        id: word,
+                    };
+                    self.sync_event(st, rank, t, win, plane, event);
+                    self.send_sync(st, rank, t, win, kind, word);
                 }
                 Announce::FenceDone { seq } => {
+                    let event = crate::trace::SyncEvent::FenceDoneSent { seq };
+                    self.sync_event(st, rank, t, win, Plane::Gats, event);
                     let body = Body::FenceDone { win, seq, ops_sent: word };
                     self.send_framed(st, Packet { src: rank, dst: t, body }, None, None);
                 }

@@ -16,7 +16,8 @@ use std::sync::Arc;
 use crate::engine::{EngState, Engine};
 use crate::epoch::EpochKind;
 use crate::lock::QueuedLock;
-use crate::msg::{GrantKind, SyncPacket};
+use crate::msg::SyncKind;
+use crate::trace::Plane;
 use crate::types::{EpochId, LockKind, Rank, WinId};
 
 impl Engine {
@@ -53,9 +54,7 @@ impl Engine {
             access_id,
             kind,
         });
-        if !w.grant_dirty.contains(&origin) {
-            w.grant_dirty.push(origin);
-        }
+        w.grant_dirty.mark(origin);
         st.mark_lock_backlog(me, win);
     }
 
@@ -75,7 +74,7 @@ impl Engine {
             me,
             origin,
             win,
-            crate::trace::Plane::Lock,
+            Plane::Lock,
             crate::trace::SyncEvent::EpochDoneApplied { id: access_id },
         );
         st.sweep[me.idx()].pending_unlocks.push_back((win, origin));
@@ -97,18 +96,15 @@ impl Engine {
             // A release may make any queued request admissible.
             st.mark_lock_backlog(rank, win);
         }
-        let sw = &mut st.sweep[rank.idx()];
-        let wins = std::mem::replace(&mut sw.lock_backlog, std::mem::take(&mut sw.win_scratch));
-        st.eng_stats.grant_pumps += wins.len() as u64;
-        for &win in &wins {
-            if st.wins[win.0 as usize].per_rank[rank.idx()].is_none() {
-                continue;
-            }
-            self.pump_window_grants(st, rank, win);
-        }
-        let mut wins = wins;
-        wins.clear();
-        st.sweep[rank.idx()].win_scratch = wins;
+        let pumps = st.drain(
+            |st| &mut st.sweep[rank.idx()].lock_backlog,
+            |st, win| {
+                if st.wins[win.0 as usize].per_rank[rank.idx()].is_some() {
+                    self.pump_window_grants(st, rank, win);
+                }
+            },
+        );
+        st.eng_stats.grant_pumps += pumps;
     }
 
     /// Emit every grant that has become possible on this window.
@@ -116,17 +112,13 @@ impl Engine {
         loop {
             let mut progressed = false;
 
-            // Positional exposure grants per dirty origin. The dirty list
-            // ping-pongs with the rank scratch buffer: origins marked while
-            // pumping land in the scratch-backed live list and the drained
-            // buffer becomes the next scratch.
-            let scratch = std::mem::take(&mut st.sweep[me.idx()].rank_scratch);
-            let mut dirty = std::mem::replace(&mut st.win_mut(win, me).grant_dirty, scratch);
-            for &origin in &dirty {
-                progressed |= self.pump_exposure_grants(st, me, win, origin);
-            }
-            dirty.clear();
-            st.sweep[me.idx()].rank_scratch = dirty;
+            // Positional exposure grants per dirty origin.
+            st.drain(
+                |st| &mut st.win_mut(win, me).grant_dirty,
+                |st, origin| {
+                    progressed |= self.pump_exposure_grants(st, me, win, origin);
+                },
+            );
 
             // Lock grants: scan the arrival-order queue. FIFO fairness —
             // the first *eligible but inadmissible* request stops the scan.
@@ -154,9 +146,7 @@ impl Engine {
                     let gs = &mut w.omega.peer_mut(q.origin).grants;
                     gs.pending_locks.remove(&q.access_id);
                     gs.gl_sent = q.access_id;
-                    if !w.grant_dirty.contains(&q.origin) {
-                        w.grant_dirty.push(q.origin);
-                    }
+                    w.grant_dirty.mark(q.origin);
                 }
                 st.eng_stats.lock_grants += 1;
                 self.sync_event(
@@ -164,20 +154,10 @@ impl Engine {
                     me,
                     q.origin,
                     win,
-                    crate::trace::Plane::Lock,
+                    Plane::Lock,
                     crate::trace::SyncEvent::GrantSent { id: q.access_id },
                 );
-                self.send_sync(
-                    st,
-                    me,
-                    q.origin,
-                    win,
-                    SyncPacket::GrantLock {
-                        win,
-                        granter: me,
-                        id: q.access_id,
-                    },
-                );
+                self.send_sync(st, me, q.origin, win, SyncKind::GrantLock, q.access_id);
                 progressed = true;
             }
 
@@ -221,20 +201,10 @@ impl Engine {
                 me,
                 origin,
                 win,
-                crate::trace::Plane::Gats,
+                Plane::Gats,
                 crate::trace::SyncEvent::GrantSent { id: *id },
             );
-            self.send_sync(
-                st,
-                me,
-                origin,
-                win,
-                SyncPacket::GrantExposure {
-                    win,
-                    granter: me,
-                    id: *id,
-                },
-            );
+            self.send_sync(st, me, origin, win, SyncKind::GrantExposure, *id);
         }
         let progressed = !sent.is_empty();
         sent.clear();
@@ -246,8 +216,9 @@ impl Engine {
     // origin side
     // ------------------------------------------------------------------
 
-    /// A grant arrived: advance the plane's counter and unblock the waiting
-    /// access epoch of that plane.
+    /// A grant arrived on `plane` (exposure grants on the GATS plane, lock
+    /// grants on the lock plane): advance the plane's counter and unblock
+    /// the waiting access epoch of that plane.
     pub(crate) fn handle_grant(
         self: &Arc<Self>,
         st: &mut EngState,
@@ -255,21 +226,17 @@ impl Engine {
         granter: Rank,
         win: WinId,
         id: u64,
-        kind: GrantKind,
+        plane: Plane,
     ) {
         {
             let po = st.win_mut(win, me).omega.peer_mut(granter);
-            let ctr = match kind {
-                GrantKind::Exposure => &mut po.g,
-                GrantKind::Lock => &mut po.g_lock,
+            let ctr = match plane {
+                Plane::Gats => &mut po.g,
+                Plane::Lock => &mut po.g_lock,
             };
             assert_eq!(*ctr + 1, id, "grants from {granter} arrived out of order");
             *ctr = id;
         }
-        let plane = match kind {
-            GrantKind::Exposure => crate::trace::Plane::Gats,
-            GrantKind::Lock => crate::trace::Plane::Lock,
-        };
         self.sync_event(
             st,
             me,
@@ -280,25 +247,18 @@ impl Engine {
         );
         // Find the (activated) access epoch of the right plane waiting on
         // this grant.
-        let hit: Option<EpochId> = st
-            .win(win, me)
-            .order
-            .iter()
-            .copied()
-            .find(|eid| {
-                let e = st.win(win, me).epoch(*eid);
-                let plane_ok = match kind {
-                    GrantKind::Exposure => matches!(e.kind, EpochKind::GatsAccess { .. }),
-                    GrantKind::Lock => {
-                        matches!(e.kind, EpochKind::Lock { .. } | EpochKind::LockAll)
-                    }
-                };
-                plane_ok
-                    && e.is_active()
-                    && e.targets()
-                        .get(&granter)
-                        .is_some_and(|ts| ts.access_id == id && !ts.granted)
-            });
+        let hit: Option<EpochId> = st.win(win, me).order.iter().copied().find(|eid| {
+            let e = st.win(win, me).epoch(*eid);
+            let plane_ok = match plane {
+                Plane::Gats => matches!(e.kind, EpochKind::GatsAccess { .. }),
+                Plane::Lock => matches!(e.kind, EpochKind::Lock { .. } | EpochKind::LockAll),
+            };
+            plane_ok
+                && e.is_active()
+                && e.targets()
+                    .get(&granter)
+                    .is_some_and(|ts| ts.access_id == id && !ts.granted)
+        });
         match hit {
             Some(eid) => {
                 st.win_mut(win, me).epoch_mut(eid).grant(granter);
@@ -315,7 +275,7 @@ impl Engine {
                 // while its lock request was still queued at the target.
                 // Answer those with an immediate unlock so the granter's
                 // lock queue keeps moving; anything else is a protocol bug.
-                if kind == GrantKind::Lock {
+                if plane == Plane::Lock {
                     let w = st.win_mut(win, me);
                     let pos = w
                         .cancelled_lock_grants
@@ -323,13 +283,7 @@ impl Engine {
                         .position(|&(g, aid)| g == granter && aid == id)
                         .expect("lock grant arrived with no matching activated lock epoch");
                     w.cancelled_lock_grants.swap_remove(pos);
-                    self.send_sync(
-                        st,
-                        me,
-                        granter,
-                        win,
-                        crate::msg::SyncPacket::Unlock { win, origin: me, access_id: id },
-                    );
+                    self.send_sync(st, me, granter, win, SyncKind::Unlock, id);
                 }
             }
         }
@@ -350,7 +304,7 @@ impl Engine {
             me,
             origin,
             win,
-            crate::trace::Plane::Gats,
+            Plane::Gats,
             crate::trace::SyncEvent::EpochDoneApplied { id: access_id },
         );
         let (before, now) = {

@@ -17,6 +17,16 @@
 //! completion verification, internode posting, batch epoch
 //! completion/activation, intranode posting, intranode-FIFO consumption,
 //! lock/unlock batch processing, and a final completion/activation pass.
+//! Each step drains a deduplicated `WorkList` (`core/src/worklist.rs`)
+//! that whatever created the work marked; no step scans for work
+//! (DESIGN.md §10.1).
+//!
+//! Every message kind is described once, in [`crate::msg`] (DESIGN.md
+//! §4.6). `dispatch_body` hands an arriving [`Body`] to its handler; the
+//! synchronization plane has one `dispatch_sync` behind both of its
+//! transports — the step-5 FIFO drain for intranode 64-bit words and
+//! `Body::Sync` delivery internode — and `send_sync` picks the transport
+//! without looking at the packet's kind.
 
 mod epochs;
 mod fence;
@@ -38,10 +48,12 @@ use parking_lot::Mutex;
 use crate::config::{JobConfig, SyncStrategy};
 use crate::engine::epochs::Outcome;
 use crate::epoch::{EpochObj, Slot};
-use crate::msg::{Body, SyncPacket};
+use crate::msg::{Body, SyncKind, SyncPacket};
 use crate::request::ReqTable;
-use crate::types::{EpochId, Rank, Req, WinId};
+use crate::trace::Plane;
+use crate::types::{EpochId, LockKind, Rank, Req, WinId};
 use crate::window::WinRank;
+use crate::worklist::WorkList;
 
 pub(crate) use p2p::{BarrierRank, P2pRank};
 pub use recover::RecoveryReport;
@@ -73,16 +85,9 @@ pub(crate) enum Notice {
 
 /// Correlation state for tokens carried by request/response messages.
 pub(crate) enum TokenInfo {
-    /// Outstanding get: response completes the op and carries data.
-    Get {
-        rank: Rank,
-        win: WinId,
-        epoch: EpochId,
-        age: u64,
-        req: Req,
-    },
-    /// Outstanding fetch-style atomic.
-    Fetch {
+    /// Outstanding get or fetch-style atomic: the response completes the
+    /// op and carries data.
+    Resp {
         rank: Rank,
         win: WinId,
         epoch: EpochId,
@@ -292,44 +297,34 @@ pub struct RankStats {
 
 /// One rank's sweep work lists plus reusable scratch buffers.
 ///
-/// Every sweep step is driven by an explicit, deduplicated work list: a
-/// step touches only state some earlier event enqueued, never scans
+/// Every sweep step is driven by an explicit, deduplicated [`WorkList`]: a
+/// step touches only state some earlier event marked, never scans
 /// per-window or per-peer structures looking for work (DESIGN.md §10).
-/// The `*_scratch` buffers ping-pong with their work lists so the steady
-/// state of a sweep performs no heap allocation.
+/// The work lists and the `*_scratch` buffers keep their capacity, so the
+/// steady state of a sweep performs no heap allocation.
+#[derive(Default)]
 pub(crate) struct RankSweepState {
     pub notices: VecDeque<Notice>,
     /// Epochs that may have issueable ops.
-    pub dirty_ops: Vec<(WinId, EpochId)>,
+    pub dirty_ops: WorkList<(WinId, EpochId)>,
     /// Epochs whose completion conditions should be rechecked.
-    pub dirty_complete: Vec<(WinId, EpochId)>,
+    pub dirty_complete: WorkList<(WinId, EpochId)>,
     /// Windows needing an activation scan.
-    pub act_dirty: Vec<WinId>,
+    pub act_dirty: WorkList<WinId>,
     /// Windows with pending lock/unlock work (step 6 backlog).
-    pub lock_backlog: Vec<WinId>,
+    pub lock_backlog: WorkList<WinId>,
     /// Deferred lock releases: (window, origin releasing).
     pub pending_unlocks: VecDeque<(WinId, Rank)>,
     /// Pending-FIFO index (step 5's work list): the (window, peer) pairs
     /// whose intranode notification FIFO received packets since the last
-    /// drain. Deduplicated; maintained by the `Fifo64` delivery path on
-    /// every *successful* push (a full ring is already indexed by the
-    /// pushes that filled it).
-    pub fifo_pending: Vec<(WinId, Rank)>,
+    /// drain, marked by the FIFO delivery path on every *successful* push
+    /// (a full ring is already indexed by the pushes that filled it).
+    pub fifo_pending: WorkList<(WinId, Rank)>,
     /// Outgoing intranode sync words buffered during the current sweep
     /// pass: (destination, window, encoded word) in send order. Flushed
     /// by `flush_sync_batches` at the bottom of each sweep-loop
     /// iteration as one push per (destination, window) channel.
     pub sync_out: Vec<(Rank, WinId, u64)>,
-    /// Ping-pong buffer for `dirty_ops` (issue steps 2/4).
-    pub ops_scratch: Vec<(WinId, EpochId)>,
-    /// Ping-pong buffer for `dirty_complete` (steps 3/7).
-    pub complete_scratch: Vec<(WinId, EpochId)>,
-    /// Ping-pong buffer for `act_dirty` (steps 3/7).
-    pub act_scratch: Vec<WinId>,
-    /// Ping-pong buffer for `fifo_pending` (step 5).
-    pub fifo_scratch: Vec<(WinId, Rank)>,
-    /// Ping-pong buffer for `lock_backlog` (step 6).
-    pub win_scratch: Vec<WinId>,
     /// Ping-pong buffer for an epoch's `pending_ops` during issue.
     pub pending_scratch: VecDeque<crate::epoch::OpDesc>,
     /// Scratch for per-target (rank, id) send batches (done/unlock/fence
@@ -337,42 +332,13 @@ pub(crate) struct RankSweepState {
     pub send_scratch: Vec<(Rank, u64)>,
     /// Scratch for exposure-grant id batches.
     pub grant_scratch: Vec<u64>,
-    /// Scratch for small rank sets (grant pumping, unlock blocking).
-    pub rank_scratch: Vec<Rank>,
     /// Scratch for completed flush requests.
     pub req_scratch: Vec<Req>,
-    /// Ping-pong buffer for `sync_out` (batch flush).
-    pub sync_scratch: Vec<(Rank, WinId, u64)>,
     /// Scratch for one channel's worth of words during the batch flush.
     pub sync_word_scratch: Vec<u64>,
 }
 
 impl RankSweepState {
-    fn new() -> Self {
-        RankSweepState {
-            notices: VecDeque::new(),
-            dirty_ops: Vec::new(),
-            dirty_complete: Vec::new(),
-            act_dirty: Vec::new(),
-            lock_backlog: Vec::new(),
-            pending_unlocks: VecDeque::new(),
-            fifo_pending: Vec::new(),
-            ops_scratch: Vec::new(),
-            complete_scratch: Vec::new(),
-            act_scratch: Vec::new(),
-            fifo_scratch: Vec::new(),
-            win_scratch: Vec::new(),
-            pending_scratch: VecDeque::new(),
-            send_scratch: Vec::new(),
-            grant_scratch: Vec::new(),
-            rank_scratch: Vec::new(),
-            req_scratch: Vec::new(),
-            sync_out: Vec::new(),
-            sync_scratch: Vec::new(),
-            sync_word_scratch: Vec::new(),
-        }
-    }
-
     fn has_work(&self) -> bool {
         !self.notices.is_empty()
             || !self.dirty_ops.is_empty()
@@ -462,31 +428,37 @@ impl EngState {
     }
 
     pub(crate) fn mark_ops_dirty(&mut self, rank: Rank, win: WinId, epoch: EpochId) {
-        let d = &mut self.sweep[rank.idx()].dirty_ops;
-        if !d.contains(&(win, epoch)) {
-            d.push((win, epoch));
-        }
+        self.sweep[rank.idx()].dirty_ops.mark((win, epoch));
     }
 
     pub(crate) fn mark_complete_dirty(&mut self, rank: Rank, win: WinId, epoch: EpochId) {
-        let d = &mut self.sweep[rank.idx()].dirty_complete;
-        if !d.contains(&(win, epoch)) {
-            d.push((win, epoch));
-        }
+        self.sweep[rank.idx()].dirty_complete.mark((win, epoch));
     }
 
     pub(crate) fn mark_act_dirty(&mut self, rank: Rank, win: WinId) {
-        let d = &mut self.sweep[rank.idx()].act_dirty;
-        if !d.contains(&win) {
-            d.push(win);
-        }
+        self.sweep[rank.idx()].act_dirty.mark(win);
     }
 
     pub(crate) fn mark_lock_backlog(&mut self, rank: Rank, win: WinId) {
-        let d = &mut self.sweep[rank.idx()].lock_backlog;
-        if !d.contains(&win) {
-            d.push(win);
+        self.sweep[rank.idx()].lock_backlog.mark(win);
+    }
+
+    /// Drain the work list `list` selects: run `each` over the current
+    /// batch, in marking order, and return the batch size. The list lives
+    /// inside `self`, which `each` is free to mutate — whatever it marks
+    /// waits for the next drain (see [`WorkList`]).
+    pub(crate) fn drain<T: Copy + PartialEq>(
+        &mut self,
+        list: impl Fn(&mut Self) -> &mut WorkList<T>,
+        mut each: impl FnMut(&mut Self, T),
+    ) -> u64 {
+        let batch = list(self).take();
+        for &item in &batch {
+            each(self, item);
         }
+        let n = batch.len() as u64;
+        list(self).recycle(batch);
+        n
     }
 }
 
@@ -533,7 +505,7 @@ impl Engine {
                 p2p: (0..n).map(|_| P2pRank::default()).collect(),
                 barrier: (0..n).map(|_| BarrierRank::default()).collect(),
                 stats: vec![RankStats::default(); n],
-                sweep: (0..n).map(|_| RankSweepState::new()).collect(),
+                sweep: (0..n).map(|_| RankSweepState::default()).collect(),
                 tokens: HashMap::new(),
                 next_token: 1,
                 eng_stats: EngineStats::default(),
@@ -541,7 +513,7 @@ impl Engine {
                 trace: Vec::new(),
                 sync_trace: Vec::new(),
                 degradations: Vec::new(),
-                rel: (0..n).map(|_| RelRank::new()).collect(),
+                rel: (0..n).map(|_| RelRank::default()).collect(),
                 stable: HashMap::new(),
                 crashed: vec![false; n],
                 recoveries: Vec::new(),
@@ -863,120 +835,29 @@ impl Engine {
             }
             Body::RelAck { cum } => self.rel_handle_ack(st, dst, src, cum),
             // ---- data plane ----
-            Body::PutData {
+            Body::Op {
                 win,
                 tag,
                 disp,
-                layout,
-                payload,
-            } => self.handle_put(st, dst, src, win, tag, disp, layout, payload),
-            Body::AccData {
-                win,
-                tag,
-                disp,
-                dt,
-                op,
-                payload,
-            } => self.handle_acc(st, dst, src, win, tag, disp, dt, op, payload),
+                token,
+                kind,
+            } => self.handle_op(st, dst, src, win, tag, disp, token, kind),
+            Body::OpResp { token, payload } => self.handle_op_resp(st, dst, token, payload),
             Body::AccRts { win, size, token } => {
                 self.handle_acc_rts(st, dst, src, win, size, token)
             }
             Body::AccCts { token } => self.handle_acc_cts(st, dst, token),
-            Body::GetReq {
-                win,
-                tag,
-                disp,
-                len,
-                layout,
-                token,
-            } => self.handle_get_req(st, dst, src, win, tag, disp, len, layout, token),
-            Body::GetResp { win, token, payload } => {
-                self.handle_get_resp(st, dst, win, token, payload)
-            }
-            Body::FetchReq {
-                win,
-                tag,
-                fetch,
-                disp,
-                dt,
-                op,
-                operand,
-                token,
-            } => self.handle_fetch_req(
-                st, dst, src, win, tag, fetch, disp, dt, op, operand, token,
-            ),
-            Body::FetchResp { win, token, payload } => {
-                self.handle_fetch_resp(st, dst, win, token, payload)
-            }
 
             // ---- synchronization plane ----
-            Body::LockReq {
-                win,
-                access_id,
-                kind,
-            } => self.handle_lock_req(st, dst, src, win, access_id, kind),
-            Body::Grant { win, id, kind } => self.handle_grant(st, dst, src, win, id, kind),
-            Body::GatsDone { win, access_id } => {
-                self.handle_gats_done(st, dst, src, win, access_id)
-            }
-            Body::Unlock { win, access_id } => {
-                self.handle_unlock(st, dst, src, win, access_id)
+            Body::Sync(sp) => {
+                debug_assert_eq!(sp.peer, src);
+                self.dispatch_sync(st, dst, sp)
             }
             Body::FenceDone { win, seq, ops_sent } => {
                 self.handle_fence_done(st, dst, src, win, seq, ops_sent)
             }
-            Body::Fifo64 { win, packet } => {
-                // Push into the per-pair FIFO; drained in sweep step 5.
-                // A full FIFO forces a retry, as a real shared-memory
-                // ring would. The pending-FIFO index and the pushed
-                // counter are updated only on a *successful* push: a
-                // full ring's pair is already indexed by the pushes
-                // that filled it, and retries must not double-count.
-                let w = st.win_mut(win, dst);
-                if w.fifo_from(src).push(packet) {
-                    st.eng_stats.fifo_packets += 1;
-                    let idx = &mut st.sweep[dst.idx()].fifo_pending;
-                    if !idx.contains(&(win, src)) {
-                        idx.push((win, src));
-                    }
-                } else {
-                    let me = self.clone();
-                    self.sim.schedule(SimTime::from_micros(1), move || {
-                        me.on_message(Packet {
-                            src,
-                            dst,
-                            body: Body::Fifo64 { win, packet },
-                        });
-                    });
-                }
-            }
-            Body::Fifo64Batch { win, packets } => {
-                // Same ring discipline as `Fifo64`, word by word. If the
-                // ring fills mid-batch the *remaining* words retry as a
-                // smaller batch after the 1 µs pause, preserving FIFO
-                // order; words already pushed are not re-sent.
-                for (i, &packet) in packets.iter().enumerate() {
-                    let w = st.win_mut(win, dst);
-                    if w.fifo_from(src).push(packet) {
-                        st.eng_stats.fifo_packets += 1;
-                        let idx = &mut st.sweep[dst.idx()].fifo_pending;
-                        if !idx.contains(&(win, src)) {
-                            idx.push((win, src));
-                        }
-                    } else {
-                        let rest = packets[i..].to_vec();
-                        let me = self.clone();
-                        self.sim.schedule(SimTime::from_micros(1), move || {
-                            me.on_message(Packet {
-                                src,
-                                dst,
-                                body: Body::Fifo64Batch { win, packets: rest },
-                            });
-                        });
-                        break;
-                    }
-                }
-            }
+            Body::Fifo64 { win, packet } => self.push_fifo_words(st, dst, src, win, &[packet]),
+            Body::Fifo64Batch { win, packets } => self.push_fifo_words(st, dst, src, win, &packets),
 
             // ---- two-sided ----
             Body::P2pEager { tag, payload } => {
@@ -994,6 +875,35 @@ impl Engine {
             Body::BarrierMsg { seq, round } => {
                 self.handle_barrier_msg(st, dst, seq, round)
             }
+        }
+    }
+
+    /// Push sync words that arrived from `src` into its FIFO on `win`, in
+    /// order; they are drained in sweep step 5. A full FIFO forces a
+    /// retry, as a real shared-memory ring would: the words not yet pushed
+    /// retry together after a 1 µs pause, preserving FIFO order. The
+    /// pending-FIFO index and the pushed counter are updated only on a
+    /// *successful* push: a full ring's pair is already indexed by the
+    /// pushes that filled it, and retries must not double-count.
+    fn push_fifo_words(
+        self: &Arc<Self>,
+        st: &mut EngState,
+        dst: Rank,
+        src: Rank,
+        win: WinId,
+        words: &[u64],
+    ) {
+        for (i, &word) in words.iter().enumerate() {
+            if !st.win_mut(win, dst).fifo_from(src).push(word) {
+                let body = Body::fifo(win, &words[i..]);
+                let me = self.clone();
+                self.sim.schedule(SimTime::from_micros(1), move || {
+                    me.on_message(Packet { src, dst, body });
+                });
+                return;
+            }
+            st.eng_stats.fifo_packets += 1;
+            st.sweep[dst.idx()].fifo_pending.mark((win, src));
         }
     }
 
@@ -1108,113 +1018,73 @@ impl Engine {
     }
 
     /// Steps 3 and 7: batch-complete dirty epochs, then scan deferred
-    /// epochs for activation. Both work lists ping-pong with scratch
-    /// buffers so the steady state allocates nothing: entries marked
-    /// *during* processing land in the scratch-backed live list and the
-    /// drained buffer (cleared, capacity kept) becomes the next scratch.
+    /// epochs for activation.
     fn complete_and_activate(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
-        let sw = &mut st.sweep[rank.idx()];
-        let dirty = std::mem::replace(
-            &mut sw.dirty_complete,
-            std::mem::take(&mut sw.complete_scratch),
+        let checks = st.drain(
+            |st| &mut st.sweep[rank.idx()].dirty_complete,
+            |st, (win, epoch)| self.check_epoch_progress(st, rank, win, epoch),
         );
-        st.eng_stats.completion_checks += dirty.len() as u64;
-        for &(win, epoch) in &dirty {
-            self.check_epoch_progress(st, rank, win, epoch);
-        }
-        let mut dirty = dirty;
-        dirty.clear();
-        st.sweep[rank.idx()].complete_scratch = dirty;
-
-        let sw = &mut st.sweep[rank.idx()];
-        let wins = std::mem::replace(&mut sw.act_dirty, std::mem::take(&mut sw.act_scratch));
-        for &win in &wins {
-            self.activation_scan(st, rank, win);
-        }
-        let mut wins = wins;
-        wins.clear();
-        st.sweep[rank.idx()].act_scratch = wins;
+        st.eng_stats.completion_checks += checks;
+        st.drain(
+            |st| &mut st.sweep[rank.idx()].act_dirty,
+            |st, win| self.activation_scan(st, rank, win),
+        );
     }
 
     /// Step 5: drain exactly the (window, peer) FIFOs indexed as pending
     /// and dispatch the decoded 64-bit packets. Pairs that receive more
     /// packets while we dispatch re-index themselves through the normal
-    /// delivery path, so nothing is lost; the drained index buffer is
-    /// recycled as the next scratch.
+    /// delivery path, so nothing is lost.
     fn drain_fifos(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
-        let sw = &mut st.sweep[rank.idx()];
-        let pairs = std::mem::replace(&mut sw.fifo_pending, std::mem::take(&mut sw.fifo_scratch));
-        for &(win, src) in &pairs {
-            if st.wins[win.0 as usize].per_rank[rank.idx()].is_none() {
-                continue;
-            }
-            while let Some(raw) = st.win_mut(win, rank).fifo_from(src).pop() {
-                st.eng_stats.fifo_drained += 1;
-                let Some(sp) = SyncPacket::decode(raw) else {
-                    // Surface corrupt packets with provenance instead of
-                    // aborting the simulated job (the real library would
-                    // raise an MPI error on the window).
-                    st.eng_stats.fifo_decode_errors += 1;
-                    st.degradations.push(Degradation::FifoDecode(ProtocolError {
-                        rank,
-                        win,
-                        src,
-                        raw,
-                        detail: "corrupt 64-bit sync packet",
-                    }));
-                    continue;
-                };
-                self.dispatch_sync_packet(st, rank, win, src, sp);
-            }
-        }
-        let mut pairs = pairs;
-        pairs.clear();
-        st.sweep[rank.idx()].fifo_scratch = pairs;
+        st.drain(
+            |st| &mut st.sweep[rank.idx()].fifo_pending,
+            |st, (win, src)| {
+                if st.wins[win.0 as usize].per_rank[rank.idx()].is_none() {
+                    return;
+                }
+                while let Some(raw) = st.win_mut(win, rank).fifo_from(src).pop() {
+                    st.eng_stats.fifo_drained += 1;
+                    let Some(sp) = SyncPacket::from_word(win, src, raw) else {
+                        // Surface corrupt packets with provenance instead of
+                        // aborting the simulated job (the real library would
+                        // raise an MPI error on the window).
+                        st.eng_stats.fifo_decode_errors += 1;
+                        st.degradations.push(Degradation::FifoDecode(ProtocolError {
+                            rank,
+                            win,
+                            src,
+                            raw,
+                            detail: "corrupt 64-bit sync packet",
+                        }));
+                        continue;
+                    };
+                    self.dispatch_sync(st, rank, sp);
+                }
+            },
+        );
     }
 
-    /// Dispatch one decoded intranode sync packet (step 5 payload).
-    fn dispatch_sync_packet(
-        self: &Arc<Self>,
-        st: &mut EngState,
-        rank: Rank,
-        win: WinId,
-        src: Rank,
-        sp: SyncPacket,
-    ) {
-        match sp {
-            SyncPacket::LockReqExcl {
-                origin, access_id, ..
-            } => self.handle_lock_req(
-                st,
-                rank,
-                origin,
-                win,
-                access_id,
-                crate::types::LockKind::Exclusive,
-            ),
-            SyncPacket::LockReqShared {
-                origin, access_id, ..
-            } => self.handle_lock_req(
-                st,
-                rank,
-                origin,
-                win,
-                access_id,
-                crate::types::LockKind::Shared,
-            ),
-            SyncPacket::GrantExposure { granter, id, .. } => {
-                debug_assert_eq!(granter, src);
-                self.handle_grant(st, rank, granter, win, id, crate::msg::GrantKind::Exposure)
+    /// Hand one synchronization-plane packet to its handler — the one
+    /// dispatch behind both transports: the step-5 FIFO drain and
+    /// internode delivery ([`Body::Sync`]).
+    fn dispatch_sync(self: &Arc<Self>, st: &mut EngState, me: Rank, sp: SyncPacket) {
+        let SyncPacket {
+            kind,
+            win,
+            peer,
+            id,
+        } = sp;
+        match kind {
+            SyncKind::LockReqExcl => {
+                self.handle_lock_req(st, me, peer, win, id, LockKind::Exclusive)
             }
-            SyncPacket::GrantLock { granter, id, .. } => {
-                self.handle_grant(st, rank, granter, win, id, crate::msg::GrantKind::Lock)
+            SyncKind::LockReqShared => {
+                self.handle_lock_req(st, me, peer, win, id, LockKind::Shared)
             }
-            SyncPacket::GatsDone {
-                origin, access_id, ..
-            } => self.handle_gats_done(st, rank, origin, win, access_id),
-            SyncPacket::Unlock {
-                origin, access_id, ..
-            } => self.handle_unlock(st, rank, origin, win, access_id),
+            SyncKind::GrantExposure => self.handle_grant(st, me, peer, win, id, Plane::Gats),
+            SyncKind::GrantLock => self.handle_grant(st, me, peer, win, id, Plane::Lock),
+            SyncKind::GatsDone => self.handle_gats_done(st, me, peer, win, id),
+            SyncKind::Unlock => self.handle_unlock(st, me, peer, win, id),
         }
     }
 
@@ -1222,9 +1092,10 @@ impl Engine {
     // send helpers
     // ------------------------------------------------------------------
 
-    /// Send a synchronization-plane packet; intranode it travels as a
-    /// 64-bit word through the notification FIFO (§VII.D), internode it
-    /// rides the reliability sublayer when configured.
+    /// Send a synchronization-plane packet from `src` to `dst`; intranode
+    /// it travels as a 64-bit word through the notification FIFO (§VII.D),
+    /// internode as a control packet that rides the reliability sublayer
+    /// when configured.
     ///
     /// Intranode words are not pushed immediately: they are buffered in
     /// the sender's sweep state and flushed by [`Engine::flush_sync_batches`]
@@ -1240,50 +1111,41 @@ impl Engine {
         src: Rank,
         dst: Rank,
         win: WinId,
-        sp: SyncPacket,
+        kind: SyncKind,
+        id: u64,
     ) {
-        if self.net.topology().same_node(src, dst) {
-            st.sweep[src.idx()].sync_out.push((dst, win, sp.encode()));
-            return;
-        }
-        let body = {
-            match sp {
-                SyncPacket::LockReqExcl { access_id, .. } => Body::LockReq {
-                    win,
-                    access_id,
-                    kind: crate::types::LockKind::Exclusive,
-                },
-                SyncPacket::LockReqShared { access_id, .. } => Body::LockReq {
-                    win,
-                    access_id,
-                    kind: crate::types::LockKind::Shared,
-                },
-                SyncPacket::GrantExposure { id, .. } => Body::Grant {
-                    win,
-                    id,
-                    kind: crate::msg::GrantKind::Exposure,
-                },
-                SyncPacket::GrantLock { id, .. } => Body::Grant {
-                    win,
-                    id,
-                    kind: crate::msg::GrantKind::Lock,
-                },
-                SyncPacket::GatsDone { access_id, .. } => Body::GatsDone { win, access_id },
-                SyncPacket::Unlock { access_id, .. } => Body::Unlock { win, access_id },
-            }
+        let sp = SyncPacket {
+            kind,
+            win,
+            peer: src,
+            id,
         };
-        self.send_framed(st, Packet { src, dst, body }, None, None);
+        if self.net.topology().same_node(src, dst) {
+            st.sweep[src.idx()].sync_out.push((dst, win, sp.word()));
+        } else {
+            self.send_framed(
+                st,
+                Packet {
+                    src,
+                    dst,
+                    body: Body::Sync(sp),
+                },
+                None,
+                None,
+            );
+        }
     }
 
     /// Flush the intranode sync words buffered by [`Engine::send_sync`]:
     /// group the buffer by (destination, window) channel — order within a
-    /// channel preserved — and emit one `Fifo64` (singleton) or
-    /// `Fifo64Batch` (multi-word) push per channel. The buffers ping-pong
-    /// with scratch so a steady-state flush allocates only the batch
-    /// vectors that actually go on the wire.
+    /// channel preserved — and emit one push per channel ([`Body::fifo`]:
+    /// a singleton inline, several words as one batch). Nothing buffers a
+    /// word while the flush runs, and both buffers keep their capacity, so
+    /// a steady-state flush allocates only the batch vectors that actually
+    /// go on the wire.
     fn flush_sync_batches(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
         let sw = &mut st.sweep[rank.idx()];
-        let mut out = std::mem::replace(&mut sw.sync_out, std::mem::take(&mut sw.sync_scratch));
+        let mut out = std::mem::take(&mut sw.sync_out);
         let mut words = std::mem::take(&mut sw.sync_word_scratch);
         while !out.is_empty() {
             let (dst, win, _) = out[0];
@@ -1296,22 +1158,14 @@ impl Engine {
                     true
                 }
             });
-            let body = if words.len() == 1 {
-                Body::Fifo64 {
-                    win,
-                    packet: words[0],
-                }
-            } else {
+            if words.len() > 1 {
                 st.eng_stats.notices_batched += words.len() as u64;
-                Body::Fifo64Batch {
-                    win,
-                    packets: words.clone(),
-                }
-            };
+            }
+            let body = Body::fifo(win, &words);
             self.send_framed(st, Packet { src: rank, dst, body }, None, None);
         }
         let sw = &mut st.sweep[rank.idx()];
-        sw.sync_scratch = out;
+        sw.sync_out = out;
         sw.sync_word_scratch = words;
     }
 }
@@ -1437,9 +1291,9 @@ mod tests {
         let (_sim, eng) = engine_with_window();
         {
             let mut st = eng.st.lock();
-            // 0xF type nibble: SyncPacket::decode returns None.
+            // 0xF type nibble: SyncPacket::from_word returns None.
             assert!(st.win_mut(WinId(0), Rank(0)).fifo_from(Rank(1)).push(0xF << 60));
-            st.sweep[0].fifo_pending.push((WinId(0), Rank(1)));
+            st.sweep[0].fifo_pending.mark((WinId(0), Rank(1)));
         }
         eng.sweep(Rank(0));
         let s = eng.engine_stats();
@@ -1461,12 +1315,10 @@ mod tests {
     #[test]
     fn same_channel_sync_words_batch_into_one_push() {
         let (sim, eng) = engine_with_window();
-        let w1 = SyncPacket::GatsDone { win: WinId(0), origin: Rank(1), access_id: 7 };
-        let w2 = SyncPacket::GatsDone { win: WinId(0), origin: Rank(1), access_id: 9 };
         {
             let mut st = eng.st.lock();
-            eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), w1);
-            eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), w2);
+            eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), SyncKind::GatsDone, 7);
+            eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), SyncKind::GatsDone, 9);
             // Buffered, not yet on the wire.
             assert_eq!(st.sweep[1].sync_out.len(), 2);
             assert_eq!(st.eng_stats.fifo_packets, 0);
@@ -1494,8 +1346,7 @@ mod tests {
         {
             let mut st = eng.st.lock();
             st.win_mut(WinId(0), Rank(0)).fifo_from(Rank(1));
-            let sp = SyncPacket::GatsDone { win: WinId(0), origin: Rank(1), access_id: 1 };
-            eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), sp);
+            eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), SyncKind::GatsDone, 1);
         }
         eng.sweep(Rank(1));
         sim.run().unwrap();

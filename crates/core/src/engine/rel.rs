@@ -28,6 +28,7 @@ use crate::config::Reliability;
 use crate::engine::{EngState, Engine, Notice, ProtocolError};
 use crate::msg::Body;
 use crate::types::Rank;
+use crate::worklist::WorkList;
 
 /// One unacknowledged outbound frame: a clean copy of the inner body for
 /// retransmission plus the notice to post once the peer's cumulative ack
@@ -82,20 +83,19 @@ impl Default for RelIn {
 
 /// One rank's reliability state: its channels plus the sweep work lists
 /// the sublayer adds (retransmit timer, pending acks, in-order delivery).
+#[derive(Default)]
 pub(crate) struct RelRank {
     /// Outbound channels by destination. Ordered: the retransmit scan
     /// resends in iteration order, and a run must repeat exactly.
     pub out: BTreeMap<Rank, RelOut>,
     /// Inbound channels by source.
     pub inn: BTreeMap<Rank, RelIn>,
-    /// Peers owed a cumulative ack (deduplicated; flushed by step 2).
-    pub ack_due: Vec<Rank>,
+    /// Peers owed a cumulative ack (flushed by step 2).
+    pub ack_due: WorkList<Rank>,
     /// Peers whose ack is being *held* inside the delayed-ack window;
     /// moved to `ack_due` when the ack timer fires. Deliberately not
     /// sweep work: the hold ends on the timer, not on progress.
     pub ack_pending: Vec<Rank>,
-    /// Ping-pong buffer for `ack_due` (step 2 flush).
-    pub ack_scratch: Vec<Rank>,
     /// When the pending delayed ack fires, if armed.
     pub ack_timer_at: Option<SimTime>,
     /// Generation counter invalidating superseded delayed-ack events.
@@ -112,22 +112,6 @@ pub(crate) struct RelRank {
 }
 
 impl RelRank {
-    pub(crate) fn new() -> Self {
-        RelRank {
-            out: BTreeMap::new(),
-            inn: BTreeMap::new(),
-            ack_due: Vec::new(),
-            ack_pending: Vec::new(),
-            ack_scratch: Vec::new(),
-            ack_timer_at: None,
-            ack_timer_gen: 0,
-            deliver: VecDeque::new(),
-            timer_due: false,
-            timer_at: None,
-            timer_gen: 0,
-        }
-    }
-
     /// Whether the sublayer has sweep work pending for this rank.
     pub(crate) fn has_work(&self) -> bool {
         self.timer_due || !self.ack_due.is_empty() || !self.deliver.is_empty()
@@ -403,32 +387,35 @@ impl Engine {
     /// one. Under delayed acks one flush typically covers several frames;
     /// every frame beyond the first is counted as a coalesced ack.
     pub(crate) fn rel_flush_acks(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
-        let ch = &mut st.rel[rank.idx()];
-        let mut due = std::mem::replace(&mut ch.ack_due, std::mem::take(&mut ch.ack_scratch));
-        for &dst in &due {
-            let ch = &mut st.rel[rank.idx()];
-            let (cum, covered) = match ch.inn.get_mut(&dst) {
-                Some(i) => {
-                    let cum = i.next_expected - 1;
-                    let covered = cum.saturating_sub(i.last_cum_acked);
-                    i.last_cum_acked = cum;
-                    (cum, covered)
+        st.drain(
+            |st| &mut st.rel[rank.idx()].ack_due,
+            |st, dst| {
+                let ch = &mut st.rel[rank.idx()];
+                let (cum, covered) = match ch.inn.get_mut(&dst) {
+                    Some(i) => {
+                        let cum = i.next_expected - 1;
+                        let covered = cum.saturating_sub(i.last_cum_acked);
+                        i.last_cum_acked = cum;
+                        (cum, covered)
+                    }
+                    None => (0, 0),
+                };
+                if covered > 1 {
+                    st.eng_stats.acks_coalesced += covered - 1;
                 }
-                None => (0, 0),
-            };
-            if covered > 1 {
-                st.eng_stats.acks_coalesced += covered - 1;
-            }
-            st.eng_stats.rel_acks_sent += 1;
-            // Acks ride the fabric raw: a lost ack is repaired by the
-            // retransmit it provokes (which re-queues the ack), so framing
-            // them would only add a second unbounded channel. A zero-new-
-            // coverage ack is still sent — it re-acks a duplicate so the
-            // sender's window advances past a lost ack.
-            self.net.send(Packet { src: rank, dst, body: Body::RelAck { cum } });
-        }
-        due.clear();
-        st.rel[rank.idx()].ack_scratch = due;
+                st.eng_stats.rel_acks_sent += 1;
+                // Acks ride the fabric raw: a lost ack is repaired by the
+                // retransmit it provokes (which re-queues the ack), so framing
+                // them would only add a second unbounded channel. A zero-new-
+                // coverage ack is still sent — it re-acks a duplicate so the
+                // sender's window advances past a lost ack.
+                self.net.send(Packet {
+                    src: rank,
+                    dst,
+                    body: Body::RelAck { cum },
+                });
+            },
+        );
     }
 
     /// Receive one reliability frame: checksum validation, duplicate
@@ -479,10 +466,7 @@ impl Engine {
         let delay = self.cfg.reliability.as_ref().map_or(SimTime::from_nanos(0), |r| r.ack_delay);
         if delay.as_nanos() == 0 {
             // Immediate mode: owe the ack to the very next sweep's step 2.
-            let due = &mut st.rel[dst.idx()].ack_due;
-            if !due.contains(&src) {
-                due.push(src);
-            }
+            st.rel[dst.idx()].ack_due.mark(src);
         } else {
             // Delayed-ack mode: hold the ack for the coalescing window so
             // the rest of the burst lands under the same cumulative ack.
@@ -512,9 +496,7 @@ impl Engine {
             }
             ch.ack_timer_at = None;
             while let Some(src) = ch.ack_pending.pop() {
-                if !ch.ack_due.contains(&src) {
-                    ch.ack_due.push(src);
-                }
+                ch.ack_due.mark(src);
             }
         }
         self.sweep(rank);

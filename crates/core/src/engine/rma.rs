@@ -1,15 +1,22 @@
 //! RMA communication calls: recording, issuing (sweep steps 2/4), the
 //! data-plane message handlers, and per-operation completion tracking.
+//!
+//! A recorded [`OpKind`] is never re-spelled on its way: `rma_op` records
+//! it, `send_op` classifies it (eager, or the rendezvous handshake of a
+//! large accumulate) and `post_op` moves it into the one [`Body::Op`]; at
+//! the target the one `handle_op` applies it, and `handle_op_resp` takes
+//! the answer of the kinds that read the target. What differs per kind is
+//! asked of the kind itself (`msg.rs`).
 
 use std::sync::Arc;
 
 use mpisim_net::{Packet, Payload};
 
-use crate::datatype::{self, Datatype, ReduceOp};
+use crate::datatype;
 use crate::engine::{EngState, Engine, Notice, Phase, TokenInfo};
-use crate::epoch::{EpochKind, LiveOp, OpDesc, OpKind};
+use crate::epoch::{EpochKind, LiveOp, OpDesc};
 use crate::error::{RmaError, RmaResult};
-use crate::msg::{Body, EpochTag, FetchKind, Layout};
+use crate::msg::{Body, EpochTag, FetchKind, OpKind};
 use crate::request::ReqKind;
 use crate::types::{EpochId, Rank, Req, WinId};
 
@@ -98,22 +105,17 @@ impl Engine {
     /// and step 4 hands internode leftovers to the next pass's step 2 (the
     /// sweep loops until quiescent).
     pub(crate) fn issue_phase(self: &Arc<Self>, st: &mut EngState, rank: Rank, phase: Phase) {
-        let sw = &mut st.sweep[rank.idx()];
-        let dirty = std::mem::replace(&mut sw.dirty_ops, std::mem::take(&mut sw.ops_scratch));
-        st.eng_stats.issue_scans += dirty.len() as u64;
-        for &(win, eid) in &dirty {
-            if !st.win(win, rank).epochs.contains_key(&eid.0) {
-                continue;
-            }
-            if self.issue_ops(st, rank, win, eid, phase) {
-                // Re-queue via the marker so it dedupes against entries
-                // enqueued while issuing.
-                st.mark_ops_dirty(rank, win, eid);
-            }
-        }
-        let mut dirty = dirty;
-        dirty.clear();
-        st.sweep[rank.idx()].ops_scratch = dirty;
+        let scans = st.drain(
+            |st| &mut st.sweep[rank.idx()].dirty_ops,
+            |st, (win, eid)| {
+                if st.win(win, rank).epochs.contains_key(&eid.0)
+                    && self.issue_ops(st, rank, win, eid, phase)
+                {
+                    st.mark_ops_dirty(rank, win, eid);
+                }
+            },
+        );
+        st.eng_stats.issue_scans += scans;
     }
 
     /// Issue eligible ops of one epoch; returns whether ops remain that the
@@ -203,11 +205,24 @@ impl Engine {
         }
     }
 
-    /// Put one recorded op on the wire.
+    /// Issue one recorded op: enter it in the epoch's live set, then either
+    /// put it on the wire or — a large accumulate — open its rendezvous.
     fn send_op(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, eid: EpochId, op: OpDesc) {
         st.eng_stats.ops_issued += 1;
-        let tag = self.epoch_tag(st, rank, win, eid, op.target);
-        let is_passive = st.win(win, rank).epoch(eid).kind.is_passive();
+        let e = st.win_mut(win, rank).epoch_mut(eid);
+        let is_passive = e.kind.is_passive();
+        let responds = op.kind.expects_response();
+        e.add_live(
+            op.age,
+            LiveOp {
+                target: op.target,
+                needs_local: op.kind.sends_payload(),
+                needs_resp: responds,
+                // The response of a get or fetch is its remote completion.
+                needs_ack: is_passive && !responds,
+                req: op.req,
+            },
+        );
         let plane = if is_passive {
             crate::trace::Plane::Lock
         } else {
@@ -215,256 +230,108 @@ impl Engine {
         };
         // Target byte range + access kind travel with the trace record so
         // the race detector needs no side channel into the op stream.
-        let (len, access) = match &op.kind {
-            OpKind::Put { payload, layout } => {
-                (layout.extent(payload.len()), crate::trace::AccessKind::Write)
-            }
-            OpKind::Get { len, layout } => {
-                (layout.extent(*len), crate::trace::AccessKind::Read)
-            }
-            OpKind::Acc { op: rop, payload, .. } => {
-                (payload.len(), crate::trace::AccessKind::Atomic(*rop))
-            }
-            OpKind::Fetch { fetch, op: rop, operand, .. } => (
-                operand.len(),
-                match fetch {
-                    FetchKind::CompareAndSwap { .. } => crate::trace::AccessKind::AtomicCas,
-                    _ => crate::trace::AccessKind::Atomic(*rop),
-                },
-            ),
+        let event = crate::trace::SyncEvent::DataIssued {
+            epoch: eid.0,
+            disp: op.disp,
+            len: op.kind.extent(),
+            access: op.kind.access(),
         };
-        self.sync_event(
-            st,
-            rank,
-            op.target,
-            win,
-            plane,
-            crate::trace::SyncEvent::DataIssued { epoch: eid.0, disp: op.disp, len, access },
-        );
-        let OpDesc {
-            age,
-            target,
-            disp,
-            kind,
-            req,
-        } = op;
-        match kind {
-            OpKind::Put { payload, layout } => {
-                self.track_send(
-                    st,
+        self.sync_event(st, rank, op.target, win, plane, event);
+        if matches!(op.kind, OpKind::Acc { .. }) && op.kind.wire_len() > self.cfg.rndv_threshold {
+            // Rendezvous: the target must stage an intermediate buffer for
+            // the operand (§VIII.A) — RTS now, data on CTS. `unsent` stays
+            // up so done/unlock packets cannot overtake the data.
+            let token = st.alloc_token();
+            let body = Body::AccRts {
+                win,
+                size: op.kind.wire_len(),
+                token,
+            };
+            let pkt = Packet {
+                src: rank,
+                dst: op.target,
+                body,
+            };
+            st.tokens.insert(
+                token,
+                TokenInfo::AccRndv {
                     rank,
                     win,
-                    eid,
-                    age,
-                    target,
-                    is_passive,
-                    req,
-                    Body::PutData {
-                        win,
-                        tag,
-                        disp,
-                        layout,
-                        payload,
-                    },
-                );
-                st.win_mut(win, rank).epoch_mut(eid).op_sent(target);
-            }
-            OpKind::Acc { dt, op: rop, payload } => {
-                if payload.len() > self.cfg.rndv_threshold {
-                    // Rendezvous: the target must stage an intermediate
-                    // buffer for the operand (§VIII.A) — RTS now, data on
-                    // CTS. `unsent` stays up so done/unlock packets cannot
-                    // overtake the data.
-                    let token = st.alloc_token();
-                    let size = payload.len();
-                    st.win_mut(win, rank).epoch_mut(eid).add_live(
-                        age,
-                        LiveOp {
-                            target,
-                            needs_local: true,
-                            needs_resp: false,
-                            needs_ack: is_passive,
-                            req,
-                        },
-                    );
-                    st.tokens.insert(
-                        token,
-                        TokenInfo::AccRndv {
-                            rank,
-                            win,
-                            epoch: eid,
-                            op: OpDesc {
-                                age,
-                                target,
-                                disp,
-                                kind: OpKind::Acc { dt, op: rop, payload },
-                                req,
-                            },
-                        },
-                    );
-                    self.send_framed(
-                        st,
-                        Packet {
-                            src: rank,
-                            dst: target,
-                            body: Body::AccRts { win, size, token },
-                        },
-                        None,
-                        None,
-                    );
-                } else {
-                    self.track_send(
-                        st,
-                        rank,
-                        win,
-                        eid,
-                        age,
-                        target,
-                        is_passive,
-                        req,
-                        Body::AccData {
-                            win,
-                            tag,
-                            disp,
-                            dt,
-                            op: rop,
-                            payload,
-                        },
-                    );
-                    st.win_mut(win, rank).epoch_mut(eid).op_sent(target);
-                }
-            }
-            OpKind::Get { len, layout } => {
-                let token = st.alloc_token();
-                st.tokens.insert(
-                    token,
-                    TokenInfo::Get {
-                        rank,
-                        win,
-                        epoch: eid,
-                        age,
-                        req: req.expect("get ops always carry a result request"),
-                    },
-                );
-                st.win_mut(win, rank).epoch_mut(eid).add_live(
-                    age,
-                    LiveOp {
-                        target,
-                        needs_local: false,
-                        needs_resp: true,
-                        needs_ack: false,
-                        req,
-                    },
-                );
-                st.win_mut(win, rank).epoch_mut(eid).op_sent(target);
-                self.send_framed(
-                    st,
-                    Packet {
-                        src: rank,
-                        dst: target,
-                        body: Body::GetReq {
-                            win,
-                            tag,
-                            disp,
-                            len,
-                            layout,
-                            token,
-                        },
-                    },
-                    None,
-                    None,
-                );
-            }
-            OpKind::Fetch {
-                fetch,
-                dt,
-                op: rop,
-                operand,
-            } => {
-                let token = st.alloc_token();
-                st.tokens.insert(
-                    token,
-                    TokenInfo::Fetch {
-                        rank,
-                        win,
-                        epoch: eid,
-                        age,
-                        req: req.expect("fetch ops always carry a result request"),
-                    },
-                );
-                st.win_mut(win, rank).epoch_mut(eid).add_live(
-                    age,
-                    LiveOp {
-                        target,
-                        needs_local: true,
-                        needs_resp: true,
-                        needs_ack: false,
-                        req,
-                    },
-                );
-                st.win_mut(win, rank).epoch_mut(eid).op_sent(target);
-                let me = self.clone();
-                self.send_framed(
-                    st,
-                    Packet {
-                        src: rank,
-                        dst: target,
-                        body: Body::FetchReq {
-                            win,
-                            tag,
-                            fetch,
-                            disp,
-                            dt,
-                            op: rop,
-                            operand,
-                            token,
-                        },
-                    },
-                    Some(Box::new(move || {
-                        me.post_notice(rank, Notice::LocalComplete { win, epoch: eid, age })
-                    })),
-                    None,
-                );
-            }
+                    epoch: eid,
+                    op,
+                },
+            );
+            self.send_framed(st, pkt, None, None);
+            return;
         }
+        let token = responds.then(|| {
+            let token = st.alloc_token();
+            let req = op
+                .req
+                .expect("get and fetch ops always carry a result request");
+            st.tokens.insert(
+                token,
+                TokenInfo::Resp {
+                    rank,
+                    win,
+                    epoch: eid,
+                    age: op.age,
+                    req,
+                },
+            );
+            token
+        });
+        self.post_op(st, rank, win, eid, op, token);
     }
 
-    /// Send a payload-bearing data message with local-completion (and, for
-    /// passive epochs, remote-ack) tracking.
-    #[allow(clippy::too_many_arguments)]
-    fn track_send(
+    /// Put a live op on the wire as the one [`Body::Op`], with
+    /// local-completion tracking for the kinds that send a payload and,
+    /// in passive epochs, remote-ack tracking for the kinds no response
+    /// acknowledges.
+    fn post_op(
         self: &Arc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
         eid: EpochId,
-        age: u64,
-        target: Rank,
-        is_passive: bool,
-        req: Option<Req>,
-        body: Body,
+        op: OpDesc,
+        token: Option<u64>,
     ) {
-        st.win_mut(win, rank).epoch_mut(eid).add_live(
+        let tag = self.epoch_tag(st, rank, win, eid, op.target);
+        let e = st.win_mut(win, rank).epoch_mut(eid);
+        e.op_sent(op.target);
+        let age = op.age;
+        let ack = (e.kind.is_passive() && !op.kind.expects_response()).then_some(Notice::Acked {
+            win,
+            epoch: eid,
             age,
-            LiveOp {
-                target,
-                needs_local: true,
-                needs_resp: false,
-                needs_ack: is_passive,
-                req,
-            },
-        );
-        let pkt = Packet {
-            src: rank,
-            dst: target,
-            body,
-        };
-        let me = self.clone();
-        let local = Box::new(move || {
-            me.post_notice(rank, Notice::LocalComplete { win, epoch: eid, age })
         });
-        let ack = is_passive.then_some(Notice::Acked { win, epoch: eid, age });
-        self.send_framed(st, pkt, Some(local), ack);
+        let local = op.kind.sends_payload().then(|| {
+            let me = self.clone();
+            let notice = Notice::LocalComplete {
+                win,
+                epoch: eid,
+                age,
+            };
+            Box::new(move || me.post_notice(rank, notice)) as Box<dyn FnOnce() + Send>
+        });
+        let body = Body::Op {
+            win,
+            tag,
+            disp: op.disp,
+            token,
+            kind: op.kind,
+        };
+        self.send_framed(
+            st,
+            Packet {
+                src: rank,
+                dst: op.target,
+                body,
+            },
+            local,
+            ack,
+        );
     }
 
     /// Enqueue a completion notice and run the owner's sweep (called from
@@ -564,14 +431,12 @@ impl Engine {
         );
     }
 
-    fn apply_fence_arrival(&self, st: &mut EngState, me: Rank, win: WinId, src: Rank, tag: EpochTag) {
-        if let EpochTag::Fence { seq } = tag {
-            self.fence_arrival(st, me, win, seq, src, |p| p.got += 1);
-        }
-    }
-
+    /// Target side of every RMA operation: bounds-check it against the
+    /// window, read what the origin gets back (a get's data, a fetch's
+    /// previous contents), apply what it writes, journal the write, count
+    /// it toward its fence, and answer.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_put(
+    pub(crate) fn handle_op(
         self: &Arc<Self>,
         st: &mut EngState,
         me: Rank,
@@ -579,87 +444,125 @@ impl Engine {
         win: WinId,
         tag: EpochTag,
         disp: usize,
-        layout: Layout,
-        payload: Payload,
+        token: Option<u64>,
+        kind: OpKind,
     ) {
         self.freshen_crashed_mem(st, me, win);
-        {
-            let w = st.win_mut(win, me);
-            let len = payload.len();
-            let extent = layout.extent(len);
-            assert!(
-                disp + extent <= w.mem.len(),
-                "erroneous program: put of {len} bytes (extent {extent}) at disp {disp}                  exceeds window ({} bytes) at {me}",
-                w.mem.len()
-            );
-            if let Some(bytes) = payload.bytes() {
-                match layout {
-                    Layout::Contig => {
-                        w.mem[disp..disp + len].copy_from_slice(bytes);
+        let (len, layout) = kind.shape();
+        let extent = layout.extent(len);
+        let mem = &mut st.win_mut(win, me).mem;
+        assert!(
+            disp + extent <= mem.len(),
+            "erroneous program: {:?} of {len} bytes (extent {extent}) at disp {disp} \
+             exceeds window ({} bytes) at {me}",
+            kind.access(),
+            mem.len()
+        );
+        let reply = kind.expects_response().then(|| {
+            let mut packed = Vec::with_capacity(len);
+            for (d, n) in layout.blocks(disp, len) {
+                packed.extend_from_slice(&mem[d..d + n]);
+            }
+            // `from_vec` adopts the packed buffer without a copy.
+            Payload::from_vec(packed)
+        });
+        // A synthetic payload times like real data but writes nothing.
+        let wrote = match &kind {
+            OpKind::Get { .. } => None,
+            OpKind::Put { payload, .. } => payload.bytes().map(|bytes| {
+                let mut at = 0;
+                for (d, n) in layout.blocks(disp, len) {
+                    mem[d..d + n].copy_from_slice(&bytes[at..at + n]);
+                    at += n;
+                }
+            }),
+            OpKind::Acc { dt, op, payload } => payload.bytes().map(|bytes| {
+                // Applied elementwise in one step: this is what makes the
+                // operation atomic with respect to other accumulates. The
+                // injected `double-acc` safety bug applies it twice.
+                let times = if self.fault == Some(crate::engine::Fault::DoubleAcc) {
+                    2
+                } else {
+                    1
+                };
+                for _ in 0..times {
+                    datatype::apply(*dt, *op, &mut mem[disp..disp + len], bytes)
+                        .expect("erroneous program: accumulate datatype mismatch at target");
+                }
+            }),
+            OpKind::Fetch {
+                fetch,
+                dt,
+                op,
+                operand,
+            } => operand.bytes().map(|bytes| {
+                let cell = &mut mem[disp..disp + len];
+                match fetch {
+                    FetchKind::GetAccumulate | FetchKind::FetchAndOp => {
+                        datatype::apply(*dt, *op, cell, bytes)
+                            .expect("erroneous program: fetch datatype mismatch");
                     }
-                    Layout::Vector { count, blocklen, stride } => {
-                        debug_assert_eq!(len, count * blocklen);
-                        for b in 0..count {
-                            let d = disp + b * stride;
-                            w.mem[d..d + blocklen]
-                                .copy_from_slice(&bytes[b * blocklen..(b + 1) * blocklen]);
+                    FetchKind::CompareAndSwap { compare } => {
+                        if cell == compare.as_slice() {
+                            cell.copy_from_slice(bytes);
                         }
                     }
                 }
+            }),
+        };
+        if wrote.is_some() {
+            for (d, n) in layout.blocks(disp, len) {
+                self.log_win_write(st, me, win, d, n);
             }
         }
-        if payload.bytes().is_some() {
-            match layout {
-                Layout::Contig => self.log_win_write(st, me, win, disp, payload.len()),
-                Layout::Vector { count, blocklen, stride } => {
-                    for b in 0..count {
-                        self.log_win_write(st, me, win, disp + b * stride, blocklen);
-                    }
-                }
-            }
+        if reply.is_none() {
+            self.plant_local_read(st, me, win, tag, disp, extent);
         }
-        self.plant_local_read(st, me, win, tag, disp, layout.extent(payload.len()));
-        self.apply_fence_arrival(st, me, win, src, tag);
+        if let EpochTag::Fence { seq } = tag {
+            self.fence_arrival(st, me, win, seq, src, |p| p.got += 1);
+        }
+        if let Some(payload) = reply {
+            let token = token.expect("an op that expects a response carries its token");
+            let body = Body::OpResp { token, payload };
+            self.send_framed(
+                st,
+                Packet {
+                    src: me,
+                    dst: src,
+                    body,
+                },
+                None,
+                None,
+            );
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_acc(
+    /// Origin side: the data a get or fetch-style op read has arrived.
+    pub(crate) fn handle_op_resp(
         self: &Arc<Self>,
         st: &mut EngState,
         me: Rank,
-        src: Rank,
-        win: WinId,
-        tag: EpochTag,
-        disp: usize,
-        dt: Datatype,
-        op: ReduceOp,
+        token: u64,
         payload: Payload,
     ) {
-        self.freshen_crashed_mem(st, me, win);
-        {
-            let w = st.win_mut(win, me);
-            let len = payload.len();
-            assert!(
-                disp + len <= w.mem.len(),
-                "erroneous program: accumulate exceeds window bounds at {me}"
-            );
-            if let Some(bytes) = payload.bytes() {
-                // Applied elementwise in one step: this is what makes the
-                // operation atomic with respect to other accumulates.
-                datatype::apply(dt, op, &mut w.mem[disp..disp + len], bytes)
-                    .expect("erroneous program: accumulate datatype mismatch at target");
-                if self.fault == Some(crate::engine::Fault::DoubleAcc) {
-                    // Injected safety bug: the reduction is applied twice.
-                    datatype::apply(dt, op, &mut w.mem[disp..disp + len], bytes)
-                        .expect("erroneous program: accumulate datatype mismatch at target");
-                }
-            }
-        }
-        if payload.bytes().is_some() {
-            self.log_win_write(st, me, win, disp, payload.len());
-        }
-        self.plant_local_read(st, me, win, tag, disp, payload.len());
-        self.apply_fence_arrival(st, me, win, src, tag);
+        let Some(TokenInfo::Resp {
+            rank,
+            win,
+            epoch,
+            age,
+            req,
+        }) = st.tokens.remove(&token)
+        else {
+            self.orphan_response(st, "OpResp");
+            return;
+        };
+        debug_assert_eq!(rank, me);
+        let len = payload.len();
+        let data = payload
+            .into_bytes()
+            .unwrap_or_else(|| bytes::Bytes::from(vec![0u8; len]));
+        st.reqs.complete(req, Some(data));
+        self.op_update(st, me, win, epoch, age, |o| o.needs_resp = false);
     }
 
     pub(crate) fn handle_acc_rts(
@@ -684,9 +587,15 @@ impl Engine {
         );
     }
 
-    /// Origin side: CTS arrived, send the staged accumulate payload.
+    /// Origin side: CTS arrived, send the staged accumulate.
     pub(crate) fn handle_acc_cts(self: &Arc<Self>, st: &mut EngState, me: Rank, token: u64) {
-        let Some(TokenInfo::AccRndv { rank, win, epoch, op }) = st.tokens.remove(&token) else {
+        let Some(TokenInfo::AccRndv {
+            rank,
+            win,
+            epoch,
+            op,
+        }) = st.tokens.remove(&token)
+        else {
             self.orphan_response(st, "AccCts");
             return;
         };
@@ -694,187 +603,7 @@ impl Engine {
         if !st.win(win, me).epochs.contains_key(&epoch.0) {
             return;
         }
-        let tag = self.epoch_tag(st, me, win, epoch, op.target);
-        let is_passive = st.win(win, me).epoch(epoch).kind.is_passive();
-        let OpDesc {
-            age,
-            target,
-            disp,
-            kind,
-            req: _,
-        } = op;
-        let OpKind::Acc { dt, op: rop, payload } = kind else {
-            unreachable!("AccRndv holds accumulate ops only")
-        };
-        st.win_mut(win, me).epoch_mut(epoch).op_sent(target);
-        let pkt = Packet {
-            src: me,
-            dst: target,
-            body: Body::AccData {
-                win,
-                tag,
-                disp,
-                dt,
-                op: rop,
-                payload,
-            },
-        };
-        let m1 = self.clone();
-        let local = Box::new(move || {
-            m1.post_notice(me, Notice::LocalComplete { win, epoch, age })
-        });
-        let ack = is_passive.then_some(Notice::Acked { win, epoch, age });
-        self.send_framed(st, pkt, Some(local), ack);
+        self.post_op(st, me, win, epoch, op, None);
         st.mark_complete_dirty(me, win, epoch);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_get_req(
-        self: &Arc<Self>,
-        st: &mut EngState,
-        me: Rank,
-        src: Rank,
-        win: WinId,
-        tag: EpochTag,
-        disp: usize,
-        len: usize,
-        layout: Layout,
-        token: u64,
-    ) {
-        self.freshen_crashed_mem(st, me, win);
-        let payload = {
-            let w = st.win(win, me);
-            let extent = layout.extent(len);
-            assert!(
-                disp + extent <= w.mem.len(),
-                "erroneous program: get exceeds window bounds at {me}"
-            );
-            match layout {
-                Layout::Contig => Payload::copy_from_slice(&w.mem[disp..disp + len]),
-                Layout::Vector { count, blocklen, stride } => {
-                    let mut packed = Vec::with_capacity(count * blocklen);
-                    for b in 0..count {
-                        let d = disp + b * stride;
-                        packed.extend_from_slice(&w.mem[d..d + blocklen]);
-                    }
-                    // `from_vec` adopts the packed buffer without a copy.
-                    Payload::from_vec(packed)
-                }
-            }
-        };
-        self.apply_fence_arrival(st, me, win, src, tag);
-        self.send_framed(
-            st,
-            Packet {
-                src: me,
-                dst: src,
-                body: Body::GetResp { win, token, payload },
-            },
-            None,
-            None,
-        );
-    }
-
-    /// Origin side: get data arrived.
-    pub(crate) fn handle_get_resp(
-        self: &Arc<Self>,
-        st: &mut EngState,
-        me: Rank,
-        _win: WinId,
-        token: u64,
-        payload: Payload,
-    ) {
-        let Some(TokenInfo::Get { rank, win, epoch, age, req }) = st.tokens.remove(&token) else {
-            self.orphan_response(st, "GetResp");
-            return;
-        };
-        debug_assert_eq!(rank, me);
-        let len = payload.len();
-        let data = payload
-            .into_bytes()
-            .unwrap_or_else(|| bytes::Bytes::from(vec![0u8; len]));
-        st.reqs.complete(req, Some(data));
-        self.op_update(st, me, win, epoch, age, |o| o.needs_resp = false);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn handle_fetch_req(
-        self: &Arc<Self>,
-        st: &mut EngState,
-        me: Rank,
-        src: Rank,
-        win: WinId,
-        tag: EpochTag,
-        fetch: FetchKind,
-        disp: usize,
-        dt: Datatype,
-        op: ReduceOp,
-        operand: Payload,
-        token: u64,
-    ) {
-        self.freshen_crashed_mem(st, me, win);
-        let old = {
-            let w = st.win_mut(win, me);
-            let len = operand.len();
-            assert!(
-                disp + len <= w.mem.len(),
-                "erroneous program: fetch op exceeds window bounds at {me}"
-            );
-            let old = Payload::copy_from_slice(&w.mem[disp..disp + len]);
-            if let Some(bytes) = operand.bytes() {
-                match &fetch {
-                    FetchKind::GetAccumulate | FetchKind::FetchAndOp => {
-                        datatype::apply(dt, op, &mut w.mem[disp..disp + len], bytes)
-                            .expect("erroneous program: fetch datatype mismatch");
-                    }
-                    FetchKind::CompareAndSwap { compare } => {
-                        if &w.mem[disp..disp + len] == compare.as_slice() {
-                            w.mem[disp..disp + len].copy_from_slice(bytes);
-                        }
-                    }
-                }
-            }
-            old
-        };
-        if operand.bytes().is_some() {
-            self.log_win_write(st, me, win, disp, operand.len());
-        }
-        self.apply_fence_arrival(st, me, win, src, tag);
-        self.send_framed(
-            st,
-            Packet {
-                src: me,
-                dst: src,
-                body: Body::FetchResp {
-                    win,
-                    token,
-                    payload: old,
-                },
-            },
-            None,
-            None,
-        );
-    }
-
-    /// Origin side: fetch result arrived.
-    pub(crate) fn handle_fetch_resp(
-        self: &Arc<Self>,
-        st: &mut EngState,
-        me: Rank,
-        _win: WinId,
-        token: u64,
-        payload: Payload,
-    ) {
-        let Some(TokenInfo::Fetch { rank, win, epoch, age, req }) = st.tokens.remove(&token) else {
-            self.orphan_response(st, "FetchResp");
-            return;
-        };
-        debug_assert_eq!(rank, me);
-        let len = payload.len();
-        let data = payload
-            .into_bytes()
-            .unwrap_or_else(|| bytes::Bytes::from(vec![0u8; len]));
-        st.reqs.complete(req, Some(data));
-        self.op_update(st, me, win, epoch, age, |o| o.needs_resp = false);
     }
 }

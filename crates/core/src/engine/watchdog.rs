@@ -22,6 +22,7 @@ use mpisim_sim::SimTime;
 
 use crate::engine::epochs::Outcome;
 use crate::engine::{EngState, Engine};
+use crate::msg::SyncKind;
 use crate::types::{EpochId, Rank, WinId};
 use crate::window::OmegaTable;
 
@@ -202,13 +203,7 @@ impl Engine {
             w.cancelled_lock_grants.extend(owed);
         }
         for (t, aid) in release_now {
-            self.send_sync(
-                st,
-                rank,
-                t,
-                win,
-                crate::msg::SyncPacket::Unlock { win, origin: rank, access_id: aid },
-            );
+            self.send_sync(st, rank, t, win, SyncKind::Unlock, aid);
         }
     }
 }

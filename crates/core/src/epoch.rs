@@ -14,10 +14,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use mpisim_net::Payload;
-
-use crate::datatype::{Datatype, ReduceOp};
-use crate::msg::FetchKind;
+use crate::msg::OpKind;
 use crate::types::{EpochId, Group, LockKind, Rank, Req};
 
 /// The five epoch kinds of MPI-3 RMA.
@@ -210,58 +207,6 @@ pub struct OpDesc {
     pub kind: OpKind,
     /// Request handle for request-based variants and fetch results.
     pub req: Option<Req>,
-}
-
-/// The payload-level variants of an RMA operation.
-#[derive(Debug)]
-pub enum OpKind {
-    /// Put `payload` at the target.
-    Put {
-        /// Data to write (packed).
-        payload: Payload,
-        /// Target-side layout.
-        layout: crate::msg::Layout,
-    },
-    /// Get `len` packed bytes from the target.
-    Get {
-        /// Packed bytes to read.
-        len: usize,
-        /// Target-side layout to gather from.
-        layout: crate::msg::Layout,
-    },
-    /// Accumulate `payload` into the target.
-    Acc {
-        /// Element datatype.
-        dt: Datatype,
-        /// Reduction operator.
-        op: ReduceOp,
-        /// Operand data.
-        payload: Payload,
-    },
-    /// Fetch-style atomic returning previous contents.
-    Fetch {
-        /// Which fetch flavour.
-        fetch: FetchKind,
-        /// Element datatype.
-        dt: Datatype,
-        /// Reduction operator.
-        op: ReduceOp,
-        /// Operand data.
-        operand: Payload,
-    },
-}
-
-impl OpKind {
-    /// Whether the op sends a payload whose local completion must be
-    /// tracked before the origin buffer is reusable.
-    pub fn sends_payload(&self) -> bool {
-        !matches!(self, OpKind::Get { .. })
-    }
-
-    /// Whether the op awaits a response message.
-    pub fn expects_response(&self) -> bool {
-        matches!(self, OpKind::Get { .. } | OpKind::Fetch { .. })
-    }
 }
 
 /// An issued RMA op that has not fully completed.
@@ -920,23 +865,5 @@ mod tests {
         e.reset(EpochId(1), EpochKind::LockAll);
         let new = EpochObj::new(EpochId(1), EpochKind::LockAll);
         assert_eq!(format!("{e:?}"), format!("{new:?}"), "reset after the last path");
-    }
-
-    #[test]
-    fn op_kind_flags() {
-        let put = OpKind::Put {
-            payload: Payload::Synthetic(8),
-            layout: crate::msg::Layout::Contig,
-        };
-        assert!(put.sends_payload() && !put.expects_response());
-        let get = OpKind::Get { len: 8, layout: crate::msg::Layout::Contig };
-        assert!(!get.sends_payload() && get.expects_response());
-        let fetch = OpKind::Fetch {
-            fetch: FetchKind::FetchAndOp,
-            dt: Datatype::U64,
-            op: ReduceOp::Sum,
-            operand: Payload::Synthetic(8),
-        };
-        assert!(fetch.sends_payload() && fetch.expects_response());
     }
 }

@@ -67,6 +67,7 @@ pub mod runtime;
 pub mod trace;
 pub mod types;
 pub mod window;
+mod worklist;
 
 pub use api::RankEnv;
 pub use config::{JobConfig, Overheads, RecoveryCfg, Reliability, SyncStrategy, WinInfo};

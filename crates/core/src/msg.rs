@@ -1,20 +1,27 @@
-//! Wire messages exchanged by the middleware, and the 64-bit packet
-//! encoding used on intranode notification FIFOs.
+//! The wire vocabulary: every message the middleware sends is described
+//! here, once — its fields, its wire size and its digest — and nowhere else.
 //!
 //! Two planes exist, mirroring the paper's design:
 //!
-//! * the **data plane** — put/get/accumulate payload movement, priced by
-//!   the network model;
-//! * the **synchronization plane** — lock requests, grants, epoch-done and
-//!   fence-done notifications. Internode these are small control packets;
-//!   intranode they are encoded into single 64-bit words pushed through the
-//!   per-window-pair shared-memory FIFO (§VII.D: "that notification channel
-//!   deals only with 64-bit packets").
+//! * the **data plane** — one [`Body::Op`] carrying the recorded [`OpKind`]
+//!   as the origin's call recorded it, answered by one [`Body::OpResp`] for
+//!   the kinds that read the target; priced by [`OpKind::wire_len`];
+//! * the **synchronization plane** — one [`SyncPacket`] record (lock
+//!   request, grant, GATS done, unlock) that is the in-memory form on both
+//!   transports: internode it rides a [`Body::Sync`] control packet,
+//!   intranode it is encoded into a single 64-bit word pushed through the
+//!   per-(window, peer) shared-memory FIFO (§VII.D: "that notification
+//!   channel deals only with 64-bit packets").
+//!
+//! The fence announcement, the accumulate rendezvous handshake, the
+//! two-sided plane and the reliability frames are the remaining [`Body`]
+//! variants. DESIGN.md §4.6 tabulates all of them.
 
 use mpisim_net::{Payload, Wire};
 
 use crate::datatype::{Datatype, ReduceOp};
-use crate::types::{LockKind, Rank, WinId};
+use crate::trace::AccessKind;
+use crate::types::{Rank, WinId};
 
 /// Memory layout of an RMA transfer at the target — the `target_datatype`
 /// dimension of MPI RMA calls (§VI.C reasons about overlap via `disp`,
@@ -58,6 +65,20 @@ impl Layout {
             Layout::Vector { count, blocklen, .. } => count * blocklen,
         }
     }
+
+    /// The contiguous target blocks `(start, len)` a transfer of
+    /// `packed_len` bytes at displacement `disp` covers, in packed order.
+    pub fn blocks(&self, disp: usize, packed_len: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (count, blocklen, stride) = match *self {
+            Layout::Contig => (1, packed_len, 0),
+            Layout::Vector {
+                count,
+                blocklen,
+                stride,
+            } => (count, blocklen, stride),
+        };
+        (0..count).map(move |b| (disp + b * stride, blocklen))
+    }
 }
 
 /// Which epoch context an RMA data message belongs to at the target.
@@ -94,46 +115,197 @@ pub enum FetchKind {
     },
 }
 
-/// What kind of access a [`Body::Grant`] message grants.
+/// An RMA operation: what the origin's call records is what the wire
+/// carries ([`Body::Op`]) and what the target applies.
+#[derive(Clone, Debug)]
+pub enum OpKind {
+    /// Put `payload` at the target.
+    Put {
+        /// Data to write (packed).
+        payload: Payload,
+        /// Target-side layout.
+        layout: Layout,
+    },
+    /// Get `len` packed bytes from the target.
+    Get {
+        /// Packed bytes to read.
+        len: usize,
+        /// Target-side layout to gather from.
+        layout: Layout,
+    },
+    /// Accumulate `payload` into the target (applied atomically,
+    /// elementwise, on delivery).
+    Acc {
+        /// Element datatype.
+        dt: Datatype,
+        /// Reduction operator.
+        op: ReduceOp,
+        /// Operand data.
+        payload: Payload,
+    },
+    /// Fetch-style atomic returning previous contents.
+    Fetch {
+        /// Which fetch flavour.
+        fetch: FetchKind,
+        /// Element datatype.
+        dt: Datatype,
+        /// Reduction operator (ignored for CAS).
+        op: ReduceOp,
+        /// Operand data.
+        operand: Payload,
+    },
+}
+
+impl OpKind {
+    /// Whether the op sends a payload whose local completion must be
+    /// tracked before the origin buffer is reusable.
+    pub fn sends_payload(&self) -> bool {
+        !matches!(self, OpKind::Get { .. })
+    }
+
+    /// Whether the op awaits a [`Body::OpResp`].
+    pub fn expects_response(&self) -> bool {
+        matches!(self, OpKind::Get { .. } | OpKind::Fetch { .. })
+    }
+
+    /// Packed bytes the op moves to or from the target window, and how
+    /// they are laid out there.
+    pub fn shape(&self) -> (usize, Layout) {
+        match self {
+            OpKind::Put { payload, layout } => (payload.len(), *layout),
+            OpKind::Get { len, layout } => (*len, *layout),
+            OpKind::Acc { payload, .. } => (payload.len(), Layout::Contig),
+            OpKind::Fetch { operand, .. } => (operand.len(), Layout::Contig),
+        }
+    }
+
+    /// Bytes the op touches at the target, from its displacement.
+    pub fn extent(&self) -> usize {
+        let (len, layout) = self.shape();
+        layout.extent(len)
+    }
+
+    /// Payload bytes the request carries on the wire.
+    pub fn wire_len(&self) -> usize {
+        match self {
+            OpKind::Put { payload, .. } | OpKind::Acc { payload, .. } => payload.len(),
+            OpKind::Get { .. } => 0,
+            OpKind::Fetch { operand, fetch, .. } => match fetch {
+                FetchKind::CompareAndSwap { compare } => operand.len() + compare.len(),
+                _ => operand.len(),
+            },
+        }
+    }
+
+    /// How the op touches those bytes, for the race detector.
+    pub fn access(&self) -> AccessKind {
+        match self {
+            OpKind::Put { .. } => AccessKind::Write,
+            OpKind::Get { .. } => AccessKind::Read,
+            OpKind::Acc { op, .. } => AccessKind::Atomic(*op),
+            OpKind::Fetch {
+                fetch: FetchKind::CompareAndSwap { .. },
+                ..
+            } => AccessKind::AtomicCas,
+            OpKind::Fetch { op, .. } => AccessKind::Atomic(*op),
+        }
+    }
+}
+
+/// The six synchronization-plane messages. The discriminant is the type
+/// nibble of the intranode 64-bit word.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum GrantKind {
-    /// A GATS exposure was opened matching the origin's access epoch.
-    Exposure,
+pub enum SyncKind {
+    /// Passive-target lock request, exclusive.
+    LockReqExcl = 1,
+    /// Passive-target lock request, shared.
+    LockReqShared = 2,
+    /// A GATS exposure was opened matching the origin's access epoch: the
+    /// one-sided update of the origin's `g_r` counter.
+    GrantExposure = 3,
     /// A passive-target lock was acquired for the origin.
-    Lock,
+    GrantLock = 4,
+    /// Origin finished a GATS access epoch toward this target ("done
+    /// packet containing `A_i`", §VII.B).
+    GatsDone = 5,
+    /// Origin releases a passive-target lock ("a different kind of done
+    /// packet", §VII.B).
+    Unlock = 6,
+}
+
+impl SyncKind {
+    /// Every kind, in type-nibble order.
+    pub const ALL: [SyncKind; 6] = [
+        SyncKind::LockReqExcl,
+        SyncKind::LockReqShared,
+        SyncKind::GrantExposure,
+        SyncKind::GrantLock,
+        SyncKind::GatsDone,
+        SyncKind::Unlock,
+    ];
+}
+
+/// A synchronization-plane message, the same record on both transports.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct SyncPacket {
+    /// What is being said.
+    pub kind: SyncKind,
+    /// The window it is about.
+    pub win: WinId,
+    /// The sender: the requesting or closing origin, or the granter.
+    pub peer: Rank,
+    /// The access id requested, granted or closed (`A_i` / `g_r`, §VII.B).
+    pub id: u64,
+}
+
+// The intranode 64-bit word (§VII.D) is `[63:60 type] [59:0 id]`. Window
+// and sender are not in it: the FIFO it travels through is per (window,
+// peer), so the channel already says both.
+const ID_BITS: u32 = 60;
+
+impl SyncPacket {
+    /// Encode into the 64-bit FIFO word.
+    pub fn word(self) -> u64 {
+        assert!(self.id < (1 << ID_BITS), "64-bit packet: id must be < 2^60");
+        ((self.kind as u64) << ID_BITS) | self.id
+    }
+
+    /// Decode a word popped from `peer`'s FIFO on `win`. Returns `None`
+    /// for an unknown type nibble.
+    pub fn from_word(win: WinId, peer: Rank, word: u64) -> Option<SyncPacket> {
+        let kind = *SyncKind::ALL.get(((word >> ID_BITS) as usize).wrapping_sub(1))?;
+        Some(SyncPacket {
+            kind,
+            win,
+            peer,
+            id: word & ((1 << ID_BITS) - 1),
+        })
+    }
 }
 
 /// Every message the middleware puts on the wire.
 #[derive(Clone, Debug)]
 pub enum Body {
     // ---------------- data plane ----------------
-    /// Put payload into the target window.
-    PutData {
+    /// One RMA operation heading for the target window.
+    Op {
         /// Target window.
         win: WinId,
         /// Epoch context at the target.
         tag: EpochTag,
         /// Byte displacement into the target window.
         disp: usize,
-        /// Target-side layout (payload carries the packed bytes).
-        layout: Layout,
-        /// The data (or a synthetic size).
-        payload: Payload,
+        /// Token correlating the [`Body::OpResp`], for the kinds that
+        /// expect one.
+        token: Option<u64>,
+        /// The operation, as recorded.
+        kind: OpKind,
     },
-    /// Accumulate payload into the target window (applied atomically,
-    /// elementwise, on delivery).
-    AccData {
-        /// Target window.
-        win: WinId,
-        /// Epoch context at the target.
-        tag: EpochTag,
-        /// Byte displacement into the target window.
-        disp: usize,
-        /// Element datatype.
-        dt: Datatype,
-        /// Reduction operator.
-        op: ReduceOp,
-        /// Operand data.
+    /// Response carrying what a get or fetch-style op read at the target.
+    OpResp {
+        /// Token from the request.
+        token: u64,
+        /// The data read (for fetch-style ops, the previous contents).
         payload: Payload,
     },
     /// Rendezvous request for a large accumulate (the target must stage an
@@ -152,95 +324,10 @@ pub enum Body {
         /// Token from the RTS.
         token: u64,
     },
-    /// Read `len` bytes from the target window.
-    GetReq {
-        /// Target window.
-        win: WinId,
-        /// Epoch context at the target.
-        tag: EpochTag,
-        /// Byte displacement into the target window.
-        disp: usize,
-        /// Packed bytes to read.
-        len: usize,
-        /// Target-side layout to gather from.
-        layout: Layout,
-        /// Token correlating the response.
-        token: u64,
-    },
-    /// Response carrying get data back to the origin.
-    GetResp {
-        /// Origin window.
-        win: WinId,
-        /// Token from the request.
-        token: u64,
-        /// The data read.
-        payload: Payload,
-    },
-    /// A fetch-style atomic (get_accumulate / fetch_and_op / CAS).
-    FetchReq {
-        /// Target window.
-        win: WinId,
-        /// Epoch context at the target.
-        tag: EpochTag,
-        /// Which fetch operation.
-        fetch: FetchKind,
-        /// Byte displacement into the target window.
-        disp: usize,
-        /// Element datatype.
-        dt: Datatype,
-        /// Reduction operator (ignored for CAS).
-        op: ReduceOp,
-        /// Operand bytes.
-        operand: Payload,
-        /// Token correlating the response.
-        token: u64,
-    },
-    /// Response carrying the previous target contents of a fetch-style op.
-    FetchResp {
-        /// Origin window.
-        win: WinId,
-        /// Token from the request.
-        token: u64,
-        /// Previous contents.
-        payload: Payload,
-    },
 
     // ---------------- synchronization plane ----------------
-    /// Passive-target lock request (carries the origin's access id so the
-    /// target can sequence grants per §VII.B).
-    LockReq {
-        /// Target window.
-        win: WinId,
-        /// The origin's access id toward the target.
-        access_id: u64,
-        /// Exclusive or shared.
-        kind: LockKind,
-    },
-    /// Access granted: the one-sided update of the origin's `g_r` counter.
-    Grant {
-        /// Window.
-        win: WinId,
-        /// The granted access id (`g_r` becomes this value).
-        id: u64,
-        /// Exposure-match or lock grant.
-        kind: GrantKind,
-    },
-    /// Origin finished a GATS access epoch toward this target ("done
-    /// packet containing `A_i`", §VII.B).
-    GatsDone {
-        /// Window.
-        win: WinId,
-        /// The access id being closed.
-        access_id: u64,
-    },
-    /// Origin releases a passive-target lock ("a different kind of done
-    /// packet", §VII.B).
-    Unlock {
-        /// Window.
-        win: WinId,
-        /// The access id of the lock epoch being closed.
-        access_id: u64,
-    },
+    /// A synchronization-plane packet travelling internode.
+    Sync(SyncPacket),
     /// Closing-fence announcement: carries how many data messages the
     /// sender issued toward the receiver inside fence epoch `seq`.
     FenceDone {
@@ -253,20 +340,20 @@ pub enum Body {
         ops_sent: u64,
     },
     /// A synchronization-plane packet travelling intranode, encoded as one
-    /// 64-bit word for the per-window-pair notification FIFO.
+    /// 64-bit word for the per-(window, peer) notification FIFO.
     Fifo64 {
-        /// Window (also encoded inside, kept here for routing).
+        /// Window whose FIFO the word goes into.
         win: WinId,
         /// The encoded packet.
         packet: u64,
     },
-    /// Several 64-bit sync words for the *same* per-window-pair FIFO,
-    /// coalesced into a single push: the progress engine batches the words
-    /// one sweep pass produces per channel instead of issuing one
-    /// syscall-shaped push per notice. FIFO order of the words is
-    /// preserved; the receiver pushes them into the ring one by one.
+    /// Several 64-bit sync words for the *same* FIFO, coalesced into a
+    /// single push: the progress engine batches the words one sweep pass
+    /// produces per channel instead of issuing one syscall-shaped push per
+    /// notice. FIFO order of the words is preserved; the receiver pushes
+    /// them into the ring one by one.
     Fifo64Batch {
-        /// Window (also encoded inside each word, kept here for routing).
+        /// Window whose FIFO the words go into.
         win: WinId,
         /// The encoded packets, in send order.
         packets: Vec<u64>,
@@ -335,54 +422,56 @@ pub enum Body {
 }
 
 impl Body {
+    /// The FIFO push for `words`, all bound for `win`'s FIFO at one peer: a
+    /// lone word travels inline (no allocation), several as one batch.
+    pub fn fifo(win: WinId, words: &[u64]) -> Body {
+        match words {
+            [packet] => Body::Fifo64 {
+                win,
+                packet: *packet,
+            },
+            _ => Body::Fifo64Batch {
+                win,
+                packets: words.to_vec(),
+            },
+        }
+    }
+
     /// Deterministic structural digest used as the reliability-frame
     /// checksum. It mixes the variant, the modeled wire size, and the
     /// identifying header fields; payload *contents* are not hashed
     /// (payloads may be synthetic sizes), matching a real transport's CRC
     /// over header-plus-length granularity at simulation fidelity.
     pub fn digest(&self) -> u64 {
-        fn tag_bits(t: &EpochTag) -> u64 {
-            match t {
-                EpochTag::Gats { access_id } => 0x10 ^ (access_id << 8),
-                EpochTag::Lock { access_id } => 0x20 ^ (access_id << 8),
-                EpochTag::Fence { seq } => 0x30 ^ (seq << 8),
-            }
-        }
         let (ty, a, b): (u64, u64, u64) = match self {
-            Body::PutData { win, tag, disp, .. } => {
-                (1, u64::from(win.0) ^ tag_bits(tag), *disp as u64)
+            Body::Op {
+                win,
+                tag,
+                disp,
+                token,
+                ..
+            } => {
+                let tag = match tag {
+                    EpochTag::Gats { access_id } => 0x10 ^ (access_id << 8),
+                    EpochTag::Lock { access_id } => 0x20 ^ (access_id << 8),
+                    EpochTag::Fence { seq } => 0x30 ^ (seq << 8),
+                };
+                (
+                    1,
+                    u64::from(win.0) ^ tag ^ (*disp as u64),
+                    token.unwrap_or(0),
+                )
             }
-            Body::AccData { win, tag, disp, .. } => {
-                (2, u64::from(win.0) ^ tag_bits(tag), *disp as u64)
-            }
+            Body::OpResp { token, .. } => (2, *token, 0),
             Body::AccRts { win, size, token } => {
                 (3, u64::from(win.0) ^ (*size as u64), *token)
             }
             Body::AccCts { token } => (4, *token, 0),
-            Body::GetReq { win, tag, disp, token, .. } => {
-                (5, u64::from(win.0) ^ tag_bits(tag) ^ (*disp as u64), *token)
-            }
-            Body::GetResp { win, token, .. } => (6, u64::from(win.0), *token),
-            Body::FetchReq { win, tag, disp, token, .. } => {
-                (7, u64::from(win.0) ^ tag_bits(tag) ^ (*disp as u64), *token)
-            }
-            Body::FetchResp { win, token, .. } => (8, u64::from(win.0), *token),
-            Body::LockReq { win, access_id, kind } => (
-                9,
-                u64::from(win.0) ^ (*access_id << 8),
-                matches!(kind, LockKind::Exclusive) as u64,
-            ),
-            Body::Grant { win, id, kind } => (
-                10,
-                u64::from(win.0) ^ (*id << 8),
-                matches!(kind, GrantKind::Lock) as u64,
-            ),
-            Body::GatsDone { win, access_id } => (11, u64::from(win.0), *access_id),
-            Body::Unlock { win, access_id } => (12, u64::from(win.0), *access_id),
+            Body::Sync(sp) => (5, u64::from(sp.win.0) ^ (sp.id << 8), sp.kind as u64),
             Body::FenceDone { win, seq, ops_sent } => {
-                (13, u64::from(win.0) ^ (*seq << 8), *ops_sent)
+                (6, u64::from(win.0) ^ (*seq << 8), *ops_sent)
             }
-            Body::Fifo64 { win, packet } => (14, u64::from(win.0), *packet),
+            Body::Fifo64 { win, packet } => (7, u64::from(win.0), *packet),
             Body::Fifo64Batch { win, packets } => {
                 // Fold every word so any reordering or bit flip inside the
                 // batch changes the digest.
@@ -390,15 +479,15 @@ impl Body {
                 for p in packets {
                     acc = acc.rotate_left(7) ^ p;
                 }
-                (22, u64::from(win.0) ^ (packets.len() as u64), acc)
+                (8, u64::from(win.0) ^ (packets.len() as u64), acc)
             }
-            Body::P2pEager { tag, .. } => (15, *tag, 0),
-            Body::P2pRts { tag, size, token } => (16, *tag ^ (*size as u64), *token),
-            Body::P2pCts { token, data_token } => (17, *token, *data_token),
-            Body::P2pData { data_token, .. } => (18, *data_token, 0),
-            Body::BarrierMsg { seq, round } => (19, *seq, u64::from(*round)),
-            Body::Rel { seq, inner, .. } => (20, *seq, inner.digest()),
-            Body::RelAck { cum } => (21, *cum, 0),
+            Body::P2pEager { tag, .. } => (9, *tag, 0),
+            Body::P2pRts { tag, size, token } => (10, *tag ^ (*size as u64), *token),
+            Body::P2pCts { token, data_token } => (11, *token, *data_token),
+            Body::P2pData { data_token, .. } => (12, *data_token, 0),
+            Body::BarrierMsg { seq, round } => (13, *seq, u64::from(*round)),
+            Body::Rel { seq, inner, .. } => (14, *seq, inner.digest()),
+            Body::RelAck { cum } => (15, *cum, 0),
         };
         // FNV-1a over the three words plus the wire size.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -413,19 +502,10 @@ impl Body {
 impl Wire for Body {
     fn payload_len(&self) -> usize {
         match self {
-            Body::PutData { payload, .. }
-            | Body::AccData { payload, .. }
-            | Body::GetResp { payload, .. }
-            | Body::FetchResp { payload, .. }
+            Body::Op { kind, .. } => kind.wire_len(),
+            Body::OpResp { payload, .. }
             | Body::P2pEager { payload, .. }
             | Body::P2pData { payload, .. } => payload.len(),
-            Body::FetchReq { operand, fetch, .. } => {
-                operand.len()
-                    + match fetch {
-                        FetchKind::CompareAndSwap { compare } => compare.len(),
-                        _ => 0,
-                    }
-            }
             // Control packets are priced by the fixed header alone; the
             // intranode 64-bit packet adds its word, a batched push the
             // sum of its words.
@@ -454,179 +534,25 @@ impl Wire for Body {
     }
 }
 
-// ---------------------------------------------------------------------
-// 64-bit intranode packet encoding (§VII.D)
-//
-// Layout: [63:60 type] [59:52 win] [51:32 src rank] [31:0 id]
-// ---------------------------------------------------------------------
-
-/// A decoded intranode synchronization packet.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SyncPacket {
-    /// Lock request (exclusive).
-    LockReqExcl {
-        /// Window.
-        win: WinId,
-        /// Requesting origin.
-        origin: Rank,
-        /// Origin's access id.
-        access_id: u64,
-    },
-    /// Lock request (shared).
-    LockReqShared {
-        /// Window.
-        win: WinId,
-        /// Requesting origin.
-        origin: Rank,
-        /// Origin's access id.
-        access_id: u64,
-    },
-    /// Exposure-match grant.
-    GrantExposure {
-        /// Window.
-        win: WinId,
-        /// Granting peer.
-        granter: Rank,
-        /// Granted access id.
-        id: u64,
-    },
-    /// Lock grant.
-    GrantLock {
-        /// Window.
-        win: WinId,
-        /// Granting peer.
-        granter: Rank,
-        /// Granted access id.
-        id: u64,
-    },
-    /// GATS epoch-done notification.
-    GatsDone {
-        /// Window.
-        win: WinId,
-        /// Origin closing its access epoch.
-        origin: Rank,
-        /// Closed access id.
-        access_id: u64,
-    },
-    /// Lock release.
-    Unlock {
-        /// Window.
-        win: WinId,
-        /// Origin releasing the lock.
-        origin: Rank,
-        /// Access id of the released lock epoch.
-        access_id: u64,
-    },
-}
-
-const TY_LOCK_EXCL: u64 = 1;
-const TY_LOCK_SHARED: u64 = 2;
-const TY_GRANT_EXPO: u64 = 3;
-const TY_GRANT_LOCK: u64 = 4;
-const TY_GATS_DONE: u64 = 5;
-const TY_UNLOCK: u64 = 6;
-
-fn pack(ty: u64, win: WinId, rank: Rank, id: u64) -> u64 {
-    assert!(u64::from(win.0) < 256, "64-bit packet: window id must be < 256");
-    assert!(rank.idx() < (1 << 20), "64-bit packet: rank must be < 2^20");
-    assert!(id < (1 << 32), "64-bit packet: id must be < 2^32");
-    (ty << 60) | (u64::from(win.0) << 52) | ((rank.idx() as u64) << 32) | id
-}
-
-impl SyncPacket {
-    /// Encode into one 64-bit word.
-    pub fn encode(self) -> u64 {
-        match self {
-            SyncPacket::LockReqExcl {
-                win,
-                origin,
-                access_id,
-            } => pack(TY_LOCK_EXCL, win, origin, access_id),
-            SyncPacket::LockReqShared {
-                win,
-                origin,
-                access_id,
-            } => pack(TY_LOCK_SHARED, win, origin, access_id),
-            SyncPacket::GrantExposure { win, granter, id } => pack(TY_GRANT_EXPO, win, granter, id),
-            SyncPacket::GrantLock { win, granter, id } => pack(TY_GRANT_LOCK, win, granter, id),
-            SyncPacket::GatsDone {
-                win,
-                origin,
-                access_id,
-            } => pack(TY_GATS_DONE, win, origin, access_id),
-            SyncPacket::Unlock {
-                win,
-                origin,
-                access_id,
-            } => pack(TY_UNLOCK, win, origin, access_id),
-        }
-    }
-
-    /// Decode a 64-bit word. Returns `None` for an unknown type nibble.
-    pub fn decode(w: u64) -> Option<SyncPacket> {
-        let ty = w >> 60;
-        let win = WinId(((w >> 52) & 0xFF) as u32);
-        let rank = Rank(((w >> 32) & 0xF_FFFF) as usize);
-        let id = w & 0xFFFF_FFFF;
-        Some(match ty {
-            TY_LOCK_EXCL => SyncPacket::LockReqExcl {
-                win,
-                origin: rank,
-                access_id: id,
-            },
-            TY_LOCK_SHARED => SyncPacket::LockReqShared {
-                win,
-                origin: rank,
-                access_id: id,
-            },
-            TY_GRANT_EXPO => SyncPacket::GrantExposure {
-                win,
-                granter: rank,
-                id,
-            },
-            TY_GRANT_LOCK => SyncPacket::GrantLock {
-                win,
-                granter: rank,
-                id,
-            },
-            TY_GATS_DONE => SyncPacket::GatsDone {
-                win,
-                origin: rank,
-                access_id: id,
-            },
-            TY_UNLOCK => SyncPacket::Unlock {
-                win,
-                origin: rank,
-                access_id: id,
-            },
-            _ => return None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Every sync kind survives the 64-bit word at the extremes of each
-    /// field it carries.
+    /// field it carries; window and sender come back from the channel.
     #[test]
     fn sync_packet_roundtrip() {
-        type Make = fn(WinId, Rank, u64) -> SyncPacket;
-        let kinds: [Make; 6] = [
-            |win, origin, access_id| SyncPacket::LockReqExcl { win, origin, access_id },
-            |win, origin, access_id| SyncPacket::LockReqShared { win, origin, access_id },
-            |win, granter, id| SyncPacket::GrantExposure { win, granter, id },
-            |win, granter, id| SyncPacket::GrantLock { win, granter, id },
-            |win, origin, access_id| SyncPacket::GatsDone { win, origin, access_id },
-            |win, origin, access_id| SyncPacket::Unlock { win, origin, access_id },
-        ];
-        for make in kinds {
-            for win in [WinId(0), WinId(255)] {
-                for peer in [Rank(0), Rank((1 << 20) - 1)] {
-                    for id in [0, 1, (1 << 32) - 1] {
-                        let c = make(win, peer, id);
-                        assert_eq!(SyncPacket::decode(c.encode()), Some(c));
+        for kind in SyncKind::ALL {
+            for win in [WinId(0), WinId(u32::MAX)] {
+                for peer in [Rank(0), Rank(usize::MAX)] {
+                    for id in [0, 1, (1 << 60) - 1] {
+                        let c = SyncPacket {
+                            kind,
+                            win,
+                            peer,
+                            id,
+                        };
+                        assert_eq!(SyncPacket::from_word(win, peer, c.word()), Some(c));
                     }
                 }
             }
@@ -635,79 +561,106 @@ mod tests {
 
     #[test]
     fn unknown_type_decodes_to_none() {
-        assert_eq!(SyncPacket::decode(0), None);
-        assert_eq!(SyncPacket::decode(0xF << 60), None);
+        assert_eq!(SyncPacket::from_word(WinId(0), Rank(0), 0), None);
+        assert_eq!(SyncPacket::from_word(WinId(0), Rank(0), 7 << 60), None);
+        assert_eq!(SyncPacket::from_word(WinId(0), Rank(0), 0xF << 60), None);
     }
 
+    /// One instance of every data-plane operation.
+    #[rustfmt::skip]
+    fn ops() -> [(&'static str, OpKind); 7] {
+        let (dt, op, data) = (Datatype::U64, ReduceOp::Sum, || Payload::Synthetic(4096));
+        let fetch = |fetch| OpKind::Fetch { fetch, dt, op, operand: Payload::copy_from_slice(&[0; 8]) };
+        let vector = Layout::Vector { count: 4, blocklen: 8, stride: 64 };
+        [
+            ("put", OpKind::Put { payload: data(), layout: Layout::Contig }),
+            ("put, strided", OpKind::Put { payload: Payload::Synthetic(32), layout: vector }),
+            ("accumulate", OpKind::Acc { dt, op, payload: data() }),
+            ("get", OpKind::Get { len: 4096, layout: Layout::Contig }),
+            ("get_accumulate", fetch(FetchKind::GetAccumulate)),
+            ("fetch_and_op", fetch(FetchKind::FetchAndOp)),
+            ("compare_and_swap", fetch(FetchKind::CompareAndSwap { compare: vec![0; 8] })),
+        ]
+    }
+
+    /// What each op kind says about itself: wire bytes, target extent,
+    /// access kind, and whether it sends a payload / expects a response.
     #[test]
-    #[should_panic(expected = "window id must be < 256")]
-    fn oversized_window_rejected() {
-        let _ = SyncPacket::GatsDone {
-            win: WinId(256),
-            origin: Rank(0),
-            access_id: 0,
+    fn op_kind_flags() {
+        use AccessKind::{Atomic, AtomicCas, Read, Write};
+        let sum = Atomic(ReduceOp::Sum);
+        let want = [
+            (4096, 4096, Write, true, false),
+            (32, 3 * 64 + 8, Write, true, false),
+            (4096, 4096, sum, true, false),
+            (0, 4096, Read, false, true),
+            (8, 8, sum, true, true),
+            (8, 8, sum, true, true),
+            (16, 8, AtomicCas, true, true),
+        ];
+        for ((name, k), want) in ops().iter().zip(want) {
+            let got = (
+                k.wire_len(),
+                k.extent(),
+                k.access(),
+                k.sends_payload(),
+                k.expects_response(),
+            );
+            assert_eq!(got, want, "{name}");
         }
-        .encode();
     }
 
     /// The pricing table: one instance of every message kind with the
     /// payload bytes the network model charges for it beyond the header.
-    #[test]
-    fn wire_sizes() {
-        use mpisim_net::Payload;
+    #[rustfmt::skip]
+    fn pricing_table() -> Vec<(&'static str, Body, usize)> {
         let (win, tag, token) = (WinId(0), EpochTag::Lock { access_id: 1 }, 7);
         let data = || Payload::Synthetic(4096);
-        let word = || Payload::copy_from_slice(&[0; 8]);
-        let fetch = |fetch| Body::FetchReq {
-            win,
-            tag,
-            fetch,
-            disp: 0,
-            dt: Datatype::U64,
-            op: ReduceOp::Sum,
-            operand: word(),
-            token,
-        };
-        let vector = Layout::Vector { count: 4, blocklen: 8, stride: 64 };
-        let table: Vec<(&str, Body, usize)> = vec![
-            ("put", Body::PutData { win, tag, disp: 0, layout: Layout::Contig, payload: data() }, 4096),
-            ("put, strided", Body::PutData { win, tag, disp: 0, layout: vector, payload: Payload::Synthetic(32) }, 32),
-            ("accumulate", Body::AccData { win, tag, disp: 0, dt: Datatype::U64, op: ReduceOp::Sum, payload: data() }, 4096),
+        let op = |kind: OpKind| Body::Op { win, tag, disp: 0, token: kind.expects_response().then_some(token), kind };
+        let sync = |kind| Body::Sync(SyncPacket { kind, win, peer: Rank(1), id: 1 });
+        let ops = ops().into_iter().zip([4096, 32, 4096, 0, 8, 8, 16]).map(|((name, kind), want)| (name, op(kind), want));
+        let syncs = SyncKind::ALL.into_iter().map(|kind| ("sync", sync(kind), 0));
+        ops.chain(syncs).chain([
+            ("op response", Body::OpResp { token, payload: data() }, 4096),
             ("accumulate rts", Body::AccRts { win, size: 1 << 20, token }, 0),
             ("accumulate cts", Body::AccCts { token }, 0),
-            ("get", Body::GetReq { win, tag, disp: 0, len: 4096, layout: Layout::Contig, token }, 0),
-            ("get response", Body::GetResp { win, token, payload: data() }, 4096),
-            ("get_accumulate", fetch(FetchKind::GetAccumulate), 8),
-            ("fetch_and_op", fetch(FetchKind::FetchAndOp), 8),
-            ("compare_and_swap", fetch(FetchKind::CompareAndSwap { compare: vec![0; 8] }), 16),
-            ("fetch response", Body::FetchResp { win, token, payload: word() }, 8),
-            ("lock request, exclusive", Body::LockReq { win, access_id: 1, kind: LockKind::Exclusive }, 0),
-            ("lock request, shared", Body::LockReq { win, access_id: 1, kind: LockKind::Shared }, 0),
-            ("exposure grant", Body::Grant { win, id: 1, kind: GrantKind::Exposure }, 0),
-            ("lock grant", Body::Grant { win, id: 1, kind: GrantKind::Lock }, 0),
-            ("gats done", Body::GatsDone { win, access_id: 1 }, 0),
-            ("unlock", Body::Unlock { win, access_id: 1 }, 0),
             ("fence done", Body::FenceDone { win, seq: 1, ops_sent: 3 }, 0),
-            ("fifo word", Body::Fifo64 { win, packet: 0 }, 8),
-            ("fifo batch", Body::Fifo64Batch { win, packets: vec![1, 2, 3] }, 24),
+            ("fifo word", Body::fifo(win, &[0]), 8),
+            ("fifo batch", Body::fifo(win, &[1, 2, 3]), 24),
             ("p2p eager", Body::P2pEager { tag: 1, payload: data() }, 4096),
             ("p2p rts", Body::P2pRts { tag: 1, size: 1 << 20, token }, 0),
             ("p2p cts", Body::P2pCts { token, data_token: 8 }, 0),
             ("p2p data", Body::P2pData { data_token: 8, payload: data() }, 4096),
             ("barrier", Body::BarrierMsg { seq: 1, round: 0 }, 0),
             ("rel ack", Body::RelAck { cum: 1 }, 0),
-        ];
-        for (name, body, want) in &table {
-            assert_eq!(body.payload_len(), *want, "{name}");
+        ]).collect()
+    }
+
+    #[test]
+    fn wire_sizes() {
+        for (name, body, want) in pricing_table() {
+            assert_eq!(body.payload_len(), want, "{name}");
             // A reliability frame adds its 16-byte sequence/checksum trailer.
-            let framed = Body::Rel { seq: 1, checksum: body.digest(), inner: Box::new(body.clone()) };
+            let (seq, checksum, inner) = (1, body.digest(), Box::new(body));
+            let framed = Body::Rel {
+                seq,
+                checksum,
+                inner,
+            };
             assert_eq!(framed.payload_len(), want + 16, "framed {name}");
         }
+        let win = WinId(0);
+        // A lone word travels inline, without a batch vector.
+        assert!(matches!(
+            Body::fifo(win, &[9]),
+            Body::Fifo64 { packet: 9, .. }
+        ));
         // Word order matters on the wire: a reordered batch must not
         // digest identically.
-        let batch = Body::Fifo64Batch { win, packets: vec![1, 2, 3] };
-        let swapped = Body::Fifo64Batch { win, packets: vec![2, 1, 3] };
-        assert_ne!(batch.digest(), swapped.digest());
+        assert_ne!(
+            Body::fifo(win, &[1, 2, 3]).digest(),
+            Body::fifo(win, &[2, 1, 3]).digest()
+        );
     }
 }
 
@@ -756,20 +709,13 @@ mod proptests {
 
         #[test]
         fn packet_roundtrip_all_fields(
-            ty in 1u64..=6,
-            win in 0u32..256,
-            rank in 0usize..(1 << 20),
-            id in 0u64..(1u64 << 32),
+            ty in 0usize..6,
+            win in any::<u32>(),
+            rank in any::<usize>(),
+            id in 0u64..(1u64 << 60),
         ) {
-            let p = match ty {
-                1 => SyncPacket::LockReqExcl { win: WinId(win), origin: Rank(rank), access_id: id },
-                2 => SyncPacket::LockReqShared { win: WinId(win), origin: Rank(rank), access_id: id },
-                3 => SyncPacket::GrantExposure { win: WinId(win), granter: Rank(rank), id },
-                4 => SyncPacket::GrantLock { win: WinId(win), granter: Rank(rank), id },
-                5 => SyncPacket::GatsDone { win: WinId(win), origin: Rank(rank), access_id: id },
-                _ => SyncPacket::Unlock { win: WinId(win), origin: Rank(rank), access_id: id },
-            };
-            prop_assert_eq!(SyncPacket::decode(p.encode()), Some(p));
+            let p = SyncPacket { kind: SyncKind::ALL[ty], win: WinId(win), peer: Rank(rank), id };
+            prop_assert_eq!(SyncPacket::from_word(p.win, p.peer, p.word()), Some(p));
         }
     }
 }

@@ -11,6 +11,7 @@ use crate::epoch::{EpochKind, EpochObj, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::lock::LockMgr;
 use crate::types::{EpochId, Rank, Req};
+use crate::worklist::WorkList;
 
 /// Capacity of each intranode notification FIFO, packets.
 pub const FIFO_CAPACITY: usize = 1024;
@@ -219,10 +220,9 @@ pub struct WinRank {
     /// ω matching state (§VII.B), one record per peer this side has ever
     /// synchronised with.
     pub omega: OmegaTable,
-    /// Origins whose grant sequence may have emission work pending
-    /// (deduplicated work list; ping-pongs with a sweep scratch buffer
-    /// while the grant pump drains it).
-    pub grant_dirty: Vec<Rank>,
+    /// Origins whose grant sequence may have emission work pending,
+    /// drained by the grant pump.
+    pub(crate) grant_dirty: WorkList<Rank>,
     /// Target-side lock manager.
     pub lock_mgr: LockMgr,
 
@@ -269,7 +269,7 @@ impl WinRank {
             next_epoch: 1,
             open: BTreeMap::new(),
             omega: OmegaTable::default(),
-            grant_dirty: Vec::new(),
+            grant_dirty: WorkList::default(),
             lock_mgr: LockMgr::default(),
             fences: BTreeMap::new(),
             next_fence_seq: 0,

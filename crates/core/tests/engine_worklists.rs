@@ -386,7 +386,8 @@ fn sync_plane_is_the_same_on_both_transports() {
             env.wait_epoch(win).unwrap();
             env.lock_all(win).unwrap();
             for t in 0..n {
-                env.accumulate(win, Rank(t), 16, Datatype::U64, ReduceOp::Sum, &v).unwrap();
+                env.accumulate(win, Rank(t), 16, Datatype::U64, ReduceOp::Sum, &v)
+                    .unwrap();
             }
             env.unlock_all(win).unwrap();
             env.barrier().unwrap();
@@ -397,8 +398,13 @@ fn sync_plane_is_the_same_on_both_transports() {
         assert!(r.is_clean(), "{:?}", r.degradations);
         let s = r.engine;
         let mems = std::mem::take(&mut *mems.lock().unwrap());
-        let counts =
-            (s.lock_grants, s.exposure_grants, s.gats_dones, s.unlocks_applied, s.epochs_completed);
+        let counts = (
+            s.lock_grants,
+            s.exposure_grants,
+            s.gats_dones,
+            s.unlocks_applied,
+            s.epochs_completed,
+        );
         (mems, counts, s.fifo_packets)
     };
     let (fifo_mems, fifo_counts, fifo_words) = run(4);

@@ -309,3 +309,24 @@ fn lazy_baseline_has_no_lock_overlap() {
         "eager first-lock epoch took {eager} µs, expected ≈1010 µs"
     );
 }
+
+/// Window ids are never reused, and the intranode sync word used to carry
+/// the id in eight bits: the 257th window's first same-node lock request
+/// panicked. The FIFO is per (window, peer), so the word carries neither.
+#[test]
+fn windows_beyond_the_256th_lock_a_same_node_peer() {
+    run_job(JobConfig::new(2), |env| {
+        let me = env.rank().idx();
+        let peer = Rank(1 - me);
+        for i in 0..300u32 {
+            let win = env.win_allocate(8).unwrap();
+            env.lock(win, peer, LockKind::Exclusive).unwrap();
+            env.put(win, peer, 0, &i.to_le_bytes()).unwrap();
+            env.unlock(win, peer).unwrap();
+            env.barrier().unwrap();
+            assert_eq!(env.read_local(win, 0, 4).unwrap(), i.to_le_bytes());
+            env.win_free(win).unwrap();
+        }
+    })
+    .unwrap();
+}

@@ -30,8 +30,8 @@
 //! queue, so a step never sweeps idle ranks — cost scales with runnable
 //! work, not with the rank count.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::cmp::{self, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,10 +47,6 @@ use crate::time::SimTime;
 /// Identifier of a simulated process (dense, assigned in spawn order).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ProcId(pub usize);
-
-/// Identifier of a scheduled event, usable with [`SimHandle::cancel`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
 
 /// How simulated processes execute. Purely a mechanism choice: every mode
 /// yields byte-identical schedules, statistics, and traces for a given
@@ -151,15 +147,41 @@ pub(crate) struct ProcRec {
 type EventFn = Box<dyn FnOnce() + Send>;
 type SpawnFn = Box<dyn FnOnce(&ProcCtx) + Send>;
 
+/// One scheduled event. The heap record owns its action, so running an
+/// event is one pop. Events order by `key`, which is `(time, tie-break,
+/// seq)` reversed so the max-heap pops the earliest: the tie-break equals
+/// `seq` by default (FIFO among same-time events), or is a seeded hash of
+/// it when a perturbation is installed. `seq` is unique, so the order is
+/// total even if two tie-breaks collide.
+struct Event {
+    key: Reverse<(SimTime, u64, u64)>,
+    action: EventFn,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Event {}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
 pub(crate) struct Inner {
     pub(crate) now: SimTime,
     next_seq: u64,
-    // Heap entries are `(time, key, seq)`: `key == seq` by default (FIFO
-    // among same-time events), or a seeded hash of `seq` when a tie-break
-    // perturbation is installed. `seq` stays in the tuple so ordering is
-    // total even if two keys collide.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    actions: HashMap<u64, EventFn>,
+    heap: BinaryHeap<Event>,
     tiebreak_seed: Option<u64>,
     nondet_tiebreak: bool,
     pub(crate) ready: VecDeque<ProcId>,
@@ -237,7 +259,7 @@ impl SimHandle {
     }
 
     /// Schedule `f` to run `delay` after the current virtual time.
-    pub fn schedule<F: FnOnce() + Send + 'static>(&self, delay: SimTime, f: F) -> EventId {
+    pub fn schedule<F: FnOnce() + Send + 'static>(&self, delay: SimTime, f: F) {
         let mut inner = self.core.inner.lock();
         let at = inner.now + delay;
         Self::push_event(&mut inner, at, Box::new(f))
@@ -245,25 +267,17 @@ impl SimHandle {
 
     /// Schedule `f` at absolute virtual time `at` (clamped to now if in the
     /// past).
-    pub fn schedule_at<F: FnOnce() + Send + 'static>(&self, at: SimTime, f: F) -> EventId {
+    pub fn schedule_at<F: FnOnce() + Send + 'static>(&self, at: SimTime, f: F) {
         let mut inner = self.core.inner.lock();
         let at = at.max(inner.now);
         Self::push_event(&mut inner, at, Box::new(f))
     }
 
-    fn push_event(inner: &mut Inner, at: SimTime, f: EventFn) -> EventId {
+    fn push_event(inner: &mut Inner, at: SimTime, action: EventFn) {
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        let key = inner.tiebreak_key(seq);
-        inner.heap.push(Reverse((at, key, seq)));
-        inner.actions.insert(seq, f);
-        EventId(seq)
-    }
-
-    /// Cancel a previously scheduled event. Returns true if the event had
-    /// not yet run (or been cancelled).
-    pub fn cancel(&self, id: EventId) -> bool {
-        self.core.inner.lock().actions.remove(&id.0).is_some()
+        let key = Reverse((at, inner.tiebreak_key(seq), seq));
+        inner.heap.push(Event { key, action });
     }
 
     /// Number of events executed so far (useful for instrumentation).
@@ -354,7 +368,6 @@ impl Sim {
                     now: SimTime::ZERO,
                     next_seq: 0,
                     heap: BinaryHeap::new(),
-                    actions: HashMap::new(),
                     ready: VecDeque::new(),
                     procs: Vec::new(),
                     aborting: false,
@@ -616,24 +629,22 @@ impl Sim {
             // Phase 2: execute the next event.
             let action = {
                 let mut inner = self.core.inner.lock();
-                loop {
-                    match inner.heap.pop() {
-                        Some(Reverse((t, _key, seq))) => {
-                            if let Some(f) = inner.actions.remove(&seq) {
-                                debug_assert!(t >= inner.now, "event in the past");
-                                inner.now = t;
-                                inner.events_executed += 1;
-                                if inner.events_executed > inner.event_cap {
-                                    return Drive::Err(SimError::EventCapExceeded {
-                                        cap: inner.event_cap,
-                                    });
-                                }
-                                break Some(f);
-                            }
-                            // cancelled event: skip
+                match inner.heap.pop() {
+                    Some(Event {
+                        key: Reverse((at, ..)),
+                        action,
+                    }) => {
+                        debug_assert!(at >= inner.now, "event in the past");
+                        inner.now = at;
+                        inner.events_executed += 1;
+                        if inner.events_executed > inner.event_cap {
+                            return Drive::Err(SimError::EventCapExceeded {
+                                cap: inner.event_cap,
+                            });
                         }
-                        None => break None,
+                        Some(action)
                     }
+                    None => None,
                 }
             };
             match action {
@@ -863,20 +874,6 @@ mod tests {
             runs.windows(2).any(|w| w[0] != w[1]),
             "nondet tie-break produced identical schedules across 4 runs"
         );
-    }
-
-    #[test]
-    fn cancelled_events_do_not_run() {
-        let sim = Sim::new(0);
-        let h = sim.handle();
-        let hit = Arc::new(Mutex::new(false));
-        let hit2 = hit.clone();
-        let id = h.schedule(SimTime::from_nanos(5), move || *hit2.lock() = true);
-        assert!(h.cancel(id));
-        assert!(!h.cancel(id)); // double-cancel reports false
-        let stats = sim.run().unwrap();
-        assert!(!*hit.lock());
-        assert_eq!(stats.events_executed, 0);
     }
 
     #[test]

@@ -44,8 +44,7 @@ mod rng;
 mod time;
 
 pub use kernel::{
-    EventId, ExecMode, ProcId, Sim, SimError, SimHandle, SimStats, DEFAULT_EVENT_CAP,
-    DEFAULT_STACK_SIZE,
+    ExecMode, ProcId, Sim, SimError, SimHandle, SimStats, DEFAULT_EVENT_CAP, DEFAULT_STACK_SIZE,
 };
 pub use process::{ProcCtx, Signal};
 pub use rng::{mix64, seeded_rng};

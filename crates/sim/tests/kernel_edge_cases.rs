@@ -24,21 +24,6 @@ fn schedule_at_in_the_past_is_clamped_to_now() {
 }
 
 #[test]
-fn cancel_from_within_an_event() {
-    let sim = Sim::new(0);
-    let h = sim.handle();
-    let fired = Arc::new(Mutex::new(false));
-    let f2 = fired.clone();
-    let victim = h.schedule(SimTime::from_micros(5), move || *f2.lock().unwrap() = true);
-    let h2 = h.clone();
-    h.schedule(SimTime::from_micros(1), move || {
-        assert!(h2.cancel(victim));
-    });
-    sim.run().unwrap();
-    assert!(!*fired.lock().unwrap());
-}
-
-#[test]
 fn events_executed_counter_is_visible_during_run() {
     let sim = Sim::new(0);
     let h = sim.handle();
