@@ -1,0 +1,36 @@
+//! Output pins for the static layer: one digest per program set over
+//! everything `analyze`, `analyze_slack` and `rewrite` say. The constants
+//! were computed once, before the layer was rebuilt on one resolved epoch
+//! structure, and are never edited — a refactor of the layer must
+//! reproduce them. (The negative corpus is pinned as text instead:
+//! `sweep_verbose.txt` is `mpisim-analyze --seeds 64 --catalog
+//! --verbose`, diffed in CI.)
+
+use mpisim_analyze::{
+    analyze, analyze_slack, generate_value_clean, rewrite, slack_catalog_cases, IrProgram,
+};
+
+/// FNV-1a over the `Debug` text of the three passes' results.
+fn static_digest<'a>(programs: impl IntoIterator<Item = &'a IrProgram>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for p in programs {
+        let slack = analyze_slack(p);
+        let said = (analyze(p), slack.diags, slack.findings, slack.shrinks, rewrite(p));
+        for b in format!("{said:?}").bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn value_clean_programs_digest() {
+    let programs: Vec<IrProgram> = (0..64).map(generate_value_clean).collect();
+    assert_eq!(static_digest(&programs), 0x88dd_95c9_2521_2609);
+}
+
+#[test]
+fn slack_catalog_digest() {
+    let programs: Vec<IrProgram> = slack_catalog_cases().into_iter().map(|(_, p)| p).collect();
+    assert_eq!(static_digest(&programs), 0xf494_5754_dd86_8947);
+}

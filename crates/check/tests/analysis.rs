@@ -27,6 +27,30 @@ fn positive_corpus_is_static_clean() {
     }
 }
 
+/// Output pin for the static layer: FNV-1a over the `Debug` text of
+/// everything `analyze`, `analyze_slack` and `rewrite` say about the
+/// positive corpus under both lowerings. Computed once, before the layer
+/// was rebuilt on one resolved epoch structure; never edited.
+#[test]
+fn positive_corpus_static_digest() {
+    use mpisim_analyze::{analyze, analyze_slack, rewrite};
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for family in Family::ALL {
+        for idx in 0..16 {
+            let program = generate(family, idx);
+            for nonblocking in [false, true] {
+                let p = lower(&program, nonblocking);
+                let slack = analyze_slack(&p);
+                let said = (analyze(&p), slack.diags, slack.findings, slack.shrinks, rewrite(&p));
+                for b in format!("{said:?}").bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+    }
+    assert_eq!(h, 0x0587_bca7_a262_c462);
+}
+
 /// Zero false positives from the race detector on executed clean runs:
 /// every traced schedule of the positive corpus is HB-race-free.
 #[test]
