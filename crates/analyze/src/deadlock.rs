@@ -1,6 +1,12 @@
 //! Whole-job deadlock and progress analysis (E013–E018).
 //!
-//! Two passes over the multi-window IR:
+//! Two passes over the program's resolved epoch structure
+//! ([`crate::shape::Shape`]): wait conditions name the shape's epochs,
+//! fence calls and barriers, start/post matching is
+//! [`Shape::matching_post`] / [`Shape::matching_start`], the value
+//! domain's suppliers are the shape's writing accesses, and the lock-order
+//! pass reads its lock epochs and flushes. Neither pass pairs opens with
+//! closes or decodes a data statement itself.
 //!
 //! 1. **Fixpoint interpreter.** A symbolic abstract interpretation of the
 //!    whole job: every rank holds a program counter, and a round-based
@@ -27,10 +33,10 @@
 //!    8-byte slot, the set of values the slot can ever hold is
 //!    over-approximated as the window's zero initialization, plus the
 //!    matching byte of every *reachable* known-constant `Replace` write
-//!    ([`Stmt::AccVal`]), plus ⊤ for any overlapping unknown-operand
-//!    write (put, accumulate, fetching atomics that modify). A spin's
-//!    wait condition is satisfiable once every non-zero byte of the
-//!    expected value is covered by an initiated supplier; a byte no
+//!    (`AccVal`; [`crate::shape::Access::val`]), plus ⊤ for any overlapping
+//!    unknown-operand write (put, accumulate, fetching atomics that
+//!    modify). A spin's wait condition is satisfiable once every non-zero
+//!    byte of the expected value is covered by an initiated supplier; a byte no
 //!    rank's program can *ever* supply (the spinner's own post-spin
 //!    writes are unreachable — the spin blocks the host first) makes
 //!    the spin provably unsatisfiable — E018, with the uncoverable byte
@@ -71,61 +77,9 @@
 
 use std::collections::BTreeMap;
 
-use mpisim_core::ReduceOp;
-
 use crate::diag::{Code, Diagnostic};
-use crate::ir::{IrProgram, Stmt};
-
-/// One statement that can deposit bytes into a window — the abstract
-/// value domain's supplier index. `val` is `Some` for a known-constant
-/// `Replace` write (the slot's post-state is exactly that constant) and
-/// `None` for ⊤ (unknown operand or non-`Replace` fold: any byte value
-/// is conservatively possible).
-struct Supply {
-    rank: usize,
-    step: usize,
-    win: usize,
-    target: usize,
-    /// Covered byte range `[lo, hi)` of the target window.
-    lo: usize,
-    hi: usize,
-    val: Option<u64>,
-}
-
-/// One GATS access-epoch instance of a rank on one window.
-struct StartInfo {
-    group: Vec<usize>,
-    /// Per-target occurrence index: this is the rank's `occ[t]`-th start
-    /// (0-based) whose group contains `t`.
-    occ: BTreeMap<usize, usize>,
-    /// Statement index of the matching `complete`, if the program has
-    /// one.
-    complete: Option<usize>,
-}
-
-/// One exposure-epoch instance of a rank on one window.
-struct PostInfo {
-    group: Vec<usize>,
-    stmt: usize,
-    /// Per-origin occurrence index among this rank's posts containing
-    /// that origin.
-    occ: BTreeMap<usize, usize>,
-}
-
-/// Syntactic shape of one rank's program, pre-resolved for condition
-/// evaluation.
-#[derive(Default)]
-struct RankShape {
-    /// Per window: fence statement indices, in call order.
-    fences: BTreeMap<usize, Vec<usize>>,
-    /// Per window: GATS access-epoch instances, in open order.
-    starts: BTreeMap<usize, Vec<StartInfo>>,
-    /// Per window: exposure-epoch instances, in open order.
-    posts: BTreeMap<usize, Vec<PostInfo>>,
-    /// Barrier statement indices, in call order.
-    barriers: Vec<usize>,
-    len: usize,
-}
+use crate::ir::Stmt;
+use crate::shape::{At, EpochKind, Shape};
 
 /// A wait condition a statement (or a pending nonblocking request) must
 /// satisfy before the rank can move past it.
@@ -139,15 +93,15 @@ enum Cond {
     /// announces `FenceDone` for the previous phase at call time; call
     /// #0 never blocks).
     Fence { win: usize, idx: usize },
-    /// Close of the rank's `start`-th GATS access epoch on `win`:
-    /// completes once every target's matching exposure post is initiated
-    /// (the grant plane).
-    Grants { win: usize, start: usize },
-    /// Close of the rank's `post`-th exposure epoch on `win`: completes
-    /// once every origin's matching access epoch has initiated its close
-    /// (per-target `GatsDone` needs only the origin's close plus this
-    /// very post's grant).
-    Dones { win: usize, post: usize },
+    /// Close of the rank's GATS access epoch `start`: completes once
+    /// every target's matching exposure post is initiated (the grant
+    /// plane).
+    Grants { start: usize },
+    /// Close of the rank's exposure epoch `post`: completes once every
+    /// origin's matching access epoch has initiated its close (per-target
+    /// `GatsDone` needs only the origin's close plus this very post's
+    /// grant).
+    Dones { post: usize },
     /// The rank's `idx`-th barrier: completes once every rank has
     /// initiated its `idx`-th barrier.
     Barrier { idx: usize },
@@ -169,163 +123,54 @@ enum Blocker {
     Never { rank: usize, why: String },
 }
 
-fn build_shape(rank: usize, p: &IrProgram) -> RankShape {
-    let mut sh = RankShape { len: p.ranks[rank].len(), ..Default::default() };
-    // Per-window open-instance trackers.
-    let mut open_start: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut starts_toward: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut posts_toward: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (step, stmt) in p.ranks[rank].iter().enumerate() {
-        match stmt {
-            Stmt::Fence { win, .. } => sh.fences.entry(*win).or_default().push(step),
-            Stmt::Start { win, group } => {
-                let mut occ = BTreeMap::new();
-                for &t in group {
-                    let c = starts_toward.entry((*win, t)).or_insert(0);
-                    occ.insert(t, *c);
-                    *c += 1;
-                }
-                let list = sh.starts.entry(*win).or_default();
-                open_start.insert(*win, list.len());
-                list.push(StartInfo { group: group.clone(), occ, complete: None });
-            }
-            Stmt::Complete { win, .. } => {
-                if let Some(i) = open_start.remove(win) {
-                    sh.starts.get_mut(win).unwrap()[i].complete = Some(step);
-                }
-            }
-            Stmt::Post { win, group } => {
-                let mut occ = BTreeMap::new();
-                for &o in group {
-                    let c = posts_toward.entry((*win, o)).or_insert(0);
-                    occ.insert(o, *c);
-                    *c += 1;
-                }
-                sh.posts.entry(*win).or_default().push(PostInfo {
-                    group: group.clone(),
-                    stmt: step,
-                    occ,
-                });
-            }
-            Stmt::Barrier => sh.barriers.push(step),
-            _ => {}
+/// Per-statement wait conditions for one rank, mirroring the engine's
+/// completion rules (see the module docs for the abstract domain). The
+/// passive-target plane (lock/unlock/flush) is treated as
+/// eventually-completing here; acquisition-order deadlocks are the
+/// lock-order pass's job. A close without an open epoch waits on nothing:
+/// the walk already reported E004, and the runtime errors out rather than
+/// blocking.
+fn build_conds(rank: usize, sh: &Shape) -> Vec<Cond> {
+    let rs = &sh.ranks[rank];
+    let cond_at = |(step, (stmt, at)): (usize, (&Stmt, &At))| match (stmt, *at) {
+        (_, At::Closes(e)) => match rs.epochs[e].kind {
+            EpochKind::Start { .. } => Cond::Grants { start: e },
+            EpochKind::Post { .. } => Cond::Dones { post: e },
+            _ => Cond::None,
+        },
+        (Stmt::WaitAll, _) => Cond::Many(Vec::new()),
+        // A spin on a local no dominating value read binds is a no-op and
+        // resolves to no access.
+        (Stmt::SpinUntil { expect, .. }, At::Access(a)) => {
+            let a = &rs.accesses[a];
+            Cond::Spin { step, win: a.win, target: a.target, disp: a.lo, expect: *expect }
+        }
+        _ => Cond::None,
+    };
+    let mut conds: Vec<Cond> =
+        sh.p.ranks[rank].iter().zip(&rs.at).enumerate().map(cond_at).collect();
+    for (win, calls) in rs.fences.iter().enumerate() {
+        for (idx, &step) in calls.iter().enumerate() {
+            conds[step] = Cond::Fence { win, idx };
         }
     }
-    sh
-}
-
-/// Per-statement wait conditions for one rank, mirroring the engine's
-/// completion rules (see the module docs for the abstract domain).
-fn build_conds(rank: usize, p: &IrProgram, sh: &RankShape) -> Vec<Cond> {
-    let mut conds = Vec::with_capacity(sh.len);
-    let mut fence_idx: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut start_idx: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut open_start: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut post_idx: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut open_post: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut barrier_idx = 0usize;
-    let mut pending: Vec<(usize, &'static str, Cond)> = Vec::new();
-    // Forward local-binding environment for value-dependent guards:
-    // local → the (win, target, disp) slot its defining `ReadValue`
-    // fetches (rebinding shadows).
-    let mut locals: BTreeMap<usize, (usize, usize, usize)> = BTreeMap::new();
-    for (step, stmt) in p.ranks[rank].iter().enumerate() {
-        let cond = match stmt {
-            Stmt::Fence { win, close } => {
-                let idx = *fence_idx.entry(*win).or_insert(0);
-                *fence_idx.get_mut(win).unwrap() += 1;
-                let c = Cond::Fence { win: *win, idx };
-                if close.is_blocking() {
-                    c
-                } else {
-                    pending.push((step, "ifence", c));
-                    Cond::None
-                }
-            }
-            Stmt::Start { win, .. } => {
-                let i = *start_idx.entry(*win).or_insert(0);
-                *start_idx.get_mut(win).unwrap() += 1;
-                open_start.insert(*win, i);
-                Cond::None
-            }
-            Stmt::Complete { win, close } => match open_start.remove(win) {
-                Some(i) => {
-                    let c = Cond::Grants { win: *win, start: i };
-                    if close.is_blocking() {
-                        c
-                    } else {
-                        pending.push((step, "icomplete", c));
-                        Cond::None
-                    }
-                }
-                // Close without an open epoch: the per-rank walker already
-                // reported E004; the runtime errors out rather than
-                // blocking.
-                None => Cond::None,
-            },
-            Stmt::Post { win, .. } => {
-                let m = *post_idx.entry(*win).or_insert(0);
-                *post_idx.get_mut(win).unwrap() += 1;
-                open_post.insert(*win, m);
-                Cond::None
-            }
-            Stmt::WaitEpoch { win, close } => match open_post.remove(win) {
-                Some(m) => {
-                    let c = Cond::Dones { win: *win, post: m };
-                    if close.is_blocking() {
-                        c
-                    } else {
-                        pending.push((step, "iwait", c));
-                        Cond::None
-                    }
-                }
-                None => Cond::None,
-            },
-            Stmt::Barrier => {
-                let idx = barrier_idx;
-                barrier_idx += 1;
-                Cond::Barrier { idx }
-            }
-            Stmt::WaitAll => Cond::Many(std::mem::take(&mut pending)),
-            Stmt::ReadValue { win, target, disp, local, .. } => {
-                locals.insert(*local, (*win, *target, *disp));
-                Cond::None
-            }
-            Stmt::SpinUntil { local, expect } => match locals.get(local) {
-                Some(&(win, target, disp)) => {
-                    Cond::Spin { step, win, target, disp, expect: *expect }
-                }
-                // Spin on a local no dominating ReadValue binds: a no-op
-                // (the per-rank walker already models it as such).
-                None => Cond::None,
-            },
-            // The passive-target plane (lock/unlock/flush) is treated as
-            // eventually-completing here; acquisition-order deadlocks are
-            // the lock-order pass's job.
-            Stmt::Lock { .. }
-            | Stmt::Unlock { .. }
-            | Stmt::LockAll { .. }
-            | Stmt::UnlockAll { .. }
-            | Stmt::Flush { .. }
-            | Stmt::Put { .. }
-            | Stmt::PutVal { .. }
-            | Stmt::Get { .. }
-            | Stmt::Acc { .. }
-            | Stmt::AccVal { .. }
-            | Stmt::Compute { .. } => Cond::None,
-        };
-        conds.push(cond);
+    for (idx, &step) in rs.barriers.iter().enumerate() {
+        conds[step] = Cond::Barrier { idx };
+    }
+    // A nonblocking call does not wait: the `waitall` consuming its
+    // request does, if there is one.
+    for q in &rs.requests {
+        let cond = std::mem::replace(&mut conds[q.step], Cond::None);
+        if let Some(Cond::Many(reqs)) = q.waited.map(|w| &mut conds[w]) {
+            reqs.push((q.step, q.what, cond));
+        }
     }
     conds
 }
 
 struct Interp<'a> {
-    p: &'a IrProgram,
-    shapes: Vec<RankShape>,
+    sh: &'a Shape<'a>,
     conds: Vec<Vec<Cond>>,
-    /// Every statement, job-wide, that can deposit bytes into a window
-    /// (the abstract value domain's supplier index for `Cond::Spin`).
-    suppliers: Vec<Supply>,
 }
 
 impl Interp<'_> {
@@ -334,28 +179,6 @@ impl Interp<'_> {
     /// announcements, posts, epoch closes — happen before the wait.
     fn initiated(&self, pcs: &[usize], r: usize, stmt: usize) -> bool {
         pcs[r] >= stmt
-    }
-
-    /// `t`'s exposure post matching origin `o`'s start instance `si` on
-    /// `win`: the `occ`-th post of `t` on `win` whose group contains `o`.
-    fn matching_post(&self, t: usize, win: usize, o: usize, occ: usize) -> Option<&PostInfo> {
-        self.shapes[t]
-            .posts
-            .get(&win)?
-            .iter()
-            .filter(|pi| pi.group.contains(&o))
-            .nth(occ)
-    }
-
-    /// `o`'s access epoch matching target `t`'s post with per-origin
-    /// occurrence `occ` on `win`.
-    fn matching_start(&self, o: usize, win: usize, t: usize, occ: usize) -> Option<&StartInfo> {
-        self.shapes[o]
-            .starts
-            .get(&win)?
-            .iter()
-            .filter(|si| si.group.contains(&t))
-            .nth(occ)
     }
 
     /// Is `cond` (of rank `r`) satisfied under `pcs`? When not, pushes
@@ -367,7 +190,8 @@ impl Interp<'_> {
         pcs: &[usize],
         mut blockers: Option<&mut Vec<Blocker>>,
     ) -> bool {
-        let n = self.p.n_ranks;
+        let n = self.sh.p.n_ranks;
+        let ranks = &self.sh.ranks;
         let mut ok = true;
         let mut blame = |b: Blocker, ok: &mut bool| {
             *ok = false;
@@ -379,8 +203,8 @@ impl Interp<'_> {
             Cond::None => {}
             Cond::Fence { win, idx } => {
                 if *idx > 0 {
-                    for q in 0..n {
-                        match self.shapes[q].fences.get(win).and_then(|f| f.get(*idx)) {
+                    for (q, rs) in ranks.iter().enumerate() {
+                        match rs.fences[*win].get(*idx) {
                             Some(&s) if self.initiated(pcs, q, s) => {}
                             Some(_) => blame(Blocker::Stuck(q), &mut ok),
                             None => blame(
@@ -389,11 +213,7 @@ impl Interp<'_> {
                                     why: format!(
                                         "rank {q} makes only {} fence call(s) on window \
                                          {win}, so fence phase {} can never complete",
-                                        self.shapes[q]
-                                            .fences
-                                            .get(win)
-                                            .map(|f| f.len())
-                                            .unwrap_or(0),
+                                        rs.fences[*win].len(),
                                         idx - 1
                                     ),
                                 },
@@ -403,14 +223,15 @@ impl Interp<'_> {
                     }
                 }
             }
-            Cond::Grants { win, start } => {
-                let si = &self.shapes[r].starts[win][*start];
-                for &t in &si.group {
+            Cond::Grants { start } => {
+                let si = &ranks[r].epochs[*start];
+                let win = si.win;
+                for &t in si.group() {
                     if t >= n {
                         continue; // invalid target: E002 already reported
                     }
-                    match self.matching_post(t, *win, r, si.occ[&t]) {
-                        Some(pi) if self.initiated(pcs, t, pi.stmt) => {}
+                    match self.sh.matching_post(r, si, t) {
+                        Some(pi) if self.initiated(pcs, t, ranks[t].epochs[pi].open) => {}
                         Some(_) => blame(Blocker::Stuck(t), &mut ok),
                         None => blame(
                             Blocker::Never {
@@ -418,7 +239,7 @@ impl Interp<'_> {
                                 why: format!(
                                     "rank {t} never issues the matching exposure post on \
                                      window {win} (needs its post #{} containing rank {r})",
-                                    si.occ[&t]
+                                    si.occ_of(t).expect("t is in the group")
                                 ),
                             },
                             &mut ok,
@@ -426,15 +247,16 @@ impl Interp<'_> {
                     }
                 }
             }
-            Cond::Dones { win, post } => {
-                let pi = &self.shapes[r].posts[win][*post];
-                for &o in &pi.group {
+            Cond::Dones { post } => {
+                let pi = &ranks[r].epochs[*post];
+                let win = pi.win;
+                for &o in pi.group() {
                     if o >= n {
                         continue;
                     }
-                    match self.matching_start(o, *win, r, pi.occ[&o]) {
-                        Some(si) => match si.complete {
-                            Some(c) if self.initiated(pcs, o, c) => {}
+                    match self.sh.matching_start(r, pi, o) {
+                        Some(si) => match ranks[o].epochs[si].close {
+                            Some((c, _)) if self.initiated(pcs, o, c) => {}
                             Some(_) => blame(Blocker::Stuck(o), &mut ok),
                             None => blame(
                                 Blocker::Never {
@@ -455,7 +277,7 @@ impl Interp<'_> {
                                     "rank {o} never starts a matching access epoch on \
                                      window {win} (needs its start #{} containing rank \
                                      {r})",
-                                    pi.occ[&o]
+                                    pi.occ_of(o).expect("o is in the group")
                                 ),
                             },
                             &mut ok,
@@ -464,8 +286,8 @@ impl Interp<'_> {
                 }
             }
             Cond::Barrier { idx } => {
-                for q in 0..n {
-                    match self.shapes[q].barriers.get(*idx) {
+                for (q, rs) in ranks.iter().enumerate() {
+                    match rs.barriers.get(*idx) {
                         Some(&s) if self.initiated(pcs, q, s) => {}
                         Some(_) => blame(Blocker::Stuck(q), &mut ok),
                         None => blame(
@@ -473,7 +295,7 @@ impl Interp<'_> {
                                 rank: q,
                                 why: format!(
                                     "rank {q} calls barrier only {} time(s)",
-                                    self.shapes[q].barriers.len()
+                                    rs.barriers.len()
                                 ),
                             },
                             &mut ok,
@@ -484,9 +306,12 @@ impl Interp<'_> {
             Cond::Spin { step, win, target, disp, expect } => {
                 // Per byte of the expected value: the window's zero
                 // initialization covers zero bytes; every other byte
-                // needs a reachable supplier — a ⊤ write overlapping it,
-                // or a known-constant `Replace` whose matching byte
-                // equals the wanted one. The spinner's own post-spin
+                // needs a reachable supplier — a writing access
+                // overlapping it whose value is ⊤ (unknown operand or a
+                // non-`Replace` fold: conservatively able to produce any
+                // byte, which suppresses E018 — the soundness direction)
+                // or a known constant whose matching byte equals the
+                // wanted one. The spinner's own post-spin
                 // statements are unreachable (the spin blocks the host
                 // before them). An initiated supplier satisfies the
                 // byte; a supplier the writer has not reached yet is a
@@ -500,7 +325,9 @@ impl Interp<'_> {
                     let abs = disp + j;
                     let mut covered = false;
                     let mut pending: Vec<usize> = Vec::new();
-                    for s in &self.suppliers {
+                    let writes =
+                        ranks.iter().flat_map(|rs| &rs.accesses).filter(|s| s.kind.writes());
+                    for s in writes {
                         if s.win != *win || s.target != *target || abs < s.lo || abs >= s.hi {
                             continue;
                         }
@@ -573,78 +400,17 @@ impl Interp<'_> {
 }
 
 /// The fixpoint interpreter: E013 cycles plus E015/E016/E017/E011 roots.
-fn fixpoint_pass(p: &IrProgram) -> Vec<Diagnostic> {
+fn fixpoint_pass(sh: &Shape) -> Vec<Diagnostic> {
+    let p = sh.p;
     let n = p.n_ranks;
-    let shapes: Vec<RankShape> = (0..n).map(|r| build_shape(r, p)).collect();
-    let conds: Vec<Vec<Cond>> = (0..n).map(|r| build_conds(r, p, &shapes[r])).collect();
-    // Supplier index for the abstract value domain: every statement that
-    // can deposit bytes into a window, with its value knowledge. Only
-    // `AccVal`/`Replace` yields a known post-state; every other
-    // modifying write is ⊤ over its byte range (conservatively able to
-    // produce any value, which suppresses E018 — the soundness
-    // direction).
-    let mut suppliers: Vec<Supply> = Vec::new();
-    for (rank, stmts) in p.ranks.iter().enumerate() {
-        for (step, stmt) in stmts.iter().enumerate() {
-            match stmt {
-                Stmt::Put { win, target, disp, len }
-                | Stmt::PutVal { win, target, disp, len, .. } => suppliers.push(Supply {
-                    rank,
-                    step,
-                    win: *win,
-                    target: *target,
-                    lo: *disp,
-                    hi: disp + len,
-                    val: None,
-                }),
-                Stmt::Acc { win, target, disp, len, op } if *op != ReduceOp::NoOp => {
-                    suppliers.push(Supply {
-                        rank,
-                        step,
-                        win: *win,
-                        target: *target,
-                        lo: *disp,
-                        hi: disp + len,
-                        val: None,
-                    })
-                }
-                Stmt::AccVal { win, target, disp, op, val } if *op != ReduceOp::NoOp => {
-                    suppliers.push(Supply {
-                        rank,
-                        step,
-                        win: *win,
-                        target: *target,
-                        lo: *disp,
-                        hi: disp + 8,
-                        val: (*op == ReduceOp::Replace).then_some(*val),
-                    })
-                }
-                Stmt::ReadValue { win, target, disp, kind, .. }
-                    if kind.write_op().is_some() =>
-                {
-                    suppliers.push(Supply {
-                        rank,
-                        step,
-                        win: *win,
-                        target: *target,
-                        lo: *disp,
-                        hi: disp + 8,
-                        val: None,
-                    })
-                }
-                _ => {}
-            }
-        }
-    }
-    let interp = Interp { p, shapes, conds, suppliers };
+    let conds = (0..n).map(|r| build_conds(r, sh)).collect();
+    let interp = Interp { sh, conds };
 
     let mut pcs = vec![0usize; n];
     loop {
         let mut progressed = false;
         for r in 0..n {
-            while pcs[r] < interp.shapes[r].len
-                && interp.sat(r, &interp.conds[r][pcs[r]], &pcs, None)
-            {
+            while pcs[r] < p.ranks[r].len() && interp.sat(r, &interp.conds[r][pcs[r]], &pcs, None) {
                 pcs[r] += 1;
                 progressed = true;
             }
@@ -654,7 +420,7 @@ fn fixpoint_pass(p: &IrProgram) -> Vec<Diagnostic> {
         }
     }
 
-    let stuck: Vec<usize> = (0..n).filter(|&r| pcs[r] < interp.shapes[r].len).collect();
+    let stuck: Vec<usize> = (0..n).filter(|&r| pcs[r] < p.ranks[r].len()).collect();
     if stuck.is_empty() {
         return Vec::new();
     }
@@ -758,9 +524,9 @@ struct LockEdge {
 }
 
 /// The lock-order pass: E014 ABBA inversions in the passive-target plane.
-fn lock_order_pass(p: &IrProgram) -> Vec<Diagnostic> {
+fn lock_order_pass(sh: &Shape) -> Vec<Diagnostic> {
     let mut edges: Vec<LockEdge> = Vec::new();
-    for (rank, stmts) in p.ranks.iter().enumerate() {
+    for (rank, rs) in sh.ranks.iter().enumerate() {
         // (win, target) → (exclusive, lock stmt, established). A hold
         // only contributes a held→wanted edge once it is *established*:
         // lock acquisition is lazily deferred to the first forcing call
@@ -772,13 +538,13 @@ fn lock_order_pass(p: &IrProgram) -> Vec<Diagnostic> {
         // establishes a hold nor discharges one.
         let mut held: BTreeMap<(usize, usize), (bool, usize, bool)> = BTreeMap::new();
         // Pending nonblocking unlocks whose completion a later waitall
-        // blocks on: (win, target, exclusive, unlock stmt).
-        let mut pending_iunlock: Vec<(usize, usize, bool, usize)> = Vec::new();
+        // blocks on: (win, target) and lock mode.
+        let mut pending_iunlock: Vec<((usize, usize), bool)> = Vec::new();
         let block_on = |held: &BTreeMap<(usize, usize), (bool, usize, bool)>,
-                            wanted: (usize, usize),
-                            want_excl: bool,
-                            block_stmt: usize,
-                            edges: &mut Vec<LockEdge>| {
+                        wanted: (usize, usize),
+                        want_excl: bool,
+                        block_stmt: usize,
+                        edges: &mut Vec<LockEdge>| {
             for (&h, &(held_excl, held_stmt, established)) in held {
                 if h == wanted || !established {
                     continue;
@@ -794,56 +560,52 @@ fn lock_order_pass(p: &IrProgram) -> Vec<Diagnostic> {
                 });
             }
         };
-        for (step, stmt) in stmts.iter().enumerate() {
-            match stmt {
-                Stmt::Lock { win, target, exclusive, .. } => {
+        // Only what the walk resolved counts: a rejected `lock` holds
+        // nothing and an unmatched `unlock` releases nothing.
+        for (step, (stmt, at)) in sh.p.ranks[rank].iter().zip(&rs.at).enumerate() {
+            match (*at, stmt) {
+                (At::Opens(_), Stmt::Lock { win, target, exclusive, .. }) => {
                     held.insert((*win, *target), (*exclusive, step, false));
                 }
-                Stmt::Unlock { win, target, close } => {
-                    if let Some((excl, ..)) = held.remove(&(*win, *target)) {
-                        if close.is_blocking() {
-                            // Blocks here until this lock epoch completes
-                            // (grant + release) while still holding every
-                            // other established lock.
-                            block_on(&held, (*win, *target), excl, step, &mut edges);
-                        } else {
-                            pending_iunlock.push((*win, *target, excl, step));
-                        }
+                (At::Closes(_), Stmt::Unlock { win, target, close }) => {
+                    let key = (*win, *target);
+                    let (excl, ..) = held.remove(&key).expect("the walk paired it with a lock");
+                    if close.is_blocking() {
+                        // Blocks here until this lock epoch completes
+                        // (grant + release) while still holding every
+                        // other established lock.
+                        block_on(&held, key, excl, step, &mut edges);
+                    } else {
+                        pending_iunlock.push((key, excl));
                     }
                 }
-                Stmt::Flush { win, target, local_only, close } => {
-                    if *local_only {
-                        // flush_local: local completion only — forces no
-                        // acquisition and discharges no held→wanted edge.
-                        continue;
-                    }
+                // flush_local: local completion only — forces no
+                // acquisition and discharges no held→wanted edge.
+                (At::Flush(f), _) if !rs.flushes[f].local_only => {
+                    let f = &rs.flushes[f];
                     // A full flush (blocking or not) forces acquisition of
                     // the covered lazily-held locks: they are established
                     // from here on.
-                    let covered: Vec<((usize, usize), bool)> = held
-                        .iter()
-                        .filter(|((w, t), _)| *w == *win && target.is_none_or(|tt| tt == *t))
-                        .map(|(&k, &(excl, _, _))| (k, excl))
-                        .collect();
-                    for (k, _) in &covered {
-                        if let Some(e) = held.get_mut(k) {
-                            e.2 = true;
-                        }
+                    let covered = f.covers.iter().filter_map(|&e| match rs.epochs[e].kind {
+                        EpochKind::Lock { target, exclusive } => Some(((f.win, target), exclusive)),
+                        _ => None,
+                    });
+                    for (key, excl) in covered.clone() {
+                        held.insert(key, (excl, held[&key].1, true));
                     }
-                    if close.is_blocking() {
+                    if f.close.is_blocking() {
                         // And a *blocking* full flush additionally waits
                         // for the covered epochs' issued operations, which
                         // need the covered locks granted.
-                        for (k, excl) in covered {
-                            block_on(&held, k, excl, step, &mut edges);
+                        for (key, excl) in covered {
+                            block_on(&held, key, excl, step, &mut edges);
                         }
                     }
                 }
-                Stmt::WaitAll => {
-                    for &(win, target, excl, _) in &pending_iunlock {
-                        block_on(&held, (win, target), excl, step, &mut edges);
+                (_, Stmt::WaitAll) => {
+                    for (key, excl) in pending_iunlock.drain(..) {
+                        block_on(&held, key, excl, step, &mut edges);
                     }
-                    pending_iunlock.clear();
                 }
                 _ => {}
             }
@@ -932,8 +694,8 @@ fn lock_order_pass(p: &IrProgram) -> Vec<Diagnostic> {
 }
 
 /// Run both whole-job deadlock passes.
-pub(crate) fn deadlock_passes(p: &IrProgram) -> Vec<Diagnostic> {
-    let mut diags = fixpoint_pass(p);
-    diags.extend(lock_order_pass(p));
+pub(crate) fn deadlock_passes(sh: &Shape) -> Vec<Diagnostic> {
+    let mut diags = fixpoint_pass(sh);
+    diags.extend(lock_order_pass(sh));
     diags
 }

@@ -33,6 +33,12 @@
 //!    byte ranges and access kinds. Conflicting overlapping accesses that
 //!    no traced edge orders are reported as [`Race`]s.
 //!
+//! Every static pass — [`analyze`], the deadlock passes, [`analyze_slack`]
+//! and each [`rewrite`] pass — reads one resolved epoch structure of the
+//! program (`shape.rs`): one walk per rank resolves epochs, accesses,
+//! flushes and requests, and the cross-rank FIFO start/post matching is
+//! answered there and nowhere else.
+//!
 //! The static layer over-approximates (it reasons about all schedules),
 //! the dynamic layer under-approximates (it sees one schedule); together
 //! they bracket the protocol semantics, and `mpisim-check` runs both on
@@ -62,6 +68,7 @@ pub mod exec;
 pub mod ir;
 pub mod race;
 pub mod rewrite;
+mod shape;
 pub mod slack;
 
 pub use analyzer::analyze;

@@ -45,7 +45,9 @@
 //! where relaxing contended unlocks cut blocked steps 111→23 yet
 //! *regressed* virtual completion time ~4%).
 //!
-//! Rewriting runs the classify→apply cycle to a **fixpoint**: an
+//! Rewriting runs the classify→apply cycle to a **fixpoint**, resolving
+//! the program's epoch structure (`Shape`, `shape.rs`) once per pass
+//! and sharing it between classification and the contention veto: an
 //! inserted `WaitAll` is a new free deferred-wait landing point that can
 //! turn a previously `Required` sync `Relaxable` on the next pass, and
 //! each pass that changes anything strictly decreases the number of
@@ -66,7 +68,8 @@
 //! stall/deadlock, a memory divergence, or a watchdog degradation.
 
 use crate::ir::{Close, IrProgram, Stmt};
-use crate::slack::{analyze_slack, SlackClass, SlackFinding, SyncKind};
+use crate::shape::{At, EpochKind, Shape};
+use crate::slack::{slack_of, SlackClass, SlackFinding, SyncKind};
 
 /// Virtual-time price book for candidate relaxations.
 ///
@@ -230,8 +233,6 @@ pub fn rewrite_with_model(
     (cur, report)
 }
 
-/// One classify→apply pass. Returns the rewritten program and whether
-/// anything fired.
 /// The structural contention veto (see the module docs): is the close
 /// at `(rank, step)` an `Unlock` whose lock is contended? Contended
 /// means some *other* rank also locks the same `(win, target)` — or
@@ -240,35 +241,28 @@ pub fn rewrite_with_model(
 /// other side's release, so deferring our release serializes them.
 /// Concurrent shared locks never wait on each other, so a shared/shared
 /// pair stays relaxable.
-fn unlock_contended(p: &IrProgram, rank: usize, step: usize) -> bool {
-    let Stmt::Unlock { win, target, .. } = p.ranks[rank][step] else {
-        return false;
-    };
-    // Our lock mode: the nearest preceding lock of that (win, target).
-    let ours_exclusive = p.ranks[rank][..step]
-        .iter()
-        .rev()
-        .find_map(|s| match *s {
-            Stmt::Lock { win: w, target: t, exclusive, .. } if w == win && t == target => {
-                Some(exclusive)
-            }
-            _ => None,
-        })
-        .unwrap_or(false);
-    p.ranks.iter().enumerate().any(|(r, stmts)| {
-        r != rank
-            && stmts.iter().any(|s| match *s {
-                Stmt::Lock { win: w, target: t, exclusive, .. } => {
-                    w == win && t == target && (exclusive || ours_exclusive)
+fn unlock_contended(sh: &Shape, rank: usize, step: usize) -> bool {
+    let At::Closes(e) = sh.ranks[rank].at[step] else { return false };
+    let ours = &sh.ranks[rank].epochs[e];
+    let EpochKind::Lock { target, exclusive: ours_exclusive } = ours.kind else { return false };
+    let contends = |theirs: &crate::shape::Epoch| {
+        theirs.win == ours.win
+            && match theirs.kind {
+                EpochKind::Lock { target: t, exclusive } => {
+                    t == target && (exclusive || ours_exclusive)
                 }
-                Stmt::LockAll { win: w, .. } => w == win && ours_exclusive,
+                EpochKind::LockAll => ours_exclusive,
                 _ => false,
-            })
-    })
+            }
+    };
+    sh.ranks.iter().enumerate().any(|(r, rs)| r != rank && rs.epochs.iter().any(contends))
 }
 
+/// One classify→apply pass over one resolution of the program. Returns
+/// the rewritten program and whether anything fired.
 fn apply_once(p: &IrProgram, model: &CostModel, report: &mut RewriteReport) -> (IrProgram, bool) {
-    let slack = analyze_slack(p);
+    let sh = Shape::of(p);
+    let slack = slack_of(&sh);
     let mut out = p.clone();
     let mut changed = false;
     // W004 group shrinks first: statement-count-stable (only group
@@ -299,7 +293,7 @@ fn apply_once(p: &IrProgram, model: &CostModel, report: &mut RewriteReport) -> (
             match (f.class, f.kind) {
                 (SlackClass::Relaxable, SyncKind::Flush) => localize.push(f.step),
                 (SlackClass::Relaxable, _) => {
-                    if unlock_contended(p, rank, f.step)
+                    if unlock_contended(&sh, rank, f.step)
                         || !model.profitable(f, p.ranks[rank].len())
                     {
                         pass_skipped += 1;

@@ -5,11 +5,14 @@
 //! than the program needs*: a blocking fence/complete/wait/unlock parks
 //! the host even when nothing local depends on remote completion yet, and
 //! the nonblocking forms reclaim that slack as communication/computation
-//! overlap (§V). This pass walks every rank with a per-(rank, window)
-//! byte-interval dataflow and, for each **blocking synchronization
+//! overlap (§V). This pass reads the program's resolved epoch structure
+//! (`Shape`, `shape.rs`: a close completes its epoch's accesses, a
+//! flush the accesses so far of the passive epochs it covers, up to the
+//! first of their closes) and, for each **blocking synchronization
 //! point** (fence phase close, `complete`, `wait`, `unlock`,
 //! `unlock_all`, blocking flush), computes the *earliest dependent use*
-//! of the operations the sync point completes:
+//! of the operations the sync point completes with one forward scan
+//! (`first_use`):
 //!
 //! * a later `get` by the same rank overlapping covered **written** bytes
 //!   (a value dependence — the get must observe the completed put);
@@ -64,10 +67,11 @@
 //! (dead exposure) stays report-only because removing an exposure
 //! epoch outright changes collective matching asymmetrically.
 
-use std::collections::BTreeMap;
+use mpisim_core::trace::AccessKind;
 
 use crate::diag::{Code, Diagnostic};
 use crate::ir::{IrProgram, Stmt};
+use crate::shape::{Access, At, EpochKind, Flush, Op, Shape};
 
 /// Classification of one blocking synchronization point on the slack
 /// lattice (`Elidable ⊏ Relaxable ⊏ Required`: each step up keeps
@@ -166,109 +170,11 @@ pub struct SlackReport {
     pub shrinks: Vec<GroupShrink>,
 }
 
-/// One byte interval covered by a sync point (window implicit).
-#[derive(Clone, Debug)]
-struct Iv {
-    target: usize,
-    lo: usize,
-    hi: usize,
-    write: bool,
-}
-
-/// One data access, tagged with the per-rank ordinal of its covering
-/// epoch (for the reorder pin's cross-epoch conflict check).
-struct RankAccess {
-    win: usize,
-    target: usize,
-    lo: usize,
-    hi: usize,
-    write: bool,
-    epoch: usize,
-}
-
-fn ranges_overlap(alo: usize, ahi: usize, blo: usize, bhi: usize) -> bool {
-    alo.max(blo) < ahi.min(bhi)
-}
-
-/// The window and byte interval a data statement touches (`None` for
-/// every other statement).
-fn data_iv(stmt: &Stmt) -> Option<(usize, Iv)> {
-    let (win, target, lo, len, write) = match *stmt {
-        Stmt::Put { win, target, disp, len }
-        | Stmt::PutVal { win, target, disp, len, .. }
-        | Stmt::Acc { win, target, disp, len, .. } => (win, target, disp, len, true),
-        Stmt::Get { win, target, disp, len } => (win, target, disp, len, false),
-        Stmt::ReadValue { win, target, disp, kind, .. } => {
-            (win, target, disp, 8, kind.write_op().is_some())
-        }
-        Stmt::AccVal { win, target, disp, .. } => (win, target, disp, 8, true),
-        _ => return None,
-    };
-    Some((win, Iv { target, lo, hi: lo + len, write }))
-}
-
-/// Collect every rank's data accesses with epoch ordinals, mirroring the
-/// engine's op-routing (single-target lock → lock_all → GATS → fence).
-fn collect_accesses(p: &IrProgram) -> Vec<Vec<RankAccess>> {
-    let mut all = Vec::with_capacity(p.n_ranks);
-    for stmts in &p.ranks {
-        let mut out = Vec::new();
-        let mut ord = 0usize;
-        // Per window: open-epoch ordinals.
-        let mut fence_open: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut gats: BTreeMap<usize, (Vec<usize>, usize)> = BTreeMap::new();
-        let mut locks: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        let mut lock_all: BTreeMap<usize, usize> = BTreeMap::new();
-        for stmt in stmts {
-            match stmt {
-                Stmt::Fence { win, .. } => {
-                    ord += 1;
-                    fence_open.insert(*win, ord);
-                }
-                Stmt::Start { win, group } => {
-                    ord += 1;
-                    gats.insert(*win, (group.clone(), ord));
-                }
-                Stmt::Complete { win, .. } => {
-                    gats.remove(win);
-                }
-                Stmt::Lock { win, target, .. } => {
-                    ord += 1;
-                    locks.insert((*win, *target), ord);
-                }
-                Stmt::Unlock { win, target, .. } => {
-                    locks.remove(&(*win, *target));
-                }
-                Stmt::LockAll { win, .. } => {
-                    ord += 1;
-                    lock_all.insert(*win, ord);
-                }
-                Stmt::UnlockAll { win, .. } => {
-                    lock_all.remove(win);
-                }
-                _ => {
-                    let Some((win, Iv { target, lo, hi, write })) = data_iv(stmt) else {
-                        continue;
-                    };
-                    let epoch = locks
-                        .get(&(win, target))
-                        .copied()
-                        .or_else(|| lock_all.get(&win).copied())
-                        .or_else(|| {
-                            gats.get(&win)
-                                .filter(|(g, _)| g.contains(&target))
-                                .map(|&(_, o)| o)
-                        })
-                        .or_else(|| fence_open.get(&win).copied());
-                    if let Some(epoch) = epoch {
-                        out.push(RankAccess { win, target, lo, hi, write, epoch });
-                    }
-                }
-            }
-        }
-        all.push(out);
-    }
-    all
+/// The accesses the slack pass reasons about: those an epoch covers (the
+/// rest never reach the wire), minus spins — a spin re-executes a read that
+/// is already counted, and the dependent-use scan treats it as a hard pin.
+fn counted(a: &&Access) -> bool {
+    a.epoch.is_some() && a.op != Op::Spin
 }
 
 /// The reorder pin: with reorder flags on, a rank that issues conflicting
@@ -276,393 +182,229 @@ fn collect_accesses(p: &IrProgram) -> Vec<Vec<RankAccess>> {
 /// depends on blocking syncs to break its reorder-concurrency regions
 /// (E009). Relaxing any of its syncs could merge regions, so every sync
 /// of that rank is pinned Required. (Blocking syncs serialize *all* of a
-/// rank's windows — `sync_all` — hence the pin is per rank, not per
-/// window.)
-fn reorder_pinned(p: &IrProgram, accesses: &[Vec<RankAccess>]) -> Vec<bool> {
-    let mut pinned = vec![false; p.n_ranks];
-    if !p.reorder {
-        return pinned;
-    }
-    for (rank, accs) in accesses.iter().enumerate() {
-        'outer: for (i, a) in accs.iter().enumerate() {
-            for b in &accs[i + 1..] {
-                if a.win == b.win
-                    && a.target == b.target
-                    && a.epoch != b.epoch
-                    && (a.write || b.write)
-                    && ranges_overlap(a.lo, a.hi, b.lo, b.hi)
-                {
-                    pinned[rank] = true;
-                    break 'outer;
-                }
-            }
-        }
-    }
-    pinned
+/// rank's windows, hence the pin is per rank, not per window.)
+fn reorder_pinned(sh: &Shape) -> Vec<bool> {
+    let pinned = |accs: &Vec<Access>| {
+        sh.p.reorder
+            && accs.iter().enumerate().filter(|(_, a)| counted(a)).any(|(i, a)| {
+                accs[i + 1..].iter().filter(counted).any(|b| {
+                    a.win == b.win
+                        && a.target == b.target
+                        && a.epoch != b.epoch
+                        && (a.kind.writes() || b.kind.writes())
+                        && a.overlap(b).is_some()
+                })
+            })
+    };
+    sh.ranks.iter().map(|rs| pinned(&rs.accesses)).collect()
 }
 
-/// Does any *other* rank's access conflict with the covered intervals?
+/// Does any *other* rank's access conflict with the covered ones?
 /// (The barrier rule: a barrier after the sync publishes completion to
 /// conflicting peers, so the deferred wait must land before it.)
-fn cross_conflict(
-    rank: usize,
-    win: usize,
-    covered: &[Iv],
-    accesses: &[Vec<RankAccess>],
-) -> Option<String> {
-    for (r, accs) in accesses.iter().enumerate() {
-        if r == rank {
-            continue;
-        }
-        for a in accs {
-            if a.win != win {
+fn cross_conflict(sh: &Shape, rank: usize, win: usize, covered: &[&Access]) -> Option<String> {
+    let others = sh.ranks.iter().enumerate().filter(|&(r, _)| r != rank);
+    for a in others.flat_map(|(_, rs)| &rs.accesses).filter(|a| a.win == win && counted(a)) {
+        for c in covered {
+            if a.target != c.target || !(a.kind.writes() || c.kind.writes()) {
                 continue;
             }
-            for iv in covered {
-                if a.target == iv.target
-                    && (a.write || iv.write)
-                    && ranges_overlap(a.lo, a.hi, iv.lo, iv.hi)
-                {
-                    return Some(format!(
-                        "rank {r} conflicts on bytes [{}, {}) of rank {}'s window {win}",
-                        a.lo.max(iv.lo),
-                        a.hi.min(iv.hi),
-                        iv.target
-                    ));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Where the earliest dependent use of `covered` lands after `step`.
-enum WaitPoint {
-    /// A dependent use or consumption point at statement `at`.
-    At { at: usize, insert: bool, why: String },
-    /// No dependent use before end of program.
-    Eop,
-}
-
-/// Forward dataflow scan for an epoch close at `step`: the first value
-/// dependence (same-rank overlapping get), cross-rank publication point
-/// (barrier with a conflicting peer), or existing `waitall`.
-fn scan_close(
-    rank: usize,
-    step: usize,
-    win: usize,
-    covered: &[Iv],
-    stmts: &[Stmt],
-    accesses: &[Vec<RankAccess>],
-) -> WaitPoint {
-    let barrier_conflict = cross_conflict(rank, win, covered, accesses);
-    for (d, stmt) in stmts.iter().enumerate().skip(step + 1) {
-        match stmt {
-            Stmt::WaitAll => {
-                return WaitPoint::At {
-                    at: d,
-                    insert: false,
-                    why: format!("deferred to the existing waitall at stmt {d}"),
-                };
-            }
-            Stmt::Get { win: gw, target, disp, len } if *gw == win => {
-                for iv in covered {
-                    if iv.write
-                        && iv.target == *target
-                        && ranges_overlap(*disp, *disp + *len, iv.lo, iv.hi)
-                    {
-                        return WaitPoint::At {
-                            at: d,
-                            insert: true,
-                            why: format!(
-                                "get at stmt {d} reads bytes [{}, {}) of rank {target}'s \
-                                 window {win} that the sync completes",
-                                disp.max(&iv.lo),
-                                (disp + len).min(iv.hi)
-                            ),
-                        };
-                    }
-                }
-            }
-            Stmt::ReadValue { win: gw, target, disp, .. } if *gw == win => {
-                for iv in covered {
-                    if iv.write
-                        && iv.target == *target
-                        && ranges_overlap(*disp, *disp + 8, iv.lo, iv.hi)
-                    {
-                        return WaitPoint::At {
-                            at: d,
-                            insert: true,
-                            why: format!(
-                                "value read at stmt {d} fetches bytes [{}, {}) of rank \
-                                 {target}'s window {win} that the sync completes",
-                                disp.max(&iv.lo),
-                                (disp + 8).min(iv.hi)
-                            ),
-                        };
-                    }
-                }
-            }
-            Stmt::SpinUntil { .. } => {
-                // A value-dependent spin re-reads the window until a
-                // peer's write lands: conservative hard pin — the sync
-                // must complete before the spin starts.
-                return WaitPoint::At {
-                    at: d,
-                    insert: true,
-                    why: format!(
-                        "value-dependent spin at stmt {d} re-reads the window until \
-                         satisfied; the sync must complete before it"
-                    ),
-                };
-            }
-            Stmt::Barrier => {
-                if let Some(why) = &barrier_conflict {
-                    return WaitPoint::At {
-                        at: d,
-                        insert: true,
-                        why: format!("barrier at stmt {d} publishes completion: {why}"),
-                    };
-                }
-            }
-            _ => {}
-        }
-    }
-    WaitPoint::Eop
-}
-
-/// Dependent-use scan for a blocking flush: the flush's guarantee is
-/// subsumed by the covering epoch's own close, so only uses strictly
-/// before `close_at` count against eliding it.
-fn scan_flush(
-    rank: usize,
-    step: usize,
-    win: usize,
-    close_at: usize,
-    covered: &[Iv],
-    stmts: &[Stmt],
-    accesses: &[Vec<RankAccess>],
-) -> Option<String> {
-    let barrier_conflict = cross_conflict(rank, win, covered, accesses);
-    for (d, stmt) in stmts.iter().enumerate().take(close_at).skip(step + 1) {
-        match stmt {
-            Stmt::Get { win: gw, target, disp, len } if *gw == win => {
-                for iv in covered {
-                    if iv.write
-                        && iv.target == *target
-                        && ranges_overlap(*disp, *disp + *len, iv.lo, iv.hi)
-                    {
-                        return Some(format!(
-                            "get at stmt {d} depends on the flushed bytes before the epoch \
-                             closes"
-                        ));
-                    }
-                }
-            }
-            Stmt::ReadValue { win: gw, target, disp, .. } if *gw == win => {
-                for iv in covered {
-                    if iv.write
-                        && iv.target == *target
-                        && ranges_overlap(*disp, *disp + 8, iv.lo, iv.hi)
-                    {
-                        return Some(format!(
-                            "value read at stmt {d} depends on the flushed bytes before \
-                             the epoch closes"
-                        ));
-                    }
-                }
-            }
-            Stmt::SpinUntil { .. } => {
+            if let Some((lo, hi)) = a.overlap(c) {
                 return Some(format!(
-                    "value-dependent spin at stmt {d} depends on window state before the \
-                     epoch closes"
+                    "rank {} conflicts on bytes [{lo}, {hi}) of rank {}'s window {win}",
+                    a.rank, c.target
                 ));
             }
-            Stmt::Barrier => {
-                if let Some(why) = &barrier_conflict {
-                    return Some(format!(
-                        "barrier at stmt {d} publishes the flush before the epoch closes: {why}"
-                    ));
-                }
-            }
-            _ => {}
         }
     }
     None
 }
 
-/// One GATS access-epoch instance (for W004 and the W005 matching).
-struct StartShape {
-    group: Vec<usize>,
-    step: usize,
-    /// Ops issued toward each group target inside this epoch.
-    ops_toward: BTreeMap<usize, usize>,
+/// What the dependent-use scan met first.
+enum Use<'a> {
+    /// An existing `waitall` (a free deferred-wait landing point).
+    WaitAll,
+    /// A value-returning access overlapping covered written bytes.
+    Read { by: &'a Access, lo: usize, hi: usize },
+    /// A value-dependent spin: it re-reads the window until a peer's write
+    /// lands — a conservative hard pin.
+    Spin,
+    /// A barrier, when another rank conflicts with the covered bytes.
+    Barrier { conflict: String },
 }
 
-/// One exposure-epoch instance (for W005 matching).
-struct PostShape {
-    group: Vec<usize>,
-    step: usize,
-    /// Per-origin occurrence index among this rank's posts containing
-    /// that origin on this window.
-    occ: BTreeMap<usize, usize>,
-}
-
-/// An outstanding `iflush` request (for the W001 discharge rule). The
-/// list is deliberately never pruned at `waitall`: a flush that *would*
-/// discharge a request stays conservative (Required/localized) even when
-/// a wait consumed the request earlier, which keeps the classification
-/// stable under the rewriter's own inserted waits (idempotence).
-struct IFlush {
+/// Forward dataflow scan over `range` of `rank`'s statements for the first
+/// dependent use of what a sync point on `win` completes (`covered`): a
+/// value dependence (same-rank overlapping get or value read), a
+/// value-dependent spin, a cross-rank publication point (barrier with a
+/// conflicting peer), or — when `landing` — an existing `waitall`.
+fn first_use<'a>(
+    sh: &'a Shape,
+    rank: usize,
+    range: std::ops::Range<usize>,
     win: usize,
-    target: Option<usize>,
-    local_only: bool,
+    covered: &[&Access],
+    landing: bool,
+) -> Option<(usize, Use<'a>)> {
+    let rs = &sh.ranks[rank];
+    let mut barrier_conflict: Option<Option<String>> = None;
+    for d in range {
+        let hit = match (&sh.p.ranks[rank][d], rs.at[d]) {
+            (Stmt::WaitAll, _) if landing => Some(Use::WaitAll),
+            (Stmt::SpinUntil { .. }, _) => Some(Use::Spin),
+            (Stmt::Barrier, _) => barrier_conflict
+                .get_or_insert_with(|| cross_conflict(sh, rank, win, covered))
+                .clone()
+                .map(|conflict| Use::Barrier { conflict }),
+            (_, At::Access(a)) => Some(&rs.accesses[a])
+                .filter(|by| by.op.returns_value() && by.win == win)
+                .and_then(|by| {
+                    let written = |c: &&&Access| c.kind.writes() && c.target == by.target;
+                    let (lo, hi) = covered.iter().filter(written).find_map(|c| by.overlap(c))?;
+                    Some(Use::Read { by, lo, hi })
+                }),
+            _ => None,
+        };
+        if let Some(hit) = hit {
+            return Some((d, hit));
+        }
+    }
+    None
 }
 
 /// Run the slack pass. Advisory only: the returned diagnostics use the
 /// W-series codes and never overlap [`crate::analyze`]'s E-codes.
 pub fn analyze_slack(p: &IrProgram) -> SlackReport {
-    let accesses = collect_accesses(p);
-    let pinned = reorder_pinned(p, &accesses);
+    slack_of(&Shape::of(p))
+}
+
+/// The group members of GATS access epoch `e` it never operates toward.
+fn unused_targets(sh: &Shape, rank: usize, e: usize) -> Vec<usize> {
+    let rs = &sh.ranks[rank];
+    let used = |t: &usize| rs.accesses_of(e).filter(counted).any(|a| a.target == *t);
+    rs.epochs[e].group().iter().copied().filter(|t| !used(t)).collect()
+}
+
+/// The slack pass over an already resolved program.
+pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
+    let p = sh.p;
+    let pinned = reorder_pinned(sh);
     let mut report = SlackReport::default();
 
-    // Cross-rank shapes for W005, collected during the main walk.
-    let mut starts_shape: Vec<BTreeMap<usize, Vec<StartShape>>> = Vec::with_capacity(p.n_ranks);
-    let mut posts_shape: Vec<BTreeMap<usize, Vec<PostShape>>> = Vec::with_capacity(p.n_ranks);
-
-    for (rank, stmts) in p.ranks.iter().enumerate() {
-        let mut my_starts: BTreeMap<usize, Vec<StartShape>> = BTreeMap::new();
-        let mut my_posts: BTreeMap<usize, Vec<PostShape>> = BTreeMap::new();
-        let mut posts_toward: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-
-        // Per-window open-epoch op tracking.
-        let mut fence_calls: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut fence_ops: BTreeMap<usize, Vec<Iv>> = BTreeMap::new();
-        let mut gats: BTreeMap<usize, (usize, Vec<Iv>)> = BTreeMap::new(); // win → (start idx, ops)
-        let mut locks: BTreeMap<(usize, usize), Vec<Iv>> = BTreeMap::new();
-        let mut lock_all: BTreeMap<usize, Vec<Iv>> = BTreeMap::new();
-        let mut iflushes: Vec<IFlush> = Vec::new();
-
-        // Classify one blocking epoch close.
-        let classify_close = |rank: usize,
-                              step: usize,
-                              win: usize,
-                              kind: SyncKind,
-                              covered: &[Iv],
-                              report: &mut SlackReport| {
-            let covered_bytes: usize = covered.iter().map(|iv| iv.hi - iv.lo).sum();
-            if pinned[rank] {
-                report.findings.push(SlackFinding {
-                    rank,
-                    step,
-                    win,
-                    kind,
-                    class: SlackClass::Required,
-                    wait_before: None,
-                    insert_wait: false,
-                    localize: false,
-                    covered_bytes,
-                    why: "reorder pin: this rank has conflicting same-origin accesses in \
-                          different epochs, so blocking syncs must keep breaking reorder \
-                          regions"
-                        .into(),
-                });
-                return;
-            }
-            let (wait_before, insert_wait, why, slack_end) =
-                match scan_close(rank, step, win, covered, &p.ranks[rank], &accesses) {
-                    WaitPoint::At { at, insert, why } => (Some(at), insert, why, at),
-                    WaitPoint::Eop => (
-                        None,
-                        false,
-                        "no dependent use before end of program".to_string(),
-                        p.ranks[rank].len(),
-                    ),
-                };
-            if slack_end <= step + 1 {
-                report.findings.push(SlackFinding {
-                    rank,
-                    step,
-                    win,
-                    kind,
-                    class: SlackClass::Required,
-                    wait_before: None,
-                    insert_wait: false,
-                    localize: false,
-                    covered_bytes,
-                    why: format!("zero slack: {why}"),
-                });
-                return;
-            }
-            let code = match kind {
-                SyncKind::FenceClose | SyncKind::Complete | SyncKind::WaitEpoch => Code::W002,
-                SyncKind::Unlock | SyncKind::UnlockAll => Code::W003,
-                SyncKind::Flush => unreachable!("flushes use classify_flush"),
-            };
-            report.diags.push(Diagnostic {
-                code,
-                rank,
-                step: Some(step),
-                detail: format!(
-                    "blocking {kind:?} on window {win} can be its nonblocking form with the \
-                     wait deferred {} statement(s): {why}",
-                    slack_end - step - 1
-                ),
-            });
-            report.findings.push(SlackFinding {
-                rank,
-                step,
-                win,
-                kind,
-                class: SlackClass::Relaxable,
-                wait_before,
-                insert_wait,
-                localize: false,
-                covered_bytes,
-                why,
-            });
+    // Classify one blocking epoch close.
+    let classify_close = |rank: usize,
+                          step: usize,
+                          win: usize,
+                          kind: SyncKind,
+                          covered: &[&Access],
+                          report: &mut SlackReport| {
+        let covered_bytes: usize = covered.iter().map(|c| c.hi - c.lo).sum();
+        let mut finding = SlackFinding {
+            rank,
+            step,
+            win,
+            kind,
+            class: SlackClass::Required,
+            wait_before: None,
+            insert_wait: false,
+            localize: false,
+            covered_bytes,
+            why: String::new(),
         };
+        if pinned[rank] {
+            finding.why = "reorder pin: this rank has conflicting same-origin accesses in \
+                           different epochs, so blocking syncs must keep breaking reorder regions"
+                .into();
+            return report.findings.push(finding);
+        }
+        let len = p.ranks[rank].len();
+        let (wait_before, insert_wait, why) =
+            match first_use(sh, rank, step + 1..len, win, covered, true) {
+                None => (None, false, "no dependent use before end of program".to_string()),
+                Some((d, Use::WaitAll)) => {
+                    (Some(d), false, format!("deferred to the existing waitall at stmt {d}"))
+                }
+                Some((d, hit)) => (
+                    Some(d),
+                    true,
+                    match hit {
+                        Use::Read { by, lo, hi } => format!(
+                            "{} at stmt {d} {} bytes [{lo}, {hi}) of rank {}'s window {win} that \
+                             the sync completes",
+                            by.op.name(),
+                            if by.op == Op::Get { "reads" } else { "fetches" },
+                            by.target
+                        ),
+                        Use::Spin => format!(
+                            "value-dependent spin at stmt {d} re-reads the window until \
+                             satisfied; the sync must complete before it"
+                        ),
+                        Use::Barrier { conflict } => {
+                            format!("barrier at stmt {d} publishes completion: {conflict}")
+                        }
+                        Use::WaitAll => unreachable!("matched above"),
+                    },
+                ),
+            };
+        let slack_end = wait_before.unwrap_or(len);
+        if slack_end <= step + 1 {
+            finding.why = format!("zero slack: {why}");
+            return report.findings.push(finding);
+        }
+        let code = match kind {
+            SyncKind::FenceClose | SyncKind::Complete | SyncKind::WaitEpoch => Code::W002,
+            SyncKind::Unlock | SyncKind::UnlockAll => Code::W003,
+            SyncKind::Flush => unreachable!("flushes are classified apart"),
+        };
+        report.diags.push(Diagnostic {
+            code,
+            rank,
+            step: Some(step),
+            detail: format!(
+                "blocking {kind:?} on window {win} can be its nonblocking form with the wait \
+                 deferred {} statement(s): {why}",
+                slack_end - step - 1
+            ),
+        });
+        report.findings.push(SlackFinding {
+            class: SlackClass::Relaxable,
+            wait_before,
+            insert_wait,
+            why,
+            ..finding
+        });
+    };
 
-        for (step, stmt) in stmts.iter().enumerate() {
-            match stmt {
-                Stmt::Fence { win, close } => {
-                    let calls = fence_calls.entry(*win).or_insert(0);
-                    let closing = *calls > 0;
-                    *calls += 1;
-                    let covered = fence_ops.insert(*win, Vec::new()).unwrap_or_default();
-                    if closing && close.is_blocking() {
-                        classify_close(rank, step, *win, SyncKind::FenceClose, &covered,
-                            &mut report);
-                    }
-                }
-                Stmt::Start { win, group } => {
-                    let list = my_starts.entry(*win).or_default();
-                    gats.insert(*win, (list.len(), Vec::new()));
-                    list.push(StartShape {
-                        group: group.clone(),
-                        step,
-                        ops_toward: BTreeMap::new(),
-                    });
-                }
-                Stmt::Complete { win, close } => {
-                    let (covered, start_idx) = match gats.remove(win) {
-                        Some((i, ops)) => (ops, Some(i)),
-                        None => (Vec::new(), None),
+    for (rank, rs) in sh.ranks.iter().enumerate() {
+        let len = p.ranks[rank].len();
+        // Outstanding `iflush` requests (for the W001 discharge rule). The
+        // list is deliberately never pruned at `waitall`: a flush that
+        // *would* discharge a request stays conservative
+        // (Required/localized) even when a wait consumed the request
+        // earlier, which keeps the classification stable under the
+        // rewriter's own inserted waits (idempotence).
+        let mut iflushes: Vec<&Flush> = Vec::new();
+
+        for (step, at) in rs.at.iter().enumerate() {
+            match *at {
+                At::Fence { closes: Some(e), .. } | At::Closes(e) => {
+                    let epoch = &rs.epochs[e];
+                    let win = epoch.win;
+                    let kind = match epoch.kind {
+                        EpochKind::Fence { .. } => SyncKind::FenceClose,
+                        EpochKind::Start { .. } => SyncKind::Complete,
+                        EpochKind::Post { .. } => SyncKind::WaitEpoch,
+                        EpochKind::Lock { .. } => SyncKind::Unlock,
+                        EpochKind::LockAll => SyncKind::UnlockAll,
                     };
                     // W004: group targets this epoch never addressed.
-                    if let Some(i) = start_idx {
-                        let sh = &my_starts[win][i];
-                        let unused: Vec<usize> = sh
-                            .group
-                            .iter()
-                            .copied()
-                            .filter(|t| !sh.ops_toward.contains_key(t))
-                            .collect();
-                        if !unused.is_empty() && unused.len() < sh.group.len() {
+                    if kind == SyncKind::Complete {
+                        let unused = unused_targets(sh, rank, e);
+                        if !unused.is_empty() && unused.len() < epoch.group().len() {
                             report.diags.push(Diagnostic {
                                 code: Code::W004,
                                 rank,
-                                step: Some(sh.step),
+                                step: Some(epoch.open),
                                 detail: format!(
                                     "start group on window {win} names rank(s) {unused:?} but \
                                      the epoch never operates toward them (grants collected \
@@ -671,130 +413,80 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                             });
                         }
                     }
-                    if close.is_blocking() {
-                        classify_close(rank, step, *win, SyncKind::Complete, &covered,
-                            &mut report);
-                    }
-                }
-                Stmt::Post { win, group } => {
-                    let mut occ = BTreeMap::new();
-                    for &o in group {
-                        let c = posts_toward.entry((*win, o)).or_insert(0);
-                        occ.insert(o, *c);
-                        *c += 1;
-                    }
-                    my_posts
-                        .entry(*win)
-                        .or_default()
-                        .push(PostShape { group: group.clone(), step, occ });
-                }
-                Stmt::WaitEpoch { win, close } => {
-                    if close.is_blocking() {
-                        // The exposure close publishes this rank's whole
-                        // window: conservative covered set.
-                        let covered = vec![Iv {
-                            target: rank,
-                            lo: 0,
-                            hi: p.windows.get(*win).copied().unwrap_or(0),
-                            write: true,
-                        }];
-                        classify_close(rank, step, *win, SyncKind::WaitEpoch, &covered,
-                            &mut report);
-                    }
-                }
-                Stmt::Lock { win, target, .. } => {
-                    locks.insert((*win, *target), Vec::new());
-                }
-                Stmt::Unlock { win, target, close } => {
-                    let covered = locks.remove(&(*win, *target)).unwrap_or_default();
-                    if close.is_blocking() {
-                        classify_close(rank, step, *win, SyncKind::Unlock, &covered,
-                            &mut report);
-                    }
-                }
-                Stmt::LockAll { win, .. } => {
-                    lock_all.insert(*win, Vec::new());
-                }
-                Stmt::UnlockAll { win, close } => {
-                    let covered = lock_all.remove(win).unwrap_or_default();
-                    if close.is_blocking() {
-                        classify_close(rank, step, *win, SyncKind::UnlockAll, &covered,
-                            &mut report);
-                    }
-                }
-                Stmt::Flush { win, target, local_only, close } => {
-                    if !close.is_blocking() {
-                        iflushes.push(IFlush {
-                            win: *win,
-                            target: *target,
-                            local_only: *local_only,
-                        });
+                    if !epoch.close.is_some_and(|(_, mode)| mode.is_blocking()) {
                         continue;
                     }
-                    // Discharge accounting (mirrors the analyzer's E008
-                    // rule): which earlier iflush requests does this
-                    // blocking flush complete?
-                    let mut full = 0usize;
-                    let mut local = 0usize;
-                    iflushes.retain(|f| {
-                        let covered = f.win == *win
-                            && (target.is_none() || f.target == *target)
-                            && (!*local_only || f.local_only);
-                        if covered {
-                            if f.local_only {
-                                local += 1;
-                            } else {
-                                full += 1;
-                            }
-                        }
-                        !covered
-                    });
-                    // Covered epochs and their ops.
-                    let mut covered_ops: Vec<Iv> = Vec::new();
-                    let mut any_epoch = false;
-                    let mut close_at = stmts.len();
-                    match target {
-                        Some(t) => {
-                            if let Some(ops) = locks.get(&(*win, *t)) {
-                                any_epoch = true;
-                                covered_ops.extend(ops.iter().cloned());
-                                close_at = close_at.min(find_close(stmts, step, |s| {
-                                    matches!(s, Stmt::Unlock { win: w, target: tt, .. }
-                                        if w == win && tt == t)
-                                }));
-                            } else if let Some(ops) = lock_all.get(win) {
-                                any_epoch = true;
-                                covered_ops
-                                    .extend(ops.iter().filter(|iv| iv.target == *t).cloned());
-                                close_at = close_at.min(find_close(stmts, step, |s| {
-                                    matches!(s, Stmt::UnlockAll { win: w, .. } if w == win)
-                                }));
-                            }
-                        }
-                        None => {
-                            for ((w, t), ops) in &locks {
-                                if w == win {
-                                    any_epoch = true;
-                                    covered_ops.extend(ops.iter().cloned());
-                                    close_at = close_at.min(find_close(stmts, step, |s| {
-                                        matches!(s, Stmt::Unlock { win: ww, target: tt, .. }
-                                            if ww == win && tt == t)
-                                    }));
-                                }
-                            }
-                            if let Some(ops) = lock_all.get(win) {
-                                any_epoch = true;
-                                covered_ops.extend(ops.iter().cloned());
-                                close_at = close_at.min(find_close(stmts, step, |s| {
-                                    matches!(s, Stmt::UnlockAll { win: w, .. } if w == win)
-                                }));
-                            }
-                        }
+                    // A close completes its epoch's operations; the exposure
+                    // close publishes this rank's whole window
+                    // (conservative covered set).
+                    let whole_window = Access {
+                        rank,
+                        step,
+                        win,
+                        target: rank,
+                        lo: 0,
+                        hi: p.windows[win],
+                        kind: AccessKind::Write,
+                        op: Op::Put,
+                        val: None,
+                        epoch: Some(e),
+                    };
+                    let covered: Vec<&Access> = match kind {
+                        SyncKind::WaitEpoch => vec![&whole_window],
+                        _ => rs.accesses_of(e).filter(counted).collect(),
+                    };
+                    classify_close(rank, step, win, kind, &covered, &mut report);
+                }
+                At::Flush(f) => {
+                    let f = &rs.flushes[f];
+                    if !f.close.is_blocking() {
+                        iflushes.push(f);
+                        continue;
                     }
-                    if !any_epoch {
+                    // Which earlier iflush requests does this blocking
+                    // flush complete?
+                    let (mut full, mut local) = (0usize, 0usize);
+                    iflushes.retain(|req| {
+                        let discharged = f.discharges(req);
+                        if discharged {
+                            *(if req.local_only { &mut local } else { &mut full }) += 1;
+                        }
+                        !discharged
+                    });
+                    if f.covers.is_empty() {
                         // No passive epoch open: the E-layer's business.
                         continue;
                     }
+                    // The covered epochs' ops so far toward the flushed
+                    // target(s); the flush's guarantee is subsumed by the
+                    // first of their own closes, so only uses strictly
+                    // before it count against eliding the flush.
+                    let covered: Vec<&Access> = (f.covers.iter())
+                        .flat_map(|&e| rs.accesses_of(e).take_while(|a| a.step < step))
+                        .filter(|a| counted(a) && f.target.is_none_or(|t| a.target == t))
+                        .collect();
+                    let close_of = |&e: &usize| rs.epochs[e].close.map_or(len, |(c, _)| c);
+                    let close_at = f.covers.iter().map(close_of).min().unwrap_or(len);
+                    let dependent = || {
+                        let (d, hit) =
+                            first_use(sh, rank, step + 1..close_at, f.win, &covered, false)?;
+                        Some(match hit {
+                            Use::Read { by, .. } => format!(
+                                "{} at stmt {d} depends on the flushed bytes before the epoch \
+                                 closes",
+                                by.op.name()
+                            ),
+                            Use::Spin => format!(
+                                "value-dependent spin at stmt {d} depends on window state \
+                                 before the epoch closes"
+                            ),
+                            Use::Barrier { conflict } => format!(
+                                "barrier at stmt {d} publishes the flush before the epoch \
+                                 closes: {conflict}"
+                            ),
+                            Use::WaitAll => unreachable!("a waitall is no landing point here"),
+                        })
+                    };
                     let (class, localize, why) = if pinned[rank] {
                         (SlackClass::Required, false, "reorder pin".to_string())
                     } else if full > 0 {
@@ -803,12 +495,10 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                             false,
                             format!("discharges {full} full iflush request(s)"),
                         )
-                    } else if let Some(dep) = scan_flush(
-                        rank, step, *win, close_at, &covered_ops, &p.ranks[rank], &accesses,
-                    ) {
+                    } else if let Some(dep) = dependent() {
                         (SlackClass::Required, false, dep)
                     } else if local > 0 {
-                        if *local_only {
+                        if f.local_only {
                             (
                                 SlackClass::Required,
                                 false,
@@ -841,7 +531,8 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                             rank,
                             step: Some(step),
                             detail: format!(
-                                "redundant blocking flush on window {win}: {why} — {}",
+                                "redundant blocking flush on window {}: {why} — {}",
+                                f.win,
                                 if localize { "weaken to flush_local" } else { "elide it" }
                             ),
                         });
@@ -849,148 +540,89 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
                     report.findings.push(SlackFinding {
                         rank,
                         step,
-                        win: *win,
+                        win: f.win,
                         kind: SyncKind::Flush,
                         class,
                         wait_before: None,
                         insert_wait: false,
                         localize,
-                        covered_bytes: covered_ops.iter().map(|iv| iv.hi - iv.lo).sum(),
+                        covered_bytes: covered.iter().map(|c| c.hi - c.lo).sum(),
                         why,
                     });
                 }
-                Stmt::Put { .. }
-                | Stmt::PutVal { .. }
-                | Stmt::Get { .. }
-                | Stmt::Acc { .. }
-                | Stmt::ReadValue { .. }
-                | Stmt::AccVal { .. } => {
-                    let (win, iv) = data_iv(stmt).expect("every arm above is a data statement");
-                    let target = iv.target;
-                    if let Some(ops) = locks.get_mut(&(win, target)) {
-                        ops.push(iv);
-                    } else if let Some(ops) = lock_all.get_mut(&win) {
-                        ops.push(iv);
-                    } else if let Some((i, ops)) = gats.get_mut(&win) {
-                        let sh = &mut my_starts.get_mut(&win).unwrap()[*i];
-                        if sh.group.contains(&target) {
-                            *sh.ops_toward.entry(target).or_insert(0) += 1;
-                            ops.push(iv);
-                        } else if fence_calls.get(&win).copied().unwrap_or(0) > 0 {
-                            fence_ops.entry(win).or_default().push(iv);
-                        }
-                    } else if fence_calls.get(&win).copied().unwrap_or(0) > 0 {
-                        fence_ops.entry(win).or_default().push(iv);
-                    }
-                }
-                Stmt::SpinUntil { .. }
-                | Stmt::Compute { .. }
-                | Stmt::WaitAll
-                | Stmt::Barrier => {}
+                _ => {}
             }
         }
-        starts_shape.push(my_starts);
-        posts_shape.push(my_posts);
     }
 
-    // W005: dead exposure epochs, via the cross-rank start/post matching
-    // (the deadlock pass's occurrence rule): target t's k-th post
-    // containing origin o matches o's k-th start containing t.
-    for (t, wins) in posts_shape.iter().enumerate() {
-        for (win, posts) in wins {
-            for post in posts {
-                if post.group.is_empty() {
-                    continue;
-                }
-                let mut all_dead = true;
-                for &o in &post.group {
-                    let occ = post.occ[&o];
-                    let matched = starts_shape
-                        .get(o)
-                        .and_then(|m| m.get(win))
-                        .map(|list| {
-                            list.iter().filter(|s| s.group.contains(&t)).nth(occ)
-                        })
-                        .unwrap_or(None);
-                    match matched {
-                        // Mismatched exposure is E015's business, and an
-                        // origin that does operate keeps the epoch live.
-                        None => {
-                            all_dead = false;
-                            break;
-                        }
-                        Some(s) if s.ops_toward.get(&t).copied().unwrap_or(0) > 0 => {
-                            all_dead = false;
-                            break;
-                        }
-                        Some(_) => {}
+    // GATS epochs of one rank window by window, in open order: the order
+    // W005 and the shrinks are reported in.
+    let gats_by_window = |rank: usize, posts: bool| {
+        let epochs = &sh.ranks[rank].epochs;
+        (0..p.windows.len()).flat_map(move |win| {
+            epochs.iter().enumerate().filter(move |(_, e)| {
+                e.win == win
+                    && match e.kind {
+                        EpochKind::Post { .. } => posts,
+                        EpochKind::Start { .. } => !posts,
+                        _ => false,
                     }
-                }
-                if all_dead {
-                    report.diags.push(Diagnostic {
-                        code: Code::W005,
-                        rank: t,
-                        step: Some(post.step),
-                        detail: format!(
-                            "exposure epoch on window {win} grants origin(s) {:?} that never \
-                             operate toward rank {t} in the matched access epoch(s)",
-                            post.group
-                        ),
-                    });
-                }
+            })
+        })
+    };
+
+    // W005: dead exposure epochs — every granted origin's matching access
+    // epoch exists and never operates toward this rank. (A mismatched
+    // exposure is E015's business, and an origin that does operate keeps
+    // the epoch live.)
+    for t in 0..sh.ranks.len() {
+        for (_, post) in gats_by_window(t, true) {
+            let dead = |&o: &usize| {
+                let start = sh.matching_start(t, post, o);
+                start.is_some_and(|e| {
+                    !sh.ranks[o].accesses_of(e).filter(counted).any(|a| a.target == t)
+                })
+            };
+            if !post.group().is_empty() && post.group().iter().all(dead) {
+                report.diags.push(Diagnostic {
+                    code: Code::W005,
+                    rank: t,
+                    step: Some(post.open),
+                    detail: format!(
+                        "exposure epoch on window {} grants origin(s) {:?} that never operate \
+                         toward rank {t} in the matched access epoch(s)",
+                        post.win,
+                        post.group()
+                    ),
+                });
             }
         }
     }
 
     // Mechanizable W004 shrinks: for each over-wide start (some — not
     // all — group targets unused), pair every unused target with the
-    // matching post on the target's side via the k-th-occurrence rule.
-    // Pairs without a matching post are skipped: the shrink must stay
-    // symmetric, and a missing post is E015's business.
-    for (origin, wins) in starts_shape.iter().enumerate() {
-        for (win, list) in wins {
-            for (i, sh) in list.iter().enumerate() {
-                let unused: Vec<usize> = sh
-                    .group
-                    .iter()
-                    .copied()
-                    .filter(|t| !sh.ops_toward.contains_key(t))
-                    .collect();
-                if unused.is_empty() || unused.len() == sh.group.len() {
-                    continue;
-                }
-                for &t in &unused {
-                    let occ = list[..i].iter().filter(|s| s.group.contains(&t)).count();
-                    let post = posts_shape
-                        .get(t)
-                        .and_then(|m| m.get(win))
-                        .and_then(|ps| {
-                            ps.iter().filter(|p| p.group.contains(&origin)).nth(occ)
-                        });
-                    if let Some(p) = post {
-                        report.shrinks.push(GroupShrink {
-                            origin,
-                            win: *win,
-                            start_step: sh.step,
-                            target: t,
-                            post_step: p.step,
-                        });
-                    }
+    // matching post on the target's side. Pairs without a matching post
+    // are skipped: the shrink must stay symmetric, and a missing post is
+    // E015's business.
+    for origin in 0..sh.ranks.len() {
+        for (e, start) in gats_by_window(origin, false) {
+            let unused = unused_targets(sh, origin, e);
+            if unused.len() == start.group().len() {
+                continue;
+            }
+            for t in unused {
+                if let Some(post) = sh.matching_post(origin, start, t) {
+                    report.shrinks.push(GroupShrink {
+                        origin,
+                        win: start.win,
+                        start_step: start.open,
+                        target: t,
+                        post_step: sh.ranks[t].epochs[post].open,
+                    });
                 }
             }
         }
     }
 
     report
-}
-
-/// First statement after `step` matching `pred`, or end of program.
-fn find_close(stmts: &[Stmt], step: usize, pred: impl Fn(&Stmt) -> bool) -> usize {
-    stmts
-        .iter()
-        .enumerate()
-        .skip(step + 1)
-        .find(|(_, s)| pred(s))
-        .map(|(d, _)| d)
-        .unwrap_or(stmts.len())
 }

@@ -7,7 +7,7 @@
 //! at all for it.
 
 use mpisim_analyze::{
-    analyze, analyze_slack, detect_races_in, has_code, Close, Code, FetchKind, IrProgram,
+    analyze, analyze_slack, detect_races_in, has_code, rewrite, Close, Code, FetchKind, IrProgram,
     SlackClass, Stmt,
 };
 use mpisim_core::trace::{AccessKind, Plane, SyncEvent, SyncRecord};
@@ -277,6 +277,24 @@ fn e010_near_miss_put_to_window_end() {
         Stmt::Unlock { win: 0, target: 1, close: Close::Blocking },
     ]);
     assert_clean(&p);
+}
+
+/// `disp + len` past `usize::MAX` is out of bounds like any other: it must
+/// neither wrap below the window size nor overflow, in any pass.
+#[test]
+fn e010_displacement_overflow_is_out_of_bounds() {
+    let mut p = IrProgram::new(2, WIN);
+    fence_all(&mut p, Close::Blocking);
+    p.ranks[0].push(Stmt::Put { win: 0, target: 1, disp: usize::MAX, len: 2 });
+    fence_all(&mut p, Close::Blocking);
+    let value_read =
+        Stmt::ReadValue { win: 0, target: 1, disp: usize::MAX - 3, kind: FetchKind::Get, local: 0 };
+    for stmt in [p.ranks[0][1].clone(), value_read] {
+        p.ranks[0][1] = stmt;
+        assert!(has_code(&analyze(&p), Code::E010), "{:?}", p.ranks[0][1]);
+        analyze_slack(&p);
+        rewrite(&p);
+    }
 }
 
 // ---------------------------------------------------------------- E011
