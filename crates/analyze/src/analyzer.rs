@@ -126,11 +126,11 @@ enum Scope {
 }
 
 fn scope(sh: &Shape, a: &Access) -> Option<Scope> {
-    let epoch = &sh.ranks[a.rank].epochs[a.epoch?];
-    match epoch.kind {
+    let e = a.epoch?;
+    match sh.ranks[a.rank].epochs[e].kind {
         EpochKind::Fence { seq } => Some(Scope::FencePhase(seq)),
         // An unmatched start has no scope: E011 already reported it.
-        EpochKind::Start { .. } => sh.matching_post(a.rank, epoch, a.target).map(Scope::Exposure),
+        EpochKind::Start { .. } => sh.matching_post(a.rank, e, a.target).map(Scope::Exposure),
         EpochKind::Lock { exclusive: true, .. } => None,
         EpochKind::Lock { .. } | EpochKind::LockAll => Some(Scope::Shared),
         EpochKind::Post { .. } => unreachable!("an exposure epoch covers no access"),

@@ -230,7 +230,7 @@ impl Interp<'_> {
                     if t >= n {
                         continue; // invalid target: E002 already reported
                     }
-                    match self.sh.matching_post(r, si, t) {
+                    match self.sh.matching_post(r, *start, t) {
                         Some(pi) if self.initiated(pcs, t, ranks[t].epochs[pi].open) => {}
                         Some(_) => blame(Blocker::Stuck(t), &mut ok),
                         None => blame(
@@ -239,7 +239,7 @@ impl Interp<'_> {
                                 why: format!(
                                     "rank {t} never issues the matching exposure post on \
                                      window {win} (needs its post #{} containing rank {r})",
-                                    si.occ_of(t).expect("t is in the group")
+                                    self.sh.occurrence(r, *start, t).expect("t is in the group")
                                 ),
                             },
                             &mut ok,
@@ -254,7 +254,7 @@ impl Interp<'_> {
                     if o >= n {
                         continue;
                     }
-                    match self.sh.matching_start(r, pi, o) {
+                    match self.sh.matching_start(r, *post, o) {
                         Some(si) => match ranks[o].epochs[si].close {
                             Some((c, _)) if self.initiated(pcs, o, c) => {}
                             Some(_) => blame(Blocker::Stuck(o), &mut ok),
@@ -277,7 +277,7 @@ impl Interp<'_> {
                                     "rank {o} never starts a matching access epoch on \
                                      window {win} (needs its start #{} containing rank \
                                      {r})",
-                                    pi.occ_of(o).expect("o is in the group")
+                                    self.sh.occurrence(r, *post, o).expect("o is in the group")
                                 ),
                             },
                             &mut ok,
@@ -590,8 +590,10 @@ fn lock_order_pass(sh: &Shape) -> Vec<Diagnostic> {
                         EpochKind::Lock { target, exclusive } => Some(((f.win, target), exclusive)),
                         _ => None,
                     });
-                    for (key, excl) in covered.clone() {
-                        held.insert(key, (excl, held[&key].1, true));
+                    for (key, _) in covered.clone() {
+                        if let Some(hold) = held.get_mut(&key) {
+                            hold.2 = true;
+                        }
                     }
                     if f.close.is_blocking() {
                         // And a *blocking* full flush additionally waits

@@ -68,7 +68,7 @@
 //! stall/deadlock, a memory divergence, or a watchdog degradation.
 
 use crate::ir::{Close, IrProgram, Stmt};
-use crate::shape::{At, EpochKind, Shape};
+use crate::shape::{At, Epoch, EpochKind, Shape};
 use crate::slack::{slack_of, SlackClass, SlackFinding, SyncKind};
 
 /// Virtual-time price book for candidate relaxations.
@@ -245,7 +245,7 @@ fn unlock_contended(sh: &Shape, rank: usize, step: usize) -> bool {
     let At::Closes(e) = sh.ranks[rank].at[step] else { return false };
     let ours = &sh.ranks[rank].epochs[e];
     let EpochKind::Lock { target, exclusive: ours_exclusive } = ours.kind else { return false };
-    let contends = |theirs: &crate::shape::Epoch| {
+    let contends = |theirs: &Epoch| {
         theirs.win == ours.win
             && match theirs.kind {
                 EpochKind::Lock { target: t, exclusive } => {

@@ -8,9 +8,10 @@
 //!
 //! * every **epoch instance** ([`Epoch`]): kind with group or target and
 //!   lock mode, window, opening statement, closing statement with its
-//!   [`Close`] mode (or never closed), reorder-concurrency region, and per
-//!   group member which of this rank's starts (posts) naming that peer it
-//!   is — the positional id the paper matches epochs by (§VI.A rule 3);
+//!   [`Close`] mode (or never closed), reorder-concurrency region, and —
+//!   [`Shape::occurrence`] — per group member which of this rank's starts
+//!   (posts) naming that peer it is: the positional id the paper matches
+//!   epochs by (§VI.A rule 3);
 //! * every **data access** ([`Access`]): statement, window, target, byte
 //!   range, [`AccessKind`], the constant it leaves behind when known, and
 //!   the epoch covering it, routed exactly like the engine: single-target
@@ -71,9 +72,6 @@ pub(crate) struct Epoch<'p> {
     /// Per-(rank, window) reorder-concurrency region: two access epochs
     /// of one region may progress concurrently under the reorder flags.
     pub region: usize,
-    /// Parallel to the group: this is the rank's `occ[i]`-th start (post)
-    /// on this window naming `group[i]`, 0-based.
-    occ: Vec<usize>,
 }
 
 impl<'p> Epoch<'p> {
@@ -83,11 +81,6 @@ impl<'p> Epoch<'p> {
             EpochKind::Start { group } | EpochKind::Post { group } => group,
             _ => &[],
         }
-    }
-
-    /// Which of this rank's starts (posts) naming `peer` this one is.
-    pub fn occ_of(&self, peer: usize) -> Option<usize> {
-        self.group().iter().rposition(|&g| g == peer).map(|i| self.occ[i])
     }
 }
 
@@ -224,10 +217,22 @@ pub(crate) struct Resolved<'p> {
     pub fences: Vec<Vec<usize>>,
     /// The barrier statements, in call order.
     pub barriers: Vec<usize>,
-    /// `(window, target)` → the starts naming that target, in order.
-    starts_toward: BTreeMap<(usize, usize), Vec<usize>>,
-    /// `(window, origin)` → the posts naming that origin, in order.
-    posts_toward: BTreeMap<(usize, usize), Vec<usize>>,
+    /// `(window, target, epoch)` for every target every start names,
+    /// sorted: the entries of one `(window, target)` are this rank's
+    /// starts naming that target, in open order.
+    starts_toward: Vec<Named>,
+    /// The same for posts: `(window, origin, epoch)`.
+    posts_toward: Vec<Named>,
+}
+
+/// `(window, peer, epoch)`: epoch is a start (post) on window naming peer.
+type Named = (usize, usize, usize);
+
+/// The entries of `filed` (sorted) for `(win, peer)`.
+fn naming(filed: &[Named], win: usize, peer: usize) -> &[Named] {
+    let from = filed.partition_point(|&(w, p, _)| (w, p) < (win, peer));
+    let len = filed[from..].partition_point(|&(w, p, _)| (w, p) == (win, peer));
+    &filed[from..from + len]
 }
 
 impl Resolved<'_> {
@@ -244,12 +249,13 @@ impl Resolved<'_> {
     /// `(window, target, n)` for every target this rank starts toward:
     /// `n` of its starts on `window` name it. Window-major, then by target.
     pub fn start_counts(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        self.starts_toward.iter().map(|(&(win, target), starts)| (win, target, starts.len()))
+        let same = |a: &Named, b: &Named| (a.0, a.1) == (b.0, b.1);
+        self.starts_toward.chunk_by(same).map(|starts| (starts[0].0, starts[0].1, starts.len()))
     }
 
     /// How many of this rank's posts on `win` name `origin`.
     pub fn posts_naming(&self, win: usize, origin: usize) -> usize {
-        self.posts_toward.get(&(win, origin)).map_or(0, Vec::len)
+        naming(&self.posts_toward, win, origin).len()
     }
 
     /// The per-rank ordinal of access epoch `e` (exposures do not count).
@@ -274,20 +280,34 @@ impl<'p> Shape<'p> {
         Shape { p, ranks, diags }
     }
 
-    /// The exposure epoch of `t` (an index into `t`'s epochs) that origin
-    /// `o`'s access epoch `start` meets: if `start` is `o`'s k-th start
-    /// naming `t`, `t`'s k-th post naming `o`.
-    pub fn matching_post(&self, o: usize, start: &Epoch, t: usize) -> Option<usize> {
-        let posts = self.ranks.get(t)?.posts_toward.get(&(start.win, o))?;
-        posts.get(start.occ_of(t)?).copied()
+    /// Which of `rank`'s starts (posts) on its window naming `peer` epoch
+    /// `e` is, 0-based; `None` when its group does not name `peer`.
+    pub fn occurrence(&self, rank: usize, e: usize, peer: usize) -> Option<usize> {
+        let rs = &self.ranks[rank];
+        let epoch = &rs.epochs[e];
+        let filed = match epoch.kind {
+            EpochKind::Post { .. } => &rs.posts_toward,
+            _ => &rs.starts_toward,
+        };
+        naming(filed, epoch.win, peer).binary_search_by_key(&e, |&(.., e)| e).ok()
     }
 
-    /// The access epoch of `o` (an index into `o`'s epochs) that target
-    /// `t`'s exposure epoch `post` meets: if `post` is `t`'s k-th post
-    /// naming `o`, `o`'s k-th start naming `t`.
-    pub fn matching_start(&self, t: usize, post: &Epoch, o: usize) -> Option<usize> {
-        let starts = self.ranks.get(o)?.starts_toward.get(&(post.win, t))?;
-        starts.get(post.occ_of(o)?).copied()
+    /// The exposure epoch of `t` that origin `o`'s access epoch `start`
+    /// meets (both indices into their rank's epochs): if `start` is `o`'s
+    /// k-th start naming `t`, `t`'s k-th post naming `o`.
+    pub fn matching_post(&self, o: usize, start: usize, t: usize) -> Option<usize> {
+        let k = self.occurrence(o, start, t)?;
+        let posts = naming(&self.ranks.get(t)?.posts_toward, self.ranks[o].epochs[start].win, o);
+        posts.get(k).map(|&(.., e)| e)
+    }
+
+    /// The access epoch of `o` that target `t`'s exposure epoch `post`
+    /// meets: if `post` is `t`'s k-th post naming `o`, `o`'s k-th start
+    /// naming `t`.
+    pub fn matching_start(&self, t: usize, post: usize, o: usize) -> Option<usize> {
+        let k = self.occurrence(t, post, o)?;
+        let starts = naming(&self.ranks.get(o)?.starts_toward, self.ranks[t].epochs[post].win, t);
+        starts.get(k).map(|&(.., e)| e)
     }
 }
 
@@ -409,8 +429,7 @@ impl<'p> Walk<'_, 'p> {
     /// progress concurrently: reorder flags off, a blocking synchronization
     /// between the opens, either side a `lock_all` epoch, or either side a
     /// fence epoch without the `unsafe_fence_reorder` extension. A start
-    /// (post) is filed under each group member, which says which of the
-    /// rank's starts (posts) naming that member it is.
+    /// (post) is filed under each group member.
     fn open(&mut self, win: usize, step: usize, kind: EpochKind<'p>) -> usize {
         let e = self.out.epochs.len();
         let w = &mut self.wins[win];
@@ -423,18 +442,16 @@ impl<'p> Walk<'_, 'p> {
             w.prev_apart = apart;
             w.synced = false;
         }
-        let (group, toward) = match kind {
-            EpochKind::Start { group } => (group, &mut self.out.starts_toward),
-            EpochKind::Post { group } => (group, &mut self.out.posts_toward),
-            _ => (&[][..], &mut self.out.starts_toward),
-        };
-        let nth = |&peer| {
-            let named = toward.entry((win, peer)).or_default();
-            named.push(e);
-            named.len() - 1
-        };
-        let occ = group.iter().map(nth).collect();
-        self.out.epochs.push(Epoch { kind, win, open: step, close: None, region: w.region, occ });
+        match kind {
+            EpochKind::Start { group } => {
+                self.out.starts_toward.extend(group.iter().map(|&t| (win, t, e)))
+            }
+            EpochKind::Post { group } => {
+                self.out.posts_toward.extend(group.iter().map(|&o| (win, o, e)))
+            }
+            _ => {}
+        }
+        self.out.epochs.push(Epoch { kind, win, open: step, close: None, region: w.region });
         self.out.at[step] = At::Opens(e);
         e
     }
@@ -445,7 +462,7 @@ impl<'p> Walk<'_, 'p> {
     fn fence_conflict(&mut self, win: usize, step: usize, called: &str) {
         let Some(f) = self.wins[win].fence else { return };
         if self.out.accesses_of(f).next().is_some() {
-            let EpochKind::Fence { seq } = self.out.epochs[f].kind else { unreachable!() };
+            let seq = self.out.fences[win].len() - 1;
             self.diag(
                 Code::E005,
                 Some(step),
@@ -514,11 +531,9 @@ impl<'p> Walk<'_, 'p> {
         if w.gats.is_some() && (epoch.is_none() || epoch == w.fence) {
             // The engine would silently route this op into an open fence
             // phase; it still escapes the start group.
-            let fell = epoch.map(|f| match self.out.epochs[f].kind {
-                EpochKind::Fence { seq } => {
-                    format!(" (the operation would fall through to fence phase {seq})")
-                }
-                _ => unreachable!("past the GATS rung only a fence covers"),
+            let fell = epoch.map(|_| {
+                let seq = self.out.fences[win].len() - 1;
+                format!(" (the operation would fall through to fence phase {seq})")
             });
             let detail = format!(
                 "{name} targets rank {target}, which is not in the start group{}",
@@ -733,6 +748,8 @@ impl<'p> Walk<'_, 'p> {
     /// End of program: epochs still open (E003) and requests never
     /// consumed (E008).
     fn finish(&mut self) {
+        self.out.starts_toward.sort_unstable();
+        self.out.posts_toward.sort_unstable();
         for win in 0..self.wins.len() {
             let w = &self.wins[win];
             let passive = w.locks.values().copied().chain(w.lock_all);
@@ -845,11 +862,11 @@ mod tests {
         let sh = Shape::of(&p);
         // Each rank's k-th epoch opens at statement 2k.
         let opened = |rank: usize, e: Option<usize>| e.map(|e| sh.ranks[rank].epochs[e].open);
-        let post_met = |k: usize, t| opened(t, sh.matching_post(0, &sh.ranks[0].epochs[k], t));
+        let post_met = |k: usize, t| opened(t, sh.matching_post(0, k, t));
         assert_eq!([0, 2, 3].map(|k| post_met(k, 1)), [Some(0), Some(4), Some(6)]);
         assert_eq!([1, 2, 3].map(|k| post_met(k, 2)), [Some(0), Some(2), None]);
         assert_eq!(post_met(0, 2), None);
-        let start_met = |k: usize, o| opened(o, sh.matching_start(1, &sh.ranks[1].epochs[k], o));
+        let start_met = |k: usize, o| opened(o, sh.matching_start(1, k, o));
         assert_eq!([0, 2, 3].map(|k| start_met(k, 0)), [Some(0), Some(4), Some(6)]);
         assert_eq!([start_met(1, 2), start_met(1, 0)], [None, None]);
     }

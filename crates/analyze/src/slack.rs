@@ -419,21 +419,23 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
                     // A close completes its epoch's operations; the exposure
                     // close publishes this rank's whole window
                     // (conservative covered set).
-                    let whole_window = Access {
-                        rank,
-                        step,
-                        win,
-                        target: rank,
-                        lo: 0,
-                        hi: p.windows[win],
-                        kind: AccessKind::Write,
-                        op: Op::Put,
-                        val: None,
-                        epoch: Some(e),
-                    };
-                    let covered: Vec<&Access> = match kind {
-                        SyncKind::WaitEpoch => vec![&whole_window],
-                        _ => rs.accesses_of(e).filter(counted).collect(),
+                    let whole_window;
+                    let covered: Vec<&Access> = if kind == SyncKind::WaitEpoch {
+                        whole_window = Access {
+                            rank,
+                            step,
+                            win,
+                            target: rank,
+                            lo: 0,
+                            hi: p.windows[win],
+                            kind: AccessKind::Write,
+                            op: Op::Put,
+                            val: None,
+                            epoch: Some(e),
+                        };
+                        vec![&whole_window]
+                    } else {
+                        rs.accesses_of(e).filter(counted).collect()
                     };
                     classify_close(rank, step, win, kind, &covered, &mut report);
                 }
@@ -576,9 +578,9 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
     // exposure is E015's business, and an origin that does operate keeps
     // the epoch live.)
     for t in 0..sh.ranks.len() {
-        for (_, post) in gats_by_window(t, true) {
+        for (e, post) in gats_by_window(t, true) {
             let dead = |&o: &usize| {
-                let start = sh.matching_start(t, post, o);
+                let start = sh.matching_start(t, e, o);
                 start.is_some_and(|e| {
                     !sh.ranks[o].accesses_of(e).filter(counted).any(|a| a.target == t)
                 })
@@ -611,7 +613,7 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
                 continue;
             }
             for t in unused {
-                if let Some(post) = sh.matching_post(origin, start, t) {
+                if let Some(post) = sh.matching_post(origin, e, t) {
                     report.shrinks.push(GroupShrink {
                         origin,
                         win: start.win,
