@@ -29,11 +29,23 @@
 //! made ready (a fired signal, an event callback) ever enter the ready
 //! queue, so a step never sweeps idle ranks — cost scales with runnable
 //! work, not with the rank count.
+//!
+//! # What one event and one slice cost
+//!
+//! A heap record owns its [`Action`]: `Call` is a boxed callback run after
+//! the pop's lock is released; `Wake` ends a process's
+//! [`ProcCtx::advance`] and is carried out by the driver under the lock of
+//! the pop that found it — clear the process's `sleeping` flag, ready it —
+//! so a timed sleep is one record and no allocation. A slice boundary is
+//! one kernel lock on the driver's side: under it the driver takes a panic
+//! payload the last slice may have left, looks for mid-run spawns to
+//! attach, and pops the ready queue. The abort flag a process reads before
+//! and after every yield is an atomic outside that lock.
 
 use std::cmp::{self, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -140,12 +152,23 @@ pub(crate) enum ProcState {
 pub(crate) struct ProcRec {
     pub(crate) label: String,
     pub(crate) state: ProcState,
+    /// Set by [`ProcCtx::advance`] when it pushes its [`Action::Wake`],
+    /// cleared by the driver when it pops it: a process that finds it still
+    /// set after a slice was woken by something else and goes back to sleep.
+    pub(crate) sleeping: bool,
     pub(crate) parker: Arc<Parker>,
-    pub(crate) panic_payload: Option<Box<dyn std::any::Any + Send>>,
 }
 
 type EventFn = Box<dyn FnOnce() + Send>;
 type SpawnFn = Box<dyn FnOnce(&ProcCtx) + Send>;
+
+/// What a popped event does: end a process's [`ProcCtx::advance`] — done by
+/// the driver itself, under the lock of the pop — or run a scheduled
+/// callback.
+pub(crate) enum Action {
+    Wake(ProcId),
+    Call(EventFn),
+}
 
 /// One scheduled event. The heap record owns its action, so running an
 /// event is one pop. Events order by `key`, which is `(time, tie-break,
@@ -155,7 +178,7 @@ type SpawnFn = Box<dyn FnOnce(&ProcCtx) + Send>;
 /// total even if two tie-breaks collide.
 struct Event {
     key: Reverse<(SimTime, u64, u64)>,
-    action: EventFn,
+    action: Action,
 }
 
 impl PartialEq for Event {
@@ -186,7 +209,9 @@ pub(crate) struct Inner {
     nondet_tiebreak: bool,
     pub(crate) ready: VecDeque<ProcId>,
     pub(crate) procs: Vec<ProcRec>,
-    pub(crate) aborting: bool,
+    /// The payload of a process that panicked in the slice that just ran;
+    /// the driver takes it under the lock of its next ready-queue pop.
+    panic_payload: Option<Box<dyn std::any::Any + Send>>,
     // Processes spawned mid-run via [`SimHandle::spawn`]: their ProcRec
     // (and ProcId) already exist, but their execution vehicle (fiber or
     // thread) is created by the driver, which drains this queue before
@@ -212,29 +237,46 @@ impl Inner {
             Some(seed) => crate::rng::mix64(seed, seq),
         }
     }
+
+    /// Push one event due at `at`.
+    pub(crate) fn push_event(&mut self, at: SimTime, action: Action) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let key = Reverse((at, self.tiebreak_key(seq), seq));
+        self.heap.push(Event { key, action });
+    }
+
+    /// Move a blocked process to the ready queue. Idempotent for processes
+    /// that are already ready, running, or finished.
+    fn make_ready(&mut self, pid: ProcId) {
+        let rec = &mut self.procs[pid.0];
+        if rec.state == ProcState::Blocked {
+            rec.state = ProcState::Ready;
+            self.ready.push_back(pid);
+        }
+    }
 }
 
 /// Shared kernel state: the event queue plus per-process scheduling records.
 pub struct SimCore {
     pub(crate) inner: Mutex<Inner>,
     pub(crate) sched: Parker,
+    /// Set once by `abort_all`, read by every process before and after
+    /// every yield — an atomic so that those reads cost no kernel-lock round
+    /// trip. `SeqCst`: it steers control flow, and the load is a plain `mov`
+    /// on x86 either way.
+    aborting: AtomicBool,
     seed: u64,
 }
 
 impl SimCore {
-    /// Move a blocked process to the ready queue. Idempotent for processes
-    /// that are already ready, running, or finished.
+    /// See [`Inner::make_ready`].
     pub(crate) fn make_ready(&self, pid: ProcId) {
-        let mut inner = self.inner.lock();
-        let rec = &mut inner.procs[pid.0];
-        if rec.state == ProcState::Blocked {
-            rec.state = ProcState::Ready;
-            inner.ready.push_back(pid);
-        }
+        self.inner.lock().make_ready(pid);
     }
 
     pub(crate) fn is_aborting(&self) -> bool {
-        self.inner.lock().aborting
+        self.aborting.load(Ordering::SeqCst)
     }
 }
 
@@ -262,7 +304,7 @@ impl SimHandle {
     pub fn schedule<F: FnOnce() + Send + 'static>(&self, delay: SimTime, f: F) {
         let mut inner = self.core.inner.lock();
         let at = inner.now + delay;
-        Self::push_event(&mut inner, at, Box::new(f))
+        inner.push_event(at, Action::Call(Box::new(f)))
     }
 
     /// Schedule `f` at absolute virtual time `at` (clamped to now if in the
@@ -270,14 +312,7 @@ impl SimHandle {
     pub fn schedule_at<F: FnOnce() + Send + 'static>(&self, at: SimTime, f: F) {
         let mut inner = self.core.inner.lock();
         let at = at.max(inner.now);
-        Self::push_event(&mut inner, at, Box::new(f))
-    }
-
-    fn push_event(inner: &mut Inner, at: SimTime, action: EventFn) {
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let key = Reverse((at, inner.tiebreak_key(seq), seq));
-        inner.heap.push(Event { key, action });
+        inner.push_event(at, Action::Call(Box::new(f)))
     }
 
     /// Number of events executed so far (useful for instrumentation).
@@ -305,8 +340,8 @@ impl SimHandle {
         inner.procs.push(ProcRec {
             label,
             state: ProcState::Ready,
+            sleeping: false,
             parker,
-            panic_payload: None,
         });
         inner.ready.push_back(pid);
         inner.pending_spawns.push_back((pid, Box::new(f)));
@@ -370,7 +405,7 @@ impl Sim {
                     heap: BinaryHeap::new(),
                     ready: VecDeque::new(),
                     procs: Vec::new(),
-                    aborting: false,
+                    panic_payload: None,
                     pending_spawns: VecDeque::new(),
                     tiebreak_seed: None,
                     nondet_tiebreak: false,
@@ -379,6 +414,7 @@ impl Sim {
                     event_cap: DEFAULT_EVENT_CAP,
                 }),
                 sched: Parker::new(),
+                aborting: AtomicBool::new(false),
                 seed,
             }),
             threads: Vec::new(),
@@ -470,9 +506,9 @@ impl Sim {
 
     /// Create the execution vehicle (fiber or thread) for every process
     /// registered but not yet attached — builder-time spawns and mid-run
-    /// [`SimHandle::spawn`]s alike. Called by the driver before each process
-    /// slice so a freshly spawned ProcId is always runnable by the time the
-    /// ready queue reaches it.
+    /// [`SimHandle::spawn`]s alike. The driver calls it whenever it finds
+    /// the queue non-empty at a slice boundary, so a freshly spawned ProcId
+    /// is always runnable by the time the ready queue reaches it.
     fn admit_pending(&mut self) {
         loop {
             let (pid, f) = {
@@ -499,11 +535,10 @@ impl Sim {
         // panic payload (the AbortToken unwind is pure control flow).
         let record_exit = move |result: Result<(), Box<dyn std::any::Any + Send>>| {
             let mut inner = core.inner.lock();
-            let rec = &mut inner.procs[pid.0];
-            rec.state = ProcState::Finished;
+            inner.procs[pid.0].state = ProcState::Finished;
             if let Err(payload) = result {
                 if !payload.is::<crate::process::AbortToken>() {
-                    rec.panic_payload = Some(payload);
+                    inner.panic_payload.get_or_insert(payload);
                 }
             }
         };
@@ -599,12 +634,23 @@ impl Sim {
             // Phase 1: drain ready processes (FIFO). Only processes with
             // pending work ever appear here, so idle ranks cost nothing.
             loop {
-                // Mid-run spawns first: a process registered by
-                // SimHandle::spawn (from the slice or event that just ran)
-                // needs its fiber/thread before its ready-queue turn.
-                self.admit_pending();
+                // One lock per slice boundary covers everything the slice
+                // (or event) that just ran may have left behind.
                 let pid = {
                     let mut inner = self.core.inner.lock();
+                    // The process yielded back Blocked, Ready again, or
+                    // Finished — possibly with a panic to propagate.
+                    if let Some(p) = inner.panic_payload.take() {
+                        return Drive::Panicked(p);
+                    }
+                    // Mid-run spawns first: a process registered by
+                    // SimHandle::spawn needs its fiber/thread before its
+                    // ready-queue turn.
+                    if !inner.pending_spawns.is_empty() {
+                        drop(inner);
+                        self.admit_pending();
+                        continue;
+                    }
                     match inner.ready.pop_front() {
                         Some(p) => {
                             inner.procs[p.0].state = ProcState::Running;
@@ -615,44 +661,14 @@ impl Sim {
                     }
                 };
                 self.run_slice(pid);
-                // The process yielded back: it is now Blocked, Ready again,
-                // or Finished (possibly with a panic to propagate).
-                let payload = {
-                    let mut inner = self.core.inner.lock();
-                    inner.procs[pid.0].panic_payload.take()
-                };
-                if let Some(p) = payload {
-                    return Drive::Panicked(p);
-                }
             }
 
             // Phase 2: execute the next event.
-            let action = {
+            let call = {
                 let mut inner = self.core.inner.lock();
-                match inner.heap.pop() {
-                    Some(Event {
-                        key: Reverse((at, ..)),
-                        action,
-                    }) => {
-                        debug_assert!(at >= inner.now, "event in the past");
-                        inner.now = at;
-                        inner.events_executed += 1;
-                        if inner.events_executed > inner.event_cap {
-                            return Drive::Err(SimError::EventCapExceeded {
-                                cap: inner.event_cap,
-                            });
-                        }
-                        Some(action)
-                    }
-                    None => None,
-                }
-            };
-            match action {
-                Some(f) => f(),
-                None => {
+                let Some(Event { key: Reverse((at, ..)), action }) = inner.heap.pop() else {
                     // No events, no ready processes: either everyone is done
                     // or we are deadlocked.
-                    let inner = self.core.inner.lock();
                     let blocked: Vec<String> = inner
                         .procs
                         .iter()
@@ -666,12 +682,24 @@ impl Sim {
                             final_time: inner.now,
                         });
                     }
-                    return Drive::Err(SimError::Deadlock {
-                        now: inner.now,
-                        blocked,
-                    });
+                    return Drive::Err(SimError::Deadlock { now: inner.now, blocked });
+                };
+                debug_assert!(at >= inner.now, "event in the past");
+                inner.now = at;
+                inner.events_executed += 1;
+                if inner.events_executed > inner.event_cap {
+                    return Drive::Err(SimError::EventCapExceeded { cap: inner.event_cap });
                 }
-            }
+                match action {
+                    Action::Wake(pid) => {
+                        inner.procs[pid.0].sleeping = false;
+                        inner.make_ready(pid);
+                        continue;
+                    }
+                    Action::Call(f) => f,
+                }
+            };
+            call();
         }
     }
 
@@ -726,7 +754,7 @@ impl Sim {
                 }
             }));
         });
-        self.core.inner.lock().aborting = true;
+        self.core.aborting.store(true, Ordering::SeqCst);
         match self.mode {
             ExecMode::ThreadPerRank => {
                 // Wake every unfinished thread; its next (or current) park

@@ -1,12 +1,19 @@
 //! Process-side API: the context handed to each simulated process and the
 //! one-shot [`Signal`] used to block on conditions maintained elsewhere
 //! (event callbacks or other processes).
+//!
+//! A process gives up execution in two ways. [`ProcCtx::advance`] sleeps
+//! until a known instant: one heap record that names the process, woken by
+//! the driver itself. [`ProcCtx::wait`] / [`ProcCtx::wait_any`] block on a
+//! condition somebody else will publish by firing a [`Signal`]. Both
+//! re-check in a loop, because a stale registration left by `wait_any` can
+//! ready the process early.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::kernel::{ProcId, ProcState, SimCore, SimHandle};
+use crate::kernel::{Action, ProcId, ProcState, SimCore, SimHandle};
 use crate::time::SimTime;
 
 /// Marker payload used to unwind process threads when a run is aborted
@@ -63,14 +70,29 @@ impl ProcCtx {
 
     /// Advance virtual time by `d` for this process: models computation or
     /// any other busy period. Other processes and events run meanwhile.
+    ///
+    /// The sleep is one heap record (`Action::Wake`) and a flag on the
+    /// process record, nothing else: the deadline is known, so there is no
+    /// condition to publish and no waiter list to keep. Wake-ups can be
+    /// spurious exactly as in [`ProcCtx::wait`] (a stale registration with a
+    /// signal that fires mid-sleep), so the flag is re-checked in a loop.
     pub fn advance(&self, d: SimTime) {
         if d.is_zero() {
             return;
         }
-        let sig = Signal::new();
-        let sig2 = sig.clone();
-        self.handle().schedule(d, move || sig2.fire());
-        self.wait(&sig);
+        let mut inner = self.core.inner.lock();
+        let at = inner.now + d;
+        inner.push_event(at, Action::Wake(self.pid));
+        inner.procs[self.pid.0].sleeping = true;
+        loop {
+            inner.procs[self.pid.0].state = ProcState::Blocked;
+            drop(inner);
+            self.yield_to_scheduler();
+            inner = self.core.inner.lock();
+            if !inner.procs[self.pid.0].sleeping {
+                return;
+            }
+        }
     }
 
     /// Block until `sig` fires. Returns immediately if it already fired.

@@ -1,0 +1,62 @@
+//! `ProcCtx::advance` is the call every simulated MPI call and every
+//! `compute` goes through; once the event heap and the ready queue have
+//! grown to their working size it must not touch the allocator. A binary of
+//! its own because the counting allocator is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use mpisim_sim::{Sim, SimTime};
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a statistic and publishes nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn advance_allocates_nothing_in_steady_state() {
+    const PROCS: u64 = 8;
+    const CALLS: u64 = 1000;
+    static AFTER_FIRST_ROUND: AtomicU64 = AtomicU64::new(0);
+    static AT_END: AtomicU64 = AtomicU64::new(0);
+
+    let mut sim = Sim::new(0);
+    for i in 0..PROCS {
+        sim.spawn(format!("p{i}"), move |ctx| {
+            // Every process sleeps to the same instants, so all eight
+            // wake-ups are pending at once: the first round sizes the heap
+            // and the ready queue for the whole run.
+            ctx.advance(SimTime::from_nanos(5));
+            if i == 0 {
+                AFTER_FIRST_ROUND.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            for _ in 1..CALLS {
+                ctx.advance(SimTime::from_nanos(5));
+            }
+            AT_END.fetch_max(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+        });
+    }
+    let stats = sim.run().unwrap();
+    assert_eq!(stats.events_executed, PROCS * CALLS);
+    assert_eq!(stats.final_time, SimTime::from_nanos(5 * CALLS));
+    let steady = AT_END.load(Ordering::Relaxed) - AFTER_FIRST_ROUND.load(Ordering::Relaxed);
+    assert_eq!(steady, 0, "{steady} allocations in {} advance calls", PROCS * (CALLS - 1));
+}

@@ -312,3 +312,137 @@ fn cross_mode_stats_identity_with_blocking_traffic() {
         assert_eq!(run_in(mode), base, "SimStats diverged in {mode:?}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// `advance`'s wake-up is an event like any other: same instant, same
+// sequence number, same tie-break as a scheduled callback.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn stale_wake_during_advance_goes_back_to_sleep() {
+    // The sleeper registered with both signals in `wait_any`; `a` released
+    // it, so its registration with `b` is stale. `b` fires in the middle of
+    // the sleeper's `advance`: one spurious slice, then back to sleep until
+    // exactly the deadline.
+    let mut sim = Sim::new(0);
+    let (a, b) = (Signal::new(), Signal::new());
+    let (fire_a, fire_b) = (a.clone(), b.clone());
+    sim.spawn("firer", move |ctx| {
+        ctx.advance(SimTime::from_nanos(1));
+        fire_a.fire();
+        ctx.advance(SimTime::from_nanos(4));
+        fire_b.fire(); // t = 5, the sleeper is at t = 1 + 10
+    });
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let s = seen.clone();
+    sim.spawn("sleeper", move |ctx| {
+        assert_eq!(ctx.wait_any(&[a, b]), 0);
+        s.lock().unwrap().push(ctx.now().as_nanos());
+        ctx.advance(SimTime::from_nanos(10));
+        s.lock().unwrap().push(ctx.now().as_nanos());
+    });
+    let stats = sim.run().unwrap();
+    assert_eq!(*seen.lock().unwrap(), vec![1, 11]);
+    // Three slices of the firer, four of the sleeper (start, released by
+    // `a`, the stale wake, the deadline) — what `wait`'s re-check loop gave
+    // when `advance` slept on a signal of its own.
+    assert_eq!(stats.context_switches, 7);
+    assert_eq!(stats.events_executed, 3);
+    assert_eq!(stats.final_time, SimTime::from_nanos(11));
+}
+
+/// Four processes; each schedules a callback and then sleeps until the same
+/// instant, twice. Returns who ran in what order as `<time><c|w><process>`
+/// (a woken process runs right after the event that woke it, so this is the
+/// event order).
+fn wakes_and_callbacks(seed: Option<u64>) -> String {
+    let mut sim = Sim::new(0);
+    sim.set_tiebreak_seed(seed);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for i in 0..4usize {
+        let log = log.clone();
+        sim.spawn(format!("p{i}"), move |ctx| {
+            let h = ctx.handle();
+            for d in [10u64, 5] {
+                let (l, h2) = (log.clone(), h.clone());
+                h.schedule(SimTime::from_nanos(d), move || {
+                    l.lock().unwrap().push(format!("{}c{i}", h2.now().as_nanos()));
+                });
+                ctx.advance(SimTime::from_nanos(d));
+                log.lock().unwrap().push(format!("{}w{i}", ctx.now().as_nanos()));
+            }
+        });
+    }
+    sim.run().unwrap();
+    let v = log.lock().unwrap().join(" ");
+    v
+}
+
+#[test]
+fn advance_wakes_and_callbacks_tie_in_schedule_order() {
+    assert_eq!(
+        wakes_and_callbacks(None),
+        "10c0 10w0 10c1 10w1 10c2 10w2 10c3 10w3 15c0 15w0 15c1 15w1 15c2 15w2 15c3 15w3"
+    );
+}
+
+#[test]
+fn advance_wakes_and_callbacks_tie_in_the_seeded_order() {
+    // Recorded when `advance` slept on a `Signal` fired by a scheduled
+    // closure; the wake-up keeps that closure's sequence number, so no seed
+    // may order the ties differently.
+    let pins = [
+        (7, "10w3 10w0 10w2 10c2 10c0 10c1 10c3 10w1 15w2 15c2 15w1 15c3 15c0 15w3 15c1 15w0"),
+        (29, "10c0 10w2 10c3 10w0 10c2 10w1 10c1 10w3 15w2 15w0 15c2 15c3 15w1 15c0 15c1 15w3"),
+    ];
+    for (seed, want) in pins {
+        assert_eq!(wakes_and_callbacks(Some(seed)), want, "seed {seed}");
+    }
+}
+
+#[test]
+fn exec_modes_agree_on_wakes_callbacks_and_stale_wakes() {
+    // 20 processes mixing everything that touches the wake path: sleeps,
+    // callbacks due at the same instants, signal hand-offs, and (for every
+    // even process) a stale `wait_any` registration fired mid-sleep.
+    fn run_in(mode: ExecMode) -> (mpisim_sim::SimStats, Vec<(u64, usize, &'static str)>) {
+        let mut sim = Sim::new(13);
+        sim.set_exec_mode(mode);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sigs: Vec<Signal> = (0..20).map(|_| Signal::new()).collect();
+        for i in 0..20usize {
+            let log = log.clone();
+            let (mine, other) = (sigs[i].clone(), sigs[i ^ 1].clone());
+            sim.spawn(format!("p{i}"), move |ctx| {
+                let h = ctx.handle();
+                for step in 0..4u64 {
+                    let d = SimTime::from_nanos((i as u64 * 3 + step * 5) % 7 + 1);
+                    let (l, h2) = (log.clone(), h.clone());
+                    h.schedule(d, move || l.lock().unwrap().push((h2.now().as_nanos(), i, "call")));
+                    ctx.advance(d);
+                    log.lock().unwrap().push((ctx.now().as_nanos(), i, "wake"));
+                }
+                if i % 2 == 0 {
+                    let fired = ctx.wait_any(&[other, mine]);
+                    log.lock().unwrap().push((ctx.now().as_nanos(), i, "released"));
+                    assert_eq!(fired, 0);
+                    ctx.advance(SimTime::from_nanos(9));
+                    log.lock().unwrap().push((ctx.now().as_nanos(), i, "slept"));
+                } else {
+                    ctx.advance(SimTime::from_nanos(i as u64 % 5 + 1));
+                    mine.fire(); // releases the even neighbour…
+                    ctx.advance(SimTime::from_nanos(4));
+                    other.fire(); // …and pokes it in the middle of its sleep
+                }
+            });
+        }
+        let stats = sim.run().unwrap();
+        let v = log.lock().unwrap().clone();
+        (stats, v)
+    }
+    let base = run_in(ExecMode::ThreadPerRank);
+    assert_eq!(base.1.len(), 20 * 8 + 10 * 2);
+    for mode in modes_under_test() {
+        assert_eq!(run_in(mode), base, "mode {mode:?}");
+    }
+}
