@@ -82,7 +82,9 @@ use crate::slack::{slack_of, SlackClass, SlackFinding, SyncKind};
 /// the sync parked longer (`park_ns_per_byte`), each statement of slack
 /// distance can absorb a bounded amount of overlap
 /// (`overlap_ns_per_stmt`), a nonblocking request costs
-/// allocate/track/complete bookkeeping (`request_ns`), and a fresh
+/// allocate/track/complete bookkeeping (`request_ns` — a static estimate
+/// of the `i`-call's own overhead, not a price of waiting on the handle:
+/// a `WaitAll` is one MPI call whatever it collects), and a fresh
 /// mid-program `WaitAll` landing point is itself a synchronization the
 /// host must visit (`wait_insert_ns`). A deferred wait that lands on an
 /// existing `WaitAll` or at end of program adds no landing-point cost —

@@ -17,6 +17,18 @@
 //! Deviation from MPI for memory safety: `get`-style operations return a
 //! data-bearing [`Req`] instead of writing into a caller-supplied buffer;
 //! fetch the bytes with [`RankEnv::wait_data`] after synchronization.
+//!
+//! # What a call costs
+//!
+//! Every routine is one MPI call and pays one `call_entry` (the paper's ε)
+//! on the caller's clock, in the one `timed` scope that also accounts its
+//! MPI time; an RMA communication call pays `per_op` on top. The test/wait
+//! family is priced the same way — [`RankEnv::wait`], [`RankEnv::wait_data`],
+//! [`RankEnv::test`], [`RankEnv::wait_any`] and [`RankEnv::wait_all`] are
+//! one call each, `wait_all` whatever the number of requests it collects
+//! (and free when handed none, so a blocking-series program that holds no
+//! request pays nothing for it). A blocking routine is its `i` twin plus
+//! the wait inside the same call: one ε, not two.
 
 use std::sync::Arc;
 
@@ -149,12 +161,23 @@ impl<'a> RankEnv<'a> {
         })
     }
 
-    /// Wait for every request in order.
+    /// `MPI_WAITALL`: one MPI call, whatever the number of requests — one
+    /// `call_entry`, then every request is waited for, in order, and
+    /// consumed. A bad handle does not abandon the requests after it: all
+    /// are waited for and the first error is returned. Handed no request it
+    /// is free.
     pub fn wait_all(&self, reqs: impl IntoIterator<Item = Req>) -> RmaResult<()> {
-        for r in reqs {
-            self.wait(r)?;
+        let mut reqs = reqs.into_iter().peekable();
+        if reqs.peek().is_none() {
+            return Ok(());
         }
-        Ok(())
+        self.timed(|| {
+            let mut outcome = Ok(());
+            for r in reqs {
+                outcome = outcome.and(self.wait_inner(r).map(drop));
+            }
+            outcome
+        })
     }
 
     /// Block until *any* of the requests completes; consumes that request

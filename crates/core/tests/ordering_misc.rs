@@ -232,3 +232,45 @@ fn many_small_epochs_back_to_back_complete_in_order_without_flags() {
     })
     .unwrap();
 }
+
+#[test]
+fn wait_all_is_one_mpi_call_and_free_when_empty() {
+    // One `call_entry` on the caller's clock and in `mpi_time`, one call
+    // counted, whatever the number of requests.
+    let cfg = JobConfig::new(1);
+    let eps = cfg.overheads.call_entry;
+    run_job(cfg, move |env| {
+        // A one-rank barrier is complete at creation.
+        let reqs: Vec<_> = (0..256).map(|_| env.ibarrier()).collect();
+        let (t0, s0) = (env.now(), env.stats());
+        env.wait_all(reqs.clone()).unwrap();
+        let s1 = env.stats();
+        assert_eq!(env.now() - t0, eps);
+        assert_eq!(s1.mpi_time - s0.mpi_time, eps);
+        assert_eq!(s1.calls - s0.calls, 1);
+        // All 256 were consumed.
+        for r in reqs {
+            assert!(matches!(env.test(r).unwrap_err(), RmaError::InvalidRequest));
+        }
+    })
+    .unwrap();
+
+    // Over no request it is not a call at all: the same job with a hundred
+    // empty `wait_all`s in it ends at the same instant after the same
+    // number of events.
+    let run = |empties: usize| {
+        run_job(JobConfig::new(2), move |env| {
+            env.barrier().unwrap();
+            for _ in 0..empties {
+                env.wait_all(None).unwrap();
+            }
+            env.compute(SimTime::from_micros(1));
+            env.barrier().unwrap();
+        })
+        .unwrap()
+    };
+    let (without, with) = (run(0), run(100));
+    assert_eq!(with.final_time, without.final_time);
+    assert_eq!(with.sim.events_executed, without.sim.events_executed);
+    assert_eq!(with.ranks[0].calls, without.ranks[0].calls);
+}

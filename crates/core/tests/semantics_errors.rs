@@ -269,6 +269,29 @@ fn stale_request_handles_rejected() {
 }
 
 #[test]
+fn wait_all_waits_for_every_request_past_a_bad_handle() {
+    // `MPI_Waitall` waits on every request: a stale handle is reported
+    // (first error wins) but the requests after it are still waited for
+    // and consumed, so the unlock's completion is observed.
+    let report = run_job(JobConfig::new(2), |env| {
+        let win = env.win_allocate(8).unwrap();
+        env.barrier().unwrap();
+        if env.rank().idx() == 0 {
+            let a = env.ilock(win, Rank(1), LockKind::Exclusive).unwrap();
+            env.put(win, Rank(1), 0, &[1u8; 8]).unwrap();
+            let b = env.iunlock(win, Rank(1)).unwrap();
+            env.wait(a).unwrap();
+            assert!(matches!(env.wait_all([a, b]).unwrap_err(), RmaError::InvalidRequest));
+            assert!(matches!(env.test(b).unwrap_err(), RmaError::InvalidRequest), "b not consumed");
+        }
+        env.barrier().unwrap();
+        env.win_free(win).unwrap();
+    })
+    .unwrap();
+    assert_eq!(report.live_requests, 0);
+}
+
+#[test]
 fn wait_any_returns_first_completion() {
     run_job(JobConfig::all_internode(3), |env| {
         if env.rank().idx() == 0 {
