@@ -173,21 +173,21 @@ fn every_epoch_mix_kernel_holds_the_call_count_bound() {
         // round; the nonblocking form leaves them to the final `wait_all`.
         ("lock_all_storm", lock_all_storm, 1 - iters),
     ];
+    let eps = JobConfig::new(RANKS).overheads.call_entry;
     for per_node in [16, 1] {
         for (name, kernel, extra_calls) in kernels {
             let run = |strategy, nonblocking| {
                 let mut cfg = JobConfig::new(RANKS).with_strategy(strategy);
                 cfg.cores_per_node = per_node;
-                let eps = cfg.overheads.call_entry;
                 let r = kernel(cfg, nonblocking);
                 assert!(r.is_clean(), "{name}: {:?}", r.degradations);
                 assert_eq!(r.live_requests, 0, "{name}");
-                (r, eps)
+                r
             };
-            let (nb, eps) = run(SyncStrategy::Redesigned, true);
+            let nb = run(SyncStrategy::Redesigned, true);
             let what = format!("{name}, {per_node} per node");
             for strategy in [SyncStrategy::Redesigned, SyncStrategy::LazyBaseline] {
-                let (blocking, _) = run(strategy, false);
+                let blocking = run(strategy, false);
                 for (a, b) in nb.ranks.iter().zip(&blocking.ranks) {
                     assert_eq!(a.calls as i64 - b.calls as i64, extra_calls, "{what}: k");
                 }
