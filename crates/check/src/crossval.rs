@@ -22,164 +22,112 @@
 //! cancellation is an observation.
 
 use mpisim_analyze::{
-    analyze, generate_negative, generate_value_clean, has_code, rewrite_with, NegFamily,
-    RewriteMode,
+    analyze, generate_negative, generate_value_clean, has_code, rewrite_with, Code, IrProgram,
+    NegFamily, RewriteMode,
 };
-use mpisim_core::{Degradation, ExecMode, SyncStrategy};
+use mpisim_core::{Degradation, ExecMode, JobReport, SyncStrategy};
 
 use crate::lower::lower;
 use crate::program::{generate, Family};
-use crate::run::{exec_ir, exec_ir_with, execute_exec, ExecOpts, RunFailure, RunOutcome, RunSpec};
+use crate::run::{exec_ir, exec_ir_with, execute_exec, ExecOpts, RunOutcome, RunSpec};
+use crate::suite::{Arm, Outcome, Plant};
 
-/// Outcome of one cross-validation sweep.
-#[derive(Clone, Debug, Default)]
-pub struct CrossValReport {
-    /// Deadlock-corpus programs checked (analyzer + watchdog).
-    pub flagged_runs: u64,
-    /// Clean conformance programs checked (analyzer + watchdog).
-    pub clean_runs: u64,
-    /// Human-readable description of every disagreement found.
-    pub failures: Vec<String>,
+/// Epochs the stall watchdog had to cancel.
+fn stall_count(report: &JobReport) -> usize {
+    report.degradations.iter().filter(|d| matches!(d, Degradation::EpochStall(_))).count()
 }
 
-fn stall_count(report: &mpisim_core::JobReport) -> usize {
-    report
-        .degradations
-        .iter()
-        .filter(|d| matches!(d, Degradation::EpochStall(_)))
-        .count()
+/// The analyzer's verdict on `ir` and the watchdog's must agree. With
+/// `expect = Some(code)` the analyzer must flag `code` and the run must
+/// terminate only because the armed watchdog cancelled at least one epoch
+/// (a flagged program that completes cleanly is a static false positive);
+/// with `None` the program must be analyzer-clean and run stall-free (a
+/// stall is a static false negative).
+fn layers_agree(ir: &IrProgram, expect: Option<Code>, seed: u64) -> Result<(), String> {
+    let diags = analyze(ir);
+    match expect {
+        Some(code) if !has_code(&diags, code) => {
+            return Err(format!("analyzer missed {code} (got {diags:?})"));
+        }
+        None if !diags.is_empty() => return Err(format!("clean program flagged: {diags:?}")),
+        _ => {}
+    }
+    let report = exec_ir(ir, true, seed)
+        .map_err(|f| format!("watchdog failed to terminate the run: {f}"))?;
+    match (expect, stall_count(&report)) {
+        (Some(code), 0) => Err(format!(
+            "analyzer flagged {code} but the run completed with zero stalls (static false \
+             positive?)"
+        )),
+        (None, stalls) if stalls > 0 => Err(format!(
+            "analyzer-clean program stalled {stalls} time(s) (static false negative?)"
+        )),
+        _ => Ok(()),
+    }
 }
 
-/// Flagged side: `seeds` generated programs per deadlock family must be
-/// analyzer-rejected AND watchdog-cancelled at runtime.
-pub fn crossval_flagged(seeds: u64, failures: &mut Vec<String>) -> u64 {
-    let mut runs = 0;
-    for family in NegFamily::DEADLOCKS {
-        for seed in 0..seeds {
-            runs += 1;
+/// Both sides. **Flagged:** `width` generated programs per deadlock
+/// family. **Clean:** `max(1, width / 8)` programs per conformance family
+/// under both close modes (they are bigger and already swept by the main
+/// matrix; here they only feed the watchdog oracle), plus as many
+/// satisfiable twins of the value-deadlock family — same spin shape,
+/// expectation matching the published flag — which the value domain must
+/// pass statically and whose bounded spin must see the flag in time.
+///
+/// A plant ([`Arm::Corpus`]) narrows the flagged side to its families and
+/// the clean side to the twins, one per doomed program, if it asks for
+/// them; `planted` counts the flagged programs and `caught` those on
+/// which both layers agreed.
+pub fn crossval_deadlocks(width: u64, plant: Option<&Plant>) -> Outcome {
+    let mut o = Outcome::default();
+    let (families, twins): (&[NegFamily], u64) = match plant.map(|p| p.arm) {
+        Some(Arm::Corpus { families, twins }) => (families, if twins { width } else { 0 }),
+        _ => (&NegFamily::DEADLOCKS, (width / 8).max(1)),
+    };
+    let (mut flagged, mut agreed) = (0, 0);
+    for &family in families {
+        for seed in 0..width {
+            flagged += 1;
             let case = generate_negative(family, seed);
-            let diags = analyze(&case.program);
-            if !has_code(&diags, case.expect) {
-                failures.push(format!(
-                    "{family:?} seed {seed}: analyzer missed {} (got {diags:?})",
-                    case.expect
-                ));
-                continue;
-            }
-            match exec_ir(&case.program, true, 7 + seed) {
-                Ok(report) => {
-                    if stall_count(&report) == 0 {
-                        failures.push(format!(
-                            "{family:?} seed {seed}: analyzer flagged {} but the run \
-                             completed with zero stalls (static false positive?)",
-                            case.expect
-                        ));
-                    }
-                }
-                Err(f) => failures.push(format!(
-                    "{family:?} seed {seed}: watchdog failed to terminate the run: {f}"
-                )),
+            match layers_agree(&case.program, Some(case.expect), 7 + seed) {
+                Ok(()) => agreed += 1,
+                Err(e) => o.failures.push(format!("{family:?} seed {seed}: {e}")),
             }
         }
     }
-    runs
-}
-
-/// Clean side: `programs` generated programs per conformance family,
-/// lowered under both close modes, must be analyzer-clean and run under
-/// the armed watchdog without a single stall. The satisfiable twin of
-/// the value-deadlock family (same spin shape, expectation matching the
-/// published flag) rides along: the value domain must pass it statically
-/// AND the bounded exec-side spin must observe the published value in
-/// time, so the run finishes stall-free.
-pub fn crossval_clean(programs: u64, failures: &mut Vec<String>) -> u64 {
-    let mut runs = 0;
-    for idx in 0..programs {
-        runs += 1;
-        let ir = generate_value_clean(idx);
-        let diags = analyze(&ir);
-        if !diags.is_empty() {
-            failures.push(format!("value-clean #{idx}: satisfiable spin flagged: {diags:?}"));
-            continue;
+    let mut clean = 0;
+    let mut stay_clean = |tag: String, ir: &IrProgram, seed: u64| {
+        clean += 1;
+        if let Err(e) = layers_agree(ir, None, seed) {
+            o.failures.push(format!("{tag}: {e}"));
         }
-        match exec_ir(&ir, true, 7 + idx) {
-            Ok(report) => {
-                let stalls = stall_count(&report);
-                if stalls > 0 {
-                    failures.push(format!(
-                        "value-clean #{idx}: satisfiable spin stalled {stalls} time(s) \
-                         (spin never saw the published flag?)"
-                    ));
-                }
-            }
-            Err(f) => failures.push(format!("value-clean #{idx}: IR run failed: {f}")),
-        }
+    };
+    for idx in 0..twins {
+        stay_clean(format!("value-clean #{idx}"), &generate_value_clean(idx), 7 + idx);
     }
-    for family in Family::ALL {
-        for idx in 0..programs {
-            let program = generate(family, idx);
-            for nonblocking in [false, true] {
-                runs += 1;
-                let ir = lower(&program, nonblocking);
-                let diags = analyze(&ir);
-                if !diags.is_empty() {
-                    failures.push(format!(
-                        "{family:?} #{idx} nb={nonblocking}: clean program flagged: {diags:?}"
-                    ));
-                    continue;
-                }
-                match exec_ir(&ir, true, 7 + idx) {
-                    Ok(report) => {
-                        let stalls = stall_count(&report);
-                        if stalls > 0 {
-                            failures.push(format!(
-                                "{family:?} #{idx} nb={nonblocking}: analyzer-clean program \
-                                 stalled {stalls} time(s) (static false negative?)"
-                            ));
-                        }
-                    }
-                    Err(f) => failures.push(format!(
-                        "{family:?} #{idx} nb={nonblocking}: IR run failed: {f}"
-                    )),
+    if plant.is_none() {
+        for family in Family::ALL {
+            for idx in 0..twins {
+                let program = generate(family, idx);
+                for nonblocking in [false, true] {
+                    let tag = format!("{family:?} #{idx} nb={nonblocking}");
+                    stay_clean(tag, &lower(&program, nonblocking), 7 + idx);
                 }
             }
         }
     }
-    runs
-}
-
-/// Run both sides: `seeds` programs per deadlock family on the flagged
-/// side, and `max(1, seeds / 8)` programs per conformance family on the
-/// clean side (the clean programs are bigger and already swept by the
-/// main matrix; here they only feed the watchdog oracle).
-pub fn crossval_deadlocks(seeds: u64) -> CrossValReport {
-    let mut failures = Vec::new();
-    let flagged_runs = crossval_flagged(seeds, &mut failures);
-    let clean_runs = crossval_clean((seeds / 8).max(1), &mut failures);
-    CrossValReport { flagged_runs, clean_runs, failures }
-}
-
-/// Outcome of one rewrite-equivalence sweep ([`crossval_rewrites`]).
-#[derive(Clone, Debug, Default)]
-pub struct RewriteValReport {
-    /// Conformance programs examined (blocking-mode lowering).
-    pub programs: u64,
-    /// Programs where the rewriter fired (changed at least one call).
-    pub fired: u64,
-    /// Differential (strategy × seed) points compared.
-    pub points: u64,
-    /// Total `sync_blocked_steps` removed by the rewrites, over all
-    /// compared points.
-    pub blocked_steps_saved: u64,
-    /// Total `sync_blocked_ns` removed, over all compared points.
-    pub blocked_ns_saved: u64,
-    /// `PlantUnsound` mode: planted rewrites the differential check
-    /// caught (must equal the number planted).
-    pub planted_detected: u64,
-    /// `PlantUnsound` mode: rewrites planted.
-    pub planted: u64,
-    /// Human-readable description of every violation found.
-    pub failures: Vec<String>,
+    o.runs = flagged + clean;
+    o.detail = match plant.map(|p| p.arm) {
+        None => format!("{flagged:>4} flagged + {clean} clean watchdog runs"),
+        Some(Arm::Corpus { twins: true, .. }) => {
+            format!("{flagged} doomed + {clean} satisfiable programs")
+        }
+        Some(_) => format!("{flagged} corpus programs ({width} per family)"),
+    };
+    if plant.is_some() {
+        (o.planted, o.caught) = (flagged, agreed);
+    }
+    o
 }
 
 /// The differential points every rewritten program is compared at.
@@ -187,7 +135,53 @@ const REWRITE_STRATEGIES: [SyncStrategy; 2] =
     [SyncStrategy::LazyBaseline, SyncStrategy::Redesigned];
 const REWRITE_SEEDS: [u64; 2] = [7, 23];
 
-/// The closed loop for the slack pass: for `programs` generated
+/// Whose fault a failed differential point is.
+enum Blame {
+    /// The original program did not run cleanly: the point proves nothing.
+    Original,
+    /// The rewritten program failed, stalled or ended with other memory —
+    /// what an unsound rewrite looks like.
+    Rewritten,
+    /// Equivalent, but it blocks more often or finishes later.
+    Cost,
+}
+
+/// Run `ir` and its rewrite `rw` at one strategy × seed point. `Ok` is
+/// each side's blocked `(steps, ns)`, original first.
+fn rewrite_point(
+    ir: &IrProgram,
+    rw: &IrProgram,
+    seed: u64,
+    strategy: SyncStrategy,
+) -> Result<[(u64, u64); 2], (Blame, String)> {
+    let (m0, r0) = exec_ir_with(ir, true, seed, strategy)
+        .map_err(|f| (Blame::Original, format!("original program failed to run: {f}")))?;
+    if stall_count(&r0) > 0 {
+        return Err((Blame::Original, "original program stalled".into()));
+    }
+    let (m1, r1) = exec_ir_with(rw, true, seed, strategy)
+        .map_err(|f| (Blame::Rewritten, format!("rewritten program failed to run: {f}")))?;
+    if stall_count(&r1) > 0 || m0 != m1 {
+        let why = format!(
+            "rewritten program diverged (stalls={}, mems_equal={})",
+            stall_count(&r1),
+            m0 == m1
+        );
+        return Err((Blame::Rewritten, why));
+    }
+    let (s0, s1) = (r0.engine.sync_blocked_steps, r1.engine.sync_blocked_steps);
+    if s1 > s0 {
+        return Err((Blame::Cost, format!("rewrite INCREASED sync_blocked_steps ({s0} -> {s1})")));
+    }
+    let (t0, t1) = (r0.final_time, r1.final_time);
+    if t1 > t0 {
+        let why = format!("rewrite REGRESSED virtual completion time ({t0:?} -> {t1:?})");
+        return Err((Blame::Cost, why));
+    }
+    Ok([(s0, r0.engine.sync_blocked_ns), (s1, r1.engine.sync_blocked_ns)])
+}
+
+/// The closed loop for the slack pass: for `width` generated
 /// conformance programs per family (lowered with blocking closes — the
 /// shape that has slack), run the rewriter and require, on every program
 /// where it fired:
@@ -203,17 +197,22 @@ const REWRITE_SEEDS: [u64; 2] = [7, 23];
 ///   rewritten run's `final_time` must not exceed the original's — the
 ///   end-to-end bound the cost model prices rewrites against.
 ///
-/// With [`RewriteMode::PlantUnsound`] the rewriter additionally deletes
+/// Under an [`Arm::UnsoundRewrite`] plant the rewriter additionally deletes
 /// one synchronization statement after the sound rewrite; the sweep then
 /// *requires* the differential check to catch every planted program (via
 /// run failure, watchdog stall, or memory divergence) and reports the
 /// catch rate — the exit-inverted self-test that proves the validator has
 /// teeth. Static E-checks are deliberately skipped for planted programs:
 /// detection must come from the differential side alone.
-pub fn crossval_rewrites(programs: u64, mode: RewriteMode) -> RewriteValReport {
-    let mut r = RewriteValReport::default();
+pub fn crossval_rewrites(width: u64, plant: Option<&Plant>) -> Outcome {
+    let mut r = Outcome::default();
+    let mode = match plant.map(|p| p.arm) {
+        Some(Arm::UnsoundRewrite) => RewriteMode::PlantUnsound,
+        _ => RewriteMode::Sound,
+    };
+    let (mut programs, mut fired, mut points, mut blocked_steps_saved) = (0u64, 0u64, 0u64, 0u64);
     for family in Family::ALL {
-        for idx in 0..programs {
+        for idx in 0..width {
             let program = generate(family, idx);
             let ir = lower(&program, false);
             if !analyze(&ir).is_empty() {
@@ -222,114 +221,46 @@ pub fn crossval_rewrites(programs: u64, mode: RewriteMode) -> RewriteValReport {
                 ));
                 continue;
             }
-            r.programs += 1;
+            programs += 1;
             let (rw, rep) = rewrite_with(&ir, mode);
             if !rep.changed() {
                 continue;
             }
-            r.fired += 1;
+            fired += 1;
             let planted = rep.planted.is_some();
-            if planted {
-                r.planted += 1;
+            let diags = if planted { Vec::new() } else { analyze(&rw) };
+            if !diags.is_empty() {
+                r.failures.push(format!(
+                    "{family:?} #{idx}: rewritten program lost E-cleanliness: {diags:?}"
+                ));
+                continue;
             }
-            if !planted {
-                let diags = analyze(&rw);
-                if !diags.is_empty() {
-                    r.failures.push(format!(
-                        "{family:?} #{idx}: rewritten program lost E-cleanliness: {diags:?}"
-                    ));
-                    continue;
-                }
-            }
-            let mut steps_orig = 0u64;
-            let mut steps_rw = 0u64;
-            let mut ns_orig = 0u64;
-            let mut ns_rw = 0u64;
+            // Blocked (steps, ns) summed over the points: original, rewritten.
+            let (mut orig, mut rewritten) = ((0u64, 0u64), (0u64, 0u64));
             let mut caught = false;
             let mut point_failure = false;
             for strategy in REWRITE_STRATEGIES {
                 for seed in REWRITE_SEEDS {
-                    r.points += 1;
-                    let (m0, r0) = match exec_ir_with(&ir, true, seed, strategy) {
-                        Ok(v) => v,
-                        Err(f) => {
-                            r.failures.push(format!(
-                                "{family:?} #{idx} {strategy:?} seed {seed}: original program \
-                                 failed to run: {f}"
-                            ));
+                    points += 1;
+                    match rewrite_point(&ir, &rw, seed, strategy) {
+                        Ok([o, w]) => {
+                            orig = (orig.0 + o.0, orig.1 + o.1);
+                            rewritten = (rewritten.0 + w.0, rewritten.1 + w.1);
+                        }
+                        Err((Blame::Rewritten, _)) if planted => caught = true,
+                        Err((Blame::Cost, _)) if planted => {}
+                        Err((_, why)) => {
+                            r.failures
+                                .push(format!("{family:?} #{idx} {strategy:?} seed {seed}: {why}"));
                             point_failure = true;
-                            continue;
                         }
-                    };
-                    if stall_count(&r0) > 0 {
-                        r.failures.push(format!(
-                            "{family:?} #{idx} {strategy:?} seed {seed}: original program \
-                             stalled"
-                        ));
-                        point_failure = true;
-                        continue;
                     }
-                    let (m1, r1) = match exec_ir_with(&rw, true, seed, strategy) {
-                        Ok(v) => v,
-                        Err(f) => {
-                            if planted {
-                                caught = true;
-                                continue;
-                            }
-                            r.failures.push(format!(
-                                "{family:?} #{idx} {strategy:?} seed {seed}: rewritten \
-                                 program failed to run: {f}"
-                            ));
-                            point_failure = true;
-                            continue;
-                        }
-                    };
-                    if stall_count(&r1) > 0 || m0 != m1 {
-                        if planted {
-                            caught = true;
-                            continue;
-                        }
-                        r.failures.push(format!(
-                            "{family:?} #{idx} {strategy:?} seed {seed}: rewritten program \
-                             diverged (stalls={}, mems_equal={})",
-                            stall_count(&r1),
-                            m0 == m1
-                        ));
-                        point_failure = true;
-                        continue;
-                    }
-                    if planted {
-                        continue;
-                    }
-                    let (s0, s1) =
-                        (r0.engine.sync_blocked_steps, r1.engine.sync_blocked_steps);
-                    let (n0, n1) = (r0.engine.sync_blocked_ns, r1.engine.sync_blocked_ns);
-                    if s1 > s0 {
-                        r.failures.push(format!(
-                            "{family:?} #{idx} {strategy:?} seed {seed}: rewrite INCREASED \
-                             sync_blocked_steps ({s0} -> {s1})"
-                        ));
-                        point_failure = true;
-                        continue;
-                    }
-                    let (t0, t1) = (r0.final_time, r1.final_time);
-                    if t1 > t0 {
-                        r.failures.push(format!(
-                            "{family:?} #{idx} {strategy:?} seed {seed}: rewrite REGRESSED \
-                             virtual completion time ({t0:?} -> {t1:?})"
-                        ));
-                        point_failure = true;
-                        continue;
-                    }
-                    steps_orig += s0;
-                    steps_rw += s1;
-                    ns_orig += n0;
-                    ns_rw += n1;
                 }
             }
             if planted {
+                r.planted += 1;
                 if caught {
-                    r.planted_detected += 1;
+                    r.caught += 1;
                 } else {
                     r.failures.push(format!(
                         "{family:?} #{idx}: planted unsound rewrite at {:?} was NOT caught \
@@ -342,41 +273,29 @@ pub fn crossval_rewrites(programs: u64, mode: RewriteMode) -> RewriteValReport {
             if point_failure {
                 continue;
             }
-            let strictly_less =
-                steps_rw < steps_orig || (steps_rw == steps_orig && ns_rw < ns_orig);
-            if !strictly_less {
+            if rewritten >= orig {
                 r.failures.push(format!(
                     "{family:?} #{idx}: rewrite fired ({} relaxed, {} elided, {} localized) \
-                     but saved no blocked work (steps {steps_orig} -> {steps_rw}, \
-                     ns {ns_orig} -> {ns_rw})",
+                     but saved no blocked (steps, ns): {orig:?} -> {rewritten:?}",
                     rep.relaxed, rep.elided, rep.localized
                 ));
                 continue;
             }
-            r.blocked_steps_saved += steps_orig - steps_rw;
-            r.blocked_ns_saved += ns_orig.saturating_sub(ns_rw);
+            blocked_steps_saved += orig.0 - rewritten.0;
         }
     }
+    r.runs = points * 2;
+    r.detail = match mode {
+        RewriteMode::Sound => format!(
+            "{programs:>4} programs, {fired} rewritten, {points} points, {blocked_steps_saved} \
+             blocked steps saved"
+        ),
+        RewriteMode::PlantUnsound => format!(
+            "{programs} programs ({width} per family), {} planted, {} caught",
+            r.planted, r.caught
+        ),
+    };
     r
-}
-
-/// Outcome of one execution-mode determinism sweep ([`crossval_exec`]).
-#[derive(Clone, Debug, Default)]
-pub struct ExecValReport {
-    /// (program, close-mode) points swept.
-    pub programs: u64,
-    /// Total executions (every point runs once per execution mode).
-    pub runs: u64,
-    /// Mode comparisons that diverged from the thread-per-rank baseline
-    /// in any observable (verdict, memories, gets, stats, traces).
-    pub diverged: u64,
-    /// Points with at least one divergence. In plant mode this is the
-    /// detection count the exit-inverted self-test keys on; in clean mode
-    /// it must be zero.
-    pub detected: u64,
-    /// Human-readable description of every clean-mode divergence or
-    /// run-level error.
-    pub failures: Vec<String>,
 }
 
 /// The pooled variants compared against the thread-per-rank baseline:
@@ -390,73 +309,52 @@ const EXEC_VARIANTS: [ExecMode; 2] =
 /// `Eq`; traces and per-rank timings compare via their `Debug` rendering,
 /// which covers every field byte for byte.
 fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
-    let mut d = Vec::new();
-    if a.mems != b.mems {
-        d.push("mems");
-    }
-    if a.gets != b.gets {
-        d.push("gets");
-    }
-    if a.report.final_time != b.report.final_time {
-        d.push("final-time");
-    }
-    if a.report.sim != b.report.sim {
-        d.push("sim-stats");
-    }
-    if a.report.engine != b.report.engine {
-        d.push("engine-stats");
-    }
-    if a.report.live_requests != b.report.live_requests {
-        d.push("live-requests");
-    }
-    if format!("{:?}", a.report.ranks) != format!("{:?}", b.report.ranks) {
-        d.push("rank-stats");
-    }
-    if format!("{:?}", a.report.trace) != format!("{:?}", b.report.trace) {
-        d.push("trace");
-    }
-    if format!("{:?}", a.report.sync_trace) != format!("{:?}", b.report.sync_trace) {
-        d.push("sync-trace");
-    }
-    if format!("{:?}", a.report.req_events) != format!("{:?}", b.report.req_events) {
-        d.push("req-events");
-    }
-    d
+    let (ra, rb) = (&a.report, &b.report);
+    let same = [
+        ("mems", a.mems == b.mems),
+        ("gets", a.gets == b.gets),
+        ("final-time", ra.final_time == rb.final_time),
+        ("sim-stats", ra.sim == rb.sim),
+        ("engine-stats", ra.engine == rb.engine),
+        ("live-requests", ra.live_requests == rb.live_requests),
+        ("rank-stats", format!("{:?}", ra.ranks) == format!("{:?}", rb.ranks)),
+        ("trace", format!("{:?}", ra.trace) == format!("{:?}", rb.trace)),
+        ("sync-trace", format!("{:?}", ra.sync_trace) == format!("{:?}", rb.sync_trace)),
+        ("req-events", format!("{:?}", ra.req_events) == format!("{:?}", rb.req_events)),
+    ];
+    same.into_iter().filter(|(_, same)| !same).map(|(name, _)| name).collect()
 }
 
-/// Execution-mode determinism cross-check: `programs` conformance
+/// Execution-mode determinism cross-check: `width` conformance
 /// programs per family, under both close modes, are executed under
 /// thread-per-rank and both pooled variants ([`EXEC_VARIANTS`]), and the
 /// three runs must be indistinguishable — same verdict, final memories,
 /// get results, `SimStats`, `EngineStats`, per-rank timings, and all
 /// three trace streams, byte for byte.
 ///
-/// With `plant` set, every run additionally enables the kernel's
-/// deliberately nondeterministic tie-break
+/// Under an [`Arm::NondetTiebreak`] plant every run additionally enables
+/// the kernel's deliberately nondeterministic tie-break
 /// (`Sim::set_nondet_tiebreak`), so same-seed runs genuinely diverge;
-/// the sweep then *must* observe divergences (`detected > 0`) — the
+/// every point is then a plant and *must* be observed to diverge — the
 /// exit-inverted self-test proving the cross-check would catch a
 /// nondeterministic kernel rather than vacuously passing.
-pub fn crossval_exec(programs: u64, plant: bool) -> ExecValReport {
-    let mut r = ExecValReport::default();
-    let fail = |res: &Result<RunOutcome, RunFailure>| match res {
-        Ok(_) => None,
-        Err(f) => Some(f.to_string()),
-    };
+pub fn crossval_exec(width: u64, plant: Option<&Plant>) -> Outcome {
+    let mut r = Outcome::default();
+    let plant = matches!(plant.map(|p| p.arm), Some(Arm::NondetTiebreak));
+    let (mut points, mut divergences, mut detected) = (0u64, 0u64, 0u64);
     for family in Family::ALL {
-        for idx in 0..programs {
+        for idx in 0..width {
             let program = generate(family, idx);
             for nonblocking in [false, true] {
-                r.programs += 1;
+                points += 1;
                 let spec = RunSpec {
                     sim_seed: 7 + idx,
                     ..RunSpec::baseline(SyncStrategy::Redesigned, nonblocking)
                 };
-                let base_eo =
-                    ExecOpts { exec: ExecMode::ThreadPerRank, nondet_tiebreak: plant };
+                let eo = |exec| ExecOpts { exec, nondet_tiebreak: plant };
                 r.runs += 1;
-                let base = execute_exec(&program, &spec, true, base_eo);
-                if let (Some(msg), false) = (fail(&base), plant) {
+                let base = execute_exec(&program, &spec, true, eo(ExecMode::ThreadPerRank));
+                if let (Err(msg), false) = (&base, plant) {
                     r.failures.push(format!(
                         "{family:?} #{idx} nb={nonblocking}: thread-per-rank run failed: {msg}"
                     ));
@@ -465,10 +363,7 @@ pub fn crossval_exec(programs: u64, plant: bool) -> ExecValReport {
                 let mut point_diverged = false;
                 for exec in EXEC_VARIANTS {
                     r.runs += 1;
-                    let out = execute_exec(&program, &spec, true, ExecOpts {
-                        exec,
-                        nondet_tiebreak: plant,
-                    });
+                    let out = execute_exec(&program, &spec, true, eo(exec));
                     let diverged: Vec<&str> = match (&base, &out) {
                         (Ok(a), Ok(b)) => exec_divergences(a, b),
                         (Err(a), Err(b)) if a.to_string() == b.to_string() => Vec::new(),
@@ -477,7 +372,7 @@ pub fn crossval_exec(programs: u64, plant: bool) -> ExecValReport {
                     if diverged.is_empty() {
                         continue;
                     }
-                    r.diverged += 1;
+                    divergences += 1;
                     point_diverged = true;
                     if !plant {
                         r.failures.push(format!(
@@ -488,93 +383,20 @@ pub fn crossval_exec(programs: u64, plant: bool) -> ExecValReport {
                     }
                 }
                 if point_diverged {
-                    r.detected += 1;
+                    detected += 1;
                 }
             }
         }
     }
+    r.detail = if plant {
+        (r.planted, r.caught) = (points, detected);
+        format!(
+            "{points} points ({width} per family), {} runs, {divergences} divergence(s) over \
+             {detected} point(s)",
+            r.runs
+        )
+    } else {
+        format!("{points:>4} points x 3 exec modes ({} runs)", r.runs)
+    };
     r
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_crossval_sweep_agrees() {
-        let r = crossval_deadlocks(3);
-        assert_eq!(r.flagged_runs, 18, "6 deadlock families x 3 seeds");
-        assert!(r.clean_runs >= 10, "5 families x >=1 program x 2 close modes");
-        assert!(r.failures.is_empty(), "{:#?}", r.failures);
-    }
-
-    #[test]
-    fn flagged_programs_stall_without_exception() {
-        // Directly: a PSCW cycle must leave stall reports when executed.
-        let case = generate_negative(NegFamily::PscwCycle, 0);
-        let report = exec_ir(&case.program, true, 7).expect("watchdog must terminate the run");
-        assert!(stall_count(&report) >= 1, "degradations: {:?}", report.degradations);
-    }
-
-    #[test]
-    fn value_deadlock_stalls_and_satisfiable_twin_does_not() {
-        // The doomed spin (expectation no write can produce) must stall
-        // its peers hard enough for the watchdog to cancel; the
-        // satisfiable twin must finish without a single stall.
-        let case = generate_negative(NegFamily::ValueDeadlock, 0);
-        let report = exec_ir(&case.program, true, 7).expect("watchdog must terminate the run");
-        assert!(stall_count(&report) >= 1, "degradations: {:?}", report.degradations);
-
-        let clean = generate_value_clean(0);
-        assert!(analyze(&clean).is_empty());
-        let report = exec_ir(&clean, true, 7).expect("satisfiable spin must finish");
-        assert_eq!(stall_count(&report), 0, "degradations: {:?}", report.degradations);
-    }
-
-    #[test]
-    fn rewrite_sweep_is_equivalent_and_cheaper() {
-        let r = crossval_rewrites(2, RewriteMode::Sound);
-        assert!(r.failures.is_empty(), "{:#?}", r.failures);
-        assert!(r.fired >= 1, "rewriter never fired on {} programs", r.programs);
-        assert!(
-            r.blocked_steps_saved > 0,
-            "equivalent rewrites must remove blocked parks (saved {} over {} points)",
-            r.blocked_steps_saved,
-            r.points
-        );
-    }
-
-    #[test]
-    fn exec_modes_are_indistinguishable_on_a_conformance_slice() {
-        let r = crossval_exec(1, false);
-        assert_eq!(r.programs, 10, "5 families x 1 program x 2 close modes");
-        assert_eq!(r.runs, 30, "each point runs under 3 execution modes");
-        assert!(r.failures.is_empty(), "{:#?}", r.failures);
-        assert_eq!(r.diverged, 0);
-    }
-
-    #[test]
-    fn planted_nondeterminism_is_caught_across_exec_modes() {
-        // With the nondet tie-break planted, same-seed runs genuinely
-        // diverge, and the cross-check must see it — otherwise a clean
-        // sweep proves nothing.
-        let r = crossval_exec(2, true);
-        assert!(
-            r.detected > 0,
-            "nondet plant produced no observable divergence over {} points",
-            r.programs
-        );
-        assert!(r.failures.is_empty(), "plant mode records no failures: {:#?}", r.failures);
-    }
-
-    #[test]
-    fn planted_bad_rewrite_is_caught() {
-        let r = crossval_rewrites(1, RewriteMode::PlantUnsound);
-        assert!(r.failures.is_empty(), "{:#?}", r.failures);
-        assert!(r.planted >= 1, "no program accepted a plant");
-        assert_eq!(
-            r.planted_detected, r.planted,
-            "every planted unsound rewrite must be caught differentially"
-        );
-    }
 }

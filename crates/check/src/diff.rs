@@ -35,40 +35,40 @@ pub enum FailureKind {
     Degraded(Vec<String>),
 }
 
+impl FailureKind {
+    /// The kind's name, as the detector column of [`crate::PLANTS`] and
+    /// DESIGN.md §8 spell it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FailureKind::Static(_) => "static",
+            FailureKind::Divergence(_) => "divergence",
+            FailureKind::Violations(_) => "violations",
+            FailureKind::Races(_) => "races",
+            FailureKind::Deadlock(_) => "deadlock",
+            FailureKind::Panic(_) => "panic",
+            FailureKind::Degraded(_) => "degraded",
+        }
+    }
+}
+
 impl std::fmt::Display for FailureKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        fn list<T: std::fmt::Display>(
+            f: &mut std::fmt::Formatter<'_>,
+            what: &str,
+            items: &[T],
+        ) -> std::fmt::Result {
+            write!(f, "{} {what}:", items.len())?;
+            items.iter().try_for_each(|item| write!(f, "\n  {item}"))
+        }
         match self {
-            FailureKind::Static(ds) => {
-                write!(f, "{} static diagnostic(s):", ds.len())?;
-                for d in ds {
-                    write!(f, "\n  {d}")?;
-                }
-                Ok(())
-            }
+            FailureKind::Static(ds) => list(f, "static diagnostic(s)", ds),
             FailureKind::Divergence(d) => write!(f, "divergence: {d}"),
-            FailureKind::Violations(vs) => {
-                write!(f, "{} invariant violation(s):", vs.len())?;
-                for v in vs {
-                    write!(f, "\n  {v}")?;
-                }
-                Ok(())
-            }
-            FailureKind::Races(rs) => {
-                write!(f, "{} happens-before race(s):", rs.len())?;
-                for r in rs {
-                    write!(f, "\n  {r}")?;
-                }
-                Ok(())
-            }
+            FailureKind::Violations(vs) => list(f, "invariant violation(s)", vs),
+            FailureKind::Races(rs) => list(f, "happens-before race(s)", rs),
             FailureKind::Deadlock(d) => write!(f, "{d}"),
             FailureKind::Panic(d) => write!(f, "panic: {d}"),
-            FailureKind::Degraded(ds) => {
-                write!(f, "{} degradation(s):", ds.len())?;
-                for d in ds {
-                    write!(f, "\n  {d}")?;
-                }
-                Ok(())
-            }
+            FailureKind::Degraded(ds) => list(f, "degradation(s)", ds),
         }
     }
 }
@@ -183,12 +183,8 @@ pub struct FoundFailure {
 /// Outcome of sweeping one family.
 #[derive(Clone, Debug, Default)]
 pub struct SweepReport {
-    /// Programs generated.
-    pub programs: u64,
     /// Total runs executed.
     pub runs: u64,
-    /// Distinct perturbed schedules explored per program (seeds).
-    pub schedules: u64,
     /// Every failure found (first per matrix point; the sweep continues).
     pub failures: Vec<FoundFailure>,
 }
@@ -245,7 +241,7 @@ pub fn sweep_family_with(
     fault: &Option<String>,
     opts: VerifyOpts,
 ) -> SweepReport {
-    let mut report = SweepReport { programs, schedules: seeds, ..SweepReport::default() };
+    let mut report = SweepReport::default();
     for idx in 0..programs {
         let program = generate(family, idx);
         for (strategy, nonblocking) in MATRIX {

@@ -31,34 +31,15 @@
 //! planted unsynchronized local window read, caught only by the race
 //! detector) — see [`mpisim_core::Fault`].
 //!
-//! The static deadlock analyzer gets the same treatment in
-//! [`crossval`]: the deadlock corpus must be flagged *and* stall under
-//! the armed watchdog ([`exec_ir`] executes IR programs directly),
-//! while analyzer-clean generated programs must run stall-free.
-//!
-//! The pooled execution kernel is pinned to its thread-per-rank baseline
-//! in [`crossval::crossval_exec`]: a slice of the conformance corpus is
-//! replayed under every execution mode and must be byte-identical in
-//! verdicts, memories, stats, and traces — while `--inject nondet-exec`
-//! plants a genuinely nondeterministic kernel tie-break that the same
-//! comparison must catch.
-//!
-//! The synchronization-slack rewriter closes its own loop in
-//! [`crossval::crossval_rewrites`]: every conformance program the
-//! rewriter relaxes must stay analyzer-clean, reproduce the original's
-//! final memory at every strategy × seed point
-//! ([`exec_ir_with`]), and strictly reduce the engine's
-//! `sync_blocked_steps` — while `--inject bad-rewrite` plants an
-//! unsound relaxation that the differential comparison alone must
-//! catch.
-//!
-//! The crash-recovery subsystem gets the same treatment in [`recovery`]:
-//! crash points enumerated from a fault-free probe are replayed with one
-//! rank crashed mid-job (alone and stacked on a lossy fault plan), and
-//! every run must still converge byte-identically to the oracle with
-//! nothing but healthy `recovered` degradations — while `--inject
-//! bad-recovery` plants a stale checkpoint restore that the differential
-//! comparison must observe on every planted run.
+//! The other layers get the same treatment, each in one sweep that also
+//! carries its own planted fault: the static deadlock analyzer against
+//! the stall watchdog ([`crossval_deadlocks`]), pooled execution against
+//! thread-per-rank ([`crossval_exec`]), the slack rewriter against the
+//! original program ([`crossval_rewrites`]), and crash recovery against
+//! the oracle ([`crossval_recovery`]). [`suite`] is the one table of what
+//! runs: [`SWEEPS`] lists every sweep with its width flag, [`PLANTS`]
+//! every plant with the sweep it rides, how it is armed and the one
+//! detector that must catch it; the CLI is [`suite::run`] over them.
 
 #![warn(missing_docs)]
 
@@ -70,12 +51,10 @@ pub mod program;
 pub mod recovery;
 pub mod run;
 pub mod shrink;
+pub mod suite;
 
 pub use audit::{audit, Violation};
-pub use crossval::{
-    crossval_clean, crossval_deadlocks, crossval_exec, crossval_flagged, crossval_rewrites,
-    CrossValReport, ExecValReport, RewriteValReport,
-};
+pub use crossval::{crossval_deadlocks, crossval_exec, crossval_rewrites};
 pub use diff::{
     spec_for_seed, sweep_family, sweep_family_with, verify, verify_with, Failure, FailureKind,
     FoundFailure, VerifyOpts, MATRIX,
@@ -83,8 +62,9 @@ pub use diff::{
 pub use lower::lower;
 pub use mpisim_core::SyncStrategy;
 pub use program::{generate, oracle, Epoch, Family, Op, Program};
-pub use recovery::{crossval_recovery, crossval_recovery_bad, RecoveryValReport};
+pub use recovery::crossval_recovery;
 pub use run::{
     exec_ir, exec_ir_with, execute, execute_exec, ExecOpts, RunFailure, RunOutcome, RunSpec,
 };
 pub use shrink::{reproducer, shrink};
+pub use suite::{Outcome, Plant, Sweep, PLANTS, SWEEPS};

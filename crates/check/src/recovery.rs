@@ -29,7 +29,7 @@
 //! dynamically.
 //!
 //! The family proves its teeth the same way the other harness layers do:
-//! [`crossval_recovery_bad`] plants a deliberately stale restore
+//! under an [`Arm::StaleRestore`] plant it restores deliberately stale
 //! ([`RunSpec::bad_recovery`] keeps only the window-allocation baseline
 //! checkpoint and skips redo-log replay at restart) and requires the
 //! differential comparison to observe the divergence on **every** planted
@@ -37,39 +37,11 @@
 //! this condition.
 
 use crate::lower::lower;
-use crate::program::{generate, oracle, Family};
+use crate::program::{generate, oracle, Family, Program};
 use crate::run::{execute, RunSpec};
+use crate::suite::{Arm, Outcome, Plant};
 use mpisim_analyze::{analyze, has_code, Code};
 use mpisim_core::SyncStrategy;
-
-/// Outcome of a crash-recovery sweep.
-#[derive(Clone, Debug, Default)]
-pub struct RecoveryValReport {
-    /// Programs swept (across all families).
-    pub programs: u64,
-    /// Distinct (rank, commit) crash points exercised.
-    pub crash_points: u64,
-    /// Total runs executed (probes + crash runs).
-    pub runs: u64,
-    /// Crash runs that recorded at least one completed recovery.
-    pub recovered: u64,
-    /// Static-analyzer E012 relaxation checks performed: per crashed rank,
-    /// the lowered program must be E012-dirty when the rank crashes
-    /// without recovery and E012-clean when it is crashed-then-restarted.
-    pub e012_checks: u64,
-    /// Bad mode: runs where the backdoor actually planted a stale restore
-    /// (the crashed rank's redo log was non-empty at restart).
-    pub planted: u64,
-    /// Bad mode: runs where the plant came up empty — the victim's redo
-    /// log was already empty at the crash, so skipping replay lost
-    /// nothing and no divergence is expected.
-    pub vacuous: u64,
-    /// Bad mode: planted runs whose divergence the differential check
-    /// observed.
-    pub planted_detected: u64,
-    /// Everything that went wrong, human-readable.
-    pub failures: Vec<String>,
-}
 
 /// Cap on sampled crash points per program: enough to hit several ranks at
 /// early/middle/late commits without exploding the sweep.
@@ -80,21 +52,19 @@ const MAX_POINTS_PER_PROGRAM: usize = 4;
 /// the loss the reliability sublayer is already repairing.
 const PLANS: [Option<&str>; 2] = [None, Some("light-loss")];
 
-/// Probe the program fault-free and return each rank's final epoch-commit
-/// count — the valid crash ordinals for rank `r` are `1..=counts[r]`.
+/// Generate the program, probe it fault-free and return it with each
+/// rank's final epoch-commit count — the valid crash ordinals for rank `r` are `1..=counts[r]`.
 /// Commit counts are structural (they follow the program's epoch
 /// schedule), so one blocking-close probe covers every later variant.
-fn probe_commits(
-    family: Family,
-    idx: u64,
-    report: &mut RecoveryValReport,
-) -> Option<Vec<u64>> {
+fn probe_commits(family: Family, idx: u64, report: &mut Outcome) -> Option<(Program, Vec<u64>)> {
     let program = generate(family, idx);
     let mut spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
     spec.sim_seed = 7 + idx;
     report.runs += 1;
     match execute(&program, &spec) {
-        Ok(out) => Some(out.report.ranks.iter().map(|r| r.epochs_committed).collect()),
+        Ok(out) => {
+            Some((program, out.report.ranks.iter().map(|r| r.epochs_committed).collect()))
+        }
         Err(f) => {
             report.failures.push(format!("{family:?} #{idx}: probe run failed: {f}"));
             None
@@ -125,19 +95,23 @@ fn sample_points(counts: &[u64]) -> Vec<(usize, u64)> {
         .collect()
 }
 
-/// Sweep the crash-recovery family: `programs` programs per conformance
+/// Sweep the crash-recovery family: `width` programs per conformance
 /// family, each crashed at sampled commit points under every plan in
 /// [`PLANS`]. Every crash run must converge to the oracle with nothing but
-/// healthy `recovered` degradations.
-pub fn crossval_recovery(programs: u64) -> RecoveryValReport {
-    let mut report = RecoveryValReport::default();
+/// healthy `recovered` degradations. Under an [`Arm::StaleRestore`] plant
+/// every restore is stale instead and must be seen to diverge.
+pub fn crossval_recovery(width: u64, plant: Option<&Plant>) -> Outcome {
+    if matches!(plant.map(|p| p.arm), Some(Arm::StaleRestore)) {
+        return stale_restores(width);
+    }
+    let mut report = Outcome::default();
+    let (mut programs, mut crash_points, mut recovered, mut e012_checks) = (0u64, 0u64, 0u64, 0u64);
     for family in Family::ALL {
-        for idx in 0..programs {
-            report.programs += 1;
-            let Some(counts) = probe_commits(family, idx, &mut report) else {
+        for idx in 0..width {
+            programs += 1;
+            let Some((program, counts)) = probe_commits(family, idx, &mut report) else {
                 continue;
             };
-            let program = generate(family, idx);
             let expected = oracle(&program);
             let points = sample_points(&counts);
             // Static leg — the recovery-aware E012 relaxation must agree
@@ -149,7 +123,7 @@ pub fn crossval_recovery(programs: u64) -> RecoveryValReport {
             let crash_ranks: std::collections::BTreeSet<usize> =
                 points.iter().map(|&(r, _)| r).collect();
             for r in crash_ranks {
-                report.e012_checks += 1;
+                e012_checks += 1;
                 let mut ir = lower(&program, false);
                 ir.crashed = vec![r];
                 if !has_code(&analyze(&ir), Code::E012) {
@@ -168,7 +142,7 @@ pub fn crossval_recovery(programs: u64) -> RecoveryValReport {
                 }
             }
             for (pi, (rank, commit)) in points.into_iter().enumerate() {
-                report.crash_points += 1;
+                crash_points += 1;
                 for plan in PLANS {
                     let mut spec =
                         RunSpec::baseline(SyncStrategy::Redesigned, pi % 2 == 1);
@@ -189,12 +163,11 @@ pub fn crossval_recovery(programs: u64) -> RecoveryValReport {
                         }
                     };
                     if out.report.recoveries.is_empty() {
-                        report
-                            .failures
-                            .push(format!("{tag}: the crash never fired or never recovered"));
+                        let why = "the crash never fired or never recovered";
+                        report.failures.push(format!("{tag}: {why}"));
                         continue;
                     }
-                    report.recovered += 1;
+                    recovered += 1;
                     let mut bad = Vec::new();
                     for d in &out.report.degradations {
                         if d.kind() != "recovered" {
@@ -222,10 +195,15 @@ pub fn crossval_recovery(programs: u64) -> RecoveryValReport {
             }
         }
     }
+    report.detail = format!(
+        "{crash_points:>4} crash points over {programs} programs ({} runs, {recovered} recovered, \
+         {e012_checks} E012-relaxation checks)",
+        report.runs
+    );
     report
 }
 
-/// Exit-inverted self-test sweep: plant a stale restore in every crash run
+/// The self-test side: plant a stale restore in every crash run
 /// and count how many plants the differential comparison catches. The crash
 /// point is each victim rank's *last* commit, so the redo log discarded by
 /// the backdoor is maximal; victims are restricted to ranks whose oracle
@@ -238,16 +216,16 @@ pub fn crossval_recovery(programs: u64) -> RecoveryValReport {
 /// and are skipped — but every *family* must yield at least one effective
 /// plant across its programs' candidate victims, and every effective
 /// plant must be caught.
-pub fn crossval_recovery_bad(programs: u64) -> RecoveryValReport {
-    let mut report = RecoveryValReport::default();
+fn stale_restores(width: u64) -> Outcome {
+    let mut report = Outcome::default();
+    let (mut programs, mut vacuous) = (0u64, 0u64);
     for family in Family::ALL {
         let mut family_effective = 0u64;
-        for idx in 0..programs {
-            report.programs += 1;
-            let Some(counts) = probe_commits(family, idx, &mut report) else {
+        for idx in 0..width {
+            programs += 1;
+            let Some((program, counts)) = probe_commits(family, idx, &mut report) else {
                 continue;
             };
-            let program = generate(family, idx);
             let expected = oracle(&program);
             // Victims: ranks that both commit epochs and end with non-zero
             // window bytes (their writes are observable when lost).
@@ -256,14 +234,11 @@ pub fn crossval_recovery_bad(programs: u64) -> RecoveryValReport {
                 .take(4)
                 .collect();
             if victims.is_empty() {
-                report
-                    .failures
-                    .push(format!("{family:?} #{idx}: no plantable victim rank"));
+                report.failures.push(format!("{family:?} #{idx}: no plantable victim rank"));
                 continue;
             }
             let mut effective = 0u64;
             for rank in victims {
-                report.crash_points += 1;
                 let mut spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
                 spec.sim_seed = 7 + idx;
                 spec.crash_at = Some((rank, counts[rank]));
@@ -284,13 +259,13 @@ pub fn crossval_recovery_bad(programs: u64) -> RecoveryValReport {
                     // The victim's redo log was empty at the crash: the
                     // stale restore lost nothing, so there is no
                     // divergence for the differential check to catch.
-                    report.vacuous += 1;
+                    vacuous += 1;
                     continue;
                 }
                 effective += 1;
                 report.planted += 1;
                 if out.mems != expected.mems || out.gets != expected.gets {
-                    report.planted_detected += 1;
+                    report.caught += 1;
                 } else {
                     report.failures.push(format!(
                         "{tag}: planted stale restore did not diverge from the oracle"
@@ -308,6 +283,11 @@ pub fn crossval_recovery_bad(programs: u64) -> RecoveryValReport {
             ));
         }
     }
+    report.detail = format!(
+        "{programs} programs ({width} per family), {} runs, {} planted stale restore(s) \
+         ({vacuous} vacuous skipped), {} caught",
+        report.runs, report.planted, report.caught
+    );
     report
 }
 
@@ -332,9 +312,8 @@ mod tests {
 
     #[test]
     fn one_program_crash_sweep_is_green() {
-        let mut report = RecoveryValReport::default();
-        let counts = probe_commits(Family::MixedSerial, 0, &mut report).unwrap();
-        let program = generate(Family::MixedSerial, 0);
+        let mut report = Outcome::default();
+        let (program, counts) = probe_commits(Family::MixedSerial, 0, &mut report).unwrap();
         let expected = oracle(&program);
         let (rank, commit) = sample_points(&counts)[0];
         let mut spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
@@ -357,16 +336,5 @@ mod tests {
         assert!(has_code(&analyze(&ir), Code::E012));
         ir.recovered = vec![1];
         assert!(analyze(&ir).is_empty());
-    }
-
-    #[test]
-    fn planted_stale_restore_is_detected() {
-        let r = crossval_recovery_bad(1);
-        assert!(r.planted > 0, "self-test needs at least one plant: {:?}", r.failures);
-        assert_eq!(
-            r.planted, r.planted_detected,
-            "every stale restore must diverge: {:?}",
-            r.failures
-        );
     }
 }
