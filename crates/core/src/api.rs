@@ -27,14 +27,26 @@
 //! [`RankEnv::test`], [`RankEnv::wait_any`] and [`RankEnv::wait_all`] are
 //! one call each, `wait_all` whatever the number of requests it collects
 //! (and free when handed none, so a blocking-series program that holds no
-//! request pays nothing for it). A blocking routine is its `i` twin plus
-//! the wait inside the same call: one ε, not two.
+//! request pays nothing for it). A blocking epoch, flush or barrier routine
+//! is its `i` twin plus the wait inside the same call: one ε, not two. The
+//! exception is two-sided: [`RankEnv::send`] and [`RankEnv::recv`] (and the
+//! collectives in `coll.rs` built on them) are `isend`/`irecv` followed by
+//! `wait`/`wait_data` — two calls, two ε.
+//!
+//! # How a call blocks
+//!
+//! On its request, and on nothing else (§VII.C). [`RankEnv::wait`] and its
+//! siblings look the request up; if it is pending they leave this rank's
+//! process id with it ([`crate::request::ReqTable::poll`]) and park, and
+//! [`crate::request::ReqTable::complete`] — the one place the engine
+//! completes a request — readies that process. `blocked_park` is the only
+//! place in this crate a rank parks.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use mpisim_net::Payload;
-use mpisim_sim::{ProcCtx, Signal, SimTime};
+use mpisim_sim::{ProcCtx, SimTime};
 
 use crate::config::WinInfo;
 use crate::datatype::{Datatype, ReduceOp};
@@ -120,45 +132,37 @@ impl<'a> RankEnv<'a> {
         })
     }
 
+    /// Consume `req` if it is complete; otherwise register this rank as its
+    /// waiter, park, and look again.
     fn wait_inner(&self, req: Req) -> RmaResult<Option<Bytes>> {
         loop {
-            let sig = {
+            {
                 let mut st = self.eng.st.lock();
-                if st.reqs.is_done(req)? {
-                    return st.reqs.consume(req);
+                if let Some(data) = st.reqs.poll(req, Some(self.ctx.pid()))? {
+                    return Ok(data);
                 }
-                let s = Signal::new();
-                st.reqs.add_waiter(req, s.clone())?;
                 st.eng_stats.sync_blocked_steps += 1;
-                s
-            };
-            self.blocked_park(&sig);
+            }
+            self.blocked_park();
         }
     }
 
-    /// Suspend on `sig`, charging the park to the host-blocking counters
-    /// ([`crate::EngineStats::sync_blocked_ns`]). Every blocking wait in
-    /// the API funnels through here, so the pair
-    /// (`sync_blocked_steps`, `sync_blocked_ns`) is exactly the host
-    /// time the wait family spent suspended.
-    fn blocked_park(&self, sig: &Signal) {
+    /// Park until a request this rank registered on completes
+    /// ([`crate::request::ReqTable::complete`] readies it), charging the
+    /// park to [`crate::EngineStats::sync_blocked_ns`]. Every blocking wait
+    /// in the API funnels through here, so the pair (`sync_blocked_steps`,
+    /// `sync_blocked_ns`) is exactly the virtual time the wait family spent
+    /// suspended.
+    fn blocked_park(&self) {
         let t0 = self.ctx.now();
-        self.ctx.wait(sig);
+        self.ctx.park();
         let dt = self.ctx.now() - t0;
         self.eng.st.lock().eng_stats.sync_blocked_ns += dt.as_nanos();
     }
 
     /// Nonblocking completion check; consumes the request when complete.
     pub fn test(&self, req: Req) -> RmaResult<bool> {
-        self.timed(|| {
-            let mut st = self.eng.st.lock();
-            if st.reqs.is_done(req)? {
-                st.reqs.consume(req)?;
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        })
+        self.timed(|| Ok(self.eng.st.lock().reqs.poll(req, None)?.is_some()))
     }
 
     /// `MPI_WAITALL`: one MPI call, whatever the number of requests — one
@@ -182,30 +186,31 @@ impl<'a> RankEnv<'a> {
 
     /// Block until *any* of the requests completes; consumes that request
     /// and returns its index (`MPI_WAITANY`). Errors if the slice is empty
-    /// or a handle is stale.
+    /// or a handle is stale. However it returns, this rank is registered on
+    /// none of the requests it leaves behind.
     pub fn wait_any(&self, reqs: &[Req]) -> RmaResult<usize> {
         if reqs.is_empty() {
             return Err(RmaError::InvalidRequest);
         }
+        let pid = self.ctx.pid();
         self.timed(|| loop {
-            let sig = {
+            {
                 let mut st = self.eng.st.lock();
-                for (i, r) in reqs.iter().enumerate() {
-                    if st.reqs.is_done(*r)? {
-                        st.reqs.consume(*r)?;
-                        return Ok(i);
-                    }
-                }
-                // None complete: one signal registered with every request,
-                // so any completion wakes us.
-                let s = Signal::new();
-                for r in reqs {
-                    st.reqs.add_waiter(*r, s.clone())?;
+                // The first complete request in slice order wins; the
+                // pending ones before it (all of them, if none is complete)
+                // learn whom to ready.
+                let hit = reqs.iter().enumerate().find_map(|(i, r)| match st.reqs.poll(*r, Some(pid)) {
+                    Ok(None) => None,
+                    Ok(Some(_)) => Some(Ok(i)),
+                    Err(stale_or_taken) => Some(Err(stale_or_taken)),
+                });
+                if let Some(outcome) = hit {
+                    st.reqs.forget(reqs, pid);
+                    return outcome;
                 }
                 st.eng_stats.sync_blocked_steps += 1;
-                s
-            };
-            self.blocked_park(&sig);
+            }
+            self.blocked_park();
         })
     }
 

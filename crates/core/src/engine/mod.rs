@@ -497,11 +497,7 @@ impl Engine {
             st: Mutex::new(EngState {
                 wins: Vec::new(),
                 created: vec![0; n],
-                reqs: {
-                    let mut t = ReqTable::new();
-                    t.set_logging(cfg.trace);
-                    t
-                },
+                reqs: ReqTable::new(sim.clone(), cfg.trace),
                 p2p: (0..n).map(|_| P2pRank::default()).collect(),
                 barrier: (0..n).map(|_| BarrierRank::default()).collect(),
                 stats: vec![RankStats::default(); n],
@@ -588,6 +584,12 @@ impl Engine {
     /// Number of live (unconsumed) requests right now.
     pub fn live_requests(&self) -> usize {
         self.st.lock().reqs.live()
+    }
+
+    /// Number of live requests a rank is registered on right now (see
+    /// [`crate::request::ReqTable::parked`]).
+    pub fn parked_requests(&self) -> usize {
+        self.st.lock().reqs.parked()
     }
 
     /// Record one synchronization-plane event (no-op unless tracing).

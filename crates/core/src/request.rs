@@ -6,9 +6,13 @@
 //! routines), epoch-closing, flush, communication (request-based RMA),
 //! two-sided, or barrier requests. A slot-plus-nonce scheme makes stale
 //! handles detectable.
+//!
+//! The request is also what a rank blocks on: a pending request records the
+//! one process parked on it ([`ReqTable::poll`]), and
+//! [`ReqTable::complete`] is the single place a blocked rank is readied.
 
 use bytes::Bytes;
-use mpisim_sim::Signal;
+use mpisim_sim::{ProcId, SimHandle};
 
 use crate::error::{RmaError, RmaResult};
 use crate::types::Req;
@@ -39,7 +43,8 @@ struct ReqState {
     kind: ReqKind,
     done: bool,
     data: Option<Bytes>,
-    waiters: Vec<Signal>,
+    /// The process parked on this request, readied by `complete`.
+    waiter: Option<ProcId>,
 }
 
 /// One request-lifecycle transition, recorded when logging is enabled.
@@ -60,8 +65,8 @@ pub enum ReqEvent {
 }
 
 /// Table of live requests. One per job, inside the engine state.
-#[derive(Default)]
 pub struct ReqTable {
+    sim: SimHandle,
     slots: Vec<Slot>,
     free: Vec<u32>,
     logging: bool,
@@ -77,14 +82,10 @@ fn pack(idx: usize, nonce: u32) -> Req {
 }
 
 impl ReqTable {
-    /// Create an empty table.
-    pub fn new() -> Self {
-        ReqTable::default()
-    }
-
-    /// Enable or disable lifecycle logging (see [`ReqEvent`]).
-    pub fn set_logging(&mut self, on: bool) {
-        self.logging = on;
+    /// Create an empty table whose completions ready processes of `sim`,
+    /// with lifecycle logging (see [`ReqEvent`]) on or off.
+    pub fn new(sim: SimHandle, logging: bool) -> Self {
+        ReqTable { sim, slots: Vec::new(), free: Vec::new(), logging, log: Vec::new() }
     }
 
     /// Drain the recorded lifecycle log.
@@ -98,7 +99,7 @@ impl ReqTable {
             kind,
             done: false,
             data: None,
-            waiters: Vec::new(),
+            waiter: None,
         };
         let r = match self.free.pop() {
             Some(idx) => {
@@ -131,25 +132,18 @@ impl ReqTable {
 
     fn get(&self, r: Req) -> Option<&ReqState> {
         let (idx, nonce) = unpack(r);
-        let slot = self.slots.get(idx)?;
-        if slot.nonce != nonce {
-            return None;
-        }
-        slot.state.as_ref()
+        self.slots.get(idx).filter(|s| s.nonce == nonce)?.state.as_ref()
     }
 
     fn get_mut(&mut self, r: Req) -> Option<&mut ReqState> {
         let (idx, nonce) = unpack(r);
-        let slot = self.slots.get_mut(idx)?;
-        if slot.nonce != nonce {
-            return None;
-        }
-        slot.state.as_mut()
+        self.slots.get_mut(idx).filter(|s| s.nonce == nonce)?.state.as_mut()
     }
 
-    /// Mark a request complete, attaching optional result data, and wake
-    /// every waiter. Completing an already-complete request is a no-op for
-    /// `data == None` (idempotent completion notifications are common).
+    /// Mark a request complete, attaching optional result data, and ready
+    /// the process parked on it. Completing an already-complete request is
+    /// a no-op for `data == None` (idempotent completion notifications are
+    /// common).
     pub fn complete(&mut self, r: Req, data: Option<Bytes>) {
         let st = self
             .get_mut(r)
@@ -162,8 +156,8 @@ impl ReqTable {
         if data.is_some() {
             st.data = data;
         }
-        for w in st.waiters.drain(..) {
-            w.fire();
+        if let Some(pid) = st.waiter.take() {
+            self.sim.wake(pid);
         }
         if self.logging && transition {
             self.log.push((r, ReqEvent::Complete));
@@ -180,16 +174,34 @@ impl ReqTable {
         self.get(r).map(|s| s.kind).ok_or(RmaError::InvalidRequest)
     }
 
-    /// Register a signal to fire when `r` completes (fires immediately if
-    /// already complete).
-    pub fn add_waiter(&mut self, r: Req, sig: Signal) -> RmaResult<()> {
+    /// The step the whole test/wait family shares. A complete request is
+    /// consumed: `Ok(Some(data))`. A pending one stays, `Ok(None)`, and if
+    /// the caller is about to park (`waiter`) it is recorded as the process
+    /// `complete` will ready — idempotently. A request holds one waiter: a
+    /// second process parking on it is misuse and errs at once, like a
+    /// stale handle.
+    pub fn poll(&mut self, r: Req, waiter: Option<ProcId>) -> RmaResult<Option<Option<Bytes>>> {
         let st = self.get_mut(r).ok_or(RmaError::InvalidRequest)?;
         if st.done {
-            sig.fire();
-        } else {
-            st.waiters.push(sig);
+            return self.consume(r).map(Some);
         }
-        Ok(())
+        if let Some(pid) = waiter {
+            if st.waiter.is_some_and(|other| other != pid) {
+                return Err(RmaError::InvalidRequest);
+            }
+            st.waiter = Some(pid);
+        }
+        Ok(None)
+    }
+
+    /// Withdraw `pid` as the waiter of every still-live request in `reqs`
+    /// (what `wait_any` owes the requests it did not consume).
+    pub fn forget(&mut self, reqs: &[Req], pid: ProcId) {
+        for r in reqs {
+            if let Some(st) = self.get_mut(*r).filter(|st| st.waiter == Some(pid)) {
+                st.waiter = None;
+            }
+        }
     }
 
     /// Consume a *completed* request, returning its result data. Errors if
@@ -197,11 +209,8 @@ impl ReqTable {
     /// check or wait first).
     pub fn consume(&mut self, r: Req) -> RmaResult<Option<Bytes>> {
         let (idx, nonce) = unpack(r);
-        let slot = self.slots.get_mut(idx).ok_or(RmaError::InvalidRequest)?;
-        if slot.nonce != nonce || slot.state.is_none() {
-            return Err(RmaError::InvalidRequest);
-        }
-        let st = slot.state.take().unwrap();
+        let slot = self.slots.get_mut(idx).filter(|s| s.nonce == nonce);
+        let st = slot.and_then(|s| s.state.take()).ok_or(RmaError::InvalidRequest)?;
         assert!(st.done, "consume() on an incomplete request");
         self.free.push(idx as u32);
         if self.logging {
@@ -214,15 +223,27 @@ impl ReqTable {
     pub fn live(&self) -> usize {
         self.slots.iter().filter(|s| s.state.is_some()).count()
     }
+
+    /// Number of live requests a process is registered on — between MPI
+    /// calls, one per rank currently blocked in the wait family.
+    pub fn parked(&self) -> usize {
+        let waited = |s: &&Slot| s.state.as_ref().is_some_and(|st| st.waiter.is_some());
+        self.slots.iter().filter(waited).count()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpisim_sim::Sim;
+
+    fn table() -> ReqTable {
+        ReqTable::new(Sim::new(0).handle(), true)
+    }
 
     #[test]
     fn lifecycle() {
-        let mut t = ReqTable::new();
+        let mut t = table();
         let r = t.alloc(ReqKind::EpochClose);
         assert!(!t.is_done(r).unwrap());
         t.complete(r, Some(Bytes::from_static(b"xy")));
@@ -234,7 +255,7 @@ mod tests {
 
     #[test]
     fn alloc_done_is_complete_at_creation() {
-        let mut t = ReqTable::new();
+        let mut t = table();
         let r = t.alloc_done(ReqKind::EpochOpen);
         assert!(t.is_done(r).unwrap());
         assert_eq!(t.kind(r).unwrap(), ReqKind::EpochOpen);
@@ -242,7 +263,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_invalidates_old_handle() {
-        let mut t = ReqTable::new();
+        let mut t = table();
         let r1 = t.alloc(ReqKind::Comm);
         t.complete(r1, None);
         t.consume(r1).unwrap();
@@ -253,22 +274,26 @@ mod tests {
     }
 
     #[test]
-    fn waiter_fires_on_completion_and_immediately_if_done() {
-        let mut t = ReqTable::new();
+    fn poll_registers_one_waiter_and_completion_clears_it() {
+        let mut sim = Sim::new(0);
+        let (me, other) = (sim.spawn("me", |_| {}), sim.spawn("other", |_| {}));
+        let mut t = ReqTable::new(sim.handle(), false);
         let r = t.alloc(ReqKind::P2p);
-        let s = Signal::new();
-        t.add_waiter(r, s.clone()).unwrap();
-        assert!(!s.is_fired());
-        t.complete(r, None);
-        assert!(s.is_fired());
-        let s2 = Signal::new();
-        t.add_waiter(r, s2.clone()).unwrap();
-        assert!(s2.is_fired());
+        assert_eq!((t.poll(r, None), t.parked()), (Ok(None), 0)); // a test registers nobody
+        assert_eq!((t.poll(r, Some(me)), t.poll(r, Some(me)), t.parked()), (Ok(None), Ok(None), 1));
+        assert_eq!(t.poll(r, Some(other)), Err(RmaError::InvalidRequest));
+        t.forget(&[r], other); // not its registration: stays
+        assert_eq!(t.parked(), 1);
+        t.complete(r, None); // wakes `me` (a no-op: it never parked)
+        assert_eq!(t.parked(), 0);
+        assert_eq!(t.poll(r, Some(other)), Ok(Some(None))); // done: consumed
+        assert_eq!(t.poll(r, None), Err(RmaError::InvalidRequest)); // stale
+        sim.run().unwrap();
     }
 
     #[test]
     fn idempotent_completion() {
-        let mut t = ReqTable::new();
+        let mut t = table();
         let r = t.alloc(ReqKind::Flush);
         t.complete(r, None);
         t.complete(r, None); // no panic
@@ -277,8 +302,7 @@ mod tests {
 
     #[test]
     fn log_records_lifecycle_in_order() {
-        let mut t = ReqTable::new();
-        t.set_logging(true);
+        let mut t = table();
         let r = t.alloc(ReqKind::Comm);
         t.complete(r, None);
         t.complete(r, None); // idempotent: not logged twice
@@ -299,7 +323,7 @@ mod tests {
 
     #[test]
     fn live_count_tracks_alloc_and_consume() {
-        let mut t = ReqTable::new();
+        let mut t = table();
         assert_eq!(t.live(), 0);
         let a = t.alloc(ReqKind::Comm);
         let b = t.alloc(ReqKind::Comm);

@@ -1,8 +1,9 @@
 //! Integration tests: §VI.A semantics rules, error detection, and
 //! determinism.
 
+use std::sync::{Arc, Mutex};
 
-use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, RmaError, WinId};
+use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, Req, RmaError, WinId};
 use mpisim_sim::SimTime;
 
 // ---------------------------------------------------------------------
@@ -332,6 +333,95 @@ fn wait_any_on_empty_or_stale_errors() {
         ));
     })
     .unwrap();
+}
+
+#[test]
+fn wait_any_loop_leaves_no_registration_behind() {
+    // 64 receives collected one wait_any at a time, completing in reverse
+    // order 5 µs apart, so every call parks with the whole remaining set
+    // pending. After each call this rank is registered on none of the
+    // requests it did not consume (rank 1 never parks: nonblocking sends,
+    // collected long after they completed).
+    const N: u64 = 64;
+    let report = run_job(JobConfig::all_internode(2), |env| {
+        if env.rank().idx() == 0 {
+            let mut pending: Vec<Req> = (0..N).map(|t| env.irecv(Rank(1), t).unwrap()).collect();
+            while !pending.is_empty() {
+                let i = env.wait_any(&pending).unwrap();
+                assert_eq!(i, pending.len() - 1, "the latest-posted receive completes first");
+                let _consumed = pending.remove(i);
+                assert_eq!(env.engine().parked_requests(), 0, "{} left", pending.len());
+            }
+        } else {
+            env.compute(SimTime::from_micros(100)); // rank 0 posts all 64 first
+            let sends: Vec<Req> = (0..N)
+                .rev()
+                .map(|t| {
+                    env.compute(SimTime::from_micros(5));
+                    env.isend(Rank(0), t, b"x").unwrap()
+                })
+                .collect();
+            env.compute(SimTime::from_millis(1));
+            env.wait_all(sends).unwrap();
+        }
+    })
+    .unwrap();
+    assert_eq!(report.live_requests, 0);
+    // Rank 0 parked once per message and nobody else ever did.
+    assert_eq!(report.engine.sync_blocked_steps, N);
+}
+
+#[test]
+fn wait_any_with_a_stale_handle_mid_slice_registers_nowhere() {
+    let report = run_job(JobConfig::all_internode(2), |env| {
+        if env.rank().idx() == 0 {
+            let stale = env.ibarrier();
+            env.wait(stale).unwrap();
+            let (a, b) = (env.irecv(Rank(1), 1).unwrap(), env.irecv(Rank(1), 2).unwrap());
+            assert_eq!(env.wait_any(&[a, stale, b]).unwrap_err(), RmaError::InvalidRequest);
+            assert_eq!(env.engine().parked_requests(), 0, "registered on `a` before erring");
+            env.wait_all([a, b]).unwrap();
+        } else {
+            env.barrier().unwrap();
+            env.compute(SimTime::from_micros(50));
+            let sends = [env.isend(Rank(0), 1, b"a").unwrap(), env.isend(Rank(0), 2, b"b").unwrap()];
+            env.compute(SimTime::from_millis(1));
+            env.wait_all(sends).unwrap();
+        }
+    })
+    .unwrap();
+    assert_eq!(report.live_requests, 0);
+}
+
+#[test]
+fn second_rank_parking_on_a_request_errs_instead_of_hanging() {
+    // A request holds one waiter. Rank 0 is parked on its receive when
+    // rank 1 (handed the same handle, which MPI forbids) waits on it too:
+    // rank 1 gets InvalidRequest at once and rank 0 is still woken by the
+    // message.
+    let shared: Arc<Mutex<Option<Req>>> = Arc::default();
+    let report = run_job(JobConfig::all_internode(3), move |env| match env.rank().idx() {
+        0 => {
+            let r = env.irecv(Rank(2), 7).unwrap();
+            *shared.lock().unwrap() = Some(r);
+            assert_eq!(env.wait_data(r).unwrap().as_ref(), b"late");
+            assert!(env.now() >= SimTime::from_micros(500));
+        }
+        1 => {
+            env.compute(SimTime::from_micros(10));
+            let r = shared.lock().unwrap().expect("rank 0 posted at t = 0");
+            assert_eq!(env.wait(r).unwrap_err(), RmaError::InvalidRequest);
+            assert_eq!(env.wait_any(&[r]).unwrap_err(), RmaError::InvalidRequest);
+            assert!(env.now() < SimTime::from_micros(500), "erred at once, did not block");
+            assert_eq!(env.engine().parked_requests(), 1, "rank 0's registration untouched");
+        }
+        _ => {
+            env.compute(SimTime::from_micros(500));
+            env.send(Rank(0), 7, b"late").unwrap();
+        }
+    })
+    .unwrap();
+    assert_eq!(report.live_requests, 0);
 }
 
 #[test]

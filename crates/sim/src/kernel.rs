@@ -26,9 +26,20 @@
 //!   differential baseline the determinism cross-check compares against.
 //!
 //! The scheduler is work-aware by construction: only processes somebody
-//! made ready (a fired signal, an event callback) ever enter the ready
-//! queue, so a step never sweeps idle ranks — cost scales with runnable
-//! work, not with the rank count.
+//! readied — the driver popping an [`Action::Wake`], or
+//! [`SimHandle::wake`] — ever enter the ready queue, so a step never sweeps
+//! idle ranks: cost scales with runnable work, not with the rank count.
+//!
+//! # Suspending and readying
+//!
+//! A process gives up the CPU in one way: it marks itself `Blocked` and
+//! yields ([`ProcCtx::park`]). It gets it back in one way: somebody moves it
+//! from `Blocked` to the ready queue ([`SimHandle::wake`], a no-op in any
+//! other state). The kernel keeps no condition, no waiter list and no
+//! registration: *why* a process parked is the parker's business, and it
+//! re-checks that condition when `park` returns. [`ProcCtx::advance`] is the
+//! one condition the kernel itself knows — "my wake-up record has been
+//! popped" — and is written exactly that way.
 //!
 //! # What one event and one slice cost
 //!
@@ -38,9 +49,9 @@
 //! the pop that found it — clear the process's `sleeping` flag, ready it —
 //! so a timed sleep is one record and no allocation. A slice boundary is
 //! one kernel lock on the driver's side: under it the driver takes a panic
-//! payload the last slice may have left, looks for mid-run spawns to
-//! attach, and pops the ready queue. The abort flag a process reads before
-//! and after every yield is an atomic outside that lock.
+//! payload the last slice may have left and pops the ready queue. The abort
+//! flag a process reads before and after every yield is an atomic outside
+//! that lock.
 
 use std::cmp::{self, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -160,7 +171,6 @@ pub(crate) struct ProcRec {
 }
 
 type EventFn = Box<dyn FnOnce() + Send>;
-type SpawnFn = Box<dyn FnOnce(&ProcCtx) + Send>;
 
 /// What a popped event does: end a process's [`ProcCtx::advance`] — done by
 /// the driver itself, under the lock of the pop — or run a scheduled
@@ -212,11 +222,6 @@ pub(crate) struct Inner {
     /// The payload of a process that panicked in the slice that just ran;
     /// the driver takes it under the lock of its next ready-queue pop.
     panic_payload: Option<Box<dyn std::any::Any + Send>>,
-    // Processes spawned mid-run via [`SimHandle::spawn`]: their ProcRec
-    // (and ProcId) already exist, but their execution vehicle (fiber or
-    // thread) is created by the driver, which drains this queue before
-    // running anything from the ready queue.
-    pending_spawns: VecDeque<(ProcId, SpawnFn)>,
     events_executed: u64,
     context_switches: u64,
     event_cap: u64,
@@ -270,11 +275,6 @@ pub struct SimCore {
 }
 
 impl SimCore {
-    /// See [`Inner::make_ready`].
-    pub(crate) fn make_ready(&self, pid: ProcId) {
-        self.inner.lock().make_ready(pid);
-    }
-
     pub(crate) fn is_aborting(&self) -> bool {
         self.aborting.load(Ordering::SeqCst)
     }
@@ -320,32 +320,12 @@ impl SimHandle {
         self.core.inner.lock().events_executed
     }
 
-    /// Spawn a simulated process **mid-run** — from an event callback or
-    /// from another process. The new process starts ready at the current
-    /// virtual time; its execution vehicle (fiber or thread, per the
-    /// simulation's [`ExecMode`]) is created by the driver before the next
-    /// process slice runs, so scheduling order stays deterministic: the
-    /// process runs in the ready-queue position its spawn claimed.
-    ///
-    /// This is what rank-restart paths are built on: a crashed rank's
-    /// replacement process can be spawned while the simulation is live.
-    pub fn spawn<F>(&self, label: impl Into<String>, f: F) -> ProcId
-    where
-        F: FnOnce(&ProcCtx) + Send + 'static,
-    {
-        let label = label.into();
-        let parker = Arc::new(Parker::new());
-        let mut inner = self.core.inner.lock();
-        let pid = ProcId(inner.procs.len());
-        inner.procs.push(ProcRec {
-            label,
-            state: ProcState::Ready,
-            sleeping: false,
-            parker,
-        });
-        inner.ready.push_back(pid);
-        inner.pending_spawns.push_back((pid, Box::new(f)));
-        pid
+    /// Ready `pid` if it is parked ([`ProcCtx::park`], or the park inside
+    /// [`ProcCtx::advance`]): it runs after every process already in the
+    /// ready queue, at the current virtual time. A no-op for a process that
+    /// is ready, running or finished, so a wake can never be counted twice.
+    pub fn wake(&self, pid: ProcId) {
+        self.core.inner.lock().make_ready(pid);
     }
 }
 
@@ -406,7 +386,6 @@ impl Sim {
                     ready: VecDeque::new(),
                     procs: Vec::new(),
                     panic_payload: None,
-                    pending_spawns: VecDeque::new(),
                     tiebreak_seed: None,
                     nondet_tiebreak: false,
                     events_executed: 0,
@@ -499,35 +478,19 @@ impl Sim {
     where
         F: FnOnce(&ProcCtx) + Send + 'static,
     {
-        let pid = self.handle().spawn(label, f);
-        self.admit_pending();
-        pid
-    }
-
-    /// Create the execution vehicle (fiber or thread) for every process
-    /// registered but not yet attached — builder-time spawns and mid-run
-    /// [`SimHandle::spawn`]s alike. The driver calls it whenever it finds
-    /// the queue non-empty at a slice boundary, so a freshly spawned ProcId
-    /// is always runnable by the time the ready queue reaches it.
-    fn admit_pending(&mut self) {
-        loop {
-            let (pid, f) = {
-                let mut inner = self.core.inner.lock();
-                match inner.pending_spawns.pop_front() {
-                    Some(s) => s,
-                    None => return,
-                }
-            };
-            self.attach(pid, f);
-        }
-    }
-
-    /// Attach the execution vehicle for a registered process.
-    fn attach(&mut self, pid: ProcId, f: SpawnFn) {
-        let (label, parker) = {
-            let inner = self.core.inner.lock();
-            let rec = &inner.procs[pid.0];
-            (rec.label.clone(), rec.parker.clone())
+        let label = label.into();
+        let parker = Arc::new(Parker::new());
+        let pid = {
+            let mut inner = self.core.inner.lock();
+            let pid = ProcId(inner.procs.len());
+            inner.procs.push(ProcRec {
+                label: label.clone(),
+                state: ProcState::Ready,
+                sleeping: false,
+                parker: parker.clone(),
+            });
+            inner.ready.push_back(pid);
+            pid
         };
         let core = self.core.clone();
         let ctx = ProcCtx::new(core.clone(), pid, parker.clone(), label.clone());
@@ -570,6 +533,7 @@ impl Sim {
                 self.threads.push(jh);
             }
         }
+        pid
     }
 
     /// Drive the simulation to completion: run ready processes, then pop
@@ -642,14 +606,6 @@ impl Sim {
                     // Finished — possibly with a panic to propagate.
                     if let Some(p) = inner.panic_payload.take() {
                         return Drive::Panicked(p);
-                    }
-                    // Mid-run spawns first: a process registered by
-                    // SimHandle::spawn needs its fiber/thread before its
-                    // ready-queue turn.
-                    if !inner.pending_spawns.is_empty() {
-                        drop(inner);
-                        self.admit_pending();
-                        continue;
                     }
                     match inner.ready.pop_front() {
                         Some(p) => {
@@ -777,7 +733,7 @@ impl Sim {
                 // Resume every unfinished fiber on the driver thread until
                 // it unwinds: a suspended fiber aborts at the yield it
                 // returns into, a never-started one aborts at its first
-                // blocking call (both checks live in yield_to_scheduler).
+                // blocking call (both checks live in `ProcCtx::park`).
                 // The loop guards against slices that block again without
                 // observing the flag; each resume strictly advances the
                 // fiber toward its AbortToken unwind.
@@ -946,10 +902,7 @@ mod tests {
         for mode in all_modes() {
             let mut sim = Sim::new(0);
             sim.set_exec_mode(mode);
-            sim.spawn("stuck-rank", |ctx| {
-                let sig = crate::process::Signal::new();
-                ctx.wait(&sig); // never fired
-            });
+            sim.spawn("stuck-rank", |ctx| ctx.park()); // never woken
             match sim.run() {
                 Err(SimError::Deadlock { blocked, .. }) => {
                     assert_eq!(blocked, vec!["stuck-rank".to_string()], "mode {mode:?}");
@@ -987,62 +940,16 @@ mod tests {
     }
 
     #[test]
-    fn midrun_spawn_runs_in_every_mode() {
-        // A process spawned from an event callback and one spawned from a
-        // running process must both execute, at the virtual time of their
-        // spawn, with identical schedules across exec modes.
-        fn run_in(mode: ExecMode) -> Vec<(u64, &'static str)> {
-            let mut sim = Sim::new(3);
-            sim.set_exec_mode(mode);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let h = sim.handle();
-            let (l1, h1) = (log.clone(), h.clone());
-            h.schedule(SimTime::from_nanos(50), move || {
-                let l = l1.clone();
-                h1.spawn("from-event", move |ctx| {
-                    ctx.advance(SimTime::from_nanos(5));
-                    l.lock().push((ctx.now().as_nanos(), "from-event"));
-                });
-            });
-            let (l2, h2) = (log.clone(), h.clone());
-            sim.spawn("root", move |ctx| {
-                ctx.advance(SimTime::from_nanos(20));
-                let l = l2.clone();
-                h2.spawn("from-proc", move |ctx2| {
-                    ctx2.advance(SimTime::from_nanos(1));
-                    l.lock().push((ctx2.now().as_nanos(), "from-proc"));
-                });
-                ctx.advance(SimTime::from_nanos(100));
-                l2.lock().push((ctx.now().as_nanos(), "root"));
-            });
-            sim.run().unwrap();
-            let v = log.lock().clone();
-            v
-        }
-        let base = run_in(ExecMode::ThreadPerRank);
-        assert_eq!(
-            base,
-            vec![(21, "from-proc"), (55, "from-event"), (120, "root")]
-        );
-        for mode in all_modes() {
-            assert_eq!(run_in(mode), base, "mid-run spawn diverged in {mode:?}");
-        }
-    }
-
-    #[test]
     fn immediate_panic_with_unstarted_peer_terminates() {
         // Regression: a process panicking during the very first ready-drain
         // used to strand peers that had never started — abort_all woke
-        // them, they ran to their first wait, and join_all hung. The
-        // pre-park aborting check in yield_to_scheduler unwinds them now.
+        // them, they ran to their first park, and join_all hung. The
+        // aborting check before the yield in `park` unwinds them now.
         for mode in all_modes() {
             let mut sim = Sim::new(0);
             sim.set_exec_mode(mode);
             sim.spawn("bomb", |_| panic!("early-boom"));
-            sim.spawn("late-starter", |ctx| {
-                let sig = crate::process::Signal::new();
-                ctx.wait(&sig); // would block forever
-            });
+            sim.spawn("late-starter", |ctx| ctx.park()); // would block forever
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
             let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
             assert!(msg.contains("early-boom"), "mode {mode:?}");

@@ -1,19 +1,22 @@
-//! Process-side API: the context handed to each simulated process and the
-//! one-shot [`Signal`] used to block on conditions maintained elsewhere
-//! (event callbacks or other processes).
+//! Process-side API: the context handed to each simulated process.
 //!
-//! A process gives up execution in two ways. [`ProcCtx::advance`] sleeps
-//! until a known instant: one heap record that names the process, woken by
-//! the driver itself. [`ProcCtx::wait`] / [`ProcCtx::wait_any`] block on a
-//! condition somebody else will publish by firing a [`Signal`]. Both
-//! re-check in a loop, because a stale registration left by `wait_any` can
-//! ready the process early.
+//! A process gives up the CPU through [`ProcCtx::park`] and nothing else:
+//! mark this process `Blocked`, yield to the driver. It runs again once
+//! somebody readies it — [`SimHandle::wake`] from an event callback or from
+//! another process's slice, or the driver itself popping this process's
+//! [`Action::Wake`] record — and `park` then simply returns. The kernel does
+//! not know what the process is waiting for; the caller keeps its condition
+//! in state of its own and re-checks it after every `park`, because a wake
+//! meant for an earlier park may land during a later one.
+//! [`ProcCtx::advance`] is that pattern with the one condition the kernel
+//! does own: push a wake-up record for `now + d`, park until the driver has
+//! popped it.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::MutexGuard;
 
-use crate::kernel::{Action, ProcId, ProcState, SimCore, SimHandle};
+use crate::kernel::{Action, Inner, ProcId, ProcState, SimCore, SimHandle};
 use crate::time::SimTime;
 
 /// Marker payload used to unwind process threads when a run is aborted
@@ -23,7 +26,7 @@ pub(crate) struct AbortToken;
 /// Context passed to every simulated process closure.
 ///
 /// All interaction with virtual time goes through this context: reading the
-/// clock, advancing it (modelled computation), and blocking on [`Signal`]s.
+/// clock, advancing it (modelled computation), and parking until woken.
 pub struct ProcCtx {
     core: Arc<SimCore>,
     pid: ProcId,
@@ -46,7 +49,7 @@ impl ProcCtx {
         }
     }
 
-    /// This process's id.
+    /// This process's id — what a waker passes to [`SimHandle::wake`].
     pub fn pid(&self) -> ProcId {
         self.pid
     }
@@ -72,10 +75,9 @@ impl ProcCtx {
     /// any other busy period. Other processes and events run meanwhile.
     ///
     /// The sleep is one heap record (`Action::Wake`) and a flag on the
-    /// process record, nothing else: the deadline is known, so there is no
-    /// condition to publish and no waiter list to keep. Wake-ups can be
-    /// spurious exactly as in [`ProcCtx::wait`] (a stale registration with a
-    /// signal that fires mid-sleep), so the flag is re-checked in a loop.
+    /// process record, nothing else. A [`SimHandle::wake`] that lands
+    /// mid-sleep costs one slice: the flag is still set, so the process
+    /// parks again until exactly the deadline.
     pub fn advance(&self, d: SimTime) {
         if d.is_zero() {
             return;
@@ -84,60 +86,29 @@ impl ProcCtx {
         let at = inner.now + d;
         inner.push_event(at, Action::Wake(self.pid));
         inner.procs[self.pid.0].sleeping = true;
-        loop {
-            inner.procs[self.pid.0].state = ProcState::Blocked;
-            drop(inner);
-            self.yield_to_scheduler();
+        while inner.procs[self.pid.0].sleeping {
+            self.park_under(inner);
             inner = self.core.inner.lock();
-            if !inner.procs[self.pid.0].sleeping {
-                return;
-            }
         }
     }
 
-    /// Block until `sig` fires. Returns immediately if it already fired.
-    ///
-    /// Wake-ups can be spurious (a process that once registered with several
-    /// signals may be woken by a stale one), so the fired flag is re-checked
-    /// in a loop.
-    pub fn wait(&self, sig: &Signal) {
-        loop {
-            {
-                let mut s = sig.inner.lock();
-                if s.fired {
-                    return;
-                }
-                s.waiters.push(self.pid);
-                s.core.get_or_insert_with(|| self.core.clone());
-                let mut inner = self.core.inner.lock();
-                inner.procs[self.pid.0].state = ProcState::Blocked;
-            }
-            self.yield_to_scheduler();
-        }
+    /// Give up the CPU until somebody readies this process
+    /// ([`SimHandle::wake`]). Nothing is recorded about *why*: publish the
+    /// condition (and this process's [`pid`](ProcCtx::pid)) where the waker
+    /// will find it before parking, and re-check it on return — exactly one
+    /// entity runs at a time, so nothing can slip in between the publication
+    /// and the park. A process nobody wakes shows up in
+    /// [`SimError::Deadlock`](crate::SimError::Deadlock).
+    pub fn park(&self) {
+        self.park_under(self.core.inner.lock());
     }
 
-    /// Block until any signal in `sigs` fires. Returns the index of a fired
-    /// signal (the lowest one if several fired).
-    pub fn wait_any(&self, sigs: &[Signal]) -> usize {
-        assert!(!sigs.is_empty(), "wait_any on empty signal set");
-        loop {
-            {
-                // Check first, then register with every pending signal.
-                for (i, s) in sigs.iter().enumerate() {
-                    if s.inner.lock().fired {
-                        return i;
-                    }
-                }
-                for s in sigs {
-                    let mut st = s.inner.lock();
-                    st.waiters.push(self.pid);
-                    st.core.get_or_insert_with(|| self.core.clone());
-                }
-                let mut inner = self.core.inner.lock();
-                inner.procs[self.pid.0].state = ProcState::Blocked;
-            }
-            self.yield_to_scheduler();
-        }
+    /// [`ProcCtx::park`] for a caller that already holds the kernel lock
+    /// (`advance`, one lock each way): mark `Blocked`, release, yield.
+    fn park_under(&self, mut inner: MutexGuard<'_, Inner>) {
+        inner.procs[self.pid.0].state = ProcState::Blocked;
+        drop(inner);
+        self.yield_to_scheduler();
     }
 
     fn yield_to_scheduler(&self) {
@@ -163,61 +134,11 @@ impl ProcCtx {
     }
 }
 
-#[derive(Default)]
-pub(crate) struct SignalInner {
-    pub(crate) fired: bool,
-    pub(crate) waiters: Vec<ProcId>,
-    pub(crate) core: Option<Arc<SimCore>>,
-}
-
-/// A one-shot, broadcast wake-up flag.
-///
-/// Processes block on a `Signal` with [`ProcCtx::wait`]; any code running in
-/// the simulation (an event callback, middleware invoked by another process)
-/// fires it with [`Signal::fire`]. Once fired it stays fired; waiting on a
-/// fired signal returns immediately. For recurring conditions, create a
-/// fresh `Signal` per wait and re-check the condition in a loop.
-#[derive(Clone, Default)]
-pub struct Signal {
-    pub(crate) inner: Arc<Mutex<SignalInner>>,
-}
-
-impl Signal {
-    /// Create an unfired signal.
-    pub fn new() -> Self {
-        Signal::default()
-    }
-
-    /// Fire the signal, waking every currently blocked waiter. Idempotent.
-    pub fn fire(&self) {
-        let (core, waiters) = {
-            let mut s = self.inner.lock();
-            s.fired = true;
-            (s.core.clone(), std::mem::take(&mut s.waiters))
-        };
-        if let Some(core) = core {
-            for pid in waiters {
-                core.make_ready(pid);
-            }
-        }
-    }
-
-    /// Whether the signal has fired.
-    pub fn is_fired(&self) -> bool {
-        self.inner.lock().fired
-    }
-}
-
-impl std::fmt::Debug for Signal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Signal(fired={})", self.is_fired())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::Sim;
+    use parking_lot::Mutex;
 
     #[test]
     fn advance_moves_only_this_process() {
@@ -249,74 +170,26 @@ mod tests {
     }
 
     #[test]
-    fn signal_handoff_between_processes() {
+    fn park_until_a_flag_hands_off_between_processes() {
+        // The whole protocol: the consumer publishes its condition (the
+        // flag) and parks; the producer sets the flag and wakes it by id.
         let mut sim = Sim::new(0);
-        let sig = Signal::new();
-        let data = Arc::new(Mutex::new(0u32));
-        let (s1, d1) = (sig.clone(), data.clone());
-        sim.spawn("producer", move |ctx| {
-            ctx.advance(SimTime::from_micros(42));
-            *d1.lock() = 7;
-            s1.fire();
-        });
+        let h = sim.handle();
+        let data = Arc::new(Mutex::new(None));
         let d2 = data.clone();
-        sim.spawn("consumer", move |ctx| {
-            ctx.wait(&sig);
-            assert_eq!(*d2.lock(), 7);
+        let consumer = sim.spawn("consumer", move |ctx| {
+            while d2.lock().is_none() {
+                ctx.park();
+            }
+            assert_eq!(*d2.lock(), Some(7));
             assert_eq!(ctx.now(), SimTime::from_micros(42));
         });
-        sim.run().unwrap();
-    }
-
-    #[test]
-    fn wait_on_fired_signal_returns_immediately() {
-        let mut sim = Sim::new(0);
-        sim.spawn("a", |ctx| {
-            let sig = Signal::new();
-            sig.fire();
-            ctx.wait(&sig);
-            assert_eq!(ctx.now(), SimTime::ZERO);
+        sim.spawn("producer", move |ctx| {
+            ctx.advance(SimTime::from_micros(42));
+            *data.lock() = Some(7);
+            h.wake(consumer);
         });
         sim.run().unwrap();
-    }
-
-    #[test]
-    fn wait_any_returns_first_fired() {
-        let mut sim = Sim::new(0);
-        let sigs = [Signal::new(), Signal::new(), Signal::new()];
-        let s1 = sigs[1].clone();
-        sim.spawn("firer", move |ctx| {
-            ctx.advance(SimTime::from_micros(3));
-            s1.fire();
-        });
-        let sigs2 = sigs.clone();
-        sim.spawn("waiter", move |ctx| {
-            let i = ctx.wait_any(&sigs2);
-            assert_eq!(i, 1);
-            assert_eq!(ctx.now(), SimTime::from_micros(3));
-        });
-        sim.run().unwrap();
-    }
-
-    #[test]
-    fn signal_broadcast_wakes_all_waiters() {
-        let mut sim = Sim::new(0);
-        let sig = Signal::new();
-        let count = Arc::new(Mutex::new(0));
-        for i in 0..5 {
-            let (s, c) = (sig.clone(), count.clone());
-            sim.spawn(format!("w{i}"), move |ctx| {
-                ctx.wait(&s);
-                *c.lock() += 1;
-            });
-        }
-        let s = sig.clone();
-        sim.spawn("firer", move |ctx| {
-            ctx.advance(SimTime::from_micros(1));
-            s.fire();
-        });
-        sim.run().unwrap();
-        assert_eq!(*count.lock(), 5);
     }
 
     #[test]

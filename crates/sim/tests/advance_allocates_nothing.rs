@@ -1,12 +1,13 @@
 //! `ProcCtx::advance` is the call every simulated MPI call and every
-//! `compute` goes through; once the event heap and the ready queue have
-//! grown to their working size it must not touch the allocator. A binary of
-//! its own because the counting allocator is process-wide.
+//! `compute` goes through, `ProcCtx::park` / `SimHandle::wake` the pair
+//! every blocked wait goes through; once the event heap and the ready queue
+//! have grown to their working size none of them may touch the allocator. A
+//! binary of its own because the counting allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpisim_sim::{Sim, SimTime};
+use mpisim_sim::{ProcId, Sim, SimTime};
 
 struct Counting;
 
@@ -31,8 +32,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// One `#[test]`, two scenarios run back to back: a second test thread's
+/// start-up would allocate into the first one's count.
 #[test]
-fn advance_allocates_nothing_in_steady_state() {
+fn advance_and_park_wake_allocate_nothing_in_steady_state() {
+    advance_rounds();
+    park_wake_ping_pong();
+}
+
+fn advance_rounds() {
     const PROCS: u64 = 8;
     const CALLS: u64 = 1000;
     static AFTER_FIRST_ROUND: AtomicU64 = AtomicU64::new(0);
@@ -59,4 +67,36 @@ fn advance_allocates_nothing_in_steady_state() {
     assert_eq!(stats.final_time, SimTime::from_nanos(5 * CALLS));
     let steady = AT_END.load(Ordering::Relaxed) - AFTER_FIRST_ROUND.load(Ordering::Relaxed);
     assert_eq!(steady, 0, "{steady} allocations in {} advance calls", PROCS * (CALLS - 1));
+}
+
+fn park_wake_ping_pong() {
+    const ROUNDS: u64 = 1000;
+    // Whose turn it is; the other process is parked.
+    static TURN: AtomicU64 = AtomicU64::new(0);
+    static AFTER_FIRST_ROUND: AtomicU64 = AtomicU64::new(0);
+    static AT_END: AtomicU64 = AtomicU64::new(0);
+
+    let mut sim = Sim::new(0);
+    for me in 0..2u64 {
+        let h = sim.handle();
+        sim.spawn(format!("p{me}"), move |ctx| {
+            for round in 0..ROUNDS {
+                while TURN.load(Ordering::Relaxed) != me {
+                    ctx.park();
+                }
+                if (me, round) == (0, 1) {
+                    AFTER_FIRST_ROUND.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+                }
+                TURN.store(1 - me, Ordering::Relaxed);
+                h.wake(ProcId(1 - me as usize));
+            }
+            AT_END.fetch_max(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
+        });
+    }
+    let stats = sim.run().unwrap();
+    // No event at all: a hand-off is a wake and a slice, 2 per round.
+    assert_eq!(stats.events_executed, 0);
+    assert!(stats.context_switches >= 2 * ROUNDS);
+    let steady = AT_END.load(Ordering::Relaxed) - AFTER_FIRST_ROUND.load(Ordering::Relaxed);
+    assert_eq!(steady, 0, "{steady} allocations in {} park/wake rounds", ROUNDS - 1);
 }

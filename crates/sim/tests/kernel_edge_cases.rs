@@ -1,9 +1,27 @@
 //! Edge-case integration tests for the simulation kernel.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mpisim_sim::{seeded_rng, ExecMode, Sim, SimError, SimTime, Signal};
+use mpisim_sim::{seeded_rng, ExecMode, ProcCtx, ProcId, Sim, SimError, SimStats, SimTime};
 use rand::Rng;
+
+/// What the kernel leaves to its callers: the condition a parked process
+/// waits for. Set it, then `wake` whoever parks on it.
+#[derive(Clone, Default)]
+struct Flag(Arc<AtomicBool>);
+
+impl Flag {
+    fn set(&self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+
+    fn park_until_set(&self, ctx: &ProcCtx) {
+        while !self.0.load(Ordering::Relaxed) {
+            ctx.park();
+        }
+    }
+}
 
 #[test]
 fn schedule_at_in_the_past_is_clamped_to_now() {
@@ -52,18 +70,20 @@ fn process_spawned_order_runs_first_at_time_zero() {
 }
 
 #[test]
-fn signal_fired_by_one_process_wakes_another_same_instant() {
+fn wake_by_one_process_readies_another_same_instant() {
     let mut sim = Sim::new(0);
-    let sig = Signal::new();
-    let s2 = sig.clone();
+    let h = sim.handle();
+    let flag = Flag::default();
+    let f2 = flag.clone();
     let woke_at = Arc::new(Mutex::new(SimTime::MAX));
     let w2 = woke_at.clone();
-    sim.spawn("waiter", move |ctx| {
-        ctx.wait(&s2);
+    let waiter = sim.spawn("waiter", move |ctx| {
+        f2.park_until_set(ctx);
         *w2.lock().unwrap() = ctx.now();
     });
-    sim.spawn("firer", move |_| {
-        sig.fire(); // at virtual time zero, no advance
+    sim.spawn("waker", move |_| {
+        flag.set(); // at virtual time zero, no advance
+        h.wake(waiter);
     });
     sim.run().unwrap();
     assert_eq!(*woke_at.lock().unwrap(), SimTime::ZERO);
@@ -73,10 +93,7 @@ fn signal_fired_by_one_process_wakes_another_same_instant() {
 fn deadlock_error_lists_only_unfinished_processes() {
     let mut sim = Sim::new(0);
     sim.spawn("finishes", |ctx| ctx.advance(SimTime::from_micros(1)));
-    sim.spawn("hangs", |ctx| {
-        let s = Signal::new();
-        ctx.wait(&s);
-    });
+    sim.spawn("hangs", |ctx| ctx.park());
     match sim.run() {
         Err(SimError::Deadlock { blocked, now }) => {
             assert_eq!(blocked, vec!["hangs".to_string()]);
@@ -121,18 +138,6 @@ fn stack_size_override_supports_many_processes() {
     assert_eq!(*count.lock().unwrap(), 512);
 }
 
-#[test]
-fn wait_any_mixes_fired_and_pending() {
-    let mut sim = Sim::new(0);
-    let sigs: Vec<Signal> = (0..4).map(|_| Signal::new()).collect();
-    sigs[2].fire(); // already fired before anyone waits
-    let sv = sigs.clone();
-    sim.spawn("w", move |ctx| {
-        assert_eq!(ctx.wait_any(&sv), 2);
-    });
-    sim.run().unwrap();
-}
-
 // ---------------------------------------------------------------------------
 // Pooled-execution edge cases at scale.
 // ---------------------------------------------------------------------------
@@ -161,7 +166,7 @@ fn modes_under_test() -> Vec<ExecMode> {
 
 #[test]
 fn worker_pool_shuts_down_with_parked_continuations() {
-    // A deadlocked run leaves continuations suspended mid-wait and pool
+    // A deadlocked run leaves continuations suspended mid-park and pool
     // workers parked. `run` must still return (no hung worker threads), the
     // deadlock must name every stuck process, and the suspended
     // continuations must be unwound (their stack-held values dropped).
@@ -173,8 +178,7 @@ fn worker_pool_shuts_down_with_parked_continuations() {
             let probe = DropProbe(drops.clone());
             sim.spawn(format!("stuck{i}"), move |ctx| {
                 let _held = probe; // lives on this continuation's stack
-                let s = Signal::new();
-                ctx.wait(&s); // never fired
+                ctx.park(); // never woken
             });
         }
         match sim.run() {
@@ -189,7 +193,7 @@ fn worker_pool_shuts_down_with_parked_continuations() {
 
 #[test]
 fn abort_unwinds_a_pooled_rank_mid_epoch() {
-    // One rank panics mid-run; another is suspended deep in a wait with
+    // One rank panics mid-run; another is suspended deep in a park with
     // live stack state (modeling an open epoch). The panic must propagate
     // and the suspended rank's stack must be unwound, not leaked.
     for mode in modes_under_test() {
@@ -200,8 +204,7 @@ fn abort_unwinds_a_pooled_rank_mid_epoch() {
         sim.spawn("mid-epoch", move |ctx| {
             let _epoch_state = probe; // held across the blocking call
             ctx.advance(SimTime::from_micros(1));
-            let s = Signal::new();
-            ctx.wait(&s); // suspended here when the abort lands
+            ctx.park(); // suspended here when the abort lands
         });
         sim.spawn("bomb", |ctx| {
             ctx.advance(SimTime::from_micros(2));
@@ -260,18 +263,20 @@ fn four_thousand_ranks_run_pooled() {
     sim.set_exec_mode(ExecMode::Pooled { workers: 0 });
     sim.set_stack_size(64 * 1024);
     let done = Arc::new(Mutex::new(0usize));
-    let gate = Signal::new();
+    let gate = Flag::default();
     for i in 0..4096usize {
         let d = done.clone();
         let g = gate.clone();
         sim.spawn(format!("r{i}"), move |ctx| {
             ctx.advance(SimTime::from_nanos(i as u64 % 97 + 1));
             if i == 0 {
-                // Rank 0 makes every other rank block once, then releases.
+                // Rank 0 makes every other rank block once, then releases
+                // them all: a broadcast is a loop over ids.
                 ctx.advance(SimTime::from_micros(10));
-                g.fire();
+                g.set();
+                (1..4096).for_each(|p| ctx.handle().wake(ProcId(p)));
             } else {
-                ctx.wait(&g);
+                g.park_until_set(ctx);
             }
             *d.lock().unwrap() += 1;
         });
@@ -284,24 +289,24 @@ fn four_thousand_ranks_run_pooled() {
 #[test]
 fn cross_mode_stats_identity_with_blocking_traffic() {
     // Byte-identical SimStats across execution modes on a workload that
-    // mixes signals, events, and re-blocking — the kernel-level half of the
+    // mixes hand-offs, events, and re-blocking — the kernel-level half of the
     // determinism cross-check in crates/check.
     fn run_in(mode: ExecMode) -> (u64, u64, u64) {
         let mut sim = Sim::new(5);
         sim.set_exec_mode(mode);
-        let sigs: Vec<Signal> = (0..32).map(|_| Signal::new()).collect();
+        let flags: Vec<Flag> = (0..32).map(|_| Flag::default()).collect();
         for i in 0..32usize {
-            let mine = sigs[i].clone();
-            let next = sigs[(i + 1) % 32].clone();
+            let mine = flags[i].clone();
+            let next = flags[(i + 1) % 32].clone();
             sim.spawn(format!("ring{i}"), move |ctx| {
                 if i == 0 {
                     ctx.advance(SimTime::from_nanos(3));
-                    next.fire();
                 } else {
-                    ctx.wait(&mine);
+                    mine.park_until_set(ctx);
                     ctx.advance(SimTime::from_nanos((i as u64 * 5) % 17 + 1));
-                    next.fire();
                 }
+                next.set();
+                ctx.handle().wake(ProcId((i + 1) % 32));
             });
         }
         let stats = sim.run().unwrap();
@@ -320,35 +325,102 @@ fn cross_mode_stats_identity_with_blocking_traffic() {
 
 #[test]
 fn stale_wake_during_advance_goes_back_to_sleep() {
-    // The sleeper registered with both signals in `wait_any`; `a` released
-    // it, so its registration with `b` is stale. `b` fires in the middle of
-    // the sleeper's `advance`: one spurious slice, then back to sleep until
-    // exactly the deadline.
-    let mut sim = Sim::new(0);
-    let (a, b) = (Signal::new(), Signal::new());
-    let (fire_a, fire_b) = (a.clone(), b.clone());
-    sim.spawn("firer", move |ctx| {
-        ctx.advance(SimTime::from_nanos(1));
-        fire_a.fire();
-        ctx.advance(SimTime::from_nanos(4));
-        fire_b.fire(); // t = 5, the sleeper is at t = 1 + 10
-    });
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let s = seen.clone();
-    sim.spawn("sleeper", move |ctx| {
-        assert_eq!(ctx.wait_any(&[a, b]), 0);
-        s.lock().unwrap().push(ctx.now().as_nanos());
-        ctx.advance(SimTime::from_nanos(10));
-        s.lock().unwrap().push(ctx.now().as_nanos());
-    });
-    let stats = sim.run().unwrap();
-    assert_eq!(*seen.lock().unwrap(), vec![1, 11]);
-    // Three slices of the firer, four of the sleeper (start, released by
-    // `a`, the stale wake, the deadline) — what `wait`'s re-check loop gave
-    // when `advance` slept on a signal of its own.
-    assert_eq!(stats.context_switches, 7);
-    assert_eq!(stats.events_executed, 3);
-    assert_eq!(stats.final_time, SimTime::from_nanos(11));
+    // The waker readies the sleeper twice: at t = 1, ending its park, and at
+    // t = 5, in the middle of the sleeper's `advance` — one spurious slice,
+    // then back to sleep until exactly the deadline.
+    for mode in modes_under_test() {
+        let mut sim = Sim::new(0);
+        sim.set_exec_mode(mode);
+        let h = sim.handle();
+        let go = Flag::default();
+        let g = go.clone();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s = seen.clone();
+        let sleeper = sim.spawn("sleeper", move |ctx| {
+            g.park_until_set(ctx);
+            s.lock().unwrap().push(ctx.now().as_nanos());
+            ctx.advance(SimTime::from_nanos(10));
+            s.lock().unwrap().push(ctx.now().as_nanos());
+        });
+        sim.spawn("waker", move |ctx| {
+            ctx.advance(SimTime::from_nanos(1));
+            go.set();
+            h.wake(sleeper);
+            ctx.advance(SimTime::from_nanos(4));
+            h.wake(sleeper); // t = 5, the sleeper is at t = 1 + 10
+        });
+        let stats = sim.run().unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![1, 11], "mode {mode:?}");
+        // Three slices of the waker, four of the sleeper (start, released,
+        // the stale wake, the deadline) — what a stale `Signal` registration
+        // firing mid-sleep cost when the kernel still had signals.
+        assert_eq!(stats.context_switches, 7, "mode {mode:?}");
+        assert_eq!(stats.events_executed, 3, "mode {mode:?}");
+        assert_eq!(stats.final_time, SimTime::from_nanos(11), "mode {mode:?}");
+    }
+}
+
+#[test]
+fn woken_processes_run_in_wake_order() {
+    // A broadcast is a loop over ids, and the ready queue is FIFO: the
+    // parked processes run in the order they were woken, not in id order.
+    for mode in modes_under_test() {
+        let mut sim = Sim::new(0);
+        sim.set_exec_mode(mode);
+        let gate = Flag::default();
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..5usize {
+            let (g, r) = (gate.clone(), ran.clone());
+            sim.spawn(format!("w{i}"), move |ctx| {
+                g.park_until_set(ctx);
+                r.lock().unwrap().push((ctx.now().as_nanos(), i));
+            });
+        }
+        let h = sim.handle();
+        sim.spawn("waker", move |ctx| {
+            ctx.advance(SimTime::from_nanos(9));
+            gate.set();
+            [3, 0, 4, 1, 2].into_iter().for_each(|p| h.wake(ProcId(p)));
+        });
+        let stats = sim.run().unwrap();
+        assert_eq!(*ran.lock().unwrap(), [(9, 3), (9, 0), (9, 4), (9, 1), (9, 2)], "mode {mode:?}");
+        // Two slices each: nobody was woken twice or ran without cause.
+        assert_eq!(stats.context_switches, 12, "mode {mode:?}");
+    }
+}
+
+#[test]
+fn wake_of_a_process_that_is_not_parked_is_a_noop() {
+    // Only `Blocked` → ready is a transition. Waking a process that is
+    // running (itself), ready (not started yet) or finished changes nothing
+    // and costs no slice.
+    fn run_in(mode: ExecMode, wakes: bool) -> SimStats {
+        let mut sim = Sim::new(0);
+        sim.set_exec_mode(mode);
+        let h = sim.handle();
+        let (early, late) = (ProcId(0), ProcId(1));
+        sim.spawn("early", move |ctx| {
+            if wakes {
+                h.wake(ctx.pid()); // Running
+                h.wake(late); // Ready: spawned, its first slice still to come
+            }
+        });
+        let h = sim.handle();
+        sim.spawn("late", move |ctx| {
+            ctx.advance(SimTime::from_nanos(1));
+            if wakes {
+                h.wake(early); // Finished
+            }
+            ctx.advance(SimTime::from_nanos(1));
+        });
+        sim.run().unwrap()
+    }
+    for mode in modes_under_test() {
+        let stats = run_in(mode, true);
+        assert_eq!(stats, run_in(mode, false), "mode {mode:?}");
+        // One slice of `early`, three of `late`.
+        assert_eq!(stats.context_switches, 4, "mode {mode:?}");
+    }
 }
 
 /// Four processes; each schedules a callback and then sleeps until the same
@@ -381,9 +453,9 @@ fn wakes_and_callbacks(seed: Option<u64>) -> String {
 #[test]
 fn advance_wakes_and_callbacks_tie_in_schedule_order_fifo_and_seeded() {
     // FIFO is the schedule order. The two seeded interleavings were recorded
-    // when `advance` slept on a `Signal` fired by a scheduled closure; the
-    // wake-up keeps that closure's sequence number, so no seed may order
-    // the ties differently.
+    // when `advance`'s wake-up was a scheduled closure; the `Wake` record
+    // keeps that closure's sequence number, so no seed may order the ties
+    // differently.
     let pins = [
         (None, "10c0 10w0 10c1 10w1 10c2 10w2 10c3 10w3 15c0 15w0 15c1 15w1 15c2 15w2 15c3 15w3"),
         (Some(7), "10w3 10w0 10w2 10c2 10c0 10c1 10c3 10w1 15w2 15c2 15w1 15c3 15c0 15w3 15c1 15w0"),
@@ -397,16 +469,17 @@ fn advance_wakes_and_callbacks_tie_in_schedule_order_fifo_and_seeded() {
 #[test]
 fn exec_modes_agree_on_wakes_callbacks_and_stale_wakes() {
     // 20 processes mixing everything that touches the wake path: sleeps,
-    // callbacks due at the same instants, signal hand-offs, and (for every
-    // even process) a stale `wait_any` registration fired mid-sleep.
-    fn run_in(mode: ExecMode) -> (mpisim_sim::SimStats, Vec<(u64, usize, &'static str)>) {
+    // callbacks due at the same instants, hand-offs, and (for every even
+    // process) a stale wake in the middle of a sleep.
+    fn run_in(mode: ExecMode) -> (SimStats, Vec<(u64, usize, &'static str)>) {
         let mut sim = Sim::new(13);
         sim.set_exec_mode(mode);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let sigs: Vec<Signal> = (0..20).map(|_| Signal::new()).collect();
+        let flags: Vec<Flag> = (0..20).map(|_| Flag::default()).collect();
         for i in 0..20usize {
             let log = log.clone();
-            let (mine, other) = (sigs[i].clone(), sigs[i ^ 1].clone());
+            let released = flags[i & !1].clone();
+            let neighbour = ProcId(i ^ 1);
             sim.spawn(format!("p{i}"), move |ctx| {
                 let h = ctx.handle();
                 for step in 0..4u64 {
@@ -417,16 +490,16 @@ fn exec_modes_agree_on_wakes_callbacks_and_stale_wakes() {
                     log.lock().unwrap().push((ctx.now().as_nanos(), i, "wake"));
                 }
                 if i % 2 == 0 {
-                    let fired = ctx.wait_any(&[other, mine]);
+                    released.park_until_set(ctx);
                     log.lock().unwrap().push((ctx.now().as_nanos(), i, "released"));
-                    assert_eq!(fired, 0);
                     ctx.advance(SimTime::from_nanos(9));
                     log.lock().unwrap().push((ctx.now().as_nanos(), i, "slept"));
                 } else {
                     ctx.advance(SimTime::from_nanos(i as u64 % 5 + 1));
-                    mine.fire(); // releases the even neighbour…
+                    released.set(); // releases the even neighbour…
+                    h.wake(neighbour);
                     ctx.advance(SimTime::from_nanos(4));
-                    other.fire(); // …and pokes it in the middle of its sleep
+                    h.wake(neighbour); // …and pokes it in the middle of its sleep
                 }
             });
         }
