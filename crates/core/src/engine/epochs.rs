@@ -12,7 +12,7 @@ use mpisim_net::Packet;
 use crate::engine::rel::Degradation;
 use crate::engine::watchdog::StallReport;
 use crate::engine::{EngState, Engine};
-use crate::epoch::{EpochKind, Side, Slot};
+use crate::epoch::{EpochKind, EpochObj, Side, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{Body, SyncKind};
 use crate::request::ReqKind;
@@ -46,7 +46,7 @@ impl Engine {
                     return Err(RmaError::InvalidRank(target.idx()));
                 }
             }
-            st.win(win, rank).check_open(Some(kind.slot()))?;
+            st.api_win(win, rank)?.check_open(Some(kind.slot()))?;
             self.open_in(&mut st, rank, win, kind);
         }
         self.sweep(rank);
@@ -58,7 +58,11 @@ impl Engine {
     /// in `slot` and return the closing request; the blocking variants wait
     /// on it in the API layer.
     pub fn close_epoch(self: &Arc<Self>, rank: Rank, win: WinId, slot: Slot) -> RmaResult<Req> {
-        let req = self.close_in(&mut self.st.lock(), rank, win, slot)?;
+        let req = {
+            let mut st = self.st.lock();
+            st.api_win(win, rank)?;
+            self.close_in(&mut st, rank, win, slot)?
+        };
         self.sweep(rank);
         Ok(req)
     }
@@ -69,7 +73,7 @@ impl Engine {
     pub fn fence(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<Req> {
         let req = {
             let mut st = self.st.lock();
-            let w = st.win(win, rank);
+            let w = st.api_win(win, rank)?;
             w.check_open(Some(Slot::Fence))?;
             let req = if w.open.contains_key(&Slot::Fence) {
                 self.close_in(&mut st, rank, win, Slot::Fence)?
@@ -145,7 +149,7 @@ impl Engine {
     pub fn test_exposure(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<bool> {
         {
             let st = self.st.lock();
-            let w = st.win(win, rank);
+            let w = st.api_win(win, rank)?;
             let id = *w
                 .open
                 .get(&Slot::Exposure)
@@ -173,30 +177,17 @@ impl Engine {
     /// conditions", §VII.A).
     pub(crate) fn activation_scan(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId) {
         st.eng_stats.activation_scans += 1;
-        // The window may be gone: `win_free` marks the activation list when
-        // it retires a dormant trailing fence, and with the reliability
-        // sublayer on, late traffic (re-acks, duplicate retransmits) can
-        // still trigger sweeps after the free.
-        if st.wins[win.0 as usize].per_rank[rank.idx()].is_none() {
-            return;
-        }
-        // Index walk over `order` (re-borrowed each iteration) instead of
-        // snapshotting into a Vec: activation never reorders `order`, so
-        // the walk is stable and allocation-free.
+        // Index walk over the queue (re-borrowed each iteration) instead of
+        // a snapshot: activation neither opens nor retires an epoch, so the
+        // walk is stable and allocation-free. A freed window (see
+        // `EngState::try_win`) has nothing to scan.
         let mut i = 0;
-        loop {
-            let w = st.win(win, rank);
-            if i >= w.order.len() {
-                break;
-            }
-            let id = w.order[i];
+        while let Some(e) = st.try_win(win, rank).and_then(|w| w.epochs.iter().nth(i)) {
             i += 1;
-            if !w.epochs.contains_key(&id.0) {
-                continue; // retired during this scan
-            }
-            if w.epoch(id).is_active() {
+            if e.is_active() {
                 continue;
             }
+            let id = e.id;
             if self.can_activate(st, rank, win, id) {
                 self.activate_epoch(st, rank, win, id);
             } else {
@@ -227,26 +218,23 @@ impl Engine {
         if e.is_held() {
             return false;
         }
-        let pos = w
-            .order
-            .iter()
-            .position(|x| *x == id)
-            .expect("epoch missing from order");
-        let skips_closed = |p: EpochId| {
-            e.opened_in_fence == Some(p)
-                && w.epoch(p).is_empty_fence()
-                && w.order.iter().skip(pos).map(|q| w.epoch(*q)).any(|q| {
-                    q.opened_in_fence == Some(p) && !q.kind.is_passive()
+        // Open order is id order: the epochs ahead of `e` have smaller ids.
+        let skips_closed = |p: &EpochObj| {
+            e.opened_in_fence == Some(p.id)
+                && p.is_empty_fence()
+                && w.epochs.iter().filter(|q| q.id >= id).any(|q| {
+                    q.opened_in_fence == Some(p.id) && !q.kind.is_passive()
                 })
         };
-        let prev_id = (0..pos)
+        let prev = w
+            .epochs
+            .iter()
             .rev()
-            .map(|i| w.order[i])
-            .find(|p| !(w.epoch(*p).is_dormant_fence() || skips_closed(*p)));
-        match prev_id {
+            .filter(|p| p.id < id)
+            .find(|p| !(p.is_dormant_fence() || skips_closed(p)));
+        match prev {
             None => true,
-            Some(prev_id) => {
-                let prev = w.epoch(prev_id);
+            Some(prev) => {
                 if !prev.is_active() {
                     return false; // rule 4: epochs are never skipped
                 }

@@ -36,7 +36,7 @@ impl Engine {
     ) -> RmaResult<Req> {
         let req = {
             let mut st = self.st.lock();
-            let w = st.win(win, rank);
+            let w = st.api_win(win, rank)?;
             // Which passive epochs does this flush cover?
             let epochs: Vec<EpochId> = match target {
                 Some(t) => [Slot::Lock(t), Slot::LockAll]

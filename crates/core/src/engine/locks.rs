@@ -18,7 +18,7 @@ use crate::epoch::EpochKind;
 use crate::lock::QueuedLock;
 use crate::msg::SyncKind;
 use crate::trace::Plane;
-use crate::types::{EpochId, LockKind, Rank, WinId};
+use crate::types::{LockKind, Rank, WinId};
 
 impl Engine {
     /// Handler for an arriving lock request (internode control message or
@@ -36,19 +36,13 @@ impl Engine {
         // land after the final barrier let this rank free the window (the
         // origin is nonblocking and has already moved on). The lock state
         // is gone and nothing can ever wait on the grant — drop it.
-        if st.wins[win.0 as usize].per_rank[me.idx()].is_none() {
+        let Some(w) = st.try_win_mut(win, me) else {
             return;
-        }
-        let w = st.win_mut(win, me);
+        };
         debug_assert!(
             w.omega.peer(origin).grants.gl_sent < access_id,
             "stale lock request id"
         );
-        w.omega
-            .peer_mut(origin)
-            .grants
-            .pending_locks
-            .insert(access_id, kind);
         w.lock_mgr.enqueue(QueuedLock {
             origin,
             access_id,
@@ -87,19 +81,18 @@ impl Engine {
         while let Some((win, origin)) = st.sweep[rank.idx()].pending_unlocks.pop_front() {
             // Freed window (see `handle_lock_req`): a retransmit-delayed
             // unlock whose release is moot — the origin already completed.
-            if st.wins[win.0 as usize].per_rank[rank.idx()].is_none() {
+            let Some(w) = st.try_win_mut(win, rank) else {
                 continue;
-            }
-            st.eng_stats.unlocks_applied += 1;
-            let w = st.win_mut(win, rank);
+            };
             w.lock_mgr.release(origin);
+            st.eng_stats.unlocks_applied += 1;
             // A release may make any queued request admissible.
             st.mark_lock_backlog(rank, win);
         }
         let pumps = st.drain(
             |st| &mut st.sweep[rank.idx()].lock_backlog,
             |st, win| {
-                if st.wins[win.0 as usize].per_rank[rank.idx()].is_some() {
+                if st.try_win(win, rank).is_some() {
                     self.pump_window_grants(st, rank, win);
                 }
             },
@@ -143,9 +136,7 @@ impl Engine {
                 {
                     let w = st.win_mut(win, me);
                     w.lock_mgr.grant(q.origin, q.access_id);
-                    let gs = &mut w.omega.peer_mut(q.origin).grants;
-                    gs.pending_locks.remove(&q.access_id);
-                    gs.gl_sent = q.access_id;
+                    w.omega.peer_mut(q.origin).grants.gl_sent = q.access_id;
                     w.grant_dirty.mark(q.origin);
                 }
                 st.eng_stats.lock_grants += 1;
@@ -247,8 +238,7 @@ impl Engine {
         );
         // Find the (activated) access epoch of the right plane waiting on
         // this grant.
-        let hit: Option<EpochId> = st.win(win, me).order.iter().copied().find(|eid| {
-            let e = st.win(win, me).epoch(*eid);
+        let hit = st.win(win, me).epochs.iter().find(|e| {
             let plane_ok = match plane {
                 Plane::Gats => matches!(e.kind, EpochKind::GatsAccess { .. }),
                 Plane::Lock => matches!(e.kind, EpochKind::Lock { .. } | EpochKind::LockAll),
@@ -259,7 +249,7 @@ impl Engine {
                     .get(&granter)
                     .is_some_and(|ts| ts.access_id == id && !ts.granted)
         });
-        match hit {
+        match hit.map(|e| e.id) {
             Some(eid) => {
                 st.win_mut(win, me).epoch_mut(eid).grant(granter);
                 st.mark_ops_dirty(me, win, eid);
@@ -313,27 +303,22 @@ impl Engine {
             *slot = before.max(access_id);
             (before, *slot)
         };
-        // Index walk instead of snapshotting `order` (the marker never
-        // mutates `order`), so the re-check is allocation-free. An exposure
-        // whose expected done id the high-water mark just passed has heard
-        // from this origin.
+        // Index walk instead of a snapshot of the queue (marking never
+        // changes it), so the re-check is allocation-free. An exposure whose
+        // expected done id the high-water mark just passed has heard from
+        // this origin.
         let mut i = 0;
-        loop {
-            let w = st.win_mut(win, me);
-            if i >= w.order.len() {
-                break;
-            }
-            let eid = w.order[i];
+        while let Some(e) = st.win(win, me).epochs.iter().nth(i) {
             i += 1;
-            let e = w.epoch_mut(eid);
             if !matches!(e.kind, EpochKind::GatsExposure { .. }) {
                 continue;
             }
             let Some(&exp) = e.exposure_origins().get(&origin) else {
                 continue;
             };
+            let eid = e.id;
             if before < exp && exp <= now {
-                e.done_arrived();
+                st.win_mut(win, me).epoch_mut(eid).done_arrived();
             }
             st.eng_stats.target_visits += 1;
             st.mark_complete_dirty(me, win, eid);

@@ -38,7 +38,7 @@ pub(crate) mod rel;
 mod rma;
 mod watchdog;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mpisim_net::{NetParams, Network, Packet, Payload, Topology};
@@ -48,8 +48,10 @@ use parking_lot::Mutex;
 use crate::config::{JobConfig, SyncStrategy};
 use crate::engine::epochs::Outcome;
 use crate::epoch::{EpochObj, Slot};
+use crate::error::{RmaError, RmaResult};
 use crate::msg::{Body, SyncKind, SyncPacket};
 use crate::request::ReqTable;
+use crate::slab::Slab;
 use crate::trace::Plane;
 use crate::types::{EpochId, LockKind, Rank, Req, WinId};
 use crate::window::WinRank;
@@ -353,6 +355,7 @@ impl RankSweepState {
 
 /// One window across all ranks.
 pub(crate) struct WinGlobal {
+    /// Each rank's side, from its `win_allocate` to its `win_free`.
     pub per_rank: Vec<Option<WinRank>>,
 }
 
@@ -366,8 +369,10 @@ pub(crate) struct EngState {
     pub barrier: Vec<BarrierRank>,
     pub stats: Vec<RankStats>,
     pub sweep: Vec<RankSweepState>,
-    pub tokens: HashMap<u64, TokenInfo>,
-    pub next_token: u64,
+    /// Correlation state of the request/response messages in flight, under
+    /// the token they carry. An answered token finds nothing, so a late
+    /// duplicate of the answer is an orphan, never somebody else's.
+    pub tokens: Slab<TokenInfo>,
     pub eng_stats: EngineStats,
     /// Per-rank collective sequence numbers (tag disambiguation).
     pub coll_seq: Vec<u64>,
@@ -383,10 +388,6 @@ pub(crate) struct EngState {
     pub rel: Vec<RelRank>,
     /// Whether a stall-watchdog tick is currently scheduled.
     pub watchdog_armed: bool,
-    /// The crash-recovery stable store, one entry per (window, rank)
-    /// side: latest checkpoint plus the redo log since it. Populated only
-    /// while [`crate::config::JobConfig::recovery`] is armed.
-    pub stable: HashMap<(WinId, Rank), recover::StableWin>,
     /// Ranks currently down (NIC crashed, restart pending).
     pub crashed: Vec<bool>,
     /// Completed rank-restart episodes, with provenance.
@@ -402,29 +403,47 @@ pub(crate) struct EngState {
 }
 
 impl EngState {
+    /// `r`'s side of `w`, unless `w` was never allocated or `r` freed its
+    /// side already. For the paths that late traffic can reach after the
+    /// free: with the reliability sublayer on, re-acks and retransmits still
+    /// trigger sweeps, and `win_free` itself marks the activation list.
+    pub(crate) fn try_win(&self, w: WinId, r: Rank) -> Option<&WinRank> {
+        self.wins.get(w.0 as usize)?.per_rank[r.idx()].as_ref()
+    }
+
+    /// Mutable form of [`EngState::try_win`].
+    pub(crate) fn try_win_mut(&mut self, w: WinId, r: Rank) -> Option<&mut WinRank> {
+        self.wins.get_mut(w.0 as usize)?.per_rank[r.idx()].as_mut()
+    }
+
+    /// The window lookup of an application call: a `WinId` the caller made
+    /// up, or one whose window it freed, is its error to handle.
+    pub(crate) fn api_win(&self, w: WinId, r: Rank) -> RmaResult<&WinRank> {
+        self.try_win(w, r).ok_or(RmaError::InvalidWindow(w))
+    }
+
+    /// A window side the protocol says is there: messages name windows
+    /// their sender synchronised on.
     pub(crate) fn win(&self, w: WinId, r: Rank) -> &WinRank {
-        self.wins[w.0 as usize].per_rank[r.idx()]
-            .as_ref()
-            .expect("window not created at this rank")
+        self.try_win(w, r).expect("window not created at this rank")
     }
 
+    /// Mutable form of [`EngState::win`].
     pub(crate) fn win_mut(&mut self, w: WinId, r: Rank) -> &mut WinRank {
-        self.wins[w.0 as usize].per_rank[r.idx()]
-            .as_mut()
-            .expect("window not created at this rank")
+        self.try_win_mut(w, r).expect("window not created at this rank")
     }
 
-    /// The epoch `id` of `r`'s side of `w`, unless it finished (finished
-    /// epochs leave the map at once, and ids are never reused) or the
-    /// window is gone.
+    /// The epoch `id` of `r`'s side of `w`, unless it retired (ids are never
+    /// reused) or the window is gone. Whatever outlives an epoch — a work
+    /// list entry, a completion notice, a rendezvous answer, the stall
+    /// watch — asks here whether it is still live.
     pub(crate) fn live_epoch(&self, w: WinId, r: Rank, id: EpochId) -> Option<&EpochObj> {
-        self.wins[w.0 as usize].per_rank[r.idx()].as_ref()?.epochs.get(&id.0)
+        self.try_win(w, r)?.epochs.get(id)
     }
 
-    pub(crate) fn alloc_token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
+    /// The windows `r` holds a side of.
+    pub(crate) fn wins_of(&self, r: Rank) -> Vec<WinId> {
+        (0..self.wins.len() as u32).map(WinId).filter(|w| self.try_win(*w, r).is_some()).collect()
     }
 
     pub(crate) fn mark_ops_dirty(&mut self, rank: Rank, win: WinId, epoch: EpochId) {
@@ -502,15 +521,13 @@ impl Engine {
                 barrier: (0..n).map(|_| BarrierRank::default()).collect(),
                 stats: vec![RankStats::default(); n],
                 sweep: (0..n).map(|_| RankSweepState::default()).collect(),
-                tokens: HashMap::new(),
-                next_token: 1,
+                tokens: Slab::default(),
                 eng_stats: EngineStats::default(),
                 coll_seq: vec![0; n],
                 trace: Vec::new(),
                 sync_trace: Vec::new(),
                 degradations: Vec::new(),
                 rel: (0..n).map(|_| RelRank::default()).collect(),
-                stable: HashMap::new(),
                 crashed: vec![false; n],
                 recoveries: Vec::new(),
                 watchdog_armed: false,
@@ -734,10 +751,10 @@ impl Engine {
 
     /// Tear down this rank's side of a window. Errors if epochs are still
     /// open; a trailing empty fence epoch is retired silently.
-    pub fn win_free(self: &Arc<Self>, rank: Rank, win: WinId) -> crate::error::RmaResult<()> {
+    pub fn win_free(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<()> {
         let mut st = self.st.lock();
         // No later fence call can close a dormant trailing fence any more.
-        let w = st.win(win, rank);
+        let w = st.api_win(win, rank)?;
         let fence = w.open.get(&Slot::Fence).copied();
         if let Some(id) = fence.filter(|id| w.epoch(*id).is_dormant_fence()) {
             self.finish_epoch(&mut st, rank, win, id, Outcome::DormantRetired);
@@ -767,15 +784,13 @@ impl Engine {
         win: WinId,
         disp: usize,
         len: usize,
-    ) -> crate::error::RmaResult<Vec<u8>> {
+    ) -> RmaResult<Vec<u8>> {
         let mut st = self.st.lock();
-        if win.0 as usize >= st.wins.len() {
-            return Err(crate::error::RmaError::InvalidWindow(win));
-        }
+        st.api_win(win, rank)?;
         self.freshen_crashed_mem(&mut st, rank, win);
         let w = st.win(win, rank);
         if disp + len > w.mem.len() {
-            return Err(crate::error::RmaError::OutOfBounds {
+            return Err(RmaError::OutOfBounds {
                 win,
                 target: rank,
                 disp,
@@ -792,15 +807,13 @@ impl Engine {
         win: WinId,
         disp: usize,
         data: &[u8],
-    ) -> crate::error::RmaResult<()> {
+    ) -> RmaResult<()> {
         let mut st = self.st.lock();
-        if win.0 as usize >= st.wins.len() {
-            return Err(crate::error::RmaError::InvalidWindow(win));
-        }
+        st.api_win(win, rank)?;
         self.freshen_crashed_mem(&mut st, rank, win);
         let w = st.win_mut(win, rank);
         if disp + data.len() > w.mem.len() {
-            return Err(crate::error::RmaError::OutOfBounds {
+            return Err(RmaError::OutOfBounds {
                 win,
                 target: rank,
                 disp,
@@ -1041,7 +1054,7 @@ impl Engine {
         st.drain(
             |st| &mut st.sweep[rank.idx()].fifo_pending,
             |st, (win, src)| {
-                if st.wins[win.0 as usize].per_rank[rank.idx()].is_none() {
+                if st.try_win(win, rank).is_none() {
                     return;
                 }
                 while let Some(raw) = st.win_mut(win, rank).fifo_from(src).pop() {

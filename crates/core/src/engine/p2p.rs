@@ -5,7 +5,7 @@
 //! two-sided transfer) and for collective bootstrap (barriers around window
 //! creation).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mpisim_net::{Packet, Payload};
@@ -51,8 +51,12 @@ pub(crate) struct BarrierRank {
     pub round: u32,
     /// Request completed when the barrier finishes.
     pub req: Option<Req>,
-    /// Early arrivals: (seq, round) → count.
-    pub arrived: HashMap<(u64, u32), u32>,
+    /// Arrivals not yet consumed, one bit per round, for the two
+    /// generations that can be in flight: row `seq % 2`. A peer is never
+    /// more than one `ibarrier` ahead — finishing generation `s + 1` takes a
+    /// message from every rank's `s + 1`, which this rank enters only after
+    /// finishing `s` — so the row of `s + 2` is the drained row of `s`.
+    pub arrived: [u32; 2],
 }
 
 fn barrier_rounds(n: usize) -> u32 {
@@ -92,8 +96,7 @@ impl Engine {
                     None,
                 );
             } else {
-                let token = st.alloc_token();
-                st.tokens.insert(token, TokenInfo::P2pSend { rank, payload, req });
+                let token = st.tokens.insert(TokenInfo::P2pSend { rank, payload, req });
                 self.send_framed(
                     &mut st,
                     Packet {
@@ -139,8 +142,7 @@ impl Engine {
                             st.reqs.complete(req, Some(data));
                         }
                         UnexpContent::Rndv { token } => {
-                            let data_token = st.alloc_token();
-                            st.tokens.insert(data_token, TokenInfo::P2pRecv { req });
+                            let data_token = st.tokens.insert(TokenInfo::P2pRecv { req });
                             self.send_framed(
                                 &mut st,
                                 Packet {
@@ -206,8 +208,7 @@ impl Engine {
         match hit {
             Some(i) => {
                 let posted = st.p2p[me.idx()].posted.remove(i).unwrap();
-                let data_token = st.alloc_token();
-                st.tokens.insert(data_token, TokenInfo::P2pRecv { req: posted.req });
+                let data_token = st.tokens.insert(TokenInfo::P2pRecv { req: posted.req });
                 self.send_framed(
                     st,
                     Packet {
@@ -236,7 +237,7 @@ impl Engine {
         token: u64,
         data_token: u64,
     ) {
-        let Some(TokenInfo::P2pSend { rank, payload, req }) = st.tokens.remove(&token) else {
+        let Some(TokenInfo::P2pSend { rank, payload, req }) = st.tokens.remove(token) else {
             self.orphan_response(st, "P2pCts");
             return;
         };
@@ -262,7 +263,7 @@ impl Engine {
         data_token: u64,
         payload: Payload,
     ) {
-        let Some(TokenInfo::P2pRecv { req }) = st.tokens.remove(&data_token) else {
+        let Some(TokenInfo::P2pRecv { req }) = st.tokens.remove(data_token) else {
             self.orphan_response(st, "P2pData");
             return;
         };
@@ -325,7 +326,14 @@ impl Engine {
         seq: u64,
         round: u32,
     ) {
-        *st.barrier[me.idx()].arrived.entry((seq, round)).or_insert(0) += 1;
+        let b = &mut st.barrier[me.idx()];
+        debug_assert!(seq <= b.seq + 1, "a peer ran more than one ibarrier ahead");
+        // A duplicate of a message this rank already consumed (fault
+        // injection below the reliability sublayer) releases nothing.
+        let consumed = seq < b.seq || (seq == b.seq && (b.req.is_none() || round < b.round));
+        if !consumed {
+            b.arrived[(seq % 2) as usize] |= 1 << round;
+        }
         self.barrier_try_advance(st, me);
     }
 
@@ -337,15 +345,14 @@ impl Engine {
             if b.req.is_none() {
                 return;
             }
-            let key = (b.seq, b.round);
-            let Some(c) = b.arrived.get_mut(&key) else { return };
-            debug_assert!(*c > 0);
-            *c -= 1;
-            if *c == 0 {
-                b.arrived.remove(&key);
+            let row = &mut b.arrived[(b.seq % 2) as usize];
+            if *row & (1 << b.round) == 0 {
+                return;
             }
+            *row &= !(1 << b.round);
             b.round += 1;
             if b.round == total {
+                debug_assert_eq!(b.arrived[(b.seq % 2) as usize], 0, "row not drained for seq + 2");
                 let r = b.req.take().unwrap();
                 st.reqs.complete(r, None);
                 return;

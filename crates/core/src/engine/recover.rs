@@ -166,22 +166,20 @@ impl Engine {
     /// window side, so a crash before the first commit still has a
     /// consistent restore point.
     pub(crate) fn recovery_init_win(&self, st: &mut EngState, rank: Rank, win: WinId) {
-        let ckpt = {
-            let w = st.win(win, rank);
-            Checkpoint {
-                commit_no: 0,
-                at: self.sim.now(),
-                mem: w.mem.clone(),
-                omega: w.omega.clone(),
-            }
-        };
-        self.account_ckpt(st, &ckpt);
-        st.stable.insert((win, rank), StableWin { ckpt: Some(ckpt), log: Vec::new() });
+        self.cut_checkpoint(st, rank, win, 0);
     }
 
-    fn account_ckpt(&self, st: &mut EngState, ckpt: &Checkpoint) {
+    /// Snapshot `rank`'s side of `win` into its stable store as commit
+    /// `commit_no` and truncate the redo log (it is folded into the snapshot).
+    fn cut_checkpoint(&self, st: &mut EngState, rank: Rank, win: WinId, commit_no: u64) {
+        let w = st.win_mut(win, rank);
+        let (mem, omega) = (w.mem.clone(), w.omega.clone());
+        let bytes = mem.len() as u64 + omega_byte_len(&omega);
+        let sw = w.stable.get_or_insert_with(Default::default);
+        sw.ckpt = Some(Checkpoint { commit_no, at: self.sim.now(), mem, omega });
+        sw.log.clear();
         st.eng_stats.ckpt_commits += 1;
-        st.eng_stats.ckpt_bytes += ckpt.mem.len() as u64 + omega_byte_len(&ckpt.omega);
+        st.eng_stats.ckpt_bytes += bytes;
     }
 
     /// Journal the post-image of a window write into the redo log. Called
@@ -198,12 +196,9 @@ impl Engine {
         if !self.recovery_armed() || len == 0 {
             return;
         }
-        let bytes = {
-            let w = st.win(win, rank);
-            w.mem[disp..disp + len].to_vec()
-        };
-        if let Some(sw) = st.stable.get_mut(&(win, rank)) {
-            sw.log.push(LogRecord { disp, bytes });
+        let w = st.win_mut(win, rank);
+        if let Some(sw) = &mut w.stable {
+            sw.log.push(LogRecord { disp, bytes: w.mem[disp..disp + len].to_vec() });
         }
     }
 
@@ -228,16 +223,15 @@ impl Engine {
             return;
         }
         let plant_stale = self.cfg.recovery.as_ref().is_some_and(|r| r.plant_stale);
-        let Some(mem) = st.stable.get(&(win, rank)).map(|sw| {
-            if plant_stale {
-                sw.ckpt.as_ref().expect("recovery without a checkpoint").mem.clone()
-            } else {
-                sw.reconstruct()
-            }
-        }) else {
+        let w = st.win_mut(win, rank);
+        let Some(sw) = &w.stable else {
             return;
         };
-        st.win_mut(win, rank).mem = mem;
+        w.mem = if plant_stale {
+            sw.ckpt.as_ref().expect("recovery without a checkpoint").mem.clone()
+        } else {
+            sw.reconstruct()
+        };
     }
 
     /// Epoch-commit hook, run from `complete_epoch` after the commit
@@ -262,33 +256,15 @@ impl Engine {
         }
     }
 
-    /// Cut a fresh checkpoint of every window side this rank holds and
-    /// truncate the redo logs (they are folded into the new snapshot).
+    /// Cut a fresh checkpoint of every window side this rank holds.
     fn checkpoint_rank(&self, st: &mut EngState, rank: Rank, commit_no: u64) {
-        let now = self.sim.now();
-        let wins: Vec<WinId> = (0..st.wins.len() as u32)
-            .map(WinId)
-            .filter(|w| st.wins[w.0 as usize].per_rank[rank.idx()].is_some())
-            .collect();
-        for win in wins {
+        for win in st.wins_of(rank) {
             // A commit can land mid-outage (epochs with no live network
             // dependency still complete); snapshotting the wiped volatile
             // bytes would fold the wipe into the stable store and truncate
             // the redo log that could have repaired it.
             self.freshen_crashed_mem(st, rank, win);
-            let ckpt = {
-                let w = st.win(win, rank);
-                Checkpoint {
-                    commit_no,
-                    at: now,
-                    mem: w.mem.clone(),
-                    omega: w.omega.clone(),
-                }
-            };
-            self.account_ckpt(st, &ckpt);
-            let sw = st.stable.entry((win, rank)).or_default();
-            sw.ckpt = Some(ckpt);
-            sw.log.clear();
+            self.cut_checkpoint(st, rank, win, commit_no);
         }
     }
 
@@ -304,10 +280,8 @@ impl Engine {
     ) {
         st.crashed[rank.idx()] = true;
         self.net.nic_down(mpisim_net::Rank(rank.idx()));
-        for win in 0..st.wins.len() {
-            if let Some(w) = st.wins[win].per_rank[rank.idx()].as_mut() {
-                w.mem.fill(WIPE_BYTE);
-            }
+        for win in st.wins_of(rank) {
+            st.win_mut(win, rank).mem.fill(WIPE_BYTE);
         }
         let crash_at = self.sim.now();
         let me = self.clone();
@@ -329,12 +303,9 @@ impl Engine {
             self.net.nic_up(mpisim_net::Rank(rank.idx()));
             st.crashed[rank.idx()] = false;
             let now = self.sim.now();
-            let wins: Vec<WinId> = (0..st.wins.len() as u32)
-                .map(WinId)
-                .filter(|w| st.wins[w.0 as usize].per_rank[rank.idx()].is_some())
-                .collect();
-            for win in wins {
-                let Some(sw) = st.stable.get(&(win, rank)) else {
+            for win in st.wins_of(rank) {
+                let w = st.win(win, rank);
+                let Some(sw) = &w.stable else {
                     continue;
                 };
                 let Some(ckpt) = sw.ckpt.as_ref() else {
@@ -349,7 +320,7 @@ impl Engine {
                 let stale = installed != reconstructed;
                 let ckpt_commit = ckpt.commit_no;
                 let ckpt_at = ckpt.at;
-                let omega_regressions = omega_regressions(&ckpt.omega, &st.win(win, rank).omega);
+                let omega_regressions = omega_regressions(&ckpt.omega, &w.omega);
                 st.win_mut(win, rank).mem = installed;
                 let report = RecoveryReport {
                     rank,

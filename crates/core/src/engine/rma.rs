@@ -42,9 +42,7 @@ impl Engine {
             if target.idx() >= self.cfg.n_ranks {
                 return Err(RmaError::InvalidRank(target.idx()));
             }
-            if win.0 as usize >= st.wins.len() {
-                return Err(RmaError::InvalidWindow(win));
-            }
+            st.api_win(win, rank)?;
             // Validate element sizes early (API-level error).
             if let OpKind::Acc { dt, payload, .. } = &kind {
                 dt.check_len(payload.len())?;
@@ -108,7 +106,7 @@ impl Engine {
         let scans = st.drain(
             |st| &mut st.sweep[rank.idx()].dirty_ops,
             |st, (win, eid)| {
-                if st.win(win, rank).epochs.contains_key(&eid.0)
+                if st.live_epoch(win, rank, eid).is_some()
                     && self.issue_ops(st, rank, win, eid, phase)
                 {
                     st.mark_ops_dirty(rank, win, eid);
@@ -241,45 +239,28 @@ impl Engine {
             // Rendezvous: the target must stage an intermediate buffer for
             // the operand (§VIII.A) — RTS now, data on CTS. `unsent` stays
             // up so done/unlock packets cannot overtake the data.
-            let token = st.alloc_token();
-            let body = Body::AccRts {
+            let (dst, size) = (op.target, op.kind.wire_len());
+            let token = st.tokens.insert(TokenInfo::AccRndv {
+                rank,
                 win,
-                size: op.kind.wire_len(),
-                token,
-            };
-            let pkt = Packet {
-                src: rank,
-                dst: op.target,
-                body,
-            };
-            st.tokens.insert(
-                token,
-                TokenInfo::AccRndv {
-                    rank,
-                    win,
-                    epoch: eid,
-                    op,
-                },
-            );
-            self.send_framed(st, pkt, None, None);
+                epoch: eid,
+                op,
+            });
+            let body = Body::AccRts { win, size, token };
+            self.send_framed(st, Packet { src: rank, dst, body }, None, None);
             return;
         }
         let token = responds.then(|| {
-            let token = st.alloc_token();
             let req = op
                 .req
                 .expect("get and fetch ops always carry a result request");
-            st.tokens.insert(
-                token,
-                TokenInfo::Resp {
-                    rank,
-                    win,
-                    epoch: eid,
-                    age: op.age,
-                    req,
-                },
-            );
-            token
+            st.tokens.insert(TokenInfo::Resp {
+                rank,
+                win,
+                epoch: eid,
+                age: op.age,
+                req,
+            })
         });
         self.post_op(st, rank, win, eid, op, token);
     }
@@ -360,7 +341,7 @@ impl Engine {
         age: u64,
         f: impl FnOnce(&mut LiveOp),
     ) {
-        if !st.win(win, rank).epochs.contains_key(&eid.0) {
+        if st.live_epoch(win, rank, eid).is_none() {
             return; // epoch already retired (op was not needed for completion)
         }
         let (became_local, became_done, target, req) = {
@@ -551,7 +532,7 @@ impl Engine {
             epoch,
             age,
             req,
-        }) = st.tokens.remove(&token)
+        }) = st.tokens.remove(token)
         else {
             self.orphan_response(st, "OpResp");
             return;
@@ -594,13 +575,13 @@ impl Engine {
             win,
             epoch,
             op,
-        }) = st.tokens.remove(&token)
+        }) = st.tokens.remove(token)
         else {
             self.orphan_response(st, "AccCts");
             return;
         };
         debug_assert_eq!(rank, me);
-        if !st.win(win, me).epochs.contains_key(&epoch.0) {
+        if st.live_epoch(win, me, epoch).is_none() {
             return;
         }
         self.post_op(st, me, win, epoch, op, None);

@@ -12,7 +12,7 @@
 //! which `debug_assert`s that its edge is legal (DESIGN.md §4.5).
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::msg::OpKind;
 use crate::types::{EpochId, Group, LockKind, Rank, Req};
@@ -169,7 +169,7 @@ enum Phase {
     /// Activated: access ids assigned, requests and grants flowing.
     Active,
     /// Finished — completed, cancelled or retired dormant — and about to
-    /// leave the window's epoch map.
+    /// leave the window's epoch queue.
     Complete,
 }
 
@@ -291,8 +291,10 @@ pub struct EpochObj {
     targets: BTreeMap<Rank, TargetState>,
     /// Exposure-side: origin → expected done id.
     exposure_origins: BTreeMap<Rank, u64>,
-    /// Issued-but-incomplete ops, by age.
-    live_ops: HashMap<u64, LiveOp>,
+    /// Issued-but-incomplete ops with their ages, oldest first. Ops mostly
+    /// issue and complete in age order, so entries join near the back and
+    /// leave near the front.
+    live_ops: VecDeque<(u64, LiveOp)>,
     /// Closing announcements still owed: access-side targets not yet
     /// `announced`, or exposure-side origins whose done packet is not in.
     /// A closed epoch completes when this is 0 and `live_ops` is empty.
@@ -322,7 +324,7 @@ impl EpochObj {
             pending_ops: VecDeque::new(),
             targets: BTreeMap::new(),
             exposure_origins: BTreeMap::new(),
-            live_ops: HashMap::new(),
+            live_ops: VecDeque::new(),
             announce_left: 0,
             ungranted_intra: 0,
             ungranted_inter: 0,
@@ -353,7 +355,7 @@ impl EpochObj {
         self.phase == Phase::Active
     }
 
-    /// Whether the epoch finished (it is then on its way out of the map).
+    /// Whether the epoch finished (it is then on its way out of the queue).
     pub fn is_complete(&self) -> bool {
         self.phase == Phase::Complete
     }
@@ -469,9 +471,13 @@ impl EpochObj {
         &self.targets
     }
 
-    /// Issued-but-incomplete ops, by age.
-    pub fn live_ops(&self) -> &HashMap<u64, LiveOp> {
+    /// Issued-but-incomplete ops with their ages, oldest first.
+    pub fn live_ops(&self) -> &VecDeque<(u64, LiveOp)> {
         &self.live_ops
+    }
+
+    fn live_pos(&self, age: u64) -> Result<usize, usize> {
+        self.live_ops.binary_search_by_key(&age, |(a, _)| *a)
     }
 
     /// Exposure-side: origin → expected done id.
@@ -536,17 +542,20 @@ impl EpochObj {
     /// Track an issued op until it fully completes.
     pub(crate) fn add_live(&mut self, age: u64, op: LiveOp) {
         self.update_target(op.target, |ts| ts.live += 1);
-        self.live_ops.insert(age, op);
+        let at = self.live_ops.partition_point(|(a, _)| *a < age);
+        debug_assert!(self.live_ops.get(at).is_none_or(|(a, _)| *a != age), "op issued twice");
+        self.live_ops.insert(at, (age, op));
     }
 
     /// Mutable access to one live op's completion flags.
     pub(crate) fn live_op_mut(&mut self, age: u64) -> Option<&mut LiveOp> {
-        self.live_ops.get_mut(&age)
+        let at = self.live_pos(age).ok()?;
+        Some(&mut self.live_ops[at].1)
     }
 
     /// A live op fully completed.
     pub(crate) fn finish_live(&mut self, age: u64) {
-        if let Some(op) = self.live_ops.remove(&age) {
+        if let Some((_, op)) = self.live_pos(age).ok().and_then(|at| self.live_ops.remove(at)) {
             self.update_target(op.target, |ts| ts.live -= 1);
         }
     }
@@ -555,7 +564,7 @@ impl EpochObj {
     /// the requests they held. The epoch is dead afterwards — the per-target
     /// counts are not brought along.
     pub(crate) fn abandon_ops(&mut self) -> Vec<Req> {
-        let mut reqs: Vec<Req> = self.live_ops.values().filter_map(|o| o.req).collect();
+        let mut reqs: Vec<Req> = self.live_ops.iter().filter_map(|(_, o)| o.req).collect();
         reqs.extend(self.pending_ops.drain(..).filter_map(|op| op.req));
         self.live_ops.clear();
         reqs
@@ -613,7 +622,7 @@ impl EpochObj {
         };
         // The old unlock pass: a target is blocked by any op not yet done.
         let mut blocking: BTreeMap<Rank, u32> = BTreeMap::new();
-        for op in self.live_ops.values().filter(|o| !o.done()) {
+        for (_, op) in self.live_ops.iter().filter(|(_, o)| !o.done()) {
             *blocking.entry(op.target).or_default() += 1;
         }
         (self.kind.side() == Side::Exposure || self.announce_left == count(&|t| !t.announced))
@@ -656,12 +665,12 @@ impl EpochObj {
 
     /// Count of live ops that still block local completion.
     pub fn live_local(&self) -> usize {
-        self.live_ops.values().filter(|o| !o.locally_done()).count()
+        self.live_ops.iter().filter(|(_, o)| !o.locally_done()).count()
     }
 
     /// Whether every live op is fully done (including acks).
     pub fn live_all_done(&self) -> bool {
-        self.live_ops.values().all(|o| o.done())
+        self.live_ops.iter().all(|(_, o)| o.done())
     }
 }
 
@@ -719,7 +728,7 @@ mod tests {
     #[test]
     fn live_op_states() {
         let mut e = EpochObj::new(EpochId(1), EpochKind::LockAll);
-        e.live_ops.insert(
+        e.live_ops.push_back((
             1,
             LiveOp {
                 target: Rank(0),
@@ -728,13 +737,13 @@ mod tests {
                 needs_ack: true,
                 req: None,
             },
-        );
+        ));
         assert_eq!(e.live_local(), 1);
         assert!(!e.live_all_done());
-        e.live_ops.get_mut(&1).unwrap().needs_local = false;
+        e.live_op_mut(1).unwrap().needs_local = false;
         assert_eq!(e.live_local(), 0);
         assert!(!e.live_all_done());
-        e.live_ops.get_mut(&1).unwrap().needs_ack = false;
+        e.live_op_mut(1).unwrap().needs_ack = false;
         assert!(e.live_all_done());
     }
 

@@ -64,6 +64,7 @@ pub mod lock;
 pub mod msg;
 pub mod request;
 pub mod runtime;
+mod slab;
 pub mod trace;
 pub mod types;
 pub mod window;

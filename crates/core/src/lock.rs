@@ -7,14 +7,15 @@
 //! request that is eligible but blocked by the lock state blocks everything
 //! behind it, so writers cannot starve behind a stream of readers.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use crate::types::{LockKind, Rank};
 
 /// Current holder state of one window's lock at one rank.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum LockState {
     /// Nobody holds the lock.
+    #[default]
     Free,
     /// Held shared by the contained number of origins.
     Shared(usize),
@@ -34,22 +35,12 @@ pub struct QueuedLock {
 }
 
 /// The lock manager for one window at one rank.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LockMgr {
     state: LockState,
     queue: VecDeque<QueuedLock>,
-    /// origin → access id of its held lock (one hold per origin).
-    holders: HashMap<Rank, u64>,
-}
-
-impl Default for LockMgr {
-    fn default() -> Self {
-        LockMgr {
-            state: LockState::Free,
-            queue: VecDeque::new(),
-            holders: HashMap::new(),
-        }
-    }
+    /// Origins holding the lock (one hold per origin).
+    holders: BTreeSet<Rank>,
 }
 
 impl LockMgr {
@@ -91,7 +82,7 @@ impl LockMgr {
         let req = self.queue.remove(pos).unwrap();
         assert!(self.admits(req.kind), "granting an inadmissible lock");
         assert!(
-            !self.holders.contains_key(&origin),
+            !self.holders.contains(&origin),
             "origin {origin} granted a lock it already holds (erroneous program)"
         );
         self.state = match (&self.state, req.kind) {
@@ -100,14 +91,14 @@ impl LockMgr {
             (LockState::Shared(n), LockKind::Shared) => LockState::Shared(n + 1),
             _ => unreachable!(),
         };
-        self.holders.insert(origin, access_id);
+        self.holders.insert(origin);
     }
 
     /// Release the lock held by `origin`. Panics if it holds nothing
     /// (erroneous program).
     pub fn release(&mut self, origin: Rank) {
         assert!(
-            self.holders.remove(&origin).is_some(),
+            self.holders.remove(&origin),
             "{origin} released a lock it does not hold (erroneous program)"
         );
         self.state = match &self.state {
@@ -128,7 +119,7 @@ impl LockMgr {
 
     /// Whether `origin` currently holds the lock.
     pub fn holds(&self, origin: Rank) -> bool {
-        self.holders.contains_key(&origin)
+        self.holders.contains(&origin)
     }
 }
 

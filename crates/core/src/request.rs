@@ -4,8 +4,8 @@
 //! Requests are specialized at creation as epoch-opening (dummy, completed
 //! immediately — the paper's rule for all nonblocking epoch-opening
 //! routines), epoch-closing, flush, communication (request-based RMA),
-//! two-sided, or barrier requests. A slot-plus-nonce scheme makes stale
-//! handles detectable.
+//! two-sided, or barrier requests. The handle is a [`Slab`] key, which makes
+//! stale handles detectable.
 //!
 //! The request is also what a rank blocks on: a pending request records the
 //! one process parked on it ([`ReqTable::poll`]), and
@@ -15,6 +15,7 @@ use bytes::Bytes;
 use mpisim_sim::{ProcId, SimHandle};
 
 use crate::error::{RmaError, RmaResult};
+use crate::slab::Slab;
 use crate::types::Req;
 
 /// What a request stands for (diagnostics; completion logic is uniform).
@@ -32,11 +33,6 @@ pub enum ReqKind {
     P2p,
     /// Barrier.
     Barrier,
-}
-
-struct Slot {
-    nonce: u32,
-    state: Option<ReqState>,
 }
 
 struct ReqState {
@@ -67,25 +63,16 @@ pub enum ReqEvent {
 /// Table of live requests. One per job, inside the engine state.
 pub struct ReqTable {
     sim: SimHandle,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
+    slots: Slab<ReqState>,
     logging: bool,
     log: Vec<(Req, ReqEvent)>,
-}
-
-fn unpack(r: Req) -> (usize, u32) {
-    ((r.0 >> 32) as usize, r.0 as u32)
-}
-
-fn pack(idx: usize, nonce: u32) -> Req {
-    Req(((idx as u64) << 32) | u64::from(nonce))
 }
 
 impl ReqTable {
     /// Create an empty table whose completions ready processes of `sim`,
     /// with lifecycle logging (see [`ReqEvent`]) on or off.
     pub fn new(sim: SimHandle, logging: bool) -> Self {
-        ReqTable { sim, slots: Vec::new(), free: Vec::new(), logging, log: Vec::new() }
+        ReqTable { sim, slots: Slab::default(), logging, log: Vec::new() }
     }
 
     /// Drain the recorded lifecycle log.
@@ -95,27 +82,12 @@ impl ReqTable {
 
     /// Allocate a pending request.
     pub fn alloc(&mut self, kind: ReqKind) -> Req {
-        let state = ReqState {
+        let r = Req(self.slots.insert(ReqState {
             kind,
             done: false,
             data: None,
             waiter: None,
-        };
-        let r = match self.free.pop() {
-            Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
-                slot.nonce = slot.nonce.wrapping_add(1);
-                slot.state = Some(state);
-                pack(idx as usize, slot.nonce)
-            }
-            None => {
-                self.slots.push(Slot {
-                    nonce: 0,
-                    state: Some(state),
-                });
-                pack(self.slots.len() - 1, 0)
-            }
-        };
+        }));
         if self.logging {
             self.log.push((r, ReqEvent::Alloc(kind)));
         }
@@ -130,23 +102,14 @@ impl ReqTable {
         r
     }
 
-    fn get(&self, r: Req) -> Option<&ReqState> {
-        let (idx, nonce) = unpack(r);
-        self.slots.get(idx).filter(|s| s.nonce == nonce)?.state.as_ref()
-    }
-
-    fn get_mut(&mut self, r: Req) -> Option<&mut ReqState> {
-        let (idx, nonce) = unpack(r);
-        self.slots.get_mut(idx).filter(|s| s.nonce == nonce)?.state.as_mut()
-    }
-
     /// Mark a request complete, attaching optional result data, and ready
     /// the process parked on it. Completing an already-complete request is
     /// a no-op for `data == None` (idempotent completion notifications are
     /// common).
     pub fn complete(&mut self, r: Req, data: Option<Bytes>) {
         let st = self
-            .get_mut(r)
+            .slots
+            .get_mut(r.0)
             .expect("engine completed a request that does not exist");
         if st.done && data.is_none() {
             return;
@@ -166,12 +129,12 @@ impl ReqTable {
 
     /// Whether the request is complete. Errors on stale handles.
     pub fn is_done(&self, r: Req) -> RmaResult<bool> {
-        self.get(r).map(|s| s.done).ok_or(RmaError::InvalidRequest)
+        self.slots.get(r.0).map(|s| s.done).ok_or(RmaError::InvalidRequest)
     }
 
     /// The request's kind. Errors on stale handles.
     pub fn kind(&self, r: Req) -> RmaResult<ReqKind> {
-        self.get(r).map(|s| s.kind).ok_or(RmaError::InvalidRequest)
+        self.slots.get(r.0).map(|s| s.kind).ok_or(RmaError::InvalidRequest)
     }
 
     /// The step the whole test/wait family shares. A complete request is
@@ -181,7 +144,7 @@ impl ReqTable {
     /// second process parking on it is misuse and errs at once, like a
     /// stale handle.
     pub fn poll(&mut self, r: Req, waiter: Option<ProcId>) -> RmaResult<Option<Option<Bytes>>> {
-        let st = self.get_mut(r).ok_or(RmaError::InvalidRequest)?;
+        let st = self.slots.get_mut(r.0).ok_or(RmaError::InvalidRequest)?;
         if st.done {
             return self.consume(r).map(Some);
         }
@@ -198,7 +161,7 @@ impl ReqTable {
     /// (what `wait_any` owes the requests it did not consume).
     pub fn forget(&mut self, reqs: &[Req], pid: ProcId) {
         for r in reqs {
-            if let Some(st) = self.get_mut(*r).filter(|st| st.waiter == Some(pid)) {
+            if let Some(st) = self.slots.get_mut(r.0).filter(|st| st.waiter == Some(pid)) {
                 st.waiter = None;
             }
         }
@@ -208,11 +171,8 @@ impl ReqTable {
     /// the handle is stale; panics if the request is not complete (callers
     /// check or wait first).
     pub fn consume(&mut self, r: Req) -> RmaResult<Option<Bytes>> {
-        let (idx, nonce) = unpack(r);
-        let slot = self.slots.get_mut(idx).filter(|s| s.nonce == nonce);
-        let st = slot.and_then(|s| s.state.take()).ok_or(RmaError::InvalidRequest)?;
+        let st = self.slots.remove(r.0).ok_or(RmaError::InvalidRequest)?;
         assert!(st.done, "consume() on an incomplete request");
-        self.free.push(idx as u32);
         if self.logging {
             self.log.push((r, ReqEvent::Consume));
         }
@@ -221,14 +181,13 @@ impl ReqTable {
 
     /// Number of live (unconsumed) requests — used by leak-check tests.
     pub fn live(&self) -> usize {
-        self.slots.iter().filter(|s| s.state.is_some()).count()
+        self.slots.iter().count()
     }
 
     /// Number of live requests a process is registered on — between MPI
     /// calls, one per rank currently blocked in the wait family.
     pub fn parked(&self) -> usize {
-        let waited = |s: &&Slot| s.state.as_ref().is_some_and(|st| st.waiter.is_some());
-        self.slots.iter().filter(waited).count()
+        self.slots.iter().filter(|st| st.waiter.is_some()).count()
     }
 }
 

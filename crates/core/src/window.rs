@@ -2,7 +2,7 @@
 //! deferred-epoch queue, target-side grant sequencing, the lock manager,
 //! fence bookkeeping, and flush requests.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use mpisim_net::U64Fifo;
 
@@ -34,8 +34,6 @@ pub struct GrantSeq {
     pub g_sent: u64,
     /// Activated exposures whose grant has not been emitted yet.
     pub exposure_credits: u64,
-    /// Lock plane: received, ungranted lock requests by lock access id.
-    pub pending_locks: BTreeMap<u64, crate::types::LockKind>,
     /// Lock plane: lock grants emitted so far (the origin's `g_lock`
     /// mirrors this).
     pub gl_sent: u64,
@@ -77,7 +75,6 @@ static UNTOUCHED: PeerOmega = PeerOmega {
     grants: GrantSeq {
         g_sent: 0,
         exposure_credits: 0,
-        pending_locks: BTreeMap::new(),
         gl_sent: 0,
     },
 };
@@ -198,6 +195,70 @@ pub struct FlushState {
     pub req: Req,
 }
 
+/// The deferred-epoch queue of one window side (§VII.A): every epoch that
+/// is not retired yet — deferred, active, or closed and awaiting completion
+/// — in open order. The queue hands out the ids, in order, so it is sorted
+/// by id: a lookup is a binary search over the handful of live epochs, and
+/// whether an id is still live is whether the lookup finds it. There is no
+/// base id and no tombstone: a dormant trailing fence can sit at the head
+/// for the rest of the run while epochs behind it come and go.
+#[derive(Debug, Default)]
+pub struct EpochQueue {
+    live: VecDeque<EpochObj>,
+    /// Epochs opened so far; the last id handed out.
+    opened: u64,
+}
+
+impl EpochQueue {
+    /// Open an epoch of `kind` at the tail under the next id, rebuilding
+    /// `recycled` in place when the caller has a retired object to reuse.
+    pub fn open(&mut self, kind: EpochKind, recycled: Option<EpochObj>) -> &mut EpochObj {
+        self.opened += 1;
+        let id = EpochId(self.opened);
+        let e = match recycled {
+            Some(mut e) => {
+                e.reset(id, kind);
+                e
+            }
+            None => EpochObj::new(id, kind),
+        };
+        let at = self.live.len();
+        self.live.push_back(e);
+        &mut self.live[at]
+    }
+
+    fn position(&self, id: EpochId) -> Option<usize> {
+        self.live.binary_search_by_key(&id, |e| e.id).ok()
+    }
+
+    /// The epoch `id`, unless it retired (ids are never reused).
+    pub fn get(&self, id: EpochId) -> Option<&EpochObj> {
+        self.live.get(self.position(id)?)
+    }
+
+    /// Mutable form of [`EpochQueue::get`].
+    pub fn get_mut(&mut self, id: EpochId) -> Option<&mut EpochObj> {
+        let at = self.position(id)?;
+        self.live.get_mut(at)
+    }
+
+    /// Take the epoch `id` out of the queue; later epochs keep their order.
+    pub fn retire(&mut self, id: EpochId) -> Option<EpochObj> {
+        let at = self.position(id)?;
+        self.live.remove(at)
+    }
+
+    /// The live epochs in open order.
+    pub fn iter(&self) -> std::collections::vec_deque::Iter<'_, EpochObj> {
+        self.live.iter()
+    }
+
+    /// Whether no epoch is live.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
+}
+
 /// One rank's side of one RMA window.
 pub struct WinRank {
     /// The exposed memory region.
@@ -205,13 +266,8 @@ pub struct WinRank {
     /// Info-object flags.
     pub info: WinInfo,
 
-    /// All epochs not yet retired, by id.
-    pub epochs: HashMap<u64, EpochObj>,
-    /// Epoch ids in open order, not yet internally complete (the deferred
-    /// epoch queue plus the active set).
-    pub order: VecDeque<EpochId>,
-    /// Next epoch id to assign.
-    pub next_epoch: u64,
+    /// The epochs not yet retired, in open order.
+    pub epochs: EpochQueue,
     /// The open set: the application-level currently open epochs by slot
     /// (at most one per kind, except single-target lock epochs, which MPI
     /// allows several of at once, to distinct targets).
@@ -250,6 +306,12 @@ pub struct WinRank {
     /// those are drained.
     pub fifos_in: BTreeMap<Rank, U64Fifo>,
 
+    /// The crash-recovery stable store of this side — latest checkpoint
+    /// plus the redo log since it — once
+    /// [`crate::config::JobConfig::recovery`] is armed. A crash wipes `mem`,
+    /// never this.
+    pub(crate) stable: Option<Box<crate::engine::recover::StableWin>>,
+
     /// Arena of retired epoch objects awaiting reuse (capped at
     /// [`EPOCH_POOL_CAP`]). Epochs churn once per fence phase per rank;
     /// recycling them keeps the op-record containers' capacity across
@@ -264,9 +326,7 @@ impl WinRank {
         WinRank {
             mem: vec![0; size],
             info,
-            epochs: HashMap::new(),
-            order: VecDeque::new(),
-            next_epoch: 1,
+            epochs: EpochQueue::default(),
             open: BTreeMap::new(),
             omega: OmegaTable::default(),
             grant_dirty: WorkList::default(),
@@ -277,49 +337,40 @@ impl WinRank {
             flushes: Vec::new(),
             cancelled_lock_grants: Vec::new(),
             fifos_in: BTreeMap::new(),
+            stable: None,
             epoch_pool: Vec::new(),
         }
     }
 
-    /// Open an epoch of `kind`: give it the next id, build its object —
-    /// reusing a retired one from the arena when available (recycle the
-    /// allocation, reinitialize the state) — and enter it at the tail of
-    /// the open order and in the open set.
+    /// Open an epoch of `kind` at the tail of the queue — reusing a retired
+    /// object from the arena when available (recycle the allocation,
+    /// reinitialize the state) — and enter it in the open set.
     pub fn open_epoch(&mut self, kind: EpochKind) -> &mut EpochObj {
-        let id = EpochId(self.next_epoch);
-        self.next_epoch += 1;
         let slot = kind.slot();
-        let mut e = match self.epoch_pool.pop() {
-            Some(mut e) => {
-                e.reset(id, kind);
-                e
-            }
-            None => EpochObj::new(id, kind),
-        };
         // A fence call vacates the fence slot before opening its successor,
         // so this is only ever the dormant fence a non-fence epoch opens under.
-        e.opened_in_fence = self.open.get(&Slot::Fence).copied();
-        self.order.push_back(id);
-        self.open.insert(slot, id);
-        self.epochs.entry(id.0).or_insert(e)
+        let opened_in_fence = self.open.get(&Slot::Fence).copied();
+        let e = self.epochs.open(kind, self.epoch_pool.pop());
+        e.opened_in_fence = opened_in_fence;
+        self.open.insert(slot, e.id);
+        e
     }
 
-    /// Immutable epoch lookup.
+    /// A live epoch the caller knows to be live.
     pub fn epoch(&self, id: EpochId) -> &EpochObj {
-        &self.epochs[&id.0]
+        self.epochs.get(id).expect("unknown epoch id")
     }
 
-    /// Mutable epoch lookup.
+    /// Mutable form of [`WinRank::epoch`].
     pub fn epoch_mut(&mut self, id: EpochId) -> &mut EpochObj {
-        self.epochs.get_mut(&id.0).expect("unknown epoch id")
+        self.epochs.get_mut(id).expect("unknown epoch id")
     }
 
-    /// Retire an internally complete (or cancelled) epoch: remove it from
-    /// the order, drop a fence epoch's per-seq record with it, and recycle
+    /// Retire an internally complete (or cancelled) epoch: take it out of
+    /// the queue, drop a fence epoch's per-seq record with it, and recycle
     /// the object into the arena for the next `open_epoch`.
     pub fn retire(&mut self, id: EpochId) {
-        self.order.retain(|e| *e != id);
-        if let Some(e) = self.epochs.remove(&id.0) {
+        if let Some(e) = self.epochs.retire(id) {
             if let EpochKind::Fence { seq } = e.kind {
                 self.fences.remove(&seq);
             }
@@ -363,7 +414,7 @@ impl WinRank {
                 }),
                 new.routines().0,
             ),
-            None => (!self.order.is_empty(), "win_free"),
+            None => (!self.epochs.is_empty(), "win_free"),
         };
         if clash {
             return Err(RmaError::AlreadyInEpoch { called });
@@ -374,10 +425,10 @@ impl WinRank {
     /// The live fence epoch of sequence `seq`, if this side has opened it
     /// and not retired it yet.
     fn fence_epoch(&self, seq: u64) -> Option<EpochId> {
-        self.order
+        self.epochs
             .iter()
-            .copied()
-            .find(|id| matches!(self.epoch(*id).kind, EpochKind::Fence { seq: s } if s == seq))
+            .find(|e| matches!(e.kind, EpochKind::Fence { seq: s } if s == seq))
+            .map(|e| e.id)
     }
 
     /// Record one arrival from `peer` for fence `seq` — its announcement or
@@ -419,16 +470,54 @@ mod tests {
         WinRank::new(64, WinInfo::default())
     }
 
+    fn order(q: &EpochQueue) -> Vec<EpochId> {
+        q.iter().map(|e| e.id).collect()
+    }
+
     #[test]
     fn epochs_enter_the_order_and_the_open_set_and_retire_from_the_order() {
         let mut w = mk();
         let a = w.open_epoch(EpochKind::LockAll).id;
         let b = w.open_epoch(EpochKind::GatsExposure { group: Group::new([1]) }).id;
-        assert_eq!(w.order, [a, b]);
+        assert_eq!(order(&w.epochs), [a, b]);
         assert_eq!(w.open.get(&Slot::LockAll), Some(&a));
         assert_eq!(w.open.get(&Slot::Exposure), Some(&b));
         w.retire(a);
-        assert_eq!(w.order, [b]);
+        assert_eq!(order(&w.epochs), [b]);
+    }
+
+    #[test]
+    fn queue_keeps_open_order_across_out_of_order_retirement() {
+        let mut q = EpochQueue::default();
+        let ids: Vec<EpochId> = (0..5).map(|_| q.open(EpochKind::LockAll, None).id).collect();
+        assert_eq!(ids, [1, 2, 3, 4, 5].map(EpochId), "ids are handed out in order");
+        assert!(q.retire(ids[3]).is_some() && q.retire(ids[1]).is_some());
+        assert_eq!(order(&q), [ids[0], ids[2], ids[4]]);
+        // A retired id is not live, cannot retire twice, and is not reissued.
+        assert!(q.get(ids[1]).is_none() && q.get_mut(ids[3]).is_none());
+        assert!(q.retire(ids[1]).is_none());
+        assert_eq!(q.get(ids[2]).map(|e| e.id), Some(ids[2]));
+        assert_eq!(q.open(EpochKind::LockAll, None).id, EpochId(6));
+        assert_eq!(order(&q), [ids[0], ids[2], ids[4], EpochId(6)]);
+    }
+
+    #[test]
+    fn a_dormant_fence_at_the_head_costs_the_queue_nothing() {
+        let mut q = EpochQueue::default();
+        let fence = q.open(EpochKind::Fence { seq: 0 }, None).id;
+        let lock = EpochKind::Lock { target: Rank(1), lock: crate::types::LockKind::Shared };
+        let (mut recycled, mut capacity) = (None, 0);
+        for round in 0..10_000 {
+            let id = q.open(lock.clone(), recycled.take()).id;
+            assert_eq!(order(&q), [fence, id]);
+            recycled = q.retire(id);
+            assert!(recycled.is_some() && q.get(id).is_none());
+            if round == 100 {
+                capacity = q.live.capacity();
+            }
+        }
+        assert_eq!(order(&q), [fence], "one live epoch: the dormant fence");
+        assert_eq!(q.live.capacity(), capacity, "the queue grew behind a dormant fence");
     }
 
     #[test]

@@ -164,3 +164,27 @@ fn ibarrier_overlaps_computation() {
     let us = *t.lock().unwrap() as f64 / 1000.0;
     assert!(us < 350.0, "ibarrier failed to overlap: {us} µs");
 }
+
+/// A duplicating fabric below no reliability sublayer delivers answered
+/// rendezvous messages (clear-to-send, data) a second time. The token such a
+/// copy carries was consumed by the original, so it is an orphan — and
+/// because a freed token slot is reused at once, the copy names the slot of a
+/// *newer* transfer: it must not complete that one with the old bytes.
+#[test]
+fn duplicated_rendezvous_answers_are_orphans_and_never_hit_a_newer_transfer() {
+    let mut cfg = JobConfig::all_internode(2);
+    cfg.net.faults = Some(mpisim_net::FaultPlan::dup_storm(5));
+    let report = run_job(cfg, |env| {
+        for i in 0..40u64 {
+            let big = vec![i as u8; 16 * 1024]; // rendezvous; one tag per transfer
+            if env.rank().idx() == 0 {
+                env.send(Rank(1), i, &big).unwrap();
+            } else {
+                assert!(env.recv(Rank(0), i).unwrap().as_ref() == &big[..], "transfer {i}");
+            }
+        }
+    })
+    .unwrap();
+    assert!(report.net.fault_dups > 0 && report.engine.orphan_responses > 0, "{:?}", report.engine);
+    assert_eq!(report.live_requests, 0);
+}

@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, Req, RmaError, WinId};
+use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, RankEnv, Req, RmaError, WinId};
 use mpisim_sim::SimTime;
 
 // ---------------------------------------------------------------------
@@ -217,24 +217,102 @@ fn open_close_matrix() {
     }
 }
 
+/// Every `RankEnv` routine that takes a window, reduced to whether it
+/// failed and how.
+type WinCall = fn(&RankEnv, WinId) -> Option<RmaError>;
+
+const WIN_CALLS: [(&str, WinCall); 42] = {
+    use mpisim_core::{Datatype::U64, ReduceOp::Sum};
+    const T: Rank = Rank(1);
+    const X: LockKind = LockKind::Exclusive;
+    fn g() -> Group {
+        Group::single(T)
+    }
+    [
+        ("win_free", |e, w| e.win_free(w).err()),
+        ("read_local", |e, w| e.read_local(w, 0, 1).err()),
+        ("write_local", |e, w| e.write_local(w, 0, &[1]).err()),
+        ("fence", |e, w| e.fence(w).err()),
+        ("ifence", |e, w| e.ifence(w).err()),
+        ("start", |e, w| e.start(w, g()).err()),
+        ("istart", |e, w| e.istart(w, g()).err()),
+        ("post", |e, w| e.post(w, g()).err()),
+        ("ipost", |e, w| e.ipost(w, g()).err()),
+        ("complete", |e, w| e.complete(w).err()),
+        ("icomplete", |e, w| e.icomplete(w).err()),
+        ("wait_epoch", |e, w| e.wait_epoch(w).err()),
+        ("iwait", |e, w| e.iwait(w).err()),
+        ("test_epoch", |e, w| e.test_epoch(w).err()),
+        ("lock", |e, w| e.lock(w, T, X).err()),
+        ("ilock", |e, w| e.ilock(w, T, X).err()),
+        ("unlock", |e, w| e.unlock(w, T).err()),
+        ("iunlock", |e, w| e.iunlock(w, T).err()),
+        ("lock_all", |e, w| e.lock_all(w).err()),
+        ("ilock_all", |e, w| e.ilock_all(w).err()),
+        ("unlock_all", |e, w| e.unlock_all(w).err()),
+        ("iunlock_all", |e, w| e.iunlock_all(w).err()),
+        ("flush", |e, w| e.flush(w, T).err()),
+        ("iflush", |e, w| e.iflush(w, T).err()),
+        ("flush_local", |e, w| e.flush_local(w, T).err()),
+        ("iflush_local", |e, w| e.iflush_local(w, T).err()),
+        ("flush_all", |e, w| e.flush_all(w).err()),
+        ("iflush_all", |e, w| e.iflush_all(w).err()),
+        ("flush_local_all", |e, w| e.flush_local_all(w).err()),
+        ("iflush_local_all", |e, w| e.iflush_local_all(w).err()),
+        ("put", |e, w| e.put(w, T, 0, &[1]).err()),
+        ("put_strided", |e, w| e.put_strided(w, T, 0, 2, 1, 2, &[1, 2]).err()),
+        ("put_synthetic", |e, w| e.put_synthetic(w, T, 0, 1).err()),
+        ("rput", |e, w| e.rput(w, T, 0, &[1]).err()),
+        ("get", |e, w| e.get(w, T, 0, 1).err()),
+        ("get_strided", |e, w| e.get_strided(w, T, 0, 2, 1, 2).err()),
+        ("accumulate", |e, w| e.accumulate(w, T, 0, U64, Sum, &[0; 8]).err()),
+        ("accumulate_synthetic", |e, w| e.accumulate_synthetic(w, T, 0, U64, Sum, 8).err()),
+        ("raccumulate", |e, w| e.raccumulate(w, T, 0, U64, Sum, &[0; 8]).err()),
+        ("get_accumulate", |e, w| e.get_accumulate(w, T, 0, U64, Sum, &[0; 8]).err()),
+        ("fetch_and_op", |e, w| e.fetch_and_op(w, T, 0, U64, Sum, &[0; 8]).err()),
+        ("compare_and_swap", |e, w| e.compare_and_swap(w, T, 0, U64, &[0; 8], &[1; 8]).err()),
+    ]
+};
+
+/// A window id the application made up, and one whose window this rank
+/// already freed (`win_free` twice included), are its error to handle: every
+/// routine answers `InvalidWindow`, none panics, none leaves a request
+/// behind, and the job finishes.
 #[test]
 fn invalid_rank_and_window_rejected() {
-    run_job(JobConfig::all_internode(2), |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(8).unwrap();
         env.barrier().unwrap();
         assert!(matches!(
             env.lock(win, Rank(99), LockKind::Shared).unwrap_err(),
             RmaError::InvalidRank(99)
         ));
+        // Inside an open epoch the made-up id is still what is wrong.
         env.lock(win, Rank(1), LockKind::Shared).unwrap();
         assert!(matches!(
             env.put(WinId(42), Rank(1), 0, &[1]).unwrap_err(),
-            RmaError::InvalidWindow(_)
+            RmaError::InvalidWindow(WinId(42))
         ));
         env.unlock(win, Rank(1)).unwrap();
         env.win_free(win).unwrap();
+        for (case, bad) in [("never allocated", WinId(42)), ("freed", win)] {
+            for (routine, call) in WIN_CALLS {
+                match call(env, bad) {
+                    Some(RmaError::InvalidWindow(w)) if w == bad => {}
+                    other => panic!("{routine} on a {case} window: {other:?}"),
+                }
+            }
+        }
+        // The engine is none the worse: a fresh window works.
+        let win = env.win_allocate(8).unwrap();
+        env.fence(win).unwrap();
+        env.put(win, Rank(1), 0, &[7]).unwrap();
+        env.fence(win).unwrap();
+        env.win_free(win).unwrap();
     })
     .unwrap();
+    assert_eq!(report.live_requests, 0);
+    assert!(report.is_clean(), "{:?}", report.degradations);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //! Local completion (origin buffer reusable) is reported when the last byte
 //! leaves the source NIC, distinct from delivery at the target.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use mpisim_sim::{mix64, seeded_rng, SimHandle, SimTime};
@@ -120,11 +120,18 @@ struct FaultDraw {
     delay_extra: SimTime,
 }
 
+/// One rank as a source. The per-destination rows appear on first use, so
+/// a rank pays for the peers it talks to, not for the job size.
 struct RankState<M> {
     egress_free: SimTime,
     ingress_free: SimTime,
     in_flight: u32,
     backlog: VecDeque<SendReq<M>>,
+    /// Channel state toward each destination this rank has sent to.
+    channels: BTreeMap<Rank, ChannelState>,
+    /// Fault decision stream per destination, lazily seeded from
+    /// `(plan.seed, src, dst)` so a plan replays identically.
+    fault_rngs: BTreeMap<Rank, SmallRng>,
 }
 
 impl<M> Default for RankState<M> {
@@ -134,18 +141,16 @@ impl<M> Default for RankState<M> {
             ingress_free: SimTime::ZERO,
             in_flight: 0,
             backlog: VecDeque::new(),
+            channels: BTreeMap::new(),
+            fault_rngs: BTreeMap::new(),
         }
     }
 }
 
 struct NetInner<M> {
-    channels: HashMap<(Rank, Rank), ChannelState>,
     ranks: Vec<RankState<M>>,
     stats: NetStats,
     jitter_rng: rand::rngs::SmallRng,
-    /// Per-channel fault decision streams, lazily seeded from
-    /// `(plan.seed, src, dst)` so a plan replays identically.
-    fault_rngs: HashMap<(Rank, Rank), SmallRng>,
     /// Replayable, bounded log of every injected fault.
     fault_log: FaultLog,
     /// Dynamically downed NICs (engine-driven crash/restart). Unlike the
@@ -171,11 +176,9 @@ impl<M: Wire> Network<M> {
         let n = topo.n_ranks();
         Arc::new(Network {
             inner: Mutex::new(NetInner {
-                channels: HashMap::new(),
                 ranks: (0..n).map(|_| RankState::default()).collect(),
                 stats: NetStats::default(),
                 jitter_rng: seeded_rng(handle.seed(), 0x0021_77E2),
-                fault_rngs: HashMap::new(),
                 fault_log: FaultLog::default(),
                 downs: vec![false; n],
             }),
@@ -298,9 +301,9 @@ impl<M: Wire> Network<M> {
 
     fn has_credits(&self, inner: &NetInner<M>, src: Rank, dst: Rank) -> bool {
         let chan_ok = self.params.channel_credits == 0
-            || inner
+            || inner.ranks[src.idx()]
                 .channels
-                .get(&(src, dst))
+                .get(&dst)
                 .is_none_or(|c| c.in_flight < self.params.channel_credits);
         let rank_ok = self.params.rank_credits == 0
             || inner.ranks[src.idx()].in_flight < self.params.rank_credits;
@@ -369,9 +372,9 @@ impl<M: Wire> Network<M> {
         }
 
         if internode {
-            let chan = inner.channels.entry((src, dst)).or_default();
-            chan.in_flight += 1;
-            inner.ranks[src.idx()].in_flight += 1;
+            let from = &mut inner.ranks[src.idx()];
+            from.channels.entry(dst).or_default().in_flight += 1;
+            from.in_flight += 1;
         }
 
         // Origin-side effects happen regardless of in-fabric loss: the
@@ -406,7 +409,7 @@ impl<M: Wire> Network<M> {
         // a reordered message is then handed to the handler late, so later
         // channel traffic can legally overtake it.
         let ingress_ready = inner.ranks[dst.idx()].ingress_free + ser;
-        let chan = inner.channels.entry((src, dst)).or_default();
+        let chan = inner.ranks[src.idx()].channels.entry(dst).or_default();
         let delivery = arrive.max(ingress_ready).max(chan.last_delivery);
         chan.last_delivery = delivery;
         inner.ranks[dst.idx()].ingress_free = delivery;
@@ -486,9 +489,9 @@ impl<M: Wire> Network<M> {
         }
 
         let seed = plan.seed;
-        let rng = inner
+        let rng = inner.ranks[src.idx()]
             .fault_rngs
-            .entry((src, dst))
+            .entry(dst)
             .or_insert_with(|| {
                 seeded_rng(seed, mix64(0xFA17, ((src.idx() as u64) << 32) | dst.idx() as u64))
             });
@@ -525,7 +528,7 @@ impl<M: Wire> Network<M> {
     fn return_credit(self: &Arc<Self>, src: Rank, dst: Rank) {
         let now = self.handle.now();
         let mut inner = self.inner.lock();
-        if let Some(c) = inner.channels.get_mut(&(src, dst)) {
+        if let Some(c) = inner.ranks[src.idx()].channels.get_mut(&dst) {
             debug_assert!(c.in_flight > 0);
             c.in_flight -= 1;
         }
