@@ -1328,6 +1328,46 @@ mod tests {
     }
 
     #[test]
+    fn a_full_ring_redelivers_the_overflow_in_order_1us_later() {
+        use crate::window::FIFO_CAPACITY;
+        let (sim, eng) = engine_with_window();
+        // Every word is corrupt (0xF type nibble), so each one drained
+        // leaves a degradation carrying it: the drain order is observable.
+        let words: Vec<u64> = (0..FIFO_CAPACITY as u64 + 7)
+            .map(|i| 0xF << 60 | i)
+            .collect();
+        {
+            let mut st = eng.st.lock();
+            eng.dispatch_body(&mut st, Rank(0), Rank(1), Body::fifo(WinId(0), &words));
+            assert_eq!(
+                st.eng_stats.fifo_packets, FIFO_CAPACITY as u64,
+                "the ring takes its bound"
+            );
+            assert!(st.win_mut(WinId(0), Rank(0)).fifo_from(Rank(1)).is_full());
+        }
+        eng.sweep(Rank(0));
+        assert_eq!(eng.engine_stats().fifo_drained, FIFO_CAPACITY as u64);
+        // The 7 the full ring refused are one redelivery, 1 µs later.
+        let stats = sim.run().unwrap();
+        assert_eq!(
+            (stats.events_executed, stats.final_time),
+            (1, SimTime::from_micros(1))
+        );
+        let s = eng.engine_stats();
+        assert_eq!(s.fifo_packets, words.len() as u64);
+        assert_eq!(s.fifo_drained, s.fifo_packets);
+        let drained: Vec<u64> = eng
+            .take_degradations()
+            .iter()
+            .map(|d| match d {
+                Degradation::FifoDecode(e) => e.raw,
+                other => panic!("expected a fifo-decode degradation, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(drained, words, "drained in push order");
+    }
+
+    #[test]
     fn same_channel_sync_words_batch_into_one_push() {
         let (sim, eng) = engine_with_window();
         {

@@ -452,7 +452,10 @@ impl WinRank {
         epoch
     }
 
-    /// The inbound FIFO from `peer`, created on first use.
+    /// The inbound FIFO from `peer`, created on first use. A FIFO that has
+    /// never held a packet owns no heap: its ring is sized by the pushes
+    /// (see [`U64Fifo`]), so step 5's `fifo_from(src).pop()` on a quiet
+    /// channel costs a map entry, not [`FIFO_CAPACITY`] slots.
     pub fn fifo_from(&mut self, peer: Rank) -> &mut U64Fifo {
         self.fifos_in
             .entry(peer)

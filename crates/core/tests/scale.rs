@@ -10,7 +10,7 @@
 //! ```
 //!
 //! `MPISIM_SCALE_RANKS` overrides the rank count; README's ranks tables are
-//! these tests' printed rows (ring: 512/2048/4096/8192, collective:
+//! these tests' printed rows (ring: 512/2048/4096/8192/16384, collective:
 //! 128/256/512). Run alone, a test's process `VmHWM` is its job's peak.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,9 +27,12 @@ fn vm_hwm_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
+/// Peak RSS bound: 224 MB up to 8192 ranks (~18 KB per rank once the
+/// intranode FIFOs are sized by use; 8 KB eager rings made it 267 MB), and
+/// 512 MB above, which holds the 16384-rank ring CI runs.
 #[test]
 #[ignore = "release-mode scale run; see the scale-smoke CI job"]
-fn neighbour_ring_at_8192_ranks_stays_under_512_mb() {
+fn neighbour_ring_at_8192_ranks_stays_under_224_mb() {
     let n: usize = std::env::var("MPISIM_SCALE_RANKS")
         .map(|v| v.parse().expect("MPISIM_SCALE_RANKS must be a rank count"))
         .unwrap_or(8192);
@@ -70,8 +73,12 @@ fn neighbour_ring_at_8192_ranks_stays_under_512_mb() {
         hwm.map_or("n/a".into(), |m| format!("{m:.0}")),
         report.final_time.as_secs_f64() * 1e3,
     );
+    let bound = if n <= 8192 { 224.0 } else { 512.0 };
     if let Some(mb) = hwm {
-        assert!(mb < 512.0, "peak RSS {mb:.0} MB at {n} ranks");
+        assert!(
+            mb < bound,
+            "peak RSS {mb:.0} MB at {n} ranks, bound {bound} MB"
+        );
     }
 }
 

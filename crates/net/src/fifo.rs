@@ -6,27 +6,34 @@
 //!
 //! [`U64Fifo`] is that bounded single-producer/single-consumer ring of
 //! 64-bit packets. In the cooperative simulation the producer and consumer
-//! never run concurrently, so plain indices suffice; the structure,
-//! capacity semantics, and overflow behaviour match the shared-memory ring
-//! the paper describes.
+//! never run concurrently, so plain indices suffice; the capacity
+//! semantics and overflow behaviour match the shared-memory ring the paper
+//! describes. The bound is protocol, the storage is not: the ring starts
+//! unallocated and doubles (4, 8, … slots, up to the power of two at or
+//! above the bound) only when a push finds it full below the bound, so a
+//! channel costs memory for the packets it has held at once, not for the
+//! packets it could hold.
 
 /// A bounded FIFO of 64-bit packets.
 #[derive(Debug)]
 pub struct U64Fifo {
+    /// The ring: empty, or a power of two slots, so `& (len − 1)` wraps.
     buf: Box<[u64]>,
+    capacity: usize,
     head: usize,
-    tail: usize,
     len: usize,
 }
 
 impl U64Fifo {
-    /// Create a FIFO holding up to `capacity` packets.
+    /// Create a FIFO holding up to `capacity` packets. Allocates nothing:
+    /// the ring is sized by the first push.
+    #[inline]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "FIFO capacity must be positive");
         U64Fifo {
-            buf: vec![0; capacity].into_boxed_slice(),
+            buf: Box::default(),
+            capacity,
             head: 0,
-            tail: 0,
             len: 0,
         }
     }
@@ -46,26 +53,32 @@ impl U64Fifo {
     /// Whether the FIFO is full.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len == self.buf.len()
+        self.len == self.capacity
     }
 
     /// Capacity in packets.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.capacity
     }
 
     /// Enqueue a packet. Returns `false` (leaving the FIFO unchanged) if
     /// full — the producer must retry later, exactly like a full
-    /// shared-memory ring. Never allocates: this sits on the progress
-    /// engine's per-packet hot path.
+    /// shared-memory ring. Allocates only when the occupancy sets a new
+    /// high (at most ⌈log₂ capacity⌉ − 1 times over the FIFO's life), never
+    /// in steady state: this sits on the progress engine's per-packet hot
+    /// path.
     #[inline]
     pub fn push(&mut self, packet: u64) -> bool {
         if self.is_full() {
             return false;
         }
-        self.buf[self.tail] = packet;
-        self.tail = (self.tail + 1) % self.buf.len();
+        if self.len == self.buf.len() {
+            self.buf = doubled(&self.buf, self.head);
+            self.head = 0;
+        }
+        let mask = self.buf.len() - 1;
+        self.buf[(self.head + self.len) & mask] = packet;
         self.len += 1;
         true
     }
@@ -78,17 +91,25 @@ impl U64Fifo {
             return None;
         }
         let v = self.buf[self.head];
-        self.head = (self.head + 1) % self.buf.len();
+        self.head = (self.head + 1) & (self.buf.len() - 1);
         self.len -= 1;
         Some(v)
     }
+}
 
-    /// Drain every queued packet into `out`.
-    pub fn drain_into(&mut self, out: &mut Vec<u64>) {
-        while let Some(v) = self.pop() {
-            out.push(v);
-        }
-    }
+/// The full ring `buf` (oldest packet at `head`) in twice the slots, at
+/// least 4, unwrapped so the oldest packet lands in slot 0. A free function
+/// rather than a `&mut self` method: an out-of-line call that borrows the
+/// whole FIFO would make the caller keep its fields in memory across the
+/// hot path of every push.
+#[cold]
+fn doubled(buf: &[u64], head: usize) -> Box<[u64]> {
+    let slots = (2 * buf.len()).max(4);
+    let mut grown = Vec::with_capacity(slots);
+    grown.extend_from_slice(&buf[head..]);
+    grown.extend_from_slice(&buf[..head]);
+    grown.resize(slots, 0);
+    grown.into_boxed_slice()
 }
 
 #[cfg(test)]
@@ -134,14 +155,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_collects_all() {
-        let mut f = U64Fifo::new(8);
-        for i in 0..5 {
-            f.push(i);
-        }
-        let mut out = Vec::new();
-        f.drain_into(&mut out);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
+    fn growth_across_a_wrapped_head_keeps_packet_order() {
+        let mut f = U64Fifo::new(16);
+        // Fill the first 4-slot ring, then move the head to slot 3 so the
+        // ring is wrapped (packets in slots 3, 0, 1, 2) when it fills.
+        (0..4).for_each(|v| assert!(f.push(v)));
+        (0..3).for_each(|v| assert_eq!(f.pop(), Some(v)));
+        (4..7).for_each(|v| assert!(f.push(v)));
+        assert_eq!((f.head, f.buf.len()), (3, 4));
+        (7..16).for_each(|v| assert!(f.push(v)));
+        assert_eq!(f.buf.len(), 16);
+        (3..16).for_each(|v| assert_eq!(f.pop(), Some(v)));
         assert!(f.is_empty());
     }
 
@@ -159,26 +183,29 @@ mod proptests {
 
     proptest! {
         /// The FIFO behaves exactly like a bounded VecDeque oracle for any
-        /// interleaving of pushes and pops.
+        /// interleaving of pushes and pops, at bounds that are and are not
+        /// powers of two; runs of pushes grow the ring while it is wrapped.
         #[test]
         fn matches_vecdeque_oracle(
-            cap in 1usize..16,
-            ops in proptest::collection::vec((any::<bool>(), any::<u64>()), 0..200)
+            cap in prop_oneof![1usize..=16, Just(1000), Just(1024), 17usize..=1100],
+            ops in proptest::collection::vec((0u8..3, 1usize..300, any::<u64>()), 0..40)
         ) {
             let mut fifo = U64Fifo::new(cap);
             let mut oracle = std::collections::VecDeque::new();
-            for (is_push, v) in ops {
-                if is_push {
-                    let ok = fifo.push(v);
-                    prop_assert_eq!(ok, oracle.len() < cap);
-                    if ok {
-                        oracle.push_back(v);
+            for (kind, run, v) in ops {
+                for i in 0..run as u64 {
+                    if kind > 0 {
+                        let ok = fifo.push(v ^ i);
+                        prop_assert_eq!(ok, oracle.len() < cap);
+                        if ok {
+                            oracle.push_back(v ^ i);
+                        }
+                    } else {
+                        prop_assert_eq!(fifo.pop(), oracle.pop_front());
                     }
-                } else {
-                    prop_assert_eq!(fifo.pop(), oracle.pop_front());
+                    prop_assert_eq!(fifo.len(), oracle.len());
+                    prop_assert_eq!(fifo.is_full(), oracle.len() == cap);
                 }
-                prop_assert_eq!(fifo.len(), oracle.len());
-                prop_assert_eq!(fifo.is_empty(), oracle.is_empty());
             }
         }
     }

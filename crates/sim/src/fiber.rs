@@ -34,6 +34,7 @@
 //! migrate between pool workers across suspensions but never while running.
 
 use std::cell::Cell;
+use std::io;
 use std::panic::{self, AssertUnwindSafe};
 
 /// Raw mmap FFI. `std` already links libc on every Linux target, so the
@@ -76,10 +77,18 @@ struct Stack {
 }
 
 impl Stack {
-    fn new(usable: usize) -> Stack {
+    /// Map a stack, or return the OS error. Each stack is two mappings
+    /// (guard + usable), so a process runs out of `vm.max_map_count` at
+    /// about half that many fibers; a stack mapped but not protected is
+    /// unmapped before the error is returned.
+    fn new(usable: usize) -> io::Result<Stack> {
         // Round the usable region up to whole pages and add the guard page.
         let usable = usable.max(4 * PAGE).div_ceil(PAGE) * PAGE;
         let len = usable + PAGE;
+        // SAFETY: a fresh private anonymous mapping of `len` bytes that no
+        // other code knows of; only its first page is re-protected, and it
+        // is unmapped exactly once — here if the guard page fails, else by
+        // `Drop`.
         unsafe {
             let base = sys::mmap(
                 std::ptr::null_mut(),
@@ -89,10 +98,15 @@ impl Stack {
                 -1,
                 0,
             );
-            assert!(base != sys::MAP_FAILED, "fiber stack mmap failed");
-            let rc = sys::mprotect(base, PAGE, sys::PROT_NONE);
-            assert_eq!(rc, 0, "fiber guard-page mprotect failed");
-            Stack { base: base.cast(), len }
+            if base == sys::MAP_FAILED {
+                return Err(io::Error::last_os_error());
+            }
+            if sys::mprotect(base, PAGE, sys::PROT_NONE) != 0 {
+                let err = io::Error::last_os_error();
+                sys::munmap(base, len);
+                return Err(err);
+            }
+            Ok(Stack { base: base.cast(), len })
         }
     }
 
@@ -146,9 +160,13 @@ pub(crate) struct Fiber {
 unsafe impl Send for Fiber {}
 
 impl Fiber {
-    /// Create a suspended fiber that will run `f` when first resumed.
-    pub(crate) fn new(stack_size: usize, f: Box<dyn FnOnce() + Send + 'static>) -> Fiber {
-        let stack = Stack::new(stack_size);
+    /// Create a suspended fiber that will run `f` when first resumed, or
+    /// return the OS error that refused its stack.
+    pub(crate) fn new(
+        stack_size: usize,
+        f: Box<dyn FnOnce() + Send + 'static>,
+    ) -> io::Result<Fiber> {
+        let stack = Stack::new(stack_size)?;
         let mut inner = Box::new(FiberInner {
             fiber_rsp: 0,
             resumer_rsp: 0,
@@ -173,7 +191,7 @@ impl Fiber {
             top.sub(7).write(0); // r15
             inner.fiber_rsp = top.sub(7) as usize;
         }
-        Fiber { inner }
+        Ok(Fiber { inner })
     }
 
     /// Run the fiber until its next yield or until it finishes. Returns
@@ -286,13 +304,17 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    fn fiber(stack: usize, f: impl FnOnce() + Send + 'static) -> Fiber {
+        Fiber::new(stack, Box::new(f)).expect("map a fiber stack")
+    }
+
     #[test]
     fn fiber_runs_to_completion() {
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
-        let mut f = Fiber::new(64 * 1024, Box::new(move || {
+        let mut f = fiber(64 * 1024, move || {
             h.fetch_add(1, Ordering::SeqCst);
-        }));
+        });
         assert!(!f.is_finished());
         assert!(f.resume());
         assert!(f.is_finished());
@@ -303,13 +325,13 @@ mod tests {
     fn fiber_yields_and_resumes() {
         let steps = Arc::new(AtomicUsize::new(0));
         let s = steps.clone();
-        let mut f = Fiber::new(64 * 1024, Box::new(move || {
+        let mut f = fiber(64 * 1024, move || {
             s.fetch_add(1, Ordering::SeqCst);
             yield_current();
             s.fetch_add(1, Ordering::SeqCst);
             yield_current();
             s.fetch_add(1, Ordering::SeqCst);
-        }));
+        });
         assert!(!f.resume());
         assert_eq!(steps.load(Ordering::SeqCst), 1);
         assert!(!f.resume());
@@ -320,7 +342,7 @@ mod tests {
 
     #[test]
     fn fiber_panic_is_contained() {
-        let mut f = Fiber::new(64 * 1024, Box::new(|| panic!("inside fiber")));
+        let mut f = fiber(64 * 1024, || panic!("inside fiber"));
         // A previous test may have left the default hook; silence this one.
         let prev = panic::take_hook();
         panic::set_hook(Box::new(|_| {}));
@@ -333,11 +355,11 @@ mod tests {
     fn fiber_can_migrate_between_threads() {
         let log = Arc::new(AtomicUsize::new(0));
         let l = log.clone();
-        let mut f = Fiber::new(64 * 1024, Box::new(move || {
+        let mut f = fiber(64 * 1024, move || {
             l.fetch_add(1, Ordering::SeqCst);
             yield_current();
             l.fetch_add(10, Ordering::SeqCst);
-        }));
+        });
         assert!(!f.resume()); // first slice on this thread
         let f = std::thread::spawn(move || {
             assert!(f.resume()); // second slice on another thread
@@ -352,11 +374,11 @@ mod tests {
     #[test]
     fn on_fiber_is_scoped_to_the_slice() {
         assert!(!on_fiber());
-        let mut f = Fiber::new(64 * 1024, Box::new(|| {
+        let mut f = fiber(64 * 1024, || {
             assert!(on_fiber());
             yield_current();
             assert!(on_fiber());
-        }));
+        });
         f.resume();
         assert!(!on_fiber());
         f.resume();
@@ -371,11 +393,11 @@ mod tests {
         let mut fibers: Vec<Fiber> = (0..4096)
             .map(|_| {
                 let c = counter.clone();
-                Fiber::new(32 * 1024, Box::new(move || {
+                fiber(32 * 1024, move || {
                     c.fetch_add(1, Ordering::SeqCst);
                     yield_current();
                     c.fetch_add(1, Ordering::SeqCst);
-                }))
+                })
             })
             .collect();
         for f in fibers.iter_mut() {

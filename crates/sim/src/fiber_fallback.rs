@@ -11,7 +11,10 @@ pub(crate) const SUPPORTED: bool = false;
 pub(crate) struct Fiber;
 
 impl Fiber {
-    pub(crate) fn new(_stack_size: usize, _f: Box<dyn FnOnce() + Send + 'static>) -> Fiber {
+    pub(crate) fn new(
+        _stack_size: usize,
+        _f: Box<dyn FnOnce() + Send + 'static>,
+    ) -> std::io::Result<Fiber> {
         unreachable!("fiber execution is not supported on this target")
     }
 

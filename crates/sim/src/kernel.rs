@@ -117,6 +117,21 @@ pub enum SimError {
         /// The cap that was exceeded.
         cap: u64,
     },
+    /// The OS refused a process its fiber stack or its thread: typically
+    /// the per-process mapping limit (`vm.max_map_count`; a fiber stack is
+    /// two mappings, so a process runs out at about half that many ranks)
+    /// or the thread limit. [`Sim::spawn`] keeps the first such failure and
+    /// maps nothing more; [`Sim::run`] returns it instead of driving the
+    /// simulation, after unwinding the processes spawned before it as on a
+    /// deadlock.
+    SpawnFailed {
+        /// Label of the process that could not be spawned.
+        process: String,
+        /// Processes in the simulation at the failure, this one included.
+        processes: usize,
+        /// What the OS said.
+        error: std::io::Error,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -134,6 +149,16 @@ impl std::fmt::Display for SimError {
             }
             SimError::EventCapExceeded { cap } => {
                 write!(f, "simulation exceeded event cap of {cap} events")
+            }
+            SimError::SpawnFailed {
+                process,
+                processes,
+                error,
+            } => {
+                write!(
+                    f,
+                    "cannot spawn {process} as process {processes} of the simulation: {error}"
+                )
             }
         }
     }
@@ -364,6 +389,8 @@ pub struct Sim {
     pool: Vec<PoolWorker>,
     mode: ExecMode,
     stack_size: usize,
+    /// The first spawn the OS refused; [`Sim::run`] returns it.
+    spawn_error: Option<SimError>,
 }
 
 /// Default per-process stack size. Simulated ranks mostly park, so a small
@@ -401,6 +428,7 @@ impl Sim {
             pool: Vec::new(),
             mode: ExecMode::default(),
             stack_size: DEFAULT_STACK_SIZE,
+            spawn_error: None,
         }
     }
 
@@ -474,6 +502,8 @@ impl Sim {
     /// Spawn a simulated process. The closure starts at virtual time zero,
     /// in spawn order, and is cooperatively scheduled — as a stackful fiber
     /// in pooled mode, or on a dedicated OS thread in thread-per-rank mode.
+    /// If the OS refuses the stack or the thread, [`Sim::run`] returns
+    /// [`SimError::SpawnFailed`].
     pub fn spawn<F>(&mut self, label: impl Into<String>, f: F) -> ProcId
     where
         F: FnOnce(&ProcCtx) + Send + 'static,
@@ -492,6 +522,9 @@ impl Sim {
             inner.ready.push_back(pid);
             pid
         };
+        if self.spawn_error.is_some() {
+            return pid;
+        }
         let core = self.core.clone();
         let ctx = ProcCtx::new(core.clone(), pid, parker.clone(), label.clone());
         // Shared process body: run `f`, then record completion and any real
@@ -505,7 +538,7 @@ impl Sim {
                 }
             }
         };
-        match self.mode {
+        let spawned = match self.mode {
             ExecMode::Pooled { .. } => {
                 let body = move || {
                     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
@@ -513,15 +546,17 @@ impl Sim {
                     // Control returns to the resumer via the fiber's final
                     // switch; no baton to hand back.
                 };
-                self.fibers.push(Fiber::new(self.stack_size, Box::new(body)));
-                debug_assert_eq!(self.fibers.len(), pid.0 + 1);
+                Fiber::new(self.stack_size, Box::new(body)).map(|fiber| {
+                    self.fibers.push(fiber);
+                    debug_assert_eq!(self.fibers.len(), pid.0 + 1);
+                })
             }
             ExecMode::ThreadPerRank => {
                 let core = self.core.clone();
                 let builder = std::thread::Builder::new()
                     .name(format!("sim-{label}"))
                     .stack_size(self.stack_size);
-                let jh = builder
+                builder
                     .spawn(move || {
                         // Wait for the first baton before touching anything.
                         parker.park();
@@ -529,9 +564,15 @@ impl Sim {
                         record_exit(result);
                         core.sched.unpark();
                     })
-                    .expect("failed to spawn simulation process thread");
-                self.threads.push(jh);
+                    .map(|jh| self.threads.push(jh))
             }
+        };
+        if let Err(error) = spawned {
+            self.spawn_error = Some(SimError::SpawnFailed {
+                process: label,
+                processes: pid.0 + 1,
+                error,
+            });
         }
         pid
     }
@@ -539,9 +580,13 @@ impl Sim {
     /// Drive the simulation to completion: run ready processes, then pop
     /// events, until every process finishes (Ok) or nothing can make
     /// progress (deadlock error). Panics raised inside processes are
-    /// propagated to the caller.
+    /// propagated to the caller. A spawn the OS refused is returned before
+    /// any event runs ([`SimError::SpawnFailed`]).
     pub fn run(mut self) -> Result<SimStats, SimError> {
-        let outcome = self.drive();
+        let outcome = match self.spawn_error.take() {
+            Some(e) => Drive::Err(e),
+            None => self.drive(),
+        };
         match outcome {
             Drive::Done(stats) => {
                 self.join_all();
