@@ -12,6 +12,9 @@
 //! | unlock → next lock | `EpochDoneSent` → `EpochDoneApplied` (plane Lock) |
 //! | fence barrier | `FenceDoneSent` → `FenceDoneApplied` (per peer, per seq) |
 //!
+//! [`SyncFold`] pairs each send with its apply; it holds the sender's
+//! clock snapshot until the apply joins it.
+//!
 //! Every [`SyncEvent::DataIssued`] carries the target byte range and an
 //! [`AccessKind`]; [`SyncEvent::LocalAccess`] records a rank touching its
 //! own window. Two accesses to overlapping bytes of one window owner race
@@ -20,9 +23,9 @@
 //! ordered here (program order plus per-channel FIFO delivery), so only
 //! cross-rank pairs are candidates.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use mpisim_core::trace::{AccessKind, Plane, SyncEvent, SyncRecord};
+use mpisim_core::trace::{AccessKind, Step, SyncEvent, SyncFold, SyncRecord};
 use mpisim_core::JobReport;
 
 /// One side of a detected race.
@@ -83,22 +86,45 @@ impl std::fmt::Display for Race {
     }
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum EdgeKey {
-    Grant { from: usize, to: usize, win: u32, plane: Plane, id: u64 },
-    Done { from: usize, to: usize, win: u32, plane: Plane, id: u64 },
-    Fence { from: usize, to: usize, win: u32, seq: u64 },
-}
-
+/// One access recorded in a window's shadow.
 struct Shadow {
-    rank: usize,
-    lo: usize,
-    hi: usize,
-    kind: AccessKind,
+    access: RaceAccess,
     /// The accessor's own clock component at access time: a later access
     /// by rank `r` is ordered after this one iff `clock_r[rank] >= own`.
     own: u64,
-    local: bool,
+}
+
+/// The detector's state: one vector clock per rank, and per (window,
+/// owner) every access recorded so far.
+struct Detector {
+    clocks: Vec<Vec<u64>>,
+    shadow: BTreeMap<(u32, usize), Vec<Shadow>>,
+    races: Vec<Race>,
+}
+
+impl Detector {
+    fn record_access(&mut self, win: u32, owner: usize, access: RaceAccess) {
+        let RaceAccess { rank, disp, len, kind, .. } = access;
+        let cell = self.shadow.entry((win, owner)).or_default();
+        for prev in cell.iter() {
+            let p = &prev.access;
+            if p.rank == rank {
+                continue; // program order + per-channel FIFO
+            }
+            let lo = p.disp.max(disp);
+            let hi = (p.disp + p.len).min(disp + len);
+            if lo >= hi || !p.kind.conflicts_with(kind) {
+                continue;
+            }
+            // prev happens-before this access iff the accessor has observed
+            // prev's own clock component.
+            if self.clocks[rank][p.rank] >= prev.own {
+                continue;
+            }
+            self.races.push(Race { win, owner, lo, hi, first: p.clone(), second: access.clone() });
+        }
+        cell.push(Shadow { access, own: self.clocks[rank][rank] });
+    }
 }
 
 fn join(into: &mut [u64], other: &[u64]) {
@@ -111,140 +137,34 @@ fn join(into: &mut [u64], other: &[u64]) {
 /// happens-before-unordered access pair. An empty result means the run is
 /// race-free under the traced synchronization edges.
 pub fn detect_races(report: &JobReport) -> Vec<Race> {
-    detect_races_in(&report.sync_trace, report.ranks.len())
+    detect_races_in(&report.sync_trace)
 }
 
-/// [`detect_races`] over a bare sync trace (`n` = number of ranks). The
-/// trace must be in global virtual-time order, as the runtime records it.
-pub fn detect_races_in(trace: &[SyncRecord], n: usize) -> Vec<Race> {
-    let mut clocks: Vec<Vec<u64>> = vec![vec![0; n]; n];
-    let mut snapshots: HashMap<EdgeKey, Vec<u64>> = HashMap::new();
-    // Shadow state per (win, owner): every access recorded so far.
-    let mut shadow: HashMap<(u32, usize), Vec<Shadow>> = HashMap::new();
-    let mut races = Vec::new();
-
+/// [`detect_races`] over a bare sync trace, in global virtual-time order
+/// as the runtime records it. Clocks are as wide as the highest rank the
+/// trace names.
+pub fn detect_races_in(trace: &[SyncRecord]) -> Vec<Race> {
+    let n = trace.iter().map(|r| r.rank.idx().max(r.peer.idx()) + 1).max().unwrap_or(0);
+    let mut d =
+        Detector { clocks: vec![vec![0; n]; n], shadow: BTreeMap::new(), races: Vec::new() };
+    // Each send's clock snapshot lives in the fold until its apply.
+    let mut edges = SyncFold::default();
     for r in trace {
         let me = r.rank.idx();
-        let peer = r.peer.idx();
-        let win = r.win.0;
         // Every traced event is a distinct point in its rank's history.
-        clocks[me][me] += 1;
-        match r.event {
-            SyncEvent::GrantSent { id } => {
-                snapshots.insert(
-                    EdgeKey::Grant { from: me, to: peer, win, plane: r.plane, id },
-                    clocks[me].clone(),
-                );
+        d.clocks[me][me] += 1;
+        match (edges.step(r, || d.clocks[me].clone()), r.event) {
+            (Step::Applied { matched: Some(snap), .. }, _) => join(&mut d.clocks[me], &snap),
+            (_, SyncEvent::DataIssued { disp, len, access, .. }) => {
+                let a = RaceAccess { rank: me, disp, len, kind: access, local: false };
+                d.record_access(r.win.0, r.peer.idx(), a);
             }
-            SyncEvent::GrantApplied { id } => {
-                if let Some(snap) =
-                    snapshots.get(&EdgeKey::Grant { from: peer, to: me, win, plane: r.plane, id })
-                {
-                    let snap = snap.clone();
-                    join(&mut clocks[me], &snap);
-                }
+            (_, SyncEvent::LocalAccess { disp, len, access }) => {
+                let a = RaceAccess { rank: me, disp, len, kind: access, local: true };
+                d.record_access(r.win.0, me, a);
             }
-            SyncEvent::EpochDoneSent { id, .. } => {
-                snapshots.insert(
-                    EdgeKey::Done { from: me, to: peer, win, plane: r.plane, id },
-                    clocks[me].clone(),
-                );
-            }
-            SyncEvent::EpochDoneApplied { id } => {
-                if let Some(snap) =
-                    snapshots.get(&EdgeKey::Done { from: peer, to: me, win, plane: r.plane, id })
-                {
-                    let snap = snap.clone();
-                    join(&mut clocks[me], &snap);
-                }
-            }
-            SyncEvent::FenceDoneSent { seq } => {
-                snapshots.insert(EdgeKey::Fence { from: me, to: peer, win, seq }, clocks[me].clone());
-            }
-            SyncEvent::FenceDoneApplied { seq } => {
-                if let Some(snap) =
-                    snapshots.get(&EdgeKey::Fence { from: peer, to: me, win, seq })
-                {
-                    let snap = snap.clone();
-                    join(&mut clocks[me], &snap);
-                }
-            }
-            SyncEvent::DataIssued { disp, len, access, .. } => {
-                record_access(
-                    &mut shadow,
-                    &clocks,
-                    &mut races,
-                    win,
-                    peer,
-                    me,
-                    disp,
-                    len,
-                    access,
-                    false,
-                );
-            }
-            SyncEvent::LocalAccess { disp, len, access } => {
-                record_access(
-                    &mut shadow,
-                    &clocks,
-                    &mut races,
-                    win,
-                    me,
-                    me,
-                    disp,
-                    len,
-                    access,
-                    true,
-                );
-            }
-            SyncEvent::AccessAssigned { .. } => {}
+            _ => {}
         }
     }
-    races
-}
-
-#[allow(clippy::too_many_arguments)]
-fn record_access(
-    shadow: &mut HashMap<(u32, usize), Vec<Shadow>>,
-    clocks: &[Vec<u64>],
-    races: &mut Vec<Race>,
-    win: u32,
-    owner: usize,
-    rank: usize,
-    disp: usize,
-    len: usize,
-    kind: AccessKind,
-    local: bool,
-) {
-    let cell = shadow.entry((win, owner)).or_default();
-    for prev in cell.iter() {
-        if prev.rank == rank {
-            continue; // program order + per-channel FIFO
-        }
-        let lo = prev.lo.max(disp);
-        let hi = prev.hi.min(disp + len);
-        if lo >= hi || !prev.kind.conflicts_with(kind) {
-            continue;
-        }
-        // prev happens-before this access iff the accessor has observed
-        // prev's own clock component.
-        if clocks[rank][prev.rank] >= prev.own {
-            continue;
-        }
-        races.push(Race {
-            win,
-            owner,
-            lo,
-            hi,
-            first: RaceAccess {
-                rank: prev.rank,
-                disp: prev.lo,
-                len: prev.hi - prev.lo,
-                kind: prev.kind,
-                local: prev.local,
-            },
-            second: RaceAccess { rank, disp, len, kind, local },
-        });
-    }
-    cell.push(Shadow { rank, lo: disp, hi: disp + len, kind, own: clocks[rank][rank], local });
+    d.races
 }

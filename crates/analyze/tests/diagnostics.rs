@@ -929,7 +929,7 @@ fn unsynchronized_conflicting_access_races() {
             access: AccessKind::Read,
         }),
     ];
-    let races = detect_races_in(&trace, 2);
+    let races = detect_races_in(&trace);
     assert_eq!(races.len(), 1, "expected exactly one race: {races:?}");
     assert_eq!((races[0].lo, races[0].hi), (4, 8));
 }
@@ -953,7 +953,7 @@ fn done_edge_orders_the_access() {
             access: AccessKind::Read,
         }),
     ];
-    assert!(detect_races_in(&trace, 2).is_empty());
+    assert!(detect_races_in(&trace).is_empty());
 }
 
 #[test]
@@ -972,7 +972,7 @@ fn read_read_overlap_is_not_a_race() {
             access: AccessKind::Read,
         }),
     ];
-    assert!(detect_races_in(&trace, 3).is_empty());
+    assert!(detect_races_in(&trace).is_empty());
 }
 
 #[test]
@@ -998,7 +998,29 @@ fn grant_edge_orders_lock_epochs() {
             access: AccessKind::Write,
         }),
     ];
-    assert!(detect_races_in(&trace, 3).is_empty());
+    assert!(detect_races_in(&trace).is_empty());
+}
+
+#[test]
+fn clocks_cover_the_highest_rank_the_trace_names() {
+    // Only ranks 0 and 5 appear: the clocks are sized from the trace.
+    let write = rec(5, 0, Plane::Lock, SyncEvent::DataIssued {
+        epoch: 0,
+        disp: 0,
+        len: 8,
+        access: AccessKind::Write,
+    });
+    let read = rec(0, 0, Plane::Lock, SyncEvent::LocalAccess {
+        disp: 0,
+        len: 8,
+        access: AccessKind::Read,
+    });
+    let races = detect_races_in(&[write, read]);
+    assert_eq!(races.len(), 1, "{races:?}");
+    assert_eq!((races[0].first.rank, races[0].second.rank), (5, 0));
+    let sent = rec(5, 0, Plane::Lock, SyncEvent::EpochDoneSent { epoch: 0, id: 1 });
+    let applied = rec(0, 5, Plane::Lock, SyncEvent::EpochDoneApplied { id: 1 });
+    assert!(detect_races_in(&[write, sent, applied, read]).is_empty());
 }
 
 // ------------------------------------------------- W-series (slack pass)
