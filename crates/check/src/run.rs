@@ -158,7 +158,6 @@ fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, eo: ExecOpts) -> JobC
             // guarantees a stale window.
             ckpt_every: if spec.bad_recovery { u64::MAX } else { 1 },
             plant_stale: spec.bad_recovery,
-            ..RecoveryCfg::default()
         });
         cfg.net
             .faults

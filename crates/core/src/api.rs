@@ -20,10 +20,10 @@
 //!
 //! # What a call costs
 //!
-//! Every routine is one MPI call and pays one `call_entry` (the paper's ε)
-//! on the caller's clock, in the one `timed` scope that also accounts its
-//! MPI time; an RMA communication call pays `per_op` on top. The test/wait
-//! family is priced the same way — [`RankEnv::wait`], [`RankEnv::wait_data`],
+//! Every routine is one MPI call and pays one [`CALL_ENTRY`] (the paper's
+//! ε) on the caller's clock, in the one `timed` scope that also accounts
+//! its MPI time; an RMA communication call pays [`PER_OP`] on top. The
+//! test/wait family is priced the same way — [`RankEnv::wait`], [`RankEnv::wait_data`],
 //! [`RankEnv::test`], [`RankEnv::wait_any`] and [`RankEnv::wait_all`] are
 //! one call each, `wait_all` whatever the number of requests it collects
 //! (and free when handed none, so a blocking-series program that holds no
@@ -55,6 +55,12 @@ use crate::epoch::{EpochKind, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{FetchKind, Layout, OpKind};
 use crate::types::{Group, LockKind, Rank, Req, WinId};
+
+/// CPU cost charged on entry to every MPI call (the ε of §IV.C).
+pub const CALL_ENTRY: SimTime = SimTime::from_nanos(300);
+
+/// Extra CPU cost to post one RMA operation.
+pub const PER_OP: SimTime = SimTime::from_nanos(150);
 
 /// The environment of one simulated MPI rank.
 pub struct RankEnv<'a> {
@@ -105,7 +111,7 @@ impl<'a> RankEnv<'a> {
     /// `f`.
     fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
         let t0 = self.ctx.now();
-        self.ctx.advance(self.eng.cfg.overheads.call_entry);
+        self.ctx.advance(CALL_ENTRY);
         let r = f();
         let dt = self.ctx.now() - t0;
         self.eng.add_mpi_time(self.rank, dt);
@@ -166,7 +172,7 @@ impl<'a> RankEnv<'a> {
     }
 
     /// `MPI_WAITALL`: one MPI call, whatever the number of requests — one
-    /// `call_entry`, then every request is waited for, in order, and
+    /// `CALL_ENTRY`, then every request is waited for, in order, and
     /// consumed. A bad handle does not abandon the requests after it: all
     /// are waited for and the first error is returned. Handed no request it
     /// is free.
@@ -675,9 +681,8 @@ impl<'a> RankEnv<'a> {
         kind: OpKind,
         want_req: bool,
     ) -> RmaResult<Option<Req>> {
-        let per_op = self.eng.cfg.overheads.per_op;
         self.timed(|| {
-            self.ctx.advance(per_op);
+            self.ctx.advance(PER_OP);
             self.eng.rma_op(self.rank, win, target, disp, kind, want_req)
         })
     }

@@ -1,5 +1,5 @@
-//! Job-level configuration: synchronization strategy, window info keys, and
-//! modeled software overheads.
+//! Job-level configuration: synchronization strategy, window info keys,
+//! and the optional subsystems a job arms.
 
 use mpisim_net::NetParams;
 use mpisim_sim::{ExecMode, SimTime};
@@ -80,83 +80,21 @@ impl WinInfo {
     }
 }
 
-/// Modeled software overheads of the middleware itself.
-#[derive(Clone, Debug)]
-pub struct Overheads {
-    /// CPU cost charged on entry to every MPI call (the ε of §IV.C).
-    pub call_entry: SimTime,
-    /// Extra CPU cost to post one RMA operation.
-    pub per_op: SimTime,
-}
-
-impl Default for Overheads {
-    fn default() -> Self {
-        Overheads {
-            call_entry: SimTime::from_nanos(300),
-            per_op: SimTime::from_nanos(150),
-        }
-    }
-}
-
-/// Tuning of the ack/retransmit reliability sublayer (see DESIGN.md §11).
-///
-/// Present (`Some`) = every internode message travels as a
-/// sequence-numbered [`crate::msg::Body::Rel`] frame with cumulative acks,
-/// timeout-driven retransmit, duplicate suppression, and checksum
-/// validation. Absent = messages ride the fabric raw, the pre-fault-model
-/// behaviour.
-#[derive(Clone, Debug)]
-pub struct Reliability {
-    /// Initial retransmit timeout (doubled per retry).
-    pub rto: SimTime,
-    /// Backoff ceiling: the per-retry delay never exceeds this.
-    pub max_backoff: SimTime,
-    /// Retransmit attempts before the frame is abandoned and surfaced as
-    /// a `RetriesExhausted` (or `PeerCrash`) degradation.
-    pub max_retries: u32,
-    /// Delayed-ack window (TCP-style): after the first unacknowledged
-    /// delivery the receiver holds its cumulative ack this long, so a
-    /// burst of frames is covered by a single ack instead of one per
-    /// frame. Zero = ack on the next sweep (the pre-coalescing
-    /// behaviour). Must stay well below `rto`, or every frame would
-    /// spuriously retransmit before its ack leaves.
-    pub ack_delay: SimTime,
-}
-
-impl Default for Reliability {
-    fn default() -> Self {
-        // RTO ≈ 13× the calibrated one-way latency; 7 doublings reach the
-        // 2 ms cap, so the default budget rides out the CI transient
-        // partition (heals at 2 ms) with retries to spare.
-        Reliability {
-            rto: SimTime::from_micros(20),
-            max_backoff: SimTime::from_millis(2),
-            max_retries: 12,
-            // 1/20 of the RTO: bursts coalesce, retransmit timers don't
-            // notice.
-            ack_delay: SimTime::from_micros(1),
-        }
-    }
-}
-
 /// Tuning of the epoch-aligned crash-recovery subsystem (DESIGN.md §16).
 ///
 /// Present (`Some`) = every rank checkpoints its window contents and
 /// ω-triples into an in-simulation stable store at epoch-commit points
 /// and journals later window writes into a redo log; a rank crashed by
 /// the fault plan's `crash_at_commit` list is restarted from its last
-/// checkpoint after a bounded outage. Requires the reliability sublayer
-/// (the outage is bridged by retransmission, like a transient partition).
+/// checkpoint after a bounded 1 ms outage. Requires the reliability
+/// sublayer (the outage is bridged by retransmission, like a transient
+/// partition).
 #[derive(Clone, Debug)]
 pub struct RecoveryCfg {
     /// Checkpoint cadence: cut a fresh snapshot every this-many epoch
     /// commits (1 = every commit). The initial `win_allocate` baseline is
     /// always kept, so sparse cadences still have a restore point.
     pub ckpt_every: u64,
-    /// Outage duration: virtual time between the crash and the restart.
-    /// Must stay well inside the reliability retry budget so retransmits
-    /// bridge the outage.
-    pub restart_after: SimTime,
     /// Validation backdoor: restore the raw checkpoint *without* redo-log
     /// replay — a deliberately stale restore the conformance harness's
     /// `--inject bad-recovery` self-test requires the differential check
@@ -166,14 +104,7 @@ pub struct RecoveryCfg {
 
 impl Default for RecoveryCfg {
     fn default() -> Self {
-        // 1 ms outage: ~7 doublings of the default 20 µs RTO land a
-        // retransmit just after the NIC is back, well inside the 12-retry
-        // budget.
-        RecoveryCfg {
-            ckpt_every: 1,
-            restart_after: SimTime::from_millis(1),
-            plant_stale: false,
-        }
+        RecoveryCfg { ckpt_every: 1, plant_stale: false }
     }
 }
 
@@ -190,16 +121,6 @@ pub struct JobConfig {
     pub strategy: SyncStrategy,
     /// Deterministic seed.
     pub seed: u64,
-    /// Software overheads.
-    pub overheads: Overheads,
-    /// Eager/rendezvous threshold for two-sided and accumulate payloads,
-    /// bytes. The paper observes no overlap for accumulates above 8 KB
-    /// because of the internal rendezvous (§VIII.A).
-    pub rndv_threshold: usize,
-    /// Per-process stack size for rank threads.
-    pub stack_size: usize,
-    /// Event cap (runaway backstop).
-    pub event_cap: u64,
     /// Record epoch lifecycle traces (see [`crate::trace`]).
     pub trace: bool,
     /// Seeded tie-break perturbation for same-time simulator events
@@ -212,11 +133,11 @@ pub struct JobConfig {
     /// `Some("")` inject nothing. Recognized names: `"skip-grant"`,
     /// `"double-acc"`, `"hb-race"`.
     pub fault: Option<String>,
-    /// Ack/retransmit reliability sublayer for internode traffic
-    /// (`None` = off, the pre-fault-model behaviour). Required for clean
-    /// runs whenever `net.faults` injects loss, duplication, reordering,
-    /// or corruption.
-    pub reliability: Option<Reliability>,
+    /// Ack/retransmit reliability sublayer for internode traffic (`false`
+    /// = off, the pre-fault-model behaviour; DESIGN.md §11.2). Required for
+    /// clean runs whenever `net.faults` injects loss, duplication,
+    /// reordering, or corruption.
+    pub reliability: bool,
     /// Epoch-aligned checkpointing and crash recovery (`None` = off). See
     /// [`RecoveryCfg`].
     pub recovery: Option<RecoveryCfg>,
@@ -246,14 +167,10 @@ impl JobConfig {
             net: NetParams::qdr_infiniband(),
             strategy: SyncStrategy::Redesigned,
             seed: 0xC0FFEE,
-            overheads: Overheads::default(),
-            rndv_threshold: 8 * 1024,
-            stack_size: mpisim_sim::DEFAULT_STACK_SIZE,
-            event_cap: mpisim_sim::DEFAULT_EVENT_CAP,
             trace: false,
             tiebreak_seed: None,
             fault: None,
-            reliability: None,
+            reliability: false,
             recovery: None,
             watchdog: None,
             exec: ExecMode::default(),
@@ -282,9 +199,9 @@ impl JobConfig {
         self
     }
 
-    /// Enable the reliability sublayer with default tuning.
+    /// Enable the reliability sublayer.
     pub fn with_reliability(mut self) -> Self {
-        self.reliability = Some(Reliability::default());
+        self.reliability = true;
         self
     }
 
@@ -317,7 +234,6 @@ mod tests {
         let c = JobConfig::new(8);
         assert_eq!(c.n_ranks, 8);
         assert_eq!(c.strategy, SyncStrategy::Redesigned);
-        assert_eq!(c.rndv_threshold, 8192);
         let c2 = JobConfig::all_internode(4);
         assert_eq!(c2.cores_per_node, 1);
     }

@@ -539,12 +539,10 @@ impl Engine {
         st.mark_act_dirty(rank, win);
         if committed {
             // Epoch commit is the only globally coherent snapshot instant:
-            // the crash-recovery subsystem both checkpoints and fires
-            // planned crashes here.
+            // planned crashes fire here, and the crash-recovery subsystem
+            // checkpoints here.
             st.stats[rank.idx()].epochs_committed += 1;
-            if self.recovery_armed() {
-                self.recovery_on_commit(st, rank);
-            }
+            self.on_commit(st, rank);
         }
     }
 }

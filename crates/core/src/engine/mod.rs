@@ -59,9 +59,14 @@ use crate::worklist::WorkList;
 
 pub(crate) use p2p::{BarrierRank, P2pRank};
 pub use recover::RecoveryReport;
-pub use rel::Degradation;
+pub use rel::{Degradation, MAX_RETRIES, RTO};
 pub(crate) use rel::RelRank;
 pub use watchdog::StallReport;
+
+/// Eager/rendezvous threshold for two-sided and accumulate payloads, bytes.
+/// The paper observes no overlap for accumulates above 8 KB because of the
+/// internal rendezvous (§VIII.A).
+pub(crate) const RNDV_THRESHOLD: usize = 8 * 1024;
 
 /// Completion notices consumed by sweep step 1.
 ///
@@ -388,7 +393,8 @@ pub(crate) struct EngState {
     pub rel: Vec<RelRank>,
     /// Whether a stall-watchdog tick is currently scheduled.
     pub watchdog_armed: bool,
-    /// Ranks currently down (NIC crashed, restart pending).
+    /// Ranks a planned crash took down (until the restart, with recovery
+    /// armed).
     pub crashed: Vec<bool>,
     /// Completed rank-restart episodes, with provenance.
     pub recoveries: Vec<recover::RecoveryReport>,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use mpisim_net::{Packet, Payload};
 
-use crate::engine::{EngState, Engine, TokenInfo};
+use crate::engine::{EngState, Engine, TokenInfo, RNDV_THRESHOLD};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::Body;
 use crate::request::ReqKind;
@@ -83,7 +83,7 @@ impl Engine {
         let req = {
             let mut st = self.st.lock();
             let req = st.reqs.alloc(ReqKind::P2p);
-            if payload.len() <= self.cfg.rndv_threshold {
+            if payload.len() <= RNDV_THRESHOLD {
                 let me = self.clone();
                 self.send_framed(
                     &mut st,

@@ -8,18 +8,18 @@
 //! window write as a physical redo record.
 //!
 //! The crash model is a **NIC crash with a bounded outage**: the fault
-//! plan's `crash_at_commit` list (or a watchdog-declared death) takes the
-//! rank's NIC off the fabric and wipes its volatile window memory; the
-//! host-side fiber survives (it is typically parked waiting on network
-//! progress). After `restart_after` of virtual time the runtime restarts
-//! the rank: the NIC rejoins the fabric, window memory is reconstructed
-//! as *checkpoint + redo-log replay*, and the live ω-counters are audited
-//! against the checkpointed snapshot (they must only have advanced — the
-//! reliability channels journal continuously, the "NIC NVRAM" shortcut,
-//! so sequence state is never lost). In-flight internode traffic is
-//! bridged by the ack/retransmit sublayer exactly as for a transient
-//! partition. The whole episode is recorded as a [`RecoveryReport`] plus
-//! a [`Degradation::Recovered`] provenance entry.
+//! plan's `crash_at_commit` list takes the rank's NIC off the fabric and
+//! wipes its volatile window memory; the host-side fiber survives (it is
+//! typically parked waiting on network progress). The crash fires whether
+//! or not recovery is armed; with it armed, after [`RESTART_AFTER`] of
+//! virtual time the runtime restarts the rank: the NIC rejoins the fabric,
+//! window memory is reconstructed as *checkpoint + redo-log replay*, and
+//! the live ω-counters are audited against the checkpointed snapshot (they
+//! must only have advanced — the reliability channels journal continuously,
+//! the "NIC NVRAM" shortcut, so sequence state is never lost). In-flight
+//! internode traffic is bridged by the ack/retransmit sublayer exactly as
+//! for a transient partition. The whole episode is recorded as a
+//! [`RecoveryReport`] plus a [`Degradation::Recovered`] provenance entry.
 //!
 //! The `plant_stale` knob exists solely for the conformance harness's
 //! exit-inverted `--inject bad-recovery` self-test: it installs the raw
@@ -152,6 +152,12 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
+/// Outage duration: virtual time between a crash and the restart. Well
+/// inside the reliability retry budget, so retransmits bridge the outage:
+/// seven doublings of the 20 µs RTO land a retransmit just after the NIC is
+/// back.
+pub(crate) const RESTART_AFTER: SimTime = SimTime::from_millis(1);
+
 /// Byte pattern a crash wipes volatile window memory with, so a restart
 /// that forgets to restore is loudly visible in the differential check.
 const WIPE_BYTE: u8 = 0xDB;
@@ -234,16 +240,16 @@ impl Engine {
         };
     }
 
-    /// Epoch-commit hook, run from `complete_epoch` after the commit
-    /// ordinal was bumped: cut a new checkpoint when the cadence says so,
-    /// then fire a planned crash if this rank hit its crash commit.
-    pub(crate) fn recovery_on_commit(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
-        let Some(rcfg) = self.cfg.recovery.clone() else {
-            return;
-        };
+    /// Epoch-commit hook, run from `finish_epoch` after the commit ordinal
+    /// was bumped: with recovery armed, cut a new checkpoint when the
+    /// cadence says so; then fire a planned crash if this rank hit its
+    /// crash commit.
+    pub(crate) fn on_commit(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
         let commit_no = st.stats[rank.idx()].epochs_committed;
-        if rcfg.ckpt_every > 0 && commit_no.is_multiple_of(rcfg.ckpt_every) {
-            self.checkpoint_rank(st, rank, commit_no);
+        if let Some(rcfg) = &self.cfg.recovery {
+            if rcfg.ckpt_every > 0 && commit_no.is_multiple_of(rcfg.ckpt_every) {
+                self.checkpoint_rank(st, rank, commit_no);
+            }
         }
         let planned = self
             .cfg
@@ -252,7 +258,7 @@ impl Engine {
             .as_ref()
             .and_then(|p| p.crash_commit(mpisim_net::Rank(rank.idx())));
         if planned == Some(commit_no) && !st.crashed[rank.idx()] {
-            self.crash_rank(st, rank, commit_no, rcfg.restart_after);
+            self.crash_rank(st, rank, commit_no);
         }
     }
 
@@ -269,23 +275,20 @@ impl Engine {
     }
 
     /// Crash a rank at an epoch-commit point: NIC off the fabric, volatile
-    /// window memory wiped, restart scheduled `restart_after` later.
-    /// Callable from the watchdog path too (declared-dead peers).
-    pub(crate) fn crash_rank(
-        self: &Arc<Self>,
-        st: &mut EngState,
-        rank: Rank,
-        commit_no: u64,
-        restart_after: SimTime,
-    ) {
+    /// window memory wiped, and — with recovery armed — the restart
+    /// scheduled [`RESTART_AFTER`] later.
+    fn crash_rank(self: &Arc<Self>, st: &mut EngState, rank: Rank, commit_no: u64) {
         st.crashed[rank.idx()] = true;
         self.net.nic_down(mpisim_net::Rank(rank.idx()));
         for win in st.wins_of(rank) {
             st.win_mut(win, rank).mem.fill(WIPE_BYTE);
         }
+        if !self.recovery_armed() {
+            return;
+        }
         let crash_at = self.sim.now();
         let me = self.clone();
-        self.sim.schedule(restart_after, move || {
+        self.sim.schedule(RESTART_AFTER, move || {
             me.restart_rank(rank, commit_no, crash_at);
         });
     }
@@ -427,11 +430,7 @@ mod tests {
         // guarantee a non-empty redo log at the crash, so skipping replay
         // is guaranteed stale.
         let mut cfg = recovery_cfg(3);
-        cfg.recovery = Some(RecoveryCfg {
-            ckpt_every: 100,
-            plant_stale: true,
-            ..RecoveryCfg::default()
-        });
+        cfg.recovery = Some(RecoveryCfg { ckpt_every: 100, plant_stale: true });
         let mut plan = mpisim_net::FaultPlan::none(1);
         plan.crash_at_commit.push((mpisim_net::Rank(1), 3));
         cfg.net.faults = Some(plan);

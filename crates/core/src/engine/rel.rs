@@ -1,15 +1,16 @@
 //! Ack/retransmit reliability sublayer for internode traffic.
 //!
-//! When [`crate::config::JobConfig::reliability`] is set, every internode
+//! When [`crate::config::JobConfig::reliability`] is on, every internode
 //! message travels as a sequence-numbered [`Body::Rel`] frame on its
 //! `(src, dst)` channel. The receiver delivers frames in sequence order
 //! exactly once (buffering reordered frames, dropping duplicates),
-//! acknowledges cumulatively with raw [`Body::RelAck`] packets, and drops
-//! frames whose checksum disagrees with the inner body. The sender keeps a
-//! clean copy of every unacknowledged frame and retransmits on timeout
-//! with exponential backoff up to a retry cap; an abandoned frame surfaces
-//! as a [`Degradation`] and arms the epoch stall watchdog so the job still
-//! terminates (see DESIGN.md §11).
+//! acknowledges cumulatively with raw [`Body::RelAck`] packets held for
+//! [`ACK_DELAY`], and drops frames whose checksum disagrees with the inner
+//! body. The sender keeps a clean copy of every unacknowledged frame and
+//! retransmits it after [`RTO`], doubling per retry up to [`MAX_BACKOFF`];
+//! a frame still unacknowledged after [`MAX_RETRIES`] retransmits is
+//! abandoned, surfaces as a [`Degradation`] and arms the epoch stall
+//! watchdog so the job still terminates (see DESIGN.md §11).
 //!
 //! The sublayer rides the existing seven-step sweep (§VII.D): step 1 grows
 //! the retransmit timer scan, step 2 grows the ack flush, and step 5 grows
@@ -24,11 +25,29 @@ use std::sync::Arc;
 use mpisim_net::Packet;
 use mpisim_sim::SimTime;
 
-use crate::config::Reliability;
 use crate::engine::{EngState, Engine, Notice, ProtocolError};
 use crate::msg::Body;
 use crate::types::Rank;
 use crate::worklist::WorkList;
+
+/// Initial retransmit timeout, ≈13× the calibrated one-way latency
+/// (doubled per retry).
+pub const RTO: SimTime = SimTime::from_micros(20);
+
+/// Backoff ceiling: the per-retry delay never exceeds this. Seven doublings
+/// of [`RTO`] reach it, so the retry budget rides out a 2 ms partition.
+pub(crate) const MAX_BACKOFF: SimTime = SimTime::from_millis(2);
+
+/// Retransmits before a frame is abandoned and surfaced as a
+/// `RetriesExhausted` (or `PeerCrash`) degradation: with [`RTO`] and
+/// [`MAX_BACKOFF`], ≈14.5 ms after the first send.
+pub const MAX_RETRIES: u32 = 12;
+
+/// Delayed-ack window (TCP-style): after the first unacknowledged delivery
+/// the receiver holds its cumulative ack this long, so a burst of frames is
+/// covered by a single ack instead of one per frame. 1/20 of [`RTO`]:
+/// bursts coalesce, retransmit timers don't notice.
+pub(crate) const ACK_DELAY: SimTime = SimTime::from_micros(1);
 
 /// One unacknowledged outbound frame: a clean copy of the inner body for
 /// retransmission plus the notice to post once the peer's cumulative ack
@@ -157,8 +176,8 @@ pub enum Degradation {
         /// Retransmissions performed before giving up.
         retries: u32,
     },
-    /// A frame was abandoned because its destination (or the sender
-    /// itself) is crashed under the active fault plan.
+    /// A frame was abandoned while its destination's (or the sender's own)
+    /// NIC was down.
     PeerCrash {
         /// Sending rank.
         rank: Rank,
@@ -213,17 +232,17 @@ impl std::fmt::Display for Degradation {
     }
 }
 
-/// The per-retry backoff: `rto << retries`, capped at `max_backoff`.
-fn backoff(cfg: &Reliability, retries: u32) -> SimTime {
-    let shifted = cfg.rto.as_nanos().saturating_mul(1u64.checked_shl(retries).unwrap_or(u64::MAX));
-    SimTime::from_nanos(shifted.min(cfg.max_backoff.as_nanos()))
+/// The per-retry backoff: `RTO << retries`, capped at [`MAX_BACKOFF`].
+fn backoff(retries: u32) -> SimTime {
+    let shifted = RTO.as_nanos().saturating_mul(1u64.checked_shl(retries).unwrap_or(u64::MAX));
+    SimTime::from_nanos(shifted.min(MAX_BACKOFF.as_nanos()))
 }
 
 impl Engine {
     /// Whether traffic from `src` to `dst` travels framed (sublayer on and
     /// the channel is internode).
     pub(crate) fn framed(&self, src: Rank, dst: Rank) -> bool {
-        self.cfg.reliability.is_some() && !self.net.topology().same_node(src, dst)
+        self.cfg.reliability && !self.net.topology().same_node(src, dst)
     }
 
     /// Whether the engine must tolerate protocol anomalies (orphan
@@ -231,7 +250,7 @@ impl Engine {
     /// asserting: any of the fault model, the sublayer, or the watchdog is
     /// active.
     pub(crate) fn resilient(&self) -> bool {
-        self.cfg.reliability.is_some()
+        self.cfg.reliability
             || self.cfg.watchdog.is_some()
             || self.cfg.recovery.is_some()
             || self.cfg.net.faults.as_ref().is_some_and(|f| f.is_active())
@@ -271,8 +290,7 @@ impl Engine {
             }
             return;
         }
-        let rel_cfg = self.cfg.reliability.as_ref().expect("framed() checked");
-        let deadline = self.sim.now() + rel_cfg.rto;
+        let deadline = self.sim.now() + RTO;
         let out = st.rel[src.idx()].out.entry(dst).or_default();
         let seq = out.next_seq;
         out.next_seq += 1;
@@ -323,9 +341,6 @@ impl Engine {
     /// retry cap, and re-arm the timer at the earliest surviving deadline.
     pub(crate) fn rel_retransmit_scan(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
         st.rel[rank.idx()].timer_due = false;
-        let Some(rel_cfg) = self.cfg.reliability.clone() else {
-            return;
-        };
         let now = self.sim.now();
         let mut next: Option<SimTime> = None;
         let mut resend: Vec<Packet<Body>> = Vec::new();
@@ -336,12 +351,12 @@ impl Engine {
                 let mut dead: Vec<u64> = Vec::new();
                 for (&seq, frame) in out.unacked.iter_mut() {
                     if frame.deadline <= now {
-                        if frame.retries >= rel_cfg.max_retries {
+                        if frame.retries >= MAX_RETRIES {
                             dead.push(seq);
                             continue;
                         }
                         frame.retries += 1;
-                        frame.deadline = now + backoff(&rel_cfg, frame.retries);
+                        frame.deadline = now + backoff(frame.retries);
                         resend.push(Packet {
                             src: rank,
                             dst,
@@ -369,8 +384,7 @@ impl Engine {
         }
         for (dst, seq, retries) in abandoned {
             st.eng_stats.retries_exhausted += 1;
-            let crashed =
-                self.cfg.net.faults.as_ref().is_some_and(|f| f.crashed(rank, dst, now));
+            let crashed = self.net.nic_is_down(rank) || self.net.nic_is_down(dst);
             st.degradations.push(if crashed {
                 Degradation::PeerCrash { rank, peer: dst, seq }
             } else {
@@ -384,8 +398,9 @@ impl Engine {
     }
 
     /// Sweep step 2 growth: flush one cumulative ack to every peer owed
-    /// one. Under delayed acks one flush typically covers several frames;
-    /// every frame beyond the first is counted as a coalesced ack.
+    /// one. The ack was held for [`ACK_DELAY`], so one flush typically
+    /// covers several frames; every frame beyond the first is counted as a
+    /// coalesced ack.
     pub(crate) fn rel_flush_acks(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
         st.drain(
             |st| &mut st.rel[rank.idx()].ack_due,
@@ -463,24 +478,18 @@ impl Engine {
         } else {
             st.eng_stats.rel_ooo_buffered += 1;
         }
-        let delay = self.cfg.reliability.as_ref().map_or(SimTime::from_nanos(0), |r| r.ack_delay);
-        if delay.as_nanos() == 0 {
-            // Immediate mode: owe the ack to the very next sweep's step 2.
-            st.rel[dst.idx()].ack_due.mark(src);
-        } else {
-            // Delayed-ack mode: hold the ack for the coalescing window so
-            // the rest of the burst lands under the same cumulative ack.
-            let ch = &mut st.rel[dst.idx()];
-            if !ch.ack_pending.contains(&src) {
-                ch.ack_pending.push(src);
-            }
-            if ch.ack_timer_at.is_none() {
-                ch.ack_timer_gen += 1;
-                let gen = ch.ack_timer_gen;
-                ch.ack_timer_at = Some(self.sim.now() + delay);
-                let me = self.clone();
-                self.sim.schedule(delay, move || me.rel_ack_timer_fire(dst, gen));
-            }
+        // Hold the ack for the coalescing window so the rest of the burst
+        // lands under the same cumulative ack.
+        let ch = &mut st.rel[dst.idx()];
+        if !ch.ack_pending.contains(&src) {
+            ch.ack_pending.push(src);
+        }
+        if ch.ack_timer_at.is_none() {
+            ch.ack_timer_gen += 1;
+            let gen = ch.ack_timer_gen;
+            ch.ack_timer_at = Some(self.sim.now() + ACK_DELAY);
+            let me = self.clone();
+            self.sim.schedule(ACK_DELAY, move || me.rel_ack_timer_fire(dst, gen));
         }
     }
 

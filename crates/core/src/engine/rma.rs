@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mpisim_net::{Packet, Payload};
 
 use crate::datatype;
-use crate::engine::{EngState, Engine, Notice, Phase, TokenInfo};
+use crate::engine::{EngState, Engine, Notice, Phase, TokenInfo, RNDV_THRESHOLD};
 use crate::epoch::{EpochKind, LiveOp, OpDesc};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{Body, EpochTag, FetchKind, OpKind};
@@ -235,7 +235,7 @@ impl Engine {
             access: op.kind.access(),
         };
         self.sync_event(st, rank, op.target, win, plane, event);
-        if matches!(op.kind, OpKind::Acc { .. }) && op.kind.wire_len() > self.cfg.rndv_threshold {
+        if matches!(op.kind, OpKind::Acc { .. }) && op.kind.wire_len() > RNDV_THRESHOLD {
             // Rendezvous: the target must stage an intermediate buffer for
             // the operand (§VIII.A) — RTS now, data on CTS. `unsent` stays
             // up so done/unlock packets cannot overtake the data.

@@ -70,8 +70,8 @@ pub mod types;
 pub mod window;
 mod worklist;
 
-pub use api::RankEnv;
-pub use config::{JobConfig, Overheads, RecoveryCfg, Reliability, SyncStrategy, WinInfo};
+pub use api::{RankEnv, CALL_ENTRY, PER_OP};
+pub use config::{JobConfig, RecoveryCfg, SyncStrategy, WinInfo};
 pub use datatype::{Datatype, ReduceOp};
 pub use engine::{
     Degradation, Engine, EngineStats, Fault, ProtocolError, RankStats, RecoveryReport,

@@ -92,8 +92,6 @@ where
 {
     let mut sim = Sim::new(cfg.seed);
     sim.set_exec_mode(cfg.exec);
-    sim.set_stack_size(cfg.stack_size);
-    sim.set_event_cap(cfg.event_cap);
     sim.set_tiebreak_seed(cfg.tiebreak_seed);
     sim.set_nondet_tiebreak(cfg.nondet_tiebreak);
     let eng = Engine::new(sim.handle(), cfg.clone());

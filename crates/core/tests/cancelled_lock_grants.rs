@@ -8,7 +8,7 @@
 use std::sync::{Arc, Mutex};
 
 use mpisim_core::{
-    run_job, Degradation, JobConfig, LockKind, Rank, Reliability, SyncStrategy,
+    run_job, Degradation, JobConfig, LockKind, Rank, SyncStrategy,
 };
 use mpisim_net::{FaultPlan, Partition};
 use mpisim_sim::SimTime;
@@ -87,14 +87,8 @@ fn cancelled_epoch_releases_grants_it_holds() {
         from: SimTime::from_micros(50),
         until: SimTime::from_secs(1_000),
     });
-    let mut cfg = JobConfig::all_internode(3);
+    let mut cfg = JobConfig::all_internode(3).with_reliability();
     cfg.net.faults = Some(plan);
-    cfg.reliability = Some(Reliability {
-        rto: SimTime::from_micros(20),
-        max_backoff: SimTime::from_micros(80),
-        max_retries: 4,
-        ..Reliability::default()
-    });
     let budget = SimTime::from_millis(1);
     cfg = cfg.with_watchdog(budget);
     let unlocked_at = Arc::new(Mutex::new(SimTime::ZERO));
@@ -149,11 +143,13 @@ fn cancelled_epoch_releases_grants_it_holds() {
     assert_eq!((e.lock_grants, e.unlocks_applied), (3, 3));
     // Recorded before completion became counted (see
     // `engine_worklists.rs`): the cancellation path must not move either.
+    // The frames toward rank 2 retry until the retransmit budget runs out
+    // (≈14.5 ms), which is what ends the run.
     assert_eq!(
         (report.final_time.as_nanos(), report.sim.events_executed, report.net.msgs_sent),
-        (4_007_604, 122, 43)
+        (15_647_304, 139, 51)
     );
-    assert_eq!((e.sweeps, e.step_runs), (76, [11, 22, 10, 0, 22, 6, 5]));
+    assert_eq!((e.sweeps, e.step_runs), (84, [19, 22, 10, 0, 22, 6, 5]));
     let t = *unlocked_at.lock().unwrap();
     assert!(
         t >= SimTime::from_millis(3) && t < SimTime::from_millis(4),

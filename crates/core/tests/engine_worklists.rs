@@ -266,7 +266,7 @@ fn gats_ring(cfg: JobConfig, series: Series) -> JobReport {
 /// is simulator-only, so not one of them may move.
 ///
 /// The four `Nonblocking` rows that end in a request-holding `wait_all`
-/// were re-recorded when `wait_all` became one MPI call — one `call_entry`
+/// were re-recorded when `wait_all` became one MPI call — one `CALL_ENTRY`
 /// sleep per call instead of one per request, so (requests − 1) fewer
 /// events on each of the 16 ranks and that many ε less on the caller's
 /// path: `lock_all_round` (2 requests) 16 events and, where the wait is on
@@ -337,7 +337,7 @@ fn blocked_target_is_unlocked_when_its_last_op_completes() {
     assert!(unlocks[15].0 > at_close, "{unlocks:?}");
     assert_eq!(unlocks.len(), 16);
     // 622 events: rank 0's `wait_all` over two requests is one call (623
-    // when each request paid its own `call_entry` sleep).
+    // when each request paid its own `CALL_ENTRY` sleep).
     assert_eq!(pin(&r), (29056, 622, 305, 375, [2, 19, 22, 0, 12, 32, 5]));
 }
 

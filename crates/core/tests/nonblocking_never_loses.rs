@@ -1,5 +1,5 @@
 //! The paper's cost argument (§IV.C, §VIII), pinned: a nonblocking
-//! synchronization costs one small constant ε (`call_entry`) per MPI call
+//! synchronization costs one small constant ε (`CALL_ENTRY`) per MPI call
 //! and therefore never loses. For each kernel shape of the benchmark's
 //! `epoch_mix_8` workload
 //!
@@ -17,7 +17,7 @@
 use mpisim_apps::{run_lu, run_transactions, LuConfig, LuSync, TxConfig, TxMode};
 use mpisim_core::{
     run_job, Datatype, Group, JobConfig, JobReport, LockKind, Rank, ReduceOp, SyncStrategy,
-    WinInfo,
+    WinInfo, CALL_ENTRY,
 };
 use mpisim_sim::SimTime;
 
@@ -173,7 +173,6 @@ fn every_epoch_mix_kernel_holds_the_call_count_bound() {
         // round; the nonblocking form leaves them to the final `wait_all`.
         ("lock_all_storm", lock_all_storm, 1 - iters),
     ];
-    let eps = JobConfig::new(RANKS).overheads.call_entry;
     for per_node in [16, 1] {
         for (name, kernel, extra_calls) in kernels {
             let run = |strategy, nonblocking| {
@@ -191,7 +190,7 @@ fn every_epoch_mix_kernel_holds_the_call_count_bound() {
                 for (a, b) in nb.ranks.iter().zip(&blocking.ranks) {
                     assert_eq!(a.calls as i64 - b.calls as i64, extra_calls, "{what}: k");
                 }
-                let allowance = eps * extra_calls.max(0) as u64;
+                let allowance = CALL_ENTRY * extra_calls.max(0) as u64;
                 assert!(
                     nb.final_time <= blocking.final_time + allowance,
                     "{what}: nonblocking {} > {strategy:?}+blocking {} + {extra_calls}·ε",

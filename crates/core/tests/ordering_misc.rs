@@ -5,7 +5,7 @@
 use std::sync::{Arc, Mutex};
 
 use mpisim_core::{
-    run_job, Datatype, Group, JobConfig, LockKind, Rank, ReduceOp, RmaError,
+    run_job, Datatype, Group, JobConfig, LockKind, Rank, ReduceOp, RmaError, CALL_ENTRY,
 };
 use mpisim_sim::SimTime;
 
@@ -235,18 +235,16 @@ fn many_small_epochs_back_to_back_complete_in_order_without_flags() {
 
 #[test]
 fn wait_all_is_one_mpi_call_and_free_when_empty() {
-    // One `call_entry` on the caller's clock and in `mpi_time`, one call
+    // One `CALL_ENTRY` on the caller's clock and in `mpi_time`, one call
     // counted, whatever the number of requests.
-    let cfg = JobConfig::new(1);
-    let eps = cfg.overheads.call_entry;
-    run_job(cfg, move |env| {
+    run_job(JobConfig::new(1), |env| {
         // A one-rank barrier is complete at creation.
         let reqs: Vec<_> = (0..256).map(|_| env.ibarrier()).collect();
         let (t0, s0) = (env.now(), env.stats());
         env.wait_all(reqs.clone()).unwrap();
         let s1 = env.stats();
-        assert_eq!(env.now() - t0, eps);
-        assert_eq!(s1.mpi_time - s0.mpi_time, eps);
+        assert_eq!(env.now() - t0, CALL_ENTRY);
+        assert_eq!(s1.mpi_time - s0.mpi_time, CALL_ENTRY);
         assert_eq!(s1.calls - s0.calls, 1);
         // All 256 were consumed.
         for r in reqs {

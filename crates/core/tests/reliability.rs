@@ -7,9 +7,10 @@
 //! correctness. Degraded-termination tests assert the job *ends* with
 //! structured degradations instead of hanging.
 
-use mpisim_core::{
-    run_job, Degradation, JobConfig, JobReport, LockKind, Rank, Reliability,
-};
+use std::sync::{Arc, Mutex};
+
+use mpisim_core::engine::{MAX_RETRIES, RTO};
+use mpisim_core::{run_job, Degradation, JobConfig, JobReport, LockKind, Rank, RankEnv};
 use mpisim_net::{FaultPlan, Partition};
 use mpisim_sim::{SimError, SimTime};
 
@@ -25,41 +26,48 @@ fn faulty_cfg(n: usize, plan: FaultPlan) -> JobConfig {
 /// full data verification at the end.
 fn mixed_job(cfg: JobConfig) -> Result<JobReport, SimError> {
     run_job(cfg, |env| {
-        let win = env.win_allocate(256).unwrap();
-        env.barrier().unwrap();
-        let me = env.rank().idx();
-        let n = env.n_ranks();
-        let next = Rank((me + 1) % n);
-        // Passive target: everyone deposits a byte row at rank 0.
-        env.lock(win, Rank(0), LockKind::Shared).unwrap();
-        env.put(win, Rank(0), me * 8, &[me as u8; 8]).unwrap();
-        env.unlock(win, Rank(0)).unwrap();
-        // Active target: several fence phases of neighbour puts (enough
-        // traffic that probabilistic fault plans actually strike).
-        let rounds = 6usize;
-        env.fence(win).unwrap();
-        for round in 1..=rounds {
-            env.put(win, next, 128 + me * 4, &[(me * 10 + round) as u8; 4]).unwrap();
-            env.fence(win).unwrap();
-        }
-        let prev = (me + n - 1) % n;
-        assert_eq!(
-            env.read_local(win, 128 + prev * 4, 4).unwrap(),
-            vec![(prev * 10 + rounds) as u8; 4],
-            "fence deposit from the left neighbour must survive the faults"
-        );
-        env.barrier().unwrap();
-        if me == 0 {
-            for r in 0..n {
-                assert_eq!(
-                    env.read_local(win, r * 8, 8).unwrap(),
-                    vec![r as u8; 8],
-                    "passive deposit from rank {r} must survive the faults"
-                );
-            }
-        }
-        env.win_free(win).unwrap();
+        mixed_traffic(env);
     })
+}
+
+/// One rank's part of [`mixed_job`]; returns its final window contents.
+fn mixed_traffic(env: &mut RankEnv) -> Vec<u8> {
+    let win = env.win_allocate(256).unwrap();
+    env.barrier().unwrap();
+    let me = env.rank().idx();
+    let n = env.n_ranks();
+    let next = Rank((me + 1) % n);
+    // Passive target: everyone deposits a byte row at rank 0.
+    env.lock(win, Rank(0), LockKind::Shared).unwrap();
+    env.put(win, Rank(0), me * 8, &[me as u8; 8]).unwrap();
+    env.unlock(win, Rank(0)).unwrap();
+    // Active target: several fence phases of neighbour puts (enough
+    // traffic that probabilistic fault plans actually strike).
+    let rounds = 6usize;
+    env.fence(win).unwrap();
+    for round in 1..=rounds {
+        env.put(win, next, 128 + me * 4, &[(me * 10 + round) as u8; 4]).unwrap();
+        env.fence(win).unwrap();
+    }
+    let prev = (me + n - 1) % n;
+    assert_eq!(
+        env.read_local(win, 128 + prev * 4, 4).unwrap(),
+        vec![(prev * 10 + rounds) as u8; 4],
+        "fence deposit from the left neighbour must survive the faults"
+    );
+    env.barrier().unwrap();
+    if me == 0 {
+        for r in 0..n {
+            assert_eq!(
+                env.read_local(win, r * 8, 8).unwrap(),
+                vec![r as u8; 8],
+                "passive deposit from rank {r} must survive the faults"
+            );
+        }
+    }
+    let mem = env.read_local(win, 0, 256).unwrap();
+    env.win_free(win).unwrap();
+    mem
 }
 
 /// `pushed == acked + retransmit-pending` at quiescence; on a clean run
@@ -138,22 +146,15 @@ fn transient_partition_heals_through_backoff() {
 
 #[test]
 fn retransmit_racing_ack_is_deduplicated_and_acked() {
-    // No faults at all: an RTO far below the round-trip time forces
-    // spurious retransmits, so the receiver sees genuine duplicates of
-    // frames it already delivered and must drop-but-re-ack them.
-    let mut cfg = JobConfig::all_internode(2);
-    cfg.reliability = Some(Reliability {
-        rto: SimTime::from_nanos(800),
-        max_backoff: SimTime::from_micros(100),
-        max_retries: 30,
-        // Immediate acks: the test wants the retransmit to race the ack
-        // itself, not the delayed-ack hold.
-        ack_delay: SimTime::from_nanos(0),
-    });
-    let report = mixed_job(cfg).unwrap();
+    // Nothing is lost: order-preserving delays of up to ten RTOs hold
+    // frames (or their acks) past the retransmit timeout, so the copy the
+    // timer resends lands behind the delivered original — a genuine
+    // duplicate the receiver must drop but re-ack.
+    let plan = FaultPlan { delay_p: 0.1, max_delay: RTO * 10, ..FaultPlan::none(3) };
+    let report = mixed_job(faulty_cfg(2, plan)).unwrap();
     assert!(report.is_clean(), "{:?}", report.degradations);
     let e = &report.engine;
-    assert!(e.rel_retransmits > 0, "sub-RTT timeout must spuriously retransmit");
+    assert!(e.rel_retransmits > 0, "a delay past the RTO must spuriously retransmit");
     assert!(
         e.rel_dups_dropped > 0,
         "the retransmitted duplicate must be dropped and re-acked, not re-delivered"
@@ -165,8 +166,9 @@ fn retransmit_racing_ack_is_deduplicated_and_acked() {
 #[test]
 fn unhealed_partition_exhausts_backoff_and_trips_watchdog() {
     // A partition that never heals: the frame toward rank 1 burns its
-    // whole retry budget (backoff capped), is abandoned, and the closed
-    // lock epoch is cancelled by the watchdog within [budget, 2*budget].
+    // whole retry budget (backoff capped; ≈14.5 ms), is abandoned, and the
+    // closed lock epoch is cancelled by the watchdog within
+    // [budget, 2*budget].
     let mut plan = FaultPlan::none(5);
     plan.partitions.push(Partition {
         a: Rank(0),
@@ -174,16 +176,8 @@ fn unhealed_partition_exhausts_backoff_and_trips_watchdog() {
         from: SimTime::from_micros(50),
         until: SimTime::from_secs(1_000),
     });
-    let mut cfg = JobConfig::all_internode(2);
-    cfg.net.faults = Some(plan);
-    cfg.reliability = Some(Reliability {
-        rto: SimTime::from_micros(20),
-        max_backoff: SimTime::from_micros(80),
-        max_retries: 4,
-        ..Reliability::default()
-    });
-    let budget = SimTime::from_millis(1);
-    cfg = cfg.with_watchdog(budget);
+    let budget = SimTime::from_millis(20);
+    let cfg = faulty_cfg(2, plan).with_watchdog(budget);
     let report = run_job(cfg, |env| {
         let win = env.win_allocate(64).unwrap();
         env.barrier().unwrap();
@@ -209,7 +203,7 @@ fn unhealed_partition_exhausts_backoff_and_trips_watchdog() {
         .collect();
     assert!(!exhausted.is_empty(), "{:?}", report.degradations);
     for (retries, dst) in &exhausted {
-        assert_eq!(*retries, 4, "frames must burn the exact retry budget");
+        assert_eq!(*retries, MAX_RETRIES, "frames must burn the exact retry budget");
         assert_eq!(*dst, Rank(1));
     }
     let stalls: Vec<_> = report
@@ -241,15 +235,7 @@ fn crashed_peer_during_lock_all_is_cancelled_not_hung() {
     // stalled epochs are cancelled, so the job terminates.
     let mut plan = FaultPlan::none(9);
     plan.crashes.push((Rank(2), SimTime::from_micros(400)));
-    let mut cfg = JobConfig::all_internode(3);
-    cfg.net.faults = Some(plan);
-    cfg.reliability = Some(Reliability {
-        rto: SimTime::from_micros(20),
-        max_backoff: SimTime::from_micros(80),
-        max_retries: 4,
-        ..Reliability::default()
-    });
-    cfg = cfg.with_watchdog(SimTime::from_millis(1));
+    let cfg = faulty_cfg(3, plan).with_watchdog(SimTime::from_millis(1));
     let report = run_job(cfg, |env| {
         let win = env.win_allocate(128).unwrap();
         env.barrier().unwrap();
@@ -276,4 +262,70 @@ fn crashed_peer_during_lock_all_is_cancelled_not_hung() {
     assert!(stalled_lock_all, "{:?}", report.degradations);
     assert!(report.engine.epochs_cancelled >= 1);
     assert!(report.net.fault_crash_drops > 0);
+}
+
+#[test]
+fn crash_at_commit_without_recovery_takes_the_nic_down() {
+    // The planned crash fires at rank 2's first epoch commit even though
+    // no recovery is armed (nothing restarts the rank): the second round's
+    // frames to and from rank 2 are abandoned as peer-crash degradations
+    // and the stalled epochs are cancelled.
+    let mut plan = FaultPlan::none(4);
+    plan.crash_at_commit.push((Rank(2), 1));
+    let cfg = faulty_cfg(3, plan).with_watchdog(SimTime::from_millis(20));
+    let report = run_job(cfg, |env| {
+        let win = env.win_allocate(64).unwrap();
+        env.barrier().unwrap();
+        let next = Rank((env.rank().idx() + 1) % 3);
+        for round in 0..2u8 {
+            env.lock_all(win).unwrap();
+            env.put(win, next, 8 * round as usize, &[round; 8]).unwrap();
+            env.unlock_all(win).unwrap();
+        }
+    })
+    .unwrap();
+    assert!(!report.is_clean());
+    assert!(
+        report.degradations.iter().any(|d| d.kind() == "peer-crash"),
+        "{:?}",
+        report.degradations
+    );
+    assert!(report.net.fault_crash_drops > 0);
+    assert!(report.recoveries.is_empty(), "nothing is armed to restart the rank");
+}
+
+/// [`mixed_job`], plus every rank's final window contents.
+fn windows_after(cfg: JobConfig) -> (JobReport, Vec<Vec<u8>>) {
+    let windows = Arc::new(Mutex::new(vec![Vec::new(); cfg.n_ranks]));
+    let w = windows.clone();
+    let report = run_job(cfg, move |env| {
+        let mem = mixed_traffic(env);
+        w.lock().unwrap()[env.rank().idx()] = mem;
+    })
+    .unwrap();
+    let windows = windows.lock().unwrap().clone();
+    (report, windows)
+}
+
+#[test]
+fn corrupted_frames_fail_their_checksum_and_are_retransmitted() {
+    // In-transit corruption end to end: a flipped frame fails its
+    // checksum at the receiver, is dropped unacknowledged, and comes back
+    // from the sender's clean copy on the retransmit timer.
+    let (clean, want) = windows_after(JobConfig::all_internode(4).with_reliability());
+    assert!(clean.is_clean(), "{:?}", clean.degradations);
+    let plan = FaultPlan { corrupt_p: 0.1, ..FaultPlan::none(17) };
+    let (report, got) = windows_after(faulty_cfg(4, plan));
+    let e = &report.engine;
+    assert!(e.rel_checksum_drops >= 1, "the plan must corrupt a frame");
+    let checksum_fails =
+        report.degradations.iter().filter(|d| matches!(d, Degradation::ChecksumFail { .. })).count();
+    assert_eq!(checksum_fails, report.degradations.len(), "{:?}", report.degradations);
+    assert_eq!(e.rel_checksum_drops, checksum_fails as u64);
+    // Raw acks carry no checksum, so a corrupted ack is a fault with no drop.
+    assert!(report.net.fault_corrupts >= e.rel_checksum_drops);
+    assert!(e.rel_retransmits >= e.rel_checksum_drops);
+    assert_eq!(got, want, "corruption must not reach a window");
+    assert_quiescent_channels(&report);
+    assert_eq!(report.live_requests, 0);
 }

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] describes, per internode channel, the misbehaviour the
 //! simulated fabric injects: message drops, duplicates, bounded reorders,
 //! bit corruption, extra delivery delay, transient `(src, dst)` partitions,
-//! and per-rank slowdown or crash-at-time. Every decision is drawn from a
+//! and per-rank NIC crashes. Every decision is drawn from a
 //! per-channel RNG seeded from `(plan.seed, src, dst)`, so a plan replays
 //! identically for a given simulation — and every injected fault is both
 //! counted in [`crate::NetStats`] and appended to a replayable
@@ -174,7 +174,8 @@ impl FaultLog {
 /// Probabilities are evaluated in the order drop → duplicate → corrupt →
 /// reorder → delay, one independent draw each, from a deterministic
 /// per-channel stream; a dropped message draws nothing further. Partitions
-/// and crashes are checked first and are fully deterministic.
+/// are checked first and are fully deterministic, and so are crashes,
+/// which the network turns into [`crate::Network::nic_down`] events.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// Root seed of every per-channel decision stream.
@@ -197,7 +198,8 @@ pub struct FaultPlan {
     pub partitions: Vec<Partition>,
     /// Per-rank NIC death: all traffic to or from the rank is discarded
     /// from the given time on (the rank itself keeps running — stalls are
-    /// the middleware watchdog's problem).
+    /// the middleware watchdog's problem). The network schedules a
+    /// [`crate::Network::nic_down`] at each time.
     pub crashes: Vec<(Rank, SimTime)>,
     /// Per-rank NIC death keyed to *protocol progress* instead of wall
     /// time: `(rank, n)` crashes the rank's NIC the moment it completes
@@ -208,9 +210,6 @@ pub struct FaultPlan {
     /// makes "crash any rank at any commit point" an exact, replayable
     /// schedule rather than a time guess.
     pub crash_at_commit: Vec<(Rank, u64)>,
-    /// Per-rank NIC slowdown factors (> 1 multiplies both serialization
-    /// and latency of messages the rank sends).
-    pub slowdowns: Vec<(Rank, f64)>,
 }
 
 impl FaultPlan {
@@ -228,7 +227,6 @@ impl FaultPlan {
             partitions: Vec::new(),
             crashes: Vec::new(),
             crash_at_commit: Vec::new(),
-            slowdowns: Vec::new(),
         }
     }
 
@@ -302,7 +300,6 @@ impl FaultPlan {
             || !self.partitions.is_empty()
             || !self.crashes.is_empty()
             || !self.crash_at_commit.is_empty()
-            || !self.slowdowns.is_empty()
     }
 
     /// The commit count (1-based) at which `rank`'s NIC crashes, if the
@@ -311,31 +308,9 @@ impl FaultPlan {
         self.crash_at_commit.iter().find(|(r, _)| *r == rank).map(|(_, n)| *n)
     }
 
-    /// The time `rank`'s NIC crashes, if the plan crashes it.
-    pub fn crash_time(&self, rank: Rank) -> Option<SimTime> {
-        self.crashes.iter().find(|(r, _)| *r == rank).map(|(_, t)| *t)
-    }
-
-    /// Whether a message `src → dst` departing at `now` touches a crashed
-    /// NIC.
-    pub fn crashed(&self, src: Rank, dst: Rank, now: SimTime) -> bool {
-        self.crashes
-            .iter()
-            .any(|(r, t)| (*r == src || *r == dst) && now >= *t)
-    }
-
     /// Whether an active partition cuts `src → dst` at `now`.
     pub fn partitioned(&self, src: Rank, dst: Rank, now: SimTime) -> bool {
         self.partitions.iter().any(|p| p.cuts(src, dst, now))
-    }
-
-    /// The slowdown factor applied to messages `rank` sends (1.0 = none).
-    pub fn slowdown(&self, rank: Rank) -> f64 {
-        self.slowdowns
-            .iter()
-            .find(|(r, _)| *r == rank)
-            .map(|(_, f)| *f)
-            .unwrap_or(1.0)
     }
 }
 
@@ -353,18 +328,6 @@ mod tests {
         assert!(p.partitioned(Rank(1), Rank(0), tin));
         assert!(!p.partitioned(Rank(0), Rank(2), tin));
         assert!(!p.partitioned(Rank(0), Rank(1), tend));
-    }
-
-    #[test]
-    fn crash_cuts_both_directions_from_its_time() {
-        let mut p = FaultPlan::none(3);
-        p.crashes.push((Rank(2), SimTime::from_micros(5)));
-        assert!(!p.crashed(Rank(2), Rank(0), SimTime::from_micros(4)));
-        assert!(p.crashed(Rank(2), Rank(0), SimTime::from_micros(5)));
-        assert!(p.crashed(Rank(0), Rank(2), SimTime::from_micros(9)));
-        assert!(!p.crashed(Rank(0), Rank(1), SimTime::from_micros(9)));
-        assert_eq!(p.crash_time(Rank(2)), Some(SimTime::from_micros(5)));
-        assert_eq!(p.crash_time(Rank(0)), None);
     }
 
     #[test]

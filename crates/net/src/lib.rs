@@ -7,7 +7,7 @@
 //!
 //! The model is calibrated so a 1 MB transfer takes ≈340 µs of virtual
 //! time, matching the figure the paper quotes for its QDR InfiniBand
-//! testbed; see [`NetParams::qdr_infiniband`].
+//! testbed; see [`NetParams`].
 
 #![warn(missing_docs)]
 

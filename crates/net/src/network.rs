@@ -27,7 +27,10 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::fault::{FaultKind, FaultLog, FaultPlan, FaultRecord};
-use crate::params::{NetParams, Rank, Topology};
+use crate::params::{
+    serialization, NetParams, Rank, Topology, HEADER_BYTES, INTER_BW, INTER_LATENCY, INTRA_BW,
+    INTRA_LATENCY,
+};
 
 /// Implemented by the middleware's message body type so the network can
 /// price it (and, under a fault plan, corrupt or duplicate it).
@@ -153,10 +156,27 @@ struct NetInner<M> {
     jitter_rng: rand::rngs::SmallRng,
     /// Replayable, bounded log of every injected fault.
     fault_log: FaultLog,
-    /// Dynamically downed NICs (engine-driven crash/restart). Unlike the
-    /// static `FaultPlan::crashes` list this is toggled at run time, so a
-    /// rank can come back up after a recovery restart.
+    /// NICs currently off the fabric: the one record of "this rank is
+    /// down", set by a plan's `crashes` at their times and by the engine's
+    /// crash/restart ([`Network::nic_down`] / [`Network::nic_up`]).
     downs: Vec<bool>,
+}
+
+impl<M> NetInner<M> {
+    /// Count one injected fault and append it to the replayable log.
+    fn record(&mut self, at: SimTime, src: Rank, dst: Rank, kind: FaultKind) {
+        self.stats.faults_injected += 1;
+        match kind {
+            FaultKind::Drop => self.stats.fault_drops += 1,
+            FaultKind::Duplicate => self.stats.fault_dups += 1,
+            FaultKind::Corrupt => self.stats.fault_corrupts += 1,
+            FaultKind::Reorder => self.stats.fault_reorders += 1,
+            FaultKind::Delay => self.stats.fault_delays += 1,
+            FaultKind::PartitionDrop => self.stats.fault_partition_drops += 1,
+            FaultKind::CrashDrop => self.stats.fault_crash_drops += 1,
+        }
+        self.fault_log.push(FaultRecord { at, src, dst, kind });
+    }
 }
 
 type Handler<M> = Arc<dyn Fn(Packet<M>) + Send + Sync>;
@@ -171,10 +191,12 @@ pub struct Network<M: Wire> {
 }
 
 impl<M: Wire> Network<M> {
-    /// Create a network over `topo` with cost model `params`.
+    /// Create a network over `topo` with the flow control, jitter and
+    /// faults of `params`. Each of the fault plan's `crashes` is a
+    /// [`Network::nic_down`] scheduled at its time.
     pub fn new(handle: SimHandle, params: NetParams, topo: Topology) -> Arc<Self> {
         let n = topo.n_ranks();
-        Arc::new(Network {
+        let net = Arc::new(Network {
             inner: Mutex::new(NetInner {
                 ranks: (0..n).map(|_| RankState::default()).collect(),
                 stats: NetStats::default(),
@@ -186,7 +208,16 @@ impl<M: Wire> Network<M> {
             handle,
             params,
             topo,
-        })
+        });
+        for &(rank, at) in net.params.faults.iter().flat_map(|p| &p.crashes) {
+            let weak = Arc::downgrade(&net);
+            net.handle.schedule_at(at, move || {
+                if let Some(net) = weak.upgrade() {
+                    net.nic_down(rank);
+                }
+            });
+        }
+        net
     }
 
     /// Install the delivery handler (called once per delivered packet, on
@@ -325,7 +356,7 @@ impl<M: Wire> Network<M> {
         } = req;
         let (src, dst) = (pkt.src, pkt.dst);
         let internode = !self.topo.same_node(src, dst);
-        let wire = self.params.header_bytes + pkt.body.payload_len();
+        let wire = HEADER_BYTES + pkt.body.payload_len();
 
         // Fault decisions, drawn before timing: internode channels only,
         // never self-sends, from the per-channel replayable stream.
@@ -336,28 +367,23 @@ impl<M: Wire> Network<M> {
             .filter(|p| internode && src != dst && p.is_active());
         let faults = plan.map(|p| Self::decide_faults(inner, now, src, dst, p));
         let mut faults = faults.unwrap_or_default();
-        let slowdown = plan.map(|p| p.slowdown(src)).unwrap_or(1.0);
 
-        // A dynamically downed NIC (engine-driven crash/restart) discards
-        // every internode message touching it, fault plan or not.
+        // A downed NIC (a planned crash, or the engine's crash/restart)
+        // discards every internode message touching it.
         if internode
             && src != dst
             && faults.lost.is_none()
             && (inner.downs[src.idx()] || inner.downs[dst.idx()])
         {
             faults.lost = Some(FaultKind::CrashDrop);
-            inner.stats.faults_injected += 1;
-            inner.stats.fault_crash_drops += 1;
-            inner.fault_log.push(FaultRecord { at: now, src, dst, kind: FaultKind::CrashDrop });
+            inner.record(now, src, dst, FaultKind::CrashDrop);
         }
 
         let (alpha, ser) = if internode {
-            (self.params.inter_latency, self.params.inter_ser(wire))
+            (INTER_LATENCY, serialization(wire, INTER_BW))
         } else {
-            (self.params.intra_latency, self.params.intra_ser(wire))
+            (INTRA_LATENCY, serialization(wire, INTRA_BW))
         };
-        let scale = |t: SimTime| SimTime::from_nanos((t.as_nanos() as f64 * slowdown) as u64);
-        let (alpha, ser) = if slowdown > 1.0 { (scale(alpha), scale(ser)) } else { (alpha, ser) };
 
         inner.stats.bytes_sent += wire as u64;
 
@@ -389,7 +415,7 @@ impl<M: Wire> Network<M> {
             // The message vanishes in the fabric: no delivery, no remote
             // acknowledgement, destination clamps untouched.
             drop(on_remote);
-            let ack_at = arrive + self.params.inter_latency;
+            let ack_at = arrive + INTER_LATENCY;
             if internode {
                 let net = self.clone();
                 self.handle.schedule_at(ack_at, move || net.return_credit(src, dst));
@@ -427,7 +453,7 @@ impl<M: Wire> Network<M> {
         self.handle.schedule_at(handoff, move || net.deliver(pkt));
 
         let ack_at = if internode {
-            handoff + self.params.inter_latency
+            handoff + INTER_LATENCY
         } else {
             handoff
         };
@@ -463,28 +489,9 @@ impl<M: Wire> Network<M> {
         plan: &FaultPlan,
     ) -> FaultDraw {
         let mut draw = FaultDraw::default();
-        let record = |inner: &mut NetInner<M>, kind: FaultKind| {
-            inner.stats.faults_injected += 1;
-            match kind {
-                FaultKind::Drop => inner.stats.fault_drops += 1,
-                FaultKind::Duplicate => inner.stats.fault_dups += 1,
-                FaultKind::Corrupt => inner.stats.fault_corrupts += 1,
-                FaultKind::Reorder => inner.stats.fault_reorders += 1,
-                FaultKind::Delay => inner.stats.fault_delays += 1,
-                FaultKind::PartitionDrop => inner.stats.fault_partition_drops += 1,
-                FaultKind::CrashDrop => inner.stats.fault_crash_drops += 1,
-            }
-            inner.fault_log.push(FaultRecord { at: now, src, dst, kind });
-        };
-
-        if plan.crashed(src, dst, now) {
-            draw.lost = Some(FaultKind::CrashDrop);
-            record(inner, FaultKind::CrashDrop);
-            return draw;
-        }
         if plan.partitioned(src, dst, now) {
             draw.lost = Some(FaultKind::PartitionDrop);
-            record(inner, FaultKind::PartitionDrop);
+            inner.record(now, src, dst, FaultKind::PartitionDrop);
             return draw;
         }
 
@@ -497,7 +504,7 @@ impl<M: Wire> Network<M> {
             });
         if plan.drop_p > 0.0 && rng.gen_bool(plan.drop_p) {
             draw.lost = Some(FaultKind::Drop);
-            record(inner, FaultKind::Drop);
+            inner.record(now, src, dst, FaultKind::Drop);
             return draw;
         }
         let mut hits = Vec::new();
@@ -520,7 +527,7 @@ impl<M: Wire> Network<M> {
             hits.push(FaultKind::Delay);
         }
         for kind in hits {
-            record(inner, kind);
+            inner.record(now, src, dst, kind);
         }
         draw
     }
@@ -607,8 +614,7 @@ mod tests {
     fn single_message_timing() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let p = NetParams::qdr_infiniband();
-        let net = Network::new(h.clone(), p.clone(), Topology::all_internode(2));
+        let net = Network::new(h.clone(), NetParams::qdr_infiniband(), Topology::all_internode(2));
         let log = collect_deliveries(&net, &h);
         net.send(Packet {
             src: Rank(0),
@@ -616,7 +622,7 @@ mod tests {
             body: ctrl(7),
         });
         sim.run().unwrap();
-        let expected = (p.inter_ser(p.header_bytes) + p.inter_latency).as_nanos();
+        let expected = (serialization(HEADER_BYTES, INTER_BW) + INTER_LATENCY).as_nanos();
         assert_eq!(*log.lock(), vec![(7, expected)]);
     }
 
@@ -679,8 +685,7 @@ mod tests {
     fn egress_bandwidth_serializes_two_large_sends() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let p = NetParams::unlimited();
-        let net = Network::new(h.clone(), p.clone(), Topology::all_internode(3));
+        let net = Network::new(h.clone(), NetParams::unlimited(), Topology::all_internode(3));
         let log = collect_deliveries(&net, &h);
         // Rank 0 sends 1MB to two different targets back to back: the second
         // must wait for the first to leave the NIC.
@@ -698,7 +703,7 @@ mod tests {
         let log = log.lock();
         let t1 = log.iter().find(|e| e.0 == 1).unwrap().1;
         let t2 = log.iter().find(|e| e.0 == 2).unwrap().1;
-        let ser = p.inter_ser((1 << 20) + p.header_bytes).as_nanos();
+        let ser = serialization((1 << 20) + HEADER_BYTES, INTER_BW).as_nanos();
         assert_eq!(t2 - t1, ser, "second transfer delayed by one serialization");
     }
 
@@ -810,8 +815,7 @@ mod tests {
     fn incast_serializes_at_the_receiver_nic() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let p = NetParams::unlimited();
-        let net = Network::new(h.clone(), p.clone(), Topology::all_internode(4));
+        let net = Network::new(h.clone(), NetParams::unlimited(), Topology::all_internode(4));
         let log = collect_deliveries(&net, &h);
         // Three senders hit rank 0 with 256 KB each at t=0.
         for s in 1..4u64 {
@@ -824,7 +828,7 @@ mod tests {
         sim.run().unwrap();
         let mut times: Vec<u64> = log.lock().iter().map(|e| e.1).collect();
         times.sort_unstable();
-        let ser = p.inter_ser(256 * 1024 + p.header_bytes).as_nanos();
+        let ser = serialization(256 * 1024 + HEADER_BYTES, INTER_BW).as_nanos();
         // Receiver link occupancy: consecutive deliveries at least one
         // serialization apart.
         assert!(times[1] - times[0] >= ser);
@@ -1042,8 +1046,7 @@ mod tests {
     fn stats_count_bytes_and_messages() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let p = NetParams::unlimited();
-        let net = Network::new(h.clone(), p.clone(), Topology::all_internode(2));
+        let net = Network::new(h.clone(), NetParams::unlimited(), Topology::all_internode(2));
         let _log = collect_deliveries(&net, &h);
         net.send(Packet {
             src: Rank(0),
@@ -1054,6 +1057,6 @@ mod tests {
         let s = net.stats();
         assert_eq!(s.msgs_sent, 1);
         assert_eq!(s.msgs_delivered, 1);
-        assert_eq!(s.bytes_sent, (1000 + p.header_bytes) as u64);
+        assert_eq!(s.bytes_sent, (1000 + HEADER_BYTES) as u64);
     }
 }

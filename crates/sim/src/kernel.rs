@@ -388,18 +388,18 @@ pub struct Sim {
     fibers: Vec<Fiber>,
     pool: Vec<PoolWorker>,
     mode: ExecMode,
-    stack_size: usize,
     /// The first spawn the OS refused; [`Sim::run`] returns it.
     spawn_error: Option<SimError>,
 }
 
-/// Default per-process stack size. Simulated ranks mostly park, so a small
-/// stack lets thousands of ranks coexist (in pooled mode untouched stack
-/// pages are never even committed).
-pub const DEFAULT_STACK_SIZE: usize = 512 * 1024;
+/// Per-process stack size. Simulated ranks mostly park, so a small stack
+/// lets thousands of ranks coexist (in pooled mode untouched stack pages
+/// are never even committed).
+const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 
-/// Default runaway-simulation backstop.
-pub const DEFAULT_EVENT_CAP: u64 = 2_000_000_000;
+/// Runaway-simulation backstop: [`Sim::run`] stops with
+/// [`SimError::EventCapExceeded`] past this many events.
+const DEFAULT_EVENT_CAP: u64 = 2_000_000_000;
 
 impl Sim {
     /// Create a simulation with the given RNG seed.
@@ -427,7 +427,6 @@ impl Sim {
             fibers: Vec::new(),
             pool: Vec::new(),
             mode: ExecMode::default(),
-            stack_size: DEFAULT_STACK_SIZE,
             spawn_error: None,
         }
     }
@@ -448,14 +447,9 @@ impl Sim {
         self.mode
     }
 
-    /// Override the per-process stack size (bytes) for subsequently spawned
-    /// processes.
-    pub fn set_stack_size(&mut self, bytes: usize) {
-        self.stack_size = bytes;
-    }
-
-    /// Override the event cap.
-    pub fn set_event_cap(&mut self, cap: u64) {
+    /// Lower the event cap, so a test can reach the backstop.
+    #[cfg(test)]
+    fn set_event_cap(&mut self, cap: u64) {
         self.core.inner.lock().event_cap = cap;
     }
 
@@ -546,7 +540,7 @@ impl Sim {
                     // Control returns to the resumer via the fiber's final
                     // switch; no baton to hand back.
                 };
-                Fiber::new(self.stack_size, Box::new(body)).map(|fiber| {
+                Fiber::new(DEFAULT_STACK_SIZE, Box::new(body)).map(|fiber| {
                     self.fibers.push(fiber);
                     debug_assert_eq!(self.fibers.len(), pid.0 + 1);
                 })
@@ -555,7 +549,7 @@ impl Sim {
                 let core = self.core.clone();
                 let builder = std::thread::Builder::new()
                     .name(format!("sim-{label}"))
-                    .stack_size(self.stack_size);
+                    .stack_size(DEFAULT_STACK_SIZE);
                 builder
                     .spawn(move || {
                         // Wait for the first baton before touching anything.

@@ -51,9 +51,7 @@ mod process;
 mod rng;
 mod time;
 
-pub use kernel::{
-    ExecMode, ProcId, Sim, SimError, SimHandle, SimStats, DEFAULT_EVENT_CAP, DEFAULT_STACK_SIZE,
-};
+pub use kernel::{ExecMode, ProcId, Sim, SimError, SimHandle, SimStats};
 pub use process::ProcCtx;
 pub use rng::{mix64, seeded_rng};
 pub use time::SimTime;

@@ -122,22 +122,6 @@ fn heavy_fanout_of_processes_and_events_is_deterministic() {
     assert_ne!(run(3).0, run(4).0);
 }
 
-#[test]
-fn stack_size_override_supports_many_processes() {
-    let mut sim = Sim::new(0);
-    sim.set_stack_size(128 * 1024);
-    let count = Arc::new(Mutex::new(0usize));
-    for i in 0..512 {
-        let c = count.clone();
-        sim.spawn(format!("tiny{i}"), move |ctx| {
-            ctx.advance(SimTime::from_nanos(i as u64 % 7 + 1));
-            *c.lock().unwrap() += 1;
-        });
-    }
-    sim.run().unwrap();
-    assert_eq!(*count.lock().unwrap(), 512);
-}
-
 // ---------------------------------------------------------------------------
 // Pooled-execution edge cases at scale.
 // ---------------------------------------------------------------------------
@@ -261,7 +245,6 @@ fn four_thousand_ranks_run_pooled() {
     }
     let mut sim = Sim::new(9);
     sim.set_exec_mode(ExecMode::Pooled { workers: 0 });
-    sim.set_stack_size(64 * 1024);
     let done = Arc::new(Mutex::new(0usize));
     let gate = Flag::default();
     for i in 0..4096usize {

@@ -48,7 +48,7 @@ pub use mpisim_net as net;
 pub use mpisim_sim as sim;
 
 pub use mpisim_core::{
-    run_job, Datatype, Engine, EngineStats, Group, JobConfig, JobReport, LockKind, Overheads,
-    Rank, RankEnv, RankStats, ReduceOp, Req, RmaError, RmaResult, SyncStrategy, WinId, WinInfo,
+    run_job, Datatype, Engine, EngineStats, Group, JobConfig, JobReport, LockKind, Rank, RankEnv,
+    RankStats, ReduceOp, Req, RmaError, RmaResult, SyncStrategy, WinId, WinInfo,
 };
 pub use mpisim_sim::SimTime;
