@@ -7,7 +7,8 @@
 //! Exactly one entity runs at any instant: either the scheduler (executing
 //! an event callback) or one process. Determinism follows from three rules:
 //!
-//! 1. events are ordered by `(time, sequence-number)`;
+//! 1. events are ordered by time, then by a tie-break: their sequence
+//!    number, or a seeded permutation of it ([`Sim::set_tiebreak_seed`]);
 //! 2. ready processes run in FIFO order, and all ready processes run before
 //!    the next event is popped;
 //! 3. process code itself only observes virtual time through the kernel.
@@ -43,18 +44,20 @@
 //!
 //! # What one event and one slice cost
 //!
-//! A heap record owns its [`Action`]: `Call` is a boxed callback run after
-//! the pop's lock is released; `Wake` ends a process's
+//! The event queue (`queue.rs`) is one ordered-map entry per pending
+//! instant over a list of slots in tie-break order: a push is one lookup of
+//! its instant and, in FIFO order, a tail append; a pop unlinks the head of
+//! the earliest instant. A slot owns its [`Action`]: `Call` is a boxed
+//! callback run after the pop's lock is released; `Wake` ends a process's
 //! [`ProcCtx::advance`] and is carried out by the driver under the lock of
 //! the pop that found it — clear the process's `sleeping` flag, ready it —
-//! so a timed sleep is one record and no allocation. A slice boundary is
+//! so a timed sleep is one slot and no allocation. A slice boundary is
 //! one kernel lock on the driver's side: under it the driver takes a panic
 //! payload the last slice may have left and pops the ready queue. The abort
 //! flag a process reads before and after every yield is an atomic outside
 //! that lock.
 
-use std::cmp::{self, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,6 +68,7 @@ use parking_lot::Mutex;
 use crate::fiber::{self, Fiber};
 use crate::parker::Parker;
 use crate::process::ProcCtx;
+use crate::queue::EventQueue;
 use crate::time::SimTime;
 
 /// Identifier of a simulated process (dense, assigned in spawn order).
@@ -205,41 +209,10 @@ pub(crate) enum Action {
     Call(EventFn),
 }
 
-/// One scheduled event. The heap record owns its action, so running an
-/// event is one pop. Events order by `key`, which is `(time, tie-break,
-/// seq)` reversed so the max-heap pops the earliest: the tie-break equals
-/// `seq` by default (FIFO among same-time events), or is a seeded hash of
-/// it when a perturbation is installed. `seq` is unique, so the order is
-/// total even if two tie-breaks collide.
-struct Event {
-    key: Reverse<(SimTime, u64, u64)>,
-    action: Action,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
 pub(crate) struct Inner {
     pub(crate) now: SimTime,
     next_seq: u64,
-    heap: BinaryHeap<Event>,
+    queue: EventQueue,
     tiebreak_seed: Option<u64>,
     nondet_tiebreak: bool,
     pub(crate) ready: VecDeque<ProcId>,
@@ -272,8 +245,8 @@ impl Inner {
     pub(crate) fn push_event(&mut self, at: SimTime, action: Action) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = Reverse((at, self.tiebreak_key(seq), seq));
-        self.heap.push(Event { key, action });
+        let tiebreak = self.tiebreak_key(seq);
+        self.queue.push(at, tiebreak, action);
     }
 
     /// Move a blocked process to the ready queue. Idempotent for processes
@@ -409,7 +382,7 @@ impl Sim {
                 inner: Mutex::new(Inner {
                     now: SimTime::ZERO,
                     next_seq: 0,
-                    heap: BinaryHeap::new(),
+                    queue: EventQueue::new(),
                     ready: VecDeque::new(),
                     procs: Vec::new(),
                     panic_payload: None,
@@ -465,11 +438,11 @@ impl Sim {
     /// the schedule space; `None` restores FIFO order.
     ///
     /// Must be set before the first event is scheduled to be meaningful
-    /// (events already in the heap keep the key assigned at push time).
+    /// (events already queued keep the key assigned at push time).
     pub fn set_tiebreak_seed(&mut self, seed: Option<u64>) {
         let mut inner = self.core.inner.lock();
         debug_assert!(
-            inner.heap.is_empty(),
+            inner.queue.is_empty(),
             "tie-break seed changed after events were scheduled"
         );
         inner.tiebreak_seed = seed;
@@ -661,7 +634,7 @@ impl Sim {
             // Phase 2: execute the next event.
             let call = {
                 let mut inner = self.core.inner.lock();
-                let Some(Event { key: Reverse((at, ..)), action }) = inner.heap.pop() else {
+                let Some((at, action)) = inner.queue.pop() else {
                     // No events, no ready processes: either everyone is done
                     // or we are deadlocked.
                     let blocked: Vec<String> = inner

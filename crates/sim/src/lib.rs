@@ -48,6 +48,7 @@ mod fiber;
 mod kernel;
 mod parker;
 mod process;
+mod queue;
 mod rng;
 mod time;
 

@@ -74,7 +74,7 @@ impl ProcCtx {
     /// Advance virtual time by `d` for this process: models computation or
     /// any other busy period. Other processes and events run meanwhile.
     ///
-    /// The sleep is one heap record (`Action::Wake`) and a flag on the
+    /// The sleep is one queued event (`Action::Wake`) and a flag on the
     /// process record, nothing else. A [`SimHandle::wake`] that lands
     /// mid-sleep costs one slice: the flag is still set, so the process
     /// parks again until exactly the deadline.

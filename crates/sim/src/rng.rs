@@ -22,7 +22,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Used by the kernel's tie-break perturbation to key same-time events: for
 /// a fixed seed the map `x -> mix64(seed, x)` is a fixed pseudo-random
 /// relabeling, so sorting by it yields a deterministic but seed-dependent
-/// permutation of equal-time events.
+/// permutation of equal-time events. It is a bijection — rotate, xor, add
+/// and xorshift-multiply are each invertible — so two sequence numbers
+/// never share a key.
 #[inline]
 pub fn mix64(seed: u64, x: u64) -> u64 {
     let mut state = seed ^ x.rotate_left(27) ^ 0xD6E8_FEB8_6659_FD93;
@@ -60,6 +62,19 @@ mod tests {
         let va: Vec<u64> = (0..8).map(|_| a.gen()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(va, vb);
+    }
+
+    #[test]
+    fn mix64_relabels_sequence_numbers_without_collision() {
+        // For a fixed seed every step of `mix64` is invertible, so no two
+        // sequence numbers share a tie-break; the event queue relies on it
+        // (it orders an instant by tie-break alone).
+        for seed in [0, 11, 0xDEAD_BEEF] {
+            let mut keys: Vec<u64> = (0..1 << 20).map(|x| mix64(seed, x)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), 1 << 20, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `ProcCtx::advance` is the call every simulated MPI call and every
 //! `compute` goes through, `ProcCtx::park` / `SimHandle::wake` the pair
-//! every blocked wait goes through; once the event heap and the ready queue
-//! have grown to their working size none of them may touch the allocator. A
-//! binary of its own because the counting allocator is process-wide.
+//! every blocked wait goes through; once the event queue (its slot arena
+//! and its map of pending instants) and the ready queue have grown to their
+//! working size none of them may touch the allocator. A binary of its own
+//! because the counting allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,8 +51,8 @@ fn advance_rounds() {
     for i in 0..PROCS {
         sim.spawn(format!("p{i}"), move |ctx| {
             // Every process sleeps to the same instants, so all eight
-            // wake-ups are pending at once: the first round sizes the heap
-            // and the ready queue for the whole run.
+            // wake-ups are pending at once: the first round sizes the event
+            // queue and the ready queue for the whole run.
             ctx.advance(SimTime::from_nanos(5));
             if i == 0 {
                 AFTER_FIRST_ROUND.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
