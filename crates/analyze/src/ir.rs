@@ -52,12 +52,6 @@ pub enum FetchKind {
 }
 
 impl FetchKind {
-    /// Whether this read is accumulate-family (element-wise atomic at
-    /// the target, per the MPI `same_op_no_op` rule).
-    pub fn is_atomic(self) -> bool {
-        !matches!(self, FetchKind::Get)
-    }
-
     /// The operator this read *writes* with, if it modifies the slot at
     /// all (`Get` and the `NoOp` atomics are pure reads).
     pub fn write_op(self) -> Option<ReduceOp> {

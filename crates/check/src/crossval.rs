@@ -25,11 +25,11 @@ use mpisim_analyze::{
     analyze, generate_negative, generate_value_clean, has_code, rewrite_with, Code, IrProgram,
     NegFamily, RewriteMode,
 };
-use mpisim_core::{Degradation, ExecMode, JobReport, SyncStrategy};
+use mpisim_core::{Degradation, JobReport, SyncStrategy};
 
 use crate::lower::lower;
 use crate::program::{generate, Family};
-use crate::run::{exec_ir, exec_ir_with, execute_exec, ExecOpts, RunOutcome, RunSpec};
+use crate::run::{exec_ir, exec_ir_with, execute_exec, RunOutcome, RunSpec};
 use crate::suite::{Arm, Outcome, Plant};
 
 /// Epochs the stall watchdog had to cancel.
@@ -298,12 +298,6 @@ pub fn crossval_rewrites(width: u64, plant: Option<&Plant>) -> Outcome {
     r
 }
 
-/// The pooled variants compared against the thread-per-rank baseline:
-/// inline fiber resume on the driver thread, and a 2-worker pool (the
-/// smallest pool where fiber-to-worker assignment could matter).
-const EXEC_VARIANTS: [ExecMode; 2] =
-    [ExecMode::Pooled { workers: 0 }, ExecMode::Pooled { workers: 2 }];
-
 /// Everything two same-seed runs may legally differ in: nothing. Returns
 /// the names of the observables that diverged. Stats structs compare via
 /// `Eq`; traces and per-rank timings compare via their `Debug` rendering,
@@ -325,23 +319,22 @@ fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
     same.into_iter().filter(|(_, same)| !same).map(|(name, _)| name).collect()
 }
 
-/// Execution-mode determinism cross-check: `width` conformance
-/// programs per family, under both close modes, are executed under
-/// thread-per-rank and both pooled variants ([`EXEC_VARIANTS`]), and the
-/// three runs must be indistinguishable — same verdict, final memories,
-/// get results, `SimStats`, `EngineStats`, per-rank timings, and all
-/// three trace streams, byte for byte.
+/// Determinism cross-check: `width` conformance programs per family,
+/// under both close modes, are each executed twice in one process, and the
+/// two runs must be indistinguishable — same verdict, final memories, get
+/// results, `SimStats`, `EngineStats`, per-rank timings, and all three
+/// trace streams, byte for byte.
 ///
-/// Under an [`Arm::NondetTiebreak`] plant every run additionally enables
-/// the kernel's deliberately nondeterministic tie-break
-/// (`Sim::set_nondet_tiebreak`), so same-seed runs genuinely diverge;
-/// every point is then a plant and *must* be observed to diverge — the
-/// exit-inverted self-test proving the cross-check would catch a
-/// nondeterministic kernel rather than vacuously passing.
+/// Under an [`Arm::NondetTiebreak`] plant both runs enable the kernel's
+/// deliberately nondeterministic tie-break (`Sim::set_nondet_tiebreak`),
+/// whose process-global counter has moved on by the second run, so the two
+/// genuinely diverge; every point is then a plant and *must* be observed
+/// to diverge — the exit-inverted self-test proving the cross-check would
+/// catch a nondeterministic kernel rather than vacuously passing.
 pub fn crossval_exec(width: u64, plant: Option<&Plant>) -> Outcome {
     let mut r = Outcome::default();
     let plant = matches!(plant.map(|p| p.arm), Some(Arm::NondetTiebreak));
-    let (mut points, mut divergences, mut detected) = (0u64, 0u64, 0u64);
+    let (mut points, mut detected) = (0u64, 0u64);
     for family in Family::ALL {
         for idx in 0..width {
             let program = generate(family, idx);
@@ -351,39 +344,29 @@ pub fn crossval_exec(width: u64, plant: Option<&Plant>) -> Outcome {
                     sim_seed: 7 + idx,
                     ..RunSpec::baseline(SyncStrategy::Redesigned, nonblocking)
                 };
-                let eo = |exec| ExecOpts { exec, nondet_tiebreak: plant };
                 r.runs += 1;
-                let base = execute_exec(&program, &spec, true, eo(ExecMode::ThreadPerRank));
-                if let (Err(msg), false) = (&base, plant) {
-                    r.failures.push(format!(
-                        "{family:?} #{idx} nb={nonblocking}: thread-per-rank run failed: {msg}"
-                    ));
+                let first = execute_exec(&program, &spec, true, plant);
+                if let (Err(msg), false) = (&first, plant) {
+                    r.failures
+                        .push(format!("{family:?} #{idx} nb={nonblocking}: run failed: {msg}"));
                     continue;
                 }
-                let mut point_diverged = false;
-                for exec in EXEC_VARIANTS {
-                    r.runs += 1;
-                    let out = execute_exec(&program, &spec, true, eo(exec));
-                    let diverged: Vec<&str> = match (&base, &out) {
-                        (Ok(a), Ok(b)) => exec_divergences(a, b),
-                        (Err(a), Err(b)) if a.to_string() == b.to_string() => Vec::new(),
-                        _ => vec!["verdict"],
-                    };
-                    if diverged.is_empty() {
-                        continue;
-                    }
-                    divergences += 1;
-                    point_diverged = true;
-                    if !plant {
-                        r.failures.push(format!(
-                            "{family:?} #{idx} nb={nonblocking}: {exec:?} diverged from \
-                             thread-per-rank in [{}]",
-                            diverged.join(", ")
-                        ));
-                    }
+                r.runs += 1;
+                let second = execute_exec(&program, &spec, true, plant);
+                let diverged: Vec<&str> = match (&first, &second) {
+                    (Ok(a), Ok(b)) => exec_divergences(a, b),
+                    (Err(a), Err(b)) if a.to_string() == b.to_string() => Vec::new(),
+                    _ => vec!["verdict"],
+                };
+                if diverged.is_empty() {
+                    continue;
                 }
-                if point_diverged {
-                    detected += 1;
+                detected += 1;
+                if !plant {
+                    r.failures.push(format!(
+                        "{family:?} #{idx} nb={nonblocking}: the rerun diverged in [{}]",
+                        diverged.join(", ")
+                    ));
                 }
             }
         }
@@ -391,12 +374,11 @@ pub fn crossval_exec(width: u64, plant: Option<&Plant>) -> Outcome {
     r.detail = if plant {
         (r.planted, r.caught) = (points, detected);
         format!(
-            "{points} points ({width} per family), {} runs, {divergences} divergence(s) over \
-             {detected} point(s)",
+            "{points} points ({width} per family), {} runs, {detected} divergent rerun(s)",
             r.runs
         )
     } else {
-        format!("{points:>4} points x 3 exec modes ({} runs)", r.runs)
+        format!("{points:>4} points x 2 runs in one process ({} runs)", r.runs)
     };
     r
 }

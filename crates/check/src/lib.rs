@@ -33,8 +33,8 @@
 //!
 //! The other layers get the same treatment, each in one sweep that also
 //! carries its own planted fault: the static deadlock analyzer against
-//! the stall watchdog ([`crossval_deadlocks`]), pooled execution against
-//! thread-per-rank ([`crossval_exec`]), the slack rewriter against the
+//! the stall watchdog ([`crossval_deadlocks`]), a job against its own
+//! rerun in one process ([`crossval_exec`]), the slack rewriter against the
 //! original program ([`crossval_rewrites`]), and crash recovery against
 //! the oracle ([`crossval_recovery`]). [`suite`] is the one table of what
 //! runs: [`SWEEPS`] lists every sweep with its width flag, [`PLANTS`]
@@ -64,7 +64,7 @@ pub use mpisim_core::SyncStrategy;
 pub use program::{generate, oracle, Epoch, Family, Op, Program};
 pub use recovery::crossval_recovery;
 pub use run::{
-    exec_ir, exec_ir_with, execute, execute_exec, ExecOpts, RunFailure, RunOutcome, RunSpec,
+    exec_ir, exec_ir_with, execute, execute_exec, RunFailure, RunOutcome, RunSpec,
 };
 pub use shrink::{reproducer, shrink};
 pub use suite::{Outcome, Plant, Sweep, PLANTS, SWEEPS};

@@ -6,7 +6,7 @@
 
 use mpisim_analyze::{interpret, Run};
 pub use mpisim_analyze::{exec_ir, exec_ir_with, RunFailure};
-use mpisim_core::{ExecMode, JobConfig, JobReport, RecoveryCfg, SyncStrategy};
+use mpisim_core::{JobConfig, JobReport, RecoveryCfg, SyncStrategy};
 use mpisim_net::NetParams;
 use mpisim_sim::SimTime;
 
@@ -110,25 +110,12 @@ pub struct RunOutcome {
     pub report: JobReport,
 }
 
-/// Kernel execution-mode overrides for the determinism cross-check.
-/// Orthogonal to [`RunSpec`]: every matrix point can be replayed under any
-/// exec mode, and the results must be indistinguishable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecOpts {
-    /// How rank processes execute (thread-per-rank vs pooled fibers).
-    pub exec: ExecMode,
-    /// Plant the kernel's deliberately nondeterministic tie-break
-    /// (validation backdoor) — the cross-check must then *fail*.
-    pub nondet_tiebreak: bool,
-}
-
-fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, eo: ExecOpts) -> JobConfig {
+fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, nondet_tiebreak: bool) -> JobConfig {
     let mut cfg = JobConfig::new(n_ranks).with_seed(spec.sim_seed).with_strategy(spec.strategy);
     cfg.net = NetParams::perturbation_profile(spec.net_profile);
     cfg.tiebreak_seed = spec.tiebreak_seed;
     cfg.trace = trace;
-    cfg.exec = eo.exec;
-    cfg.nondet_tiebreak = eo.nondet_tiebreak;
+    cfg.nondet_tiebreak = nondet_tiebreak;
     cfg.fault = spec.fault.clone();
     if let Some(plan) = &spec.fault_plan {
         // One rank per node: the default 16-cores-per-node placement would
@@ -183,20 +170,21 @@ pub fn execute_with_trace(
     spec: &RunSpec,
     trace: bool,
 ) -> Result<RunOutcome, RunFailure> {
-    execute_exec(program, spec, trace, ExecOpts::default())
+    execute_exec(program, spec, trace, false)
 }
 
-/// Execute `program` under `spec` with an explicit kernel execution mode.
-/// The determinism cross-check replays the same (program, spec) point
-/// under thread-per-rank and both pooled variants and requires the runs
-/// to be byte-identical in everything observable.
+/// Execute `program` under `spec`, optionally with the kernel's
+/// deliberately nondeterministic tie-break planted (validation backdoor;
+/// the determinism cross-check must then *fail*). The cross-check runs
+/// the same (program, spec) point twice in one process and requires the
+/// runs to be byte-identical in everything observable.
 pub fn execute_exec(
     program: &Program,
     spec: &RunSpec,
     trace: bool,
-    eo: ExecOpts,
+    nondet_tiebreak: bool,
 ) -> Result<RunOutcome, RunFailure> {
-    let cfg = job_config(program.n_ranks, spec, trace, eo);
+    let cfg = job_config(program.n_ranks, spec, trace, nondet_tiebreak);
     outcome(interpret(cfg, &lower(program, spec.nonblocking))?)
 }
 

@@ -90,7 +90,7 @@ pub enum Arm {
         /// Whether the satisfiable twins ride along.
         twins: bool,
     },
-    /// `ExecOpts::nondet_tiebreak` in every run.
+    /// `execute_exec`'s `nondet_tiebreak` in every run.
     NondetTiebreak,
     /// `RewriteMode::PlantUnsound`: one synchronization call deleted.
     UnsoundRewrite,
@@ -227,9 +227,9 @@ pub const PLANTS: [Plant; 15] = [
         name: "nondet-exec",
         rides: "exec-crossval",
         arm: Arm::NondetTiebreak,
-        caught_by: Some("exec-mode divergence"),
+        caught_by: Some("rerun divergence"),
         min: 1,
-        passed: "the planted nondeterministic tie-break was caught by the execution-mode \
+        passed: "the planted nondeterministic tie-break was caught by the same-process rerun \
                  comparison",
     },
     Plant {

@@ -62,7 +62,7 @@ fn every_sweep_row_runs_clean() {
         ("multi-window", "   8 runs,  2 schedules/program"),
         // 6 deadlock families x 3 seeds; 1 twin + 5 families x 2 close modes.
         ("deadlock-crossval", "  18 flagged + 11 clean watchdog runs"),
-        ("exec-crossval", "  10 points x 3 exec modes (30 runs)"),
+        ("exec-crossval", "  10 points x 2 runs in one process (20 runs)"),
         ("slack-rewrite", "  10 programs, 8 rewritten, 32 points, 126 blocked steps saved"),
         (
             "crash-recovery",
@@ -71,7 +71,7 @@ fn every_sweep_row_runs_clean() {
     ];
     let lines: Vec<(&str, &str)> = lines.iter().map(|(l, d)| (*l, d.as_str())).collect();
     assert_eq!(lines, expected);
-    assert_eq!((total.runs, total.planted, total.failed()), (208, 0, 0));
+    assert_eq!((total.runs, total.planted, total.failed()), (198, 0, 0));
     suite::verdict(None, &total).unwrap();
 }
 

@@ -42,7 +42,7 @@
 //! completes a request — readies that process. `blocked_park` is the only
 //! place in this crate a rank parks.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use mpisim_net::Payload;
@@ -63,15 +63,23 @@ pub const CALL_ENTRY: SimTime = SimTime::from_nanos(300);
 pub const PER_OP: SimTime = SimTime::from_nanos(150);
 
 /// The environment of one simulated MPI rank.
+///
+/// A rank runs on the simulation's driver thread, which owns the engine;
+/// its environment is not `Send`:
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<mpisim_core::RankEnv<'static>>();
+/// ```
 pub struct RankEnv<'a> {
     ctx: &'a ProcCtx,
-    eng: Arc<Engine>,
+    eng: Rc<Engine>,
     rank: Rank,
 }
 
 impl<'a> RankEnv<'a> {
     /// Construct the environment (done by the runtime).
-    pub fn new(ctx: &'a ProcCtx, eng: Arc<Engine>, rank: Rank) -> Self {
+    pub fn new(ctx: &'a ProcCtx, eng: Rc<Engine>, rank: Rank) -> Self {
         RankEnv { ctx, eng, rank }
     }
 
@@ -103,7 +111,7 @@ impl<'a> RankEnv<'a> {
     }
 
     /// The engine (for instrumentation, e.g. network stats).
-    pub fn engine(&self) -> &Arc<Engine> {
+    pub fn engine(&self) -> &Rc<Engine> {
         &self.eng
     }
 
@@ -143,7 +151,7 @@ impl<'a> RankEnv<'a> {
     fn wait_inner(&self, req: Req) -> RmaResult<Option<Bytes>> {
         loop {
             {
-                let mut st = self.eng.st.lock();
+                let mut st = self.eng.st.borrow_mut();
                 if let Some(data) = st.reqs.poll(req, Some(self.ctx.pid()))? {
                     return Ok(data);
                 }
@@ -163,12 +171,12 @@ impl<'a> RankEnv<'a> {
         let t0 = self.ctx.now();
         self.ctx.park();
         let dt = self.ctx.now() - t0;
-        self.eng.st.lock().eng_stats.sync_blocked_ns += dt.as_nanos();
+        self.eng.st.borrow_mut().eng_stats.sync_blocked_ns += dt.as_nanos();
     }
 
     /// Nonblocking completion check; consumes the request when complete.
     pub fn test(&self, req: Req) -> RmaResult<bool> {
-        self.timed(|| Ok(self.eng.st.lock().reqs.poll(req, None)?.is_some()))
+        self.timed(|| Ok(self.eng.st.borrow_mut().reqs.poll(req, None)?.is_some()))
     }
 
     /// `MPI_WAITALL`: one MPI call, whatever the number of requests — one
@@ -201,7 +209,7 @@ impl<'a> RankEnv<'a> {
         let pid = self.ctx.pid();
         self.timed(|| loop {
             {
-                let mut st = self.eng.st.lock();
+                let mut st = self.eng.st.borrow_mut();
                 // The first complete request in slice order wins; the
                 // pending ones before it (all of them, if none is complete)
                 // learn whom to ready.

@@ -2,7 +2,7 @@
 //! and the optional subsystems a job arms.
 
 use mpisim_net::NetParams;
-use mpisim_sim::{ExecMode, SimTime};
+use mpisim_sim::SimTime;
 
 /// Which RMA engine behaviour the job runs with.
 ///
@@ -146,11 +146,6 @@ pub struct JobConfig {
     /// surfaced as a structured `StallReport` (`None` = no watchdog; a
     /// genuinely stuck schedule then surfaces as a simulator deadlock).
     pub watchdog: Option<SimTime>,
-    /// How rank processes execute (see `mpisim_sim::ExecMode`). The
-    /// default is pooled fiber execution where supported; thread-per-rank
-    /// remains available as the differential baseline for the determinism
-    /// cross-check.
-    pub exec: ExecMode,
     /// Validation backdoor: deliberately nondeterministic event tie-breaks
     /// (see `Sim::set_nondet_tiebreak`). Exists solely so the determinism
     /// cross-check can prove it would catch a nondeterministic kernel.
@@ -173,7 +168,6 @@ impl JobConfig {
             reliability: false,
             recovery: None,
             watchdog: None,
-            exec: ExecMode::default(),
             nondet_tiebreak: false,
         }
     }
@@ -205,24 +199,30 @@ impl JobConfig {
         self
     }
 
-    /// Arm epoch-aligned checkpointing and crash recovery with default
-    /// tuning (checkpoint every commit, 1 ms restart outage).
-    pub fn with_recovery(mut self) -> Self {
-        self.recovery = Some(RecoveryCfg::default());
-        self
-    }
-
     /// Arm the epoch stall watchdog with the given progress budget.
     pub fn with_watchdog(mut self, budget: SimTime) -> Self {
         self.watchdog = Some(budget);
         self
     }
 
-    /// Select the rank execution mode.
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
+    /// Name the one execution vehicle explicitly: stores nothing.
+    pub fn with_exec(self, exec: ExecMode) -> Self {
+        let ExecMode::Pooled { workers } = exec;
+        debug_assert_eq!(workers, 0, "ranks run inline on the driver thread only");
         self
     }
+}
+
+/// How rank processes execute: as fibers resumed inline on the driver
+/// thread, the only vehicle there is. Kept as a type so callers that name
+/// it explicitly ([`JobConfig::with_exec`]) still compile.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum ExecMode {
+    /// Fibers on the driver thread; `workers` must be 0.
+    Pooled {
+        /// Pool worker threads besides the driver: always 0.
+        workers: usize,
+    },
 }
 
 #[cfg(test)]

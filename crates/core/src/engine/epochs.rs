@@ -5,7 +5,7 @@
 //! completion detection, and the one finish edge
 //! ([`Engine::finish_epoch`]).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mpisim_net::Packet;
 
@@ -38,9 +38,9 @@ impl Engine {
     /// `LOCK`, `LOCK_ALL` and their `I` variants): open an epoch of `kind`.
     /// Nonblocking at middleware level (§VII.C: the application-level
     /// request of an opening routine is a dummy).
-    pub fn open_epoch(self: &Arc<Self>, rank: Rank, win: WinId, kind: EpochKind) -> RmaResult<()> {
+    pub fn open_epoch(self: &Rc<Self>, rank: Rank, win: WinId, kind: EpochKind) -> RmaResult<()> {
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             if let EpochKind::Lock { target, .. } = kind {
                 if target.idx() >= self.cfg.n_ranks {
                     return Err(RmaError::InvalidRank(target.idx()));
@@ -57,9 +57,9 @@ impl Engine {
     /// `UNLOCK`, `UNLOCK_ALL` and their `I` variants): close the epoch open
     /// in `slot` and return the closing request; the blocking variants wait
     /// on it in the API layer.
-    pub fn close_epoch(self: &Arc<Self>, rank: Rank, win: WinId, slot: Slot) -> RmaResult<Req> {
+    pub fn close_epoch(self: &Rc<Self>, rank: Rank, win: WinId, slot: Slot) -> RmaResult<Req> {
         let req = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.api_win(win, rank)?;
             self.close_in(&mut st, rank, win, slot)?
         };
@@ -70,9 +70,9 @@ impl Engine {
     /// `MPI_WIN_IFENCE` (and the internals of `MPI_WIN_FENCE`): close the
     /// open fence epoch, open the next one, and return the closing request
     /// (a dummy completed request if this fence only opens).
-    pub fn fence(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<Req> {
+    pub fn fence(self: &Rc<Self>, rank: Rank, win: WinId) -> RmaResult<Req> {
         let req = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let w = st.api_win(win, rank)?;
             w.check_open(Some(Slot::Fence))?;
             let req = if w.open.contains_key(&Slot::Fence) {
@@ -112,7 +112,7 @@ impl Engine {
     /// activation of a lazily held passive epoch — and put it on the stall
     /// watch.
     fn close_in(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
@@ -146,9 +146,9 @@ impl Engine {
     /// `MPI_WIN_TEST`: nonblocking completion check of the current exposure
     /// epoch *without* closing it unless complete. Returns `Ok(true)` and
     /// closes the epoch if its completion conditions hold.
-    pub fn test_exposure(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<bool> {
+    pub fn test_exposure(self: &Rc<Self>, rank: Rank, win: WinId) -> RmaResult<bool> {
         {
-            let st = self.st.lock();
+            let st = self.st.borrow();
             let w = st.api_win(win, rank)?;
             let id = *w
                 .open
@@ -161,7 +161,7 @@ impl Engine {
             }
         }
         let req = self.close_epoch(rank, win, Slot::Exposure)?;
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         debug_assert!(st.reqs.is_done(req).unwrap());
         st.reqs.consume(req)?;
         Ok(true)
@@ -175,7 +175,7 @@ impl Engine {
     /// until the first one that fails the predicate ("the scan stops when
     /// the first deferred epoch is encountered that fails activation
     /// conditions", §VII.A).
-    pub(crate) fn activation_scan(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId) {
+    pub(crate) fn activation_scan(self: &Rc<Self>, st: &mut EngState, rank: Rank, win: WinId) {
         st.eng_stats.activation_scans += 1;
         // Index walk over the queue (re-borrowed each iteration) instead of
         // a snapshot: activation neither opens nor retires an epoch, so the
@@ -306,7 +306,7 @@ impl Engine {
 
     /// Start an epoch's internal lifetime: assign access ids, send lock
     /// requests, emit exposure grants, and replay recorded state.
-    fn activate_epoch(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
+    fn activate_epoch(self: &Rc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
         let kind = {
             let e = st.win_mut(win, rank).epoch_mut(id);
             e.activate();
@@ -407,7 +407,7 @@ impl Engine {
     /// O(targets): the conditions are counters kept at the transition
     /// sites (DESIGN.md §10.1).
     pub(crate) fn check_epoch_progress(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
@@ -444,7 +444,7 @@ impl Engine {
     /// the epoch's ready list that is fulfilled (granted, every recorded op
     /// on the wire and, for an unlock, every covered op fully complete:
     /// local + response + remote ack), in rank order.
-    fn emit_announcements(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
+    fn emit_announcements(self: &Rc<Self>, st: &mut EngState, rank: Rank, win: WinId, id: EpochId) {
         #[derive(Clone, Copy)]
         enum Announce {
             Sync(SyncKind, Plane),
@@ -507,7 +507,7 @@ impl Engine {
     /// activatable epochs. Every opened epoch leaves through here exactly
     /// once, so `opened = completed + cancelled + dormant_retired`.
     pub(crate) fn finish_epoch(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,

@@ -8,7 +8,7 @@
 //! the announcement from *every* peer and the announced number of data
 //! messages has arrived.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::engine::{EngState, Engine};
 use crate::types::{Rank, WinId};
@@ -18,7 +18,7 @@ impl Engine {
     /// announced have arrived for fence `seq` — the barrier half of a fence
     /// epoch's completion, read off the per-seq tally.
     pub(crate) fn fence_heard_all(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
@@ -53,7 +53,7 @@ impl Engine {
 
     /// A peer's closing-fence announcement arrived.
     pub(crate) fn handle_fence_done(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         origin: Rank,

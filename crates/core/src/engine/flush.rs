@@ -10,7 +10,7 @@
 //! > RMA calls yet to complete for a given target. [...] A flush request
 //! > object completes when its completion counter reaches zero."
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::engine::{EngState, Engine};
 use crate::epoch::Slot;
@@ -28,14 +28,14 @@ impl Engine {
     /// * `local_only` selects the `_local` semantics (origin completion
     ///   only, no remote acknowledgement required).
     pub fn iflush(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         rank: Rank,
         win: WinId,
         target: Option<Rank>,
         local_only: bool,
     ) -> RmaResult<Req> {
         let req = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let w = st.api_win(win, rank)?;
             // Which passive epochs does this flush cover?
             let epochs: Vec<EpochId> = match target {
@@ -113,7 +113,7 @@ impl Engine {
     /// counter [of covering flush requests]", §VII.C).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn flush_note_op(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,

@@ -11,7 +11,7 @@
 //! DESIGN.md, "deviation: split matching planes"). Each plane remains
 //! O(1) per pair.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::engine::{EngState, Engine};
 use crate::epoch::EpochKind;
@@ -24,7 +24,7 @@ impl Engine {
     /// Handler for an arriving lock request (internode control message or
     /// decoded intranode 64-bit packet).
     pub(crate) fn handle_lock_req(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         origin: Rank,
@@ -56,7 +56,7 @@ impl Engine {
     /// the step-6 backlog ("Step 5 potentially builds a backlog of lock or
     /// unlock requests; Step 6 follows immediately to process them").
     pub(crate) fn handle_unlock(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         origin: Rank,
@@ -77,7 +77,7 @@ impl Engine {
 
     /// Sweep step 6: apply deferred unlocks, then pump grant emission for
     /// every backlogged window until quiescent.
-    pub(crate) fn pump_lock_backlog(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    pub(crate) fn pump_lock_backlog(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         while let Some((win, origin)) = st.sweep[rank.idx()].pending_unlocks.pop_front() {
             // Freed window (see `handle_lock_req`): a retransmit-delayed
             // unlock whose release is moot — the origin already completed.
@@ -101,7 +101,7 @@ impl Engine {
     }
 
     /// Emit every grant that has become possible on this window.
-    fn pump_window_grants(self: &Arc<Self>, st: &mut EngState, me: Rank, win: WinId) {
+    fn pump_window_grants(self: &Rc<Self>, st: &mut EngState, me: Rank, win: WinId) {
         loop {
             let mut progressed = false;
 
@@ -161,7 +161,7 @@ impl Engine {
     /// Emit positional exposure grants to one origin until the next id is a
     /// pending lock (handled by the lock scan) or credits run out.
     fn pump_exposure_grants(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         win: WinId,
@@ -211,7 +211,7 @@ impl Engine {
     /// grants on the lock plane): advance the plane's counter and unblock
     /// the waiting access epoch of that plane.
     pub(crate) fn handle_grant(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         granter: Rank,
@@ -282,7 +282,7 @@ impl Engine {
     /// A GATS done packet arrived at the target: record it and re-check
     /// exposure epochs involving that origin.
     pub(crate) fn handle_gats_done(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         origin: Rank,

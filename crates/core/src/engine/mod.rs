@@ -1,9 +1,9 @@
 //! The RMA progress engine (§VII).
 //!
 //! One `Engine` serves the whole simulated job. Its state is a single
-//! mutex-protected structure; because the simulation kernel runs exactly
-//! one entity at a time, the lock is never contended — it exists to satisfy
-//! Rust's aliasing rules across the rank threads and scheduler events.
+//! `RefCell`: the simulation's driver thread is the only thread that runs
+//! ranks and scheduler events, and it runs one at a time, so a borrow is
+//! all Rust's aliasing rules ask for — no lock.
 //!
 //! The engine is driven from two directions:
 //!
@@ -38,12 +38,13 @@ pub(crate) mod rel;
 mod rma;
 mod watchdog;
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use mpisim_net::{NetParams, Network, Packet, Payload, Topology};
 use mpisim_sim::{SimHandle, SimTime};
-use parking_lot::Mutex;
 
 use crate::config::{JobConfig, SyncStrategy};
 use crate::engine::epochs::Outcome;
@@ -489,7 +490,7 @@ impl EngState {
 
 /// The RMA middleware engine for one simulated job.
 pub struct Engine {
-    pub(crate) st: Mutex<EngState>,
+    pub(crate) st: RefCell<EngState>,
     pub(crate) net: Arc<Network<Body>>,
     pub(crate) sim: SimHandle,
     pub(crate) cfg: JobConfig,
@@ -506,7 +507,7 @@ pub(crate) enum Phase {
 
 impl Engine {
     /// Build the engine (and its network) for a job.
-    pub fn new(sim: SimHandle, cfg: JobConfig) -> Arc<Self> {
+    pub fn new(sim: SimHandle, cfg: JobConfig) -> Rc<Self> {
         let topo = Topology::new(cfg.n_ranks, cfg.cores_per_node);
         let net_params: NetParams = cfg.net.clone();
         let net = Network::new(sim.clone(), net_params, topo);
@@ -518,8 +519,8 @@ impl Engine {
             Some("hb-race") => Some(Fault::HbRace),
             Some(other) => panic!("unknown injected fault {other:?}"),
         };
-        let eng = Arc::new(Engine {
-            st: Mutex::new(EngState {
+        let eng = Rc::new(Engine {
+            st: RefCell::new(EngState {
                 wins: Vec::new(),
                 created: vec![0; n],
                 reqs: ReqTable::new(sim.clone(), cfg.trace),
@@ -548,7 +549,7 @@ impl Engine {
         // the engine back: a strong reference here is a cycle that keeps
         // every job's `EngState` alive forever. A packet that outlives the
         // engine has nobody left to deliver to.
-        let weak = Arc::downgrade(&eng);
+        let weak = Rc::downgrade(&eng);
         net.set_handler(move |pkt| {
             if let Some(eng) = weak.upgrade() {
                 eng.on_message(pkt);
@@ -569,50 +570,50 @@ impl Engine {
 
     /// Per-rank statistics snapshot.
     pub fn rank_stats(&self, r: Rank) -> RankStats {
-        self.st.lock().stats[r.idx()]
+        self.st.borrow().stats[r.idx()]
     }
 
     /// Aggregate progress-engine counters.
     pub fn engine_stats(&self) -> EngineStats {
-        self.st.lock().eng_stats
+        self.st.borrow().eng_stats
     }
 
     /// Drain the accumulated degradations (decode failures, checksum
     /// drops, abandoned frames, cancelled epochs — every non-fatal event
     /// the engine survived instead of aborting on).
     pub fn take_degradations(&self) -> Vec<Degradation> {
-        std::mem::take(&mut self.st.lock().degradations)
+        std::mem::take(&mut self.st.borrow_mut().degradations)
     }
 
     /// Drain the recorded rank-restart episodes.
     pub fn take_recoveries(&self) -> Vec<RecoveryReport> {
-        std::mem::take(&mut self.st.lock().recoveries)
+        std::mem::take(&mut self.st.borrow_mut().recoveries)
     }
 
     /// Drain the recorded epoch lifecycle trace.
     pub fn take_trace(&self) -> Vec<crate::trace::TraceRecord> {
-        std::mem::take(&mut self.st.lock().trace)
+        std::mem::take(&mut self.st.borrow_mut().trace)
     }
 
     /// Drain the recorded synchronization-plane trace.
     pub fn take_sync_trace(&self) -> Vec<crate::trace::SyncRecord> {
-        std::mem::take(&mut self.st.lock().sync_trace)
+        std::mem::take(&mut self.st.borrow_mut().sync_trace)
     }
 
     /// Drain the recorded request-lifecycle log.
     pub fn take_req_log(&self) -> Vec<(Req, crate::request::ReqEvent)> {
-        self.st.lock().reqs.take_log()
+        self.st.borrow_mut().reqs.take_log()
     }
 
     /// Number of live (unconsumed) requests right now.
     pub fn live_requests(&self) -> usize {
-        self.st.lock().reqs.live()
+        self.st.borrow().reqs.live()
     }
 
     /// Number of live requests a rank is registered on right now (see
     /// [`crate::request::ReqTable::parked`]).
     pub fn parked_requests(&self) -> usize {
-        self.st.lock().reqs.parked()
+        self.st.borrow().reqs.parked()
     }
 
     /// Record one synchronization-plane event (no-op unless tracing).
@@ -701,7 +702,7 @@ impl Engine {
 
     /// Next collective sequence number for `rank` (collective tag space).
     pub(crate) fn next_coll_seq(&self, rank: Rank) -> u64 {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let s = st.coll_seq[rank.idx()];
         st.coll_seq[rank.idx()] += 1;
         s
@@ -709,7 +710,7 @@ impl Engine {
 
     /// Accumulate MPI-call time for Fig-13-style communication breakdowns.
     pub(crate) fn add_mpi_time(&self, r: Rank, dt: SimTime) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let s = &mut st.stats[r.idx()];
         s.mpi_time += dt;
         s.calls += 1;
@@ -717,13 +718,13 @@ impl Engine {
 
     /// Accumulate modeled compute time.
     pub(crate) fn add_compute_time(&self, r: Rank, dt: SimTime) {
-        self.st.lock().stats[r.idx()].compute_time += dt;
+        self.st.borrow_mut().stats[r.idx()].compute_time += dt;
     }
 
     /// The dummy always-complete request returned by nonblocking
     /// epoch-opening routines (§VII.C).
     pub(crate) fn dummy_open_req(&self) -> Req {
-        self.st.lock().reqs.alloc_done(crate::request::ReqKind::EpochOpen)
+        self.st.borrow_mut().reqs.alloc_done(crate::request::ReqKind::EpochOpen)
     }
 
     // ------------------------------------------------------------------
@@ -733,7 +734,7 @@ impl Engine {
     /// Create this rank's side of its next window (SPMD creation order
     /// assigns ids). The API layer adds the collective barrier.
     pub fn win_allocate(&self, rank: Rank, size: usize, info: crate::config::WinInfo) -> WinId {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         let idx = st.created[rank.idx()] as usize;
         st.created[rank.idx()] += 1;
         if st.wins.len() <= idx {
@@ -757,8 +758,8 @@ impl Engine {
 
     /// Tear down this rank's side of a window. Errors if epochs are still
     /// open; a trailing empty fence epoch is retired silently.
-    pub fn win_free(self: &Arc<Self>, rank: Rank, win: WinId) -> RmaResult<()> {
-        let mut st = self.st.lock();
+    pub fn win_free(self: &Rc<Self>, rank: Rank, win: WinId) -> RmaResult<()> {
+        let mut st = self.st.borrow_mut();
         // No later fence call can close a dormant trailing fence any more.
         let w = st.api_win(win, rank)?;
         let fence = w.open.get(&Slot::Fence).copied();
@@ -780,7 +781,7 @@ impl Engine {
     /// one per fence epoch still in flight (or announced by a peer ahead of
     /// the local fence call), none once they have all retired.
     pub fn fence_records(&self, rank: Rank, win: WinId) -> usize {
-        self.st.lock().win(win, rank).fences.len()
+        self.st.borrow().win(win, rank).fences.len()
     }
 
     /// Local load from the window copy.
@@ -791,7 +792,7 @@ impl Engine {
         disp: usize,
         len: usize,
     ) -> RmaResult<Vec<u8>> {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         st.api_win(win, rank)?;
         self.freshen_crashed_mem(&mut st, rank, win);
         let w = st.win(win, rank);
@@ -814,7 +815,7 @@ impl Engine {
         disp: usize,
         data: &[u8],
     ) -> RmaResult<()> {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         st.api_win(win, rank)?;
         self.freshen_crashed_mem(&mut st, rank, win);
         let w = st.win_mut(win, rank);
@@ -835,11 +836,11 @@ impl Engine {
     // message dispatch
     // ------------------------------------------------------------------
 
-    fn on_message(self: &Arc<Self>, pkt: Packet<Body>) {
+    fn on_message(self: &Rc<Self>, pkt: Packet<Body>) {
         let dst = pkt.dst;
         let src = pkt.src;
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             self.dispatch_body(&mut st, dst, src, pkt.body);
         }
         self.sweep(dst);
@@ -848,7 +849,7 @@ impl Engine {
     /// Dispatch one message body to its handler. Factored out of
     /// [`Engine::on_message`] so the reliability sublayer's in-order
     /// delivery queue (sweep step 5) can re-enter it for unwrapped frames.
-    pub(crate) fn dispatch_body(self: &Arc<Self>, st: &mut EngState, dst: Rank, src: Rank, body: Body) {
+    pub(crate) fn dispatch_body(self: &Rc<Self>, st: &mut EngState, dst: Rank, src: Rank, body: Body) {
         match body {
             // ---- reliability sublayer ----
             Body::Rel { seq, checksum, inner } => {
@@ -907,7 +908,7 @@ impl Engine {
     /// *successful* push: a full ring's pair is already indexed by the
     /// pushes that filled it, and retries must not double-count.
     fn push_fifo_words(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         dst: Rank,
         src: Rank,
@@ -939,8 +940,8 @@ impl Engine {
     /// not touch any per-window or per-peer state. Running a step with an
     /// empty queue was always a no-op — the gating elides the no-op, it
     /// does not change what work gets done.
-    pub(crate) fn sweep(self: &Arc<Self>, rank: Rank) {
-        let mut st = self.st.lock();
+    pub(crate) fn sweep(self: &Rc<Self>, rank: Rank) {
+        let mut st = self.st.borrow_mut();
         st.eng_stats.sweeps += 1;
         loop {
             let sw = &st.sweep[rank.idx()];
@@ -1024,7 +1025,7 @@ impl Engine {
     }
 
     /// Step 1: consume completion notices.
-    fn drain_notices(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    fn drain_notices(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         while let Some(n) = st.sweep[rank.idx()].notices.pop_front() {
             st.eng_stats.notices_drained += 1;
             match n {
@@ -1040,7 +1041,7 @@ impl Engine {
 
     /// Steps 3 and 7: batch-complete dirty epochs, then scan deferred
     /// epochs for activation.
-    fn complete_and_activate(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    fn complete_and_activate(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         let checks = st.drain(
             |st| &mut st.sweep[rank.idx()].dirty_complete,
             |st, (win, epoch)| self.check_epoch_progress(st, rank, win, epoch),
@@ -1056,7 +1057,7 @@ impl Engine {
     /// and dispatch the decoded 64-bit packets. Pairs that receive more
     /// packets while we dispatch re-index themselves through the normal
     /// delivery path, so nothing is lost.
-    fn drain_fifos(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    fn drain_fifos(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         st.drain(
             |st| &mut st.sweep[rank.idx()].fifo_pending,
             |st, (win, src)| {
@@ -1088,7 +1089,7 @@ impl Engine {
     /// Hand one synchronization-plane packet to its handler — the one
     /// dispatch behind both transports: the step-5 FIFO drain and
     /// internode delivery ([`Body::Sync`]).
-    fn dispatch_sync(self: &Arc<Self>, st: &mut EngState, me: Rank, sp: SyncPacket) {
+    fn dispatch_sync(self: &Rc<Self>, st: &mut EngState, me: Rank, sp: SyncPacket) {
         let SyncPacket {
             kind,
             win,
@@ -1127,7 +1128,7 @@ impl Engine {
     /// followed by a `sweep()` of the sending rank, so the buffer never
     /// outlives the event that filled it.
     pub(crate) fn send_sync(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         src: Rank,
         dst: Rank,
@@ -1164,7 +1165,7 @@ impl Engine {
     /// word while the flush runs, and both buffers keep their capacity, so
     /// a steady-state flush allocates only the batch vectors that actually
     /// go on the wire.
-    fn flush_sync_batches(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    fn flush_sync_batches(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         let sw = &mut st.sweep[rank.idx()];
         let mut out = std::mem::take(&mut sw.sync_out);
         let mut words = std::mem::take(&mut sw.sync_word_scratch);
@@ -1201,11 +1202,11 @@ mod tests {
     /// registered (but empty) — the state a drained rank is left in.
     /// The `Sim` is returned alongside so tests that need delivery
     /// events (e.g. FIFO batching) can drain it.
-    fn engine_with_window() -> (Sim, Arc<Engine>) {
+    fn engine_with_window() -> (Sim, Rc<Engine>) {
         let sim = Sim::new(1);
         let eng = Engine::new(sim.handle(), JobConfig::new(2));
         {
-            let mut st = eng.st.lock();
+            let mut st = eng.st.borrow_mut();
             st.wins.push(WinGlobal {
                 per_rank: (0..2).map(|_| Some(WinRank::new(64, WinInfo::default()))).collect(),
             });
@@ -1217,7 +1218,7 @@ mod tests {
     #[test]
     fn dropping_the_last_handle_frees_the_engine() {
         let (_sim, eng) = engine_with_window();
-        let weak = Arc::downgrade(&eng);
+        let weak = Rc::downgrade(&eng);
         drop(eng);
         // The network's delivery handler must not keep the engine (which
         // owns the network) alive: that cycle leaked every job's state.
@@ -1228,9 +1229,9 @@ mod tests {
     /// barrier, before `win_free`) collect each rank's ω table.
     fn omega_tables_after(
         n: usize,
-        body: impl Fn(&mut crate::RankEnv, WinId) + Send + Sync + 'static,
+        body: impl Fn(&mut crate::RankEnv, WinId) + 'static,
     ) -> Vec<crate::window::OmegaTable> {
-        let tables = Arc::new(Mutex::new(vec![Default::default(); n]));
+        let tables = Rc::new(RefCell::new(vec![Default::default(); n]));
         let out = tables.clone();
         crate::run_job(JobConfig::new(n), move |env| {
             // Reorder flags: a ring of post-then-start needs the access
@@ -1240,12 +1241,11 @@ mod tests {
             body(env, win);
             env.barrier().unwrap();
             let me = env.rank();
-            out.lock()[me.idx()] = env.engine().st.lock().win(win, me).omega.clone();
+            out.borrow_mut()[me.idx()] = env.engine().st.borrow().win(win, me).omega.clone();
             env.win_free(win).unwrap();
         })
         .unwrap();
-        let collected = std::mem::take(&mut *tables.lock());
-        collected
+        tables.take()
     }
 
     #[test]
@@ -1311,7 +1311,7 @@ mod tests {
     fn corrupt_fifo_packet_is_surfaced_not_fatal() {
         let (_sim, eng) = engine_with_window();
         {
-            let mut st = eng.st.lock();
+            let mut st = eng.st.borrow_mut();
             // 0xF type nibble: SyncPacket::from_word returns None.
             assert!(st.win_mut(WinId(0), Rank(0)).fifo_from(Rank(1)).push(0xF << 60));
             st.sweep[0].fifo_pending.mark((WinId(0), Rank(1)));
@@ -1343,7 +1343,7 @@ mod tests {
             .map(|i| 0xF << 60 | i)
             .collect();
         {
-            let mut st = eng.st.lock();
+            let mut st = eng.st.borrow_mut();
             eng.dispatch_body(&mut st, Rank(0), Rank(1), Body::fifo(WinId(0), &words));
             assert_eq!(
                 st.eng_stats.fifo_packets, FIFO_CAPACITY as u64,
@@ -1377,7 +1377,7 @@ mod tests {
     fn same_channel_sync_words_batch_into_one_push() {
         let (sim, eng) = engine_with_window();
         {
-            let mut st = eng.st.lock();
+            let mut st = eng.st.borrow_mut();
             eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), SyncKind::GatsDone, 7);
             eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), SyncKind::GatsDone, 9);
             // Buffered, not yet on the wire.
@@ -1396,7 +1396,7 @@ mod tests {
         assert_eq!(s.fifo_decode_errors, 0);
         // Words were applied in FIFO order: the done high-water mark
         // landed on the later access id.
-        let st = eng.st.lock();
+        let st = eng.st.borrow();
         assert_eq!(st.win(WinId(0), Rank(0)).omega.peer(Rank(1)).gats_done_recv, 9);
         assert!(st.sweep[0].fifo_pending.is_empty(), "drain consumed the pending entry");
     }
@@ -1405,7 +1405,7 @@ mod tests {
     fn distinct_channels_flush_as_singletons() {
         let (sim, eng) = engine_with_window();
         {
-            let mut st = eng.st.lock();
+            let mut st = eng.st.borrow_mut();
             st.win_mut(WinId(0), Rank(0)).fifo_from(Rank(1));
             eng.send_sync(&mut st, Rank(1), Rank(0), WinId(0), SyncKind::GatsDone, 1);
         }

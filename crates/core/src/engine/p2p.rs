@@ -6,7 +6,7 @@
 //! creation).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mpisim_net::{Packet, Payload};
 
@@ -76,12 +76,12 @@ impl Engine {
 
     /// `MPI_ISEND`: the request completes at local completion (buffer
     /// reusable).
-    pub fn isend(self: &Arc<Self>, rank: Rank, dst: Rank, tag: u64, payload: Payload) -> RmaResult<Req> {
+    pub fn isend(self: &Rc<Self>, rank: Rank, dst: Rank, tag: u64, payload: Payload) -> RmaResult<Req> {
         if dst.idx() >= self.cfg.n_ranks {
             return Err(RmaError::InvalidRank(dst.idx()));
         }
         let req = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let req = st.reqs.alloc(ReqKind::P2p);
             if payload.len() <= RNDV_THRESHOLD {
                 let me = self.clone();
@@ -120,12 +120,12 @@ impl Engine {
 
     /// `MPI_IRECV` (matched by exact source and tag): the request completes
     /// with the message data.
-    pub fn irecv(self: &Arc<Self>, rank: Rank, src: Rank, tag: u64) -> RmaResult<Req> {
+    pub fn irecv(self: &Rc<Self>, rank: Rank, src: Rank, tag: u64) -> RmaResult<Req> {
         if src.idx() >= self.cfg.n_ranks {
             return Err(RmaError::InvalidRank(src.idx()));
         }
         let req = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let req = st.reqs.alloc(ReqKind::P2p);
             // FIFO search of the unexpected queue preserves per-(src, tag)
             // ordering, matching MPI's non-overtaking rule.
@@ -167,7 +167,7 @@ impl Engine {
     }
 
     pub(crate) fn handle_p2p_eager(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         src: Rank,
@@ -193,7 +193,7 @@ impl Engine {
     }
 
     pub(crate) fn handle_p2p_rts(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         src: Rank,
@@ -230,7 +230,7 @@ impl Engine {
 
     /// Sender side: CTS arrived from `cts_src` — ship the staged payload.
     pub(crate) fn handle_p2p_cts_from(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         cts_src: Rank,
@@ -257,7 +257,7 @@ impl Engine {
 
     /// Receiver side: rendezvous data arrived.
     pub(crate) fn handle_p2p_data(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         _me: Rank,
         data_token: u64,
@@ -272,9 +272,9 @@ impl Engine {
     }
 
     /// Complete a request from a scheduler event and run the rank's sweep.
-    pub(crate) fn complete_req_and_sweep(self: &Arc<Self>, rank: Rank, req: Req, data: Option<bytes::Bytes>) {
+    pub(crate) fn complete_req_and_sweep(self: &Rc<Self>, rank: Rank, req: Req, data: Option<bytes::Bytes>) {
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.reqs.complete(req, data);
         }
         self.sweep(rank);
@@ -285,10 +285,10 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Nonblocking dissemination barrier over all ranks.
-    pub fn ibarrier(self: &Arc<Self>, rank: Rank) -> Req {
+    pub fn ibarrier(self: &Rc<Self>, rank: Rank) -> Req {
         let n = self.cfg.n_ranks;
         let req = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let req = st.reqs.alloc(ReqKind::Barrier);
             let b = &mut st.barrier[rank.idx()];
             assert!(b.req.is_none(), "overlapping barriers are not supported");
@@ -320,7 +320,7 @@ impl Engine {
     }
 
     pub(crate) fn handle_barrier_msg(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         seq: u64,
@@ -337,7 +337,7 @@ impl Engine {
         self.barrier_try_advance(st, me);
     }
 
-    fn barrier_try_advance(self: &Arc<Self>, st: &mut EngState, me: Rank) {
+    fn barrier_try_advance(self: &Rc<Self>, st: &mut EngState, me: Rank) {
         let n = self.cfg.n_ranks;
         let total = barrier_rounds(n);
         loop {

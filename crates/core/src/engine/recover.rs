@@ -26,7 +26,7 @@
 //! checkpoint *without* replaying the redo log, a textbook stale restore
 //! the differential check must catch whenever the log was non-empty.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mpisim_sim::SimTime;
 
@@ -244,7 +244,7 @@ impl Engine {
     /// was bumped: with recovery armed, cut a new checkpoint when the
     /// cadence says so; then fire a planned crash if this rank hit its
     /// crash commit.
-    pub(crate) fn on_commit(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    pub(crate) fn on_commit(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         let commit_no = st.stats[rank.idx()].epochs_committed;
         if let Some(rcfg) = &self.cfg.recovery {
             if rcfg.ckpt_every > 0 && commit_no.is_multiple_of(rcfg.ckpt_every) {
@@ -277,7 +277,7 @@ impl Engine {
     /// Crash a rank at an epoch-commit point: NIC off the fabric, volatile
     /// window memory wiped, and — with recovery armed — the restart
     /// scheduled [`RESTART_AFTER`] later.
-    fn crash_rank(self: &Arc<Self>, st: &mut EngState, rank: Rank, commit_no: u64) {
+    fn crash_rank(self: &Rc<Self>, st: &mut EngState, rank: Rank, commit_no: u64) {
         st.crashed[rank.idx()] = true;
         self.net.nic_down(mpisim_net::Rank(rank.idx()));
         for win in st.wins_of(rank) {
@@ -299,9 +299,9 @@ impl Engine {
     /// live ω-counters against the checkpointed snapshot, and record the
     /// episode. The retransmit sublayer then re-delivers everything the
     /// outage dropped, exactly as after a healed partition.
-    fn restart_rank(self: &Arc<Self>, rank: Rank, crash_commit: u64, crash_at: SimTime) {
+    fn restart_rank(self: &Rc<Self>, rank: Rank, crash_commit: u64, crash_at: SimTime) {
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let plant_stale = self.cfg.recovery.as_ref().is_some_and(|r| r.plant_stale);
             self.net.nic_up(mpisim_net::Rank(rank.idx()));
             st.crashed[rank.idx()] = false;
@@ -434,7 +434,7 @@ mod tests {
         let mut plan = mpisim_net::FaultPlan::none(1);
         plan.crash_at_commit.push((mpisim_net::Rank(1), 3));
         cfg.net.faults = Some(plan);
-        let diverged = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let diverged = Rc::new(std::cell::Cell::new(false));
         let d2 = diverged.clone();
         let report = run_job(cfg, move |env| {
             let got = halo(env, 4);
@@ -442,14 +442,14 @@ mod tests {
             let left = (env.rank().idx() + n - 1) % n;
             let want: Vec<u8> = (0..4).map(|p| (left * 10 + p) as u8).collect();
             if got != want {
-                d2.store(true, std::sync::atomic::Ordering::SeqCst);
+                d2.set(true);
             }
         })
         .unwrap();
         let stale: Vec<_> = report.recoveries.iter().filter(|r| r.stale).collect();
         assert!(!stale.is_empty(), "the plant must be flagged effective");
         assert!(
-            diverged.load(std::sync::atomic::Ordering::SeqCst),
+            diverged.get(),
             "a stale restore must corrupt the final window contents"
         );
     }

@@ -20,7 +20,7 @@
 //! sender's unacked window.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mpisim_net::Packet;
 use mpisim_sim::SimTime;
@@ -268,10 +268,10 @@ impl Engine {
     /// covers the frame (a true end-to-end acknowledgement that lost
     /// messages can never fake).
     pub(crate) fn send_framed(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         pkt: Packet<Body>,
-        on_local: Option<Box<dyn FnOnce() + Send + 'static>>,
+        on_local: Option<Box<dyn FnOnce() + 'static>>,
         ack_notice: Option<Notice>,
     ) {
         let (src, dst) = (pkt.src, pkt.dst);
@@ -308,7 +308,7 @@ impl Engine {
     }
 
     /// Ensure a retransmit-timer event is scheduled at or before `at`.
-    pub(crate) fn schedule_rel_timer(self: &Arc<Self>, st: &mut EngState, rank: Rank, at: SimTime) {
+    pub(crate) fn schedule_rel_timer(self: &Rc<Self>, st: &mut EngState, rank: Rank, at: SimTime) {
         let ch = &mut st.rel[rank.idx()];
         if ch.timer_at.is_some_and(|t| t <= at) {
             return;
@@ -323,9 +323,9 @@ impl Engine {
 
     /// Retransmit-timer event: mark the scan due and run a sweep. A stale
     /// generation means a closer wake-up superseded this event.
-    fn rel_timer_fire(self: &Arc<Self>, rank: Rank, gen: u64) {
+    fn rel_timer_fire(self: &Rc<Self>, rank: Rank, gen: u64) {
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let ch = &mut st.rel[rank.idx()];
             if ch.timer_gen != gen {
                 return;
@@ -339,7 +339,7 @@ impl Engine {
     /// Sweep step 1 growth: scan outbound channels for expired frames,
     /// retransmit them with exponential backoff, abandon frames past the
     /// retry cap, and re-arm the timer at the earliest surviving deadline.
-    pub(crate) fn rel_retransmit_scan(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    pub(crate) fn rel_retransmit_scan(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         st.rel[rank.idx()].timer_due = false;
         let now = self.sim.now();
         let mut next: Option<SimTime> = None;
@@ -401,7 +401,7 @@ impl Engine {
     /// one. The ack was held for [`ACK_DELAY`], so one flush typically
     /// covers several frames; every frame beyond the first is counted as a
     /// coalesced ack.
-    pub(crate) fn rel_flush_acks(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    pub(crate) fn rel_flush_acks(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         st.drain(
             |st| &mut st.rel[rank.idx()].ack_due,
             |st, dst| {
@@ -436,7 +436,7 @@ impl Engine {
     /// Receive one reliability frame: checksum validation, duplicate
     /// suppression, reorder buffering, and in-order queueing for step 5.
     pub(crate) fn rel_receive(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         dst: Rank,
         src: Rank,
@@ -496,9 +496,9 @@ impl Engine {
     /// Delayed-ack timer: promote held acks to due and run a sweep so
     /// step 2 flushes them. A stale generation means the state was torn
     /// down and rebuilt under this event.
-    fn rel_ack_timer_fire(self: &Arc<Self>, rank: Rank, gen: u64) {
+    fn rel_ack_timer_fire(self: &Rc<Self>, rank: Rank, gen: u64) {
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             let ch = &mut st.rel[rank.idx()];
             if ch.ack_timer_gen != gen {
                 return;
@@ -512,7 +512,7 @@ impl Engine {
     }
 
     /// Sweep step 5 growth: dispatch queued in-order deliveries.
-    pub(crate) fn rel_deliver(self: &Arc<Self>, st: &mut EngState, rank: Rank) {
+    pub(crate) fn rel_deliver(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         while let Some((src, body)) = st.rel[rank.idx()].deliver.pop_front() {
             st.eng_stats.rel_delivered += 1;
             self.dispatch_body(st, rank, src, body);
@@ -522,7 +522,7 @@ impl Engine {
     /// Process a cumulative ack: retire covered frames and post their
     /// completion notices onto the owner's sweep queue.
     pub(crate) fn rel_handle_ack(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         dst: Rank,
         src: Rank,

@@ -8,7 +8,7 @@
 //! the answer of the kinds that read the target. What differs per kind is
 //! asked of the kind itself (`msg.rs`).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mpisim_net::{Packet, Payload};
 
@@ -29,7 +29,7 @@ impl Engine {
     /// `target`. Returns the result request for get/fetch ops (always) and
     /// for request-based put/accumulate variants (`want_req`).
     pub fn rma_op(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         rank: Rank,
         win: WinId,
         target: Rank,
@@ -38,7 +38,7 @@ impl Engine {
         want_req: bool,
     ) -> RmaResult<Option<Req>> {
         let req = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             if target.idx() >= self.cfg.n_ranks {
                 return Err(RmaError::InvalidRank(target.idx()));
             }
@@ -102,7 +102,7 @@ impl Engine {
     /// are re-queued: internode step 2 hands intranode leftovers to step 4,
     /// and step 4 hands internode leftovers to the next pass's step 2 (the
     /// sweep loops until quiescent).
-    pub(crate) fn issue_phase(self: &Arc<Self>, st: &mut EngState, rank: Rank, phase: Phase) {
+    pub(crate) fn issue_phase(self: &Rc<Self>, st: &mut EngState, rank: Rank, phase: Phase) {
         let scans = st.drain(
             |st| &mut st.sweep[rank.idx()].dirty_ops,
             |st, (win, eid)| {
@@ -119,7 +119,7 @@ impl Engine {
     /// Issue eligible ops of one epoch; returns whether ops remain that the
     /// *other* phase could issue right now.
     fn issue_ops(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
@@ -205,7 +205,7 @@ impl Engine {
 
     /// Issue one recorded op: enter it in the epoch's live set, then either
     /// put it on the wire or — a large accumulate — open its rendezvous.
-    fn send_op(self: &Arc<Self>, st: &mut EngState, rank: Rank, win: WinId, eid: EpochId, op: OpDesc) {
+    fn send_op(self: &Rc<Self>, st: &mut EngState, rank: Rank, win: WinId, eid: EpochId, op: OpDesc) {
         st.eng_stats.ops_issued += 1;
         let e = st.win_mut(win, rank).epoch_mut(eid);
         let is_passive = e.kind.is_passive();
@@ -270,7 +270,7 @@ impl Engine {
     /// in passive epochs, remote-ack tracking for the kinds no response
     /// acknowledges.
     fn post_op(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
@@ -294,7 +294,7 @@ impl Engine {
                 epoch: eid,
                 age,
             };
-            Box::new(move || me.post_notice(rank, notice)) as Box<dyn FnOnce() + Send>
+            Box::new(move || me.post_notice(rank, notice)) as Box<dyn FnOnce()>
         });
         let body = Body::Op {
             win,
@@ -317,9 +317,9 @@ impl Engine {
 
     /// Enqueue a completion notice and run the owner's sweep (called from
     /// scheduler events).
-    pub(crate) fn post_notice(self: &Arc<Self>, rank: Rank, n: Notice) {
+    pub(crate) fn post_notice(self: &Rc<Self>, rank: Rank, n: Notice) {
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.sweep[rank.idx()].notices.push_back(n);
         }
         self.sweep(rank);
@@ -333,7 +333,7 @@ impl Engine {
     /// request completion at local completion, flush-counter decrements,
     /// and removal when fully done.
     pub(crate) fn op_update(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,
@@ -418,7 +418,7 @@ impl Engine {
     /// it toward its fence, and answer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_op(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         src: Rank,
@@ -520,7 +520,7 @@ impl Engine {
 
     /// Origin side: the data a get or fetch-style op read has arrived.
     pub(crate) fn handle_op_resp(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         token: u64,
@@ -547,7 +547,7 @@ impl Engine {
     }
 
     pub(crate) fn handle_acc_rts(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         src: Rank,
@@ -569,7 +569,7 @@ impl Engine {
     }
 
     /// Origin side: CTS arrived, send the staged accumulate.
-    pub(crate) fn handle_acc_cts(self: &Arc<Self>, st: &mut EngState, me: Rank, token: u64) {
+    pub(crate) fn handle_acc_cts(self: &Rc<Self>, st: &mut EngState, me: Rank, token: u64) {
         let Some(TokenInfo::AccRndv {
             rank,
             win,

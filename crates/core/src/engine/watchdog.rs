@@ -16,7 +16,7 @@
 //! stalled epoch is cancelled no later than `2 × budget` after its close
 //! (one tick interval of slack on top of the budget).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mpisim_sim::SimTime;
 
@@ -81,7 +81,7 @@ impl Engine {
     /// tick is already pending). Called at every epoch close, which also
     /// puts the epoch on the watch list, and whenever the reliability
     /// sublayer abandons a frame.
-    pub(crate) fn arm_watchdog(self: &Arc<Self>, st: &mut EngState) {
+    pub(crate) fn arm_watchdog(self: &Rc<Self>, st: &mut EngState) {
         let Some(budget) = self.cfg.watchdog else {
             return;
         };
@@ -96,12 +96,12 @@ impl Engine {
     /// One watchdog tick: cancel every watched epoch past its budget,
     /// prune entries that completed or retired on their own, and re-arm
     /// while closed-but-incomplete epochs remain.
-    fn watchdog_tick(self: &Arc<Self>) {
+    fn watchdog_tick(self: &Rc<Self>) {
         let budget = self.cfg.watchdog.expect("tick armed without a budget");
         let now = self.sim.now();
         let mut touched: Vec<Rank> = Vec::new();
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.watchdog_armed = false;
             st.eng_stats.watchdog_ticks += 1;
             // One pass over the watch list (cancelling closes nothing, so
@@ -162,7 +162,7 @@ impl Engine {
     /// What a cancelled epoch takes along: complete every op request it
     /// still holds and settle its lock traffic.
     pub(crate) fn abandon_cancelled(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         st: &mut EngState,
         rank: Rank,
         win: WinId,

@@ -71,13 +71,12 @@ pub mod window;
 mod worklist;
 
 pub use api::{RankEnv, CALL_ENTRY, PER_OP};
-pub use config::{JobConfig, RecoveryCfg, SyncStrategy, WinInfo};
+pub use config::{ExecMode, JobConfig, RecoveryCfg, SyncStrategy, WinInfo};
 pub use datatype::{Datatype, ReduceOp};
 pub use engine::{
     Degradation, Engine, EngineStats, Fault, ProtocolError, RankStats, RecoveryReport,
     StallReport,
 };
 pub use error::{RmaError, RmaResult};
-pub use mpisim_sim::ExecMode;
 pub use runtime::{run_job, JobReport};
 pub use types::{Group, LockKind, Rank, Req, WinId};

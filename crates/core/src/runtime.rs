@@ -1,7 +1,7 @@
 //! Job driver: spawn one simulated process per rank, run the SPMD closure
 //! on each, and collect the report.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mpisim_net::NetStats;
 use mpisim_sim::{Sim, SimError, SimStats, SimTime};
@@ -88,14 +88,13 @@ impl JobReport {
 /// ```
 pub fn run_job<F>(cfg: JobConfig, f: F) -> Result<JobReport, SimError>
 where
-    F: Fn(&mut RankEnv) + Send + Sync + 'static,
+    F: Fn(&mut RankEnv) + 'static,
 {
     let mut sim = Sim::new(cfg.seed);
-    sim.set_exec_mode(cfg.exec);
     sim.set_tiebreak_seed(cfg.tiebreak_seed);
     sim.set_nondet_tiebreak(cfg.nondet_tiebreak);
     let eng = Engine::new(sim.handle(), cfg.clone());
-    let f = Arc::new(f);
+    let f = Rc::new(f);
     for r in 0..cfg.n_ranks {
         let eng = eng.clone();
         let f = f.clone();

@@ -1,6 +1,6 @@
 //! Fundamental identifier and group types used across the middleware.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 pub use mpisim_net::Rank;
 
@@ -21,11 +21,11 @@ pub struct Req(pub u64);
 /// An ordered set of ranks, used as the group argument of the general
 /// active-target synchronization (GATS) calls.
 ///
-/// Cheap to clone (`Arc` inside). Construction validates that ranks are
+/// Cheap to clone (`Rc` inside). Construction validates that ranks are
 /// strictly increasing, which rules out duplicates.
 #[derive(Clone, Debug)]
 pub struct Group {
-    ranks: Arc<Vec<Rank>>,
+    ranks: Rc<Vec<Rank>>,
 }
 
 impl Group {
@@ -37,7 +37,7 @@ impl Group {
             v.windows(2).all(|w| w[0] < w[1]),
             "group ranks must be strictly increasing"
         );
-        Group { ranks: Arc::new(v) }
+        Group { ranks: Rc::new(v) }
     }
 
     /// All ranks except `me`, over a job of `n` ranks.

@@ -90,6 +90,28 @@ fn lossless_fabric_never_retransmits() {
     assert_eq!(report.engine.rel_retransmits, 0, "spurious retransmits");
     assert_quiescent_channels(&report);
     assert_eq!(report.live_requests, 0);
+
+    // A burst toward one peer: sixteen puts in one lock epoch reach rank 1
+    // within one ack delay, so each cumulative ack covers several frames.
+    let burst = run_job(JobConfig::all_internode(2).with_reliability(), |env| {
+        let win = env.win_allocate(64).unwrap();
+        env.barrier().unwrap();
+        if env.rank().idx() == 0 {
+            env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
+            for i in 0..16 {
+                env.put(win, Rank(1), i * 4, &[i as u8; 4]).unwrap();
+            }
+            env.unlock(win, Rank(1)).unwrap();
+        }
+        env.barrier().unwrap();
+        env.win_free(win).unwrap();
+    })
+    .unwrap();
+    assert!(burst.is_clean(), "{:?}", burst.degradations);
+    assert_quiescent_channels(&burst);
+    let e = &burst.engine;
+    assert!(e.acks_coalesced >= 1, "no ack covered more than one frame: {e:?}");
+    assert!(e.rel_acks_sent < e.rel_frames_sent, "one ack per frame: {e:?}");
 }
 
 #[test]
@@ -226,6 +248,7 @@ fn unhealed_partition_exhausts_backoff_and_trips_watchdog() {
     }
     assert!(report.engine.epochs_cancelled >= 1);
     assert!(report.engine.retries_exhausted >= 1);
+    assert!(report.engine.watchdog_ticks >= 1, "the cancel needs a watchdog tick");
 }
 
 #[test]

@@ -18,11 +18,12 @@
 //! Local completion (origin buffer reusable) is reported when the last byte
 //! leaves the source NIC, distinct from delivery at the target.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use mpisim_sim::{mix64, seeded_rng, SimHandle, SimTime};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -34,7 +35,7 @@ use crate::params::{
 
 /// Implemented by the middleware's message body type so the network can
 /// price it (and, under a fault plan, corrupt or duplicate it).
-pub trait Wire: Send + 'static {
+pub trait Wire: 'static {
     /// Payload bytes carried beyond the fixed header.
     fn payload_len(&self) -> usize;
 
@@ -96,8 +97,8 @@ pub struct NetStats {
 
 struct SendReq<M> {
     pkt: Packet<M>,
-    on_local: Option<Box<dyn FnOnce() + Send>>,
-    on_remote: Option<Box<dyn FnOnce() + Send>>,
+    on_local: Option<Box<dyn FnOnce()>>,
+    on_remote: Option<Box<dyn FnOnce()>>,
 }
 
 #[derive(Default)]
@@ -179,12 +180,14 @@ impl<M> NetInner<M> {
     }
 }
 
-type Handler<M> = Arc<dyn Fn(Packet<M>) + Send + Sync>;
+type Handler<M> = Rc<dyn Fn(Packet<M>)>;
 
-/// The simulated network fabric. Cheap to share (`Arc`).
+/// The simulated network fabric. Cheap to share (`Arc`), and owned by the
+/// simulation's driver thread like the kernel under it: its state is a
+/// `RefCell`, so the network is neither `Send` nor `Sync`.
 pub struct Network<M: Wire> {
-    inner: Mutex<NetInner<M>>,
-    handler: Mutex<Option<Handler<M>>>,
+    inner: RefCell<NetInner<M>>,
+    handler: RefCell<Option<Handler<M>>>,
     handle: SimHandle,
     params: NetParams,
     topo: Topology,
@@ -194,17 +197,20 @@ impl<M: Wire> Network<M> {
     /// Create a network over `topo` with the flow control, jitter and
     /// faults of `params`. Each of the fault plan's `crashes` is a
     /// [`Network::nic_down`] scheduled at its time.
+    // `Arc` although nothing crosses a thread: callers outside this
+    // workspace name the type (`benchmark/src/probes.rs`).
+    #[allow(clippy::arc_with_non_send_sync)]
     pub fn new(handle: SimHandle, params: NetParams, topo: Topology) -> Arc<Self> {
         let n = topo.n_ranks();
         let net = Arc::new(Network {
-            inner: Mutex::new(NetInner {
+            inner: RefCell::new(NetInner {
                 ranks: (0..n).map(|_| RankState::default()).collect(),
                 stats: NetStats::default(),
                 jitter_rng: seeded_rng(handle.seed(), 0x0021_77E2),
                 fault_log: FaultLog::default(),
                 downs: vec![false; n],
             }),
-            handler: Mutex::new(None),
+            handler: RefCell::new(None),
             handle,
             params,
             topo,
@@ -220,10 +226,10 @@ impl<M: Wire> Network<M> {
         net
     }
 
-    /// Install the delivery handler (called once per delivered packet, on
-    /// the scheduler thread, with no network lock held).
-    pub fn set_handler(&self, h: impl Fn(Packet<M>) + Send + Sync + 'static) {
-        *self.handler.lock() = Some(Arc::new(h));
+    /// Install the delivery handler (called once per delivered packet, by
+    /// the driver, with no network borrow held).
+    pub fn set_handler(&self, h: impl Fn(Packet<M>) + 'static) {
+        *self.handler.borrow_mut() = Some(Rc::new(h));
     }
 
     /// The topology this network spans.
@@ -238,40 +244,34 @@ impl<M: Wire> Network<M> {
 
     /// Snapshot of the aggregate counters.
     pub fn stats(&self) -> NetStats {
-        self.inner.lock().stats
+        self.inner.borrow().stats
     }
 
     /// Snapshot of the retained portion of the replayable fault log.
     pub fn fault_log(&self) -> Vec<FaultRecord> {
-        self.inner.lock().fault_log.iter().cloned().collect()
-    }
-
-    /// Drain the retained fault records (the dropped-record counter is
-    /// preserved).
-    pub fn take_fault_log(&self) -> Vec<FaultRecord> {
-        self.inner.lock().fault_log.take()
+        self.inner.borrow().fault_log.iter().cloned().collect()
     }
 
     /// Records evicted from the bounded fault log to cap memory.
     pub fn fault_log_dropped(&self) -> u64 {
-        self.inner.lock().fault_log.dropped()
+        self.inner.borrow().fault_log.dropped()
     }
 
     /// Take rank's NIC off the fabric: every internode message to or from
     /// it is discarded (recorded as [`FaultKind::CrashDrop`]) until
     /// [`Network::nic_up`] brings it back.
     pub fn nic_down(&self, rank: Rank) {
-        self.inner.lock().downs[rank.idx()] = true;
+        self.inner.borrow_mut().downs[rank.idx()] = true;
     }
 
     /// Bring a downed NIC back onto the fabric.
     pub fn nic_up(&self, rank: Rank) {
-        self.inner.lock().downs[rank.idx()] = false;
+        self.inner.borrow_mut().downs[rank.idx()] = false;
     }
 
     /// Is this rank's NIC currently down?
     pub fn nic_is_down(&self, rank: Rank) -> bool {
-        self.inner.lock().downs[rank.idx()]
+        self.inner.borrow().downs[rank.idx()]
     }
 
     /// Send a packet, fire-and-forget.
@@ -288,7 +288,7 @@ impl<M: Wire> Network<M> {
     pub fn send_with_completion(
         self: &Arc<Self>,
         pkt: Packet<M>,
-        on_local: impl FnOnce() + Send + 'static,
+        on_local: impl FnOnce() + 'static,
     ) {
         self.send_req(SendReq {
             pkt,
@@ -304,8 +304,8 @@ impl<M: Wire> Network<M> {
     pub fn send_tracked(
         self: &Arc<Self>,
         pkt: Packet<M>,
-        on_local: impl FnOnce() + Send + 'static,
-        on_remote: impl FnOnce() + Send + 'static,
+        on_local: impl FnOnce() + 'static,
+        on_remote: impl FnOnce() + 'static,
     ) {
         self.send_req(SendReq {
             pkt,
@@ -316,7 +316,7 @@ impl<M: Wire> Network<M> {
 
     fn send_req(self: &Arc<Self>, req: SendReq<M>) {
         let now = self.handle.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.stats.msgs_sent += 1;
         let src = req.pkt.src;
         let internode = !self.topo.same_node(src, req.pkt.dst);
@@ -470,9 +470,8 @@ impl<M: Wire> Network<M> {
     /// Hand one packet to the installed handler (delivery time).
     fn deliver(self: &Arc<Self>, pkt: Packet<M>) {
         let handler = {
-            let mut inner = self.inner.lock();
-            inner.stats.msgs_delivered += 1;
-            self.handler.lock().clone()
+            self.inner.borrow_mut().stats.msgs_delivered += 1;
+            self.handler.borrow().clone()
         };
         if let Some(h) = handler {
             h(pkt);
@@ -534,7 +533,7 @@ impl<M: Wire> Network<M> {
 
     fn return_credit(self: &Arc<Self>, src: Rank, dst: Rank) {
         let now = self.handle.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(c) = inner.ranks[src.idx()].channels.get_mut(&dst) {
             debug_assert!(c.in_flight > 0);
             c.in_flight -= 1;
@@ -598,14 +597,14 @@ mod tests {
         }
     }
 
-    type Log = Arc<Mutex<Vec<(u64, u64)>>>; // (tag, time ns)
+    type Log = Rc<RefCell<Vec<(u64, u64)>>>; // (tag, time ns)
 
     fn collect_deliveries(net: &Arc<Network<Body>>, h: &SimHandle) -> Log {
-        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let log: Log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
         let h = h.clone();
         net.set_handler(move |pkt: Packet<Body>| {
-            l.lock().push((pkt.body.tag, h.now().as_nanos()));
+            l.borrow_mut().push((pkt.body.tag, h.now().as_nanos()));
         });
         log
     }
@@ -623,7 +622,7 @@ mod tests {
         });
         sim.run().unwrap();
         let expected = (serialization(HEADER_BYTES, INTER_BW) + INTER_LATENCY).as_nanos();
-        assert_eq!(*log.lock(), vec![(7, expected)]);
+        assert_eq!(*log.borrow(), vec![(7, expected)]);
     }
 
     #[test]
@@ -647,7 +646,7 @@ mod tests {
             body: data(2, 4096),
         });
         sim.run().unwrap();
-        let log = log.lock();
+        let log = log.borrow();
         let t_intra = log.iter().find(|e| e.0 == 1).unwrap().1;
         let t_inter = log.iter().find(|e| e.0 == 2).unwrap().1;
         assert!(t_intra < t_inter, "intra {t_intra} should beat inter {t_inter}");
@@ -677,7 +676,7 @@ mod tests {
             });
         }
         sim.run().unwrap();
-        let tags: Vec<u64> = log.lock().iter().map(|e| e.0).collect();
+        let tags: Vec<u64> = log.borrow().iter().map(|e| e.0).collect();
         assert_eq!(tags, vec![0, 1, 2, 3, 4]);
     }
 
@@ -700,7 +699,7 @@ mod tests {
             body: data(2, 1 << 20),
         });
         sim.run().unwrap();
-        let log = log.lock();
+        let log = log.borrow();
         let t1 = log.iter().find(|e| e.0 == 1).unwrap().1;
         let t2 = log.iter().find(|e| e.0 == 2).unwrap().1;
         let ser = serialization((1 << 20) + HEADER_BYTES, INTER_BW).as_nanos();
@@ -717,7 +716,7 @@ mod tests {
             Topology::all_internode(2),
         );
         let log = collect_deliveries(&net, &h);
-        let local_t = Arc::new(Mutex::new(0u64));
+        let local_t = Rc::new(RefCell::new(0u64));
         let (lt, hh) = (local_t.clone(), h.clone());
         net.send_with_completion(
             Packet {
@@ -725,11 +724,11 @@ mod tests {
                 dst: Rank(1),
                 body: data(9, 1 << 16),
             },
-            move || *lt.lock() = hh.now().as_nanos(),
+            move || *lt.borrow_mut() = hh.now().as_nanos(),
         );
         sim.run().unwrap();
-        let deliver = log.lock()[0].1;
-        let local = *local_t.lock();
+        let deliver = log.borrow()[0].1;
+        let local = *local_t.borrow();
         assert!(local > 0 && local < deliver);
     }
 
@@ -751,7 +750,7 @@ mod tests {
         }
         sim.run().unwrap();
         // All ten must eventually deliver, in order, despite only 2 credits.
-        let tags: Vec<u64> = log.lock().iter().map(|e| e.0).collect();
+        let tags: Vec<u64> = log.borrow().iter().map(|e| e.0).collect();
         assert_eq!(tags, (0..10).collect::<Vec<_>>());
         assert!(net.stats().credit_stalls >= 8);
     }
@@ -773,7 +772,7 @@ mod tests {
             });
         }
         sim.run().unwrap();
-        assert_eq!(log.lock().len(), 6);
+        assert_eq!(log.borrow().len(), 6);
         assert!(net.stats().credit_stalls >= 5);
     }
 
@@ -802,13 +801,13 @@ mod tests {
         });
         sim.run().unwrap();
         let to1: Vec<u64> = log
-            .lock()
+            .borrow()
             .iter()
             .map(|e| e.0)
             .filter(|t| *t < 100)
             .collect();
         assert_eq!(to1, vec![0, 1, 2]);
-        assert_eq!(log.lock().len(), 4);
+        assert_eq!(log.borrow().len(), 4);
     }
 
     #[test]
@@ -826,7 +825,7 @@ mod tests {
             });
         }
         sim.run().unwrap();
-        let mut times: Vec<u64> = log.lock().iter().map(|e| e.1).collect();
+        let mut times: Vec<u64> = log.borrow().iter().map(|e| e.1).collect();
         times.sort_unstable();
         let ser = serialization(256 * 1024 + HEADER_BYTES, INTER_BW).as_nanos();
         // Receiver link occupancy: consecutive deliveries at least one
@@ -851,7 +850,7 @@ mod tests {
             body: ctrl(5),
         });
         sim.run().unwrap();
-        assert_eq!(log.lock().len(), 1);
+        assert_eq!(log.borrow().len(), 1);
     }
 
     #[test]
@@ -871,8 +870,7 @@ mod tests {
                 });
             }
             sim.run().unwrap();
-            let v = log.lock().clone();
-            v
+            log.take()
         }
         let jittered = run(42, 50);
         // Per-channel order preserved despite jitter.
@@ -903,7 +901,7 @@ mod tests {
         sim.run().unwrap();
         let s = net.stats();
         assert!(s.fault_drops > 0, "a 35% storm over 40 sends must drop something");
-        assert_eq!(log.lock().len() as u64, 40 - s.fault_drops);
+        assert_eq!(log.borrow().len() as u64, 40 - s.fault_drops);
         assert_eq!(net.fault_log().len() as u64, s.faults_injected);
         // Dropped messages still return their credit: everything launched.
         assert_eq!(s.msgs_sent, 40);
@@ -925,10 +923,10 @@ mod tests {
         let mut p = NetParams::qdr_infiniband();
         p.faults = Some(crate::FaultPlan::dup_storm(9));
         let net = Network::new(h.clone(), p, Topology::all_internode(2));
-        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let log: Log = Rc::new(RefCell::new(Vec::new()));
         let (l, hh) = (log.clone(), h.clone());
         net.set_handler(move |pkt: Packet<CloneBody>| {
-            l.lock().push((pkt.body.0, hh.now().as_nanos()));
+            l.borrow_mut().push((pkt.body.0, hh.now().as_nanos()));
         });
         for i in 0..30 {
             net.send(Packet { src: Rank(0), dst: Rank(1), body: CloneBody(i) });
@@ -936,7 +934,7 @@ mod tests {
         sim.run().unwrap();
         let s = net.stats();
         assert!(s.fault_dups > 0);
-        assert_eq!(log.lock().len() as u64, 30 + s.fault_dups);
+        assert_eq!(log.borrow().len() as u64, 30 + s.fault_dups);
     }
 
     #[test]
@@ -958,7 +956,7 @@ mod tests {
             n3.send(Packet { src: Rank(0), dst: Rank(1), body: ctrl(2) });
         });
         sim.run().unwrap();
-        let tags: Vec<u64> = log.lock().iter().map(|e| e.0).collect();
+        let tags: Vec<u64> = log.borrow().iter().map(|e| e.0).collect();
         assert_eq!(tags, vec![0, 2]);
         assert_eq!(net.stats().fault_partition_drops, 1);
     }
@@ -977,7 +975,7 @@ mod tests {
             }
             sim.run().unwrap();
             assert!(net.stats().fault_reorders > 0);
-            let v = log.lock().iter().map(|e| e.0).collect();
+            let v = log.borrow().iter().map(|e| e.0).collect();
             v
         }
         let a = run(21);
@@ -1003,7 +1001,7 @@ mod tests {
             n2.send(Packet { src: Rank(0), dst: Rank(2), body: ctrl(3) });
         });
         sim.run().unwrap();
-        let tags: Vec<u64> = log.lock().iter().map(|e| e.0).collect();
+        let tags: Vec<u64> = log.borrow().iter().map(|e| e.0).collect();
         assert_eq!(tags, vec![0, 3], "post-crash traffic touching rank 1 is gone");
         assert_eq!(net.stats().fault_crash_drops, 2);
     }
@@ -1035,7 +1033,7 @@ mod tests {
             n5.send(Packet { src: Rank(0), dst: Rank(1), body: ctrl(4) });
         });
         sim.run().unwrap();
-        let tags: Vec<u64> = log.lock().iter().map(|e| e.0).collect();
+        let tags: Vec<u64> = log.borrow().iter().map(|e| e.0).collect();
         assert_eq!(tags, vec![0, 3, 4], "outage drops both directions, heal restores");
         assert_eq!(net.stats().fault_crash_drops, 2);
         assert_eq!(net.fault_log_dropped(), 0);

@@ -1,11 +1,10 @@
 //! Stackful fibers: per-rank continuations parked as *state*, not threads.
 //!
-//! The pooled execution mode ([`crate::kernel::ExecMode::Pooled`]) runs each
-//! simulated process on its own heap-allocated stack and switches between
-//! that stack and the resumer (driver or pool worker) with a ~20-instruction
+//! The kernel runs each simulated process on its own mmap'd stack and
+//! switches between that stack and the driver with a ~20-instruction
 //! context switch — no syscalls, no condvars, no OS threads per rank. A
-//! suspended rank costs one mmap'd stack whose untouched pages stay
-//! non-resident, which is what makes 4096+ ranks per process feasible.
+//! suspended rank costs one stack whose untouched pages stay non-resident,
+//! which is what makes 4096+ ranks per process feasible.
 //!
 //! # Context-switch contract (x86_64 SysV)
 //!
@@ -28,10 +27,9 @@
 //!
 //! # Safety model
 //!
-//! A fiber is resumed by exactly one thread at a time — the kernel's baton
-//! discipline (one runnable entity per instant) guarantees it — and yields
-//! are routed through a thread-local set by the resumer, so a fiber may
-//! migrate between pool workers across suspensions but never while running.
+//! Fibers are created and resumed by the driver thread only: neither
+//! [`Fiber`] nor the closure it runs is `Send`. One fiber runs at a time,
+//! and a yield finds its way back through a thread-local the resumer sets.
 
 use std::cell::Cell;
 use std::io;
@@ -134,19 +132,16 @@ struct FiberInner {
     /// Set by [`fiber_entry`] when the closure has returned or unwound.
     finished: bool,
     /// The process body; taken on first entry.
-    entry: Option<Box<dyn FnOnce() + Send + 'static>>,
+    entry: Option<Box<dyn FnOnce() + 'static>>,
     stack: Stack,
 }
 
 thread_local! {
     /// The fiber currently running on this thread, if any. Set by
     /// [`Fiber::resume`] for the duration of the slice; read by
-    /// [`yield_current`] / [`on_fiber`] from inside the fiber.
+    /// [`yield_current`] from inside the fiber.
     static CURRENT: Cell<*mut FiberInner> = const { Cell::new(std::ptr::null_mut()) };
 }
-
-/// Whether pooled (fiber) execution is available on this target.
-pub(crate) const SUPPORTED: bool = true;
 
 /// A suspended-or-running simulated process. See the module docs for the
 /// execution and safety model.
@@ -154,17 +149,12 @@ pub(crate) struct Fiber {
     inner: Box<FiberInner>,
 }
 
-// SAFETY: a fiber is only ever touched by one thread at a time — the kernel
-// hands execution around with a baton, and `resume` is the only entry point.
-// The raw stack/rsp fields are plain data while suspended.
-unsafe impl Send for Fiber {}
-
 impl Fiber {
     /// Create a suspended fiber that will run `f` when first resumed, or
     /// return the OS error that refused its stack.
     pub(crate) fn new(
         stack_size: usize,
-        f: Box<dyn FnOnce() + Send + 'static>,
+        f: Box<dyn FnOnce() + 'static>,
     ) -> io::Result<Fiber> {
         let stack = Stack::new(stack_size)?;
         let mut inner = Box::new(FiberInner {
@@ -203,7 +193,7 @@ impl Fiber {
         unsafe {
             // SAFETY: fiber_rsp points into this fiber's live stack (seeded
             // at creation or saved at its last yield); exclusive access is
-            // guaranteed by the kernel's baton discipline.
+            // guaranteed because only the driver thread resumes fibers.
             switch_ctx(&mut self.inner.resumer_rsp, &self.inner.fiber_rsp);
         }
         CURRENT.set(prev);
@@ -214,11 +204,6 @@ impl Fiber {
     pub(crate) fn is_finished(&self) -> bool {
         self.inner.finished
     }
-}
-
-/// Whether the calling code is running inside a fiber slice.
-pub(crate) fn on_fiber() -> bool {
-    !CURRENT.get().is_null()
 }
 
 /// Suspend the current fiber, returning control to whoever resumed it.
@@ -239,7 +224,7 @@ pub(crate) fn yield_current() {
 /// # Safety
 ///
 /// `restore` must hold an `rsp` produced by this function (or by the stack
-/// seeding in [`Fiber::new`]) for a live stack no other thread is using.
+/// seeding in [`Fiber::new`]) for a live stack nothing else is running on.
 #[unsafe(naked)]
 unsafe extern "C" fn switch_ctx(_save: *mut usize, _restore: *const usize) {
     std::arch::naked_asm!(
@@ -301,43 +286,43 @@ unsafe extern "C" fn fiber_entry(inner: *mut FiberInner) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
-    fn fiber(stack: usize, f: impl FnOnce() + Send + 'static) -> Fiber {
+    fn fiber(stack: usize, f: impl FnOnce() + 'static) -> Fiber {
         Fiber::new(stack, Box::new(f)).expect("map a fiber stack")
     }
 
     #[test]
     fn fiber_runs_to_completion() {
-        let hits = Arc::new(AtomicUsize::new(0));
+        let hits = Rc::new(Cell::new(0));
         let h = hits.clone();
         let mut f = fiber(64 * 1024, move || {
-            h.fetch_add(1, Ordering::SeqCst);
+            h.set(h.get() + 1);
         });
         assert!(!f.is_finished());
         assert!(f.resume());
         assert!(f.is_finished());
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(hits.get(), 1);
     }
 
     #[test]
     fn fiber_yields_and_resumes() {
-        let steps = Arc::new(AtomicUsize::new(0));
+        let steps = Rc::new(Cell::new(0));
         let s = steps.clone();
         let mut f = fiber(64 * 1024, move || {
-            s.fetch_add(1, Ordering::SeqCst);
+            s.set(s.get() + 1);
             yield_current();
-            s.fetch_add(1, Ordering::SeqCst);
+            s.set(s.get() + 1);
             yield_current();
-            s.fetch_add(1, Ordering::SeqCst);
+            s.set(s.get() + 1);
         });
         assert!(!f.resume());
-        assert_eq!(steps.load(Ordering::SeqCst), 1);
+        assert_eq!(steps.get(), 1);
         assert!(!f.resume());
-        assert_eq!(steps.load(Ordering::SeqCst), 2);
+        assert_eq!(steps.get(), 2);
         assert!(f.resume());
-        assert_eq!(steps.load(Ordering::SeqCst), 3);
+        assert_eq!(steps.get(), 3);
     }
 
     #[test]
@@ -352,29 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn fiber_can_migrate_between_threads() {
-        let log = Arc::new(AtomicUsize::new(0));
-        let l = log.clone();
-        let mut f = fiber(64 * 1024, move || {
-            l.fetch_add(1, Ordering::SeqCst);
-            yield_current();
-            l.fetch_add(10, Ordering::SeqCst);
-        });
-        assert!(!f.resume()); // first slice on this thread
-        let f = std::thread::spawn(move || {
-            assert!(f.resume()); // second slice on another thread
-            f
-        })
-        .join()
-        .unwrap();
-        assert!(f.is_finished());
-        assert_eq!(log.load(Ordering::SeqCst), 11);
-    }
-
-    #[test]
     fn on_fiber_is_scoped_to_the_slice() {
+        let on_fiber = || !CURRENT.get().is_null();
         assert!(!on_fiber());
-        let mut f = fiber(64 * 1024, || {
+        let mut f = fiber(64 * 1024, move || {
             assert!(on_fiber());
             yield_current();
             assert!(on_fiber());
@@ -389,24 +355,24 @@ mod tests {
     fn many_cheap_fibers() {
         // 4096 fibers, round-robin resumed twice each: the RSS-friendly
         // stack story at the target rank count.
-        let counter = Arc::new(AtomicUsize::new(0));
+        let counter = Rc::new(Cell::new(0));
         let mut fibers: Vec<Fiber> = (0..4096)
             .map(|_| {
                 let c = counter.clone();
                 fiber(32 * 1024, move || {
-                    c.fetch_add(1, Ordering::SeqCst);
+                    c.set(c.get() + 1);
                     yield_current();
-                    c.fetch_add(1, Ordering::SeqCst);
+                    c.set(c.get() + 1);
                 })
             })
             .collect();
         for f in fibers.iter_mut() {
             assert!(!f.resume());
         }
-        assert_eq!(counter.load(Ordering::SeqCst), 4096);
+        assert_eq!(counter.get(), 4096);
         for f in fibers.iter_mut() {
             assert!(f.resume());
         }
-        assert_eq!(counter.load(Ordering::SeqCst), 8192);
+        assert_eq!(counter.get(), 8192);
     }
 }

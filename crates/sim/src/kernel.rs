@@ -13,18 +13,14 @@
 //!    the next event is popped;
 //! 3. process code itself only observes virtual time through the kernel.
 //!
-//! *How* a process slice executes is an [`ExecMode`] detail invisible to
-//! the rules above, so every mode produces byte-identical schedules:
-//!
-//! - [`ExecMode::Pooled`] (default where supported): each process is a
-//!   stackful [fiber](crate::fiber) — a parked *continuation*, not a parked
-//!   thread. With `workers: 0` the driver resumes fibers inline (a context
-//!   switch is ~20 instructions, no syscalls); with `workers: n` slices are
-//!   dispatched to a small pool of worker threads, deterministically
-//!   assigned by process id.
-//! - [`ExecMode::ThreadPerRank`]: one OS thread per process, handed a baton
-//!   through per-entity [`Parker`](crate::parker::Parker)s. Kept as the
-//!   differential baseline the determinism cross-check compares against.
+//! Every process is a stackful [fiber](crate::fiber) — a parked
+//! *continuation*, not a parked thread — that the driver resumes inline on
+//! its own thread: a context switch is ~20 instructions and no syscall.
+//! The driver thread is the only thread that touches the kernel, so its
+//! state is a plain `RefCell` behind an `Rc`, with no lock: [`SimHandle`]
+//! and [`ProcCtx`] are not `Send`. A borrow a slice still holds when it
+//! yields is a "RefCell already borrowed" panic, with its location, at
+//! the next borrow.
 //!
 //! The scheduler is work-aware by construction: only processes somebody
 //! readied — the driver popping an [`Action::Wake`], or
@@ -48,62 +44,29 @@
 //! instant over a list of slots in tie-break order: a push is one lookup of
 //! its instant and, in FIFO order, a tail append; a pop unlinks the head of
 //! the earliest instant. A slot owns its [`Action`]: `Call` is a boxed
-//! callback run after the pop's lock is released; `Wake` ends a process's
-//! [`ProcCtx::advance`] and is carried out by the driver under the lock of
-//! the pop that found it — clear the process's `sleeping` flag, ready it —
-//! so a timed sleep is one slot and no allocation. A slice boundary is
-//! one kernel lock on the driver's side: under it the driver takes a panic
-//! payload the last slice may have left and pops the ready queue. The abort
-//! flag a process reads before and after every yield is an atomic outside
-//! that lock.
+//! callback run after the pop's borrow is released; `Wake` ends a process's
+//! [`ProcCtx::advance`] and is carried out by the driver under the borrow
+//! of the pop that found it — clear the process's `sleeping` flag, ready it
+//! — so a timed sleep is one slot and no allocation. A slice boundary is
+//! one kernel borrow on the driver's side: under it the driver takes a
+//! panic payload the last slice may have left and pops the ready queue.
+//! The abort flag a process reads before and after every yield is a `Cell`
+//! outside that borrow.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
-use crate::fiber::{self, Fiber};
-use crate::parker::Parker;
-use crate::process::ProcCtx;
+use crate::fiber::Fiber;
+use crate::process::{AbortToken, ProcCtx};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 
 /// Identifier of a simulated process (dense, assigned in spawn order).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ProcId(pub usize);
-
-/// How simulated processes execute. Purely a mechanism choice: every mode
-/// yields byte-identical schedules, statistics, and traces for a given
-/// seed (see the module docs).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum ExecMode {
-    /// One OS thread per process. O(ranks) OS threads and two condvar
-    /// handoffs per slice; kept as the differential baseline for the
-    /// determinism cross-check.
-    ThreadPerRank,
-    /// Stackful fibers multiplexed onto a pool of `workers` OS threads.
-    /// `workers: 0` resumes fibers inline on the driver thread — the
-    /// fastest mode and the default. Falls back to [`ExecMode::ThreadPerRank`]
-    /// on targets without fiber support (non-x86_64 / non-Linux).
-    Pooled {
-        /// Number of extra pool worker threads (0 = run slices inline on
-        /// the driver thread).
-        workers: usize,
-    },
-}
-
-impl Default for ExecMode {
-    fn default() -> Self {
-        if fiber::SUPPORTED {
-            ExecMode::Pooled { workers: 0 }
-        } else {
-            ExecMode::ThreadPerRank
-        }
-    }
-}
 
 /// Why a simulation run ended unsuccessfully.
 #[derive(Debug)]
@@ -121,13 +84,12 @@ pub enum SimError {
         /// The cap that was exceeded.
         cap: u64,
     },
-    /// The OS refused a process its fiber stack or its thread: typically
-    /// the per-process mapping limit (`vm.max_map_count`; a fiber stack is
-    /// two mappings, so a process runs out at about half that many ranks)
-    /// or the thread limit. [`Sim::spawn`] keeps the first such failure and
-    /// maps nothing more; [`Sim::run`] returns it instead of driving the
-    /// simulation, after unwinding the processes spawned before it as on a
-    /// deadlock.
+    /// The OS refused a process its fiber stack: typically the per-process
+    /// mapping limit (`vm.max_map_count`; a fiber stack is two mappings, so
+    /// a process runs out at about half that many ranks). [`Sim::spawn`]
+    /// keeps the first such failure and maps nothing more; [`Sim::run`]
+    /// returns it instead of driving the simulation, after unwinding the
+    /// processes spawned before it as on a deadlock.
     SpawnFailed {
         /// Label of the process that could not be spawned.
         process: String,
@@ -196,13 +158,12 @@ pub(crate) struct ProcRec {
     /// cleared by the driver when it pops it: a process that finds it still
     /// set after a slice was woken by something else and goes back to sleep.
     pub(crate) sleeping: bool,
-    pub(crate) parker: Arc<Parker>,
 }
 
-type EventFn = Box<dyn FnOnce() + Send>;
+type EventFn = Box<dyn FnOnce()>;
 
 /// What a popped event does: end a process's [`ProcCtx::advance`] — done by
-/// the driver itself, under the lock of the pop — or run a scheduled
+/// the driver itself, under the borrow of the pop — or run a scheduled
 /// callback.
 pub(crate) enum Action {
     Wake(ProcId),
@@ -218,7 +179,7 @@ pub(crate) struct Inner {
     pub(crate) ready: VecDeque<ProcId>,
     pub(crate) procs: Vec<ProcRec>,
     /// The payload of a process that panicked in the slice that just ran;
-    /// the driver takes it under the lock of its next ready-queue pop.
+    /// the driver takes it under the borrow of its next ready-queue pop.
     panic_payload: Option<Box<dyn std::any::Any + Send>>,
     events_executed: u64,
     context_switches: u64,
@@ -261,36 +222,40 @@ impl Inner {
 }
 
 /// Shared kernel state: the event queue plus per-process scheduling records.
-pub struct SimCore {
-    pub(crate) inner: Mutex<Inner>,
-    pub(crate) sched: Parker,
+pub(crate) struct SimCore {
+    pub(crate) inner: RefCell<Inner>,
     /// Set once by `abort_all`, read by every process before and after
-    /// every yield — an atomic so that those reads cost no kernel-lock round
-    /// trip. `SeqCst`: it steers control flow, and the load is a plain `mov`
-    /// on x86 either way.
-    aborting: AtomicBool,
+    /// every yield, outside the `inner` borrow.
+    aborting: Cell<bool>,
     seed: u64,
 }
 
 impl SimCore {
     pub(crate) fn is_aborting(&self) -> bool {
-        self.aborting.load(Ordering::SeqCst)
+        self.aborting.get()
     }
 }
 
-/// A cloneable, thread-safe handle for reading the clock and scheduling
-/// events. Event callbacks run on the scheduler thread while no process
-/// runs, so they may freely mutate state shared with processes (behind a
-/// mutex that is, by construction, uncontended).
+/// A cloneable handle for reading the clock and scheduling events. Event
+/// callbacks run on the driver while no process runs, so they may freely
+/// mutate state shared with processes.
+///
+/// The handle belongs to the driver thread, which owns the whole
+/// simulation; it is not `Send`:
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<mpisim_sim::SimHandle>();
+/// ```
 #[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) core: Arc<SimCore>,
+    pub(crate) core: Rc<SimCore>,
 }
 
 impl SimHandle {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.inner.lock().now
+        self.core.inner.borrow().now
     }
 
     /// The seed this simulation was built with.
@@ -299,23 +264,23 @@ impl SimHandle {
     }
 
     /// Schedule `f` to run `delay` after the current virtual time.
-    pub fn schedule<F: FnOnce() + Send + 'static>(&self, delay: SimTime, f: F) {
-        let mut inner = self.core.inner.lock();
+    pub fn schedule<F: FnOnce() + 'static>(&self, delay: SimTime, f: F) {
+        let mut inner = self.core.inner.borrow_mut();
         let at = inner.now + delay;
         inner.push_event(at, Action::Call(Box::new(f)))
     }
 
     /// Schedule `f` at absolute virtual time `at` (clamped to now if in the
     /// past).
-    pub fn schedule_at<F: FnOnce() + Send + 'static>(&self, at: SimTime, f: F) {
-        let mut inner = self.core.inner.lock();
+    pub fn schedule_at<F: FnOnce() + 'static>(&self, at: SimTime, f: F) {
+        let mut inner = self.core.inner.borrow_mut();
         let at = at.max(inner.now);
         inner.push_event(at, Action::Call(Box::new(f)))
     }
 
     /// Number of events executed so far (useful for instrumentation).
     pub fn events_executed(&self) -> u64 {
-        self.core.inner.lock().events_executed
+        self.core.inner.borrow().events_executed
     }
 
     /// Ready `pid` if it is parked ([`ProcCtx::park`], or the park inside
@@ -323,23 +288,8 @@ impl SimHandle {
     /// ready queue, at the current virtual time. A no-op for a process that
     /// is ready, running or finished, so a wake can never be counted twice.
     pub fn wake(&self, pid: ProcId) {
-        self.core.inner.lock().make_ready(pid);
+        self.core.inner.borrow_mut().make_ready(pid);
     }
-}
-
-/// A work slot handed to a pool worker: a fiber to resume (as a raw
-/// address — exclusive access is guaranteed because the driver parks until
-/// the slice ends) or the shutdown order.
-enum WorkerJob {
-    Idle,
-    Run(usize),
-    Shutdown,
-}
-
-struct PoolWorker {
-    parker: Arc<Parker>,
-    job: Arc<Mutex<WorkerJob>>,
-    handle: Option<JoinHandle<()>>,
 }
 
 /// The simulation builder and driver.
@@ -356,18 +306,16 @@ struct PoolWorker {
 /// assert_eq!(stats.final_time, SimTime::from_micros(10));
 /// ```
 pub struct Sim {
-    core: Arc<SimCore>,
-    threads: Vec<JoinHandle<()>>,
+    core: Rc<SimCore>,
+    /// One fiber per process, indexed by [`ProcId`].
     fibers: Vec<Fiber>,
-    pool: Vec<PoolWorker>,
-    mode: ExecMode,
     /// The first spawn the OS refused; [`Sim::run`] returns it.
     spawn_error: Option<SimError>,
 }
 
 /// Per-process stack size. Simulated ranks mostly park, so a small stack
-/// lets thousands of ranks coexist (in pooled mode untouched stack pages
-/// are never even committed).
+/// lets thousands of ranks coexist (untouched stack pages are never even
+/// committed).
 const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 
 /// Runaway-simulation backstop: [`Sim::run`] stops with
@@ -378,8 +326,8 @@ impl Sim {
     /// Create a simulation with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         Sim {
-            core: Arc::new(SimCore {
-                inner: Mutex::new(Inner {
+            core: Rc::new(SimCore {
+                inner: RefCell::new(Inner {
                     now: SimTime::ZERO,
                     next_seq: 0,
                     queue: EventQueue::new(),
@@ -392,38 +340,18 @@ impl Sim {
                     context_switches: 0,
                     event_cap: DEFAULT_EVENT_CAP,
                 }),
-                sched: Parker::new(),
-                aborting: AtomicBool::new(false),
+                aborting: Cell::new(false),
                 seed,
             }),
-            threads: Vec::new(),
             fibers: Vec::new(),
-            pool: Vec::new(),
-            mode: ExecMode::default(),
             spawn_error: None,
         }
-    }
-
-    /// Select how processes execute. Must be called before the first
-    /// [`Sim::spawn`]. On targets without fiber support a pooled request
-    /// silently downgrades to [`ExecMode::ThreadPerRank`].
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        assert!(
-            self.core.inner.lock().procs.is_empty(),
-            "exec mode must be selected before any process is spawned"
-        );
-        self.mode = if fiber::SUPPORTED { mode } else { ExecMode::ThreadPerRank };
-    }
-
-    /// The execution mode in effect (after any platform downgrade).
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Lower the event cap, so a test can reach the backstop.
     #[cfg(test)]
     fn set_event_cap(&mut self, cap: u64) {
-        self.core.inner.lock().event_cap = cap;
+        self.core.inner.borrow_mut().event_cap = cap;
     }
 
     /// Install a seeded tie-break perturbation for same-time events.
@@ -440,7 +368,7 @@ impl Sim {
     /// Must be set before the first event is scheduled to be meaningful
     /// (events already queued keep the key assigned at push time).
     pub fn set_tiebreak_seed(&mut self, seed: Option<u64>) {
-        let mut inner = self.core.inner.lock();
+        let mut inner = self.core.inner.borrow_mut();
         debug_assert!(
             inner.queue.is_empty(),
             "tie-break seed changed after events were scheduled"
@@ -456,7 +384,7 @@ impl Sim {
     /// determinism cross-check harness can prove it would catch a
     /// nondeterministic kernel; never set it in real simulations.
     pub fn set_nondet_tiebreak(&mut self, on: bool) {
-        self.core.inner.lock().nondet_tiebreak = on;
+        self.core.inner.borrow_mut().nondet_tiebreak = on;
     }
 
     /// A handle for scheduling events and reading the clock.
@@ -467,24 +395,21 @@ impl Sim {
     }
 
     /// Spawn a simulated process. The closure starts at virtual time zero,
-    /// in spawn order, and is cooperatively scheduled — as a stackful fiber
-    /// in pooled mode, or on a dedicated OS thread in thread-per-rank mode.
-    /// If the OS refuses the stack or the thread, [`Sim::run`] returns
+    /// in spawn order, and is cooperatively scheduled as a stackful fiber.
+    /// If the OS refuses the stack, [`Sim::run`] returns
     /// [`SimError::SpawnFailed`].
     pub fn spawn<F>(&mut self, label: impl Into<String>, f: F) -> ProcId
     where
-        F: FnOnce(&ProcCtx) + Send + 'static,
+        F: FnOnce(&ProcCtx) + 'static,
     {
         let label = label.into();
-        let parker = Arc::new(Parker::new());
         let pid = {
-            let mut inner = self.core.inner.lock();
+            let mut inner = self.core.inner.borrow_mut();
             let pid = ProcId(inner.procs.len());
             inner.procs.push(ProcRec {
                 label: label.clone(),
                 state: ProcState::Ready,
                 sleeping: false,
-                parker: parker.clone(),
             });
             inner.ready.push_back(pid);
             pid
@@ -493,53 +418,32 @@ impl Sim {
             return pid;
         }
         let core = self.core.clone();
-        let ctx = ProcCtx::new(core.clone(), pid, parker.clone(), label.clone());
-        // Shared process body: run `f`, then record completion and any real
-        // panic payload (the AbortToken unwind is pure control flow).
-        let record_exit = move |result: Result<(), Box<dyn std::any::Any + Send>>| {
-            let mut inner = core.inner.lock();
+        let ctx = ProcCtx::new(core.clone(), pid, label.clone());
+        // Run `f`, then record completion and any real panic payload (the
+        // AbortToken unwind is pure control flow). Control returns to the
+        // driver through the fiber's final switch.
+        let body = move || {
+            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
+            let mut inner = core.inner.borrow_mut();
             inner.procs[pid.0].state = ProcState::Finished;
             if let Err(payload) = result {
-                if !payload.is::<crate::process::AbortToken>() {
+                if !payload.is::<AbortToken>() {
                     inner.panic_payload.get_or_insert(payload);
                 }
             }
         };
-        let spawned = match self.mode {
-            ExecMode::Pooled { .. } => {
-                let body = move || {
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                    record_exit(result);
-                    // Control returns to the resumer via the fiber's final
-                    // switch; no baton to hand back.
-                };
-                Fiber::new(DEFAULT_STACK_SIZE, Box::new(body)).map(|fiber| {
-                    self.fibers.push(fiber);
-                    debug_assert_eq!(self.fibers.len(), pid.0 + 1);
-                })
+        match Fiber::new(DEFAULT_STACK_SIZE, Box::new(body)) {
+            Ok(fiber) => {
+                self.fibers.push(fiber);
+                debug_assert_eq!(self.fibers.len(), pid.0 + 1);
             }
-            ExecMode::ThreadPerRank => {
-                let core = self.core.clone();
-                let builder = std::thread::Builder::new()
-                    .name(format!("sim-{label}"))
-                    .stack_size(DEFAULT_STACK_SIZE);
-                builder
-                    .spawn(move || {
-                        // Wait for the first baton before touching anything.
-                        parker.park();
-                        let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                        record_exit(result);
-                        core.sched.unpark();
-                    })
-                    .map(|jh| self.threads.push(jh))
+            Err(error) => {
+                self.spawn_error = Some(SimError::SpawnFailed {
+                    process: label,
+                    processes: pid.0 + 1,
+                    error,
+                });
             }
-        };
-        if let Err(error) = spawned {
-            self.spawn_error = Some(SimError::SpawnFailed {
-                process: label,
-                processes: pid.0 + 1,
-                error,
-            });
         }
         pid
     }
@@ -555,52 +459,14 @@ impl Sim {
             None => self.drive(),
         };
         match outcome {
-            Drive::Done(stats) => {
-                self.join_all();
-                Ok(stats)
-            }
+            Drive::Done(stats) => Ok(stats),
             Drive::Err(e) => {
                 self.abort_all();
-                self.join_all();
                 Err(e)
             }
             Drive::Panicked(payload) => {
                 self.abort_all();
-                self.join_all();
                 panic::resume_unwind(payload);
-            }
-        }
-    }
-
-    /// Run one slice of process `pid` — until it blocks, finishes, or
-    /// yields — using the configured execution mechanism. The caller must
-    /// have moved `pid` to `Running`.
-    fn run_slice(&mut self, pid: ProcId) {
-        match self.mode {
-            ExecMode::ThreadPerRank => {
-                let proc_parker = {
-                    let inner = self.core.inner.lock();
-                    inner.procs[pid.0].parker.clone()
-                };
-                proc_parker.unpark();
-                self.core.sched.park();
-            }
-            ExecMode::Pooled { workers: 0 } => {
-                // Inline: the driver becomes the process for one slice. No
-                // parking, no syscalls — just a stack switch each way.
-                self.fibers[pid.0].resume();
-            }
-            ExecMode::Pooled { workers } => {
-                // Deterministic worker assignment by pid. Which OS thread
-                // runs the slice cannot affect results (execution is still
-                // serialized); the pool exists to bound thread count, not
-                // to parallelize.
-                self.ensure_pool(workers);
-                let fiber_ptr: *mut Fiber = &mut self.fibers[pid.0];
-                let w = &self.pool[pid.0 % workers];
-                *w.job.lock() = WorkerJob::Run(fiber_ptr as usize);
-                w.parker.unpark();
-                self.core.sched.park();
             }
         }
     }
@@ -610,10 +476,10 @@ impl Sim {
             // Phase 1: drain ready processes (FIFO). Only processes with
             // pending work ever appear here, so idle ranks cost nothing.
             loop {
-                // One lock per slice boundary covers everything the slice
+                // One borrow per slice boundary covers everything the slice
                 // (or event) that just ran may have left behind.
                 let pid = {
-                    let mut inner = self.core.inner.lock();
+                    let mut inner = self.core.inner.borrow_mut();
                     // The process yielded back Blocked, Ready again, or
                     // Finished — possibly with a panic to propagate.
                     if let Some(p) = inner.panic_payload.take() {
@@ -628,12 +494,14 @@ impl Sim {
                         None => break,
                     }
                 };
-                self.run_slice(pid);
+                // The driver becomes the process for one slice: a stack
+                // switch each way, until it parks or finishes.
+                self.fibers[pid.0].resume();
             }
 
             // Phase 2: execute the next event.
             let call = {
-                let mut inner = self.core.inner.lock();
+                let mut inner = self.core.inner.borrow_mut();
                 let Some((at, action)) = inner.queue.pop() else {
                     // No events, no ready processes: either everyone is done
                     // or we are deadlocked.
@@ -671,41 +539,6 @@ impl Sim {
         }
     }
 
-    /// Lazily start the worker pool for `Pooled { workers: n > 0 }`.
-    fn ensure_pool(&mut self, workers: usize) {
-        if !self.pool.is_empty() {
-            return;
-        }
-        for i in 0..workers {
-            let parker = Arc::new(Parker::new());
-            let job = Arc::new(Mutex::new(WorkerJob::Idle));
-            let core = self.core.clone();
-            let (wp, wj) = (parker.clone(), job.clone());
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-worker-{i}"))
-                .spawn(move || loop {
-                    wp.park();
-                    let job = std::mem::replace(&mut *wj.lock(), WorkerJob::Idle);
-                    match job {
-                        WorkerJob::Run(addr) => {
-                            // SAFETY: the driver parked right after posting
-                            // this job and stays parked until we hand the
-                            // baton back, so the fiber (and the Vec holding
-                            // it) is untouched elsewhere for the whole
-                            // slice.
-                            let fiber = unsafe { &mut *(addr as *mut Fiber) };
-                            fiber.resume();
-                            core.sched.unpark();
-                        }
-                        WorkerJob::Shutdown => break,
-                        WorkerJob::Idle => {}
-                    }
-                })
-                .expect("failed to spawn simulation pool worker");
-            self.pool.push(PoolWorker { parker, job, handle: Some(handle) });
-        }
-    }
-
     /// Unwind every unfinished process so the run can terminate; used on
     /// deadlock or propagated panic.
     fn abort_all(&mut self) {
@@ -717,61 +550,23 @@ impl Sim {
         HOOK.call_once(|| {
             let prev = panic::take_hook();
             panic::set_hook(Box::new(move |info| {
-                if info.payload().downcast_ref::<crate::process::AbortToken>().is_none() {
+                if info.payload().downcast_ref::<AbortToken>().is_none() {
                     prev(info);
                 }
             }));
         });
-        self.core.aborting.store(true, Ordering::SeqCst);
-        match self.mode {
-            ExecMode::ThreadPerRank => {
-                // Wake every unfinished thread; its next (or current) park
-                // returns, the aborting flag is observed, and the thread
-                // unwinds.
-                let parkers: Vec<Arc<Parker>> = {
-                    let inner = self.core.inner.lock();
-                    inner
-                        .procs
-                        .iter()
-                        .filter(|p| p.state != ProcState::Finished)
-                        .map(|p| p.parker.clone())
-                        .collect()
-                };
-                for p in parkers {
-                    p.unpark();
-                }
-            }
-            ExecMode::Pooled { .. } => {
-                // Resume every unfinished fiber on the driver thread until
-                // it unwinds: a suspended fiber aborts at the yield it
-                // returns into, a never-started one aborts at its first
-                // blocking call (both checks live in `ProcCtx::park`).
-                // The loop guards against slices that block again without
-                // observing the flag; each resume strictly advances the
-                // fiber toward its AbortToken unwind.
-                for f in self.fibers.iter_mut() {
-                    while !f.is_finished() {
-                        f.resume();
-                    }
-                }
+        self.core.aborting.set(true);
+        // Resume every unfinished fiber until it unwinds: a suspended fiber
+        // aborts at the yield it returns into, a never-started one aborts
+        // at its first blocking call (both checks live in `ProcCtx::park`).
+        // The loop guards against slices that block again without
+        // observing the flag; each resume strictly advances the fiber
+        // toward its AbortToken unwind.
+        for f in self.fibers.iter_mut() {
+            while !f.is_finished() {
+                f.resume();
             }
         }
-    }
-
-    fn join_all(&mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        for w in self.pool.iter() {
-            *w.job.lock() = WorkerJob::Shutdown;
-            w.parker.unpark();
-        }
-        for w in self.pool.iter_mut() {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-        self.pool.clear();
     }
 }
 
@@ -797,31 +592,30 @@ mod tests {
     fn events_run_in_time_then_seq_order() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         for (i, d) in [30u64, 10, 20, 10].iter().enumerate() {
             let log = log.clone();
-            h.schedule(SimTime::from_nanos(*d), move || log.lock().push(i));
+            h.schedule(SimTime::from_nanos(*d), move || log.borrow_mut().push(i));
         }
         sim.run().unwrap();
         // delays 10(i=1), 10(i=3) tie-broken by insertion, then 20, then 30
-        assert_eq!(*log.lock(), vec![1, 3, 2, 0]);
+        assert_eq!(*log.borrow(), vec![1, 3, 2, 0]);
     }
 
     fn tie_order(seed: Option<u64>) -> Vec<usize> {
         let mut sim = Sim::new(0);
         sim.set_tiebreak_seed(seed);
         let h = sim.handle();
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         // Eight events tied at t=10ns, one late straggler at t=20ns.
         for i in 0..8 {
             let log = log.clone();
-            h.schedule(SimTime::from_nanos(10), move || log.lock().push(i));
+            h.schedule(SimTime::from_nanos(10), move || log.borrow_mut().push(i));
         }
         let log2 = log.clone();
-        h.schedule(SimTime::from_nanos(20), move || log2.lock().push(99));
+        h.schedule(SimTime::from_nanos(20), move || log2.borrow_mut().push(99));
         sim.run().unwrap();
-        let v = log.lock().clone();
-        v
+        log.take()
     }
 
     #[test]
@@ -856,14 +650,13 @@ mod tests {
             let mut sim = Sim::new(0);
             sim.set_nondet_tiebreak(true);
             let h = sim.handle();
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             for i in 0..16 {
                 let log = log.clone();
-                h.schedule(SimTime::from_nanos(10), move || log.lock().push(i));
+                h.schedule(SimTime::from_nanos(10), move || log.borrow_mut().push(i));
             }
             sim.run().unwrap();
-            let v = log.lock().clone();
-            v
+            log.take()
         }
         let runs: Vec<Vec<usize>> = (0..4).map(|_| nondet_order()).collect();
         assert!(
@@ -888,83 +681,75 @@ mod tests {
         }
     }
 
-    fn all_modes() -> Vec<ExecMode> {
-        let mut m = vec![ExecMode::ThreadPerRank];
-        if fiber::SUPPORTED {
-            m.push(ExecMode::Pooled { workers: 0 });
-            m.push(ExecMode::Pooled { workers: 2 });
-        }
-        m
+    #[test]
+    fn process_panic_propagates() {
+        let mut sim = Sim::new(0);
+        sim.spawn("bad", |_| panic!("boom-xyz"));
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
+        assert!(msg.contains("boom-xyz"));
     }
 
     #[test]
-    fn process_panic_propagates_in_every_mode() {
-        for mode in all_modes() {
-            let mut sim = Sim::new(0);
-            sim.set_exec_mode(mode);
-            sim.spawn("bad", |_| panic!("boom-xyz"));
-            let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
-            let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-            assert!(msg.contains("boom-xyz"), "mode {mode:?}");
-        }
-    }
-
-    #[test]
-    fn deadlock_reports_blocked_labels_in_every_mode() {
-        for mode in all_modes() {
-            let mut sim = Sim::new(0);
-            sim.set_exec_mode(mode);
-            sim.spawn("stuck-rank", |ctx| ctx.park()); // never woken
-            match sim.run() {
-                Err(SimError::Deadlock { blocked, .. }) => {
-                    assert_eq!(blocked, vec!["stuck-rank".to_string()], "mode {mode:?}");
-                }
-                other => panic!("expected deadlock in {mode:?}, got {other:?}"),
+    fn deadlock_reports_blocked_labels() {
+        let mut sim = Sim::new(0);
+        sim.spawn("stuck-rank", |ctx| ctx.park()); // never woken
+        match sim.run() {
+            Err(SimError::Deadlock { blocked, .. }) => {
+                assert_eq!(blocked, vec!["stuck-rank".to_string()]);
             }
+            other => panic!("expected deadlock, got {other:?}"),
         }
     }
 
     #[test]
-    fn modes_produce_identical_stats_and_schedules() {
-        fn run_in(mode: ExecMode) -> (SimStats, Vec<(u64, usize)>) {
+    fn reruns_produce_identical_stats_and_schedules() {
+        fn run_once() -> (SimStats, Vec<(u64, usize)>) {
             let mut sim = Sim::new(11);
-            sim.set_exec_mode(mode);
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             for i in 0..12usize {
                 let log = log.clone();
                 sim.spawn(format!("p{i}"), move |ctx| {
                     for step in 0..6u64 {
                         ctx.advance(SimTime::from_nanos((i as u64 * 7 + step * 3) % 13 + 1));
-                        log.lock().push((ctx.now().as_nanos(), i));
+                        log.borrow_mut().push((ctx.now().as_nanos(), i));
                     }
                 });
             }
             let stats = sim.run().unwrap();
-            let v = log.lock().clone();
-            (stats, v)
+            (stats, log.take())
         }
-        let (base_stats, base_log) = run_in(ExecMode::ThreadPerRank);
-        for mode in all_modes() {
-            let (stats, log) = run_in(mode);
-            assert_eq!(stats, base_stats, "stats diverged in {mode:?}");
-            assert_eq!(log, base_log, "schedule diverged in {mode:?}");
-        }
+        let base = run_once();
+        assert_eq!(base.1.len(), 12 * 6);
+        assert_eq!(run_once(), base);
     }
 
     #[test]
     fn immediate_panic_with_unstarted_peer_terminates() {
         // Regression: a process panicking during the very first ready-drain
-        // used to strand peers that had never started — abort_all woke
-        // them, they ran to their first park, and join_all hung. The
+        // used to strand peers that had never started — abort_all resumed
+        // them, they ran to their first park, and the run hung. The
         // aborting check before the yield in `park` unwinds them now.
-        for mode in all_modes() {
-            let mut sim = Sim::new(0);
-            sim.set_exec_mode(mode);
-            sim.spawn("bomb", |_| panic!("early-boom"));
-            sim.spawn("late-starter", |ctx| ctx.park()); // would block forever
-            let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
-            let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-            assert!(msg.contains("early-boom"), "mode {mode:?}");
-        }
+        let mut sim = Sim::new(0);
+        sim.spawn("bomb", |_| panic!("early-boom"));
+        sim.spawn("late-starter", |ctx| ctx.park()); // would block forever
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
+        assert!(msg.contains("early-boom"));
+    }
+
+    #[test]
+    fn a_borrow_held_across_a_yield_panics_at_the_next_borrow() {
+        // A slice that parks while it still borrows the kernel is a bug the
+        // driver's next borrow reports: a "RefCell already borrowed" panic, not a hang.
+        let mut sim = Sim::new(0);
+        sim.spawn("holder", |ctx| {
+            let core = ctx.handle().core;
+            let _held = core.inner.borrow();
+            crate::fiber::yield_current();
+        });
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+        let msg = err.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+        assert!(msg.contains("already"), "{msg}");
     }
 }

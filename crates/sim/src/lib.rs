@@ -6,33 +6,35 @@
 //! computation with [`ProcCtx::advance`], and waits for anything else by
 //! parking ([`ProcCtx::park`]) until somebody readies it by id
 //! ([`SimHandle::wake`]) — the condition waited for lives with the caller,
-//! not in the kernel. By default ranks are stackful fibers multiplexed
-//! onto the driver thread ([`ExecMode::Pooled`]) so thousands of ranks fit
-//! in one process; the legacy one-OS-thread-per-rank mode
-//! ([`ExecMode::ThreadPerRank`]) remains available as a differential
-//! baseline. Two runs with the same seed and the same program produce
-//! bit-identical schedules in every mode.
+//! not in the kernel. Ranks are stackful fibers that the driver thread
+//! resumes inline, so thousands of ranks fit in one process, and that one
+//! thread owns the whole simulation: its state sits in `Rc`/`RefCell`
+//! cells with no lock, and [`SimHandle`] and [`ProcCtx`] are not `Send`.
+//! Two runs with the same seed and the same program produce bit-identical
+//! schedules. The crate builds for x86_64 Linux only (the fiber switch is
+//! x86_64 assembly over Linux `mmap`); any other target stops with a
+//! `compile_error!`.
 //!
 //! ## Example
 //!
 //! ```
-//! use std::sync::atomic::{AtomicBool, Ordering};
-//! use std::sync::Arc;
+//! use std::cell::Cell;
+//! use std::rc::Rc;
 //! use mpisim_sim::{Sim, SimTime};
 //!
 //! let mut sim = Sim::new(1);
 //! let h = sim.handle();
-//! let ready = Arc::new(AtomicBool::new(false));
+//! let ready = Rc::new(Cell::new(false));
 //! let r = ready.clone();
 //! let client = sim.spawn("client", move |ctx| {
-//!     while !r.load(Ordering::Relaxed) {
+//!     while !r.get() {
 //!         ctx.park(); // woken by id; the condition is ours to re-check
 //!     }
 //!     assert_eq!(ctx.now(), SimTime::from_micros(5));
 //! });
 //! sim.spawn("server", move |ctx| {
 //!     ctx.advance(SimTime::from_micros(5)); // boot time
-//!     ready.store(true, Ordering::Relaxed);
+//!     ready.set(true);
 //!     h.wake(client);
 //! });
 //! sim.run().unwrap();
@@ -40,19 +42,21 @@
 
 #![warn(missing_docs)]
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-mod fiber;
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-#[path = "fiber_fallback.rs"]
+compile_error!(
+    "mpisim-sim builds only for x86_64 Linux: every simulated process is a fiber whose \
+     context switch is x86_64 System V assembly over Linux mmap, and there is no thread \
+     fallback to run it on"
+);
+
 mod fiber;
 mod kernel;
-mod parker;
 mod process;
 mod queue;
 mod rng;
 mod time;
 
-pub use kernel::{ExecMode, ProcId, Sim, SimError, SimHandle, SimStats};
+pub use kernel::{ProcId, Sim, SimError, SimHandle, SimStats};
 pub use process::ProcCtx;
 pub use rng::{mix64, seeded_rng};
 pub use time::SimTime;

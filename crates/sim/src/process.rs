@@ -12,14 +12,13 @@
 //! does own: push a wake-up record for `now + d`, park until the driver has
 //! popped it.
 
-use std::sync::Arc;
-
-use parking_lot::MutexGuard;
+use std::cell::RefMut;
+use std::rc::Rc;
 
 use crate::kernel::{Action, Inner, ProcId, ProcState, SimCore, SimHandle};
 use crate::time::SimTime;
 
-/// Marker payload used to unwind process threads when a run is aborted
+/// Marker payload used to unwind suspended processes when a run is aborted
 /// (deadlock or propagated panic). Never observed by user code.
 pub(crate) struct AbortToken;
 
@@ -28,25 +27,14 @@ pub(crate) struct AbortToken;
 /// All interaction with virtual time goes through this context: reading the
 /// clock, advancing it (modelled computation), and parking until woken.
 pub struct ProcCtx {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
     pid: ProcId,
-    parker: Arc<crate::parker::Parker>,
     label: String,
 }
 
 impl ProcCtx {
-    pub(crate) fn new(
-        core: Arc<SimCore>,
-        pid: ProcId,
-        parker: Arc<crate::parker::Parker>,
-        label: String,
-    ) -> Self {
-        ProcCtx {
-            core,
-            pid,
-            parker,
-            label,
-        }
+    pub(crate) fn new(core: Rc<SimCore>, pid: ProcId, label: String) -> Self {
+        ProcCtx { core, pid, label }
     }
 
     /// This process's id — what a waker passes to [`SimHandle::wake`].
@@ -61,7 +49,7 @@ impl ProcCtx {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.inner.lock().now
+        self.core.inner.borrow().now
     }
 
     /// A handle for scheduling events from within this process.
@@ -82,13 +70,13 @@ impl ProcCtx {
         if d.is_zero() {
             return;
         }
-        let mut inner = self.core.inner.lock();
+        let mut inner = self.core.inner.borrow_mut();
         let at = inner.now + d;
         inner.push_event(at, Action::Wake(self.pid));
         inner.procs[self.pid.0].sleeping = true;
         while inner.procs[self.pid.0].sleeping {
             self.park_under(inner);
-            inner = self.core.inner.lock();
+            inner = self.core.inner.borrow_mut();
         }
     }
 
@@ -100,12 +88,12 @@ impl ProcCtx {
     /// and the park. A process nobody wakes shows up in
     /// [`SimError::Deadlock`](crate::SimError::Deadlock).
     pub fn park(&self) {
-        self.park_under(self.core.inner.lock());
+        self.park_under(self.core.inner.borrow_mut());
     }
 
-    /// [`ProcCtx::park`] for a caller that already holds the kernel lock
-    /// (`advance`, one lock each way): mark `Blocked`, release, yield.
-    fn park_under(&self, mut inner: MutexGuard<'_, Inner>) {
+    /// [`ProcCtx::park`] for a caller that already borrows the kernel
+    /// (`advance`, one borrow each way): mark `Blocked`, release, yield.
+    fn park_under(&self, mut inner: RefMut<'_, Inner>) {
         inner.procs[self.pid.0].state = ProcState::Blocked;
         drop(inner);
         self.yield_to_scheduler();
@@ -119,15 +107,9 @@ impl ProcCtx {
         if self.core.is_aborting() {
             std::panic::panic_any(AbortToken);
         }
-        if crate::fiber::on_fiber() {
-            // Pooled mode: suspend this continuation; control returns to
-            // the driver (or pool worker) that resumed it.
-            crate::fiber::yield_current();
-        } else {
-            // Thread mode: hand the baton back and park this OS thread.
-            self.core.sched.unpark();
-            self.parker.park();
-        }
+        // Suspend this continuation; control returns to the driver that
+        // resumed it.
+        crate::fiber::yield_current();
         if self.core.is_aborting() {
             std::panic::panic_any(AbortToken);
         }
@@ -138,25 +120,25 @@ impl ProcCtx {
 mod tests {
     use super::*;
     use crate::kernel::Sim;
-    use parking_lot::Mutex;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn advance_moves_only_this_process() {
         let mut sim = Sim::new(0);
-        let t_a = Arc::new(Mutex::new(SimTime::ZERO));
-        let t_b = Arc::new(Mutex::new(SimTime::ZERO));
+        let t_a = Rc::new(Cell::new(SimTime::ZERO));
+        let t_b = Rc::new(Cell::new(SimTime::ZERO));
         let (ta, tb) = (t_a.clone(), t_b.clone());
         sim.spawn("a", move |ctx| {
             ctx.advance(SimTime::from_micros(100));
-            *ta.lock() = ctx.now();
+            ta.set(ctx.now());
         });
         sim.spawn("b", move |ctx| {
             ctx.advance(SimTime::from_micros(5));
-            *tb.lock() = ctx.now();
+            tb.set(ctx.now());
         });
         sim.run().unwrap();
-        assert_eq!(*t_a.lock(), SimTime::from_micros(100));
-        assert_eq!(*t_b.lock(), SimTime::from_micros(5));
+        assert_eq!(t_a.get(), SimTime::from_micros(100));
+        assert_eq!(t_b.get(), SimTime::from_micros(5));
     }
 
     #[test]
@@ -175,18 +157,18 @@ mod tests {
         // flag) and parks; the producer sets the flag and wakes it by id.
         let mut sim = Sim::new(0);
         let h = sim.handle();
-        let data = Arc::new(Mutex::new(None));
+        let data = Rc::new(Cell::new(None));
         let d2 = data.clone();
         let consumer = sim.spawn("consumer", move |ctx| {
-            while d2.lock().is_none() {
+            while d2.get().is_none() {
                 ctx.park();
             }
-            assert_eq!(*d2.lock(), Some(7));
+            assert_eq!(d2.get(), Some(7));
             assert_eq!(ctx.now(), SimTime::from_micros(42));
         });
         sim.spawn("producer", move |ctx| {
             ctx.advance(SimTime::from_micros(42));
-            *data.lock() = Some(7);
+            data.set(Some(7));
             h.wake(consumer);
         });
         sim.run().unwrap();
@@ -197,19 +179,18 @@ mod tests {
         // Two identical runs must produce identical event orderings.
         fn run_once() -> Vec<(u64, usize)> {
             let mut sim = Sim::new(7);
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             for i in 0..20 {
                 let log = log.clone();
                 sim.spawn(format!("p{i}"), move |ctx| {
                     for step in 0..5 {
                         ctx.advance(SimTime::from_nanos(((i * 13 + step * 7) % 11) + 1));
-                        log.lock().push((ctx.now().as_nanos(), i as usize));
+                        log.borrow_mut().push((ctx.now().as_nanos(), i as usize));
                     }
                 });
             }
             sim.run().unwrap();
-            let v = log.lock().clone();
-            v
+            log.take()
         }
         assert_eq!(run_once(), run_once());
     }

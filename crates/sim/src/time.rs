@@ -87,12 +87,6 @@ impl SimTime {
         self.nanos as f64 / 1_000.0
     }
 
-    /// Fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.nanos as f64 / 1_000_000.0
-    }
-
     /// Fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
