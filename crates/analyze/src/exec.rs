@@ -16,7 +16,6 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::{
     run_job, Datatype, Group, JobConfig, JobReport, LockKind, Rank, RankEnv, Req, RmaError,
@@ -96,18 +95,13 @@ pub fn interpret(cfg: JobConfig, p: &IrProgram) -> Result<Run, RunFailure> {
     run(cfg, p, Frame::WholeJob)
 }
 
-/// Run `p` on the default engine under `sim_seed`. With `watchdog` set the
-/// stall watchdog is armed, so even a deadlocking program terminates —
-/// degraded, with one [`mpisim_core::StallReport`] per cancelled epoch —
-/// which is exactly the property the deadlock cross-validation measures.
-pub fn exec_ir(p: &IrProgram, watchdog: bool, sim_seed: u64) -> Result<JobReport, RunFailure> {
-    exec_ir_with(p, watchdog, sim_seed, SyncStrategy::Redesigned).map(|(_, report)| report)
-}
-
-/// [`exec_ir`] under an explicit engine `strategy`, also returning every
-/// rank's final window bytes (read after a trailing barrier, so all
-/// in-flight operations have landed) — what the original-vs-rewritten
-/// differential comparison needs.
+/// Run `p` under `sim_seed` and engine `strategy`, returning every rank's
+/// final window bytes (read after a trailing barrier, so all in-flight
+/// operations have landed) — what the original-vs-rewritten differential
+/// comparison needs. With `watchdog` set the stall watchdog is armed, so
+/// even a deadlocking program terminates — degraded, with one
+/// [`mpisim_core::StallReport`] per cancelled epoch — which is exactly the
+/// property the deadlock cross-validation measures.
 pub fn exec_ir_with(
     p: &IrProgram,
     watchdog: bool,
@@ -124,9 +118,10 @@ pub fn exec_ir_with(
 /// `run_job` with both failure modes mapped into [`RunFailure`]: a
 /// simulated deadlock surfaces as `Err(SimError)`, an engine/rank panic
 /// unwinds through `sim.run()`.
-fn run_guarded<F>(cfg: JobConfig, f: F) -> Result<JobReport, RunFailure>
+fn run_guarded<F, R>(cfg: JobConfig, f: F) -> Result<JobReport<R>, RunFailure>
 where
-    F: Fn(&mut RankEnv) + Send + Sync + 'static,
+    F: Fn(&mut RankEnv) -> R + 'static,
+    R: 'static,
 {
     match catch_unwind(AssertUnwindSafe(|| run_job(cfg, f))) {
         Ok(Ok(report)) => Ok(report),
@@ -143,14 +138,9 @@ where
 }
 
 fn run(cfg: JobConfig, p: &IrProgram, frame: Frame) -> Result<Run, RunFailure> {
-    let prog = Arc::new(p.clone());
-    let outs = Arc::new(Mutex::new(vec![RankOut::default(); p.n_ranks]));
-    let sink = outs.clone();
-    let report = run_guarded(cfg, move |env| {
-        let out = Walker::new(env, &prog).run(&prog, frame);
-        sink.lock().expect("no rank panics while storing its result")[env.rank().idx()] = out;
-    })?;
-    let outs = std::mem::take(&mut *outs.lock().expect("every rank has finished"));
+    let prog = p.clone();
+    let (outs, report) =
+        run_guarded(cfg, move |env| Walker::new(env, &prog).run(&prog, frame))?.split_results();
     let mut run = Run { report, mems: Vec::new(), gets: Vec::new(), errors: Vec::new() };
     for out in outs {
         run.mems.push(out.mem);
@@ -161,7 +151,7 @@ fn run(cfg: JobConfig, p: &IrProgram, frame: Frame) -> Result<Run, RunFailure> {
 }
 
 /// What one rank hands back.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct RankOut {
     mem: Vec<u8>,
     gets: Vec<Vec<u8>>,

@@ -77,7 +77,7 @@ pub use corpus::{
     NegFamily, NEG_WIN_BYTES,
 };
 pub use diag::{has_code, Code, Diagnostic};
-pub use exec::{exec_ir, exec_ir_with, interpret, ApiError, Run, RunFailure};
+pub use exec::{exec_ir_with, interpret, ApiError, Run, RunFailure};
 pub use ir::{Close, FetchKind, IrProgram, Stmt};
 pub use race::{detect_races, detect_races_in, Race, RaceAccess};
 pub use rewrite::{

@@ -214,13 +214,10 @@ impl<'e, 'a> RankLu<'e, 'a> {
 
 /// Run the distributed LU factorization.
 pub fn run_lu(job: JobConfig, cfg: LuConfig) -> Result<LuResult, SimError> {
-    use std::sync::Mutex;
     let m = cfg.m;
     let n = job.n_ranks;
     assert!(m >= n, "need at least one row per rank");
     let seed = job.seed;
-    let max_err = std::sync::Arc::new(Mutex::new(None::<f64>));
-    let me2 = max_err.clone();
     let cfg2 = cfg.clone();
 
     let report = run_job(job, move |env| {
@@ -262,22 +259,21 @@ pub fn run_lu(job: JobConfig, cfg: LuConfig) -> Result<LuResult, SimError> {
         env.barrier().unwrap();
 
         // Validation against the sequential oracle.
+        let mut err: f64 = 0.0;
         if cfg.mode == LuMode::Real {
             let oracle = sequential_lu(seed, m);
-            let mut err: f64 = 0.0;
             for (i, row) in &lu.rows {
                 for j in 0..m {
                     err = err.max((row[j] - oracle[*i][j]).abs());
                 }
             }
-            let mut g = me2.lock().unwrap();
-            let cur = g.unwrap_or(0.0);
-            *g = Some(cur.max(err));
         }
         env.win_free(win).unwrap();
+        err
     })?;
 
-    let max_error = *max_err.lock().unwrap();
+    let max_error =
+        (cfg.mode == LuMode::Real).then(|| report.results.iter().fold(0.0, |a: f64, &e| a.max(e)));
     Ok(LuResult {
         total_time: report.final_time,
         comm_fraction: report.mean_comm_fraction(),

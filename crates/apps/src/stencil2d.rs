@@ -96,14 +96,9 @@ impl Block {
 
 /// Run the distributed stencil and validate against the oracle.
 pub fn run_stencil2d(job: JobConfig, cfg: Stencil2dConfig) -> Result<Stencil2dResult, SimError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
     let n = job.n_ranks;
     let (pr, pc) = process_grid(n);
     assert!(cfg.rows.is_multiple_of(pr) && cfg.cols.is_multiple_of(pc), "grid must tile the process grid");
-    let max_err_bits = Arc::new(AtomicU64::new(0));
-    let sum_bits = Arc::new(AtomicU64::new(0));
-    let (me2, sb2) = (max_err_bits.clone(), sum_bits.clone());
     let cfg2 = cfg.clone();
 
     let report = run_job(job, move |env| {
@@ -218,18 +213,14 @@ pub fn run_stencil2d(job: JobConfig, cfg: Stencil2dConfig) -> Result<Stencil2dRe
                 &local_sum.to_le_bytes(),
             )
             .unwrap();
-        let total = f64::from_le_bytes(total.try_into().unwrap());
-        if me == 0 {
-            sb2.store(total.to_bits(), Ordering::Relaxed);
-        }
-        me2.fetch_max(err.to_bits(), Ordering::Relaxed);
         env.win_free(win).unwrap();
+        (f64::from_le_bytes(total.try_into().unwrap()), err)
     })?;
 
     Ok(Stencil2dResult {
         total_time: report.final_time,
-        checksum: f64::from_bits(sum_bits.load(std::sync::atomic::Ordering::Relaxed)),
-        max_error: f64::from_bits(max_err_bits.load(std::sync::atomic::Ordering::Relaxed)),
+        checksum: report.results[0].0,
+        max_error: report.results.iter().fold(0.0, |a, r| a.max(r.1)),
     })
 }
 

@@ -91,14 +91,7 @@ pub struct TxResult {
 /// Run the transaction workload on `job` (the job's strategy decides
 /// baseline vs redesigned engine).
 pub fn run_transactions(job: JobConfig, cfg: TxConfig) -> Result<TxResult, mpisim_sim::SimError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
     let n = job.n_ranks;
-    let checksum = Arc::new(AtomicU64::new(0));
-    let t_start = Arc::new(AtomicU64::new(0));
-    let t_end = Arc::new(AtomicU64::new(0));
-    let (ck, ts, te) = (checksum.clone(), t_start.clone(), t_end.clone());
     let cfg2 = cfg.clone();
 
     let report = run_job(job, move |env| {
@@ -107,7 +100,7 @@ pub fn run_transactions(job: JobConfig, cfg: TxConfig) -> Result<TxResult, mpisi
         let info = if cfg.aaar { WinInfo::aaar() } else { WinInfo::default() };
         let win = env.win_allocate_with(cfg.slots * 8, info).unwrap();
         env.barrier().unwrap();
-        ts.store(env.now().as_nanos(), Ordering::Relaxed);
+        let t_start = env.now();
 
         let mut rng = seeded_rng(0x7AC5, env.rank().idx() as u64);
         let ones = vec![1u64; words]
@@ -169,26 +162,24 @@ pub fn run_transactions(job: JobConfig, cfg: TxConfig) -> Result<TxResult, mpisi
             }
         }
 
-        te.fetch_max(env.now().as_nanos(), Ordering::Relaxed);
+        let t_end = env.now();
         env.barrier().unwrap();
         // Validation: sum every slot of my window.
         let bytes = env.read_local(win, 0, cfg.slots * 8).unwrap();
         let sum: u64 = mpisim_core::datatype::bytes_to_u64s(&bytes).iter().sum();
-        ck.fetch_add(sum, Ordering::Relaxed);
         env.win_free(win).unwrap();
+        (t_start, t_end, sum)
     })?;
 
     let total_txs = (n * cfg.txs_per_rank) as u64;
-    let elapsed = SimTime::from_nanos(
-        t_end.load(std::sync::atomic::Ordering::Relaxed)
-            - t_start.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    let _ = report;
+    let t_start = report.results.iter().map(|r| r.0).max().unwrap_or(SimTime::ZERO);
+    let t_end = report.results.iter().map(|r| r.1).max().unwrap_or(SimTime::ZERO);
+    let elapsed = t_end - t_start;
     Ok(TxResult {
         total_txs,
         elapsed,
         tx_per_sec: total_txs as f64 / elapsed.as_secs_f64(),
-        checksum: checksum.load(std::sync::atomic::Ordering::Relaxed),
+        checksum: report.results.iter().map(|r| r.2).sum(),
     })
 }
 

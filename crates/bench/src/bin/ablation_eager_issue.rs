@@ -7,8 +7,6 @@
 //! isolates exactly that design choice: one origin, several targets, one
 //! of them late — how long until each punctual target holds its data?
 
-use std::sync::{Arc, Mutex};
-
 use mpisim_bench::table::Table;
 use mpisim_core::{run_job, Group, JobConfig, Rank, SyncStrategy};
 use mpisim_sim::SimTime;
@@ -16,9 +14,7 @@ use mpisim_sim::SimTime;
 const MB: usize = 1 << 20;
 
 fn punctual_target_time(strategy: SyncStrategy, n_targets: usize) -> f64 {
-    let t = Arc::new(Mutex::new(0.0f64));
-    let t2 = t.clone();
-    run_job(
+    let report = run_job(
         JobConfig::all_internode(n_targets + 1).with_strategy(strategy),
         move |env| {
             let n = env.n_ranks();
@@ -37,18 +33,16 @@ fn punctual_target_time(strategy: SyncStrategy, n_targets: usize) -> f64 {
                 }
                 env.post(win, Group::single(Rank(0))).unwrap();
                 env.wait_epoch(win).unwrap();
-                if env.rank().idx() == 1 {
-                    // First punctual target.
-                    *t2.lock().unwrap() = (env.now() - t0).as_micros_f64();
-                }
             }
+            let elapsed = (env.now() - t0).as_micros_f64();
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            elapsed
         },
     )
     .unwrap();
-    let v = *t.lock().unwrap();
-    v
+    // Rank 1 is the first punctual target.
+    report.results[1]
 }
 
 fn main() {

@@ -8,7 +8,6 @@
 use mpisim_core::{Group, JobConfig, LockKind, Rank, WinInfo};
 use mpisim_sim::SimTime;
 
-use crate::series::Recorder;
 use crate::table::Table;
 
 const MB: usize = 1 << 20;
@@ -35,9 +34,7 @@ pub fn fig07_aaar_gats() -> Table {
     let mut cum = Vec::new();
     for flag in [false, true] {
         let info = if flag { WinInfo::aaar() } else { WinInfo::default() };
-        let rec = Recorder::new();
-        let r2 = rec.clone();
-        mpisim_core::run_job(job(3), move |env| {
+        let report = mpisim_core::run_job(job(3), move |env| {
             let win = env.win_allocate_with(MB, info).unwrap();
             env.barrier().unwrap();
             let t0 = env.now();
@@ -48,10 +45,9 @@ pub fn fig07_aaar_gats() -> Table {
                     let r1 = env.icomplete(win).unwrap();
                     env.start(win, Group::single(Rank(2))).unwrap();
                     env.put_synthetic(win, Rank(2), 0, MB).unwrap();
-                    let r2q = env.icomplete(win).unwrap();
+                    let r2 = env.icomplete(win).unwrap();
                     env.wait(r1).unwrap();
-                    env.wait(r2q).unwrap();
-                    r2.set("cum", (env.now() - t0).as_micros_f64());
+                    env.wait(r2).unwrap();
                 }
                 1 => {
                     env.compute(SimTime::from_micros(DELAY_US));
@@ -61,15 +57,17 @@ pub fn fig07_aaar_gats() -> Table {
                 _ => {
                     env.post(win, Group::single(Rank(0))).unwrap();
                     env.wait_epoch(win).unwrap();
-                    r2.set("t1", (env.now() - t0).as_micros_f64());
                 }
             }
+            // Each rank's time from the common start to the end of its part.
+            let elapsed = (env.now() - t0).as_micros_f64();
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            elapsed
         })
         .unwrap();
-        t1.push(rec.get("t1"));
-        cum.push(rec.get("cum"));
+        t1.push(report.results[2]);
+        cum.push(report.results[0]);
     }
     t.push("target T1", t1);
     t.push("origin cumulative", cum);
@@ -88,18 +86,18 @@ pub fn fig08_aaar_lock() -> Table {
     let mut cum = Vec::new();
     for flag in [false, true] {
         let info = if flag { WinInfo::aaar() } else { WinInfo::default() };
-        let rec = Recorder::new();
-        let r2 = rec.clone();
-        mpisim_core::run_job(job(4), move |env| {
+        let report = mpisim_core::run_job(job(4), move |env| {
             let win = env.win_allocate_with(MB, info).unwrap();
             env.barrier().unwrap();
-            match env.rank().idx() {
+            // O1's cumulative time; the others return 0.
+            let cum = match env.rank().idx() {
                 0 => {
                     // O0 holds T0's lock and works 1000 µs inside the epoch.
                     env.lock(win, Rank(2), LockKind::Exclusive).unwrap();
                     env.put_synthetic(win, Rank(2), 0, MB).unwrap();
                     env.compute(SimTime::from_micros(DELAY_US));
                     env.unlock(win, Rank(2)).unwrap();
+                    0.0
                 }
                 1 => {
                     env.compute(SimTime::from_micros(50));
@@ -112,15 +110,16 @@ pub fn fig08_aaar_lock() -> Table {
                     let q2 = env.iunlock(win, Rank(3)).unwrap();
                     env.wait(q1).unwrap();
                     env.wait(q2).unwrap();
-                    r2.set("cum", (env.now() - t0).as_micros_f64());
+                    (env.now() - t0).as_micros_f64()
                 }
-                _ => {}
-            }
+                _ => 0.0,
+            };
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            cum
         })
         .unwrap();
-        cum.push(rec.get("cum"));
+        cum.push(report.results[1]);
     }
     t.push("cumulative O1 epochs (1MB)", cum);
     t
@@ -141,9 +140,7 @@ pub fn fig09_aaer() -> Table {
             access_after_exposure: flag,
             ..WinInfo::default()
         };
-        let rec = Recorder::new();
-        let r2 = rec.clone();
-        mpisim_core::run_job(job(3), move |env| {
+        let report = mpisim_core::run_job(job(3), move |env| {
             let win = env.win_allocate_with(MB, info).unwrap();
             env.barrier().unwrap();
             let t0 = env.now();
@@ -157,7 +154,6 @@ pub fn fig09_aaer() -> Table {
                 1 => {
                     env.post(win, Group::single(Rank(2))).unwrap();
                     env.wait_epoch(win).unwrap();
-                    r2.set("p1", (env.now() - t0).as_micros_f64());
                 }
                 _ => {
                     let _ = env.ipost(win, Group::single(Rank(0))).unwrap();
@@ -167,15 +163,17 @@ pub fn fig09_aaer() -> Table {
                     let q2 = env.icomplete(win).unwrap();
                     env.wait(q1).unwrap();
                     env.wait(q2).unwrap();
-                    r2.set("p2", (env.now() - t0).as_micros_f64());
                 }
             }
+            // Each rank's time from the common start to the end of its part.
+            let elapsed = (env.now() - t0).as_micros_f64();
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            elapsed
         })
         .unwrap();
-        p1.push(rec.get("p1"));
-        p2.push(rec.get("p2"));
+        p1.push(report.results[1]);
+        p2.push(report.results[2]);
     }
     t.push("target P1", p1);
     t.push("P2 (target then origin)", p2);
@@ -197,9 +195,7 @@ pub fn fig10_eaer() -> Table {
             exposure_after_exposure: flag,
             ..WinInfo::default()
         };
-        let rec = Recorder::new();
-        let r2 = rec.clone();
-        mpisim_core::run_job(job(3), move |env| {
+        let report = mpisim_core::run_job(job(3), move |env| {
             let win = env.win_allocate_with(MB, info).unwrap();
             env.barrier().unwrap();
             let t0 = env.now();
@@ -214,7 +210,6 @@ pub fn fig10_eaer() -> Table {
                     env.start(win, Group::single(Rank(2))).unwrap();
                     env.put_synthetic(win, Rank(2), 0, MB).unwrap();
                     env.complete(win).unwrap();
-                    r2.set("o1", (env.now() - t0).as_micros_f64());
                 }
                 _ => {
                     let _ = env.ipost(win, Group::single(Rank(0))).unwrap();
@@ -223,15 +218,17 @@ pub fn fig10_eaer() -> Table {
                     let q2 = env.iwait(win).unwrap();
                     env.wait(q1).unwrap();
                     env.wait(q2).unwrap();
-                    r2.set("tgt", (env.now() - t0).as_micros_f64());
                 }
             }
+            // Each rank's time from the common start to the end of its part.
+            let elapsed = (env.now() - t0).as_micros_f64();
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            elapsed
         })
         .unwrap();
-        o1.push(rec.get("o1"));
-        tgt.push(rec.get("tgt"));
+        o1.push(report.results[1]);
+        tgt.push(report.results[2]);
     }
     t.push("origin O1", o1);
     t.push("target cumulative", tgt);
@@ -254,9 +251,7 @@ pub fn fig11_eaar() -> Table {
             exposure_after_access: flag,
             ..WinInfo::default()
         };
-        let rec = Recorder::new();
-        let r2 = rec.clone();
-        mpisim_core::run_job(job(3), move |env| {
+        let report = mpisim_core::run_job(job(3), move |env| {
             let win = env.win_allocate_with(MB, info).unwrap();
             env.barrier().unwrap();
             let t0 = env.now();
@@ -270,7 +265,6 @@ pub fn fig11_eaar() -> Table {
                     env.start(win, Group::single(Rank(2))).unwrap();
                     env.put_synthetic(win, Rank(2), 0, MB).unwrap();
                     env.complete(win).unwrap();
-                    r2.set("p1", (env.now() - t0).as_micros_f64());
                 }
                 _ => {
                     env.start(win, Group::single(Rank(0))).unwrap();
@@ -280,15 +274,17 @@ pub fn fig11_eaar() -> Table {
                     let q2 = env.iwait(win).unwrap();
                     env.wait(q1).unwrap();
                     env.wait(q2).unwrap();
-                    r2.set("p2", (env.now() - t0).as_micros_f64());
                 }
             }
+            // Each rank's time from the common start to the end of its part.
+            let elapsed = (env.now() - t0).as_micros_f64();
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            elapsed
         })
         .unwrap();
-        p1.push(rec.get("p1"));
-        p2.push(rec.get("p2"));
+        p1.push(report.results[1]);
+        p2.push(report.results[2]);
     }
     t.push("origin P1", p1);
     t.push("P2 (origin then target)", p2);

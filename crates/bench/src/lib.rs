@@ -38,7 +38,7 @@ pub mod rewrite_apps;
 pub mod series;
 pub mod table;
 
-pub use series::{Recorder, Series};
+pub use series::Series;
 pub use table::Table;
 
 /// Emit a table to stdout and, if `csv_dir` is set (env `MPISIM_CSV_DIR`),

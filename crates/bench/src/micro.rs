@@ -4,7 +4,7 @@
 use mpisim_core::{Group, LockKind, Rank};
 use mpisim_sim::SimTime;
 
-use crate::series::{Recorder, Series};
+use crate::series::Series;
 use crate::table::Table;
 
 const MB: usize = 1 << 20;
@@ -47,23 +47,23 @@ pub fn fig00_lock_put_latency() -> Table {
     for size in sizes {
         let mut row = Vec::new();
         for series in Series::ALL {
-            let rec = Recorder::new();
-            let r2 = rec.clone();
-            mpisim_core::run_job(series.job(2), move |env| {
+            let report = mpisim_core::run_job(series.job(2), move |env| {
                 let win = env.win_allocate(MB).unwrap();
                 env.barrier().unwrap();
+                let mut lat = 0.0;
                 if env.rank().idx() == 0 {
                     let t0 = env.now();
                     env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
                     env.put_synthetic(win, Rank(1), 0, size).unwrap();
                     env.unlock(win, Rank(1)).unwrap();
-                    r2.set("lat", (env.now() - t0).as_micros_f64());
+                    lat = us(env.now() - t0);
                 }
                 env.barrier().unwrap();
                 env.win_free(win).unwrap();
+                lat
             })
             .unwrap();
-            row.push(rec.get("lat"));
+            row.push(report.results[0]);
         }
         t.push(size_label(size), row);
     }
@@ -82,24 +82,24 @@ pub fn fig00_lock_overlap() -> Table {
     );
     let mut row = Vec::new();
     for series in Series::ALL {
-        let rec = Recorder::new();
-        let r2 = rec.clone();
-        mpisim_core::run_job(series.job(2), move |env| {
+        let report = mpisim_core::run_job(series.job(2), move |env| {
             let win = env.win_allocate(MB).unwrap();
             env.barrier().unwrap();
+            let mut lat = 0.0;
             if env.rank().idx() == 0 {
                 let t0 = env.now();
                 env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
                 env.put_synthetic(win, Rank(1), 0, MB).unwrap();
                 env.compute(SimTime::from_micros(300));
                 env.unlock(win, Rank(1)).unwrap();
-                r2.set("lat", (env.now() - t0).as_micros_f64());
+                lat = us(env.now() - t0);
             }
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            lat
         })
         .unwrap();
-        row.push(rec.get("lat"));
+        row.push(report.results[0]);
     }
     t.push("epoch length", row);
     t
@@ -124,12 +124,12 @@ pub fn fig02_late_post() -> Table {
     let mut two_sided = Vec::new();
     let mut cumulative = Vec::new();
     for series in Series::ALL {
-        let rec = Recorder::new();
-        let r2 = rec.clone();
-        mpisim_core::run_job(series.job(3), move |env| {
+        let report = mpisim_core::run_job(series.job(3), move |env| {
             let win = env.win_allocate(MB).unwrap();
             env.barrier().unwrap();
             let t0 = env.now();
+            // The origin's [access epoch, two-sided, cumulative] times.
+            let mut times = [0.0; 3];
             match env.rank().idx() {
                 0 => {
                     // Late target.
@@ -148,29 +148,31 @@ pub fn fig02_late_post() -> Table {
                         let r = env.icomplete(win).unwrap();
                         let ts = env.now();
                         env.isend_synthetic(Rank(1), 7, MB).unwrap_and_wait(env);
-                        r2.set("two_sided", us(env.now() - ts));
+                        times[1] = us(env.now() - ts);
                         env.wait(r).unwrap();
-                        r2.set("epoch", us(env.now() - t0));
-                        r2.set("cumulative", us(env.now() - t0));
+                        times[0] = us(env.now() - t0);
+                        times[2] = us(env.now() - t0);
                     } else {
                         env.start(win, Group::single(Rank(0))).unwrap();
                         env.put_synthetic(win, Rank(0), 0, MB).unwrap();
                         env.complete(win).unwrap();
-                        r2.set("epoch", us(env.now() - t0));
+                        times[0] = us(env.now() - t0);
                         let ts = env.now();
                         env.isend_synthetic(Rank(1), 7, MB).unwrap_and_wait(env);
-                        r2.set("two_sided", us(env.now() - ts));
-                        r2.set("cumulative", us(env.now() - t0));
+                        times[1] = us(env.now() - ts);
+                        times[2] = us(env.now() - t0);
                     }
                 }
             }
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            times
         })
         .unwrap();
-        epoch.push(rec.get("epoch"));
-        two_sided.push(rec.get("two_sided"));
-        cumulative.push(rec.get("cumulative"));
+        let [e, ts, cum] = report.results[2];
+        epoch.push(e);
+        two_sided.push(ts);
+        cumulative.push(cum);
     }
     t.push("access epoch", epoch);
     t.push("two-sided", two_sided);
@@ -205,9 +207,7 @@ pub fn fig03_late_complete() -> Table {
     for size in size_sweep() {
         let mut row = Vec::new();
         for series in Series::ALL {
-            let rec = Recorder::new();
-            let r2 = rec.clone();
-            mpisim_core::run_job(series.job(2), move |env| {
+            let report = mpisim_core::run_job(series.job(2), move |env| {
                 let win = env.win_allocate(MB).unwrap();
                 env.barrier().unwrap();
                 let t0 = env.now();
@@ -227,13 +227,14 @@ pub fn fig03_late_complete() -> Table {
                 } else {
                     env.post(win, Group::single(Rank(0))).unwrap();
                     env.wait_epoch(win).unwrap();
-                    r2.set("epoch", us(env.now() - t0));
                 }
+                let epoch = us(env.now() - t0);
                 env.barrier().unwrap();
                 env.win_free(win).unwrap();
+                epoch
             })
             .unwrap();
-            row.push(rec.get("epoch"));
+            row.push(report.results[1]);
         }
         t.push(size_label(size), row);
     }
@@ -256,9 +257,7 @@ pub fn fig04_early_fence() -> Table {
     for size in [256 * 1024, MB] {
         let mut row = Vec::new();
         for series in Series::ALL {
-            let rec = Recorder::new();
-            let r2 = rec.clone();
-            mpisim_core::run_job(series.job(2), move |env| {
+            let report = mpisim_core::run_job(series.job(2), move |env| {
                 let win = env.win_allocate(MB).unwrap();
                 env.barrier().unwrap();
                 env.fence(win).unwrap(); // opening fence
@@ -270,17 +269,17 @@ pub fn fig04_early_fence() -> Table {
                     let r = env.ifence(win).unwrap();
                     env.compute(SimTime::from_micros(DELAY_US));
                     env.wait(r).unwrap();
-                    r2.set("cum", us(env.now() - t0));
                 } else {
                     env.fence(win).unwrap();
                     env.compute(SimTime::from_micros(DELAY_US));
-                    r2.set("cum", us(env.now() - t0));
                 }
+                let cum = us(env.now() - t0);
                 env.barrier().unwrap();
                 env.win_free(win).unwrap();
+                cum
             })
             .unwrap();
-            row.push(rec.get("cum"));
+            row.push(report.results[1]);
         }
         t.push(size_label(size), row);
     }
@@ -303,9 +302,7 @@ pub fn fig05_wait_at_fence() -> Table {
     for size in size_sweep() {
         let mut row = Vec::new();
         for series in Series::ALL {
-            let rec = Recorder::new();
-            let r2 = rec.clone();
-            mpisim_core::run_job(series.job(2), move |env| {
+            let report = mpisim_core::run_job(series.job(2), move |env| {
                 let win = env.win_allocate(MB).unwrap();
                 env.barrier().unwrap();
                 env.fence(win).unwrap();
@@ -322,13 +319,14 @@ pub fn fig05_wait_at_fence() -> Table {
                     }
                 } else {
                     env.fence(win).unwrap();
-                    r2.set("epoch", us(env.now() - t0));
                 }
+                let epoch = us(env.now() - t0);
                 env.barrier().unwrap();
                 env.win_free(win).unwrap();
+                epoch
             })
             .unwrap();
-            row.push(rec.get("epoch"));
+            row.push(report.results[1]);
         }
         t.push(size_label(size), row);
     }
@@ -351,12 +349,11 @@ pub fn fig06_late_unlock() -> Table {
     let mut first = Vec::new();
     let mut second = Vec::new();
     for series in Series::ALL {
-        let rec = Recorder::new();
-        let r2 = rec.clone();
-        mpisim_core::run_job(series.job(3), move |env| {
+        let report = mpisim_core::run_job(series.job(3), move |env| {
             let win = env.win_allocate(MB).unwrap();
             env.barrier().unwrap();
-            match env.rank().idx() {
+            // Each origin's lock-epoch length; the target returns 0.
+            let epoch = match env.rank().idx() {
                 0 => {
                     let t0 = env.now();
                     if series.nonblocking() {
@@ -371,7 +368,7 @@ pub fn fig06_late_unlock() -> Table {
                         env.compute(SimTime::from_micros(DELAY_US));
                         env.unlock(win, Rank(2)).unwrap();
                     }
-                    r2.set("first", us(env.now() - t0));
+                    us(env.now() - t0)
                 }
                 1 => {
                     // Ensure O0 issues its lock first.
@@ -387,16 +384,17 @@ pub fn fig06_late_unlock() -> Table {
                         env.put_synthetic(win, Rank(2), 0, MB).unwrap();
                         env.unlock(win, Rank(2)).unwrap();
                     }
-                    r2.set("second", us(env.now() - t0));
+                    us(env.now() - t0)
                 }
-                _ => {}
-            }
+                _ => 0.0,
+            };
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            epoch
         })
         .unwrap();
-        first.push(rec.get("first"));
-        second.push(rec.get("second"));
+        first.push(report.results[0]);
+        second.push(report.results[1]);
     }
     t.push("first lock (O0)", first);
     t.push("second lock (O1)", second);

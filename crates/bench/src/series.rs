@@ -1,7 +1,4 @@
-//! The three test series of §VIII and shared measurement plumbing.
-
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+//! The three test series of §VIII.
 
 use mpisim_core::{JobConfig, SyncStrategy};
 
@@ -47,35 +44,6 @@ impl Series {
     }
 }
 
-/// A thread-safe scratchpad for timestamps measured inside rank closures,
-/// in microseconds.
-#[derive(Clone, Default)]
-pub struct Recorder {
-    inner: Arc<Mutex<BTreeMap<String, f64>>>,
-}
-
-impl Recorder {
-    /// Create an empty recorder.
-    pub fn new() -> Self {
-        Recorder::default()
-    }
-
-    /// Store a value (µs) under `key`.
-    pub fn set(&self, key: &str, us: f64) {
-        self.inner.lock().unwrap().insert(key.to_string(), us);
-    }
-
-    /// Fetch a value.
-    pub fn get(&self, key: &str) -> f64 {
-        *self
-            .inner
-            .lock()
-            .unwrap()
-            .get(key)
-            .unwrap_or_else(|| panic!("recorder key {key} missing"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,18 +58,5 @@ mod tests {
         assert_eq!(Series::New.job(2).strategy, SyncStrategy::Redesigned);
         assert!(Series::NewNb.nonblocking());
         assert!(!Series::New.nonblocking());
-    }
-
-    #[test]
-    fn recorder_roundtrip() {
-        let r = Recorder::new();
-        r.set("x", 1.5);
-        assert_eq!(r.get("x"), 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "missing")]
-    fn recorder_missing_key_panics() {
-        Recorder::new().get("nope");
     }
 }

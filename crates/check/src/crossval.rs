@@ -29,7 +29,7 @@ use mpisim_core::{Degradation, JobReport, SyncStrategy};
 
 use crate::lower::lower;
 use crate::program::{generate, Family};
-use crate::run::{exec_ir, exec_ir_with, execute_exec, RunOutcome, RunSpec};
+use crate::run::{exec_ir_with, execute_exec, RunOutcome, RunSpec};
 use crate::suite::{Arm, Outcome, Plant};
 
 /// Epochs the stall watchdog had to cancel.
@@ -52,7 +52,7 @@ fn layers_agree(ir: &IrProgram, expect: Option<Code>, seed: u64) -> Result<(), S
         None if !diags.is_empty() => return Err(format!("clean program flagged: {diags:?}")),
         _ => {}
     }
-    let report = exec_ir(ir, true, seed)
+    let (_, report) = exec_ir_with(ir, true, seed, SyncStrategy::Redesigned)
         .map_err(|f| format!("watchdog failed to terminate the run: {f}"))?;
     match (expect, stall_count(&report)) {
         (Some(code), 0) => Err(format!(

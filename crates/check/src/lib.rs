@@ -63,8 +63,6 @@ pub use lower::lower;
 pub use mpisim_core::SyncStrategy;
 pub use program::{generate, oracle, Epoch, Family, Op, Program};
 pub use recovery::crossval_recovery;
-pub use run::{
-    exec_ir, exec_ir_with, execute, execute_exec, RunFailure, RunOutcome, RunSpec,
-};
+pub use run::{exec_ir_with, execute, execute_exec, RunFailure, RunOutcome, RunSpec};
 pub use shrink::{reproducer, shrink};
 pub use suite::{Outcome, Plant, Sweep, PLANTS, SWEEPS};

@@ -5,7 +5,7 @@
 //! one interpreter — runs the result.
 
 use mpisim_analyze::{interpret, Run};
-pub use mpisim_analyze::{exec_ir, exec_ir_with, RunFailure};
+pub use mpisim_analyze::{exec_ir_with, RunFailure};
 use mpisim_core::{JobConfig, JobReport, RecoveryCfg, SyncStrategy};
 use mpisim_net::NetParams;
 use mpisim_sim::SimTime;
@@ -157,27 +157,20 @@ fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, nondet_tiebreak: bool
 
 /// Execute `program` under `spec` with the trace recorder attached.
 pub fn execute(program: &Program, spec: &RunSpec) -> Result<RunOutcome, RunFailure> {
-    execute_with_trace(program, spec, true)
+    execute_exec(program, spec, true, false)
 }
 
-/// Execute `program` under `spec`, choosing whether the trace recorder
-/// is attached. `trace: false` is the lean production-shaped path: the
-/// engine's tracing hooks must stay behind their branch-free guard and
-/// the run must be observably identical (verdict, memories, counters)
-/// to the full-trace run — see `tests/lean_trace.rs`.
-pub fn execute_with_trace(
-    program: &Program,
-    spec: &RunSpec,
-    trace: bool,
-) -> Result<RunOutcome, RunFailure> {
-    execute_exec(program, spec, trace, false)
-}
-
-/// Execute `program` under `spec`, optionally with the kernel's
-/// deliberately nondeterministic tie-break planted (validation backdoor;
-/// the determinism cross-check must then *fail*). The cross-check runs
-/// the same (program, spec) point twice in one process and requires the
-/// runs to be byte-identical in everything observable.
+/// Execute `program` under `spec`, choosing whether the trace recorder is
+/// attached and optionally with the kernel's deliberately nondeterministic
+/// tie-break planted.
+///
+/// `trace: false` is the lean production-shaped path: the engine's tracing
+/// hooks must stay behind their branch-free guard and the run must be
+/// observably identical (verdict, memories, counters) to the full-trace
+/// run — see `tests/lean_trace.rs`. `nondet_tiebreak` is a validation
+/// backdoor: the determinism cross-check runs the same (program, spec)
+/// point twice in one process, requires the runs to be byte-identical in
+/// everything observable, and must then *fail*.
 pub fn execute_exec(
     program: &Program,
     spec: &RunSpec,
@@ -225,7 +218,8 @@ mod tests {
 
     /// An operation outside any epoch is an API error, not a panic: the
     /// interpreter reports it, `execute`'s verdict is failure, and the
-    /// lenient `exec_ir` (the deadlock cross-validation's entry) finishes.
+    /// lenient `exec_ir_with` (the deadlock cross-validation's entry)
+    /// finishes.
     #[test]
     fn api_errors_are_data_that_execute_fails_on() {
         use mpisim_analyze::{IrProgram, Stmt};
@@ -236,7 +230,8 @@ mod tests {
         assert_eq!((run.errors[0].rank, run.errors[0].step), (0, 0));
         let Err(RunFailure::Panic(msg)) = outcome(run) else { panic!("errors must fail the run") };
         assert!(msg.starts_with("rank 0 stmt 0:"), "{msg}");
-        exec_ir(&ir, false, 7).expect("exec_ir tolerates API errors");
+        exec_ir_with(&ir, false, 7, SyncStrategy::Redesigned)
+            .expect("exec_ir_with tolerates API errors");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Job driver: spawn one simulated process per rank, run the SPMD closure
-//! on each, and collect the report.
+//! on each, and collect the report with each rank's return value.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use mpisim_net::NetStats;
@@ -11,9 +12,12 @@ use crate::config::JobConfig;
 use crate::engine::{Engine, RankStats};
 use crate::types::Rank;
 
-/// Everything a finished job reports.
+/// Everything a finished job reports; `R` is what each rank's closure
+/// returned.
 #[derive(Debug)]
-pub struct JobReport {
+pub struct JobReport<R = ()> {
+    /// Each rank's closure return value, in rank order.
+    pub results: Vec<R>,
     /// Virtual time when the last rank finished.
     pub final_time: SimTime,
     /// Kernel statistics.
@@ -43,7 +47,22 @@ pub struct JobReport {
     pub recoveries: Vec<crate::engine::RecoveryReport>,
 }
 
-impl JobReport {
+impl<R> JobReport<R> {
+    /// Take the rank results out, leaving the report a unit-returning job
+    /// would have given.
+    pub fn split_results(self) -> (Vec<R>, JobReport) {
+        let JobReport {
+            results, final_time, sim, net, ranks, trace, sync_trace, req_events,
+            live_requests, engine, degradations, recoveries,
+        } = self;
+        let unit = JobReport {
+            results: vec![(); results.len()],
+            final_time, sim, net, ranks, trace, sync_trace, req_events,
+            live_requests, engine, degradations, recoveries,
+        };
+        (results, unit)
+    }
+
     /// `true` when the run recorded no degraded-mode events: no corrupt
     /// sync packets, checksum failures, exhausted retries, peer crashes,
     /// or watchdog-cancelled epochs.
@@ -66,7 +85,10 @@ impl JobReport {
 }
 
 /// Run an SPMD program: `f` is executed once per rank against its
-/// [`RankEnv`]. Returns when every rank's closure returns.
+/// [`RankEnv`]. Returns when every rank's closure returns; the report's
+/// `results` holds what each returned, in rank order (not finish order).
+/// A job that deadlocks or hits the event cap is `Err` and returns no
+/// results at all.
 ///
 /// ```
 /// use mpisim_core::{run_job, JobConfig};
@@ -78,34 +100,39 @@ impl JobReport {
 ///         env.put(win, mpisim_core::Rank(1), 0, &[42]).unwrap();
 ///     }
 ///     env.fence(win).unwrap();
-///     if env.rank().idx() == 1 {
-///         assert_eq!(env.read_local(win, 0, 1).unwrap(), vec![42]);
-///     }
+///     let got = env.read_local(win, 0, 1).unwrap()[0];
 ///     env.win_free(win).unwrap();
+///     got
 /// })
 /// .unwrap();
+/// assert_eq!(report.results, vec![0, 42, 0, 0]);
 /// assert!(report.final_time > mpisim_sim::SimTime::ZERO);
 /// ```
-pub fn run_job<F>(cfg: JobConfig, f: F) -> Result<JobReport, SimError>
+pub fn run_job<F, R>(cfg: JobConfig, f: F) -> Result<JobReport<R>, SimError>
 where
-    F: Fn(&mut RankEnv) + 'static,
+    F: Fn(&mut RankEnv) -> R + 'static,
+    R: 'static,
 {
     let mut sim = Sim::new(cfg.seed);
     sim.set_tiebreak_seed(cfg.tiebreak_seed);
     sim.set_nondet_tiebreak(cfg.nondet_tiebreak);
     let eng = Engine::new(sim.handle(), cfg.clone());
     let f = Rc::new(f);
+    let slots: Rc<[Cell<Option<R>>]> = (0..cfg.n_ranks).map(|_| Cell::new(None)).collect();
     for r in 0..cfg.n_ranks {
         let eng = eng.clone();
         let f = f.clone();
+        let slots = slots.clone();
         sim.spawn(format!("rank{r}"), move |ctx| {
             let mut env = RankEnv::new(ctx, eng, Rank(r));
-            f(&mut env);
+            slots[r].set(Some(f(&mut env)));
         });
     }
     let stats = sim.run()?;
+    let results = slots.iter().map(|s| s.take().expect("every rank returned")).collect();
     let ranks = (0..cfg.n_ranks).map(|r| eng.rank_stats(Rank(r))).collect();
     Ok(JobReport {
+        results,
         final_time: stats.final_time,
         sim: stats,
         net: eng.network().stats(),

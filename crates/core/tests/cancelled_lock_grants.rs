@@ -5,7 +5,6 @@
 //! blocking flush inside a lazy-deferred lock epoch must force lock
 //! acquisition instead of self-deadlocking.
 
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::{
     run_job, Degradation, JobConfig, LockKind, Rank, SyncStrategy,
@@ -91,11 +90,10 @@ fn cancelled_epoch_releases_grants_it_holds() {
     cfg.net.faults = Some(plan);
     let budget = SimTime::from_millis(1);
     cfg = cfg.with_watchdog(budget);
-    let unlocked_at = Arc::new(Mutex::new(SimTime::ZERO));
-    let ua = unlocked_at.clone();
-    let report = run_job(cfg, move |env| {
+    let report = run_job(cfg, |env| {
         let win = env.win_allocate(64).unwrap();
         env.barrier().unwrap();
+        // When rank 1 had unlocked; the others return zero.
         match env.rank().idx() {
             0 => {
                 env.compute(SimTime::from_micros(100)); // step past the cut
@@ -106,6 +104,7 @@ fn cancelled_epoch_releases_grants_it_holds() {
                 let u = env.iunlock_all(win).unwrap();
                 env.wait(l).unwrap();
                 env.wait(u).unwrap(); // returns via watchdog cancellation
+                SimTime::ZERO
             }
             1 => {
                 // Wait until well after rank 0 was cancelled, then take
@@ -114,9 +113,9 @@ fn cancelled_epoch_releases_grants_it_holds() {
                 env.compute(SimTime::from_millis(3));
                 env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
                 env.unlock(win, Rank(1)).unwrap();
-                *ua.lock().unwrap() = env.now();
+                env.now()
             }
-            _ => {}
+            _ => SimTime::ZERO,
         }
         // No closing collective: the partition never heals.
     })
@@ -150,7 +149,7 @@ fn cancelled_epoch_releases_grants_it_holds() {
         (15_647_304, 139, 51)
     );
     assert_eq!((e.sweeps, e.step_runs), (84, [19, 22, 10, 0, 22, 6, 5]));
-    let t = *unlocked_at.lock().unwrap();
+    let t = report.results[1];
     assert!(
         t >= SimTime::from_millis(3) && t < SimTime::from_millis(4),
         "rank 1's lock must complete promptly after the release, got {t:?}"
@@ -163,14 +162,13 @@ fn cancelled_epoch_releases_grants_it_holds() {
 /// of waiting on an epoch that will never activate on its own.
 #[test]
 fn blocking_flush_forces_lazy_lock_acquisition() {
-    let seen_at_flush = Arc::new(Mutex::new(Vec::new()));
-    let seen = seen_at_flush.clone();
     let report = run_job(
         JobConfig::all_internode(2).with_strategy(SyncStrategy::LazyBaseline),
-        move |env| {
+        |env| {
             let win = env.win_allocate(64).unwrap();
             env.barrier().unwrap();
-            if env.rank().idx() == 0 {
+            // What rank 1 saw mid-epoch; rank 0 returns nothing.
+            let seen = if env.rank().idx() == 0 {
                 env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
                 env.put(win, Rank(1), 0, b"flushed").unwrap();
                 // Self-deadlock hazard: under the lazy baseline nothing
@@ -179,22 +177,24 @@ fn blocking_flush_forces_lazy_lock_acquisition() {
                 env.compute(SimTime::from_millis(1));
                 env.put(win, Rank(1), 32, b"unlocked").unwrap();
                 env.unlock(win, Rank(1)).unwrap();
+                Vec::new()
             } else {
                 // Read mid-epoch, long before rank 0's unlock at ~1 ms:
                 // only a forced flush can have landed the bytes by now.
                 env.compute(SimTime::from_micros(500));
-                *seen.lock().unwrap() = env.read_local(win, 0, 7).unwrap();
-            }
+                env.read_local(win, 0, 7).unwrap()
+            };
             env.barrier().unwrap();
             if env.rank().idx() == 1 {
                 assert_eq!(env.read_local(win, 0, 7).unwrap(), b"flushed");
                 assert_eq!(env.read_local(win, 32, 8).unwrap(), b"unlocked");
             }
             env.win_free(win).unwrap();
+            seen
         },
     )
     .unwrap();
     assert!(report.is_clean(), "{:?}", report.degradations);
-    assert_eq!(*seen_at_flush.lock().unwrap(), b"flushed");
+    assert_eq!(report.results[1], b"flushed");
     assert_eq!(report.engine.epochs_cancelled, 0);
 }

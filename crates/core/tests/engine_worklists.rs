@@ -376,13 +376,10 @@ fn target_visits_grow_with_messages_not_ranks_times_messages() {
 /// must leave the same window contents and count the same protocol events.
 #[test]
 fn sync_plane_is_the_same_on_both_transports() {
-    use std::sync::{Arc, Mutex};
     let run = |per_node: usize| {
         let mut cfg = JobConfig::new(4);
         cfg.cores_per_node = per_node;
-        let mems = Arc::new(Mutex::new(vec![Vec::new(); 4]));
-        let out = mems.clone();
-        let r = run_job(cfg, move |env| {
+        let r = run_job(cfg, |env| {
             let win = env.win_allocate_with(24, WinInfo::all_reorder()).unwrap();
             env.barrier().unwrap();
             let (me, n) = (env.rank().idx(), env.n_ranks());
@@ -403,13 +400,14 @@ fn sync_plane_is_the_same_on_both_transports() {
             }
             env.unlock_all(win).unwrap();
             env.barrier().unwrap();
-            out.lock().unwrap()[me] = env.read_local(win, 0, 24).unwrap();
+            let mem = env.read_local(win, 0, 24).unwrap();
             env.win_free(win).unwrap();
+            mem
         })
         .unwrap();
         assert!(r.is_clean(), "{:?}", r.degradations);
         let s = r.engine;
-        let mems = std::mem::take(&mut *mems.lock().unwrap());
+        let mems = r.results;
         let counts = (
             s.lock_grants,
             s.exposure_grants,

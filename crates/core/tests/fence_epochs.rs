@@ -46,10 +46,7 @@ fn fence_many_rounds_accumulate() {
 
 #[test]
 fn fence_barrier_semantics_blocks_until_all_arrive() {
-    use std::sync::{Arc, Mutex};
-    let exit_times = Arc::new(Mutex::new(vec![0u64; 2]));
-    let et = exit_times.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(64).unwrap();
         env.fence(win).unwrap();
         if env.rank().idx() == 1 {
@@ -57,11 +54,12 @@ fn fence_barrier_semantics_blocks_until_all_arrive() {
             env.compute(mpisim_sim::SimTime::from_micros(500));
         }
         env.fence(win).unwrap();
-        et.lock().unwrap()[env.rank().idx()] = env.now().as_nanos();
+        let exit_time = env.now().as_nanos();
         env.win_free(win).unwrap();
+        exit_time
     })
     .unwrap();
-    let t = exit_times.lock().unwrap();
+    let t = report.results;
     // Rank 0's closing fence cannot exit before rank 1 reaches its own.
     assert!(
         t[0] >= 500_000,

@@ -1,8 +1,6 @@
 //! Tests for the `unsafe_fence_reorder` extension — the paper's §X future
 //! work: enabling the progress-engine optimization flags for fence epochs.
 
-use std::sync::{Arc, Mutex};
-
 use mpisim_core::{run_job, Group, JobConfig, Rank, WinInfo};
 use mpisim_sim::SimTime;
 
@@ -19,19 +17,19 @@ fn gats_after_fence(fence_reorder: bool) -> f64 {
         exposure_after_access: true,
         unsafe_fence_reorder: fence_reorder,
     };
-    let out = Arc::new(Mutex::new(0.0f64));
-    let o2 = out.clone();
-    run_job(JobConfig::all_internode(3), move |env| {
+    let report = run_job(JobConfig::all_internode(3), move |env| {
         let win = env.win_allocate_with(MB, info).unwrap();
         env.barrier().unwrap();
         env.fence(win).unwrap(); // opening fence
         let t0 = env.now();
-        match env.rank().idx() {
+        // The GATS target's epoch length; the others return 0.
+        let epoch = match env.rank().idx() {
             0 => {
                 // Delays the fence barrier for everyone.
                 env.compute(SimTime::from_micros(1000));
                 env.fence(win).unwrap();
                 // Participate in nothing else.
+                0.0
             }
             1 => {
                 // Closes the fence nonblockingly, then opens a GATS access
@@ -42,22 +40,24 @@ fn gats_after_fence(fence_reorder: bool) -> f64 {
                 let rc = env.icomplete(win).unwrap();
                 env.wait(rc).unwrap();
                 env.wait(rf).unwrap();
+                0.0
             }
             _ => {
                 let rf = env.ifence(win).unwrap();
                 env.post(win, Group::single(Rank(1))).unwrap();
                 env.wait_epoch(win).unwrap();
-                *o2.lock().unwrap() = (env.now() - t0).as_micros_f64();
+                let epoch = (env.now() - t0).as_micros_f64();
                 env.wait(rf).unwrap();
+                epoch
             }
-        }
+        };
         // Drain the trailing fence phase collectively.
         env.fence(win).unwrap();
         env.win_free(win).unwrap();
+        epoch
     })
     .unwrap();
-    let v = *out.lock().unwrap();
-    v
+    report.results[2]
 }
 
 #[test]
@@ -83,29 +83,28 @@ fn fence_reorder_unblocks_subsequent_gats_epoch() {
 fn fence_barrier_itself_still_holds_under_extension() {
     // The extension must not weaken the fence's own completion: the
     // ifence request still completes only after every rank fences.
-    let done_at = Arc::new(Mutex::new(0u64));
-    let d2 = done_at.clone();
     let info = WinInfo {
         unsafe_fence_reorder: true,
         ..WinInfo::all_reorder()
     };
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), move |env| {
         let win = env.win_allocate_with(64, info).unwrap();
         env.fence(win).unwrap();
         if env.rank().idx() == 0 {
             let r = env.ifence(win).unwrap();
             env.wait(r).unwrap();
-            *d2.lock().unwrap() = env.now().as_nanos();
         } else {
             env.compute(SimTime::from_micros(700));
             env.fence(win).unwrap();
         }
+        let done_at = env.now().as_nanos();
         env.fence(win).unwrap();
         env.win_free(win).unwrap();
+        done_at
     })
     .unwrap();
     assert!(
-        *done_at.lock().unwrap() >= 700_000,
+        report.results[0] >= 700_000,
         "ifence completed before the late rank fenced"
     );
 }

@@ -1,6 +1,5 @@
 //! Integration tests: the flush family and atomic RMA operations.
 
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::{run_job, Datatype, JobConfig, LockKind, Rank, ReduceOp};
 use mpisim_sim::SimTime;
@@ -36,11 +35,10 @@ fn flush_completes_prior_ops_without_closing_epoch() {
 fn iflush_age_stamping_covers_only_prior_ops() {
     // §VII.C: "new RMA calls can be issued after an MPI_WIN_IFLUSH call
     // that is yet to complete" — the flush must not wait for them.
-    let t = Arc::new(Mutex::new((0u64, 0u64)));
-    let tt = t.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(4 << 20).unwrap();
         env.barrier().unwrap();
+        let mut waits = (0, 0);
         if env.rank().idx() == 0 {
             env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
             // Small op, then iflush, then a huge op the flush must ignore.
@@ -53,16 +51,15 @@ fn iflush_age_stamping_covers_only_prior_ops() {
             let t1 = env.now();
             env.unlock(win, Rank(1)).unwrap();
             let unlock_wait = (env.now() - t1).as_nanos();
-            *tt.lock().unwrap() = (flush_wait, unlock_wait);
+            waits = (flush_wait, unlock_wait);
         }
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        waits
     })
     .unwrap();
-    let (flush_us, unlock_us) = {
-        let v = t.lock().unwrap();
-        (v.0 as f64 / 1000.0, v.1 as f64 / 1000.0)
-    };
+    let v = report.results[0];
+    let (flush_us, unlock_us) = (v.0 as f64 / 1000.0, v.1 as f64 / 1000.0);
     // The flush covers only the 64-byte put: quick. The unlock covers the
     // 2 MB put: hundreds of µs.
     assert!(
@@ -77,11 +74,10 @@ fn iflush_age_stamping_covers_only_prior_ops() {
 
 #[test]
 fn flush_local_vs_flush_remote_semantics() {
-    let t = Arc::new(Mutex::new((0u64, 0u64)));
-    let tt = t.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(2 << 20).unwrap();
         env.barrier().unwrap();
+        let mut waits = (0, 0);
         if env.rank().idx() == 0 {
             env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
             env.put_synthetic(win, Rank(1), 0, 1 << 20).unwrap();
@@ -92,13 +88,14 @@ fn flush_local_vs_flush_remote_semantics() {
             env.flush(win, Rank(1)).unwrap();
             let remote = (env.now() - t1).as_nanos();
             env.unlock(win, Rank(1)).unwrap();
-            *tt.lock().unwrap() = (local, remote);
+            waits = (local, remote);
         }
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        waits
     })
     .unwrap();
-    let (local, remote) = *t.lock().unwrap();
+    let (local, remote) = report.results[0];
     // flush_local returns at local completion; the full flush additionally
     // covers the remote delivery + ack.
     assert!(remote > 0, "remote flush had nothing left to wait for");
@@ -181,9 +178,7 @@ fn fetch_and_op_serializes_concurrent_counters() {
 
 #[test]
 fn compare_and_swap_elects_exactly_one_winner() {
-    let winners = Arc::new(Mutex::new(0usize));
-    let w2 = winners.clone();
-    run_job(JobConfig::all_internode(5), move |env| {
+    let report = run_job(JobConfig::all_internode(5), |env| {
         let win = env.win_allocate(8).unwrap();
         env.barrier().unwrap();
         env.lock_all(win).unwrap();
@@ -193,18 +188,17 @@ fn compare_and_swap_elects_exactly_one_winner() {
             .unwrap();
         env.unlock_all(win).unwrap();
         let old = u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
-        if old == 0 {
-            *w2.lock().unwrap() += 1;
-        }
         env.barrier().unwrap();
         if env.rank().idx() == 0 {
             let v = u64::from_le_bytes(env.read_local(win, 0, 8).unwrap().try_into().unwrap());
             assert!((1..=5).contains(&v));
         }
         env.win_free(win).unwrap();
+        old == 0
     })
     .unwrap();
-    assert_eq!(*winners.lock().unwrap(), 1, "CAS must elect exactly one winner");
+    let winners = report.results.iter().filter(|won| **won).count();
+    assert_eq!(winners, 1, "CAS must elect exactly one winner");
 }
 
 #[test]
@@ -260,24 +254,23 @@ fn no_overlap_for_large_accumulate() {
     // §VIII.A: accumulates above 8 KB cannot overlap because of the
     // internal rendezvous. We verify the epoch cannot complete before the
     // rendezvous round trip even when closed early.
-    let t = Arc::new(Mutex::new(0u64));
-    let tt = t.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(1 << 20).unwrap();
         env.barrier().unwrap();
+        let t0 = env.now();
         if env.rank().idx() == 0 {
-            let t0 = env.now();
             env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
             env.accumulate_synthetic(win, Rank(1), 0, Datatype::U64, ReduceOp::Sum, 1 << 20)
                 .unwrap();
             env.unlock(win, Rank(1)).unwrap();
-            *tt.lock().unwrap() = (env.now() - t0).as_nanos();
         }
+        let epoch = (env.now() - t0).as_nanos();
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        epoch
     })
     .unwrap();
-    let us = *t.lock().unwrap() as f64 / 1000.0;
+    let us = report.results[0] as f64 / 1000.0;
     // 1 MB at ≈340 µs plus the RTS/CTS round trip and ack.
     assert!(us > 340.0, "large accumulate finished implausibly fast: {us} µs");
 }
@@ -331,13 +324,11 @@ fn noop_fetch_reads_atomically() {
 #[test]
 fn synthetic_payloads_time_like_real_ones() {
     fn run(synthetic: bool) -> u64 {
-        let t = Arc::new(Mutex::new(0u64));
-        let tt = t.clone();
-        run_job(JobConfig::all_internode(2), move |env| {
+        let report = run_job(JobConfig::all_internode(2), move |env| {
             let win = env.win_allocate(1 << 20).unwrap();
             env.barrier().unwrap();
+            let t0 = env.now();
             if env.rank().idx() == 0 {
-                let t0 = env.now();
                 env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
                 if synthetic {
                     env.put_synthetic(win, Rank(1), 0, 1 << 20).unwrap();
@@ -345,14 +336,14 @@ fn synthetic_payloads_time_like_real_ones() {
                     env.put(win, Rank(1), 0, &vec![1u8; 1 << 20]).unwrap();
                 }
                 env.unlock(win, Rank(1)).unwrap();
-                *tt.lock().unwrap() = (env.now() - t0).as_nanos();
             }
+            let epoch = (env.now() - t0).as_nanos();
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            epoch
         })
         .unwrap();
-        let v = *t.lock().unwrap();
-        v
+        report.results[0]
     }
     assert_eq!(run(true), run(false), "synthetic and real payloads must cost the same time");
 }

@@ -1,6 +1,5 @@
 //! Integration tests: general active-target synchronization (GATS).
 
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::{run_job, Group, JobConfig, Rank, SyncStrategy};
 use mpisim_sim::SimTime;
@@ -143,9 +142,7 @@ fn win_test_polls_exposure() {
 fn late_post_blocks_blocking_complete() {
     // The Late Post inefficiency (§III): with blocking synchronization the
     // origin's `complete` absorbs the target's lateness.
-    let t_complete = Arc::new(Mutex::new(0u64));
-    let tc = t_complete.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(1 << 20).unwrap();
         env.barrier().unwrap();
         if env.rank().idx() == 1 {
@@ -156,12 +153,13 @@ fn late_post_blocks_blocking_complete() {
             env.start(win, Group::single(Rank(1))).unwrap();
             env.put_synthetic(win, Rank(1), 0, 1 << 20).unwrap();
             env.complete(win).unwrap();
-            *tc.lock().unwrap() = env.now().as_nanos();
         }
+        let done = env.now().as_nanos();
         env.win_free(win).unwrap();
+        done
     })
     .unwrap();
-    let t = *t_complete.lock().unwrap() as f64 / 1000.0; // µs
+    let t = report.results[0] as f64 / 1000.0; // µs
     assert!(
         (1300.0..1500.0).contains(&t),
         "blocking complete under Late Post took {t} µs, expected ≈1340 µs"
@@ -172,11 +170,10 @@ fn late_post_blocks_blocking_complete() {
 fn icomplete_escapes_late_post() {
     // With MPI_WIN_ICOMPLETE the origin returns in ε and can proceed
     // (Eq. 2 of §IV.C.1).
-    let t_call = Arc::new(Mutex::new(0u64));
-    let tc = t_call.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(1 << 20).unwrap();
         env.barrier().unwrap();
+        let mut t_call = 0;
         if env.rank().idx() == 1 {
             env.compute(SimTime::from_micros(1000));
             env.post(win, Group::single(Rank(0))).unwrap();
@@ -186,13 +183,14 @@ fn icomplete_escapes_late_post() {
             env.start(win, Group::single(Rank(1))).unwrap();
             env.put_synthetic(win, Rank(1), 0, 1 << 20).unwrap();
             let req = env.icomplete(win).unwrap();
-            *tc.lock().unwrap() = (env.now() - t0).as_nanos();
+            t_call = (env.now() - t0).as_nanos();
             env.wait(req).unwrap();
         }
         env.win_free(win).unwrap();
+        t_call
     })
     .unwrap();
-    let t = *t_call.lock().unwrap() as f64 / 1000.0;
+    let t = report.results[0] as f64 / 1000.0;
     assert!(
         t < 20.0,
         "istart+put+icomplete took {t} µs, expected only ε-class overhead"
@@ -207,11 +205,9 @@ fn gats_lazy_baseline_waits_for_all_targets() {
     // target still receives its data early under Redesigned but late under
     // LazyBaseline.
     fn run(strategy: SyncStrategy) -> u64 {
-        let t_recv = Arc::new(Mutex::new(0u64));
-        let tr = t_recv.clone();
-        run_job(
+        let report = run_job(
             JobConfig::all_internode(3).with_strategy(strategy),
-            move |env| {
+            |env| {
                 let win = env.win_allocate(1 << 20).unwrap();
                 env.barrier().unwrap();
                 match env.rank().idx() {
@@ -225,7 +221,6 @@ fn gats_lazy_baseline_waits_for_all_targets() {
                         // Punctual target.
                         env.post(win, Group::single(Rank(0))).unwrap();
                         env.wait_epoch(win).unwrap();
-                        *tr.lock().unwrap() = env.now().as_nanos();
                     }
                     _ => {
                         // Late target.
@@ -234,12 +229,14 @@ fn gats_lazy_baseline_waits_for_all_targets() {
                         env.wait_epoch(win).unwrap();
                     }
                 }
+                let done = env.now().as_nanos();
                 env.win_free(win).unwrap();
+                done
             },
         )
         .unwrap();
-        let v = *t_recv.lock().unwrap();
-        v
+        // Rank 1 is the punctual target.
+        report.results[1]
     }
     let eager = run(SyncStrategy::Redesigned);
     let lazy = run(SyncStrategy::LazyBaseline);

@@ -1,6 +1,5 @@
 //! Integration tests: passive-target epochs (lock/unlock, lock_all).
 
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::{run_job, Datatype, JobConfig, LockKind, Rank, ReduceOp, SyncStrategy};
 use mpisim_sim::SimTime;
@@ -50,13 +49,12 @@ fn exclusive_locks_serialize_atomic_increments() {
 
 #[test]
 fn shared_locks_coexist_exclusive_waits() {
-    let order = Arc::new(Mutex::new(Vec::<(usize, u64)>::new()));
-    let ord = order.clone();
-    run_job(JobConfig::all_internode(4), move |env| {
+    let report = run_job(JobConfig::all_internode(4), |env| {
         let win = env.win_allocate(8).unwrap();
         env.write_local(win, 0, &7u64.to_le_bytes()).unwrap();
         env.barrier().unwrap();
-        match env.rank().idx() {
+        // When each reader had read, and when the writer was done.
+        let done = match env.rank().idx() {
             1 | 2 => {
                 // Two shared readers hold the lock for 200 µs.
                 env.lock(win, Rank(0), LockKind::Shared).unwrap();
@@ -64,9 +62,10 @@ fn shared_locks_coexist_exclusive_waits() {
                 env.flush(win, Rank(0)).unwrap();
                 let v = u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
                 assert_eq!(v, 7);
-                ord.lock().unwrap().push((env.rank().idx(), env.now().as_nanos()));
+                let read_at = env.now().as_nanos();
                 env.compute(SimTime::from_micros(200));
                 env.unlock(win, Rank(0)).unwrap();
+                read_at
             }
             3 => {
                 // A later exclusive writer must wait for both readers.
@@ -74,26 +73,22 @@ fn shared_locks_coexist_exclusive_waits() {
                 env.lock(win, Rank(0), LockKind::Exclusive).unwrap();
                 env.put(win, Rank(0), 0, &9u64.to_le_bytes()).unwrap();
                 env.unlock(win, Rank(0)).unwrap();
-                ord.lock().unwrap().push((3, env.now().as_nanos()));
+                env.now().as_nanos()
             }
-            _ => {}
-        }
+            _ => 0,
+        };
         env.barrier().unwrap();
         if env.rank().idx() == 0 {
             let got = env.read_local(win, 0, 8).unwrap();
             assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 9);
         }
         env.win_free(win).unwrap();
+        done
     })
     .unwrap();
-    let log = order.lock().unwrap();
-    let readers_done = log
-        .iter()
-        .filter(|(r, _)| *r == 1 || *r == 2)
-        .map(|(_, t)| *t)
-        .max()
-        .unwrap();
-    let writer_done = log.iter().find(|(r, _)| *r == 3).unwrap().1;
+    let done = report.results;
+    let readers_done = done[1].max(done[2]);
+    let writer_done = done[3];
     assert!(
         writer_done > readers_done + 200_000,
         "exclusive writer finished at {writer_done}ns, before shared holders released \
@@ -173,12 +168,11 @@ fn late_unlock_shapes_blocking_vs_nonblocking() {
     // works 1000 µs before unlocking delays the next requester — unless the
     // epoch is closed early with IUNLOCK.
     fn second_lock_latency(nonblocking: bool) -> f64 {
-        let t = Arc::new(Mutex::new((0u64, 0u64)));
-        let tt = t.clone();
-        run_job(JobConfig::all_internode(3), move |env| {
+        let report = run_job(JobConfig::all_internode(3), move |env| {
             let win = env.win_allocate(1 << 20).unwrap();
             env.barrier().unwrap();
-            match env.rank().idx() {
+            // The second requester's epoch length; the others return 0.
+            let epoch = match env.rank().idx() {
                 0 => {
                     // First holder.
                     env.lock(win, Rank(2), LockKind::Exclusive).unwrap();
@@ -192,6 +186,7 @@ fn late_unlock_shapes_blocking_vs_nonblocking() {
                         env.compute(SimTime::from_micros(1000));
                         env.unlock(win, Rank(2)).unwrap();
                     }
+                    0
                 }
                 1 => {
                     // Second requester, slightly later.
@@ -200,16 +195,16 @@ fn late_unlock_shapes_blocking_vs_nonblocking() {
                     env.lock(win, Rank(2), LockKind::Exclusive).unwrap();
                     env.put_synthetic(win, Rank(2), 0, 1 << 20).unwrap();
                     env.unlock(win, Rank(2)).unwrap();
-                    tt.lock().unwrap().1 = (env.now() - t0).as_nanos();
+                    (env.now() - t0).as_nanos()
                 }
-                _ => {}
-            }
+                _ => 0,
+            };
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            epoch
         })
         .unwrap();
-        let v = t.lock().unwrap().1 as f64 / 1000.0;
-        v
+        report.results[1] as f64 / 1000.0
     }
     let blocking = second_lock_latency(false);
     let nonblocking = second_lock_latency(true);
@@ -227,25 +222,26 @@ fn late_unlock_shapes_blocking_vs_nonblocking() {
 fn writers_are_not_starved_by_reader_streams() {
     // FIFO fairness at the lock manager: a shared request arriving after a
     // queued exclusive request waits behind it.
-    let order = Arc::new(Mutex::new(Vec::<(&'static str, u64)>::new()));
-    let ord = order.clone();
-    run_job(JobConfig::all_internode(4), move |env| {
+    let report = run_job(JobConfig::all_internode(4), |env| {
         let win = env.win_allocate(8).unwrap();
         env.barrier().unwrap();
-        match env.rank().idx() {
+        // When the writer and the second reader were granted.
+        let granted = match env.rank().idx() {
             1 => {
                 // First reader holds 300 µs.
                 env.lock(win, Rank(0), LockKind::Shared).unwrap();
                 env.compute(SimTime::from_micros(300));
                 env.unlock(win, Rank(0)).unwrap();
+                0
             }
             2 => {
                 // Writer arrives while the reader holds.
                 env.compute(SimTime::from_micros(50));
                 env.lock(win, Rank(0), LockKind::Exclusive).unwrap();
-                ord.lock().unwrap().push(("writer", env.now().as_nanos()));
+                let granted = env.now().as_nanos();
                 env.compute(SimTime::from_micros(50));
                 env.unlock(win, Rank(0)).unwrap();
+                granted
             }
             3 => {
                 // Second reader arrives after the writer queued: although
@@ -253,18 +249,18 @@ fn writers_are_not_starved_by_reader_streams() {
                 // it wait behind the writer.
                 env.compute(SimTime::from_micros(150));
                 env.lock(win, Rank(0), LockKind::Shared).unwrap();
-                ord.lock().unwrap().push(("reader2", env.now().as_nanos()));
+                let granted = env.now().as_nanos();
                 env.unlock(win, Rank(0)).unwrap();
+                granted
             }
-            _ => {}
-        }
+            _ => 0,
+        };
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        granted
     })
     .unwrap();
-    let log = order.lock().unwrap();
-    let w = log.iter().find(|e| e.0 == "writer").unwrap().1;
-    let r2 = log.iter().find(|e| e.0 == "reader2").unwrap().1;
+    let (w, r2) = (report.results[2], report.results[3]);
     assert!(
         r2 > w,
         "late reader ({r2}ns) overtook the queued writer ({w}ns): starvation hazard"
@@ -276,25 +272,23 @@ fn lazy_baseline_has_no_lock_overlap() {
     // MVAPICH's lazy lock acquisition (§VIII.A): the epoch degenerates to
     // the unlock call, so in-epoch work cannot overlap the transfer.
     fn epoch_length(strategy: SyncStrategy) -> f64 {
-        let t = Arc::new(Mutex::new(0u64));
-        let tt = t.clone();
-        run_job(JobConfig::all_internode(2).with_strategy(strategy), move |env| {
+        let report = run_job(JobConfig::all_internode(2).with_strategy(strategy), |env| {
             let win = env.win_allocate(1 << 20).unwrap();
             env.barrier().unwrap();
+            let t0 = env.now();
             if env.rank().idx() == 0 {
-                let t0 = env.now();
                 env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
                 env.put_synthetic(win, Rank(1), 0, 1 << 20).unwrap();
                 env.compute(SimTime::from_micros(1000));
                 env.unlock(win, Rank(1)).unwrap();
-                *tt.lock().unwrap() = (env.now() - t0).as_nanos();
             }
+            let epoch = (env.now() - t0).as_nanos();
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            epoch
         })
         .unwrap();
-        let v = *t.lock().unwrap() as f64 / 1000.0;
-        v
+        report.results[0] as f64 / 1000.0
     }
     let lazy = epoch_length(SyncStrategy::LazyBaseline);
     let eager = epoch_length(SyncStrategy::Redesigned);

@@ -2,7 +2,6 @@
 //! accumulate ordering between a pair, flush corner cases, window
 //! lifecycle errors, and multi-window interleavings.
 
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::{
     run_job, Datatype, Group, JobConfig, LockKind, Rank, ReduceOp, RmaError, CALL_ENTRY,
@@ -141,13 +140,12 @@ fn exposure_group_with_multiple_origins_and_staggered_arrivals() {
 fn interleaved_epochs_on_two_windows_do_not_serialize() {
     // Epoch ordering is per window: an incomplete epoch on window A must
     // not defer epochs on window B.
-    let t = Arc::new(Mutex::new(0u64));
-    let t2 = t.clone();
-    run_job(JobConfig::all_internode(3), move |env| {
+    let report = run_job(JobConfig::all_internode(3), |env| {
         let wa = env.win_allocate(1 << 20).unwrap();
         let wb = env.win_allocate(1 << 20).unwrap();
         env.barrier().unwrap();
-        match env.rank().idx() {
+        // Rank 2's epoch length on window B; the others return 0.
+        let t = match env.rank().idx() {
             0 => {
                 // Epoch on A toward the late rank 1...
                 env.start(wa, Group::single(Rank(1))).unwrap();
@@ -159,25 +157,28 @@ fn interleaved_epochs_on_two_windows_do_not_serialize() {
                 let rb = env.icomplete(wb).unwrap();
                 env.wait(rb).unwrap();
                 env.wait(ra).unwrap();
+                0
             }
             1 => {
                 env.compute(SimTime::from_micros(1000));
                 env.post(wa, Group::single(Rank(0))).unwrap();
                 env.wait_epoch(wa).unwrap();
+                0
             }
             _ => {
                 let t0 = env.now();
                 env.post(wb, Group::single(Rank(0))).unwrap();
                 env.wait_epoch(wb).unwrap();
-                *t2.lock().unwrap() = (env.now() - t0).as_nanos();
+                (env.now() - t0).as_nanos()
             }
-        }
+        };
         env.barrier().unwrap();
         env.win_free(wa).unwrap();
         env.win_free(wb).unwrap();
+        t
     })
     .unwrap();
-    let us = *t.lock().unwrap() as f64 / 1000.0;
+    let us = report.results[2] as f64 / 1000.0;
     assert!(
         us < 800.0,
         "window B's epoch absorbed window A's delay: {us} µs"

@@ -1,6 +1,5 @@
 //! Integration tests: two-sided messaging and the dissemination barrier.
 
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::{run_job, JobConfig, Rank};
 use mpisim_sim::SimTime;
@@ -88,20 +87,18 @@ fn isend_irecv_overlap() {
 fn two_sided_1mb_takes_about_340us() {
     // The paper quotes ≈340 µs for a 1 MB transfer on its testbed; the
     // two-sided path adds only the rendezvous handshake.
-    let t = Arc::new(Mutex::new(0u64));
-    let tt = t.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
+        let t0 = env.now();
         if env.rank().idx() == 0 {
-            let t0 = env.now();
             env.send(Rank(1), 0, &vec![1u8; 1 << 20]).unwrap();
             // Blocking send returns at local completion.
-            *tt.lock().unwrap() = (env.now() - t0).as_nanos();
         } else {
             let _ = env.recv(Rank(0), 0).unwrap();
         }
+        (env.now() - t0).as_nanos()
     })
     .unwrap();
-    let us = *t.lock().unwrap() as f64 / 1000.0;
+    let us = report.results[0] as f64 / 1000.0;
     assert!(
         (330.0..400.0).contains(&us),
         "1 MB send took {us} µs, expected ≈340-350 µs"
@@ -110,17 +107,14 @@ fn two_sided_1mb_takes_about_340us() {
 
 #[test]
 fn barrier_synchronizes_everyone() {
-    let times = Arc::new(Mutex::new(Vec::new()));
-    let tt = times.clone();
-    run_job(JobConfig::all_internode(8), move |env| {
+    let report = run_job(JobConfig::all_internode(8), |env| {
         // Stagger arrivals by rank.
         env.compute(SimTime::from_micros(10 * env.rank().idx() as u64));
         env.barrier().unwrap();
-        tt.lock().unwrap().push(env.now().as_nanos());
+        env.now().as_nanos()
     })
     .unwrap();
-    let times = times.lock().unwrap();
-    let earliest = *times.iter().min().unwrap();
+    let earliest = *report.results.iter().min().unwrap();
     // Nobody exits before the latest arrival (70 µs).
     assert!(earliest >= 70_000, "barrier exited at {earliest}ns");
 }
@@ -146,22 +140,20 @@ fn barrier_on_single_rank_is_trivial() {
 
 #[test]
 fn ibarrier_overlaps_computation() {
-    let t = Arc::new(Mutex::new(0u64));
-    let tt = t.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         if env.rank().idx() == 0 {
             let r = env.ibarrier();
             env.compute(SimTime::from_micros(300));
             env.wait(r).unwrap();
-            *tt.lock().unwrap() = env.now().as_nanos();
         } else {
             env.compute(SimTime::from_micros(100));
             env.barrier().unwrap();
         }
+        env.now().as_nanos()
     })
     .unwrap();
     // Rank 0's total is its own 300 µs of work, not 100+300.
-    let us = *t.lock().unwrap() as f64 / 1000.0;
+    let us = report.results[0] as f64 / 1000.0;
     assert!(us < 350.0, "ibarrier failed to overlap: {us} µs");
 }
 

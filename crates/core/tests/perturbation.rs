@@ -3,7 +3,6 @@
 //! unchanged (only timing moves), and the engine's introspection counters
 //! must stay consistent.
 
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::{run_job, Datatype, Group, JobConfig, LockKind, Rank, ReduceOp};
 use mpisim_sim::SimTime;
@@ -54,8 +53,6 @@ fn mixed_epochs_survive_jitter() {
 #[test]
 fn jitter_changes_timing_not_results() {
     fn run(jitter_us: u64) -> (u64, Vec<u8>) {
-        let data = Arc::new(Mutex::new(Vec::new()));
-        let d2 = data.clone();
         let mut cfg = JobConfig::all_internode(3).with_seed(11);
         cfg.net.jitter = SimTime::from_micros(jitter_us);
         let report = run_job(cfg, move |env| {
@@ -67,14 +64,13 @@ fn jitter_changes_timing_not_results() {
                 env.unlock(win, Rank(2)).unwrap();
             }
             env.barrier().unwrap();
-            if env.rank().idx() == 2 {
-                *d2.lock().unwrap() = env.read_local(win, 0, 16).unwrap();
-            }
+            let data =
+                if env.rank().idx() == 2 { env.read_local(win, 0, 16).unwrap() } else { Vec::new() };
             env.win_free(win).unwrap();
+            data
         })
         .unwrap();
-        let v = data.lock().unwrap().clone();
-        (report.final_time.as_nanos(), v)
+        (report.final_time.as_nanos(), report.results[2].clone())
     }
     let (t0, d0) = run(0);
     let (t1, d1) = run(80);
@@ -84,9 +80,7 @@ fn jitter_changes_timing_not_results() {
 
 #[test]
 fn engine_stats_are_consistent() {
-    let stats = Arc::new(Mutex::new(None));
-    let s2 = stats.clone();
-    run_job(JobConfig::all_internode(3), move |env| {
+    let report = run_job(JobConfig::all_internode(3), |env| {
         let win = env.win_allocate(64).unwrap();
         env.barrier().unwrap();
         if env.rank().idx() == 0 {
@@ -101,13 +95,12 @@ fn engine_stats_are_consistent() {
             env.wait(r2).unwrap();
         }
         env.barrier().unwrap();
-        if env.rank().idx() == 0 {
-            *s2.lock().unwrap() = Some(env.engine().engine_stats());
-        }
+        let stats = (env.rank().idx() == 0).then(|| env.engine().engine_stats());
         env.win_free(win).unwrap();
+        stats
     })
     .unwrap();
-    let s = stats.lock().unwrap().unwrap();
+    let s = report.results[0].unwrap();
     assert!(s.epochs_opened >= 2, "{s:?}");
     assert_eq!(
         s.epochs_activated, s.epochs_completed,

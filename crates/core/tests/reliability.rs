@@ -7,7 +7,6 @@
 //! correctness. Degraded-termination tests assert the job *ends* with
 //! structured degradations instead of hanging.
 
-use std::sync::{Arc, Mutex};
 
 use mpisim_core::engine::{MAX_RETRIES, RTO};
 use mpisim_core::{run_job, Degradation, JobConfig, JobReport, LockKind, Rank, RankEnv};
@@ -23,11 +22,10 @@ fn faulty_cfg(n: usize, plan: FaultPlan) -> JobConfig {
 
 /// A workload crossing every message class the sublayer frames: barrier
 /// bootstrap, passive-target locks with puts, and two fence phases, with
-/// full data verification at the end.
-fn mixed_job(cfg: JobConfig) -> Result<JobReport, SimError> {
-    run_job(cfg, |env| {
-        mixed_traffic(env);
-    })
+/// full data verification at the end. Each rank returns its final window
+/// contents.
+fn mixed_job(cfg: JobConfig) -> Result<JobReport<Vec<u8>>, SimError> {
+    run_job(cfg, mixed_traffic)
 }
 
 /// One rank's part of [`mixed_job`]; returns its final window contents.
@@ -72,7 +70,7 @@ fn mixed_traffic(env: &mut RankEnv) -> Vec<u8> {
 
 /// `pushed == acked + retransmit-pending` at quiescence; on a clean run
 /// the pending term is zero, so every unique frame was delivered once.
-fn assert_quiescent_channels(report: &JobReport) {
+fn assert_quiescent_channels<R>(report: &JobReport<R>) {
     let e = &report.engine;
     assert!(e.rel_frames_sent > 0, "job must actually use the framed path");
     assert_eq!(
@@ -317,28 +315,15 @@ fn crash_at_commit_without_recovery_takes_the_nic_down() {
     assert!(report.recoveries.is_empty(), "nothing is armed to restart the rank");
 }
 
-/// [`mixed_job`], plus every rank's final window contents.
-fn windows_after(cfg: JobConfig) -> (JobReport, Vec<Vec<u8>>) {
-    let windows = Arc::new(Mutex::new(vec![Vec::new(); cfg.n_ranks]));
-    let w = windows.clone();
-    let report = run_job(cfg, move |env| {
-        let mem = mixed_traffic(env);
-        w.lock().unwrap()[env.rank().idx()] = mem;
-    })
-    .unwrap();
-    let windows = windows.lock().unwrap().clone();
-    (report, windows)
-}
-
 #[test]
 fn corrupted_frames_fail_their_checksum_and_are_retransmitted() {
     // In-transit corruption end to end: a flipped frame fails its
     // checksum at the receiver, is dropped unacknowledged, and comes back
     // from the sender's clean copy on the retransmit timer.
-    let (clean, want) = windows_after(JobConfig::all_internode(4).with_reliability());
+    let clean = mixed_job(JobConfig::all_internode(4).with_reliability()).unwrap();
     assert!(clean.is_clean(), "{:?}", clean.degradations);
     let plan = FaultPlan { corrupt_p: 0.1, ..FaultPlan::none(17) };
-    let (report, got) = windows_after(faulty_cfg(4, plan));
+    let report = mixed_job(faulty_cfg(4, plan)).unwrap();
     let e = &report.engine;
     assert!(e.rel_checksum_drops >= 1, "the plan must corrupt a frame");
     let checksum_fails =
@@ -348,7 +333,7 @@ fn corrupted_frames_fail_their_checksum_and_are_retransmitted() {
     // Raw acks carry no checksum, so a corrupted ack is a fault with no drop.
     assert!(report.net.fault_corrupts >= e.rel_checksum_drops);
     assert!(e.rel_retransmits >= e.rel_checksum_drops);
-    assert_eq!(got, want, "corruption must not reach a window");
+    assert_eq!(report.results, clean.results, "corruption must not reach a window");
     assert_quiescent_channels(&report);
     assert_eq!(report.live_requests, 0);
 }

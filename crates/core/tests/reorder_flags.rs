@@ -1,8 +1,6 @@
 //! Integration tests: the §VI.B info-object reorder flags and their effect
 //! on out-of-order epoch progression (the shapes of Figs 7–11).
 
-use std::sync::{Arc, Mutex};
-
 use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, WinInfo};
 use mpisim_sim::SimTime;
 
@@ -15,10 +13,8 @@ fn us(ns: u64) -> f64 {
 /// Fig 7 setting: one origin, two targets; T0 posts 1000 µs late. Returns
 /// (T1 epoch length, origin cumulative) in µs.
 fn aaar_gats(flag: bool) -> (f64, f64) {
-    let out = Arc::new(Mutex::new((0u64, 0u64)));
-    let o = out.clone();
     let info = if flag { WinInfo::aaar() } else { WinInfo::default() };
-    run_job(JobConfig::all_internode(3), move |env| {
+    let report = run_job(JobConfig::all_internode(3), move |env| {
         let win = env.win_allocate_with(MB, info).unwrap();
         env.barrier().unwrap();
         let t0 = env.now();
@@ -33,7 +29,6 @@ fn aaar_gats(flag: bool) -> (f64, f64) {
                 let r2 = env.icomplete(win).unwrap();
                 env.wait(r1).unwrap();
                 env.wait(r2).unwrap();
-                o.lock().unwrap().1 = (env.now() - t0).as_nanos();
             }
             1 => {
                 // Late target T0.
@@ -45,15 +40,17 @@ fn aaar_gats(flag: bool) -> (f64, f64) {
                 // Punctual target T1.
                 env.post(win, Group::single(Rank(0))).unwrap();
                 env.wait_epoch(win).unwrap();
-                o.lock().unwrap().0 = (env.now() - t0).as_nanos();
             }
         }
+        // Each rank's time from the common start to the end of its part.
+        let elapsed = (env.now() - t0).as_nanos();
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        elapsed
     })
     .unwrap();
-    let v = *out.lock().unwrap();
-    (us(v.0), us(v.1))
+    let v = report.results;
+    (us(v[2]), us(v[0]))
 }
 
 #[test]
@@ -80,19 +77,19 @@ fn aaar_gats_unblocks_second_target() {
 /// Fig 8 setting: O0 holds T0's lock for 1000 µs; O1 locks T0 then T1.
 /// Returns O1's cumulative latency for both epochs, µs.
 fn aaar_lock(flag: bool) -> f64 {
-    let out = Arc::new(Mutex::new(0u64));
-    let o = out.clone();
     let info = if flag { WinInfo::aaar() } else { WinInfo::default() };
-    run_job(JobConfig::all_internode(4), move |env| {
+    let report = run_job(JobConfig::all_internode(4), move |env| {
         let win = env.win_allocate_with(MB, info).unwrap();
         env.barrier().unwrap();
-        match env.rank().idx() {
+        // O1's cumulative time; the others return 0.
+        let cum = match env.rank().idx() {
             0 => {
                 // O0 grabs T0's lock first and works inside the epoch.
                 env.lock(win, Rank(2), LockKind::Exclusive).unwrap();
                 env.put_synthetic(win, Rank(2), 0, MB).unwrap();
                 env.compute(SimTime::from_micros(1000));
                 env.unlock(win, Rank(2)).unwrap();
+                0
             }
             1 => {
                 // O1 requests T0 right after, then a subsequent lock on T1.
@@ -106,16 +103,16 @@ fn aaar_lock(flag: bool) -> f64 {
                 let r2 = env.iunlock(win, Rank(3)).unwrap();
                 env.wait(r1).unwrap();
                 env.wait(r2).unwrap();
-                *o.lock().unwrap() = (env.now() - t0).as_nanos();
+                (env.now() - t0).as_nanos()
             }
-            _ => {}
-        }
+            _ => 0,
+        };
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        cum
     })
     .unwrap();
-    let v = *out.lock().unwrap();
-    us(v)
+    us(report.results[1])
 }
 
 #[test]
@@ -135,8 +132,6 @@ fn aaar_lock_progresses_second_epoch_out_of_order() {
 /// Fig 9 setting: P0 (late origin) → P2 (target then origin) → P1 (target).
 /// Returns (P1 epoch µs, P2 cumulative µs).
 fn aaer(flag: bool) -> (f64, f64) {
-    let out = Arc::new(Mutex::new((0u64, 0u64)));
-    let o = out.clone();
     let info = if flag {
         WinInfo {
             access_after_exposure: true,
@@ -145,7 +140,7 @@ fn aaer(flag: bool) -> (f64, f64) {
     } else {
         WinInfo::default()
     };
-    run_job(JobConfig::all_internode(3), move |env| {
+    let report = run_job(JobConfig::all_internode(3), move |env| {
         let win = env.win_allocate_with(MB, info).unwrap();
         env.barrier().unwrap();
         let t0 = env.now();
@@ -161,7 +156,6 @@ fn aaer(flag: bool) -> (f64, f64) {
                 // Final target.
                 env.post(win, Group::single(Rank(2))).unwrap();
                 env.wait_epoch(win).unwrap();
-                o.lock().unwrap().0 = (env.now() - t0).as_nanos();
             }
             _ => {
                 // P2: exposure for P0 first, then access toward P1.
@@ -172,15 +166,17 @@ fn aaer(flag: bool) -> (f64, f64) {
                 let r2 = env.icomplete(win).unwrap();
                 env.wait(r1).unwrap();
                 env.wait(r2).unwrap();
-                o.lock().unwrap().1 = (env.now() - t0).as_nanos();
             }
         }
+        // Each rank's time from the common start to the end of its part.
+        let elapsed = (env.now() - t0).as_nanos();
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        elapsed
     })
     .unwrap();
-    let v = *out.lock().unwrap();
-    (us(v.0), us(v.1))
+    let v = report.results;
+    (us(v[1]), us(v[2]))
 }
 
 #[test]
@@ -202,8 +198,6 @@ fn aaer_detaches_access_from_stuck_exposure() {
 /// exposures serialize unless E_A_E_R. Returns (O1 epoch µs, target
 /// cumulative µs).
 fn eaer(flag: bool) -> (f64, f64) {
-    let out = Arc::new(Mutex::new((0u64, 0u64)));
-    let o = out.clone();
     let info = if flag {
         WinInfo {
             exposure_after_exposure: true,
@@ -212,7 +206,7 @@ fn eaer(flag: bool) -> (f64, f64) {
     } else {
         WinInfo::default()
     };
-    run_job(JobConfig::all_internode(3), move |env| {
+    let report = run_job(JobConfig::all_internode(3), move |env| {
         let win = env.win_allocate_with(MB, info).unwrap();
         env.barrier().unwrap();
         let t0 = env.now();
@@ -230,7 +224,6 @@ fn eaer(flag: bool) -> (f64, f64) {
                 env.start(win, Group::single(Rank(2))).unwrap();
                 env.put_synthetic(win, Rank(2), 0, MB).unwrap();
                 env.complete(win).unwrap();
-                o.lock().unwrap().0 = (env.now() - t0).as_nanos();
             }
             _ => {
                 // Target: first exposure for O0, second for O1.
@@ -240,15 +233,17 @@ fn eaer(flag: bool) -> (f64, f64) {
                 let r2 = env.iwait(win).unwrap();
                 env.wait(r1).unwrap();
                 env.wait(r2).unwrap();
-                o.lock().unwrap().1 = (env.now() - t0).as_nanos();
             }
         }
+        // Each rank's time from the common start to the end of its part.
+        let elapsed = (env.now() - t0).as_nanos();
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        elapsed
     })
     .unwrap();
-    let v = *out.lock().unwrap();
-    (us(v.0), us(v.1))
+    let v = report.results;
+    (us(v[1]), us(v[2]))
 }
 
 #[test]
@@ -269,8 +264,6 @@ fn eaer_detaches_second_exposure() {
 /// Fig 11 setting: P2 is origin toward late target P0, then target for P1.
 /// Returns P1's epoch length, µs.
 fn eaar(flag: bool) -> f64 {
-    let out = Arc::new(Mutex::new(0u64));
-    let o = out.clone();
     let info = if flag {
         WinInfo {
             exposure_after_access: true,
@@ -279,7 +272,7 @@ fn eaar(flag: bool) -> f64 {
     } else {
         WinInfo::default()
     };
-    run_job(JobConfig::all_internode(3), move |env| {
+    let report = run_job(JobConfig::all_internode(3), move |env| {
         let win = env.win_allocate_with(MB, info).unwrap();
         env.barrier().unwrap();
         let t0 = env.now();
@@ -295,7 +288,6 @@ fn eaar(flag: bool) -> f64 {
                 env.start(win, Group::single(Rank(2))).unwrap();
                 env.put_synthetic(win, Rank(2), 0, MB).unwrap();
                 env.complete(win).unwrap();
-                *o.lock().unwrap() = (env.now() - t0).as_nanos();
             }
             _ => {
                 // P2: access toward P0 first, then exposure for P1.
@@ -308,12 +300,14 @@ fn eaar(flag: bool) -> f64 {
                 env.wait(r2).unwrap();
             }
         }
+        // Each rank's time from the common start to the end of its part.
+        let elapsed = (env.now() - t0).as_nanos();
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        elapsed
     })
     .unwrap();
-    let v = *out.lock().unwrap();
-    us(v)
+    us(report.results[1])
 }
 
 #[test]

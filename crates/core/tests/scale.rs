@@ -13,8 +13,6 @@
 //! these tests' printed rows (ring: 512/2048/4096/8192/16384, collective:
 //! 128/256/512). Run alone, a test's process `VmHWM` is its job's peak.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use mpisim_core::{run_job, Datatype, Group, JobConfig, LockKind, Rank, ReduceOp, WinInfo};
@@ -36,8 +34,6 @@ fn neighbour_ring_at_8192_ranks_stays_under_224_mb() {
     let n: usize = std::env::var("MPISIM_SCALE_RANKS")
         .map(|v| v.parse().expect("MPISIM_SCALE_RANKS must be a rank count"))
         .unwrap_or(8192);
-    let wrong = Arc::new(AtomicUsize::new(0));
-    let bad = wrong.clone();
     let t = Instant::now();
     let report = run_job(JobConfig::new(n), move |env| {
         let win = env.win_allocate_with(16, WinInfo::all_reorder()).unwrap();
@@ -56,16 +52,16 @@ fn neighbour_ring_at_8192_ranks_stays_under_224_mb() {
         env.wait_all(pending).unwrap();
         env.barrier().unwrap();
         let want = [(left as u64).to_le_bytes(), (!(left as u64)).to_le_bytes()].concat();
-        if env.read_local(win, 0, 16).unwrap() != want {
-            bad.fetch_add(1, Ordering::Relaxed);
-        }
+        let right_contents = env.read_local(win, 0, 16).unwrap() == want;
         env.win_free(win).unwrap();
+        right_contents
     })
     .unwrap();
     let wall = t.elapsed();
     assert!(report.is_clean(), "{:?}", report.degradations);
     assert_eq!(report.live_requests, 0);
-    assert_eq!(wrong.load(Ordering::Relaxed), 0, "ranks with wrong window contents");
+    let wrong = report.results.iter().filter(|ok| !**ok).count();
+    assert_eq!(wrong, 0, "ranks with wrong window contents");
     let hwm = vm_hwm_mb();
     println!(
         "| {n} | {:.2} | {} | {:.3} |",
@@ -92,8 +88,6 @@ fn collective_round_at_512_ranks() {
     let n: usize = std::env::var("MPISIM_SCALE_RANKS")
         .map(|v| v.parse().expect("MPISIM_SCALE_RANKS must be a rank count"))
         .unwrap_or(512);
-    let wrong = Arc::new(AtomicUsize::new(0));
-    let bad = wrong.clone();
     let t = Instant::now();
     let report = run_job(JobConfig::new(n), move |env| {
         let win = env.win_allocate(24).unwrap();
@@ -119,16 +113,16 @@ fn collective_round_at_512_ranks() {
         env.barrier().unwrap();
         let word = |r: usize| ((r as u64) << 8 | 1).to_le_bytes();
         let want = [word(left), word(right), 8u64.to_le_bytes()].concat();
-        if env.read_local(win, 0, 24).unwrap() != want {
-            bad.fetch_add(1, Ordering::Relaxed);
-        }
+        let right_contents = env.read_local(win, 0, 24).unwrap() == want;
         env.win_free(win).unwrap();
+        right_contents
     })
     .unwrap();
     let wall = t.elapsed();
     assert!(report.is_clean(), "{:?}", report.degradations);
     assert_eq!(report.live_requests, 0);
-    assert_eq!(wrong.load(Ordering::Relaxed), 0, "ranks with wrong window contents");
+    let wrong = report.results.iter().filter(|ok| !**ok).count();
+    assert_eq!(wrong, 0, "ranks with wrong window contents");
     println!(
         "| {n} | {:.2} | {} | {} | {} | {:.3} |",
         wall.as_secs_f64(),

@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --release --example inefficiency_patterns`
 
-use std::sync::{Arc, Mutex};
-
 use nonblocking_rma::{run_job, Group, JobConfig, LockKind, Rank, SimTime};
 
 const MB: usize = 1 << 20;
@@ -13,9 +11,7 @@ const MB: usize = 1 << 20;
 fn measure(label: &str, nonblocking: bool) {
     // Late Post: the target posts 1000 µs late; the origin wants to move
     // on to an independent activity.
-    let t = Arc::new(Mutex::new(0.0));
-    let t2 = t.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), move |env| {
         let win = env.win_allocate(MB).unwrap();
         env.barrier().unwrap();
         let t0 = env.now();
@@ -34,22 +30,22 @@ fn measure(label: &str, nonblocking: bool) {
                 env.complete(win).unwrap();
                 env.compute(SimTime::from_micros(300));
             }
-            *t2.lock().unwrap() = (env.now() - t0).as_micros_f64();
         }
+        let elapsed = (env.now() - t0).as_micros_f64();
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        elapsed
     })
     .unwrap();
-    println!("  {label:<38} origin total: {:>8.1} µs", t.lock().unwrap());
+    println!("  {label:<38} origin total: {:>8.1} µs", report.results[0]);
 }
 
 fn late_unlock(label: &str, nonblocking: bool) {
-    let t = Arc::new(Mutex::new(0.0));
-    let t2 = t.clone();
-    run_job(JobConfig::all_internode(3), move |env| {
+    let report = run_job(JobConfig::all_internode(3), move |env| {
         let win = env.win_allocate(MB).unwrap();
         env.barrier().unwrap();
-        match env.rank().idx() {
+        // The second requester's lock-epoch length; the others return 0.
+        let epoch = match env.rank().idx() {
             0 => {
                 env.lock(win, Rank(2), LockKind::Exclusive).unwrap();
                 env.put_synthetic(win, Rank(2), 0, MB).unwrap();
@@ -61,6 +57,7 @@ fn late_unlock(label: &str, nonblocking: bool) {
                     env.compute(SimTime::from_micros(1000));
                     env.unlock(win, Rank(2)).unwrap();
                 }
+                0.0
             }
             1 => {
                 env.compute(SimTime::from_micros(50));
@@ -68,15 +65,16 @@ fn late_unlock(label: &str, nonblocking: bool) {
                 env.lock(win, Rank(2), LockKind::Exclusive).unwrap();
                 env.put_synthetic(win, Rank(2), 0, MB).unwrap();
                 env.unlock(win, Rank(2)).unwrap();
-                *t2.lock().unwrap() = (env.now() - t0).as_micros_f64();
+                (env.now() - t0).as_micros_f64()
             }
-            _ => {}
-        }
+            _ => 0.0,
+        };
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        epoch
     })
     .unwrap();
-    println!("  {label:<38} second requester: {:>8.1} µs", t.lock().unwrap());
+    println!("  {label:<38} second requester: {:>8.1} µs", report.results[1]);
 }
 
 fn main() {

@@ -22,7 +22,7 @@
 //! ```
 //! use nonblocking_rma::{run_job, JobConfig, LockKind, Rank};
 //!
-//! run_job(JobConfig::new(2), |env| {
+//! let report = run_job(JobConfig::new(2), |env| {
 //!     let win = env.win_allocate(64).unwrap();
 //!     env.barrier().unwrap();
 //!     if env.rank().idx() == 0 {
@@ -34,9 +34,12 @@
 //!         env.wait(done).unwrap();
 //!     }
 //!     env.barrier().unwrap();
+//!     let mine = env.read_local(win, 0, 6).unwrap();
 //!     env.win_free(win).unwrap();
+//!     mine // what each rank returns comes back in rank order
 //! })
 //! .unwrap();
+//! assert_eq!(report.results[1], b"epoch!");
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `crates/bench` for the

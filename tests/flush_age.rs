@@ -15,8 +15,6 @@
 //!   previous epoch must not keep it pending.
 
 use nonblocking_rma::{run_job, JobConfig, LockKind, Rank};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 const WIN: usize = 1 << 17; // room for the large payloads below
 
@@ -29,12 +27,11 @@ fn mid_epoch_flush_covers_only_older_ops() {
     // lock; put A (small); f1; put B (large); f2 — f1 must complete
     // without waiting for B, and f2 must wait for B even though A (an
     // older op) completed long before.
-    let t1_ns = Arc::new(AtomicU64::new(0));
-    let t2_ns = Arc::new(AtomicU64::new(0));
-    let (t1c, t2c) = (t1_ns.clone(), t2_ns.clone());
-    let report = run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(WIN).unwrap();
         env.barrier().unwrap();
+        // When f1 and f2 completed at the origin.
+        let mut done = (0, 0);
         if env.rank().idx() == 0 {
             env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
             env.put(win, Rank(1), 0, &[0xAA; SMALL]).unwrap();
@@ -42,12 +39,12 @@ fn mid_epoch_flush_covers_only_older_ops() {
             env.put(win, Rank(1), SMALL, &[0xBB; LARGE]).unwrap();
             let f2 = env.iflush(win, Rank(1)).unwrap();
             env.wait(f1).unwrap();
-            t1c.store(env.now().as_nanos(), Ordering::Relaxed);
+            done.0 = env.now().as_nanos();
             // A is done (f1 says so) but f2 — stamped after B — must not
             // have been completed by A's completion.
             assert!(!env.test(f2).unwrap(), "flush completed by an op older than its stamp");
             env.wait(f2).unwrap();
-            t2c.store(env.now().as_nanos(), Ordering::Relaxed);
+            done.1 = env.now().as_nanos();
             env.unlock(win, Rank(1)).unwrap();
         }
         env.barrier().unwrap();
@@ -56,9 +53,10 @@ fn mid_epoch_flush_covers_only_older_ops() {
             assert_eq!(env.read_local(win, SMALL, LARGE).unwrap(), vec![0xBB; LARGE]);
         }
         env.win_free(win).unwrap();
+        done
     })
     .unwrap();
-    let (t1, t2) = (t1_ns.load(Ordering::Relaxed), t2_ns.load(Ordering::Relaxed));
+    let (t1, t2) = report.results[0];
     assert!(
         t1 < t2,
         "f1 (covers only the small put) completed at {t1} ns, \
@@ -111,29 +109,30 @@ fn flush_in_new_epoch_ignores_previous_epoch_ops() {
 fn blocking_flush_orders_data_before_epoch_close() {
     // flush(t) inside a held lock: after it returns, the target must
     // observe the data even though the epoch is still open.
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen2 = seen.clone();
-    run_job(JobConfig::all_internode(2), move |env| {
+    let report = run_job(JobConfig::all_internode(2), |env| {
         let win = env.win_allocate(64).unwrap();
         env.barrier().unwrap();
-        if env.rank().idx() == 0 {
+        // What the target read mid-epoch; the origin returns 0.
+        let seen = if env.rank().idx() == 0 {
             env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
             env.put(win, Rank(1), 0, &7u64.to_le_bytes()).unwrap();
             env.flush(win, Rank(1)).unwrap();
             env.barrier().unwrap(); // epoch still open; data must be there
             env.barrier().unwrap(); // target read happens between these
             env.unlock(win, Rank(1)).unwrap();
+            0
         } else {
             env.barrier().unwrap();
             let bytes = env.read_local(win, 0, 8).unwrap();
-            seen2.store(u64::from_le_bytes(bytes.try_into().unwrap()), Ordering::Relaxed);
             env.barrier().unwrap();
-        }
+            u64::from_le_bytes(bytes.try_into().unwrap())
+        };
         env.barrier().unwrap();
         env.win_free(win).unwrap();
+        seen
     })
     .unwrap();
-    assert_eq!(seen.load(Ordering::Relaxed), 7, "flushed put not visible mid-epoch");
+    assert_eq!(report.results[1], 7, "flushed put not visible mid-epoch");
 }
 
 #[test]
@@ -161,14 +160,13 @@ fn flush_without_passive_epoch_is_an_error() {
 fn flush_age_edge_cases_hold_under_perturbation() {
     // The f1-before-f2 age ordering must hold on perturbed schedules too.
     for seed in 0..4u64 {
-        let ok = Arc::new(AtomicU64::new(0));
-        let ok2 = ok.clone();
         let mut cfg = JobConfig::all_internode(2).with_seed(11 + seed);
         cfg.tiebreak_seed = if seed == 0 { None } else { Some(seed) };
         cfg.net = nonblocking_rma::net::NetParams::perturbation_profile(seed);
-        run_job(cfg, move |env| {
+        let report = run_job(cfg, |env| {
             let win = env.win_allocate(WIN).unwrap();
             env.barrier().unwrap();
+            let mut ordered = false;
             if env.rank().idx() == 0 {
                 env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
                 env.put(win, Rank(1), 0, &[1; SMALL]).unwrap();
@@ -179,15 +177,15 @@ fn flush_age_edge_cases_hold_under_perturbation() {
                 let t1 = env.now();
                 env.wait(f2).unwrap();
                 let t2 = env.now();
-                if t1 < t2 {
-                    ok2.fetch_add(1, Ordering::Relaxed);
-                }
+                ordered = t1 < t2;
                 env.unlock(win, Rank(1)).unwrap();
             }
             env.barrier().unwrap();
             env.win_free(win).unwrap();
+            ordered
         })
         .unwrap();
-        assert_eq!(ok.load(Ordering::Relaxed), 1, "age ordering broke under seed {seed}");
+        let ok = report.results.iter().filter(|ordered| **ordered).count();
+        assert_eq!(ok, 1, "age ordering broke under seed {seed}");
     }
 }

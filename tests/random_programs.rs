@@ -132,23 +132,19 @@ fn execute_with(
     nonblocking: bool,
     strategy: nonblocking_rma::SyncStrategy,
 ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    use std::sync::Mutex;
-    let result = std::sync::Arc::new(Mutex::new(vec![Vec::new(); n_ranks]));
-    let got_gets = std::sync::Arc::new(Mutex::new(Vec::new()));
-    let g2 = got_gets.clone();
-    let r2 = result.clone();
     // Targets must know how many epochs of each participation they join.
     let fence_count = program
         .iter()
         .filter(|e| matches!(e, Epoch::Fence(_)))
         .count();
     let gats_count = program.iter().filter(|e| matches!(e, Epoch::Gats(_))).count();
-    let program = std::sync::Arc::new(program);
 
-    run_job(JobConfig::new(n_ranks).with_seed(7).with_strategy(strategy), move |env| {
+    let report = run_job(JobConfig::new(n_ranks).with_seed(7).with_strategy(strategy), move |env| {
         let me = env.rank().idx();
         let win = env.win_allocate(WIN_BYTES).unwrap();
         env.barrier().unwrap();
+        // The origin's get results, in issue order.
+        let mut gets = Vec::new();
         if me == 0 {
             let mut pending = Vec::new();
             let mut get_reqs = Vec::new();
@@ -193,11 +189,9 @@ fn execute_with(
                 }
             }
             env.wait_all(pending).unwrap();
-            let mut out = Vec::new();
             for r in get_reqs {
-                out.push(env.wait_data(r).unwrap().to_vec());
+                gets.push(env.wait_data(r).unwrap().to_vec());
             }
-            *g2.lock().unwrap() = out;
         } else {
             // Targets: join every fence, expose for every GATS epoch.
             // Epochs are activated serially at the origin (flags off), so
@@ -218,13 +212,13 @@ fn execute_with(
             let _ = (fence_count, gats_count);
         }
         env.barrier().unwrap();
-        r2.lock().unwrap()[me] = env.read_local(win, 0, WIN_BYTES).unwrap();
+        let mem = env.read_local(win, 0, WIN_BYTES).unwrap();
         env.win_free(win).unwrap();
+        (mem, gets)
     })
     .unwrap();
-    let mems = result.lock().unwrap().clone();
-    let gets = got_gets.lock().unwrap().clone();
-    (mems, gets)
+    let (mems, mut gets): (Vec<_>, Vec<_>) = report.results.into_iter().unzip();
+    (mems, gets.swap_remove(0))
 }
 
 fn issue(
@@ -323,17 +317,14 @@ proptest! {
                 expected[*target][*slot] = expected[*target][*slot].wrapping_add(*v);
             }
         }
-        let plan2 = std::sync::Arc::new(plan);
-        let result = std::sync::Arc::new(std::sync::Mutex::new(vec![vec![0u64; 4]; 4]));
-        let r2 = result.clone();
-        run_job(JobConfig::new(4), move |env| {
+        let report = run_job(JobConfig::new(4), move |env| {
             let me = env.rank().idx();
             let win = env
                 .win_allocate_with(32, nonblocking_rma::WinInfo::aaar())
                 .unwrap();
             env.barrier().unwrap();
             let mut pend = Vec::new();
-            for (target, slot, v) in &plan2[me] {
+            for (target, slot, v) in &plan[me] {
                 let _ = env.ilock(win, Rank(*target), LockKind::Exclusive).unwrap();
                 env.accumulate(
                     win, Rank(*target), slot * 8, Datatype::U64, ReduceOp::Sum,
@@ -345,11 +336,10 @@ proptest! {
             env.wait_all(pend).unwrap();
             env.barrier().unwrap();
             let bytes = env.read_local(win, 0, 32).unwrap();
-            r2.lock().unwrap()[me] = nonblocking_rma::core::datatype::bytes_to_u64s(&bytes);
             env.win_free(win).unwrap();
+            nonblocking_rma::core::datatype::bytes_to_u64s(&bytes)
         })
         .unwrap();
-        let got = result.lock().unwrap().clone();
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(report.results, expected);
     }
 }
