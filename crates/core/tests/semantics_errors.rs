@@ -1,7 +1,8 @@
 //! Integration tests: §VI.A semantics rules, error detection, and
 //! determinism.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, RankEnv, Req, RmaError, WinId};
 use mpisim_sim::SimTime;
@@ -477,17 +478,17 @@ fn second_rank_parking_on_a_request_errs_instead_of_hanging() {
     // rank 1 (handed the same handle, which MPI forbids) waits on it too:
     // rank 1 gets InvalidRequest at once and rank 0 is still woken by the
     // message.
-    let shared: Arc<Mutex<Option<Req>>> = Arc::default();
+    let shared: Rc<Cell<Option<Req>>> = Rc::default();
     let report = run_job(JobConfig::all_internode(3), move |env| match env.rank().idx() {
         0 => {
             let r = env.irecv(Rank(2), 7).unwrap();
-            *shared.lock().unwrap() = Some(r);
+            shared.set(Some(r));
             assert_eq!(env.wait_data(r).unwrap().as_ref(), b"late");
             assert!(env.now() >= SimTime::from_micros(500));
         }
         1 => {
             env.compute(SimTime::from_micros(10));
-            let r = shared.lock().unwrap().expect("rank 0 posted at t = 0");
+            let r = shared.get().expect("rank 0 posted at t = 0");
             assert_eq!(env.wait(r).unwrap_err(), RmaError::InvalidRequest);
             assert_eq!(env.wait_any(&[r]).unwrap_err(), RmaError::InvalidRequest);
             assert!(env.now() < SimTime::from_micros(500), "erred at once, did not block");
