@@ -6,6 +6,23 @@
 //! suspended rank costs one stack whose untouched pages stay non-resident,
 //! which is what makes 4096+ ranks per process feasible.
 //!
+//! # Stack reuse
+//!
+//! A dropped simulation hands its finished fibers' stacks to a free list
+//! of the driver thread ([`retire`]); [`Stack::new`] pops one before it
+//! maps. A recycled stack is the same mapping — guard page included — with
+//! its pages already resident, so a job after the first spawns its ranks
+//! with no syscall and no page fault. Four rules keep the list honest:
+//!
+//! 1. it is bounded by the workload: after a simulation drops, the list
+//!    holds at most as many stacks as that simulation spawned;
+//! 2. only a finished fiber's stack is recycled, an unfinished one is
+//!    unmapped;
+//! 3. a simulation that was refused a stack keeps nothing: its stacks and
+//!    the whole list are unmapped, so the mapping limit it met is not held
+//!    against the next one;
+//! 4. the list is unmapped when its thread exits.
+//!
 //! # Context-switch contract (x86_64 SysV)
 //!
 //! [`switch_ctx`] saves the callee-saved registers (`rbp`, `rbx`,
@@ -31,7 +48,7 @@
 //! [`Fiber`] nor the closure it runs is `Send`. One fiber runs at a time,
 //! and a yield finds its way back through a thread-local the resumer sets.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -64,6 +81,16 @@ mod sys {
 
 const PAGE: usize = 4096;
 
+/// Usable bytes of every fiber stack, a whole number of pages. Simulated
+/// ranks mostly park, so a small stack lets thousands of ranks coexist
+/// (untouched stack pages are never even committed). There is one size, so
+/// any free stack fits any fiber.
+const DEFAULT_STACK_SIZE: usize = 512 * 1024;
+const _: () = assert!(
+    DEFAULT_STACK_SIZE.is_multiple_of(PAGE),
+    "a page-aligned top"
+);
+
 /// An mmap'd fiber stack with a `PROT_NONE` guard page at the low end.
 ///
 /// `Vec<u8>` would be simpler but zero-fills the whole allocation, committing
@@ -71,22 +98,33 @@ const PAGE: usize = 4096;
 /// thousands of mostly-idle ranks fit in a few MB of RSS.
 struct Stack {
     base: *mut u8,
-    len: usize,
+}
+
+thread_local! {
+    /// Stacks of finished fibers, waiting for the next simulation on this
+    /// thread (module docs, "Stack reuse"). Dropping the list at thread exit
+    /// unmaps them.
+    static FREE: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Stack {
-    /// Map a stack, or return the OS error. Each stack is two mappings
-    /// (guard + usable), so a process runs out of `vm.max_map_count` at
-    /// about half that many fibers; a stack mapped but not protected is
-    /// unmapped before the error is returned.
-    fn new(usable: usize) -> io::Result<Stack> {
-        // Round the usable region up to whole pages and add the guard page.
-        let usable = usable.max(4 * PAGE).div_ceil(PAGE) * PAGE;
-        let len = usable + PAGE;
+    /// Bytes mapped per stack: the usable region plus the guard page.
+    const LEN: usize = DEFAULT_STACK_SIZE + PAGE;
+
+    /// Pop this thread's last free stack, or map one and return the OS
+    /// error if that fails. Each stack is two mappings (guard + usable), so
+    /// a process runs out of `vm.max_map_count` at about half that many
+    /// fibers; a stack mapped but not protected is unmapped before the
+    /// error is returned.
+    fn new() -> io::Result<Stack> {
+        if let Some(stack) = FREE.try_with(|free| free.borrow_mut().pop()).ok().flatten() {
+            return Ok(stack);
+        }
+        let len = Stack::LEN;
         // SAFETY: a fresh private anonymous mapping of `len` bytes that no
         // other code knows of; only its first page is re-protected, and it
         // is unmapped exactly once — here if the guard page fails, else by
-        // `Drop`.
+        // `Drop` (whether it is dropped by its fiber or by the free list).
         unsafe {
             let base = sys::mmap(
                 std::ptr::null_mut(),
@@ -104,22 +142,49 @@ impl Stack {
                 sys::munmap(base, len);
                 return Err(err);
             }
-            Ok(Stack { base: base.cast(), len })
+            Ok(Stack { base: base.cast() })
         }
     }
 
     /// One past the highest usable byte; page-aligned, hence 16-aligned.
     fn top(&self) -> *mut u8 {
-        unsafe { self.base.add(self.len) }
+        // SAFETY: `base + LEN` is one past the end of this stack's mapping.
+        unsafe { self.base.add(Stack::LEN) }
     }
 }
 
 impl Drop for Stack {
     fn drop(&mut self) {
+        // SAFETY: the mapping made in `Stack::new`; its owner is the only
+        // `Stack` holding `base`, so it is unmapped exactly once.
         unsafe {
-            sys::munmap(self.base.cast(), self.len);
+            sys::munmap(self.base.cast(), Stack::LEN);
         }
     }
+}
+
+/// Give a dropped simulation's stacks back (module docs, "Stack reuse"):
+/// the finished fibers' stacks join the end of this thread's free list, the
+/// end [`Stack::new`] pops, and the list keeps its last `fibers.len()`; an
+/// unfinished fiber's stack is unmapped. If the simulation was `refused` a
+/// stack, every stack of `fibers` and of the list is unmapped instead.
+pub(crate) fn retire(fibers: Vec<Fiber>, refused: bool) {
+    let spawned = fibers.len();
+    // Unfinished fibers drop here, outside the list's borrow: a closure that
+    // never ran may own anything, even another simulation.
+    let stacks: Vec<Stack> = fibers.into_iter().filter_map(Fiber::into_stack).collect();
+    // Past the list's destructor (a simulation dropped during thread exit)
+    // the closure does not run and `stacks` drops, unmapping every stack.
+    let _ = FREE.try_with(move |free| {
+        let mut free = free.borrow_mut();
+        if refused {
+            free.clear();
+        } else {
+            free.extend(stacks);
+            let surplus = free.len().saturating_sub(spawned);
+            free.drain(..surplus);
+        }
+    });
 }
 
 /// Heap-pinned fiber state. `r12` in the seeded context points here, so the
@@ -150,13 +215,11 @@ pub(crate) struct Fiber {
 }
 
 impl Fiber {
-    /// Create a suspended fiber that will run `f` when first resumed, or
-    /// return the OS error that refused its stack.
-    pub(crate) fn new(
-        stack_size: usize,
-        f: Box<dyn FnOnce() + 'static>,
-    ) -> io::Result<Fiber> {
-        let stack = Stack::new(stack_size)?;
+    /// Create a suspended fiber that will run `f` when first resumed, on a
+    /// free stack of this thread or a fresh one, or return the OS error
+    /// that refused its stack.
+    pub(crate) fn new(f: Box<dyn FnOnce() + 'static>) -> io::Result<Fiber> {
+        let stack = Stack::new()?;
         let mut inner = Box::new(FiberInner {
             fiber_rsp: 0,
             resumer_rsp: 0,
@@ -203,6 +266,15 @@ impl Fiber {
     /// Whether the fiber's closure has returned or unwound.
     pub(crate) fn is_finished(&self) -> bool {
         self.inner.finished
+    }
+
+    /// The stack of a finished fiber, which no frame uses any more; `None`
+    /// (and the stack unmapped) for a fiber that may still have frames on it.
+    fn into_stack(self) -> Option<Stack> {
+        let FiberInner {
+            finished, stack, ..
+        } = *self.inner;
+        finished.then_some(stack)
     }
 }
 
@@ -289,15 +361,15 @@ mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
 
-    fn fiber(stack: usize, f: impl FnOnce() + 'static) -> Fiber {
-        Fiber::new(stack, Box::new(f)).expect("map a fiber stack")
+    fn fiber(f: impl FnOnce() + 'static) -> Fiber {
+        Fiber::new(Box::new(f)).expect("map a fiber stack")
     }
 
     #[test]
     fn fiber_runs_to_completion() {
         let hits = Rc::new(Cell::new(0));
         let h = hits.clone();
-        let mut f = fiber(64 * 1024, move || {
+        let mut f = fiber(move || {
             h.set(h.get() + 1);
         });
         assert!(!f.is_finished());
@@ -310,7 +382,7 @@ mod tests {
     fn fiber_yields_and_resumes() {
         let steps = Rc::new(Cell::new(0));
         let s = steps.clone();
-        let mut f = fiber(64 * 1024, move || {
+        let mut f = fiber(move || {
             s.set(s.get() + 1);
             yield_current();
             s.set(s.get() + 1);
@@ -327,7 +399,7 @@ mod tests {
 
     #[test]
     fn fiber_panic_is_contained() {
-        let mut f = fiber(64 * 1024, || panic!("inside fiber"));
+        let mut f = fiber(|| panic!("inside fiber"));
         // A previous test may have left the default hook; silence this one.
         let prev = panic::take_hook();
         panic::set_hook(Box::new(|_| {}));
@@ -340,7 +412,7 @@ mod tests {
     fn on_fiber_is_scoped_to_the_slice() {
         let on_fiber = || !CURRENT.get().is_null();
         assert!(!on_fiber());
-        let mut f = fiber(64 * 1024, move || {
+        let mut f = fiber(move || {
             assert!(on_fiber());
             yield_current();
             assert!(on_fiber());
@@ -351,6 +423,38 @@ mod tests {
         assert!(!on_fiber());
     }
 
+    fn free_stacks() -> usize {
+        FREE.with_borrow(Vec::len)
+    }
+
+    #[test]
+    fn retire_keeps_only_finished_stacks() {
+        let mut done = fiber(|| {});
+        assert!(done.resume());
+        let mut suspended = fiber(yield_current);
+        assert!(!suspended.resume());
+        let unstarted = fiber(|| {});
+        retire(vec![done, suspended, unstarted], false);
+        assert_eq!(free_stacks(), 1, "an unfinished fiber's stack was recycled");
+        let mut next = fiber(|| {});
+        assert_eq!(free_stacks(), 0, "the next fiber mapped a stack of its own");
+        assert!(next.resume());
+    }
+
+    #[test]
+    fn a_refused_retire_unmaps_the_whole_list() {
+        let mut fibers: Vec<Fiber> = (0..4).map(|_| fiber(|| {})).collect();
+        for f in &mut fibers {
+            assert!(f.resume());
+        }
+        retire(fibers, false);
+        assert_eq!(free_stacks(), 4);
+        let mut finished = fiber(|| {});
+        assert!(finished.resume());
+        retire(vec![finished], true);
+        assert_eq!(free_stacks(), 0);
+    }
+
     #[test]
     fn many_cheap_fibers() {
         // 4096 fibers, round-robin resumed twice each: the RSS-friendly
@@ -359,7 +463,7 @@ mod tests {
         let mut fibers: Vec<Fiber> = (0..4096)
             .map(|_| {
                 let c = counter.clone();
-                fiber(32 * 1024, move || {
+                fiber(move || {
                     c.set(c.get() + 1);
                     yield_current();
                     c.set(c.get() + 1);

@@ -59,7 +59,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::fiber::Fiber;
+use crate::fiber::{self, Fiber};
 use crate::process::{AbortToken, ProcCtx};
 use crate::queue::EventQueue;
 use crate::time::SimTime;
@@ -89,7 +89,8 @@ pub enum SimError {
     /// a process runs out at about half that many ranks). [`Sim::spawn`]
     /// keeps the first such failure and maps nothing more; [`Sim::run`]
     /// returns it instead of driving the simulation, after unwinding the
-    /// processes spawned before it as on a deadlock.
+    /// processes spawned before it as on a deadlock. Its stacks then go
+    /// back to the OS, none to the thread's next simulation.
     SpawnFailed {
         /// Label of the process that could not be spawned.
         process: String,
@@ -313,11 +314,6 @@ pub struct Sim {
     spawn_error: Option<SimError>,
 }
 
-/// Per-process stack size. Simulated ranks mostly park, so a small stack
-/// lets thousands of ranks coexist (untouched stack pages are never even
-/// committed).
-const DEFAULT_STACK_SIZE: usize = 512 * 1024;
-
 /// Runaway-simulation backstop: [`Sim::run`] stops with
 /// [`SimError::EventCapExceeded`] past this many events.
 const DEFAULT_EVENT_CAP: u64 = 2_000_000_000;
@@ -402,12 +398,11 @@ impl Sim {
     where
         F: FnOnce(&ProcCtx) + 'static,
     {
-        let label = label.into();
         let pid = {
             let mut inner = self.core.inner.borrow_mut();
             let pid = ProcId(inner.procs.len());
             inner.procs.push(ProcRec {
-                label: label.clone(),
+                label: label.into(),
                 state: ProcState::Ready,
                 sleeping: false,
             });
@@ -418,7 +413,7 @@ impl Sim {
             return pid;
         }
         let core = self.core.clone();
-        let ctx = ProcCtx::new(core.clone(), pid, label.clone());
+        let ctx = ProcCtx::new(core.clone(), pid);
         // Run `f`, then record completion and any real panic payload (the
         // AbortToken unwind is pure control flow). Control returns to the
         // driver through the fiber's final switch.
@@ -432,14 +427,14 @@ impl Sim {
                 }
             }
         };
-        match Fiber::new(DEFAULT_STACK_SIZE, Box::new(body)) {
+        match Fiber::new(Box::new(body)) {
             Ok(fiber) => {
                 self.fibers.push(fiber);
                 debug_assert_eq!(self.fibers.len(), pid.0 + 1);
             }
             Err(error) => {
                 self.spawn_error = Some(SimError::SpawnFailed {
-                    process: label,
+                    process: self.core.inner.borrow().procs[pid.0].label.clone(),
                     processes: pid.0 + 1,
                     error,
                 });
@@ -567,6 +562,23 @@ impl Sim {
                 f.resume();
             }
         }
+    }
+}
+
+impl Drop for Sim {
+    /// Hand the fibers' stacks to the next simulation on this thread
+    /// (`fiber::retire`). A spawn was refused exactly when a process has
+    /// no fiber; such a simulation gives every stack back to the OS, and so
+    /// does one whose kernel a stranded slice still borrows mutably (a bug
+    /// the driver has already panicked on; a drop must not panic again).
+    fn drop(&mut self) {
+        let fibers = std::mem::take(&mut self.fibers);
+        let refused = self
+            .core
+            .inner
+            .try_borrow()
+            .map_or(true, |inner| inner.procs.len() > fibers.len());
+        fiber::retire(fibers, refused);
     }
 }
 

@@ -29,22 +29,16 @@ pub(crate) struct AbortToken;
 pub struct ProcCtx {
     core: Rc<SimCore>,
     pid: ProcId,
-    label: String,
 }
 
 impl ProcCtx {
-    pub(crate) fn new(core: Rc<SimCore>, pid: ProcId, label: String) -> Self {
-        ProcCtx { core, pid, label }
+    pub(crate) fn new(core: Rc<SimCore>, pid: ProcId) -> Self {
+        ProcCtx { core, pid }
     }
 
     /// This process's id — what a waker passes to [`SimHandle::wake`].
     pub fn pid(&self) -> ProcId {
         self.pid
-    }
-
-    /// This process's label (for diagnostics).
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// Current virtual time.
