@@ -143,7 +143,6 @@ fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, nondet_tiebreak: bool
             // self-test keeps only the win_allocate baseline, so the redo
             // log at crash time is maximal and skipping its replay
             // guarantees a stale window.
-            ckpt_every: if spec.bad_recovery { u64::MAX } else { 1 },
             plant_stale: spec.bad_recovery,
         });
         cfg.net

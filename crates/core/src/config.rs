@@ -83,29 +83,20 @@ impl WinInfo {
 /// Tuning of the epoch-aligned crash-recovery subsystem (DESIGN.md §16).
 ///
 /// Present (`Some`) = every rank checkpoints its window contents and
-/// ω-triples into an in-simulation stable store at epoch-commit points
+/// ω-triples into an in-simulation stable store at every epoch commit
 /// and journals later window writes into a redo log; a rank crashed by
 /// the fault plan's `crash_at_commit` list is restarted from its last
 /// checkpoint after a bounded 1 ms outage. Requires the reliability
 /// sublayer (the outage is bridged by retransmission, like a transient
 /// partition).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RecoveryCfg {
-    /// Checkpoint cadence: cut a fresh snapshot every this-many epoch
-    /// commits (1 = every commit). The initial `win_allocate` baseline is
-    /// always kept, so sparse cadences still have a restore point.
-    pub ckpt_every: u64,
-    /// Validation backdoor: restore the raw checkpoint *without* redo-log
-    /// replay — a deliberately stale restore the conformance harness's
-    /// `--inject bad-recovery` self-test requires the differential check
-    /// to catch. Never set outside the harness.
+    /// Validation backdoor: keep only the `win_allocate` baseline
+    /// checkpoint and restore it *without* redo-log replay — a
+    /// deliberately stale restore the conformance harness's `--inject
+    /// bad-recovery` self-test requires the differential check to catch.
+    /// Never set outside the harness.
     pub plant_stale: bool,
-}
-
-impl Default for RecoveryCfg {
-    fn default() -> Self {
-        RecoveryCfg { ckpt_every: 1, plant_stale: false }
-    }
 }
 
 /// Everything needed to run one simulated MPI job.

@@ -2,8 +2,8 @@
 //!
 //! Epoch commit is the only instant at which a window's state is globally
 //! coherent (every covered operation acknowledged, every grant consumed),
-//! so it is the natural checkpoint boundary: at configurable commit
-//! points each rank snapshots its window contents plus the ω matching
+//! so it is the natural checkpoint boundary: at every commit each rank
+//! snapshots its window contents plus the ω matching
 //! triples into an in-simulation stable store, and journals every later
 //! window write as a physical redo record.
 //!
@@ -22,9 +22,10 @@
 //! [`RecoveryReport`] plus a [`Degradation::Recovered`] provenance entry.
 //!
 //! The `plant_stale` knob exists solely for the conformance harness's
-//! exit-inverted `--inject bad-recovery` self-test: it installs the raw
-//! checkpoint *without* replaying the redo log, a textbook stale restore
-//! the differential check must catch whenever the log was non-empty.
+//! exit-inverted `--inject bad-recovery` self-test: it keeps only the
+//! `win_allocate` baseline and installs it *without* replaying the redo
+//! log, a textbook stale restore the differential check must catch
+//! whenever the log was non-empty.
 
 use std::rc::Rc;
 
@@ -241,15 +242,14 @@ impl Engine {
     }
 
     /// Epoch-commit hook, run from `finish_epoch` after the commit ordinal
-    /// was bumped: with recovery armed, cut a new checkpoint when the
-    /// cadence says so; then fire a planned crash if this rank hit its
-    /// crash commit.
+    /// was bumped: with recovery armed, cut a new checkpoint (unless a
+    /// stale restore is planted, which keeps only the `win_allocate`
+    /// baseline); then fire a planned crash if this rank hit its crash
+    /// commit.
     pub(crate) fn on_commit(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         let commit_no = st.stats[rank.idx()].epochs_committed;
-        if let Some(rcfg) = &self.cfg.recovery {
-            if rcfg.ckpt_every > 0 && commit_no.is_multiple_of(rcfg.ckpt_every) {
-                self.checkpoint_rank(st, rank, commit_no);
-            }
+        if self.cfg.recovery.as_ref().is_some_and(|r| !r.plant_stale) {
+            self.checkpoint_rank(st, rank, commit_no);
         }
         let planned = self
             .cfg
@@ -426,11 +426,11 @@ mod tests {
 
     #[test]
     fn planted_stale_restore_is_flagged_and_diverges() {
-        // Sparse checkpoints (every 100 commits → only the initial one)
-        // guarantee a non-empty redo log at the crash, so skipping replay
+        // A planted stale restore keeps only the initial checkpoint, which
+        // guarantees a non-empty redo log at the crash, so skipping replay
         // is guaranteed stale.
         let mut cfg = recovery_cfg(3);
-        cfg.recovery = Some(RecoveryCfg { ckpt_every: 100, plant_stale: true });
+        cfg.recovery = Some(RecoveryCfg { plant_stale: true });
         let mut plan = mpisim_net::FaultPlan::none(1);
         plan.crash_at_commit.push((mpisim_net::Rank(1), 3));
         cfg.net.faults = Some(plan);

@@ -662,16 +662,6 @@ impl EpochObj {
             && self.live_ops.is_empty()
             && self.targets.values().all(|t| t.data_msgs_sent == 0 && t.unsent == 0)
     }
-
-    /// Count of live ops that still block local completion.
-    pub fn live_local(&self) -> usize {
-        self.live_ops.iter().filter(|(_, o)| !o.locally_done()).count()
-    }
-
-    /// Whether every live op is fully done (including acks).
-    pub fn live_all_done(&self) -> bool {
-        self.live_ops.iter().all(|(_, o)| o.done())
-    }
 }
 
 #[cfg(test)]
@@ -738,13 +728,12 @@ mod tests {
                 req: None,
             },
         ));
-        assert_eq!(e.live_local(), 1);
-        assert!(!e.live_all_done());
-        e.live_op_mut(1).unwrap().needs_local = false;
-        assert_eq!(e.live_local(), 0);
-        assert!(!e.live_all_done());
-        e.live_op_mut(1).unwrap().needs_ack = false;
-        assert!(e.live_all_done());
+        let op = e.live_op_mut(1).unwrap();
+        assert!(!op.locally_done() && !op.done());
+        op.needs_local = false;
+        assert!(op.locally_done() && !op.done());
+        op.needs_ack = false;
+        assert!(op.done());
     }
 
     #[test]

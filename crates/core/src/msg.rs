@@ -58,14 +58,6 @@ impl Layout {
         }
     }
 
-    /// Bytes actually transferred (the packed size).
-    pub fn packed_len(&self, contig_len: usize) -> usize {
-        match self {
-            Layout::Contig => contig_len,
-            Layout::Vector { count, blocklen, .. } => count * blocklen,
-        }
-    }
-
     /// The contiguous target blocks `(start, len)` a transfer of
     /// `packed_len` bytes at displacement `disp` covers, in packed order.
     pub fn blocks(&self, disp: usize, packed_len: usize) -> impl Iterator<Item = (usize, usize)> {
@@ -671,13 +663,11 @@ mod layout_tests {
     #[test]
     fn contig_extent_equals_len() {
         assert_eq!(Layout::Contig.extent(100), 100);
-        assert_eq!(Layout::Contig.packed_len(100), 100);
     }
 
     #[test]
     fn vector_extent_and_packed() {
         let v = Layout::Vector { count: 3, blocklen: 4, stride: 10 };
-        assert_eq!(v.packed_len(0), 12);
         assert_eq!(v.extent(12), 2 * 10 + 4);
         let empty = Layout::Vector { count: 0, blocklen: 4, stride: 10 };
         assert_eq!(empty.extent(0), 0);
@@ -699,8 +689,7 @@ mod proptests {
         fn vector_extent_bounds(count in 1usize..50, blocklen in 1usize..64, pad in 0usize..32) {
             let stride = blocklen + pad;
             let l = Layout::Vector { count, blocklen, stride };
-            let packed = l.packed_len(0);
-            prop_assert_eq!(packed, count * blocklen);
+            let packed = count * blocklen;
             prop_assert!(l.extent(packed) >= packed);
             if pad == 0 {
                 prop_assert_eq!(l.extent(packed), packed);

@@ -40,16 +40,6 @@ impl Group {
         Group { ranks: Rc::new(v) }
     }
 
-    /// All ranks except `me`, over a job of `n` ranks.
-    pub fn all_but(n: usize, me: Rank) -> Self {
-        Group::new((0..n).filter(|r| *r != me.idx()))
-    }
-
-    /// Every rank in `0..n`.
-    pub fn world(n: usize) -> Self {
-        Group::new(0..n)
-    }
-
     /// A single-rank group.
     pub fn single(r: Rank) -> Self {
         Group::new([r.idx()])
@@ -99,14 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn group_all_but_skips_me() {
-        let g = Group::all_but(4, Rank(2));
-        assert_eq!(g.ranks(), &[Rank(0), Rank(1), Rank(3)]);
-    }
-
-    #[test]
-    fn world_and_single() {
-        assert_eq!(Group::world(3).len(), 3);
+    fn single_and_empty() {
         let s = Group::single(Rank(7));
         assert_eq!(s.ranks(), &[Rank(7)]);
         assert!(Group::new(std::iter::empty()).is_empty());

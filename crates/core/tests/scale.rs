@@ -81,7 +81,9 @@ fn neighbour_ring_at_8192_ranks_stays_under_224_mb() {
 /// The benchmark's `collective_128` round — two fence-closed halo
 /// iterations, then one `ilock_all` / 8 accumulates / `iunlock_all` — at a
 /// rank count where every rank hears from 511 others per epoch. Prints wall
-/// time and `target_visits` (the exact cost proxy); asserts no wall time.
+/// time and the exact cost proxies: the engine's `target_visits`, and the
+/// network's `credit_stalls` next to `backlog_visits`, the backlog entries
+/// returned credits examined. Asserts no wall time.
 #[test]
 #[ignore = "release-mode scale run; see the scale-smoke CI job"]
 fn collective_round_at_512_ranks() {
@@ -124,11 +126,13 @@ fn collective_round_at_512_ranks() {
     let wrong = report.results.iter().filter(|ok| !**ok).count();
     assert_eq!(wrong, 0, "ranks with wrong window contents");
     println!(
-        "| {n} | {:.2} | {} | {} | {} | {:.3} |",
+        "| {n} | {:.2} | {} | {} | {} | {} | {} | {:.3} |",
         wall.as_secs_f64(),
         vm_hwm_mb().map_or("n/a".into(), |m| format!("{m:.0}")),
         report.net.msgs_sent,
         report.engine.target_visits,
+        report.net.credit_stalls,
+        report.net.backlog_visits,
         report.final_time.as_secs_f64() * 1e3,
     );
 }

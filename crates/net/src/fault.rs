@@ -5,9 +5,8 @@
 //! bit corruption, extra delivery delay, transient `(src, dst)` partitions,
 //! and per-rank NIC crashes. Every decision is drawn from a
 //! per-channel RNG seeded from `(plan.seed, src, dst)`, so a plan replays
-//! identically for a given simulation — and every injected fault is both
-//! counted in [`crate::NetStats`] and appended to a replayable
-//! [`FaultRecord`] log.
+//! identically for a given simulation — and every injected fault is
+//! counted in [`crate::NetStats`].
 //!
 //! Intranode channels (shared memory) are never faulted: the model targets
 //! the interconnect, exactly where the middleware's reliability sublayer
@@ -55,118 +54,6 @@ pub enum FaultKind {
     PartitionDrop,
     /// Message discarded because a rank's NIC crashed.
     CrashDrop,
-}
-
-impl FaultKind {
-    /// Short label for logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Duplicate => "dup",
-            FaultKind::Corrupt => "corrupt",
-            FaultKind::Reorder => "reorder",
-            FaultKind::Delay => "delay",
-            FaultKind::PartitionDrop => "partition-drop",
-            FaultKind::CrashDrop => "crash-drop",
-        }
-    }
-}
-
-/// One replayable fault-log entry.
-#[derive(Clone, Debug)]
-pub struct FaultRecord {
-    /// Virtual time the faulted message entered the fabric.
-    pub at: SimTime,
-    /// Sending rank.
-    pub src: Rank,
-    /// Receiving rank.
-    pub dst: Rank,
-    /// What was injected.
-    pub kind: FaultKind,
-}
-
-impl std::fmt::Display for FaultRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "[{} ns] {} -> {}: {}",
-            self.at.as_nanos(),
-            self.src,
-            self.dst,
-            self.kind.label()
-        )
-    }
-}
-
-/// Bounded replay log of injected faults: a ring buffer that keeps the
-/// most recent [`FaultLog::DEFAULT_CAP`] records and counts what it had to
-/// drop. Long fault sweeps (storm plans over big jobs) previously grew the
-/// log without limit; the ring bounds memory while the
-/// [`FaultLog::dropped`] counter keeps the totals auditable — the number
-/// of faults *injected* is always `retained + dropped`.
-#[derive(Clone, Debug)]
-pub struct FaultLog {
-    records: std::collections::VecDeque<FaultRecord>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl Default for FaultLog {
-    fn default() -> Self {
-        FaultLog::with_capacity(Self::DEFAULT_CAP)
-    }
-}
-
-impl FaultLog {
-    /// Default ring capacity: ample for every conformance sweep while
-    /// bounding a storm plan's footprint to a few hundred KiB.
-    pub const DEFAULT_CAP: usize = 16_384;
-
-    /// An empty log bounded to `cap` retained records.
-    pub fn with_capacity(cap: usize) -> Self {
-        FaultLog { records: std::collections::VecDeque::new(), cap: cap.max(1), dropped: 0 }
-    }
-
-    /// Append a record, evicting the oldest once the ring is full.
-    pub fn push(&mut self, rec: FaultRecord) {
-        if self.records.len() == self.cap {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(rec);
-    }
-
-    /// Number of records currently retained.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing was ever recorded (dropped records count as
-    /// recorded, so an overflowed log is never "empty").
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.dropped == 0
-    }
-
-    /// Records evicted to honour the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total records ever pushed (retained + evicted).
-    pub fn total(&self) -> u64 {
-        self.records.len() as u64 + self.dropped
-    }
-
-    /// Iterate the retained records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &FaultRecord> {
-        self.records.iter()
-    }
-
-    /// Drain the retained records (oldest first), keeping the dropped
-    /// counter.
-    pub fn take(&mut self) -> Vec<FaultRecord> {
-        self.records.drain(..).collect()
-    }
 }
 
 /// A seeded per-channel fault schedule for the simulated interconnect.
@@ -328,31 +215,6 @@ mod tests {
         assert!(p.partitioned(Rank(1), Rank(0), tin));
         assert!(!p.partitioned(Rank(0), Rank(2), tin));
         assert!(!p.partitioned(Rank(0), Rank(1), tend));
-    }
-
-    #[test]
-    fn fault_log_ring_bounds_memory_and_counts_evictions() {
-        let mut log = FaultLog::with_capacity(4);
-        let rec = |i: u64| FaultRecord {
-            at: SimTime::from_nanos(i),
-            src: Rank(0),
-            dst: Rank(1),
-            kind: FaultKind::Drop,
-        };
-        for i in 0..10 {
-            log.push(rec(i));
-        }
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.dropped(), 6);
-        assert_eq!(log.total(), 10);
-        // Oldest evicted first: the ring retains the most recent records.
-        let kept: Vec<u64> = log.iter().map(|r| r.at.as_nanos()).collect();
-        assert_eq!(kept, vec![6, 7, 8, 9]);
-        assert!(!log.is_empty());
-        let drained = log.take();
-        assert_eq!(drained.len(), 4);
-        assert_eq!(log.len(), 0);
-        assert_eq!(log.dropped(), 6, "draining keeps the eviction count");
     }
 
     #[test]

@@ -17,7 +17,7 @@ mod network;
 mod params;
 mod payload;
 
-pub use fault::{FaultKind, FaultLog, FaultPlan, FaultRecord, Partition};
+pub use fault::{FaultKind, FaultPlan, Partition};
 pub use fifo::U64Fifo;
 pub use network::{NetStats, Network, Packet, Wire};
 pub use params::{NetParams, Rank, Topology};

@@ -62,11 +62,6 @@ impl Topology {
         rank.0 / self.cores_per_node
     }
 
-    /// Number of nodes in use.
-    pub fn n_nodes(&self) -> usize {
-        self.n_ranks.div_ceil(self.cores_per_node)
-    }
-
     /// Whether two ranks share a node (intranode channel).
     pub fn same_node(&self, a: Rank, b: Rank) -> bool {
         self.node_of(a) == self.node_of(b)
@@ -171,7 +166,6 @@ mod tests {
         assert_eq!(t.node_of(Rank(3)), 0);
         assert_eq!(t.node_of(Rank(4)), 1);
         assert_eq!(t.node_of(Rank(9)), 2);
-        assert_eq!(t.n_nodes(), 3);
         assert!(t.same_node(Rank(0), Rank(3)));
         assert!(!t.same_node(Rank(3), Rank(4)));
     }

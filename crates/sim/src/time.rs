@@ -54,18 +54,6 @@ impl SimTime {
         }
     }
 
-    /// Construct from fractional microseconds (rounded to nearest ns).
-    ///
-    /// Negative inputs saturate to zero, which is convenient when a latency
-    /// model subtracts an overlap term.
-    #[inline]
-    pub fn from_micros_f64(micros: f64) -> Self {
-        let ns = (micros * 1_000.0).round();
-        SimTime {
-            nanos: if ns <= 0.0 { 0 } else { ns as u64 },
-        }
-    }
-
     /// Construct from fractional seconds (rounded to nearest ns).
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
@@ -230,13 +218,11 @@ mod tests {
         assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimTime::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimTime::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimTime::from_micros_f64(1.5).as_nanos(), 1_500);
         assert_eq!(SimTime::from_secs_f64(0.25).as_nanos(), 250_000_000);
     }
 
     #[test]
     fn negative_float_saturates_to_zero() {
-        assert_eq!(SimTime::from_micros_f64(-4.0), SimTime::ZERO);
         assert_eq!(SimTime::from_secs_f64(-0.1), SimTime::ZERO);
     }
 
