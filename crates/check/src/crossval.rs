@@ -29,7 +29,7 @@ use mpisim_core::{Degradation, JobReport, SyncStrategy};
 
 use crate::lower::lower;
 use crate::program::{generate, Family};
-use crate::run::{exec_ir_with, execute_exec, RunOutcome, RunSpec};
+use crate::run::{exec_ir_with, execute, RunOutcome, RunSpec};
 use crate::suite::{Arm, Outcome, Plant};
 
 /// Epochs the stall watchdog had to cancel.
@@ -325,15 +325,16 @@ fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
 /// results, `SimStats`, `EngineStats`, per-rank timings, and all three
 /// trace streams, byte for byte.
 ///
-/// Under an [`Arm::NondetTiebreak`] plant both runs enable the kernel's
-/// deliberately nondeterministic tie-break (`Sim::set_nondet_tiebreak`),
+/// Under the `nondet-exec` plant both runs enable the kernel's
+/// deliberately nondeterministic tie-break (`mpisim_sim::TieBreak::Nondet`),
 /// whose process-global counter has moved on by the second run, so the two
 /// genuinely diverge; every point is then a plant and *must* be observed
 /// to diverge — the exit-inverted self-test proving the cross-check would
 /// catch a nondeterministic kernel rather than vacuously passing.
 pub fn crossval_exec(width: u64, plant: Option<&Plant>) -> Outcome {
     let mut r = Outcome::default();
-    let plant = matches!(plant.map(|p| p.arm), Some(Arm::NondetTiebreak));
+    let fault = plant.and_then(Plant::engine_fault);
+    let plant = fault.is_some();
     let (mut points, mut detected) = (0u64, 0u64);
     for family in Family::ALL {
         for idx in 0..width {
@@ -342,17 +343,18 @@ pub fn crossval_exec(width: u64, plant: Option<&Plant>) -> Outcome {
                 points += 1;
                 let spec = RunSpec {
                     sim_seed: 7 + idx,
+                    fault: fault.clone(),
                     ..RunSpec::baseline(SyncStrategy::Redesigned, nonblocking)
                 };
                 r.runs += 1;
-                let first = execute_exec(&program, &spec, true, plant);
+                let first = execute(&program, &spec);
                 if let (Err(msg), false) = (&first, plant) {
                     r.failures
                         .push(format!("{family:?} #{idx} nb={nonblocking}: run failed: {msg}"));
                     continue;
                 }
                 r.runs += 1;
-                let second = execute_exec(&program, &spec, true, plant);
+                let second = execute(&program, &spec);
                 let diverged: Vec<&str> = match (&first, &second) {
                     (Ok(a), Ok(b)) => exec_divergences(a, b),
                     (Err(a), Err(b)) if a.to_string() == b.to_string() => Vec::new(),

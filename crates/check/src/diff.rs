@@ -216,7 +216,6 @@ pub fn spec_for_seed(
         fault_plan: None,
         reliable: false,
         crash_at: None,
-        bad_recovery: false,
     }
 }
 

@@ -24,12 +24,13 @@
 //! [`shrink::shrink`] and [`shrink::reproducer`] emit a minimized
 //! ready-to-paste test.
 //!
-//! The harness proves it can catch real bugs by injecting them: the engine
-//! recognizes the fault names `"skip-grant"` (liveness: a dropped exposure
-//! grant, surfacing as deadlock), `"double-acc"` (safety: accumulates
-//! applied twice, surfacing as oracle divergence), and `"hb-race"` (a
-//! planted unsynchronized local window read, caught only by the race
-//! detector) — see [`mpisim_core::Fault`].
+//! The harness proves it can catch real bugs by injecting them:
+//! [`mpisim_core::Fault::ALL`] is every bug the runtime can plant — a
+//! dropped exposure grant (liveness, surfacing as deadlock), accumulates
+//! applied twice (safety, surfacing as oracle divergence), an
+//! unsynchronized local window read only the race detector catches, a
+//! nondeterministic kernel tie-break and a stale crash restore — each
+//! armed by its name in [`RunSpec::fault`].
 //!
 //! The other layers get the same treatment, each in one sweep that also
 //! carries its own planted fault: the static deadlock analyzer against

@@ -29,9 +29,9 @@
 //! dynamically.
 //!
 //! The family proves its teeth the same way the other harness layers do:
-//! under an [`Arm::StaleRestore`] plant it restores deliberately stale
-//! ([`RunSpec::bad_recovery`] keeps only the window-allocation baseline
-//! checkpoint and skips redo-log replay at restart) and requires the
+//! under the `bad-recovery` plant it restores deliberately stale
+//! ([`mpisim_core::Fault::StaleRestore`] keeps only the window-allocation
+//! baseline checkpoint and skips redo-log replay at restart) and requires the
 //! differential comparison to observe the divergence on **every** planted
 //! run — the `--inject bad-recovery` CLI self-test exit-inverts on exactly
 //! this condition.
@@ -39,7 +39,7 @@
 use crate::lower::lower;
 use crate::program::{generate, oracle, Family, Program};
 use crate::run::{execute, RunSpec};
-use crate::suite::{Arm, Outcome, Plant};
+use crate::suite::{Outcome, Plant};
 use mpisim_analyze::{analyze, has_code, Code};
 use mpisim_core::SyncStrategy;
 
@@ -98,11 +98,11 @@ fn sample_points(counts: &[u64]) -> Vec<(usize, u64)> {
 /// Sweep the crash-recovery family: `width` programs per conformance
 /// family, each crashed at sampled commit points under every plan in
 /// [`PLANS`]. Every crash run must converge to the oracle with nothing but
-/// healthy `recovered` degradations. Under an [`Arm::StaleRestore`] plant
-/// every restore is stale instead and must be seen to diverge.
+/// healthy `recovered` degradations. Under the `bad-recovery` plant every
+/// restore is stale instead and must be seen to diverge.
 pub fn crossval_recovery(width: u64, plant: Option<&Plant>) -> Outcome {
-    if matches!(plant.map(|p| p.arm), Some(Arm::StaleRestore)) {
-        return stale_restores(width);
+    if let Some(fault) = plant.and_then(Plant::engine_fault) {
+        return stale_restores(width, fault);
     }
     let mut report = Outcome::default();
     let (mut programs, mut crash_points, mut recovered, mut e012_checks) = (0u64, 0u64, 0u64, 0u64);
@@ -203,7 +203,7 @@ pub fn crossval_recovery(width: u64, plant: Option<&Plant>) -> Outcome {
     report
 }
 
-/// The self-test side: plant a stale restore in every crash run
+/// The self-test side: plant `fault`, a stale restore, in every crash run
 /// and count how many plants the differential comparison catches. The crash
 /// point is each victim rank's *last* commit, so the redo log discarded by
 /// the backdoor is maximal; victims are restricted to ranks whose oracle
@@ -216,7 +216,7 @@ pub fn crossval_recovery(width: u64, plant: Option<&Plant>) -> Outcome {
 /// and are skipped — but every *family* must yield at least one effective
 /// plant across its programs' candidate victims, and every effective
 /// plant must be caught.
-fn stale_restores(width: u64) -> Outcome {
+fn stale_restores(width: u64, fault: String) -> Outcome {
     let mut report = Outcome::default();
     let (mut programs, mut vacuous) = (0u64, 0u64);
     for family in Family::ALL {
@@ -242,7 +242,7 @@ fn stale_restores(width: u64) -> Outcome {
                 let mut spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
                 spec.sim_seed = 7 + idx;
                 spec.crash_at = Some((rank, counts[rank]));
-                spec.bad_recovery = true;
+                spec.fault = Some(fault.clone());
                 report.runs += 1;
                 let tag = format!(
                     "{family:?} #{idx} stale-restore rank {rank} at commit {}",

@@ -6,7 +6,7 @@
 
 use mpisim_analyze::{interpret, Run};
 pub use mpisim_analyze::{exec_ir_with, RunFailure};
-use mpisim_core::{JobConfig, JobReport, RecoveryCfg, SyncStrategy};
+use mpisim_core::{JobConfig, JobReport, SyncStrategy};
 use mpisim_net::NetParams;
 use mpisim_sim::SimTime;
 
@@ -27,7 +27,7 @@ pub struct RunSpec {
     pub tiebreak_seed: Option<u64>,
     /// Simulation seed.
     pub sim_seed: u64,
-    /// Injected engine fault (`None` = none).
+    /// Injected runtime bug, a `mpisim_core::Fault` name (`None` = none).
     pub fault: Option<String>,
     /// Named network fault plan ([`mpisim_net::FaultPlan::by_name`],
     /// seeded from `sim_seed`). When set, every rank is placed on its own
@@ -45,11 +45,6 @@ pub struct RunSpec {
     /// one-rank-per-node placement (a crash must cut real internode
     /// traffic).
     pub crash_at: Option<(usize, u64)>,
-    /// Validation backdoor for the `--inject bad-recovery` self-test:
-    /// checkpoint only at window allocation and restore the crashed rank
-    /// *without* redo-log replay, so the restored window is deliberately
-    /// stale and the differential check must observe the divergence.
-    pub bad_recovery: bool,
 }
 
 impl RunSpec {
@@ -65,7 +60,6 @@ impl RunSpec {
             fault_plan: None,
             reliable: false,
             crash_at: None,
-            bad_recovery: false,
         }
     }
 
@@ -87,14 +81,13 @@ impl RunSpec {
             "RunSpec {{\n        strategy: {strategy},\n        nonblocking: {},\n        \
              net_profile: {},\n        tiebreak_seed: {:?},\n        sim_seed: {},\n        \
              fault: {fault},\n        fault_plan: {fault_plan},\n        reliable: {},\n        \
-             crash_at: {:?},\n        bad_recovery: {},\n    }}",
+             crash_at: {:?},\n    }}",
             self.nonblocking,
             self.net_profile,
             self.tiebreak_seed,
             self.sim_seed,
             self.reliable,
-            self.crash_at,
-            self.bad_recovery
+            self.crash_at
         )
     }
 }
@@ -110,12 +103,11 @@ pub struct RunOutcome {
     pub report: JobReport,
 }
 
-fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, nondet_tiebreak: bool) -> JobConfig {
+fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool) -> JobConfig {
     let mut cfg = JobConfig::new(n_ranks).with_seed(spec.sim_seed).with_strategy(spec.strategy);
     cfg.net = NetParams::perturbation_profile(spec.net_profile);
     cfg.tiebreak_seed = spec.tiebreak_seed;
     cfg.trace = trace;
-    cfg.nondet_tiebreak = nondet_tiebreak;
     cfg.fault = spec.fault.clone();
     if let Some(plan) = &spec.fault_plan {
         // One rank per node: the default 16-cores-per-node placement would
@@ -138,13 +130,7 @@ fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, nondet_tiebreak: bool
         // outage is bridged by retransmission) and needs a watchdog
         // budget comfortably above the restart outage.
         cfg = cfg.with_reliability().with_watchdog(SimTime::from_millis(50));
-        cfg.recovery = Some(RecoveryCfg {
-            // Healthy mode checkpoints at every commit. The bad-recovery
-            // self-test keeps only the win_allocate baseline, so the redo
-            // log at crash time is maximal and skipping its replay
-            // guarantees a stale window.
-            plant_stale: spec.bad_recovery,
-        });
+        cfg.recovery = true;
         cfg.net
             .faults
             .get_or_insert_with(|| mpisim_net::FaultPlan::none(spec.sim_seed))
@@ -156,27 +142,22 @@ fn job_config(n_ranks: usize, spec: &RunSpec, trace: bool, nondet_tiebreak: bool
 
 /// Execute `program` under `spec` with the trace recorder attached.
 pub fn execute(program: &Program, spec: &RunSpec) -> Result<RunOutcome, RunFailure> {
-    execute_exec(program, spec, true, false)
+    execute_exec(program, spec, true)
 }
 
 /// Execute `program` under `spec`, choosing whether the trace recorder is
-/// attached and optionally with the kernel's deliberately nondeterministic
-/// tie-break planted.
+/// attached.
 ///
 /// `trace: false` is the lean production-shaped path: the engine's tracing
 /// hooks must stay behind their branch-free guard and the run must be
 /// observably identical (verdict, memories, counters) to the full-trace
-/// run — see `tests/lean_trace.rs`. `nondet_tiebreak` is a validation
-/// backdoor: the determinism cross-check runs the same (program, spec)
-/// point twice in one process, requires the runs to be byte-identical in
-/// everything observable, and must then *fail*.
+/// run — see `tests/lean_trace.rs`.
 pub fn execute_exec(
     program: &Program,
     spec: &RunSpec,
     trace: bool,
-    nondet_tiebreak: bool,
 ) -> Result<RunOutcome, RunFailure> {
-    let cfg = job_config(program.n_ranks, spec, trace, nondet_tiebreak);
+    let cfg = job_config(program.n_ranks, spec, trace);
     outcome(interpret(cfg, &lower(program, spec.nonblocking))?)
 }
 
@@ -245,7 +226,6 @@ mod tests {
             fault_plan: Some("light-loss".into()),
             reliable: true,
             crash_at: Some((2, 4)),
-            bad_recovery: true,
         };
         let src = s.to_rust();
         for needle in [
@@ -257,7 +237,6 @@ mod tests {
             "light-loss",
             "reliable: true",
             "crash_at: Some((2, 4))",
-            "bad_recovery: true",
         ] {
             assert!(src.contains(needle), "missing {needle} in {src}");
         }

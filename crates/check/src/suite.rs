@@ -76,7 +76,8 @@ impl Sweep {
 /// How a plant is armed.
 #[derive(Copy, Clone, Debug)]
 pub enum Arm {
-    /// `RunSpec::fault`: the engine bug of the plant's own name.
+    /// `RunSpec::fault`: the runtime bug ([`mpisim_core::Fault`]) of the
+    /// plant's own name.
     EngineFault,
     /// The named fault plan with the reliability sublayer OFF.
     Storm(&'static str),
@@ -90,12 +91,8 @@ pub enum Arm {
         /// Whether the satisfiable twins ride along.
         twins: bool,
     },
-    /// `execute_exec`'s `nondet_tiebreak` in every run.
-    NondetTiebreak,
     /// `RewriteMode::PlantUnsound`: one synchronization call deleted.
     UnsoundRewrite,
-    /// `RunSpec::bad_recovery`: restore without redo-log replay.
-    StaleRestore,
 }
 
 /// One row of [`PLANTS`].
@@ -122,6 +119,11 @@ impl Plant {
     /// The CLI flag that accepts this row's name.
     pub fn flag(&self) -> &'static str {
         if self.caught_by.is_some() { "--inject" } else { "--faults" }
+    }
+
+    /// The [`RunSpec::fault`] an [`Arm::EngineFault`] row arms: its name.
+    pub fn engine_fault(&self) -> Option<String> {
+        matches!(self.arm, Arm::EngineFault).then(|| self.name.to_string())
     }
 }
 
@@ -226,7 +228,7 @@ pub const PLANTS: [Plant; 15] = [
     Plant {
         name: "nondet-exec",
         rides: "exec-crossval",
-        arm: Arm::NondetTiebreak,
+        arm: Arm::EngineFault,
         caught_by: Some("rerun divergence"),
         min: 1,
         passed: "the planted nondeterministic tie-break was caught by the same-process rerun \
@@ -243,7 +245,7 @@ pub const PLANTS: [Plant; 15] = [
     Plant {
         name: "bad-recovery",
         rides: "crash-recovery",
-        arm: Arm::StaleRestore,
+        arm: Arm::EngineFault,
         caught_by: Some("oracle divergence"),
         min: 1,
         passed: "every planted stale restore diverged from the oracle and was caught by the \
@@ -257,16 +259,15 @@ pub const PLANTS: [Plant; 15] = [
 fn run_conformance(row: &Sweep, width: u64, args: &Args) -> Outcome {
     let family = row.family.expect("a conformance row names its family");
     let mut opts = VerifyOpts { races: args.races, ..VerifyOpts::default() };
-    let mut fault = None;
-    match args.plant.map(|p| (p, p.arm)) {
-        Some((p, Arm::EngineFault)) => fault = Some(p.name.to_string()),
-        Some((_, Arm::Storm(plan))) => opts.fault_plan = Some(plan),
-        Some((_, Arm::Repaired(plan))) => {
+    match args.plant.map(|p| p.arm) {
+        Some(Arm::Storm(plan)) => opts.fault_plan = Some(plan),
+        Some(Arm::Repaired(plan)) => {
             opts.fault_plan = Some(plan);
             opts.reliable = true;
         }
         _ => {}
     }
+    let fault = args.plant.and_then(Plant::engine_fault);
     let r = sweep_family_with(family, width, args.seeds, &fault, opts);
     let mut o = Outcome {
         runs: r.runs,

@@ -17,7 +17,7 @@ fn lean_and_full_trace_runs_are_observably_identical() {
                 let spec = RunSpec::baseline(SyncStrategy::Redesigned, nonblocking);
                 let full = execute(&program, &spec)
                     .unwrap_or_else(|f| panic!("{family:?} #{idx} full: {f}"));
-                let lean = execute_exec(&program, &spec, false, false)
+                let lean = execute_exec(&program, &spec, false)
                     .unwrap_or_else(|f| panic!("{family:?} #{idx} lean: {f}"));
                 let tag = format!("{family:?} #{idx} nb={nonblocking}");
                 assert_eq!(lean.mems, full.mems, "{tag}: window memories diverged");
@@ -57,7 +57,7 @@ fn lean_trace_identical_under_lazy_baseline() {
         let program = generate(Family::MixedSerial, idx);
         let spec = RunSpec::baseline(SyncStrategy::LazyBaseline, false);
         let full = execute(&program, &spec).unwrap();
-        let lean = execute_exec(&program, &spec, false, false).unwrap();
+        let lean = execute_exec(&program, &spec, false).unwrap();
         assert_eq!(lean.mems, full.mems);
         assert_eq!(lean.report.engine, full.report.engine);
         assert_eq!(lean.report.final_time, full.report.final_time);

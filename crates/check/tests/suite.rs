@@ -8,6 +8,7 @@
 
 use mpisim_check::suite::{self, Args, CONFORMANCE};
 use mpisim_check::{Outcome, Plant, PLANTS, SWEEPS};
+use mpisim_core::Fault;
 
 fn parse(line: &str) -> Result<Args, String> {
     Args::parse(line.split_whitespace().map(String::from))
@@ -136,9 +137,16 @@ fn tables_are_consistent() {
         assert!(SWEEPS.iter().any(|s| s.name == p.rides), "{} rides no row", p.name);
         let same = PLANTS.iter().filter(|q| q.flag() == p.flag() && q.name == p.name);
         assert_eq!(same.count(), 1, "{} {} is ambiguous", p.flag(), p.name);
-        // A panic is never how an engine fault is caught.
+        // A panic is never how an engine fault is caught, and an engine
+        // fault is one the runtime knows by that name.
         let engine_fault = matches!(p.arm, suite::Arm::EngineFault);
         assert!(!engine_fault || p.caught_by != Some("panic"), "{}", p.name);
+        assert!(!engine_fault || Fault::from_name(p.name).is_some(), "{}", p.name);
+    }
+    // Every runtime plant has exactly one row.
+    for f in Fault::ALL {
+        let rows = PLANTS.iter().filter(|p| matches!(p.arm, suite::Arm::EngineFault));
+        assert_eq!(rows.filter(|p| p.name == f.name()).count(), 1, "{f:?}");
     }
 }
 

@@ -4,6 +4,8 @@
 use mpisim_net::NetParams;
 use mpisim_sim::SimTime;
 
+use crate::engine::Fault;
+
 /// Which RMA engine behaviour the job runs with.
 ///
 /// The paper's evaluation compares three series; the first two map to this
@@ -80,25 +82,6 @@ impl WinInfo {
     }
 }
 
-/// Tuning of the epoch-aligned crash-recovery subsystem (DESIGN.md §16).
-///
-/// Present (`Some`) = every rank checkpoints its window contents and
-/// ω-triples into an in-simulation stable store at every epoch commit
-/// and journals later window writes into a redo log; a rank crashed by
-/// the fault plan's `crash_at_commit` list is restarted from its last
-/// checkpoint after a bounded 1 ms outage. Requires the reliability
-/// sublayer (the outage is bridged by retransmission, like a transient
-/// partition).
-#[derive(Clone, Debug, Default)]
-pub struct RecoveryCfg {
-    /// Validation backdoor: keep only the `win_allocate` baseline
-    /// checkpoint and restore it *without* redo-log replay — a
-    /// deliberately stale restore the conformance harness's `--inject
-    /// bad-recovery` self-test requires the differential check to catch.
-    /// Never set outside the harness.
-    pub plant_stale: bool,
-}
-
 /// Everything needed to run one simulated MPI job.
 #[derive(Clone, Debug)]
 pub struct JobConfig {
@@ -117,30 +100,31 @@ pub struct JobConfig {
     /// Seeded tie-break perturbation for same-time simulator events
     /// (`None` = FIFO order). Each seed selects one legal alternative
     /// schedule; the conformance harness sweeps this to explore the
-    /// schedule space (see `Sim::set_tiebreak_seed`).
+    /// schedule space (see `mpisim_sim::TieBreak::Seeded`).
     pub tiebreak_seed: Option<u64>,
-    /// Named fault to inject into the engine, used only by the conformance
-    /// harness to prove it catches real bugs. `None` (the default) and
-    /// `Some("")` inject nothing. Recognized names: `"skip-grant"`,
-    /// `"double-acc"`, `"hb-race"`.
+    /// Named runtime bug to plant, used only by the conformance harness to
+    /// prove it catches real bugs. `None` (the default) and `Some("")`
+    /// inject nothing; any other value is the [`Fault::name`] of one of
+    /// [`Fault::ALL`] (see [`JobConfig::injected`]).
     pub fault: Option<String>,
     /// Ack/retransmit reliability sublayer for internode traffic (`false`
     /// = off, the pre-fault-model behaviour; DESIGN.md §11.2). Required for
     /// clean runs whenever `net.faults` injects loss, duplication,
     /// reordering, or corruption.
     pub reliability: bool,
-    /// Epoch-aligned checkpointing and crash recovery (`None` = off). See
-    /// [`RecoveryCfg`].
-    pub recovery: Option<RecoveryCfg>,
+    /// Epoch-aligned checkpointing and crash recovery (DESIGN.md §16):
+    /// every rank checkpoints its window contents and ω-triples at every
+    /// epoch commit and journals later window writes into a redo log; a
+    /// rank crashed by the fault plan's `crash_at_commit` list is
+    /// restarted from its last checkpoint after a bounded 1 ms outage.
+    /// Requires the reliability sublayer (the outage is bridged by
+    /// retransmission, like a transient partition).
+    pub recovery: bool,
     /// Epoch stall watchdog: the sim-time budget an open epoch or pending
     /// request may go without progress before it is cancelled and
     /// surfaced as a structured `StallReport` (`None` = no watchdog; a
     /// genuinely stuck schedule then surfaces as a simulator deadlock).
     pub watchdog: Option<SimTime>,
-    /// Validation backdoor: deliberately nondeterministic event tie-breaks
-    /// (see `Sim::set_nondet_tiebreak`). Exists solely so the determinism
-    /// cross-check can prove it would catch a nondeterministic kernel.
-    pub nondet_tiebreak: bool,
 }
 
 impl JobConfig {
@@ -157,9 +141,8 @@ impl JobConfig {
             tiebreak_seed: None,
             fault: None,
             reliability: false,
-            recovery: None,
+            recovery: false,
             watchdog: None,
-            nondet_tiebreak: false,
         }
     }
 
@@ -196,6 +179,18 @@ impl JobConfig {
         self
     }
 
+    /// The planted bug [`JobConfig::fault`] names, if any.
+    ///
+    /// # Panics
+    ///
+    /// On a name that is not one of [`Fault::ALL`].
+    pub fn injected(&self) -> Option<Fault> {
+        let name = self.fault.as_deref().filter(|n| !n.is_empty())?;
+        Some(Fault::from_name(name).unwrap_or_else(|| {
+            panic!("unknown injected fault {name:?}; known: {:?}", Fault::ALL.map(Fault::name))
+        }))
+    }
+
     /// Name the one execution vehicle explicitly: stores nothing.
     pub fn with_exec(self, exec: ExecMode) -> Self {
         let ExecMode::Pooled { workers } = exec;
@@ -227,6 +222,28 @@ mod tests {
         assert_eq!(c.strategy, SyncStrategy::Redesigned);
         let c2 = JobConfig::all_internode(4);
         assert_eq!(c2.cores_per_node, 1);
+    }
+
+    #[test]
+    fn fault_names_round_trip() {
+        for f in Fault::ALL {
+            assert_eq!(Fault::from_name(f.name()), Some(f));
+        }
+        assert_eq!(Fault::from_name(""), None);
+        let mut c = JobConfig::new(2);
+        assert_eq!(c.injected(), None);
+        c.fault = Some(String::new());
+        assert_eq!(c.injected(), None);
+        c.fault = Some(Fault::StaleRestore.name().into());
+        assert_eq!(c.injected(), Some(Fault::StaleRestore));
+    }
+
+    #[test]
+    #[should_panic(expected = "known: [")]
+    fn unknown_fault_names_the_known_ones() {
+        let mut c = JobConfig::new(2);
+        c.fault = Some("skip-grnt".into());
+        c.injected();
     }
 
     #[test]

@@ -264,9 +264,10 @@ impl std::fmt::Display for ProtocolError {
     }
 }
 
-/// A deliberately injected engine bug, used by the conformance harness to
-/// prove the differential checker and auditor catch real defects. Never
-/// active unless explicitly requested via [`JobConfig::fault`].
+/// A deliberately injected runtime bug, used by the conformance harness to
+/// prove its detectors catch real defects. Never active unless explicitly
+/// requested by name via [`JobConfig::fault`]; [`Fault::ALL`] is every
+/// bug there is to plant.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Fault {
     /// `pump_exposure_grants` silently drops the second exposure grant of
@@ -285,6 +286,41 @@ pub enum Fault {
     /// under the happens-before relation, so only the race detector in
     /// `mpisim-analyze` can catch it.
     HbRace,
+    /// The kernel orders same-time events by a process-global counter that
+    /// never resets (`TieBreak::Nondet`), so two runs of the very same job
+    /// schedule differently — what the determinism cross-check must catch.
+    NondetTiebreak,
+    /// Crash recovery keeps only the `win_allocate` baseline checkpoint and
+    /// restores it *without* redo-log replay — a stale restore the
+    /// differential check must catch whenever the log was non-empty.
+    StaleRestore,
+}
+
+impl Fault {
+    /// Every fault, in the order `mpisim-check`'s table lists them.
+    pub const ALL: [Fault; 5] = [
+        Fault::SkipGrant,
+        Fault::DoubleAcc,
+        Fault::HbRace,
+        Fault::NondetTiebreak,
+        Fault::StaleRestore,
+    ];
+
+    /// The name [`JobConfig::fault`] and `mpisim-check --inject` take.
+    pub fn name(self) -> &'static str {
+        match self {
+            Fault::SkipGrant => "skip-grant",
+            Fault::DoubleAcc => "double-acc",
+            Fault::HbRace => "hb-race",
+            Fault::NondetTiebreak => "nondet-exec",
+            Fault::StaleRestore => "bad-recovery",
+        }
+    }
+
+    /// The fault called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Fault> {
+        Fault::ALL.into_iter().find(|f| f.name() == name)
+    }
 }
 
 /// Per-rank cumulative timing, reported by [`crate::api::RankEnv::stats`].
@@ -512,13 +548,7 @@ impl Engine {
         let net_params: NetParams = cfg.net.clone();
         let net = Network::new(sim.clone(), net_params, topo);
         let n = cfg.n_ranks;
-        let fault = match cfg.fault.as_deref() {
-            None | Some("") => None,
-            Some("skip-grant") => Some(Fault::SkipGrant),
-            Some("double-acc") => Some(Fault::DoubleAcc),
-            Some("hb-race") => Some(Fault::HbRace),
-            Some(other) => panic!("unknown injected fault {other:?}"),
-        };
+        let fault = cfg.injected();
         let eng = Rc::new(Engine {
             st: RefCell::new(EngState {
                 wins: Vec::new(),
@@ -748,7 +778,7 @@ impl Engine {
         );
         st.wins[idx].per_rank[rank.idx()] = Some(WinRank::new(size, info));
         let win = WinId(idx as u32);
-        if self.recovery_armed() {
+        if self.cfg.recovery {
             // Commit-0 baseline: a crash before the first epoch commit
             // still has a consistent restore point.
             self.recovery_init_win(&mut st, rank, win);
@@ -796,15 +826,15 @@ impl Engine {
         st.api_win(win, rank)?;
         self.freshen_crashed_mem(&mut st, rank, win);
         let w = st.win(win, rank);
-        if disp + len > w.mem.len() {
+        let Some(end) = disp.checked_add(len).filter(|&end| end <= w.mem.len()) else {
             return Err(RmaError::OutOfBounds {
                 win,
                 target: rank,
                 disp,
                 len,
             });
-        }
-        Ok(w.mem[disp..disp + len].to_vec())
+        };
+        Ok(w.mem[disp..end].to_vec())
     }
 
     /// Local store into the window copy.
@@ -819,15 +849,15 @@ impl Engine {
         st.api_win(win, rank)?;
         self.freshen_crashed_mem(&mut st, rank, win);
         let w = st.win_mut(win, rank);
-        if disp + data.len() > w.mem.len() {
+        let Some(end) = disp.checked_add(data.len()).filter(|&end| end <= w.mem.len()) else {
             return Err(RmaError::OutOfBounds {
                 win,
                 target: rank,
                 disp,
                 len: data.len(),
             });
-        }
-        w.mem[disp..disp + data.len()].copy_from_slice(data);
+        };
+        w.mem[disp..end].copy_from_slice(data);
         self.log_win_write(&mut st, rank, win, disp, data.len());
         Ok(())
     }

@@ -21,7 +21,7 @@
 //! for a transient partition. The whole episode is recorded as a
 //! [`RecoveryReport`] plus a [`Degradation::Recovered`] provenance entry.
 //!
-//! The `plant_stale` knob exists solely for the conformance harness's
+//! [`Fault::StaleRestore`] exists solely for the conformance harness's
 //! exit-inverted `--inject bad-recovery` self-test: it keeps only the
 //! `win_allocate` baseline and installs it *without* replaying the redo
 //! log, a textbook stale restore the differential check must catch
@@ -32,7 +32,7 @@ use std::rc::Rc;
 use mpisim_sim::SimTime;
 
 use crate::engine::rel::Degradation;
-use crate::engine::{EngState, Engine};
+use crate::engine::{EngState, Engine, Fault};
 use crate::types::{Rank, WinId};
 use crate::window::{OmegaTable, PeerOmega};
 
@@ -164,11 +164,6 @@ pub(crate) const RESTART_AFTER: SimTime = SimTime::from_millis(1);
 const WIPE_BYTE: u8 = 0xDB;
 
 impl Engine {
-    /// Whether the crash-recovery subsystem is armed for this job.
-    pub(crate) fn recovery_armed(&self) -> bool {
-        self.cfg.recovery.is_some()
-    }
-
     /// Take the initial (commit-0) checkpoint for a freshly allocated
     /// window side, so a crash before the first commit still has a
     /// consistent restore point.
@@ -200,7 +195,7 @@ impl Engine {
         disp: usize,
         len: usize,
     ) {
-        if !self.recovery_armed() || len == 0 {
+        if !self.cfg.recovery || len == 0 {
             return;
         }
         let w = st.win_mut(win, rank);
@@ -226,15 +221,14 @@ impl Engine {
     /// memory through here, and serving the healthy reconstruction would
     /// mask the very staleness the self-test plants at restart.
     pub(crate) fn freshen_crashed_mem(&self, st: &mut EngState, rank: Rank, win: WinId) {
-        if !self.recovery_armed() || !st.crashed[rank.idx()] {
+        if !self.cfg.recovery || !st.crashed[rank.idx()] {
             return;
         }
-        let plant_stale = self.cfg.recovery.as_ref().is_some_and(|r| r.plant_stale);
         let w = st.win_mut(win, rank);
         let Some(sw) = &w.stable else {
             return;
         };
-        w.mem = if plant_stale {
+        w.mem = if self.fault == Some(Fault::StaleRestore) {
             sw.ckpt.as_ref().expect("recovery without a checkpoint").mem.clone()
         } else {
             sw.reconstruct()
@@ -248,7 +242,7 @@ impl Engine {
     /// commit.
     pub(crate) fn on_commit(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         let commit_no = st.stats[rank.idx()].epochs_committed;
-        if self.cfg.recovery.as_ref().is_some_and(|r| !r.plant_stale) {
+        if self.cfg.recovery && self.fault != Some(Fault::StaleRestore) {
             self.checkpoint_rank(st, rank, commit_no);
         }
         let planned = self
@@ -283,7 +277,7 @@ impl Engine {
         for win in st.wins_of(rank) {
             st.win_mut(win, rank).mem.fill(WIPE_BYTE);
         }
-        if !self.recovery_armed() {
+        if !self.cfg.recovery {
             return;
         }
         let crash_at = self.sim.now();
@@ -302,7 +296,7 @@ impl Engine {
     fn restart_rank(self: &Rc<Self>, rank: Rank, crash_commit: u64, crash_at: SimTime) {
         {
             let mut st = self.st.borrow_mut();
-            let plant_stale = self.cfg.recovery.as_ref().is_some_and(|r| r.plant_stale);
+            let planted = self.fault == Some(Fault::StaleRestore);
             self.net.nic_up(mpisim_net::Rank(rank.idx()));
             st.crashed[rank.idx()] = false;
             let now = self.sim.now();
@@ -319,7 +313,7 @@ impl Engine {
                     sw.log.len() as u64,
                     sw.log.iter().map(|r| r.bytes.len() as u64).sum::<u64>(),
                 );
-                let installed = if plant_stale { ckpt.mem.clone() } else { reconstructed.clone() };
+                let installed = if planted { ckpt.mem.clone() } else { reconstructed.clone() };
                 let stale = installed != reconstructed;
                 let ckpt_commit = ckpt.commit_no;
                 let ckpt_at = ckpt.at;
@@ -350,14 +344,14 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{JobConfig, RecoveryCfg};
+    use crate::config::JobConfig;
     use crate::runtime::run_job;
 
     fn recovery_cfg(n: usize) -> JobConfig {
         let mut cfg = JobConfig::all_internode(n)
             .with_reliability()
             .with_watchdog(SimTime::from_millis(50));
-        cfg.recovery = Some(RecoveryCfg::default());
+        cfg.recovery = true;
         cfg
     }
 
@@ -430,7 +424,7 @@ mod tests {
         // guarantees a non-empty redo log at the crash, so skipping replay
         // is guaranteed stale.
         let mut cfg = recovery_cfg(3);
-        cfg.recovery = Some(RecoveryCfg { plant_stale: true });
+        cfg.fault = Some(Fault::StaleRestore.name().into());
         let mut plan = mpisim_net::FaultPlan::none(1);
         plan.crash_at_commit.push((mpisim_net::Rank(1), 3));
         cfg.net.faults = Some(plan);

@@ -252,7 +252,7 @@ impl Engine {
     pub(crate) fn resilient(&self) -> bool {
         self.cfg.reliability
             || self.cfg.watchdog.is_some()
-            || self.cfg.recovery.is_some()
+            || self.cfg.recovery
             || self.cfg.net.faults.as_ref().is_some_and(|f| f.is_active())
     }
 

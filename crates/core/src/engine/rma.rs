@@ -67,11 +67,20 @@ impl Engine {
                     FetchKind::GetAccumulate => {}
                 }
             }
-            let w = st.win_mut(win, rank);
-            let eid = w
+            let eid = st
+                .win(win, rank)
                 .open_access_covering(target)
                 .ok_or(RmaError::NoEpoch { win, target })?;
-            let age = w.alloc_age();
+            // An erroneous range is the caller's error here, not a panic in
+            // the target's sweep when the op arrives. A target that already
+            // freed its side has no range to hold the op to.
+            let (len, layout) = kind.shape();
+            let extent = layout.extent(len);
+            let room = st.try_win(win, target).map_or(usize::MAX, |t| t.mem.len());
+            if disp.checked_add(extent).is_none_or(|end| end > room) {
+                return Err(RmaError::OutOfBounds { win, target, disp, len: extent });
+            }
+            let age = st.win_mut(win, rank).alloc_age();
             let req = if kind.expects_response() || want_req {
                 Some(st.reqs.alloc(ReqKind::Comm))
             } else {

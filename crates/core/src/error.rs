@@ -89,7 +89,7 @@ impl std::fmt::Display for RmaError {
             } => write!(
                 f,
                 "access [{disp}, {}) exceeds window {win:?} at {target}",
-                disp + len
+                disp.saturating_add(*len)
             ),
             RmaError::InvalidRank(r) => write!(f, "rank {r} out of range"),
             RmaError::InvalidWindow(w) => write!(f, "window {w:?} does not exist"),

@@ -71,7 +71,7 @@ pub mod window;
 mod worklist;
 
 pub use api::{RankEnv, CALL_ENTRY, PER_OP};
-pub use config::{ExecMode, JobConfig, RecoveryCfg, SyncStrategy, WinInfo};
+pub use config::{ExecMode, JobConfig, SyncStrategy, WinInfo};
 pub use datatype::{Datatype, ReduceOp};
 pub use engine::{
     Degradation, Engine, EngineStats, Fault, ProtocolError, RankStats, RecoveryReport,

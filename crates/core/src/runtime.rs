@@ -5,11 +5,11 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use mpisim_net::NetStats;
-use mpisim_sim::{Sim, SimError, SimStats, SimTime};
+use mpisim_sim::{Sim, SimError, SimStats, SimTime, TieBreak};
 
 use crate::api::RankEnv;
 use crate::config::JobConfig;
-use crate::engine::{Engine, RankStats};
+use crate::engine::{Engine, Fault, RankStats};
 use crate::types::Rank;
 
 /// Everything a finished job reports; `R` is what each rank's closure
@@ -114,8 +114,11 @@ where
     R: 'static,
 {
     let mut sim = Sim::new(cfg.seed);
-    sim.set_tiebreak_seed(cfg.tiebreak_seed);
-    sim.set_nondet_tiebreak(cfg.nondet_tiebreak);
+    sim.set_tiebreak(match (cfg.injected(), cfg.tiebreak_seed) {
+        (Some(Fault::NondetTiebreak), _) => TieBreak::Nondet,
+        (_, Some(seed)) => TieBreak::Seeded(seed),
+        (_, None) => TieBreak::Fifo,
+    });
     let eng = Engine::new(sim.handle(), cfg.clone());
     let f = Rc::new(f);
     let slots: Rc<[Cell<Option<R>>]> = (0..cfg.n_ranks).map(|_| Cell::new(None)).collect();

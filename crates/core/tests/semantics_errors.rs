@@ -618,7 +618,53 @@ fn local_reads_and_writes_are_bounds_checked() {
         assert!(env.write_local(win, 8, &[1]).is_err());
         env.write_local(win, 0, &[1; 8]).unwrap();
         assert_eq!(env.read_local(win, 0, 8).unwrap(), vec![1; 8]);
+        // A range whose end does not fit in a `usize` is out of bounds, not
+        // an overflow, and its message does not overflow either.
+        let err = env.read_local(win, usize::MAX, 2).unwrap_err();
+        assert!(
+            matches!(err, RmaError::OutOfBounds { disp: usize::MAX, len: 2, .. }),
+            "got {err:?}"
+        );
+        assert!(err.to_string().contains("exceeds window"), "{err}");
+        let err = env.write_local(win, usize::MAX, &[1, 2]).unwrap_err();
+        assert!(
+            matches!(err, RmaError::OutOfBounds { disp: usize::MAX, len: 2, .. }),
+            "got {err:?}"
+        );
         env.win_free(win).unwrap();
     })
     .unwrap();
+}
+
+/// An RMA call past the end of the target's side of the window is the
+/// origin's error: it is refused at the call, nothing reaches the target,
+/// and the epoch closes as if the call had not been made. The range is
+/// held to the target's side, which may be shorter than the origin's.
+#[test]
+fn out_of_range_rma_is_refused_at_the_origin() {
+    let report = run_job(JobConfig::all_internode(3), |env| {
+        let me = env.rank().idx();
+        let win = env.win_allocate(if me == 2 { 32 } else { 64 }).unwrap();
+        if me == 0 {
+            for (target, disp, len) in [(1, 60, 8), (1, usize::MAX, 2), (2, 40, 8)] {
+                env.lock(win, Rank(target), LockKind::Exclusive).unwrap();
+                let err = env.put(win, Rank(target), disp, &vec![1; len]).unwrap_err();
+                assert!(
+                    matches!(err, RmaError::OutOfBounds { target: t, disp: d, len: l, .. }
+                        if (t, d, l) == (Rank(target), disp, len)),
+                    "got {err:?}"
+                );
+                env.put(win, Rank(target), 0, &[1; 8]).unwrap();
+                env.unlock(win, Rank(target)).unwrap();
+            }
+        }
+        env.barrier().unwrap();
+        let got = env.read_local(win, 0, 32).unwrap();
+        env.win_free(win).unwrap();
+        got
+    })
+    .unwrap();
+    let mut want = vec![1; 8];
+    want.resize(32, 0);
+    assert_eq!(report.results, vec![vec![0; 32], want.clone(), want]);
 }

@@ -8,7 +8,7 @@
 //! an event callback) or one process. Determinism follows from three rules:
 //!
 //! 1. events are ordered by time, then by a tie-break: their sequence
-//!    number, or a seeded permutation of it ([`Sim::set_tiebreak_seed`]);
+//!    number, or a seeded permutation of it ([`Sim::set_tiebreak`]);
 //! 2. ready processes run in FIFO order, and all ready processes run before
 //!    the next event is popped;
 //! 3. process code itself only observes virtual time through the kernel.
@@ -171,12 +171,32 @@ pub(crate) enum Action {
     Call(EventFn),
 }
 
+/// How same-time events are ordered ([`Sim::set_tiebreak`]). The kernel
+/// never promises an order among same-time events, only that *some* total
+/// order is picked; each mode below picks one from the event's sequence
+/// number.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum TieBreak {
+    /// Scheduling order: the sequence number itself.
+    Fifo,
+    /// A seeded hash of the sequence number — a deterministic, seed-keyed
+    /// permutation of every tie. Each seed is one legal alternative
+    /// schedule; the conformance harness sweeps seeds to explore the
+    /// schedule space.
+    Seeded(u64),
+    /// Validation backdoor: a hash of the sequence number and a
+    /// process-global counter that never resets, so two runs of the very
+    /// same seeded program schedule differently. Exists solely so the
+    /// determinism cross-check can prove it would catch a nondeterministic
+    /// kernel; never set it in real simulations.
+    Nondet,
+}
+
 pub(crate) struct Inner {
     pub(crate) now: SimTime,
     next_seq: u64,
     queue: EventQueue,
-    tiebreak_seed: Option<u64>,
-    nondet_tiebreak: bool,
+    tiebreak: TieBreak,
     pub(crate) ready: VecDeque<ProcId>,
     pub(crate) procs: Vec<ProcRec>,
     /// The payload of a process that panicked in the slice that just ran;
@@ -190,16 +210,13 @@ pub(crate) struct Inner {
 impl Inner {
     /// Tie-break key for a freshly assigned sequence number.
     fn tiebreak_key(&self, seq: u64) -> u64 {
-        if self.nondet_tiebreak {
-            // Validation backdoor (see [`Sim::set_nondet_tiebreak`]): mix a
-            // process-global counter that never resets, so two runs of the
-            // same seeded program order their same-time events differently.
-            static CLOCK: AtomicU64 = AtomicU64::new(0);
-            return crate::rng::mix64(CLOCK.fetch_add(1, Ordering::Relaxed), seq);
-        }
-        match self.tiebreak_seed {
-            None => seq,
-            Some(seed) => crate::rng::mix64(seed, seq),
+        match self.tiebreak {
+            TieBreak::Fifo => seq,
+            TieBreak::Seeded(seed) => crate::rng::mix64(seed, seq),
+            TieBreak::Nondet => {
+                static CLOCK: AtomicU64 = AtomicU64::new(0);
+                crate::rng::mix64(CLOCK.fetch_add(1, Ordering::Relaxed), seq)
+            }
         }
     }
 
@@ -330,8 +347,7 @@ impl Sim {
                     ready: VecDeque::new(),
                     procs: Vec::new(),
                     panic_payload: None,
-                    tiebreak_seed: None,
-                    nondet_tiebreak: false,
+                    tiebreak: TieBreak::Fifo,
                     events_executed: 0,
                     context_switches: 0,
                     event_cap: DEFAULT_EVENT_CAP,
@@ -350,37 +366,15 @@ impl Sim {
         self.core.inner.borrow_mut().event_cap = cap;
     }
 
-    /// Install a seeded tie-break perturbation for same-time events.
-    ///
-    /// By default, events scheduled for the same virtual time run in
-    /// scheduling (FIFO) order. With a tie-break seed, same-time events run
-    /// in the order of a seeded hash of their sequence numbers instead — a
-    /// deterministic, seed-keyed permutation of every tie. Each seed is one
-    /// legal alternative schedule: the kernel never promises an order among
-    /// same-time events, only that *some* total order is picked
-    /// deterministically. The conformance harness sweeps seeds to explore
-    /// the schedule space; `None` restores FIFO order.
+    /// Order same-time events by `tiebreak` instead of the default
+    /// [`TieBreak::Fifo`].
     ///
     /// Must be set before the first event is scheduled to be meaningful
     /// (events already queued keep the key assigned at push time).
-    pub fn set_tiebreak_seed(&mut self, seed: Option<u64>) {
+    pub fn set_tiebreak(&mut self, tiebreak: TieBreak) {
         let mut inner = self.core.inner.borrow_mut();
-        debug_assert!(
-            inner.queue.is_empty(),
-            "tie-break seed changed after events were scheduled"
-        );
-        inner.tiebreak_seed = seed;
-    }
-
-    /// Deliberately break tie-break determinism (validation backdoor).
-    ///
-    /// With this set, same-time events are ordered by a process-global
-    /// counter that never resets, so two runs of the very same seeded
-    /// program produce different schedules. Exists solely so the
-    /// determinism cross-check harness can prove it would catch a
-    /// nondeterministic kernel; never set it in real simulations.
-    pub fn set_nondet_tiebreak(&mut self, on: bool) {
-        self.core.inner.borrow_mut().nondet_tiebreak = on;
+        debug_assert!(inner.queue.is_empty(), "tie-break changed after events were scheduled");
+        inner.tiebreak = tiebreak;
     }
 
     /// A handle for scheduling events and reading the clock.
@@ -614,9 +608,9 @@ mod tests {
         assert_eq!(*log.borrow(), vec![1, 3, 2, 0]);
     }
 
-    fn tie_order(seed: Option<u64>) -> Vec<usize> {
+    fn tie_order(tiebreak: TieBreak) -> Vec<usize> {
         let mut sim = Sim::new(0);
-        sim.set_tiebreak_seed(seed);
+        sim.set_tiebreak(tiebreak);
         let h = sim.handle();
         let log = Rc::new(RefCell::new(Vec::new()));
         // Eight events tied at t=10ns, one late straggler at t=20ns.
@@ -632,35 +626,35 @@ mod tests {
 
     #[test]
     fn tiebreak_default_is_fifo() {
-        assert_eq!(tie_order(None), vec![0, 1, 2, 3, 4, 5, 6, 7, 99]);
+        assert_eq!(tie_order(TieBreak::Fifo), vec![0, 1, 2, 3, 4, 5, 6, 7, 99]);
     }
 
     #[test]
     fn tiebreak_seed_permutes_only_ties() {
-        let base = tie_order(None);
+        let base = tie_order(TieBreak::Fifo);
         let mut saw_reorder = false;
         for seed in 0..8u64 {
-            let p = tie_order(Some(seed));
+            let p = tie_order(TieBreak::Seeded(seed));
             // Same event set, straggler still strictly last.
             let mut sorted = p.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5, 6, 7, 99]);
             assert_eq!(*p.last().unwrap(), 99);
             // Same seed, same schedule.
-            assert_eq!(p, tie_order(Some(seed)));
+            assert_eq!(p, tie_order(TieBreak::Seeded(seed)));
             saw_reorder |= p != base;
         }
         assert!(saw_reorder, "no seed in 0..8 permuted an 8-way tie");
     }
 
     #[test]
-    fn nondet_tiebreak_diverges_across_runs() {
+    fn nondet_diverges_across_runs() {
         // The validation backdoor must actually produce different schedules
         // for identical runs (this is what the determinism cross-check's
         // exit-inverted self-test relies on).
         fn nondet_order() -> Vec<usize> {
             let mut sim = Sim::new(0);
-            sim.set_nondet_tiebreak(true);
+            sim.set_tiebreak(TieBreak::Nondet);
             let h = sim.handle();
             let log = Rc::new(RefCell::new(Vec::new()));
             for i in 0..16 {

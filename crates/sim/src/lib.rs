@@ -56,7 +56,7 @@ mod queue;
 mod rng;
 mod time;
 
-pub use kernel::{ProcId, Sim, SimError, SimHandle, SimStats};
+pub use kernel::{ProcId, Sim, SimError, SimHandle, SimStats, TieBreak};
 pub use process::ProcCtx;
 pub use rng::{mix64, seeded_rng};
 pub use time::SimTime;

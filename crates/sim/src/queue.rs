@@ -14,13 +14,13 @@
 //! list is sorted by tie-break alone, and a push goes after every event whose
 //! tie-break is not greater than its own.
 //!
-//! - In FIFO mode the tie-break *is* the sequence number, so every push into
-//!   an existing instant is a tail append.
-//! - Under a tie-break seed it is `mix64(seed, seq)`, which for a fixed seed
+//! - Under `TieBreak::Fifo` the tie-break *is* the sequence number, so every
+//!   push into an existing instant is a tail append.
+//! - Under `TieBreak::Seeded(seed)` it is `mix64(seed, seq)`, which for a fixed seed
 //!   is a bijection of `seq` (rotate, xor, add and xorshift-multiply are each
 //!   invertible): two events never tie, and a push walks the list from its
 //!   head.
-//! - Under `nondet_tiebreak` two keys may collide; they then pop in push
+//! - Under `TieBreak::Nondet` two keys may collide; they then pop in push
 //!   order, as any order would do for a mode that exists to be
 //!   nondeterministic.
 

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mpisim_sim::{mix64, seeded_rng, Sim, SimHandle, SimTime};
+use mpisim_sim::{mix64, seeded_rng, Sim, SimHandle, SimTime, TieBreak};
 use rand::Rng;
 
 /// One scheduling call, in ns: `schedule(d)` or `schedule_at(t)`.
@@ -46,7 +46,7 @@ fn schedule_call(h: &SimHandle, run: &Arc<Run>, plan: Plan, call: Call) {
 
 fn simulate(seed: Option<u64>, roots: &[Call], plan: Plan) -> Vec<(u64, u64)> {
     let mut sim = Sim::new(0);
-    sim.set_tiebreak_seed(seed);
+    sim.set_tiebreak(seed.map_or(TieBreak::Fifo, TieBreak::Seeded));
     let h = sim.handle();
     let run = Arc::new(Run {
         next_id: AtomicU64::new(0),

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use mpisim_sim::{seeded_rng, ProcCtx, ProcId, Sim, SimError, SimStats, SimTime};
+use mpisim_sim::{seeded_rng, ProcCtx, ProcId, Sim, SimError, SimStats, SimTime, TieBreak};
 use rand::Rng;
 
 /// What the kernel leaves to its callers: the condition a parked process
@@ -417,7 +417,7 @@ fn wake_of_a_process_that_is_not_parked_is_a_noop() {
 /// event order).
 fn wakes_and_callbacks(seed: Option<u64>) -> String {
     let mut sim = Sim::new(0);
-    sim.set_tiebreak_seed(seed);
+    sim.set_tiebreak(seed.map_or(TieBreak::Fifo, TieBreak::Seeded));
     let log = Arc::new(Mutex::new(Vec::new()));
     for i in 0..4usize {
         let log = log.clone();
