@@ -2,24 +2,16 @@
 //! Pass `--quick` to shrink the application figures for a fast pass.
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    mpisim_bench::emit(&mpisim_bench::micro::fig00_lock_put_latency(), "fig00_latency");
-    mpisim_bench::emit(&mpisim_bench::micro::fig00_lock_overlap(), "fig00_overlap");
-    mpisim_bench::emit(&mpisim_bench::micro::fig02_late_post(), "fig02");
-    mpisim_bench::emit(&mpisim_bench::micro::fig03_late_complete(), "fig03");
-    mpisim_bench::emit(&mpisim_bench::micro::fig04_early_fence(), "fig04");
-    mpisim_bench::emit(&mpisim_bench::micro::fig05_wait_at_fence(), "fig05");
-    mpisim_bench::emit(&mpisim_bench::micro::fig06_late_unlock(), "fig06");
-    mpisim_bench::emit(&mpisim_bench::flags::fig07_aaar_gats(), "fig07");
-    mpisim_bench::emit(&mpisim_bench::flags::fig08_aaar_lock(), "fig08");
-    mpisim_bench::emit(&mpisim_bench::flags::fig09_aaer(), "fig09");
-    mpisim_bench::emit(&mpisim_bench::flags::fig10_eaer(), "fig10");
-    mpisim_bench::emit(&mpisim_bench::flags::fig11_eaar(), "fig11");
+    for (slug, harness) in mpisim_bench::FIGURES {
+        mpisim_bench::emit(&harness(), slug);
+    }
     let f12 = if quick {
         mpisim_bench::fig12::Fig12Opts::quick()
     } else {
         mpisim_bench::fig12::Fig12Opts::default()
     };
     mpisim_bench::emit(&mpisim_bench::fig12::run(&f12), "fig12");
+    mpisim_bench::emit(&mpisim_bench::fig12::ablation_flow_control(), "ablation_flow_control");
     let f13 = if quick {
         mpisim_bench::fig13::Fig13Opts::quick()
     } else {

@@ -28,6 +28,11 @@ impl Series {
         }
     }
 
+    /// The column labels of a per-series table, in plotting order.
+    pub fn labels() -> Vec<String> {
+        Series::ALL.iter().map(|s| s.label().to_string()).collect()
+    }
+
     /// Job configuration for a microbenchmark of `n` ranks (one rank per
     /// node, like the paper's internode microbenchmarks).
     pub fn job(self, n: usize) -> JobConfig {

@@ -162,7 +162,7 @@ pub fn crossval_recovery(width: u64, plant: Option<&Plant>) -> Outcome {
                             continue;
                         }
                     };
-                    if out.report.recoveries.is_empty() {
+                    if out.report.recoveries().next().is_none() {
                         let why = "the crash never fired or never recovered";
                         report.failures.push(format!("{tag}: {why}"));
                         continue;
@@ -174,7 +174,7 @@ pub fn crossval_recovery(width: u64, plant: Option<&Plant>) -> Outcome {
                             bad.push(format!("non-recovery degradation: {d}"));
                         }
                     }
-                    for r in &out.report.recoveries {
+                    for r in out.report.recoveries() {
                         if r.stale || r.omega_regressions > 0 {
                             bad.push(format!("unhealthy restore: {r}"));
                         }
@@ -255,7 +255,7 @@ fn stale_restores(width: u64, fault: String) -> Outcome {
                         continue;
                     }
                 };
-                if !out.report.recoveries.iter().any(|r| r.stale) {
+                if !out.report.recoveries().any(|r| r.stale) {
                     // The victim's redo log was empty at the crash: the
                     // stale restore lost nothing, so there is no
                     // divergence for the differential check to catch.
@@ -319,7 +319,7 @@ mod tests {
         let mut spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
         spec.crash_at = Some((rank, commit));
         let out = execute(&program, &spec).unwrap();
-        assert!(!out.report.recoveries.is_empty(), "the crash must fire");
+        assert!(out.report.recoveries().next().is_some(), "the crash must fire");
         assert!(out.report.degradations.iter().all(|d| d.kind() == "recovered"));
         assert_eq!(out.mems, expected.mems);
         assert_eq!(out.gets, expected.gets);

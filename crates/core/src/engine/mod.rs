@@ -433,8 +433,6 @@ pub(crate) struct EngState {
     /// Ranks a planned crash took down (until the restart, with recovery
     /// armed).
     pub crashed: Vec<bool>,
-    /// Completed rank-restart episodes, with provenance.
-    pub recoveries: Vec<recover::RecoveryReport>,
     /// Closed-but-incomplete epochs the stall watchdog must inspect, each
     /// with the virtual time of its close (the budget's anchor), appended
     /// at every epoch close (only while a watchdog budget is configured).
@@ -566,7 +564,6 @@ impl Engine {
                 degradations: Vec::new(),
                 rel: (0..n).map(|_| RelRank::default()).collect(),
                 crashed: vec![false; n],
-                recoveries: Vec::new(),
                 watchdog_armed: false,
                 stall_watch: Vec::new(),
             }),
@@ -613,11 +610,6 @@ impl Engine {
     /// the engine survived instead of aborting on).
     pub fn take_degradations(&self) -> Vec<Degradation> {
         std::mem::take(&mut self.st.borrow_mut().degradations)
-    }
-
-    /// Drain the recorded rank-restart episodes.
-    pub fn take_recoveries(&self) -> Vec<RecoveryReport> {
-        std::mem::take(&mut self.st.borrow_mut().recoveries)
     }
 
     /// Drain the recorded epoch lifecycle trace.
@@ -895,9 +887,7 @@ impl Engine {
                 kind,
             } => self.handle_op(st, dst, src, win, tag, disp, token, kind),
             Body::OpResp { token, payload } => self.handle_op_resp(st, dst, token, payload),
-            Body::AccRts { win, size, token } => {
-                self.handle_acc_rts(st, dst, src, win, size, token)
-            }
+            Body::AccRts { token } => self.handle_acc_rts(st, dst, src, token),
             Body::AccCts { token } => self.handle_acc_cts(st, dst, token),
 
             // ---- synchronization plane ----
@@ -915,9 +905,7 @@ impl Engine {
             Body::P2pEager { tag, payload } => {
                 self.handle_p2p_eager(st, dst, src, tag, payload)
             }
-            Body::P2pRts { tag, size, token } => {
-                self.handle_p2p_rts(st, dst, src, tag, size, token)
-            }
+            Body::P2pRts { tag, token } => self.handle_p2p_rts(st, dst, src, tag, token),
             Body::P2pCts { token, data_token } => {
                 self.handle_p2p_cts_from(st, dst, src, token, data_token)
             }

@@ -102,11 +102,7 @@ impl Engine {
                     Packet {
                         src: rank,
                         dst,
-                        body: Body::P2pRts {
-                            tag,
-                            size: 0,
-                            token,
-                        },
+                        body: Body::P2pRts { tag, token },
                     },
                     None,
                     None,
@@ -198,7 +194,6 @@ impl Engine {
         me: Rank,
         src: Rank,
         tag: u64,
-        _size: usize,
         token: u64,
     ) {
         let hit = st.p2p[me.idx()]

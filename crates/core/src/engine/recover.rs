@@ -18,8 +18,8 @@
 //! must only have advanced — the reliability channels journal continuously,
 //! the "NIC NVRAM" shortcut, so sequence state is never lost). In-flight
 //! internode traffic is bridged by the ack/retransmit sublayer exactly as
-//! for a transient partition. The whole episode is recorded as a
-//! [`RecoveryReport`] plus a [`Degradation::Recovered`] provenance entry.
+//! for a transient partition. The whole episode is recorded as one
+//! [`Degradation::Recovered`] entry carrying its [`RecoveryReport`].
 //!
 //! [`Fault::StaleRestore`] exists solely for the conformance harness's
 //! exit-inverted `--inject bad-recovery` self-test: it keeps only the
@@ -333,8 +333,7 @@ impl Engine {
                     stale,
                 };
                 st.eng_stats.recoveries += 1;
-                st.degradations.push(Degradation::Recovered(report.clone()));
-                st.recoveries.push(report);
+                st.degradations.push(Degradation::Recovered(report));
             }
         }
         self.sweep(rank);
@@ -385,7 +384,7 @@ mod tests {
         assert!(report.engine.ckpt_commits > 0, "commits must cut checkpoints");
         assert!(report.engine.ckpt_bytes > 0);
         assert_eq!(report.engine.recoveries, 0);
-        assert!(report.recoveries.is_empty());
+        assert_eq!(report.recoveries().count(), 0);
         assert!(report.ranks.iter().all(|r| r.epochs_committed > 0));
     }
 
@@ -404,8 +403,8 @@ mod tests {
         })
         .unwrap();
         assert!(report.engine.recoveries > 0, "the crash must recover");
-        assert_eq!(report.recoveries.len(), report.engine.recoveries as usize);
-        let r = &report.recoveries[0];
+        assert_eq!(report.recoveries().count(), report.engine.recoveries as usize);
+        let r = report.recoveries().next().unwrap();
         assert_eq!(r.rank, crate::Rank(1));
         assert_eq!(r.crash_commit, 2);
         assert!(!r.stale);
@@ -440,7 +439,7 @@ mod tests {
             }
         })
         .unwrap();
-        let stale: Vec<_> = report.recoveries.iter().filter(|r| r.stale).collect();
+        let stale: Vec<_> = report.recoveries().filter(|r| r.stale).collect();
         assert!(!stale.is_empty(), "the plant must be flagged effective");
         assert!(
             diverged.get(),

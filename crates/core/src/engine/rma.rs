@@ -248,14 +248,14 @@ impl Engine {
             // Rendezvous: the target must stage an intermediate buffer for
             // the operand (§VIII.A) — RTS now, data on CTS. `unsent` stays
             // up so done/unlock packets cannot overtake the data.
-            let (dst, size) = (op.target, op.kind.wire_len());
+            let dst = op.target;
             let token = st.tokens.insert(TokenInfo::AccRndv {
                 rank,
                 win,
                 epoch: eid,
                 op,
             });
-            let body = Body::AccRts { win, size, token };
+            let body = Body::AccRts { token };
             self.send_framed(st, Packet { src: rank, dst, body }, None, None);
             return;
         }
@@ -560,8 +560,6 @@ impl Engine {
         st: &mut EngState,
         me: Rank,
         src: Rank,
-        _win: WinId,
-        _size: usize,
         token: u64,
     ) {
         // The target stages an intermediate buffer and replies CTS.

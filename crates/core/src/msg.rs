@@ -304,10 +304,6 @@ pub enum Body {
     /// intermediate buffer, which is why large accumulates cannot overlap —
     /// §VIII.A).
     AccRts {
-        /// Target window.
-        win: WinId,
-        /// Operand size, bytes.
-        size: usize,
         /// Token correlating the CTS.
         token: u64,
     },
@@ -363,8 +359,6 @@ pub enum Body {
     P2pRts {
         /// Match tag.
         tag: u64,
-        /// Data size.
-        size: usize,
         /// Token correlating CTS/data.
         token: u64,
     },
@@ -455,9 +449,7 @@ impl Body {
                 )
             }
             Body::OpResp { token, .. } => (2, *token, 0),
-            Body::AccRts { win, size, token } => {
-                (3, u64::from(win.0) ^ (*size as u64), *token)
-            }
+            Body::AccRts { token } => (3, *token, 0),
             Body::AccCts { token } => (4, *token, 0),
             Body::Sync(sp) => (5, u64::from(sp.win.0) ^ (sp.id << 8), sp.kind as u64),
             Body::FenceDone { win, seq, ops_sent } => {
@@ -474,7 +466,7 @@ impl Body {
                 (8, u64::from(win.0) ^ (packets.len() as u64), acc)
             }
             Body::P2pEager { tag, .. } => (9, *tag, 0),
-            Body::P2pRts { tag, size, token } => (10, *tag ^ (*size as u64), *token),
+            Body::P2pRts { tag, token } => (10, *tag, *token),
             Body::P2pCts { token, data_token } => (11, *token, *data_token),
             Body::P2pData { data_token, .. } => (12, *data_token, 0),
             Body::BarrierMsg { seq, round } => (13, *seq, u64::from(*round)),
@@ -614,13 +606,13 @@ mod tests {
         let syncs = SyncKind::ALL.into_iter().map(|kind| ("sync", sync(kind), 0));
         ops.chain(syncs).chain([
             ("op response", Body::OpResp { token, payload: data() }, 4096),
-            ("accumulate rts", Body::AccRts { win, size: 1 << 20, token }, 0),
+            ("accumulate rts", Body::AccRts { token }, 0),
             ("accumulate cts", Body::AccCts { token }, 0),
             ("fence done", Body::FenceDone { win, seq: 1, ops_sent: 3 }, 0),
             ("fifo word", Body::fifo(win, &[0]), 8),
             ("fifo batch", Body::fifo(win, &[1, 2, 3]), 24),
             ("p2p eager", Body::P2pEager { tag: 1, payload: data() }, 4096),
-            ("p2p rts", Body::P2pRts { tag: 1, size: 1 << 20, token }, 0),
+            ("p2p rts", Body::P2pRts { tag: 1, token }, 0),
             ("p2p cts", Body::P2pCts { token, data_token: 8 }, 0),
             ("p2p data", Body::P2pData { data_token: 8, payload: data() }, 4096),
             ("barrier", Body::BarrierMsg { seq: 1, round: 0 }, 0),

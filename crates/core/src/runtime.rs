@@ -9,7 +9,7 @@ use mpisim_sim::{Sim, SimError, SimStats, SimTime, TieBreak};
 
 use crate::api::RankEnv;
 use crate::config::JobConfig;
-use crate::engine::{Engine, Fault, RankStats};
+use crate::engine::{Degradation, Engine, Fault, RankStats, RecoveryReport};
 use crate::types::Rank;
 
 /// Everything a finished job reports; `R` is what each rank's closure
@@ -41,10 +41,6 @@ pub struct JobReport<R = ()> {
     /// (stalled) epochs — each with rank/window provenance. Empty on a
     /// healthy run; see [`JobReport::is_clean`].
     pub degradations: Vec<crate::engine::Degradation>,
-    /// Completed rank-restart episodes (crash-recovery provenance). Every
-    /// entry here also appears as a [`crate::engine::Degradation::Recovered`]
-    /// record in `degradations`.
-    pub recoveries: Vec<crate::engine::RecoveryReport>,
 }
 
 impl<R> JobReport<R> {
@@ -53,12 +49,12 @@ impl<R> JobReport<R> {
     pub fn split_results(self) -> (Vec<R>, JobReport) {
         let JobReport {
             results, final_time, sim, net, ranks, trace, sync_trace, req_events,
-            live_requests, engine, degradations, recoveries,
+            live_requests, engine, degradations,
         } = self;
         let unit = JobReport {
             results: vec![(); results.len()],
             final_time, sim, net, ranks, trace, sync_trace, req_events,
-            live_requests, engine, degradations, recoveries,
+            live_requests, engine, degradations,
         };
         (results, unit)
     }
@@ -68,6 +64,16 @@ impl<R> JobReport<R> {
     /// or watchdog-cancelled epochs.
     pub fn is_clean(&self) -> bool {
         self.degradations.is_empty()
+    }
+
+    /// Completed rank-restart episodes (crash-recovery provenance): the
+    /// [`Degradation::Recovered`] entries of `degradations`, in recording
+    /// order.
+    pub fn recoveries(&self) -> impl Iterator<Item = &RecoveryReport> {
+        self.degradations.iter().filter_map(|d| match d {
+            Degradation::Recovered(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Mean fraction of rank time spent in MPI calls (Fig 13 b/d).
@@ -146,6 +152,5 @@ where
         live_requests: eng.live_requests(),
         engine: eng.engine_stats(),
         degradations: eng.take_degradations(),
-        recoveries: eng.take_recoveries(),
     })
 }

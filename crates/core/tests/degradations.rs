@@ -138,7 +138,7 @@ fn is_clean_is_exactly_no_degradations() {
     .unwrap();
     assert!(report.degradations.is_empty());
     assert!(report.is_clean());
-    assert!(report.recoveries.is_empty());
+    assert_eq!(report.recoveries().count(), 0);
 }
 
 #[test]
