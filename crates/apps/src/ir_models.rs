@@ -11,25 +11,16 @@
 //! in the bench crate executes both versions under the engine and
 //! reports the blocked-steps / virtual-time delta.
 //!
-//! Builders take explicit scales and use a tiny inline LCG where the
-//! real kernel draws random targets, so a twin is a pure function of
-//! its arguments — no `rand` state, no wall clock.
+//! Builders take explicit scales and step [`splitmix64`] over a per-rank
+//! seed where the real kernel draws random targets, so a twin is a pure
+//! function of its arguments — no `rand` state, no wall clock.
 
 use mpisim_analyze::{Close, FetchKind, IrProgram, Stmt};
 use mpisim_core::ReduceOp;
+use mpisim_sim::splitmix64;
 
 /// Window size shared by every twin: eight 8-byte slots.
 const WIN_BYTES: usize = 64;
-
-/// Deterministic splitmix64 step — the twins' stand-in for the real
-/// kernels' seeded RNG.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// IR twin of [`crate::halo`]'s fence discipline: per iteration each
 /// rank puts one ghost cell to each ring neighbour, separated by
@@ -127,10 +118,10 @@ pub fn transactions_ir(n_ranks: usize, txs: usize) -> IrProgram {
         let stmts = &mut p.ranks[me];
         for _ in 0..txs {
             let target = {
-                let t = (mix(&mut rng) as usize) % (n_ranks - 1);
+                let t = (splitmix64(&mut rng) as usize) % (n_ranks - 1);
                 if t >= me { t + 1 } else { t }
             };
-            let disp = ((mix(&mut rng) as usize) % 8) * 8;
+            let disp = ((splitmix64(&mut rng) as usize) % 8) * 8;
             stmts.push(Stmt::Lock { win: 0, target, exclusive: true, nonblocking: false });
             stmts.push(Stmt::Acc { win: 0, target, disp, len: 8, op: ReduceOp::Sum });
             stmts.push(Stmt::Unlock { win: 0, target, close: Close::Blocking });
@@ -154,10 +145,10 @@ pub fn bank_ir(n_ranks: usize, transfers: usize) -> IrProgram {
         stmts.push(Stmt::LockAll { win: 0, nonblocking: false });
         for i in 0..transfers {
             let target = {
-                let t = (mix(&mut rng) as usize) % (n_ranks - 1);
+                let t = (splitmix64(&mut rng) as usize) % (n_ranks - 1);
                 if t >= me { t + 1 } else { t }
             };
-            let disp = ((mix(&mut rng) as usize) % 8) * 8;
+            let disp = ((splitmix64(&mut rng) as usize) % 8) * 8;
             stmts.push(Stmt::ReadValue {
                 win: 0,
                 target,

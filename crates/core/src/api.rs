@@ -240,7 +240,7 @@ impl<'a> RankEnv<'a> {
 
     /// Window creation with explicit info flags (§VI.B reorder flags).
     pub fn win_allocate_with(&self, size: usize, info: WinInfo) -> RmaResult<WinId> {
-        let w = self.timed(|| self.eng.win_allocate(self.rank, size, info));
+        let w = self.timed(|| self.eng.win_allocate(self.rank, size, info))?;
         self.barrier()?;
         Ok(w)
     }
@@ -728,11 +728,12 @@ impl<'a> RankEnv<'a> {
 
     /// Blocking dissemination barrier over all ranks.
     pub fn barrier(&self) -> RmaResult<()> {
-        self.blocking(|| Ok(self.eng.ibarrier(self.rank)))
+        self.blocking(|| self.eng.ibarrier(self.rank))
     }
 
-    /// Nonblocking barrier.
-    pub fn ibarrier(&self) -> Req {
+    /// Nonblocking barrier; refused while this rank's previous barrier is
+    /// pending.
+    pub fn ibarrier(&self) -> RmaResult<Req> {
         self.timed(|| self.eng.ibarrier(self.rank))
     }
 }

@@ -58,7 +58,7 @@ use crate::types::{EpochId, LockKind, Rank, Req, WinId};
 use crate::window::WinRank;
 use crate::worklist::WorkList;
 
-pub(crate) use p2p::{BarrierRank, P2pRank};
+pub(crate) use p2p::{Arrival, BarrierRank, P2pRank};
 pub use recover::RecoveryReport;
 pub use rel::{Degradation, MAX_RETRIES, RTO};
 pub(crate) use rel::RelRank;
@@ -755,8 +755,10 @@ impl Engine {
 
     /// Create this rank's side of its next window (SPMD creation order
     /// assigns ids). The API layer adds the collective barrier.
-    pub fn win_allocate(&self, rank: Rank, size: usize, info: crate::config::WinInfo) -> WinId {
+    pub fn win_allocate(&self, rank: Rank, size: usize, info: crate::config::WinInfo) -> RmaResult<WinId> {
         let mut st = self.st.borrow_mut();
+        // Creation ends in a barrier: refuse before this rank's side exists.
+        st.no_pending_barrier(rank)?;
         let idx = st.created[rank.idx()] as usize;
         st.created[rank.idx()] += 1;
         if st.wins.len() <= idx {
@@ -775,7 +777,7 @@ impl Engine {
             // still has a consistent restore point.
             self.recovery_init_win(&mut st, rank, win);
         }
-        win
+        Ok(win)
     }
 
     /// Tear down this rank's side of a window. Errors if epochs are still
@@ -903,9 +905,11 @@ impl Engine {
 
             // ---- two-sided ----
             Body::P2pEager { tag, payload } => {
-                self.handle_p2p_eager(st, dst, src, tag, payload)
+                self.handle_p2p_arrival(st, dst, src, tag, Arrival::Eager(payload))
             }
-            Body::P2pRts { tag, token } => self.handle_p2p_rts(st, dst, src, tag, token),
+            Body::P2pRts { tag, token } => {
+                self.handle_p2p_arrival(st, dst, src, tag, Arrival::Rndv { token })
+            }
             Body::P2pCts { token, data_token } => {
                 self.handle_p2p_cts_from(st, dst, src, token, data_token)
             }

@@ -23,16 +23,17 @@ pub(crate) struct PostedRecv {
     pub req: Req,
 }
 
-/// An arrived-but-unmatched message.
-pub(crate) enum UnexpContent {
+/// What a two-sided message brings to its receive.
+pub(crate) enum Arrival {
     Eager(Payload),
     Rndv { token: u64 },
 }
 
+/// An arrived-but-unmatched message.
 pub(crate) struct UnexpMsg {
     pub src: Rank,
     pub tag: u64,
-    pub content: UnexpContent,
+    pub content: Arrival,
 }
 
 /// Per-rank two-sided state.
@@ -57,6 +58,17 @@ pub(crate) struct BarrierRank {
     /// message from every rank's `s + 1`, which this rank enters only after
     /// finishing `s` — so the row of `s + 2` is the drained row of `s`.
     pub arrived: [u32; 2],
+}
+
+impl EngState {
+    /// Barriers do not overlap: refuse a call that starts one while this
+    /// rank's previous barrier is pending.
+    pub(crate) fn no_pending_barrier(&self, rank: Rank) -> RmaResult<()> {
+        match self.barrier[rank.idx()].req {
+            Some(_) => Err(RmaError::BarrierPending),
+            None => Ok(()),
+        }
+    }
 }
 
 fn barrier_rounds(n: usize) -> u32 {
@@ -92,7 +104,7 @@ impl Engine {
                         dst,
                         body: Body::P2pEager { tag, payload },
                     },
-                    Some(Box::new(move || me.complete_req_and_sweep(rank, req, None))),
+                    Some(Box::new(move || me.complete_req_and_sweep(rank, req))),
                     None,
                 );
             } else {
@@ -132,25 +144,7 @@ impl Engine {
             match hit {
                 Some(i) => {
                     let msg = st.p2p[rank.idx()].unexpected.remove(i).unwrap();
-                    match msg.content {
-                        UnexpContent::Eager(payload) => {
-                            let data = payload_to_bytes(payload);
-                            st.reqs.complete(req, Some(data));
-                        }
-                        UnexpContent::Rndv { token } => {
-                            let data_token = st.tokens.insert(TokenInfo::P2pRecv { req });
-                            self.send_framed(
-                                &mut st,
-                                Packet {
-                                    src: rank,
-                                    dst: msg.src,
-                                    body: Body::P2pCts { token, data_token },
-                                },
-                                None,
-                                None,
-                            );
-                        }
-                    }
+                    self.answer_recv(&mut st, rank, msg.src, req, msg.content);
                 }
                 None => {
                     st.p2p[rank.idx()].posted.push_back(PostedRecv { src, tag, req });
@@ -162,13 +156,16 @@ impl Engine {
         Ok(req)
     }
 
-    pub(crate) fn handle_p2p_eager(
+    /// A two-sided message from `src` arrived at `me`: the first posted
+    /// receive with the same `(src, tag)` takes it, or it waits in the
+    /// unexpected queue.
+    pub(crate) fn handle_p2p_arrival(
         self: &Rc<Self>,
         st: &mut EngState,
         me: Rank,
         src: Rank,
         tag: u64,
-        payload: Payload,
+        content: Arrival,
     ) {
         let hit = st.p2p[me.idx()]
             .posted
@@ -177,33 +174,19 @@ impl Engine {
         match hit {
             Some(i) => {
                 let posted = st.p2p[me.idx()].posted.remove(i).unwrap();
-                let data = payload_to_bytes(payload);
-                st.reqs.complete(posted.req, Some(data));
+                self.answer_recv(st, me, src, posted.req, content);
             }
-            None => st.p2p[me.idx()].unexpected.push_back(UnexpMsg {
-                src,
-                tag,
-                content: UnexpContent::Eager(payload),
-            }),
+            None => st.p2p[me.idx()].unexpected.push_back(UnexpMsg { src, tag, content }),
         }
     }
 
-    pub(crate) fn handle_p2p_rts(
-        self: &Rc<Self>,
-        st: &mut EngState,
-        me: Rank,
-        src: Rank,
-        tag: u64,
-        token: u64,
-    ) {
-        let hit = st.p2p[me.idx()]
-            .posted
-            .iter()
-            .position(|p| p.src == src && p.tag == tag);
-        match hit {
-            Some(i) => {
-                let posted = st.p2p[me.idx()].posted.remove(i).unwrap();
-                let data_token = st.tokens.insert(TokenInfo::P2pRecv { req: posted.req });
+    /// Answer `me`'s receive `req`, matched to a message from `src`: eager
+    /// data completes it; a rendezvous request is answered with a CTS.
+    fn answer_recv(self: &Rc<Self>, st: &mut EngState, me: Rank, src: Rank, req: Req, content: Arrival) {
+        match content {
+            Arrival::Eager(payload) => st.reqs.complete(req, Some(payload.into_data())),
+            Arrival::Rndv { token } => {
+                let data_token = st.tokens.insert(TokenInfo::P2pRecv { req });
                 self.send_framed(
                     st,
                     Packet {
@@ -215,11 +198,6 @@ impl Engine {
                     None,
                 );
             }
-            None => st.p2p[me.idx()].unexpected.push_back(UnexpMsg {
-                src,
-                tag,
-                content: UnexpContent::Rndv { token },
-            }),
         }
     }
 
@@ -245,7 +223,7 @@ impl Engine {
                 dst: cts_src,
                 body: Body::P2pData { data_token, payload },
             },
-            Some(Box::new(move || m.complete_req_and_sweep(me, req, None))),
+            Some(Box::new(move || m.complete_req_and_sweep(me, req))),
             None,
         );
     }
@@ -262,16 +240,12 @@ impl Engine {
             self.orphan_response(st, "P2pData");
             return;
         };
-        let data = payload_to_bytes(payload);
-        st.reqs.complete(req, Some(data));
+        st.reqs.complete(req, Some(payload.into_data()));
     }
 
     /// Complete a request from a scheduler event and run the rank's sweep.
-    pub(crate) fn complete_req_and_sweep(self: &Rc<Self>, rank: Rank, req: Req, data: Option<bytes::Bytes>) {
-        {
-            let mut st = self.st.borrow_mut();
-            st.reqs.complete(req, data);
-        }
+    pub(crate) fn complete_req_and_sweep(self: &Rc<Self>, rank: Rank, req: Req) {
+        self.st.borrow_mut().reqs.complete(req, None);
         self.sweep(rank);
     }
 
@@ -279,14 +253,16 @@ impl Engine {
     // barrier
     // ------------------------------------------------------------------
 
-    /// Nonblocking dissemination barrier over all ranks.
-    pub fn ibarrier(self: &Rc<Self>, rank: Rank) -> Req {
+    /// Nonblocking dissemination barrier over all ranks. Barriers do not
+    /// overlap: a second one while this rank's previous one is pending is
+    /// refused before it takes a request.
+    pub fn ibarrier(self: &Rc<Self>, rank: Rank) -> RmaResult<Req> {
         let n = self.cfg.n_ranks;
         let req = {
             let mut st = self.st.borrow_mut();
+            st.no_pending_barrier(rank)?;
             let req = st.reqs.alloc(ReqKind::Barrier);
             let b = &mut st.barrier[rank.idx()];
-            assert!(b.req.is_none(), "overlapping barriers are not supported");
             b.seq += 1;
             b.round = 0;
             b.req = Some(req);
@@ -311,7 +287,7 @@ impl Engine {
             req
         };
         self.sweep(rank);
-        req
+        Ok(req)
     }
 
     pub(crate) fn handle_barrier_msg(
@@ -366,13 +342,6 @@ impl Engine {
                 None,
             );
         }
-    }
-}
-
-fn payload_to_bytes(p: Payload) -> bytes::Bytes {
-    match p {
-        Payload::Bytes(b) => b,
-        Payload::Synthetic(n) => bytes::Bytes::from(vec![0u8; n]),
     }
 }
 

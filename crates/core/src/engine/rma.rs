@@ -547,11 +547,7 @@ impl Engine {
             return;
         };
         debug_assert_eq!(rank, me);
-        let len = payload.len();
-        let data = payload
-            .into_bytes()
-            .unwrap_or_else(|| bytes::Bytes::from(vec![0u8; len]));
-        st.reqs.complete(req, Some(data));
+        st.reqs.complete(req, Some(payload.into_data()));
         self.op_update(st, me, win, epoch, age, |o| o.needs_resp = false);
     }
 

@@ -66,6 +66,9 @@ pub enum RmaError {
     NotPassiveEpoch,
     /// The info key combination is unsupported.
     BadInfo(&'static str),
+    /// A barrier was started while this rank's previous one is still
+    /// pending; barriers do not overlap.
+    BarrierPending,
 }
 
 impl std::fmt::Display for RmaError {
@@ -100,6 +103,7 @@ impl std::fmt::Display for RmaError {
             RmaError::InvalidRequest => write!(f, "invalid or already-consumed request handle"),
             RmaError::NotPassiveEpoch => write!(f, "flush requires a passive-target epoch"),
             RmaError::BadInfo(k) => write!(f, "unsupported info combination: {k}"),
+            RmaError::BarrierPending => write!(f, "barrier while this rank's previous one is pending"),
         }
     }
 }

@@ -240,7 +240,7 @@ fn wait_all_is_one_mpi_call_and_free_when_empty() {
     // counted, whatever the number of requests.
     run_job(JobConfig::new(1), |env| {
         // A one-rank barrier is complete at creation.
-        let reqs: Vec<_> = (0..256).map(|_| env.ibarrier()).collect();
+        let reqs: Vec<_> = (0..256).map(|_| env.ibarrier().unwrap()).collect();
         let (t0, s0) = (env.now(), env.stats());
         env.wait_all(reqs.clone()).unwrap();
         let s1 = env.stats();

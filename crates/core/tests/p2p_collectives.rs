@@ -142,7 +142,7 @@ fn barrier_on_single_rank_is_trivial() {
 fn ibarrier_overlaps_computation() {
     let report = run_job(JobConfig::all_internode(2), |env| {
         if env.rank().idx() == 0 {
-            let r = env.ibarrier();
+            let r = env.ibarrier().unwrap();
             env.compute(SimTime::from_micros(300));
             env.wait(r).unwrap();
         } else {

@@ -339,13 +339,41 @@ fn datatype_mismatch_rejected() {
 #[test]
 fn stale_request_handles_rejected() {
     run_job(JobConfig::all_internode(2), |env| {
-        let r = env.ibarrier();
+        let r = env.ibarrier().unwrap();
         env.wait(r).unwrap();
         // Consumed: a second wait must error, not hang.
         assert!(matches!(env.wait(r).unwrap_err(), RmaError::InvalidRequest));
         assert!(matches!(env.test(r).unwrap_err(), RmaError::InvalidRequest));
     })
     .unwrap();
+}
+
+#[test]
+fn second_pending_barrier_is_refused() {
+    // Rank 1 enters its barrier 100 µs late, so rank 0's stays pending:
+    // another barrier on rank 0 — nonblocking, blocking, or the one inside
+    // `win_allocate` / `win_free` — is an error, and takes no request. The
+    // refused creation leaves no window side behind, so the next window's
+    // id still agrees across ranks.
+    let report = run_job(JobConfig::new(2), |env| {
+        let win = env.win_allocate(8).unwrap();
+        if env.rank().idx() == 0 {
+            let first = env.ibarrier().unwrap();
+            assert_eq!(env.ibarrier().unwrap_err(), RmaError::BarrierPending);
+            assert_eq!(env.barrier().unwrap_err(), RmaError::BarrierPending);
+            assert_eq!(env.win_free(win).unwrap_err(), RmaError::BarrierPending);
+            assert_eq!(env.win_allocate(8).unwrap_err(), RmaError::BarrierPending);
+            env.wait(first).unwrap();
+        } else {
+            env.compute(SimTime::from_micros(100));
+            env.barrier().unwrap();
+        }
+        env.win_free(win).unwrap();
+        let next = env.win_allocate(8).unwrap();
+        env.win_free(next).unwrap();
+    })
+    .unwrap();
+    assert_eq!(report.live_requests, 0);
 }
 
 #[test]
@@ -404,7 +432,7 @@ fn wait_any_on_empty_or_stale_errors() {
             env.wait_any(&[]).unwrap_err(),
             RmaError::InvalidRequest
         ));
-        let r = env.ibarrier();
+        let r = env.ibarrier().unwrap();
         env.wait(r).unwrap();
         assert!(matches!(
             env.wait_any(&[r]).unwrap_err(),
@@ -454,7 +482,7 @@ fn wait_any_loop_leaves_no_registration_behind() {
 fn wait_any_with_a_stale_handle_mid_slice_registers_nowhere() {
     let report = run_job(JobConfig::all_internode(2), |env| {
         if env.rank().idx() == 0 {
-            let stale = env.ibarrier();
+            let stale = env.ibarrier().unwrap();
             env.wait(stale).unwrap();
             let (a, b) = (env.irecv(Rank(1), 1).unwrap(), env.irecv(Rank(1), 2).unwrap());
             assert_eq!(env.wait_any(&[a, stale, b]).unwrap_err(), RmaError::InvalidRequest);

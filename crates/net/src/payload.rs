@@ -35,13 +35,13 @@ impl Payload {
         }
     }
 
-    /// Take the real bytes by value, if any — avoids the refcount bump
-    /// (and, for unique buffers, the deep copy) a `bytes().cloned()`
-    /// round trip would cost.
-    pub fn into_bytes(self) -> Option<Bytes> {
+    /// The delivered data, taken by value — avoids the refcount bump (and,
+    /// for unique buffers, the deep copy) a `bytes().cloned()` round trip
+    /// would cost. A synthetic payload delivers its length in zeros.
+    pub fn into_data(self) -> Bytes {
         match self {
-            Payload::Bytes(b) => Some(b),
-            Payload::Synthetic(_) => None,
+            Payload::Bytes(b) => b,
+            Payload::Synthetic(n) => Bytes::from(vec![0u8; n]),
         }
     }
 
@@ -81,10 +81,10 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_and_into_bytes_round_trip() {
+    fn from_vec_and_into_data_round_trip() {
         let p = Payload::from_vec(vec![9, 8, 7]);
         assert_eq!(p.len(), 3);
-        assert_eq!(p.into_bytes().unwrap().as_ref(), &[9, 8, 7]);
-        assert!(Payload::Synthetic(4).into_bytes().is_none());
+        assert_eq!(p.into_data().as_ref(), &[9, 8, 7]);
+        assert_eq!(Payload::Synthetic(4).into_data().as_ref(), &[0; 4]);
     }
 }

@@ -58,5 +58,5 @@ mod time;
 
 pub use kernel::{ProcId, Sim, SimError, SimHandle, SimStats, TieBreak};
 pub use process::ProcCtx;
-pub use rng::{mix64, seeded_rng};
+pub use rng::{mix64, seeded_rng, splitmix64};
 pub use time::SimTime;

@@ -7,9 +7,10 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// SplitMix64 step: a cheap, well-distributed 64-bit mixer.
+/// SplitMix64 step: a cheap, well-distributed 64-bit mixer. Advances
+/// `state` and returns the next value of its sequence.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

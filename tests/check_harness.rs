@@ -3,7 +3,9 @@
 //! The full sweep lives behind `cargo run -p mpisim-check` so its cost is
 //! opt-in; this test pins down the three properties CI must never lose:
 //! a small clean sweep stays green, each injected fault is caught, and the
-//! minimizer shrinks a caught failure to something that still fails.
+//! minimizer shrinks a caught failure to something that still fails. The
+//! clean sweep is also where random RMA programs meet the sequential
+//! oracle in tier-1: there is no second generator or executor of them.
 
 use mpisim_check::program::{Family, Program};
 use mpisim_check::run::RunSpec;
@@ -13,8 +15,15 @@ use mpisim_check::{
 
 #[test]
 fn bounded_clean_sweep_is_green() {
-    for family in Family::ALL {
-        let report = sweep_family(family, 2, 3, &Some(String::new()));
+    // Every family: 2 programs × 4 matrix points × 3 seeds = 24 runs. Then
+    // random RMA programs, unperturbed, at every matrix point: one origin's
+    // mixed epochs against the sequential oracle (blocking and nonblocking
+    // closes, both strategies), and every rank's `Sum` accumulates through
+    // out-of-order `A_A_A_R` lock epochs: 24 programs × 4 points = 96 runs.
+    let small = Family::ALL.map(|family| (family, 2, 3, Some(String::new()), 24));
+    let wide = [Family::MixedSerial, Family::MultiOriginSum].map(|family| (family, 24, 1, None, 96));
+    for (family, programs, seeds, fault, runs) in small.into_iter().chain(wide) {
+        let report = sweep_family(family, programs, seeds, &fault);
         assert!(
             report.failures.is_empty(),
             "{}: {} failures, first: {}",
@@ -22,8 +31,7 @@ fn bounded_clean_sweep_is_green() {
             report.failures.len(),
             report.failures[0].failure
         );
-        // 2 programs × 4 matrix points × 3 seeds.
-        assert_eq!(report.runs, 24);
+        assert_eq!(report.runs, runs, "{}", family.label());
     }
 }
 

@@ -1,11 +1,10 @@
-//! Regression cases promoted from `random_programs.proptest-regressions`
-//! into named deterministic tests.
+//! Two random programs that once failed against the sequential oracle,
+//! kept as named deterministic tests.
 //!
-//! The proptest shim replays the seed file's cases opportunistically, but a
-//! named test documents *why* the case once failed and runs it under every
-//! strategy × API combination rather than only the flavour that originally
-//! tripped. Both programs distilled to epoch-transition bugs around empty
-//! epochs:
+//! A named test documents *why* the case once failed and runs it under
+//! every strategy × API combination rather than only the flavour that
+//! originally tripped. Both programs distilled to epoch-transition bugs
+//! around empty epochs:
 //!
 //! * `fence_lock_fence` — an empty exclusive-lock epoch sandwiched between
 //!   two fence phases: exercises the passive-plane hand-off in the middle
@@ -32,8 +31,7 @@ fn check_everywhere(epochs: Vec<Epoch>) {
     }
 }
 
-/// `cc 6d0110c4…`: shrank to `[Fence([]), Lock { target: 1, ops: [] },
-/// Fence([])]`.
+/// Shrank to `[Fence([]), Lock { target: 1, ops: [] }, Fence([])]`.
 #[test]
 fn fence_lock_fence_empty_epochs() {
     check_everywhere(vec![
@@ -43,7 +41,7 @@ fn fence_lock_fence_empty_epochs() {
     ]);
 }
 
-/// `cc 93e38354…`: shrank to `[Lock { target: 1, ops: [] }, Gats([])]`.
+/// Shrank to `[Lock { target: 1, ops: [] }, Gats([])]`.
 #[test]
 fn empty_lock_then_empty_gats() {
     check_everywhere(vec![Epoch::Lock { target: 1, ops: vec![] }, Epoch::Gats(vec![])]);
