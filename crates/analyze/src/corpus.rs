@@ -42,14 +42,17 @@
 //!   analyzer must pass and the executor must run stall-free.
 //!
 //! [`catalog_cases`] additionally provides one minimal deterministic
-//! positive program per diagnostic code — the CLI sweeps both.
+//! positive program per diagnostic code; [`sweep_corpus`] sweeps both, and
+//! is `mpisim-check`'s `static-corpus` row.
+
+use std::fmt::Display;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use mpisim_core::ReduceOp;
 
-use crate::diag::Code;
+use crate::diag::{has_code, Code, Diagnostic};
 use crate::ir::{Close, FetchKind, IrProgram, Stmt};
 
 /// Window size used by every corpus program.
@@ -455,8 +458,8 @@ fn deadlock_prefix(rng: &mut SmallRng, p: &mut IrProgram) -> usize {
 }
 
 /// One minimal deterministic positive program per diagnostic code: the
-/// analyzer must report exactly that code's violation. Used by the CLI
-/// sweep and the per-code diagnostics tests.
+/// analyzer must report exactly that code's violation. Used by
+/// [`sweep_corpus`] and the per-code diagnostics tests.
 pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut out = Vec::new();
 
@@ -677,7 +680,7 @@ pub fn catalog_cases() -> Vec<(Code, IrProgram)> {
 
 /// One minimal deterministic E-clean program per *advisory* code: the
 /// slack pass ([`crate::analyze_slack`]) must report that code. Used by
-/// the CLI `--catalog` sweep and the W-series diagnostics tests.
+/// [`sweep_corpus`] and the W-series diagnostics tests.
 pub fn slack_catalog_cases() -> Vec<(Code, IrProgram)> {
     let mut out = Vec::new();
 
@@ -750,4 +753,69 @@ pub fn slack_catalog_cases() -> Vec<(Code, IrProgram)> {
     out.push((Code::W005, p));
 
     out
+}
+
+/// What [`sweep_corpus`] found.
+#[derive(Debug, Default)]
+pub struct CorpusSweep {
+    /// Programs checked.
+    pub checked: usize,
+    /// One `MISS:` line per program the analyzer did not flag as required.
+    pub misses: Vec<String>,
+}
+
+/// Sweep the corpus through the analyzer: seeds `0..seeds` of every
+/// [`NegFamily`] must carry their expected code, every [`catalog_cases`]
+/// program its code, and every [`slack_catalog_cases`] program must be
+/// E-clean and carry its W-code. `each` sees every program's label and the
+/// diagnostics checked for it (the slack pass's for the W-catalog), in
+/// sweep order.
+pub fn sweep_corpus(seeds: u64, mut each: impl FnMut(&dyn Display, &[Diagnostic])) -> CorpusSweep {
+    let codes = |diags: &[Diagnostic]| diags.iter().map(|d| d.code).collect::<Vec<_>>();
+    let mut sweep = CorpusSweep::default();
+    for family in NegFamily::ALL {
+        for index in 0..seeds {
+            let case = generate_negative(family, index);
+            let diags = crate::analyze(&case.program);
+            sweep.checked += 1;
+            each(&format_args!("{} #{index}", family.label()), &diags);
+            if !has_code(&diags, case.expect) {
+                sweep.misses.push(format!(
+                    "MISS: {} seed {index} not flagged with {} (got: {:?})",
+                    family.label(),
+                    case.expect,
+                    codes(&diags)
+                ));
+            }
+        }
+    }
+    for (code, program) in catalog_cases() {
+        let diags = crate::analyze(&program);
+        sweep.checked += 1;
+        each(&format_args!("catalog {code}"), &diags);
+        if !has_code(&diags, code) {
+            sweep.misses.push(format!(
+                "MISS: catalog case for {code} not flagged (got: {:?})",
+                codes(&diags)
+            ));
+        }
+    }
+    for (code, program) in slack_catalog_cases() {
+        let errors = crate::analyze(&program);
+        let slack = crate::analyze_slack(&program);
+        sweep.checked += 1;
+        each(&format_args!("catalog {code}"), &slack.diags);
+        if !errors.is_empty() {
+            sweep.misses.push(format!(
+                "MISS: slack catalog case for {code} is not E-clean (got: {:?})",
+                codes(&errors)
+            ));
+        } else if !has_code(&slack.diags, code) {
+            sweep.misses.push(format!(
+                "MISS: slack catalog case for {code} not flagged (got: {:?})",
+                codes(&slack.diags)
+            ));
+        }
+    }
+    sweep
 }

@@ -286,6 +286,12 @@ impl<'a, 'e> Walker<'a, 'e> {
 
     fn stmt(&mut self, stmt: &Stmt) {
         let env = self.env;
+        // A window the program does not declare is the analyzer's E010;
+        // here it is the call's error, and the walk goes on.
+        if let Some(win) = stmt.win().filter(|&w| w >= self.wins.len()) {
+            self.ok::<()>(Err(RmaError::InvalidWindow(WinId(win as u32))));
+            return;
+        }
         match stmt {
             Stmt::Fence { win, close } => {
                 let w = self.wins[*win];
@@ -463,5 +469,29 @@ mod tests {
             assert_eq!(run.report.live_requests, 0, "{strategy:?}");
             assert!(run.report.trace.is_empty(), "tracing is the caller's choice");
         }
+    }
+
+    /// A statement on a window the program does not declare is an API
+    /// error at that statement, not a panic in the rank: the analyzer
+    /// reports the same program as E010.
+    #[test]
+    fn undeclared_window_is_an_error_not_a_panic() {
+        let mut p = IrProgram::new(2, 16);
+        for r in 0..2 {
+            p.ranks[r] = vec![
+                Stmt::Fence { win: 1, close: Close::Blocking },
+                Stmt::Put { win: 1, target: 1 - r, disp: 0, len: 8 },
+                Stmt::Barrier,
+            ];
+        }
+        let run = interpret(JobConfig::new(2), &p).expect("the walk finishes");
+        let invalid = RmaError::InvalidWindow(WinId(1));
+        let want: Vec<ApiError> = (0..2)
+            .flat_map(|rank| (0..2).map(move |step| (rank, step)))
+            .map(|(rank, step)| ApiError { rank, step, error: invalid.clone() })
+            .collect();
+        assert_eq!(run.errors, want);
+        assert_eq!(run.mems, vec![vec![0; 16]; 2]);
+        assert!(crate::has_code(&crate::analyze(&p), crate::Code::E010));
     }
 }

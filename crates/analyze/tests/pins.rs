@@ -3,8 +3,8 @@
 //! were computed once, before the layer was rebuilt on one resolved epoch
 //! structure, and are never edited — a refactor of the layer must
 //! reproduce them. (The negative corpus is pinned as text instead:
-//! `sweep_verbose.txt` is `mpisim-analyze --seeds 64 --catalog
-//! --verbose`, diffed in CI.)
+//! `sweep_verbose.rs` renders every diagnostic `sweep_corpus` sees at 64
+//! seeds and compares it with `sweep_verbose.txt` byte for byte.)
 
 use mpisim_analyze::{
     analyze, analyze_slack, generate_value_clean, rewrite, slack_catalog_cases, IrProgram,

@@ -11,7 +11,7 @@ use mpisim_core::SyncStrategy;
 use crate::audit::{audit, Violation};
 use crate::lower::lower;
 use crate::program::{generate, oracle, Family, Program};
-use crate::run::{execute, RunFailure, RunSpec};
+use crate::run::{execute_lowered, RunFailure, RunSpec};
 
 /// Why one run failed.
 #[derive(Clone, Debug)]
@@ -116,14 +116,15 @@ pub fn verify(program: &Program, spec: &RunSpec) -> Result<(), Failure> {
 /// and happens-before race detection. `Ok(())` means the run is
 /// conformant under every enabled layer.
 pub fn verify_with(program: &Program, spec: &RunSpec, opts: VerifyOpts) -> Result<(), Failure> {
+    let ir = lower(program, spec.nonblocking);
     if opts.static_analysis {
-        let diags = analyze(&lower(program, spec.nonblocking));
+        let diags = analyze(&ir);
         if !diags.is_empty() {
             return Err(Failure { kind: FailureKind::Static(diags) });
         }
     }
     let expected = oracle(program);
-    let out = match execute(program, spec) {
+    let out = match execute_lowered(&ir, spec, true) {
         Ok(out) => out,
         Err(RunFailure::Deadlock(d)) => {
             return Err(Failure { kind: FailureKind::Deadlock(d) });

@@ -4,7 +4,7 @@
 //! lowered for the spec's close mode, and [`mpisim_analyze::exec`] — the
 //! one interpreter — runs the result.
 
-use mpisim_analyze::{interpret, Run};
+use mpisim_analyze::{interpret, IrProgram, Run};
 pub use mpisim_analyze::{exec_ir_with, RunFailure};
 use mpisim_core::{JobConfig, JobReport, SyncStrategy};
 use mpisim_net::NetParams;
@@ -157,8 +157,17 @@ pub fn execute_exec(
     spec: &RunSpec,
     trace: bool,
 ) -> Result<RunOutcome, RunFailure> {
-    let cfg = job_config(program.n_ranks, spec, trace);
-    outcome(interpret(cfg, &lower(program, spec.nonblocking))?)
+    execute_lowered(&lower(program, spec.nonblocking), spec, trace)
+}
+
+/// Execute `program` already lowered for `spec`'s close mode: what
+/// [`crate::verify_with`] runs after analysing the same IR.
+pub(crate) fn execute_lowered(
+    ir: &IrProgram,
+    spec: &RunSpec,
+    trace: bool,
+) -> Result<RunOutcome, RunFailure> {
+    outcome(interpret(job_config(ir.n_ranks, spec, trace), ir)?)
 }
 
 /// A conformance program misuses nothing, so any API error fails the run.

@@ -5,7 +5,7 @@
 //! its usage text, the self-test exit rule, `tests/suite.rs`, the CI job
 //! and DESIGN.md §8's table are all read off these two tables.
 
-use mpisim_analyze::NegFamily;
+use mpisim_analyze::{sweep_corpus, NegFamily};
 
 use crate::crossval::{crossval_deadlocks, crossval_exec, crossval_rewrites};
 use crate::diff::{sweep_family_with, FoundFailure, VerifyOpts};
@@ -147,7 +147,7 @@ const fn conformance(family: Family) -> Sweep {
 }
 
 /// Every sweep of the harness, in the order a clean run prints them.
-pub const SWEEPS: [Sweep; 9] = [
+pub const SWEEPS: [Sweep; 10] = [
     conformance(Family::ALL[0]),
     conformance(Family::ALL[1]),
     conformance(Family::ALL[2]),
@@ -184,6 +184,14 @@ pub const SWEEPS: [Sweep; 9] = [
         default: 1,
         ci: 2,
         run: |_, width, args| crossval_recovery(width, args.plant),
+    },
+    Sweep {
+        name: "static-corpus",
+        family: None,
+        flag: "--negatives",
+        default: 32,
+        ci: 64,
+        run: |_, width, _| static_corpus(width),
     },
 ];
 
@@ -287,6 +295,22 @@ fn run_conformance(row: &Sweep, width: u64, args: &Args) -> Outcome {
     }
     o.first = r.failures.into_iter().next();
     o
+}
+
+/// The negative corpus through the static analyzer alone: every program
+/// flagged as [`sweep_corpus`] requires, nothing executed.
+fn static_corpus(per_family: u64) -> Outcome {
+    let sweep = sweep_corpus(per_family, |_, _| {});
+    let (checked, families) = (sweep.checked, NegFamily::ALL.len());
+    let catalog = checked - families * per_family as usize;
+    Outcome {
+        detail: format!(
+            "{checked:>4} erroneous programs: {families} families x {per_family} + {catalog} \
+             catalog cases"
+        ),
+        failures: sweep.misses,
+        ..Outcome::default()
+    }
 }
 
 /// A parsed command line.

@@ -69,6 +69,8 @@ fn every_sweep_row_runs_clean() {
             "crash-recovery",
             "  20 crash points over 5 programs (45 runs, 40 recovered, 17 E012-relaxation checks)",
         ),
+        // 10 families x 32 seeds + 18 E-catalog + 5 W-catalog cases.
+        ("static-corpus", " 343 erroneous programs: 10 families x 32 + 23 catalog cases"),
     ];
     let lines: Vec<(&str, &str)> = lines.iter().map(|(l, d)| (*l, d.as_str())).collect();
     assert_eq!(lines, expected);
@@ -163,7 +165,7 @@ fn names_are_checked_against_the_table_of_their_flag() {
     assert!(parse("--programs 0").is_err());
     assert!(parse("--seeds").is_err());
     let a = parse("--programs 7 --deadlocks 0").unwrap();
-    assert_eq!(a.widths, [7, 7, 7, 7, 7, 0, 2, 6, 1]);
+    assert_eq!(a.widths, [7, 7, 7, 7, 7, 0, 2, 6, 1, 32]);
 }
 
 /// Table and CI cannot drift: every name `ci.yml` hands `mpisim-check`

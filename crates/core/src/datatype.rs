@@ -233,20 +233,18 @@ mod tests {
         let f = vec![0.5f64, -3.25, 1e300];
         assert_eq!(bytes_to_f64s(&f64s_to_bytes(&f)), f);
     }
-}
 
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Sum-accumulates over u64 commute: any permutation of the same
-        /// operand multiset yields the same target — the property the
-        /// paper's transaction workload relies on for correctness under
-        /// out-of-order epoch completion.
-        #[test]
-        fn u64_sum_commutes(init in any::<u64>(), ops in proptest::collection::vec(any::<u64>(), 0..20)) {
+    /// Sum-accumulates over u64 commute: any permutation of the same
+    /// operand multiset yields the same target — the property the
+    /// paper's transaction workload relies on for correctness under
+    /// out-of-order epoch completion. 64 seeded cases of 0..20 operands.
+    #[test]
+    fn u64_sum_commutes() {
+        use rand::Rng;
+        for case in 0..64 {
+            let mut rng = mpisim_sim::seeded_rng(case, 0);
+            let init: u64 = rng.gen();
+            let ops: Vec<u64> = (0..rng.gen_range(0..20)).map(|_| rng.gen()).collect();
             let mut fwd = u64s_to_bytes(&[init]);
             for o in &ops {
                 apply(Datatype::U64, ReduceOp::Sum, &mut fwd, &u64s_to_bytes(&[*o])).unwrap();
@@ -255,17 +253,24 @@ mod proptests {
             for o in ops.iter().rev() {
                 apply(Datatype::U64, ReduceOp::Sum, &mut rev, &u64s_to_bytes(&[*o])).unwrap();
             }
-            prop_assert_eq!(fwd, rev);
+            assert_eq!(fwd, rev, "init {init}, ops {ops:?}");
         }
+    }
 
-        /// Replace is idempotent with the same operand and always wins.
-        #[test]
-        fn replace_last_writer_wins(init in any::<u64>(), vals in proptest::collection::vec(any::<u64>(), 1..10)) {
+    /// Replace is idempotent with the same operand and always wins. 64
+    /// seeded cases of 1..10 operands.
+    #[test]
+    fn replace_last_writer_wins() {
+        use rand::Rng;
+        for case in 0..64 {
+            let mut rng = mpisim_sim::seeded_rng(case, 1);
+            let init: u64 = rng.gen();
+            let vals: Vec<u64> = (0..rng.gen_range(1..10)).map(|_| rng.gen()).collect();
             let mut t = u64s_to_bytes(&[init]);
             for v in &vals {
                 apply(Datatype::U64, ReduceOp::Replace, &mut t, &u64s_to_bytes(&[*v])).unwrap();
             }
-            prop_assert_eq!(bytes_to_u64s(&t)[0], *vals.last().unwrap());
+            assert_eq!(bytes_to_u64s(&t)[0], *vals.last().unwrap(), "init {init}, vals {vals:?}");
         }
     }
 }

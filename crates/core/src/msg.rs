@@ -667,36 +667,41 @@ mod layout_tests {
         let tight = Layout::Vector { count: 5, blocklen: 8, stride: 8 };
         assert_eq!(tight.extent(40), 40);
     }
-}
 
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// A vector layout's extent always fits count disjoint blocks:
-        /// extent >= packed length, with equality iff stride == blocklen.
-        #[test]
-        fn vector_extent_bounds(count in 1usize..50, blocklen in 1usize..64, pad in 0usize..32) {
-            let stride = blocklen + pad;
-            let l = Layout::Vector { count, blocklen, stride };
-            let packed = count * blocklen;
-            prop_assert!(l.extent(packed) >= packed);
-            if pad == 0 {
-                prop_assert_eq!(l.extent(packed), packed);
+    /// A vector layout's extent always fits count disjoint blocks:
+    /// extent >= packed length, with equality iff stride == blocklen.
+    /// Every count in 1..50, blocklen in 1..64 and pad in 0..32.
+    #[test]
+    fn vector_extent_bounds() {
+        for count in 1usize..50 {
+            for blocklen in 1usize..64 {
+                for pad in 0usize..32 {
+                    let stride = blocklen + pad;
+                    let l = Layout::Vector { count, blocklen, stride };
+                    let packed = count * blocklen;
+                    assert!(l.extent(packed) >= packed, "{l:?}");
+                    if pad == 0 {
+                        assert_eq!(l.extent(packed), packed, "{l:?}");
+                    }
+                }
             }
         }
+    }
 
-        #[test]
-        fn packet_roundtrip_all_fields(
-            ty in 0usize..6,
-            win in any::<u32>(),
-            rank in any::<usize>(),
-            id in 0u64..(1u64 << 60),
-        ) {
-            let p = SyncPacket { kind: SyncKind::ALL[ty], win: WinId(win), peer: Rank(rank), id };
-            prop_assert_eq!(SyncPacket::from_word(p.win, p.peer, p.word()), Some(p));
+    /// 64 seeded packets of every field: kind, any window, any rank, and
+    /// an id below 2^60.
+    #[test]
+    fn packet_roundtrip_all_fields() {
+        use rand::Rng;
+        for case in 0..64 {
+            let mut rng = mpisim_sim::seeded_rng(case, 0);
+            let p = SyncPacket {
+                kind: SyncKind::ALL[rng.gen_range(0..6)],
+                win: WinId(rng.gen()),
+                peer: Rank(rng.gen()),
+                id: rng.gen_range(0..(1u64 << 60)),
+            };
+            assert_eq!(SyncPacket::from_word(p.win, p.peer, p.word()), Some(p));
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Property tests for engine-counter conservation laws over randomized
-//! mixed workloads, fault-free and under seeded light loss.
+//! Engine-counter conservation laws over every (ranks, rounds) shape of a
+//! mixed workload, fault-free and under seeded light loss.
 //!
 //! Note on the FIFO law: decode errors are counted *within* the drain
 //! (`fifo_decode_errors <= fifo_drained`), so the conservation law at
@@ -8,8 +8,8 @@
 
 use mpisim_core::{run_job, JobConfig, JobReport, LockKind, Rank};
 use mpisim_net::FaultPlan;
-use mpisim_sim::SimTime;
-use proptest::prelude::*;
+use mpisim_sim::{seeded_rng, SimTime};
+use rand::Rng;
 
 /// Mixed workload crossing all three synchronization planes: fence
 /// phases of neighbour puts, a shared-lock deposit row, and an
@@ -65,47 +65,59 @@ fn assert_conserved(report: &JobReport) {
     assert!(s.ops_issued <= s.issue_scans.max(s.ops_issued), "{s:?}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// Fault-free, intranode: the notification-FIFO plane carries all
-    /// sync traffic, nothing is cancelled.
-    #[test]
-    fn conservation_fault_free_intranode(n in 2usize..5, rounds in 1usize..4) {
-        let report = mixed_job(JobConfig::new(n), rounds);
-        prop_assert!(report.is_clean(), "{:?}", report.degradations);
-        let s = &report.engine;
-        assert_conserved(&report);
-        prop_assert_eq!(s.epochs_cancelled, 0);
-        // One shared-lock put, `rounds` fence puts and one exclusive-lock
-        // put per rank all go through the engine's issue step.
-        prop_assert!(s.ops_issued >= (n * (rounds + 2)) as u64, "{:?}", s);
-        prop_assert!(s.fifo_packets > 0, "intranode sync must ride the FIFO: {:?}", s);
-        prop_assert_eq!(s.fifo_decode_errors, 0);
+/// Fault-free, intranode: the notification-FIFO plane carries all sync
+/// traffic, nothing is cancelled. Every n in 2..5 and rounds in 1..4.
+#[test]
+fn conservation_fault_free_intranode() {
+    for n in 2usize..5 {
+        for rounds in 1usize..4 {
+            let report = mixed_job(JobConfig::new(n), rounds);
+            assert!(report.is_clean(), "{:?}", report.degradations);
+            let s = &report.engine;
+            assert_conserved(&report);
+            assert_eq!(s.epochs_cancelled, 0);
+            // One shared-lock put, `rounds` fence puts and one
+            // exclusive-lock put per rank all go through the engine's
+            // issue step.
+            assert!(s.ops_issued >= (n * (rounds + 2)) as u64, "{s:?}");
+            assert!(s.fifo_packets > 0, "intranode sync must ride the FIFO: {s:?}");
+            assert_eq!(s.fifo_decode_errors, 0);
+        }
     }
+}
 
-    /// Fault-free, internode: same laws with the sync plane on framed
-    /// messages instead of the FIFO.
-    #[test]
-    fn conservation_fault_free_internode(n in 2usize..5, rounds in 1usize..4) {
-        let report = mixed_job(JobConfig::all_internode(n), rounds);
-        prop_assert!(report.is_clean(), "{:?}", report.degradations);
-        assert_conserved(&report);
-        prop_assert_eq!(report.engine.epochs_cancelled, 0);
+/// Fault-free, internode: same laws with the sync plane on framed messages
+/// instead of the FIFO. Every n in 2..5 and rounds in 1..4.
+#[test]
+fn conservation_fault_free_internode() {
+    for n in 2usize..5 {
+        for rounds in 1usize..4 {
+            let report = mixed_job(JobConfig::all_internode(n), rounds);
+            assert!(report.is_clean(), "{:?}", report.degradations);
+            assert_conserved(&report);
+            assert_eq!(report.engine.epochs_cancelled, 0);
+        }
     }
+}
 
-    /// Seeded light loss with the reliability sublayer and watchdog on:
-    /// conservation still holds, and recovery is clean — exactly-once
-    /// delivery (DESIGN.md §11) with no cancellations.
-    #[test]
-    fn conservation_under_light_loss(n in 2usize..5, rounds in 1usize..3, seed in 0u64..64) {
-        let mut cfg = JobConfig::all_internode(n);
-        cfg.net.faults = Some(FaultPlan::light_loss(seed));
-        let cfg = cfg.with_reliability().with_watchdog(SimTime::from_millis(50));
-        let report = mixed_job(cfg, rounds);
-        let s = &report.engine;
-        assert_conserved(&report);
-        prop_assert_eq!(s.epochs_cancelled, 0, "light loss must recover, not cancel: {:?}", s);
-        prop_assert_eq!(s.rel_delivered, s.rel_frames_sent, "channel quiescence: {:?}", s);
+/// Seeded light loss with the reliability sublayer and watchdog on:
+/// conservation still holds, and recovery is clean — exactly-once delivery
+/// (DESIGN.md §11) with no cancellations. Every n in 2..5 and rounds in
+/// 1..3, each under a loss seed drawn from 0..64.
+#[test]
+fn conservation_under_light_loss() {
+    for n in 2usize..5 {
+        for rounds in 1usize..3 {
+            let seed = seeded_rng(n as u64, rounds as u64).gen_range(0u64..64);
+            let mut cfg = JobConfig::all_internode(n);
+            cfg.net.faults = Some(FaultPlan::light_loss(seed));
+            let cfg = cfg.with_reliability().with_watchdog(SimTime::from_millis(50));
+            let report = mixed_job(cfg, rounds);
+            let s = &report.engine;
+            assert_conserved(&report);
+            let at = format!("n {n}, rounds {rounds}, seed {seed}");
+            assert_eq!(s.epochs_cancelled, 0, "light loss must recover, not cancel ({at}): {s:?}");
+            assert_eq!(s.rel_delivered, s.rel_frames_sent, "channel quiescence ({at}): {s:?}");
+        }
     }
 }

@@ -1,9 +1,15 @@
 //! `run_job`'s result contract: each rank closure's return value comes
 //! back in `JobReport::results`, in rank order whatever order the ranks
-//! finished in, and a job that fails returns no results at all.
+//! finished in, and a job that fails returns no results at all — and
+//! leaves nothing behind: its engine is freed and the thread runs the next
+//! job.
 
-use mpisim_core::{run_job, JobConfig, Rank};
-use mpisim_sim::SimTime;
+use std::cell::{Cell, RefCell};
+use std::rc::{Rc, Weak};
+use std::thread;
+
+use mpisim_core::{run_job, Engine, Group, JobConfig, LockKind, Rank};
+use mpisim_sim::{SimError, SimTime};
 
 /// Rank `r` of `n` computes `(n - r) × 10 µs`, so the ranks finish in
 /// reverse rank order; each returns its rank and its finish time.
@@ -49,4 +55,58 @@ fn a_deadlocked_job_is_an_error() {
 #[test]
 fn a_rerun_returns_identical_results() {
     assert_eq!(reverse_finishers(6), reverse_finishers(6));
+}
+
+
+/// 4096 ranks torn down mid-epoch: each opens a GATS access epoch toward
+/// its right neighbour, puts, and blocks in `complete` while nobody posts.
+/// The deadlock unwinds every rank's fiber, so the job's engine is freed;
+/// then a 4096-rank lock/put/unlock ring runs on the same thread, every
+/// rank on the driver thread, every window checked.
+#[test]
+fn a_job_torn_down_mid_epoch_frees_its_engine_and_the_next_job_runs() {
+    const N: usize = 4096;
+    let engine: Rc<RefCell<Weak<Engine>>> = Rc::default();
+    let blocked = Rc::new(Cell::new(0usize));
+    let (seen, reached) = (engine.clone(), blocked.clone());
+    let res = run_job(JobConfig::new(N), move |env| {
+        if env.rank().idx() == 0 {
+            *seen.borrow_mut() = Rc::downgrade(env.engine());
+        }
+        let win = env.win_allocate(16).unwrap();
+        env.barrier().unwrap();
+        let right = Rank((env.rank().idx() + 1) % N);
+        env.start(win, Group::single(right)).unwrap();
+        env.put(win, right, 0, &[1; 8]).unwrap();
+        reached.set(reached.get() + 1);
+        let _ = env.complete(win);
+    });
+    match res {
+        Err(SimError::Deadlock { blocked, .. }) => assert_eq!(blocked.len(), N),
+        other => panic!("expected the deadlock, got {:?}", other.map(|r| r.results.len())),
+    }
+    assert_eq!(blocked.get(), N, "every rank reached its complete");
+    assert!(engine.borrow().upgrade().is_none(), "the torn-down job's engine is still alive");
+
+    let driver = thread::current().id();
+    let report = run_job(JobConfig::new(N), move |env| {
+        let win = env.win_allocate(8).unwrap();
+        env.barrier().unwrap();
+        let me = env.rank().idx();
+        let (left, right) = ((me + N - 1) % N, Rank((me + 1) % N));
+        env.lock(win, right, LockKind::Exclusive).unwrap();
+        env.put(win, right, 0, &(me as u64).to_le_bytes()).unwrap();
+        env.unlock(win, right).unwrap();
+        env.barrier().unwrap();
+        let ok = env.read_local(win, 0, 8).unwrap() == (left as u64).to_le_bytes();
+        env.win_free(win).unwrap();
+        (ok, thread::current().id() == driver)
+    })
+    .unwrap();
+    assert!(report.is_clean(), "{:?}", report.degradations);
+    assert_eq!(report.live_requests, 0);
+    let wrong = report.results.iter().filter(|(ok, _)| !ok).count();
+    assert_eq!(wrong, 0, "ranks with wrong window contents");
+    let off_driver = report.results.iter().filter(|(_, on_driver)| !on_driver).count();
+    assert_eq!(off_driver, 0, "ranks that ran off the driver thread");
 }

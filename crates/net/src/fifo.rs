@@ -174,37 +174,41 @@ mod tests {
     fn zero_capacity_rejected() {
         let _ = U64Fifo::new(0);
     }
-}
 
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The FIFO behaves exactly like a bounded VecDeque oracle for any
-        /// interleaving of pushes and pops, at bounds that are and are not
-        /// powers of two; runs of pushes grow the ring while it is wrapped.
-        #[test]
-        fn matches_vecdeque_oracle(
-            cap in prop_oneof![1usize..=16, Just(1000), Just(1024), 17usize..=1100],
-            ops in proptest::collection::vec((0u8..3, 1usize..300, any::<u64>()), 0..40)
-        ) {
+    /// The FIFO behaves exactly like a bounded VecDeque oracle for any
+    /// interleaving of pushes and pops, at bounds that are and are not
+    /// powers of two; runs of pushes grow the ring while it is wrapped.
+    /// 64 seeded cases: a bound from 1..=16, 1000, 1024 or 17..=1100, and
+    /// up to 39 runs of 1..300 pops or pushes.
+    #[test]
+    fn matches_vecdeque_oracle() {
+        use rand::Rng;
+        for case in 0..64 {
+            let mut rng = mpisim_sim::seeded_rng(case, 0);
+            let cap = match rng.gen_range(0..4) {
+                0 => rng.gen_range(1usize..=16),
+                1 => 1000,
+                2 => 1024,
+                _ => rng.gen_range(17usize..=1100),
+            };
+            let n_ops = rng.gen_range(0..40);
             let mut fifo = U64Fifo::new(cap);
             let mut oracle = std::collections::VecDeque::new();
-            for (kind, run, v) in ops {
-                for i in 0..run as u64 {
+            for _ in 0..n_ops {
+                let (kind, run, v): (u8, u64, u64) =
+                    (rng.gen_range(0..3), rng.gen_range(1..300), rng.gen());
+                for i in 0..run {
                     if kind > 0 {
                         let ok = fifo.push(v ^ i);
-                        prop_assert_eq!(ok, oracle.len() < cap);
+                        assert_eq!(ok, oracle.len() < cap, "case {case}");
                         if ok {
                             oracle.push_back(v ^ i);
                         }
                     } else {
-                        prop_assert_eq!(fifo.pop(), oracle.pop_front());
+                        assert_eq!(fifo.pop(), oracle.pop_front(), "case {case}");
                     }
-                    prop_assert_eq!(fifo.len(), oracle.len());
-                    prop_assert_eq!(fifo.is_full(), oracle.len() == cap);
+                    assert_eq!(fifo.len(), oracle.len(), "case {case}");
+                    assert_eq!(fifo.is_full(), oracle.len() == cap, "case {case}");
                 }
             }
         }
