@@ -795,7 +795,7 @@ impl Engine {
         debug_assert!(
             w.fences.keys().all(|seq| *seq >= w.next_fence_seq),
             "fence record outlived its epoch: {:?}",
-            w.fences.keys()
+            w.fences.keys().collect::<Vec<_>>()
         );
         st.wins[win.0 as usize].per_rank[rank.idx()] = None;
         Ok(())

@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use mpisim_net::Packet;
+use mpisim_net::{Packet, VecMap};
 use mpisim_sim::SimTime;
 
 use crate::engine::{EngState, Engine, Notice, ProtocolError};
@@ -106,9 +106,9 @@ impl Default for RelIn {
 pub(crate) struct RelRank {
     /// Outbound channels by destination. Ordered: the retransmit scan
     /// resends in iteration order, and a run must repeat exactly.
-    pub out: BTreeMap<Rank, RelOut>,
+    pub out: VecMap<Rank, RelOut>,
     /// Inbound channels by source.
-    pub inn: BTreeMap<Rank, RelIn>,
+    pub inn: VecMap<Rank, RelIn>,
     /// Peers owed a cumulative ack (flushed by step 2).
     pub ack_due: WorkList<Rank>,
     /// Peers whose ack is being *held* inside the delayed-ack window;

@@ -11,8 +11,9 @@
 //! (`hold_lazily`, `activate`, `close`, `force_by_flush`, `finish`), each of
 //! which `debug_assert`s that its edge is legal (DESIGN.md §4.5).
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+
+use mpisim_net::{Entry, VecMap};
 
 use crate::msg::OpKind;
 use crate::types::{EpochId, Group, LockKind, Rank, Req};
@@ -288,9 +289,9 @@ pub struct EpochObj {
     pub pending_ops: VecDeque<OpDesc>,
     /// Access-side per-target progress. Private: the counters below are
     /// kept in step with it at every transition (DESIGN.md §10.1).
-    targets: BTreeMap<Rank, TargetState>,
+    targets: VecMap<Rank, TargetState>,
     /// Exposure-side: origin → expected done id.
-    exposure_origins: BTreeMap<Rank, u64>,
+    exposure_origins: VecMap<Rank, u64>,
     /// Issued-but-incomplete ops with their ages, oldest first. Ops mostly
     /// issue and complete in age order, so entries join near the back and
     /// leave near the front.
@@ -316,37 +317,49 @@ pub struct EpochObj {
 impl EpochObj {
     /// Create a fresh (inactive, deferred) epoch object.
     pub fn new(id: EpochId, kind: EpochKind) -> Self {
-        let mut e = EpochObj {
+        let mut e = EpochObj::blank(id, kind);
+        e.prefill_targets();
+        e
+    }
+
+    /// An epoch object with every container empty, before its targets are
+    /// seeded. Allocates nothing.
+    fn blank(id: EpochId, kind: EpochKind) -> Self {
+        EpochObj {
             id,
             kind,
             phase: Phase::Deferred,
             app: AppState::Open,
             pending_ops: VecDeque::new(),
-            targets: BTreeMap::new(),
-            exposure_origins: BTreeMap::new(),
+            targets: VecMap::new(),
+            exposure_origins: VecMap::new(),
             live_ops: VecDeque::new(),
             announce_left: 0,
             ungranted_intra: 0,
             ungranted_inter: 0,
             ready: Vec::new(),
             opened_in_fence: None,
-        };
-        e.prefill_targets();
-        e
+        }
     }
 
     /// Reinitialize a recycled epoch object in place (arena reuse, see
     /// [`crate::window::WinRank::open_epoch`]): every field ends up exactly
     /// as [`EpochObj::new`] leaves it — it *is* a new object — except that
-    /// `pending_ops`, `live_ops` and `ready` keep their allocated capacity.
+    /// every container keeps its allocated capacity, so reopening an epoch
+    /// no larger than one this object held allocates nothing.
     pub fn reset(&mut self, id: EpochId, kind: EpochKind) {
-        let mut pending_ops = std::mem::take(&mut self.pending_ops);
-        let mut live_ops = std::mem::take(&mut self.live_ops);
-        let mut ready = std::mem::take(&mut self.ready);
-        pending_ops.clear();
-        live_ops.clear();
-        ready.clear();
-        *self = EpochObj { pending_ops, live_ops, ready, ..EpochObj::new(id, kind) };
+        let old = std::mem::replace(self, EpochObj::blank(id, kind));
+        self.pending_ops = old.pending_ops;
+        self.targets = old.targets;
+        self.exposure_origins = old.exposure_origins;
+        self.live_ops = old.live_ops;
+        self.ready = old.ready;
+        self.pending_ops.clear();
+        self.targets.clear();
+        self.exposure_origins.clear();
+        self.live_ops.clear();
+        self.ready.clear();
+        self.prefill_targets();
     }
 
     /// Whether the progress engine activated the epoch and it has not
@@ -467,7 +480,7 @@ impl EpochObj {
     }
 
     /// Access-side per-target progress, by rank.
-    pub fn targets(&self) -> &BTreeMap<Rank, TargetState> {
+    pub fn targets(&self) -> &VecMap<Rank, TargetState> {
         &self.targets
     }
 
@@ -481,7 +494,7 @@ impl EpochObj {
     }
 
     /// Exposure-side: origin → expected done id.
-    pub fn exposure_origins(&self) -> &BTreeMap<Rank, u64> {
+    pub fn exposure_origins(&self) -> &VecMap<Rank, u64> {
         &self.exposure_origins
     }
 
@@ -621,7 +634,7 @@ impl EpochObj {
             self.targets.values().filter(|t| f(t)).count() as u32
         };
         // The old unlock pass: a target is blocked by any op not yet done.
-        let mut blocking: BTreeMap<Rank, u32> = BTreeMap::new();
+        let mut blocking: VecMap<Rank, u32> = VecMap::new();
         for (_, op) in self.live_ops.iter().filter(|(_, o)| !o.done()) {
             *blocking.entry(op.target).or_default() += 1;
         }

@@ -2,9 +2,9 @@
 //! deferred-epoch queue, target-side grant sequencing, the lock manager,
 //! fence bookkeeping, and flush requests.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use mpisim_net::U64Fifo;
+use mpisim_net::{U64Fifo, VecMap};
 
 use crate::config::WinInfo;
 use crate::epoch::{EpochKind, EpochObj, Slot};
@@ -85,7 +85,7 @@ static UNTOUCHED: PeerOmega = PeerOmega {
 /// counters being monotonic, are never removed. The same type is the live
 /// table, the checkpointed snapshot and the stall report's diagnostic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OmegaTable(BTreeMap<Rank, PeerOmega>);
+pub struct OmegaTable(VecMap<Rank, PeerOmega>);
 
 impl OmegaTable {
     /// The record toward `peer`; all-zero, and *not* inserted, if this
@@ -271,7 +271,7 @@ pub struct WinRank {
     /// The open set: the application-level currently open epochs by slot
     /// (at most one per kind, except single-target lock epochs, which MPI
     /// allows several of at once, to distinct targets).
-    pub open: BTreeMap<Slot, EpochId>,
+    pub open: VecMap<Slot, EpochId>,
 
     /// ω matching state (§VII.B), one record per peer this side has ever
     /// synchronised with.
@@ -285,7 +285,7 @@ pub struct WinRank {
     // ---- fence bookkeeping (window-level: data can arrive before the
     // local fence epoch object exists) ----
     /// Completion record per fence seq that is not retired yet.
-    pub fences: BTreeMap<u64, FenceTally>,
+    pub fences: VecMap<u64, FenceTally>,
     /// Next fence sequence this rank will open.
     pub next_fence_seq: u64,
 
@@ -304,7 +304,7 @@ pub struct WinRank {
     /// Sweep step 5 never scans this map: the engine's pending-FIFO index
     /// records exactly which (window, peer) rings hold packets, so only
     /// those are drained.
-    pub fifos_in: BTreeMap<Rank, U64Fifo>,
+    pub fifos_in: VecMap<Rank, U64Fifo>,
 
     /// The crash-recovery stable store of this side — latest checkpoint
     /// plus the redo log since it — once
@@ -327,16 +327,16 @@ impl WinRank {
             mem: vec![0; size],
             info,
             epochs: EpochQueue::default(),
-            open: BTreeMap::new(),
+            open: VecMap::new(),
             omega: OmegaTable::default(),
             grant_dirty: WorkList::default(),
             lock_mgr: LockMgr::default(),
-            fences: BTreeMap::new(),
+            fences: VecMap::new(),
             next_fence_seq: 0,
             next_age: 1,
             flushes: Vec::new(),
             cancelled_lock_grants: Vec::new(),
-            fifos_in: BTreeMap::new(),
+            fifos_in: VecMap::new(),
             stable: None,
             epoch_pool: Vec::new(),
         }

@@ -25,9 +25,11 @@ fn vm_hwm_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Peak RSS bound: 224 MB up to 8192 ranks (~18 KB per rank once the
-/// intranode FIFOs are sized by use; 8 KB eager rings made it 267 MB), and
-/// 512 MB above, which holds the 16384-rank ring CI runs.
+/// Peak RSS bound: 224 MB up to 8192 ranks, and 512 MB above, which holds
+/// the 16384-rank ring CI runs. The ring peaks at ~16 KB per rank, 132 MB
+/// at 8192 ranks, with intranode FIFOs sized by use and per-peer tables as
+/// sorted vectors; B-tree per-peer tables made it 147 MB, 8 KB eager rings
+/// 267 MB.
 #[test]
 #[ignore = "release-mode scale run; see the scale-smoke CI job"]
 fn neighbour_ring_at_8192_ranks_stays_under_224_mb() {

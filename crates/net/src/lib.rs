@@ -16,9 +16,11 @@ mod fifo;
 mod network;
 mod params;
 mod payload;
+mod vecmap;
 
 pub use fault::{FaultKind, FaultPlan, Partition};
 pub use fifo::U64Fifo;
 pub use network::{NetStats, Network, Packet, Wire};
 pub use params::{NetParams, Rank, Topology};
 pub use payload::Payload;
+pub use vecmap::{Entry, OccupiedEntry, VacantEntry, VecMap};

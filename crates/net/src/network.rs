@@ -19,7 +19,7 @@
 //! leaves the source NIC, distinct from delivery at the target.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -32,6 +32,7 @@ use crate::params::{
     serialization, NetParams, Rank, Topology, HEADER_BYTES, INTER_BW, INTER_LATENCY, INTRA_BW,
     INTRA_LATENCY,
 };
+use crate::vecmap::VecMap;
 
 /// Implemented by the middleware's message body type so the network can
 /// price it (and, under a fault plan, corrupt or duplicate it).
@@ -134,10 +135,10 @@ struct RankState<M> {
     in_flight: u32,
     backlog: VecDeque<SendReq<M>>,
     /// Channel state toward each destination this rank has sent to.
-    channels: BTreeMap<Rank, ChannelState>,
+    channels: VecMap<Rank, ChannelState>,
     /// Fault decision stream per destination, lazily seeded from
     /// `(plan.seed, src, dst)` so a plan replays identically.
-    fault_rngs: BTreeMap<Rank, SmallRng>,
+    fault_rngs: VecMap<Rank, SmallRng>,
 }
 
 impl<M> Default for RankState<M> {
@@ -147,8 +148,8 @@ impl<M> Default for RankState<M> {
             ingress_free: SimTime::ZERO,
             in_flight: 0,
             backlog: VecDeque::new(),
-            channels: BTreeMap::new(),
-            fault_rngs: BTreeMap::new(),
+            channels: VecMap::new(),
+            fault_rngs: VecMap::new(),
         }
     }
 }

@@ -2,9 +2,12 @@
 //! bound: a created, never-pushed FIFO owns no heap; push and pop at or
 //! below the occupancy high-water mark allocate nothing; and a ring filled
 //! to its bound has allocated at most ⌈log₂ bound⌉ − 1 times. A binary of
-//! its own because the counting allocator is process-wide.
+//! its own because it installs a counting allocator; the allocator counts
+//! only the thread that switches [`COUNTING`] on, so nothing another thread
+//! of the test process does lands in the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,18 +17,30 @@ struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counted() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // counter is a statistic and publishes nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,10 +52,9 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// One `#[test]`: a second test thread's start-up would allocate into the
-/// count.
 #[test]
 fn a_fifo_allocates_only_when_its_occupancy_sets_a_new_high() {
+    COUNTING.with(|c| c.set(true));
     let before = allocs();
     let mut idle = black_box(U64Fifo::new(1024));
     assert_eq!(idle.pop(), None);
@@ -98,4 +112,5 @@ fn a_fifo_allocates_only_when_its_occupancy_sets_a_new_high() {
             "bound {bound}: allocated below its high-water mark"
         );
     }
+    COUNTING.with(|c| c.set(false));
 }

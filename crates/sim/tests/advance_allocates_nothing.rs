@@ -3,9 +3,13 @@
 //! every blocked wait goes through; once the event queue (its slot arena
 //! and its map of pending instants) and the ready queue have grown to their
 //! working size none of them may touch the allocator. A binary of its own
-//! because the counting allocator is process-wide.
+//! because it installs a counting allocator; the allocator counts only the
+//! thread that switches [`COUNTING`] on, the one that runs the simulation
+//! (its processes are fibers on that thread), so nothing another thread of
+//! the test process does lands in the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpisim_sim::{ProcId, Sim, SimTime};
@@ -14,18 +18,30 @@ struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counted() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // counter is a statistic and publishes nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if counted() {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -33,12 +49,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// One `#[test]`, two scenarios run back to back: a second test thread's
-/// start-up would allocate into the first one's count.
+/// One `#[test]`, two scenarios run back to back on the counting thread.
 #[test]
 fn advance_and_park_wake_allocate_nothing_in_steady_state() {
+    COUNTING.with(|c| c.set(true));
     advance_rounds();
     park_wake_ping_pong();
+    COUNTING.with(|c| c.set(false));
 }
 
 fn advance_rounds() {
