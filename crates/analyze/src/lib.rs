@@ -37,7 +37,10 @@
 //! and each [`rewrite`] pass — reads one resolved epoch structure of the
 //! program (`shape.rs`): one walk per rank resolves epochs, accesses,
 //! flushes and requests, and the cross-rank FIFO start/post matching is
-//! answered there and nowhere else.
+//! answered there and nowhere else. The walk keeps its open epochs in the
+//! engine's own legality table, `mpisim_core::epoch::OpenSet`, so which
+//! opens clash, which epoch covers an operation and which epochs a flush
+//! covers are the runtime's answers.
 //!
 //! The static layer over-approximates (it reasons about all schedules),
 //! the dynamic layer under-approximates (it sees one schedule); together

@@ -1,10 +1,11 @@
 //! The resolved epoch structure of an [`IrProgram`]: the one walk every
 //! static pass reads.
 //!
-//! [`Shape::of`] walks each rank's statement list once through a
-//! per-(rank, window) epoch state machine that mirrors the engine's
-//! API-level checks (`AlreadyInEpoch`, `EpochMismatch`, `NoEpoch`, the
-//! dormant-trailing-fence tolerance) and resolves, per rank:
+//! [`Shape::of`] walks each rank's statement list once, keeping per
+//! (rank, window) the open epochs in core's open set
+//! ([`mpisim_core::epoch::OpenSet`]) and asking it what the engine's
+//! API-level checks ask it (`AlreadyInEpoch`, `EpochMismatch`, `NoEpoch`,
+//! the dormant-trailing-fence tolerance), and resolves, per rank:
 //!
 //! * every **epoch instance** ([`Epoch`]): kind with group or target and
 //!   lock mode, window, opening statement, closing statement with its
@@ -14,8 +15,9 @@
 //!   epochs by (§VI.A rule 3);
 //! * every **data access** ([`Access`]): statement, window, target, byte
 //!   range, [`AccessKind`], the constant it leaves behind when known, and
-//!   the epoch covering it, routed exactly like the engine: single-target
-//!   lock → `lock_all` → GATS access epoch naming the target → fence phase;
+//!   the epoch covering it, routed by the open set as the engine routes it:
+//!   single-target lock → `lock_all` → GATS access epoch naming the target
+//!   → fence phase;
 //! * every **flush** with the passive-target epochs it covers, every
 //!   **nonblocking request** with the `waitall` that consumes it, the fence
 //!   calls per window and the barriers;
@@ -36,8 +38,9 @@
 
 use std::collections::BTreeMap;
 
+use mpisim_core::epoch::{OpenSet, Slot};
 use mpisim_core::trace::AccessKind;
-use mpisim_core::ReduceOp;
+use mpisim_core::{Rank, ReduceOp};
 
 use crate::diag::{Code, Diagnostic};
 use crate::ir::{Close, FetchKind, IrProgram, Stmt};
@@ -72,6 +75,19 @@ pub(crate) struct Epoch<'p> {
     /// Per-(rank, window) reorder-concurrency region: two access epochs
     /// of one region may progress concurrently under the reorder flags.
     pub region: usize,
+}
+
+impl EpochKind<'_> {
+    /// The open-set slot an epoch of this kind occupies while open.
+    fn slot(self) -> Slot {
+        match self {
+            EpochKind::Fence { .. } => Slot::Fence,
+            EpochKind::Start { .. } => Slot::GatsAccess,
+            EpochKind::Post { .. } => Slot::Exposure,
+            EpochKind::Lock { target, .. } => Slot::Lock(Rank(target)),
+            EpochKind::LockAll => Slot::LockAll,
+        }
+    }
 }
 
 impl<'p> Epoch<'p> {
@@ -273,10 +289,12 @@ pub(crate) struct Shape<'p> {
 }
 
 impl<'p> Shape<'p> {
-    /// Resolve `p`: one walk per rank.
+    /// Resolve `p`: one walk per rank, each over the same per-window state
+    /// (reset, its open sets' buffers kept).
     pub fn of(p: &'p IrProgram) -> Self {
         let mut diags = Vec::new();
-        let ranks = (0..p.ranks.len()).map(|rank| Walk::run(p, rank, &mut diags)).collect();
+        let mut wins: Vec<WinOpen> = p.windows.iter().map(|_| WinOpen::default()).collect();
+        let ranks = (0..p.ranks.len()).map(|r| Walk::run(p, r, &mut wins, &mut diags)).collect();
         Shape { p, ranks, diags }
     }
 
@@ -355,15 +373,33 @@ fn touch(stmt: &Stmt) -> Option<Touch> {
     })
 }
 
+/// E005's detail for opening an epoch in `new` while `old` is open on
+/// window `win` (`seq`: the open fence phase).
+fn clash_detail(new: Slot, old: Slot, win: usize, seq: usize) -> String {
+    match (new, old) {
+        (_, Slot::Fence) => format!(
+            "{} while fence phase {seq} of window {win} is open and has issued operations",
+            new.routines().0
+        ),
+        (Slot::Fence, _) => {
+            format!("fence while a GATS/lock/exposure epoch is open on window {win}")
+        }
+        (Slot::GatsAccess, Slot::GatsAccess) => "start while a start epoch is open".into(),
+        (Slot::GatsAccess, _) => "start while a lock epoch is open".into(),
+        (Slot::Exposure, _) => "post while an exposure epoch is open".into(),
+        (Slot::Lock(Rank(t)), Slot::Lock(_)) => {
+            format!("lock on rank {t}, which is already locked")
+        }
+        (Slot::Lock(_), _) => "lock while a lock_all/start epoch is open".into(),
+        (Slot::LockAll, _) => "lock_all while a lock/start epoch is open".into(),
+    }
+}
+
 /// The open epochs and reorder bookkeeping of one window of one rank.
 #[derive(Default)]
 struct WinOpen {
-    fence: Option<usize>,
-    gats: Option<usize>,
-    exposure: Option<usize>,
-    /// Target → its open lock epoch.
-    locks: BTreeMap<usize, usize>,
-    lock_all: Option<usize>,
+    /// The open epochs (indices into [`Resolved::epochs`]) by slot.
+    open: OpenSet<usize>,
     region: usize,
     /// The window's last access epoch never shares a region (see `open`).
     prev_apart: bool,
@@ -372,18 +408,12 @@ struct WinOpen {
     synced: bool,
 }
 
-impl WinOpen {
-    fn any_lock(&self) -> bool {
-        !self.locks.is_empty() || self.lock_all.is_some()
-    }
-}
-
 /// The per-rank walker.
 struct Walk<'a, 'p> {
     p: &'p IrProgram,
     rank: usize,
     out: Resolved<'p>,
-    wins: Vec<WinOpen>,
+    wins: &'a mut [WinOpen],
     /// Requests not yet consumed: index into `out.requests`, and for an
     /// `iflush` its index into `out.flushes`.
     outstanding: Vec<(usize, Option<usize>)>,
@@ -393,15 +423,24 @@ struct Walk<'a, 'p> {
     diags: &'a mut Vec<Diagnostic>,
 }
 
-impl<'p> Walk<'_, 'p> {
-    fn run(p: &'p IrProgram, rank: usize, diags: &mut Vec<Diagnostic>) -> Resolved<'p> {
+impl<'a, 'p> Walk<'a, 'p> {
+    fn run(
+        p: &'p IrProgram,
+        rank: usize,
+        wins: &'a mut [WinOpen],
+        diags: &'a mut Vec<Diagnostic>,
+    ) -> Resolved<'p> {
         let stmts = &p.ranks[rank];
         let out = Resolved {
             at: vec![At::Nothing; stmts.len()],
             fences: vec![Vec::new(); p.windows.len()],
             ..Default::default()
         };
-        let wins = p.windows.iter().map(|_| WinOpen::default()).collect();
+        for w in wins.iter_mut() {
+            let mut open = std::mem::take(&mut w.open);
+            open.clear();
+            *w = WinOpen { open, ..Default::default() };
+        }
         let mut walk =
             Walk { p, rank, out, wins, outstanding: Vec::new(), locals: BTreeMap::new(), diags };
         for (step, stmt) in stmts.iter().enumerate() {
@@ -419,7 +458,7 @@ impl<'p> Walk<'_, 'p> {
     /// later epoch (on any window) can progress concurrently with anything
     /// before it.
     fn sync_all(&mut self) {
-        for w in &mut self.wins {
+        for w in self.wins.iter_mut() {
             w.synced = true;
         }
     }
@@ -429,7 +468,8 @@ impl<'p> Walk<'_, 'p> {
     /// progress concurrently: reorder flags off, a blocking synchronization
     /// between the opens, either side a `lock_all` epoch, or either side a
     /// fence epoch without the `unsafe_fence_reorder` extension. A start
-    /// (post) is filed under each group member.
+    /// (post) is filed under each group member. The epoch takes its slot
+    /// even when E005 forbade the open, displacing what was open there.
     fn open(&mut self, win: usize, step: usize, kind: EpochKind<'p>) -> usize {
         let e = self.out.epochs.len();
         let w = &mut self.wins[win];
@@ -452,26 +492,42 @@ impl<'p> Walk<'_, 'p> {
             _ => {}
         }
         self.out.epochs.push(Epoch { kind, win, open: step, close: None, region: w.region });
+        w.open.open(kind.slot(), e);
         self.out.at[step] = At::Opens(e);
         e
     }
 
-    /// The engine's `check_fence_conflict`: a *non-dormant* open fence
-    /// epoch on the same window blocks every other epoch-opening routine;
-    /// a dormant trailing fence is tolerated.
-    fn fence_conflict(&mut self, win: usize, step: usize, called: &str) {
-        let Some(f) = self.wins[win].fence else { return };
-        if self.out.accesses_of(f).next().is_some() {
-            let seq = self.out.fences[win].len() - 1;
-            self.diag(
-                Code::E005,
-                Some(step),
-                format!(
-                    "{called} while fence phase {seq} of window {win} is open and has issued \
-                     operations"
-                ),
-            );
+    /// E005 for opening an epoch in `new`: the open epochs the open set
+    /// says forbid it, a fence phase first, one line per distinct detail.
+    /// A fence phase without accesses is dormant and tolerated.
+    fn clashes(&mut self, win: usize, step: usize, new: Slot) {
+        let (out, seq) = (&self.out, self.out.fences[win].len().saturating_sub(1));
+        let dormant = |&f: &usize| out.accesses_of(f).next().is_none();
+        let mut found: Vec<_> = (self.wins[win].open.clashes(new, dormant))
+            .map(|old| {
+                let first = match old {
+                    Slot::Fence => 0,
+                    _ if old == new => 1,
+                    _ => 2,
+                };
+                (first, clash_detail(new, old, win, seq))
+            })
+            .collect();
+        found.sort_by_key(|&(first, _)| first);
+        found.dedup_by(|a, b| a.1 == b.1);
+        for (_, detail) in found {
+            self.diag(Code::E005, Some(step), detail);
         }
+    }
+
+    /// An epoch-opening call at `step` (`ireq` names its nonblocking form,
+    /// if it is one).
+    fn opening(&mut self, step: usize, win: usize, kind: EpochKind<'p>, ireq: Option<&'static str>) {
+        self.clashes(win, step, kind.slot());
+        if let Some(what) = ireq {
+            self.request(step, what, None);
+        }
+        self.open(win, step, kind);
     }
 
     fn request(&mut self, step: usize, what: &'static str, flush: Option<usize>) {
@@ -479,15 +535,10 @@ impl<'p> Walk<'_, 'p> {
         self.out.requests.push(Request { step, what, waited: None });
     }
 
-    /// An epoch-closing call at `step` on the slot's open epoch, if any;
-    /// returns whether there was one.
-    fn close(
-        &mut self,
-        step: usize,
-        open: Option<usize>,
-        mode: Close,
-        request: &'static str,
-    ) -> bool {
+    /// An epoch-closing call at `step` on the epoch open in `slot`; E004
+    /// if there is none.
+    fn close(&mut self, step: usize, win: usize, slot: Slot, mode: Close) {
+        let open = self.wins[win].open.close(slot);
         if let Some(e) = open {
             self.out.epochs[e].close = Some((step, mode));
             self.out.at[step] = At::Closes(e);
@@ -495,18 +546,23 @@ impl<'p> Walk<'_, 'p> {
         if mode.is_blocking() {
             self.sync_all();
         } else {
+            let request = match slot {
+                Slot::GatsAccess => "icomplete",
+                Slot::Exposure => "iwait",
+                Slot::Lock(_) => "iunlock",
+                _ => "iunlock_all",
+            };
             self.request(step, request, None);
         }
-        open.is_some()
-    }
-
-    /// Route an operation toward `target` to its covering access epoch
-    /// exactly like the engine: single-target lock → `lock_all` → GATS
-    /// access epoch naming the target → fence phase.
-    fn covering(&self, win: usize, target: usize) -> Option<usize> {
-        let w = &self.wins[win];
-        let in_group = |&e: &usize| self.out.epochs[e].group().contains(&target);
-        (w.locks.get(&target).copied()).or(w.lock_all).or(w.gats.filter(in_group)).or(w.fence)
+        if open.is_none() {
+            let detail = match slot {
+                Slot::GatsAccess => "complete without an open start epoch".into(),
+                Slot::Exposure => "wait without an open exposure epoch".into(),
+                Slot::Lock(Rank(t)) => format!("unlock of rank {t}, which is not locked"),
+                _ => "unlock_all without an open lock_all epoch".into(),
+            };
+            self.diag(Code::E004, Some(step), detail);
+        }
     }
 
     fn access(&mut self, step: usize, t: Touch) {
@@ -526,9 +582,11 @@ impl<'p> Walk<'_, 'p> {
             );
             return self.diag(Code::E010, Some(step), detail);
         };
-        let epoch = self.covering(win, target);
-        let w = &self.wins[win];
-        if w.gats.is_some() && (epoch.is_none() || epoch == w.fence) {
+        let open = &self.wins[win].open;
+        let in_group = |&e: &usize| self.out.epochs[e].group().contains(&target);
+        let epoch = open.covering(Rank(target), in_group).copied();
+        let fence = open.get(Slot::Fence).copied();
+        if open.get(Slot::GatsAccess).is_some() && (epoch.is_none() || epoch == fence) {
             // The engine would silently route this op into an open fence
             // phase; it still escapes the start group.
             let fell = epoch.map(|_| {
@@ -570,15 +628,8 @@ impl<'p> Walk<'_, 'p> {
         }
         match *stmt {
             Stmt::Fence { win, close } => {
-                // The engine rejects fence with any other epoch kind open
-                // on the same window.
-                let w = &self.wins[win];
-                if w.gats.is_some() || w.exposure.is_some() || w.any_lock() {
-                    let detail =
-                        format!("fence while a GATS/lock/exposure epoch is open on window {win}");
-                    self.diag(Code::E005, Some(step), detail);
-                }
-                let closes = self.wins[win].fence;
+                self.clashes(win, step, Slot::Fence);
+                let closes = self.wins[win].open.get(Slot::Fence).copied();
                 if let Some(f) = closes {
                     self.out.epochs[f].close = Some((step, close));
                     if close.is_blocking() {
@@ -593,47 +644,13 @@ impl<'p> Walk<'_, 'p> {
                 let seq = self.out.fences[win].len();
                 self.out.fences[win].push(step);
                 let opens = self.open(win, step, EpochKind::Fence { seq });
-                self.wins[win].fence = Some(opens);
                 self.out.at[step] = At::Fence { closes, opens };
             }
             Stmt::Start { win, ref group } => {
-                self.fence_conflict(win, step, "start");
-                if self.wins[win].gats.is_some() {
-                    self.diag(Code::E005, Some(step), "start while a start epoch is open".into());
-                }
-                if self.wins[win].any_lock() {
-                    self.diag(Code::E005, Some(step), "start while a lock epoch is open".into());
-                }
-                let e = self.open(win, step, EpochKind::Start { group });
-                self.wins[win].gats = Some(e);
-            }
-            Stmt::Complete { win, close } => {
-                let open = self.wins[win].gats.take();
-                if !self.close(step, open, close, "icomplete") {
-                    self.diag(
-                        Code::E004,
-                        Some(step),
-                        "complete without an open start epoch".into(),
-                    );
-                }
+                self.opening(step, win, EpochKind::Start { group }, None)
             }
             Stmt::Post { win, ref group } => {
-                self.fence_conflict(win, step, "post");
-                if self.wins[win].exposure.is_some() {
-                    self.diag(
-                        Code::E005,
-                        Some(step),
-                        "post while an exposure epoch is open".into(),
-                    );
-                }
-                let e = self.open(win, step, EpochKind::Post { group });
-                self.wins[win].exposure = Some(e);
-            }
-            Stmt::WaitEpoch { win, close } => {
-                let open = self.wins[win].exposure.take();
-                if !self.close(step, open, close, "iwait") {
-                    self.diag(Code::E004, Some(step), "wait without an open exposure epoch".into());
-                }
+                self.opening(step, win, EpochKind::Post { group }, None)
             }
             Stmt::Lock { win, target, exclusive, nonblocking } => {
                 if target >= self.p.n_ranks {
@@ -641,55 +658,20 @@ impl<'p> Walk<'_, 'p> {
                     let detail = format!("lock targets rank {target} but the job has {n} ranks");
                     return self.diag(Code::E002, Some(step), detail);
                 }
-                self.fence_conflict(win, step, "lock");
-                if self.wins[win].locks.contains_key(&target) {
-                    let detail = format!("lock on rank {target}, which is already locked");
-                    self.diag(Code::E005, Some(step), detail);
-                }
-                let w = &self.wins[win];
-                if w.lock_all.is_some() || w.gats.is_some() {
-                    let detail = "lock while a lock_all/start epoch is open".into();
-                    self.diag(Code::E005, Some(step), detail);
-                }
-                if nonblocking {
-                    self.request(step, "ilock", None);
-                }
-                let e = self.open(win, step, EpochKind::Lock { target, exclusive });
-                self.wins[win].locks.insert(target, e);
-            }
-            Stmt::Unlock { win, target, close } => {
-                let open = self.wins[win].locks.remove(&target);
-                if !self.close(step, open, close, "iunlock") {
-                    let detail = format!("unlock of rank {target}, which is not locked");
-                    self.diag(Code::E004, Some(step), detail);
-                }
+                let kind = EpochKind::Lock { target, exclusive };
+                self.opening(step, win, kind, nonblocking.then_some("ilock"));
             }
             Stmt::LockAll { win, nonblocking } => {
-                self.fence_conflict(win, step, "lock_all");
-                let w = &self.wins[win];
-                if w.any_lock() || w.gats.is_some() {
-                    let detail = "lock_all while a lock/start epoch is open".into();
-                    self.diag(Code::E005, Some(step), detail);
-                }
-                if nonblocking {
-                    self.request(step, "ilock_all", None);
-                }
-                let e = self.open(win, step, EpochKind::LockAll);
-                self.wins[win].lock_all = Some(e);
+                self.opening(step, win, EpochKind::LockAll, nonblocking.then_some("ilock_all"))
             }
-            Stmt::UnlockAll { win, close } => {
-                let open = self.wins[win].lock_all.take();
-                if !self.close(step, open, close, "iunlock_all") {
-                    let detail = "unlock_all without an open lock_all epoch".into();
-                    self.diag(Code::E004, Some(step), detail);
-                }
+            Stmt::Complete { win, close } => self.close(step, win, Slot::GatsAccess, close),
+            Stmt::WaitEpoch { win, close } => self.close(step, win, Slot::Exposure, close),
+            Stmt::Unlock { win, target, close } => {
+                self.close(step, win, Slot::Lock(Rank(target)), close)
             }
+            Stmt::UnlockAll { win, close } => self.close(step, win, Slot::LockAll, close),
             Stmt::Flush { win, target, local_only, close } => {
-                let w = &self.wins[win];
-                let covers: Vec<usize> = match target {
-                    Some(t) => w.locks.get(&t).copied().or(w.lock_all).into_iter().collect(),
-                    None => w.locks.values().copied().chain(w.lock_all).collect(),
-                };
+                let covers = self.wins[win].open.flushed(target.map(Rank));
                 // The flush family requires an open passive-target epoch
                 // covering the flushed target(s).
                 if covers.is_empty() {
@@ -751,12 +733,14 @@ impl<'p> Walk<'_, 'p> {
         self.out.starts_toward.sort_unstable();
         self.out.posts_toward.sort_unstable();
         for win in 0..self.wins.len() {
-            let w = &self.wins[win];
-            let passive = w.locks.values().copied().chain(w.lock_all);
-            let open: Vec<usize> =
-                [w.gats, w.exposure].into_iter().flatten().chain(passive).collect();
-            let trailing = w.fence.filter(|&f| self.out.accesses_of(f).next().is_some());
-            for e in open.into_iter().chain(trailing) {
+            // Slot order: start, post, locks by target, `lock_all`, and a
+            // trailing fence phase that issued operations.
+            let out = &self.out;
+            let open: Vec<usize> = (self.wins[win].open.iter())
+                .filter(|&(slot, &e)| slot != Slot::Fence || out.accesses_of(e).next().is_some())
+                .map(|(_, &e)| e)
+                .collect();
+            for e in open {
                 let Epoch { kind, open, .. } = self.out.epochs[e];
                 let (step, detail) = match kind {
                     EpochKind::Start { .. } => (

@@ -41,10 +41,15 @@ impl Engine {
     pub fn open_epoch(self: &Rc<Self>, rank: Rank, win: WinId, kind: EpochKind) -> RmaResult<()> {
         {
             let mut st = self.st.borrow_mut();
-            if let EpochKind::Lock { target, .. } = kind {
-                if target.idx() >= self.cfg.n_ranks {
-                    return Err(RmaError::InvalidRank(target.idx()));
+            let named = match &kind {
+                EpochKind::Lock { target, .. } => std::slice::from_ref(target),
+                EpochKind::GatsAccess { group } | EpochKind::GatsExposure { group } => {
+                    group.ranks()
                 }
+                EpochKind::LockAll | EpochKind::Fence { .. } => &[],
+            };
+            if let Some(bad) = named.iter().find(|r| r.idx() >= self.cfg.n_ranks) {
+                return Err(RmaError::InvalidRank(bad.idx()));
             }
             st.api_win(win, rank)?.check_open(Some(kind.slot()))?;
             self.open_in(&mut st, rank, win, kind);
@@ -75,7 +80,7 @@ impl Engine {
             let mut st = self.st.borrow_mut();
             let w = st.api_win(win, rank)?;
             w.check_open(Some(Slot::Fence))?;
-            let req = if w.open.contains_key(&Slot::Fence) {
+            let req = if w.open.get(Slot::Fence).is_some() {
                 self.close_in(&mut st, rank, win, Slot::Fence)?
             } else {
                 // An opening-only fence completes immediately (§VII.C).
@@ -121,7 +126,7 @@ impl Engine {
         let id = st
             .win_mut(win, rank)
             .open
-            .remove(&slot)
+            .close(slot)
             .ok_or(RmaError::EpochMismatch { called: slot.routines().1 })?;
         let req = st.reqs.alloc(ReqKind::EpochClose);
         let now = self.sim.now();
@@ -152,7 +157,7 @@ impl Engine {
             let w = st.api_win(win, rank)?;
             let id = *w
                 .open
-                .get(&Slot::Exposure)
+                .get(Slot::Exposure)
                 .ok_or(RmaError::EpochMismatch { called: "test" })?;
             debug_assert!(self.exposure_tally_matches_scan(&st, rank, win, id));
             let e = w.epoch(id);
@@ -527,7 +532,7 @@ impl Engine {
                 st.degradations.push(Degradation::EpochStall(report));
             }
             Outcome::DormantRetired => {
-                st.win_mut(win, rank).open.remove(&Slot::Fence);
+                st.win_mut(win, rank).open.close(Slot::Fence);
                 st.eng_stats.dormant_retired += 1;
             }
         }

@@ -13,7 +13,6 @@
 use std::rc::Rc;
 
 use crate::engine::{EngState, Engine};
-use crate::epoch::Slot;
 use crate::error::{RmaError, RmaResult};
 use crate::request::ReqKind;
 use crate::types::{EpochId, Rank, Req, WinId};
@@ -36,18 +35,11 @@ impl Engine {
     ) -> RmaResult<Req> {
         let req = {
             let mut st = self.st.borrow_mut();
+            if let Some(t) = target.filter(|t| t.idx() >= self.cfg.n_ranks) {
+                return Err(RmaError::InvalidRank(t.idx()));
+            }
             let w = st.api_win(win, rank)?;
-            // Which passive epochs does this flush cover?
-            let epochs: Vec<EpochId> = match target {
-                Some(t) => [Slot::Lock(t), Slot::LockAll]
-                    .iter()
-                    .find_map(|slot| w.open.get(slot).copied())
-                    .into_iter()
-                    .collect(),
-                // `Slot`'s order: the single-target locks by rank, then
-                // lock_all.
-                None => w.open.iter().filter(|(s, _)| s.is_passive()).map(|(_, id)| *id).collect(),
-            };
+            let epochs = w.open.flushed(target);
             if epochs.is_empty() {
                 return Err(RmaError::NotPassiveEpoch);
             }

@@ -786,7 +786,7 @@ impl Engine {
         let mut st = self.st.borrow_mut();
         // No later fence call can close a dormant trailing fence any more.
         let w = st.api_win(win, rank)?;
-        let fence = w.open.get(&Slot::Fence).copied();
+        let fence = w.open.get(Slot::Fence).copied();
         if let Some(id) = fence.filter(|id| w.epoch(*id).is_dormant_fence()) {
             self.finish_epoch(&mut st, rank, win, id, Outcome::DormantRetired);
         }

@@ -276,18 +276,11 @@ impl Engine {
     ) {
         let (src, dst) = (pkt.src, pkt.dst);
         if !self.framed(src, dst) {
-            match (on_local, ack_notice) {
-                (Some(f), Some(n)) => {
-                    let me = self.clone();
-                    self.net.send_tracked(pkt, f, move || me.post_notice(src, n));
-                }
-                (Some(f), None) => self.net.send_with_completion(pkt, f),
-                (None, Some(n)) => {
-                    let me = self.clone();
-                    self.net.send_tracked(pkt, || (), move || me.post_notice(src, n));
-                }
-                (None, None) => self.net.send(pkt),
-            }
+            let on_remote = ack_notice.map(|n| {
+                let me = self.clone();
+                Box::new(move || me.post_notice(src, n)) as Box<dyn FnOnce()>
+            });
+            self.net.send_tracked(pkt, on_local, on_remote);
             return;
         }
         let deadline = self.sim.now() + RTO;
@@ -300,10 +293,7 @@ impl Engine {
         st.eng_stats.rel_frames_sent += 1;
         let frame =
             Packet { src, dst, body: Body::Rel { seq, checksum, inner: Box::new(pkt.body) } };
-        match on_local {
-            Some(f) => self.net.send_with_completion(frame, f),
-            None => self.net.send(frame),
-        }
+        self.net.send_tracked(frame, on_local, None);
         self.schedule_rel_timer(st, src, deadline);
     }
 

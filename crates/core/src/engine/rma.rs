@@ -67,10 +67,9 @@ impl Engine {
                     FetchKind::GetAccumulate => {}
                 }
             }
-            let eid = st
-                .win(win, rank)
-                .open_access_covering(target)
-                .ok_or(RmaError::NoEpoch { win, target })?;
+            let w = st.win(win, rank);
+            let covering = w.open.covering(target, |id| w.epoch(*id).covers_target(target));
+            let eid = *covering.ok_or(RmaError::NoEpoch { win, target })?;
             // An erroneous range is the caller's error here, not a panic in
             // the target's sweep when the op arrives. A target that already
             // freed its side has no range to hold the op to.

@@ -162,6 +162,93 @@ impl Slot {
     }
 }
 
+/// The application-level open epochs of one window side, by [`Slot`]: the
+/// one legality table of the simulator. The engine keeps an
+/// `OpenSet<EpochId>` per window side ([`crate::window::WinRank::open`]);
+/// the static walk of `mpisim-analyze` keeps one per (rank, window) over
+/// its own epoch indices. Both ask it the same three questions — which
+/// open epochs forbid an open, which epoch covers an RMA call, which
+/// passive epochs a flush covers — so the two layers cannot disagree.
+#[derive(Debug)]
+pub struct OpenSet<E>(VecMap<Slot, E>);
+
+impl<E> Default for OpenSet<E> {
+    fn default() -> Self {
+        OpenSet(VecMap::new())
+    }
+}
+
+impl<E> OpenSet<E> {
+    /// Enter `e` in `slot`, displacing whatever was open there.
+    pub fn open(&mut self, slot: Slot, e: E) {
+        self.0.insert(slot, e);
+    }
+
+    /// Vacate every slot, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Vacate `slot`, returning the epoch that was open there.
+    pub fn close(&mut self, slot: Slot) -> Option<E> {
+        self.0.remove(&slot)
+    }
+
+    /// The epoch open in `slot`.
+    pub fn get(&self, slot: Slot) -> Option<&E> {
+        self.0.get(&slot)
+    }
+
+    /// The open epochs in slot order: GATS access, exposure, the locks by
+    /// target rank, `lock_all`, fence.
+    pub fn iter(&self) -> impl Iterator<Item = (Slot, &E)> {
+        self.0.iter().map(|(slot, e)| (*slot, e))
+    }
+
+    /// The slots whose open epochs forbid opening one in `new`
+    /// ([`Slot::excludes`]), in slot order. An open fence epoch that
+    /// `dormant` calls dormant — a trailing fence phase without operations
+    /// — never does: it coexists with the next epochs and the next fence
+    /// call closes it.
+    pub fn clashes<'a>(
+        &'a self,
+        new: Slot,
+        dormant: impl Fn(&E) -> bool + 'a,
+    ) -> impl Iterator<Item = Slot> + 'a {
+        self.iter()
+            .filter(move |&(slot, e)| slot.excludes(new) && !(slot == Slot::Fence && dormant(e)))
+            .map(|(slot, _)| slot)
+    }
+
+    /// The open access epoch that covers an RMA call toward `target`, in
+    /// the order single-target lock → `lock_all` → GATS access epoch, if
+    /// `in_group` says its group names `target` → fence phase. (More than
+    /// one of these open at once is erroneous; the order decides anyway.)
+    pub fn covering(&self, target: Rank, in_group: impl Fn(&E) -> bool) -> Option<&E> {
+        [Slot::Lock(target), Slot::LockAll, Slot::GatsAccess, Slot::Fence]
+            .into_iter()
+            .filter_map(|slot| Some((slot, self.get(slot)?)))
+            .find(|&(slot, e)| slot != Slot::GatsAccess || in_group(e))
+            .map(|(_, e)| e)
+    }
+
+    /// The open passive-target epochs a flush covers: toward `Some(t)` the
+    /// lock on `t`, else the `lock_all`; for the `_all` forms (`None`)
+    /// every lock by target rank, then the `lock_all`.
+    pub fn flushed(&self, target: Option<Rank>) -> Vec<E>
+    where
+        E: Copy,
+    {
+        match target {
+            Some(t) => {
+                let lock = self.get(Slot::Lock(t)).or(self.get(Slot::LockAll));
+                lock.copied().into_iter().collect()
+            }
+            None => self.iter().filter(|(slot, _)| slot.is_passive()).map(|(_, e)| *e).collect(),
+        }
+    }
+}
+
 /// Internal lifetime of an epoch (§VII.A): driven by the progress engine.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Phase {

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use mpisim_net::{U64Fifo, VecMap};
 
 use crate::config::WinInfo;
-use crate::epoch::{EpochKind, EpochObj, Slot};
+use crate::epoch::{EpochKind, EpochObj, OpenSet, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::lock::LockMgr;
 use crate::types::{EpochId, Rank, Req};
@@ -271,7 +271,7 @@ pub struct WinRank {
     /// The open set: the application-level currently open epochs by slot
     /// (at most one per kind, except single-target lock epochs, which MPI
     /// allows several of at once, to distinct targets).
-    pub open: VecMap<Slot, EpochId>,
+    pub open: OpenSet<EpochId>,
 
     /// ω matching state (§VII.B), one record per peer this side has ever
     /// synchronised with.
@@ -327,7 +327,7 @@ impl WinRank {
             mem: vec![0; size],
             info,
             epochs: EpochQueue::default(),
-            open: VecMap::new(),
+            open: OpenSet::default(),
             omega: OmegaTable::default(),
             grant_dirty: WorkList::default(),
             lock_mgr: LockMgr::default(),
@@ -349,10 +349,10 @@ impl WinRank {
         let slot = kind.slot();
         // A fence call vacates the fence slot before opening its successor,
         // so this is only ever the dormant fence a non-fence epoch opens under.
-        let opened_in_fence = self.open.get(&Slot::Fence).copied();
+        let opened_in_fence = self.open.get(Slot::Fence).copied();
         let e = self.epochs.open(kind, self.epoch_pool.pop());
         e.opened_in_fence = opened_in_fence;
-        self.open.insert(slot, e.id);
+        self.open.open(slot, e.id);
         e
     }
 
@@ -387,31 +387,16 @@ impl WinRank {
         a
     }
 
-    /// The application-level open access epoch that covers RMA toward
-    /// `target`, resolved in the order single-target lock → lock_all →
-    /// GATS access → fence (concurrent coverage of the same target by more
-    /// than one of these is erroneous in MPI and unreachable through the
-    /// API checks).
-    pub fn open_access_covering(&self, target: Rank) -> Option<EpochId> {
-        [Slot::Lock(target), Slot::LockAll, Slot::GatsAccess, Slot::Fence]
-            .iter()
-            .filter_map(|slot| self.open.get(slot))
-            .find(|id| self.epoch(**id).covers_target(target))
-            .copied()
-    }
-
-    /// The application-level conflict rule, in one place: error if an open
-    /// epoch forbids opening one in slot `new`. A *dormant* trailing fence
-    /// never does: it coexists with the next phase and is closed by the
-    /// next fence call (or retired at `win_free`), keeping the collective
-    /// fence sequence aligned on every rank. `None` is `win_free`, which
-    /// admits no epoch at all, open or closed and still in flight.
+    /// The application-level conflict rule: error if an open epoch forbids
+    /// opening one in slot `new` ([`OpenSet::clashes`]; a *dormant*
+    /// trailing fence never does — it is closed by the next fence call, or
+    /// retired at `win_free`, keeping the collective fence sequence aligned
+    /// on every rank). `None` is `win_free`, which admits no epoch at all,
+    /// open or closed and still in flight.
     pub fn check_open(&self, new: Option<Slot>) -> RmaResult<()> {
         let (clash, called) = match new {
             Some(new) => (
-                self.open.iter().any(|(slot, id)| {
-                    slot.excludes(new) && !self.epoch(*id).is_dormant_fence()
-                }),
+                self.open.clashes(new, |id| self.epoch(*id).is_dormant_fence()).next().is_some(),
                 new.routines().0,
             ),
             None => (!self.epochs.is_empty(), "win_free"),
@@ -483,8 +468,8 @@ mod tests {
         let a = w.open_epoch(EpochKind::LockAll).id;
         let b = w.open_epoch(EpochKind::GatsExposure { group: Group::new([1]) }).id;
         assert_eq!(order(&w.epochs), [a, b]);
-        assert_eq!(w.open.get(&Slot::LockAll), Some(&a));
-        assert_eq!(w.open.get(&Slot::Exposure), Some(&b));
+        assert_eq!(w.open.get(Slot::LockAll), Some(&a));
+        assert_eq!(w.open.get(Slot::Exposure), Some(&b));
         w.retire(a);
         assert_eq!(order(&w.epochs), [b]);
     }

@@ -58,8 +58,8 @@ fn round(w: &mut WinRank, lock: &EpochKind, gats: &EpochKind) {
     let g = w.open_epoch(gats.clone()).id;
     assert!(w.epoch(g).covers_target(Rank(2)) && !w.epoch(g).covers_target(Rank(3)));
     assert_eq!(w.epoch(l).targets().len() + w.epoch(g).targets().len(), 3);
-    w.open.remove(&Slot::Lock(Rank(1)));
-    w.open.remove(&Slot::GatsAccess);
+    w.open.close(Slot::Lock(Rank(1)));
+    w.open.close(Slot::GatsAccess);
     w.retire(l);
     w.retire(g);
 }
@@ -85,5 +85,5 @@ fn reopening_recycled_epochs_allocates_nothing() {
     let steady = ALLOCS.load(Ordering::Relaxed) - before;
     COUNTING.with(|c| c.set(false));
     assert_eq!(steady, 0, "{steady} allocations in {ROUNDS} lock + GATS epoch reopenings");
-    assert!(w.epochs.is_empty() && w.open.is_empty());
+    assert!(w.epochs.is_empty() && w.open.iter().next().is_none());
 }

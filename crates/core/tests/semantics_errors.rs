@@ -275,10 +275,30 @@ const WIN_CALLS: [(&str, WinCall); 42] = {
     ]
 };
 
+/// Every `RankEnv` routine that names a GATS group or a flush target,
+/// toward a rank outside a 2-rank job.
+const RANK_CALLS: [(&str, WinCall); 8] = {
+    const T: Rank = Rank(99);
+    fn g() -> Group {
+        Group::single(T)
+    }
+    [
+        ("start", |e, w| e.start(w, g()).err()),
+        ("istart", |e, w| e.istart(w, g()).err()),
+        ("post", |e, w| e.post(w, g()).err()),
+        ("ipost", |e, w| e.ipost(w, g()).err()),
+        ("flush", |e, w| e.flush(w, T).err()),
+        ("iflush", |e, w| e.iflush(w, T).err()),
+        ("flush_local", |e, w| e.flush_local(w, T).err()),
+        ("iflush_local", |e, w| e.iflush_local(w, T).err()),
+    ]
+};
+
 /// A window id the application made up, and one whose window this rank
 /// already freed (`win_free` twice included), are its error to handle: every
 /// routine answers `InvalidWindow`, none panics, none leaves a request
-/// behind, and the job finishes.
+/// behind, and the job finishes. So is a rank outside the job: every
+/// `RANK_CALLS` routine answers `InvalidRank`.
 #[test]
 fn invalid_rank_and_window_rejected() {
     let report = run_job(JobConfig::all_internode(2), |env| {
@@ -295,6 +315,20 @@ fn invalid_rank_and_window_rejected() {
             RmaError::InvalidWindow(WinId(42))
         ));
         env.unlock(win, Rank(1)).unwrap();
+        // A group member or flush target outside the job is refused before
+        // any epoch or request exists, outside an epoch and inside one.
+        for in_lock_all in [false, true] {
+            if in_lock_all {
+                env.lock_all(win).unwrap();
+            }
+            for (routine, call) in RANK_CALLS {
+                match call(env, win) {
+                    Some(RmaError::InvalidRank(99)) => {}
+                    other => panic!("{routine} toward rank 99 (lock_all {in_lock_all}): {other:?}"),
+                }
+            }
+        }
+        env.unlock_all(win).unwrap();
         env.win_free(win).unwrap();
         for (case, bad) in [("never allocated", WinId(42)), ("freed", win)] {
             for (routine, call) in WIN_CALLS {

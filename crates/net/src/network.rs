@@ -272,35 +272,18 @@ impl<M: Wire> Network<M> {
         });
     }
 
-    /// Send a packet and invoke `on_local` at the virtual time the origin
-    /// buffer becomes reusable (last byte left the source NIC).
-    pub fn send_with_completion(
-        self: &Arc<Self>,
-        pkt: Packet<M>,
-        on_local: impl FnOnce() + 'static,
-    ) {
-        self.send_req(SendReq {
-            pkt,
-            on_local: Some(Box::new(on_local)),
-            on_remote: None,
-        });
-    }
-
-    /// Send a packet with both completion callbacks: `on_local` when the
-    /// origin buffer is reusable, and `on_remote` when the origin learns of
-    /// remote completion (the hardware acknowledgement: delivery plus one
-    /// return latency internode, delivery time intranode).
+    /// Send a packet with its completion callbacks, each optional:
+    /// `on_local` when the origin buffer is reusable (the last byte left
+    /// the source NIC), and `on_remote` when the origin learns of remote
+    /// completion (the hardware acknowledgement: delivery plus one return
+    /// latency internode, delivery time intranode).
     pub fn send_tracked(
         self: &Arc<Self>,
         pkt: Packet<M>,
-        on_local: impl FnOnce() + 'static,
-        on_remote: impl FnOnce() + 'static,
+        on_local: Option<Box<dyn FnOnce()>>,
+        on_remote: Option<Box<dyn FnOnce()>>,
     ) {
-        self.send_req(SendReq {
-            pkt,
-            on_local: Some(Box::new(on_local)),
-            on_remote: Some(Box::new(on_remote)),
-        });
+        self.send_req(SendReq { pkt, on_local, on_remote });
     }
 
     fn send_req(self: &Arc<Self>, req: SendReq<M>) {
@@ -709,13 +692,14 @@ mod tests {
         let log = collect_deliveries(&net, &h);
         let local_t = Rc::new(RefCell::new(0u64));
         let (lt, hh) = (local_t.clone(), h.clone());
-        net.send_with_completion(
+        net.send_tracked(
             Packet {
                 src: Rank(0),
                 dst: Rank(1),
                 body: data(9, 1 << 16),
             },
-            move || *lt.borrow_mut() = hh.now().as_nanos(),
+            Some(Box::new(move || *lt.borrow_mut() = hh.now().as_nanos())),
+            None,
         );
         sim.run().unwrap();
         let deliver = log.borrow()[0].1;

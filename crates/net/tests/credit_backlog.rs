@@ -151,8 +151,8 @@ fn run(channel_credits: u32, rank_credits: u32) -> (u64, NetStats, usize) {
                 let (l2, h2) = (log.clone(), hh.clone());
                 net.send_tracked(
                     pkt,
-                    move || l1.borrow_mut().push(row(1, &h1)),
-                    move || l2.borrow_mut().push(row(2, &h2)),
+                    Some(Box::new(move || l1.borrow_mut().push(row(1, &h1)))),
+                    Some(Box::new(move || l2.borrow_mut().push(row(2, &h2)))),
                 );
             }
         });
