@@ -26,8 +26,8 @@
 //!    provenance.
 //!
 //! 2. **Dynamic race detector** ([`detect_races`]) — vector-clock
-//!    happens-before checking over the sync-event trace a simulated run
-//!    produces. Synchronization edges are the epoch protocol's own
+//!    happens-before checking over the sync records of the trace a
+//!    simulated run produces. Synchronization edges are the epoch protocol's own
 //!    messages (post→start and lock grants, complete→wait and unlock
 //!    notifications, fence-completion announcements); data accesses carry
 //!    byte ranges and access kinds. Conflicting overlapping accesses that

@@ -1,8 +1,10 @@
-//! Dynamic happens-before race detection over a job's sync trace.
+//! Dynamic happens-before race detection over the sync records of a job's
+//! trace.
 //!
 //! ThreadSanitizer-style vector clocks, but the "threads" are ranks and
 //! the synchronization edges are the RMA epoch protocol's own messages,
-//! all of which the engine already traces:
+//! all of which the engine already traces as sync records
+//! ([`TraceEvent::Sync`]; the detector skips every other record):
 //!
 //! | edge | trace events (send → apply) |
 //! |------|-----------------------------|
@@ -25,7 +27,7 @@
 
 use std::collections::BTreeMap;
 
-use mpisim_core::trace::{AccessKind, Step, SyncEvent, SyncFold, SyncRecord};
+use mpisim_core::trace::{AccessKind, Step, SyncEvent, SyncFold, TraceEvent, TraceRecord};
 use mpisim_core::JobReport;
 
 /// One side of a detected race.
@@ -133,35 +135,43 @@ fn join(into: &mut [u64], other: &[u64]) {
     }
 }
 
-/// Scan the sync trace of `report` and return every conflicting,
+/// Scan the sync records of `report`'s trace and return every conflicting,
 /// happens-before-unordered access pair. An empty result means the run is
 /// race-free under the traced synchronization edges.
 pub fn detect_races(report: &JobReport) -> Vec<Race> {
-    detect_races_in(&report.sync_trace)
+    detect_races_in(&report.trace)
 }
 
-/// [`detect_races`] over a bare sync trace, in global virtual-time order
-/// as the runtime records it. Clocks are as wide as the highest rank the
-/// trace names.
-pub fn detect_races_in(trace: &[SyncRecord]) -> Vec<Race> {
-    let n = trace.iter().map(|r| r.rank.idx().max(r.peer.idx()) + 1).max().unwrap_or(0);
+/// [`detect_races`] over a bare trace, in global virtual-time order as the
+/// runtime records it. Clocks are as wide as the highest rank its sync
+/// records name.
+pub fn detect_races_in(trace: &[TraceRecord]) -> Vec<Race> {
+    let n = trace
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Sync { peer, .. } => Some(r.rank.idx().max(peer.idx()) + 1),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
     let mut d =
         Detector { clocks: vec![vec![0; n]; n], shadow: BTreeMap::new(), races: Vec::new() };
     // Each send's clock snapshot lives in the fold until its apply.
     let mut edges = SyncFold::default();
     for r in trace {
+        let TraceEvent::Sync { win, peer, event, .. } = r.event else { continue };
         let me = r.rank.idx();
-        // Every traced event is a distinct point in its rank's history.
+        // Every traced sync event is a distinct point in its rank's history.
         d.clocks[me][me] += 1;
-        match (edges.step(r, || d.clocks[me].clone()), r.event) {
+        match (edges.step(r, || d.clocks[me].clone()), event) {
             (Step::Applied { matched: Some(snap), .. }, _) => join(&mut d.clocks[me], &snap),
             (_, SyncEvent::DataIssued { disp, len, access, .. }) => {
                 let a = RaceAccess { rank: me, disp, len, kind: access, local: false };
-                d.record_access(r.win.0, r.peer.idx(), a);
+                d.record_access(win.0, peer.idx(), a);
             }
             (_, SyncEvent::LocalAccess { disp, len, access }) => {
                 let a = RaceAccess { rank: me, disp, len, kind: access, local: true };
-                d.record_access(r.win.0, me, a);
+                d.record_access(win.0, me, a);
             }
             _ => {}
         }

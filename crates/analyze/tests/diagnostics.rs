@@ -10,7 +10,7 @@ use mpisim_analyze::{
     analyze, analyze_slack, detect_races_in, has_code, rewrite, Close, Code, FetchKind, IrProgram,
     SlackClass, Stmt,
 };
-use mpisim_core::trace::{AccessKind, Plane, SyncEvent, SyncRecord};
+use mpisim_core::trace::{AccessKind, Plane, SyncEvent, TraceEvent, TraceRecord};
 use mpisim_core::{Rank, ReduceOp, WinId};
 
 const WIN: usize = 64;
@@ -901,14 +901,11 @@ fn flush_outside_passive_epoch_is_e004() {
 
 // ------------------------------------------------- race detector (HB)
 
-fn rec(rank: usize, peer: usize, plane: Plane, event: SyncEvent) -> SyncRecord {
-    SyncRecord {
+fn rec(rank: usize, peer: usize, plane: Plane, event: SyncEvent) -> TraceRecord {
+    TraceRecord {
         time: Default::default(),
         rank: Rank(rank),
-        peer: Rank(peer),
-        win: WinId(0),
-        plane,
-        event,
+        event: TraceEvent::Sync { win: WinId(0), peer: Rank(peer), plane, event },
     }
 }
 

@@ -1,10 +1,13 @@
-//! Trace-invariant auditor: replay the traces of a finished job and check
+//! Trace-invariant auditor: replay the trace of a finished job and check
 //! the protocol invariants of the paper's ω-triple design (§VII.B–D).
 //!
-//! The engine's sync trace is appended under the global virtual clock, so
-//! vector order is chronological; every "X before Y" check below is a scan
-//! in that order. Audited invariants:
+//! The engine appends every record of the one trace stream under the
+//! global virtual clock, so stream order is chronological (I0 checks it);
+//! every "X before Y" check below is a scan in that order over the
+//! records of one kind. Audited invariants:
 //!
+//! * **I0 — chronological stream.** No record is earlier than the record
+//!   before it.
 //! * **I1 — positional grant emission.** Per (granter, origin, window,
 //!   plane) the `GrantSent` ids are exactly 1, 2, 3, … — grants are
 //!   sequenced per origin, never skipped or duplicated.
@@ -18,16 +21,16 @@
 //! * **I4 — FIFO epoch matching.** Per (rank, window) epochs *activate* in
 //!   the order they were opened (reorder flags permit overlap, not
 //!   reordering of activation).
-//! * **I5 — epoch lifecycle.** Every closed epoch completes, with
-//!   `opened ≤ activated ≤ completed` and `opened ≤ closed`; the only
-//!   epochs allowed to die unclosed are dormant trailing fences
-//!   (deviation 4) — opened, usually activated (an empty fence activates
-//!   immediately), never closed — and their count must match the engine's
-//!   `dormant_retired` counter exactly.
+//! * **I5 — epoch lifecycle.** Every transition is recorded at most once;
+//!   every closed epoch completes, with `opened ≤ activated ≤ completed`
+//!   and `opened ≤ closed`; the only epochs allowed to die unclosed are
+//!   dormant trailing fences (deviation 4) — opened, usually activated (an
+//!   empty fence activates immediately), never closed — and their count
+//!   must match the engine's `dormant_retired` counter exactly.
 //! * **I6 — request discipline.** Every request goes `Alloc → Complete →
 //!   Consume` with exactly one effective completion and at most one
 //!   consume; application-visible completion only exists at test/wait, the
-//!   sole caller of consume (§VII.C). No request leaks past the job.
+//!   sole consumer (§VII.C). No request leaks past the job.
 //! * **I7 — conservation.** `opened == completed + dormant_retired` and
 //!   `activated == completed + dormant_activated` in the engine counters,
 //!   where `dormant_activated` is the subset of dormant fences the trace
@@ -35,8 +38,9 @@
 
 use std::collections::BTreeMap;
 
+use mpisim_core::epoch::Slot;
 use mpisim_core::request::ReqEvent;
-use mpisim_core::trace::{Edge, EpochEvent, Step, SyncEvent, SyncFold};
+use mpisim_core::trace::{Edge, EpochEvent, Step, SyncEvent, SyncFold, TraceEvent};
 use mpisim_core::JobReport;
 
 /// One invariant violation.
@@ -54,10 +58,11 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Audit a finished job's traces. Returns every violation found (empty =
+/// Audit a finished job's trace. Returns every violation found (empty =
 /// all invariants hold).
 pub fn audit(report: &JobReport) -> Vec<Violation> {
     let mut v = Vec::new();
+    audit_order(report, &mut v);
     audit_sync_plane(report, &mut v);
     audit_epoch_lifecycle(report, &mut v);
     audit_requests(report, &mut v);
@@ -65,63 +70,59 @@ pub fn audit(report: &JobReport) -> Vec<Violation> {
     v
 }
 
+fn audit_order(report: &JobReport, out: &mut Vec<Violation>) {
+    for (i, w) in report.trace.windows(2).enumerate() {
+        if w[1].time < w[0].time {
+            let (t0, t1) = (w[0].time, w[1].time);
+            let detail = format!("record {} at {t1} follows a record at {t0}", i + 1);
+            out.push(Violation { invariant: "I0-order", detail });
+        }
+    }
+}
+
 fn audit_sync_plane(report: &JobReport, out: &mut Vec<Violation>) {
     // I1 / I2 / I3 in one chronological scan.
     let mut fold = SyncFold::default();
     // (rank, win, plane, epoch, peer) -> positional access id.
     let mut access = BTreeMap::new();
-    for r in &report.sync_trace {
-        let me = r.rank.idx();
-        let peer = r.peer.idx();
-        let win = r.win.0;
-        match (fold.step(r, || ()), r.event) {
+    for r in &report.trace {
+        let TraceEvent::Sync { win, peer, plane, event } = r.event else { continue };
+        let (me, p, w) = (r.rank.idx(), peer.idx(), win.0);
+        match (fold.step(r, || ()), event) {
             (Step::Sent { edge: Edge::Grant, id, prev }, _) if id != prev + 1 => {
-                out.push(Violation {
-                    invariant: "I1-grant-seq",
-                    detail: format!(
-                        "r{me}→r{peer} w{win} {:?}: grant id {id} after id {prev} \
-                         (must be consecutive from 1)",
-                        r.plane
-                    ),
-                });
+                let detail = format!(
+                    "r{me}→r{p} w{w} {plane:?}: grant id {id} after id {prev} \
+                     (must be consecutive from 1)"
+                );
+                out.push(Violation { invariant: "I1-grant-seq", detail });
             }
             (Step::Applied { edge: Edge::Grant, id, prev, sent, .. }, _) => {
                 if id != prev + 1 {
-                    out.push(Violation {
-                        invariant: "I2-apply-seq",
-                        detail: format!(
-                            "r{me} from r{peer} w{win} {:?}: applied grant {id} after {prev}",
-                            r.plane
-                        ),
-                    });
+                    let detail =
+                        format!("r{me} from r{p} w{w} {plane:?}: applied grant {id} after {prev}");
+                    out.push(Violation { invariant: "I2-apply-seq", detail });
                 }
                 if id > sent {
-                    out.push(Violation {
-                        invariant: "I2-apply-before-send",
-                        detail: format!(
-                            "r{me} applied grant {id} from r{peer} w{win} {:?} but only \
-                             {sent} were sent",
-                            r.plane
-                        ),
-                    });
+                    let detail = format!(
+                        "r{me} applied grant {id} from r{p} w{w} {plane:?} but only \
+                         {sent} were sent"
+                    );
+                    out.push(Violation { invariant: "I2-apply-before-send", detail });
                 }
             }
             (_, SyncEvent::AccessAssigned { epoch, id }) => {
-                access.insert((me, win, r.plane, epoch, peer), id);
+                access.insert((me, w, plane, epoch, p), id);
             }
             (_, SyncEvent::DataIssued { epoch, .. }) => {
                 // Fences carry no access id toward the peer: exempt.
-                if let Some(&aid) = access.get(&(me, win, r.plane, epoch, peer)) {
-                    let g = fold.grants_applied(r.peer, r.rank, r.win, r.plane);
+                if let Some(&aid) = access.get(&(me, w, plane, epoch, p)) {
+                    let g = fold.grants_applied(peer, r.rank, win, plane);
                     if aid > g {
-                        out.push(Violation {
-                            invariant: "I3-grant-gate",
-                            detail: format!(
-                                "r{me} issued data of epoch {epoch} to r{peer} w{win} {:?} \
-                                 with A_i={aid} > g_r={g}",
-                                r.plane
-                            ),
-                        });
+                        let detail = format!(
+                            "r{me} issued data of epoch {epoch} to r{p} w{w} {plane:?} \
+                             with A_i={aid} > g_r={g}"
+                        );
+                        out.push(Violation { invariant: "I3-grant-gate", detail });
                     }
                 }
             }
@@ -137,20 +138,14 @@ fn audit_epoch_lifecycle(report: &JobReport, out: &mut Vec<Violation>) {
     // assigned at open in increasing order).
     let mut last_activated: BTreeMap<(usize, u32), u64> = BTreeMap::new();
     for r in &report.trace {
-        if r.event == EpochEvent::Activated {
-            let prev = last_activated.insert((r.rank.idx(), r.win.0), r.epoch);
-            if let Some(prev) = prev.filter(|&prev| r.epoch <= prev) {
-                out.push(Violation {
-                    invariant: "I4-fifo-activation",
-                    detail: format!(
-                        "r{} w{} activated epoch {} after epoch {}",
-                        r.rank.idx(),
-                        r.win.0,
-                        r.epoch,
-                        prev
-                    ),
-                });
-            }
+        let TraceEvent::Epoch { win, epoch, event: EpochEvent::Activated, .. } = r.event else {
+            continue;
+        };
+        let (rank, win) = (r.rank.idx(), win.0);
+        let prev = last_activated.insert((rank, win), epoch);
+        if let Some(prev) = prev.filter(|&prev| epoch <= prev) {
+            let detail = format!("r{rank} w{win} activated epoch {epoch} after epoch {prev}");
+            out.push(Violation { invariant: "I4-fifo-activation", detail });
         }
     }
 
@@ -161,74 +156,58 @@ fn audit_epoch_lifecycle(report: &JobReport, out: &mut Vec<Violation>) {
     let mut dormant = 0u64;
     let mut dormant_activated = 0u64;
     for s in mpisim_core::trace::summarize(&report.trace) {
-        let tag = format!("r{} w{} e{} ({})", s.rank, s.win, s.epoch, s.kind);
+        let tag = format!("r{} w{} e{} ({})", s.rank, s.win, s.epoch, s.kind.name());
+        if let Some(event) = s.duplicate {
+            let detail = format!("{tag} recorded {event:?} more than once");
+            out.push(Violation { invariant: "I5-duplicate", detail });
+        }
         match (s.opened, s.activated, s.closed, s.completed) {
             (Some(o), activated, None, None) => {
                 dormant += 1;
                 if activated.is_some() {
                     dormant_activated += 1;
                 }
-                if s.kind != "fence" {
-                    out.push(Violation {
-                        invariant: "I5-dormant-kind",
-                        detail: format!("{tag} was never closed or completed but is not a fence"),
-                    });
+                if s.kind != Slot::Fence {
+                    let detail = format!("{tag} was never closed or completed but is not a fence");
+                    out.push(Violation { invariant: "I5-dormant-kind", detail });
                 }
-                if let Some(a) = activated {
-                    if a < o {
-                        out.push(Violation {
-                            invariant: "I5-order",
-                            detail: format!("{tag} activated {a} before opened {o}"),
-                        });
-                    }
+                if let Some(a) = activated.filter(|&a| a < o) {
+                    let detail = format!("{tag} activated {a} before opened {o}");
+                    out.push(Violation { invariant: "I5-order", detail });
                 }
             }
             (Some(o), Some(a), closed, Some(d)) => {
                 if a < o || d < a {
-                    out.push(Violation {
-                        invariant: "I5-order",
-                        detail: format!("{tag} times out of order: open {o} act {a} done {d}"),
-                    });
+                    let detail = format!("{tag} times out of order: open {o} act {a} done {d}");
+                    out.push(Violation { invariant: "I5-order", detail });
                 }
-                if let Some(c) = closed {
-                    if c < o {
-                        out.push(Violation {
-                            invariant: "I5-order",
-                            detail: format!("{tag} closed {c} before opened {o}"),
-                        });
-                    }
+                if let Some(c) = closed.filter(|&c| c < o) {
+                    let detail = format!("{tag} closed {c} before opened {o}");
+                    out.push(Violation { invariant: "I5-order", detail });
                 }
             }
             _ => {
-                out.push(Violation {
-                    invariant: "I5-incomplete",
-                    detail: format!(
-                        "{tag} ended in a partial state: open={:?} act={:?} close={:?} done={:?}",
-                        s.opened, s.activated, s.closed, s.completed
-                    ),
-                });
+                let detail = format!(
+                    "{tag} ended in a partial state: open={:?} act={:?} close={:?} done={:?}",
+                    s.opened, s.activated, s.closed, s.completed
+                );
+                out.push(Violation { invariant: "I5-incomplete", detail });
             }
         }
     }
-    if dormant != report.engine.dormant_retired {
-        out.push(Violation {
-            invariant: "I5-dormant-count",
-            detail: format!(
-                "{dormant} dormant epochs in the trace but engine retired {}",
-                report.engine.dormant_retired
-            ),
-        });
+    let e = &report.engine;
+    if dormant != e.dormant_retired {
+        let retired = e.dormant_retired;
+        let detail = format!("{dormant} dormant epochs in the trace but engine retired {retired}");
+        out.push(Violation { invariant: "I5-dormant-count", detail });
     }
     // Activated-but-never-completed epochs must all be dormant fences.
-    let e = &report.engine;
     if e.epochs_activated != e.epochs_completed + dormant_activated {
-        out.push(Violation {
-            invariant: "I7-activated",
-            detail: format!(
-                "activated {} != completed {} + activated-dormant {dormant_activated}",
-                e.epochs_activated, e.epochs_completed
-            ),
-        });
+        let detail = format!(
+            "activated {} != completed {} + activated-dormant {dormant_activated}",
+            e.epochs_activated, e.epochs_completed
+        );
+        out.push(Violation { invariant: "I7-activated", detail });
     }
 }
 
@@ -240,69 +219,56 @@ fn audit_requests(report: &JobReport, out: &mut Vec<Violation>) {
         Consumed,
     }
     let mut state: BTreeMap<u64, St> = BTreeMap::new();
-    for (req, ev) in &report.req_events {
-        match ev {
+    for r in &report.trace {
+        let TraceEvent::Req { req, event } = r.event else { continue };
+        match event {
             ReqEvent::Alloc(_) => {
                 if state.insert(req.0, St::Pending).is_some() {
-                    out.push(Violation {
-                        invariant: "I6-realloc",
-                        detail: format!("request {req:?} allocated twice"),
-                    });
+                    let detail = format!("request {req:?} allocated twice");
+                    out.push(Violation { invariant: "I6-realloc", detail });
                 }
             }
             ReqEvent::Complete => match state.get_mut(&req.0) {
                 Some(st @ St::Pending) => *st = St::Done,
                 other => {
-                    out.push(Violation {
-                        invariant: "I6-complete",
-                        detail: format!(
-                            "request {req:?} completed while {}",
-                            match other {
-                                None => "never allocated",
-                                Some(St::Done) => "already complete",
-                                _ => "already consumed",
-                            }
-                        ),
-                    });
+                    let was = match other {
+                        None => "never allocated",
+                        Some(St::Done) => "already complete",
+                        _ => "already consumed",
+                    };
+                    let detail = format!("request {req:?} completed while {was}");
+                    out.push(Violation { invariant: "I6-complete", detail });
                 }
             },
             ReqEvent::Consume => match state.get_mut(&req.0) {
                 Some(st @ St::Done) => *st = St::Consumed,
                 other => {
-                    out.push(Violation {
-                        invariant: "I6-consume",
-                        detail: format!(
-                            "request {req:?} consumed while {}",
-                            match other {
-                                None => "never allocated",
-                                Some(St::Pending) => "still pending (test/wait is the only \
-                                                     legal completion point)",
-                                _ => "already consumed",
-                            }
-                        ),
-                    });
+                    let was = match other {
+                        None => "never allocated",
+                        Some(St::Pending) => "still pending (test/wait is the only \
+                                             legal completion point)",
+                        _ => "already consumed",
+                    };
+                    let detail = format!("request {req:?} consumed while {was}");
+                    out.push(Violation { invariant: "I6-consume", detail });
                 }
             },
         }
     }
     if report.live_requests != 0 {
-        out.push(Violation {
-            invariant: "I6-leak",
-            detail: format!("{} requests still live after the job", report.live_requests),
-        });
+        let detail = format!("{} requests still live after the job", report.live_requests);
+        out.push(Violation { invariant: "I6-leak", detail });
     }
 }
 
 fn audit_conservation(report: &JobReport, out: &mut Vec<Violation>) {
     let e = &report.engine;
     if e.epochs_opened != e.epochs_completed + e.dormant_retired {
-        out.push(Violation {
-            invariant: "I7-balance",
-            detail: format!(
-                "opened {} != completed {} + dormant {}",
-                e.epochs_opened, e.epochs_completed, e.dormant_retired
-            ),
-        });
+        let detail = format!(
+            "opened {} != completed {} + dormant {}",
+            e.epochs_opened, e.epochs_completed, e.dormant_retired
+        );
+        out.push(Violation { invariant: "I7-balance", detail });
     }
 }
 
@@ -311,9 +277,10 @@ mod tests {
     use super::*;
     use crate::program::{generate, Family};
     use crate::run::{execute, RunSpec};
+    use mpisim_core::trace::TraceRecord;
     use mpisim_core::SyncStrategy;
 
-    /// Clean runs break no invariant, and every send of their sync trace
+    /// Clean runs break no invariant, and every send of their sync records
     /// is applied: the fold ends with nothing pending, so a payload (the
     /// race detector's clock snapshot) lives only until its apply.
     #[test]
@@ -325,9 +292,10 @@ mod tests {
                 let tag = format!("{family:?} {strategy:?} nonblocking={nonblocking}");
                 let violations = audit(&out.report);
                 assert!(violations.is_empty(), "{tag}: {violations:?}");
-                assert!(!out.report.sync_trace.is_empty(), "sync trace must be recorded");
+                let sync = |r: &TraceRecord| matches!(r.event, TraceEvent::Sync { .. });
+                assert!(out.report.trace.iter().any(sync), "sync records must be recorded");
                 let mut fold = SyncFold::default();
-                for r in &out.report.sync_trace {
+                for r in &out.report.trace {
                     fold.step(r, || ());
                 }
                 assert_eq!(fold.pending(), 0, "{tag}: sends never applied");
@@ -335,25 +303,50 @@ mod tests {
         }
     }
 
+    /// The trace of one clean run, and the index of its first record
+    /// matching `f`.
+    fn doctor(f: impl Fn(&TraceEvent) -> bool) -> (JobReport, usize) {
+        let p = generate(Family::MixedSerial, 1);
+        let out = execute(&p, &RunSpec::baseline(SyncStrategy::Redesigned, false)).unwrap();
+        let i = out.report.trace.iter().position(|r| f(&r.event)).expect("a record to doctor");
+        (out.report, i)
+    }
+
     #[test]
     fn doctored_trace_trips_the_grant_auditor() {
-        let p = generate(Family::MixedSerial, 1);
-        let mut out = execute(&p, &RunSpec::baseline(SyncStrategy::Redesigned, false)).unwrap();
         // Forge a duplicate of the first grant send: I1 must object.
-        let Some(first) = out
-            .report
-            .sync_trace
-            .iter()
-            .find(|r| matches!(r.event, SyncEvent::GrantSent { .. }))
-            .copied()
-        else {
-            panic!("expected at least one grant in the trace");
-        };
-        out.report.sync_trace.push(first);
-        let violations = audit(&out.report);
+        let (mut report, i) =
+            doctor(|e| matches!(e, TraceEvent::Sync { event: SyncEvent::GrantSent { .. }, .. }));
+        report.trace.push(report.trace[i]);
+        let violations = audit(&report);
         assert!(
             violations.iter().any(|v| v.invariant == "I1-grant-seq"),
             "forged duplicate grant not caught: {violations:?}"
         );
+    }
+
+    #[test]
+    fn doctored_trace_trips_the_order_check() {
+        // Swap the first two records of different times: I0 must object.
+        let (mut report, _) = doctor(|_| true);
+        let t = &mut report.trace;
+        let i = (0..t.len() - 1).find(|&i| t[i].time < t[i + 1].time).expect("time advances");
+        t.swap(i, i + 1);
+        let violations = audit(&report);
+        assert!(violations.iter().any(|v| v.invariant == "I0-order"), "{violations:?}");
+    }
+
+    #[test]
+    fn duplicated_transition_trips_the_lifecycle_audit() {
+        // A second copy of one `Completed`, next to the first so the stream
+        // stays chronological: I5 must object, and nothing else.
+        let completed = |e: &TraceEvent| {
+            matches!(e, TraceEvent::Epoch { event: EpochEvent::Completed, .. })
+        };
+        let (mut report, i) = doctor(completed);
+        report.trace.insert(i + 1, report.trace[i]);
+        let violations = audit(&report);
+        assert!(!violations.is_empty(), "duplicated transition not caught");
+        assert!(violations.iter().all(|v| v.invariant == "I5-duplicate"), "{violations:?}");
     }
 }

@@ -300,8 +300,9 @@ pub fn crossval_rewrites(width: u64, plant: Option<&Plant>) -> Outcome {
 
 /// Everything two same-seed runs may legally differ in: nothing. Returns
 /// the names of the observables that diverged. Stats structs compare via
-/// `Eq`; traces and per-rank timings compare via their `Debug` rendering,
-/// which covers every field byte for byte.
+/// `Eq`; the trace (epoch, sync and request records in one stream) and
+/// per-rank timings compare via their `Debug` rendering, which covers
+/// every field and the records' order byte for byte.
 fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
     let (ra, rb) = (&a.report, &b.report);
     let same = [
@@ -313,8 +314,6 @@ fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
         ("live-requests", ra.live_requests == rb.live_requests),
         ("rank-stats", format!("{:?}", ra.ranks) == format!("{:?}", rb.ranks)),
         ("trace", format!("{:?}", ra.trace) == format!("{:?}", rb.trace)),
-        ("sync-trace", format!("{:?}", ra.sync_trace) == format!("{:?}", rb.sync_trace)),
-        ("req-events", format!("{:?}", ra.req_events) == format!("{:?}", rb.req_events)),
     ];
     same.into_iter().filter(|(_, same)| !same).map(|(name, _)| name).collect()
 }
@@ -322,8 +321,8 @@ fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
 /// Determinism cross-check: `width` conformance programs per family,
 /// under both close modes, are each executed twice in one process, and the
 /// two runs must be indistinguishable — same verdict, final memories, get
-/// results, `SimStats`, `EngineStats`, per-rank timings, and all three
-/// trace streams, byte for byte.
+/// results, `SimStats`, `EngineStats`, per-rank timings, and the trace,
+/// record for record, byte for byte.
 ///
 /// Under the `nondet-exec` plant both runs enable the kernel's
 /// deliberately nondeterministic tie-break (`mpisim_sim::TieBreak::Nondet`),

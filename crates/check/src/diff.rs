@@ -23,7 +23,7 @@ pub enum FailureKind {
     /// The trace auditor found protocol violations.
     Violations(Vec<Violation>),
     /// The happens-before race detector found unordered conflicting
-    /// accesses in the run's sync trace.
+    /// accesses in the sync records of the run's trace.
     Races(Vec<Race>),
     /// The simulation deadlocked.
     Deadlock(String),
@@ -78,7 +78,7 @@ impl std::fmt::Display for FailureKind {
 pub struct VerifyOpts {
     /// Run the static analyzer on the lowered program before executing.
     pub static_analysis: bool,
-    /// Run the happens-before race detector on the run's sync trace.
+    /// Run the happens-before race detector on the sync records of the run's trace.
     pub races: bool,
     /// Named network fault plan applied to every run of the sweep
     /// (see [`mpisim_net::FaultPlan::by_name`]).

@@ -4,7 +4,7 @@
 //! programs are executed across the full strategy × API matrix under a
 //! sweep of *legal* schedule perturbations, and every run must both
 //! reproduce a sequential oracle byte for byte and satisfy the ω-triple
-//! protocol invariants recovered from the engine's traces.
+//! protocol invariants recovered from the engine's trace.
 //!
 //! The schedule space is explored through three orthogonal knobs, all
 //! deterministic given their seeds:

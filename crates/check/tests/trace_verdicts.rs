@@ -4,11 +4,15 @@
 //! traces that no clean run produces (one per I1/I2/I3 message path).
 //! Computed once, before the two were rebuilt on one send→apply matcher;
 //! never edited — a moved digest is a changed verdict.
+//!
+//! The doctors edit the sync records of the one trace stream and keep it
+//! chronological (a forged record takes a time its neighbours allow), so
+//! each forges exactly the defect it names and never an `I0-order` too.
 
 use mpisim_analyze::detect_races;
 use mpisim_check::{audit, execute, generate, spec_for_seed, Family, RunSpec, SyncStrategy, MATRIX};
-use mpisim_core::trace::{SyncEvent, SyncRecord};
-use mpisim_core::JobReport;
+use mpisim_core::trace::{Plane, SyncEvent, TraceEvent, TraceRecord};
+use mpisim_core::{JobReport, Rank, WinId};
 
 fn fnv(h: &mut u64, said: &impl std::fmt::Debug) {
     for b in format!("{said:?}").bytes() {
@@ -55,32 +59,49 @@ fn planted_corpus_verdicts() {
     assert_eq!(h, 0x6266_b5a8_ade7_0e26);
 }
 
-fn position(trace: &[SyncRecord], from: usize, f: impl Fn(&SyncRecord) -> bool) -> usize {
+fn position(trace: &[TraceRecord], from: usize, f: impl Fn(&TraceRecord) -> bool) -> usize {
     from + trace[from..].iter().position(f).expect("the base run has the record to doctor")
 }
 
-fn is_grant_applied(r: &SyncRecord) -> bool {
-    matches!(r.event, SyncEvent::GrantApplied { .. })
+/// The sync event of a sync record.
+fn sync(r: &TraceRecord) -> Option<SyncEvent> {
+    match r.event {
+        TraceEvent::Sync { event, .. } => Some(event),
+        _ => None,
+    }
 }
 
-fn same_channel(a: &SyncRecord, b: &SyncRecord) -> bool {
-    (a.rank, a.peer, a.win, a.plane) == (b.rank, b.peer, b.win, b.plane)
+fn is_grant_applied(r: &TraceRecord) -> bool {
+    matches!(sync(r), Some(SyncEvent::GrantApplied { .. }))
 }
 
-/// A duplicated `GrantSent`.
-fn duplicate_grant_sent(t: &mut Vec<SyncRecord>) {
-    let i = position(t, 0, |r| matches!(r.event, SyncEvent::GrantSent { .. }));
-    t.push(t[i]);
+fn channel(r: &TraceRecord) -> Option<(Rank, Rank, WinId, Plane)> {
+    match r.event {
+        TraceEvent::Sync { win, peer, plane, .. } => Some((r.rank, peer, win, plane)),
+        _ => None,
+    }
+}
+
+fn same_channel(a: &TraceRecord, b: &TraceRecord) -> bool {
+    channel(a).is_some() && channel(a) == channel(b)
+}
+
+/// A duplicated `GrantSent`, appended at the stream's last time.
+fn duplicate_grant_sent(t: &mut Vec<TraceRecord>) {
+    let i = position(t, 0, |r| matches!(sync(r), Some(SyncEvent::GrantSent { .. })));
+    let copy = TraceRecord { time: t[t.len() - 1].time, ..t[i] };
+    t.push(copy);
 }
 
 /// A deleted `GrantSent`: its apply now comes before any send.
-fn delete_grant_sent(t: &mut Vec<SyncRecord>) {
-    let i = position(t, 0, |r| matches!(r.event, SyncEvent::GrantSent { .. }));
+fn delete_grant_sent(t: &mut Vec<TraceRecord>) {
+    let i = position(t, 0, |r| matches!(sync(r), Some(SyncEvent::GrantSent { .. })));
     t.remove(i);
 }
 
-/// Two `GrantApplied` of one channel swapped in trace order.
-fn swap_grant_applied(t: &mut [SyncRecord]) {
+/// Two `GrantApplied` of one channel swapped in trace order (their events
+/// trade places; each position keeps its time).
+fn swap_grant_applied(t: &mut [TraceRecord]) {
     let i = (0..t.len())
         .find(|&i| {
             is_grant_applied(&t[i])
@@ -89,25 +110,25 @@ fn swap_grant_applied(t: &mut [SyncRecord]) {
         .expect("the base run applies two grants on one channel");
     let first = t[i];
     let j = position(t, i + 1, |r| is_grant_applied(r) && same_channel(r, &first));
-    t.swap(i, j);
+    (t[i].event, t[j].event) = (t[j].event, first.event);
 }
 
 /// A duplicated `EpochDoneApplied`, right after the original.
-fn duplicate_epoch_done_applied(t: &mut Vec<SyncRecord>) {
-    let i = position(t, 0, |r| matches!(r.event, SyncEvent::EpochDoneApplied { .. }));
+fn duplicate_epoch_done_applied(t: &mut Vec<TraceRecord>) {
+    let i = position(t, 0, |r| matches!(sync(r), Some(SyncEvent::EpochDoneApplied { .. })));
     t.insert(i + 1, t[i]);
 }
 
 /// A `DataIssued` of an epoch with an access id whose covering
 /// `GrantApplied` was removed.
-fn delete_grant_before_data(t: &mut Vec<SyncRecord>) {
+fn delete_grant_before_data(t: &mut Vec<TraceRecord>) {
     let d = (0..t.len())
         .find(|&d| {
-            let SyncEvent::DataIssued { epoch, .. } = t[d].event else { return false };
-            t[..d].iter().any(|r| {
-                same_channel(r, &t[d])
-                    && matches!(r.event, SyncEvent::AccessAssigned { epoch: e, .. } if e == epoch)
-            })
+            let Some(SyncEvent::DataIssued { epoch, .. }) = sync(&t[d]) else { return false };
+            let assigned = |r: &TraceRecord| {
+                matches!(sync(r), Some(SyncEvent::AccessAssigned { epoch: e, .. }) if e == epoch)
+            };
+            t[..d].iter().any(|r| same_channel(r, &t[d]) && assigned(r))
         })
         .expect("the base run issues data under an access id");
     let g = (0..d)
@@ -119,7 +140,7 @@ fn delete_grant_before_data(t: &mut Vec<SyncRecord>) {
 
 #[test]
 fn doctored_trace_verdicts() {
-    type Doctor = fn(&mut Vec<SyncRecord>);
+    type Doctor = fn(&mut Vec<TraceRecord>);
     let cases: [(Doctor, Option<&str>); 5] = [
         (duplicate_grant_sent, Some("I1-grant-seq")),
         (delete_grant_sent, Some("I2-apply-before-send")),
@@ -132,7 +153,7 @@ fn doctored_trace_verdicts() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (doctor, expect) in cases {
         let mut report: JobReport = execute(&program, &spec).unwrap().report;
-        doctor(&mut report.sync_trace);
+        doctor(&mut report.trace);
         let said = (audit(&report), detect_races(&report));
         if let Some(code) = expect {
             assert!(said.0.iter().any(|v| v.invariant == code), "{code} not raised: {said:?}");

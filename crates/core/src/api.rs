@@ -152,7 +152,7 @@ impl<'a> RankEnv<'a> {
         loop {
             {
                 let mut st = self.eng.st.borrow_mut();
-                if let Some(data) = st.reqs.poll(req, Some(self.ctx.pid()))? {
+                if let Some(data) = self.eng.poll_req(&mut st, req, Some(self.ctx.pid()))? {
                     return Ok(data);
                 }
                 st.eng_stats.sync_blocked_steps += 1;
@@ -176,7 +176,7 @@ impl<'a> RankEnv<'a> {
 
     /// Nonblocking completion check; consumes the request when complete.
     pub fn test(&self, req: Req) -> RmaResult<bool> {
-        self.timed(|| Ok(self.eng.st.borrow_mut().reqs.poll(req, None)?.is_some()))
+        self.timed(|| Ok(self.eng.poll_req(&mut self.eng.st.borrow_mut(), req, None)?.is_some()))
     }
 
     /// `MPI_WAITALL`: one MPI call, whatever the number of requests — one
@@ -213,7 +213,8 @@ impl<'a> RankEnv<'a> {
                 // The first complete request in slice order wins; the
                 // pending ones before it (all of them, if none is complete)
                 // learn whom to ready.
-                let hit = reqs.iter().enumerate().find_map(|(i, r)| match st.reqs.poll(*r, Some(pid)) {
+                let mut poll = |r| self.eng.poll_req(&mut st, r, Some(pid));
+                let hit = reqs.iter().enumerate().find_map(|(i, r)| match poll(*r) {
                     Ok(None) => None,
                     Ok(Some(_)) => Some(Ok(i)),
                     Err(stale_or_taken) => Some(Err(stale_or_taken)),
@@ -281,7 +282,7 @@ impl<'a> RankEnv<'a> {
     /// The `i` variant of an opening routine: the same call plus a dummy
     /// request, complete at creation (§VII.C).
     fn with_dummy_req(&self, opened: RmaResult<()>) -> RmaResult<Req> {
-        opened.map(|()| self.eng.dummy_open_req())
+        opened.map(|()| self.eng.dummy_open_req(self.rank))
     }
 
     /// Blocking `MPI_WIN_FENCE`.

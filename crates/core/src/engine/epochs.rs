@@ -16,7 +16,7 @@ use crate::epoch::{EpochKind, EpochObj, Side, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{Body, SyncKind};
 use crate::request::ReqKind;
-use crate::trace::Plane;
+use crate::trace::{EpochEvent, Plane, SyncEvent, TraceEvent};
 use crate::types::{EpochId, LockKind, Rank, Req, WinId};
 
 /// How an epoch's internal lifetime ended.
@@ -84,7 +84,7 @@ impl Engine {
                 self.close_in(&mut st, rank, win, Slot::Fence)?
             } else {
                 // An opening-only fence completes immediately (§VII.C).
-                st.reqs.alloc_done(ReqKind::EpochOpen)
+                self.alloc_req(&mut st, rank, ReqKind::EpochOpen, true)
             };
             let w = st.win_mut(win, rank);
             let seq = w.next_fence_seq;
@@ -105,9 +105,10 @@ impl Engine {
         if self.lazy() && e.kind.is_passive() {
             e.hold_lazily();
         }
-        let id = e.id;
+        let (id, kind) = (e.id, e.kind.slot());
         st.eng_stats.epochs_opened += 1;
-        self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Opened);
+        let event = EpochEvent::Opened;
+        self.trace(st, rank, TraceEvent::Epoch { win, epoch: id.0, kind, event });
         st.mark_act_dirty(rank, win);
     }
 
@@ -128,10 +129,11 @@ impl Engine {
             .open
             .close(slot)
             .ok_or(RmaError::EpochMismatch { called: slot.routines().1 })?;
-        let req = st.reqs.alloc(ReqKind::EpochClose);
+        let req = self.alloc_req(st, rank, ReqKind::EpochClose, false);
         let now = self.sim.now();
         st.win_mut(win, rank).epoch_mut(id).close(req);
-        self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Closed);
+        let event = EpochEvent::Closed;
+        self.trace(st, rank, TraceEvent::Epoch { win, epoch: id.0, kind: slot, event });
         if slot != Slot::Exposure {
             st.mark_ops_dirty(rank, win, id);
         }
@@ -168,7 +170,7 @@ impl Engine {
         let req = self.close_epoch(rank, win, Slot::Exposure)?;
         let mut st = self.st.borrow_mut();
         debug_assert!(st.reqs.is_done(req).unwrap());
-        st.reqs.consume(req)?;
+        self.poll_req(&mut st, req, None)?;
         Ok(true)
     }
 
@@ -318,7 +320,8 @@ impl Engine {
             e.kind.clone()
         };
         st.eng_stats.epochs_activated += 1;
-        self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Activated);
+        let (slot, event) = (kind.slot(), EpochEvent::Activated);
+        self.trace(st, rank, TraceEvent::Epoch { win, epoch: id.0, kind: slot, event });
         let topo = self.net.topology().clone();
         let internode = |t: Rank| !topo.same_node(rank, t);
         match kind {
@@ -330,14 +333,9 @@ impl Engine {
                     let aid = po.a;
                     let granted = aid <= po.g;
                     w.epoch_mut(id).assign(*t, aid, granted, internode(*t));
-                    self.sync_event(
-                        st,
-                        rank,
-                        *t,
-                        win,
-                        Plane::Gats,
-                        crate::trace::SyncEvent::AccessAssigned { epoch: id.0, id: aid },
-                    );
+                    let event = SyncEvent::AccessAssigned { epoch: id.0, id: aid };
+                    let traced = TraceEvent::Sync { win, peer: *t, plane: Plane::Gats, event };
+                    self.trace(st, rank, traced);
                 }
                 st.mark_ops_dirty(rank, win, id);
             }
@@ -356,14 +354,9 @@ impl Engine {
                     // `unsent` counts recorded while the epoch was
                     // deferred are preserved.
                     w.epoch_mut(id).assign(t, aid, false, internode(t));
-                    self.sync_event(
-                        st,
-                        rank,
-                        t,
-                        win,
-                        Plane::Lock,
-                        crate::trace::SyncEvent::AccessAssigned { epoch: id.0, id: aid },
-                    );
+                    let event = SyncEvent::AccessAssigned { epoch: id.0, id: aid };
+                    let traced = TraceEvent::Sync { win, peer: t, plane: Plane::Lock, event };
+                    self.trace(st, rank, traced);
                     let kind = match lock {
                         LockKind::Exclusive => SyncKind::LockReqExcl,
                         LockKind::Shared => SyncKind::LockReqShared,
@@ -473,16 +466,17 @@ impl Engine {
         for &(t, word) in &to_send {
             match what {
                 Announce::Sync(kind, plane) => {
-                    let event = crate::trace::SyncEvent::EpochDoneSent {
+                    let event = SyncEvent::EpochDoneSent {
                         epoch: id.0,
                         id: word,
                     };
-                    self.sync_event(st, rank, t, win, plane, event);
+                    self.trace(st, rank, TraceEvent::Sync { win, peer: t, plane, event });
                     self.send_sync(st, rank, t, win, kind, word);
                 }
                 Announce::FenceDone { seq } => {
-                    let event = crate::trace::SyncEvent::FenceDoneSent { seq };
-                    self.sync_event(st, rank, t, win, Plane::Gats, event);
+                    let event = SyncEvent::FenceDoneSent { seq };
+                    let traced = TraceEvent::Sync { win, peer: t, plane: Plane::Gats, event };
+                    self.trace(st, rank, traced);
                     let body = Body::FenceDone { win, seq, ops_sent: word };
                     self.send_framed(st, Packet { src: rank, dst: t, body }, None, None);
                 }
@@ -519,9 +513,10 @@ impl Engine {
         id: EpochId,
         outcome: Outcome,
     ) {
-        let close_req = st.win_mut(win, rank).epoch_mut(id).finish();
+        let e = st.win_mut(win, rank).epoch_mut(id);
+        let (kind, close_req) = (e.kind.slot(), e.finish());
         if let Some(r) = close_req {
-            st.reqs.complete(r, None);
+            self.complete_req(st, r, None);
         }
         let committed = matches!(outcome, Outcome::Completed);
         match outcome {
@@ -538,7 +533,8 @@ impl Engine {
         }
         // Only a dormant fence finishes unclosed, and it leaves no trace.
         if close_req.is_some() {
-            self.trace_event(st, rank, win, id, crate::trace::EpochEvent::Completed);
+            let event = EpochEvent::Completed;
+            self.trace(st, rank, TraceEvent::Epoch { win, epoch: id.0, kind, event });
         }
         st.win_mut(win, rank).retire(id);
         st.mark_act_dirty(rank, win);

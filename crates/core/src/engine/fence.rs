@@ -11,6 +11,7 @@
 use std::rc::Rc;
 
 use crate::engine::{EngState, Engine};
+use crate::trace::{Plane, SyncEvent, TraceEvent};
 use crate::types::{Rank, WinId};
 
 impl Engine {
@@ -38,14 +39,9 @@ impl Engine {
         // (and all announced data) — record the HB join edges.
         if self.cfg.trace {
             for p in 0..self.cfg.n_ranks {
-                self.sync_event(
-                    st,
-                    rank,
-                    Rank(p),
-                    win,
-                    crate::trace::Plane::Gats,
-                    crate::trace::SyncEvent::FenceDoneApplied { seq },
-                );
+                let event = SyncEvent::FenceDoneApplied { seq };
+                let traced = TraceEvent::Sync { win, peer: Rank(p), plane: Plane::Gats, event };
+                self.trace(st, rank, traced);
             }
         }
         true

@@ -82,9 +82,9 @@ impl Engine {
                 st.mark_ops_dirty(rank, win, *id);
             }
             if remaining == 0 {
-                st.reqs.alloc_done(ReqKind::Flush)
+                self.alloc_req(&mut st, rank, ReqKind::Flush, true)
             } else {
-                let req = st.reqs.alloc(ReqKind::Flush);
+                let req = self.alloc_req(&mut st, rank, ReqKind::Flush, false);
                 st.win_mut(win, rank).flushes.push(FlushState {
                     epochs,
                     target,
@@ -145,7 +145,7 @@ impl Engine {
             w.flushes.retain(|f| f.remaining > 0);
         }
         for &r in &completed {
-            st.reqs.complete(r, None);
+            self.complete_req(st, r, None);
         }
         completed.clear();
         st.sweep[rank.idx()].req_scratch = completed;

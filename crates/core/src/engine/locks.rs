@@ -17,7 +17,7 @@ use crate::engine::{EngState, Engine};
 use crate::epoch::EpochKind;
 use crate::lock::QueuedLock;
 use crate::msg::SyncKind;
-use crate::trace::Plane;
+use crate::trace::{Plane, SyncEvent, TraceEvent};
 use crate::types::{LockKind, Rank, WinId};
 
 impl Engine {
@@ -63,14 +63,8 @@ impl Engine {
         win: WinId,
         access_id: u64,
     ) {
-        self.sync_event(
-            st,
-            me,
-            origin,
-            win,
-            Plane::Lock,
-            crate::trace::SyncEvent::EpochDoneApplied { id: access_id },
-        );
+        let event = SyncEvent::EpochDoneApplied { id: access_id };
+        self.trace(st, me, TraceEvent::Sync { win, peer: origin, plane: Plane::Lock, event });
         st.sweep[me.idx()].pending_unlocks.push_back((win, origin));
         st.mark_lock_backlog(me, win);
     }
@@ -140,14 +134,9 @@ impl Engine {
                     w.grant_dirty.mark(q.origin);
                 }
                 st.eng_stats.lock_grants += 1;
-                self.sync_event(
-                    st,
-                    me,
-                    q.origin,
-                    win,
-                    Plane::Lock,
-                    crate::trace::SyncEvent::GrantSent { id: q.access_id },
-                );
+                let event = SyncEvent::GrantSent { id: q.access_id };
+                let traced = TraceEvent::Sync { win, peer: q.origin, plane: Plane::Lock, event };
+                self.trace(st, me, traced);
                 self.send_sync(st, me, q.origin, win, SyncKind::GrantLock, q.access_id);
                 progressed = true;
             }
@@ -187,14 +176,8 @@ impl Engine {
         }
         st.eng_stats.exposure_grants += sent.len() as u64;
         for id in &sent {
-            self.sync_event(
-                st,
-                me,
-                origin,
-                win,
-                Plane::Gats,
-                crate::trace::SyncEvent::GrantSent { id: *id },
-            );
+            let event = SyncEvent::GrantSent { id: *id };
+            self.trace(st, me, TraceEvent::Sync { win, peer: origin, plane: Plane::Gats, event });
             self.send_sync(st, me, origin, win, SyncKind::GrantExposure, *id);
         }
         let progressed = !sent.is_empty();
@@ -228,14 +211,8 @@ impl Engine {
             assert_eq!(*ctr + 1, id, "grants from {granter} arrived out of order");
             *ctr = id;
         }
-        self.sync_event(
-            st,
-            me,
-            granter,
-            win,
-            plane,
-            crate::trace::SyncEvent::GrantApplied { id },
-        );
+        let event = SyncEvent::GrantApplied { id };
+        self.trace(st, me, TraceEvent::Sync { win, peer: granter, plane, event });
         // Find the (activated) access epoch of the right plane waiting on
         // this grant.
         let hit = st.win(win, me).epochs.iter().find(|e| {
@@ -289,14 +266,8 @@ impl Engine {
         win: WinId,
         access_id: u64,
     ) {
-        self.sync_event(
-            st,
-            me,
-            origin,
-            win,
-            Plane::Gats,
-            crate::trace::SyncEvent::EpochDoneApplied { id: access_id },
-        );
+        let event = SyncEvent::EpochDoneApplied { id: access_id };
+        self.trace(st, me, TraceEvent::Sync { win, peer: origin, plane: Plane::Gats, event });
         let (before, now) = {
             let slot = &mut st.win_mut(win, me).omega.peer_mut(origin).gats_done_recv;
             let before = *slot;

@@ -43,17 +43,18 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use mpisim_net::{NetParams, Network, Packet, Payload, Topology};
-use mpisim_sim::{SimHandle, SimTime};
+use mpisim_sim::{ProcId, SimHandle, SimTime};
 
 use crate::config::{JobConfig, SyncStrategy};
 use crate::engine::epochs::Outcome;
 use crate::epoch::{EpochObj, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{Body, SyncKind, SyncPacket};
-use crate::request::ReqTable;
+use crate::request::{ReqEvent, ReqKind, ReqTable};
 use crate::slab::Slab;
-use crate::trace::Plane;
+use crate::trace::{Plane, TraceEvent, TraceRecord};
 use crate::types::{EpochId, LockKind, Rank, Req, WinId};
 use crate::window::WinRank;
 use crate::worklist::WorkList;
@@ -418,10 +419,8 @@ pub(crate) struct EngState {
     pub eng_stats: EngineStats,
     /// Per-rank collective sequence numbers (tag disambiguation).
     pub coll_seq: Vec<u64>,
-    /// Epoch lifecycle trace (populated when `JobConfig::trace`).
-    pub trace: Vec<crate::trace::TraceRecord>,
-    /// Synchronization-plane trace (populated when `JobConfig::trace`).
-    pub sync_trace: Vec<crate::trace::SyncRecord>,
+    /// The trace, in emission order (populated when `JobConfig::trace`).
+    pub trace: Vec<TraceRecord>,
     /// Degraded-but-survived events (decode failures, checksum drops,
     /// abandoned frames, cancelled epochs) recorded with provenance
     /// instead of aborting the job.
@@ -551,7 +550,7 @@ impl Engine {
             st: RefCell::new(EngState {
                 wins: Vec::new(),
                 created: vec![0; n],
-                reqs: ReqTable::new(sim.clone(), cfg.trace),
+                reqs: ReqTable::new(sim.clone()),
                 p2p: (0..n).map(|_| P2pRank::default()).collect(),
                 barrier: (0..n).map(|_| BarrierRank::default()).collect(),
                 stats: vec![RankStats::default(); n],
@@ -560,7 +559,6 @@ impl Engine {
                 eng_stats: EngineStats::default(),
                 coll_seq: vec![0; n],
                 trace: Vec::new(),
-                sync_trace: Vec::new(),
                 degradations: Vec::new(),
                 rel: (0..n).map(|_| RelRank::default()).collect(),
                 crashed: vec![false; n],
@@ -612,19 +610,9 @@ impl Engine {
         std::mem::take(&mut self.st.borrow_mut().degradations)
     }
 
-    /// Drain the recorded epoch lifecycle trace.
-    pub fn take_trace(&self) -> Vec<crate::trace::TraceRecord> {
+    /// Drain the recorded trace.
+    pub fn take_trace(&self) -> Vec<TraceRecord> {
         std::mem::take(&mut self.st.borrow_mut().trace)
-    }
-
-    /// Drain the recorded synchronization-plane trace.
-    pub fn take_sync_trace(&self) -> Vec<crate::trace::SyncRecord> {
-        std::mem::take(&mut self.st.borrow_mut().sync_trace)
-    }
-
-    /// Drain the recorded request-lifecycle log.
-    pub fn take_req_log(&self) -> Vec<(Req, crate::request::ReqEvent)> {
-        self.st.borrow_mut().reqs.take_log()
     }
 
     /// Number of live (unconsumed) requests right now.
@@ -638,7 +626,7 @@ impl Engine {
         self.st.borrow().reqs.parked()
     }
 
-    /// Record one synchronization-plane event (no-op unless tracing).
+    /// Record one trace event of `rank`'s (no-op unless tracing).
     ///
     /// Pay-for-use: with no trace sink attached (`cfg.trace == false`,
     /// the default outside the conformance harness) this is a single
@@ -646,80 +634,53 @@ impl Engine {
     /// construction — clock read included — is outlined into a cold
     /// function so the hot sweep path carries no trace-plumbing weight.
     #[inline(always)]
-    pub(crate) fn sync_event(
-        &self,
-        st: &mut EngState,
-        rank: Rank,
-        peer: Rank,
-        win: WinId,
-        plane: crate::trace::Plane,
-        event: crate::trace::SyncEvent,
-    ) {
-        if !self.cfg.trace {
-            return;
+    pub(crate) fn trace(&self, st: &mut EngState, rank: Rank, event: TraceEvent) {
+        if self.cfg.trace {
+            self.push_trace(st, rank, event);
         }
-        self.sync_event_slow(st, rank, peer, win, plane, event);
     }
 
     #[cold]
     #[inline(never)]
-    fn sync_event_slow(
-        &self,
-        st: &mut EngState,
-        rank: Rank,
-        peer: Rank,
-        win: WinId,
-        plane: crate::trace::Plane,
-        event: crate::trace::SyncEvent,
-    ) {
-        let time = self.sim.now();
-        st.sync_trace.push(crate::trace::SyncRecord {
-            time,
-            rank,
-            peer,
-            win,
-            plane,
-            event,
-        });
+    fn push_trace(&self, st: &mut EngState, rank: Rank, event: TraceEvent) {
+        st.trace.push(TraceRecord { time: self.sim.now(), rank, event });
     }
 
-    /// Record one epoch lifecycle transition (no-op unless tracing).
-    /// Same pay-for-use shape as [`Engine::sync_event`].
-    #[inline(always)]
-    pub(crate) fn trace_event(
+    /// Allocate a request `rank` owns; `done` completes it at creation (the
+    /// dummy epoch-opening request of §VII.C).
+    pub(crate) fn alloc_req(
         &self,
         st: &mut EngState,
         rank: Rank,
-        win: WinId,
-        id: EpochId,
-        event: crate::trace::EpochEvent,
-    ) {
-        if !self.cfg.trace {
-            return;
+        kind: ReqKind,
+        done: bool,
+    ) -> Req {
+        let req = st.reqs.alloc(rank, kind);
+        self.trace(st, rank, TraceEvent::Req { req, event: ReqEvent::Alloc(kind) });
+        if done {
+            self.complete_req(st, req, None);
         }
-        self.trace_event_slow(st, rank, win, id, event);
+        req
     }
 
-    #[cold]
-    #[inline(never)]
-    fn trace_event_slow(
+    /// [`ReqTable::complete`], tracing the one effective completion.
+    pub(crate) fn complete_req(&self, st: &mut EngState, req: Req, data: Option<Bytes>) {
+        if let Some(owner) = st.reqs.complete(req, data) {
+            self.trace(st, owner, TraceEvent::Req { req, event: ReqEvent::Complete });
+        }
+    }
+
+    /// [`ReqTable::poll`], tracing the consume: `Ok(Some(data))` once the
+    /// request is complete.
+    pub(crate) fn poll_req(
         &self,
         st: &mut EngState,
-        rank: Rank,
-        win: WinId,
-        id: EpochId,
-        event: crate::trace::EpochEvent,
-    ) {
-        let kind = st.win(win, rank).epoch(id).kind.name();
-        let time = self.sim.now();
-        st.trace.push(crate::trace::TraceRecord {
-            time,
-            rank,
-            win,
-            epoch: id.0,
-            kind,
-            event,
-        });
+        req: Req,
+        waiter: Option<ProcId>,
+    ) -> RmaResult<Option<Option<Bytes>>> {
+        let Some((owner, data)) = st.reqs.poll(req, waiter)? else { return Ok(None) };
+        self.trace(st, owner, TraceEvent::Req { req, event: ReqEvent::Consume });
+        Ok(Some(data))
     }
 
     /// Next collective sequence number for `rank` (collective tag space).
@@ -745,8 +706,8 @@ impl Engine {
 
     /// The dummy always-complete request returned by nonblocking
     /// epoch-opening routines (§VII.C).
-    pub(crate) fn dummy_open_req(&self) -> Req {
-        self.st.borrow_mut().reqs.alloc_done(crate::request::ReqKind::EpochOpen)
+    pub(crate) fn dummy_open_req(&self, rank: Rank) -> Req {
+        self.alloc_req(&mut self.st.borrow_mut(), rank, ReqKind::EpochOpen, true)
     }
 
     // ------------------------------------------------------------------

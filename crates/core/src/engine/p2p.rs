@@ -94,7 +94,7 @@ impl Engine {
         }
         let req = {
             let mut st = self.st.borrow_mut();
-            let req = st.reqs.alloc(ReqKind::P2p);
+            let req = self.alloc_req(&mut st, rank, ReqKind::P2p, false);
             if payload.len() <= RNDV_THRESHOLD {
                 let me = self.clone();
                 self.send_framed(
@@ -134,7 +134,7 @@ impl Engine {
         }
         let req = {
             let mut st = self.st.borrow_mut();
-            let req = st.reqs.alloc(ReqKind::P2p);
+            let req = self.alloc_req(&mut st, rank, ReqKind::P2p, false);
             // FIFO search of the unexpected queue preserves per-(src, tag)
             // ordering, matching MPI's non-overtaking rule.
             let hit = st.p2p[rank.idx()]
@@ -184,7 +184,7 @@ impl Engine {
     /// data completes it; a rendezvous request is answered with a CTS.
     fn answer_recv(self: &Rc<Self>, st: &mut EngState, me: Rank, src: Rank, req: Req, content: Arrival) {
         match content {
-            Arrival::Eager(payload) => st.reqs.complete(req, Some(payload.into_data())),
+            Arrival::Eager(payload) => self.complete_req(st, req, Some(payload.into_data())),
             Arrival::Rndv { token } => {
                 let data_token = st.tokens.insert(TokenInfo::P2pRecv { req });
                 self.send_framed(
@@ -240,12 +240,12 @@ impl Engine {
             self.orphan_response(st, "P2pData");
             return;
         };
-        st.reqs.complete(req, Some(payload.into_data()));
+        self.complete_req(st, req, Some(payload.into_data()));
     }
 
     /// Complete a request from a scheduler event and run the rank's sweep.
     pub(crate) fn complete_req_and_sweep(self: &Rc<Self>, rank: Rank, req: Req) {
-        self.st.borrow_mut().reqs.complete(req, None);
+        self.complete_req(&mut self.st.borrow_mut(), req, None);
         self.sweep(rank);
     }
 
@@ -261,14 +261,14 @@ impl Engine {
         let req = {
             let mut st = self.st.borrow_mut();
             st.no_pending_barrier(rank)?;
-            let req = st.reqs.alloc(ReqKind::Barrier);
+            let req = self.alloc_req(&mut st, rank, ReqKind::Barrier, false);
             let b = &mut st.barrier[rank.idx()];
             b.seq += 1;
             b.round = 0;
             b.req = Some(req);
             if n == 1 {
                 let r = b.req.take().unwrap();
-                st.reqs.complete(r, None);
+                self.complete_req(&mut st, r, None);
             } else {
                 let seq = st.barrier[rank.idx()].seq;
                 let peer = Rank((rank.idx() + 1) % n);
@@ -325,7 +325,7 @@ impl Engine {
             if b.round == total {
                 debug_assert_eq!(b.arrived[(b.seq % 2) as usize], 0, "row not drained for seq + 2");
                 let r = b.req.take().unwrap();
-                st.reqs.complete(r, None);
+                self.complete_req(st, r, None);
                 return;
             }
             let round = b.round;

@@ -18,6 +18,7 @@ use crate::epoch::{EpochKind, LiveOp, OpDesc};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{Body, EpochTag, FetchKind, OpKind};
 use crate::request::ReqKind;
+use crate::trace::{AccessKind, Plane, SyncEvent, TraceEvent};
 use crate::types::{EpochId, Rank, Req, WinId};
 
 impl Engine {
@@ -81,7 +82,7 @@ impl Engine {
             }
             let age = st.win_mut(win, rank).alloc_age();
             let req = if kind.expects_response() || want_req {
-                Some(st.reqs.alloc(ReqKind::Comm))
+                Some(self.alloc_req(&mut st, rank, ReqKind::Comm, false))
             } else {
                 None
             };
@@ -229,20 +230,16 @@ impl Engine {
                 req: op.req,
             },
         );
-        let plane = if is_passive {
-            crate::trace::Plane::Lock
-        } else {
-            crate::trace::Plane::Gats
-        };
+        let plane = if is_passive { Plane::Lock } else { Plane::Gats };
         // Target byte range + access kind travel with the trace record so
         // the race detector needs no side channel into the op stream.
-        let event = crate::trace::SyncEvent::DataIssued {
+        let event = SyncEvent::DataIssued {
             epoch: eid.0,
             disp: op.disp,
             len: op.kind.extent(),
             access: op.kind.access(),
         };
-        self.sync_event(st, rank, op.target, win, plane, event);
+        self.trace(st, rank, TraceEvent::Sync { win, peer: op.target, plane, event });
         if matches!(op.kind, OpKind::Acc { .. }) && op.kind.wire_len() > RNDV_THRESHOLD {
             // Rendezvous: the target must stage an intermediate buffer for
             // the operand (§VIII.A) — RTS now, data on CTS. `unsent` stays
@@ -374,7 +371,7 @@ impl Engine {
                 // completes at local completion. Get/fetch requests are
                 // completed with data by the response handler; completing
                 // here is a no-op for them because `complete` is idempotent.
-                st.reqs.complete(r, None);
+                self.complete_req(st, r, None);
             }
         }
         self.flush_note_op(st, rank, win, eid, age, target, became_local, became_done);
@@ -403,21 +400,11 @@ impl Engine {
             return;
         }
         let plane = match tag {
-            EpochTag::Lock { .. } => crate::trace::Plane::Lock,
-            EpochTag::Gats { .. } | EpochTag::Fence { .. } => crate::trace::Plane::Gats,
+            EpochTag::Lock { .. } => Plane::Lock,
+            EpochTag::Gats { .. } | EpochTag::Fence { .. } => Plane::Gats,
         };
-        self.sync_event(
-            st,
-            me,
-            me,
-            win,
-            plane,
-            crate::trace::SyncEvent::LocalAccess {
-                disp,
-                len,
-                access: crate::trace::AccessKind::Read,
-            },
-        );
+        let event = SyncEvent::LocalAccess { disp, len, access: AccessKind::Read };
+        self.trace(st, me, TraceEvent::Sync { win, peer: me, plane, event });
     }
 
     /// Target side of every RMA operation: bounds-check it against the
@@ -546,7 +533,7 @@ impl Engine {
             return;
         };
         debug_assert_eq!(rank, me);
-        st.reqs.complete(req, Some(payload.into_data()));
+        self.complete_req(st, req, Some(payload.into_data()));
         self.op_update(st, me, win, epoch, age, |o| o.needs_resp = false);
     }
 

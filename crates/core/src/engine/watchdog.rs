@@ -178,7 +178,7 @@ impl Engine {
         op_reqs.dedup();
         for r in op_reqs {
             if st.reqs.is_done(r).is_ok() {
-                st.reqs.complete(r, None);
+                self.complete_req(st, r, None);
             }
         }
         // A cancelled passive epoch may still owe the protocol lock

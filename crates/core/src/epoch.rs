@@ -87,13 +87,7 @@ impl EpochKind {
 
     /// Short name for traces and diagnostics.
     pub fn name(&self) -> &'static str {
-        match self {
-            EpochKind::GatsAccess { .. } => "gats-access",
-            EpochKind::GatsExposure { .. } => "gats-exposure",
-            EpochKind::Lock { .. } => "lock",
-            EpochKind::LockAll => "lock-all",
-            EpochKind::Fence { .. } => "fence",
-        }
+        self.slot().name()
     }
 
     /// The open-set slot an epoch of this kind occupies while the
@@ -127,6 +121,17 @@ pub enum Slot {
 }
 
 impl Slot {
+    /// The kind's label in traces, timelines and stall reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Slot::GatsAccess => "gats-access",
+            Slot::Exposure => "gats-exposure",
+            Slot::Lock(_) => "lock",
+            Slot::LockAll => "lock-all",
+            Slot::Fence => "fence",
+        }
+    }
+
     /// The routines that open and close an epoch in this slot, as error
     /// messages name them.
     pub fn routines(self) -> (&'static str, &'static str) {

@@ -10,13 +10,16 @@
 //! The request is also what a rank blocks on: a pending request records the
 //! one process parked on it ([`ReqTable::poll`]), and
 //! [`ReqTable::complete`] is the single place a blocked rank is readied.
+//!
+//! The table records no trace itself: it remembers each request's owning
+//! rank, and its transitions tell the engine what to trace ([`ReqEvent`]).
 
 use bytes::Bytes;
 use mpisim_sim::{ProcId, SimHandle};
 
 use crate::error::{RmaError, RmaResult};
 use crate::slab::Slab;
-use crate::types::Req;
+use crate::types::{Rank, Req};
 
 /// What a request stands for (diagnostics; completion logic is uniform).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -36,6 +39,10 @@ pub enum ReqKind {
 }
 
 struct ReqState {
+    /// The index of the rank whose call allocated the request. A `u32`
+    /// fits the padding beside `kind` and `done`, so keeping it makes the
+    /// state no larger: an untraced job pays nothing for it.
+    owner: u32,
     kind: ReqKind,
     done: bool,
     data: Option<Bytes>,
@@ -43,18 +50,19 @@ struct ReqState {
     waiter: Option<ProcId>,
 }
 
-/// One request-lifecycle transition, recorded when logging is enabled.
-/// Consumed by the conformance harness's auditor: a handle must go
-/// `Alloc → Complete → Consume`, complete effectively once, and be
-/// consumed exactly once — application-visible completion happens only at
-/// test/wait, which is the sole caller of `consume` (§VII.C).
+/// One request-lifecycle transition, the event of a request record of the
+/// trace ([`crate::trace::TraceEvent::Req`]). Read by the conformance
+/// harness's auditor: a handle must go `Alloc → Complete → Consume`,
+/// complete effectively once, and be consumed exactly once —
+/// application-visible completion happens only at test/wait, the only
+/// callers of [`ReqTable::poll`], which consumes (§VII.C).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ReqEvent {
-    /// Allocated pending. Dummy epoch-open requests log `Alloc`
+    /// Allocated pending. Dummy epoch-open requests trace `Alloc`
     /// immediately followed by `Complete` (complete at creation).
     Alloc(ReqKind),
     /// Transitioned to complete (first effective completion only;
-    /// idempotent re-completions are not logged).
+    /// idempotent re-completions are not traced).
     Complete,
     /// Consumed by test/wait; the slot is freed.
     Consume,
@@ -64,55 +72,33 @@ pub enum ReqEvent {
 pub struct ReqTable {
     sim: SimHandle,
     slots: Slab<ReqState>,
-    logging: bool,
-    log: Vec<(Req, ReqEvent)>,
 }
 
 impl ReqTable {
-    /// Create an empty table whose completions ready processes of `sim`,
-    /// with lifecycle logging (see [`ReqEvent`]) on or off.
-    pub fn new(sim: SimHandle, logging: bool) -> Self {
-        ReqTable { sim, slots: Slab::default(), logging, log: Vec::new() }
+    /// Create an empty table whose completions ready processes of `sim`.
+    pub fn new(sim: SimHandle) -> Self {
+        ReqTable { sim, slots: Slab::default() }
     }
 
-    /// Drain the recorded lifecycle log.
-    pub fn take_log(&mut self) -> Vec<(Req, ReqEvent)> {
-        std::mem::take(&mut self.log)
-    }
-
-    /// Allocate a pending request.
-    pub fn alloc(&mut self, kind: ReqKind) -> Req {
-        let r = Req(self.slots.insert(ReqState {
-            kind,
-            done: false,
-            data: None,
-            waiter: None,
-        }));
-        if self.logging {
-            self.log.push((r, ReqEvent::Alloc(kind)));
-        }
-        r
-    }
-
-    /// Allocate a request that is already complete (the dummy epoch-opening
-    /// request of §VII.C).
-    pub fn alloc_done(&mut self, kind: ReqKind) -> Req {
-        let r = self.alloc(kind);
-        self.complete(r, None);
-        r
+    /// Allocate a pending request owned by `owner`.
+    pub fn alloc(&mut self, owner: Rank, kind: ReqKind) -> Req {
+        let owner = u32::try_from(owner.idx()).expect("a rank index fits in u32");
+        Req(self.slots.insert(ReqState { owner, kind, done: false, data: None, waiter: None }))
     }
 
     /// Mark a request complete, attaching optional result data, and ready
     /// the process parked on it. Completing an already-complete request is
     /// a no-op for `data == None` (idempotent completion notifications are
-    /// common).
-    pub fn complete(&mut self, r: Req, data: Option<Bytes>) {
+    /// common). Returns the owner if this call completed the request: the
+    /// one effective completion, [`ReqEvent::Complete`].
+    #[must_use]
+    pub fn complete(&mut self, r: Req, data: Option<Bytes>) -> Option<Rank> {
         let st = self
             .slots
             .get_mut(r.0)
             .expect("engine completed a request that does not exist");
         if st.done && data.is_none() {
-            return;
+            return None;
         }
         let transition = !st.done;
         st.done = true;
@@ -122,9 +108,7 @@ impl ReqTable {
         if let Some(pid) = st.waiter.take() {
             self.sim.wake(pid);
         }
-        if self.logging && transition {
-            self.log.push((r, ReqEvent::Complete));
-        }
+        transition.then_some(Rank(st.owner as usize))
     }
 
     /// Whether the request is complete. Errors on stale handles.
@@ -138,15 +122,20 @@ impl ReqTable {
     }
 
     /// The step the whole test/wait family shares. A complete request is
-    /// consumed: `Ok(Some(data))`. A pending one stays, `Ok(None)`, and if
-    /// the caller is about to park (`waiter`) it is recorded as the process
-    /// `complete` will ready — idempotently. A request holds one waiter: a
-    /// second process parking on it is misuse and errs at once, like a
-    /// stale handle.
-    pub fn poll(&mut self, r: Req, waiter: Option<ProcId>) -> RmaResult<Option<Option<Bytes>>> {
+    /// consumed and its slot freed ([`ReqEvent::Consume`]): `Ok(Some((owner,
+    /// data)))`. A pending one stays, `Ok(None)`, and if the caller is about
+    /// to park (`waiter`) it is recorded as the process `complete` will
+    /// ready — idempotently. A request holds one waiter: a second process
+    /// parking on it is misuse and errs at once, like a stale handle.
+    pub fn poll(
+        &mut self,
+        r: Req,
+        waiter: Option<ProcId>,
+    ) -> RmaResult<Option<(Rank, Option<Bytes>)>> {
         let st = self.slots.get_mut(r.0).ok_or(RmaError::InvalidRequest)?;
         if st.done {
-            return self.consume(r).map(Some);
+            let st = self.slots.remove(r.0).expect("a live request");
+            return Ok(Some((Rank(st.owner as usize), st.data)));
         }
         if let Some(pid) = waiter {
             if st.waiter.is_some_and(|other| other != pid) {
@@ -167,18 +156,6 @@ impl ReqTable {
         }
     }
 
-    /// Consume a *completed* request, returning its result data. Errors if
-    /// the handle is stale; panics if the request is not complete (callers
-    /// check or wait first).
-    pub fn consume(&mut self, r: Req) -> RmaResult<Option<Bytes>> {
-        let st = self.slots.remove(r.0).ok_or(RmaError::InvalidRequest)?;
-        assert!(st.done, "consume() on an incomplete request");
-        if self.logging {
-            self.log.push((r, ReqEvent::Consume));
-        }
-        Ok(st.data)
-    }
-
     /// Number of live (unconsumed) requests — used by leak-check tests.
     pub fn live(&self) -> usize {
         self.slots.iter().count()
@@ -197,17 +174,18 @@ mod tests {
     use mpisim_sim::Sim;
 
     fn table() -> ReqTable {
-        ReqTable::new(Sim::new(0).handle(), true)
+        ReqTable::new(Sim::new(0).handle())
     }
 
     #[test]
     fn lifecycle() {
         let mut t = table();
-        let r = t.alloc(ReqKind::EpochClose);
+        let r = t.alloc(Rank(0), ReqKind::EpochClose);
         assert!(!t.is_done(r).unwrap());
-        t.complete(r, Some(Bytes::from_static(b"xy")));
+        assert_eq!(t.complete(r, Some(Bytes::from_static(b"xy"))), Some(Rank(0)));
         assert!(t.is_done(r).unwrap());
-        assert_eq!(t.consume(r).unwrap().unwrap().as_ref(), b"xy");
+        let (owner, data) = t.poll(r, None).unwrap().unwrap();
+        assert_eq!((owner, data.unwrap().as_ref()), (Rank(0), &b"xy"[..]));
         // Handle is now stale.
         assert_eq!(t.is_done(r), Err(RmaError::InvalidRequest));
     }
@@ -215,7 +193,8 @@ mod tests {
     #[test]
     fn alloc_done_is_complete_at_creation() {
         let mut t = table();
-        let r = t.alloc_done(ReqKind::EpochOpen);
+        let r = t.alloc(Rank(0), ReqKind::EpochOpen);
+        assert_eq!(t.complete(r, None), Some(Rank(0)));
         assert!(t.is_done(r).unwrap());
         assert_eq!(t.kind(r).unwrap(), ReqKind::EpochOpen);
     }
@@ -223,10 +202,10 @@ mod tests {
     #[test]
     fn slot_reuse_invalidates_old_handle() {
         let mut t = table();
-        let r1 = t.alloc(ReqKind::Comm);
-        t.complete(r1, None);
-        t.consume(r1).unwrap();
-        let r2 = t.alloc(ReqKind::Comm);
+        let r1 = t.alloc(Rank(0), ReqKind::Comm);
+        assert_eq!(t.complete(r1, None), Some(Rank(0)));
+        t.poll(r1, None).unwrap();
+        let r2 = t.alloc(Rank(0), ReqKind::Comm);
         assert_ne!(r1, r2);
         assert_eq!(t.is_done(r1), Err(RmaError::InvalidRequest));
         assert!(!t.is_done(r2).unwrap());
@@ -236,16 +215,16 @@ mod tests {
     fn poll_registers_one_waiter_and_completion_clears_it() {
         let mut sim = Sim::new(0);
         let (me, other) = (sim.spawn("me", |_| {}), sim.spawn("other", |_| {}));
-        let mut t = ReqTable::new(sim.handle(), false);
-        let r = t.alloc(ReqKind::P2p);
+        let mut t = ReqTable::new(sim.handle());
+        let r = t.alloc(Rank(0), ReqKind::P2p);
         assert_eq!((t.poll(r, None), t.parked()), (Ok(None), 0)); // a test registers nobody
         assert_eq!((t.poll(r, Some(me)), t.poll(r, Some(me)), t.parked()), (Ok(None), Ok(None), 1));
         assert_eq!(t.poll(r, Some(other)), Err(RmaError::InvalidRequest));
         t.forget(&[r], other); // not its registration: stays
         assert_eq!(t.parked(), 1);
-        t.complete(r, None); // wakes `me` (a no-op: it never parked)
+        assert_eq!(t.complete(r, None), Some(Rank(0))); // wakes `me` (a no-op: it never parked)
         assert_eq!(t.parked(), 0);
-        assert_eq!(t.poll(r, Some(other)), Ok(Some(None))); // done: consumed
+        assert_eq!(t.poll(r, Some(other)), Ok(Some((Rank(0), None)))); // done: consumed
         assert_eq!(t.poll(r, None), Err(RmaError::InvalidRequest)); // stale
         sim.run().unwrap();
     }
@@ -253,45 +232,41 @@ mod tests {
     #[test]
     fn idempotent_completion() {
         let mut t = table();
-        let r = t.alloc(ReqKind::Flush);
-        t.complete(r, None);
-        t.complete(r, None); // no panic
+        let r = t.alloc(Rank(0), ReqKind::Flush);
+        assert_eq!(t.complete(r, None), Some(Rank(0)));
+        assert_eq!(t.complete(r, None), None); // no panic
         assert!(t.is_done(r).unwrap());
     }
 
+    /// Each transition the engine traces is reported once, with the rank
+    /// that allocated the request (not the one that completes or consumes
+    /// it).
     #[test]
-    fn log_records_lifecycle_in_order() {
+    fn transitions_report_the_owner_once() {
         let mut t = table();
-        let r = t.alloc(ReqKind::Comm);
-        t.complete(r, None);
-        t.complete(r, None); // idempotent: not logged twice
-        t.consume(r).unwrap();
-        let d = t.alloc_done(ReqKind::EpochOpen);
-        assert_eq!(
-            t.take_log(),
-            vec![
-                (r, ReqEvent::Alloc(ReqKind::Comm)),
-                (r, ReqEvent::Complete),
-                (r, ReqEvent::Consume),
-                (d, ReqEvent::Alloc(ReqKind::EpochOpen)),
-                (d, ReqEvent::Complete),
-            ]
-        );
-        assert!(t.take_log().is_empty());
+        let r = t.alloc(Rank(2), ReqKind::Comm);
+        assert_eq!(t.complete(r, None), Some(Rank(2)));
+        assert_eq!(t.complete(r, None), None); // idempotent: not traced twice
+        assert_eq!(t.poll(r, None), Ok(Some((Rank(2), None))));
+        let d = t.alloc(Rank(3), ReqKind::EpochOpen);
+        assert_eq!(t.complete(d, Some(Bytes::from_static(b"z"))), Some(Rank(3)));
+        assert_eq!(t.complete(d, Some(Bytes::from_static(b"w"))), None); // new data, no transition
+        assert_eq!(t.poll(d, None), Ok(Some((Rank(3), Some(Bytes::from_static(b"w"))))));
+        assert_eq!(t.poll(r, None), Err(RmaError::InvalidRequest));
     }
 
     #[test]
     fn live_count_tracks_alloc_and_consume() {
         let mut t = table();
         assert_eq!(t.live(), 0);
-        let a = t.alloc(ReqKind::Comm);
-        let b = t.alloc(ReqKind::Comm);
+        let a = t.alloc(Rank(0), ReqKind::Comm);
+        let b = t.alloc(Rank(1), ReqKind::Comm);
         assert_eq!(t.live(), 2);
-        t.complete(a, None);
-        t.consume(a).unwrap();
+        assert_eq!(t.complete(a, None), Some(Rank(0)));
+        t.poll(a, None).unwrap();
         assert_eq!(t.live(), 1);
-        t.complete(b, None);
-        t.consume(b).unwrap();
+        assert_eq!(t.complete(b, None), Some(Rank(1)));
+        t.poll(b, None).unwrap();
         assert_eq!(t.live(), 0);
     }
 }

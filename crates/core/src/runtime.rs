@@ -26,12 +26,9 @@ pub struct JobReport<R = ()> {
     pub net: NetStats,
     /// Per-rank timing.
     pub ranks: Vec<RankStats>,
-    /// Epoch lifecycle trace (empty unless `JobConfig::trace`).
+    /// The trace: epoch, sync-plane and request records in emission
+    /// order (empty unless `JobConfig::trace`; see [`crate::trace`]).
     pub trace: Vec<crate::trace::TraceRecord>,
-    /// Synchronization-plane trace (empty unless `JobConfig::trace`).
-    pub sync_trace: Vec<crate::trace::SyncRecord>,
-    /// Request lifecycle log (empty unless `JobConfig::trace`).
-    pub req_events: Vec<(crate::types::Req, crate::request::ReqEvent)>,
     /// Requests still unconsumed when the job finished (should be 0).
     pub live_requests: usize,
     /// Engine-level counters (epochs opened/activated/completed, grants…).
@@ -48,13 +45,11 @@ impl<R> JobReport<R> {
     /// would have given.
     pub fn split_results(self) -> (Vec<R>, JobReport) {
         let JobReport {
-            results, final_time, sim, net, ranks, trace, sync_trace, req_events,
-            live_requests, engine, degradations,
+            results, final_time, sim, net, ranks, trace, live_requests, engine, degradations,
         } = self;
         let unit = JobReport {
             results: vec![(); results.len()],
-            final_time, sim, net, ranks, trace, sync_trace, req_events,
-            live_requests, engine, degradations,
+            final_time, sim, net, ranks, trace, live_requests, engine, degradations,
         };
         (results, unit)
     }
@@ -147,8 +142,6 @@ where
         net: eng.network().stats(),
         ranks,
         trace: eng.take_trace(),
-        sync_trace: eng.take_sync_trace(),
-        req_events: eng.take_req_log(),
         live_requests: eng.live_requests(),
         engine: eng.engine_stats(),
         degradations: eng.take_degradations(),

@@ -1,19 +1,31 @@
-//! Epoch lifecycle tracing.
+//! The trace of a job: one chronological stream of records.
 //!
-//! When [`crate::JobConfig::trace`] is enabled, the engine records a
-//! timestamped event at each transition of every epoch's two lifetimes
-//! (§VI: application-level *open → closed*, internal *activated →
-//! completed*). The trace makes the paper's concepts directly observable:
-//! deferral shows up as a gap between *opened* and *activated*, a
-//! nonblocking close shows up as *closed* long before *completed*, and
-//! Late-Complete-style propagation shows up as target epochs completing
-//! at the origin's pace.
+//! When [`crate::JobConfig::trace`] is enabled, the engine appends one
+//! [`TraceRecord`] per traced event to [`crate::JobReport::trace`], in
+//! emission order, which is virtual-time order. Each record is a
+//! `{time, rank}` header and one [`TraceEvent`]:
+//!
+//! * an **epoch** transition of either lifetime (§VI: application-level
+//!   *open → closed*, internal *activated → completed*). Deferral shows up
+//!   as a gap between *opened* and *activated*, a nonblocking close as
+//!   *closed* long before *completed*, and Late-Complete-style propagation
+//!   as target epochs completing at the origin's pace;
+//! * a **sync**-plane transition: a grant, access id, data issue, closure
+//!   announcement or fence half, toward or from a peer;
+//! * a **request** transition (§VII.C): allocated, completed, consumed.
+//!
+//! A consumer reads the variants it needs and skips the rest: the
+//! timeline and the auditor's I4/I5 the epoch records, [`SyncFold`] and
+//! the race detector the sync records, the auditor's I6 the request
+//! records.
 
 use std::collections::BTreeMap;
 
 use mpisim_sim::SimTime;
 
-use crate::types::{Rank, WinId};
+use crate::epoch::Slot;
+use crate::request::ReqEvent;
+use crate::types::{Rank, Req, WinId};
 
 /// A lifecycle transition.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -28,49 +40,50 @@ pub enum EpochEvent {
     Completed,
 }
 
-impl EpochEvent {
-    /// Short label used in displays.
-    pub fn label(self) -> &'static str {
-        match self {
-            EpochEvent::Opened => "open",
-            EpochEvent::Activated => "act",
-            EpochEvent::Closed => "close",
-            EpochEvent::Completed => "done",
-        }
-    }
-}
-
-impl std::fmt::Display for TraceRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} r{} w{} e{} {} {}",
-            self.time,
-            self.rank.idx(),
-            self.win.0,
-            self.epoch,
-            self.kind,
-            self.event.label()
-        )
-    }
-}
-
-/// One trace record.
-#[derive(Clone, Debug)]
+/// One trace record: when, on which rank, and what.
+#[derive(Copy, Clone, Debug)]
 pub struct TraceRecord {
-    /// Virtual time of the transition.
+    /// Virtual time of the event.
     pub time: SimTime,
-    /// Rank owning the epoch.
+    /// Rank on which it happened: the owner of the epoch or request, or
+    /// the side of the sync plane that acted.
     pub rank: Rank,
-    /// Window the epoch belongs to.
-    pub win: WinId,
-    /// Epoch id within that rank's side of the window.
-    pub epoch: u64,
-    /// Epoch kind ("fence", "gats-access", "gats-exposure", "lock",
-    /// "lock-all").
-    pub kind: &'static str,
-    /// Which transition.
-    pub event: EpochEvent,
+    /// What happened.
+    pub event: TraceEvent,
+}
+
+/// What a [`TraceRecord`] records.
+#[derive(Copy, Clone, Debug)]
+pub enum TraceEvent {
+    /// An epoch lifecycle transition.
+    Epoch {
+        /// Window the epoch belongs to.
+        win: WinId,
+        /// Epoch id within the rank's side of the window.
+        epoch: u64,
+        /// The open-set slot of the epoch's kind.
+        kind: Slot,
+        /// Which transition.
+        event: EpochEvent,
+    },
+    /// A synchronization-plane transition.
+    Sync {
+        /// Window.
+        win: WinId,
+        /// The remote rank involved (grant peer, or data target).
+        peer: Rank,
+        /// Matching plane.
+        plane: Plane,
+        /// The transition.
+        event: SyncEvent,
+    },
+    /// A request lifecycle transition.
+    Req {
+        /// The request handle.
+        req: Req,
+        /// The transition.
+        event: ReqEvent,
+    },
 }
 
 /// Which ω-triple matching plane a synchronization event belongs to.
@@ -86,8 +99,8 @@ pub enum Plane {
     Lock,
 }
 
-/// How an RMA data operation touches target window memory, as recorded in
-/// the sync trace for the happens-before race detector
+/// How an RMA data operation touches target window memory, as a sync
+/// record carries it for the happens-before race detector
 /// (`mpisim-analyze`). Accumulate-family operations are applied atomically
 /// elementwise by the engine, so two accumulates with the *same* reduction
 /// operator never conflict; everything else follows the usual
@@ -138,15 +151,14 @@ impl AccessKind {
     }
 }
 
-/// A synchronization-plane transition, recorded alongside the epoch trace
-/// when tracing is on. These are the raw material of the conformance
-/// harness's invariant auditor — grant emission and application must stay
-/// positional and monotone, and data must never be issued to a target
-/// before the matching grant arrived (§VII.B) — and of the
-/// happens-before race detector, which advances vector clocks on the
-/// grant / epoch-done / fence-done edges and checks [`DataIssued`] byte
-/// ranges for unordered conflicts. Both read those edges off one
-/// [`SyncFold`].
+/// A synchronization-plane transition: the event of a sync record. These
+/// are the raw material of the conformance harness's invariant auditor —
+/// grant emission and application must stay positional and monotone, and
+/// data must never be issued to a target before the matching grant
+/// arrived (§VII.B) — and of the happens-before race detector, which
+/// advances vector clocks on the grant / epoch-done / fence-done edges and
+/// checks [`DataIssued`] byte ranges for unordered conflicts. Both read
+/// those edges off one [`SyncFold`].
 ///
 /// [`DataIssued`]: SyncEvent::DataIssued
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -164,7 +176,7 @@ pub enum SyncEvent {
     /// An access epoch was assigned its positional access id `A_i` toward
     /// `peer` at activation.
     AccessAssigned {
-        /// Epoch id (matches the epoch trace).
+        /// Epoch id (matches its epoch records).
         epoch: u64,
         /// The positional access id assigned.
         id: u64,
@@ -174,7 +186,7 @@ pub enum SyncEvent {
     /// Carries the target byte range and access kind so the race detector
     /// needs no side channels.
     DataIssued {
-        /// Epoch id (matches the epoch trace).
+        /// Epoch id (matches its epoch records).
         epoch: u64,
         /// Target window byte displacement.
         disp: usize,
@@ -188,7 +200,7 @@ pub enum SyncEvent {
     /// ([`Plane::Lock`]), carrying the positional access id. The
     /// complete→wait / unlock→lock happens-before edge starts here.
     EpochDoneSent {
-        /// Epoch id (matches the epoch trace).
+        /// Epoch id (matches its epoch records).
         epoch: u64,
         /// Positional access id of the closing epoch toward `peer`.
         id: u64,
@@ -225,41 +237,6 @@ pub enum SyncEvent {
         /// How local memory was touched.
         access: AccessKind,
     },
-}
-
-/// One synchronization-plane trace record.
-#[derive(Copy, Clone, Debug)]
-pub struct SyncRecord {
-    /// Virtual time of the event.
-    pub time: SimTime,
-    /// Rank on which the event happened.
-    pub rank: Rank,
-    /// The remote rank involved (grant peer, or data target).
-    pub peer: Rank,
-    /// Window.
-    pub win: WinId,
-    /// Matching plane.
-    pub plane: Plane,
-    /// The transition.
-    pub event: SyncEvent,
-}
-
-impl std::fmt::Display for SyncRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let plane = match self.plane {
-            Plane::Gats => "gats",
-            Plane::Lock => "lock",
-        };
-        write!(
-            f,
-            "{} r{} w{} peer r{} {plane} {:?}",
-            self.time,
-            self.rank.idx(),
-            self.win.0,
-            self.peer.idx(),
-            self.event
-        )
-    }
 }
 
 /// Which happens-before edge a send→apply pair of [`SyncEvent`]s carries.
@@ -325,11 +302,12 @@ struct Row<T> {
     pending: BTreeMap<(ChannelKey, u64), T>,
 }
 
-/// The one send→apply matcher of a sync trace. Fed every record in trace
-/// order, it pairs each `*Sent` with the `*Applied` of the same id on the
-/// same `(from, to, window, plane, edge)` channel, at most once. A
-/// consumer hands in a payload at each send and gets it back at the
-/// matching apply: the race detector's clock snapshot, the auditor's `()`.
+/// The one send→apply matcher of the sync records. Fed the trace in
+/// order (it skips every record that is not a sync record), it pairs each
+/// `*Sent` with the `*Applied` of the same id on the same `(from, to,
+/// window, plane, edge)` channel, at most once. A consumer hands in a
+/// payload at each send and gets it back at the matching apply: the race
+/// detector's clock snapshot, the auditor's `()`.
 pub struct SyncFold<T> {
     /// One row per sending rank, as `OmegaTable` keeps one per window side.
     rows: Vec<Row<T>>,
@@ -343,9 +321,10 @@ impl<T> Default for SyncFold<T> {
 
 impl<T> SyncFold<T> {
     /// Fold in the next record; `payload` is called once, at a send.
-    pub fn step(&mut self, r: &SyncRecord, payload: impl FnOnce() -> T) -> Step<T> {
+    pub fn step(&mut self, r: &TraceRecord, payload: impl FnOnce() -> T) -> Step<T> {
         use SyncEvent::*;
-        let (edge, id, sent) = match r.event {
+        let TraceEvent::Sync { win, peer, plane, event } = r.event else { return Step::Other };
+        let (edge, id, sent) = match event {
             GrantSent { id } => (Edge::Grant, id, true),
             GrantApplied { id } => (Edge::Grant, id, false),
             EpochDoneSent { id, .. } => (Edge::EpochDone, id, true),
@@ -354,13 +333,13 @@ impl<T> SyncFold<T> {
             FenceDoneApplied { seq } => (Edge::FenceDone, seq, false),
             AccessAssigned { .. } | DataIssued { .. } | LocalAccess { .. } => return Step::Other,
         };
-        let (from, to) = if sent { (r.rank, r.peer) } else { (r.peer, r.rank) };
+        let (from, to) = if sent { (r.rank, peer) } else { (peer, r.rank) };
         if self.rows.len() <= from.idx() {
             let empty = || Row { ids: BTreeMap::new(), pending: BTreeMap::new() };
             self.rows.resize_with(from.idx() + 1, empty);
         }
         let row = &mut self.rows[from.idx()];
-        let ch = (to, r.win, r.plane, edge);
+        let ch = (to, win, plane, edge);
         let ids = row.ids.entry(ch).or_default();
         if sent {
             let prev = ids.sent;
@@ -388,8 +367,8 @@ impl<T> SyncFold<T> {
     }
 }
 
-/// Per-epoch lifecycle summary assembled from raw records.
-#[derive(Clone, Debug, Default)]
+/// Per-epoch lifecycle summary assembled from the epoch records.
+#[derive(Clone, Debug)]
 pub struct EpochSummary {
     /// Rank owning the epoch.
     pub rank: usize,
@@ -397,8 +376,8 @@ pub struct EpochSummary {
     pub win: u32,
     /// Epoch id.
     pub epoch: u64,
-    /// Epoch kind.
-    pub kind: &'static str,
+    /// Epoch kind, as its open-set slot.
+    pub kind: Slot,
     /// Transition times.
     pub opened: Option<SimTime>,
     /// Internal activation time (None = never activated).
@@ -407,6 +386,8 @@ pub struct EpochSummary {
     pub closed: Option<SimTime>,
     /// Internal completion time.
     pub completed: Option<SimTime>,
+    /// A transition recorded more than once (its time is the last one's).
+    pub duplicate: Option<EpochEvent>,
 }
 
 impl EpochSummary {
@@ -422,26 +403,33 @@ impl EpochSummary {
     }
 }
 
-/// Fold raw records into per-epoch summaries, ordered by (rank, win,
-/// epoch id).
+/// Fold the epoch records into per-epoch summaries, ordered by (rank,
+/// win, epoch id).
 pub fn summarize(records: &[TraceRecord]) -> Vec<EpochSummary> {
     let mut map: BTreeMap<(usize, u32, u64), EpochSummary> = BTreeMap::new();
     for r in records {
-        let e = map.entry((r.rank.idx(), r.win.0, r.epoch)).or_insert_with(|| EpochSummary {
-            rank: r.rank.idx(),
-            win: r.win.0,
-            epoch: r.epoch,
-            kind: r.kind,
-            ..EpochSummary::default()
+        let TraceEvent::Epoch { win, epoch, kind, event } = r.event else { continue };
+        let (rank, win) = (r.rank.idx(), win.0);
+        let e = map.entry((rank, win, epoch)).or_insert_with(|| EpochSummary {
+            rank,
+            win,
+            epoch,
+            kind,
+            opened: None,
+            activated: None,
+            closed: None,
+            completed: None,
+            duplicate: None,
         });
-        let slot = match r.event {
+        let at = match event {
             EpochEvent::Opened => &mut e.opened,
             EpochEvent::Activated => &mut e.activated,
             EpochEvent::Closed => &mut e.closed,
             EpochEvent::Completed => &mut e.completed,
         };
-        debug_assert!(slot.is_none(), "duplicate {:?} for epoch", r.event);
-        *slot = Some(r.time);
+        if at.replace(r.time).is_some() {
+            e.duplicate = Some(event);
+        }
     }
     map.into_values().collect()
 }
@@ -466,7 +454,7 @@ pub fn render_timeline(records: &[TraceRecord]) -> String {
             s.rank,
             s.win,
             s.epoch,
-            s.kind,
+            s.kind.name(),
             fmt_t(s.opened),
             fmt_t(s.activated),
             fmt_t(s.closed),
@@ -487,14 +475,9 @@ mod tests {
     use super::*;
 
     fn rec(rank: usize, epoch: u64, event: EpochEvent, us: u64) -> TraceRecord {
-        TraceRecord {
-            time: SimTime::from_micros(us),
-            rank: Rank(rank),
-            win: WinId(0),
-            epoch,
-            kind: "lock",
-            event,
-        }
+        let kind = Slot::Lock(Rank(1));
+        let event = TraceEvent::Epoch { win: WinId(0), epoch, kind, event };
+        TraceRecord { time: SimTime::from_micros(us), rank: Rank(rank), event }
     }
 
     #[test]
@@ -506,9 +489,11 @@ mod tests {
             rec(0, 1, EpochEvent::Completed, 300),
             rec(0, 2, EpochEvent::Opened, 21),
             rec(0, 2, EpochEvent::Activated, 300),
+            sync(0, 1, SyncEvent::GrantSent { id: 1 }),
         ];
         let s = summarize(&recs);
         assert_eq!(s.len(), 2);
+        assert!(s.iter().all(|e| e.duplicate.is_none()));
         assert_eq!(s[0].deferral(), Some(SimTime::from_micros(2)));
         assert_eq!(s[0].close_to_complete(), Some(SimTime::from_micros(280)));
         // Epoch 2 was deferred 279 µs and never closed.
@@ -516,20 +501,14 @@ mod tests {
         assert_eq!(s[1].close_to_complete(), None);
     }
 
-    fn sync(rank: usize, peer: usize, event: SyncEvent) -> SyncRecord {
-        SyncRecord {
-            time: SimTime::ZERO,
-            rank: Rank(rank),
-            peer: Rank(peer),
-            win: WinId(0),
-            plane: Plane::Gats,
-            event,
-        }
+    fn sync(rank: usize, peer: usize, event: SyncEvent) -> TraceRecord {
+        let event = TraceEvent::Sync { win: WinId(0), peer: Rank(peer), plane: Plane::Gats, event };
+        TraceRecord { time: SimTime::ZERO, rank: Rank(rank), event }
     }
 
     /// Folds `trace`, handing each send its index as payload; returns
     /// what each apply matched, in trace order, and the fold.
-    fn matches(trace: &[SyncRecord]) -> (Vec<Option<usize>>, SyncFold<usize>) {
+    fn matches(trace: &[TraceRecord]) -> (Vec<Option<usize>>, SyncFold<usize>) {
         let mut fold = SyncFold::default();
         let mut got = Vec::new();
         for (i, r) in trace.iter().enumerate() {

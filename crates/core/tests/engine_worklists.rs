@@ -303,7 +303,7 @@ fn counted_completion_changes_no_observable_behaviour() {
 /// a transition only the ready list reports.
 #[test]
 fn blocked_target_is_unlocked_when_its_last_op_completes() {
-    use mpisim_core::trace::{Plane, SyncEvent};
+    use mpisim_core::trace::{Plane, SyncEvent, TraceEvent};
     let mut cfg = cfg16(Series::Nonblocking, 4);
     cfg.trace = true;
     let r = run_job(cfg, |env| {
@@ -321,14 +321,16 @@ fn blocked_target_is_unlocked_when_its_last_op_completes() {
     })
     .unwrap();
     let unlocks: Vec<(SimTime, usize)> = r
-        .sync_trace
+        .trace
         .iter()
-        .filter(|s| {
-            s.rank == Rank(0)
-                && s.plane == Plane::Lock
-                && matches!(s.event, SyncEvent::EpochDoneSent { .. })
+        .filter_map(|s| match s.event {
+            TraceEvent::Sync { peer, plane, event: SyncEvent::EpochDoneSent { .. }, .. }
+                if s.rank == Rank(0) && plane == Plane::Lock =>
+            {
+                Some((s.time, peer.idx()))
+            }
+            _ => None,
         })
-        .map(|s| (s.time, s.peer.idx()))
         .collect();
     let at_close = unlocks[0].0;
     let idle: Vec<usize> = (0..16).filter(|t| *t != 5).collect();

@@ -1,6 +1,7 @@
 //! Tests for epoch lifecycle tracing: the trace must make the paper's
 //! deferral and close-vs-complete distinctions directly observable.
 
+use mpisim_core::epoch::Slot;
 use mpisim_core::trace::{render_timeline, summarize, EpochEvent};
 use mpisim_core::{run_job, JobConfig, LockKind, Rank};
 use mpisim_sim::SimTime;
@@ -27,7 +28,7 @@ fn trace_captures_all_four_transitions() {
     .unwrap();
     let lock_epochs: Vec<_> = summarize(&report.trace)
         .into_iter()
-        .filter(|s| s.kind == "lock")
+        .filter(|s| s.kind == Slot::Lock(Rank(1)))
         .collect();
     assert_eq!(lock_epochs.len(), 1);
     let e = &lock_epochs[0];
@@ -61,7 +62,7 @@ fn trace_shows_deferral_of_back_to_back_epochs() {
     .unwrap();
     let locks: Vec<_> = summarize(&report.trace)
         .into_iter()
-        .filter(|s| s.kind == "lock" && s.rank == 0)
+        .filter(|s| s.kind == Slot::Lock(Rank(1)) && s.rank == 0)
         .collect();
     assert_eq!(locks.len(), 2);
     // First epoch activates immediately; second defers until the first
@@ -128,7 +129,8 @@ fn events_are_time_ordered_per_epoch() {
         let present: Vec<_> = times.iter().flatten().collect();
         assert!(present.windows(2).all(|w| w[0] <= w[1]), "{s:?}");
     }
-    // Raw record stream is globally time-ordered too.
+    // The whole record stream (epoch, sync and request records) is
+    // globally time-ordered too.
     assert!(report
         .trace
         .windows(2)
