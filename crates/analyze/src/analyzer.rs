@@ -9,7 +9,7 @@
 //! (E011), and byte-range interval conflicts — cross-origin conflicts
 //! within one concurrency scope (E006/E007) and same-origin cross-epoch
 //! conflicts made concurrent by reorder flags (E009). The whole-job
-//! deadlock and progress passes (E013–E018) live in [`crate::deadlock`]
+//! deadlock and progress passes (E013–E018) live in `deadlock.rs`
 //! and read the same shape.
 
 use crate::diag::{Code, Diagnostic};

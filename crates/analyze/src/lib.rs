@@ -34,7 +34,7 @@
 //!    no traced edge orders are reported as [`Race`]s.
 //!
 //! Every static pass — [`analyze`], the deadlock passes, [`analyze_slack`]
-//! and each [`rewrite`] pass — reads one resolved epoch structure of the
+//! and each [`rewrite()`] pass — reads one resolved epoch structure of the
 //! program (`shape.rs`): one walk per rank resolves epochs, accesses,
 //! flushes and requests, and the cross-rank FIFO start/post matching is
 //! answered there and nowhere else. The walk keeps its open epochs in the
@@ -49,7 +49,7 @@
 //!
 //! On top of the correctness layers sits the **synchronization-slack
 //! pass** ([`analyze_slack`]) with its mechanical rewriter
-//! ([`rewrite`]): it classifies every blocking synchronization point as
+//! ([`rewrite()`]): it classifies every blocking synchronization point as
 //! elidable / relaxable / required via a per-(rank, window)
 //! byte-interval dataflow (advisory codes `W001`–`W005`), and rewrites
 //! the relaxable ones to their nonblocking forms — the optimization the

@@ -32,9 +32,10 @@
 //! statement resolves to [`At::Nothing`] (no epoch opened, no access
 //! recorded — the runtime would have returned an error instead of acting),
 //! and the walk continues, so one malformed statement yields one diagnostic
-//! rather than a cascade. A close without an open resolves to nothing; an
-//! epoch whose close is missing, or which a second open of the same slot
-//! displaced (nested `start`, re-`lock`), has no close step.
+//! rather than a cascade. An open that E005 refuses (nested `start`,
+//! re-`lock`, a fence inside a lock epoch) leaves the open epochs as they
+//! were, as the engine's `AlreadyInEpoch` does. A close without an open
+//! resolves to nothing; an epoch whose close is missing has no close step.
 
 use std::collections::BTreeMap;
 
@@ -468,8 +469,8 @@ impl<'a, 'p> Walk<'a, 'p> {
     /// progress concurrently: reorder flags off, a blocking synchronization
     /// between the opens, either side a `lock_all` epoch, or either side a
     /// fence epoch without the `unsafe_fence_reorder` extension. A start
-    /// (post) is filed under each group member. The epoch takes its slot
-    /// even when E005 forbade the open, displacing what was open there.
+    /// (post) is filed under each group member. The caller has checked
+    /// for an E005 clash: a refused open never gets here.
     fn open(&mut self, win: usize, step: usize, kind: EpochKind<'p>) -> usize {
         let e = self.out.epochs.len();
         let w = &mut self.wins[win];
@@ -499,8 +500,10 @@ impl<'a, 'p> Walk<'a, 'p> {
 
     /// E005 for opening an epoch in `new`: the open epochs the open set
     /// says forbid it, a fence phase first, one line per distinct detail.
-    /// A fence phase without accesses is dormant and tolerated.
-    fn clashes(&mut self, win: usize, step: usize, new: Slot) {
+    /// A fence phase without accesses is dormant and tolerated. `true` when
+    /// the open is refused: like the engine's `AlreadyInEpoch`, the call
+    /// then does nothing — no request, no close, no open.
+    fn clashes(&mut self, win: usize, step: usize, new: Slot) -> bool {
         let (out, seq) = (&self.out, self.out.fences[win].len().saturating_sub(1));
         let dormant = |&f: &usize| out.accesses_of(f).next().is_none();
         let mut found: Vec<_> = (self.wins[win].open.clashes(new, dormant))
@@ -515,15 +518,19 @@ impl<'a, 'p> Walk<'a, 'p> {
             .collect();
         found.sort_by_key(|&(first, _)| first);
         found.dedup_by(|a, b| a.1 == b.1);
+        let refused = !found.is_empty();
         for (_, detail) in found {
             self.diag(Code::E005, Some(step), detail);
         }
+        refused
     }
 
     /// An epoch-opening call at `step` (`ireq` names its nonblocking form,
     /// if it is one).
     fn opening(&mut self, step: usize, win: usize, kind: EpochKind<'p>, ireq: Option<&'static str>) {
-        self.clashes(win, step, kind.slot());
+        if self.clashes(win, step, kind.slot()) {
+            return;
+        }
         if let Some(what) = ireq {
             self.request(step, what, None);
         }
@@ -628,7 +635,9 @@ impl<'a, 'p> Walk<'a, 'p> {
         }
         match *stmt {
             Stmt::Fence { win, close } => {
-                self.clashes(win, step, Slot::Fence);
+                if self.clashes(win, step, Slot::Fence) {
+                    return;
+                }
                 let closes = self.wins[win].open.get(Slot::Fence).copied();
                 if let Some(f) = closes {
                     self.out.epochs[f].close = Some((step, close));
@@ -791,12 +800,13 @@ mod tests {
         Stmt::Lock { win: 0, target, exclusive: true, nonblocking: false }
     }
 
-    /// With a lock on the target, a `lock_all`, a start naming it and a
-    /// fence phase open in every combination, an operation resolves lock →
-    /// `lock_all` → GATS → fence (the illegal mixes are reported, and still
-    /// route as the engine would).
+    /// A fence, a start naming the target, a `lock_all` and a lock on the
+    /// target, opened in that order in every combination: each illegal mix
+    /// is refused, as the engine refuses it, so the operation routes to the
+    /// first of start, `lock_all` and lock that opened, and else to the
+    /// fence phase (dormant until then, so it refuses nothing).
     #[test]
-    fn an_op_routes_lock_then_lock_all_then_gats_then_fence() {
+    fn an_op_routes_to_the_epoch_the_walk_let_open() {
         for mask in 0..16u32 {
             let [fence, start, lock_all, locked] = [0, 1, 2, 3].map(|bit| mask >> bit & 1 == 1);
             let mut p = IrProgram::new(2, 64);
@@ -811,9 +821,9 @@ mod tests {
             let sh = Shape::of(&p);
             let rs = &sh.ranks[0];
             let want = match () {
-                _ if locked => Some(EpochKind::Lock { target: 1, exclusive: true }),
-                _ if lock_all => Some(EpochKind::LockAll),
                 _ if start => Some(EpochKind::Start { group: &[1] }),
+                _ if lock_all => Some(EpochKind::LockAll),
+                _ if locked => Some(EpochKind::Lock { target: 1, exclusive: true }),
                 _ if fence => Some(EpochKind::Fence { seq: 0 }),
                 _ => None,
             };
@@ -898,12 +908,13 @@ mod tests {
             assert_eq!((rs.epochs.len(), rs.accesses.len()), (1, 0));
             assert_eq!(rs.at[1..], [At::Nothing; 4]);
         });
-        // A nested start displaces the open one, which then never closes.
+        // A nested start is refused: the open one covers the put and closes.
         let start = || Stmt::Start { win: 0, group: vec![1] };
         let nested = vec![start(), start(), put(0, 1), Stmt::Complete { win: 0, close: BLOCKING }];
         resolve(nested, &[Code::E005], &|rs| {
-            assert_eq!((rs.epochs[0].close, rs.epochs[1].close), (None, Some((3, BLOCKING))));
-            assert_eq!((rs.accesses[0].epoch, rs.at[3]), (Some(1), At::Closes(1)));
+            assert_eq!((rs.epochs.len(), rs.epochs[0].close), (1, Some((3, BLOCKING))));
+            assert_eq!((rs.at[1], rs.at[3]), (At::Nothing, At::Closes(0)));
+            assert_eq!(rs.accesses[0].epoch, Some(0));
         });
     }
 

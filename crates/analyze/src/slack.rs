@@ -61,7 +61,7 @@
 //! The W-series is advisory: it is emitted only by [`analyze_slack`],
 //! never by [`crate::analyze`], so "analyzer-clean" (the E-codes)
 //! keeps meaning exactly what it meant. The companion rewriter
-//! ([`crate::rewrite`]) applies W001–W003 mechanically and shrinks
+//! ([`crate::rewrite()`]) applies W001–W003 mechanically and shrinks
 //! W004 over-wide start groups symmetrically on both sides of the
 //! cross-rank matching (the recorded [`GroupShrink`] pairs); W005
 //! (dead exposure) stays report-only because removing an exposure

@@ -26,11 +26,19 @@ fn pair(zero: Vec<Stmt>, one: Vec<Stmt>) -> IrProgram {
     p
 }
 
+/// A start while a fence phase has issued operations: refused, so the
+/// second fence closes that phase cleanly.
+fn start_in_fence_phase() -> IrProgram {
+    let fence = || Stmt::Fence { win: 0, close: B };
+    let put = Stmt::Put { win: 0, target: 1, disp: 0, len: 8 };
+    let start = Stmt::Start { win: 0, group: vec![1] };
+    pair(vec![fence(), put, start, fence()], vec![fence(), fence()])
+}
+
 /// Misuse beyond the catalog's one row per code: every kind of E005
 /// clash, each closing routine without its open, and flushes with no
-/// passive epoch to cover them. The analyzer records a refused open and
-/// the engine does not, so each refused open is closed at once: from
-/// there on both sides have the same epochs open.
+/// passive epoch to cover them. A refused open leaves both sides' open
+/// epochs as they were, so the closes after it are judged alike too.
 fn misuse() -> Vec<IrProgram> {
     let put = || Stmt::Put { win: 0, target: 1, disp: 0, len: 8 };
     let lock = || Stmt::Lock { win: 0, target: 1, exclusive: false, nonblocking: false };
@@ -41,24 +49,19 @@ fn misuse() -> Vec<IrProgram> {
     let flush = |target| Stmt::Flush { win: 0, target, local_only: false, close: B };
     let fence = || Stmt::Fence { win: 0, close: B };
     vec![
-        // A start and a lock while a fence phase has issued operations.
+        start_in_fence_phase(),
+        // A start and a lock while a fence phase has issued operations;
+        // neither opened, so their closes have nothing to close.
         pair(
             vec![fence(), put(), start(), complete(), lock(), unlock(), fence()],
             vec![fence(), fence()],
         ),
         // A fence inside a lock epoch; the peer's one fence only opens.
         pair(vec![lock(), fence(), unlock()], vec![fence()]),
-        // The same lock twice, then `lock_all` and `start` over it.
+        // The same lock twice, then `lock_all` and `start` over it; the
+        // one lock that opened closes.
         pair(
-            vec![
-                lock(),
-                lock(),
-                Stmt::LockAll { win: 0, nonblocking: false },
-                Stmt::UnlockAll { win: 0, close: B },
-                start(),
-                complete(),
-                unlock(),
-            ],
+            vec![lock(), lock(), Stmt::LockAll { win: 0, nonblocking: false }, start(), unlock()],
             vec![],
         ),
         // A second post while the first is open.
@@ -104,6 +107,21 @@ fn static_and_runtime_verdicts_agree_on_misuse() {
             checked[i] += 1;
         }
     }
-    // E001 ×2, E004 ×6, E005 ×8 (with the catalog's one row each).
-    assert_eq!(checked, [2, 6, 8]);
+    // E001 ×2, E004 ×9, E005 ×9 (with the catalog's one row each; the
+    // E005 row's `unlock_all` closes the `lock_all` it refused, so E004).
+    assert_eq!(checked, [2, 9, 9]);
+}
+
+/// A refused open changes nothing: the walk reports the start's E005 and
+/// nothing else — not the second fence, which closes the phase, nor an
+/// unclosed start — and the run records the one `AlreadyInEpoch` there.
+#[test]
+fn a_refused_start_is_the_one_verdict_on_both_sides() {
+    let p = start_in_fence_phase();
+    let diags: Vec<_> = analyze(&p).into_iter().map(|d| (d.code, d.rank, d.step)).collect();
+    assert_eq!(diags, [(Code::E005, 0, Some(2))]);
+    let run = interpret(JobConfig::new(2), &p).unwrap();
+    let errors: Vec<_> = run.errors.iter().map(|e| (e.rank, e.step)).collect();
+    assert_eq!(errors, [(0, 2)]);
+    assert!(agrees(Code::E005, &run.errors[0].error), "{:?}", run.errors);
 }

@@ -103,6 +103,7 @@ fn flag_figures_shapes() {
 
     let f8 = flags::fig08_aaar_lock();
     let row = "cumulative O1 epochs (1MB)";
+    assert!(f8.cell(row, "A_A_A_R off").unwrap() > 1500.0);
     assert!(
         f8.cell(row, "A_A_A_R on").unwrap() < f8.cell(row, "A_A_A_R off").unwrap() - 200.0
     );
@@ -110,10 +111,12 @@ fn flag_figures_shapes() {
     let f9 = flags::fig09_aaer();
     assert!(f9.cell("target P1", "A_A_E_R off").unwrap() > 1400.0);
     assert!(f9.cell("target P1", "A_A_E_R on").unwrap() < 800.0);
+    assert!(f9.cell("P2 (target then origin)", "A_A_E_R on").unwrap() > 1000.0);
 
     let f10 = flags::fig10_eaer();
     assert!(f10.cell("origin O1", "E_A_E_R off").unwrap() > 1400.0);
     assert!(f10.cell("origin O1", "E_A_E_R on").unwrap() < 800.0);
+    assert!(f10.cell("target cumulative", "E_A_E_R on").unwrap() > 1000.0);
 
     let f11 = flags::fig11_eaar();
     assert!(f11.cell("origin P1", "E_A_A_R off").unwrap() > 1400.0);

@@ -97,7 +97,7 @@ fn sample_points(counts: &[u64]) -> Vec<(usize, u64)> {
 
 /// Sweep the crash-recovery family: `width` programs per conformance
 /// family, each crashed at sampled commit points under every plan in
-/// [`PLANS`]. Every crash run must converge to the oracle with nothing but
+/// `PLANS`. Every crash run must converge to the oracle with nothing but
 /// healthy `recovered` degradations. Under the `bad-recovery` plant every
 /// restore is stale instead and must be seen to diverge.
 pub fn crossval_recovery(width: u64, plant: Option<&Plant>) -> Outcome {

@@ -21,8 +21,8 @@
 //! # What a call costs
 //!
 //! Every routine is one MPI call and pays one [`CALL_ENTRY`] (the paper's
-//! ε) on the caller's clock, in the one `timed` scope that also accounts
-//! its MPI time; an RMA communication call pays [`PER_OP`] on top. The
+//! ε) on the caller's clock, in the one `timed` scope that also counts
+//! the call; an RMA communication call pays [`PER_OP`] on top. The
 //! test/wait family is priced the same way — [`RankEnv::wait`], [`RankEnv::wait_data`],
 //! [`RankEnv::test`], [`RankEnv::wait_any`] and [`RankEnv::wait_all`] are
 //! one call each, `wait_all` whatever the number of requests it collects
@@ -33,6 +33,16 @@
 //! collectives in `coll.rs` built on them) are `isend`/`irecv` followed by
 //! `wait`/`wait_data` — two calls, two ε.
 //!
+//! # Where a rank's time goes
+//!
+//! A rank's clock moves at four sites, and each records its move in the
+//! rank's [`RankStats`] beside it: `compute` adds its span, `timed` counts
+//! the call (one ε), `rma` counts the op (one [`PER_OP`]) and
+//! `blocked_park` adds its parked span and one park. Every park sits
+//! inside a call, so [`RankStats::mpi_time`] is a view of the ledger, and
+//! `compute_time + mpi_time()` is the rank's virtual time exactly
+//! (`run_job` checks it when each rank returns, in debug builds).
+//!
 //! # How a call blocks
 //!
 //! On its request, and on nothing else (§VII.C). [`RankEnv::wait`] and its
@@ -42,6 +52,7 @@
 //! completes a request — readies that process. `blocked_park` is the only
 //! place in this crate a rank parks.
 
+use std::cell::RefMut;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -61,6 +72,14 @@ pub const CALL_ENTRY: SimTime = SimTime::from_nanos(300);
 
 /// Extra CPU cost to post one RMA operation.
 pub const PER_OP: SimTime = SimTime::from_nanos(150);
+
+impl RankStats {
+    /// Virtual time spent inside MPI calls, blocking waits included: one
+    /// ε per call, one [`PER_OP`] per RMA op, and the parked spans.
+    pub fn mpi_time(&self) -> SimTime {
+        CALL_ENTRY * self.calls + PER_OP * self.ops + self.blocked
+    }
+}
 
 /// The environment of one simulated MPI rank.
 ///
@@ -101,8 +120,8 @@ impl<'a> RankEnv<'a> {
     /// Model `d` of computation: virtual time advances, communications
     /// progress meanwhile.
     pub fn compute(&self, d: SimTime) {
-        self.eng.add_compute_time(self.rank, d);
         self.ctx.advance(d);
+        self.ledger().compute_time += d;
     }
 
     /// Per-rank timing statistics so far.
@@ -115,15 +134,19 @@ impl<'a> RankEnv<'a> {
         &self.eng
     }
 
-    /// Charge the per-call software overhead and account MPI time around
-    /// `f`.
+    /// This rank's row of the time ledger. Its clock moves at four sites
+    /// only — `compute`, `timed`, `rma` and `blocked_park` — and each one
+    /// records the move here, so `compute_time + mpi_time()` is the rank's
+    /// virtual time.
+    fn ledger(&self) -> RefMut<'_, RankStats> {
+        RefMut::map(self.eng.st.borrow_mut(), |st| &mut st.stats[self.rank.idx()])
+    }
+
+    /// One MPI call: charge the per-call software overhead, then run `f`.
     fn timed<T>(&self, f: impl FnOnce() -> T) -> T {
-        let t0 = self.ctx.now();
         self.ctx.advance(CALL_ENTRY);
-        let r = f();
-        let dt = self.ctx.now() - t0;
-        self.eng.add_mpi_time(self.rank, dt);
-        r
+        self.ledger().calls += 1;
+        f()
     }
 
     // ------------------------------------------------------------------
@@ -150,28 +173,25 @@ impl<'a> RankEnv<'a> {
     /// waiter, park, and look again.
     fn wait_inner(&self, req: Req) -> RmaResult<Option<Bytes>> {
         loop {
-            {
-                let mut st = self.eng.st.borrow_mut();
-                if let Some(data) = self.eng.poll_req(&mut st, req, Some(self.ctx.pid()))? {
-                    return Ok(data);
-                }
-                st.eng_stats.sync_blocked_steps += 1;
+            let pid = Some(self.ctx.pid());
+            if let Some(data) = self.eng.poll_req(&mut self.eng.st.borrow_mut(), req, pid)? {
+                return Ok(data);
             }
             self.blocked_park();
         }
     }
 
     /// Park until a request this rank registered on completes
-    /// ([`crate::request::ReqTable::complete`] readies it), charging the
-    /// park to [`crate::EngineStats::sync_blocked_ns`]. Every blocking wait
-    /// in the API funnels through here, so the pair (`sync_blocked_steps`,
-    /// `sync_blocked_ns`) is exactly the virtual time the wait family spent
-    /// suspended.
+    /// ([`crate::request::ReqTable::complete`] readies it), recording the
+    /// park and its span in the ledger ([`RankStats::parks`],
+    /// [`RankStats::blocked`]). Every blocking wait in the API funnels
+    /// through here, inside its call's `timed` scope.
     fn blocked_park(&self) {
         let t0 = self.ctx.now();
         self.ctx.park();
-        let dt = self.ctx.now() - t0;
-        self.eng.st.borrow_mut().eng_stats.sync_blocked_ns += dt.as_nanos();
+        let mut s = self.ledger();
+        s.blocked += self.ctx.now() - t0;
+        s.parks += 1;
     }
 
     /// Nonblocking completion check; consumes the request when complete.
@@ -223,7 +243,6 @@ impl<'a> RankEnv<'a> {
                     st.reqs.forget(reqs, pid);
                     return outcome;
                 }
-                st.eng_stats.sync_blocked_steps += 1;
             }
             self.blocked_park();
         })
@@ -692,6 +711,7 @@ impl<'a> RankEnv<'a> {
     ) -> RmaResult<Option<Req>> {
         self.timed(|| {
             self.ctx.advance(PER_OP);
+            self.ledger().ops += 1;
             self.eng.rma_op(self.rank, win, target, disp, kind, want_req)
         })
     }

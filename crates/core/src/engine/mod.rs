@@ -213,21 +213,18 @@ pub struct EngineStats {
     /// or late duplicate), tolerated instead of asserted in resilient
     /// configurations.
     pub orphan_responses: u64,
-    /// Host-blocking parks: how many times an application thread actually
-    /// suspended inside the wait family (`wait`/`wait_all`/`wait_any` and
-    /// every blocking epoch close or flush built on them) because the
-    /// awaited request was not yet complete. A request that is already
-    /// done at the wait call costs zero parks, so this counter measures
-    /// the host-blocking work the paper's nonblocking epochs exist to
-    /// remove — the slack rewriter's closed-loop validator requires it
-    /// to never increase under a sound relaxation.
+    /// Host-blocking parks summed over the ranks' ledgers
+    /// ([`RankStats::parks`]): how many times an application thread
+    /// suspended inside the wait family because the awaited request was
+    /// not yet complete. This is the host-blocking work the paper's
+    /// nonblocking epochs exist to remove — the slack rewriter's
+    /// closed-loop validator requires it to never increase under a sound
+    /// relaxation.
     pub sync_blocked_steps: u64,
-    /// Virtual nanoseconds application threads spent suspended in those
-    /// parks (wake time minus park time, summed over all ranks). The
-    /// companion magnitude to [`EngineStats::sync_blocked_steps`]: a
-    /// deferred wait may still park once, but strictly later, so the
-    /// blocked time shrinks whenever the reclaimed slack overlaps
-    /// communication with host progress.
+    /// Virtual nanoseconds spent in those parks, summed over the ranks'
+    /// ledgers ([`RankStats::blocked`]). A deferred wait may still park
+    /// once, but strictly later, so this shrinks whenever the reclaimed
+    /// slack overlaps communication with host progress.
     pub sync_blocked_ns: u64,
     /// Checkpoints cut by the crash-recovery subsystem (one per window
     /// side per covered commit; includes the `win_allocate` baselines).
@@ -324,15 +321,25 @@ impl Fault {
     }
 }
 
-/// Per-rank cumulative timing, reported by [`crate::api::RankEnv::stats`].
+/// One rank's time ledger, reported by [`crate::api::RankEnv::stats`].
+///
+/// Written only where the rank's clock moves (`api.rs`, "Where a rank's
+/// time goes"): its parts sum to the rank's virtual time,
+/// `compute_time + mpi_time() == now()`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RankStats {
-    /// Virtual time spent inside MPI calls (including blocking waits).
-    pub mpi_time: SimTime,
     /// Virtual time spent in modeled computation.
     pub compute_time: SimTime,
-    /// Number of MPI calls made.
+    /// Virtual time parked inside the wait family (every blocking epoch
+    /// close, flush and barrier included) for a request to complete.
+    pub blocked: SimTime,
+    /// Number of MPI calls made, each one [`crate::CALL_ENTRY`].
     pub calls: u64,
+    /// RMA communication calls among them, each one [`crate::PER_OP`] more.
+    pub ops: u64,
+    /// Times the rank parked: a request already complete at its wait costs
+    /// none.
+    pub parks: u64,
     /// Epoch commits this rank has performed (rank-wide ordinal across
     /// all windows). The crash-recovery fault plan addresses crash points
     /// by this 1-based count, and the conformance harness's probe run
@@ -598,9 +605,15 @@ impl Engine {
         self.st.borrow().stats[r.idx()]
     }
 
-    /// Aggregate progress-engine counters.
+    /// Aggregate progress-engine counters; the two blocking totals are sums
+    /// of the ranks' ledgers.
     pub fn engine_stats(&self) -> EngineStats {
-        self.st.borrow().eng_stats
+        let st = self.st.borrow();
+        EngineStats {
+            sync_blocked_steps: st.stats.iter().map(|s| s.parks).sum(),
+            sync_blocked_ns: st.stats.iter().map(|s| s.blocked.as_nanos()).sum(),
+            ..st.eng_stats
+        }
     }
 
     /// Drain the accumulated degradations (decode failures, checksum
@@ -689,19 +702,6 @@ impl Engine {
         let s = st.coll_seq[rank.idx()];
         st.coll_seq[rank.idx()] += 1;
         s
-    }
-
-    /// Accumulate MPI-call time for Fig-13-style communication breakdowns.
-    pub(crate) fn add_mpi_time(&self, r: Rank, dt: SimTime) {
-        let mut st = self.st.borrow_mut();
-        let s = &mut st.stats[r.idx()];
-        s.mpi_time += dt;
-        s.calls += 1;
-    }
-
-    /// Accumulate modeled compute time.
-    pub(crate) fn add_compute_time(&self, r: Rank, dt: SimTime) {
-        self.st.borrow_mut().stats[r.idx()].compute_time += dt;
     }
 
     /// The dummy always-complete request returned by nonblocking

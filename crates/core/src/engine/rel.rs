@@ -39,8 +39,8 @@ pub const RTO: SimTime = SimTime::from_micros(20);
 pub(crate) const MAX_BACKOFF: SimTime = SimTime::from_millis(2);
 
 /// Retransmits before a frame is abandoned and surfaced as a
-/// `RetriesExhausted` (or `PeerCrash`) degradation: with [`RTO`] and
-/// [`MAX_BACKOFF`], ≈14.5 ms after the first send.
+/// `RetriesExhausted` (or `PeerCrash`) degradation: with [`RTO`] and the
+/// 2 ms backoff cap (`MAX_BACKOFF`), ≈14.5 ms after the first send.
 pub const MAX_RETRIES: u32 = 12;
 
 /// Delayed-ack window (TCP-style): after the first unacknowledged delivery

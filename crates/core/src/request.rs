@@ -4,7 +4,7 @@
 //! Requests are specialized at creation as epoch-opening (dummy, completed
 //! immediately — the paper's rule for all nonblocking epoch-opening
 //! routines), epoch-closing, flush, communication (request-based RMA),
-//! two-sided, or barrier requests. The handle is a [`Slab`] key, which makes
+//! two-sided, or barrier requests. The handle is a `Slab` key, which makes
 //! stale handles detectable.
 //!
 //! The request is also what a rank blocks on: a pending request records the

@@ -79,7 +79,7 @@ impl<R> JobReport<R> {
         let total: f64 = self
             .ranks
             .iter()
-            .map(|r| r.mpi_time.as_secs_f64())
+            .map(|r| r.mpi_time().as_secs_f64())
             .sum::<f64>();
         total / (self.ranks.len() as f64 * self.final_time.as_secs_f64())
     }
@@ -130,6 +130,8 @@ where
         sim.spawn(format!("rank{r}"), move |ctx| {
             let mut env = RankEnv::new(ctx, eng, Rank(r));
             slots[r].set(Some(f(&mut env)));
+            let s = env.stats();
+            debug_assert_eq!(s.compute_time + s.mpi_time(), env.now(), "rank {r}'s time ledger");
         });
     }
     let stats = sim.run()?;

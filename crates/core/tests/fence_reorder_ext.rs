@@ -144,3 +144,37 @@ fn lock_all_remains_excluded_even_with_everything_on() {
     })
     .unwrap();
 }
+
+#[test]
+fn flags_never_apply_across_fence() {
+    // §VI.B: reorder flags are ignored when either adjacent epoch is a
+    // fence. A GATS access epoch opened after an incomplete fence epoch
+    // must stay deferred even with every flag on.
+    run_job(JobConfig::all_internode(2), |env| {
+        let win = env.win_allocate_with(64, WinInfo::all_reorder()).unwrap();
+        env.fence(win).unwrap();
+        if env.rank().idx() == 0 {
+            env.put(win, Rank(1), 0, &[3u8; 8]).unwrap();
+        }
+        // Close the fence epoch nonblockingly, then immediately try a GATS
+        // epoch: it must wait for the fence's barrier semantics (so the
+        // data below can never overtake the fence data).
+        let rf = env.ifence(win).unwrap();
+        if env.rank().idx() == 0 {
+            env.start(win, Group::single(Rank(1))).unwrap();
+            env.put(win, Rank(1), 0, &[4u8; 8]).unwrap();
+            let rc = env.icomplete(win).unwrap();
+            env.wait(rf).unwrap();
+            env.wait(rc).unwrap();
+        } else {
+            env.post(win, Group::single(Rank(0))).unwrap();
+            env.wait_epoch(win).unwrap();
+            env.wait(rf).unwrap();
+            assert_eq!(env.read_local(win, 0, 8).unwrap(), vec![4u8; 8]);
+        }
+        // Drain the trailing fence epoch.
+        env.fence(win).unwrap();
+        env.win_free(win).unwrap();
+    })
+    .unwrap();
+}

@@ -8,7 +8,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 use std::thread;
 
-use mpisim_core::{run_job, Engine, Group, JobConfig, LockKind, Rank};
+use mpisim_core::{run_job, Engine, Group, JobConfig, LockKind, Rank, RankStats, CALL_ENTRY, PER_OP};
 use mpisim_sim::{SimError, SimTime};
 
 /// Rank `r` of `n` computes `(n - r) × 10 µs`, so the ranks finish in
@@ -55,6 +55,46 @@ fn a_deadlocked_job_is_an_error() {
 #[test]
 fn a_rerun_returns_identical_results() {
     assert_eq!(reverse_finishers(6), reverse_finishers(6));
+}
+
+/// The time ledger on a late post: rank 1 computes 100 µs before posting,
+/// so rank 0's blocking `complete` parks until the grant arrives. Each
+/// rank's ledger counts its calls, ops and parks exactly, its parts sum to
+/// its clock, and the engine's blocking totals are the ledgers' sums.
+#[test]
+fn the_ledger_accounts_every_nanosecond_of_a_late_post() {
+    let report = run_job(JobConfig::all_internode(2), |env| {
+        let win = env.win_allocate(8).unwrap();
+        if env.rank().idx() == 0 {
+            env.start(win, Group::single(Rank(1))).unwrap();
+            env.put(win, Rank(1), 0, &[7; 8]).unwrap();
+            let before = env.stats().blocked;
+            env.complete(win).unwrap();
+            let waited = env.stats().blocked - before;
+            assert!(waited >= SimTime::from_micros(90), "complete parked only {waited:?}");
+        } else {
+            env.compute(SimTime::from_micros(100));
+            env.post(win, Group::single(Rank(0))).unwrap();
+            env.wait_epoch(win).unwrap();
+        }
+        env.win_free(win).unwrap();
+        (env.stats(), env.now())
+    })
+    .unwrap();
+    let stats: Vec<RankStats> = report.results.iter().map(|r| r.0).collect();
+    let got: Vec<_> = stats.iter().map(|s| (s.calls, s.ops, s.parks, s.compute_time)).collect();
+    // Rank 0: allocate + its barrier, start, put, complete, free + its
+    // barrier; it parks in both barriers and in `complete`. Rank 1: the
+    // same without start and put, and its closing barrier is complete at
+    // its wait.
+    assert_eq!(got, [(7, 1, 3, SimTime::ZERO), (6, 0, 2, SimTime::from_micros(100))]);
+    for (s, now) in &report.results {
+        assert_eq!(s.mpi_time(), CALL_ENTRY * s.calls + PER_OP * s.ops + s.blocked);
+        assert_eq!(s.compute_time + s.mpi_time(), *now);
+    }
+    let blocked_ns = stats.iter().map(|s| s.blocked.as_nanos()).sum::<u64>();
+    assert_eq!(report.engine.sync_blocked_steps, stats.iter().map(|s| s.parks).sum::<u64>());
+    assert_eq!(report.engine.sync_blocked_ns, blocked_ns);
 }
 
 

@@ -245,7 +245,7 @@ fn wait_all_is_one_mpi_call_and_free_when_empty() {
         env.wait_all(reqs.clone()).unwrap();
         let s1 = env.stats();
         assert_eq!(env.now() - t0, CALL_ENTRY);
-        assert_eq!(s1.mpi_time - s0.mpi_time, CALL_ENTRY);
+        assert_eq!(s1.mpi_time() - s0.mpi_time(), CALL_ENTRY);
         assert_eq!(s1.calls - s0.calls, 1);
         // All 256 were consumed.
         for r in reqs {
