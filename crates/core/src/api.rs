@@ -477,7 +477,7 @@ impl<'a> RankEnv<'a> {
         stride: usize,
         data: &[u8],
     ) -> RmaResult<()> {
-        if stride < blocklen || data.len() != count * blocklen {
+        if stride < blocklen || count.checked_mul(blocklen) != Some(data.len()) {
             return Err(RmaError::DatatypeMismatch {
                 detail: "vector layout: need stride ≥ blocklen and data = count × blocklen",
             });
@@ -544,17 +544,17 @@ impl<'a> RankEnv<'a> {
         blocklen: usize,
         stride: usize,
     ) -> RmaResult<Req> {
-        if stride < blocklen {
+        let Some(len) = count.checked_mul(blocklen).filter(|_| stride >= blocklen) else {
             return Err(RmaError::DatatypeMismatch {
-                detail: "vector layout: need stride ≥ blocklen",
+                detail: "vector layout: need stride ≥ blocklen and count × blocklen to fit",
             });
-        }
+        };
         self.rma(
             win,
             target,
             disp,
             OpKind::Get {
-                len: count * blocklen,
+                len,
                 layout: Layout::Vector { count, blocklen, stride },
             },
             true,

@@ -44,7 +44,9 @@ pub enum Layout {
 }
 
 impl Layout {
-    /// Total bytes the layout touches at the target, from its start.
+    /// Total bytes the layout touches at the target, from its start. An
+    /// extent past the address space saturates at `usize::MAX`, more than
+    /// any window holds, so the bounds check at issue refuses it.
     pub fn extent(&self, packed_len: usize) -> usize {
         match self {
             Layout::Contig => packed_len,
@@ -52,7 +54,7 @@ impl Layout {
                 if *count == 0 {
                     0
                 } else {
-                    (count - 1) * stride + blocklen
+                    (count - 1).saturating_mul(*stride).saturating_add(*blocklen)
                 }
             }
         }
@@ -666,6 +668,8 @@ mod layout_tests {
         // stride == blocklen degenerates to contiguous coverage
         let tight = Layout::Vector { count: 5, blocklen: 8, stride: 8 };
         assert_eq!(tight.extent(40), 40);
+        let past = Layout::Vector { count: 3, blocklen: 8, stride: usize::MAX / 2 + 1 };
+        assert_eq!(past.extent(24), usize::MAX);
     }
 
     /// A vector layout's extent always fits count disjoint blocks:

@@ -101,6 +101,21 @@ fn invalid_vector_layouts_rejected() {
         // data length mismatch
         assert!(env.put_strided(win, Rank(1), 0, 2, 8, 8, &[0; 15]).is_err());
         assert!(env.get_strided(win, Rank(1), 0, 2, 8, 4).is_err());
+        // count × blocklen or the extent past the address space: an
+        // error at the origin, not an overflow or a wrapped bounds check
+        let huge = usize::MAX / 2 + 1;
+        assert!(matches!(
+            env.put_strided(win, Rank(1), 0, 2, huge, huge, &[0; 16]).unwrap_err(),
+            RmaError::DatatypeMismatch { .. }
+        ));
+        assert!(matches!(
+            env.get_strided(win, Rank(1), 0, 2, huge, huge).unwrap_err(),
+            RmaError::DatatypeMismatch { .. }
+        ));
+        assert!(matches!(
+            env.get_strided(win, Rank(1), 0, 3, 8, huge).unwrap_err(),
+            RmaError::OutOfBounds { .. }
+        ));
         env.unlock(win, Rank(1)).unwrap();
         env.win_free(win).unwrap();
     })
