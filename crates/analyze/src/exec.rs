@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mpisim_core::{
     run_job, Datatype, Group, JobConfig, JobReport, LockKind, Rank, RankEnv, Req, RmaError,
-    RmaResult, SyncStrategy, WinId, WinInfo,
+    RmaResult, SyncStrategy, WinId,
 };
 use mpisim_sim::SimTime;
 
@@ -187,7 +187,7 @@ struct Walker<'a, 'e> {
 
 impl<'a, 'e> Walker<'a, 'e> {
     fn new(env: &'a RankEnv<'e>, p: &IrProgram) -> Self {
-        let info = if p.reorder { WinInfo::all_reorder() } else { WinInfo::default() };
+        let info = p.info();
         // `win_allocate_with` is collective, so sequential allocation
         // yields the same window ids on every rank.
         let wins = p

@@ -14,7 +14,7 @@
 //! [`IrProgram::windows`]; single-window programs use window `0`
 //! throughout (the [`IrProgram::new`] constructor allocates it).
 
-use mpisim_core::ReduceOp;
+use mpisim_core::{ReduceOp, WinInfo};
 
 /// Whether an epoch-closing (or epoch-opening) routine is the blocking or
 /// the nonblocking (`i`-prefixed) variant. Nonblocking variants return a
@@ -309,9 +309,8 @@ pub struct IrProgram {
     /// statements (bounds check for [`crate::Code::E010`]).
     pub windows: Vec<usize>,
     /// Window info reorder flags asserted: concurrently progressed epochs
-    /// may activate out of order. The analyses treat it as "any of the
-    /// four `*_REORDER` flags"; [`crate::exec`] allocates every window
-    /// with all four set (`WinInfo::all_reorder`).
+    /// may activate out of order. It sets all four `*_REORDER` flags of
+    /// the program's info ([`IrProgram::info`]).
     pub reorder: bool,
     /// The `unsafe_fence_reorder` extension: reorder flags additionally
     /// apply across fence epochs (never across `lock_all`; §VI.B, §X).
@@ -347,6 +346,15 @@ impl IrProgram {
             recovered: Vec::new(),
             ranks: vec![Vec::new(); n_ranks],
         }
+    }
+
+    /// The info every window of the program has: the static walk asks
+    /// §VI.B's rule ([`WinInfo::overlaps`]) under it, and [`crate::exec`]
+    /// allocates the windows with it, so the program analysed is the
+    /// program run.
+    pub fn info(&self) -> WinInfo {
+        let flags = if self.reorder { WinInfo::all_reorder() } else { WinInfo::default() };
+        WinInfo { unsafe_fence_reorder: self.unsafe_fence_reorder, ..flags }
     }
 
     /// Allocate an additional window of `bytes` bytes; returns its

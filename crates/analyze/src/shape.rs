@@ -402,8 +402,8 @@ struct WinOpen {
     /// The open epochs (indices into [`Resolved::epochs`]) by slot.
     open: OpenSet<usize>,
     region: usize,
-    /// The window's last access epoch never shares a region (see `open`).
-    prev_apart: bool,
+    /// The slot of the window's last access epoch.
+    last: Option<Slot>,
     /// A blocking close / wait happened since the last epoch open on this
     /// window: the next epoch cannot overlap anything before it.
     synced: bool,
@@ -465,22 +465,21 @@ impl<'a, 'p> Walk<'a, 'p> {
     }
 
     /// Record a new epoch on `win`. An access epoch advances the window's
-    /// reorder-concurrency region when it and its predecessor cannot
-    /// progress concurrently: reorder flags off, a blocking synchronization
-    /// between the opens, either side a `lock_all` epoch, or either side a
-    /// fence epoch without the `unsafe_fence_reorder` extension. A start
-    /// (post) is filed under each group member. The caller has checked
-    /// for an E005 clash: a refused open never gets here.
+    /// reorder-concurrency region unless it may progress beside the
+    /// window's last access epoch: no blocking synchronization between the
+    /// two opens, and §VI.B's rule under the program's info
+    /// ([`mpisim_core::WinInfo::overlaps`], the engine's) allows the pair.
+    /// A start (post) is filed under each group member. The caller has
+    /// checked for an E005 clash: a refused open never gets here.
     fn open(&mut self, win: usize, step: usize, kind: EpochKind<'p>) -> usize {
-        let e = self.out.epochs.len();
+        let (e, info) = (self.out.epochs.len(), self.p.info());
         let w = &mut self.wins[win];
         if !matches!(kind, EpochKind::Post { .. }) {
-            let apart = matches!(kind, EpochKind::LockAll)
-                || (matches!(kind, EpochKind::Fence { .. }) && !self.p.unsafe_fence_reorder);
-            if !self.p.reorder || w.synced || apart || w.prev_apart {
+            let next = kind.slot();
+            if w.synced || !w.last.is_some_and(|prev| info.overlaps(prev, next)) {
                 w.region += 1;
             }
-            w.prev_apart = apart;
+            w.last = Some(next);
             w.synced = false;
         }
         match kind {
@@ -572,13 +571,23 @@ impl<'a, 'p> Walk<'a, 'p> {
         }
     }
 
+    /// E002 for a call `name` whose target or group (`how` it names
+    /// them) holds a rank outside the job; `true` when one does. The
+    /// engine refuses such a call with `InvalidRank` before anything
+    /// happens: no epoch, no request.
+    fn outside_job(&mut self, step: usize, name: &str, how: &str, ranks: &[usize]) -> bool {
+        let n = self.p.n_ranks;
+        let Some(r) = ranks.iter().find(|&&r| r >= n) else { return false };
+        let detail = format!("{name} {how} rank {r} but the job has {n} ranks");
+        self.diag(Code::E002, Some(step), detail);
+        true
+    }
+
     fn access(&mut self, step: usize, t: Touch) {
         let Touch { op, win, target, disp, len, kind, val } = t;
         let name = op.name();
-        if target >= self.p.n_ranks {
-            let n = self.p.n_ranks;
-            let detail = format!("{name} targets rank {target} but the job has {n} ranks");
-            return self.diag(Code::E002, Some(step), detail);
+        if self.outside_job(step, name, "targets", &[target]) {
+            return;
         }
         let win_bytes = self.p.windows[win];
         let Some(hi) = disp.checked_add(len).filter(|&hi| hi <= win_bytes) else {
@@ -656,19 +665,20 @@ impl<'a, 'p> Walk<'a, 'p> {
                 self.out.at[step] = At::Fence { closes, opens };
             }
             Stmt::Start { win, ref group } => {
-                self.opening(step, win, EpochKind::Start { group }, None)
+                if !self.outside_job(step, "start", "group names", group) {
+                    self.opening(step, win, EpochKind::Start { group }, None)
+                }
             }
             Stmt::Post { win, ref group } => {
-                self.opening(step, win, EpochKind::Post { group }, None)
+                if !self.outside_job(step, "post", "group names", group) {
+                    self.opening(step, win, EpochKind::Post { group }, None)
+                }
             }
             Stmt::Lock { win, target, exclusive, nonblocking } => {
-                if target >= self.p.n_ranks {
-                    let n = self.p.n_ranks;
-                    let detail = format!("lock targets rank {target} but the job has {n} ranks");
-                    return self.diag(Code::E002, Some(step), detail);
+                if !self.outside_job(step, "lock", "targets", &[target]) {
+                    let kind = EpochKind::Lock { target, exclusive };
+                    self.opening(step, win, kind, nonblocking.then_some("ilock"));
                 }
-                let kind = EpochKind::Lock { target, exclusive };
-                self.opening(step, win, kind, nonblocking.then_some("ilock"));
             }
             Stmt::LockAll { win, nonblocking } => {
                 self.opening(step, win, EpochKind::LockAll, nonblocking.then_some("ilock_all"))

@@ -7,11 +7,11 @@
 //! at all for it.
 
 use mpisim_analyze::{
-    analyze, analyze_slack, detect_races_in, has_code, rewrite, Close, Code, FetchKind, IrProgram,
-    SlackClass, Stmt,
+    analyze, analyze_slack, detect_races_in, has_code, interpret, rewrite, Close, Code, FetchKind,
+    IrProgram, SlackClass, Stmt,
 };
 use mpisim_core::trace::{AccessKind, Plane, SyncEvent, TraceEvent, TraceRecord};
-use mpisim_core::{Rank, ReduceOp, WinId};
+use mpisim_core::{JobConfig, Rank, ReduceOp, WinId};
 
 const WIN: usize = 64;
 
@@ -253,6 +253,21 @@ fn e009_near_miss_no_reorder_flags() {
     p.reorder = false;
     p.unsafe_fence_reorder = false;
     assert_clean(&p);
+}
+
+/// E009's regions are the engine's activation rule, and the interpreter
+/// runs the program under the info the walk read: with the fence
+/// extension, the fence phases after a nonblocking fence activate while
+/// the phase before them still completes; without it, they wait.
+#[test]
+fn e009_regions_are_the_activation_rule_the_run_obeys() {
+    let deferred = |ext: bool| {
+        let mut p = reordered_fence_phases(8);
+        p.unsafe_fence_reorder = ext;
+        interpret(JobConfig::new(2), &p).unwrap().report.engine.epochs_deferred
+    };
+    let (with, without) = (deferred(true), deferred(false));
+    assert!(with < without, "epochs deferred: {with} with the extension, {without} without");
 }
 
 // ---------------------------------------------------------------- E010

@@ -5,6 +5,7 @@ use mpisim_net::NetParams;
 use mpisim_sim::SimTime;
 
 use crate::engine::Fault;
+use crate::epoch::{Side, Slot};
 
 /// Which RMA engine behaviour the job runs with.
 ///
@@ -79,6 +80,40 @@ impl WinInfo {
             access_after_access: true,
             ..WinInfo::default()
         }
+    }
+
+    /// The info the lazy baseline activates under (DESIGN.md §6, deviation
+    /// 3): it has no deferred-epoch queue, so a rank's access and exposure
+    /// epochs progress independently (MPI requires a process to be origin
+    /// and target at once), while same-side epochs never overlap under its
+    /// blocking calls. `lock_all` and fence epochs stay excluded.
+    pub(crate) const BASELINE: WinInfo = WinInfo {
+        access_after_access: false,
+        access_after_exposure: true,
+        exposure_after_exposure: false,
+        exposure_after_access: true,
+        unsafe_fence_reorder: false,
+    };
+
+    /// The §VI.B activation rule, for the engine and the static walk
+    /// alike: whether an epoch in slot `next` may progress while the epoch
+    /// before it, in `prev`, is still active. Never across a `lock_all`
+    /// epoch, nor across a fence epoch without `unsafe_fence_reorder`;
+    /// otherwise every (prev side, next side) pair the two slots span
+    /// needs its flag, a fence spanning both sides.
+    pub fn overlaps(&self, prev: Slot, next: Slot) -> bool {
+        let excluded =
+            |s: Slot| s == Slot::LockAll || (s == Slot::Fence && !self.unsafe_fence_reorder);
+        let spans = |s: Slot, side: Side| s.side() == side || s.side() == Side::Both;
+        let flags = [
+            (Side::Access, Side::Access, self.access_after_access),
+            (Side::Exposure, Side::Access, self.access_after_exposure),
+            (Side::Exposure, Side::Exposure, self.exposure_after_exposure),
+            (Side::Access, Side::Exposure, self.exposure_after_access),
+        ];
+        !excluded(prev)
+            && !excluded(next)
+            && flags.into_iter().all(|(p, n, flag)| flag || !(spans(prev, p) && spans(next, n)))
     }
 }
 
@@ -246,17 +281,49 @@ mod tests {
         c.injected();
     }
 
+    /// §VI.B's table under each info: a row is the slot of the active
+    /// epoch, a column the slot of the next one, in the order access,
+    /// lock, exposure, `lock_all`, fence; `x` marks a pair that may
+    /// overlap.
     #[test]
-    fn info_constructors() {
-        assert!(!WinInfo::default().access_after_access);
-        assert!(WinInfo::aaar().access_after_access);
-        assert!(!WinInfo::aaar().exposure_after_access);
-        let all = WinInfo::all_reorder();
-        assert!(
-            all.access_after_access
-                && all.access_after_exposure
-                && all.exposure_after_exposure
-                && all.exposure_after_access
-        );
+    fn the_reorder_rule_is_section_vi_b_table() {
+        use crate::types::Rank;
+        let slots =
+            [Slot::GatsAccess, Slot::Lock(Rank(1)), Slot::Exposure, Slot::LockAll, Slot::Fence];
+        let off = WinInfo::default();
+        let all_ext = WinInfo { unsafe_fence_reorder: true, ..WinInfo::all_reorder() };
+        let access_ext = WinInfo {
+            access_after_access: true,
+            access_after_exposure: true,
+            unsafe_fence_reorder: true,
+            ..off
+        };
+        let none = [".....", ".....", ".....", ".....", "....."];
+        #[rustfmt::skip]
+        let table: [(&str, WinInfo, [&str; 5]); 10] = [
+            ("no flag", off, none),
+            ("fence extension alone", WinInfo { unsafe_fence_reorder: true, ..off }, none),
+            ("A_A_A_R", WinInfo::aaar(), ["xx...", "xx...", ".....", ".....", "....."]),
+            ("A_A_E_R", WinInfo { access_after_exposure: true, ..off },
+                [".....", ".....", "xx...", ".....", "....."]),
+            ("E_A_E_R", WinInfo { exposure_after_exposure: true, ..off },
+                [".....", ".....", "..x..", ".....", "....."]),
+            ("E_A_A_R", WinInfo { exposure_after_access: true, ..off },
+                ["..x..", "..x..", ".....", ".....", "....."]),
+            ("all four", WinInfo::all_reorder(), ["xxx..", "xxx..", "xxx..", ".....", "....."]),
+            ("all four + fence extension", all_ext, ["xxx.x", "xxx.x", "xxx.x", ".....", "xxx.x"]),
+            ("access flags + fence extension", access_ext,
+                ["xx...", "xx...", "xx...", ".....", "xx..."]),
+            ("lazy baseline", WinInfo::BASELINE, ["..x..", "..x..", "xx...", ".....", "....."]),
+        ];
+        for (name, info, rows) in table {
+            for (prev, row) in slots.into_iter().zip(rows) {
+                let got: String = slots
+                    .into_iter()
+                    .map(|next| if info.overlaps(prev, next) { 'x' } else { '.' })
+                    .collect();
+                assert_eq!(got, row, "{name}: {prev:?} then each of {slots:?}");
+            }
+        }
     }
 }

@@ -9,10 +9,11 @@ use std::rc::Rc;
 
 use mpisim_net::Packet;
 
+use crate::config::WinInfo;
 use crate::engine::rel::Degradation;
 use crate::engine::watchdog::StallReport;
 use crate::engine::{EngState, Engine};
-use crate::epoch::{EpochKind, EpochObj, Side, Slot};
+use crate::epoch::{EpochKind, EpochObj, Slot};
 use crate::error::{RmaError, RmaResult};
 use crate::msg::{Body, SyncKind};
 use crate::request::ReqKind;
@@ -48,10 +49,7 @@ impl Engine {
                 }
                 EpochKind::LockAll | EpochKind::Fence { .. } => &[],
             };
-            if let Some(bad) = named.iter().find(|r| r.idx() >= self.cfg.n_ranks) {
-                return Err(RmaError::InvalidRank(bad.idx()));
-            }
-            st.api_win(win, rank)?.check_open(Some(kind.slot()))?;
+            self.api_win_toward(&st, win, rank, named)?.check_open(Some(kind.slot()))?;
             self.open_in(&mut st, rank, win, kind);
         }
         self.sweep(rank);
@@ -205,7 +203,9 @@ impl Engine {
     }
 
     /// The activation predicate: rule 4 of §VI.A (strictly serial
-    /// activation) relaxed by the §VI.B reorder flags.
+    /// activation) picks the epoch `id` follows, and the §VI.B rule,
+    /// [`WinInfo::overlaps`], decides whether `id` may progress while that
+    /// one is still active.
     ///
     /// A *dormant* fence epoch — open, never closed, and empty — is
     /// skipped when looking for the preceding epoch: it is the trailing
@@ -239,76 +239,26 @@ impl Engine {
             .rev()
             .filter(|p| p.id < id)
             .find(|p| !(p.is_dormant_fence() || skips_closed(p)));
-        match prev {
-            None => true,
-            Some(prev) => {
-                if !prev.is_active() {
-                    return false; // rule 4: epochs are never skipped
-                }
-                // MPI requires concurrently *open* lock epochs toward
-                // distinct targets to make progress (their per-pair
-                // matching chains are independent), so serializing behind a
-                // still-open lock epoch would deadlock a legal program.
-                // Once the preceding lock epoch is closed, though, rule 4
-                // applies: back-to-back lock epochs serialize unless
-                // A_A_A_R is set (the paper's Fig 8 behaviour).
-                if let (
-                    EpochKind::Lock { target: t1, .. },
-                    EpochKind::Lock { target: t2, .. },
-                ) = (&prev.kind, &e.kind)
-                {
-                    if t1 != t2 && !prev.is_closed() {
-                        return true;
-                    }
-                }
-                // The preceding epoch is active but incomplete.
-                if self.lazy() {
-                    // Vanilla-MVAPICH emulation: there is no deferred-epoch
-                    // queue in the baseline, so access and exposure epochs
-                    // of the same rank progress independently (MPI requires
-                    // a process to be origin and target at once). Same-side
-                    // serialization never arises under blocking calls.
-                    let cross = matches!(
-                        (prev.kind.side(), e.kind.side()),
-                        (Side::Access, Side::Exposure) | (Side::Exposure, Side::Access)
-                    );
-                    return cross
-                        && !prev.kind.excluded_from_reorder()
-                        && !e.kind.excluded_from_reorder();
-                }
-                // Redesigned engine: only the reorder flags permit
-                // concurrent progression, never across lock_all epochs,
-                // and across fence epochs only with the opt-in
-                // `unsafe_fence_reorder` extension (§VI.B, §X).
-                let excluded = |k: &EpochKind| match k {
-                    EpochKind::LockAll => true,
-                    EpochKind::Fence { .. } => !w.info.unsafe_fence_reorder,
-                    _ => false,
-                };
-                if excluded(&prev.kind) || excluded(&e.kind) {
-                    return false;
-                }
-                // A fence is both sides at once: the candidate needs the
-                // flag(s) covering every (prev side, candidate side) pair.
-                let flag = |ps: Side, cs: Side| match (ps, cs) {
-                    (Side::Access, Side::Access) => w.info.access_after_access,
-                    (Side::Exposure, Side::Access) => w.info.access_after_exposure,
-                    (Side::Exposure, Side::Exposure) => w.info.exposure_after_exposure,
-                    (Side::Access, Side::Exposure) => w.info.exposure_after_access,
-                    _ => unreachable!("Both is expanded before calling"),
-                };
-                let expand = |s: Side| -> &'static [Side] {
-                    match s {
-                        Side::Both => &[Side::Access, Side::Exposure],
-                        Side::Access => &[Side::Access],
-                        Side::Exposure => &[Side::Exposure],
-                    }
-                };
-                expand(prev.kind.side())
-                    .iter()
-                    .all(|ps| expand(e.kind.side()).iter().all(|cs| flag(*ps, *cs)))
-            }
+        let Some(prev) = prev else { return true };
+        if !prev.is_active() {
+            return false; // rule 4: epochs are never skipped
         }
+        let (before, next) = (prev.kind.slot(), e.kind.slot());
+        // MPI requires concurrently *open* lock epochs toward distinct
+        // targets to make progress (their per-pair matching chains are
+        // independent), so serializing behind a still-open lock epoch
+        // would deadlock a legal program. Once the preceding lock epoch is
+        // closed, though, rule 4 applies: back-to-back lock epochs
+        // serialize unless A_A_A_R is set (the paper's Fig 8 behaviour).
+        let distinct_locks = matches!((before, next), (Slot::Lock(t1), Slot::Lock(t2)) if t1 != t2);
+        if distinct_locks && !prev.is_closed() {
+            return true;
+        }
+        // The preceding epoch is active but incomplete: the §VI.B rule
+        // decides, under the window's info or, in the baseline, under the
+        // constant info that stands for its missing deferred-epoch queue.
+        let info = if self.lazy() { &WinInfo::BASELINE } else { &w.info };
+        info.overlaps(before, next)
     }
 
     /// Start an epoch's internal lifetime: assign access ids, send lock
@@ -497,7 +447,7 @@ impl Engine {
             .iter()
             .filter(|(o, exp)| w.omega.peer(**o).gats_done_recv < **exp)
             .count();
-        e.kind.side() != Side::Exposure || e.announce_left() as usize == owed
+        e.kind.slot() != Slot::Exposure || e.announce_left() as usize == owed
     }
 
     /// The finish edge — the one place an epoch's internal lifetime ends:

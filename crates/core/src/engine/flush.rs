@@ -35,10 +35,7 @@ impl Engine {
     ) -> RmaResult<Req> {
         let req = {
             let mut st = self.st.borrow_mut();
-            if let Some(t) = target.filter(|t| t.idx() >= self.cfg.n_ranks) {
-                return Err(RmaError::InvalidRank(t.idx()));
-            }
-            let w = st.api_win(win, rank)?;
+            let w = self.api_win_toward(&st, win, rank, target.as_slice())?;
             let epochs = w.open.flushed(target);
             if epochs.is_empty() {
                 return Err(RmaError::NotPassiveEpoch);

@@ -600,6 +600,26 @@ impl Engine {
         self.cfg.strategy == SyncStrategy::LazyBaseline
     }
 
+    /// The window lookup of an application call that names `peers` (a
+    /// lock target, a GATS group, an RMA or flush target): each must be a
+    /// rank of the job, and must still hold its side of the window, since
+    /// a lock, match or operation toward a freed side would wait forever.
+    pub(crate) fn api_win_toward<'s>(
+        &self,
+        st: &'s EngState,
+        win: WinId,
+        rank: Rank,
+        peers: &[Rank],
+    ) -> RmaResult<&'s WinRank> {
+        if let Some(bad) = peers.iter().find(|r| r.idx() >= self.cfg.n_ranks) {
+            return Err(RmaError::InvalidRank(bad.idx()));
+        }
+        if peers.iter().any(|&p| st.try_win(win, p).is_none()) {
+            return Err(RmaError::InvalidWindow(win));
+        }
+        st.api_win(win, rank)
+    }
+
     /// Per-rank statistics snapshot.
     pub fn rank_stats(&self, r: Rank) -> RankStats {
         self.st.borrow().stats[r.idx()]

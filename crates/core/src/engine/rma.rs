@@ -40,10 +40,7 @@ impl Engine {
     ) -> RmaResult<Option<Req>> {
         let req = {
             let mut st = self.st.borrow_mut();
-            if target.idx() >= self.cfg.n_ranks {
-                return Err(RmaError::InvalidRank(target.idx()));
-            }
-            st.api_win(win, rank)?;
+            self.api_win_toward(&st, win, rank, &[target])?;
             // Validate element sizes early (API-level error).
             if let OpKind::Acc { dt, payload, .. } = &kind {
                 dt.check_len(payload.len())?;
@@ -72,11 +69,10 @@ impl Engine {
             let covering = w.open.covering(target, |id| w.epoch(*id).covers_target(target));
             let eid = *covering.ok_or(RmaError::NoEpoch { win, target })?;
             // An erroneous range is the caller's error here, not a panic in
-            // the target's sweep when the op arrives. A target that already
-            // freed its side has no range to hold the op to.
+            // the target's sweep when the op arrives.
             let (len, layout) = kind.shape();
             let extent = layout.extent(len);
-            let room = st.try_win(win, target).map_or(usize::MAX, |t| t.mem.len());
+            let room = st.win(win, target).mem.len();
             if disp.checked_add(extent).is_none_or(|end| end > room) {
                 return Err(RmaError::OutOfBounds { win, target, disp, len: extent });
             }

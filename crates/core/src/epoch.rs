@@ -50,7 +50,7 @@ pub enum EpochKind {
 }
 
 /// Which side of a communication an epoch represents, for the reorder-flag
-/// predicate of §VI.B.
+/// predicate of §VI.B ([`crate::WinInfo::overlaps`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Side {
     /// Origin side (access).
@@ -62,24 +62,6 @@ pub enum Side {
 }
 
 impl EpochKind {
-    /// The epoch's side.
-    pub fn side(&self) -> Side {
-        match self {
-            EpochKind::GatsAccess { .. } | EpochKind::Lock { .. } | EpochKind::LockAll => {
-                Side::Access
-            }
-            EpochKind::GatsExposure { .. } => Side::Exposure,
-            EpochKind::Fence { .. } => Side::Both,
-        }
-    }
-
-    /// Whether the reorder flags are forbidden across this epoch (§VI.B:
-    /// flags never apply when either adjacent epoch is `lock_all` or
-    /// fence-based).
-    pub fn excluded_from_reorder(&self) -> bool {
-        matches!(self, EpochKind::LockAll | EpochKind::Fence { .. })
-    }
-
     /// Whether this is a passive-target epoch (flushes allowed).
     pub fn is_passive(&self) -> bool {
         matches!(self, EpochKind::Lock { .. } | EpochKind::LockAll)
@@ -141,6 +123,15 @@ impl Slot {
             Slot::Lock(_) => ("lock", "unlock"),
             Slot::LockAll => ("lock_all", "unlock_all"),
             Slot::Fence => ("fence", "fence"),
+        }
+    }
+
+    /// The side of a communication an epoch in this slot represents.
+    pub fn side(self) -> Side {
+        match self {
+            Slot::GatsAccess | Slot::Lock(_) | Slot::LockAll => Side::Access,
+            Slot::Exposure => Side::Exposure,
+            Slot::Fence => Side::Both,
         }
     }
 
@@ -730,7 +721,7 @@ impl EpochObj {
         for (_, op) in self.live_ops.iter().filter(|(_, o)| !o.done()) {
             *blocking.entry(op.target).or_default() += 1;
         }
-        (self.kind.side() == Side::Exposure || self.announce_left == count(&|t| !t.announced))
+        (self.kind.slot() == Slot::Exposure || self.announce_left == count(&|t| !t.announced))
             && self.ungranted_inter == count(&|t| !t.granted && t.internode)
             && self.ungranted_intra == count(&|t| !t.granted && !t.internode)
             && self.ready.len() as u32 == count(&|t| t.queued)
@@ -774,26 +765,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sides_and_exclusions() {
-        let acc = EpochKind::GatsAccess {
-            group: Group::new([1]),
-        };
-        assert_eq!(acc.side(), Side::Access);
-        assert!(!acc.excluded_from_reorder());
-        let exp = EpochKind::GatsExposure {
-            group: Group::new([0]),
-        };
-        assert_eq!(exp.side(), Side::Exposure);
-        assert!(EpochKind::LockAll.excluded_from_reorder());
-        assert!(EpochKind::Fence { seq: 1 }.excluded_from_reorder());
-        assert_eq!(EpochKind::Fence { seq: 1 }.side(), Side::Both);
+    fn passive_kinds() {
         assert!(EpochKind::Lock {
             target: Rank(0),
             lock: LockKind::Shared
         }
         .is_passive());
         assert!(EpochKind::LockAll.is_passive());
-        assert!(!acc.is_passive());
+        assert!(!EpochKind::GatsAccess {
+            group: Group::new([1]),
+        }
+        .is_passive());
     }
 
     #[test]

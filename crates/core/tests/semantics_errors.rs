@@ -350,6 +350,49 @@ fn invalid_rank_and_window_rejected() {
     assert!(report.is_clean(), "{:?}", report.degradations);
 }
 
+/// A peer that freed its side of a window cannot be named any more: a
+/// lock, a GATS group, an RMA or a flush toward it answers
+/// `InvalidWindow` at the call, where it used to be accepted and then
+/// wait forever for a grant or an acknowledgement that could not come.
+#[test]
+fn calls_toward_a_freed_side_are_invalid_window() {
+    const NAMES_PEER: [&str; 10] = [
+        "start", "istart", "post", "ipost", "lock", "ilock", "flush", "iflush", "flush_local",
+        "iflush_local",
+    ];
+    let report = run_job(JobConfig::all_internode(2), |env| {
+        let win = env.win_allocate(8).unwrap();
+        if env.rank().idx() == 1 {
+            env.win_free(win).unwrap();
+            env.barrier().unwrap();
+            return;
+        }
+        // Match the barrier inside rank 1's `win_free`, then let the free
+        // itself happen.
+        env.barrier().unwrap();
+        env.compute(SimTime::from_micros(1));
+        assert_eq!(env.lock(win, Rank(1), LockKind::Shared), Err(RmaError::InvalidWindow(win)));
+        assert_eq!(env.put(win, Rank(1), 1 << 40, &[1; 8]), Err(RmaError::InvalidWindow(win)));
+        assert!(matches!(env.unlock(win, Rank(1)), Err(RmaError::EpochMismatch { .. })));
+        // Every routine that names rank 1, the RMA calls from `put` on.
+        let ops = WIN_CALLS.iter().skip_while(|(routine, _)| *routine != "put");
+        for (routine, call) in WIN_CALLS.iter().filter(|(r, _)| NAMES_PEER.contains(r)).chain(ops) {
+            match call(env, win) {
+                Some(RmaError::InvalidWindow(w)) if w == win => {}
+                other => panic!("{routine} toward a freed side: {other:?}"),
+            }
+        }
+        // This rank's own side is intact.
+        env.lock(win, Rank(0), LockKind::Shared).unwrap();
+        env.put(win, Rank(0), 0, &[7]).unwrap();
+        env.unlock(win, Rank(0)).unwrap();
+        env.barrier().unwrap();
+    })
+    .unwrap();
+    assert_eq!(report.live_requests, 0);
+    assert!(report.is_clean(), "{:?}", report.degradations);
+}
+
 #[test]
 fn datatype_mismatch_rejected() {
     run_job(JobConfig::all_internode(2), |env| {

@@ -405,6 +405,21 @@ const ROWS: &[Row] = &[
         files: &[ALL_CRATES], rule: Exactly(1, &[word("fn excludes")]),
         plant: Insert("crates/analyze/src/shape.rs", "fn clashes(",
             "        fn excludes(a: Slot, b: Slot) -> bool { a == b }") },
+    Row { name: "One reorder rule", section: "§4.5",
+        why: "§VI.B's flags are read by `WinInfo::overlaps` alone; the engine, the baseline and the walk ask it",
+        files: &["crates/*/src/**"],
+        rule: OnlyIn(&[lit(".access_after_access"), lit(".access_after_exposure"), lit(".exposure_after_exposure"),
+            lit(".exposure_after_access"), lit(".unsafe_fence_reorder")],
+            &["crates/core/src/config.rs:pub fn overlaps", "crates/analyze/src/ir.rs:pub fn info",
+            "crates/analyze/src/corpus.rs:pub fn catalog_cases"]),
+        plant: Insert("crates/core/src/engine/epochs.rs", "let Some(prev) = prev else { return true };",
+            "        let aaar = w.info.access_after_access;") },
+    Row { name: "The interpreter allocates with the IR's info", section: "§8.1",
+        why: "the program analysed is the program run: windows get `IrProgram::info`, flags and fence extension alike",
+        files: &["crates/analyze/src/**"],
+        rule: OnlyIn(&[lit("WinInfo::all_reorder")], &["crates/analyze/src/ir.rs:pub fn info"]),
+        plant: Insert("crates/analyze/src/exec.rs", "let info = p.info();",
+            "        let info = if p.reorder { WinInfo::all_reorder() } else { info };") },
 ];
 
 /// What the rules read: every file under the source roots by its path
