@@ -2,8 +2,9 @@
 //! size, for two matrix sizes and the three series.
 
 use mpisim_apps::{run_lu, LuConfig, LuMode, LuSync};
-use mpisim_core::{JobConfig, SyncStrategy};
+use mpisim_core::JobConfig;
 
+use crate::series::Series;
 use crate::table::Table;
 
 /// Harness scale.
@@ -56,27 +57,19 @@ impl Fig13Opts {
     }
 }
 
-fn series() -> Vec<(&'static str, SyncStrategy, LuSync)> {
-    vec![
-        ("MVAPICH", SyncStrategy::LazyBaseline, LuSync::Blocking),
-        ("New", SyncStrategy::Redesigned, LuSync::Blocking),
-        ("New nonblocking", SyncStrategy::Redesigned, LuSync::Nonblocking),
-    ]
-}
-
 /// Run one matrix size; returns (overall-time table in seconds, comm-% table),
 /// i.e. the (a)/(c) and (b)/(d) panels of Fig 13.
 pub fn run_matrix(opts: &Fig13Opts, m: usize) -> (Table, Table) {
     let mut times = Table::new(
         format!("Fig 13 — LU overall time; matrix {m} x {m}"),
         "processes",
-        series().iter().map(|s| s.0.to_string()).collect(),
+        Series::labels(),
         "seconds (virtual)",
     );
     let mut comm = Table::new(
         format!("Fig 13 — LU communication time share; matrix {m} x {m}"),
         "processes",
-        series().iter().map(|s| s.0.to_string()).collect(),
+        Series::labels(),
         "% of overall time",
     );
     for &n in &opts.job_sizes {
@@ -85,9 +78,10 @@ pub fn run_matrix(opts: &Fig13Opts, m: usize) -> (Table, Table) {
         }
         let mut trow = Vec::new();
         let mut crow = Vec::new();
-        for (_, strategy, sync) in series() {
-            let mut job = JobConfig::new(n).with_strategy(strategy);
+        for series in Series::ALL {
+            let mut job = JobConfig::new(n).with_strategy(series.strategy());
             job.cores_per_node = opts.cores_per_node;
+            let sync = if series.nonblocking() { LuSync::Nonblocking } else { LuSync::Blocking };
             let cfg = LuConfig {
                 m,
                 mode: LuMode::Modeled,

@@ -33,14 +33,19 @@ impl Series {
         Series::ALL.iter().map(|s| s.label().to_string()).collect()
     }
 
+    /// The engine strategy the series runs: the lazy baseline for
+    /// MVAPICH, the redesigned engine for both new series.
+    pub fn strategy(self) -> SyncStrategy {
+        match self {
+            Series::Mvapich => SyncStrategy::LazyBaseline,
+            Series::New | Series::NewNb => SyncStrategy::Redesigned,
+        }
+    }
+
     /// Job configuration for a microbenchmark of `n` ranks (one rank per
     /// node, like the paper's internode microbenchmarks).
     pub fn job(self, n: usize) -> JobConfig {
-        let strategy = match self {
-            Series::Mvapich => SyncStrategy::LazyBaseline,
-            _ => SyncStrategy::Redesigned,
-        };
-        JobConfig::all_internode(n).with_strategy(strategy)
+        JobConfig::all_internode(n).with_strategy(self.strategy())
     }
 
     /// Whether this series drives epochs through the nonblocking API.
@@ -61,6 +66,7 @@ mod tests {
             SyncStrategy::LazyBaseline
         );
         assert_eq!(Series::New.job(2).strategy, SyncStrategy::Redesigned);
+        assert_eq!(Series::NewNb.strategy(), SyncStrategy::Redesigned);
         assert!(Series::NewNb.nonblocking());
         assert!(!Series::New.nonblocking());
     }

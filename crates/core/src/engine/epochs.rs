@@ -42,14 +42,15 @@ impl Engine {
     pub fn open_epoch(self: &Rc<Self>, rank: Rank, win: WinId, kind: EpochKind) -> RmaResult<()> {
         {
             let mut st = self.st.borrow_mut();
-            let named = match &kind {
-                EpochKind::Lock { target, .. } => std::slice::from_ref(target),
+            let peers = match &kind {
+                EpochKind::Lock { target, .. } => Some(std::slice::from_ref(target)),
                 EpochKind::GatsAccess { group } | EpochKind::GatsExposure { group } => {
-                    group.ranks()
+                    Some(group.ranks())
                 }
-                EpochKind::LockAll | EpochKind::Fence { .. } => &[],
+                // Every rank.
+                EpochKind::LockAll | EpochKind::Fence { .. } => None,
             };
-            self.api_win_toward(&st, win, rank, named)?.check_open(Some(kind.slot()))?;
+            self.api_win(&st, win, rank, peers)?.check_open(Some(kind.slot()))?;
             self.open_in(&mut st, rank, win, kind);
         }
         self.sweep(rank);
@@ -63,7 +64,7 @@ impl Engine {
     pub fn close_epoch(self: &Rc<Self>, rank: Rank, win: WinId, slot: Slot) -> RmaResult<Req> {
         let req = {
             let mut st = self.st.borrow_mut();
-            st.api_win(win, rank)?;
+            self.api_win(&st, win, rank, Some(&[]))?;
             self.close_in(&mut st, rank, win, slot)?
         };
         self.sweep(rank);
@@ -76,7 +77,7 @@ impl Engine {
     pub fn fence(self: &Rc<Self>, rank: Rank, win: WinId) -> RmaResult<Req> {
         let req = {
             let mut st = self.st.borrow_mut();
-            let w = st.api_win(win, rank)?;
+            let w = self.api_win(&st, win, rank, None)?; // names every rank
             w.check_open(Some(Slot::Fence))?;
             let req = if w.open.get(Slot::Fence).is_some() {
                 self.close_in(&mut st, rank, win, Slot::Fence)?
@@ -154,7 +155,7 @@ impl Engine {
     pub fn test_exposure(self: &Rc<Self>, rank: Rank, win: WinId) -> RmaResult<bool> {
         {
             let st = self.st.borrow();
-            let w = st.api_win(win, rank)?;
+            let w = self.api_win(&st, win, rank, Some(&[]))?;
             let id = *w
                 .open
                 .get(Slot::Exposure)
@@ -184,10 +185,9 @@ impl Engine {
         st.eng_stats.activation_scans += 1;
         // Index walk over the queue (re-borrowed each iteration) instead of
         // a snapshot: activation neither opens nor retires an epoch, so the
-        // walk is stable and allocation-free. A freed window (see
-        // `EngState::try_win`) has nothing to scan.
+        // walk is stable and allocation-free.
         let mut i = 0;
-        while let Some(e) = st.try_win(win, rank).and_then(|w| w.epochs.iter().nth(i)) {
+        while let Some(e) = st.win(win, rank).epochs.iter().nth(i) {
             i += 1;
             if e.is_active() {
                 continue;
@@ -361,8 +361,7 @@ impl Engine {
         win: WinId,
         id: EpochId,
     ) {
-        // Tolerate a freed window (late post-free sweeps, see
-        // `activation_scan`) and an already-retired epoch.
+        // A work-list entry can outlive its epoch.
         let Some(e) = st.live_epoch(win, rank, id).filter(|e| e.is_active()) else {
             return;
         };

@@ -35,7 +35,7 @@ impl Engine {
     ) -> RmaResult<Req> {
         let req = {
             let mut st = self.st.borrow_mut();
-            let w = self.api_win_toward(&st, win, rank, target.as_slice())?;
+            let w = self.api_win(&st, win, rank, target.as_ref().map(std::slice::from_ref))?;
             let epochs = w.open.flushed(target);
             if epochs.is_empty() {
                 return Err(RmaError::NotPassiveEpoch);

@@ -32,13 +32,7 @@ impl Engine {
         access_id: u64,
         kind: LockKind,
     ) {
-        // Late arrival for a freed window: a retransmit-delayed frame can
-        // land after the final barrier let this rank free the window (the
-        // origin is nonblocking and has already moved on). The lock state
-        // is gone and nothing can ever wait on the grant — drop it.
-        let Some(w) = st.try_win_mut(win, me) else {
-            return;
-        };
+        let w = st.win_mut(win, me);
         debug_assert!(
             w.omega.peer(origin).grants.gl_sent < access_id,
             "stale lock request id"
@@ -73,23 +67,14 @@ impl Engine {
     /// every backlogged window until quiescent.
     pub(crate) fn pump_lock_backlog(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
         while let Some((win, origin)) = st.sweep[rank.idx()].pending_unlocks.pop_front() {
-            // Freed window (see `handle_lock_req`): a retransmit-delayed
-            // unlock whose release is moot — the origin already completed.
-            let Some(w) = st.try_win_mut(win, rank) else {
-                continue;
-            };
-            w.lock_mgr.release(origin);
+            st.win_mut(win, rank).lock_mgr.release(origin);
             st.eng_stats.unlocks_applied += 1;
             // A release may make any queued request admissible.
             st.mark_lock_backlog(rank, win);
         }
         let pumps = st.drain(
             |st| &mut st.sweep[rank.idx()].lock_backlog,
-            |st, win| {
-                if st.try_win(win, rank).is_some() {
-                    self.pump_window_grants(st, rank, win);
-                }
-            },
+            |st, win| self.pump_window_grants(st, rank, win),
         );
         st.eng_stats.grant_pumps += pumps;
     }

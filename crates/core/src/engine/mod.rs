@@ -451,33 +451,23 @@ pub(crate) struct EngState {
 
 impl EngState {
     /// `r`'s side of `w`, unless `w` was never allocated or `r` freed its
-    /// side already. For the paths that late traffic can reach after the
-    /// free: with the reliability sublayer on, re-acks and retransmits still
-    /// trigger sweeps, and `win_free` itself marks the activation list.
-    pub(crate) fn try_win(&self, w: WinId, r: Rank) -> Option<&WinRank> {
+    /// side already. Asked only in this module: by [`Engine::api_win`] at
+    /// the call, by `dispatch_body` at delivery, and by the lookups below.
+    fn try_win(&self, w: WinId, r: Rank) -> Option<&WinRank> {
         self.wins.get(w.0 as usize)?.per_rank[r.idx()].as_ref()
     }
 
-    /// Mutable form of [`EngState::try_win`].
-    pub(crate) fn try_win_mut(&mut self, w: WinId, r: Rank) -> Option<&mut WinRank> {
-        self.wins.get_mut(w.0 as usize)?.per_rank[r.idx()].as_mut()
-    }
-
-    /// The window lookup of an application call: a `WinId` the caller made
-    /// up, or one whose window it freed, is its error to handle.
-    pub(crate) fn api_win(&self, w: WinId, r: Rank) -> RmaResult<&WinRank> {
-        self.try_win(w, r).ok_or(RmaError::InvalidWindow(w))
-    }
-
-    /// A window side the protocol says is there: messages name windows
-    /// their sender synchronised on.
+    /// `r`'s side of `w`, which exists: an application call reaches the
+    /// engine past [`Engine::api_win`], `dispatch_body` drops every frame
+    /// for a missing side, and `win_free` takes the window off the rank's
+    /// per-window work lists, so nothing else can name a side that is gone.
     pub(crate) fn win(&self, w: WinId, r: Rank) -> &WinRank {
         self.try_win(w, r).expect("window not created at this rank")
     }
 
     /// Mutable form of [`EngState::win`].
     pub(crate) fn win_mut(&mut self, w: WinId, r: Rank) -> &mut WinRank {
-        self.try_win_mut(w, r).expect("window not created at this rank")
+        self.wins[w.0 as usize].per_rank[r.idx()].as_mut().expect("window not created at this rank")
     }
 
     /// The epoch `id` of `r`'s side of `w`, unless it retired (ids are never
@@ -600,24 +590,33 @@ impl Engine {
         self.cfg.strategy == SyncStrategy::LazyBaseline
     }
 
-    /// The window lookup of an application call that names `peers` (a
-    /// lock target, a GATS group, an RMA or flush target): each must be a
-    /// rank of the job, and must still hold its side of the window, since
-    /// a lock, match or operation toward a freed side would wait forever.
-    pub(crate) fn api_win_toward<'s>(
+    /// The window lookup of every application call that takes a `WinId`.
+    /// `peers` are the ranks the call names besides the caller: a lock
+    /// target, a GATS group, an RMA or flush target, none (`Some(&[])`)
+    /// for a call on the caller's side only, and `None` for a call that
+    /// names every rank (fence, `lock_all`, the `flush_all` family). The
+    /// named ranks must be in the job (`InvalidRank`), and the caller's
+    /// side and every named side must exist (`InvalidWindow`). A made-up
+    /// id, a side the caller freed, and a side a named peer freed or never
+    /// created (its creation was refused) are the caller's error: a lock,
+    /// match or operation toward a missing side would wait forever.
+    pub(crate) fn api_win<'s>(
         &self,
         st: &'s EngState,
         win: WinId,
         rank: Rank,
-        peers: &[Rank],
+        peers: Option<&[Rank]>,
     ) -> RmaResult<&'s WinRank> {
-        if let Some(bad) = peers.iter().find(|r| r.idx() >= self.cfg.n_ranks) {
-            return Err(RmaError::InvalidRank(bad.idx()));
-        }
-        if peers.iter().any(|&p| st.try_win(win, p).is_none()) {
-            return Err(RmaError::InvalidWindow(win));
-        }
-        st.api_win(win, rank)
+        let gone = match peers {
+            Some(peers) => {
+                if let Some(bad) = peers.iter().find(|r| r.idx() >= self.cfg.n_ranks) {
+                    return Err(RmaError::InvalidRank(bad.idx()));
+                }
+                peers.iter().any(|&p| st.try_win(win, p).is_none())
+            }
+            None => (0..self.cfg.n_ranks).any(|p| st.try_win(win, Rank(p)).is_none()),
+        };
+        st.try_win(win, rank).filter(|_| !gone).ok_or(RmaError::InvalidWindow(win))
     }
 
     /// Per-rank statistics snapshot.
@@ -766,7 +765,7 @@ impl Engine {
     pub fn win_free(self: &Rc<Self>, rank: Rank, win: WinId) -> RmaResult<()> {
         let mut st = self.st.borrow_mut();
         // No later fence call can close a dormant trailing fence any more.
-        let w = st.api_win(win, rank)?;
+        let w = self.api_win(&st, win, rank, Some(&[]))?;
         let fence = w.open.get(Slot::Fence).copied();
         if let Some(id) = fence.filter(|id| w.epoch(*id).is_dormant_fence()) {
             self.finish_epoch(&mut st, rank, win, id, Outcome::DormantRetired);
@@ -779,14 +778,24 @@ impl Engine {
             w.fences.keys().collect::<Vec<_>>()
         );
         st.wins[win.0 as usize].per_rank[rank.idx()] = None;
+        // No step may run on the side any more, and `dispatch_body` keeps
+        // anything new from being marked for it. The per-epoch lists need
+        // no purge: their steps ask `live_epoch`, which the side's epochs
+        // fail now.
+        let sw = &mut st.sweep[rank.idx()];
+        sw.act_dirty.retain(|&w| w != win);
+        sw.lock_backlog.retain(|&w| w != win);
+        sw.pending_unlocks.retain(|&(w, _)| w != win);
+        sw.fifo_pending.retain(|&(w, _)| w != win);
         Ok(())
     }
 
     /// Number of per-sequence fence records `rank`'s side of `win` holds:
     /// one per fence epoch still in flight (or announced by a peer ahead of
-    /// the local fence call), none once they have all retired.
+    /// the local fence call), none once they have all retired. A side that
+    /// does not exist — never allocated, or freed — holds none either.
     pub fn fence_records(&self, rank: Rank, win: WinId) -> usize {
-        self.st.borrow().win(win, rank).fences.len()
+        self.api_win(&self.st.borrow(), win, rank, Some(&[])).map_or(0, |w| w.fences.len())
     }
 
     /// Local load from the window copy.
@@ -798,7 +807,7 @@ impl Engine {
         len: usize,
     ) -> RmaResult<Vec<u8>> {
         let mut st = self.st.borrow_mut();
-        st.api_win(win, rank)?;
+        self.api_win(&st, win, rank, Some(&[]))?;
         self.freshen_crashed_mem(&mut st, rank, win);
         let w = st.win(win, rank);
         let Some(end) = disp.checked_add(len).filter(|&end| end <= w.mem.len()) else {
@@ -821,7 +830,7 @@ impl Engine {
         data: &[u8],
     ) -> RmaResult<()> {
         let mut st = self.st.borrow_mut();
-        st.api_win(win, rank)?;
+        self.api_win(&st, win, rank, Some(&[]))?;
         self.freshen_crashed_mem(&mut st, rank, win);
         let w = st.win_mut(win, rank);
         let Some(end) = disp.checked_add(data.len()).filter(|&end| end <= w.mem.len()) else {
@@ -856,6 +865,19 @@ impl Engine {
     /// delivery queue (sweep step 5) can re-enter it for unwrapped frames.
     pub(crate) fn dispatch_body(self: &Rc<Self>, st: &mut EngState, dst: Rank, src: Rank, body: Body) {
         match body {
+            // ---- the one delivery gate ----
+            // A frame for a window side its destination does not hold
+            // (freed, or never created) is dropped, whatever its kind: only
+            // a mismatched collective or a frame that outlived the final
+            // barrier (a retransmit, a full ring's retry) can carry one.
+            // The drop keeps the engine from panicking; it does not answer
+            // the frame, so after a mismatched free an origin that waits
+            // for its ops' acks still waits, and the job can end in a
+            // reported `SimError::Deadlock`.
+            Body::Op { win, .. } | Body::FenceDone { win, .. } | Body::Fifo64 { win, .. }
+            | Body::Fifo64Batch { win, .. } | Body::Sync(SyncPacket { win, .. })
+                if st.try_win(win, dst).is_none() => {}
+
             // ---- reliability sublayer ----
             Body::Rel { seq, checksum, inner } => {
                 self.rel_receive(st, dst, src, seq, checksum, *inner)
@@ -1064,9 +1086,6 @@ impl Engine {
         st.drain(
             |st| &mut st.sweep[rank.idx()].fifo_pending,
             |st, (win, src)| {
-                if st.try_win(win, rank).is_none() {
-                    return;
-                }
                 while let Some(raw) = st.win_mut(win, rank).fifo_from(src).pop() {
                     st.eng_stats.fifo_drained += 1;
                     let Some(sp) = SyncPacket::from_word(win, src, raw) else {
@@ -1374,6 +1393,56 @@ mod tests {
             })
             .collect();
         assert_eq!(drained, words, "drained in push order");
+    }
+
+    /// The delivery gate: each window-naming frame for a side its
+    /// destination freed is dropped whole. Without the gate each one
+    /// reaches `win_mut` ("window not created at this rank") or marks
+    /// work for the freed side.
+    #[test]
+    fn frames_for_a_freed_side_mark_nothing() {
+        use crate::msg::{EpochTag, Layout, OpKind};
+        let (_sim, eng) = engine_with_window();
+        let win = WinId(0);
+        eng.win_free(Rank(0), win).unwrap();
+        let sync = |kind| SyncPacket { kind, win, peer: Rank(1), id: 1 };
+        let word = |kind| sync(kind).word();
+        let put = OpKind::Put { payload: Payload::from_vec(vec![1; 8]), layout: Layout::Contig };
+        let bodies = [
+            Body::Op { win, tag: EpochTag::Fence { seq: 0 }, disp: 0, token: None, kind: put },
+            Body::FenceDone { win, seq: 0, ops_sent: 1 },
+            Body::fifo(win, &[word(SyncKind::GrantLock)]),
+            Body::fifo(win, &[word(SyncKind::LockReqExcl), word(SyncKind::Unlock)]),
+        ];
+        for body in bodies.into_iter().chain(SyncKind::ALL.map(|k| Body::Sync(sync(k)))) {
+            let what = format!("{body:?}");
+            let mut st = eng.st.borrow_mut();
+            eng.dispatch_body(&mut st, Rank(0), Rank(1), body);
+            assert!(!st.sweep[0].has_work() && !st.rel[0].has_work(), "{what} marked work");
+            assert!(st.trace.is_empty() && st.degradations.is_empty(), "{what}");
+        }
+        assert_eq!(eng.engine_stats(), EngineStats::default());
+    }
+
+    /// A full ring's overflow comes back 1 µs later through the same
+    /// gate: freed in between, the side takes none of it, and the free
+    /// took the ring's pending entry off step 5's list.
+    #[test]
+    fn a_full_ring_retry_that_lands_after_the_free_is_dropped() {
+        use crate::window::FIFO_CAPACITY;
+        let (sim, eng) = engine_with_window();
+        let words = vec![0xF << 60; FIFO_CAPACITY + 7];
+        {
+            let mut st = eng.st.borrow_mut();
+            eng.dispatch_body(&mut st, Rank(0), Rank(1), Body::fifo(WinId(0), &words));
+        }
+        eng.win_free(Rank(0), WinId(0)).unwrap();
+        let stats = sim.run().unwrap();
+        assert_eq!((stats.events_executed, stats.final_time), (1, SimTime::from_micros(1)));
+        let s = eng.engine_stats();
+        assert_eq!(s.fifo_packets, FIFO_CAPACITY as u64, "the retry pushed nothing");
+        assert_eq!((s.sweeps, s.step_runs, s.fifo_drained), (1, [0; 7], 0));
+        assert!(eng.take_degradations().is_empty());
     }
 
     #[test]

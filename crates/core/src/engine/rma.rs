@@ -40,7 +40,7 @@ impl Engine {
     ) -> RmaResult<Option<Req>> {
         let req = {
             let mut st = self.st.borrow_mut();
-            self.api_win_toward(&st, win, rank, &[target])?;
+            let w = self.api_win(&st, win, rank, Some(&[target]))?;
             // Validate element sizes early (API-level error).
             if let OpKind::Acc { dt, payload, .. } = &kind {
                 dt.check_len(payload.len())?;
@@ -65,7 +65,6 @@ impl Engine {
                     FetchKind::GetAccumulate => {}
                 }
             }
-            let w = st.win(win, rank);
             let covering = w.open.covering(target, |id| w.epoch(*id).covers_target(target));
             let eid = *covering.ok_or(RmaError::NoEpoch { win, target })?;
             // An erroneous range is the caller's error here, not a panic in

@@ -41,6 +41,11 @@ impl<T: PartialEq> WorkList<T> {
         }
     }
 
+    /// Keep only the waiting entries `keep` accepts.
+    pub fn retain(&mut self, keep: impl FnMut(&T) -> bool) {
+        self.marked.retain(keep);
+    }
+
     /// Whether nothing is waiting.
     pub fn is_empty(&self) -> bool {
         self.marked.is_empty()

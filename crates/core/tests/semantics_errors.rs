@@ -337,6 +337,7 @@ fn invalid_rank_and_window_rejected() {
                     other => panic!("{routine} on a {case} window: {other:?}"),
                 }
             }
+            assert_eq!(env.engine().fence_records(env.rank(), bad), 0, "{case}");
         }
         // The engine is none the worse: a fresh window works.
         let win = env.win_allocate(8).unwrap();
@@ -354,43 +355,94 @@ fn invalid_rank_and_window_rejected() {
 /// lock, a GATS group, an RMA or a flush toward it answers
 /// `InvalidWindow` at the call, where it used to be accepted and then
 /// wait forever for a grant or an acknowledgement that could not come.
+/// So does every call that names every rank, on both placements: fence,
+/// `lock_all` and the `flush_all` family. There `fence; fence` used to
+/// panic at the freed side ("window not created at this rank"), and
+/// `lock_all; put; unlock_all` to deadlock internode and to panic
+/// intranode, where its lock request was pushed into the freed side's
+/// FIFO.
 #[test]
 fn calls_toward_a_freed_side_are_invalid_window() {
-    const NAMES_PEER: [&str; 10] = [
-        "start", "istart", "post", "ipost", "lock", "ilock", "flush", "iflush", "flush_local",
-        "iflush_local",
+    const NAMES_PEER: [&str; 18] = [
+        "fence", "ifence", "start", "istart", "post", "ipost", "lock", "ilock", "lock_all",
+        "ilock_all", "flush", "iflush", "flush_local", "iflush_local", "flush_all", "iflush_all",
+        "flush_local_all", "iflush_local_all",
     ];
-    let report = run_job(JobConfig::all_internode(2), |env| {
-        let win = env.win_allocate(8).unwrap();
-        if env.rank().idx() == 1 {
-            env.win_free(win).unwrap();
-            env.barrier().unwrap();
-            return;
-        }
-        // Match the barrier inside rank 1's `win_free`, then let the free
-        // itself happen.
-        env.barrier().unwrap();
-        env.compute(SimTime::from_micros(1));
-        assert_eq!(env.lock(win, Rank(1), LockKind::Shared), Err(RmaError::InvalidWindow(win)));
-        assert_eq!(env.put(win, Rank(1), 1 << 40, &[1; 8]), Err(RmaError::InvalidWindow(win)));
-        assert!(matches!(env.unlock(win, Rank(1)), Err(RmaError::EpochMismatch { .. })));
-        // Every routine that names rank 1, the RMA calls from `put` on.
-        let ops = WIN_CALLS.iter().skip_while(|(routine, _)| *routine != "put");
-        for (routine, call) in WIN_CALLS.iter().filter(|(r, _)| NAMES_PEER.contains(r)).chain(ops) {
-            match call(env, win) {
-                Some(RmaError::InvalidWindow(w)) if w == win => {}
-                other => panic!("{routine} toward a freed side: {other:?}"),
+    for cores_per_node in [1, 2] {
+        let mut job = JobConfig::new(2);
+        job.cores_per_node = cores_per_node;
+        let report = run_job(job, |env| {
+            let win = env.win_allocate(8).unwrap();
+            if env.rank().idx() == 1 {
+                env.win_free(win).unwrap();
+                env.barrier().unwrap();
+                return;
             }
-        }
-        // This rank's own side is intact.
-        env.lock(win, Rank(0), LockKind::Shared).unwrap();
-        env.put(win, Rank(0), 0, &[7]).unwrap();
-        env.unlock(win, Rank(0)).unwrap();
-        env.barrier().unwrap();
-    })
-    .unwrap();
-    assert_eq!(report.live_requests, 0);
-    assert!(report.is_clean(), "{:?}", report.degradations);
+            // Match the barrier inside rank 1's `win_free`, then let the
+            // free itself happen.
+            env.barrier().unwrap();
+            env.compute(SimTime::from_micros(1));
+            let gone = Err(RmaError::InvalidWindow(win));
+            assert_eq!(env.lock(win, Rank(1), LockKind::Shared), gone);
+            assert_eq!(env.put(win, Rank(1), 1 << 40, &[1; 8]), gone);
+            assert!(matches!(env.unlock(win, Rank(1)), Err(RmaError::EpochMismatch { .. })));
+            assert_eq!(env.fence(win), gone);
+            assert_eq!(env.fence(win), gone);
+            assert_eq!(env.lock_all(win), gone);
+            assert_eq!(env.put(win, Rank(1), 0, &[1; 8]), gone);
+            assert!(matches!(env.unlock_all(win), Err(RmaError::EpochMismatch { .. })));
+            // Every routine that names rank 1 or every rank, the RMA calls
+            // from `put` on.
+            let ops = WIN_CALLS.iter().skip_while(|(routine, _)| *routine != "put");
+            for (routine, call) in WIN_CALLS.iter().filter(|(r, _)| NAMES_PEER.contains(r)).chain(ops) {
+                match call(env, win) {
+                    Some(RmaError::InvalidWindow(w)) if w == win => {}
+                    other => panic!("{routine} toward a freed side: {other:?}"),
+                }
+            }
+            // This rank's own side is intact.
+            env.lock(win, Rank(0), LockKind::Shared).unwrap();
+            env.put(win, Rank(0), 0, &[7]).unwrap();
+            env.unlock(win, Rank(0)).unwrap();
+            env.barrier().unwrap();
+        })
+        .unwrap_or_else(|e| panic!("cores_per_node {cores_per_node}: {e}"));
+        assert_eq!(report.live_requests, 0);
+        assert!(report.is_clean(), "{:?}", report.degradations);
+    }
+}
+
+/// A side can be missing without any free: rank 0's creation is refused
+/// (`BarrierPending`), so rank 0 never holds a side of rank 1's window.
+/// A call on rank 1 that names rank 0, or every rank, is `InvalidWindow`
+/// at the call, where a lock toward the missing side would wait forever
+/// and a put would reach no side at all.
+#[test]
+fn calls_toward_a_side_never_created_are_invalid_window() {
+    for cores_per_node in [1, 2] {
+        let mut job = JobConfig::new(2);
+        job.cores_per_node = cores_per_node;
+        let report = run_job(job, |env| {
+            if env.rank().idx() == 0 {
+                let first = env.ibarrier().unwrap();
+                assert_eq!(env.win_allocate(8).unwrap_err(), RmaError::BarrierPending);
+                env.wait(first).unwrap();
+                return;
+            }
+            // Its barrier matches rank 0's `ibarrier`.
+            let win = env.win_allocate(8).unwrap();
+            let gone = Err(RmaError::InvalidWindow(win));
+            assert_eq!(env.lock(win, Rank(0), LockKind::Shared), gone);
+            assert_eq!(env.put(win, Rank(0), 0, &[1; 8]), gone);
+            assert!(matches!(env.unlock(win, Rank(0)), Err(RmaError::EpochMismatch { .. })));
+            assert_eq!(env.fence(win), gone);
+            assert_eq!(env.lock_all(win), gone);
+            assert_eq!(env.flush_all(win), gone);
+        })
+        .unwrap_or_else(|e| panic!("cores_per_node {cores_per_node}: {e}"));
+        assert_eq!(report.live_requests, 0);
+        assert!(report.is_clean(), "{:?}", report.degradations);
+    }
 }
 
 #[test]

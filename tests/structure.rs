@@ -161,10 +161,18 @@ const ROWS: &[Row] = &[
         why: "a window side is reached through `EngState`'s accessors only",
         files: &[CORE],
         rule: OnlyIn(&[lit("per_rank[")], &["crates/core/src/engine/mod.rs:fn try_win",
-            "crates/core/src/engine/mod.rs:fn try_win_mut", "crates/core/src/engine/mod.rs:fn win_allocate",
+            "crates/core/src/engine/mod.rs:fn win_mut", "crates/core/src/engine/mod.rs:fn win_allocate",
             "crates/core/src/engine/mod.rs:fn win_free"]),
         plant: Insert("crates/core/src/engine/mod.rs", "if self.net.topology().same_node(src, dst) {",
             "            let held = st.wins[win.0 as usize].per_rank[src.idx()].is_some();") },
+    Row { name: "A freed side is known in one module", section: "§4.5",
+        why: "a freed side is refused at the call (`api_win`) and dropped at delivery (`dispatch_body`), nowhere else",
+        files: &[CORE],
+        rule: OnlyIn(&[word("try_win"), word("try_win_mut"), word("api_win_toward")],
+            &["crates/core/src/engine/mod.rs:impl EngState", "crates/core/src/engine/mod.rs:fn api_win",
+            "crates/core/src/engine/mod.rs:fn dispatch_body"]),
+        plant: Insert("crates/core/src/engine/locks.rs", "fn pump_lock_backlog(",
+            "        if st.try_win(win, rank).is_none() { return; }") },
     Row { name: "No Body twin of a sync or op kind", section: "§4.6",
         why: "a sync kind is a `SyncPacket`, an op kind an `OpKind`; neither has a `Body` variant",
         files: &[ALL_CRATES],
