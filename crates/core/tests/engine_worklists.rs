@@ -113,8 +113,11 @@ fn step_counters_account_for_real_work_only() {
 use mpisim_core::{Datatype, Group, ReduceOp, SyncStrategy, WinInfo};
 use mpisim_sim::SimTime;
 
-/// What a simulator-only change must leave alone: virtual time, kernel
-/// events, messages, sweeps and the per-step run counts.
+/// What a simulator-only change must leave alone: virtual time, modelled
+/// events, messages, sweeps and the per-step run counts. A modelled event
+/// is a kernel event or a credit return the network settled without one
+/// (`NetStats::lazy_credit_returns`), so the count is the same whether or
+/// not a return with nothing to release is an event.
 type Pin = (u64, u64, u64, u64, [u64; 7]);
 
 fn pin(r: &JobReport) -> Pin {
@@ -122,7 +125,7 @@ fn pin(r: &JobReport) -> Pin {
     assert_eq!(r.live_requests, 0);
     (
         r.final_time.as_nanos(),
-        r.sim.events_executed,
+        r.sim.events_executed + r.net.lazy_credit_returns,
         r.net.msgs_sent,
         r.engine.sweeps,
         r.engine.step_runs,
@@ -292,8 +295,12 @@ fn counted_completion_changes_no_observable_behaviour() {
         ("gats_ring", gats_ring, LazyBlocking, 4, (23887, 1020, 384, 688, [64, 140, 240, 56, 80, 32, 148])),
     ];
     for (name, kernel, series, per_node, want) in pins {
-        let got = pin(&kernel(cfg16(series, per_node), series));
-        assert_eq!(got, want, "{name} {series:?} {per_node}/node");
+        let report = kernel(cfg16(series, per_node), series);
+        assert_eq!(pin(&report), want, "{name} {series:?} {per_node}/node");
+        // Four ranks per node send internode, and their credits come back
+        // with no backlog waiting: those returns are no events.
+        let lazy = report.net.lazy_credit_returns;
+        assert_eq!(lazy > 0, per_node == 4, "{name} {series:?} {per_node}/node: {lazy} lazy returns");
     }
 }
 

@@ -13,17 +13,20 @@
 //!   also has a global outstanding cap. Exhausted credits queue the send in
 //!   a backlog drained as acknowledgements return — this is the mechanism
 //!   behind the flow-control ceiling the paper hits at 512 processes
-//!   (§VIII.B).
+//!   (§VIII.B). A returned credit is an event only while its rank has a
+//!   backlog for it to release; otherwise it is settled in place
+//!   ([`NetStats::lazy_credit_returns`]).
 //!
 //! Local completion (origin buffer reusable) is reported when the last byte
 //! leaves the source NIC, distinct from delivery at the target.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use mpisim_sim::{mix64, seeded_rng, SimHandle, SimTime};
+use mpisim_sim::{mix64, seeded_rng, SimHandle, SimTime, Stamp};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -80,6 +83,12 @@ pub struct NetStats {
     pub max_backlog: usize,
     /// Backlog entries a returned credit examined for one it could send.
     pub backlog_visits: u64,
+    /// Credit returns that were never events: due while their rank had no
+    /// backlog, so all they did was give the credit back, settled in place
+    /// when the rank next sent (or pending when the run ended). The kernel
+    /// would have executed this many more events had every return been
+    /// one.
+    pub lazy_credit_returns: u64,
     /// Total faults injected by the active [`FaultPlan`].
     pub faults_injected: u64,
     /// Random drops injected.
@@ -134,6 +143,12 @@ struct RankState<M> {
     ingress_free: SimTime,
     in_flight: u32,
     backlog: VecDeque<SendReq<M>>,
+    /// Credit returns due while the backlog was empty, by the place each
+    /// holds in the event order, with the channel it frees: the earliest
+    /// on top. Empty while the backlog is not.
+    lazy_returns: BinaryHeap<Reverse<(Stamp, Rank)>>,
+    /// Credit returns scheduled as events and not yet run.
+    scheduled_returns: u32,
     /// Channel state toward each destination this rank has sent to.
     channels: VecMap<Rank, ChannelState>,
     /// Fault decision stream per destination, lazily seeded from
@@ -148,6 +163,8 @@ impl<M> Default for RankState<M> {
             ingress_free: SimTime::ZERO,
             in_flight: 0,
             backlog: VecDeque::new(),
+            lazy_returns: BinaryHeap::new(),
+            scheduled_returns: 0,
             channels: VecMap::new(),
             fault_rngs: VecMap::new(),
         }
@@ -292,14 +309,89 @@ impl<M: Wire> Network<M> {
         inner.stats.msgs_sent += 1;
         let src = req.pkt.src;
         let internode = !self.topo.same_node(src, req.pkt.dst);
-        if internode && !self.has_credits(&inner, src, req.pkt.dst) {
-            inner.stats.credit_stalls += 1;
-            inner.ranks[src.idx()].backlog.push_back(req);
-            let depth = inner.ranks[src.idx()].backlog.len();
-            inner.stats.max_backlog = inner.stats.max_backlog.max(depth);
-            return;
+        if internode {
+            self.settle(&mut inner, src);
+            if !self.has_credits(&inner, src, req.pkt.dst) {
+                inner.stats.credit_stalls += 1;
+                let from = &mut inner.ranks[src.idx()];
+                from.backlog.push_back(req);
+                let depth = from.backlog.len();
+                if depth == 1 {
+                    // The backlog starts: from here on a return may release
+                    // a send, so every one still due becomes an event, at
+                    // the place it reserved.
+                    let lazy = std::mem::take(&mut from.lazy_returns);
+                    inner.stats.lazy_credit_returns -= lazy.len() as u64;
+                    for Reverse((stamp, dst)) in lazy {
+                        self.schedule_return(&mut inner, stamp, src, dst);
+                    }
+                }
+                inner.stats.max_backlog = inner.stats.max_backlog.max(depth);
+                return;
+            }
         }
         self.transmit(&mut inner, now, req);
+    }
+
+    /// Take off `src`'s counters every lazy return whose place in the event
+    /// order has gone by: as an event it would have found no backlog, so
+    /// giving the credit back was all it did. Until then the counters
+    /// overstate what is in flight, so this runs before each internode
+    /// send reads them; a return reads them only under a backlog, when
+    /// there is no lazy return.
+    fn settle(&self, inner: &mut NetInner<M>, src: Rank) {
+        let from = &mut inner.ranks[src.idx()];
+        while let Some(&Reverse((stamp, dst))) = from.lazy_returns.peek() {
+            if !self.handle.passed(stamp) {
+                break;
+            }
+            from.lazy_returns.pop();
+            Self::take_back(from, dst);
+        }
+        debug_assert_eq!(
+            from.in_flight as usize,
+            from.lazy_returns.len() + from.scheduled_returns as usize,
+            "{src:?}: credits in flight are not the returns still to come"
+        );
+    }
+
+    /// One credit comes back on the channel `from → dst` and on the rank.
+    fn take_back(from: &mut RankState<M>, dst: Rank) {
+        if let Some(c) = from.channels.get_mut(&dst) {
+            debug_assert!(c.in_flight > 0);
+            c.in_flight -= 1;
+        }
+        debug_assert!(from.in_flight > 0);
+        from.in_flight -= 1;
+    }
+
+    /// Give back the credit `src → dst` at `at`, the acknowledgement time.
+    /// With no backlog on `src` the return can release nothing, so it is no
+    /// event: its place in the order is reserved and [`Network::settle`]
+    /// takes it once that place has gone by. Under a backlog it is an
+    /// event, as is every lazy one still due when a backlog starts.
+    fn credit_back(self: &Arc<Self>, inner: &mut NetInner<M>, src: Rank, dst: Rank, at: SimTime) {
+        let stamp = self.handle.reserve(at);
+        let from = &mut inner.ranks[src.idx()];
+        if from.backlog.is_empty() {
+            from.lazy_returns.push(Reverse((stamp, dst)));
+            inner.stats.lazy_credit_returns += 1;
+        } else {
+            self.schedule_return(inner, stamp, src, dst);
+        }
+    }
+
+    /// Schedule the return of the credit `src → dst` at its reserved place.
+    fn schedule_return(
+        self: &Arc<Self>,
+        inner: &mut NetInner<M>,
+        stamp: Stamp,
+        src: Rank,
+        dst: Rank,
+    ) {
+        inner.ranks[src.idx()].scheduled_returns += 1;
+        let net = self.clone();
+        self.handle.schedule_stamped(stamp, move || net.return_credit(src, dst));
     }
 
     fn has_credits(&self, inner: &NetInner<M>, src: Rank, dst: Rank) -> bool {
@@ -387,10 +479,8 @@ impl<M: Wire> Network<M> {
             // The message vanishes in the fabric: no delivery, no remote
             // acknowledgement, destination clamps untouched.
             drop(on_remote);
-            let ack_at = arrive + INTER_LATENCY;
             if internode {
-                let net = self.clone();
-                self.handle.schedule_at(ack_at, move || net.return_credit(src, dst));
+                self.credit_back(inner, src, dst, arrive + INTER_LATENCY);
             }
             debug_assert!(matches!(
                 kind,
@@ -434,8 +524,7 @@ impl<M: Wire> Network<M> {
         }
         if internode {
             // Credits return after the acknowledgement travels back.
-            let net = self.clone();
-            self.handle.schedule_at(ack_at, move || net.return_credit(src, dst));
+            self.credit_back(inner, src, dst, ack_at);
         }
     }
 
@@ -503,12 +592,9 @@ impl<M: Wire> Network<M> {
     fn return_credit(self: &Arc<Self>, src: Rank, dst: Rank) {
         let now = self.handle.now();
         let mut inner = self.inner.borrow_mut();
-        if let Some(c) = inner.ranks[src.idx()].channels.get_mut(&dst) {
-            debug_assert!(c.in_flight > 0);
-            c.in_flight -= 1;
-        }
-        debug_assert!(inner.ranks[src.idx()].in_flight > 0);
-        inner.ranks[src.idx()].in_flight -= 1;
+        let from = &mut inner.ranks[src.idx()];
+        from.scheduled_returns -= 1;
+        Self::take_back(from, dst);
 
         // One credit came back on one channel and on the rank, and a
         // transmission takes one of each. Before the return no backlogged
@@ -808,6 +894,80 @@ mod tests {
         assert_eq!(log.borrow().len(), 8);
         assert_eq!(s.credit_stalls, 5);
         assert_eq!(s.backlog_visits, s.credit_stalls);
+    }
+
+    /// `(tag, 'l'ocal or 'r'emote completion, ns)` of rank 0's sends.
+    type Done = Rc<RefCell<Vec<(u64, char, u64)>>>;
+
+    /// Send `body` from rank 0 to `dst`, logging both its completions.
+    fn send_logged(net: &Arc<Network<Body>>, done: &Done, dst: usize, body: Body) {
+        let at = |kind| {
+            let (done, h, tag) = (done.clone(), net.handle.clone(), body.tag);
+            Some(Box::new(move || done.borrow_mut().push((tag, kind, h.now().as_nanos())))
+                as Box<dyn FnOnce()>)
+        };
+        let (local, remote) = (at('l'), at('r'));
+        net.send_tracked(Packet { src: Rank(0), dst: Rank(dst), body }, local, remote);
+    }
+
+    /// One credit per channel. Three sends leave three lazy returns
+    /// pending; a fourth on a full channel starts a backlog, which turns
+    /// them into events at their reserved places. The first one frees the
+    /// fourth send at the same instant as a send that was scheduled after
+    /// the return's place was taken, so the backlogged send gets the NIC
+    /// first, as it did when every return was an event.
+    #[test]
+    fn lazy_returns_become_events_at_their_places_when_a_backlog_starts() {
+        let sim = Sim::new(0);
+        let h = sim.handle();
+        let mut p = NetParams::qdr_infiniband();
+        p.channel_credits = 1;
+        p.rank_credits = 0;
+        let net = Network::new(h.clone(), p, Topology::all_internode(5));
+        let log = collect_deliveries(&net, &h);
+        let done = Done::default();
+        let s = serialization(HEADER_BYTES, INTER_BW).as_nanos();
+        let big = serialization(HEADER_BYTES + 4096, INTER_BW).as_nanos();
+        let a = INTER_LATENCY.as_nanos();
+        for dst in 1..=3 {
+            send_logged(&net, &done, dst, ctrl(dst as u64));
+        }
+        assert_eq!(net.stats().lazy_credit_returns, 3);
+        // The credit 0 → 1 comes back at s + 2α; a send toward rank 4,
+        // scheduled now, competes for the NIC then.
+        let (n2, d2) = (net.clone(), done.clone());
+        h.schedule_at(SimTime::from_nanos(s + 2 * a), move || {
+            send_logged(&n2, &d2, 4, data(5, 4096));
+        });
+        send_logged(&net, &done, 1, ctrl(4));
+        let st = net.stats();
+        assert_eq!((st.credit_stalls, st.lazy_credit_returns), (1, 0));
+        let stats = sim.run().unwrap();
+        // Delivery α after the last byte leaves: tags 1–3 back to back
+        // from 0; tag 4 when its credit returns at s + 2α; tag 5 after it.
+        let t4 = s + 2 * a;
+        let t5 = t4 + s;
+        assert_eq!(
+            *log.borrow(),
+            [(1, s + a), (2, 2 * s + a), (3, 3 * s + a), (4, t4 + s + a), (5, t5 + big + a)]
+        );
+        let mut done = done.borrow().clone();
+        done.retain(|&(tag, _, _)| tag >= 4);
+        assert_eq!(
+            done,
+            [
+                (4, 'l', t4 + s),
+                (5, 'l', t5 + big),
+                (4, 'r', t4 + s + 2 * a),
+                (5, 'r', t5 + big + 2 * a),
+            ]
+        );
+        // The three pending returns ran as events; tags 4 and 5 left with
+        // the backlog empty again, so theirs did not.
+        let st = net.stats();
+        assert_eq!(st.lazy_credit_returns, 2);
+        assert_eq!(stats.events_executed, 5 * 3 + 3 + 1);
+        assert_eq!(stats.final_time.as_nanos(), t5 + big + 2 * a);
     }
 
     #[test]

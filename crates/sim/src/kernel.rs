@@ -52,6 +52,16 @@
 //! panic payload the last slice may have left and pops the ready queue.
 //! The abort flag a process reads before and after every yield is a `Cell`
 //! outside that borrow.
+//!
+//! An event that may never be needed costs no slot at all: its place in
+//! the order can be taken ahead of it ([`SimHandle::reserve`], one
+//! sequence number and no push) and the event pushed there later
+//! ([`SimHandle::schedule_stamped`]) only if it turns out to have work to
+//! do; the kernel answers whether a reserved place has already gone by
+//! ([`SimHandle::passed`]), so a caller can settle such an event's effect
+//! in place instead. Every other event keeps the key it would have had, so
+//! the order is the one in which every reserved event was pushed. The
+//! network's credit returns are the one user (DESIGN.md §15.3).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -74,7 +84,8 @@ pub enum SimError {
     /// No process can run and no event is pending, but some processes have
     /// not finished: the simulated program deadlocked.
     Deadlock {
-        /// Virtual time at which the deadlock was detected.
+        /// Virtual time at which the deadlock was detected: the horizon, as
+        /// in [`SimStats::final_time`].
         now: SimTime,
         /// Labels of the processes that are still blocked.
         blocked: Vec<String>,
@@ -140,8 +151,23 @@ pub struct SimStats {
     pub events_executed: u64,
     /// Number of scheduler-to-process context switches performed.
     pub context_switches: u64,
-    /// Virtual time when the last process finished.
+    /// The simulation's horizon: the latest instant at which an event was
+    /// scheduled or a place was [reserved](SimHandle::reserve). It is the
+    /// instant of the last event had every reserved place been scheduled,
+    /// so it can lie after the last process finished (a credit return
+    /// still travelling back, say) and does not depend on which reserved
+    /// events were actually run.
     pub final_time: SimTime,
+}
+
+/// A place in the event order taken ahead of its event
+/// ([`SimHandle::reserve`]): an instant and the tie-break key the event
+/// would have had, had it been scheduled at the reservation. Stamps order
+/// as their events would pop.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Stamp {
+    at: SimTime,
+    key: u64,
 }
 
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -196,6 +222,11 @@ pub(crate) struct Inner {
     pub(crate) now: SimTime,
     next_seq: u64,
     queue: EventQueue,
+    /// The instant being drained and the largest tie-break popped at it:
+    /// a reserved place at or before this has gone by ([`Inner::passed`]).
+    drained: Stamp,
+    /// The latest instant pushed or reserved ([`SimStats::final_time`]).
+    horizon: SimTime,
     tiebreak: TieBreak,
     pub(crate) ready: VecDeque<ProcId>,
     pub(crate) procs: Vec<ProcRec>,
@@ -220,12 +251,29 @@ impl Inner {
         }
     }
 
-    /// Push one event due at `at`.
-    pub(crate) fn push_event(&mut self, at: SimTime, action: Action) {
+    /// Take the next place in the event order at `at`.
+    fn stamp(&mut self, at: SimTime) -> Stamp {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let tiebreak = self.tiebreak_key(seq);
-        self.queue.push(at, tiebreak, action);
+        self.horizon = self.horizon.max(at);
+        Stamp { at, key: self.tiebreak_key(seq) }
+    }
+
+    /// Push one event due at `at`.
+    pub(crate) fn push_event(&mut self, at: SimTime, action: Action) {
+        let stamp = self.stamp(at);
+        self.queue.push(at, stamp.key, action);
+    }
+
+    /// Whether an event pushed at `stamp` when it was reserved would have
+    /// been popped by now. Within an instant a push may pop before events
+    /// already popped (a smaller key under [`TieBreak::Seeded`]), so the
+    /// test is against the largest key popped at the instant, not the
+    /// last: a reserved place is due after the instant it was taken in
+    /// ([`SimHandle::reserve`]), so its event would have been pending since
+    /// its instant began, and it pops before any event with a larger key.
+    fn passed(&self, stamp: Stamp) -> bool {
+        stamp <= self.drained
     }
 
     /// Move a blocked process to the ready queue. Idempotent for processes
@@ -296,6 +344,37 @@ impl SimHandle {
         inner.push_event(at, Action::Call(Box::new(f)))
     }
 
+    /// Take the next place in the event order at `at`, which must lie after
+    /// the current time, without scheduling anything: every later event
+    /// keeps the tie-break it would have had if an event had been
+    /// scheduled here. Push the event at its place with
+    /// [`SimHandle::schedule_stamped`] before it has [`passed`], or never;
+    /// either way `at` counts toward [`SimStats::final_time`].
+    ///
+    /// [`passed`]: SimHandle::passed
+    pub fn reserve(&self, at: SimTime) -> Stamp {
+        let mut inner = self.core.inner.borrow_mut();
+        // A place in the instant being drained could belong before events
+        // already popped, and `passed` could not tell.
+        debug_assert!(at > inner.now, "reserved {at} at {}", inner.now);
+        inner.stamp(at)
+    }
+
+    /// Schedule `f` at the place `stamp` reserved, which must not have
+    /// passed: it pops exactly where an event scheduled at the reservation
+    /// would have.
+    pub fn schedule_stamped<F: FnOnce() + 'static>(&self, stamp: Stamp, f: F) {
+        let mut inner = self.core.inner.borrow_mut();
+        debug_assert!(!inner.passed(stamp), "{stamp:?} scheduled after it passed");
+        inner.queue.push(stamp.at, stamp.key, Action::Call(Box::new(f)))
+    }
+
+    /// Whether an event scheduled at `stamp` would already have run: true
+    /// once an event ordered at or after it has been popped.
+    pub fn passed(&self, stamp: Stamp) -> bool {
+        self.core.inner.borrow().passed(stamp)
+    }
+
     /// Number of events executed so far (useful for instrumentation).
     pub fn events_executed(&self) -> u64 {
         self.core.inner.borrow().events_executed
@@ -344,6 +423,8 @@ impl Sim {
                     now: SimTime::ZERO,
                     next_seq: 0,
                     queue: EventQueue::new(),
+                    drained: Stamp { at: SimTime::ZERO, key: 0 },
+                    horizon: SimTime::ZERO,
                     ready: VecDeque::new(),
                     procs: Vec::new(),
                     panic_payload: None,
@@ -491,7 +572,7 @@ impl Sim {
             // Phase 2: execute the next event.
             let call = {
                 let mut inner = self.core.inner.borrow_mut();
-                let Some((at, action)) = inner.queue.pop() else {
+                let Some((at, key, action)) = inner.queue.pop() else {
                     // No events, no ready processes: either everyone is done
                     // or we are deadlocked.
                     let blocked: Vec<String> = inner
@@ -504,13 +585,18 @@ impl Sim {
                         return Drive::Done(SimStats {
                             events_executed: inner.events_executed,
                             context_switches: inner.context_switches,
-                            final_time: inner.now,
+                            final_time: inner.horizon,
                         });
                     }
-                    return Drive::Err(SimError::Deadlock { now: inner.now, blocked });
+                    return Drive::Err(SimError::Deadlock { now: inner.horizon, blocked });
                 };
                 debug_assert!(at >= inner.now, "event in the past");
                 inner.now = at;
+                if at > inner.drained.at {
+                    inner.drained = Stamp { at, key };
+                } else {
+                    inner.drained.key = inner.drained.key.max(key);
+                }
                 inner.events_executed += 1;
                 if inner.events_executed > inner.event_cap {
                     return Drive::Err(SimError::EventCapExceeded { cap: inner.event_cap });

@@ -56,7 +56,7 @@ mod queue;
 mod rng;
 mod time;
 
-pub use kernel::{ProcId, Sim, SimError, SimHandle, SimStats, TieBreak};
+pub use kernel::{ProcId, Sim, SimError, SimHandle, SimStats, Stamp, TieBreak};
 pub use process::ProcCtx;
 pub use rng::{mix64, seeded_rng, splitmix64};
 pub use time::SimTime;

@@ -101,8 +101,9 @@ impl EventQueue {
         }
     }
 
-    /// Take the first event of the earliest pending instant.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, Action)> {
+    /// Take the first event of the earliest pending instant, with its
+    /// tie-break.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, Action)> {
         let mut first = self.instants.first_entry()?;
         let at = *first.key();
         let i = first.get().head;
@@ -114,7 +115,7 @@ impl EventQueue {
         }
         slot.next = self.free;
         self.free = i;
-        Some((at, mem::replace(&mut slot.action, VACANT)))
+        Some((at, slot.tiebreak, mem::replace(&mut slot.action, VACANT)))
     }
 }
 
@@ -156,7 +157,7 @@ mod tests {
             q.push(SimTime::from_nanos(at), key, Action::Wake(ProcId(n)));
         }
         let mut out = Vec::new();
-        while let Some((at, action)) = q.pop() {
+        while let Some((at, _, action)) = q.pop() {
             let Action::Wake(ProcId(n)) = action else { unreachable!() };
             out.push((at.as_nanos(), n));
         }

@@ -334,6 +334,12 @@ const ROWS: &[Row] = &[
         files: &["crates/net/src/network.rs:fn return_credit"], rule: Absent(&[lit("pop_front")]),
         plant: Insert(NETWORK, "fn return_credit(",
             "        let next = inner.ranks[src.idx()].backlog.pop_front();") },
+    Row { name: "A credit return is an event only under a backlog", section: "§15.3",
+        why: "a return with no backlog to release is settled in place; `schedule_return` is its one event, used under a backlog",
+        files: &[NETWORK],
+        rule: OnlyIn(&[lit(".return_credit(")], &["crates/net/src/network.rs:fn schedule_return"]),
+        plant: Insert(NETWORK, "self.credit_back(inner, src, dst, ack_at);",
+            "            let net = self.clone(); self.handle.schedule_at(ack_at, move || net.return_credit(src, dst));") },
     Row { name: "No fault log", section: "§15.3",
         why: "injected faults are counted by kind in `NetStats`; the write-only log stays gone",
         files: &[ALL_CRATES], rule: Absent(&[lit("FaultLog"), lit("FaultRecord"), lit("fault_log")]),
