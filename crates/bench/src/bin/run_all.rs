@@ -1,5 +1,7 @@
-//! Regenerates every table and figure of the paper's evaluation section.
-//! Pass `--quick` to shrink the application figures for a fast pass.
+//! Regenerates every table and figure: the paper's evaluation section and
+//! the slack rewriter's `rewrite_apps`. With `MPISIM_CSV_DIR` set it
+//! writes every CSV committed under `results/`. Pass `--quick` to shrink
+//! the application figures for a fast pass.
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     for (slug, harness) in mpisim_bench::FIGURES {

@@ -13,9 +13,10 @@
 //! 512-process result: the finite send-credit budget.
 
 use mpisim_apps::{expected_checksum, run_transactions, TxConfig, TxMode, TxResult};
-use mpisim_core::{JobConfig, SyncStrategy};
+use mpisim_core::JobConfig;
 use mpisim_net::FaultPlan;
 
+use crate::series::Series;
 use crate::table::Table;
 
 /// Harness scale.
@@ -54,26 +55,6 @@ impl Fig12Opts {
     }
 }
 
-/// The four series of Fig 12.
-fn series() -> Vec<(&'static str, SyncStrategy, TxMode, bool)> {
-    vec![
-        ("MVAPICH", SyncStrategy::LazyBaseline, TxMode::Blocking, false),
-        ("New", SyncStrategy::Redesigned, TxMode::Blocking, false),
-        (
-            "New nonblocking",
-            SyncStrategy::Redesigned,
-            TxMode::Nonblocking { max_inflight: 0 }, // filled per-opts below
-            false,
-        ),
-        (
-            "New nonblocking + A_A_A_R",
-            SyncStrategy::Redesigned,
-            TxMode::Nonblocking { max_inflight: 0 },
-            true,
-        ),
-    ]
-}
-
 /// Run the figure: throughput (thousands of transactions per second of
 /// virtual time) per job size and series. Every run's checksum is
 /// validated — an out-of-order engine must not lose a single update.
@@ -96,21 +77,14 @@ pub fn run_with(opts: &Fig12Opts, faults: Option<&str>) -> (Table, String) {
     let mut t = Table::new(
         title,
         "job size",
-        series().iter().map(|s| s.0.to_string()).collect(),
+        Series::FIG12.map(|s| s.label().to_string()).to_vec(),
         "thousands of transactions / s",
     );
     let mut csv = String::from("job_size,series,checksum\n");
     for &n in &opts.job_sizes {
         let mut row = Vec::new();
-        for (name, strategy, mode, aaar) in series() {
-            let mode = match mode {
-                TxMode::Nonblocking { .. } => TxMode::Nonblocking {
-                    max_inflight: opts.max_inflight,
-                },
-                m => m,
-            };
-            let mut job = JobConfig::new(n).with_strategy(strategy);
-            job.cores_per_node = opts.cores_per_node;
+        for series in Series::FIG12 {
+            let mut job = series.job_on(n, opts.cores_per_node);
             if let Some(plan) = faults {
                 // Same plan seed for every series at one job size, so a
                 // checksum difference can only come from the engine
@@ -121,8 +95,8 @@ pub fn run_with(opts: &Fig12Opts, faults: Option<&str>) -> (Table, String) {
                         .unwrap_or_else(|| panic!("unknown fault plan {plan:?}")),
                 );
             }
-            let res = transactions(job, opts.txs_per_rank, mode, aaar);
-            csv.push_str(&format!("{n},{name},{}\n", res.checksum));
+            let res = transactions(series, job, opts.txs_per_rank, opts.max_inflight);
+            csv.push_str(&format!("{n},{},{}\n", series.label(), res.checksum));
             row.push(res.tx_per_sec / 1e3);
         }
         t.push(format!("{n}"), row);
@@ -136,17 +110,28 @@ pub fn validation_csv(opts: &Fig12Opts, faults: Option<&str>) -> String {
     run_with(opts, faults).1
 }
 
-/// One run of the transactions kernel (64-byte updates, 256 slots, no
-/// think time, uniform targets), its checksum validated: an out-of-order
-/// engine must not lose a single update.
-fn transactions(job: JobConfig, txs_per_rank: usize, mode: TxMode, aaar: bool) -> TxResult {
-    let (n, strategy) = (job.n_ranks, job.strategy);
+/// One run of `series` on the transactions kernel (64-byte updates, 256
+/// slots, no think time, uniform targets; a nonblocking series keeps up
+/// to `max_inflight` transactions in flight), its checksum validated: an
+/// out-of-order engine must not lose a single update.
+fn transactions(
+    series: Series,
+    job: JobConfig,
+    txs_per_rank: usize,
+    max_inflight: usize,
+) -> TxResult {
+    let n = job.n_ranks;
+    let mode = if series.nonblocking() {
+        TxMode::Nonblocking { max_inflight }
+    } else {
+        TxMode::Blocking
+    };
     let cfg = TxConfig {
         txs_per_rank,
         payload: 64,
         slots: 256,
         mode,
-        aaar,
+        aaar: series.aaar(),
         think_time: mpisim_sim::SimTime::ZERO,
         dist: mpisim_apps::TargetDist::Uniform,
     };
@@ -154,7 +139,8 @@ fn transactions(job: JobConfig, txs_per_rank: usize, mode: TxMode, aaar: bool) -
     assert_eq!(
         res.checksum,
         expected_checksum(n, &cfg),
-        "lost updates in series with strategy {strategy:?} aaar={aaar}"
+        "lost updates in series {}",
+        series.label()
     );
     res
 }
@@ -167,10 +153,10 @@ fn transactions(job: JobConfig, txs_per_rank: usize, mode: TxMode, aaar: bool) -
 /// large numbers of simultaneously pending epochs", collapsing the
 /// `A_A_A_R` advantage from 39% (64 procs) to 2% (512 procs). That
 /// ceiling is an artifact of finite send credits. This sweeps the
-/// per-rank outstanding-message budget at a fixed job size (64 ranks on
-/// one node) and shows the same collapse: as credits shrink, pending
-/// nonblocking epochs stall in the backlog and the out-of-order advantage
-/// evaporates.
+/// per-rank outstanding-message budget at a fixed job size (64 ranks, 16
+/// to a node) for the New and New nonblocking + A_A_A_R series and shows
+/// the same collapse: as credits shrink, pending nonblocking epochs stall
+/// in the backlog and the out-of-order advantage evaporates.
 pub fn ablation_flow_control() -> Table {
     let n = 64;
     let mut t = Table::new(
@@ -183,15 +169,14 @@ pub fn ablation_flow_control() -> Table {
         ],
         "thousands of transactions / s",
     );
-    let throughput = |credits: u32, mode, aaar| {
-        let mut job = JobConfig::new(n).with_strategy(SyncStrategy::Redesigned);
-        job.net.rank_credits = credits;
-        job.net.channel_credits = credits.min(16);
-        transactions(job, 200, mode, aaar).tx_per_sec / 1e3
-    };
+    let cores_per_node = Fig12Opts::default().cores_per_node;
     for credits in [0u32, 16, 8, 4, 2, 1] {
-        let b = throughput(credits, TxMode::Blocking, false);
-        let nb = throughput(credits, TxMode::Nonblocking { max_inflight: 64 }, true);
+        let [b, nb] = [Series::New, Series::NewNbAaar].map(|series| {
+            let mut job = series.job_on(n, cores_per_node);
+            job.net.rank_credits = credits;
+            job.net.channel_credits = credits.min(16);
+            transactions(series, job, 200, 64).tx_per_sec / 1e3
+        });
         let label = if credits == 0 {
             "unlimited".to_string()
         } else {

@@ -1,8 +1,7 @@
 //! Fig 13 — LU decomposition: overall time and communication share vs job
 //! size, for two matrix sizes and the three series.
 
-use mpisim_apps::{run_lu, LuConfig, LuMode, LuSync};
-use mpisim_core::JobConfig;
+use mpisim_apps::{run_lu, LuConfig, LuSync};
 
 use crate::series::Series;
 use crate::table::Table;
@@ -14,8 +13,6 @@ pub struct Fig13Opts {
     pub matrix_sizes: Vec<usize>,
     /// Job sizes. The paper sweeps 64…2048.
     pub job_sizes: Vec<usize>,
-    /// Modeled per-flop cost, ns (see EXPERIMENTS.md calibration).
-    pub t_flop_ns: f64,
     /// Ranks per node.
     pub cores_per_node: usize,
 }
@@ -29,7 +26,6 @@ impl Default for Fig13Opts {
         Fig13Opts {
             matrix_sizes: vec![1024, 2048],
             job_sizes: vec![8, 16, 32, 64, 128, 256],
-            t_flop_ns: 30.0,
             cores_per_node: 16,
         }
     }
@@ -41,7 +37,6 @@ impl Fig13Opts {
         Fig13Opts {
             matrix_sizes: vec![8192, 16384],
             job_sizes: vec![64, 128, 256, 512, 1024, 2048],
-            t_flop_ns: 30.0,
             cores_per_node: 16,
         }
     }
@@ -51,14 +46,14 @@ impl Fig13Opts {
         Fig13Opts {
             matrix_sizes: vec![256],
             job_sizes: vec![4, 8, 16],
-            t_flop_ns: 30.0,
             cores_per_node: 4,
         }
     }
 }
 
 /// Run one matrix size; returns (overall-time table in seconds, comm-% table),
-/// i.e. the (a)/(c) and (b)/(d) panels of Fig 13.
+/// i.e. the (a)/(c) and (b)/(d) panels of Fig 13. Every point is one
+/// [`LuConfig::modeled`] run (its flop cost is EXPERIMENTS.md's calibration).
 pub fn run_matrix(opts: &Fig13Opts, m: usize) -> (Table, Table) {
     let mut times = Table::new(
         format!("Fig 13 — LU overall time; matrix {m} x {m}"),
@@ -79,16 +74,9 @@ pub fn run_matrix(opts: &Fig13Opts, m: usize) -> (Table, Table) {
         let mut trow = Vec::new();
         let mut crow = Vec::new();
         for series in Series::ALL {
-            let mut job = JobConfig::new(n).with_strategy(series.strategy());
-            job.cores_per_node = opts.cores_per_node;
             let sync = if series.nonblocking() { LuSync::Nonblocking } else { LuSync::Blocking };
-            let cfg = LuConfig {
-                m,
-                mode: LuMode::Modeled,
-                sync,
-                t_flop_ns: opts.t_flop_ns,
-            };
-            let res = run_lu(job, cfg).expect("LU run failed");
+            let res = run_lu(series.job_on(n, opts.cores_per_node), LuConfig::modeled(m, sync))
+                .expect("LU run failed");
             trow.push(res.total_time.as_secs_f64());
             crow.push(res.comm_fraction * 100.0);
         }

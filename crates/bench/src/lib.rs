@@ -2,8 +2,9 @@
 //!
 //! One harness function per table/figure of the paper's evaluation
 //! (§VIII). The ones that take no options are listed once, in
-//! [`FIGURES`], under the slug of their `results/` CSV; the four binaries
-//! under `src/bin/` are the ones that take options:
+//! [`FIGURES`], under the slug of their `results/` CSV; Figs 12 and 13
+//! take options and have a binary each under `src/bin/`. Every series a
+//! figure plots is a [`Series`].
 //!
 //! | paper | harness | slug / binary |
 //! |---|---|---|
@@ -19,15 +20,16 @@
 //! | Fig 10 — E_A_E_R | [`flags::fig10_eaer`] | `fig10` |
 //! | Fig 11 — E_A_A_R | [`flags::fig11_eaar`] | `fig11` |
 //! | §VIII.B — eager per-target issue (ablation) | [`micro::ablation_eager_issue`] | `ablation_eager_issue` |
+//! | slack rewriter over the application twins (this repo's own) | [`rewrite_apps::run`] | `rewrite_apps` |
 //! | Fig 12 — massive transactions | [`fig12`] | binary `fig12_transactions` |
 //! | §VIII.B — flow-control ceiling (ablation) | [`fig12::ablation_flow_control`] | `ablation_flow_control` |
 //! | Fig 13 — LU decomposition | [`fig13`] | binary `fig13_lu` |
 //!
-//! `run_all` regenerates everything in sequence. All numbers are virtual
-//! time on the calibrated cluster model; EXPERIMENTS.md records
-//! paper-vs-measured for each figure. [`rewrite_apps`] is the one figure
-//! of this repo's own: the slack rewriter's payoff on the application IR
-//! twins.
+//! `run_all` regenerates everything in sequence: [`FIGURES`], then
+//! `fig12`, `ablation_flow_control` and `fig13_0`..`fig13_3` — every CSV
+//! under `results/`. All numbers are virtual time on the calibrated
+//! cluster model; EXPERIMENTS.md records paper-vs-measured for each
+//! figure.
 //!
 //! Host cost (wall time, peak RSS, per-layer counts) is not measured
 //! here: the repo's one perf instrument is `benchmark/` (see its README).
@@ -57,7 +59,7 @@ const DELAY_US: u64 = 1000;
 pub type Figure = (&'static str, fn() -> Table);
 
 /// Every figure that takes no options, in the order `run_all` emits them.
-pub const FIGURES: [Figure; 13] = [
+pub const FIGURES: [Figure; 14] = [
     ("fig00_latency", micro::fig00_lock_put_latency),
     ("fig00_overlap", micro::fig00_lock_overlap),
     ("fig02", micro::fig02_late_post),
@@ -71,6 +73,7 @@ pub const FIGURES: [Figure; 13] = [
     ("fig10", flags::fig10_eaer),
     ("fig11", flags::fig11_eaar),
     ("ablation_eager_issue", micro::ablation_eager_issue),
+    ("rewrite_apps", rewrite_apps::run),
 ];
 
 /// The scenario runner of the microbenchmarks: every rank allocates one

@@ -177,8 +177,7 @@ fn rewrite_apps_shape() {
     // run() itself asserts per-row soundness (E-clean both sides, clean
     // runs, blocked-steps reduction when changed, no virtual-time
     // regression); the shape test pins the figure's story.
-    let deltas = rewrite_apps::run(true);
-    let t = rewrite_apps::table(&deltas);
+    let t = rewrite_apps::run();
     assert_eq!(t.rows.len(), 5, "one row per application kernel");
     for app in ["halo", "stencil2d", "lu", "bank"] {
         let before = t.cell(app, "blocked_steps").unwrap();
@@ -204,29 +203,35 @@ fn rewrite_apps_shape() {
 }
 
 #[test]
-fn rewrite_apps_committed_csv_matches_schema() {
-    // The committed full-scale figure must exist and keep the harness
-    // schema (one row per kernel, same columns the table emits).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/rewrite_apps.csv");
-    let csv = std::fs::read_to_string(path).expect("results/rewrite_apps.csv is committed");
-    let mut lines = csv.lines();
-    assert_eq!(
-        lines.next().unwrap(),
-        "app,ranks,blocked_steps,blocked_steps_rw,blocked_reduction_pct,virt_us,virt_us_rw,\
-         relaxed,elided,localized,shrunk,skipped"
-    );
-    let apps: Vec<&str> =
-        lines.map(|l| l.split(',').next().unwrap()).collect();
-    assert_eq!(apps, ["halo", "stencil2d", "lu", "transactions", "bank"]);
-}
-
-#[test]
-fn micro_figures_match_committed_csvs() {
-    // Tier-1 pin of the microbenchmark figures: each harness re-emits its
+fn figures_match_committed_csvs() {
+    // Tier-1 pin of the option-free figures: each harness re-emits its
     // committed CSV byte for byte (the simulator is deterministic).
     for (slug, harness) in mpisim_bench::FIGURES {
         let path = format!("{}/../../results/{slug}.csv", env!("CARGO_MANIFEST_DIR"));
         let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
         assert_eq!(harness().to_csv(), want, "{slug} differs from results/{slug}.csv");
     }
+}
+
+#[test]
+fn results_are_exactly_what_run_all_emits() {
+    // `MPISIM_CSV_DIR=results run_all` writes every committed CSV: the
+    // `FIGURES` slugs, then Fig 12, its flow-control ablation and Fig 13's
+    // two panels per matrix size. No other file belongs in `results/`.
+    let fig13 = 2 * fig13::Fig13Opts::default().matrix_sizes.len();
+    let mut want: Vec<String> = mpisim_bench::FIGURES
+        .iter()
+        .map(|(slug, _)| slug.to_string())
+        .chain(["fig12", "ablation_flow_control"].map(String::from))
+        .chain((0..fig13).map(|i| format!("fig13_{i}")))
+        .map(|slug| format!("{slug}.csv"))
+        .collect();
+    want.sort();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+    let mut have: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    have.sort();
+    assert_eq!(have, want, "results/ differs from the CSVs run_all emits");
 }

@@ -324,10 +324,9 @@ fn exec_divergences(a: &RunOutcome, b: &RunOutcome) -> Vec<&'static str> {
 /// results, `SimStats`, `EngineStats`, per-rank timings, and the trace,
 /// record for record, byte for byte.
 ///
-/// Under the `nondet-exec` plant both runs enable the kernel's
-/// deliberately nondeterministic tie-break (`mpisim_sim::TieBreak::Nondet`),
-/// whose process-global counter has moved on by the second run, so the two
-/// genuinely diverge; every point is then a plant and *must* be observed
+/// Under the `nondet-exec` plant each run takes the next tie-break seed of
+/// a per-process counter (`mpisim_core::run_job`), which has moved on by
+/// the second run, so the two genuinely diverge; every point is then a plant and *must* be observed
 /// to diverge — the exit-inverted self-test proving the cross-check would
 /// catch a nondeterministic kernel rather than vacuously passing.
 pub fn crossval_exec(width: u64, plant: Option<&Plant>) -> Outcome {

@@ -284,9 +284,10 @@ pub enum Fault {
     /// under the happens-before relation, so only the race detector in
     /// `mpisim-analyze` can catch it.
     HbRace,
-    /// The kernel orders same-time events by a process-global counter that
-    /// never resets (`TieBreak::Nondet`), so two runs of the very same job
-    /// schedule differently — what the determinism cross-check must catch.
+    /// Every planted job takes the next seed of a per-process counter as
+    /// its kernel tie-break (`TieBreak::Seeded`), so two runs of the very
+    /// same job schedule differently — what the determinism cross-check
+    /// must catch.
     NondetTiebreak,
     /// Crash recovery keeps only the `win_allocate` baseline checkpoint and
     /// restores it *without* redo-log replay — a stale restore the

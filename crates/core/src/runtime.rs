@@ -3,6 +3,7 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpisim_net::NetStats;
 use mpisim_sim::{Sim, SimError, SimStats, SimTime, TieBreak};
@@ -18,7 +19,9 @@ use crate::types::Rank;
 pub struct JobReport<R = ()> {
     /// Each rank's closure return value, in rank order.
     pub results: Vec<R>,
-    /// Virtual time when the last rank finished.
+    /// The kernel's horizon, [`SimStats::final_time`]: the latest instant
+    /// an event was scheduled or a place reserved at, which can lie after
+    /// the last rank finished (a credit return still travelling back).
     pub final_time: SimTime,
     /// Kernel statistics.
     pub sim: SimStats,
@@ -85,6 +88,11 @@ impl<R> JobReport<R> {
     }
 }
 
+/// The [`Fault::NondetTiebreak`] plant's seed source: every planted job
+/// takes the next tie-break seed, so two runs of the very same job in one
+/// process schedule differently. The one state `run_job` keeps across jobs.
+static NONDET_RUNS: AtomicU64 = AtomicU64::new(0);
+
 /// Run an SPMD program: `f` is executed once per rank against its
 /// [`RankEnv`]. Returns when every rank's closure returns; the report's
 /// `results` holds what each returned, in rank order (not finish order).
@@ -116,7 +124,9 @@ where
 {
     let mut sim = Sim::new(cfg.seed);
     sim.set_tiebreak(match (cfg.injected(), cfg.tiebreak_seed) {
-        (Some(Fault::NondetTiebreak), _) => TieBreak::Nondet,
+        (Some(Fault::NondetTiebreak), _) => {
+            TieBreak::Seeded(NONDET_RUNS.fetch_add(1, Ordering::Relaxed))
+        }
         (_, Some(seed)) => TieBreak::Seeded(seed),
         (_, None) => TieBreak::Fifo,
     });

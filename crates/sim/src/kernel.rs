@@ -67,7 +67,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::fiber::{self, Fiber};
 use crate::process::{AbortToken, ProcCtx};
@@ -210,12 +209,6 @@ pub enum TieBreak {
     /// schedule; the conformance harness sweeps seeds to explore the
     /// schedule space.
     Seeded(u64),
-    /// Validation backdoor: a hash of the sequence number and a
-    /// process-global counter that never resets, so two runs of the very
-    /// same seeded program schedule differently. Exists solely so the
-    /// determinism cross-check can prove it would catch a nondeterministic
-    /// kernel; never set it in real simulations.
-    Nondet,
 }
 
 pub(crate) struct Inner {
@@ -244,10 +237,6 @@ impl Inner {
         match self.tiebreak {
             TieBreak::Fifo => seq,
             TieBreak::Seeded(seed) => crate::rng::mix64(seed, seq),
-            TieBreak::Nondet => {
-                static CLOCK: AtomicU64 = AtomicU64::new(0);
-                crate::rng::mix64(CLOCK.fetch_add(1, Ordering::Relaxed), seq)
-            }
         }
     }
 
@@ -731,30 +720,6 @@ mod tests {
             saw_reorder |= p != base;
         }
         assert!(saw_reorder, "no seed in 0..8 permuted an 8-way tie");
-    }
-
-    #[test]
-    fn nondet_diverges_across_runs() {
-        // The validation backdoor must actually produce different schedules
-        // for identical runs (this is what the determinism cross-check's
-        // exit-inverted self-test relies on).
-        fn nondet_order() -> Vec<usize> {
-            let mut sim = Sim::new(0);
-            sim.set_tiebreak(TieBreak::Nondet);
-            let h = sim.handle();
-            let log = Rc::new(RefCell::new(Vec::new()));
-            for i in 0..16 {
-                let log = log.clone();
-                h.schedule(SimTime::from_nanos(10), move || log.borrow_mut().push(i));
-            }
-            sim.run().unwrap();
-            log.take()
-        }
-        let runs: Vec<Vec<usize>> = (0..4).map(|_| nondet_order()).collect();
-        assert!(
-            runs.windows(2).any(|w| w[0] != w[1]),
-            "nondet tie-break produced identical schedules across 4 runs"
-        );
     }
 
     #[test]

@@ -9,20 +9,17 @@
 //! a pop unlinks the head of the earliest instant. There is no bucket width
 //! to tune: a bucket is one exact instant.
 //!
-//! Pop order is exactly `(time, tie-break, push order)`. The push order is
-//! the kernel's sequence number, so it is not stored: within an instant the
-//! list is sorted by tie-break alone, and a push goes after every event whose
-//! tie-break is not greater than its own.
+//! Pop order is exactly `(time, tie-break)`: the kernel's tie-break is a
+//! bijection of its sequence number, so no two events share one, and the
+//! sequence number is not stored. Within an instant the list is sorted by
+//! tie-break, and a push goes after every event whose tie-break is not
+//! greater than its own.
 //!
 //! - Under `TieBreak::Fifo` the tie-break *is* the sequence number, so every
 //!   push into an existing instant is a tail append.
 //! - Under `TieBreak::Seeded(seed)` it is `mix64(seed, seq)`, which for a fixed seed
 //!   is a bijection of `seq` (rotate, xor, add and xorshift-multiply are each
-//!   invertible): two events never tie, and a push walks the list from its
-//!   head.
-//! - Under `TieBreak::Nondet` two keys may collide; they then pop in push
-//!   order, as any order would do for a mode that exists to be
-//!   nondeterministic.
+//!   invertible), and a push walks the list from its head.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;

@@ -252,6 +252,11 @@ const ROWS: &[Row] = &[
         files: RUNTIME,
         rule: Absent(&[lit("parking_lot::"), lit("Mutex"), lit("Condvar"), lit("thread::spawn")]),
         plant: Insert(NETWORK, "use std::sync::Arc;", "use std::sync::Mutex;") },
+    Row { name: "The kernel keeps no counter across runs", section: "§15.2",
+        why: "a tie-break is `Fifo` or `Seeded`; the `nondet-exec` plant's run counter lives in `core::runtime`",
+        files: &[SIM], rule: Absent(&[lit("Atomic")]),
+        plant: Insert("crates/sim/src/kernel.rs", "fn tiebreak_key(&self, seq: u64) -> u64 {",
+            "        static CLOCK: AtomicU64 = AtomicU64::new(0);") },
     Row { name: "No thread vehicle", section: "§15.1",
         why: "thread-per-rank, the worker pool and its parker stay gone",
         files: &[ALL_CRATES], rule: Absent(&[lit("ThreadPerRank"), lit("Parker")]),
@@ -376,11 +381,16 @@ const ROWS: &[Row] = &[
         rule: Absent(&[lit("run_job("), lit("win_allocate"), lit("win_free")]),
         plant: Insert("crates/bench/src/micro.rs", "pub fn fig00_lock_put_latency() -> Table {",
             "    let win = env.win_allocate(MB).unwrap();") },
-    Row { name: "Four figure binaries", section: "§3",
+    Row { name: "Three figure binaries", section: "§3",
         why: "the figures that take no options are emitted by `run_all` from the one `FIGURES` list",
         files: &["crates/bench/src/bin"],
-        rule: Holds(&["fig12_transactions.rs", "fig13_lu.rs", "rewrite_apps.rs", "run_all.rs"]),
-        plant: Add("crates/bench/src/bin/fig07_flags.rs") },
+        rule: Holds(&["fig12_transactions.rs", "fig13_lu.rs", "run_all.rs"]),
+        plant: Add("crates/bench/src/bin/rewrite_apps.rs") },
+    Row { name: "A figure names a series through Series", section: "§3",
+        why: "`mpisim_bench::Series` is the one table of series: label, strategy, nonblocking, A_A_A_R",
+        files: &["crates/bench/src/**"], rule: OnlyIn(&[lit("SyncStrategy::")], &["crates/bench/src/series.rs"]),
+        plant: Insert("crates/bench/src/fig12.rs", "pub fn run(opts: &Fig12Opts) -> Table {",
+            r#"        ("MVAPICH", SyncStrategy::LazyBaseline, TxMode::Blocking, false),"#) },
     Row { name: "No proptest stand-in", section: "§8",
         why: "a check is a tier-1 test or a row of `mpisim-check`'s table",
         files: &["shims/proptest"], rule: NoPath,
