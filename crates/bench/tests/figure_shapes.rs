@@ -1,127 +1,15 @@
-//! Shape assertions for every reproduced figure: `cargo test` fails if a
-//! regression flips who wins, erases a crossover, or breaks a magnitude
-//! the paper reports. (Full tables print via `run_all`, which emits
-//! `FIGURES` and the application figures; these tests run the same
-//! harness functions.)
+//! The figure harnesses against the committed results: every `FIGURES`
+//! entry re-emits its CSV byte for byte, `results/` holds exactly what
+//! `run_all` writes, and Figs 12 and 13 keep their shapes at test scale
+//! (tier-1's only runs of `fig12::run` and `fig13::run_matrix`). What
+//! each committed figure claims is `claims.rs`, which reads the files and
+//! runs nothing.
 
-use mpisim_bench::{fig12, fig13, flags, micro};
+use mpisim_bench::{fig12, fig13};
 
 const MV: &str = "MVAPICH";
 const NEW: &str = "New";
 const NB: &str = "New nonblocking";
-
-#[test]
-fn fig00_latency_parity_and_overlap() {
-    let lat = micro::fig00_lock_put_latency();
-    for size in ["4B", "64KB", "1MB"] {
-        let a = lat.cell(size, MV).unwrap();
-        let b = lat.cell(size, NEW).unwrap();
-        let c = lat.cell(size, NB).unwrap();
-        // Parity: within 15% of each other at every size.
-        let max = a.max(b).max(c);
-        let min = a.min(b).min(c);
-        assert!(
-            max / min < 1.15,
-            "latency parity broken at {size}: {a} / {b} / {c}"
-        );
-    }
-    let ov = micro::fig00_lock_overlap();
-    let mv = ov.cell("epoch length", MV).unwrap();
-    let new = ov.cell("epoch length", NEW).unwrap();
-    // MVAPICH: no overlap (work + transfer ≈ 640); New: overlap (≈ 345).
-    assert!(mv > new + 200.0, "lock-epoch overlap shape broken: {mv} vs {new}");
-}
-
-#[test]
-fn fig02_shape() {
-    let t = micro::fig02_late_post();
-    // All three access epochs absorb the late post.
-    for s in [MV, NEW, NB] {
-        let e = t.cell("access epoch", s).unwrap();
-        assert!((1300.0..1500.0).contains(&e), "{s} epoch {e}");
-    }
-    // Only nonblocking overlaps the two-sided transfer.
-    let cum_blocking = t.cell("cumulative", NEW).unwrap();
-    let cum_nb = t.cell("cumulative", NB).unwrap();
-    assert!(cum_blocking > 1600.0);
-    assert!(cum_nb < 1450.0);
-}
-
-#[test]
-fn fig03_and_fig05_shapes() {
-    for t in [micro::fig03_late_complete(), micro::fig05_wait_at_fence()] {
-        // Blocking propagates the 1000 µs work at every size.
-        for size in ["4B", "1MB"] {
-            assert!(t.cell(size, MV).unwrap() > 950.0);
-            assert!(t.cell(size, NEW).unwrap() > 950.0);
-        }
-        // Nonblocking: transfer only (small at 4B, ≈340 at 1MB).
-        assert!(t.cell("4B", NB).unwrap() < 50.0);
-        let one_mb = t.cell("1MB", NB).unwrap();
-        assert!((300.0..420.0).contains(&one_mb));
-        // MVAPICH grows with size (issue-at-close), New stays flat.
-        assert!(t.cell("1MB", MV).unwrap() > t.cell("4B", MV).unwrap() + 250.0);
-    }
-}
-
-#[test]
-fn fig04_shape() {
-    let t = micro::fig04_early_fence();
-    for size in ["256KB", "1MB"] {
-        let blocking = t.cell(size, NEW).unwrap();
-        let nb = t.cell(size, NB).unwrap();
-        assert!(nb < 1100.0, "{size}: nonblocking cumulative {nb}");
-        assert!(blocking > nb, "{size}: {blocking} vs {nb}");
-    }
-    // The blocking penalty equals the transfer time, so it grows with size.
-    assert!(t.cell("1MB", NEW).unwrap() > t.cell("256KB", NEW).unwrap() + 150.0);
-}
-
-#[test]
-fn fig06_shape() {
-    let t = micro::fig06_late_unlock();
-    // MVAPICH: no overlap in the first epoch, immunity in the second.
-    assert!(t.cell("first lock (O0)", MV).unwrap() > 1250.0);
-    assert!(t.cell("second lock (O1)", MV).unwrap() < 500.0);
-    // New blocking: overlap in the first, Late Unlock in the second.
-    assert!(t.cell("first lock (O0)", NEW).unwrap() < 1100.0);
-    assert!(t.cell("second lock (O1)", NEW).unwrap() > 1100.0);
-    // Nonblocking: overlap and no Late Unlock (≈ two transfers).
-    assert!(t.cell("first lock (O0)", NB).unwrap() < 1100.0);
-    assert!(t.cell("second lock (O1)", NB).unwrap() < 800.0);
-}
-
-#[test]
-fn flag_figures_shapes() {
-    let f7 = flags::fig07_aaar_gats();
-    assert!(f7.cell("target T1", "A_A_A_R off").unwrap() > 1400.0);
-    assert!(f7.cell("target T1", "A_A_A_R on").unwrap() < 800.0);
-    assert!(
-        f7.cell("origin cumulative", "A_A_A_R on").unwrap()
-            < f7.cell("origin cumulative", "A_A_A_R off").unwrap() - 200.0
-    );
-
-    let f8 = flags::fig08_aaar_lock();
-    let row = "cumulative O1 epochs (1MB)";
-    assert!(f8.cell(row, "A_A_A_R off").unwrap() > 1500.0);
-    assert!(
-        f8.cell(row, "A_A_A_R on").unwrap() < f8.cell(row, "A_A_A_R off").unwrap() - 200.0
-    );
-
-    let f9 = flags::fig09_aaer();
-    assert!(f9.cell("target P1", "A_A_E_R off").unwrap() > 1400.0);
-    assert!(f9.cell("target P1", "A_A_E_R on").unwrap() < 800.0);
-    assert!(f9.cell("P2 (target then origin)", "A_A_E_R on").unwrap() > 1000.0);
-
-    let f10 = flags::fig10_eaer();
-    assert!(f10.cell("origin O1", "E_A_E_R off").unwrap() > 1400.0);
-    assert!(f10.cell("origin O1", "E_A_E_R on").unwrap() < 800.0);
-    assert!(f10.cell("target cumulative", "E_A_E_R on").unwrap() > 1000.0);
-
-    let f11 = flags::fig11_eaar();
-    assert!(f11.cell("origin P1", "E_A_A_R off").unwrap() > 1400.0);
-    assert!(f11.cell("origin P1", "E_A_A_R on").unwrap() < 800.0);
-}
 
 #[test]
 fn fig12_shape_quick() {
@@ -169,37 +57,6 @@ fn fig13_shape_quick() {
     // Complete), while nonblocking stays low at small scale.
     assert!(comm.cell("4", NEW).unwrap() > 40.0);
     assert!(comm.cell("4", NB).unwrap() < 20.0);
-}
-
-#[test]
-fn rewrite_apps_shape() {
-    use mpisim_bench::rewrite_apps;
-    // run() itself asserts per-row soundness (E-clean both sides, clean
-    // runs, blocked-steps reduction when changed, no virtual-time
-    // regression); the shape test pins the figure's story.
-    let t = rewrite_apps::run();
-    assert_eq!(t.rows.len(), 5, "one row per application kernel");
-    for app in ["halo", "stencil2d", "lu", "bank"] {
-        let before = t.cell(app, "blocked_steps").unwrap();
-        let after = t.cell(app, "blocked_steps_rw").unwrap();
-        assert!(after < before, "{app}: {before} -> {after}");
-        assert!(
-            t.cell(app, "virt_us_rw").unwrap() <= t.cell(app, "virt_us").unwrap(),
-            "{app}: virtual time regressed"
-        );
-        let applied = t.cell(app, "relaxed").unwrap()
-            + t.cell(app, "elided").unwrap()
-            + t.cell(app, "shrunk").unwrap();
-        assert!(applied > 0.0, "{app}: no rewrites applied");
-    }
-    // The contended exclusive-lock workload is the deliberate negative
-    // row: every relaxation vetoed, zero delta.
-    assert_eq!(t.cell("transactions", "relaxed").unwrap(), 0.0);
-    assert!(t.cell("transactions", "skipped").unwrap() > 0.0);
-    assert_eq!(
-        t.cell("transactions", "blocked_steps").unwrap(),
-        t.cell("transactions", "blocked_steps_rw").unwrap()
-    );
 }
 
 #[test]

@@ -195,8 +195,6 @@ pub const SWEEPS: [Sweep; 10] = [
     },
 ];
 
-const PARTITION: Arm = Arm::Storm("transient-partition");
-
 const fn conformance_plant(
     name: &'static str,
     arm: Arm,
@@ -208,14 +206,13 @@ const fn conformance_plant(
 
 /// Every fault the harness plants in itself, and the three fault plans a
 /// clean sweep must survive.
-pub const PLANTS: [Plant; 15] = [
+pub const PLANTS: [Plant; 14] = [
     conformance_plant("skip-grant", Arm::EngineFault, Some("deadlock"), 4),
     conformance_plant("double-acc", Arm::EngineFault, Some("divergence"), 1),
     conformance_plant("hb-race", Arm::EngineFault, Some("races"), 1),
     conformance_plant("drop-storm", Arm::Storm("drop-storm"), Some("deadlock"), 1),
     conformance_plant("dup-storm", Arm::Storm("dup-storm"), Some("panic"), 1),
-    conformance_plant("partition", PARTITION, Some("deadlock"), 1),
-    conformance_plant("transient-partition", PARTITION, Some("deadlock"), 1),
+    conformance_plant("transient-partition", Arm::Storm("transient-partition"), Some("deadlock"), 1),
     Plant {
         name: "deadlock",
         rides: "deadlock-crossval",

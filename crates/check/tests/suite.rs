@@ -158,7 +158,7 @@ fn names_are_checked_against_the_table_of_their_flag() {
         let err = parse(bad).expect_err(bad);
         assert!(err.contains("unknown name") && err.contains("usage:"), "{err}");
     }
-    assert_eq!(parse("--inject partition").unwrap().plant.unwrap().name, "partition");
+    assert_eq!(parse("--inject transient-partition").unwrap().plant.unwrap().name, "transient-partition");
     assert!(parse("--faults transient-partition").unwrap().plant.unwrap().caught_by.is_none());
     assert!(parse("--inject transient-partition").unwrap().plant.unwrap().caught_by.is_some());
     assert!(parse("--faults light-loss --inject skip-grant").is_err());

@@ -404,6 +404,10 @@ const ROWS: &[Row] = &[
         files: &["crates/**/*.rs", "tests/**/*.rs", "src/**/*.rs", "examples/**/*.rs"],
         rule: Absent(&[lit("proptest")]),
         plant: Insert("tests/full_stack.rs", "#[test]", "use proptest::prelude::*;") },
+    Row { name: "No crate depends on the conformance harness", section: "§3",
+        why: "no crate, the figure crate included, reaches the IR interpreter through `mpisim-check`",
+        files: &["crates/*/Cargo.toml"], rule: OnlyIn(&[lit("mpisim-check")], &["crates/check/Cargo.toml"]),
+        plant: Insert("crates/bench/Cargo.toml", "[dependencies]", "mpisim-check.workspace = true") },
     Row { name: "The analyzer has no binary of its own", section: "§8",
         why: "its negative-corpus sweep is `mpisim-check`'s `static-corpus` row",
         files: &["crates/analyze/Cargo.toml"], rule: Absent(&[decl("[[bin]]")]),
