@@ -76,8 +76,8 @@ pub mod slack;
 
 pub use analyzer::analyze;
 pub use corpus::{
-    catalog_cases, generate_negative, generate_value_clean, slack_catalog_cases, sweep_corpus,
-    CorpusSweep, NegCase, NegFamily, NEG_WIN_BYTES,
+    cases, generate_negative, generate_value_clean, sweep_corpus, Case, CorpusSweep, Expect,
+    NegCase, NegFamily, NEG_WIN_BYTES,
 };
 pub use diag::{has_code, Code, Diagnostic};
 pub use exec::{exec_ir_with, interpret, ApiError, Run, RunFailure};

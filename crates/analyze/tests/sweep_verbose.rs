@@ -1,8 +1,10 @@
 //! The static layer's pin for the negative corpus, as text: every
-//! diagnostic [`sweep_corpus`] sees at 64 seeds per family plus both
-//! catalogs, rendered one line each, then the summary line, must equal
-//! `sweep_verbose.txt` byte for byte. The file is never edited; a change
-//! to a diagnostic's wording, rank or statement shows up here.
+//! diagnostic [`sweep_corpus`] sees at 64 seeds per family plus every
+//! `Flags` row of the verdict table, rendered one line each, then the
+//! summary line, must equal `sweep_verbose.txt` byte for byte. No line is
+//! ever edited (a row new to the table appends its lines before the
+//! summary); a change to a diagnostic's wording, rank or statement shows
+//! up here.
 
 use std::fmt::Write;
 

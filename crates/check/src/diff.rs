@@ -13,9 +13,9 @@ use crate::lower::lower;
 use crate::program::{generate, oracle, Family, Program};
 use crate::run::{execute_lowered, RunFailure, RunSpec};
 
-/// Why one run failed.
+/// Why one (program, spec) run failed.
 #[derive(Clone, Debug)]
-pub enum FailureKind {
+pub enum Failure {
     /// The static analyzer rejected the lowered program before execution.
     Static(Vec<Diagnostic>),
     /// Final memory or get results differ from the sequential oracle.
@@ -35,23 +35,23 @@ pub enum FailureKind {
     Degraded(Vec<String>),
 }
 
-impl FailureKind {
+impl Failure {
     /// The kind's name, as the detector column of [`crate::PLANTS`] and
     /// DESIGN.md §8 spell it.
     pub fn name(&self) -> &'static str {
         match self {
-            FailureKind::Static(_) => "static",
-            FailureKind::Divergence(_) => "divergence",
-            FailureKind::Violations(_) => "violations",
-            FailureKind::Races(_) => "races",
-            FailureKind::Deadlock(_) => "deadlock",
-            FailureKind::Panic(_) => "panic",
-            FailureKind::Degraded(_) => "degraded",
+            Failure::Static(_) => "static",
+            Failure::Divergence(_) => "divergence",
+            Failure::Violations(_) => "violations",
+            Failure::Races(_) => "races",
+            Failure::Deadlock(_) => "deadlock",
+            Failure::Panic(_) => "panic",
+            Failure::Degraded(_) => "degraded",
         }
     }
 }
 
-impl std::fmt::Display for FailureKind {
+impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         fn list<T: std::fmt::Display>(
             f: &mut std::fmt::Formatter<'_>,
@@ -62,13 +62,13 @@ impl std::fmt::Display for FailureKind {
             items.iter().try_for_each(|item| write!(f, "\n  {item}"))
         }
         match self {
-            FailureKind::Static(ds) => list(f, "static diagnostic(s)", ds),
-            FailureKind::Divergence(d) => write!(f, "divergence: {d}"),
-            FailureKind::Violations(vs) => list(f, "invariant violation(s)", vs),
-            FailureKind::Races(rs) => list(f, "happens-before race(s)", rs),
-            FailureKind::Deadlock(d) => write!(f, "{d}"),
-            FailureKind::Panic(d) => write!(f, "panic: {d}"),
-            FailureKind::Degraded(ds) => list(f, "degradation(s)", ds),
+            Failure::Static(ds) => list(f, "static diagnostic(s)", ds),
+            Failure::Divergence(d) => write!(f, "divergence: {d}"),
+            Failure::Violations(vs) => list(f, "invariant violation(s)", vs),
+            Failure::Races(rs) => list(f, "happens-before race(s)", rs),
+            Failure::Deadlock(d) => write!(f, "{d}"),
+            Failure::Panic(d) => write!(f, "panic: {d}"),
+            Failure::Degraded(ds) => list(f, "degradation(s)", ds),
         }
     }
 }
@@ -93,19 +93,6 @@ impl Default for VerifyOpts {
     }
 }
 
-/// A failing (program, spec) pair.
-#[derive(Clone, Debug)]
-pub struct Failure {
-    /// Why it failed.
-    pub kind: FailureKind,
-}
-
-impl std::fmt::Display for Failure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.kind.fmt(f)
-    }
-}
-
 /// [`verify_with`] under the default options (every layer on).
 pub fn verify(program: &Program, spec: &RunSpec) -> Result<(), Failure> {
     verify_with(program, spec, VerifyOpts::default())
@@ -120,51 +107,42 @@ pub fn verify_with(program: &Program, spec: &RunSpec, opts: VerifyOpts) -> Resul
     if opts.static_analysis {
         let diags = analyze(&ir);
         if !diags.is_empty() {
-            return Err(Failure { kind: FailureKind::Static(diags) });
+            return Err(Failure::Static(diags));
         }
     }
     let expected = oracle(program);
     let out = match execute_lowered(&ir, spec, true) {
         Ok(out) => out,
-        Err(RunFailure::Deadlock(d)) => {
-            return Err(Failure { kind: FailureKind::Deadlock(d) });
-        }
-        Err(RunFailure::Panic(p)) => return Err(Failure { kind: FailureKind::Panic(p) }),
+        Err(RunFailure::Deadlock(d)) => return Err(Failure::Deadlock(d)),
+        Err(RunFailure::Panic(p)) => return Err(Failure::Panic(p)),
     };
     // Under a fault plan, terminating is not enough: the sublayer must
     // have repaired every injected fault with zero residual degradations.
     if !out.report.is_clean() {
-        return Err(Failure {
-            kind: FailureKind::Degraded(
-                out.report.degradations.iter().map(|d| d.to_string()).collect(),
-            ),
-        });
+        let degradations = out.report.degradations.iter().map(|d| d.to_string()).collect();
+        return Err(Failure::Degraded(degradations));
     }
     for (r, (got, want)) in out.mems.iter().zip(expected.mems.iter()).enumerate() {
         if got != want {
-            return Err(Failure {
-                kind: FailureKind::Divergence(format!(
-                    "rank {r} window: got {got:?}, oracle {want:?}"
-                )),
-            });
+            return Err(Failure::Divergence(format!(
+                "rank {r} window: got {got:?}, oracle {want:?}"
+            )));
         }
     }
     if out.gets != expected.gets {
-        return Err(Failure {
-            kind: FailureKind::Divergence(format!(
-                "get results: got {:?}, oracle {:?}",
-                out.gets, expected.gets
-            )),
-        });
+        return Err(Failure::Divergence(format!(
+            "get results: got {:?}, oracle {:?}",
+            out.gets, expected.gets
+        )));
     }
     let violations = audit(&out.report);
     if !violations.is_empty() {
-        return Err(Failure { kind: FailureKind::Violations(violations) });
+        return Err(Failure::Violations(violations));
     }
     if opts.races {
         let races = detect_races(&out.report);
         if !races.is_empty() {
-            return Err(Failure { kind: FailureKind::Races(races) });
+            return Err(Failure::Races(races));
         }
     }
     Ok(())
@@ -296,11 +274,11 @@ mod tests {
         let err = verify(&program, &spec).expect_err("an unprotected storm must be caught");
         assert!(
             matches!(
-                err.kind,
-                FailureKind::Deadlock(_)
-                    | FailureKind::Panic(_)
-                    | FailureKind::Divergence(_)
-                    | FailureKind::Violations(_)
+                err,
+                Failure::Deadlock(_)
+                    | Failure::Panic(_)
+                    | Failure::Divergence(_)
+                    | Failure::Violations(_)
             ),
             "got {err}"
         );
@@ -335,6 +313,6 @@ mod tests {
         let mut spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
         spec.fault = Some("double-acc".into());
         let err = verify(&program, &spec).expect_err("injected bug must be caught");
-        assert!(matches!(err.kind, FailureKind::Divergence(_)), "got {err}");
+        assert!(matches!(err, Failure::Divergence(_)), "got {err}");
     }
 }

@@ -57,7 +57,7 @@ pub mod suite;
 pub use audit::{audit, Violation};
 pub use crossval::{crossval_deadlocks, crossval_exec, crossval_rewrites};
 pub use diff::{
-    spec_for_seed, sweep_family, sweep_family_with, verify, verify_with, Failure, FailureKind,
+    spec_for_seed, sweep_family, sweep_family_with, verify, verify_with, Failure,
     FoundFailure, VerifyOpts, MATRIX,
 };
 pub use lower::lower;

@@ -106,7 +106,7 @@ pub struct Plant {
     /// How it is armed.
     pub arm: Arm,
     /// The one detector that counts as "caught": for a conformance plant
-    /// a [`crate::FailureKind::name`], otherwise the comparison its sweep
+    /// a [`crate::Failure::name`], otherwise the comparison its sweep
     /// makes. `None`: not a self-test — every run must stay clean.
     pub caught_by: Option<&'static str>,
     /// Smallest width of the sweep's flag at which it still plants.
@@ -281,7 +281,7 @@ fn run_conformance(row: &Sweep, width: u64, args: &Args) -> Outcome {
     };
     match args.plant.and_then(|p| p.caught_by) {
         Some(detector) => {
-            let caught = r.failures.iter().filter(|f| f.failure.kind.name() == detector);
+            let caught = r.failures.iter().filter(|f| f.failure.name() == detector);
             (o.planted, o.caught) = (r.failures.len() as u64, caught.count() as u64);
         }
         None => o.failures.extend(r.failures.iter().map(|f| {

@@ -5,7 +5,7 @@
 //! detector (the oracle and the trace audit cannot see it).
 
 use mpisim_check::{
-    generate, lower, verify_with, Epoch, Family, FailureKind, Op, Program, RunSpec, SyncStrategy,
+    generate, lower, verify_with, Epoch, Family, Failure, Op, Program, RunSpec, SyncStrategy,
     VerifyOpts,
 };
 
@@ -89,7 +89,7 @@ fn hb_race_spec() -> RunSpec {
 fn hb_race_plant_is_caught_by_race_detector() {
     let err = verify_with(&lock_put_program(), &hb_race_spec(), VerifyOpts::default())
         .expect_err("planted unsynchronized access must be detected");
-    assert!(matches!(err.kind, FailureKind::Races(_)), "wrong failure kind: {err}");
+    assert!(matches!(err, Failure::Races(_)), "wrong failure kind: {err}");
 }
 
 /// With the race detector disabled the same planted fault slips through
@@ -121,5 +121,5 @@ fn hb_race_plant_caught_in_fence_epochs() {
     );
     let err = verify_with(&program, &hb_race_spec(), VerifyOpts::default())
         .expect_err("fence-plane plant must be detected");
-    assert!(matches!(err.kind, FailureKind::Races(_)), "wrong failure kind: {err}");
+    assert!(matches!(err, Failure::Races(_)), "wrong failure kind: {err}");
 }

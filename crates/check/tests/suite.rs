@@ -39,7 +39,7 @@ fn self_test(p: &'static Plant, width: u64, seeds: u64) {
     assert!(total.failures.is_empty(), "{}: {:#?}", p.name, total.failures);
     if p.rides == CONFORMANCE {
         let first = total.first.as_ref().expect("a caught conformance plant is a failed run");
-        assert_eq!(first.failure.kind.name(), detector, "{}: {}", p.name, first.failure);
+        assert_eq!(first.failure.name(), detector, "{}: {}", p.name, first.failure);
     }
     let passed = suite::verdict(Some(p), &total).expect(p.name);
     assert!(passed.starts_with("self-test passed: "), "{passed}");
@@ -69,8 +69,8 @@ fn every_sweep_row_runs_clean() {
             "crash-recovery",
             "  20 crash points over 5 programs (45 runs, 40 recovered, 17 E012-relaxation checks)",
         ),
-        // 10 families x 32 seeds + 18 E-catalog + 5 W-catalog cases.
-        ("static-corpus", " 343 erroneous programs: 10 families x 32 + 23 catalog cases"),
+        // 10 families x 32 seeds + the verdict table's 45 E- and 5 W-code rows.
+        ("static-corpus", " 370 erroneous programs: 10 families x 32 + 50 catalog cases"),
     ];
     let lines: Vec<(&str, &str)> = lines.iter().map(|(l, d)| (*l, d.as_str())).collect();
     assert_eq!(lines, expected);

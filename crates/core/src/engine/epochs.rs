@@ -182,7 +182,6 @@ impl Engine {
     /// the first deferred epoch is encountered that fails activation
     /// conditions", §VII.A).
     pub(crate) fn activation_scan(self: &Rc<Self>, st: &mut EngState, rank: Rank, win: WinId) {
-        st.eng_stats.activation_scans += 1;
         // Index walk over the queue (re-borrowed each iteration) instead of
         // a snapshot: activation neither opens nor retires an epoch, so the
         // walk is stable and allocation-free.

@@ -72,11 +72,10 @@ impl Engine {
             // A release may make any queued request admissible.
             st.mark_lock_backlog(rank, win);
         }
-        let pumps = st.drain(
+        st.drain(
             |st| &mut st.sweep[rank.idx()].lock_backlog,
             |st, win| self.pump_window_grants(st, rank, win),
         );
-        st.eng_stats.grant_pumps += pumps;
     }
 
     /// Emit every grant that has become possible on this window.

@@ -151,16 +151,12 @@ pub struct EngineStats {
     pub issue_scans: u64,
     /// RMA operations put on the wire by the issue steps 2/4.
     pub ops_issued: u64,
-    /// Dirty epochs whose completion conditions were rechecked (steps 3/7).
-    pub completion_checks: u64,
     /// Per-target (or per-origin) epoch states examined by the emit and
     /// completion passes of steps 3/7 and by the lazy baseline's issue
     /// gate. Counters and per-epoch ready lists keep this proportional to
     /// the announcements sent, not to ranks × notifications — the
     /// deterministic cost proxy `tests/engine_worklists.rs` pins.
     pub target_visits: u64,
-    /// Per-window activation scans performed (steps 3/7).
-    pub activation_scans: u64,
     /// 64-bit packets drained from intranode FIFOs by step 5.
     pub fifo_drained: u64,
     /// Corrupt 64-bit packets dropped by step 5 (each leaves a
@@ -173,8 +169,6 @@ pub struct EngineStats {
     pub notices_batched: u64,
     /// Deferred lock releases applied by step 6.
     pub unlocks_applied: u64,
-    /// Backlogged windows pumped for grant emission by step 6.
-    pub grant_pumps: u64,
     /// Dormant trailing fence epochs retired at `win_free` (DESIGN.md
     /// deviation 4). Counted so the deferred-queue balance
     /// `epochs_opened == epochs_completed + dormant_retired` stays
@@ -437,9 +431,6 @@ pub(crate) struct EngState {
     pub rel: Vec<RelRank>,
     /// Whether a stall-watchdog tick is currently scheduled.
     pub watchdog_armed: bool,
-    /// Ranks a planned crash took down (until the restart, with recovery
-    /// armed).
-    pub crashed: Vec<bool>,
     /// Closed-but-incomplete epochs the stall watchdog must inspect, each
     /// with the virtual time of its close (the budget's anchor), appended
     /// at every epoch close (only while a watchdog budget is configured).
@@ -559,7 +550,6 @@ impl Engine {
                 trace: Vec::new(),
                 degradations: Vec::new(),
                 rel: (0..n).map(|_| RelRank::default()).collect(),
-                crashed: vec![false; n],
                 watchdog_armed: false,
                 stall_watch: Vec::new(),
             }),
@@ -1068,11 +1058,10 @@ impl Engine {
     /// Steps 3 and 7: batch-complete dirty epochs, then scan deferred
     /// epochs for activation.
     fn complete_and_activate(self: &Rc<Self>, st: &mut EngState, rank: Rank) {
-        let checks = st.drain(
+        st.drain(
             |st| &mut st.sweep[rank.idx()].dirty_complete,
             |st, (win, epoch)| self.check_epoch_progress(st, rank, win, epoch),
         );
-        st.eng_stats.completion_checks += checks;
         st.drain(
             |st| &mut st.sweep[rank.idx()].act_dirty,
             |st, win| self.activation_scan(st, rank, win),
@@ -1324,10 +1313,7 @@ mod tests {
         assert_eq!(s.step_runs, [0; 7]);
         assert_eq!(s.notices_drained, 0);
         assert_eq!(s.issue_scans, 0);
-        assert_eq!(s.completion_checks, 0);
-        assert_eq!(s.activation_scans, 0);
         assert_eq!(s.fifo_drained, 0);
-        assert_eq!(s.grant_pumps, 0);
     }
 
     #[test]

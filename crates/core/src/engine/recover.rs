@@ -221,7 +221,7 @@ impl Engine {
     /// memory through here, and serving the healthy reconstruction would
     /// mask the very staleness the self-test plants at restart.
     pub(crate) fn freshen_crashed_mem(&self, st: &mut EngState, rank: Rank, win: WinId) {
-        if !self.cfg.recovery || !st.crashed[rank.idx()] {
+        if !self.cfg.recovery || !self.net.nic_is_down(mpisim_net::Rank(rank.idx())) {
             return;
         }
         let w = st.win_mut(win, rank);
@@ -251,7 +251,7 @@ impl Engine {
             .faults
             .as_ref()
             .and_then(|p| p.crash_commit(mpisim_net::Rank(rank.idx())));
-        if planned == Some(commit_no) && !st.crashed[rank.idx()] {
+        if planned == Some(commit_no) && !self.net.nic_is_down(mpisim_net::Rank(rank.idx())) {
             self.crash_rank(st, rank, commit_no);
         }
     }
@@ -272,7 +272,6 @@ impl Engine {
     /// window memory wiped, and — with recovery armed — the restart
     /// scheduled [`RESTART_AFTER`] later.
     fn crash_rank(self: &Rc<Self>, st: &mut EngState, rank: Rank, commit_no: u64) {
-        st.crashed[rank.idx()] = true;
         self.net.nic_down(mpisim_net::Rank(rank.idx()));
         for win in st.wins_of(rank) {
             st.win_mut(win, rank).mem.fill(WIPE_BYTE);
@@ -298,7 +297,6 @@ impl Engine {
             let mut st = self.st.borrow_mut();
             let planted = self.fault == Some(Fault::StaleRestore);
             self.net.nic_up(mpisim_net::Rank(rank.idx()));
-            st.crashed[rank.idx()] = false;
             let now = self.sim.now();
             for win in st.wins_of(rank) {
                 let w = st.win(win, rank);

@@ -251,18 +251,25 @@ fn unhealed_partition_exhausts_backoff_and_trips_watchdog() {
 
 #[test]
 fn crashed_peer_during_lock_all_is_cancelled_not_hung() {
-    // Rank 2's NIC dies while every rank holds a shared lock-all epoch;
-    // frames toward it are abandoned as peer-crash degradations and the
-    // stalled epochs are cancelled, so the job terminates.
+    // Rank 2's NIC dies while every rank holds a shared lock-all epoch:
+    // rank 2 commits an epoch on a second window, its first commit, which
+    // is where the plan crashes it. Frames toward it are abandoned as
+    // peer-crash degradations and the stalled epochs are cancelled, so the
+    // job terminates.
     let mut plan = FaultPlan::none(9);
-    plan.crashes.push((Rank(2), SimTime::from_micros(400)));
+    plan.crash_at_commit.push((Rank(2), 1));
     let cfg = faulty_cfg(3, plan).with_watchdog(SimTime::from_millis(1));
     let report = run_job(cfg, |env| {
         let win = env.win_allocate(128).unwrap();
+        let own = env.win_allocate(8).unwrap();
         env.barrier().unwrap();
         let me = env.rank().idx();
         let la = env.ilock_all(win).unwrap();
         env.wait(la).unwrap();
+        if me == 2 {
+            env.lock(own, Rank(2), LockKind::Exclusive).unwrap();
+            env.unlock(own, Rank(2)).unwrap();
+        }
         env.compute(SimTime::from_micros(600)); // hold the lock across the crash
         let next = Rank((me + 1) % 3);
         env.put(win, next, me * 8, &[me as u8; 8]).unwrap();

@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] describes, per internode channel, the misbehaviour the
 //! simulated fabric injects: message drops, duplicates, bounded reorders,
 //! bit corruption, extra delivery delay, transient `(src, dst)` partitions,
-//! and per-rank NIC crashes. Every decision is drawn from a
+//! and per-rank NIC crashes at epoch commits. Every decision is drawn from a
 //! per-channel RNG seeded from `(plan.seed, src, dst)`, so a plan replays
 //! identically for a given simulation — and every injected fault is
 //! counted in [`crate::NetStats`].
@@ -62,7 +62,7 @@ pub enum FaultKind {
 /// reorder → delay, one independent draw each, from a deterministic
 /// per-channel stream; a dropped message draws nothing further. Partitions
 /// are checked first and are fully deterministic, and so are crashes,
-/// which the network turns into [`crate::Network::nic_down`] events.
+/// which the engine turns into [`crate::Network::nic_down`] calls.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// Root seed of every per-channel decision stream.
@@ -83,19 +83,15 @@ pub struct FaultPlan {
     pub max_delay: SimTime,
     /// Transient bidirectional partitions.
     pub partitions: Vec<Partition>,
-    /// Per-rank NIC death: all traffic to or from the rank is discarded
-    /// from the given time on (the rank itself keeps running — stalls are
-    /// the middleware watchdog's problem). The network schedules a
-    /// [`crate::Network::nic_down`] at each time.
-    pub crashes: Vec<(Rank, SimTime)>,
-    /// Per-rank NIC death keyed to *protocol progress* instead of wall
-    /// time: `(rank, n)` crashes the rank's NIC the moment it completes
-    /// its `n`-th epoch commit (1-based). The network layer cannot see
+    /// Per-rank NIC death keyed to protocol progress: `(rank, n)` crashes
+    /// the rank's NIC the moment it completes its `n`-th epoch commit
+    /// (1-based); from then on all traffic to or from the rank is
+    /// discarded (the rank itself keeps running — stalls are the
+    /// middleware watchdog's problem). The network layer cannot see
     /// epoch commits, so the middleware engine reads this list and drives
     /// [`crate::Network::nic_down`] when the counted commit happens; with
-    /// a recovery config armed it also schedules the restart. This is what
-    /// makes "crash any rank at any commit point" an exact, replayable
-    /// schedule rather than a time guess.
+    /// a recovery config armed it also schedules the restart. This makes
+    /// "crash any rank at any commit point" an exact, replayable schedule.
     pub crash_at_commit: Vec<(Rank, u64)>,
 }
 
@@ -112,7 +108,6 @@ impl FaultPlan {
             delay_p: 0.0,
             max_delay: SimTime::ZERO,
             partitions: Vec::new(),
-            crashes: Vec::new(),
             crash_at_commit: Vec::new(),
         }
     }
@@ -170,7 +165,7 @@ impl FaultPlan {
         match name {
             "light-loss" => Some(FaultPlan::light_loss(seed)),
             "heavy-dup-reorder" => Some(FaultPlan::heavy_dup_reorder(seed)),
-            "partition" | "transient-partition" => Some(FaultPlan::transient_partition(seed)),
+            "transient-partition" => Some(FaultPlan::transient_partition(seed)),
             "drop-storm" => Some(FaultPlan::drop_storm(seed)),
             "dup-storm" => Some(FaultPlan::dup_storm(seed)),
             _ => None,
@@ -185,7 +180,6 @@ impl FaultPlan {
             || self.reorder_p > 0.0
             || self.delay_p > 0.0
             || !self.partitions.is_empty()
-            || !self.crashes.is_empty()
             || !self.crash_at_commit.is_empty()
     }
 
@@ -229,7 +223,8 @@ mod tests {
 
     #[test]
     fn named_plans_resolve_and_are_active() {
-        for name in ["light-loss", "heavy-dup-reorder", "partition", "drop-storm", "dup-storm"] {
+        let names = ["light-loss", "heavy-dup-reorder", "transient-partition", "drop-storm", "dup-storm"];
+        for name in names {
             let plan = FaultPlan::by_name(name, 7).unwrap_or_else(|| panic!("{name}"));
             assert!(plan.is_active(), "{name} must inject something");
         }

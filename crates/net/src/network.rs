@@ -176,8 +176,8 @@ struct NetInner<M> {
     stats: NetStats,
     jitter_rng: rand::rngs::SmallRng,
     /// NICs currently off the fabric: the one record of "this rank is
-    /// down", set by a plan's `crashes` at their times and by the engine's
-    /// crash/restart ([`Network::nic_down`] / [`Network::nic_up`]).
+    /// down", set by the engine's crash and restart
+    /// ([`Network::nic_down`] / [`Network::nic_up`]).
     downs: Vec<bool>,
 }
 
@@ -212,14 +212,13 @@ pub struct Network<M: Wire> {
 
 impl<M: Wire> Network<M> {
     /// Create a network over `topo` with the flow control, jitter and
-    /// faults of `params`. Each of the fault plan's `crashes` is a
-    /// [`Network::nic_down`] scheduled at its time.
+    /// faults of `params`.
     // `Arc` although nothing crosses a thread: callers outside this
     // workspace name the type (`benchmark/src/probes.rs`).
     #[allow(clippy::arc_with_non_send_sync)]
     pub fn new(handle: SimHandle, params: NetParams, topo: Topology) -> Arc<Self> {
         let n = topo.n_ranks();
-        let net = Arc::new(Network {
+        Arc::new(Network {
             inner: RefCell::new(NetInner {
                 ranks: (0..n).map(|_| RankState::default()).collect(),
                 stats: NetStats::default(),
@@ -230,16 +229,7 @@ impl<M: Wire> Network<M> {
             handle,
             params,
             topo,
-        });
-        for &(rank, at) in net.params.faults.iter().flat_map(|p| &p.crashes) {
-            let weak = Arc::downgrade(&net);
-            net.handle.schedule_at(at, move || {
-                if let Some(net) = weak.upgrade() {
-                    net.nic_down(rank);
-                }
-            });
-        }
-        net
+        })
     }
 
     /// Install the delivery handler (called once per delivered packet, by
@@ -1154,13 +1144,12 @@ mod tests {
     fn crashed_nic_discards_all_later_traffic() {
         let sim = Sim::new(0);
         let h = sim.handle();
-        let mut p = NetParams::qdr_infiniband();
-        let mut plan = crate::FaultPlan::none(1);
-        plan.crashes.push((Rank(1), SimTime::from_micros(50)));
-        p.faults = Some(plan);
-        let net = Network::new(h.clone(), p, Topology::all_internode(3));
+        let net =
+            Network::new(h.clone(), NetParams::qdr_infiniband(), Topology::all_internode(3));
         let log = collect_deliveries(&net, &h);
         net.send(Packet { src: Rank(0), dst: Rank(1), body: ctrl(0) });
+        let n1 = net.clone();
+        h.schedule_at(SimTime::from_micros(50), move || n1.nic_down(Rank(1)));
         let n2 = net.clone();
         h.schedule_at(SimTime::from_micros(60), move || {
             n2.send(Packet { src: Rank(0), dst: Rank(1), body: ctrl(1) });

@@ -10,7 +10,7 @@
 use mpisim_check::program::{Family, Program};
 use mpisim_check::run::RunSpec;
 use mpisim_check::{
-    generate, reproducer, shrink, spec_for_seed, sweep_family, verify, FailureKind, SyncStrategy,
+    generate, reproducer, shrink, spec_for_seed, sweep_family, verify, Failure, SyncStrategy,
 };
 
 #[test]
@@ -52,7 +52,7 @@ fn skip_grant_fault_deadlocks_and_shrinks() {
     spec.fault = Some("skip-grant".into());
     let failure = verify(&program, &spec).expect_err("skip-grant must deadlock");
     assert!(
-        matches!(failure.kind, FailureKind::Deadlock(_)),
+        matches!(failure, Failure::Deadlock(_)),
         "expected deadlock, got {failure}"
     );
 
@@ -85,7 +85,7 @@ fn double_acc_fault_diverges_from_oracle() {
     }
     let (program, failure) = caught.expect("double-acc never diverged");
     assert!(
-        matches!(failure.kind, FailureKind::Divergence(_)),
+        matches!(failure, Failure::Divergence(_)),
         "expected divergence, got {failure}"
     );
 

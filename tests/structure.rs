@@ -439,7 +439,7 @@ const ROWS: &[Row] = &[
         rule: OnlyIn(&[lit(".access_after_access"), lit(".access_after_exposure"), lit(".exposure_after_exposure"),
             lit(".exposure_after_access"), lit(".unsafe_fence_reorder")],
             &["crates/core/src/config.rs:pub fn overlaps", "crates/analyze/src/ir.rs:pub fn info",
-            "crates/analyze/src/corpus.rs:pub fn catalog_cases"]),
+            "crates/analyze/src/corpus.rs:pub fn cases"]),
         plant: Insert("crates/core/src/engine/epochs.rs", "let Some(prev) = prev else { return true };",
             "        let aaar = w.info.access_after_access;") },
     Row { name: "The interpreter allocates with the IR's info", section: "§8.1",
