@@ -591,10 +591,11 @@ impl<'a, 'p> Walk<'a, 'p> {
         }
         let win_bytes = self.p.windows[win];
         let Some(hi) = disp.checked_add(len).filter(|&hi| hi <= win_bytes) else {
+            // The exact end, which may lie past `usize::MAX`.
+            let end = disp as u128 + len as u128;
             let detail = format!(
-                "{name} touches bytes [{disp}, {}) of rank {target}'s {win_bytes}-byte window \
-                 {win}",
-                disp.saturating_add(len),
+                "{name} touches bytes [{disp}, {end}) of rank {target}'s {win_bytes}-byte window \
+                 {win}"
             );
             return self.diag(Code::E010, Some(step), detail);
         };

@@ -92,7 +92,8 @@ impl std::fmt::Display for RmaError {
             } => write!(
                 f,
                 "access [{disp}, {}) exceeds window {win:?} at {target}",
-                disp.saturating_add(*len)
+                // The exact end, which may lie past `usize::MAX`.
+                *disp as u128 + *len as u128
             ),
             RmaError::InvalidRank(r) => write!(f, "rank {r} out of range"),
             RmaError::InvalidWindow(w) => write!(f, "window {w:?} does not exist"),

@@ -1141,28 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn crashed_nic_discards_all_later_traffic() {
-        let sim = Sim::new(0);
-        let h = sim.handle();
-        let net =
-            Network::new(h.clone(), NetParams::qdr_infiniband(), Topology::all_internode(3));
-        let log = collect_deliveries(&net, &h);
-        net.send(Packet { src: Rank(0), dst: Rank(1), body: ctrl(0) });
-        let n1 = net.clone();
-        h.schedule_at(SimTime::from_micros(50), move || n1.nic_down(Rank(1)));
-        let n2 = net.clone();
-        h.schedule_at(SimTime::from_micros(60), move || {
-            n2.send(Packet { src: Rank(0), dst: Rank(1), body: ctrl(1) });
-            n2.send(Packet { src: Rank(1), dst: Rank(2), body: ctrl(2) });
-            n2.send(Packet { src: Rank(0), dst: Rank(2), body: ctrl(3) });
-        });
-        sim.run().unwrap();
-        let tags: Vec<u64> = log.borrow().iter().map(|e| e.0).collect();
-        assert_eq!(tags, vec![0, 3], "post-crash traffic touching rank 1 is gone");
-        assert_eq!(net.stats().fault_crash_drops, 2);
-    }
-
-    #[test]
     fn dynamic_nic_down_drops_and_up_restores_delivery() {
         let sim = Sim::new(0);
         let h = sim.handle();
@@ -1182,6 +1160,13 @@ mod tests {
             n3.send(Packet { src: Rank(1), dst: Rank(2), body: ctrl(2) });
             n3.send(Packet { src: Rank(0), dst: Rank(2), body: ctrl(3) });
         });
+        // Mid-outage, just before the heal.
+        let (n, l, mid) = (net.clone(), log.clone(), Rc::new(RefCell::new(None)));
+        let m = mid.clone();
+        h.schedule_at(SimTime::from_micros(499), move || {
+            let tags: Vec<u64> = l.borrow().iter().map(|e| e.0).collect();
+            *m.borrow_mut() = Some((tags, n.stats().fault_crash_drops));
+        });
         let n4 = net.clone();
         h.schedule_at(SimTime::from_micros(500), move || n4.nic_up(Rank(1)));
         let n5 = net.clone();
@@ -1189,6 +1174,8 @@ mod tests {
             n5.send(Packet { src: Rank(0), dst: Rank(1), body: ctrl(4) });
         });
         sim.run().unwrap();
+        let crashed = mid.take();
+        assert_eq!(crashed, Some((vec![0, 3], 2)), "post-crash traffic touching rank 1 is gone");
         let tags: Vec<u64> = log.borrow().iter().map(|e| e.0).collect();
         assert_eq!(tags, vec![0, 3, 4], "outage drops both directions, heal restores");
         assert_eq!(net.stats().fault_crash_drops, 2);
