@@ -9,46 +9,32 @@ use mpisim_check::{
     VerifyOpts,
 };
 
+#[path = "../../../tests/support/pin.rs"]
+mod pin;
+
 const STATIC_ONLY: VerifyOpts =
     VerifyOpts { static_analysis: true, races: false, fault_plan: None, reliable: false };
 
 /// Satellite acceptance: 3 families × ≥16 seeds, zero false positives
-/// from the static analyzer (both close modes).
+/// from the static analyzer (both close modes). The same loop is the
+/// static layer's output pin: FNV-1a over the `Debug` text of everything
+/// `analyze`, `analyze_slack` and `rewrite` say, held to `pins.txt`.
 #[test]
 fn positive_corpus_is_static_clean() {
-    for family in Family::ALL {
-        for idx in 0..16 {
-            let program = generate(family, idx);
-            for nonblocking in [false, true] {
-                let diags = mpisim_analyze::analyze(&lower(&program, nonblocking));
-                assert!(diags.is_empty(), "{family:?} #{idx} nb={nonblocking}: {diags:?}");
-            }
-        }
-    }
-}
-
-/// Output pin for the static layer: FNV-1a over the `Debug` text of
-/// everything `analyze`, `analyze_slack` and `rewrite` say about the
-/// positive corpus under both lowerings. Computed once, before the layer
-/// was rebuilt on one resolved epoch structure; never edited.
-#[test]
-fn positive_corpus_static_digest() {
     use mpisim_analyze::{analyze, analyze_slack, rewrite};
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = pin::FNV;
     for family in Family::ALL {
         for idx in 0..16 {
             let program = generate(family, idx);
             for nonblocking in [false, true] {
                 let p = lower(&program, nonblocking);
-                let slack = analyze_slack(&p);
-                let said = (analyze(&p), slack.diags, slack.findings, slack.shrinks, rewrite(&p));
-                for b in format!("{said:?}").bytes() {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-                }
+                let (diags, slack) = (analyze(&p), analyze_slack(&p));
+                assert!(diags.is_empty(), "{family:?} #{idx} nb={nonblocking}: {diags:?}");
+                h.debug(&(diags, slack.diags, slack.findings, slack.shrinks, rewrite(&p)));
             }
         }
     }
-    assert_eq!(h, 0x0587_bca7_a262_c462);
+    pin::check("check/analysis::positive_corpus_is_static_clean", [("digest", h.hex())]);
 }
 
 /// Zero false positives from the race detector on executed clean runs:

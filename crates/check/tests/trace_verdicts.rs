@@ -1,9 +1,8 @@
 //! Output pin for the two sync-trace consumers: FNV-1a over the `Debug`
 //! text of what [`audit`] and [`detect_races`] say about the generated
 //! corpus, clean and under the plants whose runs finish, and about doctored
-//! traces that no clean run produces (one per I1/I2/I3 message path).
-//! Computed once, before the two were rebuilt on one send→apply matcher;
-//! never edited — a moved digest is a changed verdict.
+//! traces that no clean run produces (one per I1/I2/I3 message path), held
+//! to `pins.txt`.
 //!
 //! The doctors edit the sync records of the one trace stream and keep it
 //! chronological (a forged record takes a time its neighbours allow), so
@@ -14,18 +13,16 @@ use mpisim_check::{audit, execute, generate, spec_for_seed, Family, RunSpec, Syn
 use mpisim_core::trace::{Plane, SyncEvent, TraceEvent, TraceRecord};
 use mpisim_core::{JobReport, Rank, WinId};
 
-fn fnv(h: &mut u64, said: &impl std::fmt::Debug) {
-    for b in format!("{said:?}").bytes() {
-        *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-    }
-}
+#[path = "../../../tests/support/pin.rs"]
+mod pin;
+use pin::{Fnv, FNV};
 
 /// Family × programs 0..8 × matrix point × 4 schedules, with the engine
 /// fault `fault` or the fault plan `plan` (sublayer off); a run that does
 /// not finish contributes its index only.
-fn corpus_digest(fault: Option<&str>, plan: Option<&str>) -> u64 {
+fn corpus_digest(fault: Option<&str>, plan: Option<&str>) -> Fnv {
     let fault = fault.map(String::from);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV;
     for family in Family::ALL {
         for idx in 0..8 {
             let program = generate(family, idx);
@@ -34,8 +31,8 @@ fn corpus_digest(fault: Option<&str>, plan: Option<&str>) -> u64 {
                     let mut spec = spec_for_seed(strategy, nonblocking, s, &fault);
                     spec.fault_plan = plan.map(String::from);
                     match execute(&program, &spec) {
-                        Ok(out) => fnv(&mut h, &(audit(&out.report), detect_races(&out.report))),
-                        Err(_) => fnv(&mut h, &(family, idx, s)),
+                        Ok(out) => h.debug(&(audit(&out.report), detect_races(&out.report))),
+                        Err(_) => h.debug(&(family, idx, s)),
                     }
                 }
             }
@@ -46,17 +43,18 @@ fn corpus_digest(fault: Option<&str>, plan: Option<&str>) -> u64 {
 
 #[test]
 fn clean_corpus_verdicts() {
-    assert_eq!(corpus_digest(None, None), 0xbc13_ccf6_1582_4125);
+    pin::check("check/trace_verdicts::clean_corpus_verdicts", [("digest", corpus_digest(None, None).hex())]);
 }
 
+/// The four corpus digests, each folded in as its decimal `Debug` text.
 #[test]
 fn planted_corpus_verdicts() {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV;
     for fault in ["skip-grant", "double-acc", "hb-race"] {
-        fnv(&mut h, &corpus_digest(Some(fault), None));
+        h.debug(&corpus_digest(Some(fault), None).0);
     }
-    fnv(&mut h, &corpus_digest(None, Some("drop-storm")));
-    assert_eq!(h, 0x6266_b5a8_ade7_0e26);
+    h.debug(&corpus_digest(None, Some("drop-storm")).0);
+    pin::check("check/trace_verdicts::planted_corpus_verdicts", [("digest", h.hex())]);
 }
 
 fn position(trace: &[TraceRecord], from: usize, f: impl Fn(&TraceRecord) -> bool) -> usize {
@@ -150,7 +148,7 @@ fn doctored_trace_verdicts() {
     ];
     let program = generate(Family::MixedSerial, 1);
     let spec = RunSpec::baseline(SyncStrategy::Redesigned, false);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV;
     for (doctor, expect) in cases {
         let mut report: JobReport = execute(&program, &spec).unwrap().report;
         doctor(&mut report.trace);
@@ -158,7 +156,7 @@ fn doctored_trace_verdicts() {
         if let Some(code) = expect {
             assert!(said.0.iter().any(|v| v.invariant == code), "{code} not raised: {said:?}");
         }
-        fnv(&mut h, &said);
+        h.debug(&said);
     }
-    assert_eq!(h, 0x7ae7_7aba_0299_365f);
+    pin::check("check/trace_verdicts::doctored_trace_verdicts", [("digest", h.hex())]);
 }

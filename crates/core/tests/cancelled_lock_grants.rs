@@ -5,6 +5,8 @@
 //! blocking flush inside a lazy-deferred lock epoch must force lock
 //! acquisition instead of self-deadlocking.
 
+#[path = "../../../tests/support/pin.rs"]
+mod pin;
 
 use mpisim_core::{
     run_job, Degradation, JobConfig, LockKind, Rank, SyncStrategy,
@@ -147,11 +149,9 @@ fn cancelled_epoch_releases_grants_it_holds() {
     // as in `engine_worklists.rs`'s pin: credit returns settled without an
     // event count too.
     let events = report.sim.events_executed + report.net.lazy_credit_returns;
-    assert_eq!(
-        (report.final_time.as_nanos(), events, report.net.msgs_sent),
-        (15_647_304, 139, 51)
-    );
-    assert_eq!((e.sweeps, e.step_runs), (84, [19, 22, 10, 0, 22, 6, 5]));
+    let counts = format!("{:?}", (report.final_time.as_nanos(), events, report.net.msgs_sent));
+    let rows = [("final-ns/events/msgs", counts), ("sweeps/step_runs", format!("{:?}", (e.sweeps, e.step_runs)))];
+    pin::check("core/cancelled_lock_grants::cancelled_epoch_releases_grants_it_holds", rows);
     let t = report.results[1];
     assert!(
         t >= SimTime::from_millis(3) && t < SimTime::from_millis(4),

@@ -3,6 +3,9 @@
 //! job generates — no more (idle steps never scan) and no less (every
 //! pushed sync packet is drained by quiescence).
 
+#[path = "../../../tests/support/pin.rs"]
+mod pin;
+
 use mpisim_core::{run_job, JobConfig, JobReport, LockKind, Rank};
 use mpisim_sim::SimError;
 
@@ -117,19 +120,14 @@ use mpisim_sim::SimTime;
 /// events, messages, sweeps and the per-step run counts. A modelled event
 /// is a kernel event or a credit return the network settled without one
 /// (`NetStats::lazy_credit_returns`), so the count is the same whether or
-/// not a return with nothing to release is an event.
-type Pin = (u64, u64, u64, u64, [u64; 7]);
-
-fn pin(r: &JobReport) -> Pin {
+/// not a return with nothing to release is an event. A row of `pins.txt`
+/// is the `Debug` text of this tuple.
+fn observed(r: &JobReport) -> String {
     assert!(r.is_clean(), "{:?}", r.degradations);
     assert_eq!(r.live_requests, 0);
-    (
-        r.final_time.as_nanos(),
-        r.sim.events_executed + r.net.lazy_credit_returns,
-        r.net.msgs_sent,
-        r.engine.sweeps,
-        r.engine.step_runs,
-    )
+    let events = r.sim.events_executed + r.net.lazy_credit_returns;
+    let pinned = (r.final_time.as_nanos(), events, r.net.msgs_sent, r.engine.sweeps, r.engine.step_runs);
+    format!("{pinned:?}")
 }
 
 /// The paper's two end-point series: redesigned engine driven through the
@@ -267,41 +265,26 @@ fn gats_ring(cfg: JobConfig, series: Series) -> JobReport {
 /// Values recorded at the commit before completion became counted
 /// (per-epoch counters + ready lists, per-seq fence tallies): that change
 /// is simulator-only, so not one of them may move.
-///
-/// The four `Nonblocking` rows that end in a request-holding `wait_all`
-/// were re-recorded when `wait_all` became one MPI call — one `CALL_ENTRY`
-/// sleep per call instead of one per request, so (requests − 1) fewer
-/// events on each of the 16 ranks and that many ε less on the caller's
-/// path: `lock_all_round` (2 requests) 16 events and, where the wait is on
-/// the critical path (16/node), 300 ns; `gats_ring` (8 requests) 112 events
-/// and 7 ε = 2 100 ns at 16/node, 1 746 ns at 4/node where part of it was
-/// hidden behind internode latency. Messages, sweeps and step counts are
-/// the old ones.
 #[test]
 fn counted_completion_changes_no_observable_behaviour() {
-    use Series::{LazyBlocking, Nonblocking};
-    let pins: [(&str, Kernel, Series, usize, Pin); 12] = [
-        ("fence_halo", fence_halo, Nonblocking, 16, (7929, 1088, 704, 912, [64, 96, 752, 112, 0, 0, 112])),
-        ("fence_halo", fence_halo, Nonblocking, 4, (18919, 1576, 704, 912, [64, 96, 748, 96, 0, 0, 96])),
-        ("fence_halo", fence_halo, LazyBlocking, 16, (8553, 1056, 704, 912, [64, 96, 688, 80, 0, 0, 80])),
-        ("fence_halo", fence_halo, LazyBlocking, 4, (19570, 1544, 704, 912, [64, 96, 688, 80, 0, 0, 80])),
-        ("lock_all_round", lock_all_round, Nonblocking, 16, (11876, 1840, 1152, 1632, [256, 400, 672, 128, 768, 512, 400])),
-        ("lock_all_round", lock_all_round, Nonblocking, 4, (29462, 2696, 1152, 1632, [256, 400, 672, 24, 192, 512, 104])),
-        ("lock_all_round", lock_all_round, LazyBlocking, 16, (12968, 1824, 1152, 1632, [256, 400, 544, 220, 768, 512, 288])),
-        ("lock_all_round", lock_all_round, LazyBlocking, 4, (33778, 2680, 1152, 1632, [256, 400, 488, 15, 192, 512, 92])),
-        ("gats_ring", gats_ring, Nonblocking, 16, (10332, 832, 384, 688, [64, 160, 320, 96, 128, 32, 256])),
-        ("gats_ring", gats_ring, Nonblocking, 4, (22776, 1036, 384, 688, [64, 144, 328, 72, 80, 32, 168])),
-        ("gats_ring", gats_ring, LazyBlocking, 16, (10176, 816, 384, 688, [64, 159, 192, 64, 128, 32, 223])),
-        ("gats_ring", gats_ring, LazyBlocking, 4, (23887, 1020, 384, 688, [64, 140, 240, 56, 80, 32, 148])),
-    ];
-    for (name, kernel, series, per_node, want) in pins {
-        let report = kernel(cfg16(series, per_node), series);
-        assert_eq!(pin(&report), want, "{name} {series:?} {per_node}/node");
-        // Four ranks per node send internode, and their credits come back
-        // with no backlog waiting: those returns are no events.
-        let lazy = report.net.lazy_credit_returns;
-        assert_eq!(lazy > 0, per_node == 4, "{name} {series:?} {per_node}/node: {lazy} lazy returns");
+    let kernels: [(&str, Kernel); 3] =
+        [("fence_halo", fence_halo), ("lock_all_round", lock_all_round), ("gats_ring", gats_ring)];
+    let mut rows = Vec::new();
+    for (name, kernel) in kernels {
+        for series in [Series::Nonblocking, Series::LazyBlocking] {
+            for per_node in [16, 4] {
+                let report = kernel(cfg16(series, per_node), series);
+                let row = format!("{name}/{series:?}/{per_node}-per-node");
+                // Four ranks per node send internode, and their credits
+                // come back with no backlog waiting: those returns are no
+                // events.
+                let lazy = report.net.lazy_credit_returns;
+                assert_eq!(lazy > 0, per_node == 4, "{row}: {lazy} lazy returns");
+                rows.push((row, observed(&report)));
+            }
+        }
     }
+    pin::check("core/engine_worklists::counted_completion_changes_no_observable_behaviour", rows);
 }
 
 /// `iunlock_all` with a put still unacknowledged: the fifteen idle targets
@@ -327,6 +310,9 @@ fn blocked_target_is_unlocked_when_its_last_op_completes() {
         env.win_free(win).unwrap();
     })
     .unwrap();
+    // Rank 0's `wait_all` over two requests is one call (one event more
+    // when each request paid its own `CALL_ENTRY` sleep).
+    pin::check("core/engine_worklists::blocked_target_is_unlocked_when_its_last_op_completes", [("iunlock_all-with-a-put-in-flight", observed(&r))]);
     let unlocks: Vec<(SimTime, usize)> = r
         .trace
         .iter()
@@ -345,9 +331,6 @@ fn blocked_target_is_unlocked_when_its_last_op_completes() {
     assert_eq!(unlocks[15].1, 5);
     assert!(unlocks[15].0 > at_close, "{unlocks:?}");
     assert_eq!(unlocks.len(), 16);
-    // 622 events: rank 0's `wait_all` over two requests is one call (623
-    // when each request paid its own `CALL_ENTRY` sleep).
-    assert_eq!(pin(&r), (29056, 622, 305, 375, [2, 19, 22, 0, 12, 32, 5]));
 }
 
 /// The deterministic cost proxy for collective completion: per-target

@@ -4,10 +4,14 @@
 //! channel's credits bind, and some fan out to every peer, so the rank's
 //! credits bind. One FNV-1a digest per profile covers every delivery
 //! `(ns, src, dst, tag)`, every local and remote completion time, in the
-//! order the events ran, and the `credit_stalls` / `max_backlog` counters.
+//! order the events ran, and the `credit_stalls` / `max_backlog` counters,
+//! held to `pins.txt`.
 //!
 //! Public API only, so the file runs unchanged against any version of the
-//! network: a digest that moves is a changed schedule. Never edit one.
+//! network (with `tests/support/pin.rs` and `pins.txt` beside it).
+
+#[path = "../../../tests/support/pin.rs"]
+mod pin;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -43,17 +47,6 @@ impl Stream {
 
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n
-    }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01B3);
-        }
     }
 }
 
@@ -108,7 +101,7 @@ fn bursts(seed: u64) -> Vec<(SimTime, Vec<Send>)> {
     out
 }
 
-fn run(channel_credits: u32, rank_credits: u32) -> (u64, NetStats, usize) {
+fn run(channel_credits: u32, rank_credits: u32) -> (pin::Fnv, NetStats, usize) {
     let sim = Sim::new(5);
     let h = sim.handle();
     let mut p = NetParams::qdr_infiniband();
@@ -159,39 +152,29 @@ fn run(channel_credits: u32, rank_credits: u32) -> (u64, NetStats, usize) {
     }
     sim.run().unwrap();
     let stats = net.stats();
-    let mut fnv = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut fnv = pin::FNV;
     let log = log.borrow();
-    for row in log.iter() {
-        row.iter().for_each(|&w| fnv.word(w));
-    }
-    fnv.word(stats.credit_stalls);
-    fnv.word(stats.max_backlog as u64);
+    let words = log.iter().flatten().copied().chain([stats.credit_stalls, stats.max_backlog as u64]);
+    words.for_each(|w| fnv.bytes(w.to_le_bytes()));
     let delivered = log.iter().filter(|r| r[0] == 0).count();
     assert_eq!(delivered, sent, "every send is delivered exactly once");
-    (fnv.0, stats, sent)
+    (fnv, stats, sent)
 }
 
-/// `(channel_credits, rank_credits, digest)`.
-const PINS: [(u32, u32, u64); 5] = [
-    (1, 2, 0xa3d2_6924_f087_06b9),
-    (2, 4, 0x6b2a_624f_1583_498e),
-    (4, 6, 0xfb39_9a6a_877c_639c),
-    (1, 0, 0x4175_a22e_dd3f_dea7),
-    (0, 3, 0x35c5_f5fb_f217_e096),
-];
+/// `(channel_credits, rank_credits)`.
+const PROFILES: [(u32, u32); 5] = [(1, 2), (2, 4), (4, 6), (1, 0), (0, 3)];
 
 #[test]
 fn starved_credit_schedules_are_pinned() {
-    let mut got = Vec::new();
-    for (c, r, _) in PINS {
+    let mut rows = Vec::new();
+    for (c, r) in PROFILES {
         let (digest, stats, sent) = run(c, r);
         assert!(
             stats.credit_stalls > 0,
             "({c}, {r}): the profile must starve"
         );
         assert_eq!(stats.msgs_sent as usize, sent);
-        got.push((c, r, digest));
+        rows.push((format!("channel{c}-rank{r}"), digest.hex()));
     }
-    let want: Vec<_> = PINS.to_vec();
-    assert_eq!(got, want, "a credit profile's schedule moved: {got:#x?}");
+    pin::check("net/credit_backlog::starved_credit_schedules_are_pinned", rows);
 }

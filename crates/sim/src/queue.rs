@@ -1,8 +1,11 @@
 //! The kernel's event queue: pending events grouped by instant.
 //!
 //! This simulator's latencies are a handful of constants, so the events
-//! pending at any moment fall on few distinct instants, and most pushes land
-//! on an instant that already has events — very often the one being drained.
+//! pending at any moment fall on few distinct instants. How many pushes
+//! open a new instant depends on the workload (DESIGN §15.2, measured):
+//! 0.4 % on `pairwise_2048`, 12 % on `collective_128` (while every credit
+//! return was an event), but ~85 % on `paper_apps` and `conformance`,
+//! where each event pays a map insert and remove (ROADMAP item 3(ii)).
 //! The queue keeps one ordered-map entry per distinct pending instant and,
 //! under it, that instant's events as a list through a slot arena, in
 //! tie-break order. A push looks its instant up once and links the event in;

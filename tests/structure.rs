@@ -448,6 +448,13 @@ const ROWS: &[Row] = &[
         rule: OnlyIn(&[lit("WinInfo::all_reorder")], &["crates/analyze/src/ir.rs:pub fn info"]),
         plant: Insert("crates/analyze/src/exec.rs", "let info = p.info();",
             "        let info = if p.reorder { WinInfo::all_reorder() } else { info };") },
+    Row { name: "One FNV-1a in the tests", section: "§8.5",
+        why: "every pinned digest is `tests/support/pin.rs`'s; `Body::digest` is the one production copy",
+        files: &[ALL_CRATES, "src/**", "tests/**", "examples/**"],
+        rule: OnlyIn(&[lit("0100_0000_01b3"), lit("0100_0000_01B3")],
+            &["tests/support/pin.rs", "crates/core/src/msg.rs:pub fn digest"]),
+        plant: Insert("crates/check/tests/analysis.rs", "fn positive_corpus_is_static_clean() {",
+            "    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);") },
 ];
 
 /// What the rules read: every file under the source roots by its path
