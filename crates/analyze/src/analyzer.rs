@@ -12,9 +12,11 @@
 //! deadlock and progress passes (E013–E018) live in `deadlock.rs`
 //! and read the same shape.
 
+use mpisim_core::trace::AccessKind;
+
 use crate::diag::{Code, Diagnostic};
 use crate::ir::{IrProgram, Stmt};
-use crate::shape::{Access, At, EpochKind, Shape};
+use crate::shape::{conflicting_pairs, Access, At, EpochKind, Shape};
 
 /// E012 scan: every synchronization statement of a *surviving* rank whose
 /// completion requires a crashed peer's cooperation. Crashed ranks' own
@@ -222,33 +224,6 @@ pub fn analyze(p: &IrProgram) -> Vec<Diagnostic> {
     diags
 }
 
-/// The conflicting overlaps among accesses that share a key, as `(a, b,
-/// bytes)` with `a` before `b` in `keyed`, ordered by those two positions.
-/// Each key's group is sorted by range start and walked forward from each
-/// access only while the next start lies below its end, so the cost is
-/// O(A log A) plus the overlapping pairs, not every pair.
-fn conflicting_pairs<'a, K: Ord>(
-    keyed: &[(&'a Access, K)],
-) -> Vec<(&'a Access, &'a Access, (usize, usize))> {
-    let mut by_start: Vec<usize> = (0..keyed.len()).collect();
-    by_start.sort_unstable_by_key(|&i| (&keyed[i].1, keyed[i].0.lo, i));
-    let mut pairs = Vec::new();
-    for (n, &i) in by_start.iter().enumerate() {
-        let (cur, key) = &keyed[i];
-        let later =
-            by_start[n + 1..].iter().take_while(|&&j| keyed[j].1 == *key && keyed[j].0.lo < cur.hi);
-        for &j in later {
-            let (i, j) = (i.min(j), i.max(j));
-            let (a, b) = (keyed[i].0, keyed[j].0);
-            if let Some(bytes) = a.overlap(b).filter(|_| a.kind.conflicts_with(b.kind)) {
-                pairs.push((i, j, bytes));
-            }
-        }
-    }
-    pairs.sort_unstable_by_key(|&(i, j, _)| (i, j));
-    pairs.into_iter().map(|(i, j, bytes)| (keyed[i].0, keyed[j].0, bytes)).collect()
-}
-
 /// E006/E007 then E009, each in the order of its accesses' positions.
 fn range_conflicts(sh: &Shape) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
@@ -263,7 +238,8 @@ fn range_conflicts(sh: &Shape) -> Vec<Diagnostic> {
         .flat_map(|rs| &rs.accesses)
         .filter_map(|a| Some((a, (a.target, a.win, scope(sh, a)?))))
         .collect();
-    for (a, b, (lo, hi)) in conflicting_pairs(&scoped) {
+    for (i, j, (lo, hi)) in conflicting_pairs(&scoped, AccessKind::conflicts_with) {
+        let (a, b) = (scoped[i].0, scoped[j].0);
         if a.rank == b.rank {
             continue;
         }
@@ -294,7 +270,8 @@ fn range_conflicts(sh: &Shape) -> Vec<Diagnostic> {
             .iter()
             .filter_map(|a| Some((a, (a.target, a.win, rs.epochs[a.epoch?].region))))
             .collect();
-        for (a, b, (lo, hi)) in conflicting_pairs(&regioned) {
+        for (i, j, (lo, hi)) in conflicting_pairs(&regioned, AccessKind::conflicts_with) {
+            let (a, b) = (regioned[i].0, regioned[j].0);
             let (Some(ea), Some(eb)) = (a.epoch, b.epoch) else {
                 unreachable!("only a covered access has a region")
             };

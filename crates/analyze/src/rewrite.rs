@@ -223,7 +223,8 @@ pub fn rewrite_with_model(
     let max_passes = 2 + cur.ranks.iter().map(Vec::len).sum::<usize>();
     loop {
         report.passes += 1;
-        let (next, changed) = apply_once(&cur, model, &mut report);
+        let next = apply_once(&cur, model, &mut report);
+        let changed = next != cur;
         cur = next;
         if !changed || report.passes >= max_passes {
             break;
@@ -260,13 +261,12 @@ fn unlock_contended(sh: &Shape, rank: usize, step: usize) -> bool {
     sh.ranks.iter().enumerate().any(|(r, rs)| r != rank && rs.epochs.iter().any(contends))
 }
 
-/// One classify→apply pass over one resolution of the program. Returns
-/// the rewritten program and whether anything fired.
-fn apply_once(p: &IrProgram, model: &CostModel, report: &mut RewriteReport) -> (IrProgram, bool) {
+/// One classify→apply pass over one resolution of the program: the
+/// rewritten program (equal to `p` when nothing fired).
+fn apply_once(p: &IrProgram, model: &CostModel, report: &mut RewriteReport) -> IrProgram {
     let sh = Shape::of(p);
     let slack = slack_of(&sh);
     let mut out = p.clone();
-    let mut changed = false;
     // W004 group shrinks first: statement-count-stable (only group
     // contents change), so every finding's step index stays valid, and
     // the per-rank rebuild below reads the shrunk statements.
@@ -274,7 +274,6 @@ fn apply_once(p: &IrProgram, model: &CostModel, report: &mut RewriteReport) -> (
         if let Stmt::Start { group, .. } = &mut out.ranks[s.origin][s.start_step] {
             if let Some(pos) = group.iter().position(|&t| t == s.target) {
                 group.remove(pos);
-                changed = true;
                 report.shrunk += 1;
             }
         }
@@ -284,24 +283,37 @@ fn apply_once(p: &IrProgram, model: &CostModel, report: &mut RewriteReport) -> (
             }
         }
     }
-    let mut pass_skipped = 0usize;
-    for rank in 0..p.n_ranks {
-        let mut relax: Vec<usize> = Vec::new();
-        let mut elide: Vec<usize> = Vec::new();
-        let mut localize: Vec<usize> = Vec::new();
-        let mut insert_before: Vec<usize> = Vec::new();
-        let mut trailing_wait = false;
-        for f in slack.findings.iter().filter(|f| f.rank == rank) {
+    // Findings come rank by rank, each rank's in statement order. Relax
+    // and localize edit their statement in place; elisions and inserted
+    // waits, both in statement order, are merged in by one rebuild.
+    debug_assert!(slack.findings.is_sorted_by_key(|f| (f.rank, f.step)));
+    report.skipped = 0;
+    for findings in slack.findings.chunk_by(|a, b| a.rank == b.rank) {
+        let rank = findings[0].rank;
+        let stmts = &mut out.ranks[rank];
+        let (mut elide, mut insert_before, mut trailing_wait) = (Vec::new(), Vec::new(), false);
+        for f in findings {
             match (f.class, f.kind) {
-                (SlackClass::Relaxable, SyncKind::Flush) => localize.push(f.step),
+                (SlackClass::Relaxable, SyncKind::Flush) => {
+                    if let Stmt::Flush { local_only, .. } = &mut stmts[f.step] {
+                        *local_only = true;
+                    }
+                    report.localized += 1;
+                }
                 (SlackClass::Relaxable, _) => {
-                    if unlock_contended(&sh, rank, f.step)
-                        || !model.profitable(f, p.ranks[rank].len())
-                    {
-                        pass_skipped += 1;
+                    if unlock_contended(&sh, rank, f.step) || !model.profitable(f, stmts.len()) {
+                        report.skipped += 1;
                         continue;
                     }
-                    relax.push(f.step);
+                    match &mut stmts[f.step] {
+                        Stmt::Fence { close, .. }
+                        | Stmt::Complete { close, .. }
+                        | Stmt::WaitEpoch { close, .. }
+                        | Stmt::Unlock { close, .. }
+                        | Stmt::UnlockAll { close, .. } => *close = Close::Nonblocking,
+                        _ => unreachable!("only an epoch close is relaxed"),
+                    }
+                    report.relaxed += 1;
                     match f.wait_before {
                         Some(d) if f.insert_wait => insert_before.push(d),
                         Some(_) => {} // existing WaitAll consumes it
@@ -314,48 +326,27 @@ fn apply_once(p: &IrProgram, model: &CostModel, report: &mut RewriteReport) -> (
         }
         insert_before.sort_unstable();
         insert_before.dedup();
-        if relax.is_empty() && elide.is_empty() && localize.is_empty() {
+        report.elided += elide.len();
+        report.waits_inserted += insert_before.len() + usize::from(trailing_wait);
+        if elide.is_empty() && insert_before.is_empty() && !trailing_wait {
             continue;
         }
-        changed = true;
-        report.relaxed += relax.len();
-        report.elided += elide.len();
-        report.localized += localize.len();
-        report.waits_inserted += insert_before.len() + usize::from(trailing_wait);
-        let src = std::mem::take(&mut out.ranks[rank]);
-        let mut stmts = Vec::with_capacity(src.len() + insert_before.len() + 1);
-        for (i, stmt) in src.iter().enumerate() {
-            if insert_before.binary_search(&i).is_ok() {
+        let src = std::mem::take(stmts);
+        stmts.reserve(src.len() + insert_before.len() + 1);
+        let (mut waits, mut elided) = (insert_before.iter().peekable(), elide.iter().peekable());
+        for (i, stmt) in src.into_iter().enumerate() {
+            if waits.next_if_eq(&&i).is_some() {
                 stmts.push(Stmt::WaitAll);
             }
-            if elide.contains(&i) {
-                continue;
+            if elided.next_if_eq(&&i).is_none() {
+                stmts.push(stmt);
             }
-            let mut s = stmt.clone();
-            if relax.contains(&i) {
-                match &mut s {
-                    Stmt::Fence { close, .. }
-                    | Stmt::Complete { close, .. }
-                    | Stmt::WaitEpoch { close, .. }
-                    | Stmt::Unlock { close, .. }
-                    | Stmt::UnlockAll { close, .. } => *close = Close::Nonblocking,
-                    _ => unreachable!("relax set only holds epoch closes"),
-                }
-            }
-            if localize.contains(&i) {
-                if let Stmt::Flush { local_only, .. } = &mut s {
-                    *local_only = true;
-                }
-            }
-            stmts.push(s);
         }
         if trailing_wait {
             stmts.push(Stmt::WaitAll);
         }
-        out.ranks[rank] = stmts;
     }
-    report.skipped = pass_skipped;
-    (out, changed)
+    out
 }
 
 /// Delete one synchronization statement of rank 0: the first fence call

@@ -25,7 +25,9 @@
 //!
 //! The cross-rank FIFO rule — origin `o`'s k-th start naming `t` meets
 //! `t`'s k-th post naming `o` — is answered by [`Shape::matching_post`] and
-//! [`Shape::matching_start`] and nowhere else.
+//! [`Shape::matching_start`] and nowhere else. Which accesses overlap on
+//! conflicting bytes is answered by [`conflicting_pairs`], one sort and
+//! sweep that each pass calls with its own predicate over the two kinds.
 //!
 //! The walk reports what only it can see (E001–E005, E008, E010) into
 //! [`Shape::diags`] and recovers after every diagnostic: a rejected
@@ -158,6 +160,35 @@ impl Access {
         let (lo, hi) = (self.lo.max(other.lo), self.hi.min(other.hi));
         (lo < hi).then_some((lo, hi))
     }
+}
+
+/// The overlapping pairs among accesses that share a key and whose kinds
+/// `conflicts` accepts, as `(i, j, bytes)` with positions `i < j` in
+/// `keyed`, ordered by those two positions: the static layer's one
+/// conflict sweep. Each key's group is sorted by range start and walked
+/// forward from each access only while the next start lies below its end,
+/// so the cost is O(A log A) plus the overlapping pairs, not every pair.
+pub(crate) fn conflicting_pairs<K: Ord>(
+    keyed: &[(&Access, K)],
+    conflicts: impl Fn(AccessKind, AccessKind) -> bool,
+) -> Vec<(usize, usize, (usize, usize))> {
+    let mut by_start: Vec<usize> = (0..keyed.len()).collect();
+    by_start.sort_unstable_by_key(|&i| (&keyed[i].1, keyed[i].0.lo, i));
+    let mut pairs = Vec::new();
+    for (n, &i) in by_start.iter().enumerate() {
+        let (cur, key) = &keyed[i];
+        let later =
+            by_start[n + 1..].iter().take_while(|&&j| keyed[j].1 == *key && keyed[j].0.lo < cur.hi);
+        for &j in later {
+            let (i, j) = (i.min(j), i.max(j));
+            let (a, b) = (keyed[i].0, keyed[j].0);
+            if let Some(bytes) = a.overlap(b).filter(|_| conflicts(a.kind, b.kind)) {
+                pairs.push((i, j, bytes));
+            }
+        }
+    }
+    pairs.sort_unstable_by_key(|&(i, j, _)| (i, j));
+    pairs
 }
 
 /// One flush-family call.

@@ -67,11 +67,13 @@
 //! (dead exposure) stays report-only because removing an exposure
 //! epoch outright changes collective matching asymmetrically.
 
+use std::cell::OnceCell;
+
 use mpisim_core::trace::AccessKind;
 
 use crate::diag::{Code, Diagnostic};
 use crate::ir::{IrProgram, Stmt};
-use crate::shape::{Access, At, EpochKind, Flush, Op, Shape};
+use crate::shape::{conflicting_pairs, Access, At, EpochKind, Flush, Op, Resolved, Shape};
 
 /// Classification of one blocking synchronization point on the slack
 /// lattice (`Elidable ⊏ Relaxable ⊏ Required`: each step up keeps
@@ -137,6 +139,25 @@ pub struct SlackFinding {
     pub why: String,
 }
 
+impl SlackFinding {
+    /// A `Required` finding with no witness yet, over what the sync point
+    /// completes (`covered`).
+    fn required(rank: usize, step: usize, win: usize, kind: SyncKind, covered: &[&Access]) -> Self {
+        SlackFinding {
+            rank,
+            step,
+            win,
+            kind,
+            class: SlackClass::Required,
+            wait_before: None,
+            insert_wait: false,
+            localize: false,
+            covered_bytes: covered.iter().map(|c| c.hi - c.lo).sum(),
+            why: String::new(),
+        }
+    }
+}
+
 /// One mechanizable W004 group shrink: drop `target` from `origin`'s
 /// start group at `start_step`, and drop `origin` from the matching
 /// post's group at (`target`, `post_step`). Shrinking both sides of
@@ -177,6 +198,16 @@ fn counted(a: &&Access) -> bool {
     a.epoch.is_some() && a.op != Op::Spin
 }
 
+/// The slack pass's conflict predicate: either side writes. It is
+/// deliberately coarser than [`AccessKind::conflicts_with`], the E-codes'
+/// race predicate, which lets a `NoOp` read meet an accumulate and
+/// same-operator accumulates commute: the pass asks whether anyone may
+/// depend on *when* written bytes complete, not whether their final value
+/// depends on the schedule, and any write can be depended on.
+fn either_writes(a: AccessKind, b: AccessKind) -> bool {
+    a.writes() || b.writes()
+}
+
 /// The reorder pin: with reorder flags on, a rank that issues conflicting
 /// overlapping accesses to one (window, target) from *different* epochs
 /// depends on blocking syncs to break its reorder-concurrency regions
@@ -184,40 +215,81 @@ fn counted(a: &&Access) -> bool {
 /// of that rank is pinned Required. (Blocking syncs serialize *all* of a
 /// rank's windows, hence the pin is per rank, not per window.)
 fn reorder_pinned(sh: &Shape) -> Vec<bool> {
-    let pinned = |accs: &Vec<Access>| {
-        sh.p.reorder
-            && accs.iter().enumerate().filter(|(_, a)| counted(a)).any(|(i, a)| {
-                accs[i + 1..].iter().filter(counted).any(|b| {
-                    a.win == b.win
-                        && a.target == b.target
-                        && a.epoch != b.epoch
-                        && (a.kind.writes() || b.kind.writes())
-                        && a.overlap(b).is_some()
-                })
-            })
+    let pinned = |rs: &Resolved| {
+        let keyed: Vec<_> =
+            rs.accesses.iter().filter(counted).map(|a| (a, (a.target, a.win))).collect();
+        let pairs = conflicting_pairs(&keyed, either_writes);
+        pairs.iter().any(|&(i, j, _)| keyed[i].0.epoch != keyed[j].0.epoch)
     };
-    sh.ranks.iter().map(|rs| pinned(&rs.accesses)).collect()
+    sh.ranks.iter().map(|rs| sh.p.reorder && pinned(rs)).collect()
 }
 
-/// Does any *other* rank's access conflict with the covered ones?
-/// (The barrier rule: a barrier after the sync publishes completion to
-/// conflicting peers, so the deferred wait must land before it.)
-fn cross_conflict(sh: &Shape, rank: usize, win: usize, covered: &[&Access]) -> Option<String> {
-    let others = sh.ranks.iter().enumerate().filter(|&(r, _)| r != rank);
-    for a in others.flat_map(|(_, rs)| &rs.accesses).filter(|a| a.win == win && counted(a)) {
-        for c in covered {
-            if a.target != c.target || !(a.kind.writes() || c.kind.writes()) {
-                continue;
-            }
-            if let Some((lo, hi)) = a.overlap(c) {
-                return Some(format!(
-                    "rank {} conflicts on bytes [{lo}, {hi}) of rank {}'s window {win}",
-                    a.rank, c.target
-                ));
+/// What a blocking exposure close at `step` covers: the rank's whole
+/// window (conservative: it publishes everything the origins wrote).
+fn whole_window(p: &IrProgram, rank: usize, step: usize, win: usize, e: usize) -> Access {
+    Access {
+        rank,
+        step,
+        win,
+        target: rank,
+        lo: 0,
+        hi: p.windows[win],
+        kind: AccessKind::Write,
+        op: Op::Put,
+        val: None,
+        epoch: Some(e),
+    }
+}
+
+/// The barrier rule's table, one sweep over the whole job: per rank and
+/// statement that a sync point can cover (a counted access, or a blocking
+/// exposure close's whole window), the first access of *another* rank, in
+/// rank then statement order, that conflicts with it.
+type Publication<'a> = Vec<Vec<Option<&'a Access>>>;
+
+fn publication<'a>(sh: &'a Shape) -> Publication<'a> {
+    let counted: Vec<&Access> =
+        sh.ranks.iter().flat_map(|rs| &rs.accesses).filter(counted).collect();
+    let mut exposures = Vec::new();
+    for (rank, rs) in sh.ranks.iter().enumerate() {
+        for (e, ep) in rs.epochs.iter().enumerate() {
+            let Some((step, mode)) = ep.close else { continue };
+            if mode.is_blocking() && matches!(ep.kind, EpochKind::Post { .. }) {
+                exposures.push(whole_window(sh.p, rank, step, ep.win, e));
             }
         }
     }
-    None
+    let keyed: Vec<_> =
+        counted.iter().copied().chain(&exposures).map(|a| (a, (a.win, a.target))).collect();
+    let mut first: Publication = sh.p.ranks.iter().map(|stmts| vec![None; stmts.len()]).collect();
+    // Only a counted access publishes. `conflicting_pairs` lists each
+    // entry's partners in position order, so the first one noted is the
+    // first in rank and statement order.
+    for (i, j, _) in conflicting_pairs(&keyed, either_writes) {
+        let (a, b) = (keyed[i].0, keyed[j].0);
+        for (c, by) in [(b, i), (a, j)] {
+            if a.rank != b.rank && by < counted.len() {
+                first[c.rank][c.step].get_or_insert(counted[by]);
+            }
+        }
+    }
+    first
+}
+
+/// Does any *other* rank's access conflict with the covered ones? The
+/// first such pair in other-rank, statement and covered order is the
+/// witness. (The barrier rule: a barrier after the sync publishes
+/// completion to conflicting peers, so the deferred wait must land before
+/// it.)
+fn cross_conflict(first: &Publication, win: usize, covered: &[&Access]) -> Option<String> {
+    let (a, c) = (covered.iter())
+        .filter_map(|c| Some((first[c.rank][c.step]?, c)))
+        .min_by_key(|(a, _)| (a.rank, a.step))?;
+    let (lo, hi) = a.overlap(c)?;
+    Some(format!(
+        "rank {} conflicts on bytes [{lo}, {hi}) of rank {}'s window {win}",
+        a.rank, c.target
+    ))
 }
 
 /// What the dependent-use scan met first.
@@ -229,17 +301,20 @@ enum Use<'a> {
     /// A value-dependent spin: it re-reads the window until a peer's write
     /// lands — a conservative hard pin.
     Spin,
-    /// A barrier, when another rank conflicts with the covered bytes.
-    Barrier { conflict: String },
+    /// A barrier, when another rank conflicts with the covered bytes: the
+    /// conflict.
+    Barrier(String),
 }
 
 /// Forward dataflow scan over `range` of `rank`'s statements for the first
 /// dependent use of what a sync point on `win` completes (`covered`): a
 /// value dependence (same-rank overlapping get or value read), a
 /// value-dependent spin, a cross-rank publication point (barrier with a
-/// conflicting peer), or — when `landing` — an existing `waitall`.
+/// conflicting peer, read from the table in `cross`, which the first
+/// barrier builds), or — when `landing` — an existing `waitall`.
 fn first_use<'a>(
     sh: &'a Shape,
+    cross: &OnceCell<Publication<'a>>,
     rank: usize,
     range: std::ops::Range<usize>,
     win: usize,
@@ -247,15 +322,12 @@ fn first_use<'a>(
     landing: bool,
 ) -> Option<(usize, Use<'a>)> {
     let rs = &sh.ranks[rank];
-    let mut barrier_conflict: Option<Option<String>> = None;
+    let table = || cross.get_or_init(|| publication(sh));
     for d in range {
         let hit = match (&sh.p.ranks[rank][d], rs.at[d]) {
             (Stmt::WaitAll, _) if landing => Some(Use::WaitAll),
             (Stmt::SpinUntil { .. }, _) => Some(Use::Spin),
-            (Stmt::Barrier, _) => barrier_conflict
-                .get_or_insert_with(|| cross_conflict(sh, rank, win, covered))
-                .clone()
-                .map(|conflict| Use::Barrier { conflict }),
+            (Stmt::Barrier, _) => cross_conflict(table(), win, covered).map(Use::Barrier),
             (_, At::Access(a)) => Some(&rs.accesses[a])
                 .filter(|by| by.op.returns_value() && by.win == win)
                 .and_then(|by| {
@@ -278,17 +350,29 @@ pub fn analyze_slack(p: &IrProgram) -> SlackReport {
     slack_of(&Shape::of(p))
 }
 
-/// The group members of GATS access epoch `e` it never operates toward.
-fn unused_targets(sh: &Shape, rank: usize, e: usize) -> Vec<usize> {
-    let rs = &sh.ranks[rank];
-    let used = |t: &usize| rs.accesses_of(e).filter(counted).any(|a| a.target == *t);
-    rs.epochs[e].group().iter().copied().filter(|t| !used(t)).collect()
+/// Per rank, sorted: `(epoch, target)` for every target an epoch's
+/// counted accesses address. Collected once, it says which group members
+/// a start epoch never operates toward, for W004, W005 and the shrinks.
+fn addressed(sh: &Shape) -> Vec<Vec<(usize, usize)>> {
+    let of = |rs: &Resolved| {
+        let mut pairs: Vec<(usize, usize)> =
+            rs.accesses.iter().filter(counted).filter_map(|a| Some((a.epoch?, a.target))).collect();
+        pairs.sort_unstable();
+        pairs
+    };
+    sh.ranks.iter().map(of).collect()
 }
 
 /// The slack pass over an already resolved program.
 pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
     let p = sh.p;
     let pinned = reorder_pinned(sh);
+    let addressed = addressed(sh);
+    let unused = |rank: usize, e: usize| -> Vec<usize> {
+        let group = sh.ranks[rank].epochs[e].group().iter().copied();
+        group.filter(|&t| addressed[rank].binary_search(&(e, t)).is_err()).collect()
+    };
+    let cross = OnceCell::new();
     let mut report = SlackReport::default();
 
     // Classify one blocking epoch close.
@@ -298,19 +382,7 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
                           kind: SyncKind,
                           covered: &[&Access],
                           report: &mut SlackReport| {
-        let covered_bytes: usize = covered.iter().map(|c| c.hi - c.lo).sum();
-        let mut finding = SlackFinding {
-            rank,
-            step,
-            win,
-            kind,
-            class: SlackClass::Required,
-            wait_before: None,
-            insert_wait: false,
-            localize: false,
-            covered_bytes,
-            why: String::new(),
-        };
+        let mut finding = SlackFinding::required(rank, step, win, kind, covered);
         if pinned[rank] {
             finding.why = "reorder pin: this rank has conflicting same-origin accesses in \
                            different epochs, so blocking syncs must keep breaking reorder regions"
@@ -319,7 +391,7 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
         }
         let len = p.ranks[rank].len();
         let (wait_before, insert_wait, why) =
-            match first_use(sh, rank, step + 1..len, win, covered, true) {
+            match first_use(sh, &cross, rank, step + 1..len, win, covered, true) {
                 None => (None, false, "no dependent use before end of program".to_string()),
                 Some((d, Use::WaitAll)) => {
                     (Some(d), false, format!("deferred to the existing waitall at stmt {d}"))
@@ -339,7 +411,7 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
                             "value-dependent spin at stmt {d} re-reads the window until \
                              satisfied; the sync must complete before it"
                         ),
-                        Use::Barrier { conflict } => {
+                        Use::Barrier(conflict) => {
                             format!("barrier at stmt {d} publishes completion: {conflict}")
                         }
                         Use::WaitAll => unreachable!("matched above"),
@@ -398,42 +470,27 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
                         EpochKind::LockAll => SyncKind::UnlockAll,
                     };
                     // W004: group targets this epoch never addressed.
-                    if kind == SyncKind::Complete {
-                        let unused = unused_targets(sh, rank, e);
-                        if !unused.is_empty() && unused.len() < epoch.group().len() {
-                            report.diags.push(Diagnostic {
-                                code: Code::W004,
-                                rank,
-                                step: Some(epoch.open),
-                                detail: format!(
-                                    "start group on window {win} names rank(s) {unused:?} but \
-                                     the epoch never operates toward them (grants collected \
-                                     for nothing)"
-                                ),
-                            });
-                        }
+                    let unused = if kind == SyncKind::Complete { unused(rank, e) } else { vec![] };
+                    if !unused.is_empty() && unused.len() < epoch.group().len() {
+                        report.diags.push(Diagnostic {
+                            code: Code::W004,
+                            rank,
+                            step: Some(epoch.open),
+                            detail: format!(
+                                "start group on window {win} names rank(s) {unused:?} but the \
+                                 epoch never operates toward them (grants collected for nothing)"
+                            ),
+                        });
                     }
                     if !epoch.close.is_some_and(|(_, mode)| mode.is_blocking()) {
                         continue;
                     }
                     // A close completes its epoch's operations; the exposure
-                    // close publishes this rank's whole window
-                    // (conservative covered set).
-                    let whole_window;
+                    // close publishes this rank's whole window.
+                    let exposed;
                     let covered: Vec<&Access> = if kind == SyncKind::WaitEpoch {
-                        whole_window = Access {
-                            rank,
-                            step,
-                            win,
-                            target: rank,
-                            lo: 0,
-                            hi: p.windows[win],
-                            kind: AccessKind::Write,
-                            op: Op::Put,
-                            val: None,
-                            epoch: Some(e),
-                        };
-                        vec![&whole_window]
+                        exposed = whole_window(p, rank, step, win, e);
+                        vec![&exposed]
                     } else {
                         rs.accesses_of(e).filter(counted).collect()
                     };
@@ -470,8 +527,9 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
                     let close_of = |&e: &usize| rs.epochs[e].close.map_or(len, |(c, _)| c);
                     let close_at = f.covers.iter().map(close_of).min().unwrap_or(len);
                     let dependent = || {
+                        let scan = step + 1..close_at;
                         let (d, hit) =
-                            first_use(sh, rank, step + 1..close_at, f.win, &covered, false)?;
+                            first_use(sh, &cross, rank, scan, f.win, &covered, false)?;
                         Some(match hit {
                             Use::Read { by, .. } => format!(
                                 "{} at stmt {d} depends on the flushed bytes before the epoch \
@@ -482,50 +540,35 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
                                 "value-dependent spin at stmt {d} depends on window state \
                                  before the epoch closes"
                             ),
-                            Use::Barrier { conflict } => format!(
+                            Use::Barrier(conflict) => format!(
                                 "barrier at stmt {d} publishes the flush before the epoch \
                                  closes: {conflict}"
                             ),
                             Use::WaitAll => unreachable!("a waitall is no landing point here"),
                         })
                     };
+                    let required = |why| (SlackClass::Required, false, why);
                     let (class, localize, why) = if pinned[rank] {
-                        (SlackClass::Required, false, "reorder pin".to_string())
+                        required("reorder pin".to_string())
                     } else if full > 0 {
-                        (
-                            SlackClass::Required,
-                            false,
-                            format!("discharges {full} full iflush request(s)"),
-                        )
+                        required(format!("discharges {full} full iflush request(s)"))
                     } else if let Some(dep) = dependent() {
-                        (SlackClass::Required, false, dep)
+                        required(dep)
+                    } else if local > 0 && f.local_only {
+                        required(format!("discharges {local} local-only iflush request(s)"))
                     } else if local > 0 {
-                        if f.local_only {
-                            (
-                                SlackClass::Required,
-                                false,
-                                format!("discharges {local} local-only iflush request(s)"),
-                            )
-                        } else {
-                            (
-                                SlackClass::Relaxable,
-                                true,
-                                format!(
-                                    "only local-only iflush request(s) ride on it ({local}); \
-                                     remote completion is never consumed before the epoch \
-                                     close at stmt {close_at}"
-                                ),
-                            )
-                        }
+                        let why = format!(
+                            "only local-only iflush request(s) ride on it ({local}); remote \
+                             completion is never consumed before the epoch close at stmt \
+                             {close_at}"
+                        );
+                        (SlackClass::Relaxable, true, why)
                     } else {
-                        (
-                            SlackClass::Elidable,
-                            false,
-                            format!(
-                                "no dependent use before the epoch close at stmt {close_at} \
-                                 and no iflush request discharged"
-                            ),
-                        )
+                        let why = format!(
+                            "no dependent use before the epoch close at stmt {close_at} and no \
+                             iflush request discharged"
+                        );
+                        (SlackClass::Elidable, false, why)
                     };
                     if class != SlackClass::Required {
                         report.diags.push(Diagnostic {
@@ -540,16 +583,10 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
                         });
                     }
                     report.findings.push(SlackFinding {
-                        rank,
-                        step,
-                        win: f.win,
-                        kind: SyncKind::Flush,
                         class,
-                        wait_before: None,
-                        insert_wait: false,
                         localize,
-                        covered_bytes: covered.iter().map(|c| c.hi - c.lo).sum(),
                         why,
+                        ..SlackFinding::required(rank, step, f.win, SyncKind::Flush, &covered)
                     });
                 }
                 _ => {}
@@ -581,9 +618,7 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
         for (e, post) in gats_by_window(t, true) {
             let dead = |&o: &usize| {
                 let start = sh.matching_start(t, e, o);
-                start.is_some_and(|e| {
-                    !sh.ranks[o].accesses_of(e).filter(counted).any(|a| a.target == t)
-                })
+                start.is_some_and(|s| addressed[o].binary_search(&(s, t)).is_err())
             };
             if !post.group().is_empty() && post.group().iter().all(dead) {
                 report.diags.push(Diagnostic {
@@ -608,7 +643,7 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
     // E015's business.
     for origin in 0..sh.ranks.len() {
         for (e, start) in gats_by_window(origin, false) {
-            let unused = unused_targets(sh, origin, e);
+            let unused = unused(origin, e);
             if unused.len() == start.group().len() {
                 continue;
             }

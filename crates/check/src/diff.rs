@@ -73,11 +73,10 @@ impl std::fmt::Display for Failure {
     }
 }
 
-/// Which checking layers [`verify_with`] applies around the run.
+/// Which checking layers [`verify_with`] applies around the run (the
+/// static analyzer always runs first).
 #[derive(Copy, Clone, Debug)]
 pub struct VerifyOpts {
-    /// Run the static analyzer on the lowered program before executing.
-    pub static_analysis: bool,
     /// Run the happens-before race detector on the sync records of the run's trace.
     pub races: bool,
     /// Named network fault plan applied to every run of the sweep
@@ -89,7 +88,7 @@ pub struct VerifyOpts {
 
 impl Default for VerifyOpts {
     fn default() -> Self {
-        VerifyOpts { static_analysis: true, races: true, fault_plan: None, reliable: false }
+        VerifyOpts { races: true, fault_plan: None, reliable: false }
     }
 }
 
@@ -104,11 +103,9 @@ pub fn verify(program: &Program, spec: &RunSpec) -> Result<(), Failure> {
 /// conformant under every enabled layer.
 pub fn verify_with(program: &Program, spec: &RunSpec, opts: VerifyOpts) -> Result<(), Failure> {
     let ir = lower(program, spec.nonblocking);
-    if opts.static_analysis {
-        let diags = analyze(&ir);
-        if !diags.is_empty() {
-            return Err(Failure::Static(diags));
-        }
+    let diags = analyze(&ir);
+    if !diags.is_empty() {
+        return Err(Failure::Static(diags));
     }
     let expected = oracle(program);
     let out = match execute_lowered(&ir, spec, true) {

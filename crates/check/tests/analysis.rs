@@ -12,8 +12,7 @@ use mpisim_check::{
 #[path = "../../../tests/support/pin.rs"]
 mod pin;
 
-const STATIC_ONLY: VerifyOpts =
-    VerifyOpts { static_analysis: true, races: false, fault_plan: None, reliable: false };
+const STATIC_ONLY: VerifyOpts = VerifyOpts { races: false, fault_plan: None, reliable: false };
 
 /// Satellite acceptance: 3 families × ≥16 seeds, zero false positives
 /// from the static analyzer (both close modes). The same loop is the

@@ -2,53 +2,19 @@
 //! recycled object keeps every container's capacity — its recorded and
 //! live ops, its ready list and its per-target and per-origin tables — so
 //! once a side has held an epoch of a given size, opening and retiring one
-//! allocates nothing. A binary of its own because it installs a counting
-//! allocator; the allocator counts only the threads that switch
-//! [`COUNTING`] on, so nothing another thread of the test process does
-//! lands in the count.
+//! allocates nothing, as the counting allocator (`tests/support/alloc.rs`)
+//! counts it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use mpisim_core::epoch::{EpochKind, Slot};
 use mpisim_core::window::WinRank;
 use mpisim_core::{Group, LockKind, Rank, WinInfo};
 
-struct Counting;
+#[path = "../../../tests/support/alloc.rs"]
+mod alloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counted() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a statistic and publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use alloc::{ALLOCS, COUNTING};
 
 /// One round: a lock epoch and a two-target GATS access epoch open side by
 /// side, then leave the open set and retire, as their closing calls and

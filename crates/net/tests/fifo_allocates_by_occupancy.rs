@@ -1,52 +1,18 @@
 //! An intranode notification FIFO's storage follows its occupancy, not its
 //! bound: a created, never-pushed FIFO owns no heap; push and pop at or
 //! below the occupancy high-water mark allocate nothing; and a ring filled
-//! to its bound has allocated at most ⌈log₂ bound⌉ − 1 times. A binary of
-//! its own because it installs a counting allocator; the allocator counts
-//! only the thread that switches [`COUNTING`] on, so nothing another thread
-//! of the test process does lands in the count.
+//! to its bound has allocated at most ⌈log₂ bound⌉ − 1 times, as the
+//! counting allocator (`tests/support/alloc.rs`) counts them.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use mpisim_net::U64Fifo;
 
-struct Counting;
+#[path = "../../../tests/support/alloc.rs"]
+mod alloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counted() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a statistic and publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use alloc::{ALLOCS, COUNTING};
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)

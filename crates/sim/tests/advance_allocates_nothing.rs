@@ -2,52 +2,18 @@
 //! `compute` goes through, `ProcCtx::park` / `SimHandle::wake` the pair
 //! every blocked wait goes through; once the event queue (its slot arena
 //! and its map of pending instants) and the ready queue have grown to their
-//! working size none of them may touch the allocator. A binary of its own
-//! because it installs a counting allocator; the allocator counts only the
-//! thread that switches [`COUNTING`] on, the one that runs the simulation
-//! (its processes are fibers on that thread), so nothing another thread of
-//! the test process does lands in the count.
+//! working size none of them may touch the allocator. The counting
+//! allocator (`tests/support/alloc.rs`) counts the thread that runs the
+//! simulation: its processes are fibers on that thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpisim_sim::{ProcId, Sim, SimTime};
 
-struct Counting;
+#[path = "../../../tests/support/alloc.rs"]
+mod alloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counted() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a statistic and publishes nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counted() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use alloc::{ALLOCS, COUNTING};
 
 /// One `#[test]`, two scenarios run back to back on the counting thread.
 #[test]

@@ -375,6 +375,13 @@ const ROWS: &[Row] = &[
             word("fn find_close")]),
         plant: Insert("crates/analyze/src/rewrite.rs", "use crate::ir::{Close, IrProgram, Stmt};",
             "fn find_close(stmts: &[Stmt], open: usize) -> Option<usize> { None }") },
+    Row { name: "One conflict sweep in the static layer", section: "§9.3",
+        why: "which accesses overlap on conflicting bytes is `shape::conflicting_pairs`'s sweep; a pass hands it a predicate, and only the debug reference compares all pairs",
+        files: &["crates/analyze/src/**"],
+        rule: OnlyIn(&[lit("fn conflicting_pairs"), lit("[i + 1..]")],
+            &["crates/analyze/src/shape.rs", "crates/analyze/src/analyzer.rs:mod all_pairs"]),
+        plant: Insert("crates/analyze/src/slack.rs", "fn reorder_pinned(sh: &Shape) -> Vec<bool> {",
+            "    let later = |accs: &[Access], i: usize| accs[i + 1..].iter().filter(counted).count();") },
     Row { name: "The figure scenarios run on one window scaffold", section: "§3",
         why: "`mpisim_bench::on_window` alone allocates, fences with barriers and frees a scenario's window",
         files: &["crates/bench/src/micro.rs", "crates/bench/src/flags.rs"],
