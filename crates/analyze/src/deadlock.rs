@@ -1,12 +1,17 @@
 //! Whole-job deadlock and progress analysis (E013–E018).
 //!
 //! Two passes over the program's resolved epoch structure
-//! ([`crate::shape::Shape`]): wait conditions name the shape's epochs,
-//! fence calls and barriers, start/post matching is
-//! [`Shape::matching_post`] / [`Shape::matching_start`], the value
-//! domain's suppliers are the shape's writing accesses, and the lock-order
-//! pass reads its lock epochs and flushes. Neither pass pairs opens with
-//! closes or decodes a data statement itself.
+//! ([`crate::shape::Shape`]). Before the fixpoint runs, every wait is
+//! resolved from the shape once into a list of *needs* — "that rank's
+//! statement is initiated", "any one of these writes is initiated" (one
+//! per byte of a spun slot), or "never", with the rank to blame and why:
+//! one list per fence call `(win, idx)` and per barrier call, shared by
+//! every rank that makes it, one per GATS close (start/post matching is
+//! [`Shape::matching_post`] / [`Shape::matching_start`]) and per spin (the
+//! value domain's suppliers are the shape's writing accesses). The fixpoint
+//! then only checks lists, and the lock-order pass reads the shape's lock
+//! epochs and flushes. Neither pass pairs opens with closes or decodes a
+//! data statement itself.
 //!
 //! 1. **Fixpoint interpreter.** A symbolic abstract interpretation of the
 //!    whole job: every rank holds a program counter, and a round-based
@@ -20,7 +25,9 @@
 //!    with statement-initiation as the single monotone fact: a blocked
 //!    rank still *initiates* its current statement (a fence announces the
 //!    previous phase at call time; a closed GATS epoch emits `GatsDone`
-//!    per target as soon as that target's grant lands). Ranks still stuck
+//!    per target as soon as that target's grant lands). Satisfaction only
+//!    grows as program counters advance, so a check of a need list resumes
+//!    at the count of its leading needs already met. Ranks still stuck
 //!    at the fixpoint are provably non-terminating; a wait-for graph over
 //!    them yields E013 (cycle, with a rank-annotated witness) or a
 //!    root-cause code (E015/E016/E017, plus E011 for a bare barrier
@@ -75,46 +82,38 @@
 //! need a particular activation interleaving to stall — never that a
 //! clean program can stall.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use crate::diag::{Code, Diagnostic};
 use crate::ir::Stmt;
-use crate::shape::{At, EpochKind, Shape};
+use crate::shape::{Access, At, EpochKind, Shape};
+
+/// One thing a wait needs, resolved from the shape once.
+enum Need {
+    /// `rank` has initiated statement `stmt`.
+    Stmt { rank: usize, stmt: usize },
+    /// Any one of these `(rank, stmt)` writes is initiated: the suppliers
+    /// of one byte of a spun slot.
+    Any(Vec<(usize, usize)>),
+    /// Never: `rank`'s program does not supply it, for `why`.
+    Never { rank: usize, why: String },
+}
 
 /// A wait condition a statement (or a pending nonblocking request) must
 /// satisfy before the rank can move past it.
-#[derive(Clone)]
 enum Cond {
-    /// Always satisfiable (including calls the fixpoint treats as
-    /// eventually-completing: the whole passive-target plane).
-    None,
-    /// The rank's `idx`-th fence call on `win`: completes once every job
-    /// rank has initiated *its* `idx`-th fence call on `win` (each call
-    /// announces `FenceDone` for the previous phase at call time; call
-    /// #0 never blocks).
-    Fence { win: usize, idx: usize },
-    /// Close of the rank's GATS access epoch `start`: completes once
-    /// every target's matching exposure post is initiated (the grant
-    /// plane).
-    Grants { start: usize },
-    /// Close of the rank's exposure epoch `post`: completes once every
-    /// origin's matching access epoch has initiated its close (per-target
-    /// `GatsDone` needs only the origin's close plus this very post's
-    /// grant).
-    Dones { post: usize },
-    /// The rank's `idx`-th barrier: completes once every rank has
-    /// initiated its `idx`-th barrier.
-    Barrier { idx: usize },
+    /// Every need of one of [`Interp::lists`].
+    Needs(usize),
     /// `waitall` over the outstanding nonblocking requests collected so
     /// far, each tagged with its originating statement and name.
     Many(Vec<(usize, &'static str, Cond)>),
-    /// A value-dependent spin at statement `step` of the rank, resolved
-    /// through its local binding to the 8-byte slot at `disp` of
-    /// `target`'s window `win`: completes once every non-zero byte of
-    /// `expect` is covered by an initiated supplier write (the abstract
-    /// value domain).
-    Spin { step: usize, win: usize, target: usize, disp: usize, expect: u64 },
 }
+
+/// The empty list: the wait of every statement that waits on nothing,
+/// including the calls the fixpoint treats as eventually-completing (the
+/// whole passive-target plane).
+const NOTHING: usize = 0;
 
 /// Why a condition is unmet: a peer that can still move (`Stuck`) or a
 /// peer whose program provably never supplies the dependency (`Never`).
@@ -123,294 +122,260 @@ enum Blocker {
     Never { rank: usize, why: String },
 }
 
-/// Per-statement wait conditions for one rank, mirroring the engine's
-/// completion rules (see the module docs for the abstract domain). The
-/// passive-target plane (lock/unlock/flush) is treated as
-/// eventually-completing here; acquisition-order deadlocks are the
-/// lock-order pass's job. A close without an open epoch waits on nothing:
-/// the walk already reported E004, and the runtime errors out rather than
-/// blocking.
-fn build_conds(rank: usize, sh: &Shape) -> Vec<Cond> {
-    let rs = &sh.ranks[rank];
-    let cond_at = |(step, (stmt, at)): (usize, (&Stmt, &At))| match (stmt, *at) {
-        (_, At::Closes(e)) => match rs.epochs[e].kind {
-            EpochKind::Start { .. } => Cond::Grants { start: e },
-            EpochKind::Post { .. } => Cond::Dones { post: e },
-            _ => Cond::None,
-        },
-        (Stmt::WaitAll, _) => Cond::Many(Vec::new()),
-        // A spin on a local no dominating value read binds is a no-op and
-        // resolves to no access.
-        (Stmt::SpinUntil { expect, .. }, At::Access(a)) => {
-            let a = &rs.accesses[a];
-            Cond::Spin { step, win: a.win, target: a.target, disp: a.lo, expect: *expect }
-        }
-        _ => Cond::None,
-    };
-    let mut conds: Vec<Cond> =
-        sh.p.ranks[rank].iter().zip(&rs.at).enumerate().map(cond_at).collect();
-    for (win, calls) in rs.fences.iter().enumerate() {
-        for (idx, &step) in calls.iter().enumerate() {
-            conds[step] = Cond::Fence { win, idx };
-        }
-    }
-    for (idx, &step) in rs.barriers.iter().enumerate() {
-        conds[step] = Cond::Barrier { idx };
-    }
-    // A nonblocking call does not wait: the `waitall` consuming its
-    // request does, if there is one.
-    for q in &rs.requests {
-        let cond = std::mem::replace(&mut conds[q.step], Cond::None);
-        if let Some(Cond::Many(reqs)) = q.waited.map(|w| &mut conds[w]) {
-            reqs.push((q.step, q.what, cond));
-        }
-    }
-    conds
-}
-
-struct Interp<'a> {
-    sh: &'a Shape<'a>,
+/// Every wait of the job, resolved once from the shape: one need list per
+/// fence call `(win, idx)` and per barrier call, shared by every rank that
+/// makes it, one per GATS close and per spin, and per statement of each
+/// rank the condition naming its list.
+struct Interp {
     conds: Vec<Vec<Cond>>,
+    /// Every list's needs, list after list.
+    needs: Vec<Need>,
+    /// Per list: its first need not yet known to be met, and the end of
+    /// its needs. Satisfaction only grows as program counters advance, so
+    /// a check resumes at the first.
+    lists: Vec<(Cell<usize>, usize)>,
 }
 
-impl Interp<'_> {
-    /// Has rank `r` initiated statement `stmt`? A rank initiates its
-    /// current (possibly blocked) statement: call-site effects — fence
-    /// announcements, posts, epoch closes — happen before the wait.
-    fn initiated(&self, pcs: &[usize], r: usize, stmt: usize) -> bool {
-        pcs[r] >= stmt
+impl Interp {
+    /// Per-statement wait conditions, mirroring the engine's completion
+    /// rules (see the module docs for the abstract domain). The
+    /// passive-target plane (lock/unlock/flush) is treated as
+    /// eventually-completing here; acquisition-order deadlocks are the
+    /// lock-order pass's job. A close without an open epoch waits on
+    /// nothing: the walk already reported E004, and the runtime errors out
+    /// rather than blocking.
+    fn new(sh: &Shape) -> Self {
+        let mut it = Interp { conds: Vec::new(), needs: Vec::new(), lists: Vec::new() };
+        it.list([]); // NOTHING
+        // Each fence call announces `FenceDone` for the previous phase at
+        // call time, so call #0 never blocks.
+        let fences: Vec<Vec<usize>> = (0..sh.p.windows.len())
+            .map(|win| {
+                let calls: Vec<&[usize]> = sh.ranks.iter().map(|rs| &rs.fences[win][..]).collect();
+                it.per_call(&calls, 1, |q, made, idx| {
+                    format!(
+                        "rank {q} makes only {made} fence call(s) on window {win}, so fence \
+                         phase {} can never complete",
+                        idx - 1
+                    )
+                })
+            })
+            .collect();
+        let calls: Vec<&[usize]> = sh.ranks.iter().map(|rs| &rs.barriers[..]).collect();
+        let never = |q, made, _| format!("rank {q} calls barrier only {made} time(s)");
+        let barriers = it.per_call(&calls, 0, never);
+        for (r, rs) in sh.ranks.iter().enumerate() {
+            let cond_at = |(stmt, at): (&Stmt, &At)| match (stmt, *at) {
+                // Only a GATS close waits on its group; a passive-target
+                // close has none.
+                (_, At::Closes(e)) if !rs.epochs[e].group().is_empty() => {
+                    Cond::Needs(it.list(gats_close(sh, r, e)))
+                }
+                (Stmt::WaitAll, _) => Cond::Many(Vec::new()),
+                // A spin on a local no dominating value read binds is a
+                // no-op and resolves to no access.
+                (Stmt::SpinUntil { expect, .. }, At::Access(a)) => {
+                    Cond::Needs(it.list(spin(sh, &rs.accesses[a], *expect)))
+                }
+                _ => Cond::Needs(NOTHING),
+            };
+            let mut conds: Vec<Cond> = sh.p.ranks[r].iter().zip(&rs.at).map(cond_at).collect();
+            for (win, calls) in rs.fences.iter().enumerate() {
+                for (idx, &step) in calls.iter().enumerate() {
+                    conds[step] = Cond::Needs(fences[win][idx]);
+                }
+            }
+            for (idx, &step) in rs.barriers.iter().enumerate() {
+                conds[step] = Cond::Needs(barriers[idx]);
+            }
+            // A nonblocking call does not wait: the `waitall` consuming its
+            // request does, if there is one.
+            for q in &rs.requests {
+                let cond = std::mem::replace(&mut conds[q.step], Cond::Needs(NOTHING));
+                if let Some(Cond::Many(reqs)) = q.waited.map(|w| &mut conds[w]) {
+                    reqs.push((q.step, q.what, cond));
+                }
+            }
+            it.conds.push(conds);
+        }
+        it
     }
 
-    /// Is `cond` (of rank `r`) satisfied under `pcs`? When not, pushes
-    /// the reasons into `blockers` (when provided).
-    fn sat(
-        &self,
-        r: usize,
-        cond: &Cond,
-        pcs: &[usize],
-        mut blockers: Option<&mut Vec<Blocker>>,
-    ) -> bool {
-        let n = self.sh.p.n_ranks;
-        let ranks = &self.sh.ranks;
-        let mut ok = true;
-        let mut blame = |b: Blocker, ok: &mut bool| {
-            *ok = false;
-            if let Some(bl) = blockers.as_deref_mut() {
-                bl.push(b);
+    /// Add a list of `needs`; its index.
+    fn list(&mut self, needs: impl IntoIterator<Item = Need>) -> usize {
+        let from = self.needs.len();
+        self.needs.extend(needs);
+        self.lists.push((Cell::new(from), self.needs.len()));
+        self.lists.len() - 1
+    }
+
+    /// One list per call of a collective, `calls` holding each rank's
+    /// calls in order: the `idx`-th call completes once every rank has
+    /// initiated its own `idx`-th call, and `never(rank, made, idx)` says
+    /// why a rank that makes fewer never does. Calls below `from` wait on
+    /// nothing.
+    fn per_call(
+        &mut self,
+        calls: &[&[usize]],
+        from: usize,
+        never: impl Fn(usize, usize, usize) -> String,
+    ) -> Vec<usize> {
+        let most = calls.iter().map(|c| c.len()).max().unwrap_or(0);
+        (0..most)
+            .map(|idx| {
+                if idx < from {
+                    return NOTHING;
+                }
+                self.list(calls.iter().enumerate().map(|(q, c)| match c.get(idx) {
+                    Some(&stmt) => Need::Stmt { rank: q, stmt },
+                    None => Need::Never { rank: q, why: never(q, c.len(), idx) },
+                }))
+            })
+            .collect()
+    }
+
+    /// Is `cond` satisfied under `pcs`? When not, pushes the reasons into
+    /// `blockers` (when provided).
+    fn sat(&self, cond: &Cond, pcs: &[usize], blockers: Option<&mut Vec<Blocker>>) -> bool {
+        let l = match cond {
+            Cond::Needs(l) => *l,
+            Cond::Many(reqs) => {
+                let Some(bl) = blockers else {
+                    return reqs.iter().all(|(.., c)| self.sat(c, pcs, None));
+                };
+                let mut ok = true;
+                for (step, what, c) in reqs {
+                    let from = bl.len();
+                    ok &= self.sat(c, pcs, Some(bl));
+                    for b in &mut bl[from..] {
+                        if let Blocker::Never { why, .. } = b {
+                            *why = format!(
+                                "{what} request from stmt {step} can never complete: {why}"
+                            );
+                        }
+                    }
+                }
+                return ok;
             }
         };
-        match cond {
-            Cond::None => {}
-            Cond::Fence { win, idx } => {
-                if *idx > 0 {
-                    for (q, rs) in ranks.iter().enumerate() {
-                        match rs.fences[*win].get(*idx) {
-                            Some(&s) if self.initiated(pcs, q, s) => {}
-                            Some(_) => blame(Blocker::Stuck(q), &mut ok),
-                            None => blame(
-                                Blocker::Never {
-                                    rank: q,
-                                    why: format!(
-                                        "rank {q} makes only {} fence call(s) on window \
-                                         {win}, so fence phase {} can never complete",
-                                        rs.fences[*win].len(),
-                                        idx - 1
-                                    ),
-                                },
-                                &mut ok,
-                            ),
-                        }
-                    }
-                }
-            }
-            Cond::Grants { start } => {
-                let si = &ranks[r].epochs[*start];
-                let win = si.win;
-                for &t in si.group() {
-                    if t >= n {
-                        continue; // invalid target: E002 already reported
-                    }
-                    match self.sh.matching_post(r, *start, t) {
-                        Some(pi) if self.initiated(pcs, t, ranks[t].epochs[pi].open) => {}
-                        Some(_) => blame(Blocker::Stuck(t), &mut ok),
-                        None => blame(
-                            Blocker::Never {
-                                rank: t,
-                                why: format!(
-                                    "rank {t} never issues the matching exposure post on \
-                                     window {win} (needs its post #{} containing rank {r})",
-                                    self.sh.occurrence(r, *start, t).expect("t is in the group")
-                                ),
-                            },
-                            &mut ok,
-                        ),
-                    }
-                }
-            }
-            Cond::Dones { post } => {
-                let pi = &ranks[r].epochs[*post];
-                let win = pi.win;
-                for &o in pi.group() {
-                    if o >= n {
-                        continue;
-                    }
-                    match self.sh.matching_start(r, *post, o) {
-                        Some(si) => match ranks[o].epochs[si].close {
-                            Some((c, _)) if self.initiated(pcs, o, c) => {}
-                            Some(_) => blame(Blocker::Stuck(o), &mut ok),
-                            None => blame(
-                                Blocker::Never {
-                                    rank: o,
-                                    why: format!(
-                                        "rank {o}'s matching access epoch on window {win} \
-                                         is never completed, so its done packet never \
-                                         arrives"
-                                    ),
-                                },
-                                &mut ok,
-                            ),
-                        },
-                        None => blame(
-                            Blocker::Never {
-                                rank: o,
-                                why: format!(
-                                    "rank {o} never starts a matching access epoch on \
-                                     window {win} (needs its start #{} containing rank \
-                                     {r})",
-                                    self.sh.occurrence(r, *post, o).expect("o is in the group")
-                                ),
-                            },
-                            &mut ok,
-                        ),
-                    }
-                }
-            }
-            Cond::Barrier { idx } => {
-                for (q, rs) in ranks.iter().enumerate() {
-                    match rs.barriers.get(*idx) {
-                        Some(&s) if self.initiated(pcs, q, s) => {}
-                        Some(_) => blame(Blocker::Stuck(q), &mut ok),
-                        None => blame(
-                            Blocker::Never {
-                                rank: q,
-                                why: format!(
-                                    "rank {q} calls barrier only {} time(s)",
-                                    rs.barriers.len()
-                                ),
-                            },
-                            &mut ok,
-                        ),
-                    }
-                }
-            }
-            Cond::Spin { step, win, target, disp, expect } => {
-                // Per byte of the expected value: the window's zero
-                // initialization covers zero bytes; every other byte
-                // needs a reachable supplier — a writing access
-                // overlapping it whose value is ⊤ (unknown operand or a
-                // non-`Replace` fold: conservatively able to produce any
-                // byte, which suppresses E018 — the soundness direction)
-                // or a known constant whose matching byte equals the
-                // wanted one. The spinner's own post-spin
-                // statements are unreachable (the spin blocks the host
-                // before them). An initiated supplier satisfies the
-                // byte; a supplier the writer has not reached yet is a
-                // `Stuck` edge toward it; no supplier anywhere in the
-                // job is `Never` — E018.
-                for j in 0..8 {
-                    let want = (expect >> (8 * j)) as u8;
-                    if want == 0 {
-                        continue;
-                    }
-                    let abs = disp + j;
-                    let mut covered = false;
-                    let mut pending: Vec<usize> = Vec::new();
-                    let writes =
-                        ranks.iter().flat_map(|rs| &rs.accesses).filter(|s| s.kind.writes());
-                    for s in writes {
-                        if s.win != *win || s.target != *target || abs < s.lo || abs >= s.hi {
-                            continue;
-                        }
-                        if s.rank == r && s.step > *step {
-                            continue;
-                        }
-                        if let Some(v) = s.val {
-                            if (v >> (8 * j)) as u8 != want {
-                                continue;
-                            }
-                        }
-                        if self.initiated(pcs, s.rank, s.step) {
-                            covered = true;
-                            break;
-                        }
-                        if !pending.contains(&s.rank) {
-                            pending.push(s.rank);
-                        }
-                    }
-                    if covered {
-                        continue;
-                    }
-                    if pending.is_empty() {
-                        blame(
-                            Blocker::Never {
-                                rank: r,
-                                why: format!(
-                                    "spin waits for value {expect:#x} in the 8-byte slot \
-                                     at disp {disp} of rank {target}'s window {win}, but \
-                                     byte {j} (wants {want:#04x}) is outside the window's \
-                                     zero initialization and every constant any rank's \
-                                     reachable writes can deposit, and no unknown-operand \
-                                     write covers it — the spin can never be satisfied"
-                                ),
-                            },
-                            &mut ok,
-                        );
-                    } else {
-                        for q in pending {
-                            blame(Blocker::Stuck(q), &mut ok);
-                        }
-                    }
-                }
-            }
-            Cond::Many(reqs) => {
-                for (step, what, c) in reqs {
-                    let mut sub = Vec::new();
-                    if !self.sat(r, c, pcs, Some(&mut sub)) {
-                        ok = false;
-                        if let Some(bl) = blockers.as_deref_mut() {
-                            for b in sub {
-                                bl.push(match b {
-                                    Blocker::Never { rank, why } => Blocker::Never {
-                                        rank,
-                                        why: format!(
-                                            "{what} request from stmt {step} can never \
-                                             complete: {why}"
-                                        ),
-                                    },
-                                    s => s,
-                                });
-                            }
-                        }
+        // A rank initiates its current (possibly blocked) statement:
+        // call-site effects — fence announcements, posts, epoch closes —
+        // happen before the wait.
+        let done = |need: &Need| match *need {
+            Need::Stmt { rank, stmt } => pcs[rank] >= stmt,
+            Need::Any(ref writes) => writes.iter().any(|&(q, stmt)| pcs[q] >= stmt),
+            Need::Never { .. } => false,
+        };
+        let (first, end) = &self.lists[l];
+        let mut met = first.get();
+        while met < *end && done(&self.needs[met]) {
+            met += 1;
+        }
+        first.set(met);
+        if let Some(bl) = blockers {
+            for need in self.needs[met..*end].iter().filter(|n| !done(n)) {
+                match need {
+                    Need::Stmt { rank, .. } => bl.push(Blocker::Stuck(*rank)),
+                    Need::Any(writes) => bl.extend(writes.iter().map(|&(q, _)| Blocker::Stuck(q))),
+                    Need::Never { rank, why } => {
+                        bl.push(Blocker::Never { rank: *rank, why: why.clone() })
                     }
                 }
             }
         }
-        ok
+        met == *end
     }
+}
+
+/// The close of rank `r`'s GATS epoch `e`. An access epoch completes once
+/// every target's matching exposure post is initiated (the grant plane);
+/// an exposure epoch once every origin's matching access epoch has
+/// initiated its close (per-target `GatsDone` needs only the origin's
+/// close plus this very post's grant).
+fn gats_close<'s>(sh: &'s Shape, r: usize, e: usize) -> impl Iterator<Item = Need> + 's {
+    let epoch = &sh.ranks[r].epochs[e];
+    let win = epoch.win;
+    // An invalid peer was reported as E002 already.
+    let peers = epoch.group().iter().copied().filter(|&q| q < sh.p.n_ranks);
+    let need = move |q: usize| {
+        let nth = || sh.occurrence(r, e, q).expect("q is in the group");
+        let never = |why| Need::Never { rank: q, why };
+        if let EpochKind::Start { .. } = epoch.kind {
+            return match sh.matching_post(r, e, q) {
+                Some(pi) => Need::Stmt { rank: q, stmt: sh.ranks[q].epochs[pi].open },
+                None => never(format!(
+                    "rank {q} never issues the matching exposure post on window {win} (needs \
+                     its post #{} containing rank {r})",
+                    nth()
+                )),
+            };
+        }
+        match sh.matching_start(r, e, q).map(|si| sh.ranks[q].epochs[si].close) {
+            Some(Some((stmt, _))) => Need::Stmt { rank: q, stmt },
+            Some(None) => never(format!(
+                "rank {q}'s matching access epoch on window {win} is never completed, so its \
+                 done packet never arrives"
+            )),
+            None => never(format!(
+                "rank {q} never starts a matching access epoch on window {win} (needs its \
+                 start #{} containing rank {r})",
+                nth()
+            )),
+        }
+    };
+    peers.map(need)
+}
+
+/// A spin resolved through its local binding to `slot`, the 8-byte slot at
+/// `slot.lo` of `slot.target`'s window `slot.win`: one need per non-zero
+/// byte of `expect`. The window's zero initialization covers zero bytes;
+/// every other byte needs a reachable supplier — a writing access
+/// overlapping it whose value is ⊤ (unknown operand or a non-`Replace`
+/// fold: conservatively able to produce any byte, which suppresses E018 —
+/// the soundness direction) or a known constant whose matching byte equals
+/// the wanted one. The spinner's own post-spin statements are unreachable
+/// (the spin blocks the host before them). An initiated supplier
+/// satisfies the byte; a supplier the writer has not reached yet is a
+/// `Stuck` edge toward it; no supplier anywhere in the job is `Never` —
+/// E018.
+fn spin(sh: &Shape, slot: &Access, expect: u64) -> Vec<Need> {
+    let (r, win, target, disp) = (slot.rank, slot.win, slot.target, slot.lo);
+    let byte = |x: u64, j: usize| (x >> (8 * j)) as u8;
+    let writes: Vec<&Access> = (sh.ranks.iter().flat_map(|rs| &rs.accesses))
+        .filter(|s| s.kind.writes() && s.win == win && s.target == target)
+        .filter(|s| s.lo < disp + 8 && disp < s.hi && !(s.rank == r && s.step > slot.step))
+        .collect();
+    let need = |j: usize| {
+        let (at, want) = (disp + j, byte(expect, j));
+        let supplies =
+            |s: &&&Access| s.lo <= at && at < s.hi && s.val.is_none_or(|v| byte(v, j) == want);
+        let any: Vec<(usize, usize)> =
+            writes.iter().filter(supplies).map(|s| (s.rank, s.step)).collect();
+        if !any.is_empty() {
+            return Need::Any(any);
+        }
+        let why = format!(
+            "spin waits for value {expect:#x} in the 8-byte slot at disp {disp} of rank \
+             {target}'s window {win}, but byte {j} (wants {want:#04x}) is outside the window's \
+             zero initialization and every constant any rank's reachable writes can deposit, \
+             and no unknown-operand write covers it — the spin can never be satisfied"
+        );
+        Need::Never { rank: r, why }
+    };
+    (0..8).filter(|&j| byte(expect, j) != 0).map(need).collect()
 }
 
 /// The fixpoint interpreter: E013 cycles plus E015/E016/E017/E011 roots.
 fn fixpoint_pass(sh: &Shape) -> Vec<Diagnostic> {
     let p = sh.p;
     let n = p.n_ranks;
-    let conds = (0..n).map(|r| build_conds(r, sh)).collect();
-    let interp = Interp { sh, conds };
+    let interp = Interp::new(sh);
 
     let mut pcs = vec![0usize; n];
     loop {
         let mut progressed = false;
         for r in 0..n {
-            while pcs[r] < p.ranks[r].len() && interp.sat(r, &interp.conds[r][pcs[r]], &pcs, None) {
+            while pcs[r] < p.ranks[r].len() && interp.sat(&interp.conds[r][pcs[r]], &pcs, None) {
                 pcs[r] += 1;
                 progressed = true;
             }
@@ -431,7 +396,7 @@ fn fixpoint_pass(sh: &Shape) -> Vec<Diagnostic> {
     let mut nevers: BTreeMap<usize, Vec<(usize, String)>> = BTreeMap::new();
     for &r in &stuck {
         let mut blockers = Vec::new();
-        interp.sat(r, &interp.conds[r][pcs[r]], &pcs, Some(&mut blockers));
+        interp.sat(&interp.conds[r][pcs[r]], &pcs, Some(&mut blockers));
         for b in blockers {
             match b {
                 Blocker::Stuck(q) => {

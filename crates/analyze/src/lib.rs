@@ -56,7 +56,8 @@
 //! source paper argues for, proved safe differentially by
 //! `mpisim-check`'s rewrite-equivalence sweep. The rewriter prices
 //! every candidate relaxation with a virtual-time [`CostModel`]
-//! calibrated from the engine's `sync_blocked_ns` counters, skipping
+//! calibrated from the engine's `sync_blocked_ns` counters on the fence
+//! halo of `crates/core/tests/nonblocking_never_loses.rs`, skipping
 //! relaxations whose bookkeeping would cost more than the reclaimed
 //! overlap, and mechanizes the W004 over-wide-group fix via symmetric
 //! [`GroupShrink`] pairs.

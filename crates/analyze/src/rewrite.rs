@@ -74,10 +74,14 @@ use crate::slack::{slack_of, SlackClass, SlackFinding, SyncKind};
 /// Virtual-time price book for candidate relaxations.
 ///
 /// The calibration anchor is the engine's own `sync_blocked_ns` /
-/// `sync_blocked_steps` counters: an 8-rank, 128-iteration `halo_fence`
-/// parks the host for 412,548 virtual ns across 1,040
-/// blocked sync steps, ≈ 400 ns per blocking synchronization — the
-/// default [`CostModel::park_ns_base`]. The remaining constants model
+/// `sync_blocked_steps` counters. The blocking form of
+/// `crates/core/tests/nonblocking_never_loses.rs::halo_fence`, run under
+/// `JobConfig::new(8)` with 128 iterations instead of the test's 32,
+/// parks the host for 412,548 virtual ns across 1,040 blocked sync steps,
+/// ≈ 400 ns per blocking synchronization — the default
+/// [`CostModel::park_ns_base`]. (Its IR twin, `interpret` of
+/// `mpisim_apps::ir_models::halo_ir(8, 128)`, reads 420,012 ns across
+/// 1,048 steps.) The remaining constants model
 /// the engine's virtual-cost accounting: larger covered transfers keep
 /// the sync parked longer (`park_ns_per_byte`), each statement of slack
 /// distance can absorb a bounded amount of overlap

@@ -366,8 +366,15 @@ const ROWS: &[Row] = &[
         why: "`shape.rs` alone counts starts and posts per peer, the FIFO matching rule",
         files: &["crates/analyze/src/*.rs"],
         rule: OnlyIn(&[lit("starts_toward"), lit("posts_toward")], &["crates/analyze/src/shape.rs"]),
-        plant: Insert("crates/analyze/src/deadlock.rs", "struct Interp<'a> {",
-            "    starts_toward: Vec<usize>,") },
+        plant: Insert("crates/analyze/src/deadlock.rs", "fn fixpoint_pass(sh: &Shape) -> Vec<Diagnostic> {",
+            "    let starts_toward: Vec<usize> = Vec::new();") },
+    Row { name: "The fixpoint resolves each wait once", section: "§9.4",
+        why: "a wait's needs are resolved from the shape before the fixpoint runs; `sat` only checks them",
+        files: &["crates/analyze/src/deadlock.rs:fn sat"],
+        rule: Absent(&[lit("matching_post"), lit("matching_start"), lit("occurrence"), lit(".fences["),
+            lit(".barriers"), lit(".accesses")]),
+        plant: Insert("crates/analyze/src/deadlock.rs", "let (first, end) = &self.lists[l];",
+            "        let post = sh.matching_post(0, 0, 1);") },
     Row { name: "No private re-derivation of the epoch structure", section: "§9.2",
         why: "the passes that used to re-derive the shape, the accesses or the closes stay readers",
         files: &["crates/analyze/src/**"],
