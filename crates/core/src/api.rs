@@ -51,6 +51,16 @@
 //! [`crate::request::ReqTable::complete`] — the one place the engine
 //! completes a request — readies that process. `blocked_park` is the only
 //! place in this crate a rank parks.
+//!
+//! # Where the engine runs
+//!
+//! A rank's fiber stack holds its own frames, and the engine's are deeper:
+//! every engine call a routine makes goes through one choke point,
+//! `engine_call`, which runs it on the driver's stack
+//! ([`mpisim_sim::on_driver_stack`]), so a rank's fiber keeps one resident
+//! stack page whatever the engine does. The parks stay on the fiber:
+//! `blocked_park` and the clock's `advance` run between engine calls,
+//! never inside one.
 
 use std::cell::RefMut;
 use std::rc::Rc;
@@ -109,7 +119,7 @@ impl<'a> RankEnv<'a> {
 
     /// Job size.
     pub fn n_ranks(&self) -> usize {
-        self.eng.cfg.n_ranks
+        self.engine_call(|eng| eng.cfg.n_ranks)
     }
 
     /// Current virtual time (`MPI_Wtime`).
@@ -126,7 +136,7 @@ impl<'a> RankEnv<'a> {
 
     /// Per-rank timing statistics so far.
     pub fn stats(&self) -> RankStats {
-        self.eng.rank_stats(self.rank)
+        self.engine_call(|eng| eng.rank_stats(self.rank))
     }
 
     /// The engine (for instrumentation, e.g. network stats).
@@ -134,10 +144,20 @@ impl<'a> RankEnv<'a> {
         &self.eng
     }
 
+    /// Every engine call this API makes, and nothing else: `f` runs on
+    /// the driver's stack ([`mpisim_sim::on_driver_stack`]), so the engine's
+    /// deep frames — sweeps, dispatches, transmits — never touch this rank's
+    /// fiber stack, and a rank keeps one resident stack page. `f` must not
+    /// park (it cannot: a park inside it panics).
+    pub(crate) fn engine_call<T>(&self, f: impl FnOnce(&Rc<Engine>) -> T) -> T {
+        mpisim_sim::on_driver_stack(|| f(&self.eng))
+    }
+
     /// This rank's row of the time ledger. Its clock moves at four sites
     /// only — `compute`, `timed`, `rma` and `blocked_park` — and each one
     /// records the move here, so `compute_time + mpi_time()` is the rank's
-    /// virtual time.
+    /// virtual time. A field borrow, no engine code: the one use of the
+    /// engine outside `engine_call`.
     fn ledger(&self) -> RefMut<'_, RankStats> {
         RefMut::map(self.eng.st.borrow_mut(), |st| &mut st.stats[self.rank.idx()])
     }
@@ -149,32 +169,52 @@ impl<'a> RankEnv<'a> {
         f()
     }
 
+    /// One MPI call that returns at once: the engine call `f`, timed.
+    fn nonblocking<T>(&self, f: impl FnOnce(&Rc<Engine>) -> T) -> T {
+        self.timed(|| self.engine_call(f))
+    }
+
     // ------------------------------------------------------------------
     // requests (test/wait family)
     // ------------------------------------------------------------------
 
     /// Block until `req` completes; consumes the request.
     pub fn wait(&self, req: Req) -> RmaResult<()> {
-        self.timed(|| self.wait_inner(req).map(|_| ()))
+        self.timed(|| self.wait_inner(|_| Ok(req)).map(|_| ()))
     }
 
     /// Block until `req` completes and return its data (get/fetch/recv
     /// results). Errors if the request carries no data.
     pub fn wait_data(&self, req: Req) -> RmaResult<Bytes> {
         self.timed(|| {
-            self.wait_inner(req)?
+            self.wait_inner(|_| Ok(req))?
                 .ok_or(RmaError::DatatypeMismatch {
                     detail: "request carries no data",
                 })
         })
     }
 
-    /// Consume `req` if it is complete; otherwise register this rank as its
-    /// waiter, park, and look again.
-    fn wait_inner(&self, req: Req) -> RmaResult<Option<Bytes>> {
+    /// Consume the request `make_req` returns if it is complete; otherwise
+    /// register this rank as its waiter, park, and look again. `make_req` is
+    /// an engine call (the nonblocking half of a blocking routine) or hands
+    /// back a request the caller holds; it and the first look are one engine
+    /// call.
+    fn wait_inner(
+        &self,
+        make_req: impl FnOnce(&Rc<Engine>) -> RmaResult<Req>,
+    ) -> RmaResult<Option<Bytes>> {
+        let pid = Some(self.ctx.pid());
+        let mut make_req = Some(make_req);
+        let mut req = None;
         loop {
-            let pid = Some(self.ctx.pid());
-            if let Some(data) = self.eng.poll_req(&mut self.eng.st.borrow_mut(), req, pid)? {
+            let polled = self.engine_call(|eng| {
+                let r = match req {
+                    Some(r) => r,
+                    None => *req.insert(make_req.take().expect("made once")(eng)?),
+                };
+                eng.poll_req(&mut eng.st.borrow_mut(), r, pid)
+            })?;
+            if let Some(data) = polled {
                 return Ok(data);
             }
             self.blocked_park();
@@ -196,7 +236,7 @@ impl<'a> RankEnv<'a> {
 
     /// Nonblocking completion check; consumes the request when complete.
     pub fn test(&self, req: Req) -> RmaResult<bool> {
-        self.timed(|| Ok(self.eng.poll_req(&mut self.eng.st.borrow_mut(), req, None)?.is_some()))
+        self.nonblocking(|eng| Ok(eng.poll_req(&mut eng.st.borrow_mut(), req, None)?.is_some()))
     }
 
     /// `MPI_WAITALL`: one MPI call, whatever the number of requests — one
@@ -209,12 +249,31 @@ impl<'a> RankEnv<'a> {
         if reqs.peek().is_none() {
             return Ok(());
         }
+        let pid = Some(self.ctx.pid());
         self.timed(|| {
-            let mut outcome = Ok(());
-            for r in reqs {
-                outcome = outcome.and(self.wait_inner(r).map(drop));
+            let mut first_error = None;
+            loop {
+                // Consume the requests in order up to the first pending one,
+                // which learns whom to ready: one engine call per park.
+                let pending = self.engine_call(|eng| {
+                    let mut st = eng.st.borrow_mut();
+                    while let Some(&r) = reqs.peek() {
+                        match eng.poll_req(&mut st, r, pid) {
+                            Ok(None) => return true,
+                            Ok(Some(_)) => {}
+                            Err(e) => {
+                                first_error.get_or_insert(e);
+                            }
+                        }
+                        reqs.next();
+                    }
+                    false
+                });
+                if !pending {
+                    return first_error.map_or(Ok(()), Err);
+                }
+                self.blocked_park();
             }
-            outcome
         })
     }
 
@@ -228,21 +287,24 @@ impl<'a> RankEnv<'a> {
         }
         let pid = self.ctx.pid();
         self.timed(|| loop {
-            {
-                let mut st = self.eng.st.borrow_mut();
+            let hit = self.engine_call(|eng| {
+                let mut st = eng.st.borrow_mut();
                 // The first complete request in slice order wins; the
                 // pending ones before it (all of them, if none is complete)
                 // learn whom to ready.
-                let mut poll = |r| self.eng.poll_req(&mut st, r, Some(pid));
+                let mut poll = |r| eng.poll_req(&mut st, r, Some(pid));
                 let hit = reqs.iter().enumerate().find_map(|(i, r)| match poll(*r) {
                     Ok(None) => None,
                     Ok(Some(_)) => Some(Ok(i)),
                     Err(stale_or_taken) => Some(Err(stale_or_taken)),
                 });
-                if let Some(outcome) = hit {
+                if hit.is_some() {
                     st.reqs.forget(reqs, pid);
-                    return outcome;
                 }
+                hit
+            });
+            if let Some(outcome) = hit {
+                return outcome;
             }
             self.blocked_park();
         })
@@ -260,7 +322,7 @@ impl<'a> RankEnv<'a> {
 
     /// Window creation with explicit info flags (§VI.B reorder flags).
     pub fn win_allocate_with(&self, size: usize, info: WinInfo) -> RmaResult<WinId> {
-        let w = self.timed(|| self.eng.win_allocate(self.rank, size, info))?;
+        let w = self.nonblocking(|eng| eng.win_allocate(self.rank, size, info))?;
         self.barrier()?;
         Ok(w)
     }
@@ -268,17 +330,17 @@ impl<'a> RankEnv<'a> {
     /// Collective window destruction; synchronizes all ranks.
     pub fn win_free(&self, win: WinId) -> RmaResult<()> {
         self.barrier()?;
-        self.timed(|| self.eng.win_free(self.rank, win))
+        self.nonblocking(|eng| eng.win_free(self.rank, win))
     }
 
     /// Read `len` bytes from the local window copy (local load).
     pub fn read_local(&self, win: WinId, disp: usize, len: usize) -> RmaResult<Vec<u8>> {
-        self.eng.read_local(self.rank, win, disp, len)
+        self.engine_call(|eng| eng.read_local(self.rank, win, disp, len))
     }
 
     /// Write into the local window copy (local store).
     pub fn write_local(&self, win: WinId, disp: usize, data: &[u8]) -> RmaResult<()> {
-        self.eng.write_local(self.rank, win, disp, data)
+        self.engine_call(|eng| eng.write_local(self.rank, win, disp, data))
     }
 
     // ------------------------------------------------------------------
@@ -287,31 +349,34 @@ impl<'a> RankEnv<'a> {
     // request) or its blocking twin (waits on that request)
     // ------------------------------------------------------------------
 
-    /// A blocking routine: make the nonblocking call `f`, then wait on the
-    /// request it returns.
-    fn blocking(&self, f: impl FnOnce() -> RmaResult<Req>) -> RmaResult<()> {
-        self.timed(|| self.wait_inner(f()?).map(|_| ()))
+    /// A blocking routine: make the nonblocking engine call `f`, then wait
+    /// on the request it returns.
+    fn blocking(&self, f: impl FnOnce(&Rc<Engine>) -> RmaResult<Req>) -> RmaResult<()> {
+        self.timed(|| self.wait_inner(f).map(|_| ()))
     }
 
     /// An epoch-opening routine. All are nonblocking at middleware level.
     fn opening(&self, win: WinId, kind: EpochKind) -> RmaResult<()> {
-        self.timed(|| self.eng.open_epoch(self.rank, win, kind))
+        self.nonblocking(|eng| eng.open_epoch(self.rank, win, kind))
     }
 
     /// The `i` variant of an opening routine: the same call plus a dummy
     /// request, complete at creation (§VII.C).
-    fn with_dummy_req(&self, opened: RmaResult<()>) -> RmaResult<Req> {
-        opened.map(|()| self.eng.dummy_open_req(self.rank))
+    fn iopening(&self, win: WinId, kind: EpochKind) -> RmaResult<Req> {
+        self.nonblocking(|eng| {
+            eng.open_epoch(self.rank, win, kind)?;
+            Ok(eng.dummy_open_req(self.rank))
+        })
     }
 
     /// Blocking `MPI_WIN_FENCE`.
     pub fn fence(&self, win: WinId) -> RmaResult<()> {
-        self.blocking(|| self.eng.fence(self.rank, win))
+        self.blocking(|eng| eng.fence(self.rank, win))
     }
 
     /// `MPI_WIN_IFENCE` (§V): returns the closing request.
     pub fn ifence(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.fence(self.rank, win))
+        self.nonblocking(|eng| eng.fence(self.rank, win))
     }
 
     /// `MPI_WIN_START` (nonblocking by design in modern MPIs).
@@ -322,7 +387,7 @@ impl<'a> RankEnv<'a> {
     /// `MPI_WIN_ISTART`: identical to [`RankEnv::start`] plus a dummy
     /// completed request (§VII.C).
     pub fn istart(&self, win: WinId, group: Group) -> RmaResult<Req> {
-        self.with_dummy_req(self.start(win, group))
+        self.iopening(win, EpochKind::GatsAccess { group })
     }
 
     /// `MPI_WIN_POST` (already nonblocking in MPI-3.0).
@@ -332,34 +397,34 @@ impl<'a> RankEnv<'a> {
 
     /// `MPI_WIN_IPOST`: provided for uniformity (§V).
     pub fn ipost(&self, win: WinId, group: Group) -> RmaResult<Req> {
-        self.with_dummy_req(self.post(win, group))
+        self.iopening(win, EpochKind::GatsExposure { group })
     }
 
     /// Blocking `MPI_WIN_COMPLETE`.
     pub fn complete(&self, win: WinId) -> RmaResult<()> {
-        self.blocking(|| self.eng.close_epoch(self.rank, win, Slot::GatsAccess))
+        self.blocking(|eng| eng.close_epoch(self.rank, win, Slot::GatsAccess))
     }
 
     /// `MPI_WIN_ICOMPLETE` (§V).
     pub fn icomplete(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.close_epoch(self.rank, win, Slot::GatsAccess))
+        self.nonblocking(|eng| eng.close_epoch(self.rank, win, Slot::GatsAccess))
     }
 
     /// Blocking `MPI_WIN_WAIT`.
     pub fn wait_epoch(&self, win: WinId) -> RmaResult<()> {
-        self.blocking(|| self.eng.close_epoch(self.rank, win, Slot::Exposure))
+        self.blocking(|eng| eng.close_epoch(self.rank, win, Slot::Exposure))
     }
 
     /// `MPI_WIN_IWAIT` (§V): unlike `MPI_WIN_TEST`, this closes the epoch
     /// immediately, so a subsequent exposure can be opened wait-free.
     pub fn iwait(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.close_epoch(self.rank, win, Slot::Exposure))
+        self.nonblocking(|eng| eng.close_epoch(self.rank, win, Slot::Exposure))
     }
 
     /// `MPI_WIN_TEST`: nonblocking check that closes the exposure epoch
     /// only when it has completed.
     pub fn test_epoch(&self, win: WinId) -> RmaResult<bool> {
-        self.timed(|| self.eng.test_exposure(self.rank, win))
+        self.nonblocking(|eng| eng.test_exposure(self.rank, win))
     }
 
     /// Blocking `MPI_WIN_LOCK` (returns when the epoch is open at the
@@ -370,18 +435,18 @@ impl<'a> RankEnv<'a> {
 
     /// `MPI_WIN_ILOCK` (§V).
     pub fn ilock(&self, win: WinId, target: Rank, lock: LockKind) -> RmaResult<Req> {
-        self.with_dummy_req(self.lock(win, target, lock))
+        self.iopening(win, EpochKind::Lock { target, lock })
     }
 
     /// Blocking `MPI_WIN_UNLOCK`: returns when every RMA op of the epoch
     /// completed locally and remotely and the lock is released.
     pub fn unlock(&self, win: WinId, target: Rank) -> RmaResult<()> {
-        self.blocking(|| self.eng.close_epoch(self.rank, win, Slot::Lock(target)))
+        self.blocking(|eng| eng.close_epoch(self.rank, win, Slot::Lock(target)))
     }
 
     /// `MPI_WIN_IUNLOCK` (§V).
     pub fn iunlock(&self, win: WinId, target: Rank) -> RmaResult<Req> {
-        self.timed(|| self.eng.close_epoch(self.rank, win, Slot::Lock(target)))
+        self.nonblocking(|eng| eng.close_epoch(self.rank, win, Slot::Lock(target)))
     }
 
     /// Blocking `MPI_WIN_LOCK_ALL`.
@@ -391,57 +456,57 @@ impl<'a> RankEnv<'a> {
 
     /// `MPI_WIN_ILOCK_ALL` (§V).
     pub fn ilock_all(&self, win: WinId) -> RmaResult<Req> {
-        self.with_dummy_req(self.lock_all(win))
+        self.iopening(win, EpochKind::LockAll)
     }
 
     /// Blocking `MPI_WIN_UNLOCK_ALL`.
     pub fn unlock_all(&self, win: WinId) -> RmaResult<()> {
-        self.blocking(|| self.eng.close_epoch(self.rank, win, Slot::LockAll))
+        self.blocking(|eng| eng.close_epoch(self.rank, win, Slot::LockAll))
     }
 
     /// `MPI_WIN_IUNLOCK_ALL` (§V).
     pub fn iunlock_all(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.close_epoch(self.rank, win, Slot::LockAll))
+        self.nonblocking(|eng| eng.close_epoch(self.rank, win, Slot::LockAll))
     }
 
     /// Blocking `MPI_WIN_FLUSH` toward one target.
     pub fn flush(&self, win: WinId, target: Rank) -> RmaResult<()> {
-        self.blocking(|| self.eng.iflush(self.rank, win, Some(target), false))
+        self.blocking(|eng| eng.iflush(self.rank, win, Some(target), false))
     }
 
     /// `MPI_WIN_IFLUSH` (§V).
     pub fn iflush(&self, win: WinId, target: Rank) -> RmaResult<Req> {
-        self.timed(|| self.eng.iflush(self.rank, win, Some(target), false))
+        self.nonblocking(|eng| eng.iflush(self.rank, win, Some(target), false))
     }
 
     /// Blocking `MPI_WIN_FLUSH_LOCAL`.
     pub fn flush_local(&self, win: WinId, target: Rank) -> RmaResult<()> {
-        self.blocking(|| self.eng.iflush(self.rank, win, Some(target), true))
+        self.blocking(|eng| eng.iflush(self.rank, win, Some(target), true))
     }
 
     /// `MPI_WIN_IFLUSH_LOCAL` (§V).
     pub fn iflush_local(&self, win: WinId, target: Rank) -> RmaResult<Req> {
-        self.timed(|| self.eng.iflush(self.rank, win, Some(target), true))
+        self.nonblocking(|eng| eng.iflush(self.rank, win, Some(target), true))
     }
 
     /// Blocking `MPI_WIN_FLUSH_ALL`.
     pub fn flush_all(&self, win: WinId) -> RmaResult<()> {
-        self.blocking(|| self.eng.iflush(self.rank, win, None, false))
+        self.blocking(|eng| eng.iflush(self.rank, win, None, false))
     }
 
     /// `MPI_WIN_IFLUSH_ALL` (§V).
     pub fn iflush_all(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.iflush(self.rank, win, None, false))
+        self.nonblocking(|eng| eng.iflush(self.rank, win, None, false))
     }
 
     /// Blocking `MPI_WIN_FLUSH_LOCAL_ALL`.
     pub fn flush_local_all(&self, win: WinId) -> RmaResult<()> {
-        self.blocking(|| self.eng.iflush(self.rank, win, None, true))
+        self.blocking(|eng| eng.iflush(self.rank, win, None, true))
     }
 
     /// `MPI_WIN_IFLUSH_LOCAL_ALL` (§V).
     pub fn iflush_local_all(&self, win: WinId) -> RmaResult<Req> {
-        self.timed(|| self.eng.iflush(self.rank, win, None, true))
+        self.nonblocking(|eng| eng.iflush(self.rank, win, None, true))
     }
 
     // ------------------------------------------------------------------
@@ -712,7 +777,7 @@ impl<'a> RankEnv<'a> {
         self.timed(|| {
             self.ctx.advance(PER_OP);
             self.ledger().ops += 1;
-            self.eng.rma_op(self.rank, win, target, disp, kind, want_req)
+            self.engine_call(|eng| eng.rma_op(self.rank, win, target, disp, kind, want_req))
         })
     }
 
@@ -728,12 +793,12 @@ impl<'a> RankEnv<'a> {
 
     /// `MPI_ISEND`.
     pub fn isend(&self, dst: Rank, tag: u64, data: &[u8]) -> RmaResult<Req> {
-        self.timed(|| self.eng.isend(self.rank, dst, tag, Payload::copy_from_slice(data)))
+        self.nonblocking(|eng| eng.isend(self.rank, dst, tag, Payload::copy_from_slice(data)))
     }
 
     /// Size-only isend.
     pub fn isend_synthetic(&self, dst: Rank, tag: u64, len: usize) -> RmaResult<Req> {
-        self.timed(|| self.eng.isend(self.rank, dst, tag, Payload::Synthetic(len)))
+        self.nonblocking(|eng| eng.isend(self.rank, dst, tag, Payload::Synthetic(len)))
     }
 
     /// Blocking receive returning the message bytes.
@@ -744,17 +809,17 @@ impl<'a> RankEnv<'a> {
 
     /// `MPI_IRECV`.
     pub fn irecv(&self, src: Rank, tag: u64) -> RmaResult<Req> {
-        self.timed(|| self.eng.irecv(self.rank, src, tag))
+        self.nonblocking(|eng| eng.irecv(self.rank, src, tag))
     }
 
     /// Blocking dissemination barrier over all ranks.
     pub fn barrier(&self) -> RmaResult<()> {
-        self.blocking(|| self.eng.ibarrier(self.rank))
+        self.blocking(|eng| eng.ibarrier(self.rank))
     }
 
     /// Nonblocking barrier; refused while this rank's previous barrier is
     /// pending.
     pub fn ibarrier(&self) -> RmaResult<Req> {
-        self.timed(|| self.eng.ibarrier(self.rank))
+        self.nonblocking(|eng| eng.ibarrier(self.rank))
     }
 }

@@ -41,7 +41,7 @@ pub const COLL_TAG_BASE: u64 = 1 << 60;
 
 impl RankEnv<'_> {
     fn coll_tag(&self) -> u64 {
-        COLL_TAG_BASE + self.engine().next_coll_seq(self.rank())
+        COLL_TAG_BASE + self.engine_call(|eng| eng.next_coll_seq(self.rank()))
     }
 
     /// Binomial-tree broadcast: `root`'s `data` is returned on every rank.

@@ -25,14 +25,16 @@ fn vm_hwm_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Peak RSS bound: 224 MB up to 8192 ranks, and 512 MB above, which holds
-/// the 16384-rank ring CI runs. The ring peaks at ~16 KB per rank, 132 MB
-/// at 8192 ranks, with intranode FIFOs sized by use and per-peer tables as
-/// sorted vectors; B-tree per-peer tables made it 147 MB, 8 KB eager rings
-/// 267 MB.
+/// Peak RSS bound: 128 MB up to 8192 ranks, and 256 MB above, which holds
+/// the 16384-rank ring CI runs. The ring peaks at ~12.9 KB per rank, 103 MB
+/// at 8192 ranks: a rank's fiber keeps one resident stack page, because
+/// its engine calls run on the driver's stack (asserted below, page by
+/// page). With the engine's frames on the fiber stack every fiber kept two
+/// pages and the ring peaked at 133 MB; B-tree per-peer tables made it
+/// 147 MB, 8 KB eager rings 267 MB.
 #[test]
 #[ignore = "release-mode scale run; see the scale-smoke CI job"]
-fn neighbour_ring_at_8192_ranks_stays_under_224_mb() {
+fn neighbour_ring_at_8192_ranks_stays_under_128_mb() {
     let n: usize = std::env::var("MPISIM_SCALE_RANKS")
         .map(|v| v.parse().expect("MPISIM_SCALE_RANKS must be a rank count"))
         .unwrap_or(8192);
@@ -64,6 +66,17 @@ fn neighbour_ring_at_8192_ranks_stays_under_224_mb() {
     assert_eq!(report.live_requests, 0);
     let wrong = report.results.iter().filter(|ok| !**ok).count();
     assert_eq!(wrong, 0, "ranks with wrong window contents");
+    // The job's stacks are this thread's free list now, as their fibers
+    // left them.
+    let pages = mpisim_sim::free_stack_resident_pages();
+    assert_eq!(pages.len(), n, "every rank's stack was recycled");
+    let deeper: Vec<usize> = pages.into_iter().filter(|&p| p != 1).collect();
+    assert!(
+        deeper.is_empty(),
+        "{} fibers kept other than one resident stack page, e.g. {:?}",
+        deeper.len(),
+        &deeper[..deeper.len().min(8)]
+    );
     let hwm = vm_hwm_mb();
     println!(
         "| {n} | {:.2} | {} | {:.3} |",
@@ -71,7 +84,7 @@ fn neighbour_ring_at_8192_ranks_stays_under_224_mb() {
         hwm.map_or("n/a".into(), |m| format!("{m:.0}")),
         report.final_time.as_secs_f64() * 1e3,
     );
-    let bound = if n <= 8192 { 224.0 } else { 512.0 };
+    let bound = if n <= 8192 { 128.0 } else { 256.0 };
     if let Some(mb) = hwm {
         assert!(
             mb < bound,

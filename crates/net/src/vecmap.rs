@@ -179,53 +179,18 @@ impl<'a, K, V> VacantEntry<'a, K, V> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/alloc.rs"]
+mod alloc;
+
+#[cfg(test)]
 mod tests {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::Ordering;
 
     use rand::Rng;
 
+    use super::alloc::{ALLOCS, COUNTING};
     use super::*;
-
-    /// Counts the allocations of the threads that switched [`COUNTING`] on,
-    /// so the other tests of this binary, running on their own threads,
-    /// never land in a measurement.
-    struct Counting;
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        static COUNTING: Cell<bool> = const { Cell::new(false) };
-    }
-
-    fn counted() -> bool {
-        COUNTING.try_with(Cell::get).unwrap_or(false)
-    }
-
-    // SAFETY: every call is forwarded unchanged to the system allocator; the
-    // counter is a statistic and publishes nothing.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            if counted() {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            if counted() {
-                ALLOCS.fetch_add(1, Ordering::Relaxed);
-            }
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: Counting = Counting;
 
     /// Allocations `f` makes on this thread.
     fn allocations(f: impl FnOnce()) -> u64 {

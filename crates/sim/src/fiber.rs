@@ -42,6 +42,31 @@
 //! of a fiber stack would be undefined behaviour), marks the fiber
 //! finished, and switches back to the resumer for the last time.
 //!
+//! # Engine calls run on the driver's stack
+//!
+//! What a rank does between two yields is mostly engine work: its own
+//! frames sit within a kilobyte of the fiber's entry, but an engine call
+//! (a progress sweep, a message dispatch, a transmit) is several kilobytes
+//! deep, and every page it touches stays resident with the stack
+//! afterwards — for each of thousands of fibers. [`on_driver_stack`] runs
+//! such a call on the driver's stack instead: [`call_on_stack`] moves `rsp`
+//! to a 16-aligned point below the running fiber's saved `resumer_rsp`,
+//! calls a trampoline there, and moves it back. The driver's stack is
+//! shared by every fiber, so its deep pages are touched once, not once
+//! per rank. The contract:
+//!
+//! 1. the region below `resumer_rsp` is idle while the fiber runs: the
+//!    driver is suspended in [`Fiber::resume`]'s switch and nothing else
+//!    runs on this thread;
+//! 2. the closure must not yield — the driver's stack has one fiber's
+//!    frames on it at a time. [`yield_current`] asserts that `rsp` lies in
+//!    the running fiber's stack, so a park inside the call panics instead
+//!    of saving the driver's region as the fiber's context;
+//! 3. no unwind crosses the assembly frame: the trampoline catches any
+//!    panic and the call re-raises it on the fiber;
+//! 4. a nested call (its `rsp` is off the fiber's stack already), or a
+//!    call outside any fiber, runs in place.
+//!
 //! # Safety model
 //!
 //! Fibers are created and resumed by the driver thread only: neither
@@ -51,9 +76,10 @@
 use std::cell::{Cell, RefCell};
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
+use std::thread;
 
 /// Raw mmap FFI. `std` already links libc on every Linux target, so the
-/// three symbols are declared directly instead of adding a crate the
+/// four symbols are declared directly instead of adding a crate the
 /// offline build could not fetch.
 mod sys {
     use std::ffi::c_void;
@@ -69,6 +95,7 @@ mod sys {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
         pub fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+        pub fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> i32;
     }
 
     pub const PROT_NONE: i32 = 0;
@@ -151,6 +178,35 @@ impl Stack {
         // SAFETY: `base + LEN` is one past the end of this stack's mapping.
         unsafe { self.base.add(Stack::LEN) }
     }
+
+    /// Pages of the usable region that are resident, by `mincore`.
+    fn resident_pages(&self) -> usize {
+        let mut vec = [0u8; DEFAULT_STACK_SIZE / PAGE];
+        // SAFETY: the usable region is the page-aligned tail of this
+        // stack's live mapping, and `vec` holds one byte per page of it.
+        let rc = unsafe {
+            sys::mincore(
+                self.base.add(PAGE).cast(),
+                DEFAULT_STACK_SIZE,
+                vec.as_mut_ptr(),
+            )
+        };
+        assert_eq!(
+            rc,
+            0,
+            "mincore on a fiber stack: {}",
+            io::Error::last_os_error()
+        );
+        vec.iter().filter(|&&v| v & 1 != 0).count()
+    }
+}
+
+/// Resident pages of each stack on this thread's free list, the guard page
+/// not counted: what the fibers that ran on them left touched. A probe for
+/// the scale tests; read after a simulation has dropped.
+#[doc(hidden)]
+pub fn free_stack_resident_pages() -> Vec<usize> {
+    FREE.with_borrow(|free| free.iter().map(Stack::resident_pages).collect())
 }
 
 impl Drop for Stack {
@@ -199,6 +255,26 @@ struct FiberInner {
     /// The process body; taken on first entry.
     entry: Option<Box<dyn FnOnce() + 'static>>,
     stack: Stack,
+}
+
+impl FiberInner {
+    /// Whether `addr` lies in this fiber's stack mapping.
+    #[inline]
+    fn owns(&self, addr: usize) -> bool {
+        let base = self.stack.base as usize;
+        (base..base + Stack::LEN).contains(&addr)
+    }
+}
+
+/// The stack pointer of the caller.
+#[inline(always)]
+fn rsp() -> usize {
+    let rsp: usize;
+    // SAFETY: reads a register, touches no memory.
+    unsafe {
+        std::arch::asm!("mov {}, rsp", out(reg) rsp, options(nomem, nostack, preserves_flags))
+    };
+    rsp
 }
 
 thread_local! {
@@ -279,15 +355,90 @@ impl Fiber {
 }
 
 /// Suspend the current fiber, returning control to whoever resumed it.
-/// Panics if called outside a fiber.
+/// Panics unless called on the running fiber's own stack: outside any
+/// fiber, or inside [`on_driver_stack`], there is no context to save.
 pub(crate) fn yield_current() {
     let cur = CURRENT.get();
-    assert!(!cur.is_null(), "yield_current called outside a fiber");
+    // SAFETY: a non-null `CURRENT` is the fiber running on this thread.
+    assert!(
+        unsafe { cur.as_ref() }.is_some_and(|cur| cur.owns(rsp())),
+        "yield_current called off a fiber stack (outside a fiber, or inside on_driver_stack)"
+    );
     unsafe {
         // SAFETY: `cur` is the fiber running on this very thread; switching
         // to resumer_rsp returns into its `resume` call.
         switch_ctx(&mut (*cur).fiber_rsp, &(*cur).resumer_rsp);
     }
+}
+
+/// Run `f` on the driver's stack and return what it returns (module docs,
+/// "Engine calls run on the driver's stack"): the fiber's stack only holds
+/// this call's frame while `f` runs. A panic in `f` unwinds on from here,
+/// on the fiber. `f` must not yield: a park inside it panics. Outside any
+/// fiber, or inside another such call, `f` runs in place.
+pub fn on_driver_stack<T, F: FnOnce() -> T>(f: F) -> T {
+    // SAFETY: a non-null `CURRENT` is the fiber running on this thread.
+    let Some(cur) = (unsafe { CURRENT.get().as_ref() }).filter(|cur| cur.owns(rsp())) else {
+        return f();
+    };
+    // The resumer is suspended in `resume`, below its saved `rsp`.
+    let sp = cur.resumer_rsp & !15;
+    let mut call = Call::<F, T> {
+        f: Some(f),
+        out: None,
+    };
+    // SAFETY: everything below `sp` is idle while this fiber runs (rule 1),
+    // and the trampoline lets no unwind out (rule 3).
+    unsafe {
+        call_on_stack((&raw mut call).cast(), trampoline::<F, T>, sp);
+    }
+    match call.out.expect("the trampoline ran") {
+        Ok(value) => value,
+        Err(payload) => panic::resume_unwind(payload),
+    }
+}
+
+/// What [`on_driver_stack`] hands its trampoline: the closure in, its
+/// outcome out.
+struct Call<F, T> {
+    f: Option<F>,
+    out: Option<thread::Result<T>>,
+}
+
+/// Runs the closure of the [`Call`] at `call` on the driver's stack and
+/// stores its value or its panic.
+///
+/// # Safety
+///
+/// `call` must point to a live `Call<F, T>` that nothing else uses until
+/// this returns.
+unsafe extern "C" fn trampoline<F: FnOnce() -> T, T>(call: *mut u8) {
+    // SAFETY: `call` is the `Call<F, T>` on the fiber's stack that
+    // `on_driver_stack` passed to `call_on_stack`, alive across the call.
+    let call = unsafe { &mut *call.cast::<Call<F, T>>() };
+    let f = call.f.take().expect("one call per trampoline");
+    call.out = Some(panic::catch_unwind(AssertUnwindSafe(f)));
+}
+
+/// Call `f(arg)` with `rsp` set to `sp`, then return on the caller's stack.
+/// `rbp` keeps the caller's `rsp` across the call (it is callee-saved), so
+/// the frame-pointer chain runs from `f`'s frames back to the fiber.
+///
+/// # Safety
+///
+/// `sp` must be 16-aligned with idle memory below it deep enough for `f`,
+/// and `f` must not unwind.
+#[unsafe(naked)]
+unsafe extern "C" fn call_on_stack(_arg: *mut u8, _f: unsafe extern "C" fn(*mut u8), _sp: usize) {
+    std::arch::naked_asm!(
+        "push rbp",
+        "mov rbp, rsp",
+        "mov rsp, rdx",
+        "call rsi",
+        "mov rsp, rbp",
+        "pop rbp",
+        "ret",
+    )
 }
 
 /// Save the current execution context through `save`, restore the one at
@@ -358,6 +509,8 @@ unsafe extern "C" fn fiber_entry(inner: *mut FiberInner) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Sim;
+    use crate::time::SimTime;
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -421,6 +574,109 @@ mod tests {
         assert!(!on_fiber());
         f.resume();
         assert!(!on_fiber());
+    }
+
+    /// An address in the caller's frame: where its stack is now.
+    #[inline(never)]
+    fn sp() -> usize {
+        let here = 0u8;
+        std::hint::black_box(&here) as *const u8 as usize
+    }
+
+    /// Whether `addr` lies on the running fiber's own stack.
+    fn on_own_stack(addr: usize) -> bool {
+        let cur = CURRENT.get();
+        assert!(!cur.is_null(), "asked inside a fiber");
+        // SAFETY: `cur` is the fiber running on this thread.
+        let stack = unsafe { &(*cur).stack };
+        (stack.base as usize + PAGE..stack.top() as usize).contains(&addr)
+    }
+
+    #[test]
+    fn a_driver_stack_call_leaves_the_fiber_stack_and_comes_back() {
+        let outcome = Rc::new(Cell::new(None));
+        let o = outcome.clone();
+        let mut f = fiber(move || {
+            let fiber_sp = sp();
+            assert!(on_own_stack(fiber_sp));
+            let (called_sp, value) = on_driver_stack(|| (sp(), 42));
+            o.set(Some((on_own_stack(called_sp), value, on_own_stack(sp()))));
+            yield_current();
+        });
+        assert!(!f.resume());
+        assert_eq!(
+            outcome.get(),
+            Some((false, 42, true)),
+            "ran off the fiber, returned its value"
+        );
+        assert!(f.resume());
+    }
+
+    #[test]
+    fn nested_and_fiberless_driver_stack_calls_run_in_place() {
+        // Outside any fiber: the caller's own stack, a frame or two down.
+        let outer = sp();
+        let inner = on_driver_stack(sp);
+        assert!(outer.abs_diff(inner) < 4096, "{outer:#x} vs {inner:#x}");
+        // Nested: the inner call stays where the outer one moved to.
+        let seen = Rc::new(Cell::new(None));
+        let s = seen.clone();
+        let mut f = fiber(move || {
+            let (outer, inner) = on_driver_stack(|| (sp(), on_driver_stack(sp)));
+            s.set(Some((on_own_stack(outer), outer.abs_diff(inner) < 4096)));
+        });
+        assert!(f.resume());
+        assert_eq!(seen.get(), Some((false, true)));
+    }
+
+    #[test]
+    fn a_panic_on_the_driver_stack_reaches_the_run_with_its_payload() {
+        let mut sim = Sim::new(0);
+        sim.spawn("rank", |_| on_driver_stack(|| panic!("engine fault")));
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"engine fault"));
+    }
+
+    #[test]
+    fn a_caught_driver_stack_panic_leaves_the_fiber_whole() {
+        let mut sim = Sim::new(0);
+        let done = Rc::new(Cell::new(false));
+        let d = done.clone();
+        sim.spawn("rank", move |ctx| {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                on_driver_stack(|| panic!("engine fault"))
+            }));
+            assert!(caught.is_err());
+            // Still a fiber: the park inside `advance` yields and returns.
+            ctx.advance(SimTime::from_nanos(5));
+            d.set(ctx.now() == SimTime::from_nanos(5));
+        });
+        sim.run().unwrap();
+        assert!(done.get());
+    }
+
+    #[test]
+    fn a_park_inside_a_driver_stack_call_fails_the_assertion() {
+        let mut sim = Sim::new(0);
+        sim.spawn("rank", |ctx| {
+            on_driver_stack(|| ctx.advance(SimTime::from_nanos(5)))
+        });
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+        let text = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("not a &str payload");
+        assert!(
+            text.starts_with("yield_current called off a fiber stack"),
+            "{text}"
+        );
+        // The same in a bare fiber: the yield panics instead of saving the
+        // driver's stack as the fiber's context, and the fiber finishes.
+        let mut f = fiber(|| on_driver_stack(yield_current));
+        assert!(
+            f.resume(),
+            "the yield switched away from the driver's stack"
+        );
     }
 
     fn free_stacks() -> usize {

@@ -2,13 +2,15 @@
 //! `compute` goes through, `ProcCtx::park` / `SimHandle::wake` the pair
 //! every blocked wait goes through; once the event queue (its slot arena
 //! and its map of pending instants) and the ready queue have grown to their
-//! working size none of them may touch the allocator. The counting
-//! allocator (`tests/support/alloc.rs`) counts the thread that runs the
-//! simulation: its processes are fibers on that thread.
+//! working size none of them may touch the allocator, and neither may the
+//! hop of an `on_driver_stack` call, the way every engine call of a rank
+//! runs. The counting allocator (`tests/support/alloc.rs`) counts the
+//! thread that runs the simulation: its processes are fibers on that
+//! thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpisim_sim::{ProcId, Sim, SimTime};
+use mpisim_sim::{on_driver_stack, ProcId, Sim, SimTime};
 
 #[path = "../../../tests/support/alloc.rs"]
 mod alloc;
@@ -40,8 +42,10 @@ fn advance_rounds() {
             if i == 0 {
                 AFTER_FIRST_ROUND.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
             }
-            for _ in 1..CALLS {
+            for call in 1..CALLS {
                 ctx.advance(SimTime::from_nanos(5));
+                let now = on_driver_stack(|| ctx.now());
+                assert_eq!(now, SimTime::from_nanos(5 * (call + 1)));
             }
             AT_END.fetch_max(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
         });
@@ -50,7 +54,12 @@ fn advance_rounds() {
     assert_eq!(stats.events_executed, PROCS * CALLS);
     assert_eq!(stats.final_time, SimTime::from_nanos(5 * CALLS));
     let steady = AT_END.load(Ordering::Relaxed) - AFTER_FIRST_ROUND.load(Ordering::Relaxed);
-    assert_eq!(steady, 0, "{steady} allocations in {} advance calls", PROCS * (CALLS - 1));
+    assert_eq!(
+        steady,
+        0,
+        "{steady} allocations in {} advance and driver-stack calls",
+        PROCS * (CALLS - 1)
+    );
 }
 
 fn park_wake_ping_pong() {
@@ -82,5 +91,10 @@ fn park_wake_ping_pong() {
     assert_eq!(stats.events_executed, 0);
     assert!(stats.context_switches >= 2 * ROUNDS);
     let steady = AT_END.load(Ordering::Relaxed) - AFTER_FIRST_ROUND.load(Ordering::Relaxed);
-    assert_eq!(steady, 0, "{steady} allocations in {} park/wake rounds", ROUNDS - 1);
+    assert_eq!(
+        steady,
+        0,
+        "{steady} allocations in {} park/wake rounds",
+        ROUNDS - 1
+    );
 }

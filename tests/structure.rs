@@ -462,6 +462,17 @@ const ROWS: &[Row] = &[
         rule: OnlyIn(&[lit("WinInfo::all_reorder")], &["crates/analyze/src/ir.rs:pub fn info"]),
         plant: Insert("crates/analyze/src/exec.rs", "let info = p.info();",
             "        let info = if p.reorder { WinInfo::all_reorder() } else { info };") },
+    Row { name: "Engine calls run on the driver's stack", section: "§15.1",
+        why: "every engine call of `RankEnv` goes through `engine_call`, so no engine frame lands on a rank's fiber stack; the ledger's field borrow runs no engine code",
+        files: &[API], rule: OnlyIn(&[word("self.eng")], &["crates/core/src/api.rs:fn engine_call",
+            "crates/core/src/api.rs:fn ledger", "crates/core/src/api.rs:pub fn engine"]),
+        plant: Insert(API, "pub fn ibarrier(&self) -> RmaResult<Req> {",
+            "        let _ = self.eng.ibarrier(self.rank);") },
+    Row { name: "One counting allocator", section: "§10.2",
+        why: "every allocation count is `tests/support/alloc.rs`'s, included with `#[path]`, never a private copy",
+        files: &[ALL_CRATES, "src/**", "tests/**", "examples/**", "shims/**"],
+        rule: OnlyIn(&[lit("GlobalAlloc for")], &["tests/support/alloc.rs"]),
+        plant: Insert("crates/net/src/vecmap.rs", "mod tests {", "    unsafe impl GlobalAlloc for Counting {}") },
     Row { name: "One FNV-1a in the tests", section: "§8.5",
         why: "every pinned digest is `tests/support/pin.rs`'s; `Body::digest` is the one production copy",
         files: &[ALL_CRATES, "src/**", "tests/**", "examples/**"],

@@ -4,7 +4,9 @@
 //! on (a simulation's fibers run on the thread that starts it), so nothing
 //! another thread of the test process does lands in [`ALLOCS`]. A test
 //! includes this file with `#[path]`, as it includes `pin.rs`, and is a
-//! binary of its own because it installs the allocator.
+//! binary of its own because it installs the allocator; `mpisim-net`'s
+//! unit-test binary includes it from `vecmap.rs`. It is the one
+//! `GlobalAlloc` of the workspace (a structure rule, DESIGN §10.2).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

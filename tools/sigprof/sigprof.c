@@ -2,10 +2,11 @@
  *
  * LD_PRELOAD it into any dynamically linked program: ITIMER_PROF raises
  * SIGPROF every millisecond of CPU time the process burns, the handler
- * records the interrupted instruction pointer, and at exit the samples and
- * the process's memory map go to ./sigprof.<pid> for symbolize.py. Child
- * processes inherit the preload and write files of their own. Flat profile
- * only: no stacks, x86_64 Linux only.
+ * records the interrupted instruction pointer, and at exit the samples, the
+ * process's memory map, its pid and parent pid and its command line go to
+ * ./sigprof.<pid> for symbolize.py. Child processes inherit the preload and
+ * write files of their own; symbolize.py tells a parent's file from its
+ * children's by the pids. Flat profile only: no stacks, x86_64 Linux only.
  *
  *   cc -O2 -shared -fPIC -o sigprof.so sigprof.c
  */
@@ -42,6 +43,13 @@ static void dump(void)
     FILE *out = fopen(path, "w");
     if (!out)
         return;
+    fprintf(out, "P %d %d\nC ", (int)getpid(), (int)getppid());
+    FILE *cmdline = fopen("/proc/self/cmdline", "r");
+    for (int c; cmdline && (c = fgetc(cmdline)) != EOF;)
+        fputc(c ? c : ' ', out); /* arguments are NUL-terminated */
+    if (cmdline)
+        fclose(cmdline);
+    fputc('\n', out);
     FILE *maps = fopen("/proc/self/maps", "r");
     while (maps && fgets(line, sizeof line, maps))
         fprintf(out, "M %s", line);
