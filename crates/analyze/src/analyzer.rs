@@ -390,8 +390,7 @@ mod tests {
     use crate::corpus::{cases, generate_negative, generate_value_clean, NegFamily};
     use crate::ir::{Close, FetchKind};
     use mpisim_core::ReduceOp;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use mpisim_sim::Rng;
 
     const B: Close = Close::Blocking;
     const NB: Close = Close::Nonblocking;
@@ -548,7 +547,7 @@ mod tests {
     #[test]
     fn the_sweep_says_what_all_pairs_say_on_random_dense_ranges() {
         const N: usize = 5;
-        let ops = |rng: &mut SmallRng, targets: &[usize]| -> Vec<Stmt> {
+        let ops = |rng: &mut Rng, targets: &[usize]| -> Vec<Stmt> {
             (0..rng.gen_range(0..6usize))
                 .map(|_| {
                     let target = targets[rng.gen_range(0..targets.len())];
@@ -566,7 +565,7 @@ mod tests {
         };
         let mut conflicts = 0;
         for seed in 0..200 {
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let (reorder, unsafe_fence_reorder) = (seed % 2 == 0, seed % 4 == 0);
             let mut p = IrProgram { reorder, unsafe_fence_reorder, ..IrProgram::new(N, 64) };
             let all: Vec<usize> = (0..N).collect();

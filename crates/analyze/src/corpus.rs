@@ -48,8 +48,7 @@
 
 use std::fmt::Display;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use mpisim_sim::Rng;
 
 use mpisim_core::ReduceOp;
 
@@ -140,7 +139,7 @@ pub struct NegCase {
     pub expect: Code,
 }
 
-fn ops_for(rng: &mut SmallRng, win: usize, target: usize) -> Vec<Stmt> {
+fn ops_for(rng: &mut Rng, win: usize, target: usize) -> Vec<Stmt> {
     let n = rng.gen_range(1..3usize);
     (0..n)
         .map(|_| {
@@ -158,7 +157,7 @@ fn ops_for(rng: &mut SmallRng, win: usize, target: usize) -> Vec<Stmt> {
 /// Append one well-formed epoch (with its close) on window 0 to rank 0's
 /// program and matching cooperation to the other ranks. `close` controls
 /// whether the epoch-closing statement is emitted.
-fn push_epoch(rng: &mut SmallRng, p: &mut IrProgram, close: bool, allow_fence: bool) {
+fn push_epoch(rng: &mut Rng, p: &mut IrProgram, close: bool, allow_fence: bool) {
     let n = p.n_ranks;
     let win = 0;
     let target = rng.gen_range(1..n);
@@ -218,7 +217,7 @@ fn push_epoch(rng: &mut SmallRng, p: &mut IrProgram, close: bool, allow_fence: b
 /// family.
 pub fn generate_negative(family: NegFamily, index: u64) -> NegCase {
     let mut rng =
-        SmallRng::seed_from_u64(0xBAD_C0DE ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        Rng::seed_from_u64(0xBAD_C0DE ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let n_ranks = 3;
     let mut p = IrProgram::new(n_ranks, NEG_WIN_BYTES);
     match family {
@@ -385,7 +384,7 @@ pub fn generate_negative(family: NegFamily, index: u64) -> NegCase {
 /// fence blocks on the spinner past the watchdog budget while the
 /// execution-bounded spin eventually gives up, so the run terminates
 /// with the stall recorded.
-fn push_value_spin(rng: &mut SmallRng, p: &mut IrProgram, satisfiable: bool) {
+fn push_value_spin(rng: &mut Rng, p: &mut IrProgram, satisfiable: bool) {
     let n = p.n_ranks;
     // A few clean epochs on window 0, then a dedicated flag window so
     // no prefix write overlaps the spun slot (an overlapping unknown
@@ -437,7 +436,7 @@ fn push_value_spin(rng: &mut SmallRng, p: &mut IrProgram, satisfiable: bool) {
 /// direction of the E018 cross-validation.
 pub fn generate_value_clean(index: u64) -> IrProgram {
     let mut rng =
-        SmallRng::seed_from_u64(0x600D_F1A6 ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        Rng::seed_from_u64(0x600D_F1A6 ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut p = IrProgram::new(3, NEG_WIN_BYTES);
     push_value_spin(&mut rng, &mut p, true);
     p
@@ -447,7 +446,7 @@ pub fn generate_value_clean(index: u64) -> IrProgram {
 /// (half the time) a second window for the deadlocking tail — so the
 /// analyzer's multi-window tracking and the IR executor both get
 /// exercised. Returns the window the tail should use.
-fn deadlock_prefix(rng: &mut SmallRng, p: &mut IrProgram) -> usize {
+fn deadlock_prefix(rng: &mut Rng, p: &mut IrProgram) -> usize {
     for _ in 0..rng.gen_range(0..3usize) {
         push_epoch(rng, p, true, true);
     }

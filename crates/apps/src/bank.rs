@@ -9,7 +9,6 @@
 
 use mpisim_core::{run_job, Datatype, JobConfig, Rank, ReduceOp};
 use mpisim_sim::{seeded_rng, SimError, SimTime};
-use rand::Rng;
 
 /// Workload parameters.
 #[derive(Clone, Debug)]
@@ -86,7 +85,7 @@ pub fn run_bank(job: JobConfig, cfg: BankConfig) -> Result<BankResult, SimError>
                 .fetch_and_op(win, rank, disp, Datatype::U64, ReduceOp::NoOp, &0u64.to_le_bytes())
                 .unwrap();
             env.flush(win, rank).unwrap();
-            u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap())
+            u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap())
         };
 
         for _ in 0..cfg.transfers_per_rank {
@@ -111,7 +110,7 @@ pub fn run_bank(job: JobConfig, cfg: BankConfig) -> Result<BankResult, SimError>
                     .unwrap();
                 env.flush(win, fr).unwrap();
                 let seen =
-                    u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
+                    u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap());
                 if seen == old {
                     break true;
                 }

@@ -18,7 +18,6 @@
 
 use mpisim_core::{run_job, Group, JobConfig, Rank, WinId};
 use mpisim_sim::{seeded_rng, SimError, SimTime};
-use rand::Rng;
 
 /// Whether to move and verify real matrix data.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -11,8 +11,7 @@
 use mpisim_core::{
     run_job, Datatype, JobConfig, LockKind, Rank, ReduceOp, RmaResult, WinInfo,
 };
-use mpisim_sim::{seeded_rng, SimTime};
-use rand::Rng;
+use mpisim_sim::{seeded_rng, Rng, SimTime};
 
 /// How each rank drives its transactions.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -108,7 +107,7 @@ pub fn run_transactions(job: JobConfig, cfg: TxConfig) -> Result<TxResult, mpisi
             .flat_map(|v| v.to_le_bytes())
             .collect::<Vec<u8>>();
 
-        let pick_target = move |rng: &mut rand::rngs::SmallRng| -> Rank {
+        let pick_target = move |rng: &mut Rng| -> Rank {
             match cfg.dist {
                 TargetDist::Uniform => Rank(rng.gen_range(0..n)),
                 TargetDist::Hotspot { percent } => {
@@ -120,7 +119,7 @@ pub fn run_transactions(job: JobConfig, cfg: TxConfig) -> Result<TxResult, mpisi
                 }
             }
         };
-        let one_tx = |env: &mpisim_core::RankEnv, rng: &mut rand::rngs::SmallRng| -> RmaResult<mpisim_core::Req> {
+        let one_tx = |env: &mpisim_core::RankEnv, rng: &mut Rng| -> RmaResult<mpisim_core::Req> {
             let target = pick_target(rng);
             let slot = rng.gen_range(0..cfg.slots - words + 1);
             let _ = env.ilock(win, target, LockKind::Exclusive)?;

@@ -41,8 +41,7 @@
 //! pacing between epochs — is a fixed property of the [`Family`], not a
 //! field of the program: the oracle argument above depends on it.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use mpisim_sim::Rng;
 
 /// Window size (bytes) for single-origin programs.
 pub const WIN_BYTES: usize = 64;
@@ -329,7 +328,7 @@ pub fn oracle(program: &Program) -> Expected {
     Expected { mems: mem, gets }
 }
 
-fn gen_op(rng: &mut SmallRng, n_ranks: usize, region: Option<usize>) -> Op {
+fn gen_op(rng: &mut Rng, n_ranks: usize, region: Option<usize>) -> Op {
     // Region `Some(i)` confines the op to bytes [i*16, (i+1)*16) — the
     // disjoint-region family's safety argument under reorder flags.
     let (lo, hi) = match region {
@@ -355,7 +354,7 @@ fn gen_op(rng: &mut SmallRng, n_ranks: usize, region: Option<usize>) -> Op {
     }
 }
 
-fn gen_epoch(rng: &mut SmallRng, n_ranks: usize, region: Option<usize>) -> Epoch {
+fn gen_epoch(rng: &mut Rng, n_ranks: usize, region: Option<usize>) -> Epoch {
     let n_ops = rng.gen_range(0..5usize);
     let mut ops: Vec<Op> = (0..n_ops).map(|_| gen_op(rng, n_ranks, region)).collect();
     match rng.gen_range(0..4u32) {
@@ -379,7 +378,7 @@ fn gen_epoch(rng: &mut SmallRng, n_ranks: usize, region: Option<usize>) -> Epoch
 
 /// One batch of `n` Sum-accumulates at random targets and slots: the
 /// whole body of a `MultiOriginSum` or `LockAllStorm` epoch.
-fn gen_sums(rng: &mut SmallRng, n_ranks: usize, n: usize) -> Vec<Op> {
+fn gen_sums(rng: &mut Rng, n_ranks: usize, n: usize) -> Vec<Op> {
     (0..n)
         .map(|_| Op::AccSum {
             target: rng.gen_range(0..n_ranks),
@@ -391,7 +390,7 @@ fn gen_sums(rng: &mut SmallRng, n_ranks: usize, n: usize) -> Vec<Op> {
 
 /// Deterministically generate the `index`-th program of a family.
 pub fn generate(family: Family, index: u64) -> Program {
-    let mut rng = SmallRng::seed_from_u64(0x51EE_D000 ^ (index.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+    let mut rng = Rng::seed_from_u64(0x51EE_D000 ^ (index.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
     let rng = &mut rng;
     match family {
         Family::MixedSerial => {

@@ -65,8 +65,7 @@
 use std::cell::RefMut;
 use std::rc::Rc;
 
-use bytes::Bytes;
-use mpisim_net::Payload;
+use mpisim_net::{Bytes, Payload};
 use mpisim_sim::{ProcCtx, SimTime};
 
 use crate::config::WinInfo;

@@ -29,7 +29,7 @@
 //! .unwrap();
 //! ```
 
-use bytes::Bytes;
+use mpisim_net::Bytes;
 
 use crate::api::RankEnv;
 use crate::datatype::{self, Datatype, ReduceOp};
@@ -55,7 +55,7 @@ impl RankEnv<'_> {
         let rel = (me + n - root.idx()) % n;
 
         let buf: Bytes = if rel == 0 {
-            Bytes::copy_from_slice(data)
+            Bytes::new(data.to_vec())
         } else {
             // Receive from the parent: clear the lowest set bit.
             let parent_rel = rel & (rel - 1);
@@ -157,7 +157,7 @@ impl RankEnv<'_> {
                     Some(q) => out.push(self.wait_data(q)?),
                     None => {
                         debug_assert_eq!(r, root.idx());
-                        out.push(Bytes::copy_from_slice(data));
+                        out.push(Bytes::new(data.to_vec()));
                     }
                 }
             }

@@ -240,7 +240,6 @@ mod tests {
     /// out-of-order epoch completion. 64 seeded cases of 0..20 operands.
     #[test]
     fn u64_sum_commutes() {
-        use rand::Rng;
         for case in 0..64 {
             let mut rng = mpisim_sim::seeded_rng(case, 0);
             let init: u64 = rng.gen();
@@ -261,7 +260,6 @@ mod tests {
     /// seeded cases of 1..10 operands.
     #[test]
     fn replace_last_writer_wins() {
-        use rand::Rng;
         for case in 0..64 {
             let mut rng = mpisim_sim::seeded_rng(case, 1);
             let init: u64 = rng.gen();

@@ -43,8 +43,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use bytes::Bytes;
-use mpisim_net::{NetParams, Network, Packet, Payload, Topology};
+use mpisim_net::{Bytes, NetParams, Network, Packet, Payload, Topology};
 use mpisim_sim::{ProcId, SimHandle, SimTime};
 
 use crate::config::{JobConfig, SyncStrategy};

@@ -696,7 +696,6 @@ mod layout_tests {
     /// an id below 2^60.
     #[test]
     fn packet_roundtrip_all_fields() {
-        use rand::Rng;
         for case in 0..64 {
             let mut rng = mpisim_sim::seeded_rng(case, 0);
             let p = SyncPacket {

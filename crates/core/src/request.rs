@@ -14,7 +14,7 @@
 //! The table records no trace itself: it remembers each request's owning
 //! rank, and its transitions tell the engine what to trace ([`ReqEvent`]).
 
-use bytes::Bytes;
+use mpisim_net::Bytes;
 use mpisim_sim::{ProcId, SimHandle};
 
 use crate::error::{RmaError, RmaResult};
@@ -182,10 +182,10 @@ mod tests {
         let mut t = table();
         let r = t.alloc(Rank(0), ReqKind::EpochClose);
         assert!(!t.is_done(r).unwrap());
-        assert_eq!(t.complete(r, Some(Bytes::from_static(b"xy"))), Some(Rank(0)));
+        assert_eq!(t.complete(r, Some(Bytes::new(b"xy".to_vec()))), Some(Rank(0)));
         assert!(t.is_done(r).unwrap());
         let (owner, data) = t.poll(r, None).unwrap().unwrap();
-        assert_eq!((owner, data.unwrap().as_ref()), (Rank(0), &b"xy"[..]));
+        assert_eq!((owner, data.unwrap().as_slice()), (Rank(0), &b"xy"[..]));
         // Handle is now stale.
         assert_eq!(t.is_done(r), Err(RmaError::InvalidRequest));
     }
@@ -249,9 +249,9 @@ mod tests {
         assert_eq!(t.complete(r, None), None); // idempotent: not traced twice
         assert_eq!(t.poll(r, None), Ok(Some((Rank(2), None))));
         let d = t.alloc(Rank(3), ReqKind::EpochOpen);
-        assert_eq!(t.complete(d, Some(Bytes::from_static(b"z"))), Some(Rank(3)));
-        assert_eq!(t.complete(d, Some(Bytes::from_static(b"w"))), None); // new data, no transition
-        assert_eq!(t.poll(d, None), Ok(Some((Rank(3), Some(Bytes::from_static(b"w"))))));
+        assert_eq!(t.complete(d, Some(Bytes::new(b"z".to_vec()))), Some(Rank(3)));
+        assert_eq!(t.complete(d, Some(Bytes::new(b"w".to_vec()))), None); // new data, no transition
+        assert_eq!(t.poll(d, None), Ok(Some((Rank(3), Some(Bytes::new(b"w".to_vec()))))));
         assert_eq!(t.poll(r, None), Err(RmaError::InvalidRequest));
     }
 

@@ -122,7 +122,7 @@ fn collectives_interleave_with_rma_phases() {
         // Collective phase: rank 0 broadcasts the accumulated total.
         let data = if me == 0 { env.read_local(win, 0, 8).unwrap() } else { vec![] };
         let total = env.bcast(Rank(0), &data).unwrap();
-        let v = u64::from_le_bytes(total.as_ref().try_into().unwrap());
+        let v = u64::from_le_bytes(total[..].try_into().unwrap());
         assert_eq!(v, (1..=n as u64).sum::<u64>());
         // And everyone validates via an allreduce cross-check.
         let check = env

@@ -9,7 +9,6 @@
 use mpisim_core::{run_job, JobConfig, JobReport, LockKind, Rank};
 use mpisim_net::FaultPlan;
 use mpisim_sim::{seeded_rng, SimTime};
-use rand::Rng;
 
 /// Mixed workload crossing all three synchronization planes: fence
 /// phases of neighbour puts, a shared-lock deposit row, and an

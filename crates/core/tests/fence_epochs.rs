@@ -104,7 +104,7 @@ fn fence_with_only_gets_completes_and_counts() {
             .collect();
         env.fence(win).unwrap();
         for (i, r) in reqs.into_iter().enumerate() {
-            let v = u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
+            let v = u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap());
             assert!((7..7 + 3).contains(&v), "get {i} returned {v}");
         }
         env.win_free(win).unwrap();

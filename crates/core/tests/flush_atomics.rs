@@ -151,7 +151,7 @@ fn fetch_and_op_serializes_concurrent_counters() {
         let mut olds: Vec<u64> = reqs
             .into_iter()
             .map(|r| {
-                u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap())
+                u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap())
             })
             .collect();
         env.barrier().unwrap();
@@ -187,7 +187,7 @@ fn compare_and_swap_elects_exactly_one_winner() {
             .compare_and_swap(win, Rank(0), 0, Datatype::U64, &0u64.to_le_bytes(), &me.to_le_bytes())
             .unwrap();
         env.unlock_all(win).unwrap();
-        let old = u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
+        let old = u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap());
         env.barrier().unwrap();
         if env.rank().idx() == 0 {
             let v = u64::from_le_bytes(env.read_local(win, 0, 8).unwrap().try_into().unwrap());
@@ -213,7 +213,7 @@ fn get_accumulate_returns_previous_contents() {
                 .get_accumulate(win, Rank(1), 0, Datatype::U64, ReduceOp::Sum, &3u64.to_le_bytes())
                 .unwrap();
             env.unlock(win, Rank(1)).unwrap();
-            let old = u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
+            let old = u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap());
             assert_eq!(old, 5);
         }
         env.barrier().unwrap();
@@ -307,7 +307,7 @@ fn noop_fetch_reads_atomically() {
                 .fetch_and_op(win, Rank(1), 0, Datatype::U64, ReduceOp::NoOp, &0u64.to_le_bytes())
                 .unwrap();
             env.unlock(win, Rank(1)).unwrap();
-            let v = u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
+            let v = u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap());
             assert_eq!(v, 33);
         }
         env.barrier().unwrap();

@@ -33,7 +33,7 @@ fn exclusive_locks_serialize_atomic_increments() {
             env.lock(win, Rank(0), LockKind::Exclusive).unwrap();
             let r = env.get(win, Rank(0), 0, 8).unwrap();
             env.flush(win, Rank(0)).unwrap();
-            let cur = u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
+            let cur = u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap());
             env.put(win, Rank(0), 0, &(cur + 1).to_le_bytes()).unwrap();
             env.unlock(win, Rank(0)).unwrap();
         }
@@ -60,7 +60,7 @@ fn shared_locks_coexist_exclusive_waits() {
                 env.lock(win, Rank(0), LockKind::Shared).unwrap();
                 let r = env.get(win, Rank(0), 0, 8).unwrap();
                 env.flush(win, Rank(0)).unwrap();
-                let v = u64::from_le_bytes(env.wait_data(r).unwrap().as_ref().try_into().unwrap());
+                let v = u64::from_le_bytes(env.wait_data(r).unwrap()[..].try_into().unwrap());
                 assert_eq!(v, 7);
                 let read_at = env.now().as_nanos();
                 env.compute(SimTime::from_micros(200));

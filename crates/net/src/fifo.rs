@@ -182,7 +182,6 @@ mod tests {
     /// up to 39 runs of 1..300 pops or pushes.
     #[test]
     fn matches_vecdeque_oracle() {
-        use rand::Rng;
         for case in 0..64 {
             let mut rng = mpisim_sim::seeded_rng(case, 0);
             let cap = match rng.gen_range(0..4) {

@@ -22,5 +22,5 @@ pub use fault::{FaultKind, FaultPlan, Partition};
 pub use fifo::U64Fifo;
 pub use network::{NetStats, Network, Packet, Wire};
 pub use params::{NetParams, Rank, Topology};
-pub use payload::Payload;
+pub use payload::{Bytes, Payload};
 pub use vecmap::{Entry, OccupiedEntry, VacantEntry, VecMap};

@@ -26,9 +26,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use mpisim_sim::{mix64, seeded_rng, SimHandle, SimTime, Stamp};
-use rand::rngs::SmallRng;
-use rand::Rng;
+use mpisim_sim::{mix64, seeded_rng, Rng, SimHandle, SimTime, Stamp};
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::params::{
@@ -153,7 +151,7 @@ struct RankState<M> {
     channels: VecMap<Rank, ChannelState>,
     /// Fault decision stream per destination, lazily seeded from
     /// `(plan.seed, src, dst)` so a plan replays identically.
-    fault_rngs: VecMap<Rank, SmallRng>,
+    fault_rngs: VecMap<Rank, Rng>,
 }
 
 impl<M> Default for RankState<M> {
@@ -174,7 +172,7 @@ impl<M> Default for RankState<M> {
 struct NetInner<M> {
     ranks: Vec<RankState<M>>,
     stats: NetStats,
-    jitter_rng: rand::rngs::SmallRng,
+    jitter_rng: Rng,
     /// NICs currently off the fabric: the one record of "this rank is
     /// down", set by the engine's crash and restart
     /// ([`Network::nic_down`] / [`Network::nic_up`]).
@@ -401,7 +399,7 @@ impl<M: Wire> Network<M> {
     /// The packet moves by value from the sender into the delivery
     /// closure and on into the handler: the network never clones or
     /// copies a payload in transit (payload sharing, where it happens,
-    /// is a refcount bump inside [`bytes::Bytes`]).
+    /// is a refcount bump on its [`Bytes`](crate::Bytes)).
     fn transmit(self: &Arc<Self>, inner: &mut NetInner<M>, now: SimTime, req: SendReq<M>) {
         let SendReq {
             mut pkt,

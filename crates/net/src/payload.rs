@@ -2,7 +2,12 @@
 //! (size-only, for paper-scale runs where carrying data would dominate
 //! simulation cost without changing timing).
 
-use bytes::Bytes;
+use std::sync::Arc;
+
+/// Real payload bytes: one shared, immutable buffer, cloned by a refcount
+/// bump. The `Vec` backing lets [`Payload::from_vec`] adopt a packed
+/// buffer without copying it (`Arc<[u8]>` would copy).
+pub type Bytes = Arc<Vec<u8>>;
 
 /// The body of a data-bearing message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,23 +46,23 @@ impl Payload {
     pub fn into_data(self) -> Bytes {
         match self {
             Payload::Bytes(b) => b,
-            Payload::Synthetic(n) => Bytes::from(vec![0u8; n]),
+            Payload::Synthetic(n) => Arc::new(vec![0u8; n]),
         }
     }
 
     /// Build a payload from a slice (copies).
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Payload::Bytes(Bytes::copy_from_slice(data))
+        Payload::Bytes(Arc::new(data.to_vec()))
     }
 
     /// Adopt an owned buffer without copying it.
     pub fn from_vec(data: Vec<u8>) -> Self {
-        Payload::Bytes(Bytes::from(data))
+        Payload::Bytes(Arc::new(data))
     }
 
     /// An empty real payload.
     pub fn empty() -> Self {
-        Payload::Bytes(Bytes::new())
+        Payload::Bytes(Bytes::default())
     }
 }
 
@@ -86,5 +91,12 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert_eq!(p.into_data().as_ref(), &[9, 8, 7]);
         assert_eq!(Payload::Synthetic(4).into_data().as_ref(), &[0; 4]);
+    }
+
+    #[test]
+    fn from_vec_adopts_the_allocation() {
+        let v = vec![7u8; 64];
+        let ptr = v.as_ptr();
+        assert!(std::ptr::eq(ptr, Payload::from_vec(v).into_data().as_ptr()));
     }
 }

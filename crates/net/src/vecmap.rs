@@ -187,7 +187,6 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::atomic::Ordering;
 
-    use rand::Rng;
 
     use super::alloc::{ALLOCS, COUNTING};
     use super::*;

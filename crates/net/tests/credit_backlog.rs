@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mpisim_net::{NetParams, NetStats, Network, Packet, Rank, Topology, Wire};
-use mpisim_sim::{Sim, SimTime};
+use mpisim_sim::{splitmix64, Sim, SimTime};
 
 const RANKS: usize = 6;
 const BURSTS: u64 = 10;
@@ -33,20 +33,12 @@ impl Wire for Msg {
     }
 }
 
-/// splitmix64: the test's own seeded stream.
+/// The test's own seeded stream: SplitMix64's sequence from the seed.
 struct Stream(u64);
 
 impl Stream {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
+        splitmix64(&mut self.0) % n
     }
 }
 

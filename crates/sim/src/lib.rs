@@ -61,5 +61,5 @@ pub use fiber::free_stack_resident_pages;
 pub use fiber::on_driver_stack;
 pub use kernel::{ProcId, Sim, SimError, SimHandle, SimStats, Stamp, TieBreak};
 pub use process::ProcCtx;
-pub use rng::{mix64, seeded_rng, splitmix64};
+pub use rng::{mix64, seeded_rng, splitmix64, Rng, Uniform};
 pub use time::SimTime;

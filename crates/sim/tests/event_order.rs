@@ -15,7 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpisim_sim::{mix64, seeded_rng, Sim, SimHandle, SimTime, Stamp, TieBreak};
-use rand::Rng;
 
 /// One scheduling call, in ns: `schedule(d)` or `schedule_at(t)`; a
 /// reservation `d > 0` ahead whose event is never scheduled; or one whose

@@ -14,9 +14,7 @@
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-use mpisim_sim::{seeded_rng, Sim, SimHandle, SimTime};
-use rand::rngs::SmallRng;
-use rand::Rng;
+use mpisim_sim::{seeded_rng, Rng, Sim, SimHandle, SimTime};
 
 /// Timed pop+push operations per run.
 const OPS: u64 = 1_000_000;
@@ -28,7 +26,7 @@ enum Spread {
 }
 
 impl Spread {
-    fn delay(self, rng: &mut SmallRng) -> SimTime {
+    fn delay(self, rng: &mut Rng) -> SimTime {
         SimTime::from_nanos(match self {
             Spread::Distinct => rng.gen_range(1..1u64 << 40),
             Spread::Offsets16 => 100 * rng.gen_range(1..=16),
@@ -38,7 +36,7 @@ impl Spread {
 
 struct Hold {
     h: SimHandle,
-    rng: SmallRng,
+    rng: Rng,
     spread: Spread,
     left: u64,
     started: Option<Instant>,

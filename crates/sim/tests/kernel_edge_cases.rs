@@ -4,7 +4,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpisim_sim::{seeded_rng, ProcCtx, ProcId, Sim, SimError, SimStats, SimTime, TieBreak};
-use rand::Rng;
 
 /// What the kernel leaves to its callers: the condition a parked process
 /// waits for. Set it, then `wake` whoever parks on it.

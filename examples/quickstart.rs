@@ -25,7 +25,7 @@ fn main() {
             let bytes = env.wait_data(get).unwrap();
             println!(
                 "rank0 read {} from rank1's window",
-                u64::from_le_bytes(bytes.as_ref().try_into().unwrap())
+                u64::from_le_bytes(bytes[..].try_into().unwrap())
             );
         } else if me.idx() == 1 {
             env.post(win, Group::single(Rank(0))).unwrap();

@@ -16,7 +16,7 @@ use std::fs;
 use std::path::Path;
 
 use Plant::{Add, Insert};
-use Rule::{Absent, Exactly, Holds, NoPath, OnlyIn};
+use Rule::{Absent, Exactly, Holds, InTreeDeps, NoPath, OnlyIn};
 
 /// Literal text to look for on one line.
 struct Needle {
@@ -76,6 +76,9 @@ enum Rule {
     NoPath,
     /// The one directory the row names holds exactly these entries.
     Holds(&'static [&'static str]),
+    /// Every entry of the manifests' dependency tables is inherited from
+    /// the workspace or a `path` to a package of the tree under `crates/`.
+    InTreeDeps,
 }
 
 enum Plant {
@@ -250,7 +253,7 @@ const ROWS: &[Row] = &[
     Row { name: "One owner", section: "§15.1",
         why: "the driver thread runs every rank and event, so sim, net and core hold no lock, condvar or thread",
         files: RUNTIME,
-        rule: Absent(&[lit("parking_lot::"), lit("Mutex"), lit("Condvar"), lit("thread::spawn")]),
+        rule: Absent(&[lit("Mutex"), lit("Condvar"), lit("thread::spawn")]),
         plant: Insert(NETWORK, "use std::sync::Arc;", "use std::sync::Mutex;") },
     Row { name: "The kernel keeps no counter across runs", section: "§15.2",
         why: "a tie-break is `Fifo` or `Seeded`; the `nondet-exec` plant's run counter lives in `core::runtime`",
@@ -405,10 +408,20 @@ const ROWS: &[Row] = &[
         files: &["crates/bench/src/**"], rule: OnlyIn(&[lit("SyncStrategy::")], &["crates/bench/src/series.rs"]),
         plant: Insert("crates/bench/src/fig12.rs", "pub fn run(opts: &Fig12Opts) -> Table {",
             r#"        ("MVAPICH", SyncStrategy::LazyBaseline, TxMode::Blocking, false),"#) },
-    Row { name: "No proptest stand-in", section: "§8",
-        why: "a check is a tier-1 test or a row of `mpisim-check`'s table",
-        files: &["shims/proptest"], rule: NoPath,
+    Row { name: "No shims/ directory", section: "§8",
+        why: "no stand-in crate, a property-test one included: a check is a tier-1 test or a row of `mpisim-check`'s table",
+        files: &["shims"], rule: NoPath,
         plant: Add("shims/proptest/Cargo.toml") },
+    Row { name: "Every dependency is a path inside the repository", section: "§3",
+        why: "the workspace and the benchmark depend on the `mpisim-*` crates and nothing else",
+        files: &["Cargo.toml", "crates/*/Cargo.toml", "benchmark/Cargo.toml"], rule: InTreeDeps,
+        plant: Insert("crates/sim/Cargo.toml", "description = ", "[dependencies]\nrand = \"0.8\"") },
+    Row { name: "One SplitMix64", section: "§15.2",
+        why: "every seeded stream in the workspace mixes through `mpisim_sim::splitmix64`",
+        files: &[ALL_CRATES, "src/**", "tests/**", "examples/**"],
+        rule: OnlyIn(&[lit("BF58_476D_1CE4_E5B9"), lit("bf58_476d_1ce4_e5b9")], &["crates/sim/src/rng.rs"]),
+        plant: Insert("crates/net/tests/credit_backlog.rs", "impl Stream {",
+            "        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);") },
     Row { name: "No manifest names proptest", section: "§8",
         why: "no package depends on a property-test crate",
         files: &["**/Cargo.toml", "Cargo.lock"], rule: Absent(&[lit("proptest")]),
@@ -470,7 +483,7 @@ const ROWS: &[Row] = &[
             "        let _ = self.eng.ibarrier(self.rank);") },
     Row { name: "One counting allocator", section: "§10.2",
         why: "every allocation count is `tests/support/alloc.rs`'s, included with `#[path]`, never a private copy",
-        files: &[ALL_CRATES, "src/**", "tests/**", "examples/**", "shims/**"],
+        files: &[ALL_CRATES, "src/**", "tests/**", "examples/**"],
         rule: OnlyIn(&[lit("GlobalAlloc for")], &["tests/support/alloc.rs"]),
         plant: Insert("crates/net/src/vecmap.rs", "mod tests {", "    unsafe impl GlobalAlloc for Counting {}") },
     Row { name: "One FNV-1a in the tests", section: "§8.5",
@@ -498,7 +511,6 @@ const ROOTS: &[&str] = &[
     "src",
     "tests",
     "examples",
-    "shims",
     "tools",
     "Cargo.toml",
     "Cargo.lock",
@@ -724,8 +736,44 @@ fn check(tree: &Tree, row: &Row) -> Result<(), String> {
                 return Err(format!("{} holds {have:?}, not {want:?}", row.files[0]));
             }
         }
+        InTreeDeps => {
+            // The table a line is in: its file and its header.
+            let mut table = ("", "");
+            for (path, n, line) in scan()? {
+                let line = line.trim();
+                if line.starts_with('[') || table.0 != path {
+                    table = (path, if line.starts_with('[') { line } else { "" });
+                    continue;
+                }
+                if !table.1.contains("dependencies") || line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                let dir = path.rsplit_once('/').map_or("", |(dir, _)| dir);
+                let target = line.split_once("path = \"").and_then(|(_, p)| p.split_once('"'));
+                let in_tree = target.map(|(p, _)| resolve(dir, p)).is_some_and(|t| {
+                    t.starts_with("crates/") && tree.files.contains_key(&format!("{t}/Cargo.toml"))
+                });
+                if !(in_tree || line.contains("workspace = true")) {
+                    return Err(format!("{path}:{n}: not a workspace crate: `{line}`"));
+                }
+            }
+        }
     }
     Ok(())
+}
+
+/// `rel`, a path relative to the directory `dir` of the tree, as a path
+/// from the repository root.
+fn resolve(dir: &str, rel: &str) -> String {
+    let mut parts: Vec<&str> = dir.split('/').filter(|c| !c.is_empty()).collect();
+    for c in rel.split('/') {
+        match c {
+            "" | "." => {}
+            ".." => drop(parts.pop()),
+            c => parts.push(c),
+        }
+    }
+    parts.join("/")
 }
 
 #[test]
@@ -787,6 +835,15 @@ fn a_scope_that_covers_nothing_fails() {
 }
 
 #[test]
+fn a_stand_in_crate_in_the_root_manifest_fails() {
+    let tree = Tree::read();
+    let row = ROWS.iter().find(|row| matches!(row.rule, InTreeDeps)).unwrap();
+    let plant = Insert("Cargo.toml", "[workspace.dependencies]", r#"rand = { path = "shims/rand" }"#);
+    let planted = check(&tree.planted(&plant), row);
+    assert!(planted.is_err_and(|e| e.ends_with(r#"not a workspace crate: `rand = { path = "shims/rand" }`"#)));
+}
+
+#[test]
 fn globs_match_whole_components() {
     assert!(glob("crates/**", "crates/core/src/api.rs"));
     assert!(glob("crates/*/src/**", "crates/core/src/engine/mod.rs"));
@@ -799,7 +856,7 @@ fn globs_match_whole_components() {
         "crates/analyze/src/*.rs",
         "crates/analyze/src/x/shape.rs"
     ));
-    assert!(glob("**/Cargo.toml", "Cargo.toml") && glob("**/Cargo.toml", "shims/rand/Cargo.toml"));
+    assert!(glob("**/Cargo.toml", "Cargo.toml") && glob("**/Cargo.toml", "crates/sim/Cargo.toml"));
     assert!(!glob(
         "crates/core/src/api.rs",
         "crates/core/src/api.rs.orig"
