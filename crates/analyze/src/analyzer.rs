@@ -128,11 +128,11 @@ enum Scope {
 }
 
 fn scope(sh: &Shape, a: &Access) -> Option<Scope> {
-    let e = a.epoch?;
-    match sh.ranks[a.rank].epochs[e].kind {
+    let (rs, e) = (&sh.ranks[a.rank], a.epoch?);
+    match rs.epochs[e].kind {
         EpochKind::Fence { seq } => Some(Scope::FencePhase(seq)),
         // An unmatched start has no scope: E011 already reported it.
-        EpochKind::Start { .. } => sh.matching_post(a.rank, e, a.target).map(Scope::Exposure),
+        EpochKind::Start { .. } => rs.pairing(e)[a.slot?].with.map(Scope::Exposure),
         EpochKind::Lock { exclusive: true, .. } => None,
         EpochKind::Lock { .. } | EpochKind::LockAll => Some(Scope::Shared),
         EpochKind::Post { .. } => unreachable!("an exposure epoch covers no access"),
@@ -174,6 +174,7 @@ pub fn analyze(p: &IrProgram) -> Vec<Diagnostic> {
     // lock-acquisition-order pass (E014).
     diags.extend(crate::deadlock::deadlock_passes(&sh));
 
+    let e011 = |rank, detail| Diagnostic { code: Code::E011, rank, step: None, detail };
     // E011a: collective fence counts must agree on every rank, per
     // window (a fence is job-collective on its window).
     for w in 0..p.windows.len() {
@@ -181,38 +182,22 @@ pub fn analyze(p: &IrProgram) -> Vec<Diagnostic> {
         for (rank, rs) in sh.ranks.iter().enumerate().skip(1) {
             let c = rs.fences[w].len();
             if c != base {
-                diags.push(Diagnostic {
-                    code: Code::E011,
-                    rank,
-                    step: None,
-                    detail: format!(
-                        "rank {rank} makes {c} fence calls on window {w} but rank 0 makes {base}"
-                    ),
-                });
+                let detail = format!(
+                    "rank {rank} makes {c} fence calls on window {w} but rank 0 makes {base}"
+                );
+                diags.push(e011(rank, detail));
             }
         }
     }
 
     // E011b: every (origin, target, window) start count must equal the
     // count of posts at the target on that window naming the origin.
-    for (o, rs) in sh.ranks.iter().enumerate() {
-        for (w, t, n_starts) in rs.start_counts() {
-            if t >= p.n_ranks {
-                continue; // reported as E002 at the start site's ops
-            }
-            let n_posts = sh.ranks[t].posts_naming(w, o);
-            if n_starts != n_posts {
-                diags.push(Diagnostic {
-                    code: Code::E011,
-                    rank: o,
-                    step: None,
-                    detail: format!(
-                        "rank {o} starts toward rank {t} {n_starts} time(s) on window {w} but \
-                         rank {t} posts toward rank {o} {n_posts} time(s)"
-                    ),
-                });
-            }
-        }
+    for &(o, w, t, starts, posts) in &sh.mismatches {
+        let detail = format!(
+            "rank {o} starts toward rank {t} {starts} time(s) on window {w} but rank {t} posts \
+             toward rank {o} {posts} time(s)"
+        );
+        diags.push(e011(o, detail));
     }
 
     // E006/E007 and E009: conflicting overlaps of accesses that may run

@@ -7,11 +7,12 @@
 //! per byte of a spun slot), or "never", with the rank to blame and why:
 //! one list per fence call `(win, idx)` and per barrier call, shared by
 //! every rank that makes it, one per GATS close (start/post matching is
-//! [`Shape::matching_post`] / [`Shape::matching_start`]) and per spin (the
-//! value domain's suppliers are the shape's writing accesses). The fixpoint
-//! then only checks lists, and the lock-order pass reads the shape's lock
-//! epochs and flushes. Neither pass pairs opens with closes or decodes a
-//! data statement itself.
+//! resolved once in [`Shape::of`]; the close reads each group member's
+//! [`crate::shape::Pairing`]) and per spin (the value domain's suppliers
+//! are the shape's writing accesses). The fixpoint then only checks lists,
+//! and the lock-order pass reads the shape's lock epochs and flushes.
+//! Neither pass pairs opens with closes or decodes a data statement
+//! itself.
 //!
 //! 1. **Fixpoint interpreter.** A symbolic abstract interpretation of the
 //!    whole job: every rank holds a program counter, and a round-based
@@ -87,7 +88,7 @@ use std::collections::BTreeMap;
 
 use crate::diag::{Code, Diagnostic};
 use crate::ir::Stmt;
-use crate::shape::{Access, At, EpochKind, Shape};
+use crate::shape::{Access, At, EpochKind, Pairing, Shape};
 
 /// One thing a wait needs, resolved from the shape once.
 enum Need {
@@ -295,22 +296,18 @@ impl Interp {
 fn gats_close<'s>(sh: &'s Shape, r: usize, e: usize) -> impl Iterator<Item = Need> + 's {
     let epoch = &sh.ranks[r].epochs[e];
     let win = epoch.win;
-    // An invalid peer was reported as E002 already.
-    let peers = epoch.group().iter().copied().filter(|&q| q < sh.p.n_ranks);
-    let need = move |q: usize| {
-        let nth = || sh.occurrence(r, e, q).expect("q is in the group");
-        let never = |why| Need::Never { rank: q, why };
+    let need = move |(&q, met): (&usize, &Pairing)| {
+        let (nth, never) = (met.nth, |why| Need::Never { rank: q, why });
         if let EpochKind::Start { .. } = epoch.kind {
-            return match sh.matching_post(r, e, q) {
+            return match met.with {
                 Some(pi) => Need::Stmt { rank: q, stmt: sh.ranks[q].epochs[pi].open },
                 None => never(format!(
                     "rank {q} never issues the matching exposure post on window {win} (needs \
-                     its post #{} containing rank {r})",
-                    nth()
+                     its post #{nth} containing rank {r})"
                 )),
             };
         }
-        match sh.matching_start(r, e, q).map(|si| sh.ranks[q].epochs[si].close) {
+        match met.with.map(|si| sh.ranks[q].epochs[si].close) {
             Some(Some((stmt, _))) => Need::Stmt { rank: q, stmt },
             Some(None) => never(format!(
                 "rank {q}'s matching access epoch on window {win} is never completed, so its \
@@ -318,12 +315,11 @@ fn gats_close<'s>(sh: &'s Shape, r: usize, e: usize) -> impl Iterator<Item = Nee
             )),
             None => never(format!(
                 "rank {q} never starts a matching access epoch on window {win} (needs its \
-                 start #{} containing rank {r})",
-                nth()
+                 start #{nth} containing rank {r})"
             )),
         }
     };
-    peers.map(need)
+    epoch.group().iter().zip(sh.ranks[r].pairing(e)).map(need)
 }
 
 /// A spin resolved through its local binding to `slot`, the 8-byte slot at

@@ -9,10 +9,7 @@
 //!
 //! * every **epoch instance** ([`Epoch`]): kind with group or target and
 //!   lock mode, window, opening statement, closing statement with its
-//!   [`Close`] mode (or never closed), reorder-concurrency region, and —
-//!   [`Shape::occurrence`] — per group member which of this rank's starts
-//!   (posts) naming that peer it is: the positional id the paper matches
-//!   epochs by (§VI.A rule 3);
+//!   [`Close`] mode (or never closed) and reorder-concurrency region;
 //! * every **data access** ([`Access`]): statement, window, target, byte
 //!   range, [`AccessKind`], the constant it leaves behind when known, and
 //!   the epoch covering it, routed by the open set as the engine routes it:
@@ -24,9 +21,12 @@
 //! * [`Resolved::at`], the inverse index: what each statement resolved to.
 //!
 //! The cross-rank FIFO rule — origin `o`'s k-th start naming `t` meets
-//! `t`'s k-th post naming `o` — is answered by [`Shape::matching_post`] and
-//! [`Shape::matching_start`] and nowhere else. Which accesses overlap on
-//! conflicting bytes is answered by [`conflicting_pairs`], one sort and
+//! `t`'s k-th post naming `o` — is resolved once in [`Shape::of`], after
+//! every rank is walked: each member of each start's (post's) group gets
+//! its [`Pairing`], the k and the peer's epoch it meets, read through
+//! [`Resolved::pairing`] in group order, and [`Shape::mismatches`] holds
+//! E011's start and post counts where they differ. Which accesses overlap
+//! on conflicting bytes is answered by [`conflicting_pairs`], one sort and
 //! sweep that each pass calls with its own predicate over the two kinds.
 //!
 //! The walk reports what only it can see (E001–E005, E008, E010) into
@@ -39,6 +39,7 @@
 //! were, as the engine's `AlreadyInEpoch` does. A close without an open
 //! resolves to nothing; an epoch whose close is missing has no close step.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use mpisim_core::epoch::{OpenSet, Slot};
@@ -78,7 +79,28 @@ pub(crate) struct Epoch<'p> {
     /// Per-(rank, window) reorder-concurrency region: two access epochs
     /// of one region may progress concurrently under the reorder flags.
     pub region: usize,
+    /// Where its group's entries begin in [`Resolved::pairings`].
+    pairings: usize,
 }
+
+/// One member of a start's (post's) group under the FIFO rule (§VI.A
+/// rule 3, `A_i = ++a_l`): origin `o`'s k-th start on a window naming `t`
+/// meets `t`'s k-th post on it naming `o`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Pairing {
+    /// k: which of its rank's starts (posts) on the window naming the
+    /// member the epoch is, 0-based in open order.
+    pub nth: usize,
+    /// The member's epoch it meets (an index into the member's
+    /// [`Resolved::epochs`]): the member's k-th post (start) on the window
+    /// naming this rank, `None` when there is none.
+    pub with: Option<usize>,
+}
+
+/// E011's two counts for one `(origin, window, target)`, as `(origin,
+/// window, target, starts, posts)`: the origin's starts on the window
+/// naming the target, and the target's posts on it naming the origin.
+pub(crate) type Tally = (usize, usize, usize, usize, usize);
 
 impl EpochKind<'_> {
     /// The open-set slot an epoch of this kind occupies while open.
@@ -151,6 +173,9 @@ pub(crate) struct Access {
     /// The covering access epoch (index into [`Resolved::epochs`]);
     /// `None` when no open epoch covers the target (E001/E002).
     pub epoch: Option<usize>,
+    /// When that epoch is a start: the target's position in its group,
+    /// which indexes [`Resolved::pairing`].
+    pub slot: Option<usize>,
 }
 
 impl Access {
@@ -265,25 +290,19 @@ pub(crate) struct Resolved<'p> {
     pub fences: Vec<Vec<usize>>,
     /// The barrier statements, in call order.
     pub barriers: Vec<usize>,
-    /// `(window, target, epoch)` for every target every start names,
-    /// sorted: the entries of one `(window, target)` are this rank's
-    /// starts naming that target, in open order.
-    starts_toward: Vec<Named>,
-    /// The same for posts: `(window, origin, epoch)`.
-    posts_toward: Vec<Named>,
-}
-
-/// `(window, peer, epoch)`: epoch is a start (post) on window naming peer.
-type Named = (usize, usize, usize);
-
-/// The entries of `filed` (sorted) for `(win, peer)`.
-fn naming(filed: &[Named], win: usize, peer: usize) -> &[Named] {
-    let from = filed.partition_point(|&(w, p, _)| (w, p) < (win, peer));
-    let len = filed[from..].partition_point(|&(w, p, _)| (w, p) == (win, peer));
-    &filed[from..from + len]
+    /// One [`Pairing`] per member of each start's and post's group, epoch
+    /// by epoch in open order and each group in its order.
+    pairings: Vec<Pairing>,
 }
 
 impl Resolved<'_> {
+    /// The FIFO rule's answer for each member of epoch `e`'s group, in
+    /// group order (empty for a kind without a group).
+    pub fn pairing(&self, e: usize) -> &[Pairing] {
+        let ep = &self.epochs[e];
+        &self.pairings[ep.pairings..ep.pairings + ep.group().len()]
+    }
+
     /// The accesses epoch `e` covers, in statement order.
     pub fn accesses_of(&self, e: usize) -> impl Iterator<Item = &Access> {
         let ep = &self.epochs[e];
@@ -292,18 +311,6 @@ impl Resolved<'_> {
             .iter()
             .take_while(|a| ep.close.is_none_or(|(c, _)| a.step < c))
             .filter(move |a| a.epoch == Some(e))
-    }
-
-    /// `(window, target, n)` for every target this rank starts toward:
-    /// `n` of its starts on `window` name it. Window-major, then by target.
-    pub fn start_counts(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        let same = |a: &Named, b: &Named| (a.0, a.1) == (b.0, b.1);
-        self.starts_toward.chunk_by(same).map(|starts| (starts[0].0, starts[0].1, starts.len()))
-    }
-
-    /// How many of this rank's posts on `win` name `origin`.
-    pub fn posts_naming(&self, win: usize, origin: usize) -> usize {
-        naming(&self.posts_toward, win, origin).len()
     }
 
     /// The per-rank ordinal of access epoch `e` (exposures do not count).
@@ -318,47 +325,66 @@ pub(crate) struct Shape<'p> {
     pub ranks: Vec<Resolved<'p>>,
     /// What the walk itself reported, rank by rank.
     pub diags: Vec<Diagnostic>,
+    /// One [`Tally`] per `(origin, window, target)` that some start names
+    /// and whose two counts differ, in that order.
+    pub mismatches: Vec<Tally>,
 }
 
 impl<'p> Shape<'p> {
     /// Resolve `p`: one walk per rank, each over the same per-window state
-    /// (reset, its open sets' buffers kept).
+    /// (reset, its open sets' buffers kept), then the FIFO rule over all
+    /// ranks at once.
     pub fn of(p: &'p IrProgram) -> Self {
         let mut diags = Vec::new();
         let mut wins: Vec<WinOpen> = p.windows.iter().map(|_| WinOpen::default()).collect();
-        let ranks = (0..p.ranks.len()).map(|r| Walk::run(p, r, &mut wins, &mut diags)).collect();
-        Shape { p, ranks, diags }
+        let mut ranks: Vec<Resolved> =
+            (0..p.ranks.len()).map(|r| Walk::run(p, r, &mut wins, &mut diags)).collect();
+        let mismatches = pair(&mut ranks);
+        Shape { p, ranks, diags, mismatches }
     }
+}
 
-    /// Which of `rank`'s starts (posts) on its window naming `peer` epoch
-    /// `e` is, 0-based; `None` when its group does not name `peer`.
-    pub fn occurrence(&self, rank: usize, e: usize, peer: usize) -> Option<usize> {
-        let rs = &self.ranks[rank];
-        let epoch = &rs.epochs[e];
-        let filed = match epoch.kind {
-            EpochKind::Post { .. } => &rs.posts_toward,
-            _ => &rs.starts_toward,
-        };
-        naming(filed, epoch.win, peer).binary_search_by_key(&e, |&(.., e)| e).ok()
-    }
+/// `(origin, window, target, post, entry, epoch)`: entry `entry` of
+/// [`Resolved::pairings`] belongs to `epoch`, a start of the origin (or, if
+/// `post`, a post of the target) whose group names the other rank.
+type Filed = (usize, usize, usize, bool, usize, usize);
 
-    /// The exposure epoch of `t` that origin `o`'s access epoch `start`
-    /// meets (both indices into their rank's epochs): if `start` is `o`'s
-    /// k-th start naming `t`, `t`'s k-th post naming `o`.
-    pub fn matching_post(&self, o: usize, start: usize, t: usize) -> Option<usize> {
-        let k = self.occurrence(o, start, t)?;
-        let posts = naming(&self.ranks.get(t)?.posts_toward, self.ranks[o].epochs[start].win, o);
-        posts.get(k).map(|&(.., e)| e)
+/// The FIFO rule, resolved once for the whole job. Every member of every
+/// start and post is filed under its `(origin, window, target)`, and one
+/// sort puts each key's starts, then its posts, in open order: an entry's
+/// place among its key's starts (posts) is its k, the `a_l` (`e_l`) the
+/// paper counts, and the k-th start and the k-th post meet. Returns both
+/// counts of every key a start names where they differ, in key order.
+fn pair(ranks: &mut [Resolved]) -> Vec<Tally> {
+    let mut filed: Vec<Filed> = Vec::with_capacity(ranks.iter().map(|rs| rs.pairings.len()).sum());
+    for (r, rs) in ranks.iter().enumerate() {
+        for (e, ep) in rs.epochs.iter().enumerate() {
+            debug_assert!(
+                ep.group().iter().all(|&q| q < ranks.len()),
+                "the walk opens no start or post naming a rank outside the job (E002)"
+            );
+            let post = matches!(ep.kind, EpochKind::Post { .. });
+            for (i, &q) in ep.group().iter().enumerate() {
+                let (origin, target) = if post { (q, r) } else { (r, q) };
+                filed.push((origin, ep.win, target, post, ep.pairings + i, e));
+            }
+        }
     }
-
-    /// The access epoch of `o` that target `t`'s exposure epoch `post`
-    /// meets: if `post` is `t`'s k-th post naming `o`, `o`'s k-th start
-    /// naming `t`.
-    pub fn matching_start(&self, t: usize, post: usize, o: usize) -> Option<usize> {
-        let k = self.occurrence(t, post, o)?;
-        let starts = naming(&self.ranks.get(o)?.starts_toward, self.ranks[t].epochs[post].win, t);
-        starts.get(k).map(|&(.., e)| e)
+    filed.sort_unstable();
+    let mut mismatches = Vec::new();
+    for run in filed.chunk_by(|a, b| (a.0, a.1, a.2) == (b.0, b.1, b.2)) {
+        let (starts, posts) = run.split_at(run.iter().take_while(|f| !f.3).count());
+        for (mine, theirs) in [(starts, posts), (posts, starts)] {
+            for (nth, &(o, _, t, post, i, _)) in mine.iter().enumerate() {
+                let with = theirs.get(nth).map(|f| f.5);
+                ranks[if post { t } else { o }].pairings[i] = Pairing { nth, with };
+            }
+        }
+        if !starts.is_empty() && starts.len() != posts.len() {
+            mismatches.push((run[0].0, run[0].1, run[0].2, starts.len(), posts.len()));
+        }
     }
+    mismatches
 }
 
 /// Which bytes of whose window a data statement touches, and how.
@@ -403,6 +429,14 @@ fn touch(stmt: &Stmt) -> Option<Touch> {
         }
         _ => return None,
     })
+}
+
+/// Where `t` stands in `group`. The walk asks this for every operation in
+/// a start epoch, so it looks 16 members at a time with `contains`, which
+/// runs about twice as fast as `position` over a long group.
+fn slot_of(group: &[usize], t: usize) -> Option<usize> {
+    let (c, chunk) = group.chunks(16).enumerate().find(|(_, chunk)| chunk.contains(&t))?;
+    chunk.iter().position(|&q| q == t).map(|i| 16 * c + i)
 }
 
 /// E005's detail for opening an epoch in `new` while `old` is open on
@@ -500,8 +534,9 @@ impl<'a, 'p> Walk<'a, 'p> {
     /// window's last access epoch: no blocking synchronization between the
     /// two opens, and §VI.B's rule under the program's info
     /// ([`mpisim_core::WinInfo::overlaps`], the engine's) allows the pair.
-    /// A start (post) is filed under each group member. The caller has
-    /// checked for an E005 clash: a refused open never gets here.
+    /// A start (post) reserves one [`Pairing`] per group member, which
+    /// [`pair`] fills in. The caller has checked for an E005 clash: a
+    /// refused open never gets here.
     fn open(&mut self, win: usize, step: usize, kind: EpochKind<'p>) -> usize {
         let (e, info) = (self.out.epochs.len(), self.p.info());
         let w = &mut self.wins[win];
@@ -513,16 +548,10 @@ impl<'a, 'p> Walk<'a, 'p> {
             w.last = Some(next);
             w.synced = false;
         }
-        match kind {
-            EpochKind::Start { group } => {
-                self.out.starts_toward.extend(group.iter().map(|&t| (win, t, e)))
-            }
-            EpochKind::Post { group } => {
-                self.out.posts_toward.extend(group.iter().map(|&o| (win, o, e)))
-            }
-            _ => {}
-        }
-        self.out.epochs.push(Epoch { kind, win, open: step, close: None, region: w.region });
+        let (region, pairings) = (w.region, self.out.pairings.len());
+        let epoch = Epoch { kind, win, open: step, close: None, region, pairings };
+        self.out.pairings.resize(pairings + epoch.group().len(), Pairing::default());
+        self.out.epochs.push(epoch);
         w.open.open(kind.slot(), e);
         self.out.at[step] = At::Opens(e);
         e
@@ -631,7 +660,11 @@ impl<'a, 'p> Walk<'a, 'p> {
             return self.diag(Code::E010, Some(step), detail);
         };
         let open = &self.wins[win].open;
-        let in_group = |&e: &usize| self.out.epochs[e].group().contains(&target);
+        let slot = Cell::new(None);
+        let in_group = |&e: &usize| {
+            slot.set(slot_of(self.out.epochs[e].group(), target));
+            slot.get().is_some()
+        };
         let epoch = open.covering(Rank(target), in_group).copied();
         let fence = open.get(Slot::Fence).copied();
         if open.get(Slot::GatsAccess).is_some() && (epoch.is_none() || epoch == fence) {
@@ -663,6 +696,7 @@ impl<'a, 'p> Walk<'a, 'p> {
             op,
             val,
             epoch,
+            slot: slot.get(),
         });
     }
 
@@ -781,8 +815,6 @@ impl<'a, 'p> Walk<'a, 'p> {
     /// End of program: epochs still open (E003) and requests never
     /// consumed (E008).
     fn finish(&mut self) {
-        self.out.starts_toward.sort_unstable();
-        self.out.posts_toward.sort_unstable();
         for win in 0..self.wins.len() {
             // Slot order: start, post, locks by target, `lock_all`, and a
             // trailing fence phase that issued operations.
@@ -827,10 +859,17 @@ impl<'a, 'p> Walk<'a, 'p> {
     }
 }
 
+/// The application twins, for the pairing table's reference test, which
+/// calls the builders but not `suite`.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../apps/src/ir_models.rs"]
+mod ir_models;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate_value_clean;
+    use crate::{cases, generate_negative, generate_value_clean, NegFamily};
 
     const BLOCKING: Close = Close::Blocking;
 
@@ -896,15 +935,112 @@ mod tests {
         p.ranks[1] = gats(&[&[0], &[2], &[0, 2], &[0]], true);
         p.ranks[2] = gats(&[&[0], &[0]], true);
         let sh = Shape::of(&p);
-        // Each rank's k-th epoch opens at statement 2k.
-        let opened = |rank: usize, e: Option<usize>| e.map(|e| sh.ranks[rank].epochs[e].open);
-        let post_met = |k: usize, t| opened(t, sh.matching_post(0, k, t));
-        assert_eq!([0, 2, 3].map(|k| post_met(k, 1)), [Some(0), Some(4), Some(6)]);
-        assert_eq!([1, 2, 3].map(|k| post_met(k, 2)), [Some(0), Some(2), None]);
+        // `rank`'s epoch `k` read at group member `peer`: its k-th place
+        // among the rank's starts (posts) naming `peer`, and the statement
+        // opening the epoch it meets (each rank's k-th epoch opens at 2k).
+        let met = |rank: usize, k: usize, peer: usize| {
+            let rs = &sh.ranks[rank];
+            let mut named = rs.epochs[k].group().iter().zip(rs.pairing(k));
+            let (_, pairing) = named.find(|&(&q, _)| q == peer)?;
+            Some((pairing.nth, pairing.with.map(|e| sh.ranks[peer].epochs[e].open)))
+        };
+        let post_met = |k: usize, t| met(0, k, t);
+        let want = [Some((0, Some(0))), Some((1, Some(4))), Some((2, Some(6)))];
+        assert_eq!([0, 2, 3].map(|k| post_met(k, 1)), want);
+        let want = [Some((0, Some(0))), Some((1, Some(2))), Some((2, None))];
+        assert_eq!([1, 2, 3].map(|k| post_met(k, 2)), want);
         assert_eq!(post_met(0, 2), None);
-        let start_met = |k: usize, o| opened(o, sh.matching_start(1, k, o));
-        assert_eq!([0, 2, 3].map(|k| start_met(k, 0)), [Some(0), Some(4), Some(6)]);
-        assert_eq!([start_met(1, 2), start_met(1, 0)], [None, None]);
+        let start_met = |k: usize, o| met(1, k, o);
+        let want = [Some((0, Some(0))), Some((1, Some(4))), Some((2, Some(6)))];
+        assert_eq!([0, 2, 3].map(|k| start_met(k, 0)), want);
+        assert_eq!([start_met(1, 2), start_met(1, 0)], [Some((0, None)), None]);
+    }
+
+    /// `(epoch, slot, member)` for every group member of `rs`'s starts (or
+    /// posts) on `win`, in open order and then group order.
+    fn members<'a>(
+        rs: &'a Resolved,
+        win: usize,
+        posts: bool,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+        let is_post = |ep: &Epoch| matches!(ep.kind, EpochKind::Post { .. });
+        (rs.epochs.iter().enumerate())
+            .filter(move |(_, ep)| ep.win == win && is_post(ep) == posts)
+            .flat_map(|(e, ep)| ep.group().iter().enumerate().map(move |(i, &m)| (e, i, m)))
+    }
+
+    /// The FIFO rule by linear scans, for the member at `slot` of rank
+    /// `r`'s epoch `e`: k counts the members naming the same peer before
+    /// it among `r`'s starts (posts) on the window, and the peer's k-th
+    /// member naming `r` among its posts (starts) on the window is in the
+    /// epoch it meets.
+    fn pairing_by_scan(sh: &Shape, r: usize, e: usize, slot: usize) -> Pairing {
+        let ep = &sh.ranks[r].epochs[e];
+        let (peer, post) = (ep.group()[slot], matches!(ep.kind, EpochKind::Post { .. }));
+        let nth = (members(&sh.ranks[r], ep.win, post))
+            .take_while(|&(f, i, _)| (f, i) != (e, slot))
+            .filter(|&(.., m)| m == peer)
+            .count();
+        let theirs = members(&sh.ranks[peer], ep.win, !post).filter(|&(.., m)| m == r);
+        Pairing { nth, with: theirs.map(|(f, ..)| f).nth(nth) }
+    }
+
+    /// E011's counts by linear scans: every `(origin, window, target)` in
+    /// that order whose origin starts toward the target at least once, as
+    /// many times as the target posts toward the origin or not.
+    fn tallies_by_scan(sh: &Shape) -> Vec<Tally> {
+        let (n, wins) = (sh.ranks.len(), sh.p.windows.len());
+        let naming = |rank: usize, win, posts, peer| {
+            members(&sh.ranks[rank], win, posts).filter(|&(.., m)| m == peer).count()
+        };
+        let keys = (0..n).flat_map(|o| (0..wins).flat_map(move |w| (0..n).map(move |t| (o, w, t))));
+        let tally = |(o, w, t)| (o, w, t, naming(o, w, false, t), naming(t, w, true, o));
+        keys.map(tally).filter(|&(.., starts, _)| starts > 0).collect()
+    }
+
+    /// Holds `p`'s pairing table and mismatched counts to the scans;
+    /// returns how many members were met and how many were not.
+    fn pairing_is_the_fifo_rule(what: &str, p: &IrProgram) -> (usize, usize) {
+        let sh = Shape::of(p);
+        let mut seen = (0, 0);
+        for (r, rs) in sh.ranks.iter().enumerate() {
+            for e in 0..rs.epochs.len() {
+                let slots = 0..rs.epochs[e].group().len();
+                let scanned: Vec<Pairing> = slots.map(|i| pairing_by_scan(&sh, r, e, i)).collect();
+                assert_eq!(rs.pairing(e), scanned, "{what}: rank {r} epoch {e}");
+                for pairing in scanned {
+                    *(if pairing.with.is_some() { &mut seen.0 } else { &mut seen.1 }) += 1;
+                }
+            }
+        }
+        let mismatches = tallies_by_scan(&sh).into_iter().filter(|&(.., s, p)| s != p);
+        assert_eq!(sh.mismatches, mismatches.collect::<Vec<_>>(), "{what}");
+        seen
+    }
+
+    /// The table is the rule on every verdict-table row, the value-clean
+    /// set, the negative corpus at 64 seeds per family and the five
+    /// application twins at 4, 8 and 12 ranks.
+    #[test]
+    fn the_pairing_table_says_what_the_fifo_rule_says() {
+        use ir_models::{bank_ir, halo_ir, lu_ir, stencil2d_ir, transactions_ir};
+        let mut programs: Vec<(String, IrProgram)> =
+            cases().into_iter().map(|case| (case.name.to_string(), case.program)).collect();
+        programs.extend((0..64).map(|i| (format!("value-clean {i}"), generate_value_clean(i))));
+        for family in NegFamily::ALL {
+            let negative = |i| generate_negative(family, i).program;
+            programs.extend((0..64).map(|i| (format!("{} {i}", family.label()), negative(i))));
+        }
+        for n in [4, 8, 12] {
+            let twins = [halo_ir, stencil2d_ir, lu_ir, transactions_ir, bank_ir];
+            programs.extend(twins.map(|twin| (format!("twin at {n} ranks"), twin(n, 4))));
+        }
+        let (mut met, mut unmet) = (0, 0);
+        for (what, p) in &programs {
+            let (m, u) = pairing_is_the_fifo_rule(what, p);
+            (met, unmet) = (met + m, unmet + u);
+        }
+        assert!(met > 1000 && unmet > 100, "{met} members met, {unmet} not");
     }
 
     /// Malformed programs resolve without panicking, to what a runtime that
@@ -949,6 +1085,11 @@ mod tests {
         resolve(strays, &[Code::E010, Code::E002, Code::E002, Code::E010], &|rs| {
             assert_eq!((rs.epochs.len(), rs.accesses.len()), (1, 0));
             assert_eq!(rs.at[1..], [At::Nothing; 4]);
+        });
+        // A start naming a rank outside the job opens nothing to pair.
+        resolve(vec![Stmt::Start { win: 0, group: vec![9] }], &[Code::E002], &|rs| {
+            assert!(rs.epochs.is_empty() && rs.pairings.is_empty());
+            assert_eq!(rs.at, [At::Nothing]);
         });
         // A nested start is refused: the open one covers the put and closes.
         let start = || Stmt::Start { win: 0, group: vec![1] };

@@ -73,7 +73,9 @@ use mpisim_core::trace::AccessKind;
 
 use crate::diag::{Code, Diagnostic};
 use crate::ir::{IrProgram, Stmt};
-use crate::shape::{conflicting_pairs, Access, At, EpochKind, Flush, Op, Resolved, Shape};
+use crate::shape::{
+    conflicting_pairs, Access, At, EpochKind, Flush, Op, Pairing, Resolved, Shape,
+};
 
 /// Classification of one blocking synchronization point on the slack
 /// lattice (`Elidable ⊏ Relaxable ⊏ Required`: each step up keeps
@@ -238,6 +240,7 @@ fn whole_window(p: &IrProgram, rank: usize, step: usize, win: usize, e: usize) -
         op: Op::Put,
         val: None,
         epoch: Some(e),
+        slot: None,
     }
 }
 
@@ -368,9 +371,9 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
     let p = sh.p;
     let pinned = reorder_pinned(sh);
     let addressed = addressed(sh);
+    let idle = |rank: usize, e: usize, t: usize| addressed[rank].binary_search(&(e, t)).is_err();
     let unused = |rank: usize, e: usize| -> Vec<usize> {
-        let group = sh.ranks[rank].epochs[e].group().iter().copied();
-        group.filter(|&t| addressed[rank].binary_search(&(e, t)).is_err()).collect()
+        sh.ranks[rank].epochs[e].group().iter().copied().filter(|&t| idle(rank, e, t)).collect()
     };
     let cross = OnceCell::new();
     let mut report = SlackReport::default();
@@ -616,11 +619,9 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
     // the epoch live.)
     for t in 0..sh.ranks.len() {
         for (e, post) in gats_by_window(t, true) {
-            let dead = |&o: &usize| {
-                let start = sh.matching_start(t, e, o);
-                start.is_some_and(|s| addressed[o].binary_search(&(s, t)).is_err())
-            };
-            if !post.group().is_empty() && post.group().iter().all(dead) {
+            let dead = |(&o, met): (&usize, &Pairing)| met.with.is_some_and(|s| idle(o, s, t));
+            let mut granted = post.group().iter().zip(sh.ranks[t].pairing(e));
+            if !post.group().is_empty() && granted.all(dead) {
                 report.diags.push(Diagnostic {
                     code: Code::W005,
                     rank: t,
@@ -643,12 +644,13 @@ pub(crate) fn slack_of(sh: &Shape) -> SlackReport {
     // E015's business.
     for origin in 0..sh.ranks.len() {
         for (e, start) in gats_by_window(origin, false) {
-            let unused = unused(origin, e);
+            let targets = start.group().iter().zip(sh.ranks[origin].pairing(e));
+            let unused: Vec<_> = targets.filter(|&(&t, _)| idle(origin, e, t)).collect();
             if unused.len() == start.group().len() {
                 continue;
             }
-            for t in unused {
-                if let Some(post) = sh.matching_post(origin, e, t) {
+            for (&t, met) in unused {
+                if let Some(post) = met.with {
                     report.shrinks.push(GroupShrink {
                         origin,
                         win: start.win,

@@ -3,12 +3,16 @@
 //! benchmark's `static_sweep` twins. `analyze`
 //! must cost what it finds: its conflict checks sort each target's
 //! accesses and sweep them, the slack pass (`analyze_slack`, run by
-//! every `rewrite` pass) reads the same sweep, and the deadlock fixpoint
-//! resolves each wait once. On a 2-vCPU host the printed rows sum to
-//! 0.44–0.45 s; under the same load they summed to 0.56–0.62 s when the
-//! fixpoint re-resolved a wait on every check (halo 0.10 s per
-//! `analyze`), and to 7.7 s when `analyze` compared every pair of
-//! accesses (halo and LU 1.6 s per `analyze`). That test is `#[ignore]`d
+//! every `rewrite` pass) reads the same sweep, the deadlock fixpoint
+//! resolves each wait once, and every start meets its post through one
+//! pairing table built once per program. On a 2-vCPU host the printed
+//! rows sum to 0.31–0.44 s (median 0.34 s of five runs), and to
+//! 0.32–0.44 s (median 0.36 s, runs alternating) when each pass searched
+//! for a start's post again at every question. Under an earlier load
+//! they summed to 0.56–0.62 s when the fixpoint re-resolved a wait on
+//! every check (halo 0.10 s per `analyze`), and to 7.7 s when `analyze`
+//! compared every pair of accesses (halo and LU 1.6 s per `analyze`).
+//! That test is `#[ignore]`d
 //! — it is a release-mode test, run by the `scale-smoke` CI job:
 //!
 //! ```sh

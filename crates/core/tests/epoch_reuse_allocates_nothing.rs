@@ -4,19 +4,33 @@
 //! once a side has held an epoch of a given size, opening and retiring one
 //! allocates nothing, as the counting allocator (`tests/support/alloc.rs`)
 //! counts it. The API's engine calls, which run on the driver's stack,
-//! allocate nothing for the hop either.
+//! allocate nothing for the hop either. Whole epoch rounds through the API
+//! still allocate in steady state, and `pins.txt` holds how much, so a
+//! change there moves a named row.
+//!
+//! The counter is one process-wide total, so the tests measure one at a
+//! time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mpisim_core::epoch::{EpochKind, Slot};
 use mpisim_core::window::WinRank;
-use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, RmaError, WinInfo};
+use mpisim_core::{run_job, Group, JobConfig, LockKind, Rank, RankEnv, RmaError, WinId, WinInfo};
 use mpisim_sim::SimTime;
 
 #[path = "../../../tests/support/alloc.rs"]
 mod alloc;
+#[path = "../../../tests/support/pin.rs"]
+mod pin;
 
 use alloc::{ALLOCS, COUNTING};
+
+/// Holds off the other tests of this binary while one counts.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static COUNTER: Mutex<()> = Mutex::new(());
+    COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One round: a lock epoch and a two-target GATS access epoch open side by
 /// side, then leave the open set and retire, as their closing calls and
@@ -35,6 +49,7 @@ fn round(w: &mut WinRank, lock: &EpochKind, gats: &EpochKind) {
 #[test]
 fn reopening_recycled_epochs_allocates_nothing() {
     const ROUNDS: u64 = 1000;
+    let _alone = one_at_a_time();
     let mut w = WinRank::new(64, WinInfo::default());
     let lock = EpochKind::Lock {
         target: Rank(1),
@@ -72,6 +87,7 @@ fn reopening_recycled_epochs_allocates_nothing() {
 #[test]
 fn api_calls_on_the_driver_stack_allocate_nothing() {
     const ROUNDS: u64 = 1000;
+    let _alone = one_at_a_time();
     static STEADY: AtomicU64 = AtomicU64::new(u64::MAX);
     let report = run_job(JobConfig::new(1), |env| {
         let win = env.win_allocate(64).unwrap();
@@ -100,4 +116,56 @@ fn api_calls_on_the_driver_stack_allocate_nothing() {
         steady, 0,
         "{steady} allocations in {ROUNDS} rounds of driver-stack API calls"
     );
+}
+
+/// Allocations in 1 000 rounds of `round` by rank 0 of an `n`-rank job on
+/// one window, after two rounds of warm-up; the other ranks wait at a
+/// barrier meanwhile.
+fn steady_allocations(n: usize, round: fn(&RankEnv, WinId)) -> u64 {
+    const ROUNDS: u64 = 1000;
+    static STEADY: AtomicU64 = AtomicU64::new(u64::MAX);
+    let report = run_job(JobConfig::new(n), move |env| {
+        let win = env.win_allocate(64).unwrap();
+        if env.rank() == Rank(0) {
+            round(env, win);
+            round(env, win);
+            COUNTING.with(|c| c.set(true));
+            let before = ALLOCS.load(Ordering::Relaxed);
+            (0..ROUNDS).for_each(|_| round(env, win));
+            STEADY.store(ALLOCS.load(Ordering::Relaxed) - before, Ordering::Relaxed);
+            COUNTING.with(|c| c.set(false));
+        }
+        env.barrier().unwrap();
+        env.win_free(win).unwrap();
+    })
+    .unwrap();
+    assert!(report.is_clean());
+    STEADY.load(Ordering::Relaxed)
+}
+
+/// Epoch rounds through the API allocate in steady state: a fence's
+/// self-message boxes its delivery closure and its arrival tally is a new
+/// `FenceTally`, and the passive-target rounds allocate as well. The counts
+/// are pinned, not judged: a change that removes one moves its row.
+#[test]
+fn api_epoch_rounds_allocate_what_the_pins_say() {
+    let _alone = one_at_a_time();
+    let rows = [
+        ("fence/1-rank", steady_allocations(1, |env, win| env.fence(win).unwrap())),
+        (
+            "lock_all+unlock_all/1-rank",
+            steady_allocations(1, |env, win| {
+                env.lock_all(win).unwrap();
+                env.unlock_all(win).unwrap();
+            }),
+        ),
+        (
+            "lock+unlock/2-rank",
+            steady_allocations(2, |env, win| {
+                env.lock(win, Rank(1), LockKind::Exclusive).unwrap();
+                env.unlock(win, Rank(1)).unwrap();
+            }),
+        ),
+    ];
+    pin::check("core/epoch_reuse_allocates_nothing::api_epoch_rounds_allocate_what_the_pins_say", rows);
 }

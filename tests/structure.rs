@@ -366,18 +366,24 @@ const ROWS: &[Row] = &[
         plant: Insert("crates/analyze/src/slack.rs", "use crate::ir::{IrProgram, Stmt};",
             "fn is_put(s: &Stmt) -> bool { matches!(s, Stmt::Put { .. }) }") },
     Row { name: "Start/post occurrence counters live in shape.rs only", section: "§9.2",
-        why: "`shape.rs` alone counts starts and posts per peer, the FIFO matching rule",
+        why: "`shape.rs` alone numbers starts and posts per peer and fills the pairing table, the FIFO matching rule",
         files: &["crates/analyze/src/*.rs"],
-        rule: OnlyIn(&[lit("starts_toward"), lit("posts_toward")], &["crates/analyze/src/shape.rs"]),
+        rule: OnlyIn(&[word("pairings"), lit("Pairing {")], &["crates/analyze/src/shape.rs"]),
         plant: Insert("crates/analyze/src/deadlock.rs", "fn fixpoint_pass(sh: &Shape) -> Vec<Diagnostic> {",
-            "    let starts_toward: Vec<usize> = Vec::new();") },
+            "    let pairings: Vec<usize> = Vec::new();") },
     Row { name: "The fixpoint resolves each wait once", section: "§9.4",
         why: "a wait's needs are resolved from the shape before the fixpoint runs; `sat` only checks them",
         files: &["crates/analyze/src/deadlock.rs:fn sat"],
-        rule: Absent(&[lit("matching_post"), lit("matching_start"), lit("occurrence"), lit(".fences["),
-            lit(".barriers"), lit(".accesses")]),
+        rule: Absent(&[lit(".pairing("), lit(".fences["), lit(".barriers"), lit(".accesses")]),
         plant: Insert("crates/analyze/src/deadlock.rs", "let (first, end) = &self.lists[l];",
-            "        let post = sh.matching_post(0, 0, 1);") },
+            "        let post = sh.ranks[0].pairing(0)[0].with;") },
+    Row { name: "The GATS pairing is resolved once", section: "§9.2",
+        why: "`Shape::of` pairs every start and post once; no pass asks the FIFO rule again per question",
+        files: &["crates/analyze/src/**"],
+        rule: Absent(&[word("fn naming"), word("fn occurrence"), word("fn matching_post"),
+            word("fn matching_start")]),
+        plant: Insert("crates/analyze/src/shape.rs", "impl<'p> Shape<'p> {",
+            "    pub fn matching_post(&self, o: usize, start: usize, t: usize) -> Option<usize> { None }") },
     Row { name: "No private re-derivation of the epoch structure", section: "§9.2",
         why: "the passes that used to re-derive the shape, the accesses or the closes stay readers",
         files: &["crates/analyze/src/**"],
